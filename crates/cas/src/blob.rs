@@ -11,6 +11,7 @@
 //! top, keeping the refcounts consistent as bindings change.
 
 use crate::digest::{content_digest, Digest};
+use crate::verified::verify_payload;
 use bytes::Bytes;
 use ros_disk::plane::DataPlane;
 use std::collections::BTreeMap;
@@ -47,22 +48,6 @@ impl core::fmt::Display for CasError {
 }
 
 impl std::error::Error for CasError {}
-
-/// Verifies a payload against an expected digest, hashing on `plane`.
-///
-/// The single verify-by-digest entry point: scrub, the cluster drill
-/// and the chaos sweep all route integrity checks through here.
-pub fn verify_payload(expected: &Digest, data: &[u8], plane: &DataPlane) -> Result<(), CasError> {
-    let actual = content_digest(data, plane);
-    if actual == *expected {
-        Ok(())
-    } else {
-        Err(CasError::DigestMismatch {
-            expected: *expected,
-            actual,
-        })
-    }
-}
 
 #[derive(Clone, Debug)]
 struct BlobEntry {
@@ -197,7 +182,7 @@ impl BlobStore {
     /// Recomputes a stored blob's digest on `plane` and checks it.
     pub fn verify(&self, digest: &Digest, plane: &DataPlane) -> Result<(), CasError> {
         let bytes = self.get(digest)?;
-        verify_payload(digest, bytes, plane)
+        verify_payload(digest, bytes, plane).map(drop)
     }
 
     /// Stored digests in order (deterministic iteration).

@@ -170,10 +170,22 @@ impl core::fmt::Debug for Digest {
 /// root hash binds the payload length so `content_digest` of a payload
 /// never collides with `sha256` of its concatenated chunk digests.
 pub fn content_digest(data: &[u8], plane: &DataPlane) -> Digest {
+    let len_prefix = (data.len() as u64).to_be_bytes();
+    if data.len() <= CHUNK_BYTES {
+        // Zero or one chunk — every dedup-sized write. Same root bytes
+        // as the general path, built on the stack.
+        let mut root = [0u8; 8 + 32];
+        root[..8].copy_from_slice(&len_prefix);
+        if data.is_empty() {
+            return Digest(sha256(&root[..8]));
+        }
+        root[8..].copy_from_slice(&sha256(data));
+        return Digest(sha256(&root));
+    }
     let chunks: Vec<&[u8]> = data.chunks(CHUNK_BYTES).collect();
     let chunk_digests: Vec<[u8; 32]> = plane.map(&chunks, |c| sha256(c));
     let mut root = Vec::with_capacity(8 + 32 * chunk_digests.len());
-    root.extend_from_slice(&(data.len() as u64).to_be_bytes());
+    root.extend_from_slice(&len_prefix);
     for d in &chunk_digests {
         root.extend_from_slice(d);
     }
@@ -188,9 +200,16 @@ mod tests {
         Digest::from_bytes(*bytes).to_hex()
     }
 
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).to_be_bytes()[7])
+            .collect()
+    }
+
     #[test]
     fn fips_180_4_test_vectors() {
-        // NIST FIPS 180-4 / CAVP short-message vectors.
+        // NIST FIPS 180-4 / CAVP vectors: empty, 24-bit, 448-bit,
+        // 896-bit and the one-million-'a' long message.
         assert_eq!(
             hex(&sha256(b"")),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -205,7 +224,13 @@ mod tests {
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
-        // One million 'a's (the long NIST vector).
+        assert_eq!(
+            hex(&sha256(
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+                  ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+            )),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        );
         let million = vec![b'a'; 1_000_000];
         assert_eq!(
             hex(&sha256(&million)),
@@ -228,11 +253,50 @@ mod tests {
     }
 
     #[test]
+    fn content_digest_golden_values_are_pinned() {
+        // What is recorded on disc must never drift: neither the
+        // single-chunk path nor a block kernel may change these. Values
+        // computed independently (Python hashlib) from the construction
+        // in the module docs.
+        let golden = [
+            (
+                0,
+                "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+            ),
+            (
+                1,
+                "f116abd57c3e0560fd70ec4abc84e1a1385d3aaa1a936cdda4bfefbcf099a26c",
+            ),
+            (
+                CHUNK_BYTES - 1,
+                "6387d15e9716510dcd5511a532c048733a6d524f2885605dde43d9786b473072",
+            ),
+            (
+                CHUNK_BYTES,
+                "ac970b2027de5e996eb80a5701dfd408b2abbbfcba21ee53be50fbabdfb96b98",
+            ),
+            (
+                CHUNK_BYTES + 1,
+                "fa2b008d541553ed451d0b9a3f314056bb7b19c06d29d4d0e2e46de113f115ce",
+            ),
+            (
+                2 * CHUNK_BYTES + 12_345,
+                "62e9c02665801d6304059489c3bcb4a33199cedcb60734db1c1fe9a7af161fcf",
+            ),
+        ];
+        let data = pattern(2 * CHUNK_BYTES + 12_345);
+        for (len, expect) in golden {
+            for threads in [1, 2, 4] {
+                let got = content_digest(&data[..len], &DataPlane::new(threads));
+                assert_eq!(got.to_hex(), expect, "len {len} threads {threads}");
+            }
+        }
+    }
+
+    #[test]
     fn content_digest_is_thread_count_invariant() {
         // Straddle several chunk boundaries.
-        let data: Vec<u8> = (0..(2 * CHUNK_BYTES + 12_345))
-            .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).to_be_bytes()[7])
-            .collect();
+        let data = pattern(2 * CHUNK_BYTES + 12_345);
         let expect = content_digest(&data, &DataPlane::single());
         for threads in [2, 4, 8] {
             let got = content_digest(&data, &DataPlane::new(threads));

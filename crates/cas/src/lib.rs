@@ -9,11 +9,13 @@
 //!   vectors) and the chunked [`content_digest`] scheme that fans out
 //!   over the [`ros_disk::plane::DataPlane`] while staying
 //!   byte-identical at any thread count;
+//! - [`verified`]: the single [`verify_payload`] entry point every
+//!   integrity check routes through, and the [`Verified`] proof it
+//!   returns — bytes plus the digest they were shown to hash to — so a
+//!   payload checked once is never hashed again downstream;
 //! - [`blob`]: the refcounted [`BlobStore`] (put/get/link/unlink with
-//!   strict refcount invariants and typed [`CasError`]s), the
-//!   `(tenant, bucket, path) → Digest` index [`Cas`], and the single
-//!   [`verify_payload`] entry point every integrity check routes
-//!   through.
+//!   strict refcount invariants and typed [`CasError`]s) and the
+//!   `(tenant, bucket, path) → Digest` index [`Cas`].
 //!
 //! The OLFS engine consumes this crate for write-path dedup (duplicate
 //! payloads share one blob, one bucket residency and one burn), image
@@ -25,8 +27,8 @@
 
 pub mod blob;
 pub mod digest;
+pub mod verified;
 
-pub use blob::{
-    verify_payload, BlobStore, Cas, CasError, IngestOutcome, ObjectKey, PutOutcome, StoreStats,
-};
+pub use blob::{BlobStore, Cas, CasError, IngestOutcome, ObjectKey, PutOutcome, StoreStats};
 pub use digest::{content_digest, sha256, Digest, CHUNK_BYTES};
+pub use verified::{verify_payload, Verified};

@@ -4,12 +4,15 @@
 //!   one, and the byte accounting identity `logical = Σ refs·len`,
 //!   `unique = Σ len` holds after every operation;
 //! - ingesting the same multi-tenant object set in any order yields an
-//!   identical blob set (digests, refcounts and accounting).
+//!   identical blob set (digests, refcounts and accounting);
+//! - `content_digest` equals its definition (length prefix, per-chunk
+//!   SHA-256, root hash) rebuilt from plain `sha256` at any length,
+//!   alignment and plane width — the single-chunk fast path included.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use ros_cas::{BlobStore, Cas, CasError, Digest, ObjectKey};
+use ros_cas::{content_digest, sha256, BlobStore, Cas, CasError, Digest, ObjectKey, CHUNK_BYTES};
 use ros_disk::plane::DataPlane;
 
 /// A model-checked shadow of the store: digest → (len, refs).
@@ -144,6 +147,30 @@ proptest! {
         // Every key resolves to the same digest in both stores.
         for (key, digest) in reference.objects() {
             prop_assert_eq!(cas.resolve(key), Ok(*digest));
+        }
+    }
+}
+
+proptest! {
+    // Each case hashes up to 768 KiB four times in a debug build; 24
+    // cases keep the suite quick.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn content_digest_matches_its_definition(
+        seed in 0u64..u64::MAX,
+        len in 0usize..(3 * CHUNK_BYTES),
+        offset in 0usize..16,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let buf: Vec<u8> = (0..offset + len).map(|_| rng.gen::<u8>()).collect();
+        let data = &buf[offset..];
+        let mut root = (data.len() as u64).to_be_bytes().to_vec();
+        for chunk in data.chunks(CHUNK_BYTES) {
+            root.extend_from_slice(&sha256(chunk));
+        }
+        let expect = Digest::from_bytes(sha256(&root));
+        for threads in [1, 2, 4] {
+            prop_assert_eq!(content_digest(data, &DataPlane::new(threads)), expect);
         }
     }
 }

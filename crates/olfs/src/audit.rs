@@ -38,6 +38,8 @@ use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, ImageId};
 use crate::redundancy;
+use bytes::Bytes;
+use ros_cas::Verified;
 use ros_drive::media::Payload;
 use ros_sim::SimDuration;
 use std::collections::BTreeMap;
@@ -219,9 +221,11 @@ impl Ros {
         let first_rotted = rotted.first().copied().unwrap_or(ImageId(0));
         let plane = self.data_plane();
 
-        // Gather digest-verified bytes per member; anything that fails
-        // verification is masked as lost.
-        let mut raw: Vec<Option<Vec<u8>>> = vec![None; members.len()];
+        // Gather digest-verified bytes per member, hashing each once;
+        // anything that fails verification is masked as lost, and a
+        // member whose *buffer copy* verified is remembered as healthy.
+        let mut raw: Vec<Option<Verified<Bytes>>> = vec![None; members.len()];
+        let mut buffer_healthy = vec![false; members.len()];
         let mut scanned = 0u64;
         for (i, member) in members.iter().enumerate() {
             let Some(info) = self.store.get(*member) else {
@@ -229,8 +233,9 @@ impl Ros {
             };
             let digest = info.digest;
             if let Some(p) = info.payload.clone() {
-                if ros_cas::verify_payload(&digest, &p, &plane).is_ok() {
-                    raw[i] = Some(p.to_vec());
+                if let Ok(proof) = ros_cas::verify_payload(&digest, p, &plane) {
+                    raw[i] = Some(proof);
+                    buffer_healthy[i] = true;
                     continue;
                 }
             }
@@ -241,8 +246,11 @@ impl Ros {
                 .map(|d| d.read_image_raw(member.0))
             {
                 scanned += bytes.len() as u64;
-                if bad.is_empty() && ros_cas::verify_payload(&digest, bytes, &plane).is_ok() {
-                    raw[i] = Some(bytes.to_vec());
+                if !bad.is_empty() {
+                    continue;
+                }
+                if let Ok(proof) = ros_cas::verify_payload(&digest, bytes.clone(), &plane) {
+                    raw[i] = Some(proof);
                 }
             }
         }
@@ -269,15 +277,13 @@ impl Ros {
         if expected.len() != n_data {
             return Err(unrecoverable(first_rotted));
         }
-        let data_masked: Vec<Option<&[u8]>> = raw[..n_data].iter().map(|e| e.as_deref()).collect();
-        let p_slice = raw.get(n_data).and_then(|e| e.as_deref());
-        let q_slice = raw.get(n_data + 1).and_then(|e| e.as_deref());
+        let parity_slice = |i: usize| raw.get(i).and_then(|e| e.as_ref().map(Verified::bytes));
         let recovered = redundancy::reconstruct_verified(
             self.cfg.redundancy,
-            &data_masked,
+            &raw[..n_data],
             &sizes,
-            p_slice,
-            q_slice,
+            parity_slice(n_data),
+            parity_slice(n_data + 1),
             &expected,
             &plane,
         )
@@ -287,18 +293,11 @@ impl Ros {
         // rewrite; replace rotted residents and fill evicted slots from
         // the verified reconstruction.
         for (i, member) in group.data.iter().enumerate() {
-            let (on_disk, healthy) = self
+            let on_disk = self
                 .store
                 .get(*member)
-                .map(|info| {
-                    let ok = info
-                        .payload
-                        .as_ref()
-                        .map(|p| ros_cas::verify_payload(&info.digest, p, &plane).is_ok())
-                        .unwrap_or(false);
-                    (info.on_disk(), ok)
-                })
-                .unwrap_or((false, false));
+                .is_some_and(crate::dim::ImageInfo::on_disk);
+            let healthy = buffer_healthy[i];
             if on_disk && !healthy {
                 let freed = self
                     .store
@@ -307,14 +306,15 @@ impl Ros {
                 let _ = self.vm.release(self.vol_buffer, freed);
             }
             if !(on_disk && healthy) {
-                let bytes = recovered
+                let proof = recovered
                     .get(i)
                     .cloned()
                     .ok_or_else(|| unrecoverable(*member))?;
-                time += self.vm.write_time(self.vol_buffer, bytes.len() as u64)?;
-                self.vm.allocate(self.vol_buffer, bytes.len() as u64)?;
+                let len = proof.bytes().len() as u64;
+                time += self.vm.write_time(self.vol_buffer, len)?;
+                self.vm.allocate(self.vol_buffer, len)?;
                 self.store
-                    .restore_disk_copy(*member, bytes, &plane)
+                    .restore_disk_copy(*member, proof)
                     .map_err(|_| unrecoverable(*member))?;
             }
             // Pin until the rewrite's burn completes.
@@ -391,6 +391,10 @@ mod tests {
             r.counters().latent_repairs >= 1,
             "the inline latent repair must have run"
         );
+        // What the repair restored to the buffer came in as a proof for
+        // the DIM's recorded digest — a fresh sweep agrees.
+        let sweep = r.verify_resident_images();
+        assert!(sweep.verified >= 1 && sweep.mismatched.is_empty());
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl DedupLayer {
         plane: &DataPlane,
     ) -> Result<(), ros_cas::CasError> {
         match self.versions.get(&(path.to_string(), version)) {
-            Some(digest) => ros_cas::verify_payload(digest, data, plane),
+            Some(digest) => ros_cas::verify_payload(digest, data, plane).map(drop),
             None => Ok(()), // Not catalogued: nothing to verify against.
         }
     }

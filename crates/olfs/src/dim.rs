@@ -13,7 +13,7 @@
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
 use bytes::Bytes;
-use ros_cas::{content_digest, verify_payload, Digest};
+use ros_cas::{content_digest, Digest, Verified};
 use ros_disk::plane::DataPlane;
 use ros_drive::media::{Disc, DiscClass, MediaKind};
 use ros_mech::{RackLayout, SlotAddress};
@@ -362,20 +362,21 @@ impl ImageStore {
         Ok(freed)
     }
 
-    /// Restores a disk-tier copy after a fetch from disc, verifying the
-    /// payload against the image's `ros-cas` content digest.
+    /// Restores a disk-tier copy after a fetch from disc or a
+    /// reconstruction. The payload arrives as a [`Verified`] proof, so
+    /// nothing reaches the buffer unhashed and nothing is hashed twice:
+    /// the only check left here is that the proof is for the digest the
+    /// DIM records for this image.
     pub fn restore_disk_copy(
         &mut self,
         id: ImageId,
-        payload: Bytes,
-        plane: &DataPlane,
+        payload: Verified<Bytes>,
     ) -> Result<(), OlfsError> {
         let info = self.images.get_mut(&id).ok_or(OlfsError::ImageLost(id))?;
-        if let Err(e) = verify_payload(&info.digest, &payload, plane) {
-            return Err(OlfsError::BadState(format!(
-                "image {id} payload digest mismatch after fetch: {e}"
-            )));
+        if payload.digest() != info.digest {
+            return Err(OlfsError::DigestMismatch { image: id });
         }
+        let payload = payload.into_bytes();
         if info.kind == ImageKind::Data {
             info.sealed = Some(Arc::new(
                 SealedImage::from_bytes(payload.clone())
@@ -613,10 +614,12 @@ mod tests {
         let freed = store.evict_disk_copy(id).unwrap();
         assert!(freed > 0);
         assert!(!store.get(id).unwrap().on_disk());
-        // Restore with wrong bytes fails the digest verification.
-        assert!(store
-            .restore_disk_copy(id, Bytes::from_static(b"junk"), &p())
-            .is_err());
+        // A proof for other bytes is not a proof for this image.
+        let junk = Verified::hash(Bytes::from_static(b"junk"), &p());
+        assert_eq!(
+            store.restore_disk_copy(id, junk),
+            Err(OlfsError::DigestMismatch { image: id })
+        );
     }
 
     #[test]
@@ -638,7 +641,9 @@ mod tests {
             )
             .unwrap();
         store.evict_disk_copy(id).unwrap();
-        store.restore_disk_copy(id, bytes, &p()).unwrap();
+        let digest = store.get(id).unwrap().digest;
+        let proof = ros_cas::verify_payload(&digest, bytes, &p()).unwrap();
+        store.restore_disk_copy(id, proof).unwrap();
         let info = store.get(id).unwrap();
         assert!(info.on_disk());
         assert!(info.sealed.is_some());

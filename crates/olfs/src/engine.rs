@@ -25,6 +25,7 @@ use crate::redundancy;
 use crate::trace::OpTrace;
 use crate::wbm::{link_file_name, BucketManager, LinkFile, Placement};
 use bytes::Bytes;
+use ros_cas::Verified;
 use ros_disk::volume::{VolumeId, VolumeManager};
 use ros_disk::RaidArray;
 use ros_drive::media::Payload;
@@ -986,12 +987,12 @@ impl Ros {
                 continue;
             };
             if let Payload::Inline(bytes) = timed.payload {
-                let plane = self.data_plane();
+                let proof = Verified::hash(bytes, &self.data_plane());
                 if self
                     .vm
-                    .allocate(self.vol_buffer, bytes.len() as u64)
+                    .allocate(self.vol_buffer, proof.bytes().len() as u64)
                     .is_ok()
-                    && self.store.restore_disk_copy(image, bytes, &plane).is_ok()
+                    && self.store.restore_disk_copy(image, proof).is_ok()
                 {
                     self.cache.insert(image);
                     self.apply_cache_pressure();
@@ -1947,21 +1948,24 @@ impl Ros {
                 // rot flips bytes without any sector error, so the drive
                 // read succeeds and only the CAS digest can tell. A
                 // mismatch is repaired from array redundancy in-line —
-                // the client never observes corrupt bytes.
-                let plane = self.data_plane();
+                // the client never observes corrupt bytes. This is the
+                // one digest a fetched image costs: the restore takes
+                // the proof.
                 let digest = self
                     .store
                     .get(image)
                     .map(|i| i.digest)
                     .ok_or(OlfsError::ImageLost(image))?;
-                if ros_cas::verify_payload(&digest, &payload, &plane).is_err() {
+                let Ok(proof) = ros_cas::verify_payload(&digest, payload, &self.data_plane())
+                else {
                     let repair = self.repair_latent_image(image, bay)?;
                     *extra += repair;
                     self.counters.latent_repairs += 1;
                     return Ok(());
-                }
-                self.vm.allocate(self.vol_buffer, payload.len() as u64)?;
-                self.store.restore_disk_copy(image, payload, &plane)?;
+                };
+                self.vm
+                    .allocate(self.vol_buffer, proof.bytes().len() as u64)?;
+                self.store.restore_disk_copy(image, proof)?;
                 Ok(())
             }
             Err(ros_drive::DriveError::Media(ros_drive::media::MediaError::SectorErrors {
@@ -2335,11 +2339,12 @@ impl Ros {
         let bytes = Bytes::from(bytes);
         time += self.vm.write_time(self.vol_buffer, bytes.len() as u64)?;
         self.vm.allocate(self.vol_buffer, bytes.len() as u64)?;
-        // restore_disk_copy verifies the content digest: a failed
-        // verification means the damage exceeded the schema's tolerance.
-        let plane = self.data_plane();
+        // The rebuilt bytes are hashed once, here; restore_disk_copy
+        // compares against the recorded digest, and a mismatch means the
+        // damage exceeded the schema's tolerance.
+        let proof = Verified::hash(bytes, &self.data_plane());
         self.store
-            .restore_disk_copy(image, bytes, &plane)
+            .restore_disk_copy(image, proof)
             .map_err(|_| unrecoverable())?;
         Ok(time)
     }
@@ -2383,9 +2388,10 @@ impl Ros {
             .collect();
         let plane = self.data_plane();
 
-        // Gather and digest-verify every member whole; a member whose
-        // bytes mismatch its recorded digest is treated as lost.
-        let mut raw: Vec<Option<Vec<u8>>> = vec![None; members.len()];
+        // Gather and digest-verify every member whole, once: a member
+        // whose bytes mismatch its recorded digest is treated as lost,
+        // and the survivors travel on as proofs.
+        let mut raw: Vec<Option<Verified<Bytes>>> = vec![None; members.len()];
         let mut slowest = SimDuration::ZERO;
         for (i, member) in members.iter().enumerate() {
             let Some(minfo) = self.store.get(*member) else {
@@ -2394,8 +2400,8 @@ impl Ros {
             let digest = minfo.digest;
             // Prefer verified buffer copies.
             if let Some(p) = minfo.payload.clone() {
-                if ros_cas::verify_payload(&digest, &p, &plane).is_ok() {
-                    raw[i] = Some(p.to_vec());
+                if let Ok(proof) = ros_cas::verify_payload(&digest, p, &plane) {
+                    raw[i] = Some(proof);
                     continue;
                 }
             }
@@ -2408,9 +2414,12 @@ impl Ros {
                 .unwrap_or_else(|_| ros_drive::params::read_speed_bd25());
             let Some(disc) = drive.disc() else { continue };
             if let Ok((Payload::Inline(bytes), bad)) = disc.read_image_raw(member.0) {
-                if bad.is_empty() && ros_cas::verify_payload(&digest, bytes, &plane).is_ok() {
-                    slowest = slowest.max(speed.time_for(bytes.len() as u64));
-                    raw[i] = Some(bytes.to_vec());
+                if !bad.is_empty() {
+                    continue;
+                }
+                if let Ok(proof) = ros_cas::verify_payload(&digest, bytes.clone(), &plane) {
+                    slowest = slowest.max(speed.time_for(proof.bytes().len() as u64));
+                    raw[i] = Some(proof);
                 }
             }
         }
@@ -2435,15 +2444,13 @@ impl Ros {
         if expected.len() != n_data {
             return Err(unrecoverable());
         }
-        let data_masked: Vec<Option<&[u8]>> = raw[..n_data].iter().map(|e| e.as_deref()).collect();
-        let p_slice = raw.get(n_data).and_then(|e| e.as_deref());
-        let q_slice = raw.get(n_data + 1).and_then(|e| e.as_deref());
+        let parity_slice = |i: usize| raw.get(i).and_then(|e| e.as_ref().map(Verified::bytes));
         let recovered = redundancy::reconstruct_verified(
             self.cfg.redundancy,
-            &data_masked,
+            &raw[..n_data],
             &sizes,
-            p_slice,
-            q_slice,
+            parity_slice(n_data),
+            parity_slice(n_data + 1),
             &expected,
             &plane,
         )
@@ -2455,11 +2462,12 @@ impl Ros {
             .iter()
             .position(|id| *id == image)
             .ok_or_else(unrecoverable)?;
-        let bytes = recovered.get(idx).cloned().ok_or_else(unrecoverable)?;
-        time += self.vm.write_time(self.vol_buffer, bytes.len() as u64)?;
-        self.vm.allocate(self.vol_buffer, bytes.len() as u64)?;
+        let proof = recovered.get(idx).cloned().ok_or_else(unrecoverable)?;
+        let len = proof.bytes().len() as u64;
+        time += self.vm.write_time(self.vol_buffer, len)?;
+        self.vm.allocate(self.vol_buffer, len)?;
         self.store
-            .restore_disk_copy(image, bytes, &plane)
+            .restore_disk_copy(image, proof)
             .map_err(|_| unrecoverable())?;
         Ok(time)
     }

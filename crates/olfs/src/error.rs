@@ -33,6 +33,12 @@ pub enum OlfsError {
         /// Its array, if assigned.
         array: Option<ArrayId>,
     },
+    /// A verified payload offered as an image's disk copy hashes to a
+    /// different digest than the DIM records for that image.
+    DigestMismatch {
+        /// The image whose recorded digest the payload does not match.
+        image: ImageId,
+    },
     /// No drive bay can serve a fetch and the policy forbids waiting.
     NoDriveAvailable,
     /// No empty disc array remains for burning.
@@ -83,6 +89,9 @@ impl core::fmt::Display for OlfsError {
             OlfsError::ImageLost(i) => write!(f, "image {i} lost"),
             OlfsError::Unrecoverable { image, array } => {
                 write!(f, "image {image} unrecoverable (array {array:?})")
+            }
+            OlfsError::DigestMismatch { image } => {
+                write!(f, "payload digest does not match image {image}")
             }
             OlfsError::NoDriveAvailable => write!(f, "no drive available"),
             OlfsError::OutOfDiscs => write!(f, "no empty disc arrays remain"),

@@ -371,8 +371,8 @@ impl Ros {
     /// sweep (DESIGN.md §14). Complements [`Ros::scrub`]: the scrub
     /// finds *media* damage on burned discs, this pass proves the
     /// *buffered* bytes still match what was sealed. Burned-and-evicted
-    /// images are skipped; their bytes are re-verified by
-    /// `restore_disk_copy` on the next fetch.
+    /// images are skipped; their bytes are verified by the fetch path
+    /// before `restore_disk_copy` on the next fetch.
     ///
     /// Verification fans out across images on the data plane (each
     /// image is hashed serially to avoid nested planes); the result is

@@ -13,7 +13,7 @@
 
 use crate::config::Redundancy;
 use bytes::Bytes;
-use ros_cas::{verify_payload, Digest};
+use ros_cas::{verify_payload, Digest, Verified};
 use ros_disk::parity::{self, ParityError};
 use ros_disk::plane::DataPlane;
 
@@ -211,24 +211,51 @@ pub fn member_digests(data_images: &[&[u8]], plane: &DataPlane) -> Vec<Digest> {
     })
 }
 
-/// [`reconstruct_with`], then verifies every member against the digests
+/// [`reconstruct_with`] over survivors that arrive as [`Verified`]
+/// proofs, with every member of the result checked against the digests
 /// captured by [`member_digests`] at generation time.
+///
+/// A survivor was hashed when its proof was made, so it costs a 32-byte
+/// compare here and is handed back as-is; only the members actually
+/// rebuilt (`survivors[i] = None`) are hashed. A survivor whose proof
+/// is for other bytes than parity was generated over — silent
+/// corruption the caller did not mask — fails with
+/// [`RedundancyError::DigestMismatch`] naming it.
 pub fn reconstruct_verified(
     schema: Redundancy,
-    data: &[Option<&[u8]>],
+    survivors: &[Option<Verified<Bytes>>],
     sizes: &[usize],
     p: Option<&[u8]>,
     q: Option<&[u8]>,
     expected: &[Digest],
     plane: &DataPlane,
-) -> Result<Vec<Bytes>, RedundancyError> {
-    let recovered = reconstruct_with(schema, data, sizes, p, q, plane)?;
-    for (i, (member, digest)) in recovered.iter().zip(expected.iter()).enumerate() {
-        if verify_payload(digest, member, plane).is_err() {
-            return Err(RedundancyError::DigestMismatch { member: i });
+) -> Result<Vec<Verified<Bytes>>, RedundancyError> {
+    assert_eq!(survivors.len(), expected.len(), "one digest per member");
+    for (member, (survivor, digest)) in survivors.iter().zip(expected).enumerate() {
+        if survivor.as_ref().is_some_and(|s| s.digest() != *digest) {
+            return Err(RedundancyError::DigestMismatch { member });
         }
     }
-    Ok(recovered)
+    if survivors.iter().all(Option::is_some) {
+        // Nothing to rebuild (only parity was lost): hand the proofs back.
+        return Ok(survivors.iter().flatten().cloned().collect());
+    }
+    let data: Vec<Option<&[u8]>> = survivors
+        .iter()
+        .map(|s| s.as_ref().map(Verified::bytes))
+        .collect();
+    let rebuilt = reconstruct_with(schema, &data, sizes, p, q, plane)?;
+    survivors
+        .iter()
+        .zip(rebuilt)
+        .zip(expected)
+        .enumerate()
+        .map(|(member, ((survivor, rebuilt), digest))| match survivor {
+            Some(proof) => Ok(proof.clone()),
+            None => verify_payload(digest, rebuilt, plane)
+                .map_err(|_| RedundancyError::DigestMismatch { member }),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -390,12 +417,19 @@ mod tests {
         let digests = member_digests(&refs(&imgs), &plane);
         assert_eq!(digests.len(), imgs.len());
 
-        // Clean single-loss reconstruction passes verification.
-        let mut masked: Vec<Option<&[u8]>> = imgs.iter().map(|d| Some(d.as_slice())).collect();
-        masked[4] = None;
+        // Survivors arrive as proofs of whatever their bytes hash to.
+        let proofs = |imgs: &[Vec<u8>], lost: usize| -> Vec<Option<Verified<Bytes>>> {
+            imgs.iter()
+                .enumerate()
+                .map(|(i, d)| (i != lost).then(|| Verified::hash(Bytes::from(d.clone()), &plane)))
+                .collect()
+        };
+
+        // Clean single-loss reconstruction passes verification; the
+        // rebuilt member comes back as a proof for its recorded digest.
         let rec = reconstruct_verified(
             Redundancy::Raid5,
-            &masked,
+            &proofs(&imgs, 4),
             &sizes,
             set.p.as_deref(),
             None,
@@ -403,20 +437,33 @@ mod tests {
             &plane,
         )
         .unwrap();
-        assert_eq!(rec[4].as_ref(), imgs[4].as_slice());
+        assert_eq!(rec[4].bytes(), imgs[4].as_slice());
+        assert_eq!(rec[4].digest(), digests[4]);
+        assert_eq!(rec[0].bytes(), imgs[0].as_slice());
 
-        // Flip one byte in a *survivor*: parity math still "succeeds",
-        // but the digest check names the poisoned reconstruction.
+        // Nothing lost (a parity-only repair): the proofs come straight
+        // back, nothing is rebuilt or re-hashed.
+        let all = proofs(&imgs, usize::MAX);
+        let same = reconstruct_verified(
+            Redundancy::Raid5,
+            &all,
+            &sizes,
+            None,
+            None,
+            &digests,
+            &plane,
+        )
+        .unwrap();
+        assert_eq!(same, all.into_iter().flatten().collect::<Vec<_>>());
+
+        // Flip one byte in a *survivor*: parity math would still
+        // "succeed", but its proof is for other bytes than parity was
+        // generated over, and the check names it.
         let mut corrupt = imgs.clone();
         corrupt[0][10] ^= 0xff;
-        let masked: Vec<Option<&[u8]>> = corrupt
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (i != 4).then_some(d.as_slice()))
-            .collect();
         let err = reconstruct_verified(
             Redundancy::Raid5,
-            &masked,
+            &proofs(&corrupt, 4),
             &sizes,
             set.p.as_deref(),
             None,
@@ -424,7 +471,23 @@ mod tests {
             &plane,
         )
         .unwrap_err();
-        assert!(matches!(err, RedundancyError::DigestMismatch { .. }));
+        assert_eq!(err, RedundancyError::DigestMismatch { member: 0 });
+
+        // Rotted *parity* poisons the rebuilt member instead: that one
+        // is hashed, and named.
+        let mut bad_p = set.p.as_ref().unwrap().to_vec();
+        bad_p[10] ^= 0xff;
+        let err = reconstruct_verified(
+            Redundancy::Raid5,
+            &proofs(&imgs, 4),
+            &sizes,
+            Some(&bad_p),
+            None,
+            &digests,
+            &plane,
+        )
+        .unwrap_err();
+        assert_eq!(err, RedundancyError::DigestMismatch { member: 4 });
     }
 
     #[test]
