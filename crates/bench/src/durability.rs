@@ -333,6 +333,19 @@ fn run_cell(
     if report.files_lost > 0 {
         report.first_loss_epoch = first_failed_read.or(Some(cfg.epochs));
     }
+    // Whatever the cell lost, it must have lost it cleanly: a repair or
+    // rewrite left half-done shows up as an index that disagrees with
+    // another.
+    for rack in cluster.racks().iter().filter(|r| r.is_alive()) {
+        if let Some(issue) = rack.ros().verify_consistency().first() {
+            return Err(err(format!(
+                "cell {}: rack {} inconsistent after the last epoch: {}",
+                cell.name(),
+                rack.id().0,
+                issue.what
+            )));
+        }
+    }
     let total: u64 = files.iter().map(|(_, len, _)| *len).sum();
     report.nines = if report.bytes_lost == 0 || total == 0 {
         12.0
@@ -369,6 +382,10 @@ pub fn run_durability(cfg: &DurabilityConfig) -> Result<DurabilityReport, BenchE
 /// 2. at least one latent-rot event detected *and* repaired by the
 ///    sampled audit somewhere in the sweep;
 /// 3. zero bytes lost at the recommended operating point.
+///
+/// [`run_durability`] itself fails a cell that leaves any alive rack
+/// with a [`ros_olfs::Ros::verify_consistency`] issue after its last
+/// epoch, so a half-finished repair cannot pass as a quiet loss.
 pub fn run_durability_checked(cfg: &DurabilityConfig) -> Result<DurabilityReport, BenchError> {
     let err = |detail: String| BenchError {
         context: "durability",

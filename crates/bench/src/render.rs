@@ -480,7 +480,8 @@ pub fn render_durability(smoke: bool, json: bool) -> Result<String, BenchError> 
     let recommended = cfg.recommended().name();
     out += &format!(
         "\ngates: JSON byte-stable across seeded re-run; zero silent-corruption \
-         reads in every cell; rot detected and repaired; {recommended} lost 0 bytes\n"
+         reads in every cell; every rack consistent after every cell; rot detected \
+         and repaired; {recommended} lost 0 bytes\n"
     );
     Ok(out)
 }

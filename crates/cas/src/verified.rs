@@ -7,8 +7,8 @@
 //! bytes were shown to hash to, and its fields are private to this
 //! module, so the only ways to obtain one are to hash the bytes here
 //! ([`verify_payload`], [`Verified::hash`]). Downstream code (the DIM's
-//! `restore_disk_copy`, `redundancy::reconstruct_verified`) takes the
-//! proof and compares 32 bytes instead of re-digesting the payload.
+//! `restore_disk_copy`, the repair path's `rebuild`) takes the proof
+//! and compares 32 bytes instead of re-digesting the payload.
 //!
 //! `B` is meant to be an immutable byte container (`Bytes`, `&[u8]`,
 //! `Vec<u8>`); the proof only ever hands out shared access to it.

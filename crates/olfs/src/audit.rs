@@ -17,12 +17,12 @@
 //!
 //! Detected rot is repaired through the redundancy ladder:
 //!
-//! 1. **Array redundancy** — every member of the rotted image's disc
-//!    array is gathered and digest-verified *whole*; mismatching
-//!    members are masked as lost and reconstructed through the GF(256)
-//!    P/Q parity kernels ([`crate::redundancy::reconstruct_verified`]).
-//!    The healed array is then rewritten onto fresh media, retiring the
-//!    rotted tray — same flow as §4.7's scrub-triggered rewrite.
+//! 1. **Array redundancy** — the rotted image's disc array goes through
+//!    the one repair path in [`crate::repair`]: every member gathered,
+//!    what cannot be trusted masked, the rest reconstructed through the
+//!    GF(256) P/Q parity kernels. The healed array is then rewritten
+//!    onto fresh media, retiring the rotted tray — same flow as §4.7's
+//!    scrub-triggered rewrite.
 //! 2. **Replica escalation** — if more members rotted than the parity
 //!    schema tolerates, the image is reported
 //!    [`AuditReport::unrepairable`] and a cluster front end re-fetches
@@ -33,14 +33,10 @@
 //! clock, so audit bandwidth competes with foreground traffic exactly
 //! like the scrub does.
 
-use crate::dim::{DaState, GroupState};
+use crate::dim::GroupState;
 use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, ImageId};
-use crate::redundancy;
-use bytes::Bytes;
-use ros_cas::Verified;
-use ros_drive::media::Payload;
 use ros_sim::SimDuration;
 use std::collections::BTreeMap;
 
@@ -115,44 +111,18 @@ impl Ros {
         }
         candidates.truncate(take);
 
-        // Verify each sampled image end to end.
-        let plane = self.data_plane();
+        // Verify each sampled image end to end. A resident copy is
+        // scanned whether or not it settles the question.
         let mut total_bytes = 0u64;
         for id in candidates {
             let Some(info) = self.store.get(id) else {
                 continue;
             };
-            let digest = info.digest;
             report.sampled += 1;
-            // A healthy buffer copy settles it; a rotted buffer copy of
-            // a burned image falls through to the on-media bytes.
-            if let Some(p) = &info.payload {
-                total_bytes += p.len() as u64;
-                if ros_cas::verify_payload(&digest, p, &plane).is_ok() {
-                    report.verified += 1;
-                    continue;
-                }
-                if info.burned.is_none() {
-                    report.rotted.push(id);
-                    continue;
-                }
-            }
-            let Some(loc) = info.burned else {
-                // Unburned and payload-less images are not candidates.
-                report.verified += 1;
-                continue;
-            };
-            let ok = match self.registry.disc(loc.disc).map(|d| d.read_image_raw(id.0)) {
-                Some(Ok((Payload::Inline(bytes), bad))) => {
-                    total_bytes += bytes.len() as u64;
-                    bad.is_empty() && ros_cas::verify_payload(&digest, bytes, &plane).is_ok()
-                }
-                // Synthetic tracks carry no real bytes to hash; the
-                // checksum-level scrub covers them.
-                Some(Ok((Payload::Synthetic { .. }, bad))) => bad.is_empty(),
-                _ => false,
-            };
-            if ok {
+            total_bytes += info.payload.as_ref().map_or(0, |p| p.len() as u64);
+            let seen = self.inspect(id);
+            total_bytes += seen.track.len() as u64;
+            if seen.proof.is_some() {
                 report.verified += 1;
             } else {
                 report.rotted.push(id);
@@ -175,7 +145,7 @@ impl Ros {
                 report.unrepairable.extend(images);
                 continue;
             };
-            match self.repair_rotted_array(gid, &images) {
+            match self.heal_array(gid) {
                 Ok(time) => {
                     report.elapsed += time;
                     report.repaired.extend(images);
@@ -192,151 +162,27 @@ impl Ros {
         report
     }
 
-    /// Heals one rotted disc array: gathers every member, masks the
-    /// digest-mismatching ones as lost, reconstructs them through P/Q
-    /// parity, restores the healed data members to the buffer and
-    /// rewrites the whole array onto fresh media (retiring the rotted
-    /// tray as Failed). Errors if the rot exceeds the schema's
-    /// tolerance — the caller escalates to a replica.
-    fn repair_rotted_array(
-        &mut self,
-        gid: ArrayId,
-        rotted: &[ImageId],
-    ) -> Result<SimDuration, OlfsError> {
-        let group = self
-            .store
-            .group(gid)
-            .ok_or_else(|| OlfsError::BadState(format!("no group {gid}")))?
-            .clone();
-        let members: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
-        let unrecoverable = |image: ImageId| OlfsError::Unrecoverable {
-            image,
-            array: Some(gid),
-        };
-        let first_rotted = rotted.first().copied().unwrap_or(ImageId(0));
-        let plane = self.data_plane();
-
-        // Gather digest-verified bytes per member, hashing each once;
-        // anything that fails verification is masked as lost, and a
-        // member whose *buffer copy* verified is remembered as healthy.
-        let mut raw: Vec<Option<Verified<Bytes>>> = vec![None; members.len()];
-        let mut buffer_healthy = vec![false; members.len()];
-        let mut scanned = 0u64;
-        for (i, member) in members.iter().enumerate() {
-            let Some(info) = self.store.get(*member) else {
-                continue;
-            };
-            let digest = info.digest;
-            if let Some(p) = info.payload.clone() {
-                if let Ok(proof) = ros_cas::verify_payload(&digest, p, &plane) {
-                    raw[i] = Some(proof);
-                    buffer_healthy[i] = true;
-                    continue;
-                }
-            }
-            let Some(loc) = info.burned else { continue };
-            if let Some(Ok((Payload::Inline(bytes), bad))) = self
-                .registry
-                .disc(loc.disc)
-                .map(|d| d.read_image_raw(member.0))
-            {
-                scanned += bytes.len() as u64;
-                if !bad.is_empty() {
-                    continue;
-                }
-                if let Ok(proof) = ros_cas::verify_payload(&digest, bytes.clone(), &plane) {
-                    raw[i] = Some(proof);
-                }
-            }
-        }
+    /// Heals one rotted disc array ([`Ros::rebuild`]), gives every data
+    /// member lacking a healthy buffer copy one, and rewrites a burned
+    /// array onto fresh media ([`Ros::rewrite_array`]). The gather is a
+    /// scan like the one above, charged at the bay-aggregate rate.
+    /// Errors if the damage exceeds the schema's tolerance — the caller
+    /// escalates to a replica.
+    fn heal_array(&mut self, gid: ArrayId) -> Result<SimDuration, OlfsError> {
+        let rebuilt = self.rebuild(gid)?;
         let mut time = self.bays[0]
             .aggregate_read_speed(self.cfg.disc_class)
-            .time_for(scanned);
-
-        let n_data = group.data.len();
-        let sizes: Vec<usize> = group
-            .data
-            .iter()
-            .map(|id| {
-                self.store
-                    .get(*id)
-                    .map(|i| i.size as usize)
-                    .unwrap_or_default()
-            })
-            .collect();
-        let expected: Vec<ros_cas::Digest> = group
-            .data
-            .iter()
-            .filter_map(|id| self.store.get(*id).map(|i| i.digest))
-            .collect();
-        if expected.len() != n_data {
-            return Err(unrecoverable(first_rotted));
-        }
-        let parity_slice = |i: usize| raw.get(i).and_then(|e| e.as_ref().map(Verified::bytes));
-        let recovered = redundancy::reconstruct_verified(
-            self.cfg.redundancy,
-            &raw[..n_data],
-            &sizes,
-            parity_slice(n_data),
-            parity_slice(n_data + 1),
-            &expected,
-            &plane,
-        )
-        .map_err(|_| unrecoverable(first_rotted))?;
-
-        // Every data member needs a healthy buffer copy before the
-        // rewrite; replace rotted residents and fill evicted slots from
-        // the verified reconstruction.
-        for (i, member) in group.data.iter().enumerate() {
-            let on_disk = self
-                .store
-                .get(*member)
-                .is_some_and(crate::dim::ImageInfo::on_disk);
-            let healthy = buffer_healthy[i];
-            if on_disk && !healthy {
-                let freed = self
-                    .store
-                    .evict_disk_copy(*member)
-                    .map_err(|_| unrecoverable(*member))?;
-                let _ = self.vm.release(self.vol_buffer, freed);
-            }
-            if !(on_disk && healthy) {
-                let proof = recovered
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| unrecoverable(*member))?;
-                let len = proof.bytes().len() as u64;
-                time += self.vm.write_time(self.vol_buffer, len)?;
-                self.vm.allocate(self.vol_buffer, len)?;
-                self.store
-                    .restore_disk_copy(*member, proof)
-                    .map_err(|_| unrecoverable(*member))?;
-            }
-            // Pin until the rewrite's burn completes.
-            self.cache.insert(*member);
-            self.cache.pin(*member);
+            .time_for(rebuilt.media_reads.iter().sum());
+        for member in rebuilt.data.into_iter().filter(|m| !m.resident) {
+            time += self.restore(member.image, member.proof)?;
         }
         self.run_for(time);
-
-        // Retire the rotted tray and re-burn onto fresh media — same
-        // flow as the scrub's damaged-array rewrite (§4.7).
-        if group.state == GroupState::Burned {
-            for bay in 0..self.bays.len() {
-                if self.mech.bay_contents(bay).is_ok_and(|c| c == group.slot) {
-                    self.unload_bay(bay)?;
-                }
-            }
-            let old_slot = self.store.reset_group_for_rewrite(gid)?;
-            if let Some(slot) = old_slot {
-                let idx = self.cfg.layout.slot_index(slot);
-                self.store.set_da_state(idx, DaState::Failed);
-            }
-            self.schedule_parity(gid);
+        if self
+            .store
+            .group(gid)
+            .is_some_and(|g| g.state == GroupState::Burned)
+        {
+            self.rewrite_array(gid)?;
         }
         Ok(time)
     }
@@ -363,7 +209,14 @@ mod tests {
     /// Burns `data` to disc and cold-stores it: buffer copies evicted,
     /// bays unloaded, everything back on the roller.
     fn burned_system(data: &[u8]) -> Ros {
-        let mut r = Ros::new(RosConfig::tiny());
+        burned_system_on(data, 0)
+    }
+
+    /// [`burned_system`] on a data plane of `threads` workers.
+    fn burned_system_on(data: &[u8], threads: usize) -> Ros {
+        let mut cfg = RosConfig::tiny();
+        cfg.data_plane_threads = threads;
+        let mut r = Ros::new(cfg);
         r.write_file(&p("/audit/f"), data.to_vec()).unwrap();
         r.flush().unwrap();
         r.evict_burned_copies();
@@ -373,8 +226,14 @@ mod tests {
 
     #[test]
     fn read_path_heals_latent_rot_inline() {
+        for threads in [1, 2, 4] {
+            heals_latent_rot_inline(threads);
+        }
+    }
+
+    fn heals_latent_rot_inline(threads: usize) {
         let data = vec![3u8; 400_000];
-        let mut r = burned_system(&data);
+        let mut r = burned_system_on(&data, threads);
         // Rot flips bytes with no sector error: the scrub sees nothing.
         assert_eq!(
             r.inject_fault(&ev(FaultKind::MediaRot { disc: 0, bytes: 5 })),
@@ -399,8 +258,16 @@ mod tests {
 
     #[test]
     fn sampled_audit_detects_and_repairs_rot() {
+        let reports: Vec<AuditReport> = [1, 2, 4]
+            .into_iter()
+            .map(audit_detects_and_repairs_rot)
+            .collect();
+        assert!(reports.windows(2).all(|w| w[0] == w[1]), "{reports:?}");
+    }
+
+    fn audit_detects_and_repairs_rot(threads: usize) -> AuditReport {
         let data = vec![4u8; 400_000];
-        let mut r = burned_system(&data);
+        let mut r = burned_system_on(&data, threads);
         assert_eq!(
             r.inject_fault(&ev(FaultKind::MediaRot { disc: 0, bytes: 3 })),
             InjectionOutcome::Injected
@@ -426,6 +293,7 @@ mod tests {
             before,
             "no inline repair needed after the audit healed the array"
         );
+        report
     }
 
     #[test]

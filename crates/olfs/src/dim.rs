@@ -392,6 +392,10 @@ impl ImageStore {
     /// into free disc arrays"): drops its old parity images, clears the
     /// slot assignment and burn locations, and returns the old slot so
     /// the caller can retire it.
+    ///
+    /// The burn location is the only other reference to a data member's
+    /// bytes, so the reset refuses ([`OlfsError::SoleCopy`]), mutating
+    /// nothing, unless every data member has a buffer copy.
     pub fn reset_group_for_rewrite(
         &mut self,
         gid: ArrayId,
@@ -405,6 +409,13 @@ impl ImageStore {
                 "group {gid} is {:?}, only burned groups can be rewritten",
                 group.state
             )));
+        }
+        if let Some(&image) = group
+            .data
+            .iter()
+            .find(|id| !self.images.get(id).is_some_and(ImageInfo::on_disk))
+        {
+            return Err(OlfsError::SoleCopy { image });
         }
         let old_slot = group.slot.take();
         let old_parity = std::mem::take(&mut group.parity);
@@ -754,6 +765,63 @@ mod rewrite_tests {
         // image record is dropped entirely.
         assert!(store.location_of(id).is_none());
         assert!(store.get(parity_id).is_none());
+    }
+
+    #[test]
+    fn reset_group_for_rewrite_refuses_to_forget_a_sole_copy() {
+        let l = RackLayout::tiny();
+        let mut store = ImageStore::new(&l);
+        let plane = DataPlane::single();
+        let mut ids = Vec::new();
+        let mut gid = None;
+        for tag in 0..2u8 {
+            let id = store.allocate_image_id();
+            let mut b = Bucket::new(id.0, 64 * 2048);
+            b.write(&"/f".parse().unwrap(), vec![tag; 100], 0).unwrap();
+            gid = store.register_sealed(b.close().unwrap(), 2, &plane);
+            ids.push(id);
+        }
+        let gid = gid.unwrap();
+        store
+            .register_parity(gid, vec![bytes::Bytes::from(vec![0u8; 100])], &plane)
+            .unwrap();
+        let slot = SlotAddress::new(0, 0, 0);
+        for (position, id) in ids
+            .iter()
+            .chain(&store.group(gid).unwrap().parity.clone())
+            .enumerate()
+        {
+            let loc = DiscLocation {
+                disc: DiscId(position as u64),
+                slot,
+                position: position as u32,
+            };
+            store.mark_burned(*id, loc).unwrap();
+        }
+        {
+            let g = store.group_mut(gid).unwrap();
+            g.state = GroupState::Burned;
+            g.slot = Some(slot);
+        }
+        // The second data member's buffer copy is evicted: its disc is
+        // now the only place those bytes exist.
+        let evicted = store.get(ids[1]).unwrap().payload.clone().unwrap();
+        store.evict_disk_copy(ids[1]).unwrap();
+        assert_eq!(
+            store.reset_group_for_rewrite(gid),
+            Err(OlfsError::SoleCopy { image: ids[1] })
+        );
+        // Nothing moved: still Burned, still located, parity still known.
+        let g = store.group(gid).unwrap();
+        assert_eq!(g.state, GroupState::Burned);
+        assert_eq!(g.slot, Some(slot));
+        assert_eq!(g.parity.len(), 1);
+        assert!(ids.iter().all(|id| store.location_of(*id).is_some()));
+        // With the copy back, the reset goes through.
+        store
+            .restore_disk_copy(ids[1], Verified::hash(evicted, &plane))
+            .unwrap();
+        assert_eq!(store.reset_group_for_rewrite(gid), Ok(Some(slot)));
     }
 
     #[test]

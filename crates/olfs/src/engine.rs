@@ -32,7 +32,7 @@ use ros_drive::media::Payload;
 use ros_drive::DriveSet;
 use ros_mech::plc::Plc;
 use ros_mech::{MechScheduler, SlotAddress};
-use ros_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use ros_sim::{Bandwidth, EventQueue, SimDuration, SimRng, SimTime};
 use ros_udf::UdfPath;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -1361,7 +1361,7 @@ impl Ros {
             }
         }
         if spoiled {
-            self.reburn_group_on_spare(gid, bay, slot_index);
+            self.reburn_group_on_spare(gid, bay);
             return;
         }
         // Second pass (all members verified): record the burn locations.
@@ -1393,25 +1393,22 @@ impl Ros {
 
     /// A burn came back with spoiled members: the write-once tray is
     /// ruined. Retire it, evacuate the bay, and re-run the group's
-    /// parity-and-burn pipeline onto a spare tray. Two consecutive
-    /// spoiled burns in the same bay quarantine it (the fault is the
-    /// hardware, not the media).
-    fn reburn_group_on_spare(&mut self, gid: ArrayId, bay: usize, slot_index: u32) {
-        self.store.set_da_state(slot_index, DaState::Failed);
-        // `reset_group_for_rewrite` requires the Burned state; the group
-        // is mid-Burning here, so settle it first.
+    /// parity-and-burn pipeline onto a spare tray
+    /// ([`Ros::rewrite_array`]). Two consecutive spoiled burns in the
+    /// same bay quarantine it (the fault is the hardware, not the media).
+    fn reburn_group_on_spare(&mut self, gid: ArrayId, bay: usize) {
+        // A rewrite starts from the Burned state; the group is
+        // mid-Burning here, so settle it first.
         if let Some(g) = self.store.group_mut(gid) {
             g.state = GroupState::Burned;
         }
-        let _ = self.store.reset_group_for_rewrite(gid);
-        let _ = self.unload_bay(bay);
+        let _ = self.rewrite_array(gid);
         self.counters.reburns += 1;
         let failures = self.bay_burn_failures.entry(bay).or_insert(0);
         *failures += 1;
         if *failures >= 2 {
             self.quarantine_bay(bay);
         }
-        self.schedule_parity(gid);
     }
 
     /// Takes `bay` out of rotation: the burn starter and fetch paths
@@ -1783,7 +1780,7 @@ impl Ros {
     /// (`file_bytes`) off the mounted disc (§5.4); the rest of the image
     /// streams into the read cache in the background, overlapped with
     /// the remaining mechanical/settling window.
-    fn fetch_image(
+    pub(crate) fn fetch_image(
         &mut self,
         image: ImageId,
         file_bytes: u64,
@@ -1828,10 +1825,7 @@ impl Ros {
 
         let result = self.read_disc_payload(image, bay, loc, file_bytes, &mut extra);
         self.reserved_bays.remove(&bay);
-        let source = match result {
-            Ok(()) => source,
-            Err(e) => return Err(e),
-        };
+        result?;
         if self.cfg.prefetch_array {
             self.schedule_array_prefetch(bay, loc.slot, image);
         }
@@ -1920,29 +1914,23 @@ impl Ros {
             .drive_mut(pos)
             .ok_or_else(|| OlfsError::BadState(format!("no drive {pos} in bay {bay}")))?
             .read_image(image.0);
+        let speed = self.bays[bay]
+            .drive(pos)
+            .and_then(|d| d.read_speed().ok())
+            .unwrap_or_else(ros_drive::params::read_speed_bd25);
         match read {
             Ok(timed) => {
                 // Foreground: mount + seek + the requested file's bytes.
                 // The remainder of the image streams into the cache in
                 // the background (§4.1: the cache unit is a whole image).
-                let speed = self.bays[bay]
-                    .drive(pos)
-                    .and_then(|d| d.read_speed().ok())
-                    .unwrap_or_else(ros_drive::params::read_speed_bd25);
                 let file_transfer = speed.time_for(file_bytes.min(timed.payload.len()));
                 let full_transfer = speed.time_for(timed.payload.len());
                 let overhead = timed.duration.saturating_sub(full_transfer);
                 *extra += overhead + file_transfer;
-                let payload = match timed.payload {
-                    Payload::Inline(b) => b,
-                    Payload::Synthetic { size, checksum } => {
-                        // PB-scale benches burn synthetic payloads; fake
-                        // the restore by checksum identity.
-                        let _ = (size, checksum);
-                        return Err(OlfsError::BadState(format!(
-                            "image {image} has no inline payload"
-                        )));
-                    }
+                let Payload::Inline(payload) = timed.payload else {
+                    return Err(OlfsError::BadState(format!(
+                        "image {image} has no inline payload"
+                    )));
                 };
                 // End-to-end digest check *before* the restore: latent
                 // rot flips bytes without any sector error, so the drive
@@ -1958,8 +1946,7 @@ impl Ros {
                     .ok_or(OlfsError::ImageLost(image))?;
                 let Ok(proof) = ros_cas::verify_payload(&digest, payload, &self.data_plane())
                 else {
-                    let repair = self.repair_latent_image(image, bay)?;
-                    *extra += repair;
+                    *extra += self.repair_fetched(image, speed)?;
                     self.counters.latent_repairs += 1;
                     return Ok(());
                 };
@@ -1971,8 +1958,7 @@ impl Ros {
             Err(ros_drive::DriveError::Media(ros_drive::media::MediaError::SectorErrors {
                 ..
             })) => {
-                let repair = self.repair_image(image, bay)?;
-                *extra += repair;
+                *extra += self.repair_fetched(image, speed)?;
                 self.counters.repairs += 1;
                 Ok(())
             }
@@ -1991,6 +1977,35 @@ impl Ros {
             }
             Err(e) => Err(OlfsError::Drive(e.to_string())),
         }
+    }
+
+    /// The repair ladder's first rung on the read path: rebuilds the
+    /// fetched image's array ([`Ros::rebuild`]) and restores the
+    /// requested image only — rewriting the array onto fresh media is the
+    /// background audit's job (§16); a fetch holding a reserved bay must
+    /// not start a group rewrite. The loaded drives read in parallel, so
+    /// the charge is the slowest member read from media at single-drive
+    /// `speed`, plus the buffer write.
+    fn repair_fetched(
+        &mut self,
+        image: ImageId,
+        speed: Bandwidth,
+    ) -> Result<SimDuration, OlfsError> {
+        let gid = self
+            .store
+            .get(image)
+            .ok_or(OlfsError::ImageLost(image))?
+            .array
+            .ok_or(OlfsError::Unrecoverable { image, array: None })?;
+        let rebuilt = self.rebuild(gid)?;
+        let member = rebuilt.data.into_iter().find(|m| m.image == image).ok_or(
+            OlfsError::Unrecoverable {
+                image,
+                array: Some(gid),
+            },
+        )?;
+        let slowest = rebuilt.media_reads.iter().copied().max().unwrap_or(0);
+        Ok(speed.time_for(slowest) + self.restore(image, member.proof)?)
     }
 
     /// Finds and reserves a bay for a fetch per the busy-read policy.
@@ -2157,7 +2172,7 @@ impl Ros {
     }
 
     // ------------------------------------------------------------------
-    // Flush / repair / power
+    // Flush / power
     // ------------------------------------------------------------------
 
     /// Seals every non-empty bucket, force-closes the partial array
@@ -2190,286 +2205,6 @@ impl Ros {
                 "flush did not quiesce (out of discs or bays?)".into(),
             ))
         }
-    }
-
-    /// Repairs a damaged image by RAID reconstruction from its array
-    /// siblings (§4.7): "data on the failed sectors can be recovered from
-    /// their parity discs and the corresponding data discs in the same
-    /// disc array under the given tolerance degree."
-    ///
-    /// Reconstruction is *sector-granular*: every 2 KB stripe tolerates
-    /// up to `parity_discs` damaged members, so multiple discs of the
-    /// array may be damaged as long as no stripe exceeds the tolerance.
-    fn repair_image(&mut self, image: ImageId, bay: usize) -> Result<SimDuration, OlfsError> {
-        const SECTOR: usize = 2_048;
-        let info = self.store.get(image).ok_or(OlfsError::ImageLost(image))?;
-        let gid = info
-            .array
-            .ok_or(OlfsError::Unrecoverable { image, array: None })?;
-        let group = self
-            .store
-            .group(gid)
-            .ok_or(OlfsError::Unrecoverable {
-                image,
-                array: Some(gid),
-            })?
-            .clone();
-        let members: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
-        let unrecoverable = || OlfsError::Unrecoverable {
-            image,
-            array: Some(gid),
-        };
-
-        // Gather every member's raw bytes and damage map, reading the
-        // loaded discs in parallel (charge the slowest drive).
-        let mut raw: Vec<Option<(Vec<u8>, Vec<u64>)>> = vec![None; members.len()];
-        let mut slowest = SimDuration::ZERO;
-        for (i, member) in members.iter().enumerate() {
-            // Prefer intact buffer copies.
-            if let Some(p) = self.store.get(*member).and_then(|m| m.payload.clone()) {
-                raw[i] = Some((p.to_vec(), Vec::new()));
-                continue;
-            }
-            let Some(drive) = self.bays[bay].drive_mut(i) else {
-                continue;
-            };
-            let speed = drive
-                .read_speed()
-                .unwrap_or_else(|_| ros_drive::params::read_speed_bd25());
-            let Some(disc) = drive.disc() else { continue };
-            if let Ok((Payload::Inline(bytes), bad)) = disc.read_image_raw(member.0) {
-                slowest = slowest.max(speed.time_for(bytes.len() as u64));
-                raw[i] = Some((bytes.to_vec(), bad));
-            }
-        }
-        let mut time = slowest;
-
-        // Pad to a common stripe length.
-        let stripe_len = raw
-            .iter()
-            .flatten()
-            .map(|(b, _)| b.len())
-            .max()
-            .ok_or_else(unrecoverable)?;
-        let sectors = stripe_len.div_ceil(SECTOR);
-        for entry in raw.iter_mut().flatten() {
-            entry.0.resize(sectors * SECTOR, 0);
-        }
-        // Per-member damaged-sector membership.
-        let bad_sets: Vec<std::collections::HashSet<u64>> = raw
-            .iter()
-            .map(|e| match e {
-                Some((_, bad)) => bad.iter().copied().collect(),
-                // A completely missing member is damaged everywhere.
-                None => (0..sectors as u64).collect(),
-            })
-            .collect();
-        let n_data = group.data.len();
-
-        // Reconstruct damaged stripes one sector at a time.
-        let mut fixed: Vec<Vec<u8>> = raw
-            .iter()
-            .map(|e| {
-                e.as_ref()
-                    .map(|(b, _)| b.clone())
-                    .unwrap_or_else(|| vec![0u8; sectors * SECTOR])
-            })
-            .collect();
-        for k in 0..sectors as u64 {
-            let damaged: Vec<usize> = (0..members.len())
-                .filter(|&i| bad_sets[i].contains(&k))
-                .collect();
-            if damaged.is_empty() {
-                continue;
-            }
-            let lo = k as usize * SECTOR;
-            let hi = lo + SECTOR;
-            let data_masked: Vec<Option<&[u8]>> = (0..n_data)
-                .map(|i| (!bad_sets[i].contains(&k)).then(|| &fixed[i][lo..hi]))
-                .collect();
-            let p_slice = group
-                .parity
-                .first()
-                .map(|_| &fixed[n_data][lo..hi])
-                .filter(|_| !bad_sets.get(n_data).map(|s| s.contains(&k)).unwrap_or(true));
-            let q_slice = group
-                .parity
-                .get(1)
-                .map(|_| &fixed[n_data + 1][lo..hi])
-                .filter(|_| {
-                    !bad_sets
-                        .get(n_data + 1)
-                        .map(|s| s.contains(&k))
-                        .unwrap_or(true)
-                });
-            let sizes = vec![SECTOR; n_data];
-            let recovered = redundancy::reconstruct_with(
-                self.cfg.redundancy,
-                &data_masked,
-                &sizes,
-                p_slice,
-                q_slice,
-                &self.data_plane(),
-            )
-            .map_err(|_| unrecoverable())?;
-            for &i in &damaged {
-                if i < n_data {
-                    fixed[i][lo..hi].copy_from_slice(&recovered[i]);
-                }
-            }
-        }
-
-        // Restore the requested image's bytes (trimmed to true size).
-        let idx = members
-            .iter()
-            .position(|id| *id == image)
-            .ok_or_else(unrecoverable)?;
-        let true_size = self
-            .store
-            .get(image)
-            .map(|i| i.size as usize)
-            .ok_or_else(unrecoverable)?;
-        let mut bytes = std::mem::take(&mut fixed[idx]);
-        bytes.truncate(true_size);
-        let bytes = Bytes::from(bytes);
-        time += self.vm.write_time(self.vol_buffer, bytes.len() as u64)?;
-        self.vm.allocate(self.vol_buffer, bytes.len() as u64)?;
-        // The rebuilt bytes are hashed once, here; restore_disk_copy
-        // compares against the recorded digest, and a mismatch means the
-        // damage exceeded the schema's tolerance.
-        let proof = Verified::hash(bytes, &self.data_plane());
-        self.store
-            .restore_disk_copy(image, proof)
-            .map_err(|_| unrecoverable())?;
-        Ok(time)
-    }
-
-    /// Repairs an image whose bytes read back *cleanly* but failed the
-    /// CAS digest check — latent rot. Unlike [`Ros::repair_image`]
-    /// (sector-granular, driven by the drive's damage map), rot leaves
-    /// no damage map: every member of the array is digest-verified
-    /// whole, mismatching members are masked as lost, and the survivors
-    /// reconstruct them through PQ parity
-    /// ([`redundancy::reconstruct_verified`]). Only the requested
-    /// image's buffer copy is restored here; rewriting the rotted array
-    /// onto fresh media is the background audit's job (§16) — a fetch
-    /// holding a reserved bay must not start a group rewrite.
-    pub(crate) fn repair_latent_image(
-        &mut self,
-        image: ImageId,
-        bay: usize,
-    ) -> Result<SimDuration, OlfsError> {
-        let info = self.store.get(image).ok_or(OlfsError::ImageLost(image))?;
-        let gid = info
-            .array
-            .ok_or(OlfsError::Unrecoverable { image, array: None })?;
-        let group = self
-            .store
-            .group(gid)
-            .ok_or(OlfsError::Unrecoverable {
-                image,
-                array: Some(gid),
-            })?
-            .clone();
-        let unrecoverable = || OlfsError::Unrecoverable {
-            image,
-            array: Some(gid),
-        };
-        let members: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
-        let plane = self.data_plane();
-
-        // Gather and digest-verify every member whole, once: a member
-        // whose bytes mismatch its recorded digest is treated as lost,
-        // and the survivors travel on as proofs.
-        let mut raw: Vec<Option<Verified<Bytes>>> = vec![None; members.len()];
-        let mut slowest = SimDuration::ZERO;
-        for (i, member) in members.iter().enumerate() {
-            let Some(minfo) = self.store.get(*member) else {
-                continue;
-            };
-            let digest = minfo.digest;
-            // Prefer verified buffer copies.
-            if let Some(p) = minfo.payload.clone() {
-                if let Ok(proof) = ros_cas::verify_payload(&digest, p, &plane) {
-                    raw[i] = Some(proof);
-                    continue;
-                }
-            }
-            // The whole array is loaded in the bay: member i in drive i.
-            let Some(drive) = self.bays[bay].drive_mut(i) else {
-                continue;
-            };
-            let speed = drive
-                .read_speed()
-                .unwrap_or_else(|_| ros_drive::params::read_speed_bd25());
-            let Some(disc) = drive.disc() else { continue };
-            if let Ok((Payload::Inline(bytes), bad)) = disc.read_image_raw(member.0) {
-                if !bad.is_empty() {
-                    continue;
-                }
-                if let Ok(proof) = ros_cas::verify_payload(&digest, bytes.clone(), &plane) {
-                    slowest = slowest.max(speed.time_for(proof.bytes().len() as u64));
-                    raw[i] = Some(proof);
-                }
-            }
-        }
-        let mut time = slowest;
-
-        let n_data = group.data.len();
-        let sizes: Vec<usize> = group
-            .data
-            .iter()
-            .map(|id| {
-                self.store
-                    .get(*id)
-                    .map(|i| i.size as usize)
-                    .unwrap_or_default()
-            })
-            .collect();
-        let expected: Vec<ros_cas::Digest> = group
-            .data
-            .iter()
-            .filter_map(|id| self.store.get(*id).map(|i| i.digest))
-            .collect();
-        if expected.len() != n_data {
-            return Err(unrecoverable());
-        }
-        let parity_slice = |i: usize| raw.get(i).and_then(|e| e.as_ref().map(Verified::bytes));
-        let recovered = redundancy::reconstruct_verified(
-            self.cfg.redundancy,
-            &raw[..n_data],
-            &sizes,
-            parity_slice(n_data),
-            parity_slice(n_data + 1),
-            &expected,
-            &plane,
-        )
-        .map_err(|_| unrecoverable())?;
-
-        // Restore the requested image's verified bytes to the buffer.
-        let idx = group
-            .data
-            .iter()
-            .position(|id| *id == image)
-            .ok_or_else(unrecoverable)?;
-        let proof = recovered.get(idx).cloned().ok_or_else(unrecoverable)?;
-        let len = proof.bytes().len() as u64;
-        time += self.vm.write_time(self.vol_buffer, len)?;
-        self.vm.allocate(self.vol_buffer, len)?;
-        self.store
-            .restore_disk_copy(image, proof)
-            .map_err(|_| unrecoverable())?;
-        Ok(time)
     }
 
     /// Total instantaneous power of the optical drives (rack aggregation
@@ -2872,30 +2607,17 @@ mod tests {
             r.store.evict_disk_copy(seg).unwrap();
             r.cache.remove(seg);
         }
-        // The disc may be in a drive (post-burn); corrupt wherever it is.
-        let mut corrupted = false;
-        if let Some(d) = r.registry.disc_mut(loc.disc) {
-            for s in 0..50 {
-                d.corrupt_sector(s);
-            }
-            corrupted = true;
-        } else {
-            for bay in 0..r.bays.len() {
-                if r.mech.bay_contents(bay).unwrap() == Some(loc.slot) {
-                    let drive = r.bays[bay].drive_mut(loc.position as usize).unwrap();
-                    if let Some(d) = drive.disc_mut() {
-                        for s in 0..50 {
-                            d.corrupt_sector(s);
-                        }
-                        corrupted = true;
-                    }
-                }
-            }
+        // The disc may still be in a drive (post-burn).
+        let disc = r.disc_at_mut(loc).expect("burned disc must be reachable");
+        for s in 0..50 {
+            disc.corrupt_sector(s);
         }
-        assert!(corrupted, "disc must be reachable for fault injection");
         let rd = r.read_file(&p("/raid/f0")).unwrap();
         assert_eq!(rd.data.as_ref(), originals[0].as_slice());
         assert_eq!(r.counters().repairs, 1);
+        // A fetch-time repair restores the image and leaves the array be.
+        assert_eq!(r.store.da_counts().2, 0);
+        assert!(r.verify_consistency().is_empty());
     }
 
     #[test]

@@ -39,6 +39,13 @@ pub enum OlfsError {
         /// The image whose recorded digest the payload does not match.
         image: ImageId,
     },
+    /// The operation would have dropped the last reference to an image's
+    /// bytes — its burn location, while no buffer copy exists — and was
+    /// refused.
+    SoleCopy {
+        /// The image whose only copy is the one about to be forgotten.
+        image: ImageId,
+    },
     /// No drive bay can serve a fetch and the policy forbids waiting.
     NoDriveAvailable,
     /// No empty disc array remains for burning.
@@ -92,6 +99,12 @@ impl core::fmt::Display for OlfsError {
             }
             OlfsError::DigestMismatch { image } => {
                 write!(f, "payload digest does not match image {image}")
+            }
+            OlfsError::SoleCopy { image } => {
+                write!(
+                    f,
+                    "image {image} has no buffer copy; refusing to forget its disc"
+                )
             }
             OlfsError::NoDriveAvailable => write!(f, "no drive available"),
             OlfsError::OutOfDiscs => write!(f, "no empty disc arrays remain"),

@@ -46,6 +46,7 @@ pub mod params;
 pub mod posix;
 pub mod recovery;
 pub mod redundancy;
+mod repair;
 pub mod supervise;
 pub mod trace;
 pub mod wbm;

@@ -8,12 +8,13 @@
 //! sector-error checking), checkpointing system state into MV, and media
 //! ageing injection for reliability drills.
 
-use crate::dim::{DaState, GroupState};
+use crate::dim::{DaState, GroupState, ImageInfo, ImageKind};
 use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
 use ros_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// A point-in-time status summary.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -208,54 +209,28 @@ impl Ros {
     }
 
     /// Rewrites every array a scrub found damaged onto fresh discs
-    /// (§4.7): repaired data images are pulled back to the buffer (the
-    /// fetch path reconstructs them through parity), the old tray is
-    /// retired as Failed, fresh parity is generated and the array is
-    /// re-burned to an empty tray. Returns how many arrays were
-    /// rewritten; the DILindex is updated by the re-burn.
+    /// (§4.7): its data images are recalled to the buffer by image id
+    /// (the fetch path reconstructs damaged members through parity), the
+    /// old tray is retired as Failed, fresh parity is generated and the
+    /// array is re-burned to an empty tray ([`Ros::rewrite_array`]).
+    /// Returns how many arrays were rewritten; the DILindex is updated
+    /// by the re-burn.
     pub fn rewrite_damaged_arrays(&mut self, report: &ScrubReport) -> Result<usize, OlfsError> {
-        use std::collections::BTreeSet;
-        let mut gids: BTreeSet<ArrayId> = BTreeSet::new();
-        for (_disc, images) in &report.damaged {
-            for image in images {
-                if let Some(gid) = self.store.get(*image).and_then(|i| i.array) {
-                    gids.insert(gid);
-                }
-            }
-        }
+        let gids: BTreeSet<ArrayId> = report
+            .damaged
+            .iter()
+            .flat_map(|(_disc, images)| images)
+            .filter_map(|image| self.store.get(*image).and_then(|i| i.array))
+            .collect();
         let mut rewritten = 0;
         for gid in gids {
-            let group = match self.store.group(gid) {
-                Some(g) => g.clone(),
-                None => continue,
+            let Some(group) = self.store.group(gid) else {
+                continue;
             };
-            // Pull every data image back to the buffer; damaged members
-            // are reconstructed through parity by the fetch path.
-            for image in &group.data {
-                let on_disk = self
-                    .store
-                    .get(*image)
-                    .map(crate::dim::ImageInfo::on_disk)
-                    .unwrap_or(false);
-                if !on_disk {
-                    self.fetch_for_repair(*image)?;
-                }
-                // Pin until the rewrite completes.
-                self.cache.insert(*image);
-                self.cache.pin(*image);
+            for image in group.data.clone() {
+                self.recall_image(image)?;
             }
-            // Bring the array home and retire its tray.
-            for bay in 0..self.bays.len() {
-                if self.mech.bay_contents(bay).is_ok_and(|c| c == group.slot) {
-                    self.unload_bay(bay)?;
-                }
-            }
-            let old_slot = self.store.reset_group_for_rewrite(gid)?;
-            if let Some(slot) = old_slot {
-                let idx = self.cfg.layout.slot_index(slot);
-                self.store.set_da_state(idx, DaState::Failed);
-            }
-            self.schedule_parity(gid);
+            self.rewrite_array(gid)?;
             rewritten += 1;
         }
         // Let the re-burns complete.
@@ -400,25 +375,25 @@ impl Ros {
         report
     }
 
-    /// Repairs every image a scrub found damaged, by fetching its array
-    /// and reconstructing through parity (§4.7: "data on the failed
-    /// sectors can be recovered from their parity discs and the
+    /// Repairs every data image a scrub found damaged, by fetching it —
+    /// by image id, whatever the namespace says today — and
+    /// reconstructing through parity on the way (§4.7: "data on the
+    /// failed sectors can be recovered from their parity discs and the
     /// corresponding data discs in the same disc array"). The recovered
-    /// data re-enters the buffer and is re-burned with the next flush.
+    /// bytes re-enter the buffer; [`Ros::rewrite_damaged_arrays`] moves
+    /// them to fresh media. Damaged parity images hold no client bytes
+    /// and are regenerated by that rewrite.
     ///
-    /// Returns the repaired images.
+    /// Returns the images now healthy on the buffer.
     pub fn repair_damaged(&mut self, report: &ScrubReport) -> Result<Vec<ImageId>, OlfsError> {
         let mut repaired = Vec::new();
-        for (_disc, images) in &report.damaged {
-            for image in images {
-                // The fetch path notices the sector errors and repairs
-                // through redundancy automatically.
-                let info = self.store.get(*image).ok_or(OlfsError::ImageLost(*image))?;
-                if info.on_disk() {
-                    repaired.push(*image);
-                    continue; // Buffer copy already healthy.
-                }
-                self.fetch_for_repair(*image)?;
+        for image in report.damaged.iter().flat_map(|(_disc, images)| images) {
+            let info = self.store.get(*image).ok_or(OlfsError::ImageLost(*image))?;
+            if info.kind == ImageKind::Parity {
+                continue;
+            }
+            self.recall_image(*image)?;
+            if self.store.get(*image).is_some_and(ImageInfo::on_disk) {
                 repaired.push(*image);
             }
         }
@@ -437,19 +412,16 @@ impl Ros {
         self.supervised("repair", policy, |ros| ros.repair_damaged(report))
     }
 
-    pub(crate) fn fetch_for_repair(&mut self, image: ImageId) -> Result<(), OlfsError> {
-        // Reuse the read path: reading any of the image's files forces
-        // the fetch + repair. Read via the image's recorded paths.
-        let paths = self.image_paths.get(&image).cloned().unwrap_or_default();
-        let Some(first) = paths.first() else {
-            return Err(OlfsError::ImageLost(image));
-        };
-        let original = {
-            // Shadow paths resolve through their original index files.
-
-            first.clone()
-        };
-        let _ = self.read_file(&original)?;
+    /// Brings a burned image back to the buffer by id; the fetch path
+    /// repairs it through parity if the media is damaged.
+    fn recall_image(&mut self, image: ImageId) -> Result<(), OlfsError> {
+        let info = self.store.get(image).ok_or(OlfsError::ImageLost(image))?;
+        if !info.on_disk() {
+            let size = info.size;
+            self.fetch_image(image, size)?;
+            self.counters.fetches += 1;
+            self.cache.insert(image);
+        }
         Ok(())
     }
 }

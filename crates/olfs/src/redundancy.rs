@@ -13,7 +13,6 @@
 
 use crate::config::Redundancy;
 use bytes::Bytes;
-use ros_cas::{verify_payload, Digest, Verified};
 use ros_disk::parity::{self, ParityError};
 use ros_disk::plane::DataPlane;
 
@@ -42,12 +41,6 @@ pub enum RedundancyError {
     },
     /// No members supplied.
     Empty,
-    /// A reconstructed member's content digest disagrees with the
-    /// expected one — the surviving inputs were themselves corrupt.
-    DigestMismatch {
-        /// Index of the failing member.
-        member: usize,
-    },
 }
 
 impl From<ParityError> for RedundancyError {
@@ -64,12 +57,6 @@ impl core::fmt::Display for RedundancyError {
                 write!(f, "{lost} members lost, {tolerated} tolerated")
             }
             RedundancyError::Empty => write!(f, "no members"),
-            RedundancyError::DigestMismatch { member } => {
-                write!(
-                    f,
-                    "reconstructed member {member} failed digest verification"
-                )
-            }
         }
     }
 }
@@ -197,65 +184,6 @@ pub fn reconstruct_with(
             Bytes::from(v)
         })
         .collect())
-}
-
-/// Content digests of a parity group's members, hashed on the plane.
-///
-/// Captured at parity-generation time, these pin the exact bytes the
-/// parity covers; [`reconstruct_verified`] checks recovered members
-/// against them so silent corruption of a *survivor* cannot masquerade
-/// as a successful reconstruction.
-pub fn member_digests(data_images: &[&[u8]], plane: &DataPlane) -> Vec<Digest> {
-    plane.map(data_images, |d| {
-        ros_cas::content_digest(d, &DataPlane::single())
-    })
-}
-
-/// [`reconstruct_with`] over survivors that arrive as [`Verified`]
-/// proofs, with every member of the result checked against the digests
-/// captured by [`member_digests`] at generation time.
-///
-/// A survivor was hashed when its proof was made, so it costs a 32-byte
-/// compare here and is handed back as-is; only the members actually
-/// rebuilt (`survivors[i] = None`) are hashed. A survivor whose proof
-/// is for other bytes than parity was generated over — silent
-/// corruption the caller did not mask — fails with
-/// [`RedundancyError::DigestMismatch`] naming it.
-pub fn reconstruct_verified(
-    schema: Redundancy,
-    survivors: &[Option<Verified<Bytes>>],
-    sizes: &[usize],
-    p: Option<&[u8]>,
-    q: Option<&[u8]>,
-    expected: &[Digest],
-    plane: &DataPlane,
-) -> Result<Vec<Verified<Bytes>>, RedundancyError> {
-    assert_eq!(survivors.len(), expected.len(), "one digest per member");
-    for (member, (survivor, digest)) in survivors.iter().zip(expected).enumerate() {
-        if survivor.as_ref().is_some_and(|s| s.digest() != *digest) {
-            return Err(RedundancyError::DigestMismatch { member });
-        }
-    }
-    if survivors.iter().all(Option::is_some) {
-        // Nothing to rebuild (only parity was lost): hand the proofs back.
-        return Ok(survivors.iter().flatten().cloned().collect());
-    }
-    let data: Vec<Option<&[u8]>> = survivors
-        .iter()
-        .map(|s| s.as_ref().map(Verified::bytes))
-        .collect();
-    let rebuilt = reconstruct_with(schema, &data, sizes, p, q, plane)?;
-    survivors
-        .iter()
-        .zip(rebuilt)
-        .zip(expected)
-        .enumerate()
-        .map(|(member, ((survivor, rebuilt), digest))| match survivor {
-            Some(proof) => Ok(proof.clone()),
-            None => verify_payload(digest, rebuilt, plane)
-                .map_err(|_| RedundancyError::DigestMismatch { member }),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -406,98 +334,6 @@ mod tests {
             generate(Redundancy::Raid5, &[]).unwrap_err(),
             RedundancyError::Empty
         ));
-    }
-
-    #[test]
-    fn verified_reconstruction_catches_corrupt_survivors() {
-        let imgs = images();
-        let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
-        let plane = DataPlane::single();
-        let set = generate(Redundancy::Raid5, &refs(&imgs)).unwrap();
-        let digests = member_digests(&refs(&imgs), &plane);
-        assert_eq!(digests.len(), imgs.len());
-
-        // Survivors arrive as proofs of whatever their bytes hash to.
-        let proofs = |imgs: &[Vec<u8>], lost: usize| -> Vec<Option<Verified<Bytes>>> {
-            imgs.iter()
-                .enumerate()
-                .map(|(i, d)| (i != lost).then(|| Verified::hash(Bytes::from(d.clone()), &plane)))
-                .collect()
-        };
-
-        // Clean single-loss reconstruction passes verification; the
-        // rebuilt member comes back as a proof for its recorded digest.
-        let rec = reconstruct_verified(
-            Redundancy::Raid5,
-            &proofs(&imgs, 4),
-            &sizes,
-            set.p.as_deref(),
-            None,
-            &digests,
-            &plane,
-        )
-        .unwrap();
-        assert_eq!(rec[4].bytes(), imgs[4].as_slice());
-        assert_eq!(rec[4].digest(), digests[4]);
-        assert_eq!(rec[0].bytes(), imgs[0].as_slice());
-
-        // Nothing lost (a parity-only repair): the proofs come straight
-        // back, nothing is rebuilt or re-hashed.
-        let all = proofs(&imgs, usize::MAX);
-        let same = reconstruct_verified(
-            Redundancy::Raid5,
-            &all,
-            &sizes,
-            None,
-            None,
-            &digests,
-            &plane,
-        )
-        .unwrap();
-        assert_eq!(same, all.into_iter().flatten().collect::<Vec<_>>());
-
-        // Flip one byte in a *survivor*: parity math would still
-        // "succeed", but its proof is for other bytes than parity was
-        // generated over, and the check names it.
-        let mut corrupt = imgs.clone();
-        corrupt[0][10] ^= 0xff;
-        let err = reconstruct_verified(
-            Redundancy::Raid5,
-            &proofs(&corrupt, 4),
-            &sizes,
-            set.p.as_deref(),
-            None,
-            &digests,
-            &plane,
-        )
-        .unwrap_err();
-        assert_eq!(err, RedundancyError::DigestMismatch { member: 0 });
-
-        // Rotted *parity* poisons the rebuilt member instead: that one
-        // is hashed, and named.
-        let mut bad_p = set.p.as_ref().unwrap().to_vec();
-        bad_p[10] ^= 0xff;
-        let err = reconstruct_verified(
-            Redundancy::Raid5,
-            &proofs(&imgs, 4),
-            &sizes,
-            Some(&bad_p),
-            None,
-            &digests,
-            &plane,
-        )
-        .unwrap_err();
-        assert_eq!(err, RedundancyError::DigestMismatch { member: 4 });
-    }
-
-    #[test]
-    fn member_digests_are_thread_count_invariant() {
-        let imgs = images();
-        let expect = member_digests(&refs(&imgs), &DataPlane::single());
-        for threads in [2, 4] {
-            let got = member_digests(&refs(&imgs), &DataPlane::new(threads));
-            assert_eq!(got, expect, "threads={threads}");
-        }
     }
 
     #[test]

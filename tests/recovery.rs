@@ -3,6 +3,7 @@
 //! §4.4).
 
 use ros::prelude::*;
+use ros::ros_olfs::maintenance::ScrubReport;
 
 fn p(s: &str) -> UdfPath {
     s.parse().unwrap()
@@ -192,4 +193,74 @@ fn raid5_tolerance_is_sector_granular_across_discs() {
         let r = ros.read_file(path).unwrap();
         assert_eq!(r.data.as_ref(), data.as_slice(), "{path}");
     }
+}
+
+/// A scrubbed, aged, cold library of 12 files, after `prepare` has had
+/// its way with file 0 and the result was flushed.
+fn aged_library<T>(
+    prepare: impl FnOnce(&mut Ros, &mut Vec<(UdfPath, Vec<u8>)>) -> T,
+) -> (Ros, Vec<(UdfPath, Vec<u8>)>, ScrubReport, T) {
+    let (mut ros, mut files) = burned_dataset(12, 500_000);
+    let prepared = prepare(&mut ros, &mut files);
+    ros.flush().unwrap();
+    ros.evict_burned_copies();
+    ros.unload_all_bays().unwrap();
+    ros.age_media(0.02);
+    let report = ros.scrub();
+    assert!(!report.damaged.is_empty(), "scrub must find the damage");
+    (ros, files, report, prepared)
+}
+
+fn assert_reads_back_cold(ros: &mut Ros, files: &[(UdfPath, Vec<u8>)]) {
+    ros.evict_burned_copies();
+    ros.unload_all_bays().unwrap();
+    for (path, data) in files {
+        let r = ros.read_file(path).unwrap();
+        assert_eq!(r.data.as_ref(), data.as_slice(), "{path}");
+    }
+    let issues = ros.verify_consistency();
+    assert!(issues.is_empty(), "{issues:?}");
+}
+
+#[test]
+fn repair_follows_the_image_when_its_first_path_moved_to_a_newer_image() {
+    // File 0 is overwritten, so the first path recorded for its old
+    // image now resolves to v2 in a later image: repair and rewrite must
+    // still recall the *old* image, by id.
+    let v1 = content(0, 500_000);
+    let (mut ros, files, report, old_image) = aged_library(|ros, files| {
+        let old_image = ros.image_segments(&files[0].0).unwrap()[0];
+        files[0].1 = content(100, 500_000);
+        ros.write_file(&files[0].0, files[0].1.clone()).unwrap();
+        old_image
+    });
+    // An image listed as repaired is on the buffer: reading out of it
+    // fetches nothing.
+    let repaired = ros.repair_damaged(&report).unwrap();
+    assert!(
+        repaired.contains(&old_image),
+        "{old_image} not in {repaired:?}"
+    );
+    let fetches = ros.counters().fetches;
+    let old = ros.read_version(&files[0].0, 1).unwrap();
+    assert_eq!(old.data.as_ref(), v1.as_slice());
+    assert_eq!(ros.counters().fetches, fetches);
+
+    assert!(ros.rewrite_damaged_arrays(&report).unwrap() >= 1);
+    assert_reads_back_cold(&mut ros, &files);
+    let old = ros.read_version(&files[0].0, 1).unwrap();
+    assert_eq!(old.data.as_ref(), v1.as_slice());
+}
+
+#[test]
+fn repair_does_not_need_the_namespace() {
+    // File 0 is unlinked: its image's first recorded path is gone, and
+    // repair must not care.
+    let (mut ros, files, report, ()) = aged_library(|ros, files| {
+        ros.unlink(&files[0].0).unwrap();
+        files.remove(0);
+    });
+    ros.repair_damaged(&report).unwrap();
+    assert!(ros.rewrite_damaged_arrays(&report).unwrap() >= 1);
+    assert_reads_back_cold(&mut ros, &files);
 }
