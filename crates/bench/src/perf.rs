@@ -18,7 +18,9 @@
 //! A third section covers the CAS subsystem: content-digest throughput
 //! at 1 and N threads (untracked MB/s), the 1-vs-4-thread digest
 //! mismatch byte count (tracked at 0 — the chunked digest must be
-//! thread-count invariant), the measured dedup ratio of the smoke
+//! thread-count invariant), the four-lane lockstep kernel against the
+//! scalar one (cost ratio tracked where the kernel exists, digest
+//! mismatch tracked at 0 everywhere), the measured dedup ratio of the smoke
 //! workload (untracked) and its **burn cost ratio** — dedup images over
 //! plain images for the same ingest — tracked so dedup regressing to
 //! "burns as much as plain" fails the gate.
@@ -84,6 +86,25 @@ fn median_ns_per<F: FnMut() -> usize>(reps: usize, mut op: F) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
+}
+
+/// A ratio of two small measurements, taken as the median of five
+/// independently measured batches: one noisy sample on either side of
+/// a ~6 ns or sub-0.1 quotient otherwise moves it past the gate on
+/// unchanged code.
+fn median_ratio_of_5(mut batch: impl FnMut() -> f64) -> f64 {
+    let mut ratios: Vec<f64> = (0..5).map(|_| batch()).collect();
+    ratios.sort_by(|a, b| a.total_cmp(b));
+    ratios[2]
+}
+
+/// Kernel time over reference time, from the two throughputs.
+fn cost_ratio(reference_mb_s: f64, kernel_mb_s: f64) -> f64 {
+    if kernel_mb_s > 0.0 {
+        reference_mb_s / kernel_mb_s
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// Splitmix-style deterministic id stream (no rand dependency).
@@ -299,18 +320,24 @@ fn parity_metrics(reps: usize) -> Vec<PerfMetric> {
     let scalar_p = median_mb_per_sec(total, reps, || {
         black_box(scalar_parity_p(&refs));
     });
-    let scalar_q = median_mb_per_sec(total, reps, || {
-        black_box(scalar_parity_q(&refs));
-    });
+    let measure_scalar_q = || {
+        median_mb_per_sec(total, reps, || {
+            black_box(scalar_parity_q(&refs));
+        })
+    };
+    let measure_q_1t = || {
+        median_mb_per_sec(total, reps, || {
+            black_box(parity::parity_q_with(&refs, &single).ok());
+        })
+    };
+    let scalar_q = measure_scalar_q();
     let p_1t = median_mb_per_sec(total, reps, || {
         black_box(parity::parity_p_with(&refs, &single).ok());
     });
     let p_mt = median_mb_per_sec(total, reps, || {
         black_box(parity::parity_p_with(&refs, &multi).ok());
     });
-    let q_1t = median_mb_per_sec(total, reps, || {
-        black_box(parity::parity_q_with(&refs, &single).ok());
-    });
+    let q_1t = measure_q_1t();
     let q_mt = median_mb_per_sec(total, reps, || {
         black_box(parity::parity_q_with(&refs, &multi).ok());
     });
@@ -342,11 +369,7 @@ fn parity_metrics(reps: usize) -> Vec<PerfMetric> {
     // inverse throughput ratio. Machine-independent like the scaling
     // ratios above, so they are the gated metrics; absolute MB/s and the
     // thread-scaling figures depend on the host and ride untracked.
-    let q_cost = if q_1t > 0.0 {
-        scalar_q / q_1t
-    } else {
-        f64::INFINITY
-    };
+    let q_cost = median_ratio_of_5(|| cost_ratio(measure_scalar_q(), measure_q_1t()));
     let enc_cost = if enc_1t > 0.0 && scalar_p > 0.0 && scalar_q > 0.0 {
         (1.0 / enc_1t) / (1.0 / scalar_p + 1.0 / scalar_q)
     } else {
@@ -460,6 +483,17 @@ fn parity_metrics(reps: usize) -> Vec<PerfMetric> {
 /// chunked digest actually fans out (32 x 256 KiB chunks).
 const DIGEST_CORPUS_BYTES: usize = 8 << 20;
 
+/// `content_digest` rebuilt from its definition with the public scalar
+/// `sha256` alone — one chunk at a time, then the root over the length
+/// and the chunk digests: the lockstep kernel's baseline and oracle.
+fn chunkwise_scalar_digest(data: &[u8]) -> [u8; 32] {
+    let mut root = (data.len() as u64).to_be_bytes().to_vec();
+    for chunk in data.chunks(ros_cas::CHUNK_BYTES) {
+        root.extend_from_slice(&ros_cas::sha256(chunk));
+    }
+    ros_cas::sha256(&root)
+}
+
 /// Measures the CAS subsystem: content-digest throughput at 1 and N
 /// threads, the thread-count digest invariance (must be 0 differing
 /// bytes), and the dedup smoke comparison's ratio metrics.
@@ -476,15 +510,26 @@ fn cas_metrics(reps: usize) -> Vec<PerfMetric> {
     let quad = DataPlane::new(4);
     let multi = DataPlane::detect();
 
-    let digest_1t = median_mb_per_sec(DIGEST_CORPUS_BYTES, reps, || {
-        black_box(ros_cas::content_digest(&corpus, &single));
-    });
+    let measure_digest_1t = || {
+        median_mb_per_sec(DIGEST_CORPUS_BYTES, reps, || {
+            black_box(ros_cas::content_digest(&corpus, &single));
+        })
+    };
+    let measure_scalar_1t = || {
+        median_mb_per_sec(DIGEST_CORPUS_BYTES, reps, || {
+            black_box(chunkwise_scalar_digest(&corpus));
+        })
+    };
+    let digest_1t = measure_digest_1t();
     let digest_mt = median_mb_per_sec(DIGEST_CORPUS_BYTES, reps, || {
         black_box(ros_cas::content_digest(&corpus, &multi));
     });
+    let scalar_1t = measure_scalar_1t();
     let d1 = ros_cas::content_digest(&corpus, &single);
     let d4 = ros_cas::content_digest(&corpus, &quad);
     let mismatch = diff_bytes(d1.as_bytes(), d4.as_bytes());
+    let lockstep_mismatch = diff_bytes(d1.as_bytes(), &chunkwise_scalar_digest(&corpus));
+    let lockstep_cost = median_ratio_of_5(|| cost_ratio(measure_scalar_1t(), measure_digest_1t()));
 
     // The dedup comparison: ratios are workload properties, not host
     // speeds, so the burn cost ratio gates like the other cost ratios.
@@ -502,11 +547,34 @@ fn cas_metrics(reps: usize) -> Vec<PerfMetric> {
             "chunked SHA-256 content digest, 1 thread",
         ),
         metric(
+            "cas_digest_mb_s_scalar_1t",
+            scalar_1t,
+            "MB/s",
+            false,
+            "the same digest with chunks hashed one at a time by the scalar kernel",
+        ),
+        metric(
             "cas_digest_mb_s_mt",
             digest_mt,
             "MB/s",
             false,
             "chunked SHA-256 content digest, detected threads",
+        ),
+        metric(
+            "cas_lockstep_cost_vs_scalar",
+            lockstep_cost,
+            "ratio",
+            // Only x86-64 has the four-lane kernel; elsewhere both
+            // sides are the scalar kernel and the ratio is ~1.
+            cfg!(all(target_arch = "x86_64", target_feature = "sse2")),
+            "content_digest time over chunk-at-a-time scalar time, 1 thread (~0.45 on x86-64)",
+        ),
+        metric(
+            "cas_lockstep_mismatch_bytes",
+            lockstep_mismatch as f64,
+            "bytes",
+            true,
+            "digest bytes differing between content_digest and its scalar definition",
         ),
         metric(
             "cas_digest_mt_mismatch_bytes",
@@ -739,7 +807,9 @@ pub fn measure(reps: usize) -> PerfReport {
         ),
         metric(
             "percentile_scale_10x",
-            pct_big / pct_small,
+            median_ratio_of_5(|| {
+                percentile_query_ns(40_000, reps) / percentile_query_ns(4_000, reps)
+            }),
             "ratio",
             true,
             "per-query cost growth for 10x more samples (cached sort => ~1)",

@@ -19,7 +19,7 @@ use ros_disk::plane::DataPlane;
 pub const CHUNK_BYTES: usize = 256 * 1024;
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -31,82 +31,157 @@ const K: [u32; 64] = [
 ];
 
 /// SHA-256 initial hash state (FIPS 180-4 §5.3.3).
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// One SHA-256 compression over a 64-byte block.
-fn compress(state: &mut [u32; 8], block: &[u8]) {
-    let mut w = [0u32; 64];
-    for (t, word) in w.iter_mut().take(16).enumerate() {
-        let i = t * 4;
-        *word = u32::from_be_bytes([block[i], block[i + 1], block[i + 2], block[i + 3]]);
-    }
-    for t in 16..64 {
-        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-        w[t] = w[t - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[t - 7])
-            .wrapping_add(s1);
-    }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for t in 0..64 {
-        let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = h
-            .wrapping_add(big_s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[t])
-            .wrapping_add(w[t]);
-        let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = big_s0.wrapping_add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
-    }
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
-    state[5] = state[5].wrapping_add(f);
-    state[6] = state[6].wrapping_add(g);
-    state[7] = state[7].wrapping_add(h);
+/// One SHA-256 round with the eight working variables named in their
+/// current roles, so eight consecutive calls rotate the roles through
+/// the argument order instead of shuffling eight registers per round.
+/// `ch` and `maj` are in their three-operation forms.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
+        let t1 = $h
+            .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+            .wrapping_add($g ^ ($e & ($f ^ $g)))
+            .wrapping_add($kw);
+        $d = $d.wrapping_add(t1);
+        $h = t1
+            .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+            .wrapping_add(($a & $b) | ($c & ($a | $b)));
+    };
 }
 
-/// One-shot SHA-256 of a byte slice (FIPS 180-4).
-pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut state = H0;
-    let mut i = 0;
-    while i + 64 <= data.len() {
-        compress(&mut state, &data[i..i + 64]);
-        i += 64;
+/// One SHA-256 compression over a 64-byte block: a rolling 16-word
+/// message schedule, extended eight words at a time just ahead of the
+/// eight unrolled rounds that consume them. Checked against the
+/// loop-form `sha256_reference` in the tests.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
     }
-    // Padding: 0x80, zeros, then the bit length as a big-endian u64,
-    // in one or two final blocks.
-    let rem = data.len() - i;
-    let mut tail = [0u8; 128];
-    tail[..rem].copy_from_slice(&data[i..]);
-    tail[rem] = 0x80;
-    let tail_len = if rem < 56 { 64 } else { 128 };
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-    compress(&mut state, &tail[..64]);
-    if tail_len == 128 {
-        compress(&mut state, &tail[64..128]);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for t in (0..64).step_by(8) {
+        let i = t & 15;
+        if t >= 16 {
+            for j in i..i + 8 {
+                let w15 = w[(j + 1) & 15];
+                let w2 = w[(j + 14) & 15];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[j] = w[j]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[(j + 9) & 15])
+                    .wrapping_add(s1);
+            }
+        }
+        let k = &K[t..t + 8];
+        let w = &w[i..i + 8];
+        round!(a, b, c, d, e, f, g, h, k[0].wrapping_add(w[0]));
+        round!(h, a, b, c, d, e, f, g, k[1].wrapping_add(w[1]));
+        round!(g, h, a, b, c, d, e, f, k[2].wrapping_add(w[2]));
+        round!(f, g, h, a, b, c, d, e, k[3].wrapping_add(w[3]));
+        round!(e, f, g, h, a, b, c, d, k[4].wrapping_add(w[4]));
+        round!(d, e, f, g, h, a, b, c, k[5].wrapping_add(w[5]));
+        round!(c, d, e, f, g, h, a, b, k[6].wrapping_add(w[6]));
+        round!(b, c, d, e, f, g, h, a, k[7].wrapping_add(w[7]));
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// Finishes a SHA-256 whose first `total_len - rest.len()` bytes are
+/// already absorbed into `state`: absorbs the whole blocks of `rest`,
+/// then the padding (0x80, zeros, the bit length of the whole message
+/// as a big-endian u64) in one or two final blocks. Shared by the
+/// scalar and the lockstep kernel, so both pad identically.
+pub(crate) fn finish(mut state: [u32; 8], rest: &[u8], total_len: usize) -> [u8; 32] {
+    let (blocks, rest) = rest.as_chunks::<64>();
+    for block in blocks {
+        compress(&mut state, block);
+    }
+    let mut tail = [[0u8; 64]; 2];
+    let flat = tail.as_flattened_mut();
+    flat[..rest.len()].copy_from_slice(rest);
+    flat[rest.len()] = 0x80;
+    let tail_len = if rest.len() < 56 { 64 } else { 128 };
+    let bit_len = (total_len as u64).wrapping_mul(8);
+    flat[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+    for block in &tail[..tail_len / 64] {
+        compress(&mut state, block);
     }
     let mut out = [0u8; 32];
     for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
         chunk.copy_from_slice(&word.to_be_bytes());
     }
     out
+}
+
+/// SHA-256 in the shape FIPS 180-4 §6.2.2 prints it — 64-word schedule,
+/// one round per loop turn, `Ch` and `Maj` as written there, the padded
+/// message built whole — kept as the oracle for both production kernels.
+#[cfg(test)]
+pub(crate) fn sha256_reference(data: &[u8]) -> [u8; 32] {
+    let mut msg = data.to_vec();
+    msg.push(0x80);
+    msg.resize(msg.len().next_multiple_of(64), 0);
+    if msg.len() - data.len() < 9 {
+        msg.resize(msg.len() + 64, 0);
+    }
+    let at = msg.len() - 8;
+    msg[at..].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    for block in msg.chunks_exact(64) {
+        let mut w = [0u32; 64];
+        for (t, word) in w.iter_mut().take(16).enumerate() {
+            let i = t * 4;
+            *word = u32::from_be_bytes([block[i], block[i + 1], block[i + 2], block[i + 3]]);
+        }
+        for t in 16..64 {
+            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+            w[t] = w[t - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[t - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
+        for t in 0..64 {
+            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h
+                .wrapping_add(big_s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[t])
+                .wrapping_add(w[t]);
+            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = big_s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// One-shot SHA-256 of a byte slice (FIPS 180-4).
+pub fn sha256(data: &[u8]) -> [u8; 32] {
+    finish(H0, data, data.len())
 }
 
 /// An interned 256-bit content digest.
@@ -163,10 +238,34 @@ impl core::fmt::Debug for Digest {
     }
 }
 
+/// SHA-256 of every chunk in one worker's span, in order.
+///
+/// Span first, lanes second: the plane has already split the chunks
+/// across its threads, and each worker looks for lockstep work only
+/// inside its own span — each leading group of four equal-length
+/// chunks (only a payload's last chunk can be short) goes through the
+/// four-lane kernel, whatever is left (and everything on targets
+/// without that kernel) through the scalar one. Forming quads
+/// before the split would hand a two-chunk image to one thread and
+/// leave the other idle.
+fn sha256_span(span: &[&[u8]]) -> Vec<[u8; 32]> {
+    let mut out = Vec::with_capacity(span.len());
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    for quad in span.as_chunks::<4>().0 {
+        if quad.iter().any(|c| c.len() != quad[0].len()) {
+            break;
+        }
+        out.extend(crate::sha256_x4::sha256_x4(*quad));
+    }
+    out.extend(span[out.len()..].iter().map(|c| sha256(c)));
+    out
+}
+
 /// Content digest of a payload, chunk-hashed on the data plane.
 ///
 /// Byte-identical at any plane thread count: the chunk layout is a pure
-/// function of `data.len()`, `plane.map` preserves item order, and the
+/// function of `data.len()`, `plane.map_spans` preserves item order,
+/// each chunk's digest is the same from either kernel, and the
 /// root hash binds the payload length so `content_digest` of a payload
 /// never collides with `sha256` of its concatenated chunk digests.
 pub fn content_digest(data: &[u8], plane: &DataPlane) -> Digest {
@@ -183,7 +282,7 @@ pub fn content_digest(data: &[u8], plane: &DataPlane) -> Digest {
         return Digest(sha256(&root));
     }
     let chunks: Vec<&[u8]> = data.chunks(CHUNK_BYTES).collect();
-    let chunk_digests: Vec<[u8; 32]> = plane.map(&chunks, |c| sha256(c));
+    let chunk_digests = plane.map_spans(&chunks, sha256_span);
     let mut root = Vec::with_capacity(8 + 32 * chunk_digests.len());
     root.extend_from_slice(&len_prefix);
     for d in &chunk_digests {
@@ -206,10 +305,20 @@ mod tests {
             .collect()
     }
 
+    /// `pattern` repeats every 256 bytes, so all of its chunks are the
+    /// same bytes and four lanes would carry one message; this takes
+    /// the high byte of the same product, so every chunk differs and a
+    /// lane swap cannot hide.
+    fn wide_pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).to_be_bytes()[0])
+            .collect()
+    }
+
     #[test]
     fn fips_180_4_test_vectors() {
-        // NIST FIPS 180-4 / CAVP vectors: empty, 24-bit, 448-bit,
-        // 896-bit and the one-million-'a' long message.
+        // NIST FIPS 180-4 / CAVP vectors: empty, 24-bit, 448-bit and
+        // 896-bit (the one-million-'a' long message has its own test).
         assert_eq!(
             hex(&sha256(b"")),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -231,11 +340,15 @@ mod tests {
             )),
             "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
         );
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "hashes megabytes; too slow interpreted")]
+    fn fips_180_4_million_a_vector() {
         let million = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&million)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        let expect = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+        assert_eq!(hex(&sha256(&million)), expect);
+        assert_eq!(hex(&sha256_reference(&million)), expect);
     }
 
     #[test]
@@ -253,6 +366,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "hashes megabytes; too slow interpreted")]
     fn content_digest_golden_values_are_pinned() {
         // What is recorded on disc must never drift: neither the
         // single-chunk path nor a block kernel may change these. Values
@@ -294,6 +408,60 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "hashes megabytes; too slow interpreted")]
+    fn lockstep_length_golden_values_are_pinned() {
+        // Long enough to form quads in a worker's span at every plane
+        // width: 4 chunks (one quad at 1 thread, none at 2), 4 + a
+        // 1-byte chunk, 8 less one byte (the second quad is ragged),
+        // 16, and 17 + a 777-byte chunk. Values from Python hashlib,
+        // as above, over `wide_pattern`.
+        let golden = [
+            (
+                4 * CHUNK_BYTES,
+                "ca0742ead4ba1c4eb689db7471343b74bc93965771bb175e0c1ba95a274f041d",
+            ),
+            (
+                4 * CHUNK_BYTES + 1,
+                "402aec77c9b4d7be357f95aa2d78403f7bf95e19c539ebbcc70a9dfd7c166cf9",
+            ),
+            (
+                8 * CHUNK_BYTES - 1,
+                "1738b568fc24cd8c128b3699d91db2016bb9cb3e565967a3a89c016666ee9fea",
+            ),
+            (
+                16 * CHUNK_BYTES,
+                "023aa558d00088cec276bf0b0fe8282e400eb985d64e65e657479f43df56fb45",
+            ),
+            (
+                17 * CHUNK_BYTES + 777,
+                "b97eae9c85e105dce96e120c83211addadf475d295a95370bbf5ab05a78ec928",
+            ),
+        ];
+        let data = wide_pattern(17 * CHUNK_BYTES + 777);
+        for (len, expect) in golden {
+            for threads in [1, 2, 3, 4] {
+                let got = content_digest(&data[..len], &DataPlane::new(threads));
+                assert_eq!(got.to_hex(), expect, "len {len} threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_kernel_matches_the_fips_shaped_reference() {
+        // Every padding shape (one or two final blocks, with and
+        // without whole blocks before them) and a multi-block body.
+        let data = wide_pattern(1000);
+        for len in [0usize, 1, 55, 56, 63, 64, 65, 119, 120, 127, 128, 129, 1000] {
+            assert_eq!(
+                sha256(&data[..len]),
+                sha256_reference(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "hashes megabytes; too slow interpreted")]
     fn content_digest_is_thread_count_invariant() {
         // Straddle several chunk boundaries.
         let data = pattern(2 * CHUNK_BYTES + 12_345);

@@ -12,7 +12,6 @@
 use crate::error::ClusterError;
 use crate::router::Cluster;
 use ros_cas::{verify_payload, Digest};
-use ros_disk::DataPlane;
 use ros_sim::SimDuration;
 use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
@@ -67,13 +66,13 @@ impl Cluster {
     pub fn audit_all(&mut self, sample: usize) -> Result<ClusterAuditReport, ClusterError> {
         let start = self.now();
         let mut report = ClusterAuditReport::default();
-        let plane = DataPlane::detect();
 
         let alive: Vec<usize> = (0..self.racks.len())
             .filter(|i| self.racks[*i].is_alive())
             .collect();
         for idx in alive {
             let rack_id = self.racks[idx].id();
+            let plane = self.racks[idx].ros().data_plane();
             let local = self.racks[idx].ros_mut().audit_sample(sample);
             report.sampled += local.sampled;
             report.verified += local.verified;

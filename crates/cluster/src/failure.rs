@@ -16,7 +16,6 @@ use crate::error::ClusterError;
 use crate::placement::{self, RackId};
 use crate::router::Cluster;
 use ros_cas::{verify_payload, Digest};
-use ros_disk::DataPlane;
 use ros_sim::SimDuration;
 use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
@@ -105,7 +104,9 @@ impl Cluster {
         let mut bytes_moved = 0u64;
         let mut new_targets: Vec<(String, Vec<RackId>)> = Vec::new();
         let mut verify_list: Vec<(String, Digest)> = Vec::new();
-        let plane = DataPlane::detect();
+        // Every rack is built from the one `cfg.rack` template, so the
+        // drilled rack's plane is the federation's `data_plane_threads`.
+        let plane = self.racks[fidx].ros().data_plane();
 
         for (key, targets, files) in affected {
             let survivors: Vec<RackId> = targets

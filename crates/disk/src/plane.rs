@@ -164,12 +164,28 @@ impl DataPlane {
     }
 
     /// Maps `f` over `items` in parallel, returning results **in input
-    /// order**: each worker owns one contiguous span of indices and the
-    /// spans are concatenated in order, so the result is identical to
-    /// `items.iter().map(f).collect()` at any thread count.
+    /// order**: identical to `items.iter().map(f).collect()` at any
+    /// thread count (see [`map_spans`](DataPlane::map_spans)).
     pub fn map<T: Sync, U: Send>(&self, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+        self.map_spans(items, |span| span.iter().map(&f).collect())
+    }
+
+    /// Like [`map`](DataPlane::map), but hands each worker its whole
+    /// contiguous span of `items` at once, for kernels that do better
+    /// on several neighbouring items together than one at a time. `f`
+    /// returns one result per item of its span, in order; the spans'
+    /// results are concatenated in order. Spans are never empty unless
+    /// `items` is. The result is thread-count invariant whenever
+    /// `f(span)` equals the concatenation of `f` over any split of
+    /// `span` — the same pure-function-of-its-own-range rule the other
+    /// primitives rest on.
+    pub fn map_spans<T: Sync, U: Send>(
+        &self,
+        items: &[T],
+        f: impl Fn(&[T]) -> Vec<U> + Sync,
+    ) -> Vec<U> {
         if self.threads == 1 || items.len() < 2 {
-            return items.iter().map(f).collect();
+            return f(items);
         }
         let spans = DataPlane::spans(items.len(), self.threads);
         std::thread::scope(|scope| {
@@ -177,8 +193,8 @@ impl DataPlane {
             let handles: Vec<_> = spans
                 .into_iter()
                 .map(|r| {
-                    let slice = &items[r];
-                    scope.spawn(move || slice.iter().map(f).collect::<Vec<U>>())
+                    let span = &items[r];
+                    scope.spawn(move || f(span))
                 })
                 .collect();
             let mut out = Vec::with_capacity(items.len());
@@ -250,6 +266,36 @@ mod tests {
             let got = DataPlane::new(threads).map(&items, |x| u64::from(*x) * 3);
             assert_eq!(got, expect, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn map_spans_covers_in_order_with_no_empty_span() {
+        // `f` sees whole spans: record each span's bounds, return a
+        // per-item result that depends on the item alone.
+        let items: Vec<u32> = (0..1000).collect();
+        let expect: Vec<u64> = items.iter().map(|x| u64::from(*x) * 3).collect();
+        for threads in [1, 2, 4, 7] {
+            let seen = std::sync::Mutex::new(Vec::new());
+            let got = DataPlane::new(threads).map_spans(&items, |span| {
+                let bounds = (span.first().copied(), span.len());
+                seen.lock().expect("no panic under lock").push(bounds);
+                span.iter().map(|x| u64::from(*x) * 3).collect()
+            });
+            assert_eq!(got, expect, "threads={threads}");
+            let mut seen = seen.into_inner().expect("no panic under lock");
+            seen.sort();
+            assert!(seen.len() <= threads, "threads={threads}");
+            let mut next = 0u32;
+            for (first, len) in seen {
+                assert_eq!(first, Some(next), "threads={threads}");
+                next += u32::try_from(len).expect("span fits u32");
+            }
+            assert_eq!(next, 1000, "threads={threads}");
+        }
+        let none: Vec<u64> = DataPlane::new(4).map_spans(&[] as &[u32], |span| {
+            span.iter().map(|x| u64::from(*x)).collect()
+        });
+        assert!(none.is_empty());
     }
 
     #[test]
