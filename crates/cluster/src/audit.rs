@@ -219,6 +219,41 @@ mod tests {
     }
 
     #[test]
+    fn escalation_asks_replicas_for_namespace_paths_not_shadow_names() {
+        let (mut c, files) = archived_cluster(3);
+        // Rewrite every file once its first version is on disc: each
+        // rack stores version 2 under a shadow name inside its images.
+        let files: Vec<(UdfPath, Vec<u8>)> = files
+            .into_iter()
+            .map(|(path, data)| (path, data.iter().map(|b| b ^ 0xff).collect()))
+            .collect();
+        for (path, data) in &files {
+            assert_eq!(c.write_file(path, data.clone()).unwrap().version, 2);
+        }
+        c.archive_all(SimDuration::from_secs(86_400)).unwrap();
+        for rack in &mut c.racks {
+            rack.ros_mut().unload_all_bays().unwrap();
+        }
+        c.racks[0].ros_mut().evict_all_burned_copies();
+        assert!(c.racks[0].ros_mut().rot_media(4) >= 2);
+
+        let report = c.audit_all(64).unwrap();
+        assert!(report.repaired_replica >= 1, "{report:?}");
+        assert!(report.lost.is_empty(), "false losses: {:?}", report.lost);
+        // The re-fetched bytes landed on rack 0 itself: it serves every
+        // file it holds without the router's help.
+        let mut held = 0;
+        for (path, data) in &files {
+            if c.racks[0].ros().image_segments(path).is_some() {
+                let r = c.racks[0].ros_mut().read_file(path).unwrap();
+                assert!(r.data.as_ref() == data.as_slice(), "{path} on rack 0");
+                held += 1;
+            }
+        }
+        assert!(held >= 1, "rack 0 holds part of the namespace");
+    }
+
+    #[test]
     fn unreplicated_rot_is_reported_lost() {
         let mut cfg = ClusterConfig::tiny(1);
         cfg.replication = 1;

@@ -60,10 +60,11 @@ pub struct AuditReport {
 }
 
 impl Ros {
-    /// Every UDF path whose newest bytes live (partly) in `image` — the
-    /// escalation hook: a cluster front end uses these paths to
-    /// re-fetch an [`AuditReport::unrepairable`] image's content from a
-    /// replica rack.
+    /// The namespace path of every file with a version (partly) in
+    /// `image` — never the shadow name a regenerated version is stored
+    /// under, which no namespace knows. The escalation hook: a cluster
+    /// front end uses these paths to re-fetch an
+    /// [`AuditReport::unrepairable`] image's content from a replica rack.
     pub fn paths_of_image(&self, image: ImageId) -> Vec<ros_udf::UdfPath> {
         self.image_paths.get(&image).cloned().unwrap_or_default()
     }

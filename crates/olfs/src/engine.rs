@@ -18,7 +18,7 @@ use crate::config::{BusyReadPolicy, Redundancy, RosConfig};
 use crate::dim::{DaState, DiscLocation, DiscRegistry, GroupState, ImageStore};
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
-use crate::index::LocTag;
+use crate::index::{LocTag, VersionEntry};
 use crate::mv::MetadataVolume;
 use crate::params;
 use crate::redundancy;
@@ -182,12 +182,11 @@ pub struct Ros {
     reserved_bays: BTreeSet<usize>,
     /// Groups whose next burn must append tracks (post-interrupt).
     append_groups: BTreeSet<ArrayId>,
-    /// Which paths each image carries (LocTag promotion & recovery).
+    /// The namespace paths with a version in each image (LocTag
+    /// promotion, audit escalation); the stored name is on the entry.
     pub(crate) image_paths: BTreeMap<ImageId, Vec<UdfPath>>,
     /// Per-(bay, drive) VFS-mount state (§5.4's 220 ms charge).
     vfs_mounted: BTreeMap<(usize, usize), bool>,
-    /// In-place-update bookkeeping: (path, version) -> stored path.
-    pub(crate) in_place: BTreeMap<(String, u32), UdfPath>,
     /// Result of the most recent (scheduled or manual) scrub pass.
     pub(crate) last_scrub: Option<crate::maintenance::ScrubReport>,
     /// Result of the most recent sampled audit pass (§16).
@@ -195,9 +194,6 @@ pub struct Ros {
     /// Last access instant per (bay, drive); drives spin down after
     /// `ros_drive::params::sleep_after_idle()` (§5.4).
     drive_last_used: BTreeMap<(usize, usize), SimTime>,
-    /// Versions whose bytes were physically overwritten by a later
-    /// in-place bucket update (§4.6) and can no longer be read.
-    pub(crate) overwritten: BTreeSet<(String, u32)>,
     /// Bays taken out of rotation after persistent drive failures; the
     /// burn starter and fetch paths route around them until serviced.
     quarantined_bays: BTreeSet<usize>,
@@ -272,11 +268,9 @@ impl Ros {
             append_groups: BTreeSet::new(),
             image_paths: BTreeMap::new(),
             vfs_mounted: BTreeMap::new(),
-            in_place: BTreeMap::new(),
             last_scrub: None,
             last_audit: None,
             drive_last_used: BTreeMap::new(),
-            overwritten: BTreeSet::new(),
             quarantined_bays: BTreeSet::new(),
             bay_burn_failures: BTreeMap::new(),
             dedup: crate::dedup::DedupLayer::new(),
@@ -399,9 +393,7 @@ impl Ros {
         let mv_read = self.vm.random_read_time(self.vol_mv, 1024)?;
         let d = trace.step("stat", mv_read);
         self.advance(d);
-        let exists = self.mv.is_file(path);
-
-        if exists {
+        if self.mv.is_file(path) {
             return self.update_file(path, data, trace);
         }
 
@@ -415,230 +407,117 @@ impl Ros {
         let d = trace.step("stat", mv_read);
         self.advance(d);
 
-        // Dedup (§14): a payload whose content digest is already
-        // catalogued shares the canonical copy's placement — no second
-        // bucket residency, no second parity charge, no second burn.
-        let dedup_digest = if self.cfg.dedup {
-            let digest = ros_cas::content_digest(&data, &self.data_plane());
-            if let Some(entry) = self.dedup.lookup(&digest).cloned() {
-                return self.finish_dedup_write(path, &data, digest, entry, trace, mv_write, false);
-            }
-            Some(digest)
-        } else {
-            None
-        };
-
-        // write: place the data into buckets.
-        let (segments, seg_sizes, write_time) = self.place_data(path, &data)?;
-        let d = trace.step("write", write_time);
-        self.advance(d);
-
-        // close/release: update the index file.
-        let d = trace.step("close", mv_write);
-        self.advance(d);
-        let now = self.queue.now().as_nanos();
-        let forepart = self.make_forepart(&data);
-        let idx = self
-            .mv
-            .get_mut(path)
-            .ok_or_else(|| OlfsError::BadState("index entry vanished after create".into()))?;
-        let version = idx.push_version_sized(
-            LocTag::Bucket,
-            data.len() as u64,
-            now,
-            segments.clone(),
-            seg_sizes.clone(),
-        );
-        idx.set_forepart(forepart);
-
-        if let Some(digest) = dedup_digest {
-            self.dedup.record_canonical(
-                path,
-                version,
-                digest,
-                &data,
-                crate::dedup::CatalogEntry {
-                    segments: segments.clone(),
-                    seg_sizes,
-                    stored: path.clone(),
-                },
-            );
+        let report = self.write_version(path, None, data, trace, false);
+        if report.is_err() {
+            // No version was recorded: take the index file back, or the
+            // path would list but never read, and a retry would find a
+            // file with nothing to update.
+            let _ = self.mv.unlink(path);
         }
-        for seg in &segments {
-            self.image_paths.entry(*seg).or_default().push(path.clone());
-        }
-        self.counters.writes += 1;
-        if segments.len() > 1 {
-            self.counters.splits += 1;
-        }
-        self.try_start_burns();
-        Ok(WriteReport {
-            version,
-            segments,
-            latency: trace.total(),
-            trace,
-        })
+        report
     }
 
-    /// Regenerating update (§4.6).
+    /// An update of an existing file (§4.6): in place while the newest
+    /// version still sits alone in an open bucket with room, a
+    /// regenerated copy under a versioned shadow name otherwise (the old
+    /// image keeps the old bytes).
     fn update_file(
         &mut self,
         path: &UdfPath,
         data: Bytes,
-        mut trace: OpTrace,
+        trace: OpTrace,
     ) -> Result<WriteReport, OlfsError> {
-        let mv_write = self.vm.random_read_time(self.vol_mv, 1024)?;
         let latest = self
             .mv
             .get(path)
             .and_then(|i| i.latest().cloned())
             .ok_or_else(|| OlfsError::NotFound(path.to_string()))?;
-
-        // In an open bucket with enough space: simple in-place update.
-        // §14: a version whose digest is shared by other versions must
-        // never be overwritten in place — regenerate instead.
-        let shared = self.cfg.dedup && self.dedup.version_shared(path, latest.ver);
-        let in_bucket = latest
-            .segs
-            .first()
-            .and_then(|&img| self.wbm.locate_image(img))
-            .filter(|_| latest.segs.len() == 1 && !shared);
-        if let Some(bi) = in_bucket {
-            // The stored path of the latest version inside the bucket.
-            let stored = self
-                .resolve_stored_paths(path, latest.ver)
-                .into_iter()
-                .find(|p| self.wbm.bucket(bi).map(|b| b.contains(p)).unwrap_or(false));
-            if let Some(stored) = stored {
-                let fits = {
-                    let Some(b) = self.wbm.bucket(bi) else {
-                        return Err(OlfsError::BadState(format!("bucket {bi} vanished")));
-                    };
-                    let growth = ros_udf::blocks_for(data.len() as u64)
-                        .saturating_sub(ros_udf::blocks_for(latest.size))
-                        * ros_udf::BLOCK_SIZE;
-                    growth <= b.free_bytes()
-                };
-                if fits {
-                    let io = params::bucket_write_device()
-                        + self.vm.write_time(self.vol_buffer, data.len() as u64)?;
-                    let d = trace.step("write", io);
-                    self.advance(d);
-                    let now = self.queue.now().as_nanos();
-                    self.wbm
-                        .bucket_mut(bi)
-                        .ok_or_else(|| OlfsError::BadState(format!("bucket {bi} vanished")))?
-                        .update(&stored, data.clone(), now)?;
-                    let d = trace.step("close", mv_write);
-                    self.advance(d);
-                    let forepart = self.make_forepart(&data);
-                    let idx = self.mv.get_mut(path).ok_or_else(|| {
-                        OlfsError::BadState("index entry vanished mid-update".into())
-                    })?;
-                    let version = idx.push_version(
-                        LocTag::Bucket,
-                        data.len() as u64,
-                        now,
-                        latest.segs.clone(),
-                    );
-                    idx.set_forepart(forepart);
-                    // Record that this version lives at the previous
-                    // version's stored path, whose old bytes are gone.
-                    self.in_place_updates(path, version, &stored);
-                    self.overwritten.insert((path.to_string(), latest.ver));
-                    if self.cfg.dedup {
-                        // The old bytes are gone (the guard above
-                        // guaranteed they were unshared); catalogue the
-                        // stored location under the new content digest.
-                        self.dedup.invalidate_version(path, latest.ver);
-                        let digest = ros_cas::content_digest(&data, &self.data_plane());
-                        self.dedup.record_canonical(
-                            path,
-                            version,
-                            digest,
-                            &data,
-                            crate::dedup::CatalogEntry {
-                                segments: latest.segs.clone(),
-                                seg_sizes: vec![data.len() as u64],
-                                stored: stored.clone(),
-                            },
-                        );
-                    }
-                    self.counters.updates += 1;
-                    return Ok(WriteReport {
-                        version,
-                        segments: latest.segs,
-                        latency: trace.total(),
-                        trace,
-                    });
-                }
+        // §14: bytes another version shares must never be overwritten
+        // in place — regenerate instead.
+        let shared = latest.digest.is_some_and(|d| self.dedup.shared(&d));
+        let growth = ros_udf::blocks_for(data.len() as u64)
+            .saturating_sub(ros_udf::blocks_for(latest.size))
+            * ros_udf::BLOCK_SIZE;
+        let bucket = match latest.segs[..] {
+            [image] if !shared => self.wbm.locate_image(image),
+            _ => None,
+        }
+        .filter(|&bi| {
+            self.wbm
+                .bucket(bi)
+                .is_some_and(|b| growth <= b.free_bytes())
+        });
+        match bucket {
+            Some(bi) => self.update_in_place(path, bi, latest, data, trace),
+            None => {
+                let shadow = Self::shadow_path(path, latest.ver + 1);
+                self.write_version(path, Some(shadow), data, trace, true)
             }
         }
+    }
 
-        // Otherwise: regenerate — a fresh copy under a versioned shadow
-        // path in current buckets (the old image keeps the old bytes).
-        let next_ver = self
-            .mv
-            .get(path)
-            .and_then(|i| i.latest())
-            .map(|e| e.ver + 1)
-            .unwrap_or(1);
-        // Dedup applies to regenerated versions too: an update whose new
-        // content matches any catalogued payload links it instead of
-        // placing a fresh copy.
-        let dedup_digest = if self.cfg.dedup {
-            let digest = ros_cas::content_digest(&data, &self.data_plane());
-            if let Some(entry) = self.dedup.lookup(&digest).cloned() {
-                return self.finish_dedup_write(path, &data, digest, entry, trace, mv_write, true);
-            }
-            Some(digest)
-        } else {
-            None
-        };
-        let shadow = Self::shadow_path(path, next_ver);
-        let (segments, seg_sizes, write_time) = self.place_data(&shadow, &data)?;
-        let d = trace.step("write", write_time);
-        self.advance(d);
-        let d = trace.step("close", mv_write);
+    /// The simple update of §4.6: overwrites the bytes of `latest` where
+    /// they sit in open bucket `bi`. The new version takes over the
+    /// stored path and `latest` is marked replaced — its bytes are gone.
+    fn update_in_place(
+        &mut self,
+        path: &UdfPath,
+        bi: usize,
+        latest: VersionEntry,
+        data: Bytes,
+        mut trace: OpTrace,
+    ) -> Result<WriteReport, OlfsError> {
+        let mv_write = self.vm.random_read_time(self.vol_mv, 1024)?;
+        let size = data.len() as u64;
+        let io = params::bucket_write_device() + self.vm.write_time(self.vol_buffer, size)?;
+        let d = trace.step("write", io);
         self.advance(d);
         let now = self.queue.now().as_nanos();
-        let forepart = self.make_forepart(&data);
-        let idx = self
-            .mv
-            .get_mut(path)
-            .ok_or_else(|| OlfsError::BadState("index entry vanished mid-update".into()))?;
-        let version = idx.push_version_sized(
-            LocTag::Bucket,
-            data.len() as u64,
-            now,
-            segments.clone(),
-            seg_sizes.clone(),
-        );
-        idx.set_forepart(forepart);
-        if let Some(digest) = dedup_digest {
+        self.wbm
+            .bucket_mut(bi)
+            .ok_or_else(|| OlfsError::BadState(format!("bucket {bi} vanished")))?
+            .update(latest.stored_path(path), data.clone(), now)?;
+        let d = trace.step("close", mv_write);
+        self.advance(d);
+
+        // The old bytes are gone (the caller's guard guaranteed nothing
+        // else shared them): the entry that pointed at them gives its
+        // dedup reference back, and the stored location is catalogued
+        // under the new content's digest.
+        if let Some(prev) = self.mv.get_mut(path).and_then(|i| i.latest_mut()) {
+            prev.replaced = true;
+            if let Some(old) = prev.digest.take() {
+                self.dedup.release(&old);
+            }
+        }
+        let digest = self
+            .cfg
+            .dedup
+            .then(|| ros_cas::content_digest(&data, &self.data_plane()));
+        if let Some(digest) = digest {
             self.dedup.record_canonical(
-                path,
-                version,
                 digest,
                 &data,
                 crate::dedup::CatalogEntry {
-                    segments: segments.clone(),
-                    seg_sizes,
-                    stored: shadow.clone(),
+                    segments: latest.segs.clone(),
+                    seg_sizes: vec![size],
+                    stored: latest.stored_path(path).clone(),
                 },
             );
         }
-        for seg in &segments {
-            self.image_paths
-                .entry(*seg)
-                .or_default()
-                .push(shadow.clone());
-        }
+        let version = self.commit_version(
+            path,
+            &data,
+            VersionEntry {
+                stored: latest.stored,
+                digest,
+                ..VersionEntry::new(LocTag::Bucket, size, now, latest.segs.clone(), vec![size])
+            },
+        )?;
         self.counters.updates += 1;
-        self.try_start_burns();
         Ok(WriteReport {
             version,
-            segments,
+            segments: latest.segs,
             latency: trace.total(),
             trace,
         })
@@ -654,81 +533,141 @@ impl Ros {
         }
     }
 
-    /// Remembers that `version` of `path` was an in-place update stored
-    /// at `stored` (so later reads resolve correctly).
-    fn in_place_updates(&mut self, path: &UdfPath, version: u32, stored: &UdfPath) {
-        self.in_place
-            .insert((path.to_string(), version), stored.clone());
-    }
-
-    /// Completes a write whose payload dedup-hit a catalogued blob
-    /// (§14): the new version points at the canonical copy's segments
-    /// and no data is placed — only the index close is charged.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_dedup_write(
+    /// Writes `data` as the next version of `path`. A payload whose
+    /// content digest dedup already catalogued (§14) shares the canonical
+    /// copy's placement — no second bucket residency, parity charge or
+    /// burn, only the index close is charged; any other payload is placed
+    /// into buckets, under `shadow` when the file's own name is taken by
+    /// an older version.
+    fn write_version(
         &mut self,
         path: &UdfPath,
-        data: &Bytes,
-        digest: ros_cas::Digest,
-        entry: crate::dedup::CatalogEntry,
+        shadow: Option<UdfPath>,
+        data: Bytes,
         mut trace: OpTrace,
-        mv_write: SimDuration,
         is_update: bool,
     ) -> Result<WriteReport, OlfsError> {
+        let mv_write = self.vm.random_read_time(self.vol_mv, 1024)?;
+        let digest = self
+            .cfg
+            .dedup
+            .then(|| ros_cas::content_digest(&data, &self.data_plane()));
+        let hit = digest.and_then(|d| self.dedup.lookup(&d).cloned());
+        let placed = hit.is_none();
+        let (segments, seg_sizes, stored) = match hit {
+            Some(canonical) => (
+                canonical.segments,
+                canonical.seg_sizes,
+                Some(canonical.stored).filter(|s| s != path),
+            ),
+            None => {
+                let (segments, seg_sizes, write_time) =
+                    self.place_data(shadow.as_ref().unwrap_or(path), &data)?;
+                let d = trace.step("write", write_time);
+                self.advance(d);
+                (segments, seg_sizes, shadow)
+            }
+        };
+
+        // close/release: update the index file.
         let d = trace.step("close", mv_write);
         self.advance(d);
         let now = self.queue.now().as_nanos();
-        let forepart = self.make_forepart(data);
-        let idx = self
-            .mv
-            .get_mut(path)
-            .ok_or_else(|| OlfsError::BadState("index entry vanished before dedup link".into()))?;
-        let version = idx.push_version_sized(
-            LocTag::Bucket,
-            data.len() as u64,
-            now,
-            entry.segments.clone(),
-            entry.seg_sizes.clone(),
-        );
-        idx.set_forepart(forepart);
-        if !self
-            .dedup
-            .record_duplicate(path, version, digest, &entry.stored)
-        {
-            return Err(OlfsError::BadState(format!(
-                "dedup catalog out of sync for digest {digest}"
-            )));
-        }
-        for seg in &entry.segments {
-            self.image_paths.entry(*seg).or_default().push(path.clone());
-            // The canonical copy may already have left the write buffer;
-            // promote the fresh version's location tag to match.
-            let tag = if self.wbm.locate_image(*seg).is_some() {
-                None
-            } else if self.store.get(*seg).and_then(|i| i.burned).is_some() {
-                Some(LocTag::Disc)
-            } else {
-                Some(LocTag::Image)
-            };
-            if let Some(tag) = tag {
-                if let Some(idx) = self.mv.get_mut(path) {
-                    idx.promote_image(*seg, tag);
-                }
+        if let Some(digest) = digest {
+            if placed {
+                self.dedup.record_canonical(
+                    digest,
+                    &data,
+                    crate::dedup::CatalogEntry {
+                        segments: segments.clone(),
+                        seg_sizes: seg_sizes.clone(),
+                        stored: stored.clone().unwrap_or_else(|| path.clone()),
+                    },
+                );
+            } else if !self.dedup.link(&digest) {
+                return Err(OlfsError::BadState(format!(
+                    "dedup catalog out of sync for digest {digest}"
+                )));
             }
+        }
+        // A canonical copy may already have left the write buffer; the
+        // entry sharing it is tagged with the stage it reached.
+        let loc = if placed {
+            LocTag::Bucket
+        } else {
+            segments
+                .iter()
+                .rev()
+                .map(|seg| self.stage_of(*seg))
+                .find(|stage| *stage != LocTag::Bucket)
+                .unwrap_or(LocTag::Bucket)
+        };
+        let version = self.commit_version(
+            path,
+            &data,
+            VersionEntry {
+                stored,
+                digest,
+                ..VersionEntry::new(loc, data.len() as u64, now, segments.clone(), seg_sizes)
+            },
+        )?;
+        for seg in &segments {
+            self.image_paths.entry(*seg).or_default().push(path.clone());
         }
         if is_update {
             self.counters.updates += 1;
         } else {
             self.counters.writes += 1;
         }
-        self.counters.dedup_hits += 1;
-        self.counters.dedup_bytes_saved += data.len() as u64;
+        if placed {
+            if !is_update && segments.len() > 1 {
+                self.counters.splits += 1;
+            }
+            self.try_start_burns();
+        } else {
+            self.counters.dedup_hits += 1;
+            self.counters.dedup_bytes_saved += data.len() as u64;
+        }
         Ok(WriteReport {
             version,
-            segments: entry.segments,
+            segments,
             latency: trace.total(),
             trace,
         })
+    }
+
+    /// The stage `image` is in now (B/I/D of §4.2).
+    fn stage_of(&self, image: ImageId) -> LocTag {
+        if self.wbm.locate_image(image).is_some() {
+            LocTag::Bucket
+        } else if self.store.get(image).and_then(|i| i.burned).is_some() {
+            LocTag::Disc
+        } else {
+            LocTag::Image
+        }
+    }
+
+    /// Closes a write on the MV: appends `entry` to `path`'s index file
+    /// with the forepart of `data`, and releases the dedup reference of
+    /// the entry the version ring evicted to make room. Returns the
+    /// version number assigned.
+    fn commit_version(
+        &mut self,
+        path: &UdfPath,
+        data: &Bytes,
+        entry: VersionEntry,
+    ) -> Result<u32, OlfsError> {
+        let forepart = self.make_forepart(data);
+        let idx = self
+            .mv
+            .get_mut(path)
+            .ok_or_else(|| OlfsError::BadState(format!("index file of {path} vanished")))?;
+        let (version, evicted) = idx.push_version(entry);
+        idx.set_forepart(forepart);
+        if let Some(digest) = evicted.and_then(|e| e.digest) {
+            self.dedup.release(&digest);
+        }
+        Ok(version)
     }
 
     /// Dedup accounting snapshot (§14); all-zero until `cfg.dedup`
@@ -878,29 +817,11 @@ impl Ros {
     }
 
     fn promote_paths(&mut self, image: ImageId, loc: LocTag) {
-        if let Some(paths) = self.image_paths.get(&image).cloned() {
-            for p in paths {
-                // Shadow paths map back to their original index file.
-                let original = Self::original_of(&p);
-                if let Some(idx) = self.mv.get_mut(&original) {
-                    idx.promote_image(image, loc);
-                }
+        for p in self.image_paths.get(&image).into_iter().flatten() {
+            if let Some(idx) = self.mv.get_mut(p) {
+                idx.promote_image(image, loc);
             }
         }
-    }
-
-    /// Maps a (possibly shadow) stored path back to the global path.
-    fn original_of(p: &UdfPath) -> UdfPath {
-        let Some(name) = p.name() else {
-            return p.clone();
-        };
-        if let Some(rest) = name.strip_prefix(".rosv") {
-            if let (Some(dash), Some(parent)) = (rest.find('-'), p.parent()) {
-                let original = &rest[dash + 1..];
-                return parent.join(original);
-            }
-        }
-        p.clone()
     }
 
     /// Schedules delayed parity generation for a completed group (§4.7).
@@ -1487,18 +1408,33 @@ impl Ros {
 
     /// Reads the newest version of a file.
     pub fn read_file(&mut self, path: &UdfPath) -> Result<ReadReport, OlfsError> {
-        self.read_version_inner(path, None)
+        self.read(path, None, None)
     }
 
     /// Reads a specific retained version (data provenance, §4.6).
     pub fn read_version(&mut self, path: &UdfPath, ver: u32) -> Result<ReadReport, OlfsError> {
-        self.read_version_inner(path, Some(ver))
+        self.read(path, Some(ver), None)
     }
 
-    fn read_version_inner(
+    /// Reads a byte range of a file's newest version (the `pread`
+    /// behind the POSIX layer). Segments entirely outside the range are
+    /// skipped — including their mechanical fetches.
+    pub fn read_range(
+        &mut self,
+        path: &UdfPath,
+        offset: u64,
+        len: u64,
+    ) -> Result<ReadReport, OlfsError> {
+        self.read(path, None, Some((offset, len)))
+    }
+
+    /// The one read: version `ver` of `path` (the newest when `None`),
+    /// whole or the `(offset, len)` byte `span` of it.
+    fn read(
         &mut self,
         path: &UdfPath,
         ver: Option<u32>,
+        span: Option<(u64, u64)>,
     ) -> Result<ReadReport, OlfsError> {
         let mut trace = OpTrace::new();
         let mv_read = self.vm.random_read_time(self.vol_mv, 1024)?;
@@ -1509,42 +1445,61 @@ impl Ros {
             .mv
             .get(path)
             .ok_or_else(|| OlfsError::NotFound(path.to_string()))?;
+        // An entry whose bytes a later in-place bucket update replaced
+        // (§4.6) is as gone as one the ring dropped.
         let entry = match ver {
             Some(v) => {
-                if self.overwritten.contains(&(path.to_string(), v)) {
-                    // The bytes were physically replaced by a later
-                    // in-place bucket update (§4.6).
-                    return Err(OlfsError::VersionGone {
-                        path: path.to_string(),
-                        version: v,
-                    });
-                }
                 idx.version(v)
-                    .ok_or(OlfsError::VersionGone {
+                    .filter(|e| !e.replaced)
+                    .ok_or_else(|| OlfsError::VersionGone {
                         path: path.to_string(),
                         version: v,
-                    })?
-                    .clone()
+                    })
             }
             None => idx
                 .latest()
-                .ok_or_else(|| OlfsError::NotFound(path.to_string()))?
-                .clone(),
+                .ok_or_else(|| OlfsError::NotFound(path.to_string())),
+        }?
+        .clone();
+        // The forepart (§4.8) answers the first byte of the newest
+        // version when the read starts inside it.
+        let forepart_hit = ver.is_none()
+            && idx
+                .forepart()
+                .is_some_and(|f| span.is_none_or(|(offset, _)| offset < f.len() as u64));
+        let stored = entry.stored_path(path);
+        let (start, end) = match span {
+            Some((offset, len)) => (
+                offset.min(entry.size),
+                offset.saturating_add(len).min(entry.size),
+            ),
+            None => (0, entry.size),
         };
-        let forepart_available = ver.is_none() && idx.forepart().is_some();
-        let stored_paths = self.resolve_stored_paths(path, entry.ver);
 
         let mut pieces: Vec<Bytes> = Vec::with_capacity(entry.segs.len());
         let mut io = SimDuration::ZERO;
         let mut source = ReadSource::DiskBucket;
         let mut fetch_extra = SimDuration::ZERO;
-        for seg in &entry.segs {
-            let (bytes, seg_io, seg_source, seg_fetch) =
-                self.read_segment(*seg, &stored_paths, entry.size)?;
-            pieces.push(bytes);
-            io += seg_io;
-            fetch_extra += seg_fetch;
-            source = worst_source(source, seg_source);
+        let mut cursor = 0u64; // Byte position at the current segment start.
+        for (seg, seg_len) in entry.segs.iter().zip(&entry.seg_sizes) {
+            let seg_end = cursor.saturating_add(*seg_len);
+            // A whole-file read visits every segment, an empty file's
+            // one empty segment included; a span only those it overlaps.
+            if span.is_none() || (seg_end > start && cursor < end) {
+                let (bytes, seg_io, seg_source, seg_fetch) =
+                    self.read_segment(*seg, stored, entry.size)?;
+                io += seg_io;
+                fetch_extra += seg_fetch;
+                source = worst_source(source, seg_source);
+                let lo = start.saturating_sub(cursor).min(bytes.len() as u64);
+                let hi = end.saturating_sub(cursor).min(bytes.len() as u64);
+                // Sub-slicing a refcounted buffer, not copying.
+                pieces.push(bytes.slice(lo as usize..hi as usize));
+            }
+            cursor = seg_end;
+            if cursor >= end {
+                break;
+            }
         }
         let data = Self::join_segments(&mut self.counters, pieces);
         if fetch_extra > SimDuration::ZERO {
@@ -1556,7 +1511,7 @@ impl Ros {
         self.advance(d);
 
         let total = trace.total();
-        let first_byte = if fetch_extra > SimDuration::ZERO && forepart_available {
+        let first_byte = if fetch_extra > SimDuration::ZERO && forepart_hit {
             params::forepart_first_byte()
         } else {
             total
@@ -1590,187 +1545,56 @@ impl Ros {
         Bytes::from(buf)
     }
 
-    /// Reads a byte range of a file's newest version (the `pread`
-    /// behind the POSIX layer). Segments entirely outside the range are
-    /// skipped — including their mechanical fetches — when the index
-    /// entry recorded per-segment sizes.
-    pub fn read_range(
-        &mut self,
-        path: &UdfPath,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadReport, OlfsError> {
-        let mut trace = OpTrace::new();
-        let mv_read = self.vm.random_read_time(self.vol_mv, 1024)?;
-        let d = trace.step("stat", mv_read);
-        self.advance(d);
-
-        let idx = self
-            .mv
-            .get(path)
-            .ok_or_else(|| OlfsError::NotFound(path.to_string()))?;
-        let entry = idx
-            .latest()
-            .ok_or_else(|| OlfsError::NotFound(path.to_string()))?
-            .clone();
-        let forepart_hit = idx
-            .forepart()
-            .map(|f| offset < f.len() as u64)
-            .unwrap_or(false);
-        let stored_paths = self.resolve_stored_paths(path, entry.ver);
-
-        let end = offset.saturating_add(len).min(entry.size);
-        let start = offset.min(entry.size);
-        let sized = entry.seg_sizes.len() == entry.segs.len() && !entry.segs.is_empty();
-
-        let mut pieces: Vec<Bytes> = Vec::new();
-        let mut io = SimDuration::ZERO;
-        let mut source = ReadSource::DiskBucket;
-        let mut fetch_extra = SimDuration::ZERO;
-        let mut cursor = 0u64; // Byte position at the current segment start.
-        for (i, seg) in entry.segs.iter().enumerate() {
-            let seg_len = if sized {
-                entry.seg_sizes[i]
-            } else {
-                // Unknown layout: read everything and slice at the end.
-                u64::MAX
-            };
-            let seg_end = cursor.saturating_add(seg_len);
-            let overlaps = !sized || (seg_end > start && cursor < end);
-            if overlaps {
-                let (bytes, seg_io, seg_source, seg_fetch) =
-                    self.read_segment(*seg, &stored_paths, entry.size)?;
-                io += seg_io;
-                fetch_extra += seg_fetch;
-                source = worst_source(source, seg_source);
-                if sized {
-                    let lo = start.saturating_sub(cursor).min(bytes.len() as u64);
-                    let hi = end.saturating_sub(cursor).min(bytes.len() as u64);
-                    // Sub-slicing a refcounted buffer, not copying.
-                    pieces.push(bytes.slice(lo as usize..hi as usize));
-                } else {
-                    pieces.push(bytes);
-                }
-            }
-            if sized {
-                cursor = seg_end;
-                if cursor >= end {
-                    break;
-                }
-            }
-        }
-        let data = if sized {
-            Self::join_segments(&mut self.counters, pieces)
-        } else {
-            // Slice the concatenation (zero-copy when one segment).
-            let joined = Self::join_segments(&mut self.counters, pieces);
-            let lo = start.min(joined.len() as u64) as usize;
-            let hi = end.min(joined.len() as u64) as usize;
-            joined.slice(lo..hi)
-        };
-        if fetch_extra > SimDuration::ZERO {
-            trace.extra("fetch", fetch_extra);
-        }
-        let d = trace.step("read", io);
-        self.advance(d);
-        let d = trace.step("close", SimDuration::ZERO);
-        self.advance(d);
-
-        let total = trace.total();
-        let first_byte = if fetch_extra > SimDuration::ZERO && forepart_hit {
-            params::forepart_first_byte()
-        } else {
-            total
-        };
-        self.counters.reads += 1;
-        Ok(ReadReport {
-            data,
-            version: entry.ver,
-            latency: total,
-            first_byte_latency: first_byte,
-            source,
-            trace,
-        })
-    }
-
-    /// Candidate stored paths for a version, most likely first.
-    fn resolve_stored_paths(&self, path: &UdfPath, ver: u32) -> Vec<UdfPath> {
-        let mut candidates = Vec::new();
-        // A dedup-hit version reads the canonical copy's bytes (§14).
-        if let Some(alias) = self.dedup.alias(path, ver) {
-            candidates.push(alias.clone());
-        }
-        if let Some(stored) = self.in_place.get(&(path.to_string(), ver)) {
-            candidates.push(stored.clone());
-        }
-        if ver > 1 {
-            candidates.push(Self::shadow_path(path, ver));
-        }
-        candidates.push(path.clone());
-        candidates
-    }
-
-    /// Reads one segment image, fetching from disc if needed. Returns
+    /// Reads the file stored under `stored` in one segment image,
+    /// fetching the image from disc if needed. Returns
     /// `(bytes, device_io, source, mechanical_extra)`.
     fn read_segment(
         &mut self,
         image: ImageId,
-        stored_paths: &[UdfPath],
+        stored: &UdfPath,
         size_hint: u64,
     ) -> Result<(Bytes, SimDuration, ReadSource, SimDuration), OlfsError> {
         // 1. Still in an open bucket?
         if let Some(bi) = self.wbm.locate_image(image) {
-            let b = self.wbm.bucket(bi).ok_or(OlfsError::ImageLost(image))?;
-            for p in stored_paths {
-                if let Ok(bytes) = b.read(p) {
-                    let io = params::bucket_read_device()
-                        + self.vm.read_time(self.vol_buffer, bytes.len() as u64)?;
-                    return Ok((bytes, io, ReadSource::DiskBucket, SimDuration::ZERO));
-                }
-            }
-            return Err(OlfsError::ImageLost(image));
+            let bytes = self
+                .wbm
+                .bucket(bi)
+                .and_then(|b| b.read(stored).ok())
+                .ok_or(OlfsError::ImageLost(image))?;
+            let io = params::bucket_read_device()
+                + self.vm.read_time(self.vol_buffer, bytes.len() as u64)?;
+            return Ok((bytes, io, ReadSource::DiskBucket, SimDuration::ZERO));
         }
-        // 2. Resident sealed image (buffer / read cache)?
-        let has_sealed = self
+        // 2. A sealed image: resident on the buffer / read cache, or on
+        //    disc and fetched (a read-cache miss by definition).
+        let resident = self
             .store
             .get(image)
             .ok_or(OlfsError::ImageLost(image))?
             .sealed
             .is_some();
-        if has_sealed {
-            let sealed = self
-                .store
-                .get(image)
-                .and_then(|i| i.sealed.clone())
-                .ok_or(OlfsError::ImageLost(image))?;
-            for p in stored_paths {
-                if let Ok(bytes) = sealed.read(p) {
-                    let io = params::image_read_device()
-                        + self.vm.read_time(self.vol_buffer, bytes.len() as u64)?;
-                    self.cache.touch(image);
-                    return Ok((bytes, io, ReadSource::DiskImage, SimDuration::ZERO));
-                }
-            }
-            return Err(OlfsError::ImageLost(image));
-        }
-        // 3. On disc: fetch (a read-cache miss by definition).
-        self.cache.touch(image);
-        let (fetch_time, source) = self.fetch_image(image, size_hint)?;
-        self.counters.fetches += 1;
-        let sealed = self
+        let (source, fetch_time) = if resident {
+            (ReadSource::DiskImage, SimDuration::ZERO)
+        } else {
+            self.cache.touch(image);
+            let (fetch_time, source) = self.fetch_image(image, size_hint)?;
+            self.counters.fetches += 1;
+            (source, fetch_time)
+        };
+        let bytes = self
             .store
             .get(image)
-            .and_then(|i| i.sealed.clone())
+            .and_then(|i| i.sealed.as_ref())
+            .and_then(|sealed| sealed.read(stored).ok())
             .ok_or(OlfsError::ImageLost(image))?;
-        for p in stored_paths {
-            if let Ok(bytes) = sealed.read(p) {
-                let io = params::image_read_device()
-                    + self.vm.read_time(self.vol_buffer, bytes.len() as u64)?;
-                self.cache.insert(image);
-                return Ok((bytes, io, source, fetch_time));
-            }
+        let io =
+            params::image_read_device() + self.vm.read_time(self.vol_buffer, bytes.len() as u64)?;
+        if resident {
+            self.cache.touch(image);
+        } else {
+            self.cache.insert(image);
         }
-        Err(OlfsError::ImageLost(image))
+        Ok((bytes, io, source, fetch_time))
     }
 
     /// Brings a burned image's bytes back to the disk tier, performing
@@ -2153,10 +1977,13 @@ impl Ros {
     pub fn unlink(&mut self, path: &UdfPath) -> Result<(), OlfsError> {
         let d = params::internal_op_overhead() + self.vm.random_read_time(self.vol_mv, 1024)?;
         self.advance(d);
-        self.mv.unlink(path)?;
-        // Release the unlinked versions' dedup references (§14); dead
-        // blobs leave the catalog so their digests can be re-ingested.
-        self.dedup.on_unlink(path);
+        let idx = self.mv.unlink(path)?;
+        // The entries die with their index file, and give back the dedup
+        // references they held (§14); dead blobs leave the catalog so
+        // their digests can be re-ingested.
+        for digest in idx.versions().filter_map(|e| e.digest) {
+            self.dedup.release(&digest);
+        }
         Ok(())
     }
 
@@ -2453,6 +2280,44 @@ mod tests {
             OlfsError::VersionGone { version: 1, .. }
         ));
         assert_eq!(r.versions(&p("/v")).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn mv_snapshot_carries_everything_a_read_resolves_with() {
+        let mut cfg = RosConfig::tiny();
+        cfg.dedup = true;
+        let mut r = Ros::new(cfg);
+        r.write_file(&p("/plain"), b"aaaa".to_vec()).unwrap();
+        r.write_file(&p("/alias"), b"aaaa".to_vec()).unwrap(); // Dedup hit.
+        r.write_file(&p("/d/u"), b"one".to_vec()).unwrap();
+        r.seal_open_buckets().unwrap();
+        r.write_file(&p("/d/u"), b"two".to_vec()).unwrap(); // Regenerated.
+        r.write_file(&p("/d/u"), b"three".to_vec()).unwrap(); // In place over it.
+
+        let alias = r.mv.get(&p("/alias")).unwrap().latest().unwrap();
+        assert_eq!(alias.stored, Some(p("/plain")));
+        assert_eq!(alias.digest, Some(ros_cas::Digest::of(b"aaaa")));
+        let u = r.mv.get(&p("/d/u")).unwrap();
+        assert_eq!(u.version(1).unwrap().stored, None);
+        assert!(u.version(2).unwrap().replaced && !u.version(3).unwrap().replaced);
+        assert_eq!(u.version(3).unwrap().stored, Some(p("/d/.rosv2-u")));
+        assert_eq!(u.version(3).unwrap().seg_sizes, vec![5]);
+
+        // A namespace restored from the snapshot alone — shipped to a
+        // guardian rack, or read back from discs — resolves every
+        // version as this one does.
+        let back = MetadataVolume::restore(&r.mv.snapshot()).unwrap();
+        for (path, idx) in r.mv.iter_files() {
+            assert_eq!(back.get(path), Some(idx), "{path}");
+        }
+        r.adopt_namespace(back);
+        assert_eq!(r.read_file(&p("/alias")).unwrap().data.as_ref(), b"aaaa");
+        assert_eq!(r.read_file(&p("/d/u")).unwrap().data.as_ref(), b"three");
+        assert_eq!(r.read_version(&p("/d/u"), 1).unwrap().data.as_ref(), b"one");
+        assert!(matches!(
+            r.read_version(&p("/d/u"), 2).unwrap_err(),
+            OlfsError::VersionGone { version: 2, .. }
+        ));
     }
 
     #[test]

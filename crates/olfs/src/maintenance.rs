@@ -624,7 +624,6 @@ impl Ros {
             .ok_or_else(|| OlfsError::NotFound(path.to_string()))?;
         let mut out = Vec::new();
         for entry in idx.versions() {
-            let readable = !self.overwritten.contains(&(path.to_string(), entry.ver));
             let locations = entry
                 .segs
                 .iter()
@@ -651,7 +650,7 @@ impl Ros {
                 version: entry.ver,
                 size: entry.size,
                 mtime_nanos: entry.mtime,
-                readable,
+                readable: !entry.replaced,
                 locations,
             });
         }

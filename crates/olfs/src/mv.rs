@@ -324,7 +324,7 @@ impl MetadataVolume {
 mod tests {
     use super::*;
     use crate::ids::ImageId;
-    use crate::index::LocTag;
+    use crate::index::{LocTag, VersionEntry};
 
     fn p(s: &str) -> UdfPath {
         s.parse().unwrap()
@@ -425,7 +425,13 @@ mod tests {
         let mut mv = MetadataVolume::new();
         mv.create(&p("/x/data"))
             .unwrap()
-            .push_version(LocTag::Bucket, 7, 1, vec![ImageId(3)]);
+            .push_version(VersionEntry::new(
+                LocTag::Bucket,
+                7,
+                1,
+                vec![ImageId(3)],
+                vec![7],
+            ));
         mv.put_state("k", serde_json::json!(42));
         let snap = mv.snapshot();
         let back = MetadataVolume::restore(&snap).unwrap();
@@ -441,7 +447,13 @@ mod tests {
         let base = mv.usage_bytes();
         mv.create(&p("/a/file"))
             .unwrap()
-            .push_version(LocTag::Bucket, 10, 0, vec![ImageId(1)]);
+            .push_version(VersionEntry::new(
+                LocTag::Bucket,
+                10,
+                0,
+                vec![ImageId(1)],
+                vec![10],
+            ));
         let after = mv.usage_bytes();
         // One file (inode + block) and one new directory (/a).
         assert_eq!(after - base, 2 * (128 + 1024));

@@ -16,7 +16,7 @@ use crate::dim::DaState;
 use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::ImageId;
-use crate::index::LocTag;
+use crate::index::{LocTag, VersionEntry};
 use crate::mv::MetadataVolume;
 use crate::wbm::{parse_link_file_name, LinkFile};
 use ros_sim::SimDuration;
@@ -118,8 +118,9 @@ impl Ros {
         }
         // (path, image) -> continuation info from link files.
         let mut continuations: BTreeMap<(String, u64), Continuation> = BTreeMap::new();
-        // original path -> versions found as shadows.
-        let mut shadows: BTreeMap<String, Vec<(u32, ImageId, u64)>> = BTreeMap::new();
+        // original path -> versions found as shadows: (ver, image, len,
+        // the shadow's own path).
+        let mut shadows: BTreeMap<String, Vec<(u32, ImageId, u64, UdfPath)>> = BTreeMap::new();
         // regular occurrences: (path, image, len).
         let mut regulars: Vec<(UdfPath, ImageId, u64)> = Vec::new();
         for (path, image, bytes) in &scan.files {
@@ -147,6 +148,7 @@ impl Ros {
                             ver,
                             *image,
                             bytes.len() as u64,
+                            path.clone(),
                         ));
                         continue;
                     }
@@ -179,41 +181,38 @@ impl Ros {
             parts.dedup_by_key(|(_, img, _)| *img);
             let total_size: u64 = parts.iter().map(|(_, _, l)| *l).sum();
             let segs: Vec<ImageId> = parts.iter().map(|(_, img, _)| *img).collect();
+            let seg_sizes: Vec<u64> = parts.iter().map(|(_, _, l)| *l).collect();
             let idx = mv.create(&path)?;
-            idx.push_version(LocTag::Disc, total_size, 0, segs);
+            idx.push_version(VersionEntry::new(
+                LocTag::Disc,
+                total_size,
+                0,
+                segs,
+                seg_sizes,
+            ));
             files += 1;
             // Replay regenerated versions in order.
-            if let Some(list) = shadows.get(path_str) {
-                let mut list = list.clone();
-                list.sort_unstable();
-                for (ver, image, size) in list {
-                    let idx = mv.get_mut(&path).ok_or_else(|| {
-                        OlfsError::BadState(format!("MV entry for {path} vanished during rebuild"))
-                    })?;
-                    // Keep version numbers aligned by filling gaps.
-                    while idx.latest().map(|e| e.ver + 1).unwrap_or(1) < ver {
-                        let prev = idx.latest().cloned();
-                        let (psize, psegs) =
-                            prev.map(|e| (e.size, e.segs)).unwrap_or((0, Vec::new()));
-                        idx.push_version(LocTag::Disc, psize, 0, psegs);
-                    }
-                    idx.push_version(LocTag::Disc, size, 0, vec![image]);
+            let mut list = shadows.remove(path_str).unwrap_or_default();
+            list.sort_unstable();
+            for (ver, image, size, shadow) in list {
+                // Keep version numbers aligned: a gap repeats the entry
+                // before it.
+                while let Some(prev) = idx.latest().filter(|e| e.ver + 1 < ver).cloned() {
+                    idx.push_version(prev);
                 }
+                idx.push_version(shadow_entry(image, size, shadow));
             }
         }
-        // Shadow-only files (base version's image lost): best effort.
-        for (orig, list) in &shadows {
-            if base.contains_key(orig) {
-                continue;
-            }
+        // What is left are shadow-only files (base version's image
+        // lost): best effort.
+        for (orig, mut list) in shadows {
             let path: UdfPath = orig.parse().map_err(|_| {
                 OlfsError::BadState(format!("recovered path {orig:?} failed to re-parse"))
             })?;
             let idx = mv.create(&path)?;
-            let mut list = list.clone();
             list.sort_unstable();
-            for (_, image, size) in list {
-                idx.push_version(LocTag::Disc, size, 0, vec![image]);
+            for (_, image, size, shadow) in list {
+                idx.push_version(shadow_entry(image, size, shadow));
             }
             files += 1;
         }
@@ -338,6 +337,14 @@ impl Ros {
         // Unload bay 0 (scans run on an otherwise idle system).
         self.unload_bay(0)?;
         Ok(0)
+    }
+}
+
+/// The entry of a regenerated version found on disc under `shadow`.
+fn shadow_entry(image: ImageId, size: u64, shadow: UdfPath) -> VersionEntry {
+    VersionEntry {
+        stored: Some(shadow),
+        ..VersionEntry::new(LocTag::Disc, size, 0, vec![image], vec![size])
     }
 }
 

@@ -158,20 +158,29 @@ impl BucketManager {
     pub fn debug_assert_accounting(&self) {}
 
     /// Plans the placement of a `size`-byte file at `path` (FCFS, §4.5).
+    ///
+    /// A bucket that already stages `path` cannot take it: the name there
+    /// belongs to bytes an unlinked or superseded file left behind, which
+    /// stay put until the bucket seals. Such a bucket is passed over, and
+    /// when no other has room the caller's [`Placement::NoRoom`] handling
+    /// seals buckets until one does.
     pub fn place(&self, path: &UdfPath, size: u64) -> Placement {
         self.debug_assert_accounting();
+        let candidates = || {
+            self.buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| !b.contains(path))
+        };
         // First bucket that takes the file whole.
-        for (i, b) in self.buckets.iter().enumerate() {
+        for (i, b) in candidates() {
             if b.cost_of(path, size) <= b.free_bytes() {
                 return Placement::Whole { bucket: i };
             }
         }
         // Otherwise split: pick the bucket able to take the largest
         // prefix (it is closest to full and will close after).
-        let best = self
-            .buckets
-            .iter()
-            .enumerate()
+        let best = candidates()
             .filter_map(|(i, b)| b.max_prefix(path, size).map(|p| (i, p)))
             .max_by_key(|&(_, p)| p);
         match best {
@@ -225,6 +234,23 @@ mod tests {
             Placement::Whole { bucket } => assert_eq!(bucket, 1),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_bucket_already_staging_the_name_is_passed_over() {
+        let mut m = mgr(2, 64);
+        m.bucket_mut(0)
+            .unwrap()
+            .write(&p("/f"), vec![1u8; 100], 0)
+            .unwrap();
+        assert_eq!(m.place(&p("/f"), 100), Placement::Whole { bucket: 1 });
+        assert_eq!(m.place(&p("/g"), 100), Placement::Whole { bucket: 0 });
+        // Staged everywhere: nothing can take it until a bucket seals.
+        m.bucket_mut(1)
+            .unwrap()
+            .write(&p("/f"), vec![2u8; 100], 0)
+            .unwrap();
+        assert_eq!(m.place(&p("/f"), 100), Placement::NoRoom);
     }
 
     #[test]
