@@ -17,9 +17,18 @@
 
 use crate::error::OlfsError;
 use crate::index::IndexFile;
+use ros_udf::format::{MAX_DEPTH, MAX_NAME_LEN};
 use ros_udf::{PathIndex, UdfPath};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Longest name the global namespace admits: POSIX `NAME_MAX`, also
+/// UDF's. Inside images OLFS stores files under prefixed names
+/// (`.rosv{n}-` shadows, `.roslink-` continuations), so the namespace
+/// stops this far short of what an image holds and every name OLFS
+/// derives from an admitted one is a name a bucket admits.
+pub const NAME_MAX: usize = 255;
+const _: () = assert!(NAME_MAX + ".rosv4294967295-".len() <= MAX_NAME_LEN);
 
 /// A directory's sorted child sidecar: `(name, is_dir)` in name order,
 /// maintained by the same operations that mutate the namespace, so
@@ -192,8 +201,22 @@ impl MetadataVolume {
         Ok(())
     }
 
+    /// The door of the namespace: refuses a name over [`NAME_MAX`] bytes
+    /// or a path deeper than an image holds, whether the path was parsed
+    /// or joined, before anything is created or acknowledged.
+    fn admit(path: &UdfPath) -> Result<(), OlfsError> {
+        let comps = path.components();
+        if comps.len() > MAX_DEPTH || comps.iter().any(|c| c.len() > NAME_MAX) {
+            return Err(OlfsError::Invalid(format!(
+                "{path}: a name over {NAME_MAX} bytes or more than {MAX_DEPTH} levels"
+            )));
+        }
+        Ok(())
+    }
+
     /// Creates an index file (and its ancestor directories).
     pub fn create(&mut self, path: &UdfPath) -> Result<&mut IndexFile, OlfsError> {
+        Self::admit(path)?;
         if self.files.contains(path) {
             return Err(OlfsError::AlreadyExists(path.to_string()));
         }
@@ -210,6 +233,7 @@ impl MetadataVolume {
 
     /// Creates a directory path explicitly.
     pub fn mkdir_p(&mut self, path: &UdfPath) -> Result<(), OlfsError> {
+        Self::admit(path)?;
         self.ensure_dir_chain(Some(path.clone()))
     }
 
@@ -364,6 +388,32 @@ mod tests {
             mv.mkdir_p(&p("/f")).unwrap_err(),
             OlfsError::Invalid(_)
         ));
+    }
+
+    #[test]
+    fn the_namespace_refuses_names_it_cannot_decorate() {
+        let mut mv = MetadataVolume::new();
+        let named = |n: usize| p("/new/dir").join(&"n".repeat(n));
+        mv.create(&named(NAME_MAX)).unwrap();
+        mv.mkdir_p(&p(&"/e".repeat(MAX_DEPTH))).unwrap();
+        let (files, dirs) = (mv.file_count(), mv.dir_count());
+        for path in [
+            named(NAME_MAX + 1),
+            named(NAME_MAX + 1).join("below"),
+            p(&"/g".repeat(MAX_DEPTH + 1)),
+        ] {
+            assert!(matches!(
+                mv.create(&path).unwrap_err(),
+                OlfsError::Invalid(_)
+            ));
+            assert!(matches!(
+                mv.mkdir_p(&path).unwrap_err(),
+                OlfsError::Invalid(_)
+            ));
+        }
+        // Refused before the first directory of the chain exists.
+        assert_eq!((mv.file_count(), mv.dir_count()), (files, dirs));
+        assert!(!mv.is_dir(&p("/g")));
     }
 
     #[test]

@@ -121,18 +121,14 @@ impl BucketManager {
         self.buckets.iter().position(|b| b.image_id() == image.0)
     }
 
-    /// Debug-build accounting invariant: every open bucket's used and
-    /// free byte counts partition its capacity, no bucket overruns it,
-    /// and no two open buckets stage the same image. Compiled out in
-    /// release builds.
+    /// Debug-build accounting invariant: every open bucket's running
+    /// block and file totals equal a recount of its tree, no bucket
+    /// overruns its capacity, and no two open buckets stage the same
+    /// image. Compiled out in release builds.
     #[cfg(debug_assertions)]
     pub fn debug_assert_accounting(&self) {
         for (i, b) in self.buckets.iter().enumerate() {
-            debug_assert_eq!(
-                b.used_bytes() + b.free_bytes(),
-                b.capacity_bytes(),
-                "bucket {i} byte accounting does not partition its capacity"
-            );
+            b.tree().debug_assert_totals();
             debug_assert!(
                 b.used_bytes() <= b.capacity_bytes(),
                 "bucket {i} overran its capacity"

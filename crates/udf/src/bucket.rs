@@ -11,13 +11,11 @@
 //! capacity; otherwise the caller closes the bucket and retries in a
 //! fresh one, possibly splitting the file.
 
-use crate::block::BLOCK_SIZE;
+use crate::block::{blocks_for, BLOCK_SIZE};
 use crate::format::{self, FormatError};
 use crate::image::SealedImage;
-use crate::pathindex::PathIndex;
 use crate::tree::{FileMeta, FsTree, Path, TreeError};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Errors from bucket operations.
 #[derive(Clone, Debug, PartialEq)]
@@ -62,88 +60,16 @@ impl core::fmt::Display for BucketError {
 
 impl std::error::Error for BucketError {}
 
-/// A staged file's flat-index entry: stat metadata plus a refcounted
-/// handle on the staged payload.
-#[derive(Clone, Debug)]
-struct Staged {
-    meta: FileMeta,
-    data: Bytes,
-}
-
 /// An open, updatable UDF bucket.
 ///
-/// The staged namespace is mutable, so the flat `Hash(path) → entry`
-/// index is maintained *incrementally* by the same operations that
-/// mutate the tree ([`Bucket::write`], [`Bucket::update`],
-/// [`Bucket::recycle`]); reads resolve through it in O(1) with the
-/// hierarchical tree retained as a debug-build oracle. The serialized
-/// form carries only the tree — the index is derived state, rebuilt on
-/// deserialize — so the snapshot JSON is byte-identical to before.
+/// The staged namespace is the [`FsTree`] the image will be serialised
+/// from: reads resolve through it, and its running block total is the
+/// §4.5 accounting, so admission costs one walk down the path.
 #[derive(Clone, Debug)]
 pub struct Bucket {
     image_id: u64,
     capacity_bytes: u64,
     tree: FsTree,
-    index: PathIndex<Staged>,
-}
-
-impl Serialize for Bucket {
-    fn serialize_value(&self) -> serde::Value {
-        BucketSnapshot {
-            image_id: self.image_id,
-            capacity_bytes: self.capacity_bytes,
-            tree: self.tree.clone(),
-        }
-        .serialize_value()
-    }
-}
-
-impl Deserialize for Bucket {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Bucket::from(BucketSnapshot::deserialize_value(v)?))
-    }
-}
-
-/// Serde shadow of [`Bucket`]: the persisted fields only, in the same
-/// order the pre-index struct serialized them.
-#[derive(Serialize, Deserialize)]
-struct BucketSnapshot {
-    image_id: u64,
-    capacity_bytes: u64,
-    tree: FsTree,
-}
-
-impl From<Bucket> for BucketSnapshot {
-    fn from(b: Bucket) -> Self {
-        BucketSnapshot {
-            image_id: b.image_id,
-            capacity_bytes: b.capacity_bytes,
-            tree: b.tree,
-        }
-    }
-}
-
-impl From<BucketSnapshot> for Bucket {
-    fn from(s: BucketSnapshot) -> Self {
-        let index = index_of(&s.tree);
-        Bucket {
-            image_id: s.image_id,
-            capacity_bytes: s.capacity_bytes,
-            tree: s.tree,
-            index,
-        }
-    }
-}
-
-/// Rebuilds the derived flat index from a tree (deserialize path).
-fn index_of(tree: &FsTree) -> PathIndex<Staged> {
-    let mut index = PathIndex::new();
-    for (path, meta) in tree.walk_files() {
-        if let Ok(data) = tree.read(&path) {
-            index.insert(path, Staged { meta, data });
-        }
-    }
-    index
 }
 
 impl Bucket {
@@ -153,7 +79,6 @@ impl Bucket {
             image_id,
             capacity_bytes,
             tree: FsTree::new(),
-            index: PathIndex::new(),
         }
     }
 
@@ -188,61 +113,20 @@ impl Bucket {
         &self.tree
     }
 
-    /// Reads a staged file in O(1) through the flat index; the returned
-    /// [`Bytes`] is a refcounted handle, not a copy. Misses fall back to
-    /// the tree so callers get the exact [`TreeError`].
+    /// Reads a staged file; the returned [`Bytes`] is a refcounted
+    /// handle, not a copy.
     pub fn read(&self, path: &Path) -> Result<Bytes, TreeError> {
-        match self.index.get(path) {
-            Some(s) => {
-                debug_assert_eq!(
-                    self.tree.read(path).as_ref().ok(),
-                    Some(&s.data),
-                    "bucket index and tree oracle disagree on read({path})"
-                );
-                Ok(s.data.clone())
-            }
-            None => {
-                let err = self.tree.read(path);
-                debug_assert!(
-                    err.is_err(),
-                    "tree resolves {path} but the bucket index does not"
-                );
-                err
-            }
-        }
+        self.tree.read(path)
     }
 
-    /// Stats a staged file via the flat index (tree oracle in debug).
+    /// Stats a staged file.
     pub fn stat(&self, path: &Path) -> Result<FileMeta, TreeError> {
-        match self.index.get(path) {
-            Some(s) => {
-                debug_assert_eq!(
-                    self.tree.stat(path).ok(),
-                    Some(s.meta.clone()),
-                    "bucket index and tree oracle disagree on stat({path})"
-                );
-                Ok(s.meta.clone())
-            }
-            None => {
-                let err = self.tree.stat(path);
-                debug_assert!(
-                    err.is_err(),
-                    "tree stats {path} but the bucket index does not"
-                );
-                err
-            }
-        }
+        self.tree.stat(path)
     }
 
     /// Returns true if the bucket stages the file.
     pub fn contains(&self, path: &Path) -> bool {
-        let hit = self.index.contains(path);
-        debug_assert_eq!(
-            hit,
-            self.tree.is_file(path),
-            "bucket index and tree oracle disagree on contains({path})"
-        );
-        hit
+        self.tree.is_file(path)
     }
 
     /// The on-image cost a write would incur (data + entry + any new
@@ -271,24 +155,10 @@ impl Bucket {
         data: impl Into<Bytes>,
         mtime_nanos: u64,
     ) -> Result<(), BucketError> {
-        let data = data.into();
-        let needed = self.cost_of(path, data.len() as u64);
         let free = self.free_bytes();
-        if needed > free {
-            return Err(BucketError::WontFit { needed, free });
-        }
-        self.tree.insert(path, data.clone(), mtime_nanos)?;
-        self.index.insert(
-            path.clone(),
-            Staged {
-                meta: FileMeta {
-                    size: data.len() as u64,
-                    mtime_nanos,
-                },
-                data,
-            },
-        );
-        Ok(())
+        self.tree
+            .insert_within(path, data.into(), mtime_nanos, free)?
+            .map_err(|needed| BucketError::WontFit { needed, free })
     }
 
     /// Updates an existing file in place (legal only while the bucket is
@@ -301,28 +171,16 @@ impl Bucket {
         mtime_nanos: u64,
     ) -> Result<(), BucketError> {
         let data = data.into();
-        let old = self.tree.stat(path)?;
-        let old_blocks = crate::block::blocks_for(old.size);
-        let new_blocks = crate::block::blocks_for(data.len() as u64);
-        let growth = new_blocks.saturating_sub(old_blocks) * BLOCK_SIZE;
-        if growth > self.free_bytes() {
+        let old_blocks = blocks_for(self.tree.stat(path)?.size);
+        let growth = blocks_for(data.len() as u64).saturating_sub(old_blocks) * BLOCK_SIZE;
+        let free = self.free_bytes();
+        if growth > free {
             return Err(BucketError::WontFit {
                 needed: growth,
-                free: self.free_bytes(),
+                free,
             });
         }
-        self.tree.update(path, data.clone(), mtime_nanos)?;
-        self.index.insert(
-            path.clone(),
-            Staged {
-                meta: FileMeta {
-                    size: data.len() as u64,
-                    mtime_nanos,
-                },
-                data,
-            },
-        );
-        Ok(())
+        Ok(self.tree.update(path, data, mtime_nanos)?)
     }
 
     /// Recycles the bucket: clears all data so it can stage a new image
@@ -330,13 +188,12 @@ impl Bucket {
     pub fn recycle(&mut self, new_image_id: u64) {
         self.image_id = new_image_id;
         self.tree = FsTree::new();
-        self.index = PathIndex::new();
     }
 
     /// Seals the bucket into an immutable disc image.
     pub fn close(&self) -> Result<SealedImage, BucketError> {
         let bytes = format::serialize(&self.tree, self.image_id, self.capacity_bytes)?;
-        // ros-analysis: allow(L2, round-trip of our own serializer; covered by the format tests)
+        // ros-analysis: allow(L2, serialize refuses every tree parse_image would; pinned by the format and edge-case tests)
         Ok(SealedImage::from_bytes(bytes).expect("own serialization must parse"))
     }
 }
@@ -445,26 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_rebuilds_the_index() {
-        let mut b = bucket(64);
-        b.write(&p("/a/x"), &b"one"[..], 1).unwrap();
-        b.write(&p("/a/y"), &b"two"[..], 2).unwrap();
-        let json = serde_json::to_string(&b).unwrap();
-        // The snapshot carries only the persisted fields — no index blob.
-        assert!(json.contains("\"image_id\""));
-        assert!(json.contains("\"tree\""));
-        assert!(!json.contains("index"));
-        let back: Bucket = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.read(&p("/a/x")).unwrap().as_ref(), b"one");
-        assert_eq!(back.stat(&p("/a/y")).unwrap().mtime_nanos, 2);
-        assert!(back.contains(&p("/a/y")));
-        assert!(!back.contains(&p("/a")));
-        // Re-serializing the round-tripped bucket is byte-identical.
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-    }
-
-    #[test]
-    fn index_tracks_write_update_recycle() {
+    fn reads_track_write_update_recycle() {
         let mut b = bucket(64);
         b.write(&p("/f"), &b"v1"[..], 1).unwrap();
         assert_eq!(b.read(&p("/f")).unwrap().as_ref(), b"v1");

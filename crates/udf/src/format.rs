@@ -20,7 +20,7 @@
 //! write-once burning, §4.3).
 
 use crate::block::{blocks_for, BLOCK_SIZE};
-use crate::tree::{fid_cost, FileMeta, FsNode, FsTree};
+use crate::tree::{fid_bytes, FileMeta, FsNode, FsTree};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
@@ -32,6 +32,15 @@ pub const VERSION: u32 = 1;
 
 /// Fixed overhead blocks before the root ICB: anchor + PVD.
 pub const OVERHEAD_BLOCKS: u64 = 2;
+
+/// Longest FID name an image holds. [`crate::tree::FsTree`] refuses to
+/// create a longer one, [`serialize`] to write it, [`parse_image`] to
+/// read it.
+pub const MAX_NAME_LEN: usize = 4096;
+
+/// Deepest path an image holds, in components (the parser's cycle
+/// guard), refused at the same three places.
+pub const MAX_DEPTH: usize = 256;
 
 /// Parsed image header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,18 +131,99 @@ impl Writer {
 
 /// Checked narrowing into a u32 on-image field: a value that does not
 /// fit is a [`FormatError::FieldOverflow`], never a silent saturation.
-fn fits_u32(value: u64, field: &'static str) -> Result<u32, FormatError> {
-    u32::try_from(value).map_err(|_| FormatError::FieldOverflow { field, value })
+fn fits_u32(value: u64, field: &'static str) -> Result<(), FormatError> {
+    match u32::try_from(value) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(FormatError::FieldOverflow { field, value }),
+    }
 }
 
-fn put_u32(b: &mut [u8], off: usize, v: u32) -> usize {
-    b[off..off + 4].copy_from_slice(&v.to_le_bytes());
+/// Writes a value [`validate`] has passed into its u32 on-image field.
+fn put_u32(b: &mut [u8], off: usize, v: u64) -> usize {
+    debug_assert!(u32::try_from(v).is_ok(), "validate admitted {v}");
+    // ros-analysis: allow(L8, validate refused every value over u32::MAX before the buffer was sized)
+    b[off..off + 4].copy_from_slice(&(v as u32).to_le_bytes());
     off + 4
 }
 
 fn put_u64(b: &mut [u8], off: usize, v: u64) -> usize {
     b[off..off + 8].copy_from_slice(&v.to_le_bytes());
     off + 8
+}
+
+/// The one place a tree is checked against the format: refuses, before
+/// any buffer exists, what an on-image field cannot carry or
+/// [`parse_image`] would not read back, so [`emit`] cannot fail.
+fn validate(node: &FsNode, depth: usize) -> Result<(), FormatError> {
+    if depth > MAX_DEPTH {
+        return Err(FormatError::FieldOverflow {
+            field: "directory nesting depth",
+            value: depth as u64,
+        });
+    }
+    match node {
+        FsNode::File { meta, .. } => fits_u32(blocks_for(meta.size), "file data block count"),
+        FsNode::Dir { children } => {
+            fits_u32(children.len() as u64, "directory child count")?;
+            fits_u32(blocks_for(fid_bytes(children)), "FID data block count")?;
+            children.iter().try_for_each(|(name, child)| {
+                if name.len() > MAX_NAME_LEN {
+                    return Err(FormatError::FieldOverflow {
+                        field: "FID name length",
+                        value: name.len() as u64,
+                    });
+                }
+                validate(child, depth + 1)
+            })
+        }
+    }
+}
+
+/// Writes the validated subtree at `node` with its ICB in block `icb` and
+/// returns the next free block. Blocks are numbered depth-first in
+/// pre-order: a node's ICB, its FID or file data, then each child's
+/// subtree in name order — so a child's ICB block is known as the walk
+/// reaches it, and the parent's FID stream is written once the children
+/// are.
+fn emit(node: &FsNode, icb: u64, w: &mut Writer) -> u64 {
+    let data_start = icb + 1;
+    match node {
+        FsNode::File { meta, data } => {
+            let data_blocks = blocks_for(meta.size);
+            let b = w.at(icb);
+            b[0] = b'F';
+            let mut off = put_u64(b, 1, meta.size);
+            off = put_u64(b, off, meta.mtime_nanos);
+            off = put_u64(b, off, data_start);
+            put_u32(b, off, data_blocks);
+            w.write_bytes(data_start, 0, data);
+            data_start + data_blocks
+        }
+        FsNode::Dir { children } => {
+            let fid_bytes = fid_bytes(children);
+            let data_blocks = blocks_for(fid_bytes);
+            let b = w.at(icb);
+            b[0] = b'D';
+            let mut off = put_u32(b, 1, children.len() as u64);
+            off = put_u64(b, off, data_start);
+            put_u32(b, off, data_blocks);
+            let mut next = data_start + data_blocks;
+            let mut stream = vec![0u8; fid_bytes as usize];
+            let mut off = 0;
+            for (name, child) in children {
+                stream[off] = match child {
+                    FsNode::Dir { .. } => b'd',
+                    FsNode::File { .. } => b'f',
+                };
+                off = put_u32(&mut stream, off + 1, name.len() as u64);
+                stream[off..off + name.len()].copy_from_slice(name.as_bytes());
+                off = put_u64(&mut stream, off + name.len(), next);
+                next = emit(child, next, w);
+            }
+            w.write_bytes(data_start, 0, &stream);
+            next
+        }
+    }
 }
 
 /// Serialises a tree into image bytes.
@@ -150,54 +240,18 @@ pub fn serialize(tree: &FsTree, image_id: u64, capacity_bytes: u64) -> Result<By
             capacity: capacity_bytes,
         });
     }
-
-    // Pass 1: assign block numbers depth-first.
-    struct Alloc<'a> {
-        icb: BTreeMap<*const FsNode, u64>,
-        order: Vec<&'a FsNode>,
-        next: u64,
-    }
-    let mut alloc = Alloc {
-        icb: BTreeMap::new(),
-        order: Vec::new(),
-        next: OVERHEAD_BLOCKS,
-    };
-    fn assign<'a>(node: &'a FsNode, a: &mut Alloc<'a>) -> Result<(), FormatError> {
-        a.icb.insert(node as *const FsNode, a.next);
-        a.order.push(node);
-        a.next += 1;
-        match node {
-            FsNode::File { meta, .. } => {
-                let data_blocks = blocks_for(meta.size);
-                fits_u32(data_blocks, "file data block count")?;
-                a.next += data_blocks;
-            }
-            FsNode::Dir { children } => {
-                fits_u32(children.len() as u64, "directory child count")?;
-                let fid_bytes: u64 = children.keys().map(|n| fid_cost(n)).sum();
-                let fid_blocks = blocks_for(fid_bytes);
-                fits_u32(fid_blocks, "FID data block count")?;
-                a.next += fid_blocks;
-                for child in children.values() {
-                    assign(child, a)?;
-                }
-            }
-        }
-        Ok(())
-    }
-    // Pass 1 also validates every fixed-width field, so oversize trees
-    // fail typed *before* the image buffer below is allocated.
-    assign(tree.root_node(), &mut alloc)?;
-    let used_blocks = alloc.next;
-
+    // Oversize trees fail typed *before* the image buffer is allocated,
+    // and `Bucket::close` may rely on the result parsing back.
+    validate(tree.root_node(), 0)?;
+    let used_blocks = needed / BLOCK_SIZE;
     let mut w = Writer::new(used_blocks);
 
     // Anchor (block 0).
     {
         let b = w.at(0);
         b[..8].copy_from_slice(&MAGIC);
-        let off = put_u32(b, 8, VERSION);
-        put_u64(b, off, 1);
+        b[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        put_u64(b, 12, 1);
     }
     // PVD (block 1).
     {
@@ -207,63 +261,9 @@ pub fn serialize(tree: &FsTree, image_id: u64, capacity_bytes: u64) -> Result<By
         off = put_u64(b, off, used_blocks);
         put_u64(b, off, OVERHEAD_BLOCKS);
     }
-
-    // Pass 2: write ICBs, FID streams and data.
-    fn emit(
-        node: &FsNode,
-        icbs: &BTreeMap<*const FsNode, u64>,
-        w: &mut Writer,
-    ) -> Result<(), FormatError> {
-        let my_icb = icbs[&(node as *const FsNode)];
-        match node {
-            FsNode::File { meta, data } => {
-                let data_blocks = fits_u32(blocks_for(meta.size), "file data block count")?;
-                let data_start = my_icb + 1;
-                let b = w.at(my_icb);
-                b[0] = b'F';
-                let mut off = put_u64(b, 1, meta.size);
-                off = put_u64(b, off, meta.mtime_nanos);
-                off = put_u64(b, off, data_start);
-                put_u32(b, off, data_blocks);
-                w.write_bytes(data_start, 0, data);
-            }
-            FsNode::Dir { children } => {
-                let child_count = fits_u32(children.len() as u64, "directory child count")?;
-                let fid_bytes: u64 = children.keys().map(|n| fid_cost(n)).sum();
-                let data_blocks = fits_u32(blocks_for(fid_bytes), "FID data block count")?;
-                let data_start = my_icb + 1;
-                {
-                    let b = w.at(my_icb);
-                    b[0] = b'D';
-                    let mut off = put_u32(b, 1, child_count);
-                    off = put_u64(b, off, data_start);
-                    put_u32(b, off, data_blocks);
-                }
-                // FID stream.
-                let mut stream = Vec::with_capacity(fid_bytes as usize);
-                for (name, child) in children {
-                    let kind = match child {
-                        FsNode::Dir { .. } => b'd',
-                        FsNode::File { .. } => b'f',
-                    };
-                    stream.push(kind);
-                    let name_len = fits_u32(name.len() as u64, "FID name length")?;
-                    stream.extend_from_slice(&name_len.to_le_bytes());
-                    stream.extend_from_slice(name.as_bytes());
-                    let child_icb = icbs[&(child as *const FsNode)];
-                    stream.extend_from_slice(&child_icb.to_le_bytes());
-                }
-                if !stream.is_empty() {
-                    w.write_bytes(data_start, 0, &stream);
-                }
-                for child in children.values() {
-                    emit(child, icbs, w)?;
-                }
-            }
-        }
-        Ok(())
-    }
-    emit(tree.root_node(), &alloc.icb, &mut w)?;
+    let end = emit(tree.root_node(), OVERHEAD_BLOCKS, &mut w);
+    // The buffer and the header were sized from the tree's running total.
+    assert_eq!(end, used_blocks, "running block total is not the image");
 
     Ok(Bytes::from(w.buf))
 }
@@ -340,9 +340,9 @@ pub fn parse_image(bytes: &Bytes) -> Result<(FsTree, ImageHeader), FormatError> 
         r: &Reader<'_>,
         src: &Bytes,
         icb: u64,
-        depth: u32,
+        depth: usize,
     ) -> Result<FsNode, FormatError> {
-        if depth > 256 {
+        if depth > MAX_DEPTH {
             return Err(FormatError::Corrupt {
                 block: icb,
                 reason: "directory nesting too deep (cycle?)",
@@ -384,7 +384,7 @@ pub fn parse_image(bytes: &Bytes) -> Result<(FsTree, ImageHeader), FormatError> 
                     let _kind = stream[off];
                     let name_len = get_u32(stream, off + 1) as usize;
                     off += 5;
-                    if off + name_len + 8 > stream.len() || name_len > 4096 {
+                    if off + name_len + 8 > stream.len() || name_len > MAX_NAME_LEN {
                         return Err(FormatError::Corrupt {
                             block: data_start,
                             reason: "FID name out of range",
@@ -450,6 +450,79 @@ mod tests {
             .unwrap();
         t.mkdir_p(&"/hollow/dir".parse::<Path>().unwrap()).unwrap();
         t
+    }
+
+    /// Three levels, 40 files of 0–9 KB, and an empty directory chain.
+    fn forty_file_tree() -> FsTree {
+        let mut t = FsTree::new();
+        for i in 0..40u32 {
+            let path = format!("/vol{}/dir{}/file-{i:02}.dat", i % 3, i % 5);
+            let len = (i * 977 % 9000) as usize;
+            t.insert(
+                &path.parse::<Path>().unwrap(),
+                vec![i as u8; len],
+                u64::from(i),
+            )
+            .unwrap();
+        }
+        t.mkdir_p(&"/vol1/empty/chain/end".parse::<Path>().unwrap())
+            .unwrap();
+        t
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn the_on_disc_format_is_pinned_by_golden_images() {
+        // Emitted by commit d4adf11's serializer, which numbered blocks
+        // in one pass and wrote them in a second: pre-order numbering is
+        // the format, and discs burned under it must keep parsing.
+        let golden: &[u8] = include_bytes!("../tests/fixtures/sample_tree.img");
+        let bytes = serialize(&sample_tree(), 77, 1 << 24).unwrap();
+        assert!(bytes.as_ref() == golden, "sample_tree image changed");
+        let bytes = serialize(&forty_file_tree(), 40, 1 << 24).unwrap();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (385_024, 0xc81f_d9a5_39a4_d157)
+        );
+    }
+
+    #[test]
+    fn what_the_parser_would_refuse_is_a_typed_error() {
+        // Built past `FsTree::insert`, which refuses these at the door:
+        // `Bucket::close` expects its own image to parse, so `serialize`
+        // must refuse whatever `parse_image` does.
+        let nest = |name: String, inner: FsNode| FsNode::Dir {
+            children: BTreeMap::from([(name, inner)]),
+        };
+        let empty = || FsNode::Dir {
+            children: BTreeMap::new(),
+        };
+        let serialize_root = |root| serialize(&FsTree::from_root(root), 1, 1 << 30);
+
+        let at_limit = nest("n".repeat(MAX_NAME_LEN), empty());
+        parse(&serialize_root(at_limit).unwrap()).unwrap();
+        assert_eq!(
+            serialize_root(nest("n".repeat(MAX_NAME_LEN + 1), empty())).unwrap_err(),
+            FormatError::FieldOverflow {
+                field: "FID name length",
+                value: MAX_NAME_LEN as u64 + 1,
+            }
+        );
+
+        let chain = |depth: usize| (0..depth).fold(empty(), |inner, _| nest("d".into(), inner));
+        parse(&serialize_root(chain(MAX_DEPTH)).unwrap()).unwrap();
+        assert_eq!(
+            serialize_root(chain(MAX_DEPTH + 1)).unwrap_err(),
+            FormatError::FieldOverflow {
+                field: "directory nesting depth",
+                value: MAX_DEPTH as u64 + 1,
+            }
+        );
     }
 
     #[test]

@@ -12,33 +12,19 @@
 //! of §4.4.
 
 use crate::format::{self, FormatError, ImageHeader};
-use crate::pathindex::PathIndex;
 use crate::tree::{FileMeta, FsTree, Path, TreeError};
 use bytes::Bytes;
 
-/// One file's resolved entry in a sealed image's flat namespace index:
-/// the stat metadata plus a zero-copy slice of the image payload.
-#[derive(Clone, Debug)]
-struct Entry {
-    meta: FileMeta,
-    data: Bytes,
-}
-
 /// An immutable, parsed disc image.
 ///
-/// The namespace is *closed* once sealed, so resolution goes through a
-/// flat `Hash(path) → entry` index ([`PathIndex`]) built exactly once at
-/// parse time — O(1) per lookup regardless of directory depth. The
-/// hierarchical [`FsTree`] is retained as the structural source of truth
-/// (directory listings, serialization) and as a debug-build oracle: every
-/// indexed resolution is cross-checked against the tree walk under
-/// `debug_assertions`.
+/// The namespace is the [`FsTree`] [`format::parse_image`] produced —
+/// the directory subtree the image carries *is* its index, and every
+/// file node holds a zero-copy slice of the image buffer.
 #[derive(Clone, Debug)]
 pub struct SealedImage {
     header: ImageHeader,
     bytes: Bytes,
     tree: FsTree,
-    index: PathIndex<Entry>,
 }
 
 impl SealedImage {
@@ -46,21 +32,10 @@ impl SealedImage {
     pub fn from_bytes(bytes: impl Into<Bytes>) -> Result<Self, FormatError> {
         let bytes = bytes.into();
         let (tree, header) = format::parse_image(&bytes)?;
-        let mut index = PathIndex::new();
-        for (path, meta) in tree.walk_files() {
-            // `read` on a just-parsed tree is a cheap refcount bump: the
-            // parser hands out slices of the image buffer, not copies.
-            let data = tree.read(&path).map_err(|_| FormatError::Corrupt {
-                block: 0,
-                reason: "walked path missing from its own tree",
-            })?;
-            index.insert(path, Entry { meta, data });
-        }
         Ok(SealedImage {
             header,
             bytes,
             tree,
-            index,
         })
     }
 
@@ -89,64 +64,20 @@ impl SealedImage {
         self.tree.file_count() == 0
     }
 
-    /// Reads one file by its (global) path.
-    ///
-    /// Resolution is an O(1) index probe; the returned [`Bytes`] is a
-    /// refcounted slice of the image buffer, not a copy. Index misses
-    /// fall back to the tree walk so the caller gets the exact
-    /// [`TreeError`] (NotFound vs IsADirectory) the hierarchy reports.
+    /// Reads one file by its (global) path; the returned [`Bytes`] is a
+    /// refcounted slice of the image buffer, not a copy.
     pub fn read(&self, path: &Path) -> Result<Bytes, TreeError> {
-        match self.index.get(path) {
-            Some(e) => {
-                debug_assert_eq!(
-                    self.tree.read(path).as_ref().ok(),
-                    Some(&e.data),
-                    "index and tree oracle disagree on read({path})"
-                );
-                Ok(e.data.clone())
-            }
-            None => {
-                let err = self.tree.read(path);
-                debug_assert!(
-                    err.is_err(),
-                    "tree resolves {path} but the sealed index does not"
-                );
-                err
-            }
-        }
+        self.tree.read(path)
     }
 
-    /// Stats one file via the flat index (tree-walk oracle in debug).
+    /// Stats one file.
     pub fn stat(&self, path: &Path) -> Result<FileMeta, TreeError> {
-        match self.index.get(path) {
-            Some(e) => {
-                debug_assert_eq!(
-                    self.tree.stat(path).ok(),
-                    Some(e.meta.clone()),
-                    "index and tree oracle disagree on stat({path})"
-                );
-                Ok(e.meta.clone())
-            }
-            None => {
-                let err = self.tree.stat(path);
-                debug_assert!(
-                    err.is_err(),
-                    "tree stats {path} but the sealed index does not"
-                );
-                err
-            }
-        }
+        self.tree.stat(path)
     }
 
     /// Returns true if the image carries the file.
     pub fn contains(&self, path: &Path) -> bool {
-        let hit = self.index.contains(path);
-        debug_assert_eq!(
-            hit,
-            self.tree.is_file(path),
-            "index and tree oracle disagree on contains({path})"
-        );
-        hit
+        self.tree.is_file(path)
     }
 
     /// Enumerates every file in the image — the namespace-scan primitive

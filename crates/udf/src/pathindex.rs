@@ -4,10 +4,12 @@
 //! identity of every object, so namespace resolution does not need a
 //! per-directory tree walk: a flat hash index over full paths answers
 //! lookups in O(1) regardless of depth or namespace size. The design
-//! follows the "Full Path = Content = ID" argument: over a *closed*
-//! namespace (a sealed image) the index is immutable and total; over a
-//! mutable one (an open bucket, the MV) it is maintained incrementally
-//! by the same operations that mutate the namespace.
+//! follows the "Full Path = Content = ID" argument. Its user is OLFS's
+//! metadata volume, the one namespace that grows without bound and is
+//! probed on every operation; it maintains the index incrementally, in
+//! the operations that mutate the namespace. A bucket or a sealed image
+//! holds one disc's worth of files and resolves through the
+//! [`crate::tree::FsTree`] its on-image format is made of.
 //!
 //! Determinism: the hash is an FxHash-style multiply-rotate digest with
 //! an explicit seed — no per-process randomness, so two runs with the

@@ -1,7 +1,8 @@
 //! Edge cases of the UDF-profile image format: deep trees, long and
 //! unicode names, tight capacities, degenerate shapes.
 
-use ros_udf::{Bucket, FsTree, SealedImage, UdfPath, BLOCK_SIZE};
+use ros_udf::format::{MAX_DEPTH, MAX_NAME_LEN};
+use ros_udf::{Bucket, BucketError, FsTree, SealedImage, TreeError, UdfPath, BLOCK_SIZE};
 
 fn p(s: &str) -> UdfPath {
     s.parse().unwrap()
@@ -44,6 +45,65 @@ fn unicode_and_long_names_survive() {
             "{name}"
         );
     }
+}
+
+#[test]
+fn what_no_image_can_hold_is_refused_at_the_write_not_at_seal() {
+    // Both were admitted and then panicked in `close()`: "own
+    // serialization must parse: Corrupt { .. "FID name out of range" }"
+    // for the name, the parser's nesting guard for the path.
+    let long = "x".repeat(5000);
+    let deep = 301;
+    // The limits themselves are admitted, sealed and read back.
+    let mut b = Bucket::new(1, 2048 * BLOCK_SIZE);
+    let at_limits = [
+        p(&format!("/d/{}", "x".repeat(MAX_NAME_LEN))),
+        p(&"/d".repeat(MAX_DEPTH)),
+    ];
+    for path in &at_limits {
+        b.write(path, vec![7u8; 10], 0).unwrap();
+    }
+    // A path is syntax; it is the bucket that refuses what its image
+    // cannot hold, however the path was built, and changes nothing.
+    let used = b.used_bytes();
+    for path in [
+        p(&format!("/d/{long}")),
+        p("/d").join(&long),
+        p(&"/e".repeat(deep)),
+    ] {
+        assert!(matches!(
+            b.write(&path, vec![1u8; 10], 0).unwrap_err(),
+            BucketError::Tree(TreeError::InvalidPath(_))
+        ));
+    }
+    assert_eq!(b.used_bytes(), used);
+    let img = b.close().unwrap();
+    assert_eq!(img.len(), used);
+    for path in &at_limits {
+        assert_eq!(img.read(path).unwrap().as_ref(), &[7u8; 10][..]);
+    }
+}
+
+#[test]
+fn a_directory_of_one_long_name_is_charged_what_it_costs() {
+    // Every new directory was charged a flat two blocks; one whose
+    // child's FID outgrows a block costs three, so a nearly full bucket
+    // admitted a file it could not seal (16 384 estimated, 18 432 used).
+    let long = "n".repeat(3000);
+    let path = UdfPath::root().join(&long).join(&long).join("f");
+    let empty = Bucket::new(1, 64 * BLOCK_SIZE);
+    let cost = empty.cost_of(&path, 1);
+    assert_eq!(cost, 9 * BLOCK_SIZE);
+    // One block short of that: refused, where the estimate let it in.
+    let mut tight = Bucket::new(1, empty.used_bytes() + cost - BLOCK_SIZE);
+    assert!(matches!(
+        tight.write(&path, vec![1u8], 0).unwrap_err(),
+        BucketError::WontFit { .. }
+    ));
+    let mut exact = Bucket::new(1, empty.used_bytes() + cost);
+    exact.write(&path, vec![1u8], 0).unwrap();
+    assert_eq!(exact.free_bytes(), 0);
+    assert_eq!(exact.close().unwrap().len(), exact.capacity_bytes());
 }
 
 #[test]

@@ -1,15 +1,23 @@
-//! Property tests for the flat namespace layer:
+//! Property tests for the namespace layer:
 //!
 //! - `Path` parse∘Display round-trips exactly, a single trailing slash
 //!   is the only tolerated decoration, and interior empty components
 //!   are always rejected (the aliasing bug class this layer fixes);
 //! - distinct parsed paths never alias a `PathIndex` slot: inserting n
 //!   distinct paths yields n live entries, each resolving to its own
-//!   value, even when every key is forced through one collision chain.
+//!   value, even when every key is forced through one collision chain;
+//! - a `Bucket` — one `FsTree` with running block and file totals —
+//!   behaves as a flat map from path to contents under random writes,
+//!   updates and recycles, refuses what the map says it must, accounts
+//!   every admitted byte exactly, and seals into the image the map
+//!   describes.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use ros_udf::{PathIndex, UdfPath};
+use ros_udf::block::file_cost;
+use ros_udf::{
+    blocks_for, Bucket, BucketError, PathIndex, SealedImage, TreeError, UdfPath, BLOCK_SIZE,
+};
 use std::collections::BTreeMap;
 
 const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789._-";
@@ -35,7 +43,175 @@ fn random_path(rng: &mut impl Rng) -> String {
     s
 }
 
+/// The executable model of a bucket: path → (contents, mtime). Its
+/// directories are the proper prefixes of its keys — a bucket never
+/// removes one file, so none outlives its files.
+type Model = BTreeMap<String, (Vec<u8>, u64)>;
+
+/// A path over so few names that duplicates, files used as directories
+/// and directories used as files all come up. Every name byte sorts
+/// above `/`, so the model's string order is the tree's path order.
+fn colliding_path(rng: &mut impl Rng) -> String {
+    let depth = 1 + rng.gen::<usize>() % 3;
+    (0..depth)
+        .map(|_| ["/a", "/b", "/c0", "/d"][rng.gen::<usize>() % 4])
+        .collect()
+}
+
+fn is_dir_in(model: &Model, path: &str) -> bool {
+    let below = format!("{path}/");
+    model.keys().any(|k| k.starts_with(&below))
+}
+
+/// What the tree must answer to a write at `path`, if it refuses.
+fn write_conflict(model: &Model, path: &str) -> Option<TreeError> {
+    if model.contains_key(path) {
+        return Some(TreeError::AlreadyExists(path.into()));
+    }
+    if is_dir_in(model, path) {
+        return Some(TreeError::IsADirectory(path.into()));
+    }
+    // A file among the ancestors is named by its own path.
+    path.match_indices('/')
+        .skip(1)
+        .find(|(i, _)| model.contains_key(&path[..*i]))
+        .map(|(i, _)| TreeError::NotADirectory(path[..i].into()))
+}
+
+/// `read`/`stat`/`contains` of `ns` (a bucket's or an image's) agree with
+/// the model on every key, on its parent directory and on an absent
+/// sibling.
+macro_rules! assert_resolves_like {
+    ($ns:expr, $model:expr) => {
+        for (key, (data, mtime)) in $model {
+            let path: UdfPath = key.parse().unwrap();
+            let read = $ns.read(&path).unwrap();
+            prop_assert_eq!(read.as_ref(), data.as_slice());
+            let meta = $ns.stat(&path).unwrap();
+            prop_assert_eq!((meta.size, meta.mtime_nanos), (data.len() as u64, *mtime));
+            prop_assert!($ns.contains(&path));
+            let parent = path.parent().unwrap();
+            if !parent.is_root() {
+                let is_a_directory = TreeError::IsADirectory(parent.to_string());
+                prop_assert_eq!($ns.read(&parent).unwrap_err(), is_a_directory.clone());
+                prop_assert_eq!($ns.stat(&parent).unwrap_err(), is_a_directory);
+                prop_assert!(!$ns.contains(&parent));
+            }
+            let absent = parent.join("absent");
+            let not_found = TreeError::NotFound(absent.to_string());
+            prop_assert_eq!($ns.read(&absent).unwrap_err(), not_found.clone());
+            prop_assert_eq!($ns.stat(&absent).unwrap_err(), not_found);
+            prop_assert!(!$ns.contains(&absent));
+        }
+    };
+}
+
 proptest! {
+    #[test]
+    fn bucket_matches_a_flat_map_model(seed in 0u64..200) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // Small enough that a run of writes fills it.
+        let capacity = (24 + rng.gen::<u64>() % 40) * BLOCK_SIZE;
+        let mut bucket = Bucket::new(seed, capacity);
+        let empty_bytes = bucket.used_bytes();
+        let mut model = Model::new();
+        for step in 1..=80u64 {
+            let key = colliding_path(&mut rng);
+            let path: UdfPath = key.parse().unwrap();
+            let data = vec![step as u8; rng.gen::<usize>() % (3 * BLOCK_SIZE as usize)];
+            let size = data.len() as u64;
+            let (used, free) = (bucket.used_bytes(), bucket.free_bytes());
+            match rng.gen::<u32>() % 10 {
+                0 => {
+                    bucket.recycle(seed + step);
+                    model.clear();
+                    prop_assert_eq!(bucket.image_id(), seed + step);
+                    prop_assert_eq!(bucket.used_bytes(), empty_bytes);
+                }
+                1..=3 => {
+                    let got = bucket.update(&path, data.clone(), step);
+                    let data_bytes = |len: usize| blocks_for(len as u64) * BLOCK_SIZE;
+                    let new = data_bytes(data.len());
+                    match model.get(&key).map(|(old, _)| data_bytes(old.len())) {
+                        Some(old) if new > old + free => {
+                            let needed = new - old;
+                            prop_assert_eq!(got, Err(BucketError::WontFit { needed, free }));
+                        }
+                        Some(old) => {
+                            prop_assert_eq!(got, Ok(()));
+                            model.insert(key, (data, step));
+                            prop_assert_eq!(bucket.used_bytes() + old, used + new);
+                        }
+                        None => {
+                            let miss = if is_dir_in(&model, &key) {
+                                TreeError::IsADirectory(key)
+                            } else {
+                                TreeError::NotFound(key)
+                            };
+                            prop_assert_eq!(got, Err(BucketError::Tree(miss)));
+                        }
+                    }
+                }
+                _ => {
+                    let cost = bucket.cost_of(&path, size);
+                    let got = bucket.write(&path, data.clone(), step);
+                    match write_conflict(&model, &key) {
+                        // A refused path is charged the file alone.
+                        Some(_) if file_cost(size) > free => {
+                            prop_assert_eq!(got, Err(BucketError::WontFit { needed: file_cost(size), free }));
+                        }
+                        Some(conflict) => prop_assert_eq!(got, Err(BucketError::Tree(conflict))),
+                        None if cost > free => {
+                            prop_assert_eq!(got, Err(BucketError::WontFit { needed: cost, free }));
+                        }
+                        None => {
+                            prop_assert_eq!(got, Ok(()));
+                            model.insert(key, (data, step));
+                            // §4.5: the admission charge is the growth.
+                            prop_assert_eq!(bucket.used_bytes(), used + cost);
+                        }
+                    }
+                }
+            }
+            // A refusal changed nothing; every byte is accounted for.
+            if model.is_empty() {
+                prop_assert_eq!(bucket.used_bytes(), empty_bytes);
+            }
+            prop_assert_eq!(bucket.is_empty(), model.is_empty());
+            prop_assert_eq!(bucket.used_bytes() + bucket.free_bytes(), capacity);
+            assert_resolves_like!(bucket, &model);
+        }
+
+        // The seal is the external recount: the image is as long as the
+        // running total said, and holds what the model holds, in order.
+        let image = bucket.close().unwrap();
+        prop_assert_eq!(image.len(), bucket.used_bytes());
+        let reparsed = SealedImage::from_bytes(image.bytes().clone()).unwrap();
+        for image in [&image, &reparsed] {
+            prop_assert_eq!(image.is_empty(), model.is_empty());
+            let scanned: Vec<(String, u64, u64)> = image
+                .scan_files()
+                .into_iter()
+                .map(|(p, m)| (p.to_string(), m.size, m.mtime_nanos))
+                .collect();
+            let expected: Vec<(String, u64, u64)> = model
+                .iter()
+                .map(|(k, (d, t))| (k.clone(), d.len() as u64, *t))
+                .collect();
+            prop_assert_eq!(scanned, expected);
+            assert_resolves_like!(image, &model);
+            let buf = image.bytes().as_ptr_range();
+            for key in model.keys() {
+                let data = image.read(&key.parse().unwrap()).unwrap();
+                let slice = data.as_ptr_range();
+                prop_assert!(
+                    data.is_empty() || (buf.start <= slice.start && slice.end <= buf.end),
+                    "read() must be a slice of the image buffer"
+                );
+            }
+        }
+    }
+
     #[test]
     fn parse_display_roundtrip(seed in 0u64..400) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

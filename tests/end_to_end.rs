@@ -355,3 +355,47 @@ fn redundancy_none_burns_without_parity() {
     let r = ros.read_file(&p("/nored/0")).unwrap();
     assert_eq!(r.data.as_ref(), content(0, 800_000).as_slice());
 }
+
+#[test]
+fn a_name_no_image_can_hold_is_refused_at_the_write() {
+    use ros::ros_olfs::mv::{MetadataVolume, NAME_MAX};
+    // Was: the write was acknowledged and the next seal panicked inside
+    // `Bucket::close` ("own serialization must parse").
+    let mut ros = Ros::new(RosConfig::tiny());
+    // Parsed or joined, the namespace refuses it and keeps no trace.
+    for unholdable in [
+        p(&format!("/d/{}", "x".repeat(5000))),
+        p("/d").join(&"x".repeat(NAME_MAX + 1)),
+        p(&"/e".repeat(301)),
+    ] {
+        assert!(matches!(
+            ros.write_file(&unholdable, content(1, 100)).unwrap_err(),
+            OlfsError::Invalid(_)
+        ));
+        assert!(ros.mkdir(&unholdable).is_err());
+        assert!(ros.read_file(&unholdable).is_err());
+    }
+    assert!(ros.readdir(&p("/")).unwrap().is_empty());
+    // The longest legal name survives an update under its `.rosv2-`
+    // shadow — a longer name than the namespace admits — and a burn.
+    let legal = p(&format!("/d/{}", "y".repeat(NAME_MAX)));
+    ros.write_file(&legal, content(2, 100)).unwrap();
+    ros.seal_open_buckets().unwrap();
+    ros.write_file(&legal, content(3, 100)).unwrap();
+    ros.flush().unwrap();
+    // The shadow path is part of the MV snapshot: what guardian racks
+    // and the snapshot burned to disc restore from must read it back.
+    let restored = MetadataVolume::restore(&ros.export_namespace()).unwrap();
+    let latest = restored.get(&legal).unwrap().latest().unwrap();
+    assert_eq!(
+        latest.stored.as_ref().unwrap().name().unwrap(),
+        format!(".rosv2-{}", "y".repeat(NAME_MAX))
+    );
+    ros.burn_mv_snapshot().unwrap();
+    let (recovered, _) = ros.recover_mv_from_discs().unwrap();
+    ros.adopt_namespace(recovered);
+    assert_eq!(
+        ros.read_file(&legal).unwrap().data.as_ref(),
+        content(3, 100)
+    );
+}
