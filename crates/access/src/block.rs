@@ -9,6 +9,7 @@
 
 use bytes::Bytes;
 use ros_olfs::{OlfsError, Ros, UdfPath};
+use ros_sim::to_usize;
 
 /// Logical block size exposed to the initiator.
 pub const BLOCK_BYTES: u64 = 512;
@@ -22,7 +23,8 @@ pub const LUN_ROOT: &str = "/.luns";
 /// A fixed-size logical unit backed by OLFS files.
 pub struct BlockLun {
     ros: Ros,
-    name: String,
+    /// `/.luns/<name>`, parsed once at creation.
+    dir: UdfPath,
     blocks: u64,
 }
 
@@ -34,22 +36,15 @@ impl BlockLun {
         }
         let mut lun = BlockLun {
             ros,
-            name: name.to_string(),
+            dir: format!("{LUN_ROOT}/{name}").parse()?,
             blocks,
         };
-        lun.ros.mkdir(&lun.dir())?;
+        lun.ros.mkdir(&lun.dir)?;
         Ok(lun)
     }
 
-    fn dir(&self) -> UdfPath {
-        format!("{LUN_ROOT}/{}", self.name)
-            .parse()
-            // ros-analysis: allow(L2, LUN names are validated path-safe at creation)
-            .expect("lun dir")
-    }
-
     fn extent_path(&self, extent: u64) -> UdfPath {
-        self.dir().join(&format!("extent-{extent:08}"))
+        self.dir.join(&format!("extent-{extent:08}"))
     }
 
     /// Capacity in blocks.
@@ -87,7 +82,7 @@ impl BlockLun {
         self.check_range(lba, count)?;
         let start = lba * BLOCK_BYTES;
         let end = (lba + count) * BLOCK_BYTES;
-        let mut out = Vec::with_capacity((end - start) as usize);
+        let mut out = Vec::with_capacity(to_usize(end - start));
         let mut pos = start;
         while pos < end {
             let extent = pos / EXTENT_BYTES;
@@ -97,11 +92,11 @@ impl BlockLun {
                 Ok(r) => {
                     out.extend_from_slice(&r.data);
                     // Unwritten tail of a short extent reads as zeros.
-                    out.resize(out.len() + (take as usize - r.data.len()), 0);
+                    out.resize(out.len() + (to_usize(take) - r.data.len()), 0);
                 }
                 Err(OlfsError::NotFound(_)) => {
                     // Never-written extent: zeros (thin provisioning).
-                    out.resize(out.len() + take as usize, 0);
+                    out.resize(out.len() + to_usize(take), 0);
                 }
                 Err(e) => return Err(e),
             }
@@ -136,12 +131,12 @@ impl BlockLun {
                 Err(OlfsError::NotFound(_)) => Vec::new(),
                 Err(e) => return Err(e),
             };
-            let needed = (within + take) as usize;
+            let needed = to_usize(within + take);
             if buf.len() < needed {
                 buf.resize(needed, 0);
             }
-            let src = (pos - start) as usize;
-            buf[within as usize..needed].copy_from_slice(&data[src..src + take as usize]);
+            let src = to_usize(pos - start);
+            buf[to_usize(within)..needed].copy_from_slice(&data[src..src + to_usize(take)]);
             self.ros.write_file(&path, buf)?;
             pos += take;
         }

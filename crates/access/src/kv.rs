@@ -17,15 +17,6 @@ pub const KV_ROOT: &str = "/.kv";
 /// Number of hash buckets (directories) keys spread over.
 const KV_BUCKETS: u64 = 256;
 
-fn fnv(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Escapes a key into a single path component (percent-encoding
 /// everything outside `[A-Za-z0-9_.-]`, and the dot-prefix that would
 /// collide with internal names).
@@ -47,12 +38,9 @@ pub fn escape_key(key: &str) -> String {
     out
 }
 
-fn key_path(key: &str) -> UdfPath {
-    let bucket = fnv(key) % KV_BUCKETS;
-    format!("{KV_ROOT}/{bucket:03}/{}", escape_key(key))
-        .parse()
-        // ros-analysis: allow(L2, escape_key yields only path-safe characters)
-        .expect("escaped keys always parse")
+fn key_path(key: &str) -> Result<UdfPath, OlfsError> {
+    let bucket = ros_sim::fnv1a(key.as_bytes()) % KV_BUCKETS;
+    Ok(format!("{KV_ROOT}/{bucket:03}/{}", escape_key(key)).parse()?)
 }
 
 /// Result of a KV operation with its simulated latency.
@@ -94,7 +82,7 @@ impl KvStore {
 
     /// Stores a value; repeated puts create versions (§4.6 semantics).
     pub fn put(&mut self, key: &str, value: impl Into<Bytes>) -> Result<KvResponse, OlfsError> {
-        let report = self.ros.write_file(&key_path(key), value)?;
+        let report = self.ros.write_file(&key_path(key)?, value)?;
         Ok(KvResponse {
             value: Bytes::new(),
             version: report.version,
@@ -104,7 +92,7 @@ impl KvStore {
 
     /// Fetches the newest value of a key.
     pub fn get(&mut self, key: &str) -> Result<KvResponse, OlfsError> {
-        let report = self.ros.read_file(&key_path(key))?;
+        let report = self.ros.read_file(&key_path(key)?)?;
         Ok(KvResponse {
             value: report.data,
             version: report.version,
@@ -114,7 +102,7 @@ impl KvStore {
 
     /// Fetches a specific retained version of a key.
     pub fn get_version(&mut self, key: &str, version: u32) -> Result<KvResponse, OlfsError> {
-        let report = self.ros.read_version(&key_path(key), version)?;
+        let report = self.ros.read_version(&key_path(key)?, version)?;
         Ok(KvResponse {
             value: report.data,
             version: report.version,
@@ -124,7 +112,7 @@ impl KvStore {
 
     /// Returns true if the key exists.
     pub fn contains(&mut self, key: &str) -> Result<bool, OlfsError> {
-        match self.ros.stat(&key_path(key)) {
+        match self.ros.stat(&key_path(key)?) {
             Ok(_) => Ok(true),
             Err(OlfsError::NotFound(_)) => Ok(false),
             Err(e) => Err(e),
@@ -133,14 +121,13 @@ impl KvStore {
 
     /// Deletes a key from the view (media copies remain, §4.6).
     pub fn delete(&mut self, key: &str) -> Result<(), OlfsError> {
-        self.ros.unlink(&key_path(key))
+        self.ros.unlink(&key_path(key)?)
     }
 
     /// Lists every stored key (scans the hash buckets; keys come back
     /// unescaped, unordered across buckets).
     pub fn keys(&mut self) -> Result<Vec<String>, OlfsError> {
-        // ros-analysis: allow(L2, KV_ROOT is a literal absolute path)
-        let root: UdfPath = KV_ROOT.parse().expect("static");
+        let root: UdfPath = KV_ROOT.parse()?;
         let mut out = Vec::new();
         let buckets = match self.ros.readdir(&root) {
             Ok(b) => b,
@@ -151,8 +138,7 @@ impl KvStore {
             if !is_dir {
                 continue;
             }
-            // ros-analysis: allow(L2, bucket names come from readdir of the literal KV_ROOT)
-            let dir: UdfPath = format!("{KV_ROOT}/{bucket}").parse().expect("bucket path");
+            let dir = root.join(&bucket);
             for (name, is_dir) in self.ros.readdir(&dir)? {
                 if !is_dir {
                     out.push(unescape_key(&name));

@@ -8,6 +8,7 @@
 
 use crate::kv::{escape_key, unescape_key};
 use bytes::Bytes;
+use ros_olfs::mv::NAME_MAX;
 use ros_olfs::{OlfsError, Ros, UdfPath};
 use ros_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -45,19 +46,20 @@ pub struct ObjectStore {
     ros: Ros,
 }
 
-fn bucket_dir(bucket: &str) -> UdfPath {
-    format!("{OBJECT_ROOT}/{}", escape_key(bucket))
-        .parse()
-        // ros-analysis: allow(L2, escape_key yields only path-safe characters)
-        .expect("escaped bucket parses")
+/// Prefix of the metadata sidecar's name; the escaped key follows.
+const META_PREFIX: &str = ".objmeta-";
+
+fn bucket_dir(bucket: &str) -> Result<UdfPath, OlfsError> {
+    Ok(format!("{OBJECT_ROOT}/{}", escape_key(bucket)).parse()?)
 }
 
-fn data_path(bucket: &str, key: &str) -> UdfPath {
-    bucket_dir(bucket).join(&escape_key(key))
+fn data_path(bucket: &str, key: &str) -> Result<UdfPath, OlfsError> {
+    Ok(bucket_dir(bucket)?.join(&escape_key(key)))
 }
 
-fn meta_path(bucket: &str, key: &str) -> UdfPath {
-    bucket_dir(bucket).join(&format!(".objmeta-{}", escape_key(key)))
+fn meta_path(bucket: &str, key: &str) -> Result<UdfPath, OlfsError> {
+    let name = format!("{META_PREFIX}{}", escape_key(key));
+    Ok(bucket_dir(bucket)?.join(&name))
 }
 
 impl ObjectStore {
@@ -78,13 +80,12 @@ impl ObjectStore {
 
     /// Creates a bucket (idempotent).
     pub fn create_bucket(&mut self, bucket: &str) -> Result<(), OlfsError> {
-        self.ros.mkdir(&bucket_dir(bucket))
+        self.ros.mkdir(&bucket_dir(bucket)?)
     }
 
     /// Lists buckets.
     pub fn list_buckets(&mut self) -> Result<Vec<String>, OlfsError> {
-        // ros-analysis: allow(L2, OBJECT_ROOT is a literal absolute path)
-        let root: UdfPath = OBJECT_ROOT.parse().expect("static");
+        let root: UdfPath = OBJECT_ROOT.parse()?;
         match self.ros.readdir(&root) {
             Ok(entries) => Ok(entries
                 .into_iter()
@@ -106,22 +107,33 @@ impl ObjectStore {
         user: BTreeMap<String, String>,
     ) -> Result<ObjectMeta, OlfsError> {
         let data = data.into();
-        let report = self.ros.write_file(&data_path(bucket, key), data.clone())?;
+        // The sidecar carries the longer of the object's two names: a key
+        // it cannot hold is refused before the data file is written.
+        let meta_path = meta_path(bucket, key)?;
+        if meta_path.name().is_some_and(|name| name.len() > NAME_MAX) {
+            return Err(OlfsError::Invalid(format!(
+                "object key {key:?} escapes to more than {} bytes",
+                NAME_MAX - META_PREFIX.len()
+            )));
+        }
+        let report = self
+            .ros
+            .write_file(&data_path(bucket, key)?, data.clone())?;
         let meta = ObjectMeta {
             content_type: content_type.map(str::to_string),
             size: data.len() as u64,
             version: report.version,
             user,
         };
-        // ros-analysis: allow(L2, serializing an owned struct of plain fields cannot fail)
-        let body = serde_json::to_vec(&meta).expect("meta serializes");
-        self.ros.write_file(&meta_path(bucket, key), body)?;
+        let body = serde_json::to_vec(&meta)
+            .map_err(|e| OlfsError::BadState(format!("object metadata: {e}")))?;
+        self.ros.write_file(&meta_path, body)?;
         Ok(meta)
     }
 
     /// Fetches an object and its metadata.
     pub fn get_object(&mut self, bucket: &str, key: &str) -> Result<Object, OlfsError> {
-        let data = self.ros.read_file(&data_path(bucket, key))?;
+        let data = self.ros.read_file(&data_path(bucket, key)?)?;
         let meta = self.head_object(bucket, key)?;
         Ok(Object {
             latency: data.latency,
@@ -132,15 +144,15 @@ impl ObjectStore {
 
     /// Fetches only the metadata.
     pub fn head_object(&mut self, bucket: &str, key: &str) -> Result<ObjectMeta, OlfsError> {
-        let raw = self.ros.read_file(&meta_path(bucket, key))?;
+        let raw = self.ros.read_file(&meta_path(bucket, key)?)?;
         serde_json::from_slice(&raw.data)
             .map_err(|e| OlfsError::BadState(format!("corrupt object metadata: {e}")))
     }
 
     /// Removes an object from the view.
     pub fn delete_object(&mut self, bucket: &str, key: &str) -> Result<(), OlfsError> {
-        self.ros.unlink(&data_path(bucket, key))?;
-        let _ = self.ros.unlink(&meta_path(bucket, key));
+        self.ros.unlink(&data_path(bucket, key)?)?;
+        let _ = self.ros.unlink(&meta_path(bucket, key)?);
         Ok(())
     }
 
@@ -150,10 +162,10 @@ impl ObjectStore {
         bucket: &str,
         prefix: Option<&str>,
     ) -> Result<Vec<String>, OlfsError> {
-        let entries = self.ros.readdir(&bucket_dir(bucket))?;
+        let entries = self.ros.readdir(&bucket_dir(bucket)?)?;
         let mut keys: Vec<String> = entries
             .into_iter()
-            .filter(|(name, is_dir)| !is_dir && !name.starts_with(".objmeta-"))
+            .filter(|(name, is_dir)| !is_dir && !name.starts_with(META_PREFIX))
             .map(|(name, _)| unescape_key(&name))
             .filter(|k| prefix.map(|p| k.starts_with(p)).unwrap_or(true))
             .collect();
@@ -249,6 +261,28 @@ mod tests {
         assert_eq!(m.version, 2);
         let obj = os.get_object("v", "doc").unwrap();
         assert_eq!(obj.data.as_ref(), b"two");
+    }
+
+    #[test]
+    fn a_key_whose_sidecar_name_cannot_exist_is_refused_before_any_write() {
+        // 247..=255 escaped bytes fit the data file's name but not
+        // `.objmeta-<key>`: the object used to be stored, then the put
+        // failed on the sidecar.
+        let mut os = store();
+        os.create_bucket("b").unwrap();
+        let dir = bucket_dir("b").unwrap();
+        for len in [247, 255] {
+            let err = os
+                .put_object("b", &"k".repeat(len), b"v".to_vec(), None, BTreeMap::new())
+                .unwrap_err();
+            assert!(matches!(err, OlfsError::Invalid(_)), "{len}: {err}");
+            assert!(os.list_objects("b", None).unwrap().is_empty(), "{len}");
+            assert!(os.ros_mut().readdir(&dir).unwrap().is_empty(), "{len}");
+        }
+        let longest = "k".repeat(246);
+        os.put_object("b", &longest, b"v".to_vec(), None, BTreeMap::new())
+            .unwrap();
+        assert_eq!(os.get_object("b", &longest).unwrap().data.as_ref(), b"v");
     }
 
     #[test]

@@ -22,6 +22,24 @@
 //! across the seeded re-run, a campaign that never exercised rot, or
 //! data loss at the recommended operating point.
 
+// The workspace's domain rules, held by clippy (DESIGN.md §8): no panic
+// paths, no lossy casts, no hash-order iteration outside test code.
+// `warn` here; CI's `-D warnings` makes them fatal.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::iter_over_hash_type
+    )
+)]
+
 use ros_bench::{perf, render};
 
 /// `repro perf [--json | --check <baseline>]`.

@@ -397,7 +397,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, BenchError> {
     } else {
         1.0
     };
-    report.timeline_digest = ros_drive::media::fnv1a(report.timeline.join("\n").as_bytes());
+    report.timeline_digest = ros_sim::fnv1a(report.timeline.join("\n").as_bytes());
     Ok(report)
 }
 

@@ -101,8 +101,11 @@ fn table1_config() -> RosConfig {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "every caller passes a well-formed path literal"
+)]
 fn p(s: &str) -> UdfPath {
-    // ros-analysis: allow(L2, every caller passes a well-formed path literal)
     s.parse().expect("static path")
 }
 

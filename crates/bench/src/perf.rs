@@ -40,7 +40,10 @@ use ros_sim::stats::{LatencyRecorder, ThroughputSeries};
 use ros_sim::{Bandwidth, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
-// ros-analysis: allow(L1, perf harness measures real wall-clock kernel throughput by design)
+#[expect(
+    clippy::disallowed_types,
+    reason = "perf harness measures real wall-clock kernel throughput by design"
+)]
 use std::time::Instant;
 
 /// Tracked metrics may grow at most this much versus the baseline.
@@ -78,7 +81,10 @@ pub struct PerfReport {
 fn median_ns_per<F: FnMut() -> usize>(reps: usize, mut op: F) -> f64 {
     let mut samples: Vec<f64> = (0..reps.max(1))
         .map(|_| {
-            // ros-analysis: allow(L1, perf harness measures real wall-clock kernel throughput by design)
+            #[expect(
+                clippy::disallowed_types,
+                reason = "perf harness measures real wall-clock kernel throughput by design"
+            )]
             let start = Instant::now();
             let elements = op().max(1);
             start.elapsed().as_nanos() as f64 / elements as f64
@@ -232,7 +238,10 @@ fn parity_corpus() -> Vec<Vec<u8>> {
 fn median_mb_per_sec(total_bytes: usize, reps: usize, mut op: impl FnMut()) -> f64 {
     let mut samples: Vec<f64> = (0..reps.max(1))
         .map(|_| {
-            // ros-analysis: allow(L1, perf harness measures real wall-clock kernel throughput by design)
+            #[expect(
+                clippy::disallowed_types,
+                reason = "perf harness measures real wall-clock kernel throughput by design"
+            )]
             let start = Instant::now();
             op();
             let secs = start.elapsed().as_secs_f64().max(1e-9);
@@ -632,7 +641,7 @@ fn namespace_lookup_ns(n: usize, reps: usize) -> f64 {
     let mut state = n as u64;
     median_ns_per(reps, || {
         for _ in 0..queries {
-            let k = hot[(next_id(&mut state) % hot.len() as u64) as usize];
+            let k = hot[ros_sim::to_usize(next_id(&mut state) % hot.len() as u64)];
             black_box(mv.get(k));
         }
         queries

@@ -139,6 +139,11 @@ pub fn render_fig9() -> String {
     out += "time      aggregate\n";
     let total = report.total.as_secs_f64();
     for frac in [0.02, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95] {
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "total and frac are non-negative, and float-to-int `as` saturates"
+        )]
         let t = ros_sim::SimTime::from_nanos((total * frac * 1e9) as u64);
         let rate = report.series.rate_at(t).mb_per_sec();
         out += &format!(
@@ -528,6 +533,11 @@ pub fn render_cas_smoke() -> Result<String, BenchError> {
 }
 
 fn bar(value: f64, max: f64, width: usize) -> String {
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the ratio is clamped to [0, 1], so the bar is 0..=width cells"
+    )]
     let n = ((value / max).clamp(0.0, 1.0) * width as f64) as usize;
     "#".repeat(n)
 }

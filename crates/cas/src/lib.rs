@@ -29,6 +29,23 @@
 // only `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// The workspace's domain rules, held by clippy (DESIGN.md §8): no panic
+// paths, no lossy casts, no hash-order iteration outside test code.
+// `warn` here; CI's `-D warnings` makes them fatal.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::iter_over_hash_type
+    )
+)]
 
 pub mod blob;
 pub mod digest;

@@ -198,23 +198,41 @@ mod tests {
 
     #[test]
     fn rot_beyond_parity_escalates_to_replica() {
-        let (mut c, files) = archived_cluster(3);
-        // Rot *every* burned disc on rack 0 and drop its lingering
-        // buffer copies: local parity is exhausted, so the audit must
-        // climb to the replica tier.
-        c.racks[0].ros_mut().evict_all_burned_copies();
-        assert!(c.racks[0].ros_mut().rot_media(4) >= 2);
-        let report = c.audit_all(64).unwrap();
-        assert!(report.rotted >= 1);
-        assert!(
-            report.repaired_replica >= 1,
-            "replica escalation must repair: {report:?}"
-        );
-        assert!(report.lost.is_empty(), "replication 2 loses nothing");
-        // Every file still reads back bit-exact through the router.
-        for (path, data) in &files {
-            let r = c.read_file(path).unwrap();
-            assert_eq!(r.data.as_ref(), data.as_slice());
+        // The second pass loses rack 0's MV and restores it from the
+        // guardian first: the engine's image -> paths view must follow
+        // each adopted namespace, or nothing is escalated.
+        for guardian_restore in [false, true] {
+            let (mut c, files) = archived_cluster(3);
+            if guardian_restore {
+                c.replicate_mv_snapshots(false).unwrap();
+                let held = files.iter().find_map(|(path, _)| {
+                    let segs = c.racks[0].ros().image_segments(path)?;
+                    Some((path.clone(), *segs.first()?))
+                });
+                let (path, image) = held.expect("rack 0 holds part of the namespace");
+                let blank = ros_olfs::mv::MetadataVolume::default();
+                c.racks[0].ros_mut().adopt_namespace(blank);
+                assert!(c.racks[0].ros().paths_of_image(image).is_empty());
+                c.recover_mv_via_guardian(0).unwrap();
+                assert!(c.racks[0].ros().paths_of_image(image).contains(&path));
+            }
+            // Rot *every* burned disc on rack 0 and drop its lingering
+            // buffer copies: local parity is exhausted, so the audit must
+            // climb to the replica tier.
+            c.racks[0].ros_mut().evict_all_burned_copies();
+            assert!(c.racks[0].ros_mut().rot_media(4) >= 2);
+            let report = c.audit_all(64).unwrap();
+            assert!(report.rotted >= 1);
+            assert!(
+                report.repaired_replica >= 1,
+                "replica escalation must repair: {report:?}"
+            );
+            assert!(report.lost.is_empty(), "replication 2 loses nothing");
+            // Every file still reads back bit-exact through the router.
+            for (path, data) in &files {
+                let r = c.read_file(path).unwrap();
+                assert_eq!(r.data.as_ref(), data.as_slice());
+            }
         }
     }
 

@@ -20,16 +20,6 @@ impl core::fmt::Display for RackId {
     }
 }
 
-/// FNV-1a over the group key, the stable half of the pair hash.
-fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// SplitMix64 finalizer — mixes the key hash with the rack id so scores
 /// for one group are independent across racks.
 fn mix(mut z: u64) -> u64 {
@@ -41,7 +31,8 @@ fn mix(mut z: u64) -> u64 {
 
 /// The rendezvous score of `(key, rack)`.
 pub fn score(key: &str, rack: RackId) -> u64 {
-    mix(fnv1a(key) ^ mix(u64::from(rack.0).wrapping_add(0x5EED)))
+    // FNV-1a over the group key is the stable half of the pair hash.
+    mix(ros_sim::fnv1a(key.as_bytes()) ^ mix(u64::from(rack.0).wrapping_add(0x5EED)))
 }
 
 /// Ranks `candidates` for `key` in descending rendezvous-score order

@@ -29,17 +29,8 @@ pub struct RackNode {
 }
 
 impl RackNode {
-    /// Builds member `id` from the cluster configuration.
-    ///
-    /// Panics if the rack template is invalid; [`RackNode::try_new`]
-    /// is the typed variant.
-    pub fn new(cfg: &ClusterConfig, id: RackId) -> Self {
-        // ros-analysis: allow(L2, constructor contract is documented; try_new is the fallible path)
-        Self::try_new(cfg, id).expect("invalid rack configuration")
-    }
-
-    /// Builds member `id`, surfacing an invalid rack template as a
-    /// typed error instead of a panic.
+    /// Builds member `id` from the cluster configuration; an invalid
+    /// rack template is a typed error.
     pub fn try_new(cfg: &ClusterConfig, id: RackId) -> Result<Self, ClusterError> {
         let rack_cfg = cfg.rack_config(id.0);
         let usable_capacity = rack_cfg.usable_capacity();
@@ -143,7 +134,7 @@ mod tests {
     #[test]
     fn node_wraps_an_engine_with_identity() {
         let cfg = ClusterConfig::tiny(2);
-        let mut node = RackNode::new(&cfg, RackId(1));
+        let mut node = RackNode::try_new(&cfg, RackId(1)).unwrap();
         assert_eq!(node.id(), RackId(1));
         assert!(node.is_alive());
         assert_eq!(node.ros().status().rack_id, 1);

@@ -1,6 +1,6 @@
 //! Placement must not depend on ingest order: two fresh clusters fed
 //! the same file set in different orders must agree on every group's
-//! target racks. This is the observable the L6 lint protects — a stray
+//! target racks. This is the observable `clippy::iter_over_hash_type` protects — a stray
 //! `HashMap` iteration anywhere on the placement path would break it
 //! only intermittently (hash order is random per process), so the gate
 //! lives here as a deterministic regression test.

@@ -20,6 +20,11 @@
 //! polynomial the scalar reference uses, and the equivalence is locked
 //! in by proptests (`crates/disk/tests/parity_equiv.rs`).
 
+// Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
+// outside test code is checked, saturating, or carries an `#[expect]`
+// with the range argument.
+#![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
+
 /// The GF(2^8) reduction polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).
 pub const POLY: u16 = 0x11D;
 
@@ -29,9 +34,7 @@ pub const POLY: u16 = 0x11D;
 const fn mul_const(a: u8, b: u8) -> u8 {
     // `u16::from` is not const-callable, so these two casts widen
     // instead; every u8 value is representable.
-    // ros-analysis: allow(L3, widening u8 -> u16 cast is lossless)
     let mut a = a as u16;
-    // ros-analysis: allow(L3, widening u8 -> u16 cast is lossless)
     let mut b = b as u16;
     let mut acc: u16 = 0;
     while b != 0 {
@@ -44,8 +47,8 @@ const fn mul_const(a: u8, b: u8) -> u8 {
         }
         b >>= 1;
     }
-    // ros-analysis: allow(L3, acc stays below 0x100 because every XORed term is reduced by POLY)
-    acc as u8
+    // acc stays below 0x100: every XORed term is reduced by POLY.
+    (acc & 0xFF) as u8
 }
 
 /// Builds the exp table (`exp[i] = 2^i`) over a doubled 0..510 range and
@@ -56,20 +59,24 @@ const fn build_log_exp() -> ([u8; 512], [u8; 256]) {
     let mut exp = [0u8; 512];
     let mut log = [0u8; 256];
     let mut x: u16 = 1;
-    let mut i = 0usize;
+    let mut i = 0u16;
     while i < 512 {
-        // ros-analysis: allow(L3, x stays below 0x100: it is reduced by POLY after every doubling)
-        exp[i] = x as u8;
+        // x stays below 0x100: it is reduced by POLY after every doubling.
+        exp[i as usize] = (x & 0xFF) as u8;
         if i < 255 {
-            // ros-analysis: allow(L3, i < 255 here so the exponent fits u8)
-            log[x as usize] = i as u8;
+            log[x as usize] = (i & 0xFF) as u8;
         }
         x <<= 1;
         if x & 0x100 != 0 {
             x ^= POLY;
         }
-        // ros-analysis: allow(L3, i < 512 from the loop bound so the increment cannot overflow)
-        i += 1;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "i < 512 from the loop bound so the increment cannot overflow"
+        )]
+        {
+            i += 1;
+        }
     }
     (exp, log)
 }
@@ -88,11 +95,14 @@ pub static GF_LOG: [u8; 256] = LOG_EXP.1;
 /// Bit-identical to [`crate::parity::gf_mul_scalar`] for every input
 /// pair (proven exhaustively in the tests below).
 #[inline]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "each log is at most 254 so the sum is at most 508, inside GF_EXP's doubled 512 range"
+)]
 pub fn mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         return 0;
     }
-    // ros-analysis: allow(L3, each log is at most 254 so the sum is at most 508, inside GF_EXP's doubled 512 range)
     GF_EXP[usize::from(GF_LOG[usize::from(a)]) + usize::from(GF_LOG[usize::from(b)])]
 }
 
@@ -109,6 +119,10 @@ pub fn pow2(n: usize) -> u8 {
 ///
 /// Panics if `a == 0` (zero has no inverse).
 #[inline]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "a log is at most 254, so 255 minus it cannot underflow"
+)]
 pub fn inv(a: u8) -> u8 {
     assert!(a != 0, "zero has no multiplicative inverse in GF(2^8)");
     GF_EXP[255 - usize::from(GF_LOG[usize::from(a)])]
@@ -128,14 +142,17 @@ impl MulTable {
     pub const fn new(g: u8) -> MulTable {
         let mut lo = [0u8; 16];
         let mut hi = [0u8; 16];
-        let mut x = 0usize;
+        let mut x = 0u8;
         while x < 16 {
-            // ros-analysis: allow(L3, x < 16 from the loop bound so it fits u8 with room for the high shift)
-            lo[x] = mul_const(g, x as u8);
-            // ros-analysis: allow(L3, x < 16 from the loop bound so it fits u8 with room for the high shift)
-            hi[x] = mul_const(g, (x as u8) << 4);
-            // ros-analysis: allow(L3, x < 16 from the loop bound so the increment cannot overflow)
-            x += 1;
+            lo[x as usize] = mul_const(g, x);
+            hi[x as usize] = mul_const(g, x << 4);
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "x < 16 from the loop bound so the increment cannot overflow"
+            )]
+            {
+                x += 1;
+            }
         }
         MulTable { lo, hi }
     }
@@ -178,8 +195,13 @@ const fn build_pow2_tables() -> [MulTable; 255] {
     let mut i = 0usize;
     while i < 255 {
         out[i] = MulTable::new(GF_EXP_CONST[i]);
-        // ros-analysis: allow(L3, i < 255 from the loop bound so the increment cannot overflow)
-        i += 1;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "i < 255 from the loop bound so the increment cannot overflow"
+        )]
+        {
+            i += 1;
+        }
     }
     out
 }
@@ -203,7 +225,7 @@ pub fn xor_acc(dst: &mut [u8], src: &[u8]) {
     } else {
         src.len()
     };
-    let words = n - (n % 8);
+    let words = n & !7;
     let (dst_words, dst_tail) = dst.split_at_mut(words);
     let (src_words, src_tail) = src.split_at(words);
     for (dw, sw) in dst_words.chunks_exact_mut(8).zip(src_words.chunks_exact(8)) {
@@ -214,7 +236,8 @@ pub fn xor_acc(dst: &mut [u8], src: &[u8]) {
         let x = u64::from_ne_bytes(d) ^ u64::from_ne_bytes(s);
         dw.copy_from_slice(&x.to_ne_bytes());
     }
-    for (d, s) in dst_tail[..n - words].iter_mut().zip(&src_tail[..n - words]) {
+    // The zip stops at the shorter tail: `n - words` bytes.
+    for (d, s) in dst_tail.iter_mut().zip(src_tail) {
         *d ^= *s;
     }
 }

@@ -20,9 +20,17 @@
 //! original scalar multiply survives as [`gf_mul_scalar`], the reference
 //! oracle for the equivalence proptests in `tests/parity_equiv.rs`.
 
+// Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
+// outside test code is checked, saturating, or carries an `#[expect]`
+// with the range argument.
+#![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
+
 use crate::gf;
 use crate::plane::DataPlane;
-// ros-analysis: allow(L7, monotonic early-exit flag for plane-driven verify; order-free)
+#[expect(
+    clippy::disallowed_types,
+    reason = "monotonic early-exit flag for plane-driven verify; order-free"
+)]
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The GF(2^8) reduction polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).
@@ -51,8 +59,8 @@ pub fn gf_mul_scalar(a: u8, b: u8) -> u8 {
         }
         b >>= 1;
     }
-    // ros-analysis: allow(L3, acc stays below 0x100 because every XORed term is reduced by POLY)
-    acc as u8
+    // acc stays below 0x100: every XORed term is reduced by POLY.
+    (acc & 0xFF) as u8
 }
 
 /// Raises the RAID-6 generator `2` to the `n`-th power in GF(2^8): a
@@ -455,7 +463,10 @@ pub fn verify_group_with(
             return Ok(false);
         }
     }
-    // ros-analysis: allow(L7, true-to-false-only flag; the verify verdict is order-free)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "true-to-false-only flag; the verify verdict is order-free"
+    )]
     let ok = AtomicBool::new(true);
     plane.for_each_range(len, |range| {
         let mut p_block = [0u8; VERIFY_BLOCK];
@@ -465,6 +476,10 @@ pub fn verify_group_with(
             if !ok.load(Ordering::Relaxed) {
                 return;
             }
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "off < range.end per the loop guard"
+            )]
             let n = VERIFY_BLOCK.min(range.end - off);
             p_block[..n].fill(0);
             for (i, stripe) in data.iter().enumerate() {
@@ -485,8 +500,13 @@ pub fn verify_group_with(
                 }
                 q_block[..n].fill(0);
             }
-            // ros-analysis: allow(L3, n is at most range.end - off so the sum stays within range.end)
-            off += n;
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "n is at most range.end - off so the sum stays within range.end"
+            )]
+            {
+                off += n;
+            }
         }
     });
     Ok(ok.load(Ordering::Relaxed))

@@ -19,6 +19,10 @@
 //! Built on `std::thread::scope` only; no work-stealing, no channels,
 //! no external crates.
 
+// The one sanctioned home for threads, locks and atomics (DESIGN.md §8,
+// crates/clippy.toml): the names banned everywhere else are legal here.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::ops::Range;
 
 /// Inputs smaller than this run serially: below ~64 KiB the spawn cost

@@ -104,16 +104,18 @@ impl RaidArray {
 
     /// The prototype's metadata volume: 2 SSDs in RAID-1 (§5.1).
     pub fn prototype_metadata() -> Self {
-        RaidArray::new(RaidLevel::Raid1, vec![BlockDevice::ssd(); 2])
-            // ros-analysis: allow(L2, the literal member count satisfies the RAID-1 minimum)
-            .expect("2 members satisfy RAID-1")
+        RaidArray {
+            level: RaidLevel::Raid1,
+            members: vec![BlockDevice::ssd(); 2],
+        }
     }
 
     /// One of the prototype's data volumes: 7 HDDs in RAID-5 (§5.1).
     pub fn prototype_data() -> Self {
-        RaidArray::new(RaidLevel::Raid5, vec![BlockDevice::hdd(); 7])
-            // ros-analysis: allow(L2, the literal member count satisfies the RAID-5 minimum)
-            .expect("7 members satisfy RAID-5")
+        RaidArray {
+            level: RaidLevel::Raid5,
+            members: vec![BlockDevice::hdd(); 7],
+        }
     }
 
     /// Returns the RAID level.

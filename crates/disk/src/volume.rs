@@ -16,14 +16,14 @@ use crate::params;
 use crate::raid::{RaidArray, RaidError};
 use ros_sim::{Bandwidth, SimDuration};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Identifier of a registered volume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct VolumeId(pub u32);
 
 /// Identifier of an active I/O stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct StreamId(pub u64);
 
 /// The four stream kinds of §4.7 (plus foreground reads).
@@ -88,8 +88,8 @@ struct VolumeState {
 
 /// Manages named volumes over RAID arrays and tracks stream placement.
 pub struct VolumeManager {
-    volumes: HashMap<VolumeId, VolumeState>,
-    streams: HashMap<StreamId, (VolumeId, StreamKind)>,
+    volumes: BTreeMap<VolumeId, VolumeState>,
+    streams: BTreeMap<StreamId, (VolumeId, StreamKind)>,
     next_volume: u32,
     next_stream: u64,
 }
@@ -104,8 +104,8 @@ impl VolumeManager {
     /// Creates an empty manager.
     pub fn new() -> Self {
         VolumeManager {
-            volumes: HashMap::new(),
-            streams: HashMap::new(),
+            volumes: BTreeMap::new(),
+            streams: BTreeMap::new(),
             next_volume: 0,
             next_stream: 0,
         }
@@ -263,9 +263,7 @@ impl VolumeManager {
 
     /// All registered volume ids, sorted.
     pub fn volume_ids(&self) -> Vec<VolumeId> {
-        let mut ids: Vec<VolumeId> = self.volumes.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.volumes.keys().copied().collect()
     }
 }
 

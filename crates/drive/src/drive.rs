@@ -201,8 +201,8 @@ impl OpticalDrive {
             DriveState::Burning => Err(DriveError::Busy),
             DriveState::Empty => Err(DriveError::NoDisc),
             DriveState::Loaded(_) => {
-                // ros-analysis: allow(L2, DriveState::Loaded is only set while a disc is present)
-                let disc = self.disc.take().expect("loaded drive must hold a disc");
+                // `Loaded` is only set while a disc is present.
+                let disc = self.disc.take().ok_or(DriveError::NoDisc)?;
                 self.state = DriveState::Empty;
                 Ok((disc, params::tray_cycle() * 2))
             }
@@ -256,8 +256,7 @@ impl OpticalDrive {
         }
         let mount = self.mount()?;
         let speed = self.read_speed()?;
-        // ros-analysis: allow(L2, mount() above errors unless a disc is present)
-        let disc = self.disc.as_ref().expect("mount ensured a disc");
+        let disc = self.disc.as_ref().ok_or(DriveError::NoDisc)?;
         let payload = disc.read_image(image_id)?.clone();
         let duration = mount + params::seek_time() + speed.time_for(payload.len());
         Ok(TimedRead { payload, duration })

@@ -14,19 +14,9 @@
 
 use crate::params;
 use bytes::Bytes;
-use ros_sim::SimRng;
+use ros_sim::{fnv1a, SimRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-
-/// Computes the FNV-1a 64-bit checksum used to verify payload integrity.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Disc capacity class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]

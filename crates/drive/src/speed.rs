@@ -11,6 +11,11 @@
 //! [`SpeedCurve`] captures the regime and [`BurnPlan::plan`] integrates it
 //! into a timed plan with a sampled throughput series for the figures.
 
+// Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
+// outside test code is checked, saturating, or carries an `#[expect]`
+// with the range argument.
+#![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
+
 use crate::media::{DiscClass, MediaKind};
 use crate::params;
 use ros_sim::stats::ThroughputSeries;
@@ -82,7 +87,6 @@ impl SpeedCurve {
                 start_x,
                 end_x,
                 exp,
-                // ros-analysis: allow(L3, f64 interpolation between bounded X-factor params)
             } => start_x + (end_x - start_x) * p.powf(exp),
             SpeedCurve::FailSafe { nominal_x, .. } => nominal_x,
             SpeedCurve::Constant { x } => x,
@@ -132,7 +136,6 @@ impl BurnPlan {
         check_mode: bool,
         rng: &mut SimRng,
     ) -> BurnPlan {
-        // ros-analysis: allow(L3, f64 product of clamped factors, both in [0, 1])
         let factor = factor.clamp(0.05, 1.0) * if check_mode { 0.52 } else { 1.0 };
         if bytes == 0 {
             return BurnPlan {
@@ -148,9 +151,7 @@ impl BurnPlan {
         let episode_bytes = match curve {
             SpeedCurve::FailSafe { failsafe_x, .. } => {
                 failsafe_x
-                    // ros-analysis: allow(L3, f64 product of small calibration params; cannot overflow)
                     * ros_sim::bandwidth::BLURAY_1X_BYTES_PER_SEC
-                    // ros-analysis: allow(L3, f64 product of small calibration params; cannot overflow)
                     * params::failsafe_episode().as_secs_f64()
             }
             _ => 0.0,
@@ -169,7 +170,6 @@ impl BurnPlan {
                 } => {
                     if episode_bytes_left <= 0.0 {
                         let p_start = if episode_bytes > 0.0 {
-                            // ros-analysis: allow(L3, f64 ratio of per-step byte counts; episode_bytes > 0 checked above)
                             byte_share * this_step / episode_bytes
                         } else {
                             0.0
@@ -187,17 +187,13 @@ impl BurnPlan {
                 }
                 _ => curve.nominal_x(p),
             };
-            // ros-analysis: allow(L3, f64 product; x and factor are bounded calibration values)
             let speed = Bandwidth::from_bluray_x(x * factor);
             samples.push(BurnSample {
                 progress: p,
                 elapsed: SimDuration::from_secs_f64(elapsed),
-                // ros-analysis: allow(L3, f64 product; x and factor are bounded calibration values)
                 x: x * factor,
             });
-            // ros-analysis: allow(L3, f64 accumulator over at most PLAN_STEPS + 1 bounded increments)
             elapsed += this_step / speed.bytes_per_sec();
-            // ros-analysis: allow(L3, f64 accumulator over at most PLAN_STEPS + 1 bounded increments)
             burned += this_step;
         }
         let total = SimDuration::from_secs_f64(elapsed);
@@ -220,7 +216,10 @@ impl BurnPlan {
     pub fn to_series(&self, label: impl Into<String>, start: SimTime) -> ThroughputSeries {
         let mut s = ThroughputSeries::new(label);
         for sample in &self.samples {
-            // ros-analysis: allow(L3, SimTime + SimDuration delegates to the saturating Add impl)
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "SimTime + SimDuration is the saturating Add impl"
+            )]
             s.push(start + sample.elapsed, Bandwidth::from_bluray_x(sample.x));
         }
         s

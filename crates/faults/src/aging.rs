@@ -27,6 +27,11 @@
 //! the same pair always yields the identical event stream, regardless
 //! of host, thread count or replay order.
 
+// Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
+// outside test code is checked, saturating, or carries an `#[expect]`
+// with the range argument.
+#![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
+
 use crate::plan::FaultKind;
 use ros_sim::SimRng;
 use serde::{Deserialize, Serialize};
@@ -102,10 +107,8 @@ impl AgingSpec {
     /// the batch multiplier when `defective_batch` is set. Clamped to
     /// `[0, 1]` so it is always a valid Bernoulli probability.
     pub fn hazard(&self, epoch: u32, defective_batch: bool) -> f64 {
-        // ros-analysis: allow(L3, f64 mid-epoch offset; epoch <= u32::MAX stays exact in f64)
         let t = f64::from(epoch) + 0.5; // Mid-epoch evaluation.
         let infant = if self.infant_decay_epochs > 0.0 {
-            // ros-analysis: allow(L3, f64 product of a bounded rate and a decaying exponential in (0, 1])
             self.infant_rate * (-t / self.infant_decay_epochs).exp()
         } else {
             0.0
@@ -113,7 +116,6 @@ impl AgingSpec {
         let wearout = if self.weibull_scale_epochs > 0.0 && self.weibull_shape > 0.0 {
             // Weibull hazard h(t) = (beta/eta) * (t/eta)^(beta-1).
             let x = t / self.weibull_scale_epochs;
-            // ros-analysis: allow(L3, f64 Weibull hazard of positive finite params; result clamped below)
             (self.weibull_shape / self.weibull_scale_epochs) * x.powf(self.weibull_shape - 1.0)
         } else {
             0.0
@@ -123,7 +125,7 @@ impl AgingSpec {
         } else {
             1.0
         };
-        // ros-analysis: allow(L3, f64 hazard product; any overflow saturates to inf and the clamp repairs it)
+        // Any overflow saturates to inf and the clamp repairs it.
         (self.acceleration.max(0.0) * batch * (infant + wearout)).clamp(0.0, 1.0)
     }
 }
@@ -172,6 +174,10 @@ impl AgingPlan {
         let mut events: Vec<AgingEvent> = Vec::new();
         for disc in 0..spec.discs {
             let mut rng = root.fork(0x1_0000 | u64::from(disc));
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "batches is at least 1, so the remainder is defined"
+            )]
             let batch = disc % batches;
             let defective = defective_batches[batch as usize];
             for epoch in 0..spec.epochs.max(1) {
@@ -239,15 +245,20 @@ impl AgingPlan {
     pub fn due_epoch(&mut self, epoch: u32) -> Vec<AgingEvent> {
         let start = self.cursor;
         while self.cursor < self.events.len() && self.events[self.cursor].epoch <= epoch {
-            // ros-analysis: allow(L3, cursor < events.len() per the loop guard, so +1 cannot overflow)
-            self.cursor += 1;
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "cursor < events.len() per the loop guard, so +1 cannot overflow"
+            )]
+            {
+                self.cursor += 1;
+            }
         }
         self.events[start..self.cursor].to_vec()
     }
 
     /// Strikes not yet handed out by [`AgingPlan::due_epoch`].
     pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
+        self.events.len().saturating_sub(self.cursor)
     }
 
     /// Rewinds consumption so the plan can be replayed.

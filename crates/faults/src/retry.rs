@@ -7,6 +7,11 @@
 //! simulated backoff; hard faults and exhausted budgets surface as
 //! typed degraded-mode errors — never a panic, never a silent success.
 
+// Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
+// outside test code is checked, saturating, or carries an `#[expect]`
+// with the range argument.
+#![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
+
 use ros_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 

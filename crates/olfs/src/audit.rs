@@ -66,7 +66,8 @@ impl Ros {
     /// front end uses these paths to re-fetch an
     /// [`AuditReport::unrepairable`] image's content from a replica rack.
     pub fn paths_of_image(&self, image: ImageId) -> Vec<ros_udf::UdfPath> {
-        self.image_paths.get(&image).cloned().unwrap_or_default()
+        let paths = self.image_paths.get(&image);
+        paths.into_iter().flatten().cloned().collect()
     }
 
     /// The most recent sampled-audit result, whether scheduled (riding
@@ -223,6 +224,20 @@ mod tests {
         r.evict_burned_copies();
         r.unload_all_bays().unwrap();
         r
+    }
+
+    #[test]
+    fn an_image_names_each_of_its_paths_once() {
+        // A rewrite that dedup resolves to the copy the path already
+        // has in the image used to list the path a second time.
+        let mut cfg = RosConfig::tiny();
+        cfg.dedup = true;
+        let mut r = Ros::new(cfg);
+        r.write_file(&p("/audit/f"), vec![1u8; 100]).unwrap();
+        r.seal_open_buckets().unwrap();
+        r.write_file(&p("/audit/f"), vec![1u8; 100]).unwrap();
+        let image = r.image_segments(&p("/audit/f")).unwrap()[0];
+        assert_eq!(r.paths_of_image(image), [p("/audit/f")]);
     }
 
     #[test]

@@ -47,8 +47,8 @@ struct Node {
 /// store; the cache tracks *which* images stay on the disk tier).
 // The two HashMaps below are point-lookup-only (insert/get/remove); the
 // LRU order itself lives in the intrusive list, so hash iteration order
-// never reaches an observable output. L6 guards against any future
-// iteration creeping in.
+// never reaches an observable output. `clippy::iter_over_hash_type`
+// guards against any future iteration creeping in.
 #[derive(Clone, Debug)]
 pub struct ReadCache {
     capacity: usize,

@@ -122,7 +122,6 @@ mod tests {
     use ros_disk::plane::DataPlane;
 
     fn path(s: &str) -> UdfPath {
-        // ros-analysis: allow(L2, test fixture paths are static literals)
         s.parse().unwrap()
     }
 

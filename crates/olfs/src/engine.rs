@@ -184,7 +184,9 @@ pub struct Ros {
     append_groups: BTreeSet<ArrayId>,
     /// The namespace paths with a version in each image (LocTag
     /// promotion, audit escalation); the stored name is on the entry.
-    pub(crate) image_paths: BTreeMap<ImageId, Vec<UdfPath>>,
+    /// A reverse view of the MV's `VersionEntry::segs`, rebuilt from
+    /// them when a namespace is adopted.
+    pub(crate) image_paths: BTreeMap<ImageId, BTreeSet<UdfPath>>,
     /// Per-(bay, drive) VFS-mount state (§5.4's 220 ms charge).
     vfs_mounted: BTreeMap<(usize, usize), bool>,
     /// Result of the most recent (scheduled or manual) scrub pass.
@@ -211,8 +213,11 @@ impl Ros {
     ///
     /// Panics if the configuration fails [`RosConfig::validate`]; use
     /// [`Ros::try_new`] to handle an invalid configuration as a value.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented constructor contract: see the # Panics section"
+    )]
     pub fn new(cfg: RosConfig) -> Self {
-        // ros-analysis: allow(L2, documented constructor contract: see the # Panics section)
         Self::try_new(cfg).expect("invalid RosConfig")
     }
 
@@ -612,7 +617,10 @@ impl Ros {
             },
         )?;
         for seg in &segments {
-            self.image_paths.entry(*seg).or_default().push(path.clone());
+            self.image_paths
+                .entry(*seg)
+                .or_default()
+                .insert(path.clone());
         }
         if is_update {
             self.counters.updates += 1;
@@ -680,7 +688,7 @@ impl Ros {
         if self.cfg.forepart_bytes == 0 {
             return None;
         }
-        let n = (self.cfg.forepart_bytes as usize).min(data.len());
+        let n = ros_sim::to_usize(self.cfg.forepart_bytes).min(data.len());
         Some(data.slice(..n))
     }
 
@@ -710,7 +718,7 @@ impl Ros {
             let remaining = total - offset;
             match self.wbm.place(path, remaining) {
                 Placement::Whole { bucket } => {
-                    let chunk = data.slice(offset as usize..);
+                    let chunk = data.slice(ros_sim::to_usize(offset)..);
                     io += params::bucket_write_device()
                         + self.vm.write_time(self.vol_buffer, chunk.len() as u64)?;
                     let now = self.queue.now().as_nanos();
@@ -727,7 +735,8 @@ impl Ros {
                     break;
                 }
                 Placement::Split { bucket, prefix } => {
-                    let chunk = data.slice(offset as usize..(offset + prefix) as usize);
+                    let chunk =
+                        data.slice(ros_sim::to_usize(offset)..ros_sim::to_usize(offset + prefix));
                     io += params::bucket_write_device()
                         + self.vm.write_time(self.vol_buffer, prefix)?;
                     let now = self.queue.now().as_nanos();
@@ -1494,7 +1503,7 @@ impl Ros {
                 let lo = start.saturating_sub(cursor).min(bytes.len() as u64);
                 let hi = end.saturating_sub(cursor).min(bytes.len() as u64);
                 // Sub-slicing a refcounted buffer, not copying.
-                pieces.push(bytes.slice(lo as usize..hi as usize));
+                pieces.push(bytes.slice(ros_sim::to_usize(lo)..ros_sim::to_usize(hi)));
             }
             cursor = seg_end;
             if cursor >= end {

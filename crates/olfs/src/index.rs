@@ -284,8 +284,11 @@ impl IndexFile {
     }
 
     /// Serialises to the on-MV JSON form.
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing an owned tree of strings and integers cannot fail"
+    )]
     pub fn to_json(&self) -> String {
-        // ros-analysis: allow(L2, serializing an owned tree of strings and integers cannot fail)
         serde_json::to_string(self).expect("index files always serialize")
     }
 

@@ -224,8 +224,8 @@ impl PosixFs {
                 // Writable handles read their own uncommitted view; only
                 // the requested range is copied out of the mutable
                 // buffer, never the whole file.
-                let lo = (offset as usize).min(buf.len());
-                let hi = ((offset + len) as usize).min(buf.len());
+                let lo = ros_sim::to_usize(offset).min(buf.len());
+                let hi = ros_sim::to_usize(offset.saturating_add(len)).min(buf.len());
                 return Ok(Bytes::copy_from_slice(&buf[lo..hi]));
             }
         }
@@ -245,7 +245,7 @@ impl PosixFs {
                 "writable handle lost its buffer".into(),
             ));
         };
-        let pos = h.cursor as usize;
+        let pos = ros_sim::to_usize(h.cursor);
         if buf.len() < pos {
             buf.resize(pos, 0);
         }
@@ -268,10 +268,8 @@ impl PosixFs {
             Whence::End => size as i128,
         };
         let target = base + offset as i128;
-        if target < 0 {
-            return Err(OlfsError::Invalid("seek before start".into()));
-        }
-        h.cursor = target as u64;
+        h.cursor =
+            u64::try_from(target).map_err(|_| OlfsError::Invalid("seek before start".into()))?;
         Ok(h.cursor)
     }
 

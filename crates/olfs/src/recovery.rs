@@ -231,6 +231,15 @@ impl Ros {
     /// drill).
     pub fn adopt_namespace(&mut self, mv: MetadataVolume) {
         self.mv = mv;
+        self.image_paths.clear();
+        for (path, idx) in self.mv.iter_files() {
+            for seg in idx.versions().flat_map(|v| &v.segs) {
+                self.image_paths
+                    .entry(*seg)
+                    .or_default()
+                    .insert(path.clone());
+            }
+        }
     }
 
     /// Exports the current MV as a portable snapshot string — the same

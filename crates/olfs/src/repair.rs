@@ -42,7 +42,7 @@ use ros_sim::SimDuration;
 use std::ops::Range;
 
 /// Stripe granularity of the damage mask: the media's sector size.
-const SECTOR: usize = ros_drive::params::SECTOR_BYTES as usize;
+const SECTOR: usize = ros_sim::to_usize(ros_drive::params::SECTOR_BYTES);
 
 /// One image's health, as decided by [`Ros::inspect`].
 #[derive(Default)]
@@ -84,7 +84,7 @@ pub(crate) struct Rebuilt {
 fn runs_of(bad: &[u64]) -> Vec<Range<usize>> {
     let mut runs: Vec<Range<usize>> = Vec::new();
     for &sector in bad {
-        let sector = sector as usize;
+        let sector = ros_sim::to_usize(sector);
         match runs.last_mut() {
             Some(run) if run.end == sector => run.end += 1,
             _ => runs.push(sector..sector + 1),
@@ -174,7 +174,11 @@ impl Ros {
         };
         // Parity is as long as the longest data member; shorter members
         // are zero-filled to it, as they physically are on disc.
-        let stripe_len = infos.iter().map(|m| m.size as usize).max().unwrap_or(0);
+        let stripe_len = infos
+            .iter()
+            .map(|m| ros_sim::to_usize(m.size))
+            .max()
+            .unwrap_or(0);
         let every_sector = 0..stripe_len.div_ceil(SECTOR);
         let masks = |granular: bool| -> Vec<Vec<Range<usize>>> {
             seen.iter()
@@ -236,7 +240,7 @@ impl Ros {
                         Some(proof) => proof.clone(),
                         None => {
                             let mut bytes = patched.unwrap_or_default();
-                            bytes.truncate(infos[i].size as usize);
+                            bytes.truncate(ros_sim::to_usize(infos[i].size));
                             verify_payload(&infos[i].digest, Bytes::from(bytes), &plane)
                                 .map_err(|_| unrecoverable(i))?
                         }

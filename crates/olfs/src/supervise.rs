@@ -126,7 +126,7 @@ impl FaultSink for Ros {
                 if burned.is_empty() {
                     return InjectionOutcome::Skipped("no burned discs in trays".into());
                 }
-                let victim = burned[*disc as usize % burned.len()];
+                let victim = burned[ros_sim::to_usize(*disc % burned.len() as u64)];
                 let Some(media) = self.registry.disc_mut(victim) else {
                     return InjectionOutcome::Skipped(format!("disc {victim} not in a tray"));
                 };
@@ -157,7 +157,7 @@ impl FaultSink for Ros {
                 if burned.is_empty() {
                     return InjectionOutcome::Skipped("no burned discs in trays".into());
                 }
-                let victim = burned[*disc as usize % burned.len()];
+                let victim = burned[ros_sim::to_usize(*disc % burned.len() as u64)];
                 let Some(media) = self.registry.disc_mut(victim) else {
                     return InjectionOutcome::Skipped(format!("disc {victim} not in a tray"));
                 };

@@ -41,8 +41,11 @@ pub struct LinkFile {
 
 impl LinkFile {
     /// Serialises to the on-image JSON form.
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing an owned struct of plain fields cannot fail"
+    )]
     pub fn to_json(&self) -> String {
-        // ros-analysis: allow(L2, serializing an owned struct of plain fields cannot fail)
         serde_json::to_string(self).expect("link files always serialize")
     }
 

@@ -3,7 +3,7 @@
 //! `readdir` output — same names, same order, same flags. A stray
 //! `HashMap` iteration on the MV/namespace path would break this only
 //! intermittently (hash order is random per instance), so the gate
-//! lives here as a deterministic regression test alongside the L6 lint.
+//! lives here as a deterministic regression test alongside `clippy::iter_over_hash_type`.
 
 use ros_olfs::{Ros, RosConfig};
 use ros_udf::UdfPath;

@@ -91,6 +91,11 @@ impl Bandwidth {
     }
 
     /// Computes how many bytes are transferred in `dur` at this rate.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "float-to-int `as` saturates: a negative or NaN product is 0 bytes"
+    )]
     pub fn bytes_in(self, dur: SimDuration) -> u64 {
         (self.0 * dur.as_secs_f64()).floor() as u64
     }

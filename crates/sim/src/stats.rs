@@ -113,7 +113,8 @@ impl LatencyRecorder {
             return SimDuration::ZERO;
         }
         let total: u128 = self.samples.iter().map(|d| d.as_nanos() as u128).sum();
-        SimDuration::from_nanos((total / self.samples.len() as u128) as u64)
+        let mean = total / self.samples.len() as u128;
+        SimDuration::from_nanos(u64::try_from(mean).unwrap_or(u64::MAX))
     }
 
     /// Returns the smallest sample, or zero when empty.
@@ -136,6 +137,11 @@ impl LatencyRecorder {
                 return SimDuration::ZERO;
             }
             let q = q.clamp(0.0, 1.0);
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "q is clamped to [0, 1], so the rank lies in [0, len]"
+            )]
             let rank = (q * s.len() as f64).ceil() as usize;
             s[rank.clamp(1, s.len()) - 1]
         })
@@ -658,6 +664,11 @@ impl Histogram {
         if total == 0 {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "q is clamped to [0, 1], so the target lies in [0, total]"
+        )]
         let target = (q.clamp(0.0, 1.0) * total as f64).ceil() as u64;
         let mut acc = 0;
         for (edge, count) in self.buckets() {

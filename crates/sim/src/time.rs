@@ -5,6 +5,11 @@
 //! unsigned 64-bit counters, giving a simulated horizon of ~584 years —
 //! comfortably beyond the 100-year TCO analyses the paper performs.
 
+// Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
+// outside test code is checked, saturating, or carries an `#[expect]`
+// with the range argument.
+#![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
+
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -119,13 +124,15 @@ impl SimDuration {
         if !secs.is_finite() || secs <= 0.0 {
             return SimDuration::ZERO;
         }
-        // ros-analysis: allow(L3, f64 product saturates to +inf, which the branch below clamps)
-        let nanos = secs * NANOS_PER_SEC as f64;
-        if nanos >= u64::MAX as f64 {
-            SimDuration(u64::MAX)
-        } else {
-            SimDuration(nanos.round() as u64)
-        }
+        // The f64 product saturates to +inf, which the float-to-int cast
+        // clamps to u64::MAX.
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "secs is finite and positive here, and float-to-int `as` saturates"
+        )]
+        let nanos = (secs * NANOS_PER_SEC as f64).round() as u64;
+        SimDuration(nanos)
     }
 
     /// Returns the raw nanosecond count.
@@ -150,7 +157,7 @@ impl SimDuration {
 
     /// Multiplies the span by a non-negative float factor, saturating.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
-        // ros-analysis: allow(L3, f64 product; from_secs_f64 clamps non-finite and negative results)
+        // from_secs_f64 clamps non-finite and negative products.
         SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }
 
@@ -200,8 +207,7 @@ impl Add<SimDuration> for SimTime {
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        // ros-analysis: allow(L3, delegates to the saturating Add impl above)
-        *self = *self + rhs;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 
@@ -228,8 +234,7 @@ impl Add for SimDuration {
 
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        // ros-analysis: allow(L3, delegates to the saturating Add impl above)
-        *self = *self + rhs;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 
@@ -242,7 +247,7 @@ impl Sub for SimDuration {
 
 impl SubAssign for SimDuration {
     fn sub_assign(&mut self, rhs: SimDuration) {
-        *self = *self - rhs;
+        self.0 = self.0.saturating_sub(rhs.0);
     }
 }
 
@@ -255,6 +260,10 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "dividing a span by zero is a caller bug and panics as integer division does"
+    )]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
@@ -262,8 +271,7 @@ impl Div<u64> for SimDuration {
 
 impl Sum for SimDuration {
     fn sum<I: Iterator<Item = SimDuration>>(iter: I) -> SimDuration {
-        // ros-analysis: allow(L3, delegates to the saturating Add impl above)
-        iter.fold(SimDuration::ZERO, |a, b| a + b)
+        SimDuration(iter.fold(0, |nanos, d| nanos.saturating_add(d.0)))
     }
 }
 
@@ -293,7 +301,6 @@ impl fmt::Display for SimDuration {
         } else if s >= 1.0 {
             write!(f, "{s:.3}s")
         } else if s >= 1e-3 {
-            // ros-analysis: allow(L3, f64 display scaling of a value already known to be < 1.0)
             write!(f, "{:.3}ms", s * 1e3)
         } else {
             write!(f, "{}ns", self.0)

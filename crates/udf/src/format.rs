@@ -19,10 +19,16 @@
 //! u32 data block count (one contiguous extent — ideal for sequential
 //! write-once burning, §4.3).
 
+// Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
+// outside test code is checked, saturating, or carries an `#[expect]`
+// with the range argument.
+#![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
+
 use crate::block::{blocks_for, BLOCK_SIZE};
 use crate::tree::{fid_bytes, FileMeta, FsNode, FsTree};
 use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Image magic.
 pub const MAGIC: [u8; 8] = *b"ROSUDF01";
@@ -112,20 +118,15 @@ struct Writer {
 }
 
 impl Writer {
-    fn new(blocks: u64) -> Self {
-        Writer {
-            buf: vec![0u8; (blocks * BLOCK_SIZE) as usize],
-        }
-    }
-
+    /// The image from `block` to its end.
     fn at(&mut self, block: u64) -> &mut [u8] {
-        let s = (block * BLOCK_SIZE) as usize;
-        &mut self.buf[s..s + BLOCK_SIZE as usize]
-    }
-
-    fn write_bytes(&mut self, block: u64, offset: usize, data: &[u8]) {
-        let s = (block * BLOCK_SIZE) as usize + offset;
-        self.buf[s..s + data.len()].copy_from_slice(data);
+        #[expect(
+            clippy::arithmetic_side_effects,
+            clippy::cast_possible_truncation,
+            reason = "block < used_blocks, and used_blocks * BLOCK_SIZE sized the buffer as a usize"
+        )]
+        let start = (block * BLOCK_SIZE) as usize;
+        &mut self.buf[start..]
     }
 }
 
@@ -138,17 +139,21 @@ fn fits_u32(value: u64, field: &'static str) -> Result<(), FormatError> {
     }
 }
 
-/// Writes a value [`validate`] has passed into its u32 on-image field.
-fn put_u32(b: &mut [u8], off: usize, v: u64) -> usize {
-    debug_assert!(u32::try_from(v).is_ok(), "validate admitted {v}");
-    // ros-analysis: allow(L8, validate refused every value over u32::MAX before the buffer was sized)
-    b[off..off + 4].copy_from_slice(&(v as u32).to_le_bytes());
-    off + 4
+/// Copies `src` to the front of `*dst` and advances `*dst` past it.
+fn put(dst: &mut &mut [u8], src: &[u8]) {
+    let (head, tail) = core::mem::take(dst).split_at_mut(src.len());
+    head.copy_from_slice(src);
+    *dst = tail;
 }
 
-fn put_u64(b: &mut [u8], off: usize, v: u64) -> usize {
-    b[off..off + 8].copy_from_slice(&v.to_le_bytes());
-    off + 8
+/// The u32 on-image field for a value [`validate`] has passed.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "validate refused every value over u32::MAX before the buffer was sized"
+)]
+fn le_u32(v: u64) -> [u8; 4] {
+    debug_assert!(u32::try_from(v).is_ok(), "validate admitted {v}");
+    (v as u32).to_le_bytes()
 }
 
 /// The one place a tree is checked against the format: refuses, before
@@ -173,7 +178,7 @@ fn validate(node: &FsNode, depth: usize) -> Result<(), FormatError> {
                         value: name.len() as u64,
                     });
                 }
-                validate(child, depth + 1)
+                validate(child, depth.saturating_add(1))
             })
         }
     }
@@ -185,42 +190,44 @@ fn validate(node: &FsNode, depth: usize) -> Result<(), FormatError> {
 /// subtree in name order — so a child's ICB block is known as the walk
 /// reaches it, and the parent's FID stream is written once the children
 /// are.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "every block number is below used_blocks, whose byte count fits a u64"
+)]
 fn emit(node: &FsNode, icb: u64, w: &mut Writer) -> u64 {
     let data_start = icb + 1;
     match node {
         FsNode::File { meta, data } => {
             let data_blocks = blocks_for(meta.size);
-            let b = w.at(icb);
-            b[0] = b'F';
-            let mut off = put_u64(b, 1, meta.size);
-            off = put_u64(b, off, meta.mtime_nanos);
-            off = put_u64(b, off, data_start);
-            put_u32(b, off, data_blocks);
-            w.write_bytes(data_start, 0, data);
+            let mut b = w.at(icb);
+            put(&mut b, b"F");
+            put(&mut b, &meta.size.to_le_bytes());
+            put(&mut b, &meta.mtime_nanos.to_le_bytes());
+            put(&mut b, &data_start.to_le_bytes());
+            put(&mut b, &le_u32(data_blocks));
+            put(&mut w.at(data_start), data);
             data_start + data_blocks
         }
         FsNode::Dir { children } => {
-            let fid_bytes = fid_bytes(children);
-            let data_blocks = blocks_for(fid_bytes);
-            let b = w.at(icb);
-            b[0] = b'D';
-            let mut off = put_u32(b, 1, children.len() as u64);
-            off = put_u64(b, off, data_start);
-            put_u32(b, off, data_blocks);
+            let data_blocks = blocks_for(fid_bytes(children));
+            let mut b = w.at(icb);
+            put(&mut b, b"D");
+            put(&mut b, &le_u32(children.len() as u64));
+            put(&mut b, &data_start.to_le_bytes());
+            put(&mut b, &le_u32(data_blocks));
             let mut next = data_start + data_blocks;
-            let mut stream = vec![0u8; fid_bytes as usize];
-            let mut off = 0;
+            let mut stream = Vec::new();
             for (name, child) in children {
-                stream[off] = match child {
+                stream.push(match child {
                     FsNode::Dir { .. } => b'd',
                     FsNode::File { .. } => b'f',
-                };
-                off = put_u32(&mut stream, off + 1, name.len() as u64);
-                stream[off..off + name.len()].copy_from_slice(name.as_bytes());
-                off = put_u64(&mut stream, off + name.len(), next);
+                });
+                stream.extend_from_slice(&le_u32(name.len() as u64));
+                stream.extend_from_slice(name.as_bytes());
+                stream.extend_from_slice(&next.to_le_bytes());
                 next = emit(child, next, w);
             }
-            w.write_bytes(data_start, 0, &stream);
+            put(&mut w.at(data_start), &stream);
             next
         }
     }
@@ -244,23 +251,27 @@ pub fn serialize(tree: &FsTree, image_id: u64, capacity_bytes: u64) -> Result<By
     // and `Bucket::close` may rely on the result parsing back.
     validate(tree.root_node(), 0)?;
     let used_blocks = needed / BLOCK_SIZE;
-    let mut w = Writer::new(used_blocks);
+    let Ok(len) = usize::try_from(needed) else {
+        return Err(FormatError::FieldOverflow {
+            field: "image size",
+            value: needed,
+        });
+    };
+    let mut w = Writer {
+        buf: vec![0u8; len],
+    };
 
     // Anchor (block 0).
-    {
-        let b = w.at(0);
-        b[..8].copy_from_slice(&MAGIC);
-        b[8..12].copy_from_slice(&VERSION.to_le_bytes());
-        put_u64(b, 12, 1);
-    }
+    let mut b = w.at(0);
+    put(&mut b, &MAGIC);
+    put(&mut b, &VERSION.to_le_bytes());
+    put(&mut b, &1u64.to_le_bytes());
     // PVD (block 1).
-    {
-        let b = w.at(1);
-        let mut off = put_u64(b, 0, image_id);
-        off = put_u64(b, off, blocks_for(capacity_bytes));
-        off = put_u64(b, off, used_blocks);
-        put_u64(b, off, OVERHEAD_BLOCKS);
-    }
+    let mut b = w.at(1);
+    put(&mut b, &image_id.to_le_bytes());
+    put(&mut b, &blocks_for(capacity_bytes).to_le_bytes());
+    put(&mut b, &used_blocks.to_le_bytes());
+    put(&mut b, &OVERHEAD_BLOCKS.to_le_bytes());
     let end = emit(tree.root_node(), OVERHEAD_BLOCKS, &mut w);
     // The buffer and the header were sized from the tree's running total.
     assert_eq!(end, used_blocks, "running block total is not the image");
@@ -273,33 +284,40 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// The byte range of `bytes` bytes from the start of block `start`.
+    /// Both come from on-media fields: a range that overflows or runs
+    /// past the image is [`FormatError::Truncated`].
+    fn span(&self, start: u64, bytes: u64) -> Result<Range<usize>, FormatError> {
+        let checked = || {
+            let s = usize::try_from(start.checked_mul(BLOCK_SIZE)?).ok()?;
+            let e = s.checked_add(usize::try_from(bytes).ok()?)?;
+            (e <= self.buf.len()).then_some(s..e)
+        };
+        checked().ok_or(FormatError::Truncated)
+    }
+
     fn block(&self, n: u64) -> Result<&'a [u8], FormatError> {
-        let s = (n * BLOCK_SIZE) as usize;
-        let e = s + BLOCK_SIZE as usize;
-        if e > self.buf.len() {
-            return Err(FormatError::Truncated);
-        }
-        Ok(&self.buf[s..e])
-    }
-
-    fn span(&self, start_block: u64, bytes: u64) -> Result<&'a [u8], FormatError> {
-        let s = (start_block * BLOCK_SIZE) as usize;
-        let e = s + bytes as usize;
-        if e > self.buf.len() {
-            return Err(FormatError::Truncated);
-        }
-        Ok(&self.buf[s..e])
+        Ok(&self.buf[self.span(n, BLOCK_SIZE)?])
     }
 }
 
-fn get_u32(b: &[u8], off: usize) -> u32 {
-    // ros-analysis: allow(L2, the four-byte slice always converts; slicing bounds-checks first)
-    u32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes"))
+/// Splits `n` bytes off the front of `*b`, or fails [`FormatError::Truncated`].
+fn take<'a>(b: &mut &'a [u8], n: usize) -> Result<&'a [u8], FormatError> {
+    let (head, tail) = b.split_at_checked(n).ok_or(FormatError::Truncated)?;
+    *b = tail;
+    Ok(head)
 }
 
-fn get_u64(b: &[u8], off: usize) -> u64 {
-    // ros-analysis: allow(L2, the eight-byte slice always converts; slicing bounds-checks first)
-    u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
+fn take_u32(b: &mut &[u8]) -> Result<u32, FormatError> {
+    let (head, tail) = b.split_first_chunk().ok_or(FormatError::Truncated)?;
+    *b = tail;
+    Ok(u32::from_le_bytes(*head))
+}
+
+fn take_u64(b: &mut &[u8]) -> Result<u64, FormatError> {
+    let (head, tail) = b.split_first_chunk().ok_or(FormatError::Truncated)?;
+    *b = tail;
+    Ok(u64::from_le_bytes(*head))
 }
 
 /// Parses image bytes back into a tree and header.
@@ -319,22 +337,21 @@ pub fn parse_image(bytes: &Bytes) -> Result<(FsTree, ImageHeader), FormatError> 
     let r = Reader {
         buf: bytes.as_ref(),
     };
-    let anchor = r.block(0)?;
-    if anchor[..8] != MAGIC {
+    let mut anchor = r.block(0)?;
+    if take(&mut anchor, MAGIC.len())? != MAGIC {
         return Err(FormatError::BadMagic);
     }
-    let version = get_u32(anchor, 8);
+    let version = take_u32(&mut anchor)?;
     if version != VERSION {
         return Err(FormatError::BadVersion(version));
     }
-    let pvd_block = get_u64(anchor, 12);
-    let pvd = r.block(pvd_block)?;
+    let mut pvd = r.block(take_u64(&mut anchor)?)?;
     let header = ImageHeader {
-        image_id: get_u64(pvd, 0),
-        capacity_blocks: get_u64(pvd, 8),
-        used_blocks: get_u64(pvd, 16),
+        image_id: take_u64(&mut pvd)?,
+        capacity_blocks: take_u64(&mut pvd)?,
+        used_blocks: take_u64(&mut pvd)?,
     };
-    let root_icb = get_u64(pvd, 24);
+    let root_icb = take_u64(&mut pvd)?;
 
     fn parse_node(
         r: &Reader<'_>,
@@ -348,58 +365,51 @@ pub fn parse_image(bytes: &Bytes) -> Result<(FsTree, ImageHeader), FormatError> 
                 reason: "directory nesting too deep (cycle?)",
             });
         }
-        let b = r.block(icb)?;
-        match b[0] {
-            b'F' => {
-                let size = get_u64(b, 1);
-                let mtime_nanos = get_u64(b, 9);
-                let data_start = get_u64(b, 17);
+        let mut b = r.block(icb)?;
+        match take(&mut b, 1)? {
+            b"F" => {
+                let size = take_u64(&mut b)?;
+                let mtime_nanos = take_u64(&mut b)?;
+                let data_start = take_u64(&mut b)?;
+                if u64::from(take_u32(&mut b)?) != blocks_for(size) {
+                    return Err(FormatError::Corrupt {
+                        block: icb,
+                        reason: "file extent does not match its size",
+                    });
+                }
                 // Bounds-check through the reader, then hand out a
                 // refcounted slice of the source image — no copy.
-                r.span(data_start, size)?;
-                let s = (data_start * BLOCK_SIZE) as usize;
                 Ok(FsNode::File {
                     meta: FileMeta { size, mtime_nanos },
-                    data: src.slice(s..s + size as usize),
+                    data: src.slice(r.span(data_start, size)?),
                 })
             }
-            b'D' => {
-                let count = get_u32(b, 1) as usize;
-                let data_start = get_u64(b, 5);
-                let data_blocks = get_u32(b, 13) as u64;
-                let stream = if count == 0 {
-                    &[][..]
-                } else {
-                    r.span(data_start, data_blocks * BLOCK_SIZE)?
+            b"D" => {
+                let count = take_u32(&mut b)?;
+                let data_start = take_u64(&mut b)?;
+                let data_blocks = u64::from(take_u32(&mut b)?);
+                let fid_bytes = data_blocks.saturating_mul(BLOCK_SIZE);
+                let mut stream = &r.buf[r.span(data_start, fid_bytes)?];
+                let corrupt = |reason| FormatError::Corrupt {
+                    block: data_start,
+                    reason,
                 };
                 let mut children = BTreeMap::new();
-                let mut off = 0usize;
                 for _ in 0..count {
-                    if off + 5 > stream.len() {
-                        return Err(FormatError::Corrupt {
-                            block: data_start,
-                            reason: "FID stream truncated",
-                        });
+                    let _kind = take(&mut stream, 1);
+                    let name_len = take_u32(&mut stream)
+                        .map_err(|_| corrupt("FID stream truncated"))?
+                        as usize;
+                    let out_of_range = corrupt("FID name out of range");
+                    if name_len > MAX_NAME_LEN {
+                        return Err(out_of_range);
                     }
-                    let _kind = stream[off];
-                    let name_len = get_u32(stream, off + 1) as usize;
-                    off += 5;
-                    if off + name_len + 8 > stream.len() || name_len > MAX_NAME_LEN {
-                        return Err(FormatError::Corrupt {
-                            block: data_start,
-                            reason: "FID name out of range",
-                        });
-                    }
-                    let name = core::str::from_utf8(&stream[off..off + name_len])
-                        .map_err(|_| FormatError::Corrupt {
-                            block: data_start,
-                            reason: "FID name not UTF-8",
-                        })?
+                    let name = take(&mut stream, name_len).map_err(|_| out_of_range.clone())?;
+                    let child_icb = take_u64(&mut stream).map_err(|_| out_of_range)?;
+                    let name = core::str::from_utf8(name)
+                        .map_err(|_| corrupt("FID name not UTF-8"))?
                         .to_string();
-                    off += name_len;
-                    let child_icb = get_u64(stream, off);
-                    off += 8;
-                    let child = parse_node(r, src, child_icb, depth + 1)?;
+                    let child = parse_node(r, src, child_icb, depth.saturating_add(1))?;
                     children.insert(name, child);
                 }
                 Ok(FsNode::Dir { children })

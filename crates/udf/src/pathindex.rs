@@ -214,7 +214,6 @@ mod tests {
     use super::*;
 
     fn p(s: &str) -> Path {
-        // ros-analysis: allow(L2, test fixture paths are static literals)
         s.parse().unwrap()
     }
 

@@ -215,3 +215,64 @@ fn large_files_approach_full_capacity() {
     let efficiency = payload as f64 / capacity as f64;
     assert!(efficiency > 0.85, "bulk efficiency = {efficiency:.2}");
 }
+
+/// Offset and width of every length and block-number field the parser
+/// follows in a well-formed image: the anchor's PVD block, the PVD's
+/// root ICB, each ICB's size / count / data start / data blocks, each
+/// FID's name length and child ICB.
+fn extent_fields(img: &[u8]) -> Vec<(usize, usize)> {
+    fn u(img: &[u8], at: usize, width: usize) -> usize {
+        let mut le = [0u8; 8];
+        le[..width].copy_from_slice(&img[at..at + width]);
+        u64::from_le_bytes(le) as usize
+    }
+    fn icb(img: &[u8], block: usize, out: &mut Vec<(usize, usize)>) {
+        let b = block * BLOCK_SIZE as usize;
+        if img[b] == b'F' {
+            out.extend([(b + 1, 8), (b + 17, 8), (b + 25, 4)]);
+            return;
+        }
+        out.extend([(b + 1, 4), (b + 5, 8), (b + 13, 4)]);
+        let mut fid = u(img, b + 5, 8) * BLOCK_SIZE as usize;
+        for _ in 0..u(img, b + 1, 4) {
+            let child = fid + 5 + u(img, fid + 1, 4);
+            out.extend([(fid + 1, 4), (child, 8)]);
+            icb(img, u(img, child, 8), out);
+            fid = child + 8;
+        }
+    }
+    let pvd = u(img, 12, 8) * BLOCK_SIZE as usize;
+    let mut out = vec![(12, 8), (pvd + 24, 8)];
+    icb(img, u(img, pvd + 24, 8), &mut out);
+    out
+}
+
+#[test]
+fn a_lying_length_or_block_number_is_a_typed_error_never_a_panic() {
+    // `u64::MAX - 5` as a file size made `s + size` wrap below `s` and
+    // panicked the slice in release builds; `1 << 53` blocks is a byte
+    // offset of exactly 2^64, which wraps to the anchor.
+    let golden: &[u8] = include_bytes!("fixtures/sample_tree.img");
+    SealedImage::from_bytes(golden.to_vec()).unwrap();
+    let fields = extent_fields(golden);
+    assert_eq!(fields.len(), 2 + 4 * 3 + 7 * 3 + 10 * 2, "4 files, 7 dirs");
+    let len = golden.len() as u64;
+    for (at, width) in fields {
+        let lies = match width {
+            8 => [u64::MAX, u64::MAX - 5, 1 << 53, len + 1],
+            _ => [
+                u64::from(u32::MAX),
+                u64::from(u32::MAX) - 5,
+                1 << 21,
+                len + 1,
+            ],
+        };
+        for lie in lies {
+            let mut img = golden.to_vec();
+            img[at..at + width].copy_from_slice(&lie.to_le_bytes()[..width]);
+            let what = format!("{lie:#x} in the {width}-byte field at {at}");
+            assert!(ros_udf::format::parse(&img).is_err(), "{what}");
+            assert!(SealedImage::from_bytes(img).is_err(), "{what}");
+        }
+    }
+}

@@ -43,6 +43,11 @@ impl SizeDist {
                 }
             }
             SizeDist::Exponential { mean, lo, hi } => {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "float-to-int `as` saturates, and the clamp below bounds the draw"
+                )]
                 let x = rng.exponential(mean as f64) as u64;
                 x.clamp(lo, hi)
             }

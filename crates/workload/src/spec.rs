@@ -134,10 +134,7 @@ impl WorkloadSpec {
                 .map(|i| {
                     let dir = i / fanout.max(&1);
                     FileOp::Write {
-                        path: format!("/archive/batch-{dir:04}/object-{i:08}")
-                            .parse()
-                            // ros-analysis: allow(L2, the generated literal is a valid path)
-                            .expect("static path parses"),
+                        path: generated(format!("/archive/batch-{dir:04}/object-{i:08}")),
                         size: sizes.sample(&mut rng),
                     }
                 })
@@ -240,32 +237,29 @@ impl WorkloadSpec {
     }
 }
 
+/// Parses a path a generator built from literals and zero-padded integers.
+#[expect(clippy::expect_used, reason = "the generated literal is a valid path")]
+fn generated(path: String) -> UdfPath {
+    path.parse().expect("static path parses")
+}
+
 fn stream_path(i: usize) -> UdfPath {
-    format!("/stream/file-{i:08}")
-        .parse()
-        // ros-analysis: allow(L2, the generated literal is a valid path)
-        .expect("static path parses")
+    generated(format!("/stream/file-{i:08}"))
 }
 
 fn mixed_path(i: usize) -> UdfPath {
-    format!("/mixed/g{:02}/file-{i:06}", i % 16)
-        .parse()
-        // ros-analysis: allow(L2, the generated literal is a valid path)
-        .expect("static path parses")
+    generated(format!("/mixed/g{:02}/file-{i:06}", i % 16))
 }
 
 fn tenant_path(t: usize, i: usize, fanout: usize) -> UdfPath {
-    format!("/tenants/t{t:03}/d{:03}/file-{i:06}", i / fanout.max(1))
-        .parse()
-        // ros-analysis: allow(L2, the generated literal is a valid path)
-        .expect("static path parses")
+    generated(format!(
+        "/tenants/t{t:03}/d{:03}/file-{i:06}",
+        i / fanout.max(1)
+    ))
 }
 
 fn dataset_path(i: usize) -> UdfPath {
-    format!("/dataset/part-{:04}/record-{i:08}", i % 64)
-        .parse()
-        // ros-analysis: allow(L2, the generated literal is a valid path)
-        .expect("static path parses")
+    generated(format!("/dataset/part-{:04}/record-{i:08}", i % 64))
 }
 
 /// Synthesizes deterministic file contents for a path and size, so the

@@ -67,11 +67,14 @@ impl core::fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// Serialises an op list to JSON-lines.
+#[expect(
+    clippy::expect_used,
+    reason = "serializing an owned record of plain fields cannot fail"
+)]
 pub fn to_jsonl(ops: &[FileOp]) -> String {
     let mut out = String::new();
     for op in ops {
         let rec: Record = op.into();
-        // ros-analysis: allow(L2, serializing an owned record of plain fields cannot fail)
         out.push_str(&serde_json::to_string(&rec).expect("records serialize"));
         out.push('\n');
     }
