@@ -6,10 +6,12 @@
 //! Payload digests use a *chunked* construction so large images can be
 //! hashed in parallel on the data plane while staying byte-identical at
 //! any thread count: the payload is split into fixed [`CHUNK_BYTES`]
-//! pieces (a pure function of the length), each chunk is SHA-256'd
-//! independently — this is the part that fans out over `plane.map` — and
-//! the final digest is SHA-256 over the big-endian payload length
-//! followed by the chunk digests in order.
+//! pieces (a pure function of the length), each chunk — a *leaf* — is
+//! SHA-256'd independently, and the final digest is SHA-256 over the
+//! big-endian payload length followed by the leaf digests in order. The
+//! leaves are the part that fans out: over `plane.map_spans`, and inside
+//! each worker over the lanes of the lockstep kernels, which
+//! [`content_digests`] fills with the leaves of many payloads at once.
 
 use ros_disk::plane::DataPlane;
 
@@ -238,57 +240,119 @@ impl core::fmt::Debug for Digest {
     }
 }
 
-/// SHA-256 of every chunk in one worker's span, in order.
-///
-/// Span first, lanes second: the plane has already split the chunks
-/// across its threads, and each worker looks for lockstep work only
-/// inside its own span — each leading group of four equal-length
-/// chunks (only a payload's last chunk can be short) goes through the
-/// four-lane kernel, whatever is left (and everything on targets
-/// without that kernel) through the scalar one. Forming quads
-/// before the split would hand a two-chunk image to one thread and
-/// leave the other idle.
-fn sha256_span(span: &[&[u8]]) -> Vec<[u8; 32]> {
-    let mut out = Vec::with_capacity(span.len());
+/// How many leaves one lockstep pass hashes on this host: 8 where the
+/// CPU reports AVX2, 4 on any other x86-64, 1 (the scalar kernel alone)
+/// elsewhere. Observed, not configured; no digest depends on it.
+pub fn lockstep_lanes() -> usize {
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    for quad in span.as_chunks::<4>().0 {
-        if quad.iter().any(|c| c.len() != quad[0].len()) {
-            break;
-        }
-        out.extend(crate::sha256_x4::sha256_x4(*quad));
+    return crate::lanes::widest();
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+    1
+}
+
+/// SHA-256 of every leaf chunk in one worker's span, in order, in
+/// lockstep groups of at most `width` lanes (1 is the scalar kernel
+/// alone).
+///
+/// Span first, lanes second: the plane has already split the leaves
+/// across its threads, and each worker packs only its own span — forming
+/// groups before the split would hand a two-leaf image to one thread and
+/// leave the other idle. Leaves are taken longest first, so neighbours
+/// in a group are as near equal as the span allows (full leaves from any
+/// payload together, then the tails in falling order). A group closes at
+/// `width` lanes or at the first leaf under half its longest, which
+/// would cut the lockstep prefix short for every other lane and starts
+/// the next group instead.
+fn sha256_span_at(width: usize, span: &[&[u8]]) -> Vec<[u8; 32]> {
+    if width < 3 || span.len() < 3 {
+        return span.iter().map(|leaf| sha256(leaf)).collect();
     }
-    out.extend(span[out.len()..].iter().map(|c| sha256(c)));
+    let mut order: Vec<usize> = (0..span.len()).collect();
+    order.sort_by_key(|&i| core::cmp::Reverse(span[i].len()));
+    let mut out = vec![[0u8; 32]; span.len()];
+    let mut rest = order.as_slice();
+    while let Some(&longest) = rest.first() {
+        let floor = span[longest].len() / 2;
+        let fits = |&&i: &&usize| span[i].len() >= floor;
+        let lanes = rest.iter().take(width.min(8)).take_while(fits).count();
+        let (group, later) = rest.split_at(lanes);
+        rest = later;
+        sha256_group(group, span, &mut out);
+    }
     out
 }
 
-/// Content digest of a payload, chunk-hashed on the data plane.
-///
-/// Byte-identical at any plane thread count: the chunk layout is a pure
-/// function of `data.len()`, `plane.map_spans` preserves item order,
-/// each chunk's digest is the same from either kernel, and the
-/// root hash binds the payload length so `content_digest` of a payload
-/// never collides with `sha256` of its concatenated chunk digests.
-pub fn content_digest(data: &[u8], plane: &DataPlane) -> Digest {
-    let len_prefix = (data.len() as u64).to_be_bytes();
-    if data.len() <= CHUNK_BYTES {
-        // Zero or one chunk — every dedup-sized write. Same root bytes
-        // as the general path, built on the stack.
-        let mut root = [0u8; 8 + 32];
-        root[..8].copy_from_slice(&len_prefix);
-        if data.is_empty() {
-            return Digest(sha256(&root[..8]));
+/// Hashes leaves `group` of `span` (longest first, at most eight) into
+/// their slots of `out`: one pass of the narrowest lockstep kernel that
+/// holds them, if they fill more than half of it — a pass costs about
+/// two scalar hashes of its common prefix at either width — with the
+/// spare lanes repeating the shortest leaf, whose remainder after the
+/// common prefix is under a block. Smaller groups go scalar.
+fn sha256_group(group: &[usize], span: &[&[u8]], out: &mut [[u8; 32]]) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    if let Some(&shortest) = group.last().filter(|_| group.len() > 2) {
+        let lane = |k: usize| span[group.get(k).copied().unwrap_or(shortest)];
+        let mut put = |digests: &[[u8; 32]]| {
+            for (&i, digest) in group.iter().zip(digests) {
+                out[i] = *digest;
+            }
+        };
+        if group.len() > 4 {
+            put(&crate::lanes::sha256_x8(core::array::from_fn(lane)));
+        } else {
+            put(&crate::lanes::sha256_x4(core::array::from_fn(lane)));
         }
-        root[8..].copy_from_slice(&sha256(data));
-        return Digest(sha256(&root));
+        return;
     }
-    let chunks: Vec<&[u8]> = data.chunks(CHUNK_BYTES).collect();
-    let chunk_digests = plane.map_spans(&chunks, sha256_span);
-    let mut root = Vec::with_capacity(8 + 32 * chunk_digests.len());
-    root.extend_from_slice(&len_prefix);
-    for d in &chunk_digests {
-        root.extend_from_slice(d);
+    for &i in group {
+        out[i] = sha256(span[i]);
     }
-    Digest(sha256(&root))
+}
+
+/// Content digests of many payloads at once, leaf-hashed on the data
+/// plane: `payloads.map(|p| content_digest(p, plane))`, faster.
+///
+/// The leaf chunks of *all* payloads form one ordered list, the plane's
+/// workers take contiguous spans of it, and each worker packs its span
+/// into lockstep groups — so eight two-leaf images fill lanes that each
+/// of them alone would leave to the scalar kernel. Byte-identical at any
+/// plane thread count and any lane width: the leaf layout is a pure
+/// function of the payload lengths, `plane.map_spans` preserves item
+/// order, a leaf's digest is the same from every kernel, and each root
+/// hash binds its payload's length so `content_digest` of a payload
+/// never collides with `sha256` of its concatenated leaf digests.
+pub fn content_digests(payloads: &[&[u8]], plane: &DataPlane) -> Vec<Digest> {
+    content_digests_at(lockstep_lanes(), payloads, plane)
+}
+
+/// [`content_digests`] with lockstep groups of at most `width` lanes. A
+/// parameter so the tests can pin every width on one host, not a
+/// setting: production passes what the CPU reports.
+fn content_digests_at(width: usize, payloads: &[&[u8]], plane: &DataPlane) -> Vec<Digest> {
+    let leaves: Vec<&[u8]> = payloads
+        .iter()
+        .flat_map(|p| p.chunks(CHUNK_BYTES))
+        .collect();
+    let leaf_digests = plane.map_spans(&leaves, |span| sha256_span_at(width, span));
+    let mut unclaimed = leaf_digests.as_slice();
+    let mut root = Vec::new();
+    payloads
+        .iter()
+        .map(|p| {
+            let (mine, later) = unclaimed.split_at(p.len().div_ceil(CHUNK_BYTES));
+            unclaimed = later;
+            root.clear();
+            root.extend_from_slice(&(p.len() as u64).to_be_bytes());
+            root.extend_from_slice(mine.as_flattened());
+            Digest(sha256(&root))
+        })
+        .collect()
+}
+
+/// Content digest of one payload: [`content_digests`] of a one-element
+/// list, so there is one path and one value.
+pub fn content_digest(data: &[u8], plane: &DataPlane) -> Digest {
+    content_digests(&[data], plane)[0]
 }
 
 #[cfg(test)]
@@ -442,6 +506,85 @@ mod tests {
             for threads in [1, 2, 3, 4] {
                 let got = content_digest(&data[..len], &DataPlane::new(threads));
                 assert_eq!(got.to_hex(), expect, "len {len} threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "hashes megabytes; too slow interpreted")]
+    fn packing_golden_values_are_pinned_at_every_width() {
+        // One leaf count per packing case on a 1–4 thread plane: 7 (a
+        // padded eight-lane group; 4 + 3 on two threads), 9 (a full
+        // group and a scalar leftover), 14 (7 + 7), 15 (8 + 7), 24 + a
+        // 777-byte tail (full groups, then the tail alone under the
+        // half-length floor) and 32 (full groups on every plane). Values
+        // from Python hashlib over `wide_pattern`, as above — at the
+        // detected width through the public entry point, and at one
+        // forced width per plane, rotating so every length meets every
+        // width (hashing each case at all three would triple a slow
+        // debug-build test). On a host without AVX2 width 8 runs as two
+        // four-lane passes, so the packing is covered there too.
+        let golden = [
+            (
+                7 * CHUNK_BYTES,
+                "c27ba8638022925b153e1db31f3d00d5608883e6d7ff5250aff1fc60c2efc26b",
+            ),
+            (
+                9 * CHUNK_BYTES,
+                "db97edbdf39791f3c26d18fc942b4e65a650e3474da370ca2b8cc2bdfad315bb",
+            ),
+            (
+                14 * CHUNK_BYTES,
+                "0d0c03e8f623ff726c5ee4a356896234dc7778fab8051ab70205445245e322e2",
+            ),
+            (
+                15 * CHUNK_BYTES,
+                "9b92c66b581202410587a34dee24be928024f642d5950085ae17a381097b59cb",
+            ),
+            (
+                24 * CHUNK_BYTES + 777,
+                "de18c58784d172f48b26d80fe694e427efc343666312d3823f9ab68bce3bb371",
+            ),
+            (
+                32 * CHUNK_BYTES,
+                "c2e8b5cbdca12739e9d460111b9f3de716e003c953370de30a98d1e29c2e50a4",
+            ),
+        ];
+        let data = wide_pattern(32 * CHUNK_BYTES);
+        for (case, (len, expect)) in golden.into_iter().enumerate() {
+            for threads in [1, 2, 3, 4] {
+                let plane = DataPlane::new(threads);
+                let got = content_digest(&data[..len], &plane);
+                assert_eq!(got.to_hex(), expect, "len {len} threads {threads}");
+                let width = [1, 4, 8][(case + threads) % 3];
+                let got = content_digests_at(width, &[&data[..len]], &plane)[0];
+                assert_eq!(
+                    got.to_hex(),
+                    expect,
+                    "len {len} threads {threads} width {width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_width_packs_a_ragged_span_to_the_scalar_digests() {
+        // Leaves need not be 256 KB for the packer: full-length ones, a
+        // run of tails, one tiny leaf in the middle of what would be a
+        // group, and a one-byte straggler — small enough for Miri.
+        let data = wide_pattern(4096);
+        let lens = [
+            1000usize, 1000, 3, 1000, 990, 1000, 700, 499, 1000, 1000, 64, 1,
+        ];
+        let span: Vec<&[u8]> = lens.iter().map(|&len| &data[len..2 * len]).collect();
+        let expect: Vec<[u8; 32]> = span.iter().map(|leaf| sha256_reference(leaf)).collect();
+        for width in 1..=8 {
+            for take in 0..=span.len() {
+                assert_eq!(
+                    sha256_span_at(width, &span[..take]),
+                    expect[..take],
+                    "width {width}, first {take} leaves"
+                );
             }
         }
     }

@@ -14,7 +14,7 @@
 //! `Vec<u8>`); the proof only ever hands out shared access to it.
 
 use crate::blob::CasError;
-use crate::digest::{content_digest, Digest};
+use crate::digest::{content_digest, content_digests, Digest};
 use ros_disk::plane::DataPlane;
 
 /// Bytes together with the [`content_digest`] they hash to.
@@ -47,6 +47,18 @@ impl<B: AsRef<[u8]>> Verified<B> {
     pub fn into_bytes(self) -> B {
         self.bytes
     }
+
+    /// The proof, if what the bytes hash to is `expected`.
+    fn expecting(self, expected: &Digest) -> Result<Self, CasError> {
+        if self.digest == *expected {
+            Ok(self)
+        } else {
+            Err(CasError::DigestMismatch {
+                expected: *expected,
+                actual: self.digest,
+            })
+        }
+    }
 }
 
 /// Verifies a payload against an expected digest, hashing on `plane`,
@@ -54,21 +66,30 @@ impl<B: AsRef<[u8]>> Verified<B> {
 ///
 /// The single verify-by-digest entry point: the fetch path, scrub, the
 /// audit ladder, the cluster drill and the chaos sweep all route
-/// integrity checks through here.
+/// integrity checks through here or through its batched form,
+/// [`verify_payloads`].
 pub fn verify_payload<B: AsRef<[u8]>>(
     expected: &Digest,
     data: B,
     plane: &DataPlane,
 ) -> Result<Verified<B>, CasError> {
-    let proof = Verified::hash(data, plane);
-    if proof.digest == *expected {
-        Ok(proof)
-    } else {
-        Err(CasError::DigestMismatch {
-            expected: *expected,
-            actual: proof.digest,
-        })
-    }
+    Verified::hash(data, plane).expecting(expected)
+}
+
+/// [`verify_payload`] of every `(expected, data)` pair, one result per
+/// pair in order, hashed as one [`content_digests`] batch so the pairs'
+/// leaves share lockstep passes.
+pub fn verify_payloads<B: AsRef<[u8]>>(
+    pairs: Vec<(Digest, B)>,
+    plane: &DataPlane,
+) -> Vec<Result<Verified<B>, CasError>> {
+    let payloads: Vec<&[u8]> = pairs.iter().map(|(_, data)| data.as_ref()).collect();
+    let digests = content_digests(&payloads, plane);
+    pairs
+        .into_iter()
+        .zip(digests)
+        .map(|((expected, bytes), digest)| Verified { bytes, digest }.expecting(&expected))
+        .collect()
 }
 
 #[cfg(test)]
@@ -96,6 +117,37 @@ mod tests {
                 actual: Digest::of(b"good bytes"),
             })
         );
+    }
+
+    #[test]
+    fn a_batch_fails_at_the_index_of_the_flipped_byte() {
+        // Seven payloads whose leaves pool into shared lockstep groups;
+        // one byte of the fourth flips between recording and checking.
+        let plane = DataPlane::new(2);
+        let mut payloads: Vec<Vec<u8>> = (0..7usize)
+            .map(|i| (0..3000 + 500 * i).map(|j| (i * 31 + j) as u8).collect())
+            .collect();
+        let expected: Vec<Digest> = payloads.iter().map(|p| Digest::of(p)).collect();
+        payloads[3][1234] ^= 0x40;
+        let pairs = expected.iter().copied().zip(&payloads).collect();
+        let results = verify_payloads(pairs, &plane);
+        assert_eq!(results.len(), 7);
+        for (i, result) in results.iter().enumerate() {
+            match result {
+                Ok(proof) => {
+                    assert_ne!(i, 3, "the flipped payload must not verify");
+                    assert_eq!(proof.digest(), expected[i]);
+                    assert_eq!(proof.bytes(), payloads[i].as_slice());
+                }
+                Err(e) => {
+                    let actual = Digest::of(&payloads[3]);
+                    let expected = expected[3];
+                    assert_eq!((i, e), (3, &CasError::DigestMismatch { expected, actual }));
+                }
+            }
+        }
+        assert!(results[3].is_err());
+        assert!(verify_payloads(Vec::<(Digest, &[u8])>::new(), &plane).is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::error::ClusterError;
 use crate::router::Cluster;
-use ros_cas::{verify_payload, Digest};
+use ros_cas::{content_digest, verify_payload};
 use ros_sim::SimDuration;
 use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
@@ -112,7 +112,7 @@ impl Cluster {
                     continue;
                 };
                 // Rewrite onto the damaged rack and verify bit-exact.
-                let digest = Digest::of(&data);
+                let digest = content_digest(&data, &plane);
                 let len = data.len() as u64;
                 self.racks[idx]
                     .ros_mut()

@@ -15,7 +15,7 @@
 use crate::error::ClusterError;
 use crate::placement::{self, RackId};
 use crate::router::Cluster;
-use ros_cas::{verify_payload, Digest};
+use ros_cas::{content_digests, verify_payload, Digest};
 use ros_sim::SimDuration;
 use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
@@ -154,10 +154,11 @@ impl Cluster {
                 };
                 copies.push((path_str.clone(), path, data));
             }
-            // Digest the survivor copies on the data plane; the verify
-            // pass below re-reads each file and compares bit-exact.
-            // Parallelism is across files, so each digest runs serially.
-            let digests: Vec<Digest> = plane.map(&copies, |(_, _, data)| Digest::of(data));
+            // Digest the survivor copies as one batch on the data plane;
+            // the verify pass below re-reads each file and compares
+            // bit-exact.
+            let payloads: Vec<&[u8]> = copies.iter().map(|(_, _, data)| data.as_ref()).collect();
+            let digests = content_digests(&payloads, &plane);
             for ((path_str, path, data), digest) in copies.into_iter().zip(digests) {
                 let len = data.len() as u64;
                 let tidx = self.rack_index(fresh.0)?;

@@ -116,13 +116,13 @@ impl Ros {
         // Verify each sampled image end to end. A resident copy is
         // scanned whether or not it settles the question.
         let mut total_bytes = 0u64;
-        for id in candidates {
+        let inspections = self.inspect_many(&candidates);
+        for (id, seen) in candidates.into_iter().zip(inspections) {
             let Some(info) = self.store.get(id) else {
                 continue;
             };
             report.sampled += 1;
             total_bytes += info.payload.as_ref().map_or(0, |p| p.len() as u64);
-            let seen = self.inspect(id);
             total_bytes += seen.track.len() as u64;
             if seen.proof.is_some() {
                 report.verified += 1;
@@ -279,6 +279,17 @@ mod tests {
             .map(audit_detects_and_repairs_rot)
             .collect();
         assert!(reports.windows(2).all(|w| w[0] == w[1]), "{reports:?}");
+        // Field for field what one inspection per image reported before
+        // the candidates were inspected as a batch.
+        let expect = AuditReport {
+            sampled: 2,
+            verified: 1,
+            rotted: vec![ImageId(1)],
+            repaired: vec![ImageId(1)],
+            unrepairable: vec![],
+            elapsed: SimDuration::from_nanos(4_838_193),
+        };
+        assert_eq!(reports[0], expect);
     }
 
     fn audit_detects_and_repairs_rot(threads: usize) -> AuditReport {
@@ -338,6 +349,15 @@ mod tests {
             "rot beyond parity tolerance must escalate, not vanish"
         );
         assert!(report.repaired.is_empty());
+        let expect = AuditReport {
+            sampled: 2,
+            verified: 0,
+            rotted: vec![ImageId(4), ImageId(1)],
+            repaired: vec![],
+            unrepairable: vec![ImageId(4), ImageId(1)],
+            elapsed: SimDuration::from_nanos(2_948_853),
+        };
+        assert_eq!(report, expect, "as one inspection per image reported");
     }
 
     #[test]

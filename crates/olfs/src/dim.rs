@@ -305,6 +305,12 @@ impl ImageStore {
         v
     }
 
+    /// How many groups are in a given state: `groups_in_state(..).len()`
+    /// without building the list.
+    pub fn count_in_state(&self, state: GroupState) -> usize {
+        self.groups.values().filter(|g| g.state == state).count()
+    }
+
     /// DAindex read.
     pub fn da_state(&self, slot_index: u32) -> Option<DaState> {
         self.da_index.get(&slot_index).copied()

@@ -352,8 +352,8 @@ impl Ros {
         (
             self.burning.len(),
             self.burn_queue.len(),
-            self.store.groups_in_state(GroupState::ParityPending).len(),
-            self.store.groups_in_state(GroupState::ReadyToBurn).len(),
+            self.store.count_in_state(GroupState::ParityPending),
+            self.store.count_in_state(GroupState::ReadyToBurn),
         )
     }
 
@@ -362,14 +362,8 @@ impl Ros {
     fn has_pending_work(&self) -> bool {
         !self.burning.is_empty()
             || !self.burn_queue.is_empty()
-            || !self
-                .store
-                .groups_in_state(GroupState::ParityPending)
-                .is_empty()
-            || !self
-                .store
-                .groups_in_state(GroupState::ReadyToBurn)
-                .is_empty()
+            || self.store.count_in_state(GroupState::ParityPending) > 0
+            || self.store.count_in_state(GroupState::ReadyToBurn) > 0
     }
 
     fn advance(&mut self, d: SimDuration) {
@@ -2222,6 +2216,53 @@ mod tests {
             OlfsError::NotFound(_)
         ));
         assert!(r.write_file(&p("/"), vec![]).is_err());
+    }
+
+    #[test]
+    fn group_counts_equal_the_listed_groups_in_every_state() {
+        const STATES: [GroupState; 5] = [
+            GroupState::Collecting,
+            GroupState::ParityPending,
+            GroupState::ReadyToBurn,
+            GroupState::Burning,
+            GroupState::Burned,
+        ];
+        // Checks every state and returns the counts.
+        let census = |r: &Ros| {
+            STATES.map(|state| {
+                let count = r.store.count_in_state(state);
+                assert_eq!(count, r.store.groups_in_state(state).len(), "{state:?}");
+                count
+            })
+        };
+        let mut r = ros();
+        assert_eq!(census(&r), [0; 5]);
+        r.write_file(&p("/census/f"), vec![9u8; 200_000]).unwrap();
+        for b in 0..r.wbm.len() {
+            r.seal_bucket(b).unwrap();
+        }
+        assert_eq!(
+            census(&r),
+            [1, 0, 0, 0, 0],
+            "sealed into a collecting group"
+        );
+        let gid = r.store.force_close_collecting().unwrap();
+        assert_eq!(census(&r), [0, 1, 0, 0, 0], "closed, parity outstanding");
+        assert!(r.has_pending_work());
+        r.schedule_parity(gid);
+        r.quarantine_bay(0);
+        assert!(!r.run_until_quiescent(SimDuration::from_secs(3600)));
+        assert_eq!(census(&r), [0, 0, 1, 0, 0], "parked behind the quarantine");
+        assert_eq!(r.service_quarantined_bays(), 1);
+        r.flush().unwrap();
+        assert_eq!(census(&r), [0, 0, 0, 0, 1], "burned");
+        assert!(!r.has_pending_work());
+        // A second array while the first stays burned.
+        r.write_file(&p("/census/g"), vec![8u8; 200_000]).unwrap();
+        for b in 0..r.wbm.len() {
+            r.seal_bucket(b).unwrap();
+        }
+        assert_eq!(census(&r), [1, 0, 0, 0, 1]);
     }
 
     #[test]

@@ -95,11 +95,11 @@ impl Ros {
     /// (collecting, parity-pending, ready, burning, burned).
     pub fn group_census(&self) -> (usize, usize, usize, usize, usize) {
         (
-            self.store.groups_in_state(GroupState::Collecting).len(),
-            self.store.groups_in_state(GroupState::ParityPending).len(),
-            self.store.groups_in_state(GroupState::ReadyToBurn).len(),
-            self.store.groups_in_state(GroupState::Burning).len(),
-            self.store.groups_in_state(GroupState::Burned).len(),
+            self.store.count_in_state(GroupState::Collecting),
+            self.store.count_in_state(GroupState::ParityPending),
+            self.store.count_in_state(GroupState::ReadyToBurn),
+            self.store.count_in_state(GroupState::Burning),
+            self.store.count_in_state(GroupState::Burned),
         )
     }
 
@@ -349,27 +349,20 @@ impl Ros {
     /// images are skipped; their bytes are verified by the fetch path
     /// before `restore_disk_copy` on the next fetch.
     ///
-    /// Verification fans out across images on the data plane (each
-    /// image is hashed serially to avoid nested planes); the result is
-    /// independent of the thread count.
+    /// All resident images are hashed as one batch on the data plane;
+    /// the result is independent of the thread count.
     pub fn verify_resident_images(&self) -> ImageVerifyReport {
-        let plane = self.data_plane();
-        let resident: Vec<&crate::dim::ImageInfo> = self
+        let resident = self
             .store
             .images()
-            .filter(|i| i.payload.is_some())
-            .collect();
-        let serial = ros_disk::DataPlane::single();
-        let ok: Vec<bool> = plane.map(&resident, |info| match &info.payload {
-            Some(p) => ros_cas::verify_payload(&info.digest, p, &serial).is_ok(),
-            None => true,
-        });
+            .filter_map(|i| Some((i.id, (i.digest, i.payload.as_ref()?))));
+        let (ids, pairs): (Vec<ImageId>, Vec<_>) = resident.unzip();
+        let proofs = ros_cas::verify_payloads(pairs, &self.data_plane());
         let mut report = ImageVerifyReport::default();
-        for (info, ok) in resident.iter().zip(ok) {
-            if ok {
-                report.verified += 1;
-            } else {
-                report.mismatched.push(info.id);
+        for (id, proof) in ids.into_iter().zip(proofs) {
+            match proof {
+                Ok(_) => report.verified += 1,
+                Err(_) => report.mismatched.push(id),
             }
         }
         report

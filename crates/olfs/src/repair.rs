@@ -8,7 +8,7 @@
 //!
 //! One path, keyed by image and array id and never by file path:
 //!
-//! 1. **gather** — [`Ros::inspect`] every member of the array: a buffer
+//! 1. **gather** — [`Ros::inspect_many`] over the array's members: a buffer
 //!    copy that verifies, else the burned bytes wherever the disc is
 //!    ([`Ros::disc_at`]) plus the drive's damage map;
 //! 2. **mask** — one damage mask per member: the drive's bad sectors
@@ -35,7 +35,7 @@ use crate::error::OlfsError;
 use crate::ids::{ArrayId, ImageId};
 use crate::redundancy;
 use bytes::Bytes;
-use ros_cas::{verify_payload, Verified};
+use ros_cas::{verify_payload, verify_payloads, Digest, Verified};
 use ros_drive::media::{Disc, Payload};
 use ros_mech::SlotAddress;
 use ros_sim::SimDuration;
@@ -44,7 +44,7 @@ use std::ops::Range;
 /// Stripe granularity of the damage mask: the media's sector size.
 const SECTOR: usize = ros_sim::to_usize(ros_drive::params::SECTOR_BYTES);
 
-/// One image's health, as decided by [`Ros::inspect`].
+/// One image's health, as decided by [`Ros::inspect_many`].
 #[derive(Default)]
 pub(crate) struct Inspection {
     /// The image's bytes, if a copy hashes to the digest the DIM records.
@@ -108,33 +108,48 @@ impl Ros {
         (0..self.bays.len()).find(|&b| self.mech.bay_contents(b).ok().flatten() == Some(slot))
     }
 
-    /// The one definition of "this image's bytes are healthy": a buffer
-    /// copy that matches the recorded digest settles it; otherwise the
-    /// burned track is read, damage map and all.
-    pub(crate) fn inspect(&self, image: ImageId) -> Inspection {
-        let mut seen = Inspection::default();
-        let Some(info) = self.store.get(image) else {
-            return seen;
-        };
+    /// The one definition of "this image's bytes are healthy", for many
+    /// images at once: a buffer copy that matches the recorded digest
+    /// settles it; otherwise the burned track is read, damage map and
+    /// all. Two digest batches — every resident copy, then the cleanly
+    /// read tracks of the images those did not settle — so the images'
+    /// leaves share lockstep passes (DESIGN.md §14).
+    pub(crate) fn inspect_many(&self, images: &[ImageId]) -> Vec<Inspection> {
         let plane = self.data_plane();
-        if let Some(payload) = info.payload.clone() {
-            seen.proof = verify_payload(&info.digest, payload, &plane).ok();
-            seen.resident = seen.proof.is_some();
-        }
-        if seen.proof.is_some() {
-            return seen;
-        }
-        let track = info
-            .burned
-            .and_then(|loc| self.disc_at(loc))
-            .map(|disc| disc.read_image_raw(image.0));
-        if let Some(Ok((Payload::Inline(bytes), bad))) = track {
-            seen.track = bytes.clone();
-            if bad.is_empty() {
-                seen.proof = verify_payload(&info.digest, bytes.clone(), &plane).ok();
+        let mut seen: Vec<Inspection> = images.iter().map(|_| Inspection::default()).collect();
+        let verify = |seen: &mut [Inspection], copies: Vec<(usize, (Digest, Bytes))>| {
+            let (at, pairs): (Vec<usize>, Vec<_>) = copies.into_iter().unzip();
+            for (i, proof) in at.into_iter().zip(verify_payloads(pairs, &plane)) {
+                seen[i].proof = proof.ok();
             }
-            seen.bad = bad;
+        };
+        let infos: Vec<Option<&ImageInfo>> = images.iter().map(|id| self.store.get(*id)).collect();
+        let resident = infos.iter().enumerate().filter_map(|(i, info)| {
+            let info = (*info)?;
+            Some((i, (info.digest, info.payload.clone()?)))
+        });
+        verify(&mut seen, resident.collect());
+        for s in &mut seen {
+            s.resident = s.proof.is_some();
         }
+        let mut tracks = Vec::new();
+        for (i, (image, info)) in images.iter().zip(&infos).enumerate() {
+            let Some(info) = info.filter(|_| !seen[i].resident) else {
+                continue;
+            };
+            let track = info
+                .burned
+                .and_then(|loc| self.disc_at(loc))
+                .map(|disc| disc.read_image_raw(image.0));
+            if let Some(Ok((Payload::Inline(bytes), bad))) = track {
+                if bad.is_empty() {
+                    tracks.push((i, (info.digest, bytes.clone())));
+                }
+                seen[i].track = bytes.clone();
+                seen[i].bad = bad;
+            }
+        }
+        verify(&mut seen, tracks);
         seen
     }
 
@@ -165,7 +180,7 @@ impl Ros {
             array: Some(gid),
         };
 
-        let seen: Vec<Inspection> = members.iter().map(|m| self.inspect(*m)).collect();
+        let seen = self.inspect_many(&members);
         let bytes_of = |i: usize| -> &[u8] {
             seen[i]
                 .proof
@@ -486,6 +501,40 @@ mod tests {
             runs.push((report, now));
         }
         assert!(runs.windows(2).all(|w| w[0] == w[1]), "thread count shows");
+        // Field for field what gathering one member at a time reported.
+        let expect = AuditReport {
+            sampled: 4,
+            verified: 2,
+            rotted: vec![ImageId(1), ImageId(3)],
+            repaired: vec![ImageId(1), ImageId(3)],
+            unrepairable: vec![],
+            elapsed: SimDuration::from_nanos(27_474_252),
+        };
+        assert_eq!(runs[0].0, expect);
+        assert_eq!(runs[0].1.as_nanos(), 261_156_647_856);
+    }
+
+    #[test]
+    fn rebuild_gathers_as_a_batch_what_it_gathered_one_by_one() {
+        let a = rot_plus_sector_errors(2);
+        let rebuilt = a.ros.rebuild(a.gid).unwrap();
+        assert_eq!(rebuilt.media_reads, [315_392; 4]);
+        let members: Vec<(ImageId, bool, String)> = rebuilt
+            .data
+            .iter()
+            .map(|m| (m.image, m.resident, m.proof.digest().to_hex()))
+            .collect();
+        let digests = [
+            "384bab2e4348a0f8929897a5bc9263c44e3138d61d9f4e5ed7e4bcf81a835834",
+            "d176dc67fae9c84f1e018d93fbe4dd404d196028cba83b22cf4516f8bf6770cd",
+        ];
+        assert_eq!(
+            members,
+            [
+                (ImageId(1), false, digests[0].to_string()),
+                (ImageId(3), false, digests[1].to_string()),
+            ]
+        );
     }
 
     #[test]
