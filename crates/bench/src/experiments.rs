@@ -89,7 +89,6 @@ fn table1_config() -> RosConfig {
         read_cache_images: 512,
         forepart_bytes: 4096,
         busy_read_policy: BusyReadPolicy::Wait,
-        separate_volumes: true,
         prefetch_array: false,
         write_and_check: false,
         scrub_interval: None,
@@ -221,7 +220,8 @@ pub fn table1() -> Result<Vec<Table1Row>, BenchError> {
     }
     ros.seal_open_buckets().map_err(e)?;
     ros.force_close_collecting_group();
-    ros.run_for(SimDuration::from_millis(4_000)); // Parity done, burn starts.
+    ros.run_for(SimDuration::from_millis(4_000)); // Parity done, the arm loads the tray.
+    ros.run_until(ros.arm_free_at()); // Loaded: the burn starts.
     let r = ros.read_file(&p("/t1/cold/3")).map_err(e)?;
     expect_source("table1 row 6", r.source, ReadSource::RollerDrivesBusy)?;
     rows.push(Table1Row {

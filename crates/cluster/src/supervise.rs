@@ -11,9 +11,7 @@
 use crate::error::ClusterError;
 use crate::router::{Cluster, ClusterReadReport, ClusterWriteReport};
 use bytes::Bytes;
-use ros_faults::{
-    FaultEvent, FaultKind, FaultSink, InjectionOutcome, RetryPolicy, RetryStats, Transience,
-};
+use ros_faults::{FaultEvent, FaultKind, FaultSink, InjectionOutcome, RetryPolicy, RetryStats};
 use ros_sim::SimDuration;
 use ros_udf::UdfPath;
 
@@ -58,6 +56,23 @@ impl Cluster {
         Ok(evicted)
     }
 
+    /// [`ros_faults::supervise`] over the federation: backoff runs every
+    /// alive member clock, a spent budget is a typed
+    /// [`ClusterError::RetriesExhausted`].
+    fn supervised<T>(
+        &mut self,
+        op: &str,
+        policy: &RetryPolicy,
+        attempt: impl FnMut(&mut Cluster) -> Result<T, ClusterError>,
+    ) -> Result<(T, RetryStats), ClusterError> {
+        let exhausted = |attempts, last| ClusterError::RetriesExhausted {
+            op: op.into(),
+            attempts,
+            last: Box::new(last),
+        };
+        ros_faults::supervise(self, policy, attempt, exhausted, Cluster::run_all_for)
+    }
+
     /// Reads a file under `policy`: transient replica failures retry
     /// with backoff; hard errors surface immediately.
     pub fn read_file_supervised(
@@ -65,26 +80,7 @@ impl Cluster {
         path: &UdfPath,
         policy: &RetryPolicy,
     ) -> Result<(ClusterReadReport, RetryStats), ClusterError> {
-        let mut stats = RetryStats::new();
-        loop {
-            stats.attempts += 1;
-            match self.read_file(path) {
-                Ok(r) => return Ok((r, stats)),
-                Err(e) if e.is_transient() => {
-                    if !policy.should_retry(stats.attempts) {
-                        return Err(ClusterError::RetriesExhausted {
-                            op: "read".into(),
-                            attempts: stats.attempts,
-                            last: Box::new(e),
-                        });
-                    }
-                    let backoff = policy.backoff(stats.attempts);
-                    stats.note_backoff(backoff);
-                    self.run_all_for(backoff);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.supervised("read", policy, |c| c.read_file(path))
     }
 
     /// Writes a file under `policy`. A [`ClusterError::PartialWrite`] is
@@ -99,26 +95,7 @@ impl Cluster {
         policy: &RetryPolicy,
     ) -> Result<(ClusterWriteReport, RetryStats), ClusterError> {
         let data: Bytes = data.into();
-        let mut stats = RetryStats::new();
-        loop {
-            stats.attempts += 1;
-            match self.write_file(path, data.clone()) {
-                Ok(r) => return Ok((r, stats)),
-                Err(e) if e.is_transient() => {
-                    if !policy.should_retry(stats.attempts) {
-                        return Err(ClusterError::RetriesExhausted {
-                            op: "write".into(),
-                            attempts: stats.attempts,
-                            last: Box::new(e),
-                        });
-                    }
-                    let backoff = policy.backoff(stats.attempts);
-                    stats.note_backoff(backoff);
-                    self.run_all_for(backoff);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.supervised("write", policy, |c| c.write_file(path, data.clone()))
     }
 }
 

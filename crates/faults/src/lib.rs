@@ -56,4 +56,4 @@ pub use aging::{AgingEvent, AgingPlan, AgingSpec};
 pub use plan::{
     FaultEvent, FaultKind, FaultPlan, FaultSink, FaultSpec, InjectionOutcome, VolumeTarget,
 };
-pub use retry::{RetryPolicy, RetryStats, Transience};
+pub use retry::{supervise, RetryPolicy, RetryStats, Transience};

@@ -104,9 +104,78 @@ impl RetryStats {
     }
 }
 
+/// The supervised retry loop, once: runs `attempt` on `system` until it
+/// succeeds, fails hard, or `policy`'s budget runs out. A transient
+/// failure with budget left is followed by an exponentially growing
+/// backoff, charged to the simulated clock(s) through `charge` (one
+/// rack's `run_for`, a federation's `run_all_for`); with the budget spent
+/// the last error comes back wrapped by `exhausted(attempts, last)`.
+/// Hard errors — a layer's typed partial outcomes among them — are
+/// returned as they are, never retried.
+pub fn supervise<S, T, E: Transience>(
+    system: &mut S,
+    policy: &RetryPolicy,
+    mut attempt: impl FnMut(&mut S) -> Result<T, E>,
+    exhausted: impl FnOnce(u32, E) -> E,
+    mut charge: impl FnMut(&mut S, SimDuration),
+) -> Result<(T, RetryStats), E> {
+    let mut stats = RetryStats::new();
+    loop {
+        stats.attempts = stats.attempts.saturating_add(1);
+        match attempt(system) {
+            Ok(v) => return Ok((v, stats)),
+            Err(e) if e.is_transient() => {
+                if !policy.should_retry(stats.attempts) {
+                    return Err(exhausted(stats.attempts, e));
+                }
+                let backoff = policy.backoff(stats.attempts);
+                stats.note_backoff(backoff);
+                charge(system, backoff);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Err(true)` is transient, `Err(false)` hard; the "system" is the
+    /// backoff charged so far.
+    impl Transience for bool {
+        fn is_transient(&self) -> bool {
+            *self
+        }
+    }
+
+    #[test]
+    fn supervise_retries_transients_charges_backoff_and_stops_on_hard_errors() {
+        let policy = RetryPolicy::default();
+        let run = |outcomes: &[Result<u8, bool>]| {
+            let mut charged = SimDuration::ZERO;
+            let mut outcomes = outcomes.iter().copied();
+            let out = supervise(
+                &mut charged,
+                &policy,
+                |_| outcomes.next().unwrap_or(Err(true)),
+                |attempts, last| {
+                    assert_eq!((attempts, last), (policy.max_attempts, true));
+                    false
+                },
+                |charged, d| *charged += d,
+            );
+            (out, charged)
+        };
+        let (out, charged) = run(&[Err(true), Err(true), Ok(7)]);
+        let (value, stats) = out.unwrap();
+        assert_eq!((value, stats.attempts), (7, 3));
+        assert_eq!(charged, SimDuration::from_millis(30));
+        assert_eq!(stats.backoff_total, charged);
+        // A hard error is not retried; a spent budget is wrapped.
+        assert_eq!(run(&[Err(false), Ok(1)]), (Err(false), SimDuration::ZERO));
+        assert_eq!(run(&[]), (Err(false), SimDuration::from_millis(70)));
+    }
 
     #[test]
     fn backoff_doubles_and_caps() {

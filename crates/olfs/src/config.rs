@@ -84,8 +84,6 @@ pub struct RosConfig {
     pub forepart_bytes: u64,
     /// Behaviour when a cold read finds all drives burning.
     pub busy_read_policy: BusyReadPolicy,
-    /// Schedule the four §4.7 I/O streams onto separate RAID volumes.
-    pub separate_volumes: bool,
     /// Prefetch the whole loaded array into the read cache after a
     /// fetch (§4.1's suggested refinement: "the read cache also can ...
     /// prefetch some files according to specific access patterns" —
@@ -146,7 +144,6 @@ impl RosConfig {
             read_cache_images: 500,
             forepart_bytes: crate::params::FOREPART_BYTES,
             busy_read_policy: BusyReadPolicy::Wait,
-            separate_volumes: true,
             prefetch_array: false,
             write_and_check: false,
             scrub_interval: Some(ros_sim::SimDuration::from_secs(7 * 24 * 3600)),
@@ -174,7 +171,6 @@ impl RosConfig {
             read_cache_images: 4,
             forepart_bytes: 4 * 1024,
             busy_read_policy: BusyReadPolicy::Wait,
-            separate_volumes: true,
             prefetch_array: false,
             write_and_check: false,
             scrub_interval: None,

@@ -5,10 +5,12 @@
 //! disc registry — and drives them on a single discrete-event clock.
 //!
 //! Foreground calls ([`Ros::write_file`], [`Ros::read_file`], ...) walk
-//! the paper's internal-operation sequences (Figure 7), charge simulated
-//! time for every device touched, and advance the clock, delivering any
-//! background events (parity completion, burn completion) that fall due
-//! on the way. Background work — delayed parity generation (§4.7), burn
+//! the paper's internal-operation sequences (Figure 7) against an
+//! [`OpTrace`], recording simulated time for every device touched, and
+//! the clock is charged the trace's total once, when the call returns —
+//! which is when background events (parity completion, burn completion)
+//! that fell due meanwhile are delivered (DESIGN.md "Time model").
+//! Background work — delayed parity generation (§4.7), burn
 //! task management (§4.1), read-cache eviction — runs entirely off the
 //! event queue, so writes return in milliseconds while hour-long burns
 //! proceed "asynchronously" exactly as the paper describes.
@@ -158,6 +160,21 @@ struct BurningInfo {
     append: bool,
 }
 
+/// A foreground operation in progress: when it started and what it has
+/// spent so far. The clock stands still while the op's body runs, so
+/// the body reads time from here.
+struct Op {
+    start: SimTime,
+    trace: OpTrace,
+}
+
+impl Op {
+    /// The op's own present: its start plus what it has been charged.
+    fn now(&self) -> SimTime {
+        self.start + self.trace.total()
+    }
+}
+
 /// The ROS system.
 pub struct Ros {
     pub(crate) cfg: RosConfig,
@@ -177,9 +194,9 @@ pub struct Ros {
     pub(crate) counters: Counters,
     pub(crate) burn_queue: VecDeque<ArrayId>,
     burning: BTreeMap<usize, BurningInfo>,
-    /// Bays reserved by an in-flight foreground fetch; the burn starter
-    /// must not grab them.
-    reserved_bays: BTreeSet<usize>,
+    /// When the one robotic arm finishes the moves booked so far; a move
+    /// wanted earlier starts then ([`Ros::arm_move`]).
+    arm_free_at: SimTime,
     /// Groups whose next burn must append tracks (post-interrupt).
     append_groups: BTreeSet<ArrayId>,
     /// The namespace paths with a version in each image (LocTag
@@ -269,7 +286,7 @@ impl Ros {
             counters: Counters::default(),
             burn_queue: VecDeque::new(),
             burning: BTreeMap::new(),
-            reserved_bays: BTreeSet::new(),
+            arm_free_at: SimTime::ZERO,
             append_groups: BTreeSet::new(),
             image_paths: BTreeMap::new(),
             vfs_mounted: BTreeMap::new(),
@@ -301,6 +318,12 @@ impl Ros {
         self.queue.now()
     }
 
+    /// When the robotic arm finishes the moves booked so far; in the
+    /// past when it is idle.
+    pub fn arm_free_at(&self) -> SimTime {
+        self.arm_free_at
+    }
+
     /// Activity counters.
     pub fn counters(&self) -> Counters {
         self.counters
@@ -330,7 +353,7 @@ impl Ros {
     pub fn run_until_quiescent(&mut self, limit: SimDuration) -> bool {
         let deadline = self.queue.now() + limit;
         loop {
-            self.try_start_burns();
+            self.try_start_burns(self.now());
             if !self.has_pending_work() {
                 break;
             }
@@ -366,9 +389,36 @@ impl Ros {
             || self.store.count_in_state(GroupState::ReadyToBurn) > 0
     }
 
-    fn advance(&mut self, d: SimDuration) {
-        let deadline = self.queue.now() + d;
-        self.run_until(deadline);
+    /// Moves the clock to `start + charged`, delivering the background
+    /// events due on the way. Only [`Ros::foreground`] calls this.
+    fn advance(&mut self, start: SimTime, charged: SimDuration) {
+        self.run_until(start + charged);
+    }
+
+    /// Runs a foreground op: `body` records what it spends on the op's
+    /// trace, computing with time ([`Op::now`]) without moving it, so no
+    /// background event is delivered between its steps; the clock is
+    /// charged the trace's total once, on return. A failed op has spent
+    /// the steps it recorded before failing, nothing else.
+    fn foreground<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self, &mut Op) -> Result<T, OlfsError>,
+    ) -> Result<(T, OpTrace), OlfsError> {
+        let mut op = Op {
+            start: self.now(),
+            trace: OpTrace::new(),
+        };
+        let out = body(self, &mut op);
+        self.advance(op.start, op.trace.total());
+        out.map(|v| (v, op.trace))
+    }
+
+    /// Books the arm for a move of `d` wanted at `at`: the move starts
+    /// once the arm has finished what it was booked for. Returns how
+    /// long after `at` it is done — the wait, if any, plus the move.
+    fn arm_move(&mut self, at: SimTime, d: SimDuration) -> SimDuration {
+        self.arm_free_at = at.max(self.arm_free_at) + d;
+        self.arm_free_at.duration_since(at)
     }
 
     // ------------------------------------------------------------------
@@ -383,37 +433,49 @@ impl Ros {
         data: impl Into<Bytes>,
     ) -> Result<WriteReport, OlfsError> {
         let data = data.into();
+        let ((version, segments), trace) =
+            self.foreground(|ros, op| ros.write_steps(path, data, op))?;
+        Ok(WriteReport {
+            version,
+            segments,
+            latency: trace.total(),
+            trace,
+        })
+    }
+
+    /// The internal operations of a write (Figure 7). Returns the
+    /// version assigned and the images the data went to.
+    fn write_steps(
+        &mut self,
+        path: &UdfPath,
+        data: Bytes,
+        op: &mut Op,
+    ) -> Result<(u32, Vec<ImageId>), OlfsError> {
         if path.is_root() {
             return Err(OlfsError::Invalid("cannot write to /".into()));
         }
-        let mut trace = OpTrace::new();
-
         // stat: look up the index file (MV random read, direct I/O).
-        let mv_read = self.vm.random_read_time(self.vol_mv, 1024)?;
-        let d = trace.step("stat", mv_read);
-        self.advance(d);
+        let mv_io = self.vm.random_read_time(self.vol_mv, 1024)?;
+        op.trace.step("stat", mv_io);
         if self.mv.is_file(path) {
-            return self.update_file(path, data, trace);
+            return self.update_file(path, data, op);
         }
 
         // mknod: create the index file and the bucket file entry.
-        let mv_write = self.vm.random_read_time(self.vol_mv, 1024)?;
-        let d = trace.step("mknod", mv_write);
-        self.advance(d);
+        op.trace.step("mknod", mv_io);
         self.mv.create(path)?;
 
         // stat again (the VFS re-validates after create, §5.3).
-        let d = trace.step("stat", mv_read);
-        self.advance(d);
+        op.trace.step("stat", mv_io);
 
-        let report = self.write_version(path, None, data, trace, false);
-        if report.is_err() {
+        let written = self.write_version(path, None, data, op, false);
+        if written.is_err() {
             // No version was recorded: take the index file back, or the
             // path would list but never read, and a retry would find a
             // file with nothing to update.
             let _ = self.mv.unlink(path);
         }
-        report
+        written
     }
 
     /// An update of an existing file (§4.6): in place while the newest
@@ -424,8 +486,8 @@ impl Ros {
         &mut self,
         path: &UdfPath,
         data: Bytes,
-        trace: OpTrace,
-    ) -> Result<WriteReport, OlfsError> {
+        op: &mut Op,
+    ) -> Result<(u32, Vec<ImageId>), OlfsError> {
         let latest = self
             .mv
             .get(path)
@@ -447,10 +509,10 @@ impl Ros {
                 .is_some_and(|b| growth <= b.free_bytes())
         });
         match bucket {
-            Some(bi) => self.update_in_place(path, bi, latest, data, trace),
+            Some(bi) => self.update_in_place(path, bi, latest, data, op),
             None => {
                 let shadow = Self::shadow_path(path, latest.ver + 1);
-                self.write_version(path, Some(shadow), data, trace, true)
+                self.write_version(path, Some(shadow), data, op, true)
             }
         }
     }
@@ -464,20 +526,18 @@ impl Ros {
         bi: usize,
         latest: VersionEntry,
         data: Bytes,
-        mut trace: OpTrace,
-    ) -> Result<WriteReport, OlfsError> {
+        op: &mut Op,
+    ) -> Result<(u32, Vec<ImageId>), OlfsError> {
         let mv_write = self.vm.random_read_time(self.vol_mv, 1024)?;
         let size = data.len() as u64;
         let io = params::bucket_write_device() + self.vm.write_time(self.vol_buffer, size)?;
-        let d = trace.step("write", io);
-        self.advance(d);
-        let now = self.queue.now().as_nanos();
+        op.trace.step("write", io);
+        let now = op.now().as_nanos();
         self.wbm
             .bucket_mut(bi)
             .ok_or_else(|| OlfsError::BadState(format!("bucket {bi} vanished")))?
             .update(latest.stored_path(path), data.clone(), now)?;
-        let d = trace.step("close", mv_write);
-        self.advance(d);
+        op.trace.step("close", mv_write);
 
         // The old bytes are gone (the caller's guard guaranteed nothing
         // else shared them): the entry that pointed at them gives its
@@ -514,12 +574,7 @@ impl Ros {
             },
         )?;
         self.counters.updates += 1;
-        Ok(WriteReport {
-            version,
-            segments: latest.segs,
-            latency: trace.total(),
-            trace,
-        })
+        Ok((version, latest.segs))
     }
 
     /// The shadow path regenerated version `ver` of `path` is stored
@@ -543,9 +598,9 @@ impl Ros {
         path: &UdfPath,
         shadow: Option<UdfPath>,
         data: Bytes,
-        mut trace: OpTrace,
+        op: &mut Op,
         is_update: bool,
-    ) -> Result<WriteReport, OlfsError> {
+    ) -> Result<(u32, Vec<ImageId>), OlfsError> {
         let mv_write = self.vm.random_read_time(self.vol_mv, 1024)?;
         let digest = self
             .cfg
@@ -561,17 +616,15 @@ impl Ros {
             ),
             None => {
                 let (segments, seg_sizes, write_time) =
-                    self.place_data(shadow.as_ref().unwrap_or(path), &data)?;
-                let d = trace.step("write", write_time);
-                self.advance(d);
+                    self.place_data(shadow.as_ref().unwrap_or(path), &data, op.now())?;
+                op.trace.step("write", write_time);
                 (segments, seg_sizes, shadow)
             }
         };
 
         // close/release: update the index file.
-        let d = trace.step("close", mv_write);
-        self.advance(d);
-        let now = self.queue.now().as_nanos();
+        op.trace.step("close", mv_write);
+        let now = op.now().as_nanos();
         if let Some(digest) = digest {
             if placed {
                 self.dedup.record_canonical(
@@ -625,17 +678,12 @@ impl Ros {
             if !is_update && segments.len() > 1 {
                 self.counters.splits += 1;
             }
-            self.try_start_burns();
+            self.try_start_burns(op.now());
         } else {
             self.counters.dedup_hits += 1;
             self.counters.dedup_bytes_saved += data.len() as u64;
         }
-        Ok(WriteReport {
-            version,
-            segments,
-            latency: trace.total(),
-            trace,
-        })
+        Ok((version, segments))
     }
 
     /// The stage `image` is in now (B/I/D of §4.2).
@@ -686,12 +734,13 @@ impl Ros {
         Some(data.slice(..n))
     }
 
-    /// Places file data into buckets, splitting and sealing as needed.
-    /// Returns `(segments, per-segment sizes, device time)`.
+    /// Places file data into buckets at `at`, splitting and sealing as
+    /// needed. Returns `(segments, per-segment sizes, device time)`.
     fn place_data(
         &mut self,
         path: &UdfPath,
         data: &Bytes,
+        at: SimTime,
     ) -> Result<(Vec<ImageId>, Vec<u64>, SimDuration), OlfsError> {
         let mut segments = Vec::new();
         let mut seg_sizes: Vec<u64> = Vec::new();
@@ -715,14 +764,13 @@ impl Ros {
                     let chunk = data.slice(ros_sim::to_usize(offset)..);
                     io += params::bucket_write_device()
                         + self.vm.write_time(self.vol_buffer, chunk.len() as u64)?;
-                    let now = self.queue.now().as_nanos();
                     let b = self.wbm.bucket_mut(bucket).ok_or_else(|| {
                         OlfsError::BadState(format!("placement chose missing bucket {bucket}"))
                     })?;
                     let image = ImageId(b.image_id());
-                    b.write(path, chunk, now)?;
+                    b.write(path, chunk, at.as_nanos())?;
                     if offset > 0 {
-                        self.write_link_file(bucket, path, &segments, offset, total);
+                        self.write_link_file(bucket, path, &segments, offset, total, at);
                     }
                     segments.push(image);
                     seg_sizes.push(total - offset);
@@ -733,19 +781,18 @@ impl Ros {
                         data.slice(ros_sim::to_usize(offset)..ros_sim::to_usize(offset + prefix));
                     io += params::bucket_write_device()
                         + self.vm.write_time(self.vol_buffer, prefix)?;
-                    let now = self.queue.now().as_nanos();
                     let b = self.wbm.bucket_mut(bucket).ok_or_else(|| {
                         OlfsError::BadState(format!("placement chose missing bucket {bucket}"))
                     })?;
                     let image = ImageId(b.image_id());
-                    b.write(path, chunk, now)?;
+                    b.write(path, chunk, at.as_nanos())?;
                     if offset > 0 {
-                        self.write_link_file(bucket, path, &segments, offset, total);
+                        self.write_link_file(bucket, path, &segments, offset, total, at);
                     }
                     segments.push(image);
                     seg_sizes.push(prefix);
                     offset += prefix;
-                    io += self.seal_bucket(bucket)?;
+                    io += self.seal_bucket(bucket, at)?;
                 }
                 Placement::NoRoom => {
                     let fullest = (0..self.wbm.len())
@@ -756,7 +803,7 @@ impl Ros {
                             "file unplaceable: {remaining} bytes left"
                         )));
                     }
-                    io += self.seal_bucket(fullest)?;
+                    io += self.seal_bucket(fullest, at)?;
                 }
             }
         }
@@ -772,6 +819,7 @@ impl Ros {
         segments: &[ImageId],
         offset: u64,
         total: u64,
+        at: SimTime,
     ) {
         let Some(&prev) = segments.last() else {
             return;
@@ -786,16 +834,16 @@ impl Ros {
             return;
         };
         let link_path = parent.join(&link_file_name(name));
-        let now = self.queue.now().as_nanos();
         // Best effort: if the link file doesn't fit, MV still stitches
         // the segments; only MV-less recovery loses the continuation.
         if let Some(b) = self.wbm.bucket_mut(bucket) {
-            let _ = b.write(&link_path, link.to_json().into_bytes(), now);
+            let _ = b.write(&link_path, link.to_json().into_bytes(), at.as_nanos());
         }
     }
 
-    /// Seals bucket `i` into an image. Returns device time consumed.
-    pub(crate) fn seal_bucket(&mut self, i: usize) -> Result<SimDuration, OlfsError> {
+    /// Seals bucket `i` into an image at `at`. Returns device time
+    /// consumed.
+    pub(crate) fn seal_bucket(&mut self, i: usize, at: SimTime) -> Result<SimDuration, OlfsError> {
         let new_id = self.store.allocate_image_id();
         let old = self.wbm.rotate(i, new_id);
         if old.is_empty() {
@@ -814,7 +862,7 @@ impl Ros {
         self.promote_paths(image, LocTag::Image);
         self.counters.buckets_sealed += 1;
         if let Some(gid) = completed {
-            self.schedule_parity(gid);
+            self.schedule_parity(gid, at);
         }
         Ok(SimDuration::from_micros(500))
     }
@@ -827,47 +875,31 @@ impl Ros {
         }
     }
 
-    /// Schedules delayed parity generation for a completed group (§4.7).
-    pub(crate) fn schedule_parity(&mut self, gid: ArrayId) {
+    /// Schedules delayed parity generation (§4.7) for a group completed
+    /// at `at`. The member images stream off the buffer volume while the
+    /// parity streams onto its own, so the two overlap.
+    pub(crate) fn schedule_parity(&mut self, gid: ArrayId, at: SimTime) {
         let Some(group) = self.store.group(gid) else {
             return;
         };
-        let read_bytes: u64 = group
-            .data
-            .iter()
-            .filter_map(|id| self.store.get(*id))
-            .map(|i| i.size)
-            .sum();
-        let max_size = group
-            .data
-            .iter()
-            .filter_map(|id| self.store.get(*id))
-            .map(|i| i.size)
-            .max()
-            .unwrap_or(0);
-        let write_vol = if self.cfg.separate_volumes {
-            self.vol_aux
-        } else {
-            self.vol_buffer
+        let sizes = || {
+            group
+                .data
+                .iter()
+                .filter_map(|id| self.store.get(*id))
+                .map(|i| i.size)
         };
-        let parity_count = self.cfg.redundancy.parity_discs() as u64;
+        let parity_bytes = sizes().max().unwrap_or(0) * self.cfg.redundancy.parity_discs() as u64;
         let read = self
             .vm
-            .read_time(self.vol_buffer, read_bytes)
+            .read_time(self.vol_buffer, sizes().sum())
             .unwrap_or(SimDuration::ZERO);
         let write = self
             .vm
-            .write_time(write_vol, max_size * parity_count)
+            .write_time(self.vol_aux, parity_bytes)
             .unwrap_or(SimDuration::ZERO);
-        let dur = if self.cfg.separate_volumes {
-            // Independent volumes let the read and write streams overlap.
-            read.max(write)
-        } else {
-            // Same volume: the streams serialise and interfere.
-            (read + write).mul_f64(1.0 / ros_disk::params::STREAM_INTERFERENCE_FACTOR)
-        };
         self.queue
-            .schedule_in(dur, Event::ParityDone { group: gid });
+            .schedule_at(at + read.max(write), Event::ParityDone { group: gid });
     }
 
     // ------------------------------------------------------------------
@@ -988,30 +1020,13 @@ impl Ros {
         }
         self.counters.parity_runs += 1;
         self.burn_queue.push_back(gid);
-        self.try_start_burns();
+        self.try_start_burns(self.now());
     }
 
-    /// Starts queued burns while a bay and a target tray are available.
-    ///
-    /// Re-entrancy: picking a bay may unload an idle one, which advances
-    /// the simulated clock and delivers queued events (`ParityDone`,
-    /// `BurnDone`) that call back into this function. The bay is
-    /// therefore reserved *first*, and the group/tray choice is resolved
-    /// only afterwards — a stale front-of-queue peek taken before the
-    /// pick could pop (and silently drop) a group the re-entrant pass
-    /// had already dispatched elsewhere.
-    pub(crate) fn try_start_burns(&mut self) {
-        loop {
-            if self.burn_queue.is_empty() {
-                return;
-            }
-            let Some(bay) = self.pick_bay_for_burn() else {
-                return; // All bays busy or reserved.
-            };
-            let Some(&gid) = self.burn_queue.front() else {
-                self.reserved_bays.remove(&bay);
-                return; // A re-entrant pass drained the queue meanwhile.
-            };
+    /// Starts queued burns at `at` while a target tray and a bay are
+    /// available.
+    pub(crate) fn try_start_burns(&mut self, at: SimTime) {
+        while let Some(&gid) = self.burn_queue.front() {
             let append = self.append_groups.contains(&gid);
             let slot = if append {
                 self.store.group(gid).and_then(|g| g.slot)
@@ -1019,30 +1034,21 @@ impl Ros {
                 self.store.first_empty_slot(&self.cfg.layout)
             };
             let Some(slot) = slot else {
-                self.reserved_bays.remove(&bay);
                 return; // Out of empty trays.
             };
-            // Book the tray before the mechanical load: start_burn's own
-            // clock advances re-enter too, and a concurrent pass must not
-            // double-book the same empty tray.
-            let idx = self.cfg.layout.slot_index(slot);
-            if !append {
-                self.store.set_da_state(idx, DaState::Used);
-            }
+            let Some((bay, freed)) = self.take_bay(at) else {
+                return; // All bays busy.
+            };
             self.burn_queue.pop_front();
-            let append = self.append_groups.remove(&gid);
-            let result = self.start_burn(gid, bay, slot, append);
-            self.reserved_bays.remove(&bay);
-            if let Err(e) = result {
-                // A transient mechanical misfeed leaves the tray intact
-                // for the next attempt; anything else ruins the
-                // write-once tray, and repeated ruin in the same bay
-                // means the hardware (not the media) is at fault.
-                if matches!(e, OlfsError::Transient(_)) {
-                    if !append {
-                        self.store.set_da_state(idx, DaState::Empty);
-                    }
-                } else {
+            self.append_groups.remove(&gid);
+            if let Err(e) = self.start_burn(gid, bay, slot, append, at + freed) {
+                // A transient mechanical misfeed happens before the tray
+                // is touched and leaves it for the next attempt; anything
+                // else ruins the write-once tray, and repeated ruin in
+                // the same bay means the hardware (not the media) is at
+                // fault.
+                if !matches!(e, OlfsError::Transient(_)) {
+                    let idx = self.cfg.layout.slot_index(slot);
                     self.store.set_da_state(idx, DaState::Failed);
                     let failures = self.bay_burn_failures.entry(bay).or_insert(0);
                     *failures += 1;
@@ -1059,47 +1065,30 @@ impl Ros {
         }
     }
 
-    /// Picks and *reserves* a bay for burning: free, or idle-holding
-    /// (unloading first). The caller must release the reservation once
-    /// the burn is registered (or failed).
-    fn pick_bay_for_burn(&mut self) -> Option<usize> {
-        for bay in 0..self.bays.len() {
-            if self.burning.contains_key(&bay)
-                || self.reserved_bays.contains(&bay)
-                || self.quarantined_bays.contains(&bay)
-            {
-                continue;
-            }
-            if matches!(self.mech.bay_contents(bay), Ok(None)) {
-                self.reserved_bays.insert(bay);
-                return Some(bay);
-            }
+    /// Takes a bay to load into at `at`: a free one, else an idle one
+    /// whose resident array is first sent home. Burning and quarantined
+    /// bays are never taken. Returns the bay and how long after `at` it
+    /// is empty.
+    pub(crate) fn take_bay(&mut self, at: SimTime) -> Option<(usize, SimDuration)> {
+        let idle = |ros: &Self, bay: usize| {
+            !ros.burning.contains_key(&bay) && !ros.quarantined_bays.contains(&bay)
+        };
+        let bays = self.bays.len();
+        let empty = |ros: &Self, bay: usize| matches!(ros.mech.bay_contents(bay), Ok(None));
+        if let Some(bay) = (0..bays).find(|&bay| idle(self, bay) && empty(self, bay)) {
+            return Some((bay, SimDuration::ZERO));
         }
-        for bay in 0..self.bays.len() {
-            if self.burning.contains_key(&bay)
-                || self.reserved_bays.contains(&bay)
-                || self.quarantined_bays.contains(&bay)
-            {
-                continue;
+        (0..bays).find_map(|bay| {
+            if !idle(self, bay) {
+                return None;
             }
-            if matches!(self.mech.bay_contents(bay), Ok(Some(_))) {
-                // Reserve across the unload so re-entrant event handling
-                // (another ParityDone firing during the mechanical wait)
-                // cannot steal the bay.
-                self.reserved_bays.insert(bay);
-                match self.unload_bay(bay) {
-                    Ok(_) => return Some(bay),
-                    Err(_) => {
-                        self.reserved_bays.remove(&bay);
-                    }
-                }
-            }
-        }
-        None
+            Some((bay, self.unload_bay(bay, at).ok()?))
+        })
     }
 
-    /// Unloads a bay's disc array back to its tray.
-    pub(crate) fn unload_bay(&mut self, bay: usize) -> Result<SimDuration, OlfsError> {
+    /// Unloads a bay's disc array back to its tray, the arm wanted at
+    /// `at`. Returns how long after `at` the move is done.
+    pub(crate) fn unload_bay(&mut self, bay: usize, at: SimTime) -> Result<SimDuration, OlfsError> {
         for i in 0..self.cfg.drives_per_bay {
             let Some(drive) = self.bays[bay].drive_mut(i) else {
                 return Err(OlfsError::BadState(format!("no drive {i} in bay {bay}")));
@@ -1111,15 +1100,16 @@ impl Ros {
             self.vfs_mounted.insert((bay, i), false);
         }
         let op = self.mech.unload_array(bay)?;
-        self.advance(op.duration);
-        Ok(op.duration)
+        Ok(self.arm_move(at, op.duration))
     }
 
-    /// Loads a tray's disc array into a bay's drives.
+    /// Loads a tray's disc array into a bay's drives, the arm wanted at
+    /// `at`. Returns how long after `at` the move is done.
     pub(crate) fn load_bay(
         &mut self,
         slot: SlotAddress,
         bay: usize,
+        at: SimTime,
     ) -> Result<SimDuration, OlfsError> {
         let op = self.mech.load_array(slot, bay)?;
         let idx = self.cfg.layout.slot_index(slot);
@@ -1140,18 +1130,21 @@ impl Ros {
             let _ = drive.mount();
             self.vfs_mounted.insert((bay, i), false);
         }
-        self.advance(op.duration);
-        Ok(op.duration)
+        Ok(self.arm_move(at, op.duration))
     }
 
+    /// Loads `slot` into `bay` at `at` and starts burning group `gid`
+    /// onto it; the completion is scheduled for when the arm and then
+    /// the drives are done.
     fn start_burn(
         &mut self,
         gid: ArrayId,
         bay: usize,
         slot: SlotAddress,
         append: bool,
+        at: SimTime,
     ) -> Result<(), OlfsError> {
-        self.load_bay(slot, bay)?;
+        let loaded = at + self.load_bay(slot, bay, at)?;
         let idx = self.cfg.layout.slot_index(slot);
         self.store.set_da_state(idx, DaState::Used);
         {
@@ -1205,7 +1198,7 @@ impl Ros {
                 }
             }
         }
-        let start = self.now() + format_extra;
+        let start = loaded + format_extra;
         let report = self.bays[bay].simulate_array_burn(&sizes, self.cfg.disc_class, start);
         let until = start + report.total;
         self.burning.insert(
@@ -1312,7 +1305,7 @@ impl Ros {
         self.bay_burn_failures.remove(&bay);
         self.counters.burns += 1;
         self.apply_cache_pressure();
-        self.try_start_burns();
+        self.try_start_burns(self.now());
     }
 
     /// A burn came back with spoiled members: the write-once tray is
@@ -1366,7 +1359,8 @@ impl Ros {
                     d.service();
                 }
             }
-            if self.mech.bay_contents(bay).ok().flatten().is_some() && self.unload_bay(bay).is_err()
+            if self.mech.bay_contents(bay).ok().flatten().is_some()
+                && self.unload_bay(bay, self.now()).is_err()
             {
                 continue; // Still wedged; try again next service window.
             }
@@ -1375,7 +1369,7 @@ impl Ros {
             serviced += 1;
         }
         if serviced > 0 {
-            self.try_start_burns();
+            self.try_start_burns(self.now());
         }
         serviced
     }
@@ -1439,10 +1433,35 @@ impl Ros {
         ver: Option<u32>,
         span: Option<(u64, u64)>,
     ) -> Result<ReadReport, OlfsError> {
-        let mut trace = OpTrace::new();
+        let ((data, version, source, forepart_answered), trace) =
+            self.foreground(|ros, op| ros.read_steps(path, ver, span, op))?;
+        let latency = trace.total();
+        Ok(ReadReport {
+            data,
+            version,
+            latency,
+            first_byte_latency: if forepart_answered {
+                params::forepart_first_byte()
+            } else {
+                latency
+            },
+            source,
+            trace,
+        })
+    }
+
+    /// The internal operations of a read (Figure 7). Returns the bytes,
+    /// the version served, where from, and whether the forepart answered
+    /// the first byte while a fetch was under way (§4.8).
+    fn read_steps(
+        &mut self,
+        path: &UdfPath,
+        ver: Option<u32>,
+        span: Option<(u64, u64)>,
+        op: &mut Op,
+    ) -> Result<(Bytes, u32, ReadSource, bool), OlfsError> {
         let mv_read = self.vm.random_read_time(self.vol_mv, 1024)?;
-        let d = trace.step("stat", mv_read);
-        self.advance(d);
+        op.trace.step("stat", mv_read);
 
         let idx = self
             .mv
@@ -1490,7 +1509,7 @@ impl Ros {
             // one empty segment included; a span only those it overlaps.
             if span.is_none() || (seg_end > start && cursor < end) {
                 let (bytes, seg_io, seg_source, seg_fetch) =
-                    self.read_segment(*seg, stored, entry.size)?;
+                    self.read_segment(*seg, stored, entry.size, op.now() + fetch_extra)?;
                 io += seg_io;
                 fetch_extra += seg_fetch;
                 source = worst_source(source, seg_source);
@@ -1506,28 +1525,13 @@ impl Ros {
         }
         let data = Self::join_segments(&mut self.counters, pieces);
         if fetch_extra > SimDuration::ZERO {
-            trace.extra("fetch", fetch_extra);
+            op.trace.extra("fetch", fetch_extra);
         }
-        let d = trace.step("read", io);
-        self.advance(d);
-        let d = trace.step("close", SimDuration::ZERO);
-        self.advance(d);
-
-        let total = trace.total();
-        let first_byte = if fetch_extra > SimDuration::ZERO && forepart_hit {
-            params::forepart_first_byte()
-        } else {
-            total
-        };
+        op.trace.step("read", io);
+        op.trace.step("close", SimDuration::ZERO);
         self.counters.reads += 1;
-        Ok(ReadReport {
-            data,
-            version: entry.ver,
-            latency: total,
-            first_byte_latency: first_byte,
-            source,
-            trace,
-        })
+        let forepart_answered = fetch_extra > SimDuration::ZERO && forepart_hit;
+        Ok((data, entry.ver, source, forepart_answered))
     }
 
     /// Joins segment slices into a reply payload. A single slice — the
@@ -1549,13 +1553,14 @@ impl Ros {
     }
 
     /// Reads the file stored under `stored` in one segment image,
-    /// fetching the image from disc if needed. Returns
+    /// fetching the image from disc at `at` if needed. Returns
     /// `(bytes, device_io, source, mechanical_extra)`.
     fn read_segment(
         &mut self,
         image: ImageId,
         stored: &UdfPath,
         size_hint: u64,
+        at: SimTime,
     ) -> Result<(Bytes, SimDuration, ReadSource, SimDuration), OlfsError> {
         // 1. Still in an open bucket?
         if let Some(bi) = self.wbm.locate_image(image) {
@@ -1580,7 +1585,7 @@ impl Ros {
             (ReadSource::DiskImage, SimDuration::ZERO)
         } else {
             self.cache.touch(image);
-            let (fetch_time, source) = self.fetch_image(image, size_hint)?;
+            let (fetch_time, source) = self.fetch_image(image, size_hint, at)?;
             self.counters.fetches += 1;
             (source, fetch_time)
         };
@@ -1601,7 +1606,10 @@ impl Ros {
     }
 
     /// Brings a burned image's bytes back to the disk tier, performing
-    /// whatever mechanical work is required.
+    /// whatever mechanical work is required, starting at `at`. Returns
+    /// how long after `at` the requested file is on the buffer — arm and
+    /// bay waits included — and where it came from; the caller charges
+    /// it.
     ///
     /// The foreground read transfers only the requested file
     /// (`file_bytes`) off the mounted disc (§5.4); the rest of the image
@@ -1611,60 +1619,53 @@ impl Ros {
         &mut self,
         image: ImageId,
         file_bytes: u64,
+        at: SimTime,
     ) -> Result<(SimDuration, ReadSource), OlfsError> {
         let loc = self
             .store
             .location_of(image)
             .ok_or(OlfsError::ImageLost(image))?;
+        let holder = |ros: &Self, quarantined: bool| {
+            (0..ros.bays.len()).find(|b| {
+                !ros.burning.contains_key(b)
+                    && ros.quarantined_bays.contains(b) == quarantined
+                    && ros.mech.bay_contents(*b).ok().flatten() == Some(loc.slot)
+            })
+        };
+        let mut extra = SimDuration::ZERO;
         // A quarantined bay may hold the needed array hostage: evacuate
         // it (ejects work even on dead drives) so the array can be loaded
         // into a healthy bay below.
-        let hostage = (0..self.bays.len()).find(|&b| {
-            self.quarantined_bays.contains(&b)
-                && self.mech.bay_contents(b).ok().flatten() == Some(loc.slot)
-        });
-        if let Some(b) = hostage {
-            self.unload_bay(b)?;
+        if let Some(hostage) = holder(self, true) {
+            extra += self.unload_bay(hostage, at)?;
         }
-        let holding_bay = (0..self.bays.len()).find(|&b| {
-            !self.burning.contains_key(&b)
-                && !self.quarantined_bays.contains(&b)
-                && self.mech.bay_contents(b).ok().flatten() == Some(loc.slot)
-        });
-
-        let (bay, mut extra, source) = match holding_bay {
-            Some(bay) => {
-                self.reserved_bays.insert(bay);
-                (bay, SimDuration::ZERO, ReadSource::DiscInDrive)
-            }
+        let (bay, source) = match holder(self, false) {
+            Some(bay) => (bay, ReadSource::DiscInDrive),
             None => {
-                let (bay, free_time, source) = self.acquire_bay_for_fetch()?;
-                let load = match self.load_bay(loc.slot, bay) {
-                    Ok(l) => l,
-                    Err(e) => {
-                        self.reserved_bays.remove(&bay);
-                        return Err(e);
-                    }
-                };
-                (bay, free_time + load + params::post_load_spin_up(), source)
+                let (bay, source) = self.acquire_bay_for_fetch(at, &mut extra)?;
+                extra += self.load_bay(loc.slot, bay, at + extra)?;
+                extra += params::post_load_spin_up();
+                (bay, source)
             }
         };
-
-        let result = self.read_disc_payload(image, bay, loc, file_bytes, &mut extra);
-        self.reserved_bays.remove(&bay);
-        result?;
+        self.read_disc_payload(image, bay, loc, file_bytes, at, &mut extra)?;
         if self.cfg.prefetch_array {
-            self.schedule_array_prefetch(bay, loc.slot, image);
+            self.schedule_array_prefetch(bay, loc.slot, image, at + extra);
         }
-        self.advance(extra);
         Ok((extra, source))
     }
 
     /// Schedules a background prefetch of every other image burned on
     /// the array now sitting in `bay` (§4.1's spatial-locality
-    /// refinement). The transfer happens off the critical path while the
-    /// discs remain loaded.
-    fn schedule_array_prefetch(&mut self, bay: usize, slot: SlotAddress, just_read: ImageId) {
+    /// refinement). The transfer starts at `at`, off the critical path,
+    /// while the discs remain loaded.
+    fn schedule_array_prefetch(
+        &mut self,
+        bay: usize,
+        slot: SlotAddress,
+        just_read: ImageId,
+        at: SimTime,
+    ) {
         let Some(gid) = self.store.get(just_read).and_then(|i| i.array) else {
             return;
         };
@@ -1700,8 +1701,8 @@ impl Ros {
             .max()
             .unwrap_or(0);
         let dur = speed.time_for(slowest) + ros_drive::params::seek_time();
-        self.queue.schedule_in(
-            dur,
+        self.queue.schedule_at(
+            at + dur,
             Event::PrefetchDone {
                 bay,
                 images: siblings,
@@ -1715,21 +1716,23 @@ impl Ros {
         bay: usize,
         loc: DiscLocation,
         file_bytes: u64,
+        at: SimTime,
         extra: &mut SimDuration,
     ) -> Result<(), OlfsError> {
         let pos = loc.position as usize;
+        let now = at + *extra;
         // Idle drives spin down; the next access pays the ≈2 s mount
         // delay (§5.4: "occurs only when the drive is in the sleep
         // state").
         let idle_since = self.drive_last_used.get(&(bay, pos)).copied();
         if let Some(t) = idle_since {
-            if self.now().duration_since(t) > ros_drive::params::sleep_after_idle() {
+            if now.duration_since(t) > ros_drive::params::sleep_after_idle() {
                 if let Some(d) = self.bays[bay].drive_mut(pos) {
                     d.sleep();
                 }
             }
         }
-        self.drive_last_used.insert((bay, pos), self.now());
+        self.drive_last_used.insert((bay, pos), now);
         let mounted = *self.vfs_mounted.get(&(bay, pos)).unwrap_or(&false);
         if !mounted {
             // The 220 ms VFS mount (§5.4) subsumes the first file seek,
@@ -1809,8 +1812,8 @@ impl Ros {
     /// The repair ladder's first rung on the read path: rebuilds the
     /// fetched image's array ([`Ros::rebuild`]) and restores the
     /// requested image only — rewriting the array onto fresh media is the
-    /// background audit's job (§16); a fetch holding a reserved bay must
-    /// not start a group rewrite. The loaded drives read in parallel, so
+    /// background audit's job (§16): a read pays for the bytes it asked
+    /// for, not for a re-burn. The loaded drives read in parallel, so
     /// the charge is the slowest member read from media at single-drive
     /// `speed`, plus the buffer write.
     fn repair_fetched(
@@ -1835,60 +1838,37 @@ impl Ros {
         Ok(speed.time_for(slowest) + self.restore(image, member.proof)?)
     }
 
-    /// Finds and reserves a bay for a fetch per the busy-read policy.
-    /// Returns `(bay, time_spent_freeing_it, source_classification)`.
-    fn acquire_bay_for_fetch(&mut self) -> Result<(usize, SimDuration, ReadSource), OlfsError> {
-        let mut spent = SimDuration::ZERO;
-        let mut classification = ReadSource::RollerFreeDrives;
+    /// Takes a bay for a fetch that began at `at` and has spent `extra`,
+    /// per the busy-read policy; what freeing the bay costs is added to
+    /// `extra`. Returns the bay and the read's classification.
+    fn acquire_bay_for_fetch(
+        &mut self,
+        at: SimTime,
+        extra: &mut SimDuration,
+    ) -> Result<(usize, ReadSource), OlfsError> {
+        let mut source = ReadSource::RollerFreeDrives;
         for _round in 0..64 {
-            // A free, unreserved, non-burning bay?
-            for bay in 0..self.bays.len() {
-                if self.burning.contains_key(&bay)
-                    || self.reserved_bays.contains(&bay)
-                    || self.quarantined_bays.contains(&bay)
-                {
-                    continue;
+            if let Some((bay, freed)) = self.take_bay(at + *extra) {
+                if !freed.is_zero() {
+                    source = worst_source(source, ReadSource::RollerUnloadFirst);
                 }
-                if matches!(self.mech.bay_contents(bay), Ok(None)) {
-                    self.reserved_bays.insert(bay);
-                    return Ok((bay, spent, classification));
-                }
-            }
-            // An idle holding bay: reserve, unload, return.
-            let idle = (0..self.bays.len()).find(|b| {
-                !self.burning.contains_key(b)
-                    && !self.reserved_bays.contains(b)
-                    && !self.quarantined_bays.contains(b)
-                    && matches!(self.mech.bay_contents(*b), Ok(Some(_)))
-            });
-            if let Some(bay) = idle {
-                self.reserved_bays.insert(bay);
-                match self.unload_bay(bay) {
-                    Ok(t) => {
-                        spent += t;
-                        classification =
-                            worst_source(classification, ReadSource::RollerUnloadFirst);
-                        return Ok((bay, spent, classification));
-                    }
-                    Err(_) => {
-                        self.reserved_bays.remove(&bay);
-                        continue;
-                    }
-                }
+                *extra += freed;
+                return Ok((bay, source));
             }
             // Everything is burning (§4.8).
-            classification = ReadSource::RollerDrivesBusy;
+            source = ReadSource::RollerDrivesBusy;
             match self.cfg.busy_read_policy {
                 BusyReadPolicy::Wait => {
+                    // Waiting is the policy: the clock runs to the next
+                    // burn's end, whose completion frees its bay.
                     let next = self
                         .burning
                         .values()
                         .map(|i| i.until)
                         .min()
                         .ok_or(OlfsError::NoDriveAvailable)?;
-                    let start = self.now();
                     self.run_until(next);
-                    spent += self.now().duration_since(start);
+                    *extra = (*extra).max(next.duration_since(at));
                 }
                 BusyReadPolicy::InterruptBurn => {
                     let bay = *self
@@ -1896,7 +1876,7 @@ impl Ros {
                         .keys()
                         .next()
                         .ok_or(OlfsError::NoDriveAvailable)?;
-                    spent += self.interrupt_burn(bay)?;
+                    *extra += self.interrupt_burn(bay)?;
                 }
             }
         }
@@ -1904,7 +1884,8 @@ impl Ros {
     }
 
     /// Interrupts the burn in `bay`, requeueing its group for an
-    /// appending re-burn (§4.8's aggressive policy).
+    /// appending re-burn (§4.8's aggressive policy). Returns the time
+    /// the drives take to stop.
     fn interrupt_burn(&mut self, bay: usize) -> Result<SimDuration, OlfsError> {
         let info = self
             .burning
@@ -1938,67 +1919,74 @@ impl Ros {
         self.burn_queue.push_front(gid);
         self.append_groups.insert(gid);
         self.counters.burn_interrupts += 1;
-        let t = SimDuration::from_millis(500);
-        self.advance(t);
-        Ok(t)
+        Ok(SimDuration::from_millis(500))
     }
 
     // ------------------------------------------------------------------
     // Namespace queries
     // ------------------------------------------------------------------
 
+    /// A namespace op: one MV metadata access of `mv_bytes`, then `body`.
+    fn namespace_op<T>(
+        &mut self,
+        name: &str,
+        mv_bytes: u64,
+        body: impl FnOnce(&mut Self) -> Result<T, OlfsError>,
+    ) -> Result<T, OlfsError> {
+        let (out, _) = self.foreground(|ros, op| {
+            let mv_io = ros.vm.random_read_time(ros.vol_mv, mv_bytes)?;
+            op.trace.step(name, mv_io);
+            body(ros)
+        })?;
+        Ok(out)
+    }
+
     /// Stats a file: `(size, version, mtime_nanos)`.
     pub fn stat(&mut self, path: &UdfPath) -> Result<(u64, u32, u64), OlfsError> {
-        let d = params::internal_op_overhead() + self.vm.random_read_time(self.vol_mv, 1024)?;
-        self.advance(d);
-        let idx = self
-            .mv
-            .get(path)
-            .ok_or_else(|| OlfsError::NotFound(path.to_string()))?;
-        let e = idx
-            .latest()
-            .ok_or_else(|| OlfsError::NotFound(path.to_string()))?;
-        Ok((e.size, e.ver, e.mtime))
+        self.namespace_op("stat", 1024, |ros| {
+            let e = ros
+                .mv
+                .get(path)
+                .and_then(|idx| idx.latest())
+                .ok_or_else(|| OlfsError::NotFound(path.to_string()))?;
+            Ok((e.size, e.ver, e.mtime))
+        })
     }
 
     /// Lists a directory's children: `(name, is_dir)`.
     pub fn readdir(&mut self, path: &UdfPath) -> Result<Vec<(String, bool)>, OlfsError> {
-        let d = params::internal_op_overhead() + self.vm.random_read_time(self.vol_mv, 4096)?;
-        self.advance(d);
-        self.mv.list(path)
+        self.namespace_op("readdir", 4096, |ros| ros.mv.list(path))
     }
 
     /// Creates a directory.
     pub fn mkdir(&mut self, path: &UdfPath) -> Result<(), OlfsError> {
-        let d = params::internal_op_overhead() + self.vm.random_read_time(self.vol_mv, 1024)?;
-        self.advance(d);
-        self.mv.mkdir_p(path)
+        self.namespace_op("mkdir", 1024, |ros| ros.mv.mkdir_p(path))
     }
 
     /// Removes a file from the global view (the disc data remains; §4.6's
     /// provenance survives in old MV snapshots).
     pub fn unlink(&mut self, path: &UdfPath) -> Result<(), OlfsError> {
-        let d = params::internal_op_overhead() + self.vm.random_read_time(self.vol_mv, 1024)?;
-        self.advance(d);
-        let idx = self.mv.unlink(path)?;
-        // The entries die with their index file, and give back the dedup
-        // references they held (§14); dead blobs leave the catalog so
-        // their digests can be re-ingested.
-        for digest in idx.versions().filter_map(|e| e.digest) {
-            self.dedup.release(&digest);
-        }
-        Ok(())
+        self.namespace_op("unlink", 1024, |ros| {
+            let idx = ros.mv.unlink(path)?;
+            // The entries die with their index file, and give back the
+            // dedup references they held (§14); dead blobs leave the
+            // catalog so their digests can be re-ingested.
+            for digest in idx.versions().filter_map(|e| e.digest) {
+                ros.dedup.release(&digest);
+            }
+            Ok(())
+        })
     }
 
     /// Lists the retained versions of a file: `(version, size, mtime)`.
     pub fn versions(&mut self, path: &UdfPath) -> Result<Vec<(u32, u64, u64)>, OlfsError> {
-        let d = params::internal_op_overhead() + self.vm.random_read_time(self.vol_mv, 1024)?;
-        self.advance(d);
-        let idx = self
-            .mv
-            .get(path)
-            .ok_or_else(|| OlfsError::NotFound(path.to_string()))?;
-        Ok(idx.versions().map(|e| (e.ver, e.size, e.mtime)).collect())
+        self.namespace_op("versions", 1024, |ros| {
+            let idx = ros
+                .mv
+                .get(path)
+                .ok_or_else(|| OlfsError::NotFound(path.to_string()))?;
+            Ok(idx.versions().map(|e| (e.ver, e.size, e.mtime)).collect())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -2008,20 +1996,23 @@ impl Ros {
     /// Seals every non-empty bucket, force-closes the partial array
     /// group, and runs the system until all queued burns complete.
     pub fn flush(&mut self) -> Result<(), OlfsError> {
-        let mut io = SimDuration::ZERO;
-        for i in 0..self.wbm.len() {
-            if self.wbm.bucket(i).is_some_and(|b| !b.is_empty()) {
-                io += self.seal_bucket(i)?;
+        self.foreground(|ros, op| {
+            let mut io = SimDuration::ZERO;
+            for i in 0..ros.wbm.len() {
+                if ros.wbm.bucket(i).is_some_and(|b| !b.is_empty()) {
+                    io += ros.seal_bucket(i, op.now())?;
+                }
             }
-        }
-        self.advance(io);
+            op.trace.extra("seal", io);
+            Ok(())
+        })?;
         if let Some(gid) = self.store.force_close_collecting() {
-            self.schedule_parity(gid);
+            self.schedule_parity(gid, self.now());
         }
-        // Reconcile before draining: a `ReadyToBurn` group that is
+        // Crash recovery, not scheduling: a `ReadyToBurn` group that is
         // neither queued nor burning is unreachable by the burn starter
-        // and would keep the system pending forever (same recovery the
-        // crash-restart path performs).
+        // and would keep the system pending forever (the crash-restart
+        // path performs the same reconcile).
         for gid in self.store.groups_in_state(GroupState::ReadyToBurn) {
             if !self.burn_queue.contains(&gid) && !self.burning.values().any(|b| b.group == gid) {
                 self.burn_queue.push_back(gid);
@@ -2075,7 +2066,6 @@ impl Ros {
             v
         };
         drop(pending);
-        self.reserved_bays.clear();
 
         // 2. In-flight burns are ruined: retire the tray, free the
         //    drives, requeue the group for a fresh-tray burn.
@@ -2113,17 +2103,18 @@ impl Ros {
             }
             self.append_groups.remove(&info.group);
             self.burn_queue.push_back(info.group);
-            self.unload_bay(bay)?;
+            self.unload_bay(bay, self.now())?;
         }
 
-        // 3. Reboot takes a moment.
+        // 3. The arm sends the ruined arrays home, then the reboot takes
+        //    a moment.
         self.queue
-            .advance_to(self.queue.now() + SimDuration::from_secs(90));
+            .advance_to(self.now().max(self.arm_free_at) + SimDuration::from_secs(90));
 
         // 4. Reschedule lost parity generations and ready burns.
         let mut parities = 0;
         for gid in self.store.groups_in_state(GroupState::ParityPending) {
-            self.schedule_parity(gid);
+            self.schedule_parity(gid, self.now());
             parities += 1;
         }
         for gid in self.store.groups_in_state(GroupState::ReadyToBurn) {
@@ -2131,7 +2122,7 @@ impl Ros {
                 self.burn_queue.push_back(gid);
             }
         }
-        self.try_start_burns();
+        self.try_start_burns(self.now());
         Ok((aborted, parities))
     }
 }
@@ -2239,7 +2230,7 @@ mod tests {
         assert_eq!(census(&r), [0; 5]);
         r.write_file(&p("/census/f"), vec![9u8; 200_000]).unwrap();
         for b in 0..r.wbm.len() {
-            r.seal_bucket(b).unwrap();
+            r.seal_bucket(b, r.now()).unwrap();
         }
         assert_eq!(
             census(&r),
@@ -2249,7 +2240,7 @@ mod tests {
         let gid = r.store.force_close_collecting().unwrap();
         assert_eq!(census(&r), [0, 1, 0, 0, 0], "closed, parity outstanding");
         assert!(r.has_pending_work());
-        r.schedule_parity(gid);
+        r.schedule_parity(gid, r.now());
         r.quarantine_bay(0);
         assert!(!r.run_until_quiescent(SimDuration::from_secs(3600)));
         assert_eq!(census(&r), [0, 0, 1, 0, 0], "parked behind the quarantine");
@@ -2260,7 +2251,7 @@ mod tests {
         // A second array while the first stays burned.
         r.write_file(&p("/census/g"), vec![8u8; 200_000]).unwrap();
         for b in 0..r.wbm.len() {
-            r.seal_bucket(b).unwrap();
+            r.seal_bucket(b, r.now()).unwrap();
         }
         assert_eq!(census(&r), [1, 0, 0, 0, 1]);
     }
@@ -2270,10 +2261,10 @@ mod tests {
         let mut r = ros();
         r.write_file(&p("/orphan/f"), vec![7u8; 200_000]).unwrap();
         for b in 0..r.wbm.len() {
-            r.seal_bucket(b).unwrap();
+            r.seal_bucket(b, r.now()).unwrap();
         }
         if let Some(gid) = r.store.force_close_collecting() {
-            r.schedule_parity(gid);
+            r.schedule_parity(gid, r.now());
         }
         // Hold the burn back so the group parks in ReadyToBurn, then
         // drop it from the queue — the state an event-interleaving bug
@@ -2301,7 +2292,7 @@ mod tests {
         // Seal the bucket so the update cannot happen in place and the
         // regenerating path of §4.6 is taken.
         for b in 0..r.wbm.len() {
-            r.seal_bucket(b).unwrap();
+            r.seal_bucket(b, r.now()).unwrap();
         }
         let w2 = r.write_file(&p("/v"), b"two-longer".to_vec()).unwrap();
         assert_eq!(w2.version, 2);
@@ -2466,11 +2457,7 @@ mod tests {
             r.store.evict_disk_copy(seg).unwrap();
             r.cache.remove(seg);
         }
-        for bay in 0..r.bays.len() {
-            if r.mech.bay_contents(bay).unwrap().is_some() {
-                r.unload_bay(bay).unwrap();
-            }
-        }
+        r.unload_all_bays().unwrap();
         let rd = r.read_file(&p("/cold")).unwrap();
         assert_eq!(rd.source, ReadSource::RollerFreeDrives);
         let secs = rd.latency.as_secs_f64();
@@ -2583,11 +2570,11 @@ mod tests {
         // foreground I/O.
         for b in 0..r.wbm.len() {
             if !r.wbm.bucket(b).unwrap().is_empty() {
-                r.seal_bucket(b).unwrap();
+                r.seal_bucket(b, r.now()).unwrap();
             }
         }
         if let Some(g) = r.store.force_close_collecting() {
-            r.schedule_parity(g);
+            r.schedule_parity(g, r.now());
         }
         r.run_for(SimDuration::from_secs(3600));
         assert!(r.counters().burns >= 1, "burn must complete in background");
@@ -2600,13 +2587,20 @@ mod tests {
             r.write_file(&p(&format!("/w/{i}")), vec![1u8; 800_000])
                 .unwrap();
         }
-        // Burns are now in flight; a foreground write stays fast.
+        r.seal_open_buckets().unwrap();
+        r.force_close_collecting_group();
+        r.run_for(SimDuration::from_secs(4));
+        // A burn is now in flight; a foreground write stays fast, and
+        // moves the clock by its own latency only.
+        assert!(!r.burning.is_empty());
+        let before = r.now();
         let w = r.write_file(&p("/quick"), vec![2u8; 1024]).unwrap();
         assert!(
             w.latency < SimDuration::from_millis(60),
             "write under burn = {}",
             w.latency
         );
+        assert_eq!(r.now().duration_since(before), w.latency);
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl Ros {
         let mut sealed = 0;
         for i in 0..self.wbm.len() {
             if self.wbm.bucket(i).is_some_and(|b| !b.is_empty()) {
-                let d = self.seal_bucket(i)?;
+                let d = self.seal_bucket(i, self.now())?;
                 self.run_for(d);
                 sealed += 1;
             }
@@ -193,7 +193,8 @@ impl Ros {
         let mut n = 0;
         for bay in 0..self.bays.len() {
             if matches!(self.mech.bay_contents(bay), Ok(Some(_))) {
-                self.unload_bay(bay)?;
+                let d = self.unload_bay(bay, self.now())?;
+                self.run_for(d);
                 n += 1;
             }
         }
@@ -243,7 +244,7 @@ impl Ros {
     /// for the burns.
     pub fn force_close_collecting_group(&mut self) -> Option<ArrayId> {
         let gid = self.store.force_close_collecting()?;
-        self.schedule_parity(gid);
+        self.schedule_parity(gid, self.now());
         Some(gid)
     }
 
@@ -411,7 +412,8 @@ impl Ros {
         let info = self.store.get(image).ok_or(OlfsError::ImageLost(image))?;
         if !info.on_disk() {
             let size = info.size;
-            self.fetch_image(image, size)?;
+            let (fetch_time, _) = self.fetch_image(image, size, self.now())?;
+            self.run_for(fetch_time);
             self.counters.fetches += 1;
             self.cache.insert(image);
         }

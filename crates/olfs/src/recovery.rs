@@ -269,9 +269,13 @@ impl Ros {
             .collect();
         for slot_index in used {
             let slot = layout.slot_at(slot_index);
-            // Free a bay (the scan monopolises bay 0's worth of drives).
-            let bay = self.free_any_bay()?;
-            self.load_bay(slot, bay)?;
+            // Free a bay (the scan monopolises one bay's worth of
+            // drives; scans run on an otherwise idle system).
+            let (bay, freed) = self
+                .take_bay(self.now())
+                .ok_or(OlfsError::NoDriveAvailable)?;
+            let loaded = self.load_bay(slot, bay, self.now() + freed)?;
+            self.run_for(freed + loaded);
             result.trays_read += 1;
             // Read all discs in parallel: charge the slowest drive.
             let mut slowest = SimDuration::ZERO;
@@ -332,20 +336,10 @@ impl Ros {
                 }
             }
             self.run_for(slowest);
-            self.unload_bay(bay)?;
+            let unloaded = self.unload_bay(bay, self.now())?;
+            self.run_for(unloaded);
         }
         Ok(result)
-    }
-
-    fn free_any_bay(&mut self) -> Result<usize, OlfsError> {
-        for bay in 0..self.bays.len() {
-            if matches!(self.mech.bay_contents(bay), Ok(None)) {
-                return Ok(bay);
-            }
-        }
-        // Unload bay 0 (scans run on an otherwise idle system).
-        self.unload_bay(0)?;
-        Ok(0)
     }
 }
 

@@ -326,10 +326,10 @@ impl Ros {
             // Best effort: a retired array that will not leave its bay
             // is evicted by the next load like any idle array.
             if let Some(bay) = self.bay_holding(slot) {
-                let _ = self.unload_bay(bay);
+                let _ = self.unload_bay(bay, self.now());
             }
         }
-        self.schedule_parity(gid);
+        self.schedule_parity(gid, self.now());
         Ok(())
     }
 }
@@ -511,7 +511,9 @@ mod tests {
             elapsed: SimDuration::from_nanos(27_474_252),
         };
         assert_eq!(runs[0].0, expect);
-        assert_eq!(runs[0].1.as_nanos(), 261_156_647_856);
+        // PR 23: + 5.6 ms, the kernel-user switches of the two writes, which
+        // the clock now carries.
+        assert_eq!(runs[0].1.as_nanos(), 261_162_247_856);
     }
 
     #[test]
@@ -524,9 +526,11 @@ mod tests {
             .iter()
             .map(|m| (m.image, m.resident, m.proof.digest().to_hex()))
             .collect();
+        // Re-pinned by PR 23: the images carry their files' mtimes, and a
+        // write's mtime now includes the kernel-user switches before it.
         let digests = [
-            "384bab2e4348a0f8929897a5bc9263c44e3138d61d9f4e5ed7e4bcf81a835834",
-            "d176dc67fae9c84f1e018d93fbe4dd404d196028cba83b22cf4516f8bf6770cd",
+            "ae3a5306b313d563e8e269d5d93a9c8eb05a776016d149a4596dd734c44b6259",
+            "25aa4553848f7ba0818ba6781863e78fe340700403369895f0331a7389537d3b",
         ];
         assert_eq!(
             members,

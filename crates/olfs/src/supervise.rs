@@ -17,8 +17,7 @@ use crate::error::OlfsError;
 use crate::ids::DiscId;
 use bytes::Bytes;
 use ros_faults::{
-    FaultEvent, FaultKind, FaultSink, InjectionOutcome, RetryPolicy, RetryStats, Transience,
-    VolumeTarget,
+    FaultEvent, FaultKind, FaultSink, InjectionOutcome, RetryPolicy, RetryStats, VolumeTarget,
 };
 use ros_udf::UdfPath;
 
@@ -44,35 +43,20 @@ impl Ros {
         self.supervised("write", policy, |ros| ros.write_file(path, data.clone()))
     }
 
-    /// The shared retry loop: bounded attempts, exponential backoff on
-    /// transient errors, typed [`OlfsError::RetriesExhausted`] when the
-    /// budget runs out.
+    /// [`ros_faults::supervise`] over this rack: backoff runs its clock,
+    /// a spent budget is a typed [`OlfsError::RetriesExhausted`].
     pub(crate) fn supervised<T>(
         &mut self,
         op: &str,
         policy: &RetryPolicy,
-        mut attempt: impl FnMut(&mut Ros) -> Result<T, OlfsError>,
+        attempt: impl FnMut(&mut Ros) -> Result<T, OlfsError>,
     ) -> Result<(T, RetryStats), OlfsError> {
-        let mut stats = RetryStats::new();
-        loop {
-            stats.attempts += 1;
-            match attempt(self) {
-                Ok(v) => return Ok((v, stats)),
-                Err(e) if e.is_transient() => {
-                    if !policy.should_retry(stats.attempts) {
-                        return Err(OlfsError::RetriesExhausted {
-                            op: op.to_string(),
-                            attempts: stats.attempts,
-                            last: Box::new(e),
-                        });
-                    }
-                    let backoff = policy.backoff(stats.attempts);
-                    stats.note_backoff(backoff);
-                    self.run_for(backoff);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let exhausted = |attempts, last| OlfsError::RetriesExhausted {
+            op: op.to_string(),
+            attempts,
+            last: Box::new(last),
+        };
+        ros_faults::supervise(self, policy, attempt, exhausted, Ros::run_for)
     }
 
     /// Replaces every failed member across the three RAID volumes

@@ -36,7 +36,9 @@ fn busy_system(policy: BusyReadPolicy) -> (Ros, Vec<(UdfPath, Vec<u8>)>) {
     }
     ros.seal_open_buckets().unwrap();
     ros.force_close_collecting_group();
+    // Parity done, the arm loads the tray — and then the burn starts.
     ros.run_for(SimDuration::from_millis(4_000));
+    ros.run_until(ros.arm_free_at());
     (ros, files)
 }
 
@@ -80,6 +82,92 @@ fn interrupt_policy_preempts_the_burn_and_resumes_it() {
             "interrupted-then-resumed burn must preserve data"
         );
     }
+}
+
+/// §4.8's aggressive policy frees a bay for the fetch that asked for
+/// it: parity completing for yet another group while the drives stop
+/// (500 ms) must not hand that bay back to the burn starter.
+#[test]
+fn interrupting_fetch_keeps_the_bay_it_freed() {
+    let (mut ros, files) = busy_system(BusyReadPolicy::InterruptBurn);
+    // A third group whose parity is done some 40 ms from now.
+    for i in 0..12 {
+        ros.write_file(&p(&format!("/third/{i}")), content(200 + i, 800_000))
+            .unwrap();
+    }
+    ros.seal_open_buckets().unwrap();
+    ros.force_close_collecting_group();
+    assert_eq!(
+        ros.pending_work(),
+        (1, 0, 1, 0),
+        "one burning, one in parity"
+    );
+    let r = ros.read_file(&files[0].0).unwrap();
+    assert_eq!(r.source, ReadSource::RollerDrivesBusy);
+    assert_eq!(r.data.as_ref(), files[0].1.as_slice());
+    assert_eq!(ros.counters().burn_interrupts, 1);
+    // Both groups still reach their discs.
+    assert!(ros.run_until_quiescent(SimDuration::from_secs(7200)));
+    assert_eq!(ros.counters().burns, 3);
+}
+
+/// One arm (§3.2): a fetch that finds it loading a burn's tray waits for
+/// it, and says so.
+#[test]
+fn a_fetch_waits_for_the_arm_and_reports_the_wait() {
+    // Two bays; a cold array on the roller; a second group's parity
+    // done, so the arm is loading its tray into bay 0.
+    let arm_loading = || {
+        let mut cfg = RosConfig::tiny();
+        cfg.drive_bays = 2;
+        let mut ros = Ros::new(cfg);
+        for i in 0..12 {
+            ros.write_file(&p(&format!("/cold/{i}")), content(i, 800_000))
+                .unwrap();
+        }
+        ros.flush().unwrap();
+        ros.unload_all_bays().unwrap();
+        ros.evict_burned_copies();
+        for i in 0..12 {
+            ros.write_file(&p(&format!("/hot/{i}")), content(100 + i, 800_000))
+                .unwrap();
+        }
+        ros.seal_open_buckets().unwrap();
+        ros.force_close_collecting_group();
+        ros.run_for(SimDuration::from_millis(4_000));
+        assert!(
+            ros.arm_free_at() > ros.now(),
+            "the burn's load is in flight"
+        );
+        ros
+    };
+    let fetch_extra = |r: &ros::ros_olfs::ReadReport| r.trace.extra[0].duration;
+
+    // The control lets the arm finish first.
+    let mut idle = arm_loading();
+    idle.run_until(idle.arm_free_at());
+    let wanted = idle.now();
+    let unhindered = idle.read_file(&p("/cold/0")).unwrap();
+    assert_eq!(unhindered.source, ReadSource::RollerFreeDrives);
+    let load = idle
+        .arm_free_at()
+        .duration_since(wanted + unhindered.trace.steps[0].duration);
+
+    let mut busy = arm_loading();
+    let arm_busy_until = busy.arm_free_at();
+    let fetch_at = busy.now() + unhindered.trace.steps[0].duration;
+    let wait = arm_busy_until.duration_since(fetch_at);
+    assert!(wait > SimDuration::from_secs(60), "wait = {wait}");
+    let started = busy.now();
+    let r = busy.read_file(&p("/cold/0")).unwrap();
+    assert_eq!(r.source, ReadSource::RollerFreeDrives, "bay 1 was free");
+    assert_eq!(r.data.as_ref(), content(0, 800_000).as_slice());
+    // The wait is in the trace, in the latency and on the clock...
+    assert_eq!(fetch_extra(&r), fetch_extra(&unhindered) + wait);
+    assert_eq!(r.latency, unhindered.latency + wait);
+    assert_eq!(busy.now().duration_since(started), r.latency);
+    // ...and the fetch's load began the instant the burn's ended.
+    assert_eq!(busy.arm_free_at(), arm_busy_until + load);
 }
 
 #[test]
