@@ -25,6 +25,12 @@
 //! plain images for the same ingest — tracked so dedup regressing to
 //! "burns as much as plain" fails the gate.
 //!
+//! A fourth section watches the write path's buffer passes (DESIGN.md
+//! §15, "a byte is written once"): the speed of sealing a full bucket
+//! and the cost of freezing a 4 MB `Vec` into `Bytes`. Both are
+//! untracked — absolute speeds — and there so that a reintroduced copy
+//! (≈ 400 µs where ≈ 1 µs stood) is plain to the next reader.
+//!
 //! `repro perf --json` emits the report in the committed
 //! `BENCH_hotpaths.json` format; `repro perf --check <baseline>` fails
 //! (non-zero exit) when any tracked metric regresses more than
@@ -38,6 +44,7 @@ use ros_olfs::mv::MetadataVolume;
 use ros_olfs::{ImageId, Ros, RosConfig};
 use ros_sim::stats::{LatencyRecorder, ThroughputSeries};
 use ros_sim::{Bandwidth, SimDuration, SimTime};
+use ros_udf::Bucket;
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 #[expect(
@@ -743,6 +750,78 @@ fn namespace_metrics(reps: usize) -> Vec<PerfMetric> {
     ]
 }
 
+/// Size of the buckets and buffers the write-path rows work on: one
+/// `e2e` image.
+const IMAGE_BYTES: usize = 4 << 20;
+
+/// `Bucket::close` (serialise + parse back) of a 4 MB bucket filled
+/// with `file_bytes`-sized files over 16 directories, in image MB/s.
+fn seal_mb_per_sec(file_bytes: usize, reps: usize) -> f64 {
+    let mut bucket = Bucket::new(1, IMAGE_BYTES as u64);
+    for i in 0..IMAGE_BYTES / file_bytes.max(1) {
+        let Ok(path) = format!("/perf/d{:02}/f{i:05}.bin", i % 16).parse() else {
+            return 0.0;
+        };
+        let fill = u8::try_from(i & 0x7f).unwrap_or(0) | 0x80;
+        if bucket.write(&path, vec![fill; file_bytes], 0).is_err() {
+            break;
+        }
+    }
+    let image_bytes = usize::try_from(bucket.used_bytes()).unwrap_or(IMAGE_BYTES);
+    median_mb_per_sec(image_bytes, reps.saturating_mul(4), || {
+        black_box(bucket.close().is_ok());
+    })
+}
+
+/// Wall time of `Bytes::from(Vec<u8>)` alone on a touched 4 MB vector:
+/// about a microsecond when the vector is adopted (one small, cache-cold
+/// `Arc` allocation), some 400 µs when it is copied.
+fn bytes_from_vec_ns(reps: usize) -> f64 {
+    let mut samples: Vec<f64> = (0..reps.max(1).saturating_mul(4))
+        .map(|i| {
+            let v = vec![u8::try_from(i & 0xff).unwrap_or(0); IMAGE_BYTES];
+            #[expect(
+                clippy::disallowed_types,
+                reason = "perf harness measures real wall-clock kernel throughput by design"
+            )]
+            let start = Instant::now();
+            let frozen = black_box(bytes::Bytes::from(black_box(v)));
+            let ns = start.elapsed().as_nanos() as f64;
+            drop(frozen);
+            ns
+        })
+        .collect();
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
+}
+
+/// The write path's buffer passes; all untracked (see the module doc).
+fn buffer_metrics(reps: usize) -> Vec<PerfMetric> {
+    vec![
+        metric(
+            "udf_seal_mb_s_200k",
+            seal_mb_per_sec(200 * 1024, reps),
+            "MB/s",
+            false,
+            "Bucket::close of a full 4 MB bucket of 200 KB files",
+        ),
+        metric(
+            "udf_seal_mb_s_2k",
+            seal_mb_per_sec(2 * 1024, reps),
+            "MB/s",
+            false,
+            "Bucket::close of a full 4 MB bucket of 2 KB files",
+        ),
+        metric(
+            "bytes_from_vec_ns_4mb",
+            bytes_from_vec_ns(reps),
+            "ns/op",
+            false,
+            "Bytes::from(Vec<u8>) of 4 MB (adopted => ~1 us, copied => ~400 us)",
+        ),
+    ]
+}
+
 fn metric(name: &str, value: f64, unit: &str, tracked: bool, desc: &str) -> PerfMetric {
     PerfMetric {
         name: name.to_string(),
@@ -858,6 +937,7 @@ pub fn measure(reps: usize) -> PerfReport {
     metrics.extend(namespace_metrics(reps));
     metrics.extend(parity_metrics(reps));
     metrics.extend(cas_metrics(reps));
+    metrics.extend(buffer_metrics(reps));
     PerfReport {
         schema: "BENCH_hotpaths/v1".to_string(),
         max_regression_pct: MAX_REGRESSION_PCT,

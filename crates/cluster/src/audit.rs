@@ -116,7 +116,7 @@ impl Cluster {
                 let len = data.len() as u64;
                 self.racks[idx]
                     .ros_mut()
-                    .write_file(&path, data.to_vec())
+                    .write_file(&path, data)
                     .map_err(ClusterError::on(rack_id.0))?;
                 self.racks[idx].note_stored(len);
                 let back = self.racks[idx]

@@ -394,6 +394,7 @@ impl Disc {
                 if bytes.is_empty() {
                     return 0;
                 }
+                // The one copy: `Bytes` adopts the vector below.
                 let mut buf = bytes.to_vec();
                 let len = buf.len() as u64;
                 let start = selector

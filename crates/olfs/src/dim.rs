@@ -324,9 +324,10 @@ impl ImageStore {
     /// Finds the first Empty tray, preferring low indices (uppermost
     /// layers first — the cheapest mechanical trips).
     pub fn first_empty_slot(&self, layout: &RackLayout) -> Option<SlotAddress> {
-        (0..layout.total_slots())
-            .find(|i| self.da_index.get(i) == Some(&DaState::Empty))
-            .map(|i| layout.slot_at(i))
+        self.da_index
+            .range(..layout.total_slots())
+            .find(|(_, state)| **state == DaState::Empty)
+            .map(|(&i, _)| layout.slot_at(i))
     }
 
     /// Counts trays per DAindex state.
@@ -610,6 +611,37 @@ mod tests {
         store.set_da_state(1, DaState::Failed);
         assert_eq!(store.da_counts(), (6, 1, 1));
         assert_eq!(store.da_state(1), Some(DaState::Failed));
+    }
+
+    #[test]
+    fn first_empty_slot_is_the_lowest_empty_index_of_the_layout() {
+        let l = layout();
+        let mut store = ImageStore::new(&l);
+        // What a probe of every index of the layout, in order, answers.
+        let probed = |store: &ImageStore| {
+            (0..l.total_slots())
+                .find(|&i| store.da_state(i) == Some(DaState::Empty))
+                .map(|i| l.slot_at(i))
+        };
+        use DaState::{Empty, Failed, Used};
+        let interleaved = [Used, Failed, Used, Empty, Failed, Empty, Used, Empty];
+        for (i, state) in (0u32..).zip(interleaved) {
+            store.set_da_state(i, state);
+        }
+        // An Empty entry past the layout is not a tray.
+        store.set_da_state(l.total_slots(), Empty);
+        assert_eq!(store.first_empty_slot(&l), Some(l.slot_at(3)));
+        for fill in [Used, Failed, Used] {
+            assert_eq!(store.first_empty_slot(&l), probed(&store));
+            let next = store.first_empty_slot(&l).unwrap();
+            store.set_da_state(l.slot_index(next), fill);
+        }
+        assert_eq!(store.first_empty_slot(&l), None);
+        assert_eq!(probed(&store), None);
+        // A tray handed back is found again, below the ones after it.
+        store.set_da_state(6, Empty);
+        store.set_da_state(2, Empty);
+        assert_eq!(store.first_empty_slot(&l), Some(l.slot_at(2)));
     }
 
     #[test]
