@@ -18,9 +18,8 @@
 //! — plus the per-operation latency compositions of Figure 7 (OLFS write
 //! 16 ms / read 9 ms; samba+OLFS write 53 ms / read 15 ms), the
 //! direct-writing bypass mode of §4.8, and the §4.2 interface
-//! extensions: a [`KvStore`], an S3-style [`ObjectStore`], a REST router
-//! ([`RestApi`]) and an iSCSI-style block LUN ([`BlockLun`]), all mapped
-//! onto the OLFS namespace.
+//! extensions: a [`KvStore`] and an S3-style [`ObjectStore`], both
+//! mapped onto the OLFS namespace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,19 +41,15 @@
     )
 )]
 
-pub mod block;
 pub mod fuse;
 pub mod gateway;
 pub mod kv;
 pub mod object;
 pub mod params;
-pub mod rest;
 pub mod samba;
 pub mod stack;
 
-pub use block::BlockLun;
 pub use gateway::NasGateway;
 pub use kv::KvStore;
 pub use object::ObjectStore;
-pub use rest::RestApi;
 pub use stack::{AccessStack, StackThroughput};

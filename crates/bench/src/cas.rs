@@ -9,8 +9,8 @@
 //! 2. **Bit-exact aliases** — every written path reads back payload
 //!    bytes identical to what was ingested, verified against the 256-bit
 //!    CAS content digest recorded at write time.
-//! 3. **Clean digest sweep** — the maintenance verify pass reports no
-//!    resident image whose bytes drifted from its recorded digest.
+//! 3. **Clean digest sweep** — a full audit reports no image, on the
+//!    buffer or on disc, whose bytes drifted from its recorded digest.
 
 use crate::experiments::BenchError;
 use ros_cas::{verify_payload, Digest};
@@ -80,7 +80,7 @@ pub struct CasReport {
     pub verified: usize,
     /// Paths that read back wrong or not at all (must be empty).
     pub lost: Vec<String>,
-    /// Resident images failing the maintenance digest sweep (must be 0).
+    /// Images failing the full audit's digest sweep (must be 0).
     pub sweep_mismatches: usize,
 }
 
@@ -169,7 +169,7 @@ pub fn run_cas(cfg: &CasConfig) -> Result<CasReport, BenchError> {
             Err(e) => lost.push(format!("{path}: {e}")),
         }
     }
-    let sweep = deduped.verify_resident_images();
+    let sweep = deduped.audit_sample(usize::MAX);
 
     let burn_cost_ratio = if plain_status.images > 0 {
         dedup_status.images as f64 / plain_status.images as f64
@@ -189,7 +189,7 @@ pub fn run_cas(cfg: &CasConfig) -> Result<CasReport, BenchError> {
         burn_cost_ratio,
         verified,
         lost,
-        sweep_mismatches: sweep.mismatched.len(),
+        sweep_mismatches: sweep.rotted.len(),
     })
 }
 
@@ -225,7 +225,7 @@ pub fn run_cas_checked(cfg: &CasConfig) -> Result<CasReport, BenchError> {
     }
     if r.sweep_mismatches > 0 {
         return Err(err(format!(
-            "{} resident image(s) failed the digest sweep",
+            "{} image(s) failed the digest sweep",
             r.sweep_mismatches
         )));
     }

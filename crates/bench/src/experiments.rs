@@ -96,7 +96,6 @@ fn table1_config() -> RosConfig {
         rack_id: 0,
         data_plane_threads: 0,
         dedup: false,
-        audit_sample_images: 0,
     }
 }
 

@@ -64,8 +64,8 @@ impl<B: AsRef<[u8]>> Verified<B> {
 /// Verifies a payload against an expected digest, hashing on `plane`,
 /// and returns the proof.
 ///
-/// The single verify-by-digest entry point: the fetch path, scrub, the
-/// audit ladder, the cluster drill and the chaos sweep all route
+/// The single verify-by-digest entry point: the fetch path, the audit
+/// ladder, the cluster drill and the chaos sweep all route
 /// integrity checks through here or through its batched form,
 /// [`verify_payloads`].
 pub fn verify_payload<B: AsRef<[u8]>>(

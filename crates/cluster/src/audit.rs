@@ -174,6 +174,21 @@ mod tests {
         (c, files)
     }
 
+    /// Strikes every burned in-tray disc of rack `rack` with
+    /// `MediaRot`: one strike per disc of each used tray, so the
+    /// victim selector (modulo the burned-disc count) reaches them all.
+    /// Returns how many strikes landed.
+    fn rot_every_disc(c: &mut Cluster, rack: usize) -> usize {
+        let ros = c.racks[rack].ros_mut();
+        let discs = ros.status().da_counts.1 as u64 * u64::from(ros.config().array_size());
+        (0..discs)
+            .filter(|&disc| {
+                ros.inject_fault(&ev(FaultKind::MediaRot { disc, bytes: 4 }))
+                    == InjectionOutcome::Injected
+            })
+            .count()
+    }
+
     #[test]
     fn single_member_rot_heals_from_local_parity() {
         let (mut c, files) = archived_cluster(3);
@@ -220,7 +235,7 @@ mod tests {
             // buffer copies: local parity is exhausted, so the audit must
             // climb to the replica tier.
             c.racks[0].ros_mut().evict_all_burned_copies();
-            assert!(c.racks[0].ros_mut().rot_media(4) >= 2);
+            assert!(rot_every_disc(&mut c, 0) >= 2);
             let report = c.audit_all(64).unwrap();
             assert!(report.rotted >= 1);
             assert!(
@@ -253,7 +268,7 @@ mod tests {
             rack.ros_mut().unload_all_bays().unwrap();
         }
         c.racks[0].ros_mut().evict_all_burned_copies();
-        assert!(c.racks[0].ros_mut().rot_media(4) >= 2);
+        assert!(rot_every_disc(&mut c, 0) >= 2);
 
         let report = c.audit_all(64).unwrap();
         assert!(report.repaired_replica >= 1, "{report:?}");
@@ -281,7 +296,7 @@ mod tests {
         c.archive_all(SimDuration::from_secs(86_400)).unwrap();
         c.racks[0].ros_mut().unload_all_bays().unwrap();
         c.racks[0].ros_mut().evict_all_burned_copies();
-        assert!(c.racks[0].ros_mut().rot_media(4) >= 1);
+        assert!(rot_every_disc(&mut c, 0) >= 1);
         let report = c.audit_all(64).unwrap();
         assert!(report.rotted >= 1);
         assert!(

@@ -1,7 +1,7 @@
 //! Table-driven GF(2^8) kernels behind the parity hot path.
 //!
 //! Every real byte that flows through RAID-6 Q parity, OLFS disc-array
-//! redundancy (§4.7), scrub verification and reconstruction is multiplied
+//! redundancy (§4.7), audit verification and reconstruction is multiplied
 //! in GF(2^8). The scalar shift-and-add multiply
 //! ([`crate::parity::gf_mul_scalar`]) pays ~8 dependent iterations per
 //! byte; the kernels here replace it with constant-time table lookups:

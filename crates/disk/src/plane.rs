@@ -3,7 +3,7 @@
 //! The workspace keeps two planes strictly apart (TALICS³'s split, see
 //! DESIGN.md §12): the *simulation* plane advances a deterministic
 //! virtual clock, while the *data* plane moves and checks real bytes
-//! (parity encode, scrub verification, reconstruction, the chaos
+//! (parity encode, audit verification, reconstruction, the chaos
 //! harness's corpus audit). Only the data plane is parallelized here —
 //! wall-clock elapsed on these threads never feeds back into simulated
 //! time, so `N` threads change latency, not results.

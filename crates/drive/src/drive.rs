@@ -344,7 +344,7 @@ impl OpticalDrive {
         if burned_bytes > 0 {
             // Partial data occupies a truncated track; OLFS re-burns the
             // full image afterwards.
-            disc.burn_track(image_id, Payload::synthetic(burned_bytes, 0))?;
+            disc.burn_track(image_id, Payload::synthetic(burned_bytes))?;
         }
         self.state = DriveState::Loaded(SpinState::Active);
         Ok(())
@@ -454,7 +454,7 @@ mod tests {
             },
             MediaKind::Worm,
         );
-        disc.burn_all_once(5, Payload::synthetic(bytes, 0)).unwrap();
+        disc.burn_all_once(5, Payload::synthetic(bytes)).unwrap();
         dr.insert(disc).unwrap();
         let r = dr.read_image(5).unwrap();
         let expected = params::mount_from_sleep()
@@ -517,8 +517,7 @@ mod tests {
         assert_eq!(disc.tracks().len(), 1);
         // Resume by appending the full image as a fresh track.
         dr.begin_burn().unwrap();
-        dr.finish_burn_track(9, Payload::synthetic(8192, 0))
-            .unwrap();
+        dr.finish_burn_track(9, Payload::synthetic(8192)).unwrap();
         assert_eq!(dr.disc().unwrap().tracks().len(), 2);
     }
 

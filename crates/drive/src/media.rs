@@ -8,13 +8,13 @@
 //! each.
 //!
 //! Payloads can be *inline* (real bytes — used by OLFS at test scale so
-//! data integrity is verified end to end) or *synthetic* (size + checksum
-//! only — used by the PB-scale benchmarks where holding 25 GB of real
-//! bytes per disc is pointless).
+//! data integrity is verified end to end) or *synthetic* (a size only —
+//! used by the PB-scale benchmarks where holding 25 GB of real bytes per
+//! disc is pointless).
 
 use crate::params;
 use bytes::Bytes;
-use ros_sim::{fnv1a, SimRng};
+use ros_sim::SimRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -89,17 +89,15 @@ impl Track {
     }
 }
 
-/// Image payload: real bytes or a synthetic size/checksum pair.
+/// Image payload: real bytes or a synthetic size.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Payload {
-    /// Real bytes, checked end to end.
+    /// Real bytes, checked end to end against their CAS digest.
     Inline(Bytes),
-    /// Size and checksum only, for PB-scale benchmarks.
+    /// Size only, for PB-scale benchmarks.
     Synthetic {
         /// Payload size in bytes.
         size: u64,
-        /// Checksum the real data would have had.
-        checksum: u64,
     },
 }
 
@@ -110,29 +108,21 @@ impl Payload {
     }
 
     /// Creates a synthetic payload of `size` bytes.
-    pub fn synthetic(size: u64, checksum: u64) -> Self {
-        Payload::Synthetic { size, checksum }
+    pub fn synthetic(size: u64) -> Self {
+        Payload::Synthetic { size }
     }
 
     /// Returns the payload size in bytes.
     pub fn len(&self) -> u64 {
         match self {
             Payload::Inline(b) => b.len() as u64,
-            Payload::Synthetic { size, .. } => *size,
+            Payload::Synthetic { size } => *size,
         }
     }
 
     /// Returns true for an empty payload.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Returns the payload checksum.
-    pub fn checksum(&self) -> u64 {
-        match self {
-            Payload::Inline(b) => fnv1a(b),
-            Payload::Synthetic { checksum, .. } => *checksum,
-        }
     }
 }
 
@@ -375,7 +365,7 @@ impl Disc {
     /// Silently flips up to `count` payload bytes of one burned track —
     /// *latent* sector rot. Unlike [`Disc::corrupt_sector`], no sector
     /// is marked unreadable: reads still succeed and hand back wrong
-    /// bytes, a scrub sees nothing, and only an end-to-end content
+    /// bytes, the damage map stays clean, and only an end-to-end content
     /// digest (the CAS audit) can detect the damage. `selector` picks
     /// the victim track and byte offsets deterministically. Returns the
     /// number of bytes actually flipped (0 on a blank disc).
@@ -409,13 +399,11 @@ impl Disc {
                 *bytes = Bytes::from(buf);
                 usize::try_from(n).unwrap_or(usize::MAX)
             }
-            Payload::Synthetic { checksum, size } => {
+            // No real bytes to flip; the strike is only counted.
+            Payload::Synthetic { size } => {
                 if *size == 0 {
                     return 0;
                 }
-                // No real bytes to flip: perturb the checksum so any
-                // verification against the original still mismatches.
-                *checksum ^= (selector | 1).wrapping_add(salt);
                 usize::try_from(u64::from(count).min(*size)).unwrap_or(usize::MAX)
             }
         };
@@ -457,24 +445,12 @@ impl Disc {
         }
         failures
     }
-
-    /// Scans every track, returning the ids of images with sector errors
-    /// (the idle-time scrubbing of §4.7).
-    pub fn scrub(&self) -> Vec<u64> {
-        self.tracks
-            .iter()
-            .filter(|t| {
-                let (s, e) = t.sector_range();
-                self.corrupted.range(s..e).next().is_some()
-            })
-            .map(|t| t.image_id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ros_sim::fnv1a;
 
     fn small() -> DiscClass {
         DiscClass::Custom {
@@ -514,9 +490,9 @@ mod tests {
     #[test]
     fn write_all_once_requires_blank() {
         let mut d = Disc::blank(1, small(), MediaKind::Worm);
-        d.burn_all_once(1, Payload::synthetic(2048, 0)).unwrap();
+        d.burn_all_once(1, Payload::synthetic(2048)).unwrap();
         assert_eq!(
-            d.burn_all_once(2, Payload::synthetic(2048, 0)).unwrap_err(),
+            d.burn_all_once(2, Payload::synthetic(2048)).unwrap_err(),
             MediaError::NotBlank
         );
     }
@@ -525,7 +501,7 @@ mod tests {
     fn write_all_once_rejects_oversize() {
         let mut d = Disc::blank(1, small(), MediaKind::Worm);
         let err = d
-            .burn_all_once(1, Payload::synthetic(small().capacity() + 1, 0))
+            .burn_all_once(1, Payload::synthetic(small().capacity() + 1))
             .unwrap_err();
         assert!(matches!(err, MediaError::CapacityExceeded { .. }));
         assert!(d.is_blank());
@@ -536,18 +512,18 @@ mod tests {
         // Use a disc big enough for two metadata zones plus data.
         let cap = 2 * params::TRACK_METADATA_BYTES + 64 * params::SECTOR_BYTES;
         let mut d = Disc::blank(1, DiscClass::Custom { capacity: cap }, MediaKind::Worm);
-        d.burn_track(1, Payload::synthetic(2048 * 4, 0)).unwrap();
-        d.burn_track(2, Payload::synthetic(2048 * 4, 0)).unwrap();
+        d.burn_track(1, Payload::synthetic(2048 * 4)).unwrap();
+        d.burn_track(2, Payload::synthetic(2048 * 4)).unwrap();
         assert_eq!(d.tracks().len(), 2);
         // Each track consumed its metadata zone.
         let consumed = cap - d.free_bytes();
         assert_eq!(consumed, 2 * (params::TRACK_METADATA_BYTES + 2048 * 4));
         // Third track no longer fits because of metadata overhead.
-        let err = d.burn_track(3, Payload::synthetic(2048, 0)).unwrap_err();
+        let err = d.burn_track(3, Payload::synthetic(2048)).unwrap_err();
         assert!(matches!(err, MediaError::CapacityExceeded { .. }));
         d.finalize();
         assert_eq!(
-            d.burn_track(4, Payload::synthetic(2048, 0)).unwrap_err(),
+            d.burn_track(4, Payload::synthetic(2048)).unwrap_err(),
             MediaError::Finalized
         );
     }
@@ -561,7 +537,7 @@ mod tests {
                 erase_cycles_used: params::RW_MAX_ERASE_CYCLES - 1,
             },
         );
-        d.burn_all_once(1, Payload::synthetic(2048, 0)).unwrap();
+        d.burn_all_once(1, Payload::synthetic(2048)).unwrap();
         d.erase().unwrap();
         assert!(d.is_blank());
         assert!(!d.is_finalized());
@@ -574,8 +550,8 @@ mod tests {
     fn sector_corruption_is_detected_and_scoped() {
         let cap = 2 * params::TRACK_METADATA_BYTES + 1024 * params::SECTOR_BYTES;
         let mut d = Disc::blank(1, DiscClass::Custom { capacity: cap }, MediaKind::Worm);
-        d.burn_track(1, Payload::synthetic(2048 * 8, 0)).unwrap();
-        d.burn_track(2, Payload::synthetic(2048 * 8, 0)).unwrap();
+        d.burn_track(1, Payload::synthetic(2048 * 8)).unwrap();
+        d.burn_track(2, Payload::synthetic(2048 * 8)).unwrap();
         // Corrupt a sector inside track 2 only.
         let t2 = d.find_track(2).unwrap();
         let (s2, _) = t2.sector_range();
@@ -591,11 +567,13 @@ mod tests {
             }
             e => panic!("unexpected error {e:?}"),
         }
-        assert_eq!(d.scrub(), vec![2]);
+        // The tolerant read reports the same damage, track-relative.
+        assert!(d.read_image_raw(1).unwrap().1.is_empty());
+        assert_eq!(d.read_image_raw(2).unwrap().1, vec![1]);
     }
 
     #[test]
-    fn latent_rot_is_silent_to_reads_and_scrubs() {
+    fn latent_rot_is_silent_to_reads_and_the_damage_map() {
         let mut d = Disc::blank(1, small(), MediaKind::Worm);
         let data = Bytes::from(vec![0x11u8; 4096]);
         d.burn_all_once(7, Payload::inline(data.clone())).unwrap();
@@ -613,7 +591,10 @@ mod tests {
             _ => panic!("expected inline payload"),
         }
         assert_eq!(d.corrupted_sectors(), 0);
-        assert!(d.scrub().is_empty(), "scrub cannot see latent rot");
+        assert!(
+            d.read_image_raw(7).unwrap().1.is_empty(),
+            "the damage map cannot see latent rot"
+        );
         // Deterministic: the same selector flips the same offsets.
         let mut e = Disc::blank(2, small(), MediaKind::Worm);
         e.burn_all_once(7, Payload::inline(data)).unwrap();
@@ -641,13 +622,15 @@ mod tests {
     }
 
     #[test]
-    fn latent_rot_perturbs_synthetic_checksums() {
+    fn latent_rot_on_a_synthetic_track_is_counted() {
         let mut d = Disc::blank(1, small(), MediaKind::Worm);
-        d.burn_all_once(1, Payload::synthetic(2048, 0xABCD))
-            .unwrap();
-        assert!(d.rot_bytes(5, 2) > 0);
-        assert_ne!(d.read_image(1).unwrap().checksum(), 0xABCD);
-        assert!(d.scrub().is_empty());
+        d.burn_all_once(1, Payload::synthetic(2048)).unwrap();
+        // No bytes to flip, but the strike counts as it would on real
+        // bytes, so fault outcomes do not depend on the payload kind.
+        assert_eq!(d.rot_bytes(5, 2), 2);
+        assert_eq!(d.rot_bytes(5, 4096), 2048, "capped at the payload size");
+        assert_eq!(d.rotted_bytes(), 2050);
+        assert!(d.read_image_raw(1).unwrap().1.is_empty());
         // Blank discs have nothing to rot.
         let mut blank = Disc::blank(2, small(), MediaKind::Worm);
         assert_eq!(blank.rot_bytes(5, 2), 0);
@@ -656,7 +639,7 @@ mod tests {
     #[test]
     fn ageing_at_nominal_rate_is_harmless() {
         let mut d = Disc::blank(1, DiscClass::Bd25, MediaKind::Worm);
-        d.burn_all_once(1, Payload::synthetic(params::BD25_BYTES, 0))
+        d.burn_all_once(1, Payload::synthetic(params::BD25_BYTES))
             .unwrap();
         let mut rng = SimRng::seed_from(1);
         // 10^-16 per sector: even a thousand years of scans find nothing.
@@ -667,21 +650,19 @@ mod tests {
     #[test]
     fn ageing_at_elevated_rate_corrupts() {
         let mut d = Disc::blank(1, small(), MediaKind::Worm);
-        d.burn_all_once(1, Payload::synthetic(small().capacity(), 0))
+        d.burn_all_once(1, Payload::synthetic(small().capacity()))
             .unwrap();
         let mut rng = SimRng::seed_from(2);
         let failures = d.age(0.05, &mut rng);
         assert!(failures > 0);
-        assert_eq!(d.scrub(), vec![1]);
+        assert!(!d.read_image_raw(1).unwrap().1.is_empty());
     }
 
     #[test]
-    fn payload_checksums() {
+    fn payload_lengths() {
         let p = Payload::inline(vec![1u8, 2, 3]);
-        assert_eq!(p.checksum(), fnv1a(&[1, 2, 3]));
         assert_eq!(p.len(), 3);
-        let s = Payload::synthetic(100, 77);
-        assert_eq!(s.checksum(), 77);
+        let s = Payload::synthetic(100);
         assert_eq!(s.len(), 100);
         assert!(!s.is_empty());
         assert!(Payload::inline(Vec::new()).is_empty());

@@ -57,7 +57,7 @@ proptest! {
     }
 
     #[test]
-    fn scrub_finds_exactly_the_damaged_tracks(
+    fn the_damage_map_names_exactly_the_damaged_tracks(
         n_tracks in 1usize..5,
         victim in 0usize..5
     ) {
@@ -65,10 +65,14 @@ proptest! {
         let cap = 5 * 64 * 1024 * 1024u64 + 10_240 * 2048;
         let mut disc = Disc::blank(1, DiscClass::Custom { capacity: cap }, MediaKind::Worm);
         for i in 0..n_tracks {
-            disc.burn_track(i as u64, Payload::synthetic(2048 * 16, 0)).unwrap();
+            disc.burn_track(i as u64, Payload::synthetic(2048 * 16)).unwrap();
         }
         let (start, _) = disc.find_track(victim as u64).unwrap().sector_range();
         disc.corrupt_sector(start + 3);
-        prop_assert_eq!(disc.scrub(), vec![victim as u64]);
+        for i in 0..n_tracks {
+            let (_, bad) = disc.read_image_raw(i as u64).unwrap();
+            let expect: Vec<u64> = if i == victim { vec![3] } else { Vec::new() };
+            prop_assert_eq!(bad, expect);
+        }
     }
 }

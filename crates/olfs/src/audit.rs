@@ -1,37 +1,38 @@
-//! LOCKSS-style sampled background audit (DESIGN.md §16).
+//! The media walker: LOCKSS-style audit of the library (§4.7, DESIGN.md
+//! §16).
 //!
 //! Long-horizon preservation fails silently: latent rot flips bytes on
-//! burned media without raising any I/O error, so neither the §4.7
-//! sector scrub (which walks the drive's damage map) nor a plain read
-//! (which returns the rotted bytes happily) notices. The only defence
-//! is an *end-to-end* check — re-hash the stored bytes and compare
-//! against the `ros-cas` content digest recorded at seal time.
+//! burned media without raising any I/O error, so neither the drive's
+//! damage map nor a plain read (which returns the rotted bytes happily)
+//! notices. The only defence is an *end-to-end* check — re-hash the
+//! stored bytes and compare against the `ros-cas` content digest
+//! recorded at seal time. `Ros::inspect_many` does that and reads the
+//! damage map too, so one walk finds sector errors and rot alike.
 //!
-//! Hashing the whole library every pass is unaffordable at PB scale, so
-//! the audit follows the LOCKSS playbook: every scheduled scrub tick
-//! digest-verifies a small random sample of images (buffer residents
-//! *and* burned in-tray tracks), chosen without replacement from a
-//! seeded stream so runs are reproducible. Over simulated decades the
-//! sample sweeps the library many times, bounding the window a rotted
-//! image can survive undetected.
+//! The population is every buffer resident plus every burned image
+//! whose disc sits in a tray; a pass digest-verifies up to `n` of them,
+//! chosen without replacement from a seeded stream so runs are
+//! reproducible. The idle-time tick ([`crate::config::RosConfig::scrub_interval`])
+//! passes `usize::MAX` — §4.7's scan of "all the burned disc arrays";
+//! a PB-scale caller that cannot afford that samples a few per pass,
+//! LOCKSS's playbook, and over simulated decades the sample sweeps the
+//! library many times.
 //!
-//! Detected rot is repaired through the redundancy ladder:
+//! What the walk finds is repaired through the redundancy ladder:
 //!
-//! 1. **Array redundancy** — the rotted image's disc array goes through
+//! 1. **Array redundancy** — the damaged image's disc array goes through
 //!    the one repair path in [`crate::repair`]: every member gathered,
 //!    what cannot be trusted masked, the rest reconstructed through the
 //!    GF(256) P/Q parity kernels. The healed array is then rewritten
-//!    onto fresh media, retiring the rotted tray — same flow as §4.7's
-//!    scrub-triggered rewrite.
-//! 2. **Replica escalation** — if more members rotted than the parity
-//!    schema tolerates, the image is reported
+//!    onto fresh media, retiring the damaged tray.
+//! 2. **Replica escalation** — if more members are damaged than the
+//!    parity schema tolerates, the image is reported
 //!    [`AuditReport::unrepairable`] and a cluster front end re-fetches
 //!    the bytes from a healthy replica rack
 //!    (`ros-cluster`'s audit module).
 //!
-//! Both the sampling scan and any repairs are charged to the simulated
-//! clock, so audit bandwidth competes with foreground traffic exactly
-//! like the scrub does.
+//! Both the scan and any repairs are charged to the simulated clock, so
+//! audit bandwidth competes with foreground traffic.
 
 use crate::dim::GroupState;
 use crate::engine::Ros;
@@ -70,23 +71,24 @@ impl Ros {
         paths.into_iter().flatten().cloned().collect()
     }
 
-    /// The most recent sampled-audit result, whether scheduled (riding
-    /// the scrub tick) or run manually.
+    /// The most recent idle-time tick's audit result; a manual
+    /// [`Ros::audit_sample`] hands its report back instead.
     pub fn last_audit_report(&self) -> Option<&AuditReport> {
         self.last_audit.as_ref()
     }
 
-    /// Runs one sampled-audit pass: digest-verify up to `n` images
-    /// chosen uniformly without replacement from the auditable
-    /// population (buffer residents plus burned images whose disc sits
-    /// in a tray), then repair any rot through array redundancy.
+    /// Runs one audit pass: inspect up to `n` images chosen uniformly
+    /// without replacement from the auditable population (buffer
+    /// residents plus burned images whose disc sits in a tray), then
+    /// repair what failed — sector errors or rot — through array
+    /// redundancy. Any `n` at least the population size (`usize::MAX`)
+    /// audits everything.
     ///
     /// The candidate list is assembled in image-id order and the sample
     /// is drawn from a forked seeded stream, so a given system history
     /// audits the same images every run. Scan time is charged at the
-    /// bay's aggregate read rate (the same model as [`Ros::scrub`]);
-    /// repairs additionally charge reconstruction reads and buffer
-    /// writes.
+    /// bay's aggregate read rate; repairs additionally charge
+    /// reconstruction reads and buffer writes.
     pub fn audit_sample(&mut self, n: usize) -> AuditReport {
         let mut report = AuditReport::default();
         if n == 0 {
@@ -250,13 +252,16 @@ mod tests {
     fn heals_latent_rot_inline(threads: usize) {
         let data = vec![3u8; 400_000];
         let mut r = burned_system_on(&data, threads);
-        // Rot flips bytes with no sector error: the scrub sees nothing.
+        // Rot flips bytes with no sector error: the damage map is clean.
         assert_eq!(
             r.inject_fault(&ev(FaultKind::MediaRot { disc: 0, bytes: 5 })),
             InjectionOutcome::Injected
         );
-        let scrub = r.scrub();
-        assert!(scrub.damaged.is_empty(), "rot must be invisible to scrub");
+        let mapped: usize = (0..r.registry.len() as u64)
+            .filter_map(|id| r.registry.disc(crate::ids::DiscId(id)))
+            .map(ros_drive::media::Disc::corrupted_sectors)
+            .sum();
+        assert_eq!(mapped, 0, "rot must leave no damage map");
         // The read still returns the *original* bytes: the fetch's
         // digest check catches the mismatch and repairs through parity
         // before the client sees anything.
@@ -267,9 +272,10 @@ mod tests {
             "the inline latent repair must have run"
         );
         // What the repair restored to the buffer came in as a proof for
-        // the DIM's recorded digest — a fresh sweep agrees.
-        let sweep = r.verify_resident_images();
-        assert!(sweep.verified >= 1 && sweep.mismatched.is_empty());
+        // the DIM's recorded digest — a fresh audit agrees, and finds
+        // the other member images' tracks healthy too.
+        let audit = r.audit_sample(usize::MAX);
+        assert!(audit.verified >= 1 && audit.rotted.is_empty(), "{audit:?}");
     }
 
     #[test]
@@ -375,7 +381,6 @@ mod tests {
     fn scheduled_scrub_runs_the_audit() {
         let mut cfg = RosConfig::tiny();
         cfg.scrub_interval = Some(SimDuration::from_secs(3600));
-        cfg.audit_sample_images = 8;
         let mut r = Ros::new(cfg);
         let data = vec![7u8; 400_000];
         r.write_file(&p("/audit/g"), data.to_vec()).unwrap();

@@ -93,10 +93,11 @@ pub struct RosConfig {
     /// the actual write throughput"); the paper's design keeps this off
     /// and relies on system-level redundancy instead.
     pub write_and_check: bool,
-    /// Periodic idle-time scrub interval (§4.7: "disc sector-error
-    /// checking can be scheduled at idle times"); `None` disables the
-    /// scheduler (scrubs can still be run via the maintenance
-    /// interface).
+    /// Periodic idle-time scan interval (§4.7: "disc sector-error
+    /// checking can be scheduled at idle times and can periodically scan
+    /// all the burned disc arrays"): each idle tick audits the whole
+    /// library and repairs what it finds ([`crate::Ros::audit_sample`]).
+    /// `None` disables the scheduler; an audit can still be run by hand.
     pub scrub_interval: Option<ros_sim::SimDuration>,
     /// RNG seed for all stochastic behaviour.
     pub seed: u64,
@@ -107,7 +108,7 @@ pub struct RosConfig {
     /// aggregated status reports stay attributable.
     pub rack_id: u32,
     /// Worker threads for the real-bytes data plane (parity encode,
-    /// scrub verification, recovery reconstruction). `0` auto-detects
+    /// audit verification, recovery reconstruction). `0` auto-detects
     /// available parallelism capped at 8. The plane is deterministic:
     /// results are byte-identical at any setting (DESIGN.md §12), so
     /// this knob trades wall-clock only, never behaviour.
@@ -120,14 +121,6 @@ pub struct RosConfig {
     /// placement, so existing workload traces only opt in explicitly.
     #[serde(default)]
     pub dedup: bool,
-    /// LOCKSS-style sampled audit: how many images each scheduled scrub
-    /// tick digest-verifies end to end (buffer copies *and* burned
-    /// in-tray tracks), repairing latent rot through the redundancy
-    /// ladder (DESIGN.md §16). 0 disables the sampled audit; the scan
-    /// and any repairs are charged to the sim clock, so audit bandwidth
-    /// competes with foreground traffic.
-    #[serde(default)]
-    pub audit_sample_images: usize,
 }
 
 impl RosConfig {
@@ -151,7 +144,6 @@ impl RosConfig {
             rack_id: 0,
             data_plane_threads: 0,
             dedup: false,
-            audit_sample_images: 0,
         }
     }
 
@@ -178,7 +170,6 @@ impl RosConfig {
             rack_id: 0,
             data_plane_threads: 0,
             dedup: false,
-            audit_sample_images: 0,
         }
     }
 

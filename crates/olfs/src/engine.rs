@@ -53,7 +53,8 @@ pub enum Event {
         /// The bay that held it.
         bay: usize,
     },
-    /// Periodic idle-time scrub (§4.7).
+    /// Periodic idle-time scan of the whole library (§4.7), run by
+    /// [`Ros::audit_sample`].
     ScrubTick,
     /// Background array prefetch finished (spatial-locality refinement
     /// of the read cache, §4.1).
@@ -206,9 +207,7 @@ pub struct Ros {
     pub(crate) image_paths: BTreeMap<ImageId, BTreeSet<UdfPath>>,
     /// Per-(bay, drive) VFS-mount state (§5.4's 220 ms charge).
     vfs_mounted: BTreeMap<(usize, usize), bool>,
-    /// Result of the most recent (scheduled or manual) scrub pass.
-    pub(crate) last_scrub: Option<crate::maintenance::ScrubReport>,
-    /// Result of the most recent sampled audit pass (§16).
+    /// Result of the most recent idle-tick audit (§4.7, §16).
     pub(crate) last_audit: Option<crate::audit::AuditReport>,
     /// Last access instant per (bay, drive); drives spin down after
     /// `ros_drive::params::sleep_after_idle()` (§5.4).
@@ -290,7 +289,6 @@ impl Ros {
             append_groups: BTreeSet::new(),
             image_paths: BTreeMap::new(),
             vfs_mounted: BTreeMap::new(),
-            last_scrub: None,
             last_audit: None,
             drive_last_used: BTreeMap::new(),
             quarantined_bays: BTreeSet::new(),
@@ -306,7 +304,7 @@ impl Ros {
     }
 
     /// The real-bytes data plane sized by `cfg.data_plane_threads`
-    /// (0 = auto-detect). Parity encode, scrub verification, and
+    /// (0 = auto-detect). Parity encode, audit verification, and
     /// recovery reconstruction run their kernels here; the plane is
     /// deterministic, so the thread count never changes behaviour.
     pub fn data_plane(&self) -> ros_disk::DataPlane {
@@ -957,23 +955,17 @@ impl Ros {
         }
     }
 
-    /// Runs the periodic scrub if the library is idle, then reschedules.
-    /// Busy ticks (burns in flight) skip the pass — §4.7 schedules the
-    /// sector-error checking "at idle times".
+    /// Audits the whole library if it is idle, then reschedules: §4.7's
+    /// periodic scan of "all the burned disc arrays", which finds sector
+    /// errors and latent rot alike and repairs what it finds (§16).
+    /// Busy ticks (burns queued or in flight) skip the pass — §4.7
+    /// schedules the checking "at idle times".
     fn scheduled_scrub(&mut self) {
         let Some(interval) = self.cfg.scrub_interval else {
             return;
         };
         if self.burning.is_empty() && self.burn_queue.is_empty() {
-            let report = self.scrub();
-            self.last_scrub = Some(report);
-            // The sampled audit rides the same idle window: a few
-            // images get the *end-to-end* digest check the sector
-            // scrub cannot provide (§16).
-            if self.cfg.audit_sample_images > 0 {
-                let report = self.audit_sample(self.cfg.audit_sample_images);
-                self.last_audit = Some(report);
-            }
+            self.last_audit = Some(self.audit_sample(usize::MAX));
         }
         self.queue.schedule_in(interval, Event::ScrubTick);
     }
@@ -1256,7 +1248,7 @@ impl Ros {
                 .get(*img)
                 .and_then(|x| x.payload.clone())
                 .map(Payload::inline)
-                .unwrap_or_else(|| Payload::synthetic(0, 0));
+                .unwrap_or_else(|| Payload::synthetic(0));
             let Some(drive) = self.bays[bay].drive_mut(i) else {
                 spoiled = true;
                 continue;
@@ -2698,18 +2690,24 @@ mod scrub_scheduler_tests {
         }
         r.flush().unwrap();
         r.unload_all_bays().unwrap();
-        r.age_media(0.02);
-        // Two intervals pass; the library is idle, so the tick scrubs.
+        // Cold: the discs hold the only copies.
+        r.evict_all_burned_copies();
+        r.age_media(0.004);
+        // Two intervals pass; the library is idle, so the tick audits.
         r.run_for(SimDuration::from_secs(2 * 3600 + 60));
-        let report = r.last_scrub_report().expect("scheduled scrub ran");
-        assert!(report.discs_scanned >= 3);
-        assert!(!report.damaged.is_empty());
+        let report = r.last_audit_report().expect("scheduled scan ran");
+        assert!(report.sampled >= 3);
+        // The first tick found and healed the damage — the counter and
+        // the retired tray say so; the second saw a healthy library.
+        assert!(r.counters().latent_repairs > 0);
+        assert!(r.status().da_counts.2 >= 1);
+        assert!(report.rotted.is_empty(), "{report:?}");
     }
 
     #[test]
     fn busy_ticks_skip_the_scrub_but_keep_rescheduling() {
         let mut cfg = RosConfig::tiny();
-        cfg.scrub_interval = Some(SimDuration::from_millis(500));
+        cfg.scrub_interval = Some(SimDuration::from_secs(30));
         let mut r = Ros::new(cfg);
         // Queue a burn, then let ticks fire while it runs.
         for i in 0..12 {
@@ -2719,12 +2717,18 @@ mod scrub_scheduler_tests {
         r.seal_open_buckets().unwrap();
         r.force_close_collecting_group();
         // Ticks firing during the burn must skip gracefully and keep
-        // rescheduling; afterwards an idle tick scrubs the new discs.
+        // rescheduling; afterwards an idle tick audits the new discs.
         r.run_until_quiescent(SimDuration::from_secs(7200));
+        assert!(
+            r.now() > SimTime::from_secs(60),
+            "two ticks fell in the burn"
+        );
+        assert!(r.last_audit_report().is_none(), "busy ticks skip");
         r.unload_all_bays().unwrap();
-        r.run_for(SimDuration::from_secs(2));
-        let report = r.last_scrub_report().expect("idle tick scrubbed");
-        assert!(report.damaged.is_empty(), "fresh burns are clean");
+        r.run_for(SimDuration::from_secs(30));
+        let report = r.last_audit_report().expect("idle tick audited");
+        assert!(report.sampled > 0);
+        assert_eq!(report.verified, report.sampled, "fresh burns are clean");
     }
 }
 

@@ -4,17 +4,16 @@
 //! maintain the system by an interactive interface for administrators."
 //!
 //! Everything here is read-mostly introspection plus the long-running
-//! care tasks: DAindex/DILindex inspection, scrubbing (§4.7's idle-time
-//! sector-error checking), checkpointing system state into MV, and media
-//! ageing injection for reliability drills.
+//! care tasks: DAindex/DILindex inspection, checkpointing system state
+//! into MV, and media ageing injection for reliability drills. §4.7's
+//! idle-time media scan is the audit ([`Ros::audit_sample`]).
 
-use crate::dim::{DaState, GroupState, ImageInfo, ImageKind};
+use crate::dim::{DaState, GroupState};
 use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
-use ros_sim::{SimDuration, SimTime};
+use ros_sim::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// A point-in-time status summary.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -41,27 +40,6 @@ pub struct SystemStatus {
     pub buffer_usage: (u64, u64),
     /// Read-cache residents.
     pub cached_images: usize,
-}
-
-/// Result of a [`Ros::verify_resident_images`] digest sweep.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ImageVerifyReport {
-    /// Resident images whose payloads matched their recorded digest.
-    pub verified: usize,
-    /// Images whose resident bytes no longer match — candidates for
-    /// re-fetch or parity repair.
-    pub mismatched: Vec<ImageId>,
-}
-
-/// Result of a full-library scrub pass.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Discs scanned.
-    pub discs_scanned: usize,
-    /// Images found with sector errors, per disc.
-    pub damaged: Vec<(DiscId, Vec<ImageId>)>,
-    /// Simulated time the scan consumed.
-    pub elapsed: SimDuration,
 }
 
 impl Ros {
@@ -167,26 +145,6 @@ impl Ros {
         n
     }
 
-    /// Flips `bytes` payload bytes on every burned in-tray disc —
-    /// latent rot, the counterpart of [`Ros::age_media`]'s sector
-    /// errors. The flips raise no I/O error and are invisible to
-    /// [`Ros::scrub`]; only an end-to-end digest audit
-    /// ([`Ros::audit_sample`]) can find them. Each disc is struck once
-    /// with its own id as the selector, so the drill is deterministic.
-    /// Returns how many discs were rotted.
-    pub fn rot_media(&mut self, bytes: u32) -> usize {
-        let mut rotted = 0;
-        let ids: Vec<DiscId> = (0..self.registry.len() as u64).map(DiscId).collect();
-        for id in ids {
-            if let Some(disc) = self.registry.disc_mut(id) {
-                if !disc.is_blank() && disc.rot_bytes(id.0, bytes) > 0 {
-                    rotted += 1;
-                }
-            }
-        }
-        rotted
-    }
-
     /// Unloads every idle (non-burning) bay back to the roller, leaving
     /// all drives free. Returns the bays unloaded.
     pub fn unload_all_bays(&mut self) -> Result<usize, OlfsError> {
@@ -207,36 +165,6 @@ impl Ros {
             .get(path)
             .and_then(|i| i.latest())
             .map(|e| e.segs.clone())
-    }
-
-    /// Rewrites every array a scrub found damaged onto fresh discs
-    /// (§4.7): its data images are recalled to the buffer by image id
-    /// (the fetch path reconstructs damaged members through parity), the
-    /// old tray is retired as Failed, fresh parity is generated and the
-    /// array is re-burned to an empty tray ([`Ros::rewrite_array`]).
-    /// Returns how many arrays were rewritten; the DILindex is updated
-    /// by the re-burn.
-    pub fn rewrite_damaged_arrays(&mut self, report: &ScrubReport) -> Result<usize, OlfsError> {
-        let gids: BTreeSet<ArrayId> = report
-            .damaged
-            .iter()
-            .flat_map(|(_disc, images)| images)
-            .filter_map(|image| self.store.get(*image).and_then(|i| i.array))
-            .collect();
-        let mut rewritten = 0;
-        for gid in gids {
-            let Some(group) = self.store.group(gid) else {
-                continue;
-            };
-            for image in group.data.clone() {
-                self.recall_image(image)?;
-            }
-            self.rewrite_array(gid)?;
-            rewritten += 1;
-        }
-        // Let the re-burns complete.
-        self.run_until_quiescent(ros_sim::SimDuration::from_secs(3600 * 24));
-        Ok(rewritten)
     }
 
     /// Force-closes the partially filled collecting group and schedules
@@ -277,6 +205,14 @@ impl Ros {
     /// Ages every burned disc in the library with an elevated sector
     /// error rate (reliability drills; the nominal rate of §4.7 is
     /// 1e-16 and would never fire at test scale).
+    ///
+    /// This is the only model of §4.7's *random* sector errors, and why
+    /// it is not a `FaultSink` event: `MediaCorruption` strikes the
+    /// contiguous sectors at the start of a victim's first track, so
+    /// every victim loses the same stripes and two victims in one RAID-5
+    /// array are always beyond its tolerance. Damage scattered here
+    /// lands in distinct stripes, which is what the sector-granular
+    /// repair (DESIGN.md §16) is for.
     pub fn age_media(&mut self, rate: f64) -> usize {
         let mut rng = self.rng_mut().fork(0xA6E);
         let mut failures = 0;
@@ -289,135 +225,6 @@ impl Ros {
             }
         }
         failures
-    }
-
-    /// Scrubs all *in-tray* burned discs for sector errors (§4.7:
-    /// "disc sector-error checking can be scheduled at idle times and can
-    /// periodically scan all the burned disc arrays").
-    ///
-    /// The scan charges read time per burned disc surface at the drive
-    /// aggregate rate; it does not move any discs (a full mechanical
-    /// verify would use the fetch path).
-    pub fn scrub(&mut self) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        let agg = self.bays[0].aggregate_read_speed(self.cfg.disc_class);
-        // The per-disc surface scan is pure read-only real-bytes work,
-        // so it fans out on the data plane; results come back in disc-id
-        // order, so the report and the simulated read time charged below
-        // are identical at any thread count.
-        let plane = self.data_plane();
-        let registry = &self.registry;
-        let ids: Vec<DiscId> = (0..registry.len() as u64).map(DiscId).collect();
-        let scans: Vec<Option<(u64, Vec<u64>)>> = plane.map(&ids, |id| {
-            let disc = registry.disc(*id)?;
-            if disc.is_blank() {
-                return None;
-            }
-            let bytes = disc.tracks().iter().map(ros_drive::Track::len).sum::<u64>();
-            Some((bytes, disc.scrub()))
-        });
-        let mut total_bytes = 0u64;
-        for (id, scan) in ids.iter().zip(scans) {
-            let Some((bytes, damaged)) = scan else {
-                continue;
-            };
-            report.discs_scanned += 1;
-            total_bytes += bytes;
-            if !damaged.is_empty() {
-                report
-                    .damaged
-                    .push((*id, damaged.into_iter().map(ImageId).collect()));
-            }
-        }
-        report.elapsed = agg.time_for(total_bytes);
-        let elapsed = report.elapsed;
-        self.run_for(elapsed);
-        self.last_scrub = Some(report.clone());
-        report
-    }
-
-    /// The most recent scrub result, whether scheduled (§4.7's idle-time
-    /// pass) or run manually.
-    pub fn last_scrub_report(&self) -> Option<&ScrubReport> {
-        self.last_scrub.as_ref()
-    }
-
-    /// Verifies every image payload resident on the disk tier against
-    /// its recorded `ros-cas` content digest — the MI's verify-by-digest
-    /// sweep (DESIGN.md §14). Complements [`Ros::scrub`]: the scrub
-    /// finds *media* damage on burned discs, this pass proves the
-    /// *buffered* bytes still match what was sealed. Burned-and-evicted
-    /// images are skipped; their bytes are verified by the fetch path
-    /// before `restore_disk_copy` on the next fetch.
-    ///
-    /// All resident images are hashed as one batch on the data plane;
-    /// the result is independent of the thread count.
-    pub fn verify_resident_images(&self) -> ImageVerifyReport {
-        let resident = self
-            .store
-            .images()
-            .filter_map(|i| Some((i.id, (i.digest, i.payload.as_ref()?))));
-        let (ids, pairs): (Vec<ImageId>, Vec<_>) = resident.unzip();
-        let proofs = ros_cas::verify_payloads(pairs, &self.data_plane());
-        let mut report = ImageVerifyReport::default();
-        for (id, proof) in ids.into_iter().zip(proofs) {
-            match proof {
-                Ok(_) => report.verified += 1,
-                Err(_) => report.mismatched.push(id),
-            }
-        }
-        report
-    }
-
-    /// Repairs every data image a scrub found damaged, by fetching it —
-    /// by image id, whatever the namespace says today — and
-    /// reconstructing through parity on the way (§4.7: "data on the
-    /// failed sectors can be recovered from their parity discs and the
-    /// corresponding data discs in the same disc array"). The recovered
-    /// bytes re-enter the buffer; [`Ros::rewrite_damaged_arrays`] moves
-    /// them to fresh media. Damaged parity images hold no client bytes
-    /// and are regenerated by that rewrite.
-    ///
-    /// Returns the images now healthy on the buffer.
-    pub fn repair_damaged(&mut self, report: &ScrubReport) -> Result<Vec<ImageId>, OlfsError> {
-        let mut repaired = Vec::new();
-        for image in report.damaged.iter().flat_map(|(_disc, images)| images) {
-            let info = self.store.get(*image).ok_or(OlfsError::ImageLost(*image))?;
-            if info.kind == ImageKind::Parity {
-                continue;
-            }
-            self.recall_image(*image)?;
-            if self.store.get(*image).is_some_and(ImageInfo::on_disk) {
-                repaired.push(*image);
-            }
-        }
-        Ok(repaired)
-    }
-
-    /// Like [`Ros::repair_damaged`], but rides out transient mechanical
-    /// and drive faults under `policy`. Repair fetches are idempotent
-    /// (already-repaired images short-circuit on the healthy buffer
-    /// copy), so a retried pass only redoes the work that failed.
-    pub fn repair_damaged_supervised(
-        &mut self,
-        report: &ScrubReport,
-        policy: &ros_faults::RetryPolicy,
-    ) -> Result<(Vec<ImageId>, ros_faults::RetryStats), OlfsError> {
-        self.supervised("repair", policy, |ros| ros.repair_damaged(report))
-    }
-
-    /// Brings a burned image back to the buffer by id; the fetch path
-    /// repairs it through parity if the media is damaged.
-    fn recall_image(&mut self, image: ImageId) -> Result<(), OlfsError> {
-        let info = self.store.get(image).ok_or(OlfsError::ImageLost(image))?;
-        if !info.on_disk() {
-            let size = info.size;
-            let (fetch_time, _) = self.fetch_image(image, size, self.now())?;
-            self.run_for(fetch_time);
-            self.counters.fetches += 1;
-            self.cache.insert(image);
-        }
-        Ok(())
     }
 }
 
@@ -452,13 +259,13 @@ mod tests {
     }
 
     #[test]
-    fn scrub_on_clean_library_is_clean() {
+    fn audit_on_clean_library_is_clean() {
         let mut ros = Ros::new(RosConfig::tiny());
         ros.write_file(&"/f".parse().unwrap(), vec![0u8; 4096])
             .unwrap();
-        let report = ros.scrub();
-        assert!(report.damaged.is_empty());
-        assert_eq!(report.discs_scanned, 0, "nothing burned yet");
+        let report = ros.audit_sample(usize::MAX);
+        assert!(report.rotted.is_empty());
+        assert_eq!(report.sampled, 0, "nothing sealed yet");
     }
 }
 

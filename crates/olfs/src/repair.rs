@@ -26,8 +26,7 @@
 //!
 //! Callers hold policy only — which members to restore, whether to
 //! rewrite, which counter to bump and at what rate the media reads are
-//! charged: the fetch path (`engine.rs`), the sampled audit
-//! (`audit.rs`) and the scrub follow-ups (`maintenance.rs`).
+//! charged: the fetch path (`engine.rs`) and the audit (`audit.rs`).
 
 use crate::dim::{DaState, DiscLocation, ImageInfo};
 use crate::engine::Ros;

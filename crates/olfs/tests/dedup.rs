@@ -71,9 +71,9 @@ fn dedup_aliases_read_back_after_seal_and_burn() {
         let r = ros.read_file(p).expect("read after burn");
         assert_eq!(r.data.as_ref(), data.as_slice(), "{p}");
     }
-    // The maintenance digest sweep agrees with the fetched payloads.
-    let report = ros.verify_resident_images();
-    assert!(report.mismatched.is_empty());
+    // A full audit agrees with the fetched payloads.
+    let report = ros.audit_sample(usize::MAX);
+    assert!(report.rotted.is_empty());
     assert!(report.verified > 0);
 }
 

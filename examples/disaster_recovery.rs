@@ -33,13 +33,6 @@ fn main() -> Result<(), OlfsError> {
     println!("\ndrill 1: ageing the media at an accelerated error rate");
     let damaged = system.age_media(0.01);
     println!("aged media: {damaged} sector failures injected across the library");
-    let scrub = system.scrub();
-    println!(
-        "scrub: {} discs scanned in {}, {} discs with damaged images",
-        scrub.discs_scanned,
-        scrub.elapsed,
-        scrub.damaged.len()
-    );
     // Reads still return correct bytes — parity repairs on the fly.
     for (path, data) in &originals {
         let r = system.read_file(path)?;
@@ -50,11 +43,18 @@ fn main() -> Result<(), OlfsError> {
         originals.len(),
         system.counters().repairs
     );
-    // Rewrite the damaged arrays onto fresh discs and retire the old
-    // trays (§4.7's full recovery story).
-    let rewritten = system.rewrite_damaged_arrays(&scrub)?;
+    // The audit walks every image on disc, rewrites the damaged arrays
+    // onto fresh discs and retires the old trays (§4.7's full recovery
+    // story).
+    system.evict_burned_copies();
+    system.unload_all_bays()?;
+    let audit = system.audit_sample(usize::MAX);
     println!(
-        "rewrote {rewritten} damaged arrays to fresh discs; DAindex = {:?}",
+        "audit: {} images checked in {}, {} damaged, {} repaired; DAindex = {:?}",
+        audit.sampled,
+        audit.elapsed,
+        audit.rotted.len(),
+        audit.repaired.len(),
         system.status().da_counts
     );
 

@@ -3,7 +3,8 @@
 //! §4.4).
 
 use ros::prelude::*;
-use ros::ros_olfs::maintenance::ScrubReport;
+use ros::ros_olfs::AuditReport;
+use ros_faults::{FaultEvent, FaultKind, FaultSink, InjectionOutcome};
 
 fn p(s: &str) -> UdfPath {
     s.parse().unwrap()
@@ -51,20 +52,14 @@ fn scrub_finds_damage_and_rewrite_retires_trays() {
     ros.evict_burned_copies();
     ros.unload_all_bays().unwrap();
     ros.age_media(0.02);
-    let report = ros.scrub();
-    assert!(!report.damaged.is_empty(), "scrub must find the damage");
     let before = ros.status().da_counts;
-    let rewritten = ros.rewrite_damaged_arrays(&report).unwrap();
-    assert!(rewritten >= 1);
+    let report = ros.audit_sample(usize::MAX);
+    assert!(!report.rotted.is_empty(), "the audit must find the damage");
+    assert_eq!(report.repaired, report.rotted, "{report:?}");
     let after = ros.status().da_counts;
     assert!(after.2 > before.2, "old trays must be retired as Failed");
     // Everything still reads correctly from the fresh discs.
-    ros.evict_burned_copies();
-    ros.unload_all_bays().unwrap();
-    for (path, data) in &files {
-        let r = ros.read_file(path).unwrap();
-        assert_eq!(r.data.as_ref(), data.as_slice(), "{path}");
-    }
+    assert_reads_back_cold(&mut ros, &files);
 }
 
 #[test]
@@ -195,29 +190,40 @@ fn raid5_tolerance_is_sector_granular_across_discs() {
     }
 }
 
-/// A scrubbed, aged, cold library of 12 files, after `prepare` has had
-/// its way with file 0 and the result was flushed.
+/// An aged, cold library of 12 files, after `prepare` has had its way
+/// with file 0 and the result was flushed, and the audit that walked it.
 fn aged_library<T>(
     prepare: impl FnOnce(&mut Ros, &mut Vec<(UdfPath, Vec<u8>)>) -> T,
-) -> (Ros, Vec<(UdfPath, Vec<u8>)>, ScrubReport, T) {
+) -> (Ros, Vec<(UdfPath, Vec<u8>)>, AuditReport, T) {
     let (mut ros, mut files) = burned_dataset(12, 500_000);
     let prepared = prepare(&mut ros, &mut files);
     ros.flush().unwrap();
     ros.evict_burned_copies();
     ros.unload_all_bays().unwrap();
     ros.age_media(0.02);
-    let report = ros.scrub();
-    assert!(!report.damaged.is_empty(), "scrub must find the damage");
+    let report = ros.audit_sample(usize::MAX);
+    assert!(!report.rotted.is_empty(), "the audit must find the damage");
+    assert!(report.unrepairable.is_empty(), "{report:?}");
+    assert!(ros.status().da_counts.2 >= 1, "a damaged tray is retired");
     (ros, files, report, prepared)
 }
 
+/// Every file reads back exact from the discs, and no read needs a
+/// repair: whatever was damaged now lives on fresh media.
 fn assert_reads_back_cold(ros: &mut Ros, files: &[(UdfPath, Vec<u8>)]) {
     ros.evict_burned_copies();
     ros.unload_all_bays().unwrap();
+    let before = ros.counters();
     for (path, data) in files {
         let r = ros.read_file(path).unwrap();
         assert_eq!(r.data.as_ref(), data.as_slice(), "{path}");
     }
+    let after = ros.counters();
+    assert_eq!(
+        (after.repairs, after.latent_repairs),
+        (before.repairs, before.latent_repairs),
+        "cold reads repaired something the audit left behind"
+    );
     let issues = ros.verify_consistency();
     assert!(issues.is_empty(), "{issues:?}");
 }
@@ -225,8 +231,8 @@ fn assert_reads_back_cold(ros: &mut Ros, files: &[(UdfPath, Vec<u8>)]) {
 #[test]
 fn repair_follows_the_image_when_its_first_path_moved_to_a_newer_image() {
     // File 0 is overwritten, so the first path recorded for its old
-    // image now resolves to v2 in a later image: repair and rewrite must
-    // still recall the *old* image, by id.
+    // image now resolves to v2 in a later image: the repair must still
+    // heal the *old* image, by id.
     let v1 = content(0, 500_000);
     let (mut ros, files, report, old_image) = aged_library(|ros, files| {
         let old_image = ros.image_segments(&files[0].0).unwrap()[0];
@@ -236,17 +242,16 @@ fn repair_follows_the_image_when_its_first_path_moved_to_a_newer_image() {
     });
     // An image listed as repaired is on the buffer: reading out of it
     // fetches nothing.
-    let repaired = ros.repair_damaged(&report).unwrap();
     assert!(
-        repaired.contains(&old_image),
-        "{old_image} not in {repaired:?}"
+        report.repaired.contains(&old_image),
+        "{old_image} not in {:?}",
+        report.repaired
     );
     let fetches = ros.counters().fetches;
     let old = ros.read_version(&files[0].0, 1).unwrap();
     assert_eq!(old.data.as_ref(), v1.as_slice());
     assert_eq!(ros.counters().fetches, fetches);
 
-    assert!(ros.rewrite_damaged_arrays(&report).unwrap() >= 1);
     assert_reads_back_cold(&mut ros, &files);
     let old = ros.read_version(&files[0].0, 1).unwrap();
     assert_eq!(old.data.as_ref(), v1.as_slice());
@@ -260,7 +265,40 @@ fn repair_does_not_need_the_namespace() {
         ros.unlink(&files[0].0).unwrap();
         files.remove(0);
     });
-    ros.repair_damaged(&report).unwrap();
-    assert!(ros.rewrite_damaged_arrays(&report).unwrap() >= 1);
+    assert_eq!(report.repaired, report.rotted, "{report:?}");
+    assert_reads_back_cold(&mut ros, &files);
+}
+
+#[test]
+fn the_idle_tick_heals_rot_the_scrub_could_not_see() {
+    // Latent rot raises no sector error, so a scan of the drive's damage
+    // map passes it by; the idle tick's audit re-hashes every image.
+    let mut cfg = RosConfig::tiny();
+    cfg.scrub_interval = Some(SimDuration::from_secs(3600));
+    let mut ros = Ros::new(cfg);
+    let files: Vec<(UdfPath, Vec<u8>)> = (0..10)
+        .map(|i| (p(&format!("/tick/f{i}")), content(i, 400_000)))
+        .collect();
+    for (path, data) in &files {
+        ros.write_file(path, data.clone()).unwrap();
+    }
+    ros.flush().unwrap();
+    ros.evict_all_burned_copies();
+    ros.unload_all_bays().unwrap();
+    let strike = FaultEvent {
+        seq: 0,
+        at_op: 0,
+        kind: FaultKind::MediaRot { disc: 0, bytes: 8 },
+    };
+    assert_eq!(ros.inject_fault(&strike), InjectionOutcome::Injected);
+    // The first tick finds and heals the rot; the next walks a healthy
+    // library.
+    ros.run_for(SimDuration::from_secs(3600 + 60));
+    let report = ros.last_audit_report().expect("the idle tick audited");
+    assert_eq!(report.rotted.len(), 1, "{report:?}");
+    assert_eq!(report.repaired, report.rotted);
+    assert_eq!(ros.status().da_counts.2, 1, "the rotted tray is retired");
+    ros.run_for(SimDuration::from_secs(3600));
+    assert!(ros.last_audit_report().unwrap().rotted.is_empty());
     assert_reads_back_cold(&mut ros, &files);
 }

@@ -63,14 +63,15 @@ fn a_simulated_week_of_mixed_activity_stays_consistent() {
         assert!(issues.is_empty(), "day {day}: {issues:?}");
     }
 
-    // Weekend maintenance: flush, age the media a little, scrub, repair.
+    // Weekend maintenance: flush, age the media a little, audit and
+    // repair. The buffer copies go first: a healthy copy settles an
+    // image's health, and the drill is about the discs.
     ros.flush().unwrap();
     ros.unload_all_bays().unwrap();
+    ros.evict_all_burned_copies();
     ros.age_media(0.001);
-    let report = ros.scrub();
-    if !report.damaged.is_empty() {
-        ros.rewrite_damaged_arrays(&report).unwrap();
-    }
+    let report = ros.audit_sample(usize::MAX);
+    assert!(report.unrepairable.is_empty(), "{report:?}");
     let issues = ros.verify_consistency();
     assert!(issues.is_empty(), "post-maintenance: {issues:?}");
 
@@ -85,7 +86,7 @@ fn a_simulated_week_of_mixed_activity_stays_consistent() {
     let c = ros.counters();
     assert!(c.burns >= 2, "burns = {}", c.burns);
     assert!(c.updates >= 10, "updates = {}", c.updates);
-    assert!(ros.last_scrub_report().is_some(), "scheduled scrubs ran");
+    assert!(ros.last_audit_report().is_some(), "scheduled scans ran");
     assert!(ros.now() > SimTime::from_secs(7 * 24 * 3600));
 }
 
