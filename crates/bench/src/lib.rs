@@ -3,8 +3,10 @@
 //! Each function in [`experiments`] builds the scenario behind one table
 //! or figure of §5 (or a quantitative claim from §2/§4), runs it through
 //! the actual system models, and returns structured results. The `repro`
-//! binary renders them in the paper's layout; the Criterion benches in
-//! `benches/` time the same scenarios.
+//! binary renders them in the paper's layout, and
+//! `tests/paper_calibration.rs` asserts them against the paper's numbers.
+//! Host wall time has two homes: `repro perf` for the hot-path kernels
+//! ([`perf`]) and the `e2e` benchmark for whole workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

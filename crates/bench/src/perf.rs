@@ -157,7 +157,7 @@ fn cache_churn_ns(capacity: usize, reps: usize) -> f64 {
 }
 
 /// Builds `k` interleaved throughput curves with `points` samples each.
-pub fn synth_series(k: usize, points: usize) -> Vec<ThroughputSeries> {
+fn synth_series(k: usize, points: usize) -> Vec<ThroughputSeries> {
     (0..k)
         .map(|s| {
             let mut series = ThroughputSeries::new(format!("drive{s}"));

@@ -109,15 +109,7 @@ impl Ros {
                     .unwrap_or(false)
             })
             .collect();
-        let mut n = 0;
-        for id in ids {
-            if let Ok(freed) = self.store.evict_disk_copy(id) {
-                let _ = self.vm.release(self.vol_buffer, freed);
-                self.cache.remove(id);
-                n += 1;
-            }
-        }
-        n
+        self.evict_disk_copies(ids)
     }
 
     /// Drops the disk-tier copies of *every* burned image — data and
@@ -134,6 +126,12 @@ impl Ros {
             .filter(|i| i.burned.is_some() && i.on_disk())
             .map(|i| i.id)
             .collect();
+        self.evict_disk_copies(ids)
+    }
+
+    /// Drops the disk copy of each image in `ids`, returning its buffer
+    /// space and its read-cache slot. Returns how many were dropped.
+    fn evict_disk_copies(&mut self, ids: Vec<ImageId>) -> usize {
         let mut n = 0;
         for id in ids {
             if let Ok(freed) = self.store.evict_disk_copy(id) {

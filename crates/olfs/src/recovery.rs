@@ -126,7 +126,7 @@ impl Ros {
         for (path, image, bytes) in &scan.files {
             let Some(name) = path.name() else { continue };
             if let Some(orig_name) = parse_link_file_name(name) {
-                if let (Some(link), Some(parent)) = (
+                if let (Ok(link), Some(parent)) = (
                     LinkFile::from_json(core::str::from_utf8(bytes).unwrap_or("")),
                     path.parent(),
                 ) {

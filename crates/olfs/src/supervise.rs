@@ -16,6 +16,7 @@ use crate::engine::{ReadReport, Ros, WriteReport};
 use crate::error::OlfsError;
 use crate::ids::DiscId;
 use bytes::Bytes;
+use ros_drive::media::Disc;
 use ros_faults::{
     FaultEvent, FaultKind, FaultSink, InjectionOutcome, RetryPolicy, RetryStats, VolumeTarget,
 };
@@ -77,6 +78,25 @@ impl Ros {
         }
         Ok(replaced)
     }
+
+    /// Picks the victim of a media fault: the `disc`-th burned disc
+    /// (wrapping) among those resting in their trays — a disc loaded in
+    /// a drive is out of the arm's reach.
+    fn media_victim(&mut self, disc: u64) -> Result<(DiscId, &mut Disc), InjectionOutcome> {
+        let burned: Vec<DiscId> = (0..self.registry.len() as u64)
+            .map(DiscId)
+            .filter(|id| self.registry.disc(*id).is_some_and(|d| !d.is_blank()))
+            .collect();
+        if burned.is_empty() {
+            return Err(InjectionOutcome::Skipped("no burned discs in trays".into()));
+        }
+        let victim = burned[ros_sim::to_usize(disc % burned.len() as u64)];
+        let media = self
+            .registry
+            .disc_mut(victim)
+            .ok_or_else(|| InjectionOutcome::Skipped(format!("disc {victim} not in a tray")))?;
+        Ok((victim, media))
+    }
 }
 
 /// Routes each fault kind to the subsystem implementing its hook. The
@@ -96,23 +116,9 @@ impl FaultSink for Ros {
                 }
             }
             FaultKind::MediaCorruption { disc, sectors } => {
-                // Victims are burned discs resting in their trays; a disc
-                // currently loaded in a drive is out of the arm's reach.
-                let burned: Vec<DiscId> = (0..self.registry.len() as u64)
-                    .map(DiscId)
-                    .filter(|id| {
-                        self.registry
-                            .disc(*id)
-                            .map(|d| !d.is_blank())
-                            .unwrap_or(false)
-                    })
-                    .collect();
-                if burned.is_empty() {
-                    return InjectionOutcome::Skipped("no burned discs in trays".into());
-                }
-                let victim = burned[ros_sim::to_usize(*disc % burned.len() as u64)];
-                let Some(media) = self.registry.disc_mut(victim) else {
-                    return InjectionOutcome::Skipped(format!("disc {victim} not in a tray"));
+                let (victim, media) = match self.media_victim(*disc) {
+                    Ok(v) => v,
+                    Err(skipped) => return skipped,
                 };
                 let Some((start, end)) = media.tracks().first().map(ros_drive::Track::sector_range)
                 else {
@@ -129,21 +135,9 @@ impl FaultSink for Ros {
                 // damage is *silent*: bytes flip with no sector error, so
                 // only a digest audit (or a read-path digest check) can
                 // see it.
-                let burned: Vec<DiscId> = (0..self.registry.len() as u64)
-                    .map(DiscId)
-                    .filter(|id| {
-                        self.registry
-                            .disc(*id)
-                            .map(|d| !d.is_blank())
-                            .unwrap_or(false)
-                    })
-                    .collect();
-                if burned.is_empty() {
-                    return InjectionOutcome::Skipped("no burned discs in trays".into());
-                }
-                let victim = burned[ros_sim::to_usize(*disc % burned.len() as u64)];
-                let Some(media) = self.registry.disc_mut(victim) else {
-                    return InjectionOutcome::Skipped(format!("disc {victim} not in a tray"));
+                let (victim, media) = match self.media_victim(*disc) {
+                    Ok(v) => v,
+                    Err(skipped) => return skipped,
                 };
                 if media.rot_bytes(*disc, *bytes) == 0 {
                     return InjectionOutcome::Skipped(format!("disc {victim} has no payload"));

@@ -50,8 +50,8 @@ impl LinkFile {
     }
 
     /// Parses the on-image JSON form.
-    pub fn from_json(s: &str) -> Option<Self> {
-        serde_json::from_str(s).ok()
+    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
+        serde_json::from_str(s)
     }
 }
 
@@ -314,6 +314,6 @@ mod tests {
         assert_eq!(link_file_name("data.bin"), ".roslink-data.bin");
         assert_eq!(parse_link_file_name(".roslink-data.bin"), Some("data.bin"));
         assert_eq!(parse_link_file_name("data.bin"), None);
-        assert!(LinkFile::from_json("nonsense").is_none());
+        assert!(LinkFile::from_json("nonsense").is_err());
     }
 }

@@ -1,12 +1,24 @@
 //! End-to-end calibration against the paper's published numbers: every
-//! table and figure within tolerance. The same scenarios back the
-//! Criterion benches; this test makes `cargo test` alone sufficient to
-//! check the reproduction.
+//! table and figure within tolerance, plus the shape each one must have
+//! (row order, bar order, step counts). `repro` renders the same
+//! scenarios and this test asserts them, so `cargo test` alone is
+//! sufficient to check the reproduction.
 
 #[test]
 fn table1_read_latency_matrix() {
     let rows = ros_bench::table1().expect("table1 scenario");
     assert_eq!(rows.len(), 6);
+    // Each location is strictly slower than the one before it. This is
+    // the only check on the last, "minutes" row: at 4 MiB scale its wait
+    // is shorter than the paper's, but it must still dominate the rest.
+    for pair in rows.windows(2) {
+        assert!(
+            pair[1].measured_secs > pair[0].measured_secs,
+            "{} is not slower than {}",
+            pair[1].location,
+            pair[0].location
+        );
+    }
     for row in &rows {
         if let Some(paper) = row.paper_secs {
             let tol = (paper * 0.05f64).max(0.0003);
@@ -17,10 +29,6 @@ fn table1_read_latency_matrix() {
                 row.measured_secs,
                 paper
             );
-        } else {
-            // The "minutes" row: at 4 MiB scale the wait is shorter, but
-            // it must still dominate every other row.
-            assert!(row.measured_secs > rows[4].measured_secs);
         }
     }
 }
@@ -67,11 +75,21 @@ fn fig6_stack_throughput() {
     // The headline absolute numbers.
     assert!((get("samba+OLFS").read_mbps - 236.1).abs() < 8.0);
     assert!((get("samba+OLFS").write_mbps - 323.6).abs() < 8.0);
+    // Reads strictly descend across the stacks.
+    for pair in bars.windows(2) {
+        assert!(
+            pair[0].read_norm > pair[1].read_norm,
+            "{} does not read slower than {}",
+            pair[1].stack,
+            pair[0].stack
+        );
+    }
 }
 
 #[test]
 fn fig7_op_latencies() {
-    for op in ros_bench::fig7().expect("fig7 scenario") {
+    let ops = ros_bench::fig7().expect("fig7 scenario");
+    for op in &ops {
         let rel = (op.measured_ms - op.paper_ms).abs() / op.paper_ms;
         assert!(
             rel < 0.08,
@@ -81,6 +99,17 @@ fn fig7_op_latencies() {
             op.paper_ms
         );
     }
+    // The live samba write carries the paper's extra stat burst.
+    let samba_write = ops
+        .iter()
+        .find(|o| o.label == "samba+OLFS write")
+        .expect("samba+OLFS write");
+    let stats = samba_write
+        .steps
+        .iter()
+        .filter(|(name, _)| name == "stat")
+        .count();
+    assert_eq!(stats, 8, "2 OLFS stats + 6 Samba stats");
 }
 
 #[test]
