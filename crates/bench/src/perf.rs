@@ -717,21 +717,21 @@ fn namespace_metrics(reps: usize) -> Vec<PerfMetric> {
             lookup_1k,
             "ns/op",
             false,
-            "MV flat-index path resolution, 1k entries",
+            "MV path index resolution, 1k entries",
         ),
         metric(
             "namespace_lookup_ns_10k",
             lookup_10k,
             "ns/op",
             false,
-            "MV flat-index path resolution, 10k entries",
+            "MV path index resolution, 10k entries",
         ),
         metric(
             "namespace_lookup_ns_100k",
             lookup_100k,
             "ns/op",
             false,
-            "MV flat-index path resolution, 100k entries",
+            "MV path index resolution, 100k entries",
         ),
         metric(
             "lookup_cost_scale_10x",

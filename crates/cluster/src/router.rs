@@ -14,7 +14,7 @@ use crate::placement::{self, RackId};
 use crate::rack::RackNode;
 use bytes::Bytes;
 use ros_olfs::maintenance::SystemStatus;
-use ros_olfs::OlfsError;
+use ros_olfs::{OlfsError, Ros};
 use ros_sim::{SimDuration, SimTime};
 use ros_udf::UdfPath;
 use std::collections::BTreeMap;
@@ -266,9 +266,14 @@ impl Cluster {
         Ok(targets)
     }
 
-    /// Reads a file from its group's primary rack, falling back to the
-    /// replicas in placement order.
-    pub fn read_file(&mut self, path: &UdfPath) -> Result<ClusterReadReport, ClusterError> {
+    /// Runs `op` on the racks of `path`'s group in placement order,
+    /// skipping dead racks; the first rack that answers wins. Returns that
+    /// rack's index, its answer and the racks tried before it.
+    fn first_replica<T>(
+        &mut self,
+        path: &UdfPath,
+        mut op: impl FnMut(&mut Ros) -> Result<T, OlfsError>,
+    ) -> Result<(usize, T, Vec<u32>), ClusterError> {
         let key = Self::group_key(path);
         let targets = self
             .groups
@@ -283,19 +288,8 @@ impl Cluster {
                 tried.push(rid.0);
                 continue;
             }
-            match self.racks[idx].ros_mut().read_file(path) {
-                Ok(report) => {
-                    let rack = &mut self.racks[idx];
-                    let lat = rack.scaled(report.latency);
-                    rack.read_latency.record(lat);
-                    rack.bytes_read = rack.bytes_read.saturating_add(report.data.len() as u64);
-                    return Ok(ClusterReadReport {
-                        data: report.data,
-                        rack: rid.0,
-                        latency: lat,
-                        fallbacks: tried.len(),
-                    });
-                }
+            match op(self.racks[idx].ros_mut()) {
+                Ok(answer) => return Ok((idx, answer, tried)),
                 Err(_) => tried.push(rid.0),
             }
         }
@@ -305,32 +299,27 @@ impl Cluster {
         })
     }
 
+    /// Reads a file from its group's primary rack, falling back to the
+    /// replicas in placement order.
+    pub fn read_file(&mut self, path: &UdfPath) -> Result<ClusterReadReport, ClusterError> {
+        let (idx, report, tried) = self.first_replica(path, |ros| ros.read_file(path))?;
+        let rack = &mut self.racks[idx];
+        let lat = rack.scaled(report.latency);
+        rack.read_latency.record(lat);
+        rack.bytes_read = rack.bytes_read.saturating_add(report.data.len() as u64);
+        Ok(ClusterReadReport {
+            data: report.data,
+            rack: rack.id().0,
+            latency: lat,
+            fallbacks: tried.len(),
+        })
+    }
+
     /// Stats a file on the first alive rack of its group:
     /// `(size, version, mtime_nanos)`.
     pub fn stat(&mut self, path: &UdfPath) -> Result<(u64, u32, u64), ClusterError> {
-        let key = Self::group_key(path);
-        let targets = self
-            .groups
-            .get(&key)
-            .filter(|g| g.files.contains_key(&path.to_string()))
-            .map(|g| g.targets.clone())
-            .ok_or_else(|| ClusterError::NotFound(path.to_string()))?;
-        let mut tried = Vec::new();
-        for rid in &targets {
-            let idx = self.rack_index(rid.0)?;
-            if !self.racks[idx].is_alive() {
-                tried.push(rid.0);
-                continue;
-            }
-            match self.racks[idx].ros_mut().stat(path) {
-                Ok(meta) => return Ok(meta),
-                Err(_) => tried.push(rid.0),
-            }
-        }
-        Err(ClusterError::AllReplicasFailed {
-            path: path.to_string(),
-            tried,
-        })
+        let (_, meta, _) = self.first_replica(path, |ros| ros.stat(path))?;
+        Ok(meta)
     }
 
     /// Flushes every alive rack (seal open buckets and burn, §4.3).

@@ -9,8 +9,6 @@
 
 use crate::device::BlockDevice;
 use crate::params;
-use crate::parity::{self, ParityError};
-use crate::plane::DataPlane;
 use ros_sim::{Bandwidth, SimDuration};
 use serde::{Deserialize, Serialize};
 
@@ -57,8 +55,6 @@ pub enum RaidError {
     NoSuchMember(usize),
     /// More members have failed than the level tolerates; data is lost.
     ArrayFailed,
-    /// A real-bytes rebuild hit malformed or unrecoverable member data.
-    Parity(ParityError),
 }
 
 impl core::fmt::Display for RaidError {
@@ -67,14 +63,7 @@ impl core::fmt::Display for RaidError {
             RaidError::TooFewMembers => write!(f, "too few members for RAID level"),
             RaidError::NoSuchMember(i) => write!(f, "no such member {i}"),
             RaidError::ArrayFailed => write!(f, "array has failed"),
-            RaidError::Parity(e) => write!(f, "rebuild parity error: {e}"),
         }
-    }
-}
-
-impl From<ParityError> for RaidError {
-    fn from(e: ParityError) -> RaidError {
-        RaidError::Parity(e)
     }
 }
 
@@ -245,58 +234,6 @@ impl RaidArray {
         let m = &self.members[0];
         m.seq_write.time_for(m.capacity)
     }
-
-    /// Rebuilds the *real bytes* of lost members from the survivors,
-    /// using the table-driven parity kernels on the given data plane.
-    ///
-    /// `members[i] = None` marks a lost member. The layout matches the
-    /// level's on-array order: data members first, then parity — P last
-    /// for RAID-5; P then Q last for RAID-6. RAID-1 members are mirrors;
-    /// RAID-0 has no redundancy, so any loss is fatal. Returns the full
-    /// member contents in order.
-    ///
-    /// This complements [`RaidArray::rebuild_time`]: the timing model
-    /// says how long a rebuild takes on the simulated clock, while this
-    /// says what the replacement member must contain — the two planes
-    /// stay independent (DESIGN.md §12).
-    pub fn rebuild_bytes(
-        &self,
-        members: &[Option<&[u8]>],
-        plane: &DataPlane,
-    ) -> Result<Vec<Vec<u8>>, RaidError> {
-        if members.len() != self.members.len() {
-            return Err(RaidError::NoSuchMember(members.len()));
-        }
-        let lost = members.iter().filter(|m| m.is_none()).count();
-        if lost > self.level.tolerated_failures(members.len()) {
-            return Err(RaidError::ArrayFailed);
-        }
-        match self.level {
-            RaidLevel::Raid0 => Ok(members.iter().flatten().map(|m| m.to_vec()).collect()),
-            RaidLevel::Raid1 => {
-                let Some(source) = members.iter().flatten().next() else {
-                    return Err(RaidError::ArrayFailed);
-                };
-                Ok(members.iter().map(|_| source.to_vec()).collect())
-            }
-            RaidLevel::Raid5 => {
-                let split = members.len() - 1;
-                let (data, parity) = members.split_at(split);
-                let (mut full, p) = parity::reconstruct_p_with(data, parity[0], plane)?;
-                full.push(p);
-                Ok(full)
-            }
-            RaidLevel::Raid6 => {
-                let split = members.len() - 2;
-                let (data, parity) = members.split_at(split);
-                let (mut full, p, q) =
-                    parity::reconstruct_pq_with(data, parity[0], parity[1], plane)?;
-                full.push(p);
-                full.push(q);
-                Ok(full)
-            }
-        }
-    }
 }
 
 /// The array accepts device-level loss/repair events. The `volume`
@@ -464,49 +401,6 @@ mod tests {
             a.replace_member(99).unwrap_err(),
             RaidError::NoSuchMember(99)
         );
-    }
-
-    #[test]
-    fn rebuild_bytes_restores_lost_members() {
-        use crate::parity;
-        let plane = DataPlane::new(2);
-        // RAID-6: 5 data + P + Q, lose two data members.
-        let data: Vec<Vec<u8>> = (0..5u8)
-            .map(|i| {
-                (0..3000u32)
-                    .map(|j| (j as u8) ^ i.wrapping_mul(41))
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let (p, q) = parity::encode_pq(&refs).unwrap();
-        let a = RaidArray::new(RaidLevel::Raid6, vec![BlockDevice::hdd(); 7]).unwrap();
-        let mut members: Vec<Option<&[u8]>> = refs.iter().map(|r| Some(*r)).collect();
-        members.push(Some(&p));
-        members.push(Some(&q));
-        members[1] = None;
-        members[3] = None;
-        let full = a.rebuild_bytes(&members, &plane).unwrap();
-        assert_eq!(full[1], data[1]);
-        assert_eq!(full[3], data[3]);
-        assert_eq!(full[5], p);
-        assert_eq!(full[6], q);
-        // Losing three members is fatal.
-        members[4] = None;
-        assert_eq!(
-            a.rebuild_bytes(&members, &plane).unwrap_err(),
-            RaidError::ArrayFailed
-        );
-        // RAID-1: any survivor repopulates every mirror.
-        let m = RaidArray::prototype_metadata();
-        let img = vec![0x5Au8; 128];
-        let rebuilt = m.rebuild_bytes(&[None, Some(&img)], &plane).unwrap();
-        assert_eq!(rebuilt, vec![img.clone(), img]);
-        // Member-count mismatch is rejected.
-        assert!(matches!(
-            m.rebuild_bytes(&[None], &plane).unwrap_err(),
-            RaidError::NoSuchMember(1)
-        ));
     }
 
     #[test]

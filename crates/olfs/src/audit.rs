@@ -243,6 +243,23 @@ mod tests {
     }
 
     #[test]
+    fn an_unlinked_path_leaves_its_images() {
+        let mut r = Ros::new(RosConfig::tiny());
+        r.write_file(&p("/audit/f"), vec![1u8; 100]).unwrap();
+        r.write_file(&p("/audit/g"), vec![2u8; 100]).unwrap();
+        r.seal_open_buckets().unwrap();
+        let image = r.image_segments(&p("/audit/f")).unwrap()[0];
+        assert_eq!(r.image_segments(&p("/audit/g")).unwrap(), [image]);
+        r.unlink(&p("/audit/f")).unwrap();
+        assert_eq!(r.paths_of_image(image), [p("/audit/g")]);
+        r.unlink(&p("/audit/g")).unwrap();
+        assert!(
+            !r.image_paths.contains_key(&image),
+            "an empty set is dropped"
+        );
+    }
+
+    #[test]
     fn read_path_heals_latent_rot_inline() {
         for threads in [1, 2, 4] {
             heals_latent_rot_inline(threads);

@@ -1966,6 +1966,15 @@ impl Ros {
             for digest in idx.versions().filter_map(|e| e.digest) {
                 ros.dedup.release(&digest);
             }
+            // Their images no longer hold a version of the path.
+            for seg in idx.versions().flat_map(|e| &e.segs) {
+                if let Some(paths) = ros.image_paths.get_mut(seg) {
+                    paths.remove(path);
+                    if paths.is_empty() {
+                        ros.image_paths.remove(seg);
+                    }
+                }
+            }
             Ok(())
         })
     }

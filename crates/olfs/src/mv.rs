@@ -5,23 +5,25 @@
 //! formatted as ext4... Besides index files, all system running states and
 //! maintenance information are also stored in MV in the Json format."
 //!
-//! `MetadataVolume` is the pure data structure: a flat `Hash(path) → entry`
-//! namespace (the §4.4 unique-file-path identity, so every lookup is O(1)
-//! regardless of depth) plus a JSON state store. Directory listings come
-//! from a *sorted child sidecar* kept per directory, so `readdir` order is
-//! name order by construction — never hash-table order
-//! (`clippy::iter_over_hash_type`). The snapshot format is unchanged:
-//! serde goes through a shadow struct that re-emits the historical
-//! sorted-map JSON byte-for-byte.
+//! `MetadataVolume` is the pure data structure: the namespace as two std
+//! maps plus a JSON state store. `tree` is an ordered map over every
+//! directory and file path (the value says "is a directory"): `readdir`
+//! walks it in name order with range lookups that skip each child's
+//! subtree, and every whole-namespace walk goes through it. `files` maps a
+//! path to its index file and serves the one lookup every operation makes;
+//! nothing iterates it, so hash order never reaches an output
+//! (`clippy::iter_over_hash_type`). The snapshot format is the historical
+//! sorted-map JSON: serde goes through a shadow struct.
 //! All *timing* (SSD RAID-1 random I/O, direct-I/O sync costs) is charged
 //! by the engine, keeping this module unit-testable.
 
 use crate::error::OlfsError;
 use crate::index::IndexFile;
 use ros_udf::format::{MAX_DEPTH, MAX_NAME_LEN};
-use ros_udf::{PathIndex, UdfPath};
+use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
 
 /// Longest name the global namespace admits: POSIX `NAME_MAX`, also
 /// UDF's. Inside images OLFS stores files under prefixed names
@@ -31,43 +33,15 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const NAME_MAX: usize = 255;
 const _: () = assert!(NAME_MAX + ".rosv4294967295-".len() <= MAX_NAME_LEN);
 
-/// A directory's sorted child sidecar: `(name, is_dir)` in name order,
-/// maintained by the same operations that mutate the namespace, so
-/// `list` is a clone — deterministic without a sort at read time.
-#[derive(Clone, Debug, Default)]
-struct DirNode {
-    children: Vec<(String, bool)>,
-}
-
-impl DirNode {
-    fn link(&mut self, name: &str, is_dir: bool) {
-        match self
-            .children
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-        {
-            Ok(i) => self.children[i].1 = is_dir,
-            Err(i) => self.children.insert(i, (name.to_string(), is_dir)),
-        }
-    }
-
-    fn unlink(&mut self, name: &str) {
-        if let Ok(i) = self
-            .children
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-        {
-            self.children.remove(i);
-        }
-    }
-}
-
 /// The metadata volume contents.
 #[derive(Clone, Debug)]
 pub struct MetadataVolume {
-    /// Index files in a flat path-hash index.
-    files: PathIndex<IndexFile>,
-    /// All directories ever created (the namespace skeleton), each with
-    /// its sorted child sidecar.
-    dirs: PathIndex<DirNode>,
+    /// Every directory and file, in path order; the value is "is a
+    /// directory". Every ancestor of an entry is a directory entry.
+    tree: BTreeMap<UdfPath, bool>,
+    /// The index file of each file entry of `tree` — looked up, never
+    /// iterated.
+    files: HashMap<UdfPath, IndexFile>,
     /// System running state, JSON-valued (§4.2's checkpoint store).
     state: BTreeMap<String, serde_json::Value>,
 }
@@ -79,8 +53,7 @@ impl Default for MetadataVolume {
 }
 
 /// Serde shadow of [`MetadataVolume`]: the historical sorted-map layout,
-/// so MV snapshots are byte-identical to the pre-index format and old
-/// snapshots restore cleanly.
+/// so MV snapshots keep their format and old snapshots restore cleanly.
 #[derive(Serialize, Deserialize)]
 struct MvSnapshot {
     files: BTreeMap<String, IndexFile>,
@@ -91,11 +64,15 @@ struct MvSnapshot {
 impl Serialize for MetadataVolume {
     fn serialize_value(&self) -> serde::Value {
         let files: BTreeMap<String, IndexFile> = self
-            .files
-            .iter()
+            .iter_files()
             .map(|(p, i)| (p.to_string(), i.clone()))
             .collect();
-        let dirs: BTreeSet<String> = self.dirs.iter().map(|(p, _)| p.to_string()).collect();
+        let dirs: BTreeSet<String> = self
+            .tree
+            .iter()
+            .filter(|(_, is_dir)| **is_dir)
+            .map(|(p, _)| p.to_string())
+            .collect();
         MvSnapshot {
             files,
             dirs,
@@ -110,8 +87,7 @@ impl Deserialize for MetadataVolume {
         let snap = MvSnapshot::deserialize_value(v)?;
         let mut mv = MetadataVolume::new();
         mv.state = snap.state;
-        // BTreeSet order is parent-before-child ("/a" < "/a/b"), but
-        // mkdir_p builds missing ancestors anyway; root already exists.
+        // mkdir_p builds missing ancestors; root already exists.
         for d in &snap.dirs {
             if d == "/" {
                 continue;
@@ -136,16 +112,14 @@ impl Deserialize for MetadataVolume {
 impl MetadataVolume {
     /// Creates an empty MV with just the root directory.
     pub fn new() -> Self {
-        let mut dirs = PathIndex::new();
-        dirs.insert(UdfPath::root(), DirNode::default());
         MetadataVolume {
-            files: PathIndex::new(),
-            dirs,
+            tree: BTreeMap::from([(UdfPath::root(), true)]),
+            files: HashMap::new(),
             state: BTreeMap::new(),
         }
     }
 
-    /// Looks up a file's index — one flat-index probe.
+    /// Looks up a file's index — one hash probe.
     pub fn get(&self, path: &UdfPath) -> Option<&IndexFile> {
         self.files.get(path)
     }
@@ -157,47 +131,33 @@ impl MetadataVolume {
 
     /// Returns true if a file exists at the path.
     pub fn is_file(&self, path: &UdfPath) -> bool {
-        self.files.contains(path)
+        self.files.contains_key(path)
     }
 
     /// Returns true if a directory exists at the path.
     pub fn is_dir(&self, path: &UdfPath) -> bool {
-        self.dirs.contains(path)
+        self.tree.get(path) == Some(&true)
     }
 
-    /// Links `path` into its parent's child sidecar (root has no parent).
-    fn link_child(&mut self, path: &UdfPath, is_dir: bool) {
-        let (Some(parent), Some(name)) = (path.parent(), path.name()) else {
-            return;
-        };
-        let name = name.to_string();
-        if let Some(node) = self.dirs.get_mut(&parent) {
-            node.link(&name, is_dir);
-        }
-    }
-
-    /// Ensures `dir` and every missing ancestor exist as directories,
-    /// linking each new one into its parent. Errors *before* mutating if
-    /// any ancestor on the missing stretch is a file. Stops climbing at
-    /// the first existing directory: a directory can only have been
-    /// created with directory ancestors, so the rest of the chain is
-    /// already in place.
+    /// Ensures `dir` and every missing ancestor exist as directories.
+    /// Errors *before* mutating if any ancestor on the missing stretch is
+    /// a file. Stops climbing at the first existing directory: a directory
+    /// can only have been created with directory ancestors, so the rest of
+    /// the chain is already in place.
     fn ensure_dir_chain(&mut self, dir: Option<UdfPath>) -> Result<(), OlfsError> {
         let mut missing: Vec<UdfPath> = Vec::new();
         let mut cur = dir;
         while let Some(d) = cur {
-            if self.files.contains(&d) {
-                return Err(OlfsError::Invalid(format!("{d} is a file")));
-            }
-            if self.dirs.contains(&d) {
-                break;
+            match self.tree.get(&d) {
+                Some(true) => break,
+                Some(false) => return Err(OlfsError::Invalid(format!("{d} is a file"))),
+                None => {}
             }
             cur = d.parent();
             missing.push(d);
         }
-        for d in missing.into_iter().rev() {
-            self.link_child(&d, true);
-            self.dirs.insert(d, DirNode::default());
+        for d in missing {
+            self.tree.insert(d, true);
         }
         Ok(())
     }
@@ -218,18 +178,14 @@ impl MetadataVolume {
     /// Creates an index file (and its ancestor directories).
     pub fn create(&mut self, path: &UdfPath) -> Result<&mut IndexFile, OlfsError> {
         Self::admit(path)?;
-        if self.files.contains(path) {
-            return Err(OlfsError::AlreadyExists(path.to_string()));
-        }
-        if self.dirs.contains(path) {
-            return Err(OlfsError::Invalid(format!("{path} is a directory")));
+        match self.tree.get(path) {
+            Some(false) => return Err(OlfsError::AlreadyExists(path.to_string())),
+            Some(true) => return Err(OlfsError::Invalid(format!("{path} is a directory"))),
+            None => {}
         }
         self.ensure_dir_chain(path.parent())?;
-        self.link_child(path, false);
-        self.files.insert(path.clone(), IndexFile::default());
-        self.files
-            .get_mut(path)
-            .ok_or_else(|| OlfsError::BadState(format!("{path} vanished after insert")))
+        self.tree.insert(path.clone(), false);
+        Ok(self.files.entry(path.clone()).or_default())
     }
 
     /// Creates a directory path explicitly.
@@ -245,61 +201,38 @@ impl MetadataVolume {
             .files
             .remove(path)
             .ok_or_else(|| OlfsError::NotFound(path.to_string()))?;
-        if let Some(name) = path.name() {
-            let name = name.to_string();
-            if let Some(parent) = path.parent() {
-                if let Some(node) = self.dirs.get_mut(&parent) {
-                    node.unlink(&name);
-                }
-            }
-        }
+        self.tree.remove(path);
         Ok(idx)
     }
 
     /// Lists the immediate children of a directory: `(name, is_dir)`,
-    /// sorted by name. O(children) — a clone of the maintained sidecar,
-    /// cross-checked in debug builds against a full namespace sweep.
+    /// sorted by name. One range lookup per child: the first entry after
+    /// a point is the next child itself (its ancestors precede its
+    /// subtree), and `dir/name\0` — a name no parsed path holds — sorts
+    /// after every `dir/name/…` and before the next sibling.
     pub fn list(&self, dir: &UdfPath) -> Result<Vec<(String, bool)>, OlfsError> {
-        match self.dirs.get(dir) {
-            Some(node) => {
-                debug_assert_eq!(
-                    node.children,
-                    self.sweep_children(dir),
-                    "sidecar and namespace-sweep oracle disagree on list({dir})"
-                );
-                Ok(node.children.clone())
-            }
-            None => Err(OlfsError::NotFound(dir.to_string())),
+        if !self.is_dir(dir) {
+            return Err(OlfsError::NotFound(dir.to_string()));
         }
+        let mut children = Vec::new();
+        let mut from = Bound::Excluded(dir.clone());
+        while let Some((child, &is_dir)) = self.tree.range((from, Bound::Unbounded)).next() {
+            let Some(name) = child.name().filter(|_| child.starts_with(dir)) else {
+                break;
+            };
+            children.push((name.to_string(), is_dir));
+            from = Bound::Excluded(dir.join(&format!("{name}\0")));
+        }
+        Ok(children)
     }
 
-    /// Debug oracle for [`MetadataVolume::list`]: recomputes a directory's
-    /// children by sweeping the whole namespace, the way the old sorted-map
-    /// MV derived listings.
-    fn sweep_children(&self, dir: &UdfPath) -> Vec<(String, bool)> {
-        let depth = dir.components().len();
-        let mut out: BTreeMap<String, bool> = BTreeMap::new();
-        for (p, _) in self.dirs.iter() {
-            if p.components().len() > depth && p.starts_with(dir) {
-                out.insert(p.components()[depth].clone(), true);
-            }
-        }
-        for (p, _) in self.files.iter() {
-            if p.components().len() > depth && p.starts_with(dir) {
-                let is_dir = p.components().len() > depth + 1;
-                out.entry(p.components()[depth].clone()).or_insert(is_dir);
-            }
-        }
-        out.into_iter().collect()
-    }
-
-    /// Iterates over every `(path, index)` pair in path-string order —
-    /// the same order the old sorted-map MV yielded, so maintenance
-    /// sweeps visit files identically.
+    /// Iterates over every `(path, index)` pair in path order (component
+    /// by component).
     pub fn iter_files(&self) -> impl Iterator<Item = (&UdfPath, &IndexFile)> {
-        let mut v: Vec<(&UdfPath, &IndexFile)> = self.files.iter().collect();
-        v.sort_by_cached_key(|(p, _)| p.to_string());
-        v.into_iter()
+        self.tree
+            .iter()
+            .filter(|(_, is_dir)| !**is_dir)
+            .filter_map(|(p, _)| self.files.get(p).map(|i| (p, i)))
     }
 
     /// Number of index files.
@@ -309,14 +242,14 @@ impl MetadataVolume {
 
     /// Number of directories (including the root).
     pub fn dir_count(&self) -> usize {
-        self.dirs.len()
+        self.tree.len() - self.files.len()
     }
 
     /// Total MV bytes consumed: index files plus a block+inode per
     /// directory (§4.2's 2.3 TB-per-2-billion-entries accounting).
     pub fn usage_bytes(&self) -> u64 {
-        let files: u64 = self.files.iter().map(|(_, i)| i.mv_bytes()).sum();
-        let dirs = self.dirs.len() as u64
+        let files: u64 = self.iter_files().map(|(_, i)| i.mv_bytes()).sum();
+        let dirs = self.dir_count() as u64
             * (crate::params::MV_INODE_BYTES + crate::params::MV_BLOCK_BYTES);
         files + dirs
     }
@@ -448,6 +381,23 @@ mod tests {
         mv.create(&p("/abc/y")).unwrap();
         let ls = mv.list(&p("/ab")).unwrap();
         assert_eq!(ls, vec![("x".to_string(), false)]);
+        // Each child's subtree is skipped whole, and '-' and '.', which
+        // sort below '/', do not split "/d/a" from "/d/a/x".
+        for f in ["/d/a0", "/d/a.c", "/d/a/x/deep", "/d/a/y", "/d/a-b", "/e"] {
+            mv.create(&p(f)).unwrap();
+        }
+        let names: Vec<(String, bool)> =
+            [("a", true), ("a-b", false), ("a.c", false), ("a0", false)]
+                .map(|(n, d)| (n.to_string(), d))
+                .into();
+        assert_eq!(mv.list(&p("/d")).unwrap(), names);
+        assert_eq!(
+            mv.list(&p("/d/a")).unwrap(),
+            [("x".to_string(), true), ("y".to_string(), false)]
+        );
+        mv.unlink(&p("/d/a.c")).unwrap();
+        assert_eq!(mv.list(&p("/d")).unwrap().len(), 3);
+        assert!(mv.list(&p("/e")).is_err(), "a file is not a directory");
     }
 
     #[test]
@@ -487,8 +437,11 @@ mod tests {
                 vec![7],
             ));
         mv.put_state("k", serde_json::json!(42));
+        mv.mkdir_p(&p("/y/empty")).unwrap();
         let snap = mv.snapshot();
         let back = MetadataVolume::restore(&snap).unwrap();
+        assert_eq!(back.snapshot(), snap);
+        assert!(back.is_dir(&p("/y/empty")));
         assert!(back.is_file(&p("/x/data")));
         assert_eq!(back.get(&p("/x/data")).unwrap().latest().unwrap().size, 7);
         assert_eq!(back.get_state("k").unwrap(), &serde_json::json!(42));

@@ -46,11 +46,9 @@ pub mod block;
 pub mod bucket;
 pub mod format;
 pub mod image;
-pub mod pathindex;
 pub mod tree;
 
 pub use block::{blocks_for, BLOCK_SIZE};
 pub use bucket::{Bucket, BucketError};
 pub use image::SealedImage;
-pub use pathindex::PathIndex;
 pub use tree::{FsTree, Path as UdfPath, TreeError};

@@ -3,9 +3,6 @@
 //! - `Path` parse∘Display round-trips exactly, a single trailing slash
 //!   is the only tolerated decoration, and interior empty components
 //!   are always rejected (the aliasing bug class this layer fixes);
-//! - distinct parsed paths never alias a `PathIndex` slot: inserting n
-//!   distinct paths yields n live entries, each resolving to its own
-//!   value, even when every key is forced through one collision chain;
 //! - a `Bucket` — one `FsTree` with running block and file totals —
 //!   behaves as a flat map from path to contents under random writes,
 //!   updates and recycles, refuses what the map says it must, accounts
@@ -15,9 +12,7 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use ros_udf::block::file_cost;
-use ros_udf::{
-    blocks_for, Bucket, BucketError, PathIndex, SealedImage, TreeError, UdfPath, BLOCK_SIZE,
-};
+use ros_udf::{blocks_for, Bucket, BucketError, SealedImage, TreeError, UdfPath, BLOCK_SIZE};
 use std::collections::BTreeMap;
 
 const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789._-";
@@ -233,41 +228,6 @@ proptest! {
             prop_assert!(double_leading.parse::<UdfPath>().is_err());
             let doubled = s.replacen('/', "//", 1);
             prop_assert!(doubled.parse::<UdfPath>().is_err());
-        }
-    }
-
-    #[test]
-    fn distinct_paths_never_share_a_slot(seed in 0u64..300) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // One initial bucket: every key starts in the same chain, so
-        // aliasing would be caught even across forced collisions; the
-        // table still grows (and redistributes) past the chain ceiling.
-        let mut index: PathIndex<u32> = PathIndex::with_seed_and_buckets(seed, 1);
-        let mut model: BTreeMap<String, u32> = BTreeMap::new();
-        for i in 0..120u32 {
-            let s = random_path(&mut rng);
-            let p: UdfPath = s.parse().unwrap();
-            let in_model = model.insert(s, i);
-            let in_index = index.insert(p, i);
-            // Replacement happens exactly when the string key repeats:
-            // two distinct paths never land in one slot.
-            prop_assert_eq!(in_index, in_model);
-        }
-        prop_assert_eq!(index.len(), model.len());
-        for (s, v) in &model {
-            let p: UdfPath = s.parse().unwrap();
-            prop_assert_eq!(index.get(&p), Some(v));
-        }
-        // Removing half the keys leaves the other half untouched.
-        let keys: Vec<String> = model.keys().cloned().collect();
-        for s in keys.iter().step_by(2) {
-            let p: UdfPath = s.parse().unwrap();
-            prop_assert_eq!(index.remove(&p), model.remove(s).as_ref().copied());
-        }
-        prop_assert_eq!(index.len(), model.len());
-        for (s, v) in &model {
-            let p: UdfPath = s.parse().unwrap();
-            prop_assert_eq!(index.get(&p), Some(v));
         }
     }
 }

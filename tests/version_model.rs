@@ -1,12 +1,15 @@
 //! A model-checked version log (first slice of ROADMAP item 5).
 //!
 //! `Ros` is driven with generated sequences of write / rewrite / unlink /
-//! re-create / seal / flush-and-evict / read over three paths and four
-//! payloads (two of them equal, so dedup has something to share), in
-//! lockstep with a reference model: path → bounded ring of
-//! `(version, payload, replaced)`. Every read must return the model's
-//! bytes or the model's typed error (`NotFound`, `VersionGone`) — never
-//! another version's bytes, never another error — with dedup off and on.
+//! re-create / seal / flush-and-evict / read / readdir over three paths in
+//! two directories and four payloads (two of them equal, so dedup has
+//! something to share), in lockstep with a reference model: path →
+//! bounded ring of `(version, payload, replaced)`, plus the directories
+//! made so far. Every read must return the model's bytes or the model's
+//! typed error (`NotFound`, `VersionGone`) — never another version's
+//! bytes, never another error — with dedup off and on. Every listing must
+//! name the model's live files and directories in name order, or say
+//! `NotFound` for a directory never made.
 //!
 //! The model applies §4.6's update rule itself (in place — the previous
 //! version's bytes are replaced — iff the newest version sits in an open
@@ -21,7 +24,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use ros::prelude::*;
 use ros::ros_olfs::maintenance::ProvenanceLocation;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Retained versions per file (§4.6).
 const RING: usize = 15;
@@ -30,9 +33,16 @@ const RING: usize = 15;
 const MAX_FLUSHES: usize = 6;
 
 const PATHS: [&str; 3] = ["/m/f", "/m/g", "/n/h"];
+/// The directories a `Readdir` lists: the root and both parents.
+const DIRS: [&str; 3] = ["/", "/m", "/n"];
 
 fn path(i: usize) -> UdfPath {
     PATHS[i].parse().expect("valid path")
+}
+
+/// `PATHS[i]` as `(parent directory, file name)`.
+fn split(i: usize) -> (&'static str, &'static str) {
+    PATHS[i].rsplit_once('/').expect("absolute path")
 }
 
 /// Four payloads of three sizes; 0 and 1 are equal.
@@ -50,10 +60,11 @@ enum Op {
     ReadFile(usize),
     ReadVersion(usize, u32),
     ReadRange(usize, u64, u64),
+    Readdir(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..16, 0usize..3, 0usize..4, 0u64..6_000, 0u64..6_000).prop_map(|(kind, p, x, a, b)| {
+    (0u8..17, 0usize..3, 0usize..4, 0u64..6_000, 0u64..6_000).prop_map(|(kind, p, x, a, b)| {
         match kind {
             0..=6 => Op::Write(p, x),
             7 => Op::Unlink(p),
@@ -61,7 +72,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             10 => Op::FlushEvict,
             11 | 12 => Op::ReadFile(p),
             13 | 14 => Op::ReadVersion(p, (a % 18) as u32 + 1),
-            _ => Op::ReadRange(p, a, b),
+            15 => Op::ReadRange(p, a, b),
+            _ => Op::Readdir(p),
         }
     })
 }
@@ -76,6 +88,8 @@ struct Version {
 struct Model {
     dedup: bool,
     files: BTreeMap<usize, Vec<Version>>,
+    /// Directories made by a write beneath them; they outlive their files.
+    dirs: BTreeSet<&'static str>,
 }
 
 impl Model {
@@ -89,9 +103,32 @@ impl Model {
             .count()
     }
 
+    /// What `readdir(DIRS[d])` lists, in name order; `None` for a
+    /// directory never made.
+    fn listing(&self, d: usize) -> Option<Vec<(String, bool)>> {
+        match DIRS[d] {
+            "/" => Some(
+                self.dirs
+                    .iter()
+                    .map(|dir| (dir[1..].to_string(), true))
+                    .collect(),
+            ),
+            dir if self.dirs.contains(dir) => Some(
+                self.files
+                    .keys()
+                    .map(|&p| split(p))
+                    .filter(|(parent, _)| *parent == dir)
+                    .map(|(_, name)| (name.to_string(), false))
+                    .collect(),
+            ),
+            _ => None,
+        }
+    }
+
     /// §4.6 and §14: `latest_open` says whether the newest version of
     /// `p` sits in an open bucket.
     fn write(&mut self, p: usize, payload: usize, latest_open: bool) {
+        self.dirs.insert(split(p).0);
         let shared = self.dedup
             && self
                 .files
@@ -165,6 +202,14 @@ fn check(dedup: bool, ops: &[Op]) -> Result<(), String> {
                 ros.evict_all_burned_copies();
             }
             Op::FlushEvict => {}
+            Op::Readdir(d) => {
+                let got = ros.readdir(&DIRS[d].parse().expect("valid path"));
+                match (model.listing(d), got) {
+                    (Some(want), Ok(got)) if got == want => {}
+                    (None, Err(OlfsError::NotFound(_))) => {}
+                    (want, got) => return fail(format!("want {want:?}, got {got:?}")),
+                }
+            }
             Op::ReadFile(p) | Op::ReadRange(p, ..) | Op::ReadVersion(p, _) => {
                 let got = match *op {
                     Op::ReadFile(_) => ros.read_file(&path(p)),
