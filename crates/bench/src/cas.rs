@@ -63,7 +63,7 @@ pub struct CasReport {
     pub dedup_hits: u64,
     /// Bucket bytes the dedup engine never staged.
     pub dedup_bytes_saved: u64,
-    /// Logical over unique bytes in the dedup engine's blob store.
+    /// Logical over unique bytes in the dedup engine's catalog.
     pub dedup_ratio: f64,
     /// Images registered by the plain engine after its final flush.
     pub plain_images: usize,

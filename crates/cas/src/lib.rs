@@ -1,8 +1,8 @@
-//! `ros-cas` — the content-addressable dedup store under OLFS.
+//! `ros-cas` — content addressing for OLFS: digests and verify-by-digest.
 //!
 //! The paper's TCO argument (§2.1) prices optical media per *logical*
 //! byte; at fleet scale the cheapest byte is the one never burned twice.
-//! This crate provides the digest-addressed blob layer that makes that
+//! This crate gives every payload the stable name that makes that
 //! concrete and deterministic:
 //!
 //! - [`digest`]: an in-crate, std-only SHA-256 (FIPS 180-4 test
@@ -14,15 +14,14 @@
 //! - [`verified`]: the [`verify_payload`] / [`verify_payloads`] entry
 //!   point every integrity check routes through, and the [`Verified`]
 //!   proof it returns — bytes plus the digest they were shown to hash
-//!   to — so a payload checked once is never hashed again downstream;
-//! - [`blob`]: the refcounted [`BlobStore`] (put/get/link/unlink with
-//!   strict refcount invariants and typed [`CasError`]s) and the
-//!   `(tenant, bucket, path) → Digest` index [`Cas`].
+//!   to — so a payload checked once is never hashed again downstream —
+//!   and the typed [`CasError`] a failed check returns.
 //!
-//! The OLFS engine consumes this crate for write-path dedup (duplicate
-//! payloads share one blob, one bucket residency and one burn), image
-//! payload integrity (DIM digests), the cluster re-replication drill's
-//! survivor verification, and the chaos soak's acked-write sweep.
+//! The OLFS engine consumes this crate for write-path dedup (its
+//! digest-keyed catalog, `olfs::dedup`, shares one bucket residency and
+//! one burn between duplicate payloads), image payload integrity (DIM
+//! digests), the cluster re-replication drill's survivor verification,
+//! and the chaos soak's acked-write sweep.
 
 // `deny`, not `forbid`: the lockstep kernels are `#[target_feature]`
 // functions, and rustc asks for `unsafe` to enter one — even for SSE2,
@@ -48,13 +47,11 @@
     )
 )]
 
-pub mod blob;
 pub mod digest;
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 #[allow(unsafe_code)]
 mod lanes;
 pub mod verified;
 
-pub use blob::{BlobStore, Cas, CasError, IngestOutcome, ObjectKey, PutOutcome, StoreStats};
 pub use digest::{content_digest, content_digests, lockstep_lanes, sha256, Digest, CHUNK_BYTES};
-pub use verified::{verify_payload, verify_payloads, Verified};
+pub use verified::{verify_payload, verify_payloads, CasError, Verified};

@@ -13,9 +13,35 @@
 //! `B` is meant to be an immutable byte container (`Bytes`, `&[u8]`,
 //! `Vec<u8>`); the proof only ever hands out shared access to it.
 
-use crate::blob::CasError;
 use crate::digest::{content_digest, content_digests, Digest};
 use ros_disk::plane::DataPlane;
+
+/// Typed CAS failures.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CasError {
+    /// A payload's recomputed digest disagrees with the expected one.
+    DigestMismatch {
+        /// The digest the caller expected.
+        expected: Digest,
+        /// The digest the payload actually has.
+        actual: Digest,
+    },
+}
+
+impl core::fmt::Display for CasError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            CasError::DigestMismatch { expected, actual } => write!(
+                f,
+                "digest mismatch: expected {}, got {}",
+                expected.short(),
+                actual.short()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CasError {}
 
 /// Bytes together with the [`content_digest`] they hash to.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,161 +1,19 @@
-//! Property tests for the CAS refcount invariants and dedup determinism:
+//! Property tests for the content digest:
 //!
-//! - link/unlink never orphans a live blob, never double-frees a dead
-//!   one, and the byte accounting identity `logical = Σ refs·len`,
-//!   `unique = Σ len` holds after every operation;
-//! - ingesting the same multi-tenant object set in any order yields an
-//!   identical blob set (digests, refcounts and accounting);
 //! - `content_digest` equals its definition (length prefix, per-chunk
 //!   SHA-256, root hash) rebuilt from plain `sha256` at any length,
 //!   alignment and plane width — one-leaf payloads included;
 //! - `content_digests` of a list equals `content_digest` of each element,
 //!   whatever mix of empty, tiny, exact-leaf and leaf-plus-tail payloads
 //!   the list pools into shared lockstep groups.
+//!
+//! Dedup's reference counts are checked where they live, against the
+//! version model in `tests/version_model.rs`.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
-use ros_cas::{
-    content_digest, content_digests, sha256, BlobStore, Cas, CasError, Digest, ObjectKey,
-    CHUNK_BYTES,
-};
+use ros_cas::{content_digest, content_digests, sha256, Digest, CHUNK_BYTES};
 use ros_disk::plane::DataPlane;
-
-/// A model-checked shadow of the store: digest → (len, refs).
-fn check_accounting(store: &BlobStore, model: &std::collections::BTreeMap<Digest, (u64, u64)>) {
-    let logical: u64 = model.values().map(|(len, refs)| len * refs).sum();
-    let unique: u64 = model.values().map(|(len, _)| *len).sum();
-    assert_eq!(store.logical_bytes(), logical);
-    assert_eq!(store.unique_bytes(), unique);
-    assert_eq!(store.blob_count(), model.len());
-    for (d, (_, refs)) in model {
-        assert_eq!(store.refs(d), Some(*refs), "digest {d}");
-    }
-}
-
-proptest! {
-    #[test]
-    fn refcounts_never_orphan_or_double_free(seed in 0u64..1_000) {
-        let plane = DataPlane::single();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut store = BlobStore::new();
-        let mut model: std::collections::BTreeMap<Digest, (u64, u64)> =
-            std::collections::BTreeMap::new();
-        // A small payload pool so operations collide on purpose.
-        let pool: Vec<Bytes> = (0..6)
-            .map(|i| {
-                let n = 16 + 32 * i;
-                Bytes::from((0..n).map(|j| (i * 37 + j) as u8).collect::<Vec<u8>>())
-            })
-            .collect();
-        for _ in 0..200 {
-            let which = rng.gen::<usize>() % pool.len();
-            let payload = pool[which].clone();
-            let digest = Digest::of(&payload);
-            match rng.gen::<usize>() % 3 {
-                0 => {
-                    let out = store.put(payload.clone(), &plane);
-                    prop_assert_eq!(out.digest, digest);
-                    prop_assert_eq!(out.deduped, model.contains_key(&digest));
-                    let e = model.entry(digest).or_insert((payload.len() as u64, 0));
-                    e.1 += 1;
-                }
-                1 => {
-                    let res = store.link(&digest);
-                    match model.get_mut(&digest) {
-                        Some(e) => {
-                            e.1 += 1;
-                            prop_assert_eq!(res, Ok(e.1));
-                        }
-                        None => {
-                            prop_assert_eq!(res, Err(CasError::UnknownDigest(digest)));
-                        }
-                    }
-                }
-                _ => {
-                    let res = store.unlink(&digest);
-                    match model.get_mut(&digest) {
-                        Some(e) => {
-                            e.1 -= 1;
-                            prop_assert_eq!(res, Ok(e.1));
-                            if e.1 == 0 {
-                                model.remove(&digest);
-                                // The blob is gone; a second unlink must
-                                // be a typed error, not a double-free.
-                                prop_assert_eq!(
-                                    store.unlink(&digest),
-                                    Err(CasError::UnknownDigest(digest))
-                                );
-                            }
-                        }
-                        None => {
-                            prop_assert_eq!(res, Err(CasError::UnknownDigest(digest)));
-                        }
-                    }
-                }
-            }
-            check_accounting(&store, &model);
-            // Live blobs always verify by digest.
-            for d in model.keys() {
-                prop_assert!(store.verify(d, &plane).is_ok());
-            }
-        }
-    }
-
-    #[test]
-    fn shuffled_multi_tenant_ingest_yields_identical_blob_sets(seed in 0u64..1_000) {
-        let plane = DataPlane::single();
-        // 3 tenants × 8 objects drawing from 5 distinct payloads: heavy
-        // cross-tenant duplication by construction.
-        let mut objects: Vec<(ObjectKey, Bytes)> = Vec::new();
-        for t in 0..3 {
-            for i in 0..8 {
-                let key = ObjectKey::new(format!("t{t}"), "b0", format!("/f{i}"));
-                let which = (t * 3 + i * 5) % 5;
-                let payload: Vec<u8> = (0..64 + which * 17)
-                    .map(|j| (which * 31 + j) as u8)
-                    .collect();
-                objects.push((key, Bytes::from(payload)));
-            }
-        }
-        let ingest_in = |order: &[usize]| {
-            let mut cas = Cas::new();
-            for &i in order {
-                let (key, data) = &objects[i];
-                cas.ingest(key.clone(), data.clone(), &plane);
-            }
-            cas
-        };
-        let sorted: Vec<usize> = (0..objects.len()).collect();
-        let reference = ingest_in(&sorted);
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut shuffled = sorted.clone();
-        for i in (1..shuffled.len()).rev() {
-            let j = rng.gen::<usize>() % (i + 1);
-            shuffled.swap(i, j);
-        }
-        let cas = ingest_in(&shuffled);
-
-        let blob_set: Vec<(Digest, Option<u64>)> = cas
-            .store()
-            .digests()
-            .map(|d| (*d, cas.store().refs(d)))
-            .collect();
-        let reference_set: Vec<(Digest, Option<u64>)> = reference
-            .store()
-            .digests()
-            .map(|d| (*d, reference.store().refs(d)))
-            .collect();
-        prop_assert_eq!(blob_set, reference_set);
-        prop_assert_eq!(cas.store().stats(), reference.store().stats());
-        prop_assert_eq!(cas.object_count(), reference.object_count());
-        // Every key resolves to the same digest in both stores.
-        for (key, digest) in reference.objects() {
-            prop_assert_eq!(cas.resolve(key), Ok(*digest));
-        }
-    }
-}
 
 proptest! {
     // Each case hashes up to 5 MiB four times in a debug build — long

@@ -1,20 +1,17 @@
-//! Write-path deduplication over the `ros-cas` blob store (DESIGN.md
-//! §14).
+//! Write-path deduplication (DESIGN.md §14).
 //!
 //! The engine consults this layer before placing file data: a payload
 //! whose content digest is already catalogued shares the canonical
 //! copy's segments — one bucket residency, one parity charge, one burn —
-//! instead of being placed again. The layer owns two maps, both keyed
-//! by content digest:
+//! instead of being placed again. The layer is one map, content digest →
+//! [`CatalogEntry`]: the canonical placement, the payload's length and
+//! the number of version entries that reference it.
 //!
-//! - a refcounted [`BlobStore`] (the dedup accounting source of truth);
-//! - a *catalog* from digest to the canonical placement (`segments`,
-//!   `seg_sizes`, and the stored path inside the image tree).
-//!
-//! Which version holds which reference is not recorded here: a version's
-//! digest sits on its MV index entry ([`crate::index::VersionEntry`]),
-//! and whoever drops the entry — unlink, ring eviction, an in-place
-//! overwrite — releases the digest it carried.
+//! The map is a view of the MV. Each reference is the `digest` on one
+//! [`VersionEntry`], and whoever drops the entry — unlink, ring
+//! eviction, an in-place overwrite — releases the digest it carried; an
+//! adopted namespace rebuilds the map from its entries alone
+//! ([`DedupLayer::adopt`]).
 //!
 //! Invariant: a version's payload may only be destroyed in place when
 //! its digest has exactly one reference — the engine's in-place update
@@ -22,12 +19,12 @@
 //! otherwise, so no other version ever points at overwritten bytes.
 
 use crate::ids::ImageId;
-use bytes::Bytes;
-use ros_cas::{BlobStore, Digest};
+use crate::index::VersionEntry;
+use ros_cas::Digest;
 use ros_udf::UdfPath;
 use std::collections::BTreeMap;
 
-/// The canonical placement of a deduplicated payload.
+/// The canonical placement of a deduplicated payload and its references.
 #[derive(Clone, Debug)]
 pub struct CatalogEntry {
     /// Segment images holding the canonical copy, in order.
@@ -36,6 +33,25 @@ pub struct CatalogEntry {
     pub seg_sizes: Vec<u64>,
     /// Stored path of the canonical copy inside its image tree(s).
     pub stored: UdfPath,
+    /// Payload length in bytes.
+    pub len: u64,
+    /// Version entries carrying this digest; the entry leaves the map
+    /// when the last one is released.
+    pub refs: u64,
+}
+
+impl CatalogEntry {
+    /// The placement of `entry`, a version of the file at `path`, with
+    /// no references yet.
+    fn of(path: &UdfPath, entry: &VersionEntry) -> Self {
+        CatalogEntry {
+            segments: entry.segs.clone(),
+            seg_sizes: entry.seg_sizes.clone(),
+            stored: entry.stored_path(path).clone(),
+            len: entry.size,
+            refs: 0,
+        }
+    }
 }
 
 /// Dedup accounting snapshot (surfaced through the maintenance
@@ -54,64 +70,82 @@ pub struct DedupStats {
     pub dedup_ratio: f64,
 }
 
-/// The engine-owned dedup state.
+/// The engine-owned dedup state: digest → canonical placement.
 #[derive(Debug, Default)]
 pub struct DedupLayer {
-    store: BlobStore,
     catalog: BTreeMap<Digest, CatalogEntry>,
 }
 
 impl DedupLayer {
-    /// An empty layer.
-    pub fn new() -> Self {
-        DedupLayer::default()
+    /// A dedup hit: one more version shares the payload catalogued
+    /// under `digest`. Returns its canonical placement, or `None` (and
+    /// records nothing) when the digest is not catalogued.
+    pub(crate) fn link(&mut self, digest: &Digest) -> Option<&CatalogEntry> {
+        let canonical = self.catalog.get_mut(digest)?;
+        canonical.refs += 1;
+        Some(canonical)
     }
 
-    /// Canonical placement for a digest, if catalogued.
-    pub fn lookup(&self, digest: &Digest) -> Option<&CatalogEntry> {
-        self.catalog.get(digest)
+    /// Records the reference of `entry`, a freshly placed or in-place
+    /// updated version of `path`, whose bytes become the canonical copy
+    /// of its digest (replacing an earlier one). Entries without a
+    /// digest are not catalogued.
+    pub(crate) fn record_canonical(&mut self, path: &UdfPath, entry: &VersionEntry) {
+        if let Some(digest) = entry.digest {
+            let mut canonical = CatalogEntry::of(path, entry);
+            canonical.refs = self.catalog.get(&digest).map_or(0, |c| c.refs) + 1;
+            self.catalog.insert(digest, canonical);
+        }
     }
 
-    /// Registers a freshly placed copy of a payload as the canonical
-    /// one: the blob gains a reference (its first, unless the same bytes
-    /// are already stored elsewhere) and `digest` is catalogued at
-    /// `entry`.
-    pub fn record_canonical(&mut self, digest: Digest, data: &Bytes, entry: CatalogEntry) {
-        self.store.put_prehashed(digest, data.clone());
-        self.catalog.insert(digest, entry);
-    }
-
-    /// Records a dedup hit: one more version shares the catalogued
-    /// blob. Returns `false` (and records nothing) if the blob is not
-    /// stored.
-    pub fn link(&mut self, digest: &Digest) -> bool {
-        self.store.link(digest).is_ok()
+    /// Records the reference of `entry`, a version of `path` in an
+    /// adopted namespace walked in path order: the first entry carrying
+    /// a digest becomes its canonical copy.
+    pub(crate) fn adopt(&mut self, path: &UdfPath, entry: &VersionEntry) {
+        if let Some(digest) = entry.digest {
+            let canonical = self.catalog.entry(digest);
+            let canonical = canonical.or_insert_with(|| CatalogEntry::of(path, entry));
+            canonical.refs += 1;
+        }
     }
 
     /// True when more than one version references `digest` — its bytes
     /// must not be updated in place.
-    pub fn shared(&self, digest: &Digest) -> bool {
-        self.store.refs(digest).is_some_and(|refs| refs > 1)
+    pub(crate) fn shared(&self, digest: &Digest) -> bool {
+        self.catalog.get(digest).is_some_and(|c| c.refs > 1)
     }
 
-    /// Gives back the reference a dropped version entry held; when the
-    /// blob dies the catalog entry is retired, so the digest can be
-    /// re-ingested as a fresh canonical copy.
-    pub fn release(&mut self, digest: &Digest) {
-        if let Ok(0) = self.store.unlink(digest) {
-            self.catalog.remove(digest);
+    /// Gives back the reference a dropped version entry held; the last
+    /// one retires the catalog entry, so the digest can be re-ingested
+    /// as a fresh canonical copy.
+    pub(crate) fn release(&mut self, digest: &Digest) {
+        if let Some(c) = self.catalog.get_mut(digest) {
+            c.refs -= 1;
+            if c.refs == 0 {
+                self.catalog.remove(digest);
+            }
         }
     }
 
-    /// Dedup accounting snapshot.
-    pub fn stats(&self) -> DedupStats {
-        let s = self.store.stats();
+    /// Dedup accounting snapshot. Saturating: an adopted namespace may
+    /// come from hostile media.
+    pub(crate) fn stats(&self) -> DedupStats {
+        let (mut links, mut logical_bytes, mut unique_bytes) = (0u64, 0u64, 0u64);
+        for c in self.catalog.values() {
+            links += c.refs;
+            logical_bytes = logical_bytes.saturating_add(c.refs.saturating_mul(c.len));
+            unique_bytes = unique_bytes.saturating_add(c.len);
+        }
         DedupStats {
-            blobs: s.blobs,
-            links: s.links,
-            logical_bytes: s.logical_bytes,
-            unique_bytes: s.unique_bytes,
-            dedup_ratio: s.dedup_ratio,
+            blobs: self.catalog.len() as u64,
+            links,
+            logical_bytes,
+            unique_bytes,
+            dedup_ratio: if unique_bytes == 0 {
+                1.0
+            } else {
+                logical_bytes as f64 / unique_bytes as f64
+            },
         }
     }
 }
@@ -119,7 +153,7 @@ impl DedupLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ros_disk::plane::DataPlane;
+    use crate::index::LocTag;
 
     fn path(s: &str) -> UdfPath {
         s.parse().unwrap()
@@ -127,30 +161,33 @@ mod tests {
 
     #[test]
     fn links_share_and_the_last_release_retires_the_catalog() {
-        let mut layer = DedupLayer::new();
-        let data = Bytes::from_static(b"shared payload bytes");
-        let digest = ros_cas::content_digest(&data, &DataPlane::single());
-        assert!(!layer.link(&digest), "nothing stored yet");
-        layer.record_canonical(
-            digest,
-            &data,
-            CatalogEntry {
-                segments: vec![ImageId(1)],
-                seg_sizes: vec![data.len() as u64],
-                stored: path("/a"),
-            },
-        );
-        assert_eq!(layer.lookup(&digest).unwrap().stored, path("/a"));
+        let mut layer = DedupLayer::default();
+        let digest = Digest::of(b"shared payload bytes");
+        assert!(layer.link(&digest).is_none(), "nothing stored yet");
+        let entry = VersionEntry {
+            digest: Some(digest),
+            ..VersionEntry::new(LocTag::Bucket, 20, 0, vec![ImageId(1)], vec![20])
+        };
+        layer.record_canonical(&path("/a"), &entry);
         assert!(!layer.shared(&digest), "one reference is not shared");
-        assert!(layer.link(&digest));
+        assert_eq!(layer.link(&digest).unwrap().stored, path("/a"));
         assert!(layer.shared(&digest));
         assert!((layer.stats().dedup_ratio - 2.0).abs() < 1e-12);
 
+        // A rebuild from the same two entries agrees, and the first one
+        // walked is canonical.
+        let mut rebuilt = DedupLayer::default();
+        rebuilt.adopt(&path("/a"), &entry);
+        rebuilt.adopt(&path("/b"), &entry);
+        assert_eq!(rebuilt.stats(), layer.stats());
+        assert_eq!(rebuilt.catalog[&digest].stored, path("/a"));
+
         layer.release(&digest);
         assert!(!layer.shared(&digest));
-        assert!(layer.lookup(&digest).is_some(), "canonical still live");
+        assert!(layer.link(&digest).is_some(), "canonical still live");
         layer.release(&digest);
-        assert!(layer.lookup(&digest).is_none(), "dead blob leaves catalog");
+        layer.release(&digest);
+        assert!(layer.link(&digest).is_none(), "dead blob leaves catalog");
         assert_eq!(layer.stats().blobs, 0);
     }
 }

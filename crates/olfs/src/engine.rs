@@ -218,7 +218,8 @@ pub struct Ros {
     /// Consecutive spoiled burns per bay; two in a row quarantines.
     bay_burn_failures: BTreeMap<usize, u32>,
     /// Content-addressable dedup bookkeeping (§14); consulted only when
-    /// `cfg.dedup` is set.
+    /// `cfg.dedup` is set. A view of the MV's `VersionEntry::digest`s,
+    /// rebuilt with `image_paths` when a namespace is adopted.
     pub(crate) dedup: crate::dedup::DedupLayer,
 }
 
@@ -293,7 +294,7 @@ impl Ros {
             drive_last_used: BTreeMap::new(),
             quarantined_bays: BTreeSet::new(),
             bay_burn_failures: BTreeMap::new(),
-            dedup: crate::dedup::DedupLayer::new(),
+            dedup: crate::dedup::DedupLayer::default(),
             cfg,
         })
     }
@@ -551,26 +552,13 @@ impl Ros {
             .cfg
             .dedup
             .then(|| ros_cas::content_digest(&data, &self.data_plane()));
-        if let Some(digest) = digest {
-            self.dedup.record_canonical(
-                digest,
-                &data,
-                crate::dedup::CatalogEntry {
-                    segments: latest.segs.clone(),
-                    seg_sizes: vec![size],
-                    stored: latest.stored_path(path).clone(),
-                },
-            );
-        }
-        let version = self.commit_version(
-            path,
-            &data,
-            VersionEntry {
-                stored: latest.stored,
-                digest,
-                ..VersionEntry::new(LocTag::Bucket, size, now, latest.segs.clone(), vec![size])
-            },
-        )?;
+        let entry = VersionEntry {
+            stored: latest.stored,
+            digest,
+            ..VersionEntry::new(LocTag::Bucket, size, now, latest.segs.clone(), vec![size])
+        };
+        self.dedup.record_canonical(path, &entry);
+        let version = self.commit_version(path, &data, entry)?;
         self.counters.updates += 1;
         Ok((version, latest.segs))
     }
@@ -604,7 +592,7 @@ impl Ros {
             .cfg
             .dedup
             .then(|| ros_cas::content_digest(&data, &self.data_plane()));
-        let hit = digest.and_then(|d| self.dedup.lookup(&d).cloned());
+        let hit = digest.and_then(|d| self.dedup.link(&d).cloned());
         let placed = hit.is_none();
         let (segments, seg_sizes, stored) = match hit {
             Some(canonical) => (
@@ -623,23 +611,6 @@ impl Ros {
         // close/release: update the index file.
         op.trace.step("close", mv_write);
         let now = op.now().as_nanos();
-        if let Some(digest) = digest {
-            if placed {
-                self.dedup.record_canonical(
-                    digest,
-                    &data,
-                    crate::dedup::CatalogEntry {
-                        segments: segments.clone(),
-                        seg_sizes: seg_sizes.clone(),
-                        stored: stored.clone().unwrap_or_else(|| path.clone()),
-                    },
-                );
-            } else if !self.dedup.link(&digest) {
-                return Err(OlfsError::BadState(format!(
-                    "dedup catalog out of sync for digest {digest}"
-                )));
-            }
-        }
         // A canonical copy may already have left the write buffer; the
         // entry sharing it is tagged with the stage it reached.
         let loc = if placed {
@@ -652,15 +623,15 @@ impl Ros {
                 .find(|stage| *stage != LocTag::Bucket)
                 .unwrap_or(LocTag::Bucket)
         };
-        let version = self.commit_version(
-            path,
-            &data,
-            VersionEntry {
-                stored,
-                digest,
-                ..VersionEntry::new(loc, data.len() as u64, now, segments.clone(), seg_sizes)
-            },
-        )?;
+        let entry = VersionEntry {
+            stored,
+            digest,
+            ..VersionEntry::new(loc, data.len() as u64, now, segments.clone(), seg_sizes)
+        };
+        if placed {
+            self.dedup.record_canonical(path, &entry);
+        }
+        let version = self.commit_version(path, &data, entry)?;
         for seg in &segments {
             self.image_paths
                 .entry(*seg)
@@ -696,9 +667,10 @@ impl Ros {
     }
 
     /// Closes a write on the MV: appends `entry` to `path`'s index file
-    /// with the forepart of `data`, and releases the dedup reference of
-    /// the entry the version ring evicted to make room. Returns the
-    /// version number assigned.
+    /// with the forepart of `data`. The entry the version ring evicted to
+    /// make room releases its dedup reference, and its images no longer
+    /// hold a version of the path unless a kept entry uses them too.
+    /// Returns the version number assigned.
     fn commit_version(
         &mut self,
         path: &UdfPath,
@@ -712,14 +684,36 @@ impl Ros {
             .ok_or_else(|| OlfsError::BadState(format!("index file of {path} vanished")))?;
         let (version, evicted) = idx.push_version(entry);
         idx.set_forepart(forepart);
-        if let Some(digest) = evicted.and_then(|e| e.digest) {
-            self.dedup.release(&digest);
+        if let Some(evicted) = evicted {
+            let left: Vec<ImageId> = evicted
+                .segs
+                .iter()
+                .filter(|seg| !idx.versions().any(|e| e.segs.contains(seg)))
+                .copied()
+                .collect();
+            self.untrack(path, &left);
+            if let Some(digest) = evicted.digest {
+                self.dedup.release(&digest);
+            }
         }
         Ok(version)
     }
 
-    /// Dedup accounting snapshot (§14); all-zero until `cfg.dedup`
-    /// routes writes through the catalog.
+    /// Drops `path` from the reverse map of each of `images`, and the
+    /// sets that become empty.
+    fn untrack<'a>(&mut self, path: &UdfPath, images: impl IntoIterator<Item = &'a ImageId>) {
+        for image in images {
+            if let Some(paths) = self.image_paths.get_mut(image) {
+                paths.remove(path);
+                if paths.is_empty() {
+                    self.image_paths.remove(image);
+                }
+            }
+        }
+    }
+
+    /// Dedup accounting snapshot (§14); all-zero while no version entry
+    /// carries a digest.
     pub fn dedup_stats(&self) -> crate::dedup::DedupStats {
         self.dedup.stats()
     }
@@ -1967,14 +1961,7 @@ impl Ros {
                 ros.dedup.release(&digest);
             }
             // Their images no longer hold a version of the path.
-            for seg in idx.versions().flat_map(|e| &e.segs) {
-                if let Some(paths) = ros.image_paths.get_mut(seg) {
-                    paths.remove(path);
-                    if paths.is_empty() {
-                        ros.image_paths.remove(seg);
-                    }
-                }
-            }
+            ros.untrack(path, idx.versions().flat_map(|e| &e.segs));
             Ok(())
         })
     }

@@ -12,6 +12,7 @@
 //!    failed, all or partial data can be reconstructed by scanning all
 //!    survived discs."
 
+use crate::dedup::DedupLayer;
 use crate::dim::DaState;
 use crate::engine::Ros;
 use crate::error::OlfsError;
@@ -228,16 +229,21 @@ impl Ros {
     }
 
     /// Replaces the live MV with a recovered one (end of a disaster
-    /// drill).
+    /// drill), and rebuilds the two views derived from its version
+    /// entries: the image → paths map and the dedup catalog.
     pub fn adopt_namespace(&mut self, mv: MetadataVolume) {
         self.mv = mv;
         self.image_paths.clear();
+        self.dedup = DedupLayer::default();
         for (path, idx) in self.mv.iter_files() {
-            for seg in idx.versions().flat_map(|v| &v.segs) {
-                self.image_paths
-                    .entry(*seg)
-                    .or_default()
-                    .insert(path.clone());
+            for v in idx.versions() {
+                self.dedup.adopt(path, v);
+                for seg in &v.segs {
+                    self.image_paths
+                        .entry(*seg)
+                        .or_default()
+                        .insert(path.clone());
+                }
             }
         }
     }

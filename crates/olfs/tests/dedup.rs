@@ -1,9 +1,11 @@
 //! End-to-end write-path dedup (DESIGN.md §14): with `cfg.dedup` on,
 //! duplicate payloads share one blob, one bucket residency and one
 //! burn; reads of every alias return the right bytes through all three
-//! tiers; shared bytes are never overwritten in place; and the engine
-//! burns strictly less than a non-dedup run of the same workload.
+//! tiers; shared bytes are never overwritten in place, also after a
+//! namespace is adopted; and the engine burns strictly less than a
+//! non-dedup run of the same workload.
 
+use ros_olfs::mv::MetadataVolume;
 use ros_olfs::{Ros, RosConfig};
 use ros_udf::UdfPath;
 
@@ -106,6 +108,31 @@ fn shared_bytes_are_never_updated_in_place() {
     assert_eq!(up.version, 2);
     let c = ros.read_file(&path("/c")).expect("read /c");
     assert_eq!(c.data.as_ref(), original.as_slice(), "alias intact");
+}
+
+/// An adopted namespace rebuilds the dedup counts from its entries: the
+/// restored `/b` shares `/a`'s bytes again, so updating `/a` must not
+/// overwrite them in place (it once did, and `/b` read the new bytes).
+#[test]
+fn an_adopted_namespace_counts_the_references_it_restores() {
+    let mut ros = Ros::new(dedup_cfg());
+    let (x, y) = (vec![0x33u8; 8 * 1024], vec![0x44u8; 8 * 1024]);
+    ros.write_file(&path("/a"), x.clone()).expect("write /a");
+    ros.write_file(&path("/b"), x.clone()).expect("write /b");
+    let snapshot = ros.export_namespace();
+    ros.unlink(&path("/b")).expect("unlink /b");
+    assert_eq!(ros.dedup_stats().links, 1);
+
+    let mv = MetadataVolume::restore(&snapshot).expect("restore");
+    ros.adopt_namespace(mv);
+    let stats = ros.dedup_stats();
+    assert_eq!((stats.blobs, stats.links), (1, 2));
+    let up = ros.write_file(&path("/a"), y.clone()).expect("update /a");
+    assert_eq!(up.version, 2);
+    let b = ros.read_file(&path("/b")).expect("read /b");
+    assert_eq!(b.data.as_ref(), x.as_slice(), "shared bytes intact");
+    let a = ros.read_file(&path("/a")).expect("read /a");
+    assert_eq!(a.data.as_ref(), y.as_slice());
 }
 
 #[test]

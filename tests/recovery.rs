@@ -149,6 +149,69 @@ fn checkpoint_state_survives_in_mv_snapshot() {
     assert!(restored.get_state("checkpoint_nanos").is_some());
 }
 
+/// The MV parsers are total: seeded byte flips, truncations and
+/// JSON-punctuation inserts on a real snapshot (dedup digests, a shadow
+/// name, a split file, a checkpoint) and on one of its index files give
+/// `Ok` or a typed error, never a panic, and every mutated snapshot that
+/// parses is adopted without one.
+#[test]
+fn mv_parsers_are_total_on_mutated_snapshots() {
+    use rand::{Rng, SeedableRng};
+    use ros::ros_olfs::{index::IndexFile, mv::MetadataVolume};
+    let mut cfg = RosConfig::tiny();
+    cfg.dedup = true;
+    cfg.forepart_bytes = 16; // Keeps mutations off the bulk of forepart bytes.
+    let mut ros = Ros::new(cfg);
+    for i in 0..24u64 {
+        let path = p(&format!("/m/d{}/f{i}", i % 4));
+        ros.write_file(&path, content(i % 5, 20_000)).unwrap();
+    }
+    ros.seal_open_buckets().unwrap(); // Forces the update to regenerate.
+    ros.write_file(&p("/m/d0/f0"), content(9, 30_000)).unwrap();
+    let split = ros.write_file(&p("/m/split"), content(5, 5 << 20)).unwrap();
+    assert!(split.segments.len() > 1);
+    ros.checkpoint();
+    let snapshot = ros.export_namespace();
+    for needle in ["\"digest\"", ".rosv2-f0", "checkpoint_nanos"] {
+        assert!(snapshot.contains(needle), "{needle}");
+    }
+    let index = MetadataVolume::restore(&snapshot).unwrap();
+    let index = index.get(&p("/m/d0/f0")).unwrap().to_json();
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    let (mut parsed, mut refused) = (0, 0);
+    for i in 0..3_000 {
+        let mut bytes = if i % 4 == 0 { &index } else { &snapshot }
+            .clone()
+            .into_bytes();
+        let at = rng.gen::<usize>() % bytes.len();
+        match rng.gen::<usize>() % 3 {
+            0 => bytes[at] ^= 1 << (rng.gen::<usize>() % 7),
+            1 => bytes.truncate(at),
+            _ => bytes.insert(at, b"{}[]:,\"\\-.0e"[rng.gen::<usize>() % 12]),
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let ok = if i % 4 == 0 {
+            IndexFile::from_json(&text).is_ok()
+        } else if let Ok(mv) = MetadataVolume::restore(&text) {
+            ros.adopt_namespace(mv);
+            ros.dedup_stats();
+            true
+        } else {
+            false
+        };
+        if ok {
+            parsed += 1;
+        } else {
+            refused += 1;
+        }
+    }
+    assert!(
+        parsed > 0 && refused > 0,
+        "{parsed} parsed, {refused} refused"
+    );
+}
+
 #[test]
 fn raid6_survives_two_damaged_discs_in_one_array() {
     let mut cfg = RosConfig::tiny();

@@ -9,7 +9,12 @@
 //! typed error (`NotFound`, `VersionGone`) — never another version's
 //! bytes, never another error — with dedup off and on. Every listing must
 //! name the model's live files and directories in name order, or say
-//! `NotFound` for a directory never made.
+//! `NotFound` for a directory never made. With dedup on, after every op
+//! the reference count is the model's live versions and the blob count
+//! their distinct payloads; `Adopt` swaps in the system's own exported
+//! namespace (the model does not change), so every later read and count
+//! also checks the dedup map rebuilt from the MV against the one kept up
+//! write by write.
 //!
 //! The model applies §4.6's update rule itself (in place — the previous
 //! version's bytes are replaced — iff the newest version sits in an open
@@ -24,6 +29,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use ros::prelude::*;
 use ros::ros_olfs::maintenance::ProvenanceLocation;
+use ros::ros_olfs::mv::MetadataVolume;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Retained versions per file (§4.6).
@@ -61,10 +67,11 @@ enum Op {
     ReadVersion(usize, u32),
     ReadRange(usize, u64, u64),
     Readdir(usize),
+    Adopt,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..17, 0usize..3, 0usize..4, 0u64..6_000, 0u64..6_000).prop_map(|(kind, p, x, a, b)| {
+    (0u8..18, 0usize..3, 0usize..4, 0u64..6_000, 0u64..6_000).prop_map(|(kind, p, x, a, b)| {
         match kind {
             0..=6 => Op::Write(p, x),
             7 => Op::Unlink(p),
@@ -73,7 +80,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             11 | 12 => Op::ReadFile(p),
             13 | 14 => Op::ReadVersion(p, (a % 18) as u32 + 1),
             15 => Op::ReadRange(p, a, b),
-            _ => Op::Readdir(p),
+            16 => Op::Readdir(p),
+            _ => Op::Adopt,
         }
     })
 }
@@ -101,6 +109,14 @@ impl Model {
             .flatten()
             .filter(|v| !v.replaced && v.payload.max(1) == payload.max(1))
             .count()
+    }
+
+    /// `(blobs, links)` dedup must report: the live versions' distinct
+    /// payloads, and the live versions.
+    fn dedup_counts(&self) -> (u64, u64) {
+        let live = || self.files.values().flatten().filter(|v| !v.replaced);
+        let distinct: BTreeSet<usize> = live().map(|v| v.payload.max(1)).collect();
+        (distinct.len() as u64, live().count() as u64)
     }
 
     /// What `readdir(DIRS[d])` lists, in name order; `None` for a
@@ -156,6 +172,15 @@ fn not_found<T: std::fmt::Debug>(r: Result<T, OlfsError>) -> bool {
     matches!(r, Err(OlfsError::NotFound(_)))
 }
 
+/// With dedup on, the map's counts must be the model's.
+fn counts_agree(ros: &Ros, model: &Model) -> Result<(), String> {
+    let (stats, want) = (ros.dedup_stats(), model.dedup_counts());
+    if model.dedup && (stats.blobs, stats.links) != want {
+        return Err(format!("want (blobs, links) {want:?}, got {stats:?}"));
+    }
+    Ok(())
+}
+
 /// Runs `ops` against a fresh rack and the model; `Err` describes the
 /// first divergence.
 fn check(dedup: bool, ops: &[Op]) -> Result<(), String> {
@@ -168,6 +193,7 @@ fn check(dedup: bool, ops: &[Op]) -> Result<(), String> {
     };
     let mut flushes = 0;
     for (i, op) in ops.iter().enumerate() {
+        counts_agree(&ros, &model).map_err(|e| format!("before op {i} {op:?}: {e}"))?;
         let fail = |what: String| Err(format!("op {i} {op:?}: {what}"));
         match *op {
             Op::Write(p, x) => {
@@ -202,6 +228,11 @@ fn check(dedup: bool, ops: &[Op]) -> Result<(), String> {
                 ros.evict_all_burned_copies();
             }
             Op::FlushEvict => {}
+            Op::Adopt => {
+                let mv = MetadataVolume::restore(&ros.export_namespace())
+                    .map_err(|e| format!("op {i} restore: {e}"))?;
+                ros.adopt_namespace(mv);
+            }
             Op::Readdir(d) => {
                 let got = ros.readdir(&DIRS[d].parse().expect("valid path"));
                 match (model.listing(d), got) {
@@ -256,6 +287,7 @@ fn check(dedup: bool, ops: &[Op]) -> Result<(), String> {
             }
         }
     }
+    counts_agree(&ros, &model).map_err(|e| format!("at the end: {e}"))?;
     match ros.verify_consistency() {
         issues if issues.is_empty() => Ok(()),
         issues => Err(format!("inconsistent at the end: {issues:?}")),
@@ -358,19 +390,33 @@ fn a_failed_create_leaves_no_index_file_behind() {
     assert_payload(ros.read_file(&f), 0);
 }
 
-/// A version the 15-entry ring evicts gives its dedup reference back:
-/// 20 sealed rewrites once left `blobs: 20, links: 20` behind 15 versions.
+/// A version the 15-entry ring evicts gives its dedup reference back and
+/// leaves its images' reverse map: 20 sealed rewrites once left `blobs:
+/// 20, links: 20` behind 15 versions, and the evicted versions' images
+/// still named the file.
 #[test]
 fn ring_eviction_releases_dedup_references() {
     let f = path(0);
     let mut ros = dedup_rack();
+    let mut segments = Vec::new();
     for i in 0..20u8 {
-        ros.write_file(&f, vec![i; 2_000]).unwrap();
+        segments.push(ros.write_file(&f, vec![i; 2_000]).unwrap().segments);
         ros.seal_open_buckets().unwrap();
     }
     assert_eq!(ros.versions(&f).unwrap().len(), RING);
     let stats = ros.dedup_stats();
     assert_eq!((stats.blobs, stats.links), (RING as u64, RING as u64));
+    let (evicted, kept) = segments.split_at(20 - RING);
+    for image in evicted.iter().flatten() {
+        assert!(ros.paths_of_image(*image).is_empty(), "{image:?}");
+    }
+    for image in kept.iter().flatten() {
+        assert_eq!(
+            ros.paths_of_image(*image),
+            std::slice::from_ref(&f),
+            "{image:?}"
+        );
+    }
     ros.unlink(&f).unwrap();
     assert_eq!(ros.dedup_stats().blobs, 0);
 }
