@@ -42,8 +42,6 @@ pub struct MechOp {
     pub duration: SimDuration,
     /// Labelled breakdown of the serial (non-overlapped) steps.
     pub steps: Vec<(String, SimDuration)>,
-    /// Motor energy consumed, in joules.
-    pub energy_joules: f64,
 }
 
 /// Errors from composite scheduling.
@@ -158,7 +156,6 @@ impl MechScheduler {
         self.take_transient_fault(OpKind::LoadArray)?;
         let roller = slot.roller;
         let mut steps: Vec<(String, SimDuration)> = Vec::new();
-        let mut overlapped = SimDuration::ZERO;
 
         let settle = params::arm_settle();
         steps.push(("sensor settle".into(), settle));
@@ -193,9 +190,7 @@ impl MechScheduler {
             roller,
             to: ArmPosition::Station,
         })?;
-        if self.parallel_scheduling {
-            overlapped += lift;
-        } else {
+        if !self.parallel_scheduling {
             steps.push(("lift array".into(), lift));
         }
         let d = self.plc.execute(PlcInstruction::FanIn(slot))?;
@@ -206,7 +201,7 @@ impl MechScheduler {
         steps.push(("separate discs into drives".into(), d));
 
         self.bays[bay] = Some(slot);
-        Ok(self.finish(OpKind::LoadArray, slot, bay, steps, overlapped))
+        Ok(Self::finish(OpKind::LoadArray, slot, bay, steps))
     }
 
     /// Unloads the disc array in drive bay `bay` back to its home tray.
@@ -225,7 +220,6 @@ impl MechScheduler {
         let roller = slot.roller;
         let discs = self.plc.layout().discs_per_tray;
         let mut steps: Vec<(String, SimDuration)> = Vec::new();
-        let mut overlapped = SimDuration::ZERO;
 
         let d = self
             .plc
@@ -250,40 +244,28 @@ impl MechScheduler {
             roller,
             to: ArmPosition::Station,
         })?;
-        if self.parallel_scheduling {
-            overlapped += ret;
-        } else {
+        if !self.parallel_scheduling {
             steps.push(("return to station".into(), ret));
         }
         let d = self.plc.execute(PlcInstruction::FanIn(slot))?;
         steps.push(("fan in tray".into(), d));
 
         self.bays[bay] = None;
-        Ok(self.finish(OpKind::UnloadArray, slot, bay, steps, overlapped))
+        Ok(Self::finish(OpKind::UnloadArray, slot, bay, steps))
     }
 
     fn finish(
-        &self,
         kind: OpKind,
         slot: SlotAddress,
         bay: usize,
         steps: Vec<(String, SimDuration)>,
-        overlapped: SimDuration,
     ) -> MechOp {
-        let duration: SimDuration = steps.iter().map(|(_, d)| *d).sum();
-        // Energy: motors draw power during their step plus the overlapped
-        // (hidden but still powered) movements.
-        let motor_secs = duration.as_secs_f64() + overlapped.as_secs_f64();
-        let energy_joules = motor_secs * params::ARM_MOTOR_WATTS
-            + params::roller_rotation().as_secs_f64() * params::ROLLER_MOTOR_WATTS
-            + params::separate_array().as_secs_f64() * params::SEPARATOR_MOTOR_WATTS * 0.5;
         MechOp {
             kind,
             slot,
             bay,
-            duration,
+            duration: steps.iter().map(|(_, d)| *d).sum(),
             steps,
-            energy_joules,
         }
     }
 }
@@ -416,7 +398,6 @@ mod tests {
         assert!(names.contains(&"fan out tray"));
         let sum: SimDuration = op.steps.iter().map(|(_, d)| *d).sum();
         assert_eq!(sum, op.duration);
-        assert!(op.energy_joules > 0.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Calibrated mechanical timing and power constants.
+//! Calibrated mechanical timing and geometry constants.
 //!
 //! Every constant cites the paper section or table it was taken from. The
 //! composite operations in [`crate::ops`] combine these so that the system
@@ -95,17 +95,6 @@ pub fn collect_array() -> SimDuration {
 pub fn parallel_scheduling_saving_max() -> SimDuration {
     SimDuration::from_millis(10_000)
 }
-
-/// Roller rotation motor power draw (§3.2: "rotating the entire roller
-/// consumes less than 50 watts").
-pub const ROLLER_MOTOR_WATTS: f64 = 48.0;
-
-/// Arm vertical-motion motor power draw (engineering estimate; the paper
-/// only bounds total idle/peak rack power, §5.1).
-pub const ARM_MOTOR_WATTS: f64 = 30.0;
-
-/// Tiny disc-separation motors on the arm (§3.3).
-pub const SEPARATOR_MOTOR_WATTS: f64 = 8.0;
 
 /// Required placement precision when partitioning discs into drives
 /// (§3.3: "at the 0.05mm precision using a set of range sensors").

@@ -17,6 +17,7 @@ use ros_cas::{content_digest, Digest, Verified};
 use ros_disk::plane::DataPlane;
 use ros_drive::media::{Disc, DiscClass, MediaKind};
 use ros_mech::{RackLayout, SlotAddress};
+use ros_sim::SimTime;
 use ros_udf::SealedImage;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -81,6 +82,17 @@ pub struct ArrayGroup {
     pub state: GroupState,
     /// Tray assigned at burn time.
     pub slot: Option<SlotAddress>,
+    /// Place in the burn backlog, oldest first: numbered when the group
+    /// becomes `ReadyToBurn` — its parity done, or its burn cut by a
+    /// crash. An interrupted burn keeps its number, so it goes first
+    /// again.
+    pub backlog_seq: u64,
+    /// The group's tray already holds tracks of it, so its burn appends
+    /// (set by a §4.8 interrupt; a fresh tray clears it).
+    pub append: bool,
+    /// While `Burning`: the bay it burns in and the instant the burn
+    /// ends.
+    pub burn: Option<(usize, SimTime)>,
 }
 
 /// One image's bookkeeping record.
@@ -120,6 +132,8 @@ pub struct ImageStore {
     groups: BTreeMap<ArrayId, ArrayGroup>,
     next_image: u64,
     next_group: u64,
+    /// The backlog number the next `ReadyToBurn` group takes.
+    next_backlog: u64,
     /// DAindex keyed by dense slot index.
     da_index: BTreeMap<u32, DaState>,
     /// Open group accumulating data images.
@@ -138,6 +152,7 @@ impl ImageStore {
             groups: BTreeMap::new(),
             next_image: 1,
             next_group: 1,
+            next_backlog: 0,
             da_index,
             collecting: None,
         }
@@ -214,6 +229,9 @@ impl ImageStore {
             parity: Vec::new(),
             state: GroupState::Collecting,
             slot: None,
+            backlog_seq: 0,
+            append: false,
+            burn: None,
         });
         group.data.push(id);
         if group.data.len() >= data_per_array as usize {
@@ -266,11 +284,47 @@ impl ImageStore {
                 },
             );
         }
-        self.groups
-            .get_mut(&gid)
-            .ok_or(OlfsError::BadState(format!("no group {gid}")))?
-            .state = GroupState::ReadyToBurn;
+        self.join_backlog(gid)?;
         Ok(())
+    }
+
+    /// Puts group `gid` at the back of the burn backlog: `ReadyToBurn`,
+    /// numbered after every group already waiting.
+    fn join_backlog(&mut self, gid: ArrayId) -> Result<&mut ArrayGroup, OlfsError> {
+        let group = self
+            .groups
+            .get_mut(&gid)
+            .ok_or(OlfsError::BadState(format!("no group {gid}")))?;
+        group.state = GroupState::ReadyToBurn;
+        group.backlog_seq = self.next_backlog;
+        self.next_backlog += 1;
+        Ok(group)
+    }
+
+    /// Sends a group whose burn a crash cut to the back of the burn
+    /// backlog, for a fresh tray. Returns the ruined tray.
+    pub fn requeue_cut_burn(&mut self, gid: ArrayId) -> Option<SlotAddress> {
+        let group = self.join_backlog(gid).ok()?;
+        group.append = false;
+        group.slot.take()
+    }
+
+    /// The head of the burn backlog: the `ReadyToBurn` group with the
+    /// lowest backlog number, found in one pass.
+    pub fn backlog_head(&self) -> Option<&ArrayGroup> {
+        self.groups
+            .values()
+            .filter(|g| g.state == GroupState::ReadyToBurn)
+            .min_by_key(|g| g.backlog_seq)
+    }
+
+    /// The burns in flight: `(group, bay, end)` of every `Burning`
+    /// group, in group order.
+    pub fn burns(&self) -> impl Iterator<Item = (ArrayId, usize, SimTime)> + '_ {
+        self.groups
+            .values()
+            .filter(|g| g.state == GroupState::Burning)
+            .filter_map(|g| g.burn.map(|(bay, until)| (g.id, bay, until)))
     }
 
     /// Forces an under-filled collecting group to ParityPending (flush).
@@ -291,6 +345,11 @@ impl ImageStore {
     /// Mutable group lookup.
     pub fn group_mut(&mut self, id: ArrayId) -> Option<&mut ArrayGroup> {
         self.groups.get_mut(&id)
+    }
+
+    /// Every group, in id order.
+    pub fn groups(&self) -> impl Iterator<Item = &ArrayGroup> {
+        self.groups.values()
     }
 
     /// Groups in a given state, in id order.
@@ -397,8 +456,8 @@ impl ImageStore {
     /// Resets a burned group for a rewrite to a fresh array (§4.7: "The
     /// recovered data can be written to new buckets and finally burned
     /// into free disc arrays"): drops its old parity images, clears the
-    /// slot assignment and burn locations, and returns the old slot so
-    /// the caller can retire it.
+    /// slot assignment, the append flag and the burn locations, and
+    /// returns the old slot so the caller can retire it.
     ///
     /// The burn location is the only other reference to a data member's
     /// bytes, so the reset refuses ([`OlfsError::SoleCopy`]), mutating
@@ -425,6 +484,7 @@ impl ImageStore {
             return Err(OlfsError::SoleCopy { image });
         }
         let old_slot = group.slot.take();
+        group.append = false;
         let old_parity = std::mem::take(&mut group.parity);
         group.state = GroupState::ParityPending;
         let data = group.data.clone();

@@ -36,7 +36,7 @@ use ros_mech::plc::Plc;
 use ros_mech::{MechScheduler, SlotAddress};
 use ros_sim::{Bandwidth, EventQueue, SimDuration, SimRng, SimTime};
 use ros_udf::UdfPath;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Background events on the engine clock.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -153,14 +153,6 @@ pub struct Counters {
     pub latent_repairs: u64,
 }
 
-#[derive(Clone, Debug)]
-struct BurningInfo {
-    group: ArrayId,
-    until: SimTime,
-    sizes: Vec<u64>,
-    append: bool,
-}
-
 /// A foreground operation in progress: when it started and what it has
 /// spent so far. The clock stands still while the op's body runs, so
 /// the body reads time from here.
@@ -193,13 +185,9 @@ pub struct Ros {
     pub(crate) wbm: BucketManager,
     pub(crate) cache: ReadCache,
     pub(crate) counters: Counters,
-    pub(crate) burn_queue: VecDeque<ArrayId>,
-    burning: BTreeMap<usize, BurningInfo>,
     /// When the one robotic arm finishes the moves booked so far; a move
     /// wanted earlier starts then ([`Ros::arm_move`]).
     arm_free_at: SimTime,
-    /// Groups whose next burn must append tracks (post-interrupt).
-    append_groups: BTreeSet<ArrayId>,
     /// The namespace paths with a version in each image (LocTag
     /// promotion, audit escalation); the stored name is on the entry.
     /// A reverse view of the MV's `VersionEntry::segs`, rebuilt from
@@ -284,10 +272,7 @@ impl Ros {
             wbm,
             cache,
             counters: Counters::default(),
-            burn_queue: VecDeque::new(),
-            burning: BTreeMap::new(),
             arm_free_at: SimTime::ZERO,
-            append_groups: BTreeSet::new(),
             image_paths: BTreeMap::new(),
             vfs_mounted: BTreeMap::new(),
             last_audit: None,
@@ -369,23 +354,27 @@ impl Ros {
 
     /// Outstanding background work, for operator diagnostics when a
     /// flush will not quiesce: `(burns_in_flight, burns_queued,
-    /// parity_pending_groups, ready_to_burn_groups)`.
+    /// parity_pending_groups, ready_to_burn_groups)`, counted off the
+    /// group states. The backlog is the ready groups, so `burns_queued`
+    /// and `ready_to_burn_groups` are one count.
     pub fn pending_work(&self) -> (usize, usize, usize, usize) {
+        let ready = self.store.count_in_state(GroupState::ReadyToBurn);
         (
-            self.burning.len(),
-            self.burn_queue.len(),
+            self.store.count_in_state(GroupState::Burning),
+            ready,
             self.store.count_in_state(GroupState::ParityPending),
-            self.store.count_in_state(GroupState::ReadyToBurn),
+            ready,
         )
     }
 
-    /// True while burns are in flight or queued, or parity generation is
-    /// outstanding.
+    /// True while a group waits for parity, waits to burn or burns.
     fn has_pending_work(&self) -> bool {
-        !self.burning.is_empty()
-            || !self.burn_queue.is_empty()
-            || self.store.count_in_state(GroupState::ParityPending) > 0
-            || self.store.count_in_state(GroupState::ReadyToBurn) > 0
+        self.store.groups().any(|g| {
+            matches!(
+                g.state,
+                GroupState::ParityPending | GroupState::ReadyToBurn | GroupState::Burning
+            )
+        })
     }
 
     /// Moves the clock to `start + charged`, delivering the background
@@ -958,7 +947,8 @@ impl Ros {
         let Some(interval) = self.cfg.scrub_interval else {
             return;
         };
-        if self.burning.is_empty() && self.burn_queue.is_empty() {
+        let (burning, queued, ..) = self.pending_work();
+        if burning + queued == 0 {
             self.last_audit = Some(self.audit_sample(usize::MAX));
         }
         self.queue.schedule_in(interval, Event::ScrubTick);
@@ -1005,17 +995,17 @@ impl Ros {
             }
         }
         self.counters.parity_runs += 1;
-        self.burn_queue.push_back(gid);
         self.try_start_burns(self.now());
     }
 
-    /// Starts queued burns at `at` while a target tray and a bay are
-    /// available.
+    /// Starts burns at `at`, backlog head first, while a target tray and
+    /// a bay are available. A start that fails leaves its group at the
+    /// head of the backlog.
     pub(crate) fn try_start_burns(&mut self, at: SimTime) {
-        while let Some(&gid) = self.burn_queue.front() {
-            let append = self.append_groups.contains(&gid);
+        while let Some(head) = self.store.backlog_head() {
+            let (gid, append) = (head.id, head.append);
             let slot = if append {
-                self.store.group(gid).and_then(|g| g.slot)
+                head.slot
             } else {
                 self.store.first_empty_slot(&self.cfg.layout)
             };
@@ -1025,8 +1015,6 @@ impl Ros {
             let Some((bay, freed)) = self.take_bay(at) else {
                 return; // All bays busy.
             };
-            self.burn_queue.pop_front();
-            self.append_groups.remove(&gid);
             if let Err(e) = self.start_burn(gid, bay, slot, append, at + freed) {
                 // A transient mechanical misfeed happens before the tray
                 // is touched and leaves it for the next attempt; anything
@@ -1042,10 +1030,6 @@ impl Ros {
                         self.quarantine_bay(bay);
                     }
                 }
-                self.burn_queue.push_front(gid);
-                if append {
-                    self.append_groups.insert(gid);
-                }
                 return;
             }
         }
@@ -1056,8 +1040,9 @@ impl Ros {
     /// bays are never taken. Returns the bay and how long after `at` it
     /// is empty.
     pub(crate) fn take_bay(&mut self, at: SimTime) -> Option<(usize, SimDuration)> {
+        let burning: Vec<usize> = self.store.burns().map(|(_, bay, _)| bay).collect();
         let idle = |ros: &Self, bay: usize| {
-            !ros.burning.contains_key(&bay) && !ros.quarantined_bays.contains(&bay)
+            !burning.contains(&bay) && !ros.quarantined_bays.contains(&bay)
         };
         let bays = self.bays.len();
         let empty = |ros: &Self, bay: usize| matches!(ros.mech.bay_contents(bay), Ok(None));
@@ -1119,9 +1104,40 @@ impl Ros {
         Ok(self.arm_move(at, op.duration))
     }
 
+    /// The drives a group's burn uses: `(drive, image, bytes)` for each
+    /// member with bytes to burn, data then parity, in tray order.
+    fn burn_members(&self, gid: ArrayId) -> Vec<(usize, ImageId, u64)> {
+        let Some(group) = self.store.group(gid) else {
+            return Vec::new();
+        };
+        group
+            .data
+            .iter()
+            .chain(&group.parity)
+            .take(self.cfg.drives_per_bay)
+            .enumerate()
+            .filter_map(|(i, img)| {
+                let size = self.store.get(*img).map_or(0, |x| x.size);
+                (size > 0).then_some((i, *img, size))
+            })
+            .collect()
+    }
+
+    /// Stops the drives in `bay` that burn `members`, leaving their
+    /// discs open (§4.8); a drive that is not burning stays as it is.
+    /// The one way a burn's drives are stopped short of completion.
+    fn stop_drives(&mut self, bay: usize, members: &[(usize, ImageId, u64)]) {
+        for &(i, image, _) in members {
+            if let Some(drive) = self.bays[bay].drive_mut(i) {
+                let _ = drive.interrupt_burn(image.0, 0);
+            }
+        }
+    }
+
     /// Loads `slot` into `bay` at `at` and starts burning group `gid`
     /// onto it; the completion is scheduled for when the arm and then
-    /// the drives are done.
+    /// the drives are done. The group becomes `Burning` only once every
+    /// drive has begun.
     fn start_burn(
         &mut self,
         gid: ArrayId,
@@ -1133,90 +1149,52 @@ impl Ros {
         let loaded = at + self.load_bay(slot, bay, at)?;
         let idx = self.cfg.layout.slot_index(slot);
         self.store.set_da_state(idx, DaState::Used);
-        {
-            let g = self
-                .store
-                .group_mut(gid)
-                .ok_or(OlfsError::BadState(format!("no group {gid}")))?;
-            g.state = GroupState::Burning;
-            g.slot = Some(slot);
-        }
-        let group = self
-            .store
-            .group(gid)
-            .ok_or_else(|| OlfsError::BadState(format!("no group {gid}")))?
-            .clone();
-        let all_images: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
+        let members = self.burn_members(gid);
         let mut sizes = vec![0u64; self.cfg.drives_per_bay];
-        for (i, img) in all_images.iter().enumerate() {
-            if i < sizes.len() {
-                sizes[i] = self.store.get(*img).map(|x| x.size).unwrap_or(0);
+        for (k, &(i, _, size)) in members.iter().enumerate() {
+            let begun = self.bays[bay]
+                .drive_mut(i)
+                .ok_or_else(|| OlfsError::BadState(format!("no drive {i} in bay {bay}")))?
+                .begin_burn();
+            if let Err(e) = begun {
+                // Release the drives already burning so the array stays
+                // evacuable.
+                self.stop_drives(bay, &members[..k]);
+                return Err(e.into());
             }
+            sizes[i] = size;
         }
-        let mut format_extra = SimDuration::ZERO;
-        for (i, &size) in sizes.iter().enumerate() {
-            if size > 0 {
-                let begun = self.bays[bay]
-                    .drive_mut(i)
-                    .ok_or_else(|| OlfsError::BadState(format!("no drive {i} in bay {bay}")))?
-                    .begin_burn();
-                if let Err(e) = begun {
-                    // Release the siblings already switched to Burning so
-                    // the array stays evacuable.
-                    for (j, &s) in sizes.iter().enumerate().take(i) {
-                        if s > 0 {
-                            if let Some(d) = self.bays[bay].drive_mut(j) {
-                                let _ = d.interrupt_burn(all_images.get(j).map_or(0, |x| x.0), 0);
-                            }
-                        }
-                    }
-                    return Err(e.into());
-                }
-                if append {
-                    // Appending re-burn pays the metadata-zone formatting
-                    // (§2.1: "takes tens of seconds to format").
-                    format_extra = ros_drive::params::track_format_time();
-                }
-            }
-        }
-        let start = loaded + format_extra;
+        // Appending re-burn pays the metadata-zone formatting (§2.1:
+        // "takes tens of seconds to format").
+        let start = if append && !members.is_empty() {
+            loaded + ros_drive::params::track_format_time()
+        } else {
+            loaded
+        };
         let report = self.bays[bay].simulate_array_burn(&sizes, self.cfg.disc_class, start);
         let until = start + report.total;
-        self.burning.insert(
-            bay,
-            BurningInfo {
-                group: gid,
-                until,
-                sizes,
-                append,
-            },
-        );
+        let g = self
+            .store
+            .group_mut(gid)
+            .ok_or(OlfsError::BadState(format!("no group {gid}")))?;
+        g.state = GroupState::Burning;
+        g.slot = Some(slot);
+        g.burn = Some((bay, until));
         self.queue
             .schedule_at(until, Event::BurnDone { group: gid, bay });
         Ok(())
     }
 
     fn finish_burn(&mut self, gid: ArrayId, bay: usize) {
-        let Some(info) = self.burning.get(&bay) else {
-            return; // Interrupted; stale completion event.
-        };
-        if info.group != gid {
+        // A completion is current only while its group burns in that bay
+        // and ends now: an interrupted burn's completion stays queued,
+        // and can fall due while the group re-burns in the same bay.
+        let current = self
+            .store
+            .group(gid)
+            .filter(|g| g.state == GroupState::Burning && g.burn == Some((bay, self.now())));
+        let Some((Some(slot), append)) = current.map(|g| (g.slot, g.append)) else {
             return;
-        }
-        let Some(info) = self.burning.remove(&bay) else {
-            return;
-        };
-        let group = match self.store.group(gid) {
-            Some(g) => g.clone(),
-            None => return,
-        };
-        let Some(slot) = group.slot else {
-            return; // A crash handler already reset the group.
         };
         let slot_index = self.cfg.layout.slot_index(slot);
         let tray: Vec<DiscId> = self
@@ -1224,57 +1202,38 @@ impl Ros {
             .tray(slot_index)
             .map(<[DiscId]>::to_vec)
             .unwrap_or_default();
-        let all_images: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
+        let members = self.burn_members(gid);
         // First pass: complete every member's burn, collecting failures
         // instead of silently marking a partial array as done.
         let mut spoiled = false;
-        for (i, img) in all_images.iter().enumerate() {
-            if info.sizes.get(i).copied().unwrap_or(0) == 0 {
-                continue;
-            }
+        for &(i, img, _) in &members {
             let payload = self
                 .store
-                .get(*img)
+                .get(img)
                 .and_then(|x| x.payload.clone())
                 .map(Payload::inline)
                 .unwrap_or_else(|| Payload::synthetic(0));
-            let Some(drive) = self.bays[bay].drive_mut(i) else {
-                spoiled = true;
-                continue;
-            };
-            let res = if info.append {
-                drive.finish_burn_track(img.0, payload)
-            } else {
-                drive.finish_burn(img.0, payload)
-            };
-            if res.is_err() {
-                // A media-level failure leaves the drive in the Burning
-                // state; release it so the array can be evacuated.
-                if let Some(d) = self.bays[bay].drive_mut(i) {
-                    if !d.is_idle_loaded() {
-                        let _ = d.interrupt_burn(img.0, 0);
-                    }
+            let done = self.bays[bay].drive_mut(i).is_some_and(|drive| {
+                if append {
+                    drive.finish_burn_track(img.0, payload).is_ok()
+                } else {
+                    drive.finish_burn(img.0, payload).is_ok()
                 }
-                spoiled = true;
-            }
+            });
+            spoiled |= !done;
         }
         if spoiled {
+            // A media-level failure leaves its drive burning; release it
+            // so the array can be evacuated.
+            self.stop_drives(bay, &members);
             self.reburn_group_on_spare(gid, bay);
             return;
         }
         // Second pass (all members verified): record the burn locations.
-        for (i, img) in all_images.iter().enumerate() {
-            if info.sizes.get(i).copied().unwrap_or(0) == 0 {
-                continue;
-            }
+        for &(i, img, _) in &members {
             let disc = tray.get(i).copied().unwrap_or(DiscId(u64::MAX));
             let _ = self.store.mark_burned(
-                *img,
+                img,
                 DiscLocation {
                     disc,
                     slot,
@@ -1282,8 +1241,8 @@ impl Ros {
                     position: u32::try_from(i).unwrap_or(u32::MAX),
                 },
             );
-            self.cache.unpin(*img);
-            self.promote_paths(*img, LocTag::Disc);
+            self.cache.unpin(img);
+            self.promote_paths(img, LocTag::Disc);
         }
         if let Some(g) = self.store.group_mut(gid) {
             g.state = GroupState::Burned;
@@ -1611,9 +1570,10 @@ impl Ros {
             .store
             .location_of(image)
             .ok_or(OlfsError::ImageLost(image))?;
+        let burning: Vec<usize> = self.store.burns().map(|(_, bay, _)| bay).collect();
         let holder = |ros: &Self, quarantined: bool| {
             (0..ros.bays.len()).find(|b| {
-                !ros.burning.contains_key(b)
+                !burning.contains(b)
                     && ros.quarantined_bays.contains(b) == quarantined
                     && ros.mech.bay_contents(*b).ok().flatten() == Some(loc.slot)
             })
@@ -1848,19 +1808,20 @@ impl Ros {
                     // Waiting is the policy: the clock runs to the next
                     // burn's end, whose completion frees its bay.
                     let next = self
-                        .burning
-                        .values()
-                        .map(|i| i.until)
+                        .store
+                        .burns()
+                        .map(|(_, _, until)| until)
                         .min()
                         .ok_or(OlfsError::NoDriveAvailable)?;
                     self.run_until(next);
                     *extra = (*extra).max(next.duration_since(at));
                 }
                 BusyReadPolicy::InterruptBurn => {
-                    let bay = *self
-                        .burning
-                        .keys()
-                        .next()
+                    let bay = self
+                        .store
+                        .burns()
+                        .map(|(_, bay, _)| bay)
+                        .min()
                         .ok_or(OlfsError::NoDriveAvailable)?;
                     *extra += self.interrupt_burn(bay)?;
                 }
@@ -1869,41 +1830,23 @@ impl Ros {
         Err(OlfsError::NoDriveAvailable)
     }
 
-    /// Interrupts the burn in `bay`, requeueing its group for an
-    /// appending re-burn (§4.8's aggressive policy). Returns the time
-    /// the drives take to stop.
+    /// Interrupts the burn in `bay`, returning its group to the backlog
+    /// for an appending re-burn (§4.8's aggressive policy). Returns the
+    /// time the drives take to stop.
     fn interrupt_burn(&mut self, bay: usize) -> Result<SimDuration, OlfsError> {
-        let info = self
-            .burning
-            .remove(&bay)
-            .ok_or(OlfsError::BadState(format!("bay {bay} not burning")))?;
-        let gid = info.group;
-        let group = self
+        let (gid, ..) = self
             .store
-            .group(gid)
-            .ok_or(OlfsError::BadState(format!("no group {gid}")))?
-            .clone();
-        let imgs: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
-        for i in 0..self.cfg.drives_per_bay {
-            if info.sizes.get(i).copied().unwrap_or(0) > 0 {
-                let img = imgs.get(i).copied().unwrap_or(ImageId(0));
-                self.bays[bay]
-                    .drive_mut(i)
-                    .ok_or_else(|| OlfsError::BadState(format!("no drive {i} in bay {bay}")))?
-                    .interrupt_burn(img.0, 0)?;
-            }
-        }
-        // The slot stays reserved for the group's appending re-burn.
+            .burns()
+            .find(|&(_, b, _)| b == bay)
+            .ok_or(OlfsError::BadState(format!("bay {bay} not burning")))?;
+        let members = self.burn_members(gid);
+        self.stop_drives(bay, &members);
+        // The slot stays reserved for the group's appending re-burn, and
+        // its backlog number puts it first again.
         if let Some(g) = self.store.group_mut(gid) {
             g.state = GroupState::ReadyToBurn;
+            g.append = true;
         }
-        self.burn_queue.push_front(gid);
-        self.append_groups.insert(gid);
         self.counters.burn_interrupts += 1;
         Ok(SimDuration::from_millis(500))
     }
@@ -1997,15 +1940,6 @@ impl Ros {
         if let Some(gid) = self.store.force_close_collecting() {
             self.schedule_parity(gid, self.now());
         }
-        // Crash recovery, not scheduling: a `ReadyToBurn` group that is
-        // neither queued nor burning is unreachable by the burn starter
-        // and would keep the system pending forever (the crash-restart
-        // path performs the same reconcile).
-        for gid in self.store.groups_in_state(GroupState::ReadyToBurn) {
-            if !self.burn_queue.contains(&gid) && !self.burning.values().any(|b| b.group == gid) {
-                self.burn_queue.push_back(gid);
-            }
-        }
         let ok = self.run_until_quiescent(SimDuration::from_secs(3600 * 24 * 30));
         if ok {
             Ok(())
@@ -2038,80 +1972,50 @@ impl Ros {
     /// buckets are loop devices on disk — the image store and all burned
     /// discs. What is lost: in-flight events. Burns that were cut mid-
     /// write ruin their write-once discs; their trays are retired as
-    /// Failed and the groups re-queue onto fresh trays. Pending parity
-    /// generations are simply rescheduled.
+    /// Failed and the groups go to the back of the burn backlog, for
+    /// fresh trays. Pending parity generations are simply rescheduled,
+    /// and the idle-audit tick starts a new interval. The restart costs
+    /// the arm sending the ruined arrays home, then 90 s.
     ///
     /// Returns `(aborted_burns, rescheduled_parities)`.
     pub fn simulate_crash_and_restart(&mut self) -> Result<(usize, usize), OlfsError> {
-        // 1. Power loss: every scheduled event vanishes.
-        while self.queue.pop_until(self.queue.now()).is_some() {}
-        let pending: Vec<Event> = {
-            let mut v = Vec::new();
-            while let Some(ev) = self.queue.pop() {
-                // pop() advances the clock; collect and discard.
-                v.push(ev.payload);
-            }
-            v
-        };
-        drop(pending);
+        // 1. Power loss: every scheduled event vanishes; the clock stays.
+        let now = self.now();
+        self.queue = EventQueue::new();
+        self.queue.advance_to(now);
 
-        // 2. In-flight burns are ruined: retire the tray, free the
-        //    drives, requeue the group for a fresh-tray burn.
-        // BTreeMap has no drain(); take the whole map, yielding bays in
-        // ascending order.
-        let burning: Vec<(usize, BurningInfo)> =
-            std::mem::take(&mut self.burning).into_iter().collect();
-        let aborted = burning.len();
-        for (bay, info) in burning {
-            let group = match self.store.group(info.group) {
-                Some(g) => g.clone(),
-                None => continue,
-            };
-            for i in 0..self.cfg.drives_per_bay {
-                if info.sizes.get(i).copied().unwrap_or(0) > 0 {
-                    let imgs: Vec<ImageId> = group
-                        .data
-                        .iter()
-                        .chain(group.parity.iter())
-                        .copied()
-                        .collect();
-                    let img = imgs.get(i).copied().unwrap_or(ImageId(0));
-                    if let Some(d) = self.bays[bay].drive_mut(i) {
-                        let _ = d.interrupt_burn(img.0, 0);
-                    }
-                }
-            }
-            if let Some(slot) = group.slot {
+        // 2. In-flight burns are ruined: free the drives, retire the
+        //    tray, requeue the group for a fresh tray, in bay order.
+        let mut cut: Vec<(usize, ArrayId)> =
+            self.store.burns().map(|(gid, bay, _)| (bay, gid)).collect();
+        cut.sort_unstable();
+        for &(bay, gid) in &cut {
+            let members = self.burn_members(gid);
+            self.stop_drives(bay, &members);
+            if let Some(slot) = self.store.requeue_cut_burn(gid) {
                 let idx = self.cfg.layout.slot_index(slot);
                 self.store.set_da_state(idx, DaState::Failed);
             }
-            if let Some(g) = self.store.group_mut(info.group) {
-                g.state = GroupState::ReadyToBurn;
-                g.slot = None;
-            }
-            self.append_groups.remove(&info.group);
-            self.burn_queue.push_back(info.group);
-            self.unload_bay(bay, self.now())?;
+            self.unload_bay(bay, now)?;
         }
 
         // 3. The arm sends the ruined arrays home, then the reboot takes
         //    a moment.
         self.queue
-            .advance_to(self.now().max(self.arm_free_at) + SimDuration::from_secs(90));
+            .advance_to(now.max(self.arm_free_at) + SimDuration::from_secs(90));
 
-        // 4. Reschedule lost parity generations and ready burns.
+        // 4. Reschedule lost parity generations and the idle tick, and
+        //    start the backlog.
         let mut parities = 0;
         for gid in self.store.groups_in_state(GroupState::ParityPending) {
             self.schedule_parity(gid, self.now());
             parities += 1;
         }
-        for gid in self.store.groups_in_state(GroupState::ReadyToBurn) {
-            if !self.burn_queue.contains(&gid) {
-                self.burn_queue.push_back(gid);
-            }
+        if let Some(interval) = self.cfg.scrub_interval {
+            self.queue.schedule_in(interval, Event::ScrubTick);
         }
         self.try_start_burns(self.now());
-        Ok((aborted, parities))
+        Ok((cut.len(), parities))
     }
 }
 
@@ -2242,35 +2146,6 @@ mod tests {
             r.seal_bucket(b, r.now()).unwrap();
         }
         assert_eq!(census(&r), [1, 0, 0, 0, 1]);
-    }
-
-    #[test]
-    fn flush_requeues_an_orphaned_ready_to_burn_group() {
-        let mut r = ros();
-        r.write_file(&p("/orphan/f"), vec![7u8; 200_000]).unwrap();
-        for b in 0..r.wbm.len() {
-            r.seal_bucket(b, r.now()).unwrap();
-        }
-        if let Some(gid) = r.store.force_close_collecting() {
-            r.schedule_parity(gid, r.now());
-        }
-        // Hold the burn back so the group parks in ReadyToBurn, then
-        // drop it from the queue — the state an event-interleaving bug
-        // (or a crash at the wrong moment) leaves behind: ReadyToBurn,
-        // not queued, not burning, unreachable by the burn starter.
-        r.quarantine_bay(0);
-        assert!(!r.run_until_quiescent(SimDuration::from_secs(3600)));
-        assert!(
-            !r.store.groups_in_state(GroupState::ReadyToBurn).is_empty(),
-            "the group must be parked ReadyToBurn behind the quarantine"
-        );
-        r.burn_queue.clear();
-        assert_eq!(r.service_quarantined_bays(), 1);
-        // Without the flush-side reconcile the orphan keeps
-        // has_pending_work() true forever and this fails to quiesce.
-        r.flush().unwrap();
-        assert!(r.store.groups_in_state(GroupState::ReadyToBurn).is_empty());
-        assert_eq!(r.read_file(&p("/orphan/f")).unwrap().data.len(), 200_000);
     }
 
     #[test]
@@ -2580,7 +2455,7 @@ mod tests {
         r.run_for(SimDuration::from_secs(4));
         // A burn is now in flight; a foreground write stays fast, and
         // moves the clock by its own latency only.
-        assert!(!r.burning.is_empty());
+        assert_eq!(r.pending_work().0, 1);
         let before = r.now();
         let w = r.write_file(&p("/quick"), vec![2u8; 1024]).unwrap();
         assert!(
@@ -2589,6 +2464,49 @@ mod tests {
             w.latency
         );
         assert_eq!(r.now().duration_since(before), w.latency);
+    }
+
+    #[test]
+    fn a_stale_completion_cannot_finish_the_resumed_burn() {
+        // Discs with room for an appended track's 64 MiB metadata zone.
+        let mut cfg = RosConfig::tiny();
+        cfg.disc_class = ros_drive::DiscClass::Custom {
+            capacity: 128 << 20,
+        };
+        let mut r = Ros::new(cfg);
+        for i in 0..11 {
+            r.write_file(&p(&format!("/s/{i}")), vec![i as u8; 800_000])
+                .unwrap();
+        }
+        r.seal_open_buckets().unwrap();
+        // Park the group ready to burn, then make its members 8 GiB so
+        // the burn lasts minutes, longer than a fetch's mechanics.
+        r.quarantine_bay(0);
+        r.force_close_collecting_group();
+        assert!(!r.run_until_quiescent(SimDuration::from_secs(3600)));
+        let gid = r.store.backlog_head().unwrap().id;
+        let group = r.store.group(gid).unwrap().clone();
+        for img in group.data.iter().chain(&group.parity) {
+            r.store.get_mut(*img).unwrap().size = 8 << 30;
+        }
+        assert_eq!(r.service_quarantined_bays(), 1);
+        r.run_until(r.arm_free_at());
+        let (_, bay, first_end) = r.store.burns().next().unwrap();
+        // A read interrupts the burn (§4.8); the group resumes, appending,
+        // in the same bay.
+        r.interrupt_burn(bay).unwrap();
+        r.try_start_burns(r.now());
+        let (_, again, resumed_end) = r.store.burns().next().unwrap();
+        assert_eq!(again, bay);
+        assert!(resumed_end > first_end);
+        // The first burn's completion falls due mid-burn and is ignored.
+        r.run_until(first_end);
+        assert_eq!(r.counters().reburns, 0);
+        assert_eq!(r.store.da_counts().2, 0, "no tray retired");
+        assert_eq!(r.store.group(gid).unwrap().state, GroupState::Burning);
+        r.run_until(resumed_end);
+        assert_eq!(r.store.group(gid).unwrap().state, GroupState::Burned);
+        assert_eq!((r.counters().burns, r.counters().reburns), (1, 0));
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
 use ros_sim::SimTime;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// A point-in-time status summary.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -53,7 +54,7 @@ impl Ros {
             mv_bytes: self.mv.usage_bytes(),
             images: self.store.len(),
             da_counts: self.store.da_counts(),
-            burn_backlog: self.burn_queue.len(),
+            burn_backlog: self.store.count_in_state(GroupState::ReadyToBurn),
             buffer_usage: self.vm.usage(self.vol_buffer).unwrap_or((0, 0)),
             cached_images: self.cache.len(),
         }
@@ -282,7 +283,9 @@ impl Ros {
     /// 2. every DILindex location points at a Used (or Failed) tray,
     /// 3. every read-cache resident actually has a disk copy,
     /// 4. every MV entry's segments are known to the image store,
-    /// 5. unburned images still hold their (only) disk copy.
+    /// 5. unburned images still hold their (only) disk copy,
+    /// 6. every Burning group's tray is loaded in the bay it names,
+    /// 7. no bay burns two groups.
     ///
     /// Returns the violations found (empty = consistent).
     pub fn verify_consistency(&self) -> Vec<ConsistencyIssue> {
@@ -358,6 +361,26 @@ impl Ros {
                 if !ok {
                     push(format!("unburned image {img} lost its disk copy"));
                 }
+            }
+        }
+
+        // 6 + 7: the burns in flight.
+        let mut burning_bays = BTreeSet::new();
+        for g in self
+            .store
+            .groups()
+            .filter(|g| g.state == GroupState::Burning)
+        {
+            let bay = g.burn.map(|(bay, _)| bay);
+            let loaded = bay.and_then(|bay| self.mech.bay_contents(bay).ok().flatten());
+            if g.slot.is_none() || loaded != g.slot {
+                push(format!(
+                    "burning group {} is not loaded in bay {bay:?}",
+                    g.id
+                ));
+            }
+            if bay.is_some_and(|bay| !burning_bays.insert(bay)) {
+                push(format!("bay {bay:?} burns two groups"));
             }
         }
 

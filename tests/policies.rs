@@ -2,10 +2,12 @@
 //! forepart, cache behaviour and workload runs over the gateway.
 
 use ros::prelude::*;
+use ros::ros_mech::{MechScheduler, Plc};
 use ros::ros_olfs::config::BusyReadPolicy;
 use ros::ros_olfs::engine::ReadSource;
 use ros::ros_workload::dist::SizeDist;
 use ros::ros_workload::FileOp;
+use ros_faults::{FaultEvent, FaultKind, FaultSink};
 
 fn p(s: &str) -> UdfPath {
     s.parse().unwrap()
@@ -329,6 +331,62 @@ fn crash_during_burn_recovers_to_a_consistent_state() {
     }
     // The checkpoint is still readable from MV.
     assert!(ros.last_checkpoint().is_some());
+}
+
+/// A restart costs what its doc says, the arm sending the ruined array
+/// home plus 90 s, and the idle audit keeps ticking after it.
+#[test]
+fn a_crash_restart_costs_the_unload_and_keeps_the_idle_tick() {
+    let interval = SimDuration::from_secs(3600);
+    let mut cfg = RosConfig::tiny();
+    cfg.scrub_interval = Some(interval);
+    let layout = cfg.layout;
+    let mut ros = Ros::new(cfg);
+    for i in 0..12 {
+        ros.write_file(&p(&format!("/crash/{i}")), content(i, 800_000))
+            .unwrap();
+    }
+    ros.seal_open_buckets().unwrap();
+    ros.force_close_collecting_group();
+    ros.run_for(SimDuration::from_millis(4_000));
+    ros.run_until(ros.arm_free_at());
+    // The burn is in flight on the first tray, and the arm is idle.
+    let tray = layout.slot_at(0);
+    let mut mech = MechScheduler::new(Plc::new_full(layout), 1);
+    mech.load_array(tray, 0).unwrap();
+    let unload = mech.unload_array(0).unwrap().duration;
+    let crashed = ros.now();
+    let (aborted, _) = ros.simulate_crash_and_restart().unwrap();
+    assert_eq!(aborted, 1);
+    assert_eq!(
+        ros.now().duration_since(crashed),
+        unload + SimDuration::from_secs(90)
+    );
+    ros.run_for(interval);
+    assert!(ros.last_audit_report().is_some(), "the idle tick audited");
+}
+
+/// A burn whose drive refuses to start leaves its group ready to burn,
+/// not `Burning` while it waits, and the two group views agree.
+#[test]
+fn a_failed_burn_start_leaves_the_group_ready() {
+    let mut ros = Ros::new(RosConfig::tiny());
+    ros.inject_fault(&FaultEvent {
+        seq: 0,
+        at_op: 0,
+        kind: FaultKind::DriveDeath { bay: 0, drive: 0 },
+    });
+    for i in 0..11 {
+        ros.write_file(&p(&format!("/dead/{i}")), content(i, 300_000))
+            .unwrap();
+    }
+    ros.seal_open_buckets().unwrap();
+    ros.force_close_collecting_group();
+    ros.run_for(SimDuration::from_secs(4));
+    assert_eq!(ros.status().da_counts.2, 1, "the start ruined its tray");
+    let (_, parity, ready, burning, _) = ros.group_census();
+    assert_eq!((ready, burning), (1, 0));
+    assert_eq!(ros.pending_work(), (burning, ready, parity, ready));
 }
 
 #[test]
