@@ -2,10 +2,6 @@
 //!
 //! Usage: `repro [table1|table2|table3|fig6|fig7|fig8|fig9|fig10|tco|power|mvrec|ablations|cluster|cluster-smoke|cas-smoke|all]`
 //!
-//! Perf harness: `repro perf` (text), `repro perf --json` (baseline
-//! format), `repro perf --check BENCH_hotpaths.json` (CI gate — exits
-//! non-zero when a tracked metric regresses past the threshold).
-//!
 //! Chaos harness: `repro chaos` (full soak), `repro chaos --smoke`
 //! (CI-sized run). Exits non-zero on acked-write loss, timeline
 //! divergence across the seeded re-run, or retry amplification past
@@ -40,50 +36,7 @@
     )
 )]
 
-use ros_bench::{perf, render};
-
-/// `repro perf [--json | --check <baseline>]`.
-fn run_perf(mode: Option<&str>, baseline_path: Option<&str>) -> Result<String, String> {
-    let report = perf::measure(5);
-    match mode {
-        None => Ok(report.to_text()),
-        Some("--json") => Ok(report.to_json().map_err(|e| e.to_string())? + "\n"),
-        Some("--check") => {
-            let path = baseline_path.ok_or("usage: repro perf --check <baseline.json>")?;
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-            let baseline = perf::PerfReport::from_json(&text).map_err(|e| e.to_string())?;
-            let regressions = report.regressions_vs(&baseline);
-            if regressions.is_empty() {
-                let mut out = report.to_text();
-                out += &format!(
-                    "\nperf gate: OK — all tracked metrics within {}% of {path}\n",
-                    baseline.max_regression_pct
-                );
-                return Ok(out);
-            }
-            let mut msg = format!(
-                "perf gate: {} tracked metric(s) regressed >{}% vs {path}:\n",
-                regressions.len(),
-                baseline.max_regression_pct
-            );
-            for (name, base, cur) in regressions {
-                if cur.is_nan() {
-                    msg += &format!("  {name}: missing from current report (baseline {base:.2})\n");
-                } else {
-                    msg += &format!(
-                        "  {name}: {base:.2} -> {cur:.2} ({:+.1}%)\n",
-                        (cur / base - 1.0) * 100.0
-                    );
-                }
-            }
-            Err(msg)
-        }
-        Some(other) => Err(format!(
-            "unknown perf flag '{other}'; expected --json or --check"
-        )),
-    }
-}
+use ros_bench::render;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -92,19 +45,6 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("all")
         .to_string();
-    if arg == "perf" {
-        match run_perf(
-            args.get(1).map(String::as_str),
-            args.get(2).map(String::as_str),
-        ) {
-            Ok(text) => print!("{text}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
     if arg == "chaos" {
         let smoke = match args.get(1).map(String::as_str) {
             None => false,
@@ -168,7 +108,7 @@ fn main() {
             eprintln!(
                 "unknown experiment '{other}'; expected one of: table1 table2 table3 \
                  fig6 fig7 fig8 fig9 fig10 tco power mvrec capacity ablations \
-                 cluster cluster-smoke cas-smoke all json perf chaos durability"
+                 cluster cluster-smoke cas-smoke all json chaos durability"
             );
             std::process::exit(2);
         }

@@ -5,8 +5,8 @@
 //! the actual system models, and returns structured results. The `repro`
 //! binary renders them in the paper's layout, and
 //! `tests/paper_calibration.rs` asserts them against the paper's numbers.
-//! Host wall time has two homes: `repro perf` for the hot-path kernels
-//! ([`perf`]) and the `e2e` benchmark for whole workloads.
+//! Host wall time has one home: the `e2e` benchmark, which times whole
+//! workloads and each layer's kernels inside them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +33,6 @@ pub mod chaos;
 pub mod cluster;
 pub mod durability;
 pub mod experiments;
-pub mod perf;
 pub mod render;
 
 pub use cluster::*;

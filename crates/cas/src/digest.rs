@@ -464,7 +464,7 @@ mod tests {
         ];
         let data = pattern(2 * CHUNK_BYTES + 12_345);
         for (len, expect) in golden {
-            for threads in [1, 2, 4] {
+            for threads in [1, 2, 4, 8] {
                 let got = content_digest(&data[..len], &DataPlane::new(threads));
                 assert_eq!(got.to_hex(), expect, "len {len} threads {threads}");
             }

@@ -35,7 +35,7 @@ proptest! {
             root.extend_from_slice(&sha256(chunk));
         }
         let expect = Digest::from_bytes(sha256(&root));
-        for threads in [1, 2, 4] {
+        for threads in [1, 2, 4, 8] {
             prop_assert_eq!(content_digest(data, &DataPlane::new(threads)), expect);
         }
     }

@@ -2,9 +2,9 @@
 //!
 //! Every real byte that flows through RAID-6 Q parity, OLFS disc-array
 //! redundancy (§4.7), audit verification and reconstruction is multiplied
-//! in GF(2^8). The scalar shift-and-add multiply
-//! ([`crate::parity::gf_mul_scalar`]) pays ~8 dependent iterations per
-//! byte; the kernels here replace it with constant-time table lookups:
+//! in GF(2^8). The scalar shift-and-add multiply ([`mul_const`]) pays ~8
+//! dependent iterations per byte; the kernels here replace it with
+//! constant-time table lookups:
 //!
 //! - **log/exp tables** ([`GF_EXP`], [`GF_LOG`]) — one multiply is one
 //!   add of logs and one exp lookup; inversion is one subtraction.
@@ -16,9 +16,9 @@
 //! - **word-sliced XOR** ([`xor_acc`]) — P parity moves 8 bytes per
 //!   XOR through `u64` lanes instead of byte-at-a-time.
 //!
-//! All tables are built by `const fn` from the same 0x11D reduction
-//! polynomial the scalar reference uses, and the equivalence is locked
-//! in by proptests (`crates/disk/tests/parity_equiv.rs`).
+//! All tables are built by `const fn` from [`mul_const`], the scalar
+//! reference multiply, and the equivalence is locked in by the exhaustive
+//! tests below and the proptests in `crates/disk/tests/parity_equiv.rs`.
 
 // Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
 // outside test code is checked, saturating, or carries an `#[expect]`
@@ -28,10 +28,10 @@
 /// The GF(2^8) reduction polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).
 pub const POLY: u16 = 0x11D;
 
-/// Scalar carry-less multiply, usable in `const` contexts. This is the
-/// same algorithm as [`crate::parity::gf_mul_scalar`]; it exists so the
-/// split tables below can be built at compile time.
-const fn mul_const(a: u8, b: u8) -> u8 {
+/// The scalar reference multiply: bit-by-bit shift-and-add (carry-less,
+/// reduced by [`POLY`]). It builds the split tables below at compile
+/// time and is the one oracle every table kernel is proven against.
+pub const fn mul_const(a: u8, b: u8) -> u8 {
     // `u16::from` is not const-callable, so these two casts widen
     // instead; every u8 value is representable.
     let mut a = a as u16;
@@ -92,8 +92,8 @@ pub static GF_LOG: [u8; 256] = LOG_EXP.1;
 
 /// Multiplies two field elements via the log/exp tables.
 ///
-/// Bit-identical to [`crate::parity::gf_mul_scalar`] for every input
-/// pair (proven exhaustively in the tests below).
+/// Bit-identical to [`mul_const`] for every input pair (proven
+/// exhaustively in the tests below).
 #[inline]
 #[expect(
     clippy::arithmetic_side_effects,
@@ -246,18 +246,41 @@ pub fn xor_acc(dst: &mut [u8], src: &[u8]) {
 mod tests {
     use super::*;
 
-    /// The scalar oracle, duplicated from `parity::gf_mul_scalar` so this
-    /// module's tests stand alone.
-    fn mul_scalar(a: u8, b: u8) -> u8 {
-        mul_const(a, b)
+    /// The Fermat-little-theorem inverse (`a^254` by square-and-multiply
+    /// over the scalar multiply): the oracle for [`inv`].
+    fn inv_fermat(a: u8) -> u8 {
+        assert!(a != 0, "zero has no multiplicative inverse in GF(2^8)");
+        let mut result: u8 = 1;
+        let mut base = a;
+        let mut exp = 254u32;
+        while exp > 0 {
+            if exp & 1 == 1 {
+                result = mul_const(result, base);
+            }
+            base = mul_const(base, base);
+            exp >>= 1;
+        }
+        result
     }
 
     #[test]
     fn table_mul_matches_scalar_exhaustively() {
+        assert_eq!(mul(0, 77), 0);
+        assert_eq!(mul(1, 77), 77);
+        assert_eq!(mul(2, 0x80), 0x1D); // Overflow reduces by POLY.
         for a in 0..=255u8 {
             for b in 0..=255u8 {
-                assert_eq!(mul(a, b), mul_scalar(a, b), "a={a} b={b}");
+                assert_eq!(mul(a, b), mul_const(a, b), "a={a} b={b}");
+                assert_eq!(mul(a, b), mul(b, a), "a={a} b={b}");
             }
+        }
+    }
+
+    #[test]
+    fn gf_inverse_is_correct() {
+        for a in 1..=255u8 {
+            assert_eq!(mul(a, inv(a)), 1, "a = {a}");
+            assert_eq!(inv(a), inv_fermat(a), "a = {a}");
         }
     }
 
@@ -277,7 +300,7 @@ mod tests {
         assert_eq!(pow2(0), 1);
         assert_eq!(pow2(1), 2);
         assert_eq!(pow2(8), 0x1D);
-        assert_eq!(pow2(255), 1);
+        assert_eq!(pow2(255), 1); // Generator order is 255.
         for a in 1..=255u8 {
             assert_eq!(mul(a, inv(a)), 1, "a={a}");
         }

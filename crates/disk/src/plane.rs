@@ -266,7 +266,7 @@ mod tests {
     fn map_preserves_input_order() {
         let items: Vec<u32> = (0..1000).collect();
         let expect: Vec<u64> = items.iter().map(|x| u64::from(*x) * 3).collect();
-        for threads in [1, 2, 4, 7] {
+        for threads in [1, 2, 4, 7, 8] {
             let got = DataPlane::new(threads).map(&items, |x| u64::from(*x) * 3);
             assert_eq!(got, expect, "threads={threads}");
         }
@@ -278,7 +278,7 @@ mod tests {
         // per-item result that depends on the item alone.
         let items: Vec<u32> = (0..1000).collect();
         let expect: Vec<u64> = items.iter().map(|x| u64::from(*x) * 3).collect();
-        for threads in [1, 2, 4, 7] {
+        for threads in [1, 2, 4, 7, 8] {
             let seen = std::sync::Mutex::new(Vec::new());
             let got = DataPlane::new(threads).map_spans(&items, |span| {
                 let bounds = (span.first().copied(), span.len());

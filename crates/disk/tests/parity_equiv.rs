@@ -1,18 +1,23 @@
 //! Equivalence proptests: the table-driven, plane-parallel parity
 //! kernels must agree byte-for-byte with a scalar reference built on the
-//! original shift-and-add multiply ([`ros_disk::parity::gf_mul_scalar`]),
+//! original shift-and-add multiply ([`ros_disk::gf::mul_const`]),
 //! across stripe counts, stripe lengths (including 0, 1, and
-//! non-word-aligned), and thread counts 1/2/4.
+//! non-word-aligned), ragged members and thread counts 1/2/4/8.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use ros_disk::gf::mul_const;
 use ros_disk::parity;
 use ros_disk::plane::DataPlane;
 
+/// The stripe length: the longest member (shorter ones are zero-filled).
+fn stripe_len(data: &[&[u8]]) -> usize {
+    data.iter().map(|d| d.len()).max().unwrap_or(0)
+}
+
 /// Scalar reference P parity: byte-at-a-time XOR, no tables, no plane.
 fn scalar_parity_p(data: &[&[u8]]) -> Vec<u8> {
-    let len = data.first().map(|d| d.len()).unwrap_or(0);
-    let mut p = vec![0u8; len];
+    let mut p = vec![0u8; stripe_len(data)];
     for stripe in data {
         for (pi, &b) in p.iter_mut().zip(stripe.iter()) {
             *pi ^= b;
@@ -24,14 +29,13 @@ fn scalar_parity_p(data: &[&[u8]]) -> Vec<u8> {
 /// Scalar reference Q parity using the original repeated-multiply
 /// generator walk and scalar multiply.
 fn scalar_parity_q(data: &[&[u8]]) -> Vec<u8> {
-    let len = data.first().map(|d| d.len()).unwrap_or(0);
-    let mut q = vec![0u8; len];
+    let mut q = vec![0u8; stripe_len(data)];
     let mut g: u8 = 1;
     for stripe in data {
         for (qi, &b) in q.iter_mut().zip(stripe.iter()) {
-            *qi ^= parity::gf_mul_scalar(g, b);
+            *qi ^= mul_const(g, b);
         }
-        g = parity::gf_mul_scalar(g, 2);
+        g = mul_const(g, 2);
     }
     q
 }
@@ -47,14 +51,9 @@ fn refs(v: &[Vec<u8>]) -> Vec<&[u8]> {
     v.iter().map(|s| s.as_slice()).collect()
 }
 
-const THREADS: [usize; 3] = [1, 2, 4];
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 proptest! {
-    #[test]
-    fn gf_mul_table_equals_scalar(a in 0u8..=255, b in 0u8..=255) {
-        prop_assert_eq!(parity::gf_mul(a, b), parity::gf_mul_scalar(a, b));
-    }
-
     // Lengths deliberately cross 0, 1, word-unaligned tails, and the
     // plane's serial/parallel threshold is exercised by the dedicated
     // large-input test below.
@@ -63,7 +62,7 @@ proptest! {
         seed in 0u64..500,
         n_stripes in 1usize..12,
         len in 0usize..300,
-        thread_sel in 0usize..3,
+        thread_sel in 0usize..4,
     ) {
         let data = gen_stripes(seed, n_stripes, len);
         let r = refs(&data);
@@ -71,7 +70,6 @@ proptest! {
         let expect_p = scalar_parity_p(&r);
         let expect_q = scalar_parity_q(&r);
         prop_assert_eq!(&parity::parity_p_with(&r, &plane).unwrap(), &expect_p);
-        prop_assert_eq!(&parity::parity_q_with(&r, &plane).unwrap(), &expect_q);
         let (p, q) = parity::encode_pq_with(&r, &plane).unwrap();
         prop_assert_eq!(&p, &expect_p);
         prop_assert_eq!(&q, &expect_q);
@@ -83,7 +81,7 @@ proptest! {
         n_stripes in 1usize..10,
         len in 1usize..300,
         lost_sel in 0usize..10,
-        thread_sel in 0usize..3,
+        thread_sel in 0usize..4,
     ) {
         let data = gen_stripes(seed, n_stripes, len);
         let r = refs(&data);
@@ -106,7 +104,7 @@ proptest! {
         n_stripes in 2usize..10,
         len in 1usize..300,
         lost_sel in 0usize..45,
-        thread_sel in 0usize..3,
+        thread_sel in 0usize..4,
     ) {
         let data = gen_stripes(seed, n_stripes, len);
         let r = refs(&data);
@@ -145,7 +143,7 @@ proptest! {
         n_stripes in 1usize..8,
         len in 1usize..300,
         corrupt in 0usize..301,
-        thread_sel in 0usize..3,
+        thread_sel in 0usize..4,
     ) {
         let data = gen_stripes(seed, n_stripes, len);
         let mut r = refs(&data);
@@ -176,27 +174,61 @@ proptest! {
 /// Inputs big enough to actually cross the plane's parallel threshold:
 /// the proptest lengths above stay small for speed, so this pins the
 /// multi-threaded split path against the scalar reference and against
-/// thread count 1 directly.
+/// thread count 1 directly — for both encoders, every recovery path and
+/// ragged members (shorter ones read as zero-filled to the stripe).
 #[test]
 fn large_unaligned_inputs_are_thread_count_invariant() {
     let len = 300_003; // odd tail: exercises word slicing + chunk seams
-    let data = gen_stripes(0xD15C, 10, len);
+    let mut data = gen_stripes(0xD15C, 10, len);
+    // Ragged members: one ends mid-chunk, one before the first seam and
+    // one is empty. Members 2 and 7, the ones lost below, stay full.
+    data[3].truncate(len - 70_001);
+    data[5].truncate(1_001);
+    data[9].clear();
     let r = refs(&data);
     let expect_p = scalar_parity_p(&r);
     let expect_q = scalar_parity_q(&r);
+    let padded: Vec<Vec<u8>> = data
+        .iter()
+        .map(|d| {
+            let mut d = d.clone();
+            d.resize(len, 0);
+            d
+        })
+        .collect();
     for threads in THREADS {
         let plane = DataPlane::new(threads);
+        assert_eq!(
+            parity::parity_p_with(&r, &plane).unwrap(),
+            expect_p,
+            "threads={threads}"
+        );
         let (p, q) = parity::encode_pq_with(&r, &plane).unwrap();
         assert_eq!(p, expect_p, "threads={threads}");
         assert_eq!(q, expect_q, "threads={threads}");
-        assert!(parity::verify_group_with(&r, &p, Some(&q), &plane).unwrap());
-        let masked: Vec<Option<&[u8]>> = r
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i != 2 && i != 7).then_some(*s))
-            .collect();
+        assert!(parity::verify_group_with(&refs(&padded), &p, Some(&q), &plane).unwrap());
+        let lose = |lost: &[usize]| -> Vec<Option<&[u8]>> {
+            r.iter()
+                .enumerate()
+                .map(|(i, s)| (!lost.contains(&i)).then_some(*s))
+                .collect()
+        };
+        // P alone: one data loss, then the lost P.
+        let (rec, rp) = parity::reconstruct_p_with(&lose(&[2]), Some(&p), &plane).unwrap();
+        assert_eq!(rec, data, "threads={threads}");
+        assert_eq!(rp, expect_p);
+        let (rec, rp) = parity::reconstruct_p_with(&lose(&[]), None, &plane).unwrap();
+        assert_eq!(rec, data, "threads={threads}");
+        assert_eq!(rp, expect_p);
+        // Two data losses through P and Q.
         let (rec, rp, rq) =
-            parity::reconstruct_pq_with(&masked, Some(&p), Some(&q), &plane).unwrap();
+            parity::reconstruct_pq_with(&lose(&[2, 7]), Some(&p), Some(&q), &plane).unwrap();
+        assert_eq!(rec, data, "threads={threads}");
+        assert_eq!(rp, expect_p);
+        assert_eq!(rq, expect_q);
+        // One data loss with P gone: the Q-only path.
+        let (rec, rp, rq) =
+            parity::reconstruct_pq_with(&lose(&[7]), None, Some(&q), &plane).unwrap();
         assert_eq!(rec, data, "threads={threads}");
         assert_eq!(rp, expect_p);
         assert_eq!(rq, expect_q);

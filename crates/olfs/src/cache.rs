@@ -19,6 +19,14 @@
 use crate::ids::ImageId;
 use std::collections::HashMap;
 
+#[cfg(test)]
+thread_local! {
+    /// Nodes the eviction walk asked [`ReadCache::pinned`] about on this
+    /// thread: the count the tests pin (the pinned cold prefix plus the
+    /// victim, never the list).
+    static EVICT_VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Eviction-policy statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -155,6 +163,14 @@ impl ReadCache {
         }
     }
 
+    /// Whether node `n`'s image is pinned: the eviction walk's one
+    /// question per node it visits.
+    fn pinned(&self, n: usize) -> bool {
+        #[cfg(test)]
+        EVICT_VISITS.with(|v| v.set(v.get() + 1));
+        self.pins.contains_key(&self.nodes[n].id)
+    }
+
     /// Records a lookup; on a hit the image becomes most-recently-used.
     pub fn touch(&mut self, id: ImageId) -> bool {
         if let Some(&n) = self.index.get(&id) {
@@ -186,7 +202,7 @@ impl ReadCache {
             // colder is pinned, and evicting the incoming image would
             // defeat the insert).
             let mut n = self.head;
-            while n != NIL && self.pins.contains_key(&self.nodes[n].id) {
+            while n != NIL && self.pinned(n) {
                 n = self.nodes[n].next;
             }
             if n == NIL || self.nodes[n].id == id {
@@ -351,6 +367,30 @@ mod tests {
         c.insert(ImageId(2));
         let evicted = c.insert(ImageId(3));
         assert_eq!(evicted, ids(&[1]), "re-inserted image must be evictable");
+    }
+
+    #[test]
+    fn evicting_one_image_visits_at_most_the_pinned_prefix_and_the_victim() {
+        let visits = || EVICT_VISITS.with(std::cell::Cell::get);
+        let capacity = 640u64;
+        for pinned in [0u64, 3, 40] {
+            let mut c = ReadCache::new(capacity as usize);
+            for i in 0..capacity {
+                c.insert(ImageId(i));
+            }
+            for i in 0..pinned {
+                c.pin(ImageId(i));
+            }
+            for i in 0..100 {
+                let before = visits();
+                assert_eq!(c.insert(ImageId(capacity + i)).len(), 1);
+                let visited = visits() - before;
+                assert!(
+                    (1..=pinned as usize + 1).contains(&visited),
+                    "{visited} nodes visited with {pinned} pinned of {capacity}"
+                );
+            }
+        }
     }
 
     #[test]

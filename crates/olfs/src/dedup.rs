@@ -55,7 +55,7 @@ impl CatalogEntry {
 }
 
 /// Dedup accounting snapshot (surfaced through the maintenance
-/// interface and `repro perf`).
+/// interface and `repro cas-smoke`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DedupStats {
     /// Live deduplicated blobs.

@@ -63,22 +63,12 @@ impl core::fmt::Display for RedundancyError {
 
 impl std::error::Error for RedundancyError {}
 
-fn pad_to(data: &[u8], len: usize) -> Vec<u8> {
-    let mut v = data.to_vec();
-    v.resize(len, 0);
-    v
-}
-
 /// Generates the parity payload(s) for a prepared set of data images.
 ///
 /// Returns `ParitySet { p: None, q: None, .. }` for [`Redundancy::None`].
-pub fn generate(schema: Redundancy, data_images: &[&[u8]]) -> Result<ParitySet, RedundancyError> {
-    generate_with(schema, data_images, &DataPlane::single())
-}
-
-/// [`generate`] on a data plane: the ragged kernels treat short members
-/// as zero-filled to the longest, so no padded copies are allocated, and
-/// RAID-6 computes P and Q in one fused pass over each image.
+/// The kernels treat short members as zero-filled to the longest, so no
+/// padded copies are allocated, and RAID-6 computes P and Q in one fused
+/// pass over each image.
 pub fn generate_with(
     schema: Redundancy,
     data_images: &[&[u8]],
@@ -97,11 +87,11 @@ pub fn generate_with(
     }
     let (p, q) = match schema {
         Redundancy::Raid6 => {
-            let (p, q) = parity::encode_pq_padded_with(data_images, plane)?;
+            let (p, q) = parity::encode_pq_with(data_images, plane)?;
             (Bytes::from(p), Some(Bytes::from(q)))
         }
         _ => (
-            Bytes::from(parity::parity_p_padded_with(data_images, plane)?),
+            Bytes::from(parity::parity_p_with(data_images, plane)?),
             None,
         ),
     };
@@ -111,7 +101,14 @@ pub fn generate_with(
     // pipeline relies on — so the padding cost exists in debug only.
     #[cfg(debug_assertions)]
     {
-        let padded: Vec<Vec<u8>> = data_images.iter().map(|d| pad_to(d, stripe_len)).collect();
+        let padded: Vec<Vec<u8>> = data_images
+            .iter()
+            .map(|d| {
+                let mut v = d.to_vec();
+                v.resize(stripe_len, 0);
+                v
+            })
+            .collect();
         let refs: Vec<&[u8]> = padded.iter().map(|v| v.as_slice()).collect();
         parity::debug_assert_group(&refs, &p, q.as_deref());
     }
@@ -126,18 +123,8 @@ pub fn generate_with(
 ///
 /// `data[i] = None` marks a lost member; `sizes[i]` gives each member's
 /// original (unpadded) length so recovered payloads are trimmed back.
-/// Returns the full data set.
-pub fn reconstruct(
-    schema: Redundancy,
-    data: &[Option<&[u8]>],
-    sizes: &[usize],
-    p: Option<&[u8]>,
-    q: Option<&[u8]>,
-) -> Result<Vec<Bytes>, RedundancyError> {
-    reconstruct_with(schema, data, sizes, p, q, &DataPlane::single())
-}
-
-/// [`reconstruct`] on a data plane.
+/// Survivors shorter than the stripe read as zero-filled, so none is
+/// copied to pad it. Returns the full data set.
 pub fn reconstruct_with(
     schema: Redundancy,
     data: &[Option<&[u8]>],
@@ -159,22 +146,12 @@ pub fn reconstruct_with(
             .map(|d| Bytes::copy_from_slice(d))
             .collect());
     }
-    let stripe_len = p
-        .map(<[u8]>::len)
-        .or(q.map(<[u8]>::len))
-        .or_else(|| data.iter().flatten().map(|d| d.len()).max())
-        .ok_or(RedundancyError::Empty)?;
-    let padded: Vec<Option<Vec<u8>>> = data
-        .iter()
-        .map(|d| d.map(|d| pad_to(d, stripe_len)))
-        .collect();
-    let masked: Vec<Option<&[u8]>> = padded.iter().map(|d| d.as_deref()).collect();
     let recovered: Vec<Vec<u8>> = match schema {
         Redundancy::None => {
             return Err(RedundancyError::TooManyLost { lost, tolerated: 0 });
         }
-        Redundancy::Raid5 => parity::reconstruct_p_with(&masked, p, plane)?.0,
-        Redundancy::Raid6 => parity::reconstruct_pq_with(&masked, p, q, plane)?.0,
+        Redundancy::Raid5 => parity::reconstruct_p_with(data, p, plane)?.0,
+        Redundancy::Raid6 => parity::reconstruct_pq_with(data, p, q, plane)?.0,
     };
     Ok(recovered
         .into_iter()
@@ -205,11 +182,15 @@ mod tests {
         v.iter().map(|s| s.as_slice()).collect()
     }
 
+    fn one() -> DataPlane {
+        DataPlane::single()
+    }
+
     #[test]
     fn raid5_round_trip_any_single_loss() {
         let imgs = images();
         let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
-        let set = generate(Redundancy::Raid5, &refs(&imgs)).unwrap();
+        let set = generate_with(Redundancy::Raid5, &refs(&imgs), &one()).unwrap();
         assert!(set.p.is_some() && set.q.is_none());
         for lost in 0..imgs.len() {
             let masked: Vec<Option<&[u8]>> = imgs
@@ -217,8 +198,15 @@ mod tests {
                 .enumerate()
                 .map(|(i, d)| (i != lost).then_some(d.as_slice()))
                 .collect();
-            let rec =
-                reconstruct(Redundancy::Raid5, &masked, &sizes, set.p.as_deref(), None).unwrap();
+            let rec = reconstruct_with(
+                Redundancy::Raid5,
+                &masked,
+                &sizes,
+                set.p.as_deref(),
+                None,
+                &one(),
+            )
+            .unwrap();
             for (r, orig) in rec.iter().zip(imgs.iter()) {
                 assert_eq!(r.as_ref(), orig.as_slice());
             }
@@ -229,7 +217,7 @@ mod tests {
     fn raid6_round_trip_any_double_loss() {
         let imgs: Vec<Vec<u8>> = images().into_iter().take(10).collect();
         let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
-        let set = generate(Redundancy::Raid6, &refs(&imgs)).unwrap();
+        let set = generate_with(Redundancy::Raid6, &refs(&imgs), &one()).unwrap();
         assert!(set.p.is_some() && set.q.is_some());
         for x in 0..imgs.len() {
             for y in (x + 1)..imgs.len() {
@@ -238,12 +226,13 @@ mod tests {
                     .enumerate()
                     .map(|(i, d)| (i != x && i != y).then_some(d.as_slice()))
                     .collect();
-                let rec = reconstruct(
+                let rec = reconstruct_with(
                     Redundancy::Raid6,
                     &masked,
                     &sizes,
                     set.p.as_deref(),
                     set.q.as_deref(),
+                    &one(),
                 )
                 .unwrap();
                 for (r, orig) in rec.iter().zip(imgs.iter()) {
@@ -257,19 +246,20 @@ mod tests {
     fn generate_and_reconstruct_are_thread_count_invariant() {
         let imgs = images();
         let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
-        let expect = generate(Redundancy::Raid6, &refs(&imgs)).unwrap();
+        let expect = generate_with(Redundancy::Raid6, &refs(&imgs), &one()).unwrap();
         let mut masked: Vec<Option<&[u8]>> = imgs.iter().map(|d| Some(d.as_slice())).collect();
         masked[2] = None;
         masked[9] = None;
-        let expect_rec = reconstruct(
+        let expect_rec = reconstruct_with(
             Redundancy::Raid6,
             &masked,
             &sizes,
             expect.p.as_deref(),
             expect.q.as_deref(),
+            &one(),
         )
         .unwrap();
-        for threads in [2, 4] {
+        for threads in [2, 4, 8] {
             let plane = DataPlane::new(threads);
             let got = generate_with(Redundancy::Raid6, &refs(&imgs), &plane).unwrap();
             assert_eq!(got, expect, "threads={threads}");
@@ -290,12 +280,20 @@ mod tests {
     fn raid5_rejects_double_loss() {
         let imgs = images();
         let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
-        let set = generate(Redundancy::Raid5, &refs(&imgs)).unwrap();
+        let set = generate_with(Redundancy::Raid5, &refs(&imgs), &one()).unwrap();
         let mut masked: Vec<Option<&[u8]>> = imgs.iter().map(|d| Some(d.as_slice())).collect();
         masked[0] = None;
         masked[1] = None;
         assert!(matches!(
-            reconstruct(Redundancy::Raid5, &masked, &sizes, set.p.as_deref(), None).unwrap_err(),
+            reconstruct_with(
+                Redundancy::Raid5,
+                &masked,
+                &sizes,
+                set.p.as_deref(),
+                None,
+                &one()
+            )
+            .unwrap_err(),
             RedundancyError::TooManyLost {
                 lost: 2,
                 tolerated: 1
@@ -307,12 +305,12 @@ mod tests {
     fn none_schema_has_no_parity_and_no_recovery() {
         let imgs = images();
         let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
-        let set = generate(Redundancy::None, &refs(&imgs)).unwrap();
+        let set = generate_with(Redundancy::None, &refs(&imgs), &one()).unwrap();
         assert!(set.p.is_none() && set.q.is_none());
         let mut masked: Vec<Option<&[u8]>> = imgs.iter().map(|d| Some(d.as_slice())).collect();
         masked[3] = None;
         assert!(matches!(
-            reconstruct(Redundancy::None, &masked, &sizes, None, None).unwrap_err(),
+            reconstruct_with(Redundancy::None, &masked, &sizes, None, None, &one()).unwrap_err(),
             RedundancyError::TooManyLost { .. }
         ));
     }
@@ -322,7 +320,7 @@ mod tests {
         let imgs = images();
         let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
         let masked: Vec<Option<&[u8]>> = imgs.iter().map(|d| Some(d.as_slice())).collect();
-        let rec = reconstruct(Redundancy::Raid5, &masked, &sizes, None, None).unwrap();
+        let rec = reconstruct_with(Redundancy::Raid5, &masked, &sizes, None, None, &one()).unwrap();
         for (r, orig) in rec.iter().zip(imgs.iter()) {
             assert_eq!(r.as_ref(), orig.as_slice());
         }
@@ -331,7 +329,7 @@ mod tests {
     #[test]
     fn empty_input_rejected() {
         assert!(matches!(
-            generate(Redundancy::Raid5, &[]).unwrap_err(),
+            generate_with(Redundancy::Raid5, &[], &one()).unwrap_err(),
             RedundancyError::Empty
         ));
     }
@@ -340,7 +338,7 @@ mod tests {
     fn parity_image_is_not_a_udf_volume() {
         // §4.7: the parity payload need not parse as an image.
         let imgs = images();
-        let set = generate(Redundancy::Raid5, &refs(&imgs)).unwrap();
+        let set = generate_with(Redundancy::Raid5, &refs(&imgs), &one()).unwrap();
         let p = set.p.unwrap();
         assert!(ros_udf::SealedImage::from_bytes(p).is_err());
     }

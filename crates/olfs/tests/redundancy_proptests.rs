@@ -7,7 +7,8 @@
 //! the typed error.
 
 use proptest::prelude::*;
-use ros_olfs::redundancy::{generate, reconstruct, RedundancyError};
+use ros_disk::DataPlane;
+use ros_olfs::redundancy::{generate_with, reconstruct_with, RedundancyError};
 use ros_olfs::Redundancy;
 use ros_sim::SimRng;
 
@@ -36,7 +37,7 @@ fn assert_round_trip(
 ) -> Result<(), TestCaseError> {
     let refs: Vec<&[u8]> = imgs.iter().map(|v| v.as_slice()).collect();
     let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
-    let set = generate(schema, &refs).expect("generate");
+    let set = generate_with(schema, &refs, &DataPlane::single()).expect("generate");
     let masked: Vec<Option<&[u8]>> = imgs
         .iter()
         .enumerate()
@@ -44,11 +45,12 @@ fn assert_round_trip(
         .collect();
     let p = if lose_p { None } else { set.p.as_deref() };
     let q = if lose_q { None } else { set.q.as_deref() };
-    let rec = reconstruct(schema, &masked, &sizes, p, q).map_err(|e| {
-        TestCaseError::fail(format!(
-            "{schema:?} lost {lost_data:?} p_lost={lose_p} q_lost={lose_q}: {e}"
-        ))
-    })?;
+    let rec =
+        reconstruct_with(schema, &masked, &sizes, p, q, &DataPlane::single()).map_err(|e| {
+            TestCaseError::fail(format!(
+                "{schema:?} lost {lost_data:?} p_lost={lose_p} q_lost={lose_q}: {e}"
+            ))
+        })?;
     prop_assert_eq!(rec.len(), imgs.len());
     for (r, orig) in rec.iter().zip(imgs.iter()) {
         prop_assert_eq!(r.as_ref(), orig.as_slice());
@@ -112,14 +114,15 @@ proptest! {
         let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
         for (schema, tolerated) in [(Redundancy::None, 0usize), (Redundancy::Raid5, 1), (Redundancy::Raid6, 2)] {
             let refs: Vec<&[u8]> = imgs.iter().map(|v| v.as_slice()).collect();
-            let set = generate(schema, &refs).expect("generate");
+            let set = generate_with(schema, &refs, &DataPlane::single()).expect("generate");
             let over = tolerated + 1;
             let masked: Vec<Option<&[u8]>> = imgs
                 .iter()
                 .enumerate()
                 .map(|(i, d)| (i >= over).then_some(d.as_slice()))
                 .collect();
-            let err = reconstruct(schema, &masked, &sizes, set.p.as_deref(), set.q.as_deref())
+            let (p, q) = (set.p.as_deref(), set.q.as_deref());
+            let err = reconstruct_with(schema, &masked, &sizes, p, q, &DataPlane::single())
                 .expect_err("over-tolerance loss must fail");
             prop_assert_eq!(
                 err,
@@ -140,7 +143,8 @@ proptest! {
         let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
         let masked: Vec<Option<&[u8]>> = imgs.iter().map(|d| Some(d.as_slice())).collect();
         for schema in [Redundancy::None, Redundancy::Raid5, Redundancy::Raid6] {
-            let rec = reconstruct(schema, &masked, &sizes, None, None).expect("identity");
+            let rec = reconstruct_with(schema, &masked, &sizes, None, None, &DataPlane::single())
+                .expect("identity");
             for (r, orig) in rec.iter().zip(imgs.iter()) {
                 prop_assert_eq!(r.as_ref(), orig.as_slice());
             }

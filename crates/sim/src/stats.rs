@@ -12,6 +12,13 @@ use crate::time::{SimDuration, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::cell::RefCell;
 
+#[cfg(test)]
+thread_local! {
+    /// Sorted-view rebuilds on this thread: the count the order-statistic
+    /// tests pin (one sort per query batch, one more per new sample).
+    static REBUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Accumulates operation latencies and reports summary statistics.
 ///
 /// Order statistics (`min`/`max`/`percentile`) are served from a lazily
@@ -85,6 +92,8 @@ impl LatencyRecorder {
     fn with_sorted<R>(&self, f: impl FnOnce(&[SimDuration]) -> R) -> R {
         let mut sorted = self.sorted.borrow_mut();
         if sorted.len() != self.samples.len() {
+            #[cfg(test)]
+            REBUILDS.with(|n| n.set(n.get() + 1));
             sorted.clear();
             sorted.extend_from_slice(&self.samples);
             sorted.sort_unstable();
@@ -467,6 +476,32 @@ mod tests {
         rec.merge(&other);
         assert_eq!(rec.min(), SimDuration::from_millis(5));
         assert_eq!(rec.percentile(1.0), SimDuration::from_millis(50));
+    }
+
+    #[test]
+    fn a_query_batch_sorts_once_and_a_new_sample_once_more() {
+        let rebuilds = || REBUILDS.with(std::cell::Cell::get);
+        let batch = |rec: &LatencyRecorder| {
+            [
+                rec.percentile(0.5),
+                rec.percentile(0.95),
+                rec.percentile(0.99),
+                rec.min(),
+                rec.max(),
+            ]
+        };
+        let mut rec = LatencyRecorder::new("batch");
+        for ms in (1..=4_000u64).rev() {
+            rec.record(SimDuration::from_millis(ms));
+        }
+        let before = rebuilds();
+        assert_eq!(batch(&rec)[3], SimDuration::from_millis(1));
+        assert_eq!(rebuilds() - before, 1, "one batch, one sort");
+        assert_eq!(batch(&rec)[0], SimDuration::from_millis(2_000));
+        assert_eq!(rebuilds() - before, 1, "a second batch reuses the view");
+        rec.record(SimDuration::from_millis(9_000));
+        assert_eq!(batch(&rec)[4], SimDuration::from_millis(9_000));
+        assert_eq!(rebuilds() - before, 2, "one new sample, one more sort");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use ros::prelude::*;
-use ros::ros_disk::parity;
+use ros::ros_disk::{parity, DataPlane};
 use ros::ros_udf::{Bucket, SealedImage, BLOCK_SIZE};
 
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -71,14 +71,15 @@ proptest! {
             .map(|mut s| { s.resize(len, 0); s })
             .collect();
         let refs: Vec<&[u8]> = stripes.iter().map(|s| s.as_slice()).collect();
-        let p = parity::parity_p(&refs).expect("parity");
+        let plane = DataPlane::single();
+        let p = parity::parity_p_with(&refs, &plane).expect("parity");
         let lost = (lost_seed as usize) % stripes.len();
         let masked: Vec<Option<&[u8]>> = refs
             .iter()
             .enumerate()
             .map(|(i, s)| (i != lost).then_some(*s))
             .collect();
-        let (rec, _) = parity::reconstruct_p(&masked, Some(&p)).expect("reconstruct");
+        let (rec, _) = parity::reconstruct_p_with(&masked, Some(&p), &plane).expect("reconstruct");
         prop_assert_eq!(rec, stripes);
     }
 
@@ -93,8 +94,8 @@ proptest! {
             .map(|mut s| { s.resize(len, 0); s })
             .collect();
         let refs: Vec<&[u8]> = stripes.iter().map(|s| s.as_slice()).collect();
-        let p = parity::parity_p(&refs).expect("p");
-        let q = parity::parity_q(&refs).expect("q");
+        let plane = DataPlane::single();
+        let (p, q) = parity::encode_pq_with(&refs, &plane).expect("p and q");
         let x = (seed as usize) % stripes.len();
         let y = (seed as usize / 7919) % stripes.len();
         prop_assume!(x != y);
@@ -104,7 +105,7 @@ proptest! {
             .map(|(i, s)| (i != x && i != y).then_some(*s))
             .collect();
         let (rec, _, _) =
-            parity::reconstruct_pq(&masked, Some(&p), Some(&q)).expect("reconstruct");
+            parity::reconstruct_pq_with(&masked, Some(&p), Some(&q), &plane).expect("reconstruct");
         prop_assert_eq!(rec, stripes);
     }
 
