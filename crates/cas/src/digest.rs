@@ -53,6 +53,7 @@ macro_rules! round {
             .wrapping_add(($a & $b) | ($c & ($a | $b)));
     };
 }
+pub(crate) use round;
 
 /// One SHA-256 compression over a 64-byte block: a rolling 16-word
 /// message schedule, extended eight words at a time just ahead of the
@@ -98,9 +99,24 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
 /// already absorbed into `state`: absorbs the whole blocks of `rest`,
 /// then the padding (0x80, zeros, the bit length of the whole message
 /// as a big-endian u64) in one or two final blocks. Shared by the
-/// scalar and the lockstep kernel, so both pad identically.
-pub(crate) fn finish(mut state: [u32; 8], rest: &[u8], total_len: usize) -> [u8; 32] {
+/// scalar and the lockstep kernel, so both pad identically; where the
+/// CPU runs it, the schedule-ahead kernel takes each run of eight whole
+/// blocks first.
+pub(crate) fn finish(state: [u32; 8], rest: &[u8], total_len: usize) -> [u8; 32] {
+    finish_at(true, state, rest, total_len)
+}
+
+/// [`finish`], with the schedule-ahead kernel allowed only if `ahead`.
+/// A parameter so the tests can pin both arms on one host, not a
+/// setting: production passes `true`.
+fn finish_at(ahead: bool, mut state: [u32; 8], rest: &[u8], total_len: usize) -> [u8; 32] {
     let (blocks, rest) = rest.as_chunks::<64>();
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    let blocks = if ahead {
+        crate::lanes::compress_ahead(&mut state, blocks)
+    } else {
+        blocks
+    };
     for block in blocks {
         compress(&mut state, block);
     }
@@ -123,7 +139,7 @@ pub(crate) fn finish(mut state: [u32; 8], rest: &[u8], total_len: usize) -> [u8;
 
 /// SHA-256 in the shape FIPS 180-4 §6.2.2 prints it — 64-word schedule,
 /// one round per loop turn, `Ch` and `Maj` as written there, the padded
-/// message built whole — kept as the oracle for both production kernels.
+/// message built whole — kept as the oracle for every production kernel.
 #[cfg(test)]
 pub(crate) fn sha256_reference(data: &[u8]) -> [u8; 32] {
     let mut msg = data.to_vec();
@@ -284,10 +300,14 @@ fn sha256_span_at(width: usize, span: &[&[u8]]) -> Vec<[u8; 32]> {
 
 /// Hashes leaves `group` of `span` (longest first, at most eight) into
 /// their slots of `out`: one pass of the narrowest lockstep kernel that
-/// holds them, if they fill more than half of it — a pass costs about
-/// two scalar hashes of its common prefix at either width — with the
-/// spare lanes repeating the shortest leaf, whose remainder after the
-/// common prefix is under a block. Smaller groups go scalar.
+/// holds them, if they fill more than half of it, with the spare lanes
+/// repeating the shortest leaf, whose remainder after the common prefix
+/// is under a block. Smaller groups go one leaf at a time through
+/// `sha256`. On 256 KB leaves (a 2-vCPU x86-64 host with AVX2 and
+/// BMI2) an x4 pass of 3 or 4 leaves and an x8 pass of 5 each cost
+/// 2.5–2.7 single-stream hashes where `sha256` schedules ahead, and
+/// 1.8–2.1 where it is the scalar `compress` alone: three leaves still
+/// win, two do not.
 fn sha256_group(group: &[usize], span: &[&[u8]], out: &mut [[u8; 32]]) {
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     if let Some(&shortest) = group.last().filter(|_| group.len() > 2) {
@@ -589,17 +609,69 @@ mod tests {
         }
     }
 
+    /// `sha256` with the schedule-ahead kernel allowed (`true`, taken
+    /// where the CPU runs it) or barred (`false`, the scalar `compress`
+    /// alone), so both dispatch arms are tested on one host.
+    fn sha256_at(ahead: bool, data: &[u8]) -> [u8; 32] {
+        finish_at(ahead, H0, data, data.len())
+    }
+
     #[test]
-    fn scalar_kernel_matches_the_fips_shaped_reference() {
+    fn both_dispatch_arms_match_the_fips_shaped_reference() {
         // Every padding shape (one or two final blocks, with and
-        // without whole blocks before them) and a multi-block body.
-        let data = wide_pattern(1000);
-        for len in [0usize, 1, 55, 56, 63, 64, 65, 119, 120, 127, 128, 129, 1000] {
-            assert_eq!(
-                sha256(&data[..len]),
-                sha256_reference(&data[..len]),
-                "len {len}"
-            );
+        // without whole blocks before them); no run of eight blocks,
+        // exactly one, one with 1–7 blocks or a sub-block tail after it,
+        // and several; then some of them from misaligned starts.
+        let data = wide_pattern(4160 + 64);
+        let lens = [
+            0usize, 1, 55, 56, 63, 64, 65, 119, 120, 127, 128, 129, 511, 512, 513, 575, 1000, 1023,
+            1024, 1025, 2600, 4096, 4160,
+        ];
+        for ahead in [false, true] {
+            for len in lens {
+                let msg = &data[..len];
+                let expect = sha256_reference(msg);
+                assert_eq!(sha256_at(ahead, msg), expect, "ahead {ahead} len {len}");
+            }
+            for offset in 1..8 {
+                for len in [513usize, 1024, 2600] {
+                    let msg = &data[offset * 9..offset * 9 + len];
+                    let expect = sha256_reference(msg);
+                    assert_eq!(
+                        sha256_at(ahead, msg),
+                        expect,
+                        "ahead {ahead} offset {} len {len}",
+                        offset * 9
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "256 KB messages are too slow interpreted")]
+    fn both_dispatch_arms_match_the_reference_on_a_whole_leaf() {
+        let data = wide_pattern(CHUNK_BYTES + 8);
+        for ahead in [false, true] {
+            for (offset, len) in [(0, CHUNK_BYTES), (0, CHUNK_BYTES + 1), (7, CHUNK_BYTES)] {
+                let msg = &data[offset..offset + len];
+                let expect = sha256_reference(msg);
+                assert_eq!(sha256_at(ahead, msg), expect, "ahead {ahead} len {len}");
+            }
+        }
+    }
+
+    // Random multi-KB messages are too slow interpreted.
+    #[cfg(not(miri))]
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn both_dispatch_arms_equal_the_reference(len in 0usize..20_000, offset in 0usize..64) {
+            let data = wide_pattern(offset + len);
+            let msg = &data[offset..];
+            let expect = sha256_reference(msg);
+            proptest::prop_assert_eq!(sha256_at(false, msg), expect);
+            proptest::prop_assert_eq!(sha256_at(true, msg), expect);
         }
     }
 

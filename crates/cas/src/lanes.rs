@@ -17,14 +17,23 @@
 //! with `u32::from_be_bytes` on bounds-checked slices and `set_epi32`;
 //! no intrinsic here takes a pointer.
 //!
+//! A message no group takes still has independent work to share: a
+//! block's message schedule depends on that block's bytes alone, not on
+//! the state. [`compress_ahead`] fills the eight lanes with eight
+//! consecutive blocks of one message, extends their schedules with the
+//! body's own schedule step, and runs each block's rounds in scalar code
+//! (the digest module's `round!`) built with BMI2, whose `rorx` rotates
+//! without a move.
+//!
 //! The module exists only on x86-64 with SSE2 — which is every x86-64
 //! target, SSE2 being part of the base ABI — so the four-lane kernel
-//! needs no detection. AVX2 is not part of that ABI: [`sha256_x8`] asks
-//! the CPU and enters the eight-lane kernel only where it answered yes,
-//! and [`widest`] tells the packer in `digest.rs` how large a group is
-//! worth forming. Other targets compile the scalar kernel alone.
+//! needs no detection. AVX2 and BMI2 are not part of that ABI:
+//! [`sha256_x8`] and [`compress_ahead`] ask the CPU and enter their
+//! kernels only where it answered yes, and [`widest`] tells the packer in
+//! `digest.rs` how large a group is worth forming. Other targets compile
+//! the scalar kernel alone.
 
-use crate::digest::{finish, H0, K};
+use crate::digest::{finish, round, H0, K};
 
 /// Lanes of the widest kernel this CPU runs: what one lockstep pass can
 /// carry. A property of the host the code observes, not a setting.
@@ -65,6 +74,28 @@ pub(crate) fn sha256_x8(msgs: [&[u8]; 8]) -> [[u8; 32]; 8] {
     core::array::from_fn(|lane| if lane < 4 { lo[lane] } else { hi[lane - 4] })
 }
 
+/// Whether this CPU runs [`compress_ahead`]'s kernel: AVX2 for the
+/// schedules, BMI2 for the rounds' rotates.
+pub(crate) fn schedule_ahead() -> bool {
+    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("bmi2")
+}
+
+/// Compresses the leading runs of eight whole blocks of one message into
+/// `state` where the CPU runs the schedule-ahead kernel, and returns the
+/// blocks it left for the scalar `compress`: the last 0–7, or all of
+/// them on any other CPU. The same state results either way.
+pub(crate) fn compress_ahead<'a>(state: &mut [u32; 8], blocks: &'a [[u8; 64]]) -> &'a [[u8; 64]] {
+    let (runs, rest) = blocks.as_chunks::<8>();
+    if runs.is_empty() || !schedule_ahead() {
+        return blocks;
+    }
+    // SAFETY: `x8::ahead` requires the `avx2` and `bmi2` target
+    // features, neither statically enabled; `schedule_ahead` on the line
+    // above has just reported that this CPU implements both.
+    unsafe { x8::ahead(state, runs) };
+    rest
+}
+
 /// One round on every lane; the argument order carries the role
 /// rotation exactly as in the scalar kernel's `round!`.
 macro_rules! round_lanes {
@@ -94,28 +125,43 @@ macro_rules! lockstep_kernel {
             xor(xor(a, b), c)
         }
 
+        /// The sixteen big-endian message words of one block per lane.
+        #[target_feature(enable = $feature)]
+        fn message(blocks: [&[u8; 64]; LANES]) -> [V; 16] {
+            let mut w = [splat(0); 16];
+            for (i, w) in w.iter_mut().enumerate() {
+                *w = gather(|lane| {
+                    u32::from_be_bytes(blocks[lane].as_chunks::<4>().0[i]).cast_signed()
+                });
+            }
+            w
+        }
+
+        /// Extends the rolling 16-word schedule `w` in place by the
+        /// eight words that go into slots `i..i + 8` (`i` is 0 or 8).
+        #[target_feature(enable = $feature)]
+        fn extend_schedule(w: &mut [V; 16], i: usize) {
+            for j in i..i + 8 {
+                let w15 = w[(j + 1) & 15];
+                let w2 = w[(j + 14) & 15];
+                let s0 = xor3(rotr::<7, 25>(w15), rotr::<18, 14>(w15), shr::<3>(w15));
+                let s1 = xor3(rotr::<17, 15>(w2), rotr::<19, 13>(w2), shr::<10>(w2));
+                w[j] = add(add(w[j], s0), add(w[(j + 9) & 15], s1));
+            }
+        }
+
         #[target_feature(enable = $feature)]
         pub(super) fn lockstep(msgs: [&[u8]; LANES]) -> [[u8; 32]; LANES] {
             let blocks = msgs.map(|m| m.as_chunks::<64>().0);
             let common = blocks.iter().map(|b| b.len()).min().unwrap_or(0);
             let mut state = H0.map(|h| splat(h.cast_signed()));
             for at in 0..common {
-                let words = blocks.map(|b| b[at].as_chunks::<4>().0);
-                let mut w = [splat(0); 16];
-                for (i, w) in w.iter_mut().enumerate() {
-                    *w = gather(|lane| u32::from_be_bytes(words[lane][i]).cast_signed());
-                }
+                let mut w = message(blocks.map(|b| &b[at]));
                 let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
                 for t in (0..64).step_by(8) {
                     let i = t & 15;
                     if t >= 16 {
-                        for j in i..i + 8 {
-                            let w15 = w[(j + 1) & 15];
-                            let w2 = w[(j + 14) & 15];
-                            let s0 = xor3(rotr::<7, 25>(w15), rotr::<18, 14>(w15), shr::<3>(w15));
-                            let s1 = xor3(rotr::<17, 15>(w2), rotr::<19, 13>(w2), shr::<10>(w2));
-                            w[j] = add(add(w[j], s0), add(w[(j + 9) & 15], s1));
-                        }
+                        extend_schedule(&mut w, i);
                     }
                     let kw = |j: usize| add(splat(K[t + j].cast_signed()), w[i + j]);
                     round_lanes!(a, b, c, d, e, f, g, h, kw(0));
@@ -171,9 +217,10 @@ mod x4 {
     lockstep_kernel!("sse2");
 }
 
-/// Eight lanes of an AVX2 register.
+/// Eight lanes of an AVX2 register, and the single-stream kernel that
+/// fills them with eight blocks of one message.
 mod x8 {
-    use super::{finish, H0, K};
+    use super::{finish, round, H0, K};
     use core::arch::x86_64::{
         __m256i as V, _mm256_add_epi32 as add, _mm256_and_si256 as and, _mm256_extract_epi32,
         _mm256_or_si256 as or, _mm256_set1_epi32 as splat, _mm256_set_epi32,
@@ -213,6 +260,43 @@ mod x8 {
     }
 
     lockstep_kernel!("avx2");
+
+    /// Compresses each run of eight consecutive blocks of one message
+    /// into `state`: one pass computes the eight blocks' W+K schedules,
+    /// one block per lane, then each block's 64 rounds run in scalar
+    /// code, where BMI2 makes every rotate one `rorx`.
+    #[target_feature(enable = "avx2,bmi2")]
+    pub(super) fn ahead(state: &mut [u32; 8], runs: &[[[u8; 64]; 8]]) {
+        let mut wk = [[0u32; LANES]; 64];
+        for run in runs {
+            let mut w = message(run.each_ref());
+            for t in (0..64).step_by(8) {
+                let i = t & 15;
+                if t >= 16 {
+                    extend_schedule(&mut w, i);
+                }
+                for j in 0..8 {
+                    wk[t + j] = lanes(add(splat(K[t + j].cast_signed()), w[i + j]));
+                }
+            }
+            for lane in 0..LANES {
+                let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+                for kw in wk.as_chunks::<8>().0 {
+                    round!(a, b, c, d, e, f, g, h, kw[0][lane]);
+                    round!(h, a, b, c, d, e, f, g, kw[1][lane]);
+                    round!(g, h, a, b, c, d, e, f, kw[2][lane]);
+                    round!(f, g, h, a, b, c, d, e, kw[3][lane]);
+                    round!(e, f, g, h, a, b, c, d, kw[4][lane]);
+                    round!(d, e, f, g, h, a, b, c, kw[5][lane]);
+                    round!(c, d, e, f, g, h, a, b, kw[6][lane]);
+                    round!(b, c, d, e, f, g, h, a, kw[7][lane]);
+                }
+                for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                    *s = s.wrapping_add(v);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -235,10 +319,14 @@ mod tests {
     #[test]
     fn the_host_says_which_kernel_ran() {
         // CI runs this with `--nocapture`: a green run on a CPU without
-        // AVX2 exercised `sha256_x8`'s fallback, not the wide kernel.
+        // AVX2 exercised `sha256_x8`'s fallback, not the wide kernel, and
+        // one without AVX2 and BMI2 tested `compress` where the
+        // schedule-ahead kernel would have run.
         let widest = widest();
         let skipped = if widest == 8 { "none" } else { "8" };
         println!("lockstep SHA-256: widest kernel on this host has {widest} lanes; widths skipped: {skipped}");
+        let ahead = if schedule_ahead() { "live" } else { "skipped" };
+        println!("single-stream SHA-256: schedule-ahead kernel (avx2 + bmi2) {ahead}");
         assert!(widest == 4 || widest == 8);
     }
 

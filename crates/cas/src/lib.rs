@@ -10,7 +10,10 @@
 //!   or many — that fans out over the [`ros_disk::plane::DataPlane`]
 //!   and, on x86-64, over the four (SSE2) or eight (AVX2, where the CPU
 //!   reports it) lanes of a vector register inside each worker, while
-//!   staying byte-identical at any thread count and lane width;
+//!   staying byte-identical at any thread count and lane width; a
+//!   message no lane group takes (a lone leaf, a small payload, a root
+//!   hash) fills the eight lanes with eight of its own blocks'
+//!   schedules where the CPU reports AVX2 and BMI2;
 //! - [`verified`]: the [`verify_payload`] / [`verify_payloads`] entry
 //!   point every integrity check routes through, and the [`Verified`]
 //!   proof it returns — bytes plus the digest they were shown to hash
@@ -25,8 +28,9 @@
 
 // `deny`, not `forbid`: the lockstep kernels are `#[target_feature]`
 // functions, and rustc asks for `unsafe` to enter one — even for SSE2,
-// which is statically on; for AVX2 the block follows the run-time
-// detection. That module carries the crate's only `allow`.
+// which is statically on; for AVX2, and AVX2 with BMI2, the block
+// follows the run-time detection. That module carries the crate's only
+// `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 // The workspace's domain rules, held by clippy (DESIGN.md §8): no panic

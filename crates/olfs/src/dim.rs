@@ -13,7 +13,7 @@
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
 use bytes::Bytes;
-use ros_cas::{content_digest, Digest, Verified};
+use ros_cas::{content_digest, content_digests, Digest, Verified};
 use ros_disk::plane::DataPlane;
 use ros_drive::media::{Disc, DiscClass, MediaKind};
 use ros_mech::{RackLayout, SlotAddress};
@@ -268,7 +268,9 @@ impl ImageStore {
                 group.state
             )));
         }
-        for (id, payload) in ids.iter().zip(payloads) {
+        let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_ref()).collect();
+        let digests = content_digests(&refs, plane);
+        for ((id, payload), digest) in ids.iter().zip(payloads).zip(digests) {
             group.parity.push(*id);
             self.images.insert(
                 *id,
@@ -276,7 +278,7 @@ impl ImageStore {
                     id: *id,
                     kind: ImageKind::Parity,
                     size: payload.len() as u64,
-                    digest: content_digest(&payload, plane),
+                    digest,
                     sealed: None,
                     payload: Some(payload),
                     burned: None,
