@@ -1,24 +1,30 @@
 //! Federation-wide audit sweep with replica escalation (DESIGN.md §16).
 //!
-//! Each rack's LOCKSS-style sampled audit ([`ros_olfs::Ros::audit_sample`])
-//! heals latent rot from its own disc-array parity. When the rot
-//! exceeds the local schema's tolerance the rack reports the images
-//! unrepairable — and the cluster is the next rung of the ladder: the
-//! affected files are re-read from a healthy replica rack, rewritten
-//! onto the damaged member, and verified bit-exact through the normal
-//! read path. Only files with no healthy source *anywhere* are reported
-//! lost.
+//! Each rack's LOCKSS-style sampled audit pass heals latent rot from its
+//! own disc-array parity. When the rot exceeds the local schema's
+//! tolerance the rack reports the images unrepairable — and the cluster
+//! is the next rung of the ladder: the affected files are re-read from a
+//! healthy replica rack, rewritten onto the damaged member, and verified
+//! bit-exact through the normal read path. Only files with no healthy
+//! source *anywhere* are reported lost.
+//!
+//! A sweep samples every rack at its start: each alive rack's pass is
+//! begun ([`ros_olfs::Ros::audit_begin`]), all their copies are hashed
+//! as one digest batch, and only then is each pass ended and escalated,
+//! rack by rack. A pass verifies and charges what it gathered, so a
+//! later rack read as a replica by an earlier rack's escalation still
+//! audits the copies it held at the start.
 
 use crate::error::ClusterError;
 use crate::router::Cluster;
-use ros_cas::{content_digest, verify_payload};
+use ros_cas::{content_digest, verify_payload, verify_payloads};
 use ros_sim::SimDuration;
 use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Outcome of one cluster-wide audit sweep ([`Cluster::audit_all`]).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClusterAuditReport {
     /// Images digest-verified across all alive racks.
     pub sampled: usize,
@@ -63,6 +69,10 @@ impl Cluster {
     /// a healthy replica, rewritten onto the damaged rack, and the
     /// rewrite is verified bit-exact against the replica's digest
     /// through the normal read path.
+    ///
+    /// Every pass is begun before any is ended, and their copies are
+    /// verified as one batch on the first alive rack's data plane (the
+    /// thread count never changes a digest).
     pub fn audit_all(&mut self, sample: usize) -> Result<ClusterAuditReport, ClusterError> {
         let start = self.now();
         let mut report = ClusterAuditReport::default();
@@ -70,10 +80,23 @@ impl Cluster {
         let alive: Vec<usize> = (0..self.racks.len())
             .filter(|i| self.racks[*i].is_alive())
             .collect();
-        for idx in alive {
+        let (mut passes, mut copies) = (Vec::new(), Vec::new());
+        for &idx in &alive {
+            let pass = self.racks[idx].ros_mut().audit_begin(sample);
+            let mine = pass.copies();
+            passes.push((idx, pass, mine.len()));
+            copies.extend(mine);
+        }
+        let mut proofs = match alive.first() {
+            Some(&first) => verify_payloads(copies, &self.racks[first].ros().data_plane()),
+            None => Vec::new(),
+        }
+        .into_iter();
+        for (idx, pass, n_copies) in passes {
             let rack_id = self.racks[idx].id();
             let plane = self.racks[idx].ros().data_plane();
-            let local = self.racks[idx].ros_mut().audit_sample(sample);
+            let mine = proofs.by_ref().take(n_copies).collect();
+            let local = self.racks[idx].ros_mut().audit_end(pass, mine);
             report.sampled += local.sampled;
             report.verified += local.verified;
             report.rotted += local.rotted.len();
@@ -174,6 +197,11 @@ mod tests {
         (c, files)
     }
 
+    /// Every rack's simulated clock, in nanoseconds.
+    fn clocks(c: &Cluster) -> Vec<u64> {
+        c.racks.iter().map(|r| r.ros().now().as_nanos()).collect()
+    }
+
     /// Strikes every burned in-tray disc of rack `rack` with
     /// `MediaRot`: one strike per disc of each used tray, so the
     /// victim selector (modulo the burned-disc count) reaches them all.
@@ -201,10 +229,22 @@ mod tests {
             InjectionOutcome::Injected
         );
         let report = c.audit_all(64).unwrap();
-        assert!(report.rotted >= 1, "audit must find the rot");
-        assert!(report.repaired_parity >= 1, "local parity heals it");
-        assert_eq!(report.repaired_replica, 0);
-        assert!(report.lost.is_empty());
+        // Field for field what the sweep reported, and where it left each
+        // rack's clock, when every rack's pass hashed its own batches.
+        let expect = ClusterAuditReport {
+            sampled: 6,
+            verified: 5,
+            rotted: 1,
+            repaired_parity: 1,
+            repaired_replica: 0,
+            lost: vec![],
+            elapsed: SimDuration::from_nanos(79_705_123_721),
+        };
+        assert_eq!(report, expect);
+        assert_eq!(
+            clocks(&c),
+            [241_203_634_952, 161_467_791_441, 161_501_387_452]
+        );
         for (path, data) in &files {
             let r = c.read_file(path).unwrap();
             assert_eq!(r.data.as_ref(), data.as_slice());
@@ -298,24 +338,37 @@ mod tests {
         c.racks[0].ros_mut().evict_all_burned_copies();
         assert!(rot_every_disc(&mut c, 0) >= 1);
         let report = c.audit_all(64).unwrap();
-        assert!(report.rotted >= 1);
-        assert!(
-            !report.lost.is_empty(),
-            "no replica to climb to: {report:?}"
-        );
+        // No replica to climb to; pinned as for the sweep above.
+        let expect = ClusterAuditReport {
+            sampled: 2,
+            verified: 0,
+            rotted: 2,
+            repaired_parity: 0,
+            repaired_replica: 0,
+            lost: vec!["/solo/f".to_string()],
+            elapsed: SimDuration::from_nanos(464_844),
+        };
+        assert_eq!(report, expect);
+        assert_eq!(clocks(&c), [161_417_288_025]);
     }
 
     #[test]
     fn audit_on_healthy_cluster_is_clean_and_deterministic() {
         let build = || {
             let (mut c, _) = archived_cluster(2);
-            let r = c.audit_all(16).unwrap();
-            (r.sampled, r.verified, r.rotted, r.elapsed)
+            let report = c.audit_all(16).unwrap();
+            (report, clocks(&c))
         };
-        let (sampled, verified, rotted, elapsed) = build();
-        assert!(sampled >= 1);
-        assert_eq!(sampled, verified);
-        assert_eq!(rotted, 0);
-        assert_eq!(build(), (sampled, verified, rotted, elapsed));
+        let (report, clocks) = build();
+        // Pinned as for the sweeps above.
+        let expect = ClusterAuditReport {
+            sampled: 4,
+            verified: 4,
+            elapsed: SimDuration::from_nanos(3_805_908),
+            ..ClusterAuditReport::default()
+        };
+        assert_eq!(report, expect);
+        assert_eq!(clocks, [161_534_983_461; 2]);
+        assert_eq!(build(), (report, clocks));
     }
 }

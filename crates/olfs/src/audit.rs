@@ -6,8 +6,20 @@
 //! damage map nor a plain read (which returns the rotted bytes happily)
 //! notices. The only defence is an *end-to-end* check — re-hash the
 //! stored bytes and compare against the `ros-cas` content digest
-//! recorded at seal time. `Ros::inspect_many` does that and reads the
-//! damage map too, so one walk finds sector errors and rot alike.
+//! recorded at seal time. The inspection behind `Ros::inspect_many` does
+//! that and reads the damage map too, so one walk finds sector errors
+//! and rot alike.
+//!
+//! A pass is three steps, so a cluster can hash many racks' passes as
+//! one digest batch: [`Ros::audit_begin`] draws the sample and gathers
+//! its copies — each resident copy, else the burned track — then the
+//! caller verifies [`AuditPass::copies`], and [`Ros::audit_end`] builds
+//! the report, charges the scan and runs the repairs.
+//! [`Ros::audit_sample`] is exactly those steps on the rack's own data
+//! plane. The pass is a snapshot: it verifies and charges what it
+//! gathered, even if a read between begin and end (a cluster's
+//! escalation reading this rack as a replica) has since cached an image
+//! it took from media.
 //!
 //! The population is every buffer resident plus every burned image
 //! whose disc sits in a tray; a pass digest-verifies up to `n` of them,
@@ -38,6 +50,9 @@ use crate::dim::GroupState;
 use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, ImageId};
+use crate::repair::{verify_batch, Gathered};
+use bytes::Bytes;
+use ros_cas::{CasError, Digest, Verified};
 use ros_sim::SimDuration;
 use std::collections::BTreeMap;
 
@@ -58,6 +73,26 @@ pub struct AuditReport {
     pub unrepairable: Vec<ImageId>,
     /// Simulated time the scan and repairs consumed.
     pub elapsed: SimDuration,
+}
+
+/// One audit pass between [`Ros::audit_begin`] and [`Ros::audit_end`]:
+/// the drawn sample with the copies gathered from it, awaiting their
+/// digest batch.
+pub struct AuditPass {
+    /// `None` for a pass that samples nothing (`n == 0`).
+    gathered: Option<Gathered>,
+}
+
+impl AuditPass {
+    /// `(recorded digest, bytes)` per gathered copy. Verify them, alone
+    /// or in one batch with other passes' copies
+    /// ([`ros_cas::verify_payloads`]), and hand [`Ros::audit_end`] one
+    /// result per pair, in this order.
+    pub fn copies(&self) -> Vec<(Digest, Bytes)> {
+        self.gathered
+            .as_ref()
+            .map_or_else(Vec::new, Gathered::pairs)
+    }
 }
 
 impl Ros {
@@ -84,17 +119,22 @@ impl Ros {
     /// redundancy. Any `n` at least the population size (`usize::MAX`)
     /// audits everything.
     ///
-    /// The candidate list is assembled in image-id order and the sample
-    /// is drawn from a forked seeded stream, so a given system history
-    /// audits the same images every run. Scan time is charged at the
-    /// bay's aggregate read rate; repairs additionally charge
-    /// reconstruction reads and buffer writes.
+    /// [`Ros::audit_begin`], one digest batch on the rack's data plane,
+    /// [`Ros::audit_end`].
     pub fn audit_sample(&mut self, n: usize) -> AuditReport {
-        let mut report = AuditReport::default();
-        if n == 0 {
-            return report;
-        }
+        let pass = self.audit_begin(n);
+        let proofs = verify_batch(pass.copies(), &self.data_plane());
+        self.audit_end(pass, proofs)
+    }
 
+    /// Draws an audit pass's sample and gathers its copies; advances no
+    /// clock. The candidate list is assembled in image-id order and the
+    /// sample is drawn from a forked seeded stream, so a given system
+    /// history audits the same images every run.
+    pub fn audit_begin(&mut self, n: usize) -> AuditPass {
+        if n == 0 {
+            return AuditPass { gathered: None };
+        }
         // Auditable population, in image-id order for determinism.
         let mut candidates: Vec<ImageId> = Vec::new();
         for info in self.store.images() {
@@ -114,18 +154,31 @@ impl Ros {
             candidates.swap(i, j);
         }
         candidates.truncate(take);
+        AuditPass {
+            gathered: Some(self.gather(&candidates)),
+        }
+    }
 
-        // Verify each sampled image end to end. A resident copy is
-        // scanned whether or not it settles the question.
+    /// Settles `pass` with `proofs`, one per [`AuditPass::copies`] pair,
+    /// and reports it. Scan time — every buffer copy and track the pass
+    /// read, a resident copy whether or not it settled its image — is
+    /// charged at the bay's
+    /// aggregate read rate; repairs additionally charge reconstruction
+    /// reads and buffer writes.
+    pub fn audit_end(
+        &mut self,
+        pass: AuditPass,
+        proofs: Vec<Result<Verified<Bytes>, CasError>>,
+    ) -> AuditReport {
+        let mut report = AuditReport::default();
+        let Some(gathered) = pass.gathered else {
+            return report;
+        };
+        let sample = gathered.images.clone();
         let mut total_bytes = 0u64;
-        let inspections = self.inspect_many(&candidates);
-        for (id, seen) in candidates.into_iter().zip(inspections) {
-            let Some(info) = self.store.get(id) else {
-                continue;
-            };
+        for (id, seen) in sample.into_iter().zip(self.settle(gathered, proofs)) {
             report.sampled += 1;
-            total_bytes += info.payload.as_ref().map_or(0, |p| p.len() as u64);
-            total_bytes += seen.track.len() as u64;
+            total_bytes += seen.buffered + seen.track.len() as u64;
             if seen.proof.is_some() {
                 report.verified += 1;
             } else {

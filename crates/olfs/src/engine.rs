@@ -27,7 +27,7 @@ use crate::redundancy;
 use crate::trace::OpTrace;
 use crate::wbm::{link_file_name, BucketManager, LinkFile, Placement};
 use bytes::Bytes;
-use ros_cas::Verified;
+use ros_cas::verify_payloads;
 use ros_disk::volume::{VolumeId, VolumeManager};
 use ros_disk::RaidArray;
 use ros_drive::media::Payload;
@@ -897,18 +897,17 @@ impl Ros {
     }
 
     /// Completes a background array prefetch: every sibling image still
-    /// sitting in the bay's drives gets its payload restored to the disk
-    /// tier and becomes a cache resident.
+    /// sitting in the bay's drives whose bytes match the DIM's digest
+    /// gets its payload restored to the disk tier and becomes a cache
+    /// resident. The siblings are verified as one batch before any
+    /// buffer space is allocated, so a rotted one is skipped uncharged.
     fn finish_prefetch(&mut self, bay: usize, images: Vec<ImageId>) {
+        let mut read = Vec::new();
         for image in images {
-            let already = self
-                .store
-                .get(image)
-                .map(crate::dim::ImageInfo::on_disk)
-                .unwrap_or(true);
-            if already {
+            let Some(info) = self.store.get(image).filter(|i| !i.on_disk()) else {
                 continue;
-            }
+            };
+            let digest = info.digest;
             let Some(loc) = self.store.location_of(image) else {
                 continue;
             };
@@ -924,16 +923,25 @@ impl Ros {
                 continue;
             };
             if let Payload::Inline(bytes) = timed.payload {
-                let proof = Verified::hash(bytes, &self.data_plane());
-                if self
-                    .vm
-                    .allocate(self.vol_buffer, proof.bytes().len() as u64)
-                    .is_ok()
-                    && self.store.restore_disk_copy(image, proof).is_ok()
-                {
-                    self.cache.insert(image);
-                    self.apply_cache_pressure();
-                }
+                read.push((image, (digest, bytes)));
+            }
+        }
+        let (images, pairs): (Vec<ImageId>, Vec<_>) = read.into_iter().unzip();
+        for (image, proof) in images
+            .into_iter()
+            .zip(verify_payloads(pairs, &self.data_plane()))
+        {
+            let Ok(proof) = proof else {
+                continue;
+            };
+            if self
+                .vm
+                .allocate(self.vol_buffer, proof.bytes().len() as u64)
+                .is_ok()
+                && self.store.restore_disk_copy(image, proof).is_ok()
+            {
+                self.cache.insert(image);
+                self.apply_cache_pressure();
             }
         }
     }
@@ -2683,6 +2691,37 @@ mod prefetch_tests {
         assert_eq!(r2.source, ReadSource::DiskImage, "prefetched sibling");
         assert!(r2.latency < SimDuration::from_millis(50));
         assert_eq!(r2.data.as_ref(), &[11u8; 800_000][..]);
+    }
+
+    #[test]
+    fn a_rotted_sibling_is_neither_prefetched_nor_charged() {
+        let mut r = burned(true);
+        let read = r.image_segments(&p("/pf/0")).unwrap()[0];
+        let gid = r.store.get(read).unwrap().array.unwrap();
+        let siblings: Vec<ImageId> = r.store.group(gid).unwrap().data.clone();
+        let siblings: Vec<ImageId> = siblings.into_iter().filter(|&i| i != read).collect();
+        assert!(siblings.len() >= 2, "{siblings:?}");
+        let rotted = siblings[0];
+        let loc = r.store.location_of(rotted).unwrap();
+        assert!(
+            r.registry
+                .disc_mut(loc.disc)
+                .unwrap()
+                .rot_bytes(rotted.0, 4)
+                > 0
+        );
+        let before = r.status().buffer_usage.0;
+        r.read_file(&p("/pf/0")).unwrap();
+        r.run_for(SimDuration::from_secs(10));
+        let on_disk = |r: &Ros, id: ImageId| r.store.get(id).unwrap().on_disk();
+        assert!(!on_disk(&r, rotted));
+        let healthy = std::iter::once(read).chain(siblings[1..].iter().copied());
+        let mut bytes = 0;
+        for id in healthy {
+            assert!(on_disk(&r, id), "{id} prefetched");
+            bytes += r.store.get(id).unwrap().size;
+        }
+        assert_eq!(r.status().buffer_usage.0 - before, bytes);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod supervise;
 pub mod trace;
 pub mod wbm;
 
-pub use audit::AuditReport;
+pub use audit::{AuditPass, AuditReport};
 pub use config::{Redundancy, RosConfig};
 pub use engine::{ReadReport, Ros, WriteReport};
 pub use error::OlfsError;

@@ -10,7 +10,9 @@
 //!
 //! 1. **gather** — [`Ros::inspect_many`] over the array's members: a buffer
 //!    copy that verifies, else the burned bytes wherever the disc is
-//!    ([`Ros::disc_at`]) plus the drive's damage map;
+//!    ([`Ros::disc_at`]) plus the drive's damage map. Resident copies and
+//!    the tracks of non-resident members are hashed as one digest batch;
+//!    only a resident copy that fails sends its track to a second;
 //! 2. **mask** — one damage mask per member: the drive's bad sectors
 //!    where it reported any, every sector where the member is absent or
 //!    read back cleanly but fails its digest (latent rot leaves no map).
@@ -34,7 +36,8 @@ use crate::error::OlfsError;
 use crate::ids::{ArrayId, ImageId};
 use crate::redundancy;
 use bytes::Bytes;
-use ros_cas::{verify_payload, verify_payloads, Digest, Verified};
+use ros_cas::{verify_payload, verify_payloads, CasError, Digest, Verified};
+use ros_disk::DataPlane;
 use ros_drive::media::{Disc, Payload};
 use ros_mech::SlotAddress;
 use ros_sim::SimDuration;
@@ -57,6 +60,62 @@ pub(crate) struct Inspection {
     /// (track-relative, ascending). Empty on an unhealthy track means the
     /// read was clean and only the digest disagrees.
     pub bad: Vec<u64>,
+    /// Length of the buffer copy the gather took, healthy or not; 0 when
+    /// the image had none. With `track`, what the inspection scanned.
+    pub buffered: u64,
+}
+
+/// One copy [`Ros::gather`] took for the digest batch.
+struct Taken {
+    /// Index of its image in the gather.
+    at: usize,
+    /// The digest the DIM records for that image.
+    digest: Digest,
+    bytes: Bytes,
+    /// True for the buffer copy, false for a cleanly read track.
+    resident: bool,
+}
+
+/// What [`Ros::gather`] took from buffer and media, awaiting one digest
+/// batch over [`Gathered::pairs`] and then [`Ros::settle`]. A snapshot:
+/// settling never re-reads what the gather recorded, so it may run after
+/// the store has moved on.
+pub(crate) struct Gathered {
+    /// The images inspected, in the caller's order.
+    pub images: Vec<ImageId>,
+    seen: Vec<Inspection>,
+    taken: Vec<Taken>,
+}
+
+impl Gathered {
+    /// `(recorded digest, bytes)` per copy taken, in order: the batch
+    /// [`Ros::settle`] expects one result for each.
+    pub(crate) fn pairs(&self) -> Vec<(Digest, Bytes)> {
+        let pair = |t: &Taken| (t.digest, t.bytes.clone());
+        self.taken.iter().map(pair).collect()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Digest batches the inspections ran on this thread: the count the
+    /// tests pin (one per audit pass or array gather, one more when a
+    /// buffer copy fails).
+    pub(crate) static DIGEST_BATCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One inspection digest batch ([`verify_payloads`]); an empty one is
+/// not run.
+pub(crate) fn verify_batch(
+    pairs: Vec<(Digest, Bytes)>,
+    plane: &DataPlane,
+) -> Vec<Result<Verified<Bytes>, CasError>> {
+    if pairs.is_empty() {
+        return Vec::new();
+    }
+    #[cfg(test)]
+    DIGEST_BATCHES.with(|n| n.set(n.get() + 1));
+    verify_payloads(pairs, plane)
 }
 
 /// One data member of a rebuilt array.
@@ -110,46 +169,100 @@ impl Ros {
     /// The one definition of "this image's bytes are healthy", for many
     /// images at once: a buffer copy that matches the recorded digest
     /// settles it; otherwise the burned track is read, damage map and
-    /// all. Two digest batches — every resident copy, then the cleanly
-    /// read tracks of the images those did not settle — so the images'
-    /// leaves share lockstep passes (DESIGN.md §14).
+    /// all. [`Ros::gather`], one digest batch, [`Ros::settle`]: every
+    /// resident copy and the cleanly read track of every image without
+    /// one share lockstep passes (DESIGN.md §14).
     pub(crate) fn inspect_many(&self, images: &[ImageId]) -> Vec<Inspection> {
-        let plane = self.data_plane();
+        let gathered = self.gather(images);
+        let proofs = verify_batch(gathered.pairs(), &self.data_plane());
+        self.settle(gathered, proofs)
+    }
+
+    /// The first half of [`Ros::inspect_many`]: takes each image's buffer
+    /// copy, or, if it has none, its burned track with the damage map —
+    /// a track that read back cleanly is taken for the digest batch.
+    pub(crate) fn gather(&self, images: &[ImageId]) -> Gathered {
         let mut seen: Vec<Inspection> = images.iter().map(|_| Inspection::default()).collect();
-        let verify = |seen: &mut [Inspection], copies: Vec<(usize, (Digest, Bytes))>| {
-            let (at, pairs): (Vec<usize>, Vec<_>) = copies.into_iter().unzip();
-            for (i, proof) in at.into_iter().zip(verify_payloads(pairs, &plane)) {
-                seen[i].proof = proof.ok();
-            }
-        };
-        let infos: Vec<Option<&ImageInfo>> = images.iter().map(|id| self.store.get(*id)).collect();
-        let resident = infos.iter().enumerate().filter_map(|(i, info)| {
-            let info = (*info)?;
-            Some((i, (info.digest, info.payload.clone()?)))
-        });
-        verify(&mut seen, resident.collect());
-        for s in &mut seen {
-            s.resident = s.proof.is_some();
-        }
-        let mut tracks = Vec::new();
-        for (i, (image, info)) in images.iter().zip(&infos).enumerate() {
-            let Some(info) = info.filter(|_| !seen[i].resident) else {
+        let mut taken = Vec::new();
+        for (at, image) in images.iter().enumerate() {
+            let Some(info) = self.store.get(*image) else {
                 continue;
             };
-            let track = info
-                .burned
-                .and_then(|loc| self.disc_at(loc))
-                .map(|disc| disc.read_image_raw(image.0));
-            if let Some(Ok((Payload::Inline(bytes), bad))) = track {
-                if bad.is_empty() {
-                    tracks.push((i, (info.digest, bytes.clone())));
+            let (digest, resident) = (info.digest, info.payload.is_some());
+            let bytes = match &info.payload {
+                Some(bytes) => {
+                    seen[at].buffered = bytes.len() as u64;
+                    Some(bytes.clone())
                 }
-                seen[i].track = bytes.clone();
-                seen[i].bad = bad;
+                None => self.read_track(info, &mut seen[at]),
+            };
+            if let Some(bytes) = bytes {
+                taken.push(Taken {
+                    at,
+                    digest,
+                    bytes,
+                    resident,
+                });
             }
         }
-        verify(&mut seen, tracks);
+        Gathered {
+            images: images.to_vec(),
+            seen,
+            taken,
+        }
+    }
+
+    /// The second half of [`Ros::inspect_many`]: `proofs` holds one
+    /// result per [`Gathered::pairs`] entry. A proof counts only for the
+    /// digest its copy was taken against. The images whose buffer copy
+    /// failed have their tracks read now and hashed as a second batch.
+    pub(crate) fn settle(
+        &self,
+        gathered: Gathered,
+        proofs: Vec<Result<Verified<Bytes>, CasError>>,
+    ) -> Vec<Inspection> {
+        let Gathered {
+            images,
+            mut seen,
+            taken,
+        } = gathered;
+        let mut failed = Vec::new();
+        for (t, proof) in taken.into_iter().zip(proofs) {
+            match proof.ok().filter(|p| p.digest() == t.digest) {
+                Some(proof) => {
+                    seen[t.at].proof = Some(proof);
+                    seen[t.at].resident = t.resident;
+                }
+                None if t.resident => failed.push((t.at, t.digest)),
+                None => {}
+            }
+        }
+        let mut tracks = Vec::new();
+        for (at, digest) in failed {
+            let Some(info) = self.store.get(images[at]) else {
+                continue;
+            };
+            if let Some(bytes) = self.read_track(info, &mut seen[at]) {
+                tracks.push((at, (digest, bytes)));
+            }
+        }
+        let (at, pairs): (Vec<usize>, Vec<_>) = tracks.into_iter().unzip();
+        for (i, proof) in at.into_iter().zip(verify_batch(pairs, &self.data_plane())) {
+            seen[i].proof = proof.ok();
+        }
         seen
+    }
+
+    /// Reads the image's burned track into `seen`, damage map and all,
+    /// and returns its bytes if no sector failed.
+    fn read_track(&self, info: &ImageInfo, seen: &mut Inspection) -> Option<Bytes> {
+        let disc = self.disc_at(info.burned?)?;
+        let Ok((Payload::Inline(bytes), bad)) = disc.read_image_raw(info.id.0) else {
+            return None;
+        };
+        seen.track = bytes.clone();
+        seen.bad = bad;
+        seen.bad.is_empty().then(|| bytes.clone())
     }
 
     /// Gathers array `gid`, masks what cannot be trusted, reconstructs
@@ -538,6 +651,72 @@ mod tests {
                 (ImageId(3), false, digests[1].to_string()),
             ]
         );
+    }
+
+    /// `f`'s result and the inspection digest batches it ran.
+    fn batches_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        DIGEST_BATCHES.with(|n| n.set(0));
+        let out = f();
+        (out, DIGEST_BATCHES.with(std::cell::Cell::get))
+    }
+
+    /// A cold array with its first data member fetched back onto the
+    /// buffer and its tray returned to the roller: one member audits
+    /// through its buffer copy, the other three through their tracks.
+    fn one_resident_three_tracks() -> ColdArray {
+        let mut a = cold_array(Redundancy::Raid6, 2);
+        let path = a.files[0].0.clone();
+        a.ros.read_file(&path).unwrap();
+        a.ros.unload_all_bays().unwrap();
+        assert_eq!(a.data_on_buffer(), 1);
+        a
+    }
+
+    #[test]
+    fn an_audit_pass_over_residents_and_tracks_is_one_digest_batch() {
+        let mut a = one_resident_three_tracks();
+        let (report, batches) = batches_of(|| a.ros.audit_sample(64));
+        assert_eq!((report.sampled, report.verified), (4, 4), "{report:?}");
+        assert_eq!(batches, 1);
+    }
+
+    #[test]
+    fn a_rotted_buffer_copy_adds_one_digest_batch() {
+        let mut a = one_resident_three_tracks();
+        let info = a.ros.store.get_mut(a.files[0].2).unwrap();
+        let mut rotted = info.payload.as_ref().unwrap().to_vec();
+        rotted[100] ^= 0xA5;
+        info.payload = Some(Bytes::from(rotted));
+        let (report, batches) = batches_of(|| a.ros.audit_sample(64));
+        // The healthy track behind the rotted copy settles the image.
+        assert_eq!((report.sampled, report.verified), (4, 4), "{report:?}");
+        assert_eq!(batches, 2);
+    }
+
+    #[test]
+    fn a_rebuild_gathers_its_members_in_one_digest_batch() {
+        let a = rot_plus_sector_errors(2);
+        let (rebuilt, batches) = batches_of(|| a.ros.rebuild(a.gid).unwrap());
+        assert_eq!(rebuilt.data.len(), 2);
+        assert_eq!(batches, 1);
+    }
+
+    #[test]
+    fn an_audit_pass_verifies_and_charges_what_it_gathered() {
+        let mut a = cold_array(Redundancy::Raid6, 2);
+        let pass = a.ros.audit_begin(64);
+        let scanned: u64 = pass.copies().iter().map(|(_, b)| b.len() as u64).sum();
+        assert_eq!(scanned, 4 * 315_392, "every member's track, no buffer copy");
+        // A read between begin and end caches a gathered image.
+        let (path, data, _) = a.files[0].clone();
+        let read = a.ros.read_file(&path).unwrap();
+        assert_eq!(read.data.as_ref(), data.as_slice());
+        assert_eq!(a.data_on_buffer(), 1);
+        let proofs = verify_payloads(pass.copies(), &a.ros.data_plane());
+        let report = a.ros.audit_end(pass, proofs);
+        assert_eq!((report.sampled, report.verified), (4, 4), "{report:?}");
+        let agg = a.ros.bays[0].aggregate_read_speed(a.ros.cfg.disc_class);
+        assert_eq!(report.elapsed, agg.time_for(scanned), "the tracks only");
     }
 
     #[test]
