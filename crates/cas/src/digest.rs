@@ -95,31 +95,65 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     }
 }
 
+/// The block kernels [`finish_at`] can run. Which one production takes
+/// is a property of the host ([`host_kernel`]), not a setting; the tests
+/// name each in turn so every arm is checked on one host.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// The scalar `compress` alone, on every target.
+    Compress,
+    /// Each run of eight whole blocks through the schedule-ahead kernel
+    /// where the CPU has AVX2 and BMI2; `compress` for the rest.
+    ScheduleAhead,
+    /// Every block, padding included, through the SHA-extensions kernel
+    /// where the CPU has SHA, SSSE3 and SSE4.1; `compress` elsewhere.
+    ShaExtensions,
+}
+
+/// The kernel [`finish`] runs here: the SHA extensions where the CPU has
+/// them, else schedule-ahead where it has AVX2 and BMI2, else `compress`.
+fn host_kernel() -> Kernel {
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    {
+        if crate::lanes::sha_extensions() {
+            return Kernel::ShaExtensions;
+        }
+        if crate::lanes::schedule_ahead() {
+            return Kernel::ScheduleAhead;
+        }
+    }
+    Kernel::Compress
+}
+
+/// Compresses `blocks` into `state` with `kernel`, where the CPU runs
+/// it, and with `compress` whatever the kernel leaves.
+fn absorb(kernel: Kernel, state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    let blocks = match kernel {
+        Kernel::Compress => blocks,
+        Kernel::ScheduleAhead => crate::lanes::compress_ahead(state, blocks),
+        Kernel::ShaExtensions => crate::lanes::compress_sha(state, blocks),
+    };
+    for block in blocks {
+        compress(state, block);
+    }
+}
+
 /// Finishes a SHA-256 whose first `total_len - rest.len()` bytes are
 /// already absorbed into `state`: absorbs the whole blocks of `rest`,
 /// then the padding (0x80, zeros, the bit length of the whole message
 /// as a big-endian u64) in one or two final blocks. Shared by the
-/// scalar and the lockstep kernel, so both pad identically; where the
-/// CPU runs it, the schedule-ahead kernel takes each run of eight whole
-/// blocks first.
+/// scalar and the lockstep kernel, so both pad identically, and run by
+/// the host's single-stream kernel ([`host_kernel`]).
 pub(crate) fn finish(state: [u32; 8], rest: &[u8], total_len: usize) -> [u8; 32] {
-    finish_at(true, state, rest, total_len)
+    finish_at(host_kernel(), state, rest, total_len)
 }
 
-/// [`finish`], with the schedule-ahead kernel allowed only if `ahead`.
-/// A parameter so the tests can pin both arms on one host, not a
-/// setting: production passes `true`.
-fn finish_at(ahead: bool, mut state: [u32; 8], rest: &[u8], total_len: usize) -> [u8; 32] {
+/// [`finish`] with `kernel` in place of the host's. A parameter so the
+/// tests can pin every arm on one host, not a setting.
+fn finish_at(kernel: Kernel, mut state: [u32; 8], rest: &[u8], total_len: usize) -> [u8; 32] {
     let (blocks, rest) = rest.as_chunks::<64>();
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    let blocks = if ahead {
-        crate::lanes::compress_ahead(&mut state, blocks)
-    } else {
-        blocks
-    };
-    for block in blocks {
-        compress(&mut state, block);
-    }
+    absorb(kernel, &mut state, blocks);
     let mut tail = [[0u8; 64]; 2];
     let flat = tail.as_flattened_mut();
     flat[..rest.len()].copy_from_slice(rest);
@@ -127,9 +161,7 @@ fn finish_at(ahead: bool, mut state: [u32; 8], rest: &[u8], total_len: usize) ->
     let tail_len = if rest.len() < 56 { 64 } else { 128 };
     let bit_len = (total_len as u64).wrapping_mul(8);
     flat[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-    for block in &tail[..tail_len / 64] {
-        compress(&mut state, block);
-    }
+    absorb(kernel, &mut state, &tail[..tail_len / 64]);
     let mut out = [0u8; 32];
     for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
         chunk.copy_from_slice(&word.to_be_bytes());
@@ -256,19 +288,22 @@ impl core::fmt::Debug for Digest {
     }
 }
 
-/// How many leaves one lockstep pass hashes on this host: 8 where the
-/// CPU reports AVX2, 4 on any other x86-64, 1 (the scalar kernel alone)
-/// elsewhere. Observed, not configured; no digest depends on it.
-pub fn lockstep_lanes() -> usize {
+/// How many leaves the packer puts in one lockstep group on this host: 1
+/// (leaf by leaf) where `finish` runs the SHA extensions, whose single
+/// stream outruns an eight-lane pass; else 8 where the CPU reports AVX2
+/// and 4 on any other x86-64; 1 (the scalar kernel alone) elsewhere.
+/// Observed, not configured; no digest depends on it.
+pub(crate) fn lockstep_lanes() -> usize {
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    return crate::lanes::widest();
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+    if host_kernel() != Kernel::ShaExtensions {
+        return crate::lanes::widest();
+    }
     1
 }
 
 /// SHA-256 of every leaf chunk in one worker's span, in order, in
-/// lockstep groups of at most `width` lanes (1 is the scalar kernel
-/// alone).
+/// lockstep groups of at most `width` lanes (1 is leaf by leaf through
+/// `sha256`).
 ///
 /// Span first, lanes second: the plane has already split the leaves
 /// across its threads, and each worker packs only its own span — forming
@@ -307,7 +342,9 @@ fn sha256_span_at(width: usize, span: &[&[u8]]) -> Vec<[u8; 32]> {
 /// BMI2) an x4 pass of 3 or 4 leaves and an x8 pass of 5 each cost
 /// 2.5–2.7 single-stream hashes where `sha256` schedules ahead, and
 /// 1.8–2.1 where it is the scalar `compress` alone: three leaves still
-/// win, two do not.
+/// win, two do not. Where `sha256` runs the SHA extensions a full x8
+/// pass costs about 12.5 of its hashes, so no group wins and the packer
+/// is never handed more than one lane there ([`lockstep_lanes`]).
 fn sha256_group(group: &[usize], span: &[&[u8]], out: &mut [[u8; 32]]) {
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     if let Some(&shortest) = group.last().filter(|_| group.len() > 2) {
@@ -598,6 +635,15 @@ mod tests {
         ];
         let span: Vec<&[u8]> = lens.iter().map(|&len| &data[len..2 * len]).collect();
         let expect: Vec<[u8; 32]> = span.iter().map(|leaf| sha256_reference(leaf)).collect();
+        // Beside the SHA kernel the host's width is 1, so there every
+        // leaf, and every lane tail at the forced widths, goes through it.
+        if host_kernel() == Kernel::ShaExtensions {
+            assert_eq!(
+                lockstep_lanes(),
+                1,
+                "no lockstep packing beside the SHA kernel"
+            );
+        }
         for width in 1..=8 {
             for take in 0..=span.len() {
                 assert_eq!(
@@ -609,11 +655,24 @@ mod tests {
         }
     }
 
-    /// `sha256` with the schedule-ahead kernel allowed (`true`, taken
-    /// where the CPU runs it) or barred (`false`, the scalar `compress`
-    /// alone), so both dispatch arms are tested on one host.
-    fn sha256_at(ahead: bool, data: &[u8]) -> [u8; 32] {
-        finish_at(ahead, H0, data, data.len())
+    /// `sha256` through `kernel` where the CPU runs it (`compress` where
+    /// it does not), so every dispatch arm is tested on one host.
+    fn sha256_at(kernel: Kernel, data: &[u8]) -> [u8; 32] {
+        finish_at(kernel, H0, data, data.len())
+    }
+
+    /// The arms of `finish_at` worth testing here: `compress`,
+    /// schedule-ahead and, where the CPU has them, the SHA extensions.
+    /// Elsewhere that arm would test `compress` a second time, so it is
+    /// skipped with a printed line instead.
+    fn arms() -> Vec<Kernel> {
+        let mut arms = vec![Kernel::Compress, Kernel::ScheduleAhead];
+        if host_kernel() == Kernel::ShaExtensions {
+            arms.push(Kernel::ShaExtensions);
+        } else {
+            println!("SHA-extensions arm skipped: this CPU lacks sha, ssse3 or sse4.1");
+        }
+        arms
     }
 
     #[test]
@@ -621,26 +680,27 @@ mod tests {
         // Every padding shape (one or two final blocks, with and
         // without whole blocks before them); no run of eight blocks,
         // exactly one, one with 1–7 blocks or a sub-block tail after it,
-        // and several; then some of them from misaligned starts.
+        // and several; then some of them from misaligned starts — for
+        // every arm.
         let data = wide_pattern(4160 + 64);
         let lens = [
             0usize, 1, 55, 56, 63, 64, 65, 119, 120, 127, 128, 129, 511, 512, 513, 575, 1000, 1023,
             1024, 1025, 2600, 4096, 4160,
         ];
-        for ahead in [false, true] {
+        for kernel in arms() {
             for len in lens {
                 let msg = &data[..len];
                 let expect = sha256_reference(msg);
-                assert_eq!(sha256_at(ahead, msg), expect, "ahead {ahead} len {len}");
+                assert_eq!(sha256_at(kernel, msg), expect, "{kernel:?} len {len}");
             }
             for offset in 1..8 {
                 for len in [513usize, 1024, 2600] {
                     let msg = &data[offset * 9..offset * 9 + len];
                     let expect = sha256_reference(msg);
                     assert_eq!(
-                        sha256_at(ahead, msg),
+                        sha256_at(kernel, msg),
                         expect,
-                        "ahead {ahead} offset {} len {len}",
+                        "{kernel:?} offset {} len {len}",
                         offset * 9
                     );
                 }
@@ -652,11 +712,11 @@ mod tests {
     #[cfg_attr(miri, ignore = "256 KB messages are too slow interpreted")]
     fn both_dispatch_arms_match_the_reference_on_a_whole_leaf() {
         let data = wide_pattern(CHUNK_BYTES + 8);
-        for ahead in [false, true] {
+        for kernel in arms() {
             for (offset, len) in [(0, CHUNK_BYTES), (0, CHUNK_BYTES + 1), (7, CHUNK_BYTES)] {
                 let msg = &data[offset..offset + len];
                 let expect = sha256_reference(msg);
-                assert_eq!(sha256_at(ahead, msg), expect, "ahead {ahead} len {len}");
+                assert_eq!(sha256_at(kernel, msg), expect, "{kernel:?} len {len}");
             }
         }
     }
@@ -670,8 +730,9 @@ mod tests {
             let data = wide_pattern(offset + len);
             let msg = &data[offset..];
             let expect = sha256_reference(msg);
-            proptest::prop_assert_eq!(sha256_at(false, msg), expect);
-            proptest::prop_assert_eq!(sha256_at(true, msg), expect);
+            for kernel in arms() {
+                proptest::prop_assert_eq!(sha256_at(kernel, msg), expect, "{:?}", kernel);
+            }
         }
     }
 

@@ -25,13 +25,21 @@
 //! (the digest module's `round!`) built with BMI2, whose `rorx` rotates
 //! without a move.
 //!
+//! Where the CPU has the SHA extensions, none of that sharing pays: one
+//! `sha256rnds2` does two rounds of one message, and [`compress_sha`]
+//! runs every block of a message through them, Intel's published
+//! instruction sequence on the state split into its ABEF and CDGH
+//! halves, with `sha256msg1` / `sha256msg2` extending the schedule four
+//! words at a time.
+//!
 //! The module exists only on x86-64 with SSE2 — which is every x86-64
 //! target, SSE2 being part of the base ABI — so the four-lane kernel
-//! needs no detection. AVX2 and BMI2 are not part of that ABI:
-//! [`sha256_x8`] and [`compress_ahead`] ask the CPU and enter their
-//! kernels only where it answered yes, and [`widest`] tells the packer in
-//! `digest.rs` how large a group is worth forming. Other targets compile
-//! the scalar kernel alone.
+//! needs no detection. AVX2, BMI2 and the SHA extensions are not part of
+//! that ABI: [`sha256_x8`], [`compress_ahead`] and [`compress_sha`] ask
+//! the CPU and enter their kernels only where it answered yes, and
+//! [`widest`] and [`sha_extensions`] tell `digest.rs` which kernel to
+//! take and how large a lockstep group is worth forming. Other targets
+//! compile the scalar kernel alone.
 
 use crate::digest::{finish, round, H0, K};
 
@@ -94,6 +102,30 @@ pub(crate) fn compress_ahead<'a>(state: &mut [u32; 8], blocks: &'a [[u8; 64]]) -
     // above has just reported that this CPU implements both.
     unsafe { x8::ahead(state, runs) };
     rest
+}
+
+/// Whether this CPU runs [`compress_sha`]'s kernel: the SHA extensions
+/// for the rounds and the schedule, SSSE3 for the schedule's `palignr`,
+/// SSE4.1 for reading the state back out.
+pub(crate) fn sha_extensions() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+}
+
+/// Compresses every block of one message into `state` where the CPU runs
+/// the SHA-extensions kernel, and returns the blocks it left for the
+/// scalar `compress`: none there, all of them on any other CPU. The same
+/// state results either way.
+pub(crate) fn compress_sha<'a>(state: &mut [u32; 8], blocks: &'a [[u8; 64]]) -> &'a [[u8; 64]] {
+    if blocks.is_empty() || !sha_extensions() {
+        return blocks;
+    }
+    // SAFETY: `sha::compress` requires the `sha`, `ssse3` and `sse4.1`
+    // target features, none statically enabled; `sha_extensions` on the
+    // line above has just reported that this CPU implements all three.
+    unsafe { sha::compress(state, blocks) };
+    &[]
 }
 
 /// One round on every lane; the argument order carries the role
@@ -299,6 +331,92 @@ mod x8 {
     }
 }
 
+/// The SHA extensions: two rounds per `sha256rnds2`, four schedule words
+/// per `sha256msg1` + `palignr` + `sha256msg2`.
+mod sha {
+    use super::K;
+    use core::arch::x86_64::{
+        __m128i as V, _mm_add_epi32 as add, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Words `4q..4q + 4` of `words`, word `4q` in the lowest lane.
+    #[target_feature(enable = "sse2")]
+    fn quad(words: impl Fn(usize) -> u32, q: usize) -> V {
+        let [w0, w1, w2, w3] = core::array::from_fn(|i| words(4 * q + i).cast_signed());
+        _mm_set_epi32(w3, w2, w1, w0)
+    }
+
+    /// Schedule quad `q` from the four before it, oldest first: the
+    /// `sha256msg1` half of σ0 over quads `q - 4` and `q - 3`, plus words
+    /// `t - 7` (a `palignr` of quads `q - 2` and `q - 1`), finished by
+    /// `sha256msg2`'s σ1 over quad `q - 1`.
+    #[target_feature(enable = "sha,ssse3")]
+    fn extend(w16: V, w12: V, w8: V, w4: V) -> V {
+        let w7 = _mm_alignr_epi8::<4>(w4, w8);
+        _mm_sha256msg2_epu32(add(_mm_sha256msg1_epu32(w16, w12), w7), w4)
+    }
+
+    /// Rounds `4q..4q + 4` on schedule quad `w`. Each `sha256rnds2` does
+    /// two rounds with the W+K words in its third operand's low half and
+    /// returns the new ABEF, so the halves swap roles call by call.
+    #[target_feature(enable = "sha")]
+    fn rounds(abef: &mut V, cdgh: &mut V, w: V, q: usize) {
+        let kw = add(w, quad(|t| K[t], q));
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, kw);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0E>(kw));
+    }
+
+    /// Compresses `blocks` into `state`, Intel's published sequence: the
+    /// eight working variables live as ABEF and CDGH (A and C in the
+    /// highest lanes), the layout `sha256rnds2` takes, and the rolling
+    /// schedule is four named quads, each extended just before the four
+    /// rounds that consume it.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        let [a, b, c, d, e, f, g, h] = state.map(u32::cast_signed);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        for block in blocks {
+            let words = block.as_chunks::<4>().0;
+            let [mut w0, mut w1, mut w2, mut w3]: [V; 4] =
+                core::array::from_fn(|q| quad(|t| u32::from_be_bytes(words[t]), q));
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            for q in (0..16).step_by(4) {
+                if q > 0 {
+                    w0 = extend(w0, w1, w2, w3);
+                }
+                rounds(&mut abef, &mut cdgh, w0, q);
+                if q > 0 {
+                    w1 = extend(w1, w2, w3, w0);
+                }
+                rounds(&mut abef, &mut cdgh, w1, q + 1);
+                if q > 0 {
+                    w2 = extend(w2, w3, w0, w1);
+                }
+                rounds(&mut abef, &mut cdgh, w2, q + 2);
+                if q > 0 {
+                    w3 = extend(w3, w0, w1, w2);
+                }
+                rounds(&mut abef, &mut cdgh, w3, q + 3);
+            }
+            abef = add(abef, abef_in);
+            cdgh = add(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(i32::cast_unsigned);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,14 +437,18 @@ mod tests {
     #[test]
     fn the_host_says_which_kernel_ran() {
         // CI runs this with `--nocapture`: a green run on a CPU without
-        // AVX2 exercised `sha256_x8`'s fallback, not the wide kernel, and
-        // one without AVX2 and BMI2 tested `compress` where the
-        // schedule-ahead kernel would have run.
+        // AVX2 exercised `sha256_x8`'s fallback, not the wide kernel; one
+        // without AVX2 and BMI2 tested `compress` where the
+        // schedule-ahead kernel would have run; one without the SHA
+        // extensions skipped that kernel's arm.
         let widest = widest();
         let skipped = if widest == 8 { "none" } else { "8" };
-        println!("lockstep SHA-256: widest kernel on this host has {widest} lanes; widths skipped: {skipped}");
+        let packer = crate::digest::lockstep_lanes();
+        println!("lockstep SHA-256: widest kernel on this host has {widest} lanes; widths skipped: {skipped}; the packer groups {packer}");
         let ahead = if schedule_ahead() { "live" } else { "skipped" };
         println!("single-stream SHA-256: schedule-ahead kernel (avx2 + bmi2) {ahead}");
+        let sha = if sha_extensions() { "live" } else { "skipped" };
+        println!("single-stream SHA-256: SHA-extensions kernel (sha + ssse3 + sse4.1) {sha}");
         assert!(widest == 4 || widest == 8);
     }
 

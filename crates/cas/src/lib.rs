@@ -13,7 +13,9 @@
 //!   staying byte-identical at any thread count and lane width; a
 //!   message no lane group takes (a lone leaf, a small payload, a root
 //!   hash) fills the eight lanes with eight of its own blocks'
-//!   schedules where the CPU reports AVX2 and BMI2;
+//!   schedules where the CPU reports AVX2 and BMI2. Where the CPU has
+//!   the SHA extensions, every block of every message goes through
+//!   them instead, leaf by leaf, and no lane group is formed;
 //! - [`verified`]: the [`verify_payload`] / [`verify_payloads`] entry
 //!   point every integrity check routes through, and the [`Verified`]
 //!   proof it returns — bytes plus the digest they were shown to hash
@@ -28,9 +30,9 @@
 
 // `deny`, not `forbid`: the lockstep kernels are `#[target_feature]`
 // functions, and rustc asks for `unsafe` to enter one — even for SSE2,
-// which is statically on; for AVX2, and AVX2 with BMI2, the block
-// follows the run-time detection. That module carries the crate's only
-// `allow`.
+// which is statically on; for AVX2, AVX2 with BMI2, and the SHA
+// extensions, the block follows the run-time detection. That module
+// carries the crate's only `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 // The workspace's domain rules, held by clippy (DESIGN.md §8): no panic
@@ -57,5 +59,5 @@ pub mod digest;
 mod lanes;
 pub mod verified;
 
-pub use digest::{content_digest, content_digests, lockstep_lanes, sha256, Digest, CHUNK_BYTES};
+pub use digest::{content_digest, content_digests, sha256, Digest, CHUNK_BYTES};
 pub use verified::{verify_payload, verify_payloads, CasError, Verified};
