@@ -88,13 +88,13 @@ impl Cluster {
             copies.extend(mine);
         }
         let mut proofs = match alive.first() {
-            Some(&first) => verify_payloads(copies, &self.racks[first].ros().data_plane()),
+            Some(&first) => verify_payloads(copies, self.racks[first].ros().data_plane()),
             None => Vec::new(),
         }
         .into_iter();
         for (idx, pass, n_copies) in passes {
             let rack_id = self.racks[idx].id();
-            let plane = self.racks[idx].ros().data_plane();
+            let plane = self.racks[idx].ros().data_plane().clone();
             let mine = proofs.by_ref().take(n_copies).collect();
             let local = self.racks[idx].ros_mut().audit_end(pass, mine);
             report.sampled += local.sampled;

@@ -106,7 +106,7 @@ impl Cluster {
         let mut verify_list: Vec<(String, Digest)> = Vec::new();
         // Every rack is built from the one `cfg.rack` template, so the
         // drilled rack's plane is the federation's `data_plane_threads`.
-        let plane = self.racks[fidx].ros().data_plane();
+        let plane = self.racks[fidx].ros().data_plane().clone();
 
         for (key, targets, files) in affected {
             let survivors: Vec<RackId> = targets

@@ -14,14 +14,18 @@
 //! - [`parity`]: *real* XOR (P) and GF(2^8) Reed-Solomon (Q) parity
 //!   arithmetic with reconstruction of up to two losses — shared by the
 //!   RAID arrays here and by OLFS's disc-array redundancy (§4.7),
-//! - [`plane`]: a deterministic scoped-thread data plane for real-bytes
-//!   kernels — byte-identical results at any thread count,
+//! - [`plane`]: a deterministic data plane of parked worker threads for
+//!   real-bytes kernels — byte-identical results at any thread count,
 //! - [`raid`]: RAID-0/1/5/6 arrays with failure and rebuild modelling,
 //! - [`volume`]: the volume manager and the concurrent-stream
 //!   interference model that motivates ROS's multiple independent RAID
 //!   volumes (§4.7's four-stream discussion).
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the plane's pool lends each call's closure to
+// parked workers, which erases a lifetime in one `unsafe` block
+// (DESIGN.md §3, principle 5). That block carries the crate's only
+// `allow`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 // The workspace's domain rules, held by clippy (DESIGN.md §8): no panic
 // paths, no lossy casts, no hash-order iteration outside test code.

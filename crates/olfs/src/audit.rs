@@ -123,7 +123,7 @@ impl Ros {
     /// [`Ros::audit_end`].
     pub fn audit_sample(&mut self, n: usize) -> AuditReport {
         let pass = self.audit_begin(n);
-        let proofs = verify_batch(pass.copies(), &self.data_plane());
+        let proofs = verify_batch(pass.copies(), self.data_plane());
         self.audit_end(pass, proofs)
     }
 

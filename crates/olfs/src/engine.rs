@@ -209,6 +209,9 @@ pub struct Ros {
     /// `cfg.dedup` is set. A view of the MV's `VersionEntry::digest`s,
     /// rebuilt with `image_paths` when a namespace is adopted.
     pub(crate) dedup: crate::dedup::DedupLayer,
+    /// The real-bytes data plane, built once from
+    /// `cfg.data_plane_threads`; its workers live as long as the engine.
+    plane: ros_disk::DataPlane,
 }
 
 impl Ros {
@@ -280,6 +283,7 @@ impl Ros {
             quarantined_bays: BTreeSet::new(),
             bay_burn_failures: BTreeMap::new(),
             dedup: crate::dedup::DedupLayer::default(),
+            plane: ros_disk::DataPlane::with_threads(cfg.data_plane_threads),
             cfg,
         })
     }
@@ -290,11 +294,12 @@ impl Ros {
     }
 
     /// The real-bytes data plane sized by `cfg.data_plane_threads`
-    /// (0 = auto-detect). Parity encode, audit verification, and
-    /// recovery reconstruction run their kernels here; the plane is
-    /// deterministic, so the thread count never changes behaviour.
-    pub fn data_plane(&self) -> ros_disk::DataPlane {
-        ros_disk::DataPlane::with_threads(self.cfg.data_plane_threads)
+    /// (0 = auto-detect), built once with the engine. Parity encode,
+    /// audit verification, and recovery reconstruction run their kernels
+    /// here; the plane is deterministic, so the thread count never
+    /// changes behaviour.
+    pub fn data_plane(&self) -> &ros_disk::DataPlane {
+        &self.plane
     }
 
     /// Current simulated time.
@@ -540,7 +545,7 @@ impl Ros {
         let digest = self
             .cfg
             .dedup
-            .then(|| ros_cas::content_digest(&data, &self.data_plane()));
+            .then(|| ros_cas::content_digest(&data, self.data_plane()));
         let entry = VersionEntry {
             stored: latest.stored,
             digest,
@@ -580,7 +585,7 @@ impl Ros {
         let digest = self
             .cfg
             .dedup
-            .then(|| ros_cas::content_digest(&data, &self.data_plane()));
+            .then(|| ros_cas::content_digest(&data, self.data_plane()));
         let hit = digest.and_then(|d| self.dedup.link(&d).cloned());
         let placed = hit.is_none();
         let (segments, seg_sizes, stored) = match hit {
@@ -834,10 +839,9 @@ impl Ros {
         let image = ImageId(sealed.image_id());
         let bytes = sealed.len();
         self.vm.allocate(self.vol_buffer, bytes)?;
-        let plane = self.data_plane();
-        let completed = self
-            .store
-            .register_sealed(sealed, self.cfg.data_discs_per_array(), &plane);
+        let completed =
+            self.store
+                .register_sealed(sealed, self.cfg.data_discs_per_array(), &self.plane);
         self.cache.insert(image);
         self.cache.pin(image);
         self.promote_paths(image, LocTag::Image);
@@ -929,7 +933,7 @@ impl Ros {
         let (images, pairs): (Vec<ImageId>, Vec<_>) = read.into_iter().unzip();
         for (image, proof) in images
             .into_iter()
-            .zip(verify_payloads(pairs, &self.data_plane()))
+            .zip(verify_payloads(pairs, self.data_plane()))
         {
             let Ok(proof) = proof else {
                 continue;
@@ -978,7 +982,7 @@ impl Ros {
                 return; // A member vanished; leave for maintenance.
             }
             let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_ref()).collect();
-            match redundancy::generate_with(self.cfg.redundancy, &refs, &self.data_plane()) {
+            match redundancy::generate_with(self.cfg.redundancy, &refs, self.data_plane()) {
                 Ok(set) => {
                     let mut parity = Vec::new();
                     if let Some(p) = set.p {
@@ -989,16 +993,22 @@ impl Ros {
                     }
                     let bytes: u64 = parity.iter().map(|p| p.len() as u64).sum();
                     let _ = self.vm.allocate(self.vol_buffer, bytes);
-                    let plane = self.data_plane();
-                    if self.store.register_parity(gid, parity, &plane).is_err() {
+                    if self
+                        .store
+                        .register_parity(gid, parity, &self.plane)
+                        .is_err()
+                    {
                         return;
                     }
                 }
                 Err(_) => return,
             }
         } else {
-            let plane = self.data_plane();
-            if self.store.register_parity(gid, Vec::new(), &plane).is_err() {
+            if self
+                .store
+                .register_parity(gid, Vec::new(), &self.plane)
+                .is_err()
+            {
                 return;
             }
         }
@@ -1728,8 +1738,7 @@ impl Ros {
                     .get(image)
                     .map(|i| i.digest)
                     .ok_or(OlfsError::ImageLost(image))?;
-                let Ok(proof) = ros_cas::verify_payload(&digest, payload, &self.data_plane())
-                else {
+                let Ok(proof) = ros_cas::verify_payload(&digest, payload, self.data_plane()) else {
                     *extra += self.repair_fetched(image, speed)?;
                     self.counters.latent_repairs += 1;
                     return Ok(());

@@ -174,7 +174,7 @@ impl Ros {
     /// one share lockstep passes (DESIGN.md §14).
     pub(crate) fn inspect_many(&self, images: &[ImageId]) -> Vec<Inspection> {
         let gathered = self.gather(images);
-        let proofs = verify_batch(gathered.pairs(), &self.data_plane());
+        let proofs = verify_batch(gathered.pairs(), self.data_plane());
         self.settle(gathered, proofs)
     }
 
@@ -247,7 +247,7 @@ impl Ros {
             }
         }
         let (at, pairs): (Vec<usize>, Vec<_>) = tracks.into_iter().unzip();
-        for (i, proof) in at.into_iter().zip(verify_batch(pairs, &self.data_plane())) {
+        for (i, proof) in at.into_iter().zip(verify_batch(pairs, self.data_plane())) {
             seen[i].proof = proof.ok();
         }
         seen
@@ -348,7 +348,7 @@ impl Ros {
                     &vec![hi - lo; n_data],
                     parity(0).flatten(),
                     parity(1).flatten(),
-                    &plane,
+                    plane,
                 )
                 .map_err(|_| unrecoverable(first_lost))?;
                 for i in (0..n_data).filter(|&i| lost(i)) {
@@ -368,7 +368,7 @@ impl Ros {
                         None => {
                             let mut bytes = patched.unwrap_or_default();
                             bytes.truncate(ros_sim::to_usize(infos[i].size));
-                            verify_payload(&infos[i].digest, Bytes::from(bytes), &plane)
+                            verify_payload(&infos[i].digest, Bytes::from(bytes), plane)
                                 .map_err(|_| unrecoverable(i))?
                         }
                     };
@@ -712,7 +712,7 @@ mod tests {
         let read = a.ros.read_file(&path).unwrap();
         assert_eq!(read.data.as_ref(), data.as_slice());
         assert_eq!(a.data_on_buffer(), 1);
-        let proofs = verify_payloads(pass.copies(), &a.ros.data_plane());
+        let proofs = verify_payloads(pass.copies(), a.ros.data_plane());
         let report = a.ros.audit_end(pass, proofs);
         assert_eq!((report.sampled, report.verified), (4, 4), "{report:?}");
         let agg = a.ros.bays[0].aggregate_read_speed(a.ros.cfg.disc_class);
