@@ -10,8 +10,9 @@
 //! SHA-256'd independently, and the final digest is SHA-256 over the
 //! big-endian payload length followed by the leaf digests in order. The
 //! leaves are the part that fans out: over `plane.map_spans`, and inside
-//! each worker over the lanes of the lockstep kernels, which
-//! [`content_digests`] fills with the leaves of many payloads at once.
+//! each worker, on a CPU with AVX2 and without the SHA extensions, over
+//! the eight lanes of the lockstep kernel, which [`content_digests`]
+//! fills with the leaves of many payloads at once.
 
 use ros_disk::plane::DataPlane;
 
@@ -53,7 +54,6 @@ macro_rules! round {
             .wrapping_add(($a & $b) | ($c & ($a | $b)));
     };
 }
-pub(crate) use round;
 
 /// One SHA-256 compression over a 64-byte block: a rolling 16-word
 /// message schedule, extended eight words at a time just ahead of the
@@ -102,25 +102,17 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
 enum Kernel {
     /// The scalar `compress` alone, on every target.
     Compress,
-    /// Each run of eight whole blocks through the schedule-ahead kernel
-    /// where the CPU has AVX2 and BMI2; `compress` for the rest.
-    ScheduleAhead,
     /// Every block, padding included, through the SHA-extensions kernel
     /// where the CPU has SHA, SSSE3 and SSE4.1; `compress` elsewhere.
     ShaExtensions,
 }
 
 /// The kernel [`finish`] runs here: the SHA extensions where the CPU has
-/// them, else schedule-ahead where it has AVX2 and BMI2, else `compress`.
+/// them, else `compress`.
 fn host_kernel() -> Kernel {
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    {
-        if crate::lanes::sha_extensions() {
-            return Kernel::ShaExtensions;
-        }
-        if crate::lanes::schedule_ahead() {
-            return Kernel::ScheduleAhead;
-        }
+    #[cfg(target_arch = "x86_64")]
+    if crate::lanes::sha_extensions() {
+        return Kernel::ShaExtensions;
     }
     Kernel::Compress
 }
@@ -128,10 +120,9 @@ fn host_kernel() -> Kernel {
 /// Compresses `blocks` into `state` with `kernel`, where the CPU runs
 /// it, and with `compress` whatever the kernel leaves.
 fn absorb(kernel: Kernel, state: &mut [u32; 8], blocks: &[[u8; 64]]) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    #[cfg(target_arch = "x86_64")]
     let blocks = match kernel {
         Kernel::Compress => blocks,
-        Kernel::ScheduleAhead => crate::lanes::compress_ahead(state, blocks),
         Kernel::ShaExtensions => crate::lanes::compress_sha(state, blocks),
     };
     for block in blocks {
@@ -288,15 +279,14 @@ impl core::fmt::Debug for Digest {
     }
 }
 
-/// How many leaves the packer puts in one lockstep group on this host: 1
-/// (leaf by leaf) where `finish` runs the SHA extensions, whose single
-/// stream outruns an eight-lane pass; else 8 where the CPU reports AVX2
-/// and 4 on any other x86-64; 1 (the scalar kernel alone) elsewhere.
-/// Observed, not configured; no digest depends on it.
+/// How many leaves the packer puts in one lockstep group on this host: 8
+/// where the CPU reports AVX2 and `finish` does not run the SHA
+/// extensions, whose single stream outruns an eight-lane pass; else 1
+/// (leaf by leaf). Observed, not configured; no digest depends on it.
 pub(crate) fn lockstep_lanes() -> usize {
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    if host_kernel() != Kernel::ShaExtensions {
-        return crate::lanes::widest();
+    #[cfg(target_arch = "x86_64")]
+    if crate::lanes::avx2() && host_kernel() != Kernel::ShaExtensions {
+        return 8;
     }
     1
 }
@@ -334,30 +324,22 @@ fn sha256_span_at(width: usize, span: &[&[u8]]) -> Vec<[u8; 32]> {
 }
 
 /// Hashes leaves `group` of `span` (longest first, at most eight) into
-/// their slots of `out`: one pass of the narrowest lockstep kernel that
-/// holds them, if they fill more than half of it, with the spare lanes
-/// repeating the shortest leaf, whose remainder after the common prefix
-/// is under a block. Smaller groups go one leaf at a time through
-/// `sha256`. On 256 KB leaves (a 2-vCPU x86-64 host with AVX2 and
-/// BMI2) an x4 pass of 3 or 4 leaves and an x8 pass of 5 each cost
-/// 2.5–2.7 single-stream hashes where `sha256` schedules ahead, and
-/// 1.8–2.1 where it is the scalar `compress` alone: three leaves still
-/// win, two do not. Where `sha256` runs the SHA extensions a full x8
-/// pass costs about 12.5 of its hashes, so no group wins and the packer
-/// is never handed more than one lane there ([`lockstep_lanes`]).
+/// their slots of `out`: one eight-lane lockstep pass if there are more
+/// than two, with the spare lanes repeating the shortest leaf, whose
+/// remainder after the common prefix is under a block. Smaller groups
+/// go one leaf at a time through `sha256`. On 256 KB leaves (a 2-vCPU
+/// x86-64 host with AVX2) an eight-lane pass costs 1.8–2.1 scalar
+/// `compress` hashes: three leaves win, two do not. Where `sha256` runs
+/// the SHA extensions a full pass costs about 12.5 of its hashes, so no
+/// group wins and the packer is never handed more than one lane there
+/// ([`lockstep_lanes`]).
 fn sha256_group(group: &[usize], span: &[&[u8]], out: &mut [[u8; 32]]) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    #[cfg(target_arch = "x86_64")]
     if let Some(&shortest) = group.last().filter(|_| group.len() > 2) {
         let lane = |k: usize| span[group.get(k).copied().unwrap_or(shortest)];
-        let mut put = |digests: &[[u8; 32]]| {
-            for (&i, digest) in group.iter().zip(digests) {
-                out[i] = *digest;
-            }
-        };
-        if group.len() > 4 {
-            put(&crate::lanes::sha256_x8(core::array::from_fn(lane)));
-        } else {
-            put(&crate::lanes::sha256_x4(core::array::from_fn(lane)));
+        let digests = crate::lanes::sha256_x8(core::array::from_fn(lane));
+        for (&i, digest) in group.iter().zip(&digests) {
+            out[i] = *digest;
         }
         return;
     }
@@ -427,7 +409,7 @@ mod tests {
     }
 
     /// `pattern` repeats every 256 bytes, so all of its chunks are the
-    /// same bytes and four lanes would carry one message; this takes
+    /// same bytes and eight lanes would carry one message; this takes
     /// the high byte of the same product, so every chunk differs and a
     /// lane swap cannot hide.
     fn wide_pattern(len: usize) -> Vec<u8> {
@@ -531,9 +513,9 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "hashes megabytes; too slow interpreted")]
     fn lockstep_length_golden_values_are_pinned() {
-        // Long enough to form quads in a worker's span at every plane
-        // width: 4 chunks (one quad at 1 thread, none at 2), 4 + a
-        // 1-byte chunk, 8 less one byte (the second quad is ragged),
+        // Long enough to form lane groups in a worker's span at every
+        // plane width: 4 chunks (one padded group at 1 thread, none at
+        // 2), 4 + a 1-byte chunk, 8 less one byte (the group is ragged),
         // 16, and 17 + a 777-byte chunk. Values from Python hashlib,
         // as above, over `wide_pattern`.
         let golden = [
@@ -577,10 +559,10 @@ mod tests {
         // half-length floor) and 32 (full groups on every plane). Values
         // from Python hashlib over `wide_pattern`, as above — at the
         // detected width through the public entry point, and at one
-        // forced width per plane, rotating so every length meets every
-        // width (hashing each case at all three would triple a slow
-        // debug-build test). On a host without AVX2 width 8 runs as two
-        // four-lane passes, so the packing is covered there too.
+        // forced width per plane, alternating so every length meets both
+        // widths (hashing each case at both would double a slow
+        // debug-build test). On a host without AVX2 width 8 hashes each
+        // lane alone, so the packing is covered there too.
         let golden = [
             (
                 7 * CHUNK_BYTES,
@@ -613,7 +595,7 @@ mod tests {
                 let plane = DataPlane::new(threads);
                 let got = content_digest(&data[..len], &plane);
                 assert_eq!(got.to_hex(), expect, "len {len} threads {threads}");
-                let width = [1, 4, 8][(case + threads) % 3];
+                let width = [1, 8][(case + threads) % 2];
                 let got = content_digests_at(width, &[&data[..len]], &plane)[0];
                 assert_eq!(
                     got.to_hex(),
@@ -635,15 +617,6 @@ mod tests {
         ];
         let span: Vec<&[u8]> = lens.iter().map(|&len| &data[len..2 * len]).collect();
         let expect: Vec<[u8; 32]> = span.iter().map(|leaf| sha256_reference(leaf)).collect();
-        // Beside the SHA kernel the host's width is 1, so there every
-        // leaf, and every lane tail at the forced widths, goes through it.
-        if host_kernel() == Kernel::ShaExtensions {
-            assert_eq!(
-                lockstep_lanes(),
-                1,
-                "no lockstep packing beside the SHA kernel"
-            );
-        }
         for width in 1..=8 {
             for take in 0..=span.len() {
                 assert_eq!(
@@ -661,12 +634,12 @@ mod tests {
         finish_at(kernel, H0, data, data.len())
     }
 
-    /// The arms of `finish_at` worth testing here: `compress`,
-    /// schedule-ahead and, where the CPU has them, the SHA extensions.
-    /// Elsewhere that arm would test `compress` a second time, so it is
-    /// skipped with a printed line instead.
+    /// The arms of `finish_at` worth testing here: `compress` and, where
+    /// the CPU has them, the SHA extensions. Elsewhere that arm would
+    /// test `compress` a second time, so it is skipped with a printed
+    /// line instead.
     fn arms() -> Vec<Kernel> {
-        let mut arms = vec![Kernel::Compress, Kernel::ScheduleAhead];
+        let mut arms = vec![Kernel::Compress];
         if host_kernel() == Kernel::ShaExtensions {
             arms.push(Kernel::ShaExtensions);
         } else {
@@ -678,10 +651,9 @@ mod tests {
     #[test]
     fn both_dispatch_arms_match_the_fips_shaped_reference() {
         // Every padding shape (one or two final blocks, with and
-        // without whole blocks before them); no run of eight blocks,
-        // exactly one, one with 1–7 blocks or a sub-block tail after it,
-        // and several; then some of them from misaligned starts — for
-        // every arm.
+        // without whole blocks before them); one block, eight, eight with
+        // 1–7 blocks or a sub-block tail after them, and many; then some
+        // of them from misaligned starts — for every arm.
         let data = wide_pattern(4160 + 64);
         let lens = [
             0usize, 1, 55, 56, 63, 64, 65, 119, 120, 127, 128, 129, 511, 512, 513, 575, 1000, 1023,

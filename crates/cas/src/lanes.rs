@@ -1,107 +1,55 @@
-//! SHA-256 of several messages in lockstep, one per 32-bit lane of a
-//! vector register: four in SSE2's `__m128i`, eight in AVX2's `__m256i`.
+//! The x86-64 SHA-256 kernels behind `digest.rs`'s portable `compress`:
+//! eight messages in lockstep in AVX2's `__m256i`, and one message
+//! through the SHA extensions.
 //!
 //! [`content_digests`](crate::digest::content_digests) hashes payloads
-//! as independent 256 KB chunks, so several of them can share every
+//! as independent 256 KB chunks, so eight of them can share every
 //! instruction: the eight state words and the sixteen schedule words
 //! each become one vector holding that word of every message. SHA-256
 //! is adds, shifts and boolean operations on 32-bit words and nothing
-//! crosses lanes, so the vector code is the scalar kernel with every
-//! operator replaced by its packed twin (neither width has a rotate; it
-//! is two shifts and an or).
+//! crosses lanes, so [`sha256_x8`]'s kernel is the scalar one with every
+//! operator replaced by its packed twin (AVX2 has no rotate; it is two
+//! shifts and an or). Message words are gathered with
+//! `u32::from_be_bytes` on bounds-checked slices and `set_epi32`; no
+//! intrinsic here takes a pointer.
 //!
-//! The round-and-schedule body is written once, in `lockstep_kernel!`,
-//! over the names `V`, `add`, `and`, `or`, `xor`, `shr`, `shl`, `splat`,
-//! `gather` and `lanes`; the `x4` and `x8` modules bind those names to one
-//! width's intrinsics and instantiate it. Message words are gathered
-//! with `u32::from_be_bytes` on bounds-checked slices and `set_epi32`;
-//! no intrinsic here takes a pointer.
-//!
-//! A message no group takes still has independent work to share: a
-//! block's message schedule depends on that block's bytes alone, not on
-//! the state. [`compress_ahead`] fills the eight lanes with eight
-//! consecutive blocks of one message, extends their schedules with the
-//! body's own schedule step, and runs each block's rounds in scalar code
-//! (the digest module's `round!`) built with BMI2, whose `rorx` rotates
-//! without a move.
-//!
-//! Where the CPU has the SHA extensions, none of that sharing pays: one
+//! Where the CPU has the SHA extensions, that sharing does not pay: one
 //! `sha256rnds2` does two rounds of one message, and [`compress_sha`]
 //! runs every block of a message through them, Intel's published
 //! instruction sequence on the state split into its ABEF and CDGH
 //! halves, with `sha256msg1` / `sha256msg2` extending the schedule four
 //! words at a time.
 //!
-//! The module exists only on x86-64 with SSE2 — which is every x86-64
-//! target, SSE2 being part of the base ABI — so the four-lane kernel
-//! needs no detection. AVX2, BMI2 and the SHA extensions are not part of
-//! that ABI: [`sha256_x8`], [`compress_ahead`] and [`compress_sha`] ask
-//! the CPU and enter their kernels only where it answered yes, and
-//! [`widest`] and [`sha_extensions`] tell `digest.rs` which kernel to
-//! take and how large a lockstep group is worth forming. Other targets
-//! compile the scalar kernel alone.
+//! Neither AVX2 nor the SHA extensions is part of the x86-64 base ABI:
+//! [`sha256_x8`] and [`compress_sha`] ask the CPU and enter their kernels
+//! only where it answered yes, and [`avx2`] and [`sha_extensions`] tell
+//! `digest.rs` which kernel to take and whether a lockstep group is
+//! worth forming. Other targets compile the scalar kernel alone.
 
-use crate::digest::{finish, round, H0, K};
+use crate::digest::{finish, sha256, H0, K};
 
-/// Lanes of the widest kernel this CPU runs: what one lockstep pass can
-/// carry. A property of the host the code observes, not a setting.
-pub(crate) fn widest() -> usize {
-    if is_x86_feature_detected!("avx2") {
-        8
-    } else {
-        4
-    }
+/// Whether this CPU runs [`sha256_x8`]'s eight-lane kernel. A property
+/// of the host the code observes, not a setting.
+pub(crate) fn avx2() -> bool {
+    is_x86_feature_detected!("avx2")
 }
 
-/// SHA-256 of four messages at once.
+/// SHA-256 of eight messages at once.
 ///
-/// The whole 64-byte blocks all four messages have are compressed in
-/// lockstep; each lane's remainder — the sub-block tail and padding
-/// when the lengths are equal, which is the case this is built for — is
-/// finished by the scalar code. Equals `msgs.map(sha256)` for any input.
-pub(crate) fn sha256_x4(msgs: [&[u8]; 4]) -> [[u8; 32]; 4] {
-    // SAFETY: `lockstep` requires only the `sse2` target feature, and
-    // this module is compiled under `cfg(target_feature = "sse2")` (see
-    // `lib.rs`), so the feature is statically enabled for the whole
-    // crate and the call has no precondition left to uphold.
-    unsafe { x4::lockstep(msgs) }
-}
-
-/// SHA-256 of eight messages at once: [`sha256_x4`]'s contract at twice
-/// the width where the CPU has AVX2, two four-lane passes where not.
-/// Equals `msgs.map(sha256)` for any input on any host.
+/// Where the CPU has AVX2, the whole 64-byte blocks all eight messages
+/// have are compressed in lockstep; each lane's remainder — the
+/// sub-block tail and padding when the lengths are equal, which is the
+/// case this is built for — is finished by the single-stream code.
+/// Elsewhere each message is hashed alone. Equals `msgs.map(sha256)` for
+/// any input on any host.
 pub(crate) fn sha256_x8(msgs: [&[u8]; 8]) -> [[u8; 32]; 8] {
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: `x8::lockstep` requires the `avx2` target feature,
-        // which is not statically enabled; the detection macro on the
-        // line above has just reported that this CPU implements it.
-        return unsafe { x8::lockstep(msgs) };
+    if !avx2() {
+        return msgs.map(sha256);
     }
-    let [a, b, c, d, e, f, g, h] = msgs;
-    let [lo, hi] = [sha256_x4([a, b, c, d]), sha256_x4([e, f, g, h])];
-    core::array::from_fn(|lane| if lane < 4 { lo[lane] } else { hi[lane - 4] })
-}
-
-/// Whether this CPU runs [`compress_ahead`]'s kernel: AVX2 for the
-/// schedules, BMI2 for the rounds' rotates.
-pub(crate) fn schedule_ahead() -> bool {
-    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("bmi2")
-}
-
-/// Compresses the leading runs of eight whole blocks of one message into
-/// `state` where the CPU runs the schedule-ahead kernel, and returns the
-/// blocks it left for the scalar `compress`: the last 0–7, or all of
-/// them on any other CPU. The same state results either way.
-pub(crate) fn compress_ahead<'a>(state: &mut [u32; 8], blocks: &'a [[u8; 64]]) -> &'a [[u8; 64]] {
-    let (runs, rest) = blocks.as_chunks::<8>();
-    if runs.is_empty() || !schedule_ahead() {
-        return blocks;
-    }
-    // SAFETY: `x8::ahead` requires the `avx2` and `bmi2` target
-    // features, neither statically enabled; `schedule_ahead` on the line
-    // above has just reported that this CPU implements both.
-    unsafe { x8::ahead(state, runs) };
-    rest
+    // SAFETY: `x8::lockstep` requires the `avx2` target feature, which
+    // is not statically enabled; `avx2` on the line above has just
+    // reported that this CPU implements it.
+    unsafe { x8::lockstep(msgs) }
 }
 
 /// Whether this CPU runs [`compress_sha`]'s kernel: the SHA extensions
@@ -142,117 +90,9 @@ macro_rules! round_lanes {
     };
 }
 
-/// The lockstep compression, once, for whichever width's names are in
-/// scope where it is instantiated (see the module docs).
-macro_rules! lockstep_kernel {
-    ($feature:literal) => {
-        /// `x` rotated right by `R` bits in every lane; `L` must be `32 - R`.
-        #[target_feature(enable = $feature)]
-        fn rotr<const R: i32, const L: i32>(x: V) -> V {
-            or(shr::<R>(x), shl::<L>(x))
-        }
-
-        #[target_feature(enable = $feature)]
-        fn xor3(a: V, b: V, c: V) -> V {
-            xor(xor(a, b), c)
-        }
-
-        /// The sixteen big-endian message words of one block per lane.
-        #[target_feature(enable = $feature)]
-        fn message(blocks: [&[u8; 64]; LANES]) -> [V; 16] {
-            let mut w = [splat(0); 16];
-            for (i, w) in w.iter_mut().enumerate() {
-                *w = gather(|lane| {
-                    u32::from_be_bytes(blocks[lane].as_chunks::<4>().0[i]).cast_signed()
-                });
-            }
-            w
-        }
-
-        /// Extends the rolling 16-word schedule `w` in place by the
-        /// eight words that go into slots `i..i + 8` (`i` is 0 or 8).
-        #[target_feature(enable = $feature)]
-        fn extend_schedule(w: &mut [V; 16], i: usize) {
-            for j in i..i + 8 {
-                let w15 = w[(j + 1) & 15];
-                let w2 = w[(j + 14) & 15];
-                let s0 = xor3(rotr::<7, 25>(w15), rotr::<18, 14>(w15), shr::<3>(w15));
-                let s1 = xor3(rotr::<17, 15>(w2), rotr::<19, 13>(w2), shr::<10>(w2));
-                w[j] = add(add(w[j], s0), add(w[(j + 9) & 15], s1));
-            }
-        }
-
-        #[target_feature(enable = $feature)]
-        pub(super) fn lockstep(msgs: [&[u8]; LANES]) -> [[u8; 32]; LANES] {
-            let blocks = msgs.map(|m| m.as_chunks::<64>().0);
-            let common = blocks.iter().map(|b| b.len()).min().unwrap_or(0);
-            let mut state = H0.map(|h| splat(h.cast_signed()));
-            for at in 0..common {
-                let mut w = message(blocks.map(|b| &b[at]));
-                let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
-                for t in (0..64).step_by(8) {
-                    let i = t & 15;
-                    if t >= 16 {
-                        extend_schedule(&mut w, i);
-                    }
-                    let kw = |j: usize| add(splat(K[t + j].cast_signed()), w[i + j]);
-                    round_lanes!(a, b, c, d, e, f, g, h, kw(0));
-                    round_lanes!(h, a, b, c, d, e, f, g, kw(1));
-                    round_lanes!(g, h, a, b, c, d, e, f, kw(2));
-                    round_lanes!(f, g, h, a, b, c, d, e, kw(3));
-                    round_lanes!(e, f, g, h, a, b, c, d, kw(4));
-                    round_lanes!(d, e, f, g, h, a, b, c, kw(5));
-                    round_lanes!(c, d, e, f, g, h, a, b, kw(6));
-                    round_lanes!(b, c, d, e, f, g, h, a, kw(7));
-                }
-                for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-                    *s = add(*s, v);
-                }
-            }
-            let words = state.map(|v| lanes(v));
-            core::array::from_fn(|lane| {
-                let m = msgs[lane];
-                finish(words.map(|w| w[lane]), &m[common * 64..], m.len())
-            })
-        }
-    };
-}
-
-/// Four lanes of an SSE2 register.
-mod x4 {
-    use super::{finish, H0, K};
-    use core::arch::x86_64::{
-        __m128i as V, _mm_add_epi32 as add, _mm_and_si128 as and, _mm_cvtsi128_si32,
-        _mm_or_si128 as or, _mm_set1_epi32 as splat, _mm_set_epi32, _mm_shuffle_epi32,
-        _mm_slli_epi32 as shl, _mm_srli_epi32 as shr, _mm_xor_si128 as xor,
-    };
-
-    const LANES: usize = 4;
-
-    /// `word(lane)` of every lane as one vector, lane 0 lowest.
-    #[target_feature(enable = "sse2")]
-    fn gather(word: impl Fn(usize) -> i32) -> V {
-        _mm_set_epi32(word(3), word(2), word(1), word(0))
-    }
-
-    /// The lanes of `v`, lane 0 first.
-    #[target_feature(enable = "sse2")]
-    fn lanes(v: V) -> [u32; LANES] {
-        [
-            _mm_cvtsi128_si32(v).cast_unsigned(),
-            _mm_cvtsi128_si32(_mm_shuffle_epi32::<1>(v)).cast_unsigned(),
-            _mm_cvtsi128_si32(_mm_shuffle_epi32::<2>(v)).cast_unsigned(),
-            _mm_cvtsi128_si32(_mm_shuffle_epi32::<3>(v)).cast_unsigned(),
-        ]
-    }
-
-    lockstep_kernel!("sse2");
-}
-
-/// Eight lanes of an AVX2 register, and the single-stream kernel that
-/// fills them with eight blocks of one message.
+/// Eight lanes of an AVX2 register, one message per lane.
 mod x8 {
-    use super::{finish, round, H0, K};
+    use super::{finish, H0, K};
     use core::arch::x86_64::{
         __m256i as V, _mm256_add_epi32 as add, _mm256_and_si256 as and, _mm256_extract_epi32,
         _mm256_or_si256 as or, _mm256_set1_epi32 as splat, _mm256_set_epi32,
@@ -261,19 +101,38 @@ mod x8 {
 
     const LANES: usize = 8;
 
-    /// `word(lane)` of every lane as one vector, lane 0 lowest.
+    /// `x` rotated right by `R` bits in every lane; `L` must be `32 - R`.
     #[target_feature(enable = "avx2")]
-    fn gather(word: impl Fn(usize) -> i32) -> V {
-        _mm256_set_epi32(
-            word(7),
-            word(6),
-            word(5),
-            word(4),
-            word(3),
-            word(2),
-            word(1),
-            word(0),
-        )
+    fn rotr<const R: i32, const L: i32>(x: V) -> V {
+        or(shr::<R>(x), shl::<L>(x))
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn xor3(a: V, b: V, c: V) -> V {
+        xor(xor(a, b), c)
+    }
+
+    /// The sixteen big-endian message words of one block per lane, lane
+    /// 0 lowest. A loop, not `array::from_fn`: on a 2-vCPU AVX2 host the
+    /// closure form made the whole pass a third slower.
+    #[target_feature(enable = "avx2")]
+    fn message(blocks: [&[u8; 64]; LANES]) -> [V; 16] {
+        let mut w = [splat(0); 16];
+        for (i, w) in w.iter_mut().enumerate() {
+            let word =
+                |lane: usize| u32::from_be_bytes(blocks[lane].as_chunks::<4>().0[i]).cast_signed();
+            *w = _mm256_set_epi32(
+                word(7),
+                word(6),
+                word(5),
+                word(4),
+                word(3),
+                word(2),
+                word(1),
+                word(0),
+            );
+        }
+        w
     }
 
     /// The lanes of `v`, lane 0 first.
@@ -291,43 +150,47 @@ mod x8 {
         ]
     }
 
-    lockstep_kernel!("avx2");
-
-    /// Compresses each run of eight consecutive blocks of one message
-    /// into `state`: one pass computes the eight blocks' W+K schedules,
-    /// one block per lane, then each block's 64 rounds run in scalar
-    /// code, where BMI2 makes every rotate one `rorx`.
-    #[target_feature(enable = "avx2,bmi2")]
-    pub(super) fn ahead(state: &mut [u32; 8], runs: &[[[u8; 64]; 8]]) {
-        let mut wk = [[0u32; LANES]; 64];
-        for run in runs {
-            let mut w = message(run.each_ref());
+    /// The scalar `compress` on every lane: a rolling 16-word schedule,
+    /// extended eight words at a time just ahead of the eight rounds
+    /// that consume them.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn lockstep(msgs: [&[u8]; LANES]) -> [[u8; 32]; LANES] {
+        let blocks = msgs.map(|m| m.as_chunks::<64>().0);
+        let common = blocks.iter().map(|b| b.len()).min().unwrap_or(0);
+        let mut state = H0.map(|h| splat(h.cast_signed()));
+        for at in 0..common {
+            let mut w = message(blocks.map(|b| &b[at]));
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
             for t in (0..64).step_by(8) {
                 let i = t & 15;
                 if t >= 16 {
-                    extend_schedule(&mut w, i);
+                    for j in i..i + 8 {
+                        let w15 = w[(j + 1) & 15];
+                        let w2 = w[(j + 14) & 15];
+                        let s0 = xor3(rotr::<7, 25>(w15), rotr::<18, 14>(w15), shr::<3>(w15));
+                        let s1 = xor3(rotr::<17, 15>(w2), rotr::<19, 13>(w2), shr::<10>(w2));
+                        w[j] = add(add(w[j], s0), add(w[(j + 9) & 15], s1));
+                    }
                 }
-                for j in 0..8 {
-                    wk[t + j] = lanes(add(splat(K[t + j].cast_signed()), w[i + j]));
-                }
+                let kw = |j: usize| add(splat(K[t + j].cast_signed()), w[i + j]);
+                round_lanes!(a, b, c, d, e, f, g, h, kw(0));
+                round_lanes!(h, a, b, c, d, e, f, g, kw(1));
+                round_lanes!(g, h, a, b, c, d, e, f, kw(2));
+                round_lanes!(f, g, h, a, b, c, d, e, kw(3));
+                round_lanes!(e, f, g, h, a, b, c, d, kw(4));
+                round_lanes!(d, e, f, g, h, a, b, c, kw(5));
+                round_lanes!(c, d, e, f, g, h, a, b, kw(6));
+                round_lanes!(b, c, d, e, f, g, h, a, kw(7));
             }
-            for lane in 0..LANES {
-                let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-                for kw in wk.as_chunks::<8>().0 {
-                    round!(a, b, c, d, e, f, g, h, kw[0][lane]);
-                    round!(h, a, b, c, d, e, f, g, kw[1][lane]);
-                    round!(g, h, a, b, c, d, e, f, kw[2][lane]);
-                    round!(f, g, h, a, b, c, d, e, kw[3][lane]);
-                    round!(e, f, g, h, a, b, c, d, kw[4][lane]);
-                    round!(d, e, f, g, h, a, b, c, kw[5][lane]);
-                    round!(c, d, e, f, g, h, a, b, kw[6][lane]);
-                    round!(b, c, d, e, f, g, h, a, kw[7][lane]);
-                }
-                for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-                    *s = s.wrapping_add(v);
-                }
+            for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *s = add(*s, v);
             }
         }
+        let words = state.map(|v| lanes(v));
+        core::array::from_fn(|lane| {
+            let m = msgs[lane];
+            finish(words.map(|w| w[lane]), &m[common * 64..], m.len())
+        })
     }
 }
 
@@ -420,86 +283,70 @@ mod sha {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digest::{sha256, sha256_reference};
+    use crate::digest::sha256_reference;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
-    /// `N` different random messages of the given lengths.
-    fn group<const N: usize>(seed: u64, lens: [usize; N]) -> [Vec<u8>; N] {
+    /// Eight different random messages of the given lengths.
+    fn group(seed: u64, lens: [usize; 8]) -> [Vec<u8>; 8] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         lens.map(|len| (0..len).map(|_| rng.gen::<u8>()).collect())
     }
 
-    fn refs<const N: usize>(msgs: &[Vec<u8>; N]) -> [&[u8]; N] {
+    fn refs(msgs: &[Vec<u8>; 8]) -> [&[u8]; 8] {
         core::array::from_fn(|lane| msgs[lane].as_slice())
     }
 
     #[test]
     fn the_host_says_which_kernel_ran() {
         // CI runs this with `--nocapture`: a green run on a CPU without
-        // AVX2 exercised `sha256_x8`'s fallback, not the wide kernel; one
-        // without AVX2 and BMI2 tested `compress` where the
-        // schedule-ahead kernel would have run; one without the SHA
-        // extensions skipped that kernel's arm.
-        let widest = widest();
-        let skipped = if widest == 8 { "none" } else { "8" };
+        // AVX2 exercised `sha256_x8`'s per-message fallback, not the
+        // eight-lane kernel; one without the SHA extensions skipped that
+        // kernel's arm.
+        let live = |yes: bool| if yes { "live" } else { "skipped" };
+        let x8 = live(avx2());
+        let sha = live(sha_extensions());
         let packer = crate::digest::lockstep_lanes();
-        println!("lockstep SHA-256: widest kernel on this host has {widest} lanes; widths skipped: {skipped}; the packer groups {packer}");
-        let ahead = if schedule_ahead() { "live" } else { "skipped" };
-        println!("single-stream SHA-256: schedule-ahead kernel (avx2 + bmi2) {ahead}");
-        let sha = if sha_extensions() { "live" } else { "skipped" };
+        println!("lockstep SHA-256: eight-lane kernel (avx2) {x8}; the packer groups {packer}");
         println!("single-stream SHA-256: SHA-extensions kernel (sha + ssse3 + sse4.1) {sha}");
-        assert!(widest == 4 || widest == 8);
+        let expect = if avx2() && !sha_extensions() { 8 } else { 1 };
+        assert_eq!(packer, expect);
     }
 
-    /// The one suite both widths must pass.
-    macro_rules! width_suite {
-        ($suite:ident, $kernel:ident, $n:literal) => {
-            mod $suite {
-                use super::*;
-
-                #[test]
-                fn padding_boundaries_match_the_reference_in_every_lane() {
-                    // No lockstep block, exactly one, one plus a tail, and
-                    // both padding shapes after each — small enough for Miri.
-                    for len in [0usize, 1, 55, 56, 63, 64, 65, 119, 120, 128, 200] {
-                        let msgs = group(len as u64, [len; $n]);
-                        let expect = refs(&msgs).map(sha256_reference);
-                        assert_eq!($kernel(refs(&msgs)), expect, "len {len}");
-                    }
-                }
-
-                #[test]
-                fn unequal_lengths_fall_back_per_lane() {
-                    // Lockstep covers the blocks every lane has (one
-                    // here); each lane's longer remainder is the scalar
-                    // kernel's.
-                    let lens = [64, 200, 129, 70, 300, 65, 1000, 128];
-                    let msgs = group(7, core::array::from_fn::<_, $n, _>(|lane| lens[lane]));
-                    assert_eq!($kernel(refs(&msgs)), refs(&msgs).map(sha256_reference));
-                }
-
-                #[test]
-                #[cfg_attr(miri, ignore = "256 KB messages are too slow interpreted")]
-                fn one_whole_chunk_per_lane_matches_scalar() {
-                    let msgs = group(11, [crate::CHUNK_BYTES; $n]);
-                    assert_eq!($kernel(refs(&msgs)), refs(&msgs).map(sha256));
-                }
-
-                // Random multi-KB groups are too slow interpreted.
-                #[cfg(not(miri))]
-                proptest! {
-                    #![proptest_config(ProptestConfig::with_cases(48))]
-                    #[test]
-                    fn equals_one_scalar_hash_per_lane(seed in 0u64..u64::MAX, len in 0usize..5000) {
-                        let msgs = group(seed, [len; $n]);
-                        prop_assert_eq!($kernel(refs(&msgs)), refs(&msgs).map(sha256));
-                    }
-                }
-            }
-        };
+    #[test]
+    fn padding_boundaries_match_the_reference_in_every_lane() {
+        // No lockstep block, exactly one, one plus a tail, and both
+        // padding shapes after each — small enough for Miri.
+        for len in [0usize, 1, 55, 56, 63, 64, 65, 119, 120, 128, 200] {
+            let msgs = group(len as u64, [len; 8]);
+            let expect = refs(&msgs).map(sha256_reference);
+            assert_eq!(sha256_x8(refs(&msgs)), expect, "len {len}");
+        }
     }
 
-    width_suite!(x4, sha256_x4, 4);
-    width_suite!(x8, sha256_x8, 8);
+    #[test]
+    fn unequal_lengths_fall_back_per_lane() {
+        // Lockstep covers the blocks every lane has (one here); each
+        // lane's longer remainder is the single-stream kernel's.
+        let msgs = group(7, [64, 200, 129, 70, 300, 65, 1000, 128]);
+        assert_eq!(sha256_x8(refs(&msgs)), refs(&msgs).map(sha256_reference));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "256 KB messages are too slow interpreted")]
+    fn one_whole_chunk_per_lane_matches_scalar() {
+        let msgs = group(11, [crate::CHUNK_BYTES; 8]);
+        assert_eq!(sha256_x8(refs(&msgs)), refs(&msgs).map(sha256));
+    }
+
+    // Random multi-KB groups are too slow interpreted.
+    #[cfg(not(miri))]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn equals_one_scalar_hash_per_lane(seed in 0u64..u64::MAX, len in 0usize..5000) {
+            let msgs = group(seed, [len; 8]);
+            prop_assert_eq!(sha256_x8(refs(&msgs)), refs(&msgs).map(sha256));
+        }
+    }
 }

@@ -8,14 +8,12 @@
 //! - [`digest`]: an in-crate, std-only SHA-256 (FIPS 180-4 test
 //!   vectors) and the chunked [`content_digests`] scheme — one payload
 //!   or many — that fans out over the [`ros_disk::plane::DataPlane`]
-//!   and, on x86-64, over the four (SSE2) or eight (AVX2, where the CPU
-//!   reports it) lanes of a vector register inside each worker, while
-//!   staying byte-identical at any thread count and lane width; a
-//!   message no lane group takes (a lone leaf, a small payload, a root
-//!   hash) fills the eight lanes with eight of its own blocks'
-//!   schedules where the CPU reports AVX2 and BMI2. Where the CPU has
-//!   the SHA extensions, every block of every message goes through
-//!   them instead, leaf by leaf, and no lane group is formed;
+//!   while staying byte-identical at any thread count and lane width.
+//!   Three kernels hash the blocks: the portable scalar `compress`;
+//!   on x86-64 where the CPU reports AVX2, eight leaves in the lanes of
+//!   one vector register inside each worker; and where the CPU has the
+//!   SHA extensions, every block of every message through them, leaf by
+//!   leaf, with no lane group formed;
 //! - [`verified`]: the [`verify_payload`] / [`verify_payloads`] entry
 //!   point every integrity check routes through, and the [`Verified`]
 //!   proof it returns — bytes plus the digest they were shown to hash
@@ -28,11 +26,10 @@
 //! digests), the cluster re-replication drill's survivor verification,
 //! and the chaos soak's acked-write sweep.
 
-// `deny`, not `forbid`: the lockstep kernels are `#[target_feature]`
-// functions, and rustc asks for `unsafe` to enter one — even for SSE2,
-// which is statically on; for AVX2, AVX2 with BMI2, and the SHA
-// extensions, the block follows the run-time detection. That module
-// carries the crate's only `allow`.
+// `deny`, not `forbid`: the AVX2 and SHA-extensions kernels are
+// `#[target_feature]` functions, and rustc asks for `unsafe` to enter
+// one; each of the two blocks follows the run-time detection of its
+// features. That module carries the crate's only `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 // The workspace's domain rules, held by clippy (DESIGN.md §8): no panic
@@ -54,7 +51,7 @@
 )]
 
 pub mod digest;
-#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod lanes;
 pub mod verified;

@@ -1,4 +1,5 @@
-//! The burn pipeline under interleavings (ROADMAP item 5(a)).
+//! The burn pipeline under interleavings (ROADMAP "Fork recoveries at
+//! every event boundary, and finish the total parsers").
 //!
 //! A two-bay tiny rack with §4.8's interrupting read policy is driven
 //! through generated sequences of writes, seal-and-close, idle time,

@@ -1,4 +1,5 @@
-//! A model-checked version log (first slice of ROADMAP item 5).
+//! A model-checked version log (first slice of ROADMAP "One oracle, one
+//! campaign driver").
 //!
 //! `Ros` is driven with generated sequences of write / rewrite / unlink /
 //! re-create / seal / flush-and-evict / read / readdir over three paths in
