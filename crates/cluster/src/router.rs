@@ -278,7 +278,7 @@ impl Cluster {
         let targets = self
             .groups
             .get(&key)
-            .filter(|g| g.files.contains_key(&path.to_string()))
+            .filter(|g| g.files.contains_key(path.as_str()))
             .map(|g| g.targets.clone())
             .ok_or_else(|| ClusterError::NotFound(path.to_string()))?;
         let mut tried = Vec::new();

@@ -166,8 +166,7 @@ impl MetadataVolume {
     /// or a path deeper than an image holds, whether the path was parsed
     /// or joined, before anything is created or acknowledged.
     fn admit(path: &UdfPath) -> Result<(), OlfsError> {
-        let comps = path.components();
-        if comps.len() > MAX_DEPTH || comps.iter().any(|c| c.len() > NAME_MAX) {
+        if path.components().count() > MAX_DEPTH || path.components().any(|c| c.len() > NAME_MAX) {
             return Err(OlfsError::Invalid(format!(
                 "{path}: a name over {NAME_MAX} bytes or more than {MAX_DEPTH} levels"
             )));
@@ -208,8 +207,10 @@ impl MetadataVolume {
     /// Lists the immediate children of a directory: `(name, is_dir)`,
     /// sorted by name. One range lookup per child: the first entry after
     /// a point is the next child itself (its ancestors precede its
-    /// subtree), and `dir/name\0` — a name no parsed path holds — sorts
-    /// after every `dir/name/…` and before the next sibling.
+    /// subtree). A file has no subtree, so the next lookup starts after
+    /// it; after a directory it starts after `dir/name\0` — a name no
+    /// parsed path holds — which sorts after every `dir/name/…` and
+    /// before the next sibling.
     pub fn list(&self, dir: &UdfPath) -> Result<Vec<(String, bool)>, OlfsError> {
         if !self.is_dir(dir) {
             return Err(OlfsError::NotFound(dir.to_string()));
@@ -221,7 +222,11 @@ impl MetadataVolume {
                 break;
             };
             children.push((name.to_string(), is_dir));
-            from = Bound::Excluded(dir.join(&format!("{name}\0")));
+            from = Bound::Excluded(if is_dir {
+                dir.join(&format!("{name}\0"))
+            } else {
+                child.clone()
+            });
         }
         Ok(children)
     }
@@ -398,6 +403,46 @@ mod tests {
         mv.unlink(&p("/d/a.c")).unwrap();
         assert_eq!(mv.list(&p("/d")).unwrap().len(), 3);
         assert!(mv.list(&p("/e")).is_err(), "a file is not a directory");
+    }
+
+    #[test]
+    fn readdir_lists_by_component_not_by_flat_string() {
+        // As flat strings "/d/a b", "/d/a-c" and "/d/a.d" sort before
+        // "/d/a/x" (space, '-' and '.' are below '/'); by component the
+        // whole subtree of `a` comes first.
+        let mut mv = MetadataVolume::new();
+        for f in [
+            "/d/a0",
+            "/d/a.d",
+            "/d/a/x/deep",
+            "/d/a-c",
+            "/d/a b",
+            "/d/a/y",
+        ] {
+            mv.create(&p(f)).unwrap();
+        }
+        let names: Vec<(String, bool)> = [
+            ("a", true),
+            ("a b", false),
+            ("a-c", false),
+            ("a.d", false),
+            ("a0", false),
+        ]
+        .map(|(n, d)| (n.to_string(), d))
+        .into();
+        assert_eq!(mv.list(&p("/d")).unwrap(), names);
+        let order: Vec<String> = mv.iter_files().map(|(f, _)| f.to_string()).collect();
+        assert_eq!(
+            order,
+            [
+                "/d/a/x/deep",
+                "/d/a/y",
+                "/d/a b",
+                "/d/a-c",
+                "/d/a.d",
+                "/d/a0"
+            ]
+        );
     }
 
     #[test]

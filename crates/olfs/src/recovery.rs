@@ -79,15 +79,18 @@ impl Ros {
     /// simulated recovery duration.
     pub fn recover_mv_from_discs(&mut self) -> Result<(MetadataVolume, SimDuration), OlfsError> {
         let start = self.now();
-        let scan =
-            self.scan_burned_images(|path, _| path.to_string().starts_with(MV_SNAPSHOT_DIR))?;
+        let scan = self.scan_burned_images(|path, _| path.as_str().starts_with(MV_SNAPSHOT_DIR))?;
         // Pick the newest snapshot sequence present.
         let mut by_seq: BTreeMap<String, BTreeMap<String, Vec<u8>>> = BTreeMap::new();
         for (path, _image, bytes) in scan.files {
-            let s = path.to_string();
-            let comps = path.components();
-            if comps.len() == 3 {
-                by_seq.entry(comps[1].clone()).or_default().insert(s, bytes);
+            let mut comps = path.components();
+            if let (Some(_), Some(seq), Some(_), None) =
+                (comps.next(), comps.next(), comps.next(), comps.next())
+            {
+                by_seq
+                    .entry(seq.to_owned())
+                    .or_default()
+                    .insert(path.to_string(), bytes);
             }
         }
         let (_seq, parts) = by_seq
@@ -111,7 +114,7 @@ impl Ros {
     pub fn rebuild_namespace_from_discs(&mut self) -> Result<RebuildReport, OlfsError> {
         let start = self.now();
         let scan =
-            self.scan_burned_images(|path, _| !path.to_string().starts_with(MV_SNAPSHOT_DIR))?;
+            self.scan_burned_images(|path, _| !path.as_str().starts_with(MV_SNAPSHOT_DIR))?;
 
         // Pass 1: classify occurrences.
         struct Continuation {

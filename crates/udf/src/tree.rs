@@ -10,100 +10,167 @@
 use crate::block::{blocks_for, BLOCK_SIZE};
 use crate::format::{MAX_DEPTH, MAX_NAME_LEN, OVERHEAD_BLOCKS};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A normalised absolute path ("/a/b/c"; "/" is the root).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+///
+/// One shared string: a clone is a reference-count bump, and `Eq` and
+/// `Hash` work on the string. `Ord` is the component-wise order — the
+/// bytes compared with `'/'` ranked below every other byte — so a parent
+/// sorts before its children and `/a/z` before `/a b`.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Path {
-    components: Vec<String>,
+    /// `"/"` for the root, else `"/a/b"`: no empty component and no
+    /// trailing `'/'`.
+    repr: Arc<str>,
 }
 
 impl Path {
     /// The root path "/".
     pub fn root() -> Self {
-        Path {
-            components: Vec::new(),
-        }
+        Path { repr: "/".into() }
     }
 
     /// Parses and normalises an absolute path.
     ///
     /// Rejects relative paths, empty components, `.` and `..`.
     pub fn parse(s: &str) -> Result<Self, TreeError> {
-        if !s.starts_with('/') {
-            return Err(TreeError::InvalidPath(s.to_string()));
+        if s == "/" {
+            return Ok(Path::root());
         }
-        let mut components = Vec::new();
-        let mut parts = s.split('/').skip(1).peekable();
-        while let Some(c) = parts.next() {
-            if c.is_empty() {
-                // Allow a single trailing slash ("/a/b/" == "/a/b") but
-                // reject interior empties: "/a//b" must not alias "/a/b"
-                // (the path string is the file's identity, §4.4).
-                if parts.peek().is_none() {
-                    continue;
-                }
-                return Err(TreeError::InvalidPath(s.to_string()));
+        let invalid = || TreeError::InvalidPath(s.to_string());
+        let Some(body) = s.strip_prefix('/') else {
+            return Err(invalid());
+        };
+        // Allow a single trailing slash ("/a/b/" == "/a/b") but reject
+        // interior empties: "/a//b" must not alias "/a/b" (the path
+        // string is the file's identity, §4.4).
+        let body = body.strip_suffix('/').unwrap_or(body);
+        for c in body.split('/') {
+            if c.is_empty() || c == "." || c == ".." || c.contains('\0') {
+                return Err(invalid());
             }
-            if c == "." || c == ".." || c.contains('\0') {
-                return Err(TreeError::InvalidPath(s.to_string()));
-            }
-            components.push(c.to_string());
         }
-        Ok(Path { components })
+        let end = body.len() + 1;
+        Ok(Path {
+            repr: s.get(..end).unwrap_or(s).into(),
+        })
     }
 
-    /// Returns the path components.
-    pub fn components(&self) -> &[String] {
-        &self.components
+    /// The normalised path string (what `Display` prints).
+    pub fn as_str(&self) -> &str {
+        &self.repr
+    }
+
+    /// The path components, root to leaf; none for the root.
+    pub fn components(&self) -> std::str::SplitTerminator<'_, char> {
+        self.repr
+            .strip_prefix('/')
+            .unwrap_or(&self.repr)
+            .split_terminator('/')
     }
 
     /// Returns the final component (file name), or `None` for the root.
     pub fn name(&self) -> Option<&str> {
-        self.components.last().map(String::as_str)
+        self.repr
+            .rsplit_once('/')
+            .map(|(_, name)| name)
+            .filter(|n| !n.is_empty())
     }
 
     /// Returns the parent path, or `None` for the root.
     pub fn parent(&self) -> Option<Path> {
-        if self.components.is_empty() {
-            None
-        } else {
-            Some(Path {
-                components: self.components[..self.components.len() - 1].to_vec(),
-            })
+        match self.repr.rsplit_once('/')? {
+            (_, "") => None,
+            ("", _) => Some(Path::root()),
+            (head, _) => Some(Path { repr: head.into() }),
         }
     }
 
     /// Returns this path extended with one more component.
+    ///
+    /// `name` must be non-empty and hold no `'/'`: the path is one
+    /// string, so `"b/c"` would silently become two components. Every
+    /// caller joins a single name; gateway keys are percent-escaped
+    /// before they reach a path.
     pub fn join(&self, name: &str) -> Path {
-        let mut components = self.components.clone();
-        components.push(name.to_string());
-        Path { components }
+        debug_assert!(
+            !name.is_empty() && !name.contains('/'),
+            "Path::join takes one component, got {name:?}"
+        );
+        let dir = if self.is_root() { "" } else { &self.repr };
+        Path {
+            repr: concat(&[dir, "/", name]),
+        }
     }
 
     /// True for the root path.
     pub fn is_root(&self) -> bool {
-        self.components.is_empty()
+        self.repr.len() == 1
     }
 
-    /// True if `self` is `other` or a descendant of it.
+    /// True if `self` is `other` or a descendant of it (component-wise:
+    /// `/ab` does not start with `/a`).
     pub fn starts_with(&self, other: &Path) -> bool {
-        self.components.len() >= other.components.len()
-            && self.components[..other.components.len()] == other.components[..]
+        other.is_root()
+            || self
+                .repr
+                .strip_prefix(&*other.repr)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+    }
+}
+
+/// The strings of `parts` joined into one shared string. A short result
+/// is assembled on the stack, so the `Arc` is its only allocation.
+fn concat(parts: &[&str]) -> Arc<str> {
+    const STACK: usize = 256;
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let mut buf = [0u8; STACK];
+    if let Some(out) = buf.get_mut(..len) {
+        let mut rest = &mut out[..];
+        for p in parts {
+            let (head, tail) = rest.split_at_mut(p.len());
+            head.copy_from_slice(p.as_bytes());
+            rest = tail;
+        }
+        if let Ok(s) = core::str::from_utf8(out) {
+            return s.into();
+        }
+    }
+    parts.concat().into()
+}
+
+/// A path byte's rank in the component-wise order: `'/'` first, then
+/// every other byte in byte order.
+fn rank(b: u8) -> u16 {
+    if b == b'/' {
+        0
+    } else {
+        u16::from(b) + 1
+    }
+}
+
+impl Ord for Path {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (self.repr.as_bytes(), other.repr.as_bytes());
+        match a.iter().zip(b).find(|(x, y)| x != y) {
+            Some((&x, &y)) => rank(x).cmp(&rank(y)),
+            None => a.len().cmp(&b.len()),
+        }
+    }
+}
+
+impl PartialOrd for Path {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 impl core::fmt::Display for Path {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        if self.components.is_empty() {
-            write!(f, "/")
-        } else {
-            for c in &self.components {
-                write!(f, "/{c}")?;
-            }
-            Ok(())
-        }
+        f.write_str(&self.repr)
     }
 }
 
@@ -212,14 +279,14 @@ fn count(node: &FsNode) -> (u64, usize) {
 }
 
 fn find<'a>(root: &'a FsNode, path: &Path) -> Option<&'a FsNode> {
-    path.components().iter().try_fold(root, |cur, c| match cur {
+    path.components().try_fold(root, |cur, c| match cur {
         FsNode::Dir { children } => children.get(c),
         FsNode::File { .. } => None,
     })
 }
 
 fn find_mut<'a>(root: &'a mut FsNode, path: &Path) -> Option<&'a mut FsNode> {
-    path.components().iter().try_fold(root, |cur, c| match cur {
+    path.components().try_fold(root, |cur, c| match cur {
         FsNode::Dir { children } => children.get_mut(c),
         FsNode::File { .. } => None,
     })
@@ -295,54 +362,57 @@ impl FsTree {
     }
 
     /// Blocks the image grows by when a node of `node_blocks` is created
-    /// at `path` together with its missing ancestors — or the error that
-    /// creation fails with. Touches nothing: [`FsTree::create`] runs it
-    /// before its first mutation, and §4.5's admission check reads the
-    /// same number through [`FsTree::cost_of_insert`].
-    fn growth(&self, path: &Path, node_blocks: u64) -> Result<u64, TreeError> {
+    /// at `path` together with its missing ancestors, and how many of
+    /// `path`'s directories exist — or the error that creation fails
+    /// with. Touches nothing: [`FsTree::create`] runs it before its first
+    /// mutation, and §4.5's admission check reads the same number through
+    /// [`FsTree::cost_of_insert`].
+    fn growth(&self, path: &Path, node_blocks: u64) -> Result<(u64, usize), TreeError> {
         let invalid = || TreeError::InvalidPath(path.to_string());
-        let comps = path.components();
-        if comps.is_empty() {
-            return Err(invalid());
-        }
         // Walk down the directories that exist.
         let FsNode::Dir { children } = &self.root else {
             return Err(TreeError::NotADirectory("/".into()));
         };
+        let mut comps = path.components().peekable();
         let (mut children, mut depth) = (children, 0);
-        loop {
-            let last = depth + 1 == comps.len();
-            match children.get(&comps[depth]) {
-                None => break,
+        let first_new = loop {
+            let c = comps.next().ok_or_else(invalid)?;
+            let last = comps.peek().is_none();
+            match children.get(c) {
+                None => break c,
                 Some(FsNode::Dir { children: below }) if !last => {
                     (children, depth) = (below, depth + 1);
                 }
                 Some(FsNode::File { .. }) if !last => {
-                    let file = Path {
-                        components: comps[..=depth].to_vec(),
-                    };
-                    return Err(TreeError::NotADirectory(file.to_string()));
+                    let file: String = path
+                        .components()
+                        .take(depth + 1)
+                        .flat_map(|c| ["/", c])
+                        .collect();
+                    return Err(TreeError::NotADirectory(file));
                 }
                 Some(FsNode::File { .. }) => {
                     return Err(TreeError::AlreadyExists(path.to_string()))
                 }
                 Some(FsNode::Dir { .. }) => return Err(TreeError::IsADirectory(path.to_string())),
             }
-        }
-        // `comps[depth..]` are created. What the image format cannot hold
-        // is refused here, at the write, and not when the bucket seals.
-        if comps.len() > MAX_DEPTH || comps[depth..].iter().any(|c| c.len() > MAX_NAME_LEN) {
+        };
+        // `first_new` and the components after it are created. What the
+        // image format cannot hold is refused here, at the write, and not
+        // when the bucket seals.
+        if depth + 1 + comps.clone().count() > MAX_DEPTH
+            || std::iter::once(first_new)
+                .chain(comps.clone())
+                .any(|c| c.len() > MAX_NAME_LEN)
+        {
             return Err(invalid());
         }
         // The deepest existing directory gains one FID; every new
         // directory is an ICB block plus the FID data of its one child.
         let fids = fid_bytes(children);
-        let grown = blocks_for(fids + fid_cost(&comps[depth])) - blocks_for(fids);
-        let new_dirs: u64 = comps[depth + 1..]
-            .iter()
-            .map(|child| 1 + blocks_for(fid_cost(child)))
-            .sum();
-        Ok(node_blocks + grown + new_dirs)
+        let grown = blocks_for(fids + fid_cost(first_new)) - blocks_for(fids);
+        let new_dirs: u64 = comps.map(|child| 1 + blocks_for(fid_cost(child))).sum();
+        Ok((node_blocks + grown + new_dirs, depth))
     }
 
     /// Creates `node` at `path` with its missing ancestors (mkdir -p on
@@ -357,20 +427,29 @@ impl FsTree {
         room: u64,
     ) -> Result<Result<(), u64>, TreeError> {
         let grown = self.growth(path, node_blocks);
-        let needed = *grown.as_ref().unwrap_or(&node_blocks) * BLOCK_SIZE;
+        let needed = grown.as_ref().map_or(node_blocks, |(blocks, _)| *blocks) * BLOCK_SIZE;
         if needed > room {
             return Ok(Err(needed));
         }
-        let grown = grown?;
-        // `growth` found the leaf absent: the last step opens its slot.
-        let mut cur = &mut self.root;
-        for c in path.components() {
-            let FsNode::Dir { children } = cur else {
-                return Err(TreeError::NotADirectory(path.to_string()));
-            };
-            cur = children.entry(c.clone()).or_insert_with(FsNode::empty_dir);
-        }
-        *cur = node;
+        let (grown, depth) = grown?;
+        // `growth` found the first `depth` directories present and the
+        // next component absent: the new chain is built bottom-up, one
+        // name allocated per created node, and hung there in one insert.
+        let mut comps = path.components();
+        let existing = comps
+            .by_ref()
+            .take(depth)
+            .try_fold(&mut self.root, |cur, c| match cur {
+                FsNode::Dir { children } => children.get_mut(c),
+                FsNode::File { .. } => None,
+            });
+        let (Some(FsNode::Dir { children }), Some(first_new)) = (existing, comps.next()) else {
+            return Err(TreeError::NotADirectory(path.to_string()));
+        };
+        let chain = comps.rev().fold(node, |child, name| FsNode::Dir {
+            children: BTreeMap::from([(name.to_owned(), child)]),
+        });
+        children.insert(first_new.to_owned(), chain);
         self.blocks += grown;
         Ok(Ok(()))
     }
@@ -488,7 +567,7 @@ impl FsTree {
     /// refuse is charged the file alone; the insert reports why.
     pub fn cost_of_insert(&self, path: &Path, size: u64) -> u64 {
         let file = 1 + blocks_for(size);
-        self.growth(path, file).unwrap_or(file) * BLOCK_SIZE
+        self.growth(path, file).map_or(file, |(blocks, _)| blocks) * BLOCK_SIZE
     }
 }
 
@@ -502,9 +581,10 @@ mod tests {
 
     #[test]
     fn path_parsing() {
-        assert_eq!(p("/").components().len(), 0);
-        assert_eq!(p("/a/b/c").components(), &["a", "b", "c"]);
-        assert_eq!(p("/a/b/").components(), &["a", "b"]);
+        let comps = |s: &str| p(s).components().collect::<Vec<_>>().join(",");
+        assert_eq!(comps("/"), "");
+        assert_eq!(comps("/a/b/c"), "a,b,c");
+        assert_eq!(comps("/a/b/"), "a,b");
         assert!(Path::parse("relative").is_err());
         assert!(Path::parse("/a/../b").is_err());
         assert!(Path::parse("/a/./b").is_err());
@@ -518,6 +598,33 @@ mod tests {
     }
 
     #[test]
+    fn join_takes_one_component() {
+        assert_eq!(p("/").join("a"), p("/a"));
+        assert_eq!(p("/a").join("b c").components().count(), 2);
+        // A join may build names no parse admits (the readdir sentinel's
+        // NUL): the one string still holds exactly one more component.
+        let sentinel = p("/a").join("b\0");
+        assert_eq!(sentinel.name(), Some("b\0"));
+        assert_eq!(sentinel.parent(), Some(p("/a")));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Path::join takes one component")]
+    fn join_refuses_a_slash() {
+        // Under one string "/a" + "b/c" would be "/a/b/c", a path of
+        // three components that no caller asked for.
+        let _ = p("/a").join("b/c");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Path::join takes one component")]
+    fn join_refuses_an_empty_name() {
+        let _ = p("/a").join("");
+    }
+
+    #[test]
     fn interior_empty_components_are_rejected() {
         // "/a//b" must NOT alias "/a/b": under the unique-file-path
         // mechanism (§4.4) the path string is the identity of the file,
@@ -528,8 +635,8 @@ mod tests {
         assert!(Path::parse("/a//").is_err(), "empty before trailing slash");
         assert!(Path::parse("//").is_err(), "root with interior empty");
         // The documented normalisations still hold.
-        assert_eq!(p("/a/b/").components(), &["a", "b"]);
-        assert_eq!(p("/").components().len(), 0);
+        assert_eq!(p("/a/b/"), p("/a/b"));
+        assert_eq!(p("/").components().count(), 0);
     }
 
     #[test]

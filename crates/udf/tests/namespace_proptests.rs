@@ -3,6 +3,11 @@
 //! - `Path` parse∘Display round-trips exactly, a single trailing slash
 //!   is the only tolerated decoration, and interior empty components
 //!   are always rejected (the aliasing bug class this layer fixes);
+//! - `Path`, one string, answers `cmp`, `==`, `parent`, `name`, `join`
+//!   and `starts_with` as a vector of components would, over names that
+//!   sort on both sides of `'/'`, and the readdir sentinel
+//!   `dir.join(name + "\0")` falls between `dir/name`'s subtree and the
+//!   next sibling;
 //! - a `Bucket` — one `FsTree` with running block and file totals —
 //!   behaves as a flat map from path to contents under random writes,
 //!   updates and recycles, refuses what the map says it must, accounts
@@ -229,5 +234,81 @@ proptest! {
             let doubled = s.replacen('/', "//", 1);
             prop_assert!(doubled.parse::<UdfPath>().is_err());
         }
+    }
+
+    #[test]
+    fn one_string_orders_and_splits_like_its_components(seed in 0u64..300) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // A few short paths over a few short names, so prefixes are
+        // shared, plus every ancestor of each.
+        let mut models: Vec<Components> = (0..10).map(|_| random_components(&mut rng)).collect();
+        for m in models.clone() {
+            models.extend((0..m.len()).map(|n| m[..n].to_vec()));
+        }
+        let paths: Vec<UdfPath> = models.iter().map(|m| display(m).parse().unwrap()).collect();
+        for (m, p) in models.iter().zip(&paths) {
+            prop_assert_eq!(p.to_string(), display(m));
+            prop_assert_eq!(&display(m).parse::<UdfPath>().unwrap(), p);
+            prop_assert_eq!(p.components().collect::<Vec<_>>(), m.iter().map(String::as_str).collect::<Vec<_>>());
+            prop_assert_eq!(p.is_root(), m.is_empty());
+            prop_assert_eq!(p.name(), m.last().map(String::as_str));
+            prop_assert_eq!(p.parent().map(|q| q.to_string()), m.split_last().map(|(_, up)| display(up)));
+            let name = random_name(&mut rng);
+            let joined = [m.clone(), vec![name.clone()]].concat();
+            prop_assert_eq!(p.join(&name).to_string(), display(&joined));
+            for (n, q) in models.iter().zip(&paths) {
+                prop_assert_eq!(p.cmp(q), m.cmp(n), "{:?} vs {:?}", p.as_str(), q.as_str());
+                prop_assert_eq!(p == q, m == n, "{:?} vs {:?}", p.as_str(), q.as_str());
+                prop_assert_eq!(p.starts_with(q), m.starts_with(n), "{:?} vs {:?}", p.as_str(), q.as_str());
+            }
+        }
+        // `MetadataVolume::list` resumes after `dir.join(name + "\0")`:
+        // past every `dir/name/…`, before every later sibling.
+        for (m, p) in models.iter().zip(&paths) {
+            let Some((name, dir)) = m.split_last() else { continue };
+            let sentinel = p.parent().unwrap().join(&format!("{name}\0"));
+            for (n, q) in models.iter().zip(&paths) {
+                if n.starts_with(m) {
+                    prop_assert!(*q < sentinel, "{:?} sorts before {:?}", q, sentinel);
+                } else if n.len() > dir.len() && n.starts_with(dir) && n[dir.len()] > *name {
+                    prop_assert!(sentinel < *q, "{:?} sorts before {:?}", sentinel, q);
+                }
+            }
+        }
+    }
+}
+
+/// The model of a `Path`: its components, whose vector order is the
+/// order `Path` must keep.
+type Components = Vec<String>;
+
+/// Name bytes on both sides of `'/'` (0x2f): `\u{1}`, space, `-` and `.`
+/// sort below it, `0`, `a` and `é`'s UTF-8 bytes above it — so for many
+/// pairs the flat string order and the component order disagree.
+const ALPHABET: [char; 7] = ['-', '.', ' ', '0', 'a', '\u{1}', 'é'];
+
+fn random_name(rng: &mut impl Rng) -> String {
+    loop {
+        let len = 1 + rng.gen::<usize>() % 3;
+        let name: String = (0..len)
+            .map(|_| ALPHABET[rng.gen::<usize>() % ALPHABET.len()])
+            .collect();
+        if name != "." && name != ".." {
+            return name;
+        }
+    }
+}
+
+fn random_components(rng: &mut impl Rng) -> Components {
+    let depth = rng.gen::<usize>() % 4;
+    (0..depth).map(|_| random_name(rng)).collect()
+}
+
+/// The path string of a component vector.
+fn display(m: &[String]) -> String {
+    if m.is_empty() {
+        "/".into()
+    } else {
+        m.iter().map(|c| format!("/{c}")).collect()
     }
 }

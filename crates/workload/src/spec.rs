@@ -460,7 +460,7 @@ mod tests {
             };
             let s = path.to_string();
             assert!(s.starts_with("/tenants/t0"), "path = {s}");
-            let comps = path.components();
+            let comps: Vec<&str> = path.components().collect();
             assert_eq!(comps.len(), 4, "tenant/dir/file nesting: {s}");
             dirs.insert(format!("{}/{}", comps[1], comps[2]));
         }
