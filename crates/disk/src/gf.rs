@@ -1,24 +1,27 @@
-//! Table-driven GF(2^8) kernels behind the parity hot path.
+//! GF(2^8) kernels behind the parity hot path.
 //!
 //! Every real byte that flows through RAID-6 Q parity, OLFS disc-array
 //! redundancy (§4.7), audit verification and reconstruction is multiplied
 //! in GF(2^8). The scalar shift-and-add multiply ([`mul_const`]) pays ~8
-//! dependent iterations per byte; the kernels here replace it with
-//! constant-time table lookups:
+//! dependent iterations per byte; the kernels here avoid it:
 //!
+//! - **Q by Horner's rule** ([`horner_step`]) — `Q = Σ 2^i·D_i` is
+//!   `Q ← 2·Q ⊕ D_i` from the highest member down, so the only multiply
+//!   on a bulk path is by the generator 2, done eight bytes at a time on
+//!   `u64` lanes ([`mul2_lanes`]). Encode, recovery and verify all take
+//!   this one step.
 //! - **log/exp tables** ([`GF_EXP`], [`GF_LOG`]) — one multiply is one
 //!   add of logs and one exp lookup; inversion is one subtraction.
 //! - **4-bit split multiply tables** ([`MulTable`]) — for a fixed
-//!   generator `g`, `g·b` is two 16-entry lookups (low and high nibble)
-//!   and one XOR. The 255 per-power tables for the RAID-6 generator
-//!   (`g = 2^i`) are const-initialized at compile time
-//!   ([`POW2_TABLES`]) — no lazy statics, no first-call cost.
+//!   constant `g`, `g·b` is two 16-entry lookups (low and high nibble)
+//!   and one XOR; a recovery builds one per scaling constant at call
+//!   time.
 //! - **word-sliced XOR** ([`xor_acc`]) — P parity moves 8 bytes per
 //!   XOR through `u64` lanes instead of byte-at-a-time.
 //!
-//! All tables are built by `const fn` from [`mul_const`], the scalar
-//! reference multiply, and the equivalence is locked in by the exhaustive
-//! tests below and the proptests in `crates/disk/tests/parity_equiv.rs`.
+//! [`mul_const`] is the one oracle: the exhaustive tests below prove the
+//! tables and the lane step against it, and the proptests in
+//! `crates/disk/tests/parity_equiv.rs` the parities built on them.
 
 // Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
 // outside test code is checked, saturating, or carries an `#[expect]`
@@ -29,8 +32,8 @@
 pub const POLY: u16 = 0x11D;
 
 /// The scalar reference multiply: bit-by-bit shift-and-add (carry-less,
-/// reduced by [`POLY`]). It builds the split tables below at compile
-/// time and is the one oracle every table kernel is proven against.
+/// reduced by [`POLY`]). It builds the split tables below and is the one
+/// oracle every kernel is proven against.
 pub const fn mul_const(a: u8, b: u8) -> u8 {
     // `u16::from` is not const-callable, so these two casts widen
     // instead; every u8 value is representable.
@@ -128,7 +131,7 @@ pub fn inv(a: u8) -> u8 {
     GF_EXP[255 - usize::from(GF_LOG[usize::from(a)])]
 }
 
-/// A 4-bit split multiply table for one fixed generator `g`: `g·b` is
+/// A 4-bit split multiply table for one fixed constant `g`: `g·b` is
 /// `lo[b & 0xF] ^ hi[b >> 4]` — two 16-byte L1-resident lookups per
 /// byte instead of an 8-iteration shift-and-add loop.
 #[derive(Clone, Copy, Debug)]
@@ -163,15 +166,6 @@ impl MulTable {
         self.lo[usize::from(b & 0x0F)] ^ self.hi[usize::from(b >> 4)]
     }
 
-    /// `dst[i] ^= g · src[i]` over the common prefix — the RAID-6 Q
-    /// accumulation kernel.
-    #[inline]
-    pub fn mul_acc(&self, dst: &mut [u8], src: &[u8]) {
-        for (d, s) in dst.iter_mut().zip(src.iter()) {
-            *d ^= self.lo[usize::from(s & 0x0F)] ^ self.hi[usize::from(s >> 4)];
-        }
-    }
-
     /// `buf[i] = g · buf[i]` — the reconstruction scaling kernel.
     #[inline]
     pub fn mul_inplace(&self, buf: &mut [u8]) {
@@ -181,40 +175,60 @@ impl MulTable {
     }
 }
 
-/// Const-built split tables for every power of the RAID-6 generator:
-/// `POW2_TABLES[i]` multiplies by `2^i` (`i` taken mod 255 by
-/// [`pow2_table`]). 255 tables × 32 bytes — 8 KB of read-only data,
-/// initialized at compile time.
-pub static POW2_TABLES: [MulTable; 255] = build_pow2_tables();
+/// The top bit of each byte of a `u64` lane word.
+const LANE_HIGH: u64 = 0x8080_8080_8080_8080;
 
-const fn build_pow2_tables() -> [MulTable; 255] {
-    let mut out = [MulTable {
-        lo: [0; 16],
-        hi: [0; 16],
-    }; 255];
-    let mut i = 0usize;
-    while i < 255 {
-        out[i] = MulTable::new(GF_EXP_CONST[i]);
-        #[expect(
-            clippy::arithmetic_side_effects,
-            reason = "i < 255 from the loop bound so the increment cannot overflow"
-        )]
-        {
-            i += 1;
-        }
-    }
-    out
+/// [`POLY`] below `x^8`, in each byte of a lane word.
+const LANE_POLY: u64 = 0x1D1D_1D1D_1D1D_1D1D;
+
+/// Multiplies each of the eight bytes of `x` by the generator 2 at once:
+/// every byte shifts left by one, and a byte whose top bit fell off is
+/// reduced by [`POLY`]. `(h << 1) - (h >> 7)` spreads each top bit into
+/// an all-ones byte mask without a carry between lanes (H. Peter Anvin,
+/// "The mathematics of RAID-6"; Linux `lib/raid6/int.uc`).
+#[inline]
+pub fn mul2_lanes(x: u64) -> u64 {
+    let h = x & LANE_HIGH;
+    ((x & !LANE_HIGH) << 1) ^ ((h << 1).wrapping_sub(h >> 7) & LANE_POLY)
 }
 
-// `static` items cannot be read from `const fn`s; keep a `const` copy of
-// the exp table for the compile-time table builder only.
-const GF_EXP_CONST: [u8; 512] = LOG_EXP.0;
-
-/// The split table for `2^i` — the per-stripe generator of the RAID-6
-/// construction `Q = Σ 2^i · D_i`.
+/// The first (at most eight) bytes of `b` as a lane word, zero-padded.
 #[inline]
-pub fn pow2_table(i: usize) -> &'static MulTable {
-    &POW2_TABLES[i % 255]
+fn load(b: &[u8]) -> u64 {
+    let n = b.len().min(8);
+    let mut w = [0u8; 8];
+    w[..n].copy_from_slice(&b[..n]);
+    u64::from_ne_bytes(w)
+}
+
+/// Stores the first `b.len()` (at most eight) bytes of `w` into `b`.
+#[inline]
+fn store(b: &mut [u8], w: u64) {
+    let n = b.len().min(8);
+    b[..n].copy_from_slice(&w.to_ne_bytes()[..n]);
+}
+
+/// One step of `Q = Σ 2^i·D_i` by Horner's rule, taken from the highest
+/// member down: `q ← 2·q ⊕ d` over all of `q`, eight bytes per
+/// [`mul2_lanes`]. `d` reads as zero-filled past its end, and `q` is
+/// still doubled there, because `2·q ⊕ 0` is not `q`: a member that is
+/// lost or shorter than the stripe must still take its step.
+pub fn horner_step(q: &mut [u8], d: &[u8]) {
+    let data = d.len().min(q.len());
+    let words = data & !7;
+    let (head, rest) = q.split_at_mut(words);
+    for (qw, dw) in head.chunks_exact_mut(8).zip(d.chunks_exact(8)) {
+        store(qw, mul2_lanes(load(qw)) ^ load(dw));
+    }
+    // `d`'s last partial word meets `q`'s next word; past it `d` is zero.
+    let (first, rest) = rest.split_at_mut(rest.len().min(8));
+    store(first, mul2_lanes(load(first)) ^ load(&d[words..data]));
+    let mut rest = rest.chunks_exact_mut(8);
+    for qw in &mut rest {
+        store(qw, mul2_lanes(load(qw)));
+    }
+    let tail = rest.into_remainder();
+    store(tail, mul2_lanes(load(tail)));
 }
 
 /// `dst[i] ^= src[i]` over the common prefix, moving 8 bytes per XOR
@@ -313,22 +327,50 @@ mod tests {
     }
 
     #[test]
-    fn split_tables_match_mul_for_every_power() {
-        for i in 0..255usize {
-            let g = pow2(i);
-            let t = pow2_table(i);
+    fn runtime_table_matches_const_table() {
+        for g in 0..=255u8 {
+            let t = MulTable::new(g);
             for b in 0..=255u8 {
-                assert_eq!(t.mul(b), mul(g, b), "i={i} b={b}");
+                assert_eq!(t.mul(b), mul(g, b), "g={g} b={b}");
             }
         }
     }
 
     #[test]
-    fn runtime_table_matches_const_table() {
-        for g in [0u8, 1, 2, 0x1D, 0x8E, 0xFF] {
-            let t = MulTable::new(g);
-            for b in 0..=255u8 {
-                assert_eq!(t.mul(b), mul(g, b), "g={g} b={b}");
+    fn mul2_lanes_doubles_every_byte_in_every_lane() {
+        // Each byte value in each lane position, beside neighbours whose
+        // bits are all clear and all set, so a carry between lanes shows.
+        for b in 0..=255u8 {
+            for lane in 0..8 {
+                for fill in [0x00u8, 0xFF] {
+                    let mut x = [fill; 8];
+                    x[lane] = b;
+                    let y = mul2_lanes(u64::from_ne_bytes(x)).to_ne_bytes();
+                    for (j, &yb) in y.iter().enumerate() {
+                        assert_eq!(yb, mul_const(x[j], 2), "b={b} lane={lane} fill={fill}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn horner_step_doubles_past_a_short_member() {
+        for q_len in [0usize, 1, 7, 8, 9, 16, 17, 40] {
+            for d_len in [0usize, 1, 7, 8, 9, 16, 17, 41] {
+                let d: Vec<u8> = (0..d_len)
+                    .map(|i| (i as u8).wrapping_mul(29) ^ 0x5A)
+                    .collect();
+                let mut fast: Vec<u8> = (0..q_len)
+                    .map(|i| (i as u8).wrapping_mul(53) | 0x80)
+                    .collect();
+                let slow: Vec<u8> = fast
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &q)| mul_const(q, 2) ^ d.get(i).copied().unwrap_or(0))
+                    .collect();
+                horner_step(&mut fast, &d);
+                assert_eq!(fast, slow, "q_len={q_len} d_len={d_len}");
             }
         }
     }

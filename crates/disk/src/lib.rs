@@ -9,8 +9,9 @@
 //! This crate provides:
 //!
 //! - [`device`]: HDD/SSD block-device timing models,
-//! - [`gf`]: table-driven GF(2^8) kernels (const log/exp and 4-bit
-//!   split multiply tables, word-sliced XOR) behind the parity hot path,
+//! - [`gf`]: GF(2^8) kernels behind the parity hot path — Q by
+//!   Horner's rule on `u64` lanes, const log/exp tables, a 4-bit split
+//!   multiply table for a recovery's scaling pass, word-sliced XOR,
 //! - [`parity`]: *real* XOR (P) and GF(2^8) Reed-Solomon (Q) parity
 //!   arithmetic with reconstruction of up to two losses — shared by the
 //!   RAID arrays here and by OLFS's disc-array redundancy (§4.7),

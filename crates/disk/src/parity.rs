@@ -11,12 +11,17 @@
 //! generator 2 and the 0x11D (AES-like) reduction polynomial:
 //! `Q = sum g^i * D_i`.
 //!
-//! The kernels are table-driven ([`crate::gf`]): per-generator 4-bit
-//! split multiply tables for Q, `u64`-word-sliced XOR for P, and a fused
-//! P+Q encode that reads each stripe once. Every operation takes a
-//! [`DataPlane`] that splits the output into fixed contiguous ranges
-//! across scoped threads — byte-identical at any thread count (see
-//! `crate::plane` for the determinism argument).
+//! Q is computed by Horner's rule, `Q ← 2·Q ⊕ D_i` from the highest
+//! member down ([`gf::horner_step`]), so the only multiply on any bulk
+//! path is by the generator 2, eight bytes at a time on `u64` lanes;
+//! P is `u64`-word-sliced XOR. Encode, both Q recoveries and verify
+//! share one pass, P and Q together, over 4 KiB tiles of each output
+//! range, so each member byte is read from memory once. Only a recovery's
+//! one scaling by a constant (`g^-m`, `g^y`, `1/(g^x ⊕ g^y)`) goes
+//! through a [`gf::MulTable`]. Every operation takes a [`DataPlane`]
+//! that splits the output into fixed contiguous ranges across its
+//! workers — byte-identical at any thread count (see `crate::plane` for
+//! the determinism argument).
 //!
 //! **One length rule.** The encoders and the reconstructs take ragged
 //! members: the stripe is as long as the longest member, and a shorter
@@ -94,16 +99,40 @@ fn p_of(data: &[&[u8]], len: usize, plane: &DataPlane) -> Vec<u8> {
     p
 }
 
+/// Bytes per tile of a plane chunk: a member's tile plus the P and Q
+/// tiles it accumulates into stay in L1, so each member byte is read
+/// from memory once.
+const TILE: usize = 4096;
+
+/// Accumulates `members` at stripe offset `off` into one plane chunk,
+/// tile by tile: `Σ D_i` into `p` (when given) and `Σ 2^i·D_i` into `q`,
+/// which must start zeroed. Q runs by Horner's rule from the highest
+/// member down ([`gf::horner_step`]), so a `None` (lost) member adds
+/// nothing to either but still doubles Q, as does a short member past
+/// its end.
+fn horner_pq<'a, M>(members: M, off: usize, p: Option<&mut [u8]>, q: &mut [u8])
+where
+    M: DoubleEndedIterator<Item = Option<&'a [u8]>> + Clone,
+{
+    let mut p_tiles = p.map(|p| p.chunks_mut(TILE));
+    for (qt, at) in q.chunks_mut(TILE).zip((off..).step_by(TILE)) {
+        let mut pt = p_tiles.as_mut().and_then(Iterator::next);
+        for member in members.clone().rev() {
+            let s = member.map_or(&[][..], |m| bytes_from(m, at));
+            if let Some(pt) = pt.as_deref_mut() {
+                gf::xor_acc(pt, s);
+            }
+            gf::horner_step(qt, s);
+        }
+    }
+}
+
 /// P and Q of `data` over a `len`-byte stripe, in one pass per stripe.
 fn pq_of(data: &[&[u8]], len: usize, plane: &DataPlane) -> (Vec<u8>, Vec<u8>) {
     let mut p = vec![0u8; len];
     let mut q = vec![0u8; len];
     plane.for_each_chunk2(&mut p, &mut q, |off, pc, qc| {
-        for (i, stripe) in data.iter().enumerate() {
-            let s = bytes_from(stripe, off);
-            gf::xor_acc(pc, s);
-            gf::pow2_table(i).mul_acc(qc, s);
-        }
+        horner_pq(data.iter().copied().map(Some), off, Some(pc), qc);
     });
     (p, q)
 }
@@ -217,31 +246,23 @@ pub fn reconstruct_pq_with(
         // One data stripe lost, P lost, Q present: recover via Q.
         ([missing], None, Some(q)) => {
             // Q = sum g^i D_i  =>  D_m = (Q ^ sum_{i!=m} g^i D_i) * g^-m.
-            let mut acc = widened(q, len);
-            plane.for_each_chunk(&mut acc, |off, chunk| {
-                for (i, d) in data.iter().enumerate() {
-                    if let Some(d) = d {
-                        gf::pow2_table(i).mul_acc(chunk, bytes_from(d, off));
-                    }
-                }
-            });
             let ginv_table = gf::MulTable::new(gf::inv(gf::pow2(*missing)));
-            plane.for_each_chunk(&mut acc, |_, chunk| ginv_table.mul_inplace(chunk));
+            let mut acc = vec![0u8; len];
+            plane.for_each_chunk(&mut acc, |off, chunk| {
+                horner_pq(data.iter().copied(), off, None, chunk);
+                gf::xor_acc(chunk, bytes_from(q, off));
+                ginv_table.mul_inplace(chunk);
+            });
             vec![acc]
         }
         // Two data stripes lost: solve the 2x2 system with P and Q.
         ([x, y], Some(p), Some(q)) => {
             // Pxy = P ^ sum_{i!=x,y} D_i ; Qxy = Q ^ sum_{i!=x,y} g^i D_i.
             let mut pxy = widened(p, len);
-            let mut qxy = widened(q, len);
+            let mut qxy = vec![0u8; len];
             plane.for_each_chunk2(&mut pxy, &mut qxy, |off, pc, qc| {
-                for (i, d) in data.iter().enumerate() {
-                    if let Some(d) = d {
-                        let s = bytes_from(d, off);
-                        gf::xor_acc(pc, s);
-                        gf::pow2_table(i).mul_acc(qc, s);
-                    }
-                }
+                horner_pq(data.iter().copied(), off, Some(pc), qc);
+                gf::xor_acc(qc, bytes_from(q, off));
             });
             // D_x ^ D_y = Pxy and g^x D_x ^ g^y D_y = Qxy
             // => D_x = (Qxy ^ g^y Pxy) / (g^x ^ g^y); D_y = Pxy ^ D_x.
@@ -272,10 +293,6 @@ pub fn reconstruct_pq_with(
     Ok((full, p, q))
 }
 
-/// Block size for the no-allocation verification path: big enough to
-/// amortize the per-block loop, small enough to live on the stack.
-const VERIFY_BLOCK: usize = 1024;
-
 /// Verifies that `p` (and, if supplied, `q`) is the parity of `data`.
 ///
 /// This is the data-integrity invariant behind the paper's §4.7 disc-array
@@ -284,11 +301,11 @@ const VERIFY_BLOCK: usize = 1024;
 /// `Ok(false)` on a mismatch, and an error if the stripes are malformed
 /// (none, or of differing lengths).
 ///
-/// The check is allocation-free: parity is recomputed into fixed stack
-/// blocks and compared as it goes, exiting early on the first mismatch
-/// instead of materializing full P/Q vectors. On the plane each worker
-/// sweeps its own fixed range; the first mismatch anywhere stops all
-/// ranges at their next block boundary.
+/// The check is allocation-free: parity is recomputed into stack tiles
+/// by the encoder's step and compared as it goes, exiting early on the
+/// first mismatch instead of materializing full P/Q vectors. On the
+/// plane each worker sweeps its own fixed range; the first mismatch
+/// anywhere stops all ranges at their next tile boundary.
 pub fn verify_group_with(
     data: &[&[u8]],
     p: &[u8],
@@ -308,8 +325,8 @@ pub fn verify_group_with(
     )]
     let ok = AtomicBool::new(true);
     plane.for_each_range(len, |range| {
-        let mut p_block = [0u8; VERIFY_BLOCK];
-        let mut q_block = [0u8; VERIFY_BLOCK];
+        let mut p_tile = [0u8; TILE];
+        let mut q_tile = [0u8; TILE];
         let mut off = range.start;
         while off < range.end {
             if !ok.load(Ordering::Relaxed) {
@@ -319,25 +336,25 @@ pub fn verify_group_with(
                 clippy::arithmetic_side_effects,
                 reason = "off < range.end per the loop guard"
             )]
-            let n = VERIFY_BLOCK.min(range.end - off);
-            p_block[..n].fill(0);
-            for (i, stripe) in data.iter().enumerate() {
-                let s = &stripe[off..][..n];
-                gf::xor_acc(&mut p_block[..n], s);
-                if q.is_some() {
-                    gf::pow2_table(i).mul_acc(&mut q_block[..n], s);
+            let n = TILE.min(range.end - off);
+            let (pt, qt) = (&mut p_tile[..n], &mut q_tile[..n]);
+            pt.fill(0);
+            let matches = match q {
+                Some(q) => {
+                    qt.fill(0);
+                    horner_pq(data.iter().copied().map(Some), off, Some(&mut *pt), qt);
+                    *pt == p[off..][..n] && *qt == q[off..][..n]
                 }
-            }
-            if p_block[..n] != p[off..][..n] {
+                None => {
+                    for stripe in data {
+                        gf::xor_acc(pt, bytes_from(stripe, off));
+                    }
+                    *pt == p[off..][..n]
+                }
+            };
+            if !matches {
                 ok.store(false, Ordering::Relaxed);
                 return;
-            }
-            if let Some(q) = q {
-                if q_block[..n] != q[off..][..n] {
-                    ok.store(false, Ordering::Relaxed);
-                    return;
-                }
-                q_block[..n].fill(0);
             }
             #[expect(
                 clippy::arithmetic_side_effects,
@@ -567,12 +584,7 @@ mod tests {
     /// mismatched parity lengths (reported as a clean mismatch).
     #[test]
     fn blockwise_verify_handles_block_boundaries_and_lengths() {
-        for len in [
-            VERIFY_BLOCK - 1,
-            VERIFY_BLOCK,
-            VERIFY_BLOCK + 1,
-            3 * VERIFY_BLOCK + 17,
-        ] {
+        for len in [TILE - 1, TILE, TILE + 1, 3 * TILE + 17] {
             let d: Vec<Vec<u8>> = (0..4u8)
                 .map(|i| {
                     (0..len)

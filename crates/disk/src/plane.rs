@@ -43,17 +43,20 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 
 /// Outputs shorter than this run serially. A fan-out to parked workers
-/// costs ~5 µs (a thread spawn cost ~60 µs), so where the 1- and
+/// costs ~5–20 µs (a thread spawn cost ~60 µs), so where the 1- and
 /// 2-thread runs of a kernel break even depends on its work per byte.
-/// On a 2-vCPU x86-64 host: a 10-member `encode_pq_with` (GF multiply,
-/// compute-bound) breaks even at a ~3 KiB stripe and runs at 0.56× the
-/// serial time at 64 KiB; `content_digests` breaks even near 40 KiB in
-/// total, though it fans out over 256 KiB leaves and so never sees this
-/// threshold; a 3-member XOR `parity_p_with` (memory-bound) still loses
-/// at 256 KiB (1.1×). 64 KiB sits between them, and lowering it would
-/// move only a handful of `e2e`'s parity calls (4–16 KiB stripes in
-/// `cluster_preserve`), so it stays. The threshold is results-invisible
-/// (see module docs), so it only needs to be roughly right.
+/// On a 2-vCPU x86-64 host (median of ≥ 51 calls, threshold set to 0):
+/// a 10-member `encode_pq_with`, whose Q runs the one-step Horner
+/// kernel at ~8 GB/s of data on one thread, breaks even near a 32 KiB
+/// stripe (0.9–1.3× the serial time) and runs at 0.5–1.2× at 64 KiB and
+/// 0.6–0.9× at 128 KiB; `verify_group_with` wins from 32 KiB (0.6–0.9×);
+/// `content_digests` breaks even near 40 KiB in total, though it fans
+/// out over 256 KiB leaves and so never sees this threshold; a 3-member
+/// XOR `parity_p_with` (memory-bound) still loses at 256 KiB (1.4×).
+/// 64 KiB sits at the parity kernels' break-even, and `e2e`'s parity
+/// calls (4–16 KiB stripes in `cluster_preserve`) run serially on either
+/// side of it, so it stays. The threshold is results-invisible (see
+/// module docs), so it only needs to be roughly right.
 const MIN_PAR_BYTES: usize = 64 * 1024;
 
 /// A fixed-width pool of worker threads for data-plane kernels.

@@ -1,8 +1,9 @@
-//! Equivalence proptests: the table-driven, plane-parallel parity
-//! kernels must agree byte-for-byte with a scalar reference built on the
-//! original shift-and-add multiply ([`ros_disk::gf::mul_const`]),
-//! across stripe counts, stripe lengths (including 0, 1, and
-//! non-word-aligned), ragged members and thread counts 1/2/4/8.
+//! Equivalence proptests: the plane-parallel parity kernels, Q by
+//! Horner's rule, must agree byte-for-byte with a scalar reference built
+//! on the shift-and-add multiply ([`ros_disk::gf::mul_const`]) and the
+//! definition `Q = Σ 2^i·D_i`, across stripe counts, stripe lengths
+//! (including 0, 1, non-word-aligned and both sides of the 4 KiB tile),
+//! ragged members and thread counts 1/2/4/8.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -168,6 +169,108 @@ proptest! {
             parity::verify_group_with(&r, &p, Some(&q), &plane).unwrap_err(),
             parity::ParityError::LengthMismatch
         );
+    }
+}
+
+/// Stripe lengths at the edges Q's Horner step has: none, one byte, a
+/// partial word, one past a word, both sides of the 4 KiB tile, and past
+/// the plane's 64 KiB serial threshold, where the chunk split begins.
+const EDGE_LENS: [usize; 8] = [0, 1, 7, 9, 4_095, 4_097, 65_537, 70_001];
+
+/// `data` with member `at` cut to `cut / 1000` of its length: a member
+/// shorter than the stripe, which reads as zero-filled past its end.
+fn shorten(mut data: Vec<Vec<u8>>, at: usize, cut: usize) -> Vec<Vec<u8>> {
+    let keep = data[at].len() * cut / 1000;
+    data[at].truncate(keep);
+    data
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // The short-member trap: past a short member's end Q must still be
+    // doubled (`2·Q ⊕ 0 ≠ Q`). A kernel that skips that step disagrees
+    // with the scalar definition whenever a higher member has bytes
+    // there, so the member is cut at the first, a middle or the last
+    // index, and the stripe runs across tiles and plane chunks. (Too big
+    // for Miri, whose `gf parity plane` filter does not select it.)
+    #[test]
+    fn horner_q_equals_scalar_across_tiles_and_short_members(
+        seed in 0u64..500,
+        n_stripes in 1usize..11,
+        len_sel in 0usize..EDGE_LENS.len(),
+        short_sel in 0usize..3,
+        cut in 0usize..1000,
+        thread_sel in 0usize..4,
+    ) {
+        let len = EDGE_LENS[len_sel];
+        let at = [0, n_stripes / 2, n_stripes - 1][short_sel];
+        let data = shorten(gen_stripes(seed, n_stripes, len), at, cut);
+        let r = refs(&data);
+        let plane = DataPlane::new(THREADS[thread_sel]);
+        let expect_q = scalar_parity_q(&r);
+        prop_assert_eq!(expect_q.len(), stripe_len(&r));
+        let (p, q) = parity::encode_pq_with(&r, &plane).unwrap();
+        prop_assert_eq!(&p, &scalar_parity_p(&r));
+        prop_assert_eq!(&q, &expect_q);
+    }
+}
+
+/// Q-path recovery (one data member and P lost) for every missing index,
+/// the highest included, on a stripe across two tile seams with a short
+/// member on each side of the lost one.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn q_path_recovers_every_missing_index() {
+    let len = 2 * 4_096 + 3;
+    let mut data = gen_stripes(0xC0DE, 10, len);
+    data[1].truncate(4_095);
+    data[8].truncate(9);
+    let r = refs(&data);
+    let expect_p = scalar_parity_p(&r);
+    let expect_q = scalar_parity_q(&r);
+    for threads in THREADS {
+        let plane = DataPlane::new(threads);
+        for missing in 0..data.len() {
+            let masked: Vec<Option<&[u8]>> = r
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (i != missing).then_some(*s))
+                .collect();
+            let (rec, rp, rq) =
+                parity::reconstruct_pq_with(&masked, None, Some(&expect_q), &plane).unwrap();
+            // A rebuilt member comes back at the stripe length.
+            let mut want = data.clone();
+            want[missing].resize(len, 0);
+            assert_eq!(rec, want, "threads={threads} missing={missing}");
+            assert_eq!(rp, expect_p, "threads={threads} missing={missing}");
+            assert_eq!(rq, expect_q, "threads={threads} missing={missing}");
+        }
+    }
+}
+
+/// Verify recomputes Q tile by tile: one flipped Q byte on either side
+/// of a tile seam, or at the stripe's end, is a mismatch.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn verify_rejects_a_flipped_q_byte_at_each_side_of_a_tile_seam() {
+    for len in [4_097usize, 3 * 4_096 + 5, 70_001] {
+        let data = gen_stripes(len as u64, 6, len);
+        let r = refs(&data);
+        let p = scalar_parity_p(&r);
+        let q = scalar_parity_q(&r);
+        for threads in THREADS {
+            let plane = DataPlane::new(threads);
+            assert!(parity::verify_group_with(&r, &p, Some(&q), &plane).unwrap());
+            for at in [4_095, 4_096, len - 1] {
+                let mut bad_q = q.clone();
+                bad_q[at] ^= 0x01;
+                assert!(
+                    !parity::verify_group_with(&r, &p, Some(&bad_q), &plane).unwrap(),
+                    "len={len} threads={threads} at={at}"
+                );
+            }
+        }
     }
 }
 
