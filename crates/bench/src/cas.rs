@@ -7,14 +7,14 @@
 //!    images and stages fewer buffer bytes than the plain engine for
 //!    the same logical workload.
 //! 2. **Bit-exact aliases** — every written path reads back payload
-//!    bytes identical to what was ingested, verified against the 256-bit
-//!    CAS content digest recorded at write time.
+//!    bytes identical to what was ingested, judged by the one
+//!    [`Model`].
 //! 3. **Clean digest sweep** — a full audit reports no image, on the
 //!    buffer or on disc, whose bytes drifted from its recorded digest.
 
 use crate::experiments::BenchError;
-use ros_cas::{verify_payload, Digest};
-use ros_disk::DataPlane;
+use crate::model::{Model, Sweep};
+use bytes::Bytes;
 use ros_olfs::{Ros, RosConfig};
 use ros_sim::SimRng;
 use ros_udf::UdfPath;
@@ -76,10 +76,9 @@ pub struct CasReport {
     /// `dedup_images / plain_images` — the burn cost of the dedup run
     /// relative to plain (cost-style: lower is better, must stay < 1).
     pub burn_cost_ratio: f64,
-    /// Paths that read back digest-exact from the dedup engine.
-    pub verified: usize,
-    /// Paths that read back wrong or not at all (must be empty).
-    pub lost: Vec<String>,
+    /// Every path read back from the dedup engine against the model
+    /// (nothing may be lost).
+    pub read_back: Sweep,
     /// Images failing the full audit's digest sweep (must be 0).
     pub sweep_mismatches: usize,
 }
@@ -122,7 +121,7 @@ fn compile_writes(cfg: &CasConfig) -> Result<Vec<(UdfPath, usize)>, BenchError> 
 
 /// Runs the same compiled workload through one engine, returning its
 /// counters and post-flush status.
-fn ingest(dedup: bool, writes: &[(UdfPath, usize)], pool: &[Vec<u8>]) -> Result<Ros, BenchError> {
+fn ingest(dedup: bool, writes: &[(UdfPath, usize)], pool: &[Bytes]) -> Result<Ros, BenchError> {
     let err = |detail: String| BenchError {
         context: "cas",
         detail,
@@ -138,14 +137,13 @@ fn ingest(dedup: bool, writes: &[(UdfPath, usize)], pool: &[Vec<u8>]) -> Result<
     Ok(ros)
 }
 
-/// Runs the comparison: plain engine, dedup engine, digest read-back
-/// sweep on the dedup engine.
+/// Runs the comparison: plain engine, dedup engine, read-back sweep on
+/// the dedup engine.
 pub fn run_cas(cfg: &CasConfig) -> Result<CasReport, BenchError> {
     let writes = compile_writes(cfg)?;
-    let pool: Vec<Vec<u8>> = (0..cfg.distinct_payloads.max(1))
-        .map(|i| pool_payload(i, cfg.payload_bytes))
+    let pool: Vec<Bytes> = (0..cfg.distinct_payloads.max(1))
+        .map(|i| pool_payload(i, cfg.payload_bytes).into())
         .collect();
-    let pool_digests: Vec<Digest> = pool.iter().map(|p| Digest::of(p)).collect();
 
     let plain = ingest(false, &writes, &pool)?;
     let mut deduped = ingest(true, &writes, &pool)?;
@@ -155,20 +153,12 @@ pub fn run_cas(cfg: &CasConfig) -> Result<CasReport, BenchError> {
     let stats = deduped.dedup_stats();
     let counters = deduped.counters();
 
-    // Digest-exact read-back of every alias through the normal read
-    // path, against the pool digest recorded before ingest.
-    let plane = DataPlane::single();
-    let mut verified = 0;
-    let mut lost = Vec::new();
+    // Exact read-back of every alias through the normal read path.
+    let mut model = Model::new(true);
     for (path, payload) in &writes {
-        match deduped.read_file(path) {
-            Ok(r) if verify_payload(&pool_digests[*payload], &r.data, &plane).is_ok() => {
-                verified += 1;
-            }
-            Ok(_) => lost.push(format!("{path}: payload digest mismatch")),
-            Err(e) => lost.push(format!("{path}: {e}")),
-        }
+        model.write(path, pool[*payload].clone(), false);
     }
+    let read_back = model.sweep(|path| deduped.read_file(path).map(|r| r.data));
     let sweep = deduped.audit_sample(usize::MAX);
 
     let burn_cost_ratio = if plain_status.images > 0 {
@@ -187,8 +177,7 @@ pub fn run_cas(cfg: &CasConfig) -> Result<CasReport, BenchError> {
         plain_buffer_bytes: plain_status.buffer_usage.0,
         dedup_buffer_bytes: dedup_status.buffer_usage.0,
         burn_cost_ratio,
-        verified,
-        lost,
+        read_back,
         sweep_mismatches: sweep.rotted.len(),
     })
 }
@@ -216,11 +205,11 @@ pub fn run_cas_checked(cfg: &CasConfig) -> Result<CasReport, BenchError> {
             r.dedup_buffer_bytes, r.plain_buffer_bytes
         )));
     }
-    if !r.lost.is_empty() {
+    if !r.read_back.lost.is_empty() {
         return Err(err(format!(
-            "{} alias(es) failed digest read-back: {}",
-            r.lost.len(),
-            r.lost.join("; ")
+            "{} alias(es) failed the read-back: {}",
+            r.read_back.lost.len(),
+            r.read_back.lost.join("; ")
         )));
     }
     if r.sweep_mismatches > 0 {
@@ -239,7 +228,7 @@ mod tests {
     #[test]
     fn smoke_comparison_holds_all_invariants() {
         let r = run_cas_checked(&CasConfig::smoke()).unwrap();
-        assert_eq!(r.verified, r.writes);
+        assert_eq!(r.read_back.verified, r.writes);
         assert!(r.dedup_ratio > 1.0, "pool duplication must show up");
         assert!(r.burn_cost_ratio < 1.0);
     }

@@ -15,24 +15,32 @@
 //!
 //! Because the aging schedule is identical across cells, differences
 //! in outcome are pure treatment effect — a paired comparison, not
-//! noise. Each epoch a rotating window of files is also read back
-//! through the normal client path and digest-verified: a mismatch is a
-//! *silent corruption read*, the one outcome a preservation system
-//! must never produce (the read path's inline digest check turns rot
-//! into repair-or-typed-error, so this gate should hold even in
+//! noise. Each cell is one schedule of [`crate::campaign`]. Each epoch
+//! a rotating window of files is also read back through the normal
+//! client path and judged by the campaign's model: bytes it does not
+//! owe are a *silent corruption read*, the one outcome a preservation
+//! system must never produce (the read path's inline digest check turns
+//! rot into repair-or-typed-error, so this gate should hold even in
 //! undefended cells). The final sweep reads everything and reports
 //! bytes lost, the first-loss epoch and the achieved durability nines.
 //!
 //! The whole harness is deterministic: same seed, byte-identical JSON.
 
+use crate::campaign::{self, Outcome, Rig, Step};
 use crate::experiments::BenchError;
-use ros_cas::{verify_payload, Digest};
-use ros_cluster::{Cluster, ClusterConfig};
-use ros_faults::{AgingPlan, AgingSpec, FaultEvent, FaultKind, FaultSink, InjectionOutcome};
+use ros_faults::{AgingPlan, AgingSpec, FaultEvent, FaultKind, RetryPolicy};
 use ros_olfs::Redundancy;
 use ros_sim::SimDuration;
+use ros_udf::UdfPath;
 use ros_workload::spec::synth_data;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+
+fn err(detail: String) -> BenchError {
+    BenchError {
+        context: "durability",
+        detail,
+    }
+}
 
 /// One defence configuration of the sweep.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -142,32 +150,13 @@ impl DurabilityConfig {
     }
 }
 
-/// Outcome of one cell of the sweep.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// Outcome of one cell of the sweep: a view of its campaign.
+#[derive(Clone, Debug, Default)]
 pub struct CellReport {
-    /// Aging events that landed (rot or corruption on a burned disc).
-    pub injected: usize,
-    /// Aging events that found no target (disc not burned yet, rack
-    /// busy, ...).
-    pub skipped: usize,
-    /// Images the audits digest-verified across the campaign.
-    pub audited: usize,
-    /// Latent-rot (or unreadable-track) detections by the audits.
-    pub rot_detected: usize,
-    /// Detections healed from local disc-array parity.
-    pub repaired_parity: usize,
-    /// Detections healed by re-fetching from a replica rack.
-    pub repaired_replica: usize,
-    /// Mid-campaign client reads that returned wrong bytes — must be
-    /// zero everywhere: rot either repairs inline or errors typed.
-    pub silent_corruption_reads: usize,
-    /// Mid-campaign client reads that failed typed (data beyond local
-    /// redundancy with no replica; surfaces as an error, not bad data).
-    pub read_errors: usize,
-    /// Files unreadable or digest-mismatched at the final sweep.
-    pub files_lost: usize,
-    /// Bytes of payload lost at the final sweep.
-    pub bytes_lost: u64,
+    /// What the campaign observed. Its failed reads are the cell's
+    /// mid-campaign read errors: data beyond local redundancy with no
+    /// replica surfaces as an error, never as bad data.
+    pub outcome: Outcome,
     /// First epoch at which a final-sweep-lost file's read first
     /// failed, if any loss occurred.
     pub first_loss_epoch: Option<u32>,
@@ -176,8 +165,31 @@ pub struct CellReport {
     pub nines: f64,
 }
 
+/// A cell's JSON row: flat and in this field order, so the sweep's JSON
+/// stays byte-stable.
+impl Serialize for CellReport {
+    fn serialize_value(&self) -> Value {
+        let o = &self.outcome;
+        let row = [
+            ("injected", o.injected.serialize_value()),
+            ("skipped", o.skipped.serialize_value()),
+            ("audited", o.audited.serialize_value()),
+            ("rot_detected", o.rot_detected.serialize_value()),
+            ("repaired_parity", o.repaired_parity.serialize_value()),
+            ("repaired_replica", o.repaired_replica.serialize_value()),
+            ("silent_corruption_reads", o.silent_reads.serialize_value()),
+            ("read_errors", o.failed_reads.serialize_value()),
+            ("files_lost", o.sweep.lost.len().serialize_value()),
+            ("bytes_lost", o.sweep.bytes_lost.serialize_value()),
+            ("first_loss_epoch", self.first_loss_epoch.serialize_value()),
+            ("nines", self.nines.serialize_value()),
+        ];
+        Value::Object(row.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+}
+
 /// The whole campaign: one report per cell, keyed by cell name.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct DurabilityReport {
     /// Racks per federation.
     pub racks: usize,
@@ -198,10 +210,7 @@ pub struct DurabilityReport {
 impl DurabilityReport {
     /// Deterministic JSON rendering (struct order, sweep-ordered cells).
     pub fn to_json(&self) -> Result<String, BenchError> {
-        serde_json::to_string_pretty(self).map_err(|e| BenchError {
-            context: "durability",
-            detail: e.to_string(),
-        })
+        serde_json::to_string_pretty(self).map_err(|e| err(e.to_string()))
     }
 }
 
@@ -216,143 +225,80 @@ fn aging_plan(cfg: &DurabilityConfig) -> AgingPlan {
     AgingPlan::generate(cfg.seed, &spec)
 }
 
+/// One cell: ingest, archive and cold-store the dataset, then for each
+/// epoch the shared plan's strikes (wrapped `AtRack`, the struck rack
+/// being the event's disc selector folded over the federation, so the
+/// pattern is cell-invariant), a month idle, the audit and a cold-store
+/// when due, and a rotating window of client reads; the sweep last.
 fn run_cell(
     cfg: &DurabilityConfig,
     cell: &CellSpec,
     plan: &mut AgingPlan,
 ) -> Result<CellReport, BenchError> {
-    let err = |detail: String| BenchError {
-        context: "durability",
-        detail,
-    };
     plan.reset();
-    let mut ccfg = ClusterConfig::tiny(cfg.racks);
-    ccfg.replication = cell.replication.min(cfg.racks);
-    // The chaos-harness shrink: tiny discs and 4-disc arrays so a
-    // 16 KB-file ingest actually reaches the optical path.
-    ccfg.rack.drive_bays = 2;
-    ccfg.rack.disc_class = ros_drive::media::DiscClass::Custom {
-        capacity: 512 * 1024,
-    };
-    ccfg.rack.layout.discs_per_tray = 4;
-    ccfg.rack.drives_per_bay = 4;
-    ccfg.rack.layout.layers = 8;
-    ccfg.rack.redundancy = cell.redundancy;
-    let mut cluster = Cluster::new(ccfg).map_err(|e| err(e.to_string()))?;
-
-    // Ingest the dataset and record the acked digests.
-    let verify_plane = ros_disk::DataPlane::single();
-    let mut files: Vec<(ros_udf::UdfPath, u64, Digest)> = Vec::with_capacity(cfg.files);
-    for i in 0..cfg.files {
-        let path: ros_udf::UdfPath = format!("/dur/g{}/f{i}", i % 8)
-            .parse()
-            .map_err(|_| err(format!("bad path for file {i}")))?;
-        let data = synth_data(&path, cfg.file_bytes as u64);
-        let digest = Digest::of(&data);
-        cluster
-            .write_file(&path, data.to_vec())
-            .map_err(|e| err(format!("ingest {path}: {e}")))?;
-        files.push((path, data.len() as u64, digest));
-    }
+    let once = RetryPolicy::none();
+    let rig = Rig::new(cfg.racks, cell.replication, cell.redundancy, once, once)?;
+    let paths = (0..cfg.files)
+        .map(|i| format!("/dur/g{}/f{i}", i % 8).parse())
+        .collect::<Result<Vec<UdfPath>, _>>()
+        .map_err(|e| err(format!("bad file path: {e}")))?;
+    let mut steps: Vec<Step> = paths
+        .iter()
+        .map(|p| Step::Write(p.clone(), synth_data(p, cfg.file_bytes as u64).into()))
+        .collect();
     // Archive cold: burn, drop every buffer copy (parity included) and
     // send the trays back to the roller — the discs are the only copy.
-    cluster
-        .archive_all(SimDuration::from_secs(86_400))
-        .map_err(|e| err(format!("archive: {e}")))?;
-    cluster.cold_store_all();
-
-    let mut report = CellReport::default();
-    let racks = u32::try_from(cfg.racks).unwrap_or(u32::MAX);
-    let mut first_failed_read: Option<u32> = None;
+    steps.extend([Step::Archive("ingest".into()), Step::ColdStore]);
+    let racks = u32::try_from(cfg.racks).unwrap_or(u32::MAX).max(1);
+    let window = (cfg.files / 4).max(1);
+    let mut epoch_starts = Vec::new();
     for epoch in 0..cfg.epochs {
-        // Deliver this epoch's share of the shared aging schedule; the
-        // struck rack is the event's disc selector folded over the
-        // federation, so the pattern is cell-invariant.
+        epoch_starts.push(steps.len());
         for (i, event) in plan.due_epoch(epoch).into_iter().enumerate() {
-            let kind = FaultKind::AtRack {
-                rack: event.disc % racks.max(1),
-                fault: Box::new(event.kind.clone()),
-            };
-            let outcome = cluster.inject_fault(&FaultEvent {
+            steps.push(Step::Inject(FaultEvent {
                 seq: u64::from(epoch) << 32 | i as u64,
                 at_op: u64::from(epoch),
-                kind,
-            });
-            match outcome {
-                InjectionOutcome::Injected => report.injected += 1,
-                _ => report.skipped += 1,
-            }
+                kind: FaultKind::AtRack {
+                    rack: event.disc % racks,
+                    fault: Box::new(event.kind),
+                },
+            }));
         }
-        cluster.run_all_for(EPOCH);
-
-        // The defence under test: the scheduled audit sweep.
+        steps.push(Step::Idle(EPOCH));
+        // The defence under test; repairs re-burn arrays, so return to
+        // cold storage and let later strikes hit media.
         if cell.audit_every_epochs > 0 && epoch % cell.audit_every_epochs == 0 {
-            let audit = cluster
-                .audit_all(cfg.audit_sample)
-                .map_err(|e| err(format!("audit at epoch {epoch}: {e}")))?;
-            report.audited += audit.sampled;
-            report.rot_detected += audit.rotted;
-            report.repaired_parity += audit.repaired_parity;
-            report.repaired_replica += audit.repaired_replica;
-            // Repairs re-burn arrays; return to cold storage so later
-            // aging strikes hit media, not lingering buffer copies.
-            cluster.cold_store_all();
+            steps.extend([Step::Audit(cfg.audit_sample), Step::ColdStore]);
         }
-
-        // Client reads: a rotating window of the dataset, digest
-        // verified. Silent corruption here is the unforgivable outcome.
-        let window = (cfg.files / 4).max(1);
-        for k in 0..window {
-            let (path, _, digest) = &files[(epoch as usize * window + k) % files.len()];
-            match cluster.read_file(path) {
-                Ok(r) => {
-                    if verify_payload(digest, &r.data, &verify_plane).is_err() {
-                        report.silent_corruption_reads += 1;
-                        first_failed_read.get_or_insert(epoch);
-                    }
-                }
-                Err(_) => {
-                    report.read_errors += 1;
-                    first_failed_read.get_or_insert(epoch);
-                }
-            }
-        }
+        let first = epoch as usize * window;
+        steps.extend((first..first + window).map(|k| Step::Read(paths[k % paths.len()].clone())));
     }
-
-    // Final sweep: every byte, through the normal read path.
-    for (path, len, digest) in &files {
-        let lost = match cluster.read_file(path) {
-            Ok(r) => verify_payload(digest, &r.data, &verify_plane).is_err(),
-            Err(_) => true,
-        };
-        if lost {
-            report.files_lost += 1;
-            report.bytes_lost += len;
-        }
+    steps.push(Step::Sweep);
+    let outcome = campaign::run(rig, steps)?;
+    if outcome.failed_writes > 0 {
+        return Err(err(format!(
+            "{} ingest write(s) failed",
+            outcome.failed_writes
+        )));
     }
-    if report.files_lost > 0 {
-        report.first_loss_epoch = first_failed_read.or(Some(cfg.epochs));
-    }
-    // Whatever the cell lost, it must have lost it cleanly: a repair or
-    // rewrite left half-done shows up as an index that disagrees with
-    // another.
-    for rack in cluster.racks().iter().filter(|r| r.is_alive()) {
-        if let Some(issue) = rack.ros().verify_consistency().first() {
-            return Err(err(format!(
-                "cell {}: rack {} inconsistent after the last epoch: {}",
-                cell.name(),
-                rack.id().0,
-                issue.what
-            )));
-        }
-    }
-    let total: u64 = files.iter().map(|(_, len, _)| *len).sum();
-    report.nines = if report.bytes_lost == 0 || total == 0 {
-        12.0
+    // The epoch of the first failed or silent window read; the sweep's
+    // own epoch when only the sweep lost files.
+    let first_loss_epoch = (!outcome.sweep.lost.is_empty()).then(|| {
+        let first_bad = outcome.first_bad_read;
+        let epoch = first_bad.and_then(|s| epoch_starts.iter().rposition(|&e| e <= s));
+        epoch.map_or(cfg.epochs, |e| u32::try_from(e).unwrap_or(cfg.epochs))
+    });
+    let lost = outcome.sweep.bytes_lost as f64 / (cfg.files * cfg.file_bytes) as f64;
+    let nines = if lost > 0.0 {
+        (-lost.log10()).clamp(0.0, 12.0)
     } else {
-        (-(report.bytes_lost as f64 / total as f64).log10()).clamp(0.0, 12.0)
+        12.0
     };
-    Ok(report)
+    Ok(CellReport {
+        outcome,
+        first_loss_epoch,
+        nines,
+    })
 }
 
 /// Runs the whole sweep once.
@@ -374,42 +320,20 @@ pub fn run_durability(cfg: &DurabilityConfig) -> Result<DurabilityReport, BenchE
     })
 }
 
-/// Runs the sweep twice from the same seed, checks the two JSON
-/// renderings are byte-identical, and enforces the campaign gates:
-///
-/// 1. zero silent-corruption reads in *every* cell (the read path must
-///    repair or fail typed, never return rotted bytes);
-/// 2. at least one latent-rot event detected *and* repaired by the
-///    sampled audit somewhere in the sweep;
-/// 3. zero bytes lost at the recommended operating point.
-///
-/// [`run_durability`] itself fails a cell that leaves any alive rack
-/// with a [`ros_olfs::Ros::verify_consistency`] issue after its last
-/// epoch, so a half-finished repair cannot pass as a quiet loss.
-pub fn run_durability_checked(cfg: &DurabilityConfig) -> Result<DurabilityReport, BenchError> {
-    let err = |detail: String| BenchError {
-        context: "durability",
-        detail,
-    };
-    let report = run_durability(cfg)?;
-    let replay = run_durability(cfg)?;
-    let (a, b) = (report.to_json()?, replay.to_json()?);
-    if a != b {
-        return Err(err(
-            "durability sweep diverged across identically-seeded runs".into(),
-        ));
-    }
-    let mut rot_repaired = 0usize;
-    let mut rot_detected = 0usize;
+/// The durability gates, per cell the campaign's own (zero silent
+/// reads — the read path must repair or fail typed, never return rotted
+/// bytes — and every alive rack consistent after the last epoch, so a
+/// half-finished repair cannot pass as a quiet loss), then across the
+/// sweep: latent rot detected *and* repaired by the sampled audit
+/// somewhere, and zero bytes lost at the recommended operating point.
+fn gate(cfg: &DurabilityConfig, report: &DurabilityReport) -> Result<(), BenchError> {
+    let (mut rot_detected, mut rot_repaired) = (0, 0);
     for (name, cell) in &report.cells {
-        if cell.silent_corruption_reads > 0 {
-            return Err(err(format!(
-                "cell {name}: {} silent-corruption read(s) — a client saw rotted bytes",
-                cell.silent_corruption_reads
-            )));
-        }
-        rot_detected += cell.rot_detected;
-        rot_repaired += cell.repaired_parity + cell.repaired_replica;
+        let o = &cell.outcome;
+        o.gate()
+            .map_err(|e| err(format!("cell {name}: {}", e.detail)))?;
+        rot_detected += o.rot_detected;
+        rot_repaired += o.repaired_parity + o.repaired_replica;
     }
     if rot_detected == 0 {
         return Err(err(
@@ -423,13 +347,26 @@ pub fn run_durability_checked(cfg: &DurabilityConfig) -> Result<DurabilityReport
     }
     let recommended = cfg.recommended().name();
     if let Some((_, cell)) = report.cells.iter().find(|(n, _)| *n == recommended) {
-        if cell.bytes_lost > 0 {
+        if cell.outcome.sweep.bytes_lost > 0 {
             return Err(err(format!(
                 "recommended operating point {recommended} lost {} bytes",
-                cell.bytes_lost
+                cell.outcome.sweep.bytes_lost
             )));
         }
     }
+    Ok(())
+}
+
+/// Runs the sweep twice from the same seed, checks the two JSON
+/// renderings are byte-identical, and enforces the gates.
+pub fn run_durability_checked(cfg: &DurabilityConfig) -> Result<DurabilityReport, BenchError> {
+    let report = run_durability(cfg)?;
+    if report.to_json()? != run_durability(cfg)?.to_json()? {
+        return Err(err(
+            "durability sweep diverged across identically-seeded runs".into(),
+        ));
+    }
+    gate(cfg, &report)?;
     Ok(report)
 }
 
@@ -442,12 +379,37 @@ mod tests {
         let report = run_durability_checked(&DurabilityConfig::smoke()).unwrap();
         assert_eq!(report.cells.len(), 2);
         for (name, cell) in &report.cells {
-            assert_eq!(cell.silent_corruption_reads, 0, "{name}");
-            assert_eq!(cell.bytes_lost, 0, "{name} must lose nothing");
+            assert_eq!(cell.outcome.silent_reads, 0, "{name}");
+            assert_eq!(cell.outcome.sweep.bytes_lost, 0, "{name} must lose nothing");
             assert_eq!(cell.nines, 12.0, "{name}");
         }
-        let rot: usize = report.cells.iter().map(|(_, c)| c.rot_detected).sum();
+        let rot: usize = report
+            .cells
+            .iter()
+            .map(|(_, c)| c.outcome.rot_detected)
+            .sum();
         assert!(rot >= 1, "the aging plan must land rot");
+    }
+
+    #[test]
+    fn one_silent_read_fails_the_gate() {
+        let cfg = DurabilityConfig::smoke();
+        let cell = |silent_reads| CellReport {
+            outcome: Outcome {
+                silent_reads,
+                rot_detected: 1,
+                repaired_parity: 1,
+                ..Outcome::default()
+            },
+            ..CellReport::default()
+        };
+        let report = |silent_reads| DurabilityReport {
+            cells: vec![(cfg.recommended().name(), cell(silent_reads))],
+            ..DurabilityReport::default()
+        };
+        let e = gate(&cfg, &report(1)).unwrap_err();
+        assert!(e.detail.contains("silent"), "{e}");
+        assert!(gate(&cfg, &report(0)).is_ok());
     }
 
     #[test]

@@ -5,9 +5,8 @@ use ros_drive::media::MediaKind;
 use ros_drive::{params as drive_params, BurnPlan, DiscClass, DriveSet, SpeedCurve};
 use ros_mech::plc::Plc;
 use ros_mech::{MechScheduler, RackLayout, SlotAddress};
-use ros_olfs::config::BusyReadPolicy;
 use ros_olfs::trace::OpTrace;
-use ros_olfs::{Redundancy, Ros, RosConfig, UdfPath};
+use ros_olfs::{Ros, RosConfig, UdfPath};
 use ros_sim::{Bandwidth, SimDuration, SimRng, SimTime};
 use ros_tco::{RackPower, RackState, TcoModel};
 
@@ -76,26 +75,14 @@ pub struct Table1Row {
     pub measured_secs: f64,
 }
 
+/// Table 1's rack: the tiny rack's 4 MiB discs in a full-size layout,
+/// with a large read cache.
 fn table1_config() -> RosConfig {
     RosConfig {
         layout: RackLayout::default(),
-        disc_class: DiscClass::Custom {
-            capacity: 4 * 1024 * 1024,
-        },
-        drive_bays: 1,
-        drives_per_bay: 12,
-        redundancy: Redundancy::Raid5,
-        open_buckets: 2,
         read_cache_images: 512,
-        forepart_bytes: 4096,
-        busy_read_policy: BusyReadPolicy::Wait,
-        prefetch_array: false,
-        write_and_check: false,
-        scrub_interval: None,
         seed: 7,
-        rack_id: 0,
-        data_plane_threads: 0,
-        dedup: false,
+        ..RosConfig::tiny()
     }
 }
 

@@ -28,11 +28,13 @@
     )
 )]
 
+pub mod campaign;
 pub mod cas;
 pub mod chaos;
 pub mod cluster;
 pub mod durability;
 pub mod experiments;
+pub mod model;
 pub mod render;
 
 pub use cluster::*;

@@ -383,9 +383,9 @@ pub fn render_cluster_smoke() -> Result<String, BenchError> {
 
 /// Renders the chaos soak: the seeded fault timeline, the degraded-mode
 /// op counts, and the invariant verdicts. The harness itself runs the
-/// scenario twice and fails on timeline divergence, acked-write loss or
-/// retry amplification past the ceiling, so a rendered report implies
-/// all three invariants held.
+/// scenario twice and fails on timeline divergence, acked-write loss, a
+/// silent read, an inconsistent rack or retry amplification past the
+/// ceiling, so a rendered report implies every invariant held.
 pub fn render_chaos(smoke: bool) -> Result<String, BenchError> {
     let cfg = if smoke {
         crate::chaos::ChaosConfig::smoke()
@@ -396,9 +396,9 @@ pub fn render_chaos(smoke: bool) -> Result<String, BenchError> {
     let mut out = hr("Chaos soak: mixed workload under a seeded fault schedule");
     out += &format!(
         "{} racks, {} ops, seed {}, {} fault mix\n",
-        r.racks,
-        r.ops,
-        r.seed,
+        cfg.racks,
+        cfg.ops,
+        cfg.seed,
         if cfg.heavy { "soak" } else { "smoke" }
     );
     out += "\nfault timeline:\n";
@@ -423,14 +423,15 @@ pub fn render_chaos(smoke: bool) -> Result<String, BenchError> {
     );
     out += &format!(
         "retry amplification: {:.2} attempts/op (ceiling {:.2})\n",
-        r.amplification, cfg.max_amplification
+        r.amplification(),
+        cfg.max_amplification
     );
     out += &format!(
         "invariants: timeline digest {:#018x} stable across re-run; \
          {} acked file(s) verified bit-exact, {} lost\n",
-        r.timeline_digest,
-        r.verified,
-        r.lost.len()
+        r.timeline_digest(),
+        r.sweep.verified,
+        r.sweep.lost.len()
     );
     Ok(out)
 }
@@ -468,17 +469,18 @@ pub fn render_durability(smoke: bool, json: bool) -> Result<String, BenchError> 
         "cell", "inj", "rot", "par", "repl", "silent", "rderr", "lost", "bytes", "nines"
     );
     for (name, c) in &r.cells {
+        let o = &c.outcome;
         out += &format!(
             "{:<18} {:>4} {:>4} {:>4} {:>5} {:>5} {:>6} {:>5} {:>9} {:>6.2}\n",
             name,
-            c.injected,
-            c.rot_detected,
-            c.repaired_parity,
-            c.repaired_replica,
-            c.silent_corruption_reads,
-            c.read_errors,
-            c.files_lost,
-            c.bytes_lost,
+            o.injected,
+            o.rot_detected,
+            o.repaired_parity,
+            o.repaired_replica,
+            o.silent_reads,
+            o.failed_reads,
+            o.sweep.lost.len(),
+            o.sweep.bytes_lost,
             c.nines
         );
     }
@@ -525,8 +527,8 @@ pub fn render_cas_smoke() -> Result<String, BenchError> {
     out += &format!(
         "verify: {} alias(es) digest-exact through the read path, {} lost, \
          {} sweep mismatch(es)\n",
-        r.verified,
-        r.lost.len(),
+        r.read_back.verified,
+        r.read_back.lost.len(),
         r.sweep_mismatches
     );
     Ok(out)

@@ -9,19 +9,22 @@
 //! that no bay burns two groups), and the two views of the pipeline must
 //! match: the group census and `pending_work`. At the end the bays are
 //! serviced and the rack flushed: every group is burned, and every
-//! acknowledged file reads back bit-exact from its discs.
+//! acknowledged file reads back bit-exact from its discs. The one
+//! reference model, [`ros_bench::model::Model`], judges every read.
 //!
 //! The rack's discs hold 128 MiB, room for an appended track's 64 MiB
 //! metadata zone, so an interrupted burn can resume; it has 16 trays,
 //! and each fault kind has a step budget, so a sequence cannot run out
 //! of trays.
 
+use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use ros::prelude::*;
 use ros::ros_drive::DiscClass;
 use ros::ros_mech::RackLayout;
 use ros::ros_olfs::config::BusyReadPolicy;
+use ros_bench::model::{Model, Read, Verdict};
 use ros_faults::{FaultEvent, FaultKind, FaultSink, RetryPolicy};
 
 /// Steps a sequence may take of each limited kind: seal-and-close,
@@ -112,7 +115,7 @@ fn agree(ros: &Ros) -> Result<(), String> {
 fn check(steps: &[Step]) -> Result<(), String> {
     let mut ros = rack();
     let policy = RetryPolicy::default();
-    let mut files: Vec<(UdfPath, Vec<u8>)> = Vec::new();
+    let mut model = Model::new(false);
     let mut spent = [0usize; 4];
     for (i, &step) in steps.iter().enumerate() {
         let fail = |what: String| format!("step {i} {step:?}: {what}");
@@ -125,14 +128,14 @@ fn check(steps: &[Step]) -> Result<(), String> {
         match step {
             Step::Write { files: n, kb } => {
                 for _ in 0..n {
-                    let tag = files.len();
+                    let tag = model.paths().count();
                     let path: UdfPath = format!("/b/{tag}")
                         .parse()
                         .map_err(|_| fail("path".into()))?;
-                    let data: Vec<u8> = (0..kb * 1024).map(|j| ((j * 7) ^ tag) as u8).collect();
+                    let data: Bytes = (0..kb * 1024).map(|j| ((j * 7) ^ tag) as u8).collect();
                     ros.write_file(&path, data.clone())
                         .map_err(|e| fail(e.to_string()))?;
-                    files.push((path, data));
+                    model.write(&path, data, false);
                 }
             }
             Step::SealClose => {
@@ -141,14 +144,14 @@ fn check(steps: &[Step]) -> Result<(), String> {
             }
             Step::Run { secs } => ros.run_for(SimDuration::from_secs(secs)),
             Step::ColdRead(k) => {
-                if let Some((path, want)) = files.get(k % files.len().max(1)) {
+                let count = model.paths().count().max(1);
+                if let Some(path) = model.paths().nth(k % count) {
                     ros.evict_burned_copies();
                     // A typed error is allowed mid-sequence (both bays
                     // out of rotation, say); wrong bytes never are.
-                    if let Ok((read, _)) = ros.read_file_supervised(path, &policy) {
-                        if read.data.as_ref() != want.as_slice() {
-                            return Err(fail(format!("{path} read back wrong bytes")));
-                        }
+                    let got = ros.read_file_supervised(path, &policy).map(|(r, _)| r.data);
+                    if model.judge(path, Read::Latest, &got) == Verdict::Wrong {
+                        return Err(fail(format!("{path} read back wrong bytes")));
                     }
                 }
             }
@@ -191,13 +194,9 @@ fn check(steps: &[Step]) -> Result<(), String> {
     ros.evict_all_burned_copies();
     ros.unload_all_bays()
         .map_err(|e| format!("final unload: {e}"))?;
-    for (path, want) in &files {
-        let (read, _) = ros
-            .read_file_supervised(path, &policy)
-            .map_err(|e| format!("final read of {path}: {e}"))?;
-        if read.data.as_ref() != want.as_slice() {
-            return Err(format!("{path} read back wrong bytes from its discs"));
-        }
+    let sweep = model.sweep(|path| ros.read_file_supervised(path, &policy).map(|(r, _)| r.data));
+    if !sweep.lost.is_empty() {
+        return Err(format!("lost from the discs: {:?}", sweep.lost));
     }
     Ok(())
 }

@@ -6,12 +6,17 @@
 //!   at every tier,
 //! - bucket packing never exceeds the disc capacity,
 //! - version rings behave like a bounded append-only log.
+//!
+//! Where a property reads files back, the one reference model,
+//! [`ros_bench::model::Model`], says what each read owes.
 
+use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use ros::prelude::*;
 use ros::ros_disk::{parity, DataPlane};
 use ros::ros_udf::{Bucket, SealedImage, BLOCK_SIZE};
+use ros_bench::model::{Model, Read, Verdict};
 
 fn name_strategy() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_.-]{0,12}".prop_map(|s| s)
@@ -30,33 +35,24 @@ proptest! {
         files in vec((path_strategy(), vec(any::<u8>(), 0..5_000)), 1..20)
     ) {
         let mut bucket = Bucket::new(1, 16 * 1024 * 1024);
-        let mut expected: std::collections::BTreeMap<String, Vec<u8>> =
-            std::collections::BTreeMap::new();
+        let mut model = Model::new(false);
         for (path, data) in files {
             // Skip paths that collide with an existing file/dir.
+            let data = Bytes::from(data);
             if bucket.write(&path, data.clone(), 0).is_ok() {
-                expected.insert(path.to_string(), data);
+                model.write(&path, data, false);
             }
         }
-        prop_assume!(!expected.is_empty());
+        prop_assume!(model.paths().next().is_some());
         let image = bucket.close().expect("close");
         // Serialize → parse → every file identical.
         let reparsed = SealedImage::from_bytes(image.bytes().clone()).expect("parse");
-        for (path, data) in &expected {
-            let p: UdfPath = path.parse().expect("path");
-            let got = reparsed.read(&p).expect("read");
-            prop_assert_eq!(got.as_ref(), data.as_slice());
-        }
-        // And the scan enumerates exactly the expected namespace
-        // (orders differ: the walk is component-wise, the map string-wise).
-        let mut scanned: Vec<String> = reparsed
-            .scan_files()
-            .into_iter()
-            .map(|(p, _)| p.to_string())
-            .collect();
+        let sweep = model.sweep(|path| reparsed.read(path));
+        prop_assert!(sweep.lost.is_empty(), "{:?}", sweep.lost);
+        // And the scan enumerates exactly the model's namespace.
+        let mut scanned: Vec<UdfPath> = reparsed.scan_files().into_iter().map(|(p, _)| p).collect();
         scanned.sort_unstable();
-        let expected_paths: Vec<String> = expected.keys().cloned().collect();
-        prop_assert_eq!(scanned, expected_paths);
+        prop_assert_eq!(scanned, model.paths().cloned().collect::<Vec<_>>());
     }
 
     #[test]
@@ -156,30 +152,24 @@ proptest! {
         files in vec((path_strategy(), vec(any::<u8>(), 0..60_000)), 1..15)
     ) {
         let mut ros = Ros::new(RosConfig::tiny());
-        let mut expected: std::collections::BTreeMap<String, Vec<u8>> =
-            std::collections::BTreeMap::new();
+        let mut model = Model::new(false);
         for (path, data) in files {
             // Path conflicts (file vs dir) may reject; duplicates update.
+            let data = Bytes::from(data);
             if ros.write_file(&path, data.clone()).is_ok() {
-                expected.insert(path.to_string(), data);
+                model.write(&path, data, false);
             }
         }
-        prop_assume!(!expected.is_empty());
+        prop_assume!(model.paths().next().is_some());
         // Hot reads.
-        for (path, data) in &expected {
-            let p: UdfPath = path.parse().unwrap();
-            let r = ros.read_file(&p).unwrap();
-            prop_assert_eq!(r.data.as_ref(), data.as_slice());
-        }
+        let hot = model.sweep(|path| ros.read_file(path).map(|r| r.data));
+        prop_assert!(hot.lost.is_empty(), "hot: {:?}", hot.lost);
         // Cold reads after burning + eviction.
         ros.flush().unwrap();
         ros.evict_burned_copies();
         ros.unload_all_bays().unwrap();
-        for (path, data) in &expected {
-            let p: UdfPath = path.parse().unwrap();
-            let r = ros.read_file(&p).unwrap();
-            prop_assert_eq!(r.data.as_ref(), data.as_slice());
-        }
+        let cold = model.sweep(|path| ros.read_file(path).map(|r| r.data));
+        prop_assert!(cold.lost.is_empty(), "cold: {:?}", cold.lost);
     }
 }
 
@@ -192,15 +182,14 @@ proptest! {
         a in 0u64..250_000,
         b in 0u64..250_000
     ) {
-        let mut ros = Ros::new(RosConfig::tiny());
+        let (mut ros, mut model) = (Ros::new(RosConfig::tiny()), Model::new(false));
         let path: UdfPath = "/range".parse().unwrap();
-        let data: Vec<u8> = (0..size).map(|i| (i % 241) as u8).collect();
+        let data: Bytes = (0..size).map(|i| (i % 241) as u8).collect();
         ros.write_file(&path, data.clone()).unwrap();
+        model.write(&path, data, false);
         let (offset, len) = if a <= b { (a, b - a) } else { (b, a - b) };
-        let r = ros.read_range(&path, offset, len).unwrap();
-        let lo = (offset as usize).min(data.len());
-        let hi = ((offset + len) as usize).min(data.len());
-        prop_assert_eq!(r.data.as_ref(), &data[lo..hi]);
+        let got = ros.read_range(&path, offset, len).map(|r| r.data);
+        prop_assert_eq!(model.judge(&path, Read::Range(offset, len), &got), Verdict::Exact);
     }
 
     #[test]
@@ -209,18 +198,16 @@ proptest! {
     ) {
         // A file spanning several 4 MiB images, with per-segment sizes
         // recorded; ranges crossing segment boundaries must reassemble.
-        let mut ros = Ros::new(RosConfig::tiny());
+        let (mut ros, mut model) = (Ros::new(RosConfig::tiny()), Model::new(false));
         let path: UdfPath = "/span".parse().unwrap();
         let size = 9 * 1024 * 1024;
-        let data: Vec<u8> = (0..size).map(|i| ((i as u64 ^ seed) % 251) as u8).collect();
+        let data: Bytes = (0..size).map(|i| ((i as u64 ^ seed) % 251) as u8).collect();
         let w = ros.write_file(&path, data.clone()).unwrap();
+        model.write(&path, data, false);
         prop_assume!(w.segments.len() >= 2);
         // A range straddling the first boundary, chosen from the seed.
-        let offset = 3 * 1024 * 1024 + (seed % 1024) * 1024;
-        let len = 2 * 1024 * 1024;
-        let r = ros.read_range(&path, offset, len).unwrap();
-        let lo = offset as usize;
-        let hi = (offset + len) as usize;
-        prop_assert_eq!(r.data.as_ref(), &data[lo..hi]);
+        let (offset, len) = (3 * 1024 * 1024 + (seed % 1024) * 1024, 2 * 1024 * 1024);
+        let got = ros.read_range(&path, offset, len).map(|r| r.data);
+        prop_assert_eq!(model.judge(&path, Read::Range(offset, len), &got), Verdict::Exact);
     }
 }

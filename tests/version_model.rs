@@ -1,21 +1,20 @@
-//! A model-checked version log (first slice of ROADMAP "One oracle, one
-//! campaign driver").
+//! A model-checked version log.
 //!
 //! `Ros` is driven with generated sequences of write / rewrite / unlink /
 //! re-create / seal / flush-and-evict / read / readdir over three paths in
 //! two directories and four payloads (two of them equal, so dedup has
-//! something to share), in lockstep with a reference model: path →
-//! bounded ring of `(version, payload, replaced)`, plus the directories
-//! made so far. Every read must return the model's bytes or the model's
-//! typed error (`NotFound`, `VersionGone`) — never another version's
-//! bytes, never another error — with dedup off and on. Every listing must
-//! name the model's live files and directories in name order, or say
-//! `NotFound` for a directory never made. With dedup on, after every op
-//! the reference count is the model's live versions and the blob count
-//! their distinct payloads; `Adopt` swaps in the system's own exported
-//! namespace (the model does not change), so every later read and count
-//! also checks the dedup map rebuilt from the MV against the one kept up
-//! write by write.
+//! something to share), in lockstep with the one reference model,
+//! [`ros_bench::model::Model`]: path → bounded ring of acked versions
+//! and their bytes, plus the directories made so far. Every read must
+//! return the model's bytes or the model's typed error (`NotFound`,
+//! `VersionGone`) — never another version's bytes, never another error —
+//! with dedup off and on. Every listing must name the model's live files
+//! and directories in name order, or say `NotFound` for a directory never
+//! made. With dedup on, after every op the reference count is the model's
+//! live versions and the blob count their distinct payloads; `Adopt` swaps
+//! in the system's own exported namespace (the model does not change), so
+//! every later read and count also checks the dedup map rebuilt from the
+//! MV against the one kept up write by write.
 //!
 //! The model applies §4.6's update rule itself (in place — the previous
 //! version's bytes are replaced — iff the newest version sits in an open
@@ -26,15 +25,16 @@
 //! Beside the property, three sequences that used to go wrong are pinned
 //! as plain tests.
 
+use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use ros::prelude::*;
 use ros::ros_olfs::maintenance::ProvenanceLocation;
 use ros::ros_olfs::mv::MetadataVolume;
-use std::collections::{BTreeMap, BTreeSet};
+use ros_bench::model::{Model, Read};
 
 /// Retained versions per file (§4.6).
-const RING: usize = 15;
+const RING: usize = ros::ros_olfs::params::MAX_VERSION_ENTRIES;
 /// Flushes a sequence may issue: each burns an array onto one of the tiny
 /// layout's eight trays.
 const MAX_FLUSHES: usize = 6;
@@ -47,13 +47,8 @@ fn path(i: usize) -> UdfPath {
     PATHS[i].parse().expect("valid path")
 }
 
-/// `PATHS[i]` as `(parent directory, file name)`.
-fn split(i: usize) -> (&'static str, &'static str) {
-    PATHS[i].rsplit_once('/').expect("absolute path")
-}
-
 /// Four payloads of three sizes; 0 and 1 are equal.
-fn payload(i: usize) -> Vec<u8> {
+fn payload(i: usize) -> Bytes {
     let (tag, len) = [(0xA1, 3_000), (0xA1, 3_000), (0xB2, 700), (0xC3, 5_000)][i];
     (0..len).map(|j| (j % 251) as u8 ^ tag).collect()
 }
@@ -87,96 +82,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-struct Version {
-    ver: u32,
-    payload: usize,
-    replaced: bool,
-}
-
-#[derive(Default)]
-struct Model {
-    dedup: bool,
-    files: BTreeMap<usize, Vec<Version>>,
-    /// Directories made by a write beneath them; they outlive their files.
-    dirs: BTreeSet<&'static str>,
-}
-
-impl Model {
-    /// Live versions holding `payload`'s bytes — the dedup reference
-    /// count when dedup is on (payloads 0 and 1 are the same bytes).
-    fn refs(&self, payload: usize) -> usize {
-        self.files
-            .values()
-            .flatten()
-            .filter(|v| !v.replaced && v.payload.max(1) == payload.max(1))
-            .count()
-    }
-
-    /// `(blobs, links)` dedup must report: the live versions' distinct
-    /// payloads, and the live versions.
-    fn dedup_counts(&self) -> (u64, u64) {
-        let live = || self.files.values().flatten().filter(|v| !v.replaced);
-        let distinct: BTreeSet<usize> = live().map(|v| v.payload.max(1)).collect();
-        (distinct.len() as u64, live().count() as u64)
-    }
-
-    /// What `readdir(DIRS[d])` lists, in name order; `None` for a
-    /// directory never made.
-    fn listing(&self, d: usize) -> Option<Vec<(String, bool)>> {
-        match DIRS[d] {
-            "/" => Some(
-                self.dirs
-                    .iter()
-                    .map(|dir| (dir[1..].to_string(), true))
-                    .collect(),
-            ),
-            dir if self.dirs.contains(dir) => Some(
-                self.files
-                    .keys()
-                    .map(|&p| split(p))
-                    .filter(|(parent, _)| *parent == dir)
-                    .map(|(_, name)| (name.to_string(), false))
-                    .collect(),
-            ),
-            _ => None,
-        }
-    }
-
-    /// §4.6 and §14: `latest_open` says whether the newest version of
-    /// `p` sits in an open bucket.
-    fn write(&mut self, p: usize, payload: usize, latest_open: bool) {
-        self.dirs.insert(split(p).0);
-        let shared = self.dedup
-            && self
-                .files
-                .get(&p)
-                .and_then(|log| log.last())
-                .is_some_and(|l| self.refs(l.payload) > 1);
-        let log = self.files.entry(p).or_default();
-        let mut ver = 1;
-        if let Some(latest) = log.last_mut() {
-            latest.replaced = latest_open && !shared;
-            ver = latest.ver + 1;
-        }
-        if log.len() == RING {
-            log.remove(0);
-        }
-        log.push(Version {
-            ver,
-            payload,
-            replaced: false,
-        });
-    }
-}
-
 fn not_found<T: std::fmt::Debug>(r: Result<T, OlfsError>) -> bool {
     matches!(r, Err(OlfsError::NotFound(_)))
 }
 
 /// With dedup on, the map's counts must be the model's.
-fn counts_agree(ros: &Ros, model: &Model) -> Result<(), String> {
+fn counts_agree(ros: &Ros, model: &Model, dedup: bool) -> Result<(), String> {
     let (stats, want) = (ros.dedup_stats(), model.dedup_counts());
-    if model.dedup && (stats.blobs, stats.links) != want {
+    if dedup && (stats.blobs, stats.links) != want {
         return Err(format!("want (blobs, links) {want:?}, got {stats:?}"));
     }
     Ok(())
@@ -184,17 +97,14 @@ fn counts_agree(ros: &Ros, model: &Model) -> Result<(), String> {
 
 /// Runs `ops` against a fresh rack and the model; `Err` describes the
 /// first divergence.
-fn check(dedup: bool, ops: &[Op]) -> Result<(), String> {
+fn check(dedup: bool, ops: &[Op]) -> Result<Ros, String> {
     let mut cfg = RosConfig::tiny();
     cfg.dedup = dedup;
     let mut ros = Ros::new(cfg);
-    let mut model = Model {
-        dedup,
-        ..Model::default()
-    };
+    let mut model = Model::new(dedup);
     let mut flushes = 0;
     for (i, op) in ops.iter().enumerate() {
-        counts_agree(&ros, &model).map_err(|e| format!("before op {i} {op:?}: {e}"))?;
+        counts_agree(&ros, &model, dedup).map_err(|e| format!("before op {i} {op:?}: {e}"))?;
         let fail = |what: String| Err(format!("op {i} {op:?}: {what}"));
         match *op {
             Op::Write(p, x) => {
@@ -203,8 +113,7 @@ fn check(dedup: bool, ops: &[Op]) -> Result<(), String> {
                         matches!(rec.locations[..], [ProvenanceLocation::OpenBucket { .. }])
                     })
                 });
-                model.write(p, x, latest_open);
-                let want = model.files[&p].last().expect("just pushed").ver;
+                let want = model.write(&path(p), payload(x), latest_open);
                 match ros.write_file(&path(p), payload(x)) {
                     Ok(w) if w.version == want => {}
                     other => return fail(format!("want version {want}, got {other:?}")),
@@ -212,7 +121,7 @@ fn check(dedup: bool, ops: &[Op]) -> Result<(), String> {
             }
             Op::Unlink(p) => {
                 let r = ros.unlink(&path(p));
-                if model.files.remove(&p).is_some() != r.is_ok() {
+                if model.unlink(&path(p)) != r.is_ok() {
                     return fail(format!("unlink gave {r:?}"));
                 }
                 if r.is_err() && !not_found(r) {
@@ -235,62 +144,40 @@ fn check(dedup: bool, ops: &[Op]) -> Result<(), String> {
                 ros.adopt_namespace(mv);
             }
             Op::Readdir(d) => {
-                let got = ros.readdir(&DIRS[d].parse().expect("valid path"));
-                match (model.listing(d), got) {
+                let dir: UdfPath = DIRS[d].parse().expect("valid path");
+                match (model.listing(&dir), ros.readdir(&dir)) {
                     (Some(want), Ok(got)) if got == want => {}
                     (None, Err(OlfsError::NotFound(_))) => {}
                     (want, got) => return fail(format!("want {want:?}, got {got:?}")),
                 }
             }
             Op::ReadFile(p) | Op::ReadRange(p, ..) | Op::ReadVersion(p, _) => {
-                let got = match *op {
-                    Op::ReadFile(_) => ros.read_file(&path(p)),
-                    Op::ReadRange(_, offset, len) => ros.read_range(&path(p), offset, len),
-                    Op::ReadVersion(_, ver) => ros.read_version(&path(p), ver),
-                    _ => unreachable!(),
-                };
-                let Some(log) = model.files.get(&p) else {
-                    if !not_found(got) {
-                        return fail("a missing file must say NotFound".into());
+                let (read, got) = match *op {
+                    Op::ReadRange(_, offset, len) => (
+                        Read::Range(offset, len),
+                        ros.read_range(&path(p), offset, len),
+                    ),
+                    Op::ReadVersion(_, ver) => {
+                        (Read::Version(ver), ros.read_version(&path(p), ver))
                     }
-                    continue;
+                    _ => (Read::Latest, ros.read_file(&path(p))),
                 };
-                let want = match *op {
-                    Op::ReadVersion(_, ver) => log.iter().find(|v| v.ver == ver && !v.replaced),
-                    _ => log.last(),
-                };
-                let Some(want) = want else {
-                    if !matches!(got, Err(OlfsError::VersionGone { .. })) {
-                        return fail(format!("want VersionGone, got {got:?}"));
+                match (model.owed(&path(p), read), got) {
+                    (Ok((ver, data)), Ok(r)) if r.version == ver && r.data.as_ref() == data => {}
+                    (Err(want), Err(got)) if want == got => {}
+                    (want, got) => {
+                        // Versions and lengths, not kilobytes of payload.
+                        let want = want.map(|(ver, data)| (ver, data.len()));
+                        let got = got.map(|r| (r.version, r.data.len()));
+                        return fail(format!("want {want:?}, got {got:?}"));
                     }
-                    continue;
-                };
-                let mut bytes = payload(want.payload);
-                if let Op::ReadRange(_, offset, len) = *op {
-                    let lo = (offset as usize).min(bytes.len());
-                    let hi = (offset.saturating_add(len) as usize).min(bytes.len());
-                    bytes = bytes[lo..hi].to_vec();
-                }
-                match got {
-                    Ok(r) if r.version == want.ver && r.data.as_ref() == bytes.as_slice() => {}
-                    Ok(r) => {
-                        return fail(format!(
-                            "want v{} ({} bytes of payload {}), got v{} ({} bytes)",
-                            want.ver,
-                            bytes.len(),
-                            want.payload,
-                            r.version,
-                            r.data.len()
-                        ))
-                    }
-                    Err(e) => return fail(format!("want v{}, got {e:?}", want.ver)),
                 }
             }
         }
     }
-    counts_agree(&ros, &model).map_err(|e| format!("at the end: {e}"))?;
+    counts_agree(&ros, &model, dedup).map_err(|e| format!("at the end: {e}"))?;
     match ros.verify_consistency() {
-        issues if issues.is_empty() => Ok(()),
+        issues if issues.is_empty() => Ok(ros),
         issues => Err(format!("inconsistent at the end: {issues:?}")),
     }
 }
@@ -308,68 +195,53 @@ proptest! {
     }
 }
 
-fn dedup_rack() -> Ros {
-    let mut cfg = RosConfig::tiny();
-    cfg.dedup = true;
-    Ros::new(cfg)
-}
-
-/// Asserts a read returned payload `x` (without dumping kilobytes).
-fn assert_payload(got: Result<ros::ros_olfs::ReadReport, OlfsError>, x: usize) {
-    let got = got.expect("read");
-    assert!(
-        got.data.as_ref() == payload(x).as_slice(),
-        "v{} is not payload {x}: {} bytes starting {:?}",
-        got.version,
-        got.data.len(),
-        &got.data[..got.data.len().min(4)]
-    );
-}
-
 /// A dead file's bookkeeping must not resolve a live file's reads: the
 /// re-created `/f` once read version 2 with version 1's bytes, and
 /// answered `VersionGone` for its live version 1.
 #[test]
 fn recreated_file_reads_its_own_versions() {
-    let (f, g) = (path(0), path(1));
-    let mut ros = dedup_rack();
-    ros.write_file(&f, payload(2)).unwrap();
-    ros.write_file(&f, payload(3)).unwrap(); // In place.
-    ros.seal_open_buckets().unwrap();
-    ros.unlink(&f).unwrap();
-    ros.write_file(&f, payload(0)).unwrap();
-    ros.write_file(&g, payload(1)).unwrap(); // Dedup hit: /f v1 is shared.
+    use Op::*;
+    // The second write is in place; after the re-create, `/g` shares
+    // `/f` v1's bytes (a dedup hit), so `/f`'s rewrite regenerates.
+    let ops = [
+        Write(0, 2),
+        Write(0, 3),
+        Seal,
+        Unlink(0),
+        Write(0, 0),
+        Write(1, 1),
+    ];
+    let reads = [
+        Write(0, 2),
+        ReadFile(0),
+        ReadVersion(0, 2),
+        ReadVersion(0, 1),
+    ];
+    let ros = check(true, &[&ops[..], &reads].concat()).unwrap();
     assert_eq!(ros.counters().dedup_hits, 1);
-    let w = ros.write_file(&f, payload(2)).unwrap(); // So this regenerates.
-    assert_eq!(w.version, 2);
-
-    assert_payload(ros.read_file(&f), 2);
-    assert_payload(ros.read_version(&f, 2), 2);
-    assert_payload(ros.read_version(&f, 1), 0);
-    assert!(ros.provenance(&f).unwrap().iter().all(|rec| rec.readable));
-    assert!(ros.verify_consistency().is_empty());
+    assert!(ros
+        .provenance(&path(0))
+        .unwrap()
+        .iter()
+        .all(|rec| rec.readable));
 }
 
 /// Re-creating an unlinked path while its old bytes still sit in an
 /// open bucket once failed with `already exists` and left a version-less
-/// index file behind.
+/// index file behind. The third life finds both open buckets staging the
+/// name and seals one.
 #[test]
 fn recreating_an_unlinked_path_places_beside_its_old_bytes() {
-    let f = path(0);
-    let mut ros = Ros::new(RosConfig::tiny());
-    ros.write_file(&f, payload(2)).unwrap();
-    ros.write_file(&f, payload(3)).unwrap();
-    ros.unlink(&f).unwrap();
-    let w = ros.write_file(&f, payload(0)).unwrap();
-    assert_eq!(w.version, 1);
-    assert_payload(ros.read_file(&f), 0);
-    // Both open buckets now stage the name; the third life seals one.
-    ros.unlink(&f).unwrap();
-    ros.write_file(&f, payload(2)).unwrap();
-    ros.unlink(&f).unwrap();
-    ros.write_file(&f, payload(3)).unwrap();
-    assert_payload(ros.read_file(&f), 3);
-    assert!(ros.verify_consistency().is_empty());
+    use Op::*;
+    let lives = [
+        Write(0, 2),
+        Write(0, 3),
+        Unlink(0),
+        Write(0, 0),
+        ReadFile(0),
+    ];
+    let more = [Unlink(0), Write(0, 2), Unlink(0), Write(0, 3), ReadFile(0)];
+    check(false, &[&lives[..], &more].concat()).unwrap();
 }
 
 /// A create whose placement fails leaves nothing behind: here the open
@@ -388,7 +260,7 @@ fn a_failed_create_leaves_no_index_file_behind() {
     assert!(!not_found(ros.write_file(&f, payload(0))));
     ros.seal_open_buckets().unwrap();
     assert_eq!(ros.write_file(&f, payload(0)).unwrap().version, 1);
-    assert_payload(ros.read_file(&f), 0);
+    assert!(ros.read_file(&f).unwrap().data == payload(0));
 }
 
 /// A version the 15-entry ring evicts gives its dedup reference back and
@@ -398,7 +270,9 @@ fn a_failed_create_leaves_no_index_file_behind() {
 #[test]
 fn ring_eviction_releases_dedup_references() {
     let f = path(0);
-    let mut ros = dedup_rack();
+    let mut cfg = RosConfig::tiny();
+    cfg.dedup = true;
+    let mut ros = Ros::new(cfg);
     let mut segments = Vec::new();
     for i in 0..20u8 {
         segments.push(ros.write_file(&f, vec![i; 2_000]).unwrap().segments);
