@@ -302,8 +302,8 @@ mod tests {
         os.ros_mut().flush().unwrap();
         // Full disaster: rebuild the namespace from the discs; both data
         // and sidecar metadata come back (unique file paths, §4.4).
-        let report = os.ros_mut().rebuild_namespace_from_discs().unwrap();
-        os.ros_mut().adopt_namespace(report.mv);
+        let from = ros_olfs::MvSource::DiscScan;
+        os.ros_mut().recover(from).unwrap();
         let obj = os.get_object("cold", "obj-7").unwrap();
         assert_eq!(obj.data.as_ref(), vec![7u8; 250_000].as_slice());
         assert_eq!(obj.meta.user["seq"], "7");

@@ -265,8 +265,8 @@ mod tests {
                     Some((path.clone(), *segs.first()?))
                 });
                 let (path, image) = held.expect("rack 0 holds part of the namespace");
-                let blank = ros_olfs::mv::MetadataVolume::default();
-                c.racks[0].ros_mut().adopt_namespace(blank);
+                let blank = ros_olfs::MvSource::Volume(ros_olfs::mv::MetadataVolume::default());
+                c.racks[0].ros_mut().recover(blank).unwrap();
                 assert!(c.racks[0].ros().paths_of_image(image).is_empty());
                 c.recover_mv_via_guardian(0).unwrap();
                 assert!(c.racks[0].ros().paths_of_image(image).contains(&path));

@@ -10,14 +10,15 @@
 //! any archive data.
 //!
 //! Recovery reads the newest guardian copy back and rebuilds a
-//! [`MetadataVolume`] from it; [`ros_olfs::Ros::adopt_namespace`] then
-//! installs it on a rack that lost its MV but kept its media.
+//! [`MetadataVolume`] from it; [`ros_olfs::Ros::recover`] then installs
+//! it on a rack that lost its MV but kept its media.
 
 use crate::error::ClusterError;
 use crate::placement::{self, RackId};
 use crate::router::Cluster;
 use bytes::Bytes;
 use ros_olfs::mv::MetadataVolume;
+use ros_olfs::recovery::MvSource;
 use ros_sim::SimDuration;
 use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
@@ -167,9 +168,11 @@ impl Cluster {
         }
         let start = self.now();
         let (mv, _guardian) = self.recover_namespace(rack)?;
-        let files = mv.file_count();
-        self.racks[idx].ros_mut().adopt_namespace(mv);
-        Ok((files, self.elapsed_since(start)))
+        let report = self.racks[idx]
+            .ros_mut()
+            .recover(MvSource::Volume(mv))
+            .map_err(ClusterError::on(rack))?;
+        Ok((report.files_recovered, self.elapsed_since(start)))
     }
 }
 
@@ -219,7 +222,10 @@ mod tests {
         // Simulate MV loss on the owner: blank its namespace, then
         // recover from the guardian.
         let blank = MetadataVolume::restore(&MetadataVolume::default().snapshot()).unwrap();
-        c.racks[owner as usize].ros_mut().adopt_namespace(blank);
+        c.racks[owner as usize]
+            .ros_mut()
+            .recover(MvSource::Volume(blank))
+            .unwrap();
         let (files, elapsed) = c.recover_mv_via_guardian(owner).unwrap();
         assert!(files >= 1);
         let _ = elapsed;

@@ -500,21 +500,6 @@ impl ImageStore {
         }
         Ok(old_slot)
     }
-
-    /// Serialises DAindex + DILindex for the MV state store.
-    pub fn state_json(&self) -> serde_json::Value {
-        let da: BTreeMap<String, DaState> = self
-            .da_index
-            .iter()
-            .map(|(k, v)| (k.to_string(), *v))
-            .collect();
-        let dil: BTreeMap<String, DiscLocation> = self
-            .images
-            .values()
-            .filter_map(|i| i.burned.map(|b| (i.id.0.to_string(), b)))
-            .collect();
-        serde_json::json!({ "da_index": da, "dil_index": dil })
-    }
 }
 
 /// The physical discs of the rack: blank media in trays, moving to drives
@@ -786,29 +771,6 @@ mod tests {
         let d2 = reg.take(tray[1]).unwrap();
         assert!(reg.put_back(d2.clone()).is_ok());
         assert!(reg.put_back(d2).is_err(), "double return must fail");
-    }
-
-    #[test]
-    fn state_json_reflects_indices() {
-        let l = layout();
-        let mut store = ImageStore::new(&l);
-        let img = sealed(&mut store, 1);
-        let id = ImageId(img.image_id());
-        store.register_sealed(img, 2, &p());
-        store
-            .mark_burned(
-                id,
-                DiscLocation {
-                    disc: DiscId(3),
-                    slot: SlotAddress::new(0, 1, 0),
-                    position: 2,
-                },
-            )
-            .unwrap();
-        store.set_da_state(2, DaState::Used);
-        let json = store.state_json();
-        assert_eq!(json["da_index"]["2"], serde_json::json!("Used"));
-        assert!(json["dil_index"][id.0.to_string()].is_object());
     }
 }
 

@@ -23,9 +23,10 @@ use crate::ids::{ArrayId, DiscId, ImageId};
 use crate::index::{LocTag, VersionEntry};
 use crate::mv::MetadataVolume;
 use crate::params;
+use crate::recovery::MvSource;
 use crate::redundancy;
 use crate::trace::OpTrace;
-use crate::wbm::{link_file_name, BucketManager, LinkFile, Placement};
+use crate::wbm::{link_file_name, shadow_file_name, BucketManager, LinkFile, Placement};
 use bytes::Bytes;
 use ros_cas::verify_payloads;
 use ros_disk::volume::{VolumeId, VolumeManager};
@@ -562,7 +563,7 @@ impl Ros {
     fn shadow_path(path: &UdfPath, ver: u32) -> UdfPath {
         // Callers only pass file paths; a root path has no shadow.
         match (path.parent(), path.name()) {
-            (Some(parent), Some(name)) => parent.join(&format!(".rosv{ver}-{name}")),
+            (Some(parent), Some(name)) => parent.join(&shadow_file_name(ver, name)),
             _ => path.clone(),
         }
     }
@@ -1992,7 +1993,9 @@ impl Ros {
     /// Failed and the groups go to the back of the burn backlog, for
     /// fresh trays. Pending parity generations are simply rescheduled,
     /// and the idle-audit tick starts a new interval. The restart costs
-    /// the arm sending the ruined arrays home, then 90 s.
+    /// the arm sending the ruined arrays home, then 90 s, and ends in
+    /// [`Ros::recover`] from the live MV, which rebuilds the views
+    /// derived from it.
     ///
     /// Returns `(aborted_burns, rescheduled_parities)`.
     pub fn simulate_crash_and_restart(&mut self) -> Result<(usize, usize), OlfsError> {
@@ -2032,6 +2035,9 @@ impl Ros {
             self.queue.schedule_in(interval, Event::ScrubTick);
         }
         self.try_start_burns(self.now());
+
+        // 5. Every view derived from the MV is rebuilt from it.
+        self.recover(MvSource::Live)?;
         Ok((cut.len(), parities))
     }
 }
@@ -2231,7 +2237,7 @@ mod tests {
         for (path, idx) in r.mv.iter_files() {
             assert_eq!(back.get(path), Some(idx), "{path}");
         }
-        r.adopt_namespace(back);
+        r.recover(MvSource::Volume(back)).unwrap();
         assert_eq!(r.read_file(&p("/alias")).unwrap().data.as_ref(), b"aaaa");
         assert_eq!(r.read_file(&p("/d/u")).unwrap().data.as_ref(), b"three");
         assert_eq!(r.read_version(&p("/d/u"), 1).unwrap().data.as_ref(), b"one");

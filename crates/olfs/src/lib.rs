@@ -74,4 +74,5 @@ pub use engine::{ReadReport, Ros, WriteReport};
 pub use error::OlfsError;
 pub use ids::{ArrayId, DiscId, ImageId};
 pub use posix::{Fd, OpenFlags, PosixFs, Whence};
+pub use recovery::{MvSource, RecoveryReport};
 pub use ros_udf::UdfPath;

@@ -4,15 +4,14 @@
 //! maintain the system by an interactive interface for administrators."
 //!
 //! Everything here is read-mostly introspection plus the long-running
-//! care tasks: DAindex/DILindex inspection, checkpointing system state
-//! into MV, and media ageing injection for reliability drills. §4.7's
-//! idle-time media scan is the audit ([`Ros::audit_sample`]).
+//! care tasks: DAindex/DILindex inspection and media ageing injection
+//! for reliability drills. §4.7's idle-time media scan is the audit
+//! ([`Ros::audit_sample`]).
 
 use crate::dim::{DaState, GroupState};
 use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
-use ros_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -175,32 +174,6 @@ impl Ros {
         Some(gid)
     }
 
-    /// Checkpoints DAindex/DILindex and counters into MV's state store
-    /// (§4.2: "Once ROS crashes, OLFS can recover from its previous
-    /// checkpoint state with all state information stored in MV").
-    pub fn checkpoint(&mut self) {
-        let state = self.store.state_json();
-        self.mv.put_state("dim", state);
-        self.mv.put_state(
-            "counters",
-            serde_json::json!({
-                "writes": self.counters.writes,
-                "reads": self.counters.reads,
-                "burns": self.counters.burns,
-            }),
-        );
-        self.mv
-            .put_state("checkpoint_nanos", serde_json::json!(self.now().as_nanos()));
-    }
-
-    /// Reads back the last checkpoint, if any.
-    pub fn last_checkpoint(&self) -> Option<SimTime> {
-        self.mv
-            .get_state("checkpoint_nanos")
-            .and_then(serde_json::Value::as_u64)
-            .map(SimTime::from_nanos)
-    }
-
     /// Ages every burned disc in the library with an elevated sector
     /// error rate (reliability drills; the nominal rate of §4.7 is
     /// 1e-16 and would never fire at test scale).
@@ -244,17 +217,6 @@ mod tests {
         assert_eq!(after.files, 1);
         assert!(after.mv_bytes > before.mv_bytes);
         assert_eq!(after.da_counts.0, 8);
-    }
-
-    #[test]
-    fn checkpoint_round_trip() {
-        let mut ros = Ros::new(RosConfig::tiny());
-        assert!(ros.last_checkpoint().is_none());
-        ros.write_file(&"/f".parse().unwrap(), vec![0u8; 10])
-            .unwrap();
-        ros.checkpoint();
-        let t = ros.last_checkpoint().unwrap();
-        assert_eq!(t, ros.now());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::error::OlfsError;
 use crate::index::IndexFile;
+use crate::wbm::{parse_link_file_name, parse_shadow_file_name};
 use ros_udf::format::{MAX_DEPTH, MAX_NAME_LEN};
 use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
@@ -162,13 +163,23 @@ impl MetadataVolume {
         Ok(())
     }
 
-    /// The door of the namespace: refuses a name over [`NAME_MAX`] bytes
-    /// or a path deeper than an image holds, whether the path was parsed
-    /// or joined, before anything is created or acknowledged.
+    /// The door of the namespace: refuses a name over [`NAME_MAX`] bytes,
+    /// a path deeper than an image holds, and a name OLFS reserves for
+    /// its in-image version shadows and link files (a disc scan would
+    /// read it as one), whether the path was parsed or joined, before
+    /// anything is created or acknowledged.
     fn admit(path: &UdfPath) -> Result<(), OlfsError> {
         if path.components().count() > MAX_DEPTH || path.components().any(|c| c.len() > NAME_MAX) {
             return Err(OlfsError::Invalid(format!(
                 "{path}: a name over {NAME_MAX} bytes or more than {MAX_DEPTH} levels"
+            )));
+        }
+        if path
+            .components()
+            .any(|c| parse_shadow_file_name(c).is_some() || parse_link_file_name(c).is_some())
+        {
+            return Err(OlfsError::Invalid(format!(
+                "{path}: a name reserved for version shadows and link files"
             )));
         }
         Ok(())

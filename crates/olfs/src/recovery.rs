@@ -1,25 +1,36 @@
-//! Namespace recovery: MV snapshots on disc and full disc-scan rebuild.
+//! Recovery: one way back to a running engine, whatever survived.
 //!
-//! Two mechanisms from the paper:
+//! [`Ros::recover`] takes the metadata volume from one [`MvSource`] and
+//! installs it: every view derived from the MV — the image → paths map
+//! and the dedup catalog — is rebuilt from its version entries. The
+//! sources are the paper's:
 //!
-//! 1. **MV snapshot burning** (§4.2): "MV is periodically burned into
+//! 1. **Power loss** (§4.2): "Once ROS crashes, OLFS can recover from its
+//!    previous checkpoint state with all state information stored in MV."
+//! 2. **MV snapshot burning** (§4.2): "MV is periodically burned into
 //!    discs. Once MV fails, the entire global namespace can be recovered
 //!    from discs... As an experiment, ROS took half an hour to recover MV
 //!    from 120 discs."
-//! 2. **Disc-scan reconstruction** (§4.4): because every image carries
+//! 3. **Disc-scan reconstruction** (§4.4): because every image carries
 //!    its files under their *unique global paths* with full ancestor
 //!    directories, "Even if all electronic and mechanical components
 //!    failed, all or partial data can be reconstructed by scanning all
 //!    survived discs."
+//!
+//! Both disc sources read the library through the repair rung
+//! ([`Ros::rebuild`]), so a recovery tolerates exactly the damage a read
+//! tolerates.
 
 use crate::dedup::DedupLayer;
-use crate::dim::DaState;
+use crate::dim::{DaState, GroupState};
 use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::ImageId;
 use crate::index::{LocTag, VersionEntry};
 use crate::mv::MetadataVolume;
-use crate::wbm::{parse_link_file_name, LinkFile};
+use crate::wbm::{parse_link_file_name, parse_shadow_file_name, LinkFile};
+use bytes::Bytes;
+use ros_cas::Verified;
 use ros_sim::SimDuration;
 use ros_udf::{SealedImage, UdfPath};
 use std::collections::BTreeMap;
@@ -30,21 +41,46 @@ pub const MV_SNAPSHOT_DIR: &str = "/.mv-snapshots";
 /// Chunk size for snapshot part files.
 const SNAPSHOT_PART_BYTES: usize = 512 * 1024;
 
-/// Result of a disc-scan rebuild.
+/// Where [`Ros::recover`] takes the metadata volume from.
 #[derive(Clone, Debug)]
-pub struct RebuildReport {
-    /// Trays read.
+pub enum MvSource {
+    /// Power loss: the MV on its SSD RAID-1 survived as it was. Charges
+    /// nothing.
+    Live,
+    /// A volume from elsewhere — a guardian rack's copy
+    /// ([`MetadataVolume::restore`] of its snapshot text), or a blank
+    /// one. Charges nothing; fetching the copy was the caller's read.
+    Volume(MetadataVolume),
+    /// The newest MV snapshot burned to this rack's discs (§4.2).
+    /// Charges the scan: every used tray's load and unload, and its
+    /// media reads at the bay's aggregate read rate.
+    DiscSnapshot,
+    /// The namespace the files on the discs describe (§4.4), charged as
+    /// [`MvSource::DiscSnapshot`].
+    DiscScan,
+}
+
+/// What a recovery read and installed.
+#[derive(Clone, Debug, Default)]
+pub struct RecoveryReport {
+    /// Trays the scan loaded.
     pub trays_read: usize,
-    /// Discs read.
+    /// Discs the scan read a track from.
     pub discs_read: usize,
-    /// Data images successfully parsed.
+    /// Digest-verified data images the scan parsed.
     pub images_parsed: usize,
-    /// Files recovered into the rebuilt namespace.
+    /// Files in the installed namespace.
     pub files_recovered: usize,
-    /// Simulated time the rebuild took (mechanics + disc reads).
+    /// Simulated time the recovery took.
     pub elapsed: SimDuration,
-    /// The rebuilt metadata volume.
-    pub mv: MetadataVolume,
+}
+
+/// Every matching file occurrence a disc scan found; the same path may
+/// appear in several images (split subfiles, version shadows).
+#[derive(Default)]
+struct ScanResult {
+    report: RecoveryReport,
+    files: Vec<(UdfPath, ImageId, Bytes)>,
 }
 
 impl Ros {
@@ -73,168 +109,26 @@ impl Ros {
         Ok((seq, count))
     }
 
-    /// Recovers the MV from the newest snapshot found by scanning the
-    /// library's discs — the timed §4.2 experiment. Does not consult the
-    /// live MV (assumed lost); returns the restored volume and the
-    /// simulated recovery duration.
-    pub fn recover_mv_from_discs(&mut self) -> Result<(MetadataVolume, SimDuration), OlfsError> {
+    /// The one way back: takes the metadata volume from `from`, installs
+    /// it, and rebuilds the image → paths map and the dedup catalog from
+    /// its version entries. The disc sources consult no live MV (it is
+    /// assumed lost) and fail with [`OlfsError::BadState`] when no
+    /// snapshot survived; a recovery that fails installs nothing.
+    pub fn recover(&mut self, from: MvSource) -> Result<RecoveryReport, OlfsError> {
         let start = self.now();
-        let scan = self.scan_burned_images(|path, _| path.as_str().starts_with(MV_SNAPSHOT_DIR))?;
-        // Pick the newest snapshot sequence present.
-        let mut by_seq: BTreeMap<String, BTreeMap<String, Vec<u8>>> = BTreeMap::new();
-        for (path, _image, bytes) in scan.files {
-            let mut comps = path.components();
-            if let (Some(_), Some(seq), Some(_), None) =
-                (comps.next(), comps.next(), comps.next(), comps.next())
-            {
-                by_seq
-                    .entry(seq.to_owned())
-                    .or_default()
-                    .insert(path.to_string(), bytes);
+        let snapshots = |path: &UdfPath| path.as_str().starts_with(MV_SNAPSHOT_DIR);
+        let (mv, mut report) = match from {
+            MvSource::Live => (std::mem::take(&mut self.mv), RecoveryReport::default()),
+            MvSource::Volume(mv) => (mv, RecoveryReport::default()),
+            MvSource::DiscSnapshot => {
+                let scan = self.scan_burned_images(snapshots)?;
+                (newest_snapshot(scan.files)?, scan.report)
             }
-        }
-        let (_seq, parts) = by_seq
-            .into_iter()
-            .next_back()
-            .ok_or_else(|| OlfsError::BadState("no MV snapshot found on discs".into()))?;
-        let mut joined = Vec::new();
-        for (_, part) in parts {
-            joined.extend_from_slice(&part);
-        }
-        let restored = MetadataVolume::restore(
-            core::str::from_utf8(&joined)
-                .map_err(|_| OlfsError::BadState("snapshot not UTF-8".into()))?,
-        )?;
-        Ok((restored, self.now().duration_since(start)))
-    }
-
-    /// Full §4.4 disaster rebuild: scans every burned disc, parses its
-    /// image, and reconstructs the namespace from the unique file paths,
-    /// link files and version shadows found on the media alone.
-    pub fn rebuild_namespace_from_discs(&mut self) -> Result<RebuildReport, OlfsError> {
-        let start = self.now();
-        let scan =
-            self.scan_burned_images(|path, _| !path.as_str().starts_with(MV_SNAPSHOT_DIR))?;
-
-        // Pass 1: classify occurrences.
-        struct Continuation {
-            offset: u64,
-        }
-        // (path, image) -> continuation info from link files.
-        let mut continuations: BTreeMap<(String, u64), Continuation> = BTreeMap::new();
-        // original path -> versions found as shadows: (ver, image, len,
-        // the shadow's own path).
-        let mut shadows: BTreeMap<String, Vec<(u32, ImageId, u64, UdfPath)>> = BTreeMap::new();
-        // regular occurrences: (path, image, len).
-        let mut regulars: Vec<(UdfPath, ImageId, u64)> = Vec::new();
-        for (path, image, bytes) in &scan.files {
-            let Some(name) = path.name() else { continue };
-            if let Some(orig_name) = parse_link_file_name(name) {
-                if let (Ok(link), Some(parent)) = (
-                    LinkFile::from_json(core::str::from_utf8(bytes).unwrap_or("")),
-                    path.parent(),
-                ) {
-                    let orig = parent.join(orig_name);
-                    continuations.insert(
-                        (orig.to_string(), image.0),
-                        Continuation {
-                            offset: link.offset,
-                        },
-                    );
-                }
-                continue;
+            MvSource::DiscScan => {
+                let scan = self.scan_burned_images(|path| !snapshots(path))?;
+                (namespace_of(scan.files)?, scan.report)
             }
-            if let Some(rest) = name.strip_prefix(".rosv") {
-                if let Some(dash) = rest.find('-') {
-                    if let (Ok(ver), Some(parent)) = (rest[..dash].parse::<u32>(), path.parent()) {
-                        let orig = parent.join(&rest[dash + 1..]);
-                        shadows.entry(orig.to_string()).or_default().push((
-                            ver,
-                            *image,
-                            bytes.len() as u64,
-                            path.clone(),
-                        ));
-                        continue;
-                    }
-                }
-            }
-            regulars.push((path.clone(), *image, bytes.len() as u64));
-        }
-
-        // Pass 2: assemble base files, ordering subfiles by their link
-        // offsets (the first subfile has no link file, offset 0).
-        let mut base: BTreeMap<String, Vec<(u64, ImageId, u64)>> = BTreeMap::new();
-        for (path, image, len) in &regulars {
-            let key = path.to_string();
-            let offset = continuations
-                .get(&(key.clone(), image.0))
-                .map(|c| c.offset)
-                .unwrap_or(0);
-            base.entry(key).or_default().push((offset, *image, *len));
-        }
-
-        // Build the namespace.
-        let mut mv = MetadataVolume::new();
-        let mut files = 0usize;
-        for (path_str, parts) in &base {
-            let path: UdfPath = path_str.parse().map_err(|_| {
-                OlfsError::BadState(format!("recovered path {path_str:?} failed to re-parse"))
-            })?;
-            let mut parts = parts.clone();
-            parts.sort_unstable();
-            parts.dedup_by_key(|(_, img, _)| *img);
-            let total_size: u64 = parts.iter().map(|(_, _, l)| *l).sum();
-            let segs: Vec<ImageId> = parts.iter().map(|(_, img, _)| *img).collect();
-            let seg_sizes: Vec<u64> = parts.iter().map(|(_, _, l)| *l).collect();
-            let idx = mv.create(&path)?;
-            idx.push_version(VersionEntry::new(
-                LocTag::Disc,
-                total_size,
-                0,
-                segs,
-                seg_sizes,
-            ));
-            files += 1;
-            // Replay regenerated versions in order.
-            let mut list = shadows.remove(path_str).unwrap_or_default();
-            list.sort_unstable();
-            for (ver, image, size, shadow) in list {
-                // Keep version numbers aligned: a gap repeats the entry
-                // before it.
-                while let Some(prev) = idx.latest().filter(|e| e.ver + 1 < ver).cloned() {
-                    idx.push_version(prev);
-                }
-                idx.push_version(shadow_entry(image, size, shadow));
-            }
-        }
-        // What is left are shadow-only files (base version's image
-        // lost): best effort.
-        for (orig, mut list) in shadows {
-            let path: UdfPath = orig.parse().map_err(|_| {
-                OlfsError::BadState(format!("recovered path {orig:?} failed to re-parse"))
-            })?;
-            let idx = mv.create(&path)?;
-            list.sort_unstable();
-            for (_, image, size, shadow) in list {
-                idx.push_version(shadow_entry(image, size, shadow));
-            }
-            files += 1;
-        }
-
-        Ok(RebuildReport {
-            trays_read: scan.trays_read,
-            discs_read: scan.discs_read,
-            images_parsed: scan.images_parsed,
-            files_recovered: files,
-            elapsed: self.now().duration_since(start),
-            mv,
-        })
-    }
-
-    /// Replaces the live MV with a recovered one (end of a disaster
-    /// drill), and rebuilds the two views derived from its version
-    /// entries: the image → paths map and the dedup catalog.
-    pub fn adopt_namespace(&mut self, mv: MetadataVolume) {
+        };
         self.mv = mv;
         self.image_paths.clear();
         self.dedup = DedupLayer::default();
@@ -249,30 +143,36 @@ impl Ros {
                 }
             }
         }
+        report.files_recovered = self.mv.file_count();
+        report.elapsed = self.now().duration_since(start);
+        Ok(report)
     }
 
     /// Exports the current MV as a portable snapshot string — the same
     /// serialization [`Ros::burn_mv_snapshot`] chunks onto discs. A
     /// cluster front end ships this text to guardian racks so the
     /// namespace survives whole-rack loss (restore the text with
-    /// [`MetadataVolume::restore`], then [`Ros::adopt_namespace`]).
+    /// [`MetadataVolume::restore`], then [`Ros::recover`] from
+    /// [`MvSource::Volume`]).
     pub fn export_namespace(&self) -> String {
         self.mv.snapshot()
     }
 
-    /// Scans every Used tray: loads it, reads each disc's data tracks in
-    /// parallel, parses the images and collects files matching `keep`.
-    ///
-    /// Drive reads stay sequential (they need `&mut` drive state and
-    /// charge simulated time); the CPU-bound image parse and file
-    /// extraction fan out on the data plane afterwards, in read order,
-    /// so the result is identical at any thread count.
+    /// Scans every Used tray: loads it, reads each of its burned arrays
+    /// through [`Ros::rebuild`] — or, past the array's tolerance, takes
+    /// the members [`Ros::inspect_many`] verifies — and parses every
+    /// digest-verified data member, collecting the files matching
+    /// `keep`. Media reads are charged at the bay's aggregate read rate,
+    /// as the audit charges them. The image parse fans out on the data
+    /// plane, in member order, so the result is identical at any thread
+    /// count.
     fn scan_burned_images(
         &mut self,
-        keep: impl Fn(&UdfPath, &[u8]) -> bool + Sync,
+        keep: impl Fn(&UdfPath) -> bool + Sync,
     ) -> Result<ScanResult, OlfsError> {
-        let mut result = ScanResult::default();
+        let mut scan = ScanResult::default();
         let layout = self.cfg.layout;
+        let burned = self.store.groups_in_state(GroupState::Burned);
         let used: Vec<u32> = (0..layout.total_slots())
             .filter(|i| self.store.da_state(*i) == Some(DaState::Used))
             .collect();
@@ -285,87 +185,149 @@ impl Ros {
                 .ok_or(OlfsError::NoDriveAvailable)?;
             let loaded = self.load_bay(slot, bay, self.now() + freed)?;
             self.run_for(freed + loaded);
-            result.trays_read += 1;
-            // Read all discs in parallel: charge the slowest drive.
-            let mut slowest = SimDuration::ZERO;
-            for pos in 0..self.cfg.drives_per_bay {
-                let image_ids: Vec<u64> = {
-                    let Some(disc) = self.bays[bay].drive(pos).and_then(|d| d.disc()) else {
-                        continue;
-                    };
-                    if disc.is_blank() {
-                        continue;
-                    }
-                    disc.tracks().iter().map(|t| t.image_id).collect()
-                };
-                if image_ids.is_empty() {
+            scan.report.trays_read += 1;
+            let mut tracks: Vec<u64> = Vec::new();
+            let mut proofs: Vec<(ImageId, Verified<Bytes>)> = Vec::new();
+            for group in burned.iter().filter_map(|gid| self.store.group(*gid)) {
+                if group.slot != Some(slot) {
                     continue;
                 }
-                result.discs_read += 1;
-                let mut drive_time = SimDuration::ZERO;
-                let mut payloads: Vec<(u64, bytes::Bytes)> = Vec::with_capacity(image_ids.len());
-                for image_id in image_ids {
-                    let Some(drive) = self.bays[bay].drive_mut(pos) else {
-                        continue;
-                    };
-                    let timed = match drive.read_image(image_id) {
-                        Ok(t) => t,
-                        Err(_) => continue, // Damaged track: skip in a scan.
-                    };
-                    drive_time += timed.duration;
-                    match timed.payload {
-                        ros_drive::Payload::Inline(b) => payloads.push((image_id, b)),
-                        ros_drive::Payload::Synthetic { .. } => continue,
+                match self.rebuild(group.id) {
+                    Ok(rebuilt) => {
+                        tracks.extend(rebuilt.media_reads);
+                        proofs.extend(rebuilt.data.into_iter().map(|m| (m.image, m.proof)));
                     }
-                }
-                slowest = slowest.max(drive_time);
-                // Parse and extract in parallel, in read order.
-                let keep = &keep;
-                let parsed = self.data_plane().map(&payloads, |(image_id, bytes)| {
-                    // Parity payloads normally fail to parse; the
-                    // degenerate single-member XOR parity *does* parse
-                    // but carries a mismatched embedded image id.
-                    let img = SealedImage::from_bytes(bytes.clone()).ok()?;
-                    if img.image_id() != *image_id {
-                        return None;
+                    Err(_) => {
+                        let members: Vec<ImageId> =
+                            group.data.iter().chain(&group.parity).copied().collect();
+                        let seen = self.inspect_many(&members);
+                        tracks.extend(seen.iter().map(|s| s.track.len() as u64));
+                        let data = members.into_iter().zip(seen).take(group.data.len());
+                        proofs.extend(data.filter_map(|(image, s)| Some((image, s.proof?))));
                     }
-                    let mut files = Vec::new();
-                    for (path, _meta) in img.scan_files() {
-                        if let Ok(data) = img.read(&path) {
-                            if keep(&path, &data) {
-                                files.push((path, ImageId(*image_id), data.to_vec()));
-                            }
-                        }
-                    }
-                    Some(files)
-                });
-                for files in parsed.into_iter().flatten() {
-                    result.images_parsed += 1;
-                    result.files.extend(files);
                 }
             }
-            self.run_for(slowest);
+            scan.report.discs_read += tracks.iter().filter(|len| **len > 0).count();
+            let keep = &keep;
+            let parsed = self.data_plane().map(&proofs, |(image, proof)| {
+                let img = SealedImage::from_bytes(proof.clone().into_bytes()).ok()?;
+                let files = img.scan_files().into_iter().filter(|(path, _)| keep(path));
+                let read = |(path, _)| img.read(&path).ok().map(|data| (path, *image, data));
+                Some(files.filter_map(read).collect::<Vec<_>>())
+            });
+            for files in parsed.into_iter().flatten() {
+                scan.report.images_parsed += 1;
+                scan.files.extend(files);
+            }
+            let agg = self.bays[bay].aggregate_read_speed(self.cfg.disc_class);
+            self.run_for(agg.time_for(tracks.iter().sum()));
             let unloaded = self.unload_bay(bay, self.now())?;
             self.run_for(unloaded);
         }
-        Ok(result)
+        Ok(scan)
     }
 }
 
-/// The entry of a regenerated version found on disc under `shadow`.
-fn shadow_entry(image: ImageId, size: u64, shadow: UdfPath) -> VersionEntry {
-    VersionEntry {
-        stored: Some(shadow),
-        ..VersionEntry::new(LocTag::Disc, size, 0, vec![image], vec![size])
+/// The newest snapshot sequence among `files`, restored.
+fn newest_snapshot(files: Vec<(UdfPath, ImageId, Bytes)>) -> Result<MetadataVolume, OlfsError> {
+    // sequence -> part path -> bytes, both in name order.
+    let mut by_seq: BTreeMap<String, BTreeMap<UdfPath, Bytes>> = BTreeMap::new();
+    for (path, _image, bytes) in files {
+        let mut comps = path.components();
+        if let (Some(_), Some(seq), Some(_), None) =
+            (comps.next(), comps.next(), comps.next(), comps.next())
+        {
+            let seq = seq.to_owned();
+            by_seq.entry(seq).or_default().insert(path, bytes);
+        }
     }
+    let (_seq, parts) = by_seq
+        .into_iter()
+        .next_back()
+        .ok_or_else(|| OlfsError::BadState("no MV snapshot found on discs".into()))?;
+    let mut joined = Vec::new();
+    for part in parts.into_values() {
+        joined.extend_from_slice(&part);
+    }
+    MetadataVolume::restore(
+        core::str::from_utf8(&joined)
+            .map_err(|_| OlfsError::BadState("snapshot not UTF-8".into()))?,
+    )
 }
 
-#[derive(Default)]
-struct ScanResult {
-    trays_read: usize,
-    discs_read: usize,
-    images_parsed: usize,
-    /// Every matching file occurrence: the same path may appear in
-    /// several images (split subfiles, version shadows).
-    files: Vec<(UdfPath, ImageId, Vec<u8>)>,
+/// The namespace the file occurrences found on disc describe (§4.4):
+/// a file's own name is its first version, its subfiles ordered by the
+/// offsets their link files record (the first subfile has none, offset
+/// 0); each version shadow is the numbered version of the file it names.
+/// A first version a link file shows to be missing a subfile — one
+/// placed elsewhere than where the subfiles before it end, or a total
+/// the subfiles found do not add up to — is left out, not served short.
+fn namespace_of(files: Vec<(UdfPath, ImageId, Bytes)>) -> Result<MetadataVolume, OlfsError> {
+    // (file, image) -> the link file stitching that image's subfile on.
+    let mut links: BTreeMap<(UdfPath, ImageId), LinkFile> = BTreeMap::new();
+    // file -> (subfiles `(image, len)`, shadows `(ver, image, len, shadow)`).
+    type Found = (Vec<(ImageId, u64)>, Vec<(u32, ImageId, u64, UdfPath)>);
+    let mut found: BTreeMap<UdfPath, Found> = BTreeMap::new();
+    for (path, image, bytes) in files {
+        let (Some(parent), Some(name)) = (path.parent(), path.name()) else {
+            continue;
+        };
+        let len = bytes.len() as u64;
+        if let Some(orig) = parse_link_file_name(name) {
+            if let Ok(link) = LinkFile::from_json(core::str::from_utf8(&bytes).unwrap_or("")) {
+                links.insert((parent.join(orig), image), link);
+            }
+        } else if let Some((ver, orig)) = parse_shadow_file_name(name) {
+            let shadows = &mut found.entry(parent.join(orig)).or_default().1;
+            shadows.push((ver, image, len, path.clone()));
+        } else {
+            found.entry(path).or_default().0.push((image, len));
+        }
+    }
+
+    let mut mv = MetadataVolume::new();
+    for (path, (subfiles, mut shadows)) in found {
+        let link = |image: ImageId| links.get(&(path.clone(), image));
+        let mut parts: Vec<(u64, ImageId, u64)> = subfiles
+            .into_iter()
+            .map(|(image, len)| (link(image).map_or(0, |l| l.offset), image, len))
+            .collect();
+        parts.sort_unstable();
+        parts.dedup_by_key(|(_, image, _)| *image);
+        let size: u64 = parts.iter().map(|(_, _, len)| len).sum();
+        let mut end = 0;
+        let whole = !parts.is_empty()
+            && parts.iter().all(|(_, image, len)| {
+                let start = end;
+                end += len;
+                link(*image).is_none_or(|l| l.offset == start && l.total_size == size)
+            });
+        let first = whole.then(|| {
+            let (segs, seg_sizes) = parts
+                .into_iter()
+                .map(|(_, image, len)| (image, len))
+                .unzip();
+            VersionEntry::new(LocTag::Disc, size, 0, segs, seg_sizes)
+        });
+        if first.is_none() && shadows.is_empty() {
+            continue;
+        }
+        let idx = mv.create(&path)?;
+        if let Some(first) = first {
+            idx.push_version(first);
+        }
+        shadows.sort_unstable();
+        for (ver, image, size, shadow) in shadows {
+            // Keep version numbers aligned: a gap repeats the entry
+            // before it.
+            while let Some(prev) = idx.latest().filter(|e| e.ver + 1 < ver).cloned() {
+                idx.push_version(prev);
+            }
+            idx.push_version(VersionEntry {
+                stored: Some(shadow),
+                ..VersionEntry::new(LocTag::Disc, size, 0, vec![image], vec![size])
+            });
+        }
+    }
+    Ok(mv)
 }

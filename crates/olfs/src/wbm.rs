@@ -26,6 +26,20 @@ pub fn link_file_name(name: &str) -> String {
 /// Returns the original file name if `name` is a link file.
 pub fn parse_link_file_name(name: &str) -> Option<&str> {
     name.strip_prefix(".roslink-")
+        .filter(|orig| !orig.is_empty())
+}
+
+/// Name version `ver` of the file `name` is stored under inside images
+/// once an older version holds the name itself (§4.6's regenerated
+/// update).
+pub fn shadow_file_name(ver: u32, name: &str) -> String {
+    format!(".rosv{ver}-{name}")
+}
+
+/// Returns `(version, original file name)` if `name` is a version shadow.
+pub fn parse_shadow_file_name(name: &str) -> Option<(u32, &str)> {
+    let (ver, orig) = name.strip_prefix(".rosv")?.split_once('-')?;
+    Some((ver.parse().ok()?, orig)).filter(|_| !orig.is_empty())
 }
 
 /// JSON body of a link file.
@@ -314,6 +328,23 @@ mod tests {
         assert_eq!(link_file_name("data.bin"), ".roslink-data.bin");
         assert_eq!(parse_link_file_name(".roslink-data.bin"), Some("data.bin"));
         assert_eq!(parse_link_file_name("data.bin"), None);
+        assert_eq!(parse_link_file_name(".roslink-"), None);
         assert!(LinkFile::from_json("nonsense").is_err());
+    }
+
+    #[test]
+    fn shadow_file_name_roundtrip() {
+        for (ver, name) in [(2, "data.bin"), (15, "a-b"), (u32::MAX, ".rosv3-x")] {
+            let shadow = shadow_file_name(ver, name);
+            assert_eq!(
+                parse_shadow_file_name(&shadow),
+                Some((ver, name)),
+                "{shadow}"
+            );
+        }
+        assert_eq!(shadow_file_name(2, "u"), ".rosv2-u");
+        for name in ["data.bin", ".rosv-x", ".rosvx-y", ".rosv2-", ".rosv2x"] {
+            assert_eq!(parse_shadow_file_name(name), None, "{name}");
+        }
     }
 }

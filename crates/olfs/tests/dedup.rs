@@ -6,7 +6,7 @@
 //! non-dedup run of the same workload.
 
 use ros_olfs::mv::MetadataVolume;
-use ros_olfs::{Ros, RosConfig};
+use ros_olfs::{MvSource, Ros, RosConfig};
 use ros_udf::UdfPath;
 
 fn dedup_cfg() -> RosConfig {
@@ -124,7 +124,7 @@ fn an_adopted_namespace_counts_the_references_it_restores() {
     assert_eq!(ros.dedup_stats().links, 1);
 
     let mv = MetadataVolume::restore(&snapshot).expect("restore");
-    ros.adopt_namespace(mv);
+    ros.recover(MvSource::Volume(mv)).expect("recover");
     let stats = ros.dedup_stats();
     assert_eq!((stats.blobs, stats.links), (1, 2));
     let up = ros.write_file(&path("/a"), y.clone()).expect("update /a");

@@ -60,12 +60,11 @@ fn main() -> Result<(), OlfsError> {
 
     // --- Drill 2: metadata volume loss ----------------------------------
     println!("\ndrill 2: discarding the metadata volume and rescanning discs");
-    let report = system.rebuild_namespace_from_discs()?;
+    let report = system.recover(MvSource::DiscScan)?;
     println!(
         "rebuilt {} files from {} discs / {} images in {} (simulated)",
         report.files_recovered, report.discs_read, report.images_parsed, report.elapsed
     );
-    system.adopt_namespace(report.mv);
     for (path, data) in &originals {
         let r = system.read_file(path)?;
         assert_eq!(

@@ -69,12 +69,11 @@ fn main() -> Result<(), OlfsError> {
     // metadata sidecar — onto optical discs, then prove a disc scan
     // recovers all three namespaces.
     os.ros_mut().flush()?;
-    let report = os.ros_mut().rebuild_namespace_from_discs()?;
+    let report = os.ros_mut().recover(MvSource::DiscScan)?;
     println!(
         "disc scan found {} files across the three interfaces",
         report.files_recovered
     );
-    os.ros_mut().adopt_namespace(report.mv);
     let obj = os.get_object("genomics", "reads/lane1.fastq")?;
     assert_eq!(obj.data.len(), 500_000);
     println!("object readable after full metadata loss — inline accessibility, three ways");

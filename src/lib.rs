@@ -64,7 +64,7 @@ pub use ros_workload;
 /// The common imports for applications using ROS.
 pub mod prelude {
     pub use ros_access::{AccessStack, NasGateway};
-    pub use ros_olfs::{OlfsError, Redundancy, Ros, RosConfig, UdfPath};
+    pub use ros_olfs::{MvSource, OlfsError, Redundancy, Ros, RosConfig, UdfPath};
     pub use ros_sim::{Bandwidth, SimDuration, SimTime};
     pub use ros_workload::{Runner, WorkloadSpec};
 }

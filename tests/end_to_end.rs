@@ -392,10 +392,52 @@ fn a_name_no_image_can_hold_is_refused_at_the_write() {
         format!(".rosv2-{}", "y".repeat(NAME_MAX))
     );
     ros.burn_mv_snapshot().unwrap();
-    let (recovered, _) = ros.recover_mv_from_discs().unwrap();
-    ros.adopt_namespace(recovered);
+    ros.recover(MvSource::DiscSnapshot).unwrap();
     assert_eq!(
         ros.read_file(&legal).unwrap().data.as_ref(),
         content(3, 100)
     );
+}
+
+/// A name the in-image formats reserve is refused at the write: a disc
+/// scan reads `.roslink-f` as `f`'s continuation and `.rosv2-g` as
+/// version 2 of `g`. Both were once acked; after a §4.4 rebuild both
+/// were gone, and a never-written `/d/g` held `.rosv2-g`'s bytes.
+#[test]
+fn a_name_a_disc_scan_would_misread_is_refused_at_the_write() {
+    let mut ros = Ros::new(RosConfig::tiny());
+    let reserved = ["/d/.roslink-f", "/d/.rosv2-g", "/.rosv15-x/y"];
+    for path in reserved {
+        assert!(
+            matches!(
+                ros.write_file(&p(path), content(1, 100)),
+                Err(OlfsError::Invalid(_))
+            ),
+            "{path}"
+        );
+        assert!(ros.mkdir(&p(path)).is_err(), "{path}");
+    }
+    // Near misses are ordinary names, and come back as themselves.
+    let plain = [
+        "/d/.roslink-",
+        "/d/.rosv-g",
+        "/d/.rosv2g",
+        "/d/.rosv2-",
+        "/d/rosv2-g",
+    ];
+    for (i, path) in plain.iter().enumerate() {
+        ros.write_file(&p(path), content(i as u64, 100)).unwrap();
+    }
+    ros.flush().unwrap();
+    ros.recover(MvSource::DiscScan).unwrap();
+    for path in reserved.iter().chain(&["/d/f", "/d/g"]) {
+        assert!(
+            matches!(ros.read_file(&p(path)), Err(OlfsError::NotFound(_))),
+            "{path}"
+        );
+    }
+    for (i, path) in plain.iter().enumerate() {
+        let r = ros.read_file(&p(path)).unwrap();
+        assert_eq!(r.data.as_ref(), content(i as u64, 100).as_slice(), "{path}");
+    }
 }

@@ -111,7 +111,7 @@ fn consistency_checker_catches_injected_damage() {
     let mut mv = MetadataVolume::new();
     let entry = VersionEntry::new(LocTag::Disc, 1000, 0, vec![ImageId(9999)], vec![1000]);
     mv.create(&p("/ghost")).unwrap().push_version(entry);
-    ros.adopt_namespace(mv);
+    ros.recover(MvSource::Volume(mv)).unwrap();
     let issues = ros.verify_consistency();
     assert!(
         issues

@@ -11,10 +11,11 @@
 //! with dedup off and on. Every listing must name the model's live files
 //! and directories in name order, or say `NotFound` for a directory never
 //! made. With dedup on, after every op the reference count is the model's
-//! live versions and the blob count their distinct payloads; `Adopt` swaps
-//! in the system's own exported namespace (the model does not change), so
-//! every later read and count also checks the dedup map rebuilt from the
-//! MV against the one kept up write by write.
+//! live versions and the blob count their distinct payloads; `Adopt`
+//! recovers from the system's own exported namespace and `Crash` pulls
+//! the plug and restarts (the model changes for neither), so every later
+//! read and count also checks the views rebuilt from the MV against the
+//! ones kept up write by write.
 //!
 //! The model applies §4.6's update rule itself (in place — the previous
 //! version's bytes are replaced — iff the newest version sits in an open
@@ -38,6 +39,8 @@ const RING: usize = ros::ros_olfs::params::MAX_VERSION_ENTRIES;
 /// Flushes a sequence may issue: each burns an array onto one of the tiny
 /// layout's eight trays.
 const MAX_FLUSHES: usize = 6;
+/// Crashes a sequence may issue: one that cuts a burn retires its tray.
+const MAX_CRASHES: usize = 1;
 
 const PATHS: [&str; 3] = ["/m/f", "/m/g", "/n/h"];
 /// The directories a `Readdir` lists: the root and both parents.
@@ -64,10 +67,11 @@ enum Op {
     ReadRange(usize, u64, u64),
     Readdir(usize),
     Adopt,
+    Crash,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..18, 0usize..3, 0usize..4, 0u64..6_000, 0u64..6_000).prop_map(|(kind, p, x, a, b)| {
+    (0u8..19, 0usize..3, 0usize..4, 0u64..6_000, 0u64..6_000).prop_map(|(kind, p, x, a, b)| {
         match kind {
             0..=6 => Op::Write(p, x),
             7 => Op::Unlink(p),
@@ -77,7 +81,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             13 | 14 => Op::ReadVersion(p, (a % 18) as u32 + 1),
             15 => Op::ReadRange(p, a, b),
             16 => Op::Readdir(p),
-            _ => Op::Adopt,
+            17 => Op::Adopt,
+            _ => Op::Crash,
         }
     })
 }
@@ -102,7 +107,7 @@ fn check(dedup: bool, ops: &[Op]) -> Result<Ros, String> {
     cfg.dedup = dedup;
     let mut ros = Ros::new(cfg);
     let mut model = Model::new(dedup);
-    let mut flushes = 0;
+    let (mut flushes, mut crashes) = (0, 0);
     for (i, op) in ops.iter().enumerate() {
         counts_agree(&ros, &model, dedup).map_err(|e| format!("before op {i} {op:?}: {e}"))?;
         let fail = |what: String| Err(format!("op {i} {op:?}: {what}"));
@@ -141,8 +146,15 @@ fn check(dedup: bool, ops: &[Op]) -> Result<Ros, String> {
             Op::Adopt => {
                 let mv = MetadataVolume::restore(&ros.export_namespace())
                     .map_err(|e| format!("op {i} restore: {e}"))?;
-                ros.adopt_namespace(mv);
+                ros.recover(MvSource::Volume(mv))
+                    .map_err(|e| format!("op {i} recover: {e}"))?;
             }
+            Op::Crash if crashes < MAX_CRASHES => {
+                crashes += 1;
+                ros.simulate_crash_and_restart()
+                    .map_err(|e| format!("op {i} crash: {e}"))?;
+            }
+            Op::Crash => {}
             Op::Readdir(d) => {
                 let dir: UdfPath = DIRS[d].parse().expect("valid path");
                 match (model.listing(&dir), ros.readdir(&dir)) {
