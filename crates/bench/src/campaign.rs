@@ -139,6 +139,9 @@ pub struct Outcome {
     pub bays_serviced: usize,
     /// Files the rack-failure drills reported unrecoverable.
     pub drill_files_lost: usize,
+    /// Files the drills copied onto a fresh rack that did not read back
+    /// there byte for byte (`files_recovered − files_verified`).
+    pub drill_files_unverified: usize,
     /// Images the audits digest-verified.
     pub audited: usize,
     /// Latent-rot (or unreadable-track) detections by the audits.
@@ -268,6 +271,8 @@ pub fn run(rig: Rig, steps: impl IntoIterator<Item = Step>) -> Result<Outcome, B
                         .rereplicate_after_failure(victim)
                         .map_err(|e| err(format!("drill after rack {victim} outage: {e}")))?;
                     o.drill_files_lost += drill.files_lost;
+                    o.drill_files_unverified +=
+                        drill.files_recovered.saturating_sub(drill.files_verified);
                     o.timeline.push(format!(
                         "op {at:>4}  drill r{victim}: {} groups relocated, {} degraded, \
                          {} files recovered, {} lost",

@@ -150,6 +150,12 @@ fn gate(cfg: &ChaosConfig, o: &Outcome) -> Result<(), BenchError> {
             o.drill_files_lost
         ));
     }
+    if o.drill_files_unverified > 0 {
+        return fail(format!(
+            "rack drill copied {} file(s) that did not read back exact",
+            o.drill_files_unverified
+        ));
+    }
     if o.amplification() > cfg.max_amplification {
         return fail(format!(
             "retry amplification {:.2} exceeds the {:.2} ceiling",
@@ -196,6 +202,16 @@ mod tests {
         let e = gate(&ChaosConfig::smoke(), &o).unwrap_err();
         assert!(e.detail.contains("silent"), "{e}");
         assert!(gate(&ChaosConfig::smoke(), &Outcome::default()).is_ok());
+    }
+
+    #[test]
+    fn one_unverified_drill_copy_fails_the_gate() {
+        let o = Outcome {
+            drill_files_unverified: 1,
+            ..Outcome::default()
+        };
+        let e = gate(&ChaosConfig::smoke(), &o).unwrap_err();
+        assert!(e.detail.contains("did not read back exact"), "{e}");
     }
 
     #[test]

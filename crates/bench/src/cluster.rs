@@ -207,6 +207,7 @@ mod tests {
     fn drill_summary_has_zero_loss_at_replication_two() {
         let summary = cluster_failure_drill(4, 240).unwrap();
         assert_eq!(summary.drill.files_lost, 0);
+        assert_eq!(summary.drill.files_verified, summary.drill.files_recovered);
         assert!(summary.files_written > 0);
         assert!(summary.mv_guardian_copies > 0);
         assert!(summary.drill.recovery_time.as_nanos() > 0);

@@ -3,10 +3,12 @@
 //! Each rack's LOCKSS-style sampled audit pass heals latent rot from its
 //! own disc-array parity. When the rot exceeds the local schema's
 //! tolerance the rack reports the images unrepairable — and the cluster
-//! is the next rung of the ladder: the affected files are re-read from a
-//! healthy replica rack, rewritten onto the damaged member, and verified
-//! bit-exact through the normal read path. Only files with no healthy
-//! source *anywhere* are reported lost.
+//! is the next rung of the ladder: each affected file is healed through
+//! the failure drill's step (`Cluster::heal_file`) — re-read from a
+//! healthy replica rack, rewritten onto the damaged member, and read back
+//! there byte for byte equal to the replica's bytes. Files with no
+//! healthy source *anywhere*, or whose rewrite does not read back exact,
+//! are reported lost.
 //!
 //! A sweep samples every rack at its start: each alive rack's pass is
 //! begun ([`ros_olfs::Ros::audit_begin`]), all their copies are hashed
@@ -17,9 +19,8 @@
 
 use crate::error::ClusterError;
 use crate::router::Cluster;
-use ros_cas::{content_digest, verify_payload, verify_payloads};
+use ros_cas::verify_payloads;
 use ros_sim::SimDuration;
-use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -35,9 +36,10 @@ pub struct ClusterAuditReport {
     /// Rotted images healed locally from disc-array parity.
     pub repaired_parity: usize,
     /// Files re-fetched from a replica rack after local redundancy was
-    /// exhausted, rewritten and digest-verified.
+    /// exhausted, rewritten, and read back byte for byte equal.
     pub repaired_replica: usize,
-    /// Files with no healthy copy on any alive rack — actual data loss.
+    /// Files with no healthy copy on any alive rack — actual data loss —
+    /// or whose rewrite from a replica did not read back exact.
     pub lost: Vec<String>,
     /// Cluster time the sweep consumed (makespan across racks).
     pub elapsed: SimDuration,
@@ -65,10 +67,10 @@ impl Cluster {
 
     /// Runs one sampled-audit pass on every alive rack (up to `sample`
     /// images each), then escalates whatever local parity could not
-    /// repair to the replica tier: the affected files are re-read from
-    /// a healthy replica, rewritten onto the damaged rack, and the
-    /// rewrite is verified bit-exact against the replica's digest
-    /// through the normal read path.
+    /// repair to the replica tier: each affected file is re-read from a
+    /// healthy replica, rewritten onto the damaged rack and read back
+    /// there; a read-back that fails or differs from the replica's bytes
+    /// is a loss.
     ///
     /// Every pass is begun before any is ended, and their copies are
     /// verified as one batch on the first alive rack's data plane (the
@@ -94,7 +96,6 @@ impl Cluster {
         .into_iter();
         for (idx, pass, n_copies) in passes {
             let rack_id = self.racks[idx].id();
-            let plane = self.racks[idx].ros().data_plane().clone();
             let mine = proofs.by_ref().take(n_copies).collect();
             let local = self.racks[idx].ros_mut().audit_end(pass, mine);
             report.sampled += local.sampled;
@@ -102,54 +103,21 @@ impl Cluster {
             report.rotted += local.rotted.len();
             report.repaired_parity += local.repaired.len();
 
-            // Escalate: map unrepairable images to the files they hold.
-            let mut paths: BTreeSet<String> = BTreeSet::new();
+            // Escalate: map unrepairable images to the files they hold
+            // and heal each from a replica (the failure drill's step).
+            let mut paths = BTreeSet::new();
             for image in &local.unrepairable {
-                for path in self.racks[idx].ros().paths_of_image(*image) {
-                    paths.insert(path.to_string());
-                }
+                paths.extend(self.racks[idx].ros().paths_of_image(*image));
             }
-            for path_str in paths {
-                let path: UdfPath = path_str.parse().map_err(|_| {
-                    ClusterError::Internal(format!("tracked path invalid: {path_str}"))
-                })?;
-                let key = Cluster::group_key(&path);
-                let sources: Vec<crate::placement::RackId> = self
+            for path in paths {
+                let holders = self
                     .groups
-                    .get(&key)
+                    .get(&Cluster::group_key(&path))
                     .map(|g| g.targets.clone())
                     .unwrap_or_default();
-                // Read the healthy bytes from any alive replica.
-                let mut data = None;
-                for s in sources {
-                    if s == rack_id || !self.racks[s.0 as usize].is_alive() {
-                        continue;
-                    }
-                    if let Ok(rep) = self.racks[s.0 as usize].ros_mut().read_file(&path) {
-                        data = Some(rep.data);
-                        break;
-                    }
-                }
-                let Some(data) = data else {
-                    report.lost.push(path_str);
-                    continue;
-                };
-                // Rewrite onto the damaged rack and verify bit-exact.
-                let digest = content_digest(&data, &plane);
-                let len = data.len() as u64;
-                self.racks[idx]
-                    .ros_mut()
-                    .write_file(&path, data)
-                    .map_err(ClusterError::on(rack_id.0))?;
-                self.racks[idx].note_stored(len);
-                let back = self.racks[idx]
-                    .ros_mut()
-                    .read_file(&path)
-                    .map_err(ClusterError::on(rack_id.0))?;
-                if verify_payload(&digest, &back.data, &plane).is_ok() {
-                    report.repaired_replica += 1;
-                } else {
-                    report.lost.push(path_str);
+                match self.heal_file(&path, &holders, rack_id)? {
+                    Some((_, true)) => report.repaired_replica += 1,
+                    _ => report.lost.push(path.to_string()),
                 }
             }
         }
@@ -163,6 +131,7 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use ros_faults::{FaultEvent, FaultKind, FaultSink, InjectionOutcome};
+    use ros_udf::UdfPath;
 
     fn p(s: &str) -> UdfPath {
         s.parse().unwrap()

@@ -7,18 +7,18 @@
 //! guardian MV snapshot so the operator knows exactly what was at risk.
 //!
 //! The drill models the operational runbook: fail the rack, restore its
-//! namespace from a guardian, copy each affected group from a survivor
-//! onto a fresh rendezvous-chosen rack, then verify every affected file
-//! is readable again. With replication >= 2 a single rack failure loses
-//! nothing; with replication 1 the drill reports the exact loss.
+//! namespace from a guardian, then copy each affected file from a
+//! survivor onto a fresh rendezvous-chosen rack and read it back there
+//! (`Cluster::heal_file`). With replication >= 2 a single rack failure
+//! loses nothing; with replication 1 the drill reports the exact loss.
 
 use crate::error::ClusterError;
 use crate::placement::{self, RackId};
 use crate::router::Cluster;
-use ros_cas::{content_digests, verify_payload, Digest};
 use ros_sim::SimDuration;
 use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Outcome of a rack-failure re-replication drill.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -38,9 +38,8 @@ pub struct DrillReport {
     pub files_recovered: usize,
     /// Files with no surviving replica (0 when replication >= 2).
     pub files_lost: usize,
-    /// Copied files that read back *bit-exact* through the normal read
-    /// path after the drill (CAS content-digest match against the
-    /// survivor copy, digests computed on the data plane).
+    /// Copied files that read back from the fresh rack byte for byte
+    /// equal to the bytes copied onto it.
     pub files_verified: usize,
     /// Payload bytes copied between racks.
     pub bytes_moved: u64,
@@ -51,7 +50,7 @@ pub struct DrillReport {
 
 /// One group the dead rack held: key, current targets, member files
 /// with their sizes.
-type AffectedGroup = (String, Vec<RackId>, Vec<(String, u64)>);
+type AffectedGroup = (UdfPath, Vec<RackId>, BTreeMap<UdfPath, u64>);
 
 impl Cluster {
     /// Marks rack `id` failed: its clock freezes and the router stops
@@ -65,10 +64,41 @@ impl Cluster {
         Ok(())
     }
 
+    /// The one way back from a replica: reads `path` from the first
+    /// alive rack in `holders` (placement order) other than `onto`,
+    /// writes the bytes onto `onto` and reads them back from `onto`.
+    /// Returns the bytes copied and whether the read-back equals them
+    /// byte for byte, or `None` when no holder could serve the file.
+    pub(crate) fn heal_file(
+        &mut self,
+        path: &UdfPath,
+        holders: &[RackId],
+        onto: RackId,
+    ) -> Result<Option<(u64, bool)>, ClusterError> {
+        let copied = holders.iter().filter(|r| **r != onto).find_map(|r| {
+            let rack = &mut self.racks[r.0 as usize];
+            if !rack.is_alive() {
+                return None;
+            }
+            rack.ros_mut().read_file(path).ok()
+        });
+        let Some(copied) = copied else {
+            return Ok(None);
+        };
+        let len = copied.data.len() as u64;
+        let idx = self.rack_index(onto.0)?;
+        let rack = &mut self.racks[idx];
+        rack.ros_mut()
+            .write_file(path, copied.data.clone())
+            .map_err(ClusterError::on(onto.0))?;
+        rack.note_stored(len);
+        let back = rack.ros_mut().read_file(path);
+        Ok(Some((len, back.is_ok_and(|b| b.data == copied.data))))
+    }
+
     /// Runs the re-replication drill for an already-failed rack: audit
-    /// its namespace from a guardian, copy every group it held from a
-    /// survivor onto a fresh rack, and verify the affected files read
-    /// back.
+    /// its namespace from a guardian, then heal every file of every
+    /// group it held from a survivor onto a fresh rack.
     pub fn rereplicate_after_failure(&mut self, failed: u32) -> Result<DrillReport, ClusterError> {
         let fidx = self.rack_index(failed)?;
         if self.racks[fidx].is_alive() {
@@ -91,123 +121,61 @@ impl Cluster {
             .groups
             .iter()
             .filter(|(_, g)| g.targets.contains(&dead))
-            .map(|(k, g)| {
-                let files = g.files.iter().map(|(p, s)| (p.clone(), *s)).collect();
-                (k.clone(), g.targets.clone(), files)
-            })
+            .map(|(k, g)| (k.clone(), g.targets.clone(), g.files.clone()))
             .collect();
 
-        let mut groups_relocated = 0;
-        let mut groups_degraded = 0;
-        let mut files_recovered = 0;
-        let mut files_lost = 0;
-        let mut bytes_moved = 0u64;
-        let mut new_targets: Vec<(String, Vec<RackId>)> = Vec::new();
-        let mut verify_list: Vec<(String, Digest)> = Vec::new();
-        // Every rack is built from the one `cfg.rack` template, so the
-        // drilled rack's plane is the federation's `data_plane_threads`.
-        let plane = self.racks[fidx].ros().data_plane().clone();
-
+        // 3. Heal each group's files onto a fresh rack (reads advance
+        //    only the survivors' clocks, writes and read-backs only the
+        //    fresh rack's, in file order).
+        let mut report = DrillReport {
+            failed,
+            namespace_source,
+            namespace_files,
+            groups_relocated: 0,
+            groups_degraded: 0,
+            files_recovered: 0,
+            files_lost: 0,
+            files_verified: 0,
+            bytes_moved: 0,
+            recovery_time: SimDuration::ZERO,
+        };
         for (key, targets, files) in affected {
-            let survivors: Vec<RackId> = targets
-                .iter()
-                .copied()
+            let mut survivors: Vec<RackId> = targets
+                .into_iter()
                 .filter(|r| *r != dead && self.racks[r.0 as usize].is_alive())
                 .collect();
-            if survivors.is_empty() {
-                files_lost += files.len();
-                new_targets.push((key, survivors));
-                continue;
-            }
-            let group_bytes: u64 = files.iter().map(|(_, s)| *s).sum();
             let candidates: Vec<(RackId, u64)> = self
                 .racks
                 .iter()
                 .filter(|r| r.is_alive() && !survivors.contains(&r.id()))
                 .map(|r| (r.id(), r.free_bytes()))
                 .collect();
-            let fresh = placement::select_targets(&key, &candidates, group_bytes, 1)
-                .first()
-                .copied();
-            let Some(fresh) = fresh else {
-                groups_degraded += 1;
-                new_targets.push((key, survivors));
-                continue;
-            };
-            // Pull the group's files from the survivors first (reads
-            // advance only the survivor racks' clocks, in file order).
-            let mut copies: Vec<(String, UdfPath, bytes::Bytes)> = Vec::with_capacity(files.len());
-            for (path_str, _size) in &files {
-                let path: UdfPath = path_str.parse().map_err(|_| {
-                    ClusterError::Internal(format!("tracked path invalid: {path_str}"))
-                })?;
-                let mut data = None;
-                for s in &survivors {
-                    if let Ok(report) = self.racks[s.0 as usize].ros_mut().read_file(&path) {
-                        data = Some(report.data);
-                        break;
+            let group_bytes = files.values().sum();
+            let fresh = placement::select_targets(key.as_str(), &candidates, group_bytes, 1);
+            if survivors.is_empty() {
+                report.files_lost += files.len();
+            } else if let Some(&fresh) = fresh.first() {
+                for path in files.keys() {
+                    match self.heal_file(path, &survivors, fresh)? {
+                        Some((len, exact)) => {
+                            report.bytes_moved = report.bytes_moved.saturating_add(len);
+                            report.files_recovered += 1;
+                            report.files_verified += usize::from(exact);
+                        }
+                        None => report.files_lost += 1,
                     }
                 }
-                let Some(data) = data else {
-                    files_lost += 1;
-                    continue;
-                };
-                copies.push((path_str.clone(), path, data));
+                report.groups_relocated += 1;
+                survivors.push(fresh);
+            } else {
+                report.groups_degraded += 1;
             }
-            // Digest the survivor copies as one batch on the data plane;
-            // the verify pass below re-reads each file and compares
-            // bit-exact.
-            let payloads: Vec<&[u8]> = copies.iter().map(|(_, _, data)| data.as_ref()).collect();
-            let digests = content_digests(&payloads, &plane);
-            for ((path_str, path, data), digest) in copies.into_iter().zip(digests) {
-                let len = data.len() as u64;
-                let tidx = self.rack_index(fresh.0)?;
-                self.racks[tidx]
-                    .ros_mut()
-                    .write_file(&path, data)
-                    .map_err(ClusterError::on(fresh.0))?;
-                self.racks[tidx].note_stored(len);
-                bytes_moved = bytes_moved.saturating_add(len);
-                files_recovered += 1;
-                verify_list.push((path_str, digest));
-            }
-            groups_relocated += 1;
-            let mut updated = survivors;
-            updated.push(fresh);
-            new_targets.push((key, updated));
-        }
-
-        for (key, targets) in new_targets {
             if let Some(g) = self.groups.get_mut(&key) {
-                g.targets = targets;
+                g.targets = survivors;
             }
         }
-
-        // 3. Verify the copied files through the normal read path,
-        //    bit-exact against the survivor copy's digest.
-        let mut files_verified = 0;
-        for (path_str, digest) in &verify_list {
-            if let Ok(path) = path_str.parse::<UdfPath>() {
-                if let Ok(report) = self.read_file(&path) {
-                    if verify_payload(digest, &report.data, &plane).is_ok() {
-                        files_verified += 1;
-                    }
-                }
-            }
-        }
-
-        Ok(DrillReport {
-            failed,
-            namespace_source,
-            namespace_files,
-            groups_relocated,
-            groups_degraded,
-            files_recovered,
-            files_lost,
-            files_verified,
-            bytes_moved,
-            recovery_time: self.elapsed_since(start),
-        })
+        report.recovery_time = self.elapsed_since(start);
+        Ok(report)
     }
 }
 
@@ -246,6 +214,39 @@ mod tests {
             assert_eq!(g.targets.len(), 2);
             assert!(g.targets.iter().all(|r| c.racks[r.0 as usize].is_alive()));
         }
+    }
+
+    #[test]
+    fn the_drill_reads_each_copy_back_where_it_landed() {
+        let mut c = loaded_cluster(4);
+        let dead = RackId(1);
+        let held: Vec<UdfPath> = c
+            .groups
+            .iter()
+            .filter(|(_, g)| g.targets.contains(&dead))
+            .map(|(key, _)| key.clone())
+            .collect();
+        let reads = |c: &Cluster| -> Vec<u64> {
+            c.racks.iter().map(|r| r.ros().counters().reads).collect()
+        };
+        let before = reads(&c);
+        c.fail_rack(dead.0).unwrap();
+        let report = c.rereplicate_after_failure(dead.0).unwrap();
+        let rose: Vec<u64> = reads(&c).iter().zip(&before).map(|(a, b)| a - b).collect();
+        // Each relocated group's first survivor sources every file once,
+        // and the fresh rack the drill appended reads every copy back
+        // once. No rack reads anything else.
+        let mut expect = vec![0u64; c.racks.len()];
+        for key in &held {
+            let g = &c.groups[key];
+            let (source, fresh) = (g.targets[0], *g.targets.last().unwrap());
+            assert_ne!(source, fresh, "{key} was relocated");
+            expect[source.0 as usize] += g.files.len() as u64;
+            expect[fresh.0 as usize] += g.files.len() as u64;
+        }
+        assert_eq!(rose, expect);
+        assert_eq!(report.files_recovered, 9);
+        assert_eq!(report.files_verified, report.files_recovered);
     }
 
     #[test]

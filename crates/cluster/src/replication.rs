@@ -23,9 +23,10 @@ use ros_sim::SimDuration;
 use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
 
-/// Directory on each guardian rack holding foreign MV snapshot copies.
-/// Lives outside user namespaces, like the rack-local `/.mv-snapshots`.
-pub const MV_REPLICA_DIR: &str = "/.mv-replicas";
+/// Name of the directory under the root of each guardian rack holding
+/// foreign MV snapshot copies. Lives outside user namespaces, like the
+/// rack-local `/.mv-snapshots`.
+pub const MV_REPLICA_DIR: &str = ".mv-replicas";
 
 /// Outcome of one cluster-wide MV replication round.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -91,10 +92,10 @@ impl Cluster {
                 continue;
             }
             let payload = Bytes::from(text.into_bytes());
-            let path_str = format!("{MV_REPLICA_DIR}/rack-{:03}/seq-{seq:06}", owner.0);
-            let path: UdfPath = path_str.parse().map_err(|_| {
-                ClusterError::Internal(format!("generated MV replica path invalid: {path_str}"))
-            })?;
+            let path = UdfPath::root()
+                .join(MV_REPLICA_DIR)
+                .join(&format!("rack-{:03}", owner.0))
+                .join(&format!("seq-{seq:06}"));
             let mut placed = Vec::new();
             for g in guardians {
                 let gidx = self.rack_index(g.0)?;
@@ -105,7 +106,7 @@ impl Cluster {
                 rack.note_stored(payload.len() as u64);
                 bytes_shipped = bytes_shipped.saturating_add(payload.len() as u64);
                 guardian_copies += 1;
-                placed.push((g, path_str.clone()));
+                placed.push((g, path.clone()));
             }
             self.mv_guardian_paths.insert(owner.0, placed);
         }
@@ -134,15 +135,11 @@ impl Cluster {
             .get(&owner)
             .cloned()
             .ok_or(ClusterError::NoGuardianSnapshot(owner))?;
-        for (guardian, path_str) in entries {
+        for (guardian, path) in entries {
             let gidx = self.rack_index(guardian.0)?;
             if !self.racks[gidx].is_alive() {
                 continue;
             }
-            let path: UdfPath = match path_str.parse() {
-                Ok(p) => p,
-                Err(_) => continue,
-            };
             let report = match self.racks[gidx].ros_mut().read_file(&path) {
                 Ok(r) => r,
                 Err(_) => continue,

@@ -26,7 +26,7 @@ pub(crate) struct Group {
     /// them in order). Empty after an unrecoverable loss.
     pub(crate) targets: Vec<RackId>,
     /// Member files and their latest payload sizes.
-    pub(crate) files: BTreeMap<String, u64>,
+    pub(crate) files: BTreeMap<UdfPath, u64>,
 }
 
 /// Result of a replicated cluster write.
@@ -58,12 +58,12 @@ pub struct ClusterReadReport {
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
     pub(crate) racks: Vec<RackNode>,
-    pub(crate) groups: BTreeMap<String, Group>,
+    pub(crate) groups: BTreeMap<UdfPath, Group>,
     pub(crate) epoch_start: SimTime,
     pub(crate) mv_seq: u64,
     /// Latest guardian copy of each rack's MV snapshot:
-    /// owner rack id -> (guardian, path on the guardian, files at snapshot).
-    pub(crate) mv_guardian_paths: BTreeMap<u32, Vec<(RackId, String)>>,
+    /// owner rack id -> (guardian, path on the guardian).
+    pub(crate) mv_guardian_paths: BTreeMap<u32, Vec<(RackId, UdfPath)>>,
 }
 
 impl Cluster {
@@ -138,11 +138,8 @@ impl Cluster {
     /// The placement group key of a path: its parent directory, so
     /// sibling files co-locate on the same racks (they pack into the
     /// same buckets and disc arrays inside the rack, §4.3).
-    pub fn group_key(path: &UdfPath) -> String {
-        match path.parent() {
-            Some(dir) => dir.to_string(),
-            None => "/".to_string(),
-        }
+    pub fn group_key(path: &UdfPath) -> UdfPath {
+        path.parent().unwrap_or_else(UdfPath::root)
     }
 
     /// The racks currently holding `path`'s group, placement order.
@@ -228,7 +225,7 @@ impl Cluster {
                     group.targets.push(*rid);
                 }
             }
-            group.files.insert(path.to_string(), size);
+            group.files.insert(path.clone(), size);
         }
         match failure {
             None => Ok(ClusterWriteReport {
@@ -249,14 +246,15 @@ impl Cluster {
         }
     }
 
-    fn place_new_group(&self, key: &str, size: u64) -> Result<Vec<RackId>, ClusterError> {
+    fn place_new_group(&self, key: &UdfPath, size: u64) -> Result<Vec<RackId>, ClusterError> {
         let candidates: Vec<(RackId, u64)> = self
             .racks
             .iter()
             .filter(|r| r.is_alive())
             .map(|r| (r.id(), r.free_bytes()))
             .collect();
-        let targets = placement::select_targets(key, &candidates, size, self.cfg.replication);
+        let targets =
+            placement::select_targets(key.as_str(), &candidates, size, self.cfg.replication);
         if targets.is_empty() {
             return Err(ClusterError::NoCapacity {
                 size,
@@ -278,7 +276,7 @@ impl Cluster {
         let targets = self
             .groups
             .get(&key)
-            .filter(|g| g.files.contains_key(path.as_str()))
+            .filter(|g| g.files.contains_key(path))
             .map(|g| g.targets.clone())
             .ok_or_else(|| ClusterError::NotFound(path.to_string()))?;
         let mut tried = Vec::new();
