@@ -10,16 +10,17 @@
 //! SHA-256'd independently, and the final digest is SHA-256 over the
 //! big-endian payload length followed by the leaf digests in order. The
 //! leaves are the part that fans out: over `plane.map_spans`, and inside
-//! each worker, on a CPU with AVX2 and without the SHA extensions, over
-//! the eight lanes of the lockstep kernel, which [`content_digests`]
-//! fills with the leaves of many payloads at once.
+//! each worker over the lanes of a lockstep kernel — sixteen on a CPU
+//! with AVX-512F, eight on one with AVX2 and without the SHA extensions —
+//! which [`content_digests`] fills with the leaves of many payloads at
+//! once.
 
 use ros_disk::plane::DataPlane;
 
 /// Fixed chunking granularity of [`content_digest`]. Chunk boundaries
 /// depend only on the payload length, never on the thread count, so the
 /// digest is stable across plane configurations.
-pub const CHUNK_BYTES: usize = 256 * 1024;
+pub const CHUNK_BYTES: usize = 64 * 1024;
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
 pub(crate) const K: [u32; 64] = [
@@ -279,16 +280,37 @@ impl core::fmt::Debug for Digest {
     }
 }
 
-/// How many leaves the packer puts in one lockstep group on this host: 8
-/// where the CPU reports AVX2 and `finish` does not run the SHA
-/// extensions, whose single stream outruns an eight-lane pass; else 1
-/// (leaf by leaf). Observed, not configured; no digest depends on it.
+/// How many leaves the packer puts in one lockstep group on this host:
+/// 16 where the CPU reports AVX-512F, whether or not `finish` runs the SHA
+/// extensions; 8 where it reports AVX2 and `finish` does not run them,
+/// whose single stream outruns an eight-lane pass; else 1 (leaf by leaf).
+/// Observed, not configured; no digest depends on it.
 pub(crate) fn lockstep_lanes() -> usize {
     #[cfg(target_arch = "x86_64")]
-    if crate::lanes::avx2() && host_kernel() != Kernel::ShaExtensions {
-        return 8;
+    {
+        if crate::lanes::avx512f() {
+            return 16;
+        }
+        if crate::lanes::avx2() && host_kernel() != Kernel::ShaExtensions {
+            return 8;
+        }
     }
     1
+}
+
+/// The fewest leaves a group needs to take the sixteen-lane pass: 11
+/// where `sha256` runs the SHA extensions, else 3. On 64 KiB leaves (a
+/// 2-vCPU x86-64 host with `sha_ni` and `avx512f`) a sixteen-lane pass
+/// hashes 1.6–1.8× what one SHA-extensions stream does in its time, so it
+/// breaks even at about 10 of its 16 lanes; against `compress` it costs
+/// less than an eight-lane pass, so three leaves win as they do there.
+#[cfg(target_arch = "x86_64")]
+fn x16_floor() -> usize {
+    if host_kernel() == Kernel::ShaExtensions {
+        11
+    } else {
+        3
+    }
 }
 
 /// SHA-256 of every leaf chunk in one worker's span, in order, in
@@ -315,33 +337,50 @@ fn sha256_span_at(width: usize, span: &[&[u8]]) -> Vec<[u8; 32]> {
     while let Some(&longest) = rest.first() {
         let floor = span[longest].len() / 2;
         let fits = |&&i: &&usize| span[i].len() >= floor;
-        let lanes = rest.iter().take(width.min(8)).take_while(fits).count();
+        let lanes = rest.iter().take(width.min(16)).take_while(fits).count();
         let (group, later) = rest.split_at(lanes);
         rest = later;
-        sha256_group(group, span, &mut out);
+        sha256_group(width, group, span, &mut out);
     }
     out
 }
 
-/// Hashes leaves `group` of `span` (longest first, at most eight) into
-/// their slots of `out`: one eight-lane lockstep pass if there are more
-/// than two, with the spare lanes repeating the shortest leaf, whose
-/// remainder after the common prefix is under a block. Smaller groups
-/// go one leaf at a time through `sha256`. On 256 KB leaves (a 2-vCPU
-/// x86-64 host with AVX2) an eight-lane pass costs 1.8–2.1 scalar
-/// `compress` hashes: three leaves win, two do not. Where `sha256` runs
-/// the SHA extensions a full pass costs about 12.5 of its hashes, so no
-/// group wins and the packer is never handed more than one lane there
-/// ([`lockstep_lanes`]).
-fn sha256_group(group: &[usize], span: &[&[u8]], out: &mut [[u8; 32]]) {
+#[cfg(all(test, target_arch = "x86_64"))]
+thread_local! {
+    /// Sixteen-lane passes this thread's packer has run.
+    static X16_PASSES: core::cell::Cell<usize> = const { core::cell::Cell::new(0) };
+}
+
+/// Hashes leaves `group` of `span` (longest first, at most `width`) into
+/// their slots of `out`, spare lanes repeating the shortest leaf, whose
+/// remainder after the common prefix is under a block:
+/// - past width 8, one sixteen-lane pass if the group has at least
+///   [`x16_floor`] leaves;
+/// - at widths 3–8, one eight-lane pass if it has more than two. On
+///   256 KB leaves (a 2-vCPU x86-64 host with AVX2) that pass costs
+///   1.8–2.1 scalar `compress` hashes: three leaves win, two do not.
+///   Where `sha256` runs the SHA extensions it costs about 12.5 of their
+///   hashes, so no group wins and the packer is never handed width 8
+///   there ([`lockstep_lanes`]).
+///
+/// Smaller groups go one leaf at a time through `sha256`.
+fn sha256_group(width: usize, group: &[usize], span: &[&[u8]], out: &mut [[u8; 32]]) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(&shortest) = group.last().filter(|_| group.len() > 2) {
+    if let Some(&shortest) = group.last() {
         let lane = |k: usize| span[group.get(k).copied().unwrap_or(shortest)];
-        let digests = crate::lanes::sha256_x8(core::array::from_fn(lane));
-        for (&i, digest) in group.iter().zip(&digests) {
-            out[i] = *digest;
+        let mut put = |digests: &[[u8; 32]]| {
+            for (&i, digest) in group.iter().zip(digests) {
+                out[i] = *digest;
+            }
+        };
+        if width > 8 && group.len() >= x16_floor() {
+            #[cfg(test)]
+            X16_PASSES.with(|n| n.set(n.get() + 1));
+            return put(&crate::lanes::sha256_x16(core::array::from_fn(lane)));
         }
-        return;
+        if width <= 8 && group.len() > 2 {
+            return put(&crate::lanes::sha256_x8(core::array::from_fn(lane)));
+        }
     }
     for &i in group {
         out[i] = sha256(span[i]);
@@ -468,13 +507,15 @@ mod tests {
         }
     }
 
+    /// What is recorded on disc must not drift: neither the single-chunk
+    /// path nor a block kernel may change these. Values computed
+    /// independently with Python's `hashlib` from the construction in the
+    /// module docs, `d` being the payload:
+    /// `sha256(len(d).to_bytes(8,'big') + b''.join(sha256(d[i:i+65536]).digest() for i in range(0, len(d), 65536)))`.
+    /// Re-pinned once, when `CHUNK_BYTES` went from 256 KiB to 64 KiB.
     #[test]
     #[cfg_attr(miri, ignore = "hashes megabytes; too slow interpreted")]
     fn content_digest_golden_values_are_pinned() {
-        // What is recorded on disc must never drift: neither the
-        // single-chunk path nor a block kernel may change these. Values
-        // computed independently (Python hashlib) from the construction
-        // in the module docs.
         let golden = [
             (
                 0,
@@ -486,19 +527,19 @@ mod tests {
             ),
             (
                 CHUNK_BYTES - 1,
-                "6387d15e9716510dcd5511a532c048733a6d524f2885605dde43d9786b473072",
+                "a42813194a7f77d0277d32990dd582a6fdbaf10a4d4184e8acc3c90fd7e10605",
             ),
             (
                 CHUNK_BYTES,
-                "ac970b2027de5e996eb80a5701dfd408b2abbbfcba21ee53be50fbabdfb96b98",
+                "2c7236fe7b757f99284eef909cb869fb2f012fc2edaf9b00d627cbd09dff83de",
             ),
             (
                 CHUNK_BYTES + 1,
-                "fa2b008d541553ed451d0b9a3f314056bb7b19c06d29d4d0e2e46de113f115ce",
+                "8b83f0e79c88578a50ec6e092db0e0856df8821ce99bf8c6aa1d746ea5468989",
             ),
             (
                 2 * CHUNK_BYTES + 12_345,
-                "62e9c02665801d6304059489c3bcb4a33199cedcb60734db1c1fe9a7af161fcf",
+                "7834fc1e7d645a9e6a5ca8868b8fd8fddc14c0fe69dcda89ec8851b3743648a1",
             ),
         ];
         let data = pattern(2 * CHUNK_BYTES + 12_345);
@@ -510,34 +551,35 @@ mod tests {
         }
     }
 
+    /// Long enough to form lane groups in a worker's span at every plane
+    /// width: 4 chunks (one padded eight-lane group at 1 thread, none at
+    /// 2), 4 + a 1-byte chunk, 8 less one byte (the group is ragged), 16
+    /// (one full sixteen-lane group at 1 thread), and 17 + a 777-byte
+    /// chunk. Values from Python's `hashlib` over `wide_pattern`, by the
+    /// expression on `content_digest_golden_values_are_pinned`.
     #[test]
     #[cfg_attr(miri, ignore = "hashes megabytes; too slow interpreted")]
     fn lockstep_length_golden_values_are_pinned() {
-        // Long enough to form lane groups in a worker's span at every
-        // plane width: 4 chunks (one padded group at 1 thread, none at
-        // 2), 4 + a 1-byte chunk, 8 less one byte (the group is ragged),
-        // 16, and 17 + a 777-byte chunk. Values from Python hashlib,
-        // as above, over `wide_pattern`.
         let golden = [
             (
                 4 * CHUNK_BYTES,
-                "ca0742ead4ba1c4eb689db7471343b74bc93965771bb175e0c1ba95a274f041d",
+                "d2a6e6359deb477b55197697c0f735b30a01f669020cc2059a63f706ac59772b",
             ),
             (
                 4 * CHUNK_BYTES + 1,
-                "402aec77c9b4d7be357f95aa2d78403f7bf95e19c539ebbcc70a9dfd7c166cf9",
+                "d4fcfdbd002b79753f627fe47bebc3c36f9bbf694d8f710180c44139441fc1b7",
             ),
             (
                 8 * CHUNK_BYTES - 1,
-                "1738b568fc24cd8c128b3699d91db2016bb9cb3e565967a3a89c016666ee9fea",
+                "f412f36ad7ae8aadbd6563d8e30c6ec46d71dbf531cff4a30f1de511959ce505",
             ),
             (
                 16 * CHUNK_BYTES,
-                "023aa558d00088cec276bf0b0fe8282e400eb985d64e65e657479f43df56fb45",
+                "058dbc251bb8621d9d5d090cd5cb8a0be53932888205e8ca86c91719d03e94ae",
             ),
             (
                 17 * CHUNK_BYTES + 777,
-                "b97eae9c85e105dce96e120c83211addadf475d295a95370bbf5ab05a78ec928",
+                "e4c78da282a6f72dcce5325859ffbf2388f1df8dbaa61c533a945e23708a9c1c",
             ),
         ];
         let data = wide_pattern(17 * CHUNK_BYTES + 777);
@@ -549,53 +591,68 @@ mod tests {
         }
     }
 
+    /// One leaf count per packing case on a 1–4 thread plane: 7 (a padded
+    /// eight-lane group; 4 + 3 on two threads), 9 (a full eight-lane group
+    /// and a scalar leftover), 11 (the sixteen-lane floor on one thread),
+    /// 14 (7 + 7), 15 (8 + 7; one padded sixteen-lane group), 22 (11 + 11:
+    /// at the floor on each of two threads), 24 + a 777-byte tail (full
+    /// groups, then the tail alone under the half-length floor), 32 and 64
+    /// (full groups at both lane widths on one and two threads). Values
+    /// from Python's `hashlib` over `wide_pattern`, by the expression on
+    /// `content_digest_golden_values_are_pinned` — at the detected width
+    /// through the public entry point, and at one forced width of
+    /// {1, 8, 16} per plane, rotating so every length meets all three
+    /// (hashing each case at every width would triple a slow debug-build
+    /// test). On a host without AVX2 or AVX-512F a forced width hashes
+    /// each lane alone, so the packing is covered there too.
     #[test]
     #[cfg_attr(miri, ignore = "hashes megabytes; too slow interpreted")]
     fn packing_golden_values_are_pinned_at_every_width() {
-        // One leaf count per packing case on a 1–4 thread plane: 7 (a
-        // padded eight-lane group; 4 + 3 on two threads), 9 (a full
-        // group and a scalar leftover), 14 (7 + 7), 15 (8 + 7), 24 + a
-        // 777-byte tail (full groups, then the tail alone under the
-        // half-length floor) and 32 (full groups on every plane). Values
-        // from Python hashlib over `wide_pattern`, as above — at the
-        // detected width through the public entry point, and at one
-        // forced width per plane, alternating so every length meets both
-        // widths (hashing each case at both would double a slow
-        // debug-build test). On a host without AVX2 width 8 hashes each
-        // lane alone, so the packing is covered there too.
         let golden = [
             (
                 7 * CHUNK_BYTES,
-                "c27ba8638022925b153e1db31f3d00d5608883e6d7ff5250aff1fc60c2efc26b",
+                "c9aedeaee6433bcabf1a4f986c03d09787c311face101d3c9d9110248f334d22",
             ),
             (
                 9 * CHUNK_BYTES,
-                "db97edbdf39791f3c26d18fc942b4e65a650e3474da370ca2b8cc2bdfad315bb",
+                "7090e14398834cf3248116420565ee30234373db07e36796605df4ad7cead5fe",
+            ),
+            (
+                11 * CHUNK_BYTES,
+                "f7d75c3d74431c35407db2d30b64edf3ce4275e12bbdad0d007a3df23b7db338",
             ),
             (
                 14 * CHUNK_BYTES,
-                "0d0c03e8f623ff726c5ee4a356896234dc7778fab8051ab70205445245e322e2",
+                "86cf2cbba213654ad47d386356e212feb6db4289d9f89384daa17f534a9a3e53",
             ),
             (
                 15 * CHUNK_BYTES,
-                "9b92c66b581202410587a34dee24be928024f642d5950085ae17a381097b59cb",
+                "7eb76c9fc9f4a111da410e2dfd1aa169bc1e65688de0f12c4305737ad054f23f",
+            ),
+            (
+                22 * CHUNK_BYTES,
+                "4242ef60205d69d69425c79da91258792123c5f7a3ae72b68ffc81ed3f9a32ed",
             ),
             (
                 24 * CHUNK_BYTES + 777,
-                "de18c58784d172f48b26d80fe694e427efc343666312d3823f9ab68bce3bb371",
+                "93eadaa502713dc3e56a3a5e9934a73773ad699f6a7f682224811388afe327a2",
             ),
             (
                 32 * CHUNK_BYTES,
-                "c2e8b5cbdca12739e9d460111b9f3de716e003c953370de30a98d1e29c2e50a4",
+                "d116681202131651c998539bd691e12b88a6eb770f4bab2c262d17316bf099de",
+            ),
+            (
+                64 * CHUNK_BYTES,
+                "1a2f6043e47492bc36362c742ea2faef53faf5a3671cbc9cd6aed4dc1ac9b4b6",
             ),
         ];
-        let data = wide_pattern(32 * CHUNK_BYTES);
+        let data = wide_pattern(64 * CHUNK_BYTES);
         for (case, (len, expect)) in golden.into_iter().enumerate() {
             for threads in [1, 2, 3, 4] {
                 let plane = DataPlane::new(threads);
                 let got = content_digest(&data[..len], &plane);
                 assert_eq!(got.to_hex(), expect, "len {len} threads {threads}");
-                let width = [1, 8][(case + threads) % 2];
+                let width = [1, 8, 16][(case + threads) % 3];
                 let got = content_digests_at(width, &[&data[..len]], &plane)[0];
                 assert_eq!(
                     got.to_hex(),
@@ -608,16 +665,18 @@ mod tests {
 
     #[test]
     fn every_width_packs_a_ragged_span_to_the_scalar_digests() {
-        // Leaves need not be 256 KB for the packer: full-length ones, a
-        // run of tails, one tiny leaf in the middle of what would be a
-        // group, and a one-byte straggler — small enough for Miri.
-        let data = wide_pattern(4096);
+        // Leaves need not be whole chunks for the packer: full-length
+        // ones, a run of tails, one tiny leaf in the middle of what would
+        // be a group, and a one-byte straggler; fourteen leaves reach half
+        // the longest, enough for a sixteen-lane pass — small enough for
+        // Miri.
+        let data = wide_pattern(1024);
         let lens = [
-            1000usize, 1000, 3, 1000, 990, 1000, 700, 499, 1000, 1000, 64, 1,
+            200usize, 200, 3, 200, 198, 200, 140, 99, 200, 200, 64, 1, 200, 196, 200, 200, 120, 200,
         ];
         let span: Vec<&[u8]> = lens.iter().map(|&len| &data[len..2 * len]).collect();
         let expect: Vec<[u8; 32]> = span.iter().map(|leaf| sha256_reference(leaf)).collect();
-        for width in 1..=8 {
+        for width in 1..=16 {
             for take in 0..=span.len() {
                 assert_eq!(
                     sha256_span_at(width, &span[..take]),
@@ -625,6 +684,27 @@ mod tests {
                     "width {width}, first {take} leaves"
                 );
             }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn no_group_under_the_floor_enters_the_sixteen_lane_pass() {
+        // Equal leaves, so the span is one group of `n` at width 16: it
+        // takes the pass from the floor up, and hashes the same either
+        // way. Where `sha256` runs the SHA extensions the floor is 11.
+        if host_kernel() == Kernel::ShaExtensions {
+            assert_eq!(x16_floor(), 11);
+        }
+        let data = wide_pattern(16 * 130);
+        let span: Vec<&[u8]> = data.chunks(130).collect();
+        for n in 1..=16 {
+            X16_PASSES.with(|p| p.set(0));
+            let got = sha256_span_at(16, &span[..n]);
+            let passes = X16_PASSES.with(core::cell::Cell::get);
+            assert_eq!(passes, usize::from(n >= x16_floor()), "{n} leaves");
+            let expect: Vec<[u8; 32]> = span[..n].iter().map(|l| sha256_reference(l)).collect();
+            assert_eq!(got, expect, "{n} leaves");
         }
     }
 
@@ -681,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "256 KB messages are too slow interpreted")]
+    #[cfg_attr(miri, ignore = "whole-chunk messages are too slow interpreted")]
     fn both_dispatch_arms_match_the_reference_on_a_whole_leaf() {
         let data = wide_pattern(CHUNK_BYTES + 8);
         for kernel in arms() {

@@ -1,30 +1,33 @@
 //! The x86-64 SHA-256 kernels behind `digest.rs`'s portable `compress`:
-//! eight messages in lockstep in AVX2's `__m256i`, and one message
-//! through the SHA extensions.
+//! sixteen messages in lockstep in AVX-512's `__m512i`, eight in AVX2's
+//! `__m256i`, and one message through the SHA extensions.
 //!
 //! [`content_digests`](crate::digest::content_digests) hashes payloads
-//! as independent 256 KB chunks, so eight of them can share every
-//! instruction: the eight state words and the sixteen schedule words
-//! each become one vector holding that word of every message. SHA-256
-//! is adds, shifts and boolean operations on 32-bit words and nothing
-//! crosses lanes, so [`sha256_x8`]'s kernel is the scalar one with every
-//! operator replaced by its packed twin (AVX2 has no rotate; it is two
-//! shifts and an or). Message words are gathered with
-//! `u32::from_be_bytes` on bounds-checked slices and `set_epi32`; no
-//! intrinsic here takes a pointer.
+//! as independent 64 KiB chunks, so sixteen or eight of them can share
+//! every instruction: the eight state words and the sixteen schedule
+//! words each become one vector holding that word of every message.
+//! SHA-256 is adds, shifts and boolean operations on 32-bit words and
+//! nothing crosses lanes, so [`sha256_x16`]'s and [`sha256_x8`]'s
+//! kernels are the scalar one with every operator replaced by its packed
+//! twin. AVX2 has no rotate (it is two shifts and an or) and no
+//! three-input boolean; AVX-512F has both, `vprold` and `vpternlogd`.
+//! Message words are gathered with `u32::from_be_bytes` on bounds-checked
+//! slices and `set_epi32`; no intrinsic here takes a pointer.
 //!
-//! Where the CPU has the SHA extensions, that sharing does not pay: one
+//! Where the CPU has the SHA extensions, eight lanes do not pay: one
 //! `sha256rnds2` does two rounds of one message, and [`compress_sha`]
 //! runs every block of a message through them, Intel's published
 //! instruction sequence on the state split into its ABEF and CDGH
 //! halves, with `sha256msg1` / `sha256msg2` extending the schedule four
-//! words at a time.
+//! words at a time. Sixteen lanes do pay there, once at least eleven of
+//! them carry a leaf.
 //!
-//! Neither AVX2 nor the SHA extensions is part of the x86-64 base ABI:
-//! [`sha256_x8`] and [`compress_sha`] ask the CPU and enter their kernels
-//! only where it answered yes, and [`avx2`] and [`sha_extensions`] tell
-//! `digest.rs` which kernel to take and whether a lockstep group is
-//! worth forming. Other targets compile the scalar kernel alone.
+//! None of AVX-512F, AVX2 and the SHA extensions is part of the x86-64
+//! base ABI: [`sha256_x16`], [`sha256_x8`] and [`compress_sha`] ask the
+//! CPU and enter their kernels only where it answered yes, and
+//! [`avx512f`], [`avx2`] and [`sha_extensions`] tell `digest.rs` which
+//! kernel to take and whether a lockstep group is worth forming. Other
+//! targets compile the scalar kernel alone.
 
 use crate::digest::{finish, sha256, H0, K};
 
@@ -52,6 +55,27 @@ pub(crate) fn sha256_x8(msgs: [&[u8]; 8]) -> [[u8; 32]; 8] {
     unsafe { x8::lockstep(msgs) }
 }
 
+/// Whether this CPU runs [`sha256_x16`]'s sixteen-lane kernel. A
+/// property of the host the code observes, not a setting.
+pub(crate) fn avx512f() -> bool {
+    is_x86_feature_detected!("avx512f")
+}
+
+/// SHA-256 of sixteen messages at once, as [`sha256_x8`] hashes eight:
+/// the whole blocks all sixteen have in lockstep where the CPU has
+/// AVX-512F, each lane's remainder by the single-stream code, and each
+/// message alone elsewhere. Equals `msgs.map(sha256)` for any input on
+/// any host.
+pub(crate) fn sha256_x16(msgs: [&[u8]; 16]) -> [[u8; 32]; 16] {
+    if !avx512f() {
+        return msgs.map(sha256);
+    }
+    // SAFETY: `x16::lockstep` requires the `avx512f` target feature,
+    // which is not statically enabled; `avx512f` on the line above has
+    // just reported that this CPU implements it.
+    unsafe { x16::lockstep(msgs) }
+}
+
 /// Whether this CPU runs [`compress_sha`]'s kernel: the SHA extensions
 /// for the rounds and the schedule, SSSE3 for the schedule's `palignr`,
 /// SSE4.1 for reading the state back out.
@@ -77,16 +101,13 @@ pub(crate) fn compress_sha<'a>(state: &mut [u32; 8], blocks: &'a [[u8; 64]]) -> 
 }
 
 /// One round on every lane; the argument order carries the role
-/// rotation exactly as in the scalar kernel's `round!`.
+/// rotation exactly as in the scalar kernel's `round!`. Each lane module
+/// supplies `add` and the four round functions over its vector type.
 macro_rules! round_lanes {
     ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
-        let big_s1 = xor3(rotr::<6, 26>($e), rotr::<11, 21>($e), rotr::<25, 7>($e));
-        let ch = xor($g, and($e, xor($f, $g)));
-        let t1 = add(add($h, big_s1), add(ch, $kw));
+        let t1 = add(add($h, big_sigma1($e)), add(ch($e, $f, $g), $kw));
         $d = add($d, t1);
-        let big_s0 = xor3(rotr::<2, 30>($a), rotr::<13, 19>($a), rotr::<22, 10>($a));
-        let maj = or(and($a, $b), and($c, or($a, $b)));
-        $h = add(t1, add(big_s0, maj));
+        $h = add(t1, add(big_sigma0($a), maj($a, $b, $c)));
     };
 }
 
@@ -110,6 +131,36 @@ mod x8 {
     #[target_feature(enable = "avx2")]
     fn xor3(a: V, b: V, c: V) -> V {
         xor(xor(a, b), c)
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn big_sigma0(a: V) -> V {
+        xor3(rotr::<2, 30>(a), rotr::<13, 19>(a), rotr::<22, 10>(a))
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn big_sigma1(e: V) -> V {
+        xor3(rotr::<6, 26>(e), rotr::<11, 21>(e), rotr::<25, 7>(e))
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn ch(e: V, f: V, g: V) -> V {
+        xor(g, and(e, xor(f, g)))
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn maj(a: V, b: V, c: V) -> V {
+        or(and(a, b), and(c, or(a, b)))
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn small_sigma0(w: V) -> V {
+        xor3(rotr::<7, 25>(w), rotr::<18, 14>(w), shr::<3>(w))
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn small_sigma1(w: V) -> V {
+        xor3(rotr::<17, 15>(w), rotr::<19, 13>(w), shr::<10>(w))
     }
 
     /// The sixteen big-endian message words of one block per lane, lane
@@ -165,10 +216,155 @@ mod x8 {
                 let i = t & 15;
                 if t >= 16 {
                     for j in i..i + 8 {
-                        let w15 = w[(j + 1) & 15];
-                        let w2 = w[(j + 14) & 15];
-                        let s0 = xor3(rotr::<7, 25>(w15), rotr::<18, 14>(w15), shr::<3>(w15));
-                        let s1 = xor3(rotr::<17, 15>(w2), rotr::<19, 13>(w2), shr::<10>(w2));
+                        let s0 = small_sigma0(w[(j + 1) & 15]);
+                        let s1 = small_sigma1(w[(j + 14) & 15]);
+                        w[j] = add(add(w[j], s0), add(w[(j + 9) & 15], s1));
+                    }
+                }
+                let kw = |j: usize| add(splat(K[t + j].cast_signed()), w[i + j]);
+                round_lanes!(a, b, c, d, e, f, g, h, kw(0));
+                round_lanes!(h, a, b, c, d, e, f, g, kw(1));
+                round_lanes!(g, h, a, b, c, d, e, f, kw(2));
+                round_lanes!(f, g, h, a, b, c, d, e, kw(3));
+                round_lanes!(e, f, g, h, a, b, c, d, kw(4));
+                round_lanes!(d, e, f, g, h, a, b, c, kw(5));
+                round_lanes!(c, d, e, f, g, h, a, b, kw(6));
+                round_lanes!(b, c, d, e, f, g, h, a, kw(7));
+            }
+            for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *s = add(*s, v);
+            }
+        }
+        let words = state.map(|v| lanes(v));
+        core::array::from_fn(|lane| {
+            let m = msgs[lane];
+            finish(words.map(|w| w[lane]), &m[common * 64..], m.len())
+        })
+    }
+}
+
+/// Sixteen lanes of an AVX-512 register, one message per lane: `x8`'s
+/// kernel with a native rotate (`vprold`) and every three-input boolean
+/// function — Σ's and σ's `xor3`, `ch`, `maj` — one `vpternlogd`.
+mod x16 {
+    use super::{finish, H0, K};
+    use core::arch::x86_64::{
+        __m128i, __m512i as V, _mm512_add_epi32 as add, _mm512_extracti32x4_epi32,
+        _mm512_ror_epi32 as ror, _mm512_set1_epi32 as splat, _mm512_set_epi32,
+        _mm512_srli_epi32 as shr, _mm512_ternarylogic_epi32 as ternary, _mm_extract_epi32,
+    };
+
+    const LANES: usize = 16;
+
+    /// `a ^ b ^ c`: the truth table `0x96` over (a, b, c).
+    #[target_feature(enable = "avx512f")]
+    fn xor3(a: V, b: V, c: V) -> V {
+        ternary::<0x96>(a, b, c)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn big_sigma0(a: V) -> V {
+        xor3(ror::<2>(a), ror::<13>(a), ror::<22>(a))
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn big_sigma1(e: V) -> V {
+        xor3(ror::<6>(e), ror::<11>(e), ror::<25>(e))
+    }
+
+    /// `f` where `e` is set, else `g`: the truth table `0xCA`.
+    #[target_feature(enable = "avx512f")]
+    fn ch(e: V, f: V, g: V) -> V {
+        ternary::<0xCA>(e, f, g)
+    }
+
+    /// The majority of the three bits: the truth table `0xE8`.
+    #[target_feature(enable = "avx512f")]
+    fn maj(a: V, b: V, c: V) -> V {
+        ternary::<0xE8>(a, b, c)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn small_sigma0(w: V) -> V {
+        xor3(ror::<7>(w), ror::<18>(w), shr::<3>(w))
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn small_sigma1(w: V) -> V {
+        xor3(ror::<17>(w), ror::<19>(w), shr::<10>(w))
+    }
+
+    /// The sixteen big-endian message words of one block per lane, lane
+    /// 0 lowest, built as `x8::message` builds them.
+    #[target_feature(enable = "avx512f")]
+    fn message(blocks: [&[u8; 64]; LANES]) -> [V; 16] {
+        let mut w = [splat(0); 16];
+        for (i, w) in w.iter_mut().enumerate() {
+            let word =
+                |lane: usize| u32::from_be_bytes(blocks[lane].as_chunks::<4>().0[i]).cast_signed();
+            *w = _mm512_set_epi32(
+                word(15),
+                word(14),
+                word(13),
+                word(12),
+                word(11),
+                word(10),
+                word(9),
+                word(8),
+                word(7),
+                word(6),
+                word(5),
+                word(4),
+                word(3),
+                word(2),
+                word(1),
+                word(0),
+            );
+        }
+        w
+    }
+
+    /// The four lanes of `q`, lowest first.
+    #[target_feature(enable = "avx512f")]
+    fn quad(q: __m128i) -> [u32; 4] {
+        [
+            _mm_extract_epi32::<0>(q),
+            _mm_extract_epi32::<1>(q),
+            _mm_extract_epi32::<2>(q),
+            _mm_extract_epi32::<3>(q),
+        ]
+        .map(i32::cast_unsigned)
+    }
+
+    /// The lanes of `v`, lane 0 first.
+    #[target_feature(enable = "avx512f")]
+    fn lanes(v: V) -> [u32; LANES] {
+        let quads = [
+            quad(_mm512_extracti32x4_epi32::<0>(v)),
+            quad(_mm512_extracti32x4_epi32::<1>(v)),
+            quad(_mm512_extracti32x4_epi32::<2>(v)),
+            quad(_mm512_extracti32x4_epi32::<3>(v)),
+        ];
+        let mut out = [0; LANES];
+        out.copy_from_slice(quads.as_flattened());
+        out
+    }
+
+    /// The scalar `compress` on every lane, scheduled as `x8::lockstep`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn lockstep(msgs: [&[u8]; LANES]) -> [[u8; 32]; LANES] {
+        let blocks = msgs.map(|m| m.as_chunks::<64>().0);
+        let common = blocks.iter().map(|b| b.len()).min().unwrap_or(0);
+        let mut state = H0.map(|h| splat(h.cast_signed()));
+        for at in 0..common {
+            let mut w = message(blocks.map(|b| &b[at]));
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
+            for t in (0..64).step_by(8) {
+                let i = t & 15;
+                if t >= 16 {
+                    for j in i..i + 8 {
+                        let s0 = small_sigma0(w[(j + 1) & 15]);
+                        let s1 = small_sigma1(w[(j + 14) & 15]);
                         w[j] = add(add(w[j], s0), add(w[(j + 9) & 15], s1));
                     }
                 }
@@ -287,40 +483,59 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
-    /// Eight different random messages of the given lengths.
-    fn group(seed: u64, lens: [usize; 8]) -> [Vec<u8>; 8] {
+    /// `N` different random messages of the given lengths.
+    fn group<const N: usize>(seed: u64, lens: [usize; N]) -> [Vec<u8>; N] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         lens.map(|len| (0..len).map(|_| rng.gen::<u8>()).collect())
     }
 
-    fn refs(msgs: &[Vec<u8>; 8]) -> [&[u8]; 8] {
+    fn refs<const N: usize>(msgs: &[Vec<u8>; N]) -> [&[u8]; N] {
         core::array::from_fn(|lane| msgs[lane].as_slice())
     }
 
     #[test]
     fn the_host_says_which_kernel_ran() {
         // CI runs this with `--nocapture`: a green run on a CPU without
-        // AVX2 exercised `sha256_x8`'s per-message fallback, not the
-        // eight-lane kernel; one without the SHA extensions skipped that
-        // kernel's arm.
+        // AVX2 or AVX-512F exercised that entry point's per-message
+        // fallback, not its lane kernel; one without the SHA extensions
+        // skipped that kernel's arm.
         let live = |yes: bool| if yes { "live" } else { "skipped" };
+        let x16 = live(avx512f());
         let x8 = live(avx2());
         let sha = live(sha_extensions());
         let packer = crate::digest::lockstep_lanes();
+        println!("lockstep SHA-256: sixteen-lane kernel (avx512f) {x16}");
         println!("lockstep SHA-256: eight-lane kernel (avx2) {x8}; the packer groups {packer}");
         println!("single-stream SHA-256: SHA-extensions kernel (sha + ssse3 + sse4.1) {sha}");
-        let expect = if avx2() && !sha_extensions() { 8 } else { 1 };
+        let expect = if avx512f() {
+            16
+        } else if avx2() && !sha_extensions() {
+            8
+        } else {
+            1
+        };
         assert_eq!(packer, expect);
     }
 
+    /// No lockstep block, exactly one, one plus a tail, and both padding
+    /// shapes after each — small enough for Miri.
+    const PADDING_LENS: [usize; 11] = [0, 1, 55, 56, 63, 64, 65, 119, 120, 128, 200];
+
     #[test]
     fn padding_boundaries_match_the_reference_in_every_lane() {
-        // No lockstep block, exactly one, one plus a tail, and both
-        // padding shapes after each — small enough for Miri.
-        for len in [0usize, 1, 55, 56, 63, 64, 65, 119, 120, 128, 200] {
+        for len in PADDING_LENS {
             let msgs = group(len as u64, [len; 8]);
             let expect = refs(&msgs).map(sha256_reference);
             assert_eq!(sha256_x8(refs(&msgs)), expect, "len {len}");
+        }
+    }
+
+    #[test]
+    fn x16_padding_boundaries_match_the_reference_in_every_lane() {
+        for len in PADDING_LENS {
+            let msgs = group(len as u64, [len; 16]);
+            let expect = refs(&msgs).map(sha256_reference);
+            assert_eq!(sha256_x16(refs(&msgs)), expect, "len {len}");
         }
     }
 
@@ -333,10 +548,26 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "256 KB messages are too slow interpreted")]
+    fn x16_unequal_lengths_fall_back_per_lane() {
+        let lens = [
+            64, 200, 129, 70, 300, 65, 1000, 128, 77, 64, 640, 191, 256, 999, 65, 130,
+        ];
+        let msgs = group(7, lens);
+        assert_eq!(sha256_x16(refs(&msgs)), refs(&msgs).map(sha256_reference));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "whole-chunk messages are too slow interpreted")]
     fn one_whole_chunk_per_lane_matches_scalar() {
         let msgs = group(11, [crate::CHUNK_BYTES; 8]);
         assert_eq!(sha256_x8(refs(&msgs)), refs(&msgs).map(sha256));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "whole-chunk messages are too slow interpreted")]
+    fn x16_one_whole_chunk_per_lane_matches_scalar() {
+        let msgs = group(11, [crate::CHUNK_BYTES; 16]);
+        assert_eq!(sha256_x16(refs(&msgs)), refs(&msgs).map(sha256));
     }
 
     // Random multi-KB groups are too slow interpreted.
@@ -347,6 +578,12 @@ mod tests {
         fn equals_one_scalar_hash_per_lane(seed in 0u64..u64::MAX, len in 0usize..5000) {
             let msgs = group(seed, [len; 8]);
             prop_assert_eq!(sha256_x8(refs(&msgs)), refs(&msgs).map(sha256));
+        }
+
+        #[test]
+        fn x16_equals_one_scalar_hash_per_lane(seed in 0u64..u64::MAX, len in 0usize..5000) {
+            let msgs = group(seed, [len; 16]);
+            prop_assert_eq!(sha256_x16(refs(&msgs)), refs(&msgs).map(sha256));
         }
     }
 }

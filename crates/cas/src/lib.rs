@@ -9,11 +9,12 @@
 //!   vectors) and the chunked [`content_digests`] scheme — one payload
 //!   or many — that fans out over the [`ros_disk::plane::DataPlane`]
 //!   while staying byte-identical at any thread count and lane width.
-//!   Three kernels hash the blocks: the portable scalar `compress`;
-//!   on x86-64 where the CPU reports AVX2, eight leaves in the lanes of
-//!   one vector register inside each worker; and where the CPU has the
-//!   SHA extensions, every block of every message through them, leaf by
-//!   leaf, with no lane group formed;
+//!   Four kernels hash the blocks: the portable scalar `compress`; on
+//!   x86-64 where the CPU reports AVX-512F, sixteen leaves in the lanes
+//!   of one vector register inside each worker; where it reports AVX2
+//!   and lacks the SHA extensions, eight; and where the CPU has the SHA
+//!   extensions, every message no sixteen-lane group takes, through
+//!   them, leaf by leaf;
 //! - [`verified`]: the [`verify_payload`] / [`verify_payloads`] entry
 //!   point every integrity check routes through, and the [`Verified`]
 //!   proof it returns — bytes plus the digest they were shown to hash
@@ -26,9 +27,9 @@
 //! digests), the cluster re-replication drill's survivor verification,
 //! and the chaos soak's acked-write sweep.
 
-// `deny`, not `forbid`: the AVX2 and SHA-extensions kernels are
-// `#[target_feature]` functions, and rustc asks for `unsafe` to enter
-// one; each of the two blocks follows the run-time detection of its
+// `deny`, not `forbid`: the AVX-512F, AVX2 and SHA-extensions kernels
+// are `#[target_feature]` functions, and rustc asks for `unsafe` to enter
+// one; each of the three blocks follows the run-time detection of its
 // features. That module carries the crate's only `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -640,9 +640,11 @@ mod tests {
             .collect();
         // Re-pinned by PR 23: the images carry their files' mtimes, and a
         // write's mtime now includes the kernel-user switches before it.
+        // Re-pinned again when `CHUNK_BYTES` went from 256 KiB to 64 KiB:
+        // the same image bytes, hashed as different leaves.
         let digests = [
-            "ae3a5306b313d563e8e269d5d93a9c8eb05a776016d149a4596dd734c44b6259",
-            "25aa4553848f7ba0818ba6781863e78fe340700403369895f0331a7389537d3b",
+            "383ea45e5c6333b41fd34c846dabe28507bdca064fbf89d1fb8ab80b650576dd",
+            "4217f3eabb210e928e989fff4c3f852e4048283dd82ce6342b431ad6580049da",
         ];
         assert_eq!(
             members,
@@ -779,6 +781,39 @@ mod tests {
         assert_eq!(a.data_on_buffer(), 0, "no buffer copy restored");
         assert_eq!(a.ros.status().da_counts.2, 0, "no tray retired");
         assert_eq!(a.ros.store.group(gid).unwrap().state, GroupState::Burned);
+    }
+
+    #[test]
+    fn a_forged_digest_is_unrecoverable_and_its_bytes_are_never_served() {
+        // A burned member's recorded digest overwritten with its
+        // sibling's: the media are intact, but no copy and no rebuild can
+        // hash to the record, so every rung must refuse the bytes.
+        let mut a = cold_array(Redundancy::Raid6, 1);
+        let (forged, sibling) = (a.files[0].2, a.files[1].2);
+        let theirs = a.ros.store.get(sibling).unwrap().digest;
+        a.ros.store.get_mut(forged).unwrap().digest = theirs;
+        let gid = a.gid;
+        let path = a.files[0].0.clone();
+        assert_eq!(
+            a.ros.read_file(&path).err(),
+            Some(OlfsError::Unrecoverable {
+                image: forged,
+                array: Some(gid)
+            })
+        );
+        assert_eq!(a.data_on_buffer(), 0, "no buffer copy restored");
+        // The failed fetch left the array in a bay; with the tray home the
+        // audit finds the member rotted and out of local reach.
+        a.ros.unload_all_bays().unwrap();
+        let (report, _) = audit(&mut a);
+        assert_eq!(report.rotted, [forged], "{report:?}");
+        assert_eq!(report.unrepairable, [forged], "{report:?}");
+        assert!(report.repaired.is_empty(), "{report:?}");
+        assert_eq!(a.data_on_buffer(), 0, "the audit restores nothing");
+        assert!(a.ros.read_file(&path).is_err());
+        // The sibling whose digest was copied still reads back exact.
+        let (path, data, _) = a.files[1].clone();
+        assert_eq!(a.ros.read_file(&path).unwrap().data.as_ref(), data);
     }
 
     #[test]
