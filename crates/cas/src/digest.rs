@@ -20,7 +20,7 @@ use ros_disk::plane::DataPlane;
 /// Fixed chunking granularity of [`content_digest`]. Chunk boundaries
 /// depend only on the payload length, never on the thread count, so the
 /// digest is stable across plane configurations.
-pub const CHUNK_BYTES: usize = 64 * 1024;
+pub const CHUNK_BYTES: usize = 16 * 1024;
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
 pub(crate) const K: [u32; 64] = [
@@ -298,16 +298,18 @@ pub(crate) fn lockstep_lanes() -> usize {
     1
 }
 
-/// The fewest leaves a group needs to take the sixteen-lane pass: 11
-/// where `sha256` runs the SHA extensions, else 3. On 64 KiB leaves (a
+/// The fewest leaves a group needs to take the sixteen-lane pass: 10
+/// where `sha256` runs the SHA extensions, else 3. On 16 KiB leaves (a
 /// 2-vCPU x86-64 host with `sha_ni` and `avx512f`) a sixteen-lane pass
-/// hashes 1.6–1.8× what one SHA-extensions stream does in its time, so it
-/// breaks even at about 10 of its 16 lanes; against `compress` it costs
-/// less than an eight-lane pass, so three leaves win as they do there.
+/// takes 99–103 µs in most runs of best-of-300 and up to 124 µs in the
+/// host's slow runs, and one SHA-extensions leaf 11.2–12.0 µs: the pass
+/// breaks even at 8.8–9.1 of its 16 lanes, 10–11 in the slow runs.
+/// Against `compress` it costs less than an eight-lane pass, so three
+/// leaves win as they do there.
 #[cfg(target_arch = "x86_64")]
 fn x16_floor() -> usize {
     if host_kernel() == Kernel::ShaExtensions {
-        11
+        10
     } else {
         3
     }
@@ -356,9 +358,10 @@ thread_local! {
 /// remainder after the common prefix is under a block:
 /// - past width 8, one sixteen-lane pass if the group has at least
 ///   [`x16_floor`] leaves;
-/// - at widths 3–8, one eight-lane pass if it has more than two. On
-///   256 KB leaves (a 2-vCPU x86-64 host with AVX2) that pass costs
-///   1.8–2.1 scalar `compress` hashes: three leaves win, two do not.
+/// - at widths 3–8, one eight-lane pass if it has more than two. Timed
+///   on 256 KiB leaves (a 2-vCPU x86-64 host with AVX2), that pass costs
+///   1.8–2.1 scalar `compress` hashes, a per-block ratio that holds on
+///   16 KiB leaves: three leaves win, two do not.
 ///   Where `sha256` runs the SHA extensions it costs about 12.5 of their
 ///   hashes, so no group wins and the packer is never handed width 8
 ///   there ([`lockstep_lanes`]).
@@ -511,8 +514,9 @@ mod tests {
     /// path nor a block kernel may change these. Values computed
     /// independently with Python's `hashlib` from the construction in the
     /// module docs, `d` being the payload:
-    /// `sha256(len(d).to_bytes(8,'big') + b''.join(sha256(d[i:i+65536]).digest() for i in range(0, len(d), 65536)))`.
-    /// Re-pinned once, when `CHUNK_BYTES` went from 256 KiB to 64 KiB.
+    /// `sha256(len(d).to_bytes(8,'big') + b''.join(sha256(d[i:i+16384]).digest() for i in range(0, len(d), 16384)))`.
+    /// Re-pinned twice: when `CHUNK_BYTES` went from 256 KiB to 64 KiB,
+    /// and again from 64 KiB to 16 KiB.
     #[test]
     #[cfg_attr(miri, ignore = "hashes megabytes; too slow interpreted")]
     fn content_digest_golden_values_are_pinned() {
@@ -527,19 +531,19 @@ mod tests {
             ),
             (
                 CHUNK_BYTES - 1,
-                "a42813194a7f77d0277d32990dd582a6fdbaf10a4d4184e8acc3c90fd7e10605",
+                "3a63c28590b3ef77d850fa22485d016a938c56700707645799abb98b86a7c9c4",
             ),
             (
                 CHUNK_BYTES,
-                "2c7236fe7b757f99284eef909cb869fb2f012fc2edaf9b00d627cbd09dff83de",
+                "99f0acf6b3fc267324fe380312a83b90bff0cc45093aca91a2f9dc0afd775005",
             ),
             (
                 CHUNK_BYTES + 1,
-                "8b83f0e79c88578a50ec6e092db0e0856df8821ce99bf8c6aa1d746ea5468989",
+                "1b345872dee1f5b482bd23042f1bce5663cef23c0514c98f2ceb20e17a145f4e",
             ),
             (
                 2 * CHUNK_BYTES + 12_345,
-                "7834fc1e7d645a9e6a5ca8868b8fd8fddc14c0fe69dcda89ec8851b3743648a1",
+                "72b548de66492a2a5ccb20a33a9044d1a5722a30f0d0087c91aa9cf60953e3b5",
             ),
         ];
         let data = pattern(2 * CHUNK_BYTES + 12_345);
@@ -563,23 +567,23 @@ mod tests {
         let golden = [
             (
                 4 * CHUNK_BYTES,
-                "d2a6e6359deb477b55197697c0f735b30a01f669020cc2059a63f706ac59772b",
+                "c0da0e92be21255e55fa177aebfb071dee8bb7f559c8c4485039929191deb790",
             ),
             (
                 4 * CHUNK_BYTES + 1,
-                "d4fcfdbd002b79753f627fe47bebc3c36f9bbf694d8f710180c44139441fc1b7",
+                "9ec42cb7bf4009a5eebb412e4901e5df5e79e28dbed9703532d278c4eb271b2b",
             ),
             (
                 8 * CHUNK_BYTES - 1,
-                "f412f36ad7ae8aadbd6563d8e30c6ec46d71dbf531cff4a30f1de511959ce505",
+                "496bfd2aad374f8b880c20bece42cc06677ee36546ccfc869ab5e65b840b0d33",
             ),
             (
                 16 * CHUNK_BYTES,
-                "058dbc251bb8621d9d5d090cd5cb8a0be53932888205e8ca86c91719d03e94ae",
+                "5f2f8b9bcb1376d8ad77eb3832e776c4f8994057cfcadd9f96d0a5075d5bee30",
             ),
             (
                 17 * CHUNK_BYTES + 777,
-                "e4c78da282a6f72dcce5325859ffbf2388f1df8dbaa61c533a945e23708a9c1c",
+                "ee8a781b249c93e36223c266dd832d26653440f67b33a2c56448ad2a382cfc87",
             ),
         ];
         let data = wide_pattern(17 * CHUNK_BYTES + 777);
@@ -593,11 +597,12 @@ mod tests {
 
     /// One leaf count per packing case on a 1–4 thread plane: 7 (a padded
     /// eight-lane group; 4 + 3 on two threads), 9 (a full eight-lane group
-    /// and a scalar leftover), 11 (the sixteen-lane floor on one thread),
-    /// 14 (7 + 7), 15 (8 + 7; one padded sixteen-lane group), 22 (11 + 11:
-    /// at the floor on each of two threads), 24 + a 777-byte tail (full
-    /// groups, then the tail alone under the half-length floor), 32 and 64
-    /// (full groups at both lane widths on one and two threads). Values
+    /// and a scalar leftover; one under the sixteen-lane floor), 10 (the
+    /// floor on one thread), 14 (7 + 7), 15 (8 + 7; one padded sixteen-lane
+    /// group), 20 (10 + 10: at the floor on each of two threads), 24 + a
+    /// 777-byte tail (full groups, then the tail alone under the
+    /// half-length floor), 32 and 64 (full groups at both lane widths on
+    /// one and two threads). Values
     /// from Python's `hashlib` over `wide_pattern`, by the expression on
     /// `content_digest_golden_values_are_pinned` — at the detected width
     /// through the public entry point, and at one forced width of
@@ -611,39 +616,39 @@ mod tests {
         let golden = [
             (
                 7 * CHUNK_BYTES,
-                "c9aedeaee6433bcabf1a4f986c03d09787c311face101d3c9d9110248f334d22",
+                "c9447a0f6a5571890be39ae72d2f89b6424101d33b05dac4ff1caa6796d943c4",
             ),
             (
                 9 * CHUNK_BYTES,
-                "7090e14398834cf3248116420565ee30234373db07e36796605df4ad7cead5fe",
+                "54b409a56a466a1753924b1ce08f974cf90bcad3a0dbdd641d58def296070e15",
             ),
             (
-                11 * CHUNK_BYTES,
-                "f7d75c3d74431c35407db2d30b64edf3ce4275e12bbdad0d007a3df23b7db338",
+                10 * CHUNK_BYTES,
+                "066a0b30fd119420524c1563320b511df53c62d6808af6907b371430df8262e1",
             ),
             (
                 14 * CHUNK_BYTES,
-                "86cf2cbba213654ad47d386356e212feb6db4289d9f89384daa17f534a9a3e53",
+                "6258b346916a5da6f2a0c09738bff10b89211b6527dcee92a73631f1a4873466",
             ),
             (
                 15 * CHUNK_BYTES,
-                "7eb76c9fc9f4a111da410e2dfd1aa169bc1e65688de0f12c4305737ad054f23f",
+                "275bd1dd8df400ae18bae4991faaa9c0fcbd7860f0d4568155cc691823ad9394",
             ),
             (
-                22 * CHUNK_BYTES,
-                "4242ef60205d69d69425c79da91258792123c5f7a3ae72b68ffc81ed3f9a32ed",
+                20 * CHUNK_BYTES,
+                "1242f90afd4585715e8d48a977f2fb6b803e123e597e40867f3f0e972453f697",
             ),
             (
                 24 * CHUNK_BYTES + 777,
-                "93eadaa502713dc3e56a3a5e9934a73773ad699f6a7f682224811388afe327a2",
+                "d2d988b7050ca2ac2ae1c41e0601aaf857a5a88b674e0082f6e24f06917c35a7",
             ),
             (
                 32 * CHUNK_BYTES,
-                "d116681202131651c998539bd691e12b88a6eb770f4bab2c262d17316bf099de",
+                "0988cc7015a7661f5c8ed090b68f770f0566af03220b50984d9c8976752b6783",
             ),
             (
                 64 * CHUNK_BYTES,
-                "1a2f6043e47492bc36362c742ea2faef53faf5a3671cbc9cd6aed4dc1ac9b4b6",
+                "f7384f3b023d693e01c22591ada022b55cb0f7ab3b1e4ab1b2d816f36a5c95ff",
             ),
         ];
         let data = wide_pattern(64 * CHUNK_BYTES);
@@ -692,9 +697,9 @@ mod tests {
     fn no_group_under_the_floor_enters_the_sixteen_lane_pass() {
         // Equal leaves, so the span is one group of `n` at width 16: it
         // takes the pass from the floor up, and hashes the same either
-        // way. Where `sha256` runs the SHA extensions the floor is 11.
+        // way. Where `sha256` runs the SHA extensions the floor is 10.
         if host_kernel() == Kernel::ShaExtensions {
-            assert_eq!(x16_floor(), 11);
+            assert_eq!(x16_floor(), 10);
         }
         let data = wide_pattern(16 * 130);
         let span: Vec<&[u8]> = data.chunks(130).collect();
@@ -706,6 +711,25 @@ mod tests {
             let expect: Vec<[u8; 32]> = span[..n].iter().map(|l| sha256_reference(l)).collect();
             assert_eq!(got, expect, "{n} leaves");
         }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[cfg_attr(miri, ignore = "hashes half a megabyte; too slow interpreted")]
+    fn a_sealed_image_takes_one_sixteen_lane_pass_per_plane_thread() {
+        // A ~470 KB image of a 512 KiB-disc rack is 29 leaves, which a
+        // 2-thread plane splits 15 + 14: both spans reach the floor, so
+        // each is one sixteen-lane pass and no leaf runs alone.
+        let data = wide_pattern(28 * CHUNK_BYTES + 11_000);
+        let leaves: Vec<&[u8]> = data.chunks(CHUNK_BYTES).collect();
+        let spans = DataPlane::new(2).map_spans(&leaves, |span| {
+            X16_PASSES.with(|p| p.set(0));
+            let got = sha256_span_at(16, span);
+            let expect: Vec<[u8; 32]> = span.iter().map(|leaf| sha256(leaf)).collect();
+            assert_eq!(got, expect);
+            vec![(span.len(), X16_PASSES.with(core::cell::Cell::get))]
+        });
+        assert_eq!(spans, [(15, 1), (14, 1)]);
     }
 
     /// `sha256` through `kernel` where the CPU runs it (`compress` where

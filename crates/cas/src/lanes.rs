@@ -3,7 +3,7 @@
 //! `__m256i`, and one message through the SHA extensions.
 //!
 //! [`content_digests`](crate::digest::content_digests) hashes payloads
-//! as independent 64 KiB chunks, so sixteen or eight of them can share
+//! as independent 16 KiB chunks, so sixteen or eight of them can share
 //! every instruction: the eight state words and the sixteen schedule
 //! words each become one vector holding that word of every message.
 //! SHA-256 is adds, shifts and boolean operations on 32-bit words and
@@ -19,7 +19,7 @@
 //! runs every block of a message through them, Intel's published
 //! instruction sequence on the state split into its ABEF and CDGH
 //! halves, with `sha256msg1` / `sha256msg2` extending the schedule four
-//! words at a time. Sixteen lanes do pay there, once at least eleven of
+//! words at a time. Sixteen lanes do pay there, once at least ten of
 //! them carry a leaf.
 //!
 //! None of AVX-512F, AVX2 and the SHA extensions is part of the x86-64
@@ -350,7 +350,37 @@ mod x16 {
         out
     }
 
-    /// The scalar `compress` on every lane, scheduled as `x8::lockstep`.
+    /// Rounds `T..T + 8` on every lane, the schedule extended eight words
+    /// just ahead of them as in `x8::lockstep`. `T` is a constant, so
+    /// every index into `w` is one and the sixteen schedule words can
+    /// stay in registers: AVX-512 has 32, where AVX2's 16 could not hold
+    /// them beside the state, so `x8` keeps its loop.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn eight_rounds<const T: usize>(state: &mut [V; 8], w: &mut [V; 16]) {
+        let i = T & 15;
+        if T >= 16 {
+            for j in i..i + 8 {
+                let s0 = small_sigma0(w[(j + 1) & 15]);
+                let s1 = small_sigma1(w[(j + 14) & 15]);
+                w[j] = add(add(w[j], s0), add(w[(j + 9) & 15], s1));
+            }
+        }
+        let kw = |j: usize| add(splat(K[T + j].cast_signed()), w[i + j]);
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        round_lanes!(a, b, c, d, e, f, g, h, kw(0));
+        round_lanes!(h, a, b, c, d, e, f, g, kw(1));
+        round_lanes!(g, h, a, b, c, d, e, f, kw(2));
+        round_lanes!(f, g, h, a, b, c, d, e, kw(3));
+        round_lanes!(e, f, g, h, a, b, c, d, kw(4));
+        round_lanes!(d, e, f, g, h, a, b, c, kw(5));
+        round_lanes!(c, d, e, f, g, h, a, b, kw(6));
+        round_lanes!(b, c, d, e, f, g, h, a, kw(7));
+        *state = [a, b, c, d, e, f, g, h];
+    }
+
+    /// The scalar `compress` on every lane, its 64 rounds unrolled as
+    /// eight calls of [`eight_rounds`].
     #[target_feature(enable = "avx512f")]
     pub(super) fn lockstep(msgs: [&[u8]; LANES]) -> [[u8; 32]; LANES] {
         let blocks = msgs.map(|m| m.as_chunks::<64>().0);
@@ -358,28 +388,17 @@ mod x16 {
         let mut state = H0.map(|h| splat(h.cast_signed()));
         for at in 0..common {
             let mut w = message(blocks.map(|b| &b[at]));
-            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
-            for t in (0..64).step_by(8) {
-                let i = t & 15;
-                if t >= 16 {
-                    for j in i..i + 8 {
-                        let s0 = small_sigma0(w[(j + 1) & 15]);
-                        let s1 = small_sigma1(w[(j + 14) & 15]);
-                        w[j] = add(add(w[j], s0), add(w[(j + 9) & 15], s1));
-                    }
-                }
-                let kw = |j: usize| add(splat(K[t + j].cast_signed()), w[i + j]);
-                round_lanes!(a, b, c, d, e, f, g, h, kw(0));
-                round_lanes!(h, a, b, c, d, e, f, g, kw(1));
-                round_lanes!(g, h, a, b, c, d, e, f, kw(2));
-                round_lanes!(f, g, h, a, b, c, d, e, kw(3));
-                round_lanes!(e, f, g, h, a, b, c, d, kw(4));
-                round_lanes!(d, e, f, g, h, a, b, c, kw(5));
-                round_lanes!(c, d, e, f, g, h, a, b, kw(6));
-                round_lanes!(b, c, d, e, f, g, h, a, kw(7));
-            }
-            for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-                *s = add(*s, v);
+            let mut s = state;
+            eight_rounds::<0>(&mut s, &mut w);
+            eight_rounds::<8>(&mut s, &mut w);
+            eight_rounds::<16>(&mut s, &mut w);
+            eight_rounds::<24>(&mut s, &mut w);
+            eight_rounds::<32>(&mut s, &mut w);
+            eight_rounds::<40>(&mut s, &mut w);
+            eight_rounds::<48>(&mut s, &mut w);
+            eight_rounds::<56>(&mut s, &mut w);
+            for (st, v) in state.iter_mut().zip(s) {
+                *st = add(*st, v);
             }
         }
         let words = state.map(|v| lanes(v));

@@ -51,8 +51,9 @@ use std::thread::JoinHandle;
 /// stripe (0.9–1.3× the serial time) and runs at 0.5–1.2× at 64 KiB and
 /// 0.6–0.9× at 128 KiB; `verify_group_with` wins from 32 KiB (0.6–0.9×);
 /// `content_digests` breaks even near 40 KiB in total, though it fans
-/// out over 256 KiB leaves and so never sees this threshold; a 3-member
-/// XOR `parity_p_with` (memory-bound) still loses at 256 KiB (1.4×).
+/// out over its 16 KiB leaves through `map_spans`, which this threshold
+/// does not gate; a 3-member XOR `parity_p_with` (memory-bound) still
+/// loses at 256 KiB (1.4×).
 /// 64 KiB sits at the parity kernels' break-even, and `e2e`'s parity
 /// calls (4–16 KiB stripes in `cluster_preserve`) run serially on either
 /// side of it, so it stays. The threshold is results-invisible (see

@@ -640,11 +640,12 @@ mod tests {
             .collect();
         // Re-pinned by PR 23: the images carry their files' mtimes, and a
         // write's mtime now includes the kernel-user switches before it.
-        // Re-pinned again when `CHUNK_BYTES` went from 256 KiB to 64 KiB:
-        // the same image bytes, hashed as different leaves.
+        // Re-pinned again when `CHUNK_BYTES` went from 256 KiB to 64 KiB,
+        // and from 64 KiB to 16 KiB: the same image bytes, hashed as
+        // different leaves.
         let digests = [
-            "383ea45e5c6333b41fd34c846dabe28507bdca064fbf89d1fb8ab80b650576dd",
-            "4217f3eabb210e928e989fff4c3f852e4048283dd82ce6342b431ad6580049da",
+            "6eba2015e33b18610569bbfd562d3f39e0cb7af751d3a2007531c6944ed0da48",
+            "443822aaff40769ec32915efa69bf497d3405f30070fc02d809cf6f32205d9d4",
         ];
         assert_eq!(
             members,
