@@ -75,12 +75,10 @@ pub struct Table1Row {
     pub measured_secs: f64,
 }
 
-/// Table 1's rack: the tiny rack's 4 MiB discs in a full-size layout,
-/// with a large read cache.
+/// Table 1's rack: the tiny rack's 4 MiB discs in a full-size layout.
 fn table1_config() -> RosConfig {
     RosConfig {
         layout: RackLayout::default(),
-        read_cache_images: 512,
         seed: 7,
         ..RosConfig::tiny()
     }

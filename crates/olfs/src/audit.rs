@@ -411,8 +411,7 @@ mod tests {
         let group = r.store.group(gid).unwrap().clone();
         for member in group.data.iter().chain(group.parity.iter()) {
             if r.store.get(*member).unwrap().on_disk() {
-                let freed = r.store.evict_disk_copy(*member).unwrap();
-                let _ = r.vm.release(r.vol_buffer, freed);
+                r.drop_buffer_copy(*member).unwrap();
             }
             let loc = r.store.get(*member).unwrap().burned.unwrap();
             let media = r.registry.disc_mut(loc.disc).unwrap();

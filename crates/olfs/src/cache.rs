@@ -1,4 +1,4 @@
-//! The Read Cache (RC) — LRU over whole disc images (§4.1).
+//! The Read Cache (RC) — the disk buffer's copies of disc images (§4.1).
 //!
 //! "Considering that recently and frequently read data are likely to be
 //! used again according to data life cycles, Read Cache (RC) retains some
@@ -6,420 +6,251 @@
 //! design of OLFS only considers a disc image as a cache unit,
 //! sufficiently exploiting spatial locality."
 //!
-//! Unburned images are *pinned*: they are the only copy of their data and
-//! must never be evicted before burning completes.
-//!
-//! The recency list is an intrusive doubly-linked list over a slab of
-//! nodes, addressed through a `HashMap<ImageId, usize>` index, so
-//! `touch`/`insert`/`remove`/`contains` are O(1) regardless of how many
-//! images are resident (a production rack caches hundreds of images and
-//! touches the cache on every read). Only eviction walks the list, and
-//! only past the pinned prefix of the cold end.
+//! The RC keeps no record of its own. An image is resident while the
+//! image store holds its payload ([`crate::dim::ImageInfo::on_disk`]); it is pinned
+//! while it is unburned, because its buffer copy is then the only copy;
+//! and its recency is [`crate::dim::ImageInfo::used_at`], stamped at seal, at restore
+//! and on each read hit. The buffer volume's bytes are the one budget:
+//! every allocation on it goes through [`Ros::reserve_buffer`], which
+//! makes room by dropping burned copies least recently used first.
 
+use crate::engine::Ros;
+use crate::error::OlfsError;
 use crate::ids::ImageId;
-use std::collections::HashMap;
 
-#[cfg(test)]
-thread_local! {
-    /// Nodes the eviction walk asked [`ReadCache::pinned`] about on this
-    /// thread: the count the tests pin (the pinned cold prefix plus the
-    /// victim, never the list).
-    static EVICT_VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Eviction-policy statistics.
+/// Read-cache statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found the image cached.
+    /// Reads served by an image resident on the disk buffer.
     pub hits: u64,
-    /// Lookups that missed.
+    /// Reads that fetched their image from disc.
     pub misses: u64,
-    /// Images evicted.
+    /// Burned copies dropped to make room for an allocation.
     pub evictions: u64,
 }
 
-/// Slab index of "no node": list terminator / unlinked marker.
-const NIL: usize = usize::MAX;
-
-/// One entry of the intrusive recency list.
-#[derive(Clone, Copy, Debug)]
-struct Node {
-    id: ImageId,
-    /// Slab index of the next-colder entry (`NIL` at the coldest end).
-    prev: usize,
-    /// Slab index of the next-hotter entry (`NIL` at the hottest end).
-    next: usize,
-}
-
-/// An LRU cache of disc-image residency (the bytes live in the image
-/// store; the cache tracks *which* images stay on the disk tier).
-// The two HashMaps below are point-lookup-only (insert/get/remove); the
-// LRU order itself lives in the intrusive list, so hash iteration order
-// never reaches an observable output. `clippy::iter_over_hash_type`
-// guards against any future iteration creeping in.
-#[derive(Clone, Debug)]
-pub struct ReadCache {
-    capacity: usize,
-    /// Node slab; freed slots are recycled through `free`.
-    nodes: Vec<Node>,
-    free: Vec<usize>,
-    /// Resident image -> slab index.
-    index: HashMap<ImageId, usize>,
-    /// Coldest entry (eviction candidate end).
-    head: usize,
-    /// Hottest entry (most recently used end).
-    tail: usize,
-    /// Pin counts; pinned images are never evicted.
-    pins: HashMap<ImageId, u32>,
-    stats: CacheStats,
-}
-
-impl ReadCache {
-    /// Creates a cache holding up to `capacity` images.
-    pub fn new(capacity: usize) -> Self {
-        ReadCache {
-            capacity: capacity.max(1),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            head: NIL,
-            tail: NIL,
-            pins: HashMap::new(),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Returns the capacity in images.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Returns the number of resident images.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Returns true when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Returns true if the image is resident.
-    pub fn contains(&self, id: ImageId) -> bool {
-        self.index.contains_key(&id)
-    }
-
-    /// Returns accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Detaches node `n` from the recency list (it stays in the slab).
-    fn unlink(&mut self, n: usize) {
-        let Node { prev, next, .. } = self.nodes[n];
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    /// Appends node `n` at the hot end.
-    fn push_hot(&mut self, n: usize) {
-        self.nodes[n].prev = self.tail;
-        self.nodes[n].next = NIL;
-        if self.tail != NIL {
-            self.nodes[self.tail].next = n;
-        } else {
-            self.head = n;
-        }
-        self.tail = n;
-    }
-
-    /// Allocates a slab node for `id`, recycling freed slots.
-    fn alloc(&mut self, id: ImageId) -> usize {
-        match self.free.pop() {
-            Some(n) => {
-                self.nodes[n] = Node {
-                    id,
-                    prev: NIL,
-                    next: NIL,
-                };
-                n
+impl Ros {
+    /// Reserves `bytes` on the disk buffer: the one allocation on the
+    /// buffer volume (seal, parity, restore). When the volume cannot hold
+    /// them, burned copies — data and parity — are dropped least recently
+    /// used first, ties broken by id, until it can. When dropping every
+    /// burned copy would still not make room, nothing is dropped and the
+    /// reservation fails with [`OlfsError::BufferFull`].
+    pub(crate) fn reserve_buffer(&mut self, bytes: u64) -> Result<(), OlfsError> {
+        let (used, capacity) = self.vm.usage(self.vol_buffer)?;
+        let mut free = capacity.saturating_sub(used);
+        if bytes > free {
+            let mut burned: Vec<_> = self
+                .store
+                .images()
+                .filter(|i| i.burned.is_some())
+                .filter_map(|i| Some((i.used_at, i.id, i.payload.as_ref()?.len() as u64)))
+                .collect();
+            if free + burned.iter().map(|&(.., len)| len).sum::<u64>() < bytes {
+                return Err(OlfsError::BufferFull);
             }
-            None => {
-                self.nodes.push(Node {
-                    id,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.nodes.len() - 1
+            burned.sort_unstable();
+            for (_, id, len) in burned {
+                if free >= bytes {
+                    break;
+                }
+                self.drop_buffer_copy(id)?;
+                self.cache.evictions += 1;
+                free += len;
             }
         }
+        self.vm.allocate(self.vol_buffer, bytes)?;
+        Ok(())
     }
 
-    /// Whether node `n`'s image is pinned: the eviction walk's one
-    /// question per node it visits.
-    fn pinned(&self, n: usize) -> bool {
-        #[cfg(test)]
-        EVICT_VISITS.with(|v| v.set(v.get() + 1));
-        self.pins.contains_key(&self.nodes[n].id)
+    /// Drops a burned image's buffer copy and releases its bytes; an
+    /// unburned image is refused ([`crate::dim::ImageStore::evict_disk_copy`]).
+    pub(crate) fn drop_buffer_copy(&mut self, id: ImageId) -> Result<(), OlfsError> {
+        let freed = self.store.evict_disk_copy(id)?;
+        self.vm.release(self.vol_buffer, freed)?;
+        Ok(())
     }
 
-    /// Records a lookup; on a hit the image becomes most-recently-used.
-    pub fn touch(&mut self, id: ImageId) -> bool {
-        if let Some(&n) = self.index.get(&id) {
-            self.unlink(n);
-            self.push_hot(n);
-            self.stats.hits += 1;
-            true
-        } else {
-            self.stats.misses += 1;
-            false
-        }
-    }
-
-    /// Inserts an image as most-recently-used, returning any images that
-    /// must be dropped from the disk tier to make room.
-    pub fn insert(&mut self, id: ImageId) -> Vec<ImageId> {
-        if let Some(&n) = self.index.get(&id) {
-            self.unlink(n);
-            self.push_hot(n);
-        } else {
-            let n = self.alloc(id);
-            self.push_hot(n);
-            self.index.insert(id, n);
-        }
-        let mut evicted = Vec::new();
-        while self.index.len() > self.capacity {
-            // Evict the coldest unpinned image; never the one just
-            // inserted (it reached the cold end only if everything
-            // colder is pinned, and evicting the incoming image would
-            // defeat the insert).
-            let mut n = self.head;
-            while n != NIL && self.pinned(n) {
-                n = self.nodes[n].next;
-            }
-            if n == NIL || self.nodes[n].id == id {
-                // Everything (else) is pinned: tolerate overflow rather
-                // than evict a sole copy.
-                break;
-            }
-            let victim = self.nodes[n].id;
-            self.unlink(n);
-            self.free.push(n);
-            self.index.remove(&victim);
-            self.stats.evictions += 1;
-            evicted.push(victim);
-        }
-        evicted
-    }
-
-    /// Removes an image (e.g. the disk copy was dropped for space). Any
-    /// pin state dies with the residency: a pin protects the resident
-    /// copy, and a later re-insert must start unprotected.
-    pub fn remove(&mut self, id: ImageId) -> bool {
-        if let Some(n) = self.index.remove(&id) {
-            self.unlink(n);
-            self.free.push(n);
-            self.pins.remove(&id);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Pins an image against eviction (unburned images).
-    pub fn pin(&mut self, id: ImageId) {
-        *self.pins.entry(id).or_insert(0) += 1;
-    }
-
-    /// Releases one pin.
-    pub fn unpin(&mut self, id: ImageId) {
-        if let Some(count) = self.pins.get_mut(&id) {
-            *count -= 1;
-            if *count == 0 {
-                self.pins.remove(&id);
-            }
-        }
-    }
-
-    /// Returns the images in LRU order (coldest first).
-    pub fn lru_order(&self) -> impl Iterator<Item = ImageId> + '_ {
-        let mut cur = self.head;
-        core::iter::from_fn(move || {
-            if cur == NIL {
-                None
-            } else {
-                let node = &self.nodes[cur];
-                cur = node.next;
-                Some(node.id)
-            }
-        })
+    /// Bytes of every image copy on the disk buffer: what the buffer
+    /// volume's use must equal (consistency check 8).
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        self.store
+            .images()
+            .filter_map(|i| i.payload.as_ref())
+            .map(|p| p.len() as u64)
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::RosConfig;
+    use crate::dim::ImageKind;
+    use crate::engine::Ros;
+    use crate::error::OlfsError;
+    use crate::ids::ImageId;
+    use ros_udf::UdfPath;
 
-    fn ids(v: &[u64]) -> Vec<ImageId> {
-        v.iter().copied().map(ImageId).collect()
+    /// A file this size, sealed on its own, is most of a tiny rack's
+    /// image.
+    const IMAGE_FILE: usize = 3_000_000;
+
+    fn p(s: &str) -> UdfPath {
+        s.parse().unwrap()
     }
 
-    #[test]
-    fn lru_eviction_order() {
-        let mut c = ReadCache::new(3);
-        assert!(c.insert(ImageId(1)).is_empty());
-        assert!(c.insert(ImageId(2)).is_empty());
-        assert!(c.insert(ImageId(3)).is_empty());
-        // Touch 1 so 2 becomes coldest.
-        assert!(c.touch(ImageId(1)));
-        let evicted = c.insert(ImageId(4));
-        assert_eq!(evicted, ids(&[2]));
-        assert!(c.contains(ImageId(1)));
-        assert!(!c.contains(ImageId(2)));
-    }
-
-    #[test]
-    fn pinned_images_survive() {
-        let mut c = ReadCache::new(2);
-        c.insert(ImageId(1));
-        c.pin(ImageId(1));
-        c.insert(ImageId(2));
-        let evicted = c.insert(ImageId(3));
-        // 1 is pinned; 2 must go instead.
-        assert_eq!(evicted, ids(&[2]));
-        assert!(c.contains(ImageId(1)));
-        // Unpin and it becomes evictable.
-        c.unpin(ImageId(1));
-        let evicted = c.insert(ImageId(4));
-        assert_eq!(evicted, ids(&[1]));
-    }
-
-    #[test]
-    fn all_pinned_overflows_gracefully() {
-        let mut c = ReadCache::new(2);
-        for i in 1..=3 {
-            c.insert(ImageId(i));
-            c.pin(ImageId(i));
+    /// A tiny rack with `files` files burned, one image each, and its
+    /// array back on the roller; the buffer still holds every burned data
+    /// and parity copy.
+    fn burned(files: u8) -> Ros {
+        let mut r = Ros::new(RosConfig::tiny());
+        for i in 0..files {
+            r.write_file(&p(&format!("/c/{i}")), vec![i; IMAGE_FILE])
+                .unwrap();
+            r.seal_open_buckets().unwrap();
         }
-        assert_eq!(c.len(), 3, "overflow tolerated when all pinned");
+        r.flush().unwrap();
+        r.unload_all_bays().unwrap();
+        r
+    }
+
+    fn image_of(r: &Ros, path: &str) -> ImageId {
+        r.image_segments(&p(path)).unwrap()[0]
+    }
+
+    fn resident(r: &Ros, id: ImageId) -> bool {
+        r.store.get(id).unwrap().on_disk()
+    }
+
+    /// Fills the buffer volume until exactly `left` bytes are free.
+    fn fill_leaving(r: &mut Ros, left: u64) {
+        let (used, capacity) = r.status().buffer_usage;
+        r.vm.allocate(r.vol_buffer, capacity - used - left).unwrap();
+    }
+
+    fn burned_copies(r: &Ros) -> Vec<ImageId> {
+        r.store
+            .images()
+            .filter(|i| i.burned.is_some() && i.on_disk())
+            .map(|i| i.id)
+            .collect()
     }
 
     #[test]
-    fn reinsert_refreshes_position() {
-        let mut c = ReadCache::new(2);
-        c.insert(ImageId(1));
-        c.insert(ImageId(2));
-        c.insert(ImageId(1)); // refresh
-        let evicted = c.insert(ImageId(3));
-        assert_eq!(evicted, ids(&[2]));
-    }
-
-    #[test]
-    fn stats_count_hits_and_misses() {
-        let mut c = ReadCache::new(2);
-        c.insert(ImageId(1));
-        assert!(c.touch(ImageId(1)));
-        assert!(!c.touch(ImageId(9)));
-        c.insert(ImageId(2));
-        c.insert(ImageId(3));
-        let s = c.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.evictions, 1);
-    }
-
-    #[test]
-    fn remove_and_empty() {
-        let mut c = ReadCache::new(2);
-        assert!(c.is_empty());
-        c.insert(ImageId(5));
-        assert!(c.remove(ImageId(5)));
-        assert!(!c.remove(ImageId(5)));
-        assert!(c.is_empty());
-        // Double pin requires double unpin.
-        c.insert(ImageId(7));
-        c.pin(ImageId(7));
-        c.pin(ImageId(7));
-        c.unpin(ImageId(7));
-        c.insert(ImageId(8));
-        let evicted = c.insert(ImageId(9));
-        assert!(!evicted.contains(&ImageId(7)));
-    }
-
-    #[test]
-    fn remove_clears_pin_state() {
-        // Regression: removing a pinned image used to leave its pin
-        // count behind, permanently shielding a later re-insert of the
-        // same id from eviction.
-        let mut c = ReadCache::new(2);
-        c.insert(ImageId(1));
-        c.pin(ImageId(1));
-        assert!(c.remove(ImageId(1)));
-        c.insert(ImageId(1)); // fresh residency, no pins outstanding
-        c.insert(ImageId(2));
-        let evicted = c.insert(ImageId(3));
-        assert_eq!(evicted, ids(&[1]), "re-inserted image must be evictable");
-    }
-
-    #[test]
-    fn evicting_one_image_visits_at_most_the_pinned_prefix_and_the_victim() {
-        let visits = || EVICT_VISITS.with(std::cell::Cell::get);
-        let capacity = 640u64;
-        for pinned in [0u64, 3, 40] {
-            let mut c = ReadCache::new(capacity as usize);
-            for i in 0..capacity {
-                c.insert(ImageId(i));
-            }
-            for i in 0..pinned {
-                c.pin(ImageId(i));
-            }
-            for i in 0..100 {
-                let before = visits();
-                assert_eq!(c.insert(ImageId(capacity + i)).len(), 1);
-                let visited = visits() - before;
-                assert!(
-                    (1..=pinned as usize + 1).contains(&visited),
-                    "{visited} nodes visited with {pinned} pinned of {capacity}"
-                );
-            }
+    fn every_resident_data_image_is_cached_and_its_bytes_charged() {
+        let mut r = Ros::new(RosConfig::tiny());
+        for i in 0..40u8 {
+            r.write_file(&p(&format!("/p1/{i}")), vec![i; 700_000])
+                .unwrap();
         }
-    }
-
-    #[test]
-    fn lru_order_walks_cold_to_hot() {
-        let mut c = ReadCache::new(4);
-        for i in [3u64, 1, 4, 2] {
-            c.insert(ImageId(i));
+        r.flush().unwrap();
+        r.evict_all_burned_copies();
+        r.unload_all_bays().unwrap();
+        for i in 0..40u8 {
+            let read = r.read_file(&p(&format!("/p1/{i}"))).unwrap();
+            assert_eq!(read.data.as_ref(), &[i; 700_000][..]);
         }
-        c.touch(ImageId(4));
-        let order: Vec<ImageId> = c.lru_order().collect();
-        assert_eq!(order, ids(&[3, 1, 2, 4]));
-    }
-
-    #[test]
-    fn slab_recycles_after_heavy_churn() {
-        // The slab must not grow proportionally to total inserts, only
-        // to peak residency.
-        let mut c = ReadCache::new(8);
-        for i in 0..10_000u64 {
-            c.insert(ImageId(i));
-            if i % 3 == 0 {
-                c.remove(ImageId(i));
-            }
-        }
-        assert!(c.len() <= 8);
-        assert!(
-            c.nodes.len() <= 16,
-            "slab grew to {} nodes for capacity 8",
-            c.nodes.len()
+        let resident: Vec<(ImageKind, u64)> = r
+            .store
+            .images()
+            .filter_map(|i| Some((i.kind, i.payload.as_ref()?.len() as u64)))
+            .collect();
+        assert!(resident.len() > 4, "{resident:?}");
+        assert!(resident.iter().all(|&(kind, _)| kind == ImageKind::Data));
+        let status = r.status();
+        assert_eq!(status.cached_images, resident.len());
+        assert_eq!(
+            status.buffer_usage.0,
+            resident.iter().map(|&(_, len)| len).sum::<u64>()
         );
+        assert!(r.verify_consistency().is_empty());
+    }
+
+    #[test]
+    fn pressure_drops_the_least_recently_read_burned_copy_first() {
+        let mut r = burned(3);
+        r.evict_all_burned_copies();
+        // Fetch all three back, then read the first again: the second is
+        // now the least recently used.
+        for i in [0, 1, 2, 0] {
+            r.read_file(&p(&format!("/c/{i}"))).unwrap();
+        }
+        let [first, second, third] = [0, 1, 2].map(|i| image_of(&r, &format!("/c/{i}")));
+        let need = r.store.get(second).unwrap().size;
+        fill_leaving(&mut r, need - 1);
+        r.reserve_buffer(need).unwrap();
+        assert!(!resident(&r, second), "the least recently read copy goes");
+        assert!(resident(&r, first) && resident(&r, third));
+        assert_eq!(r.cache_stats().evictions, 1);
+    }
+
+    #[test]
+    fn pressure_never_drops_an_unburned_image() {
+        let mut r = burned(2);
+        r.write_file(&p("/u/late"), vec![9; IMAGE_FILE]).unwrap();
+        r.seal_open_buckets().unwrap();
+        let late = image_of(&r, "/u/late");
+        assert!(r.store.get(late).unwrap().burned.is_none());
+        let burned = burned_copies(&r);
+        let burned_bytes: u64 = burned.iter().map(|&id| r.store.get(id).unwrap().size).sum();
+        fill_leaving(&mut r, 0);
+        // More than every burned copy frees: refused, nothing dropped.
+        assert_eq!(
+            r.reserve_buffer(burned_bytes + 1),
+            Err(OlfsError::BufferFull)
+        );
+        assert_eq!(burned_copies(&r), burned);
+        // Exactly what they free: every burned copy goes, the unburned
+        // image stays.
+        r.reserve_buffer(burned_bytes).unwrap();
+        assert!(burned_copies(&r).is_empty());
+        assert!(resident(&r, late));
+    }
+
+    #[test]
+    fn a_buffer_of_unburned_images_only_is_full() {
+        let mut r = Ros::new(RosConfig::tiny());
+        r.write_file(&p("/u/a"), vec![1; IMAGE_FILE]).unwrap();
+        r.write_file(&p("/u/b"), vec![2; IMAGE_FILE]).unwrap();
+        r.seal_open_buckets().unwrap();
+        let unburned: Vec<ImageId> = r
+            .store
+            .images()
+            .filter(|i| i.kind == ImageKind::Data)
+            .map(|i| i.id)
+            .collect();
+        assert_eq!(unburned.len(), 2);
+        assert!(r.store.images().all(|i| i.burned.is_none()));
+        fill_leaving(&mut r, 0);
+        let used = r.status().buffer_usage.0;
+        assert_eq!(r.reserve_buffer(1), Err(OlfsError::BufferFull));
+        assert!(unburned.iter().all(|&id| resident(&r, id)));
+        assert_eq!(r.status().buffer_usage.0, used);
+    }
+
+    #[test]
+    fn a_seal_the_buffer_cannot_hold_keeps_its_files_in_the_open_bucket() {
+        let mut r = Ros::new(RosConfig::tiny());
+        r.write_file(&p("/s/a"), vec![1; 700_000]).unwrap();
+        fill_leaving(&mut r, 0);
+        assert_eq!(r.seal_open_buckets(), Err(OlfsError::BufferFull));
+        let read = r.read_file(&p("/s/a")).unwrap();
+        assert_eq!(read.data.as_ref(), &[1; 700_000][..]);
+        assert_eq!(read.source, crate::engine::ReadSource::DiskBucket);
+    }
+
+    #[test]
+    fn evictions_count_each_copy_pressure_drops() {
+        let mut r = burned(4);
+        let copies = burned_copies(&r).len() as u64;
+        assert!(copies >= 5, "four data copies and a parity copy: {copies}");
+        fill_leaving(&mut r, 0);
+        let all = r.resident_bytes();
+        r.reserve_buffer(all).unwrap();
+        assert_eq!(r.cache_stats().evictions, copies);
+        // The maintenance sweep drops copies too, but not for pressure.
+        let mut r = burned(4);
+        assert_eq!(r.evict_all_burned_copies() as u64, copies);
+        assert_eq!(r.cache_stats().evictions, 0);
     }
 }

@@ -78,8 +78,6 @@ pub struct RosConfig {
     /// Number of open buckets kept ready (§4.3: "a couple of updatable
     /// buckets").
     pub open_buckets: usize,
-    /// Read-cache capacity in disc images (§4.1: LRU over images).
-    pub read_cache_images: usize,
     /// Forepart bytes stored inline in index files; 0 disables (§4.8).
     pub forepart_bytes: u64,
     /// Behaviour when a cold read finds all drives burning.
@@ -134,7 +132,6 @@ impl RosConfig {
             drives_per_bay: 12,
             redundancy: Redundancy::Raid5,
             open_buckets: 4,
-            read_cache_images: 500,
             forepart_bytes: crate::params::FOREPART_BYTES,
             busy_read_policy: BusyReadPolicy::Wait,
             prefetch_array: false,
@@ -148,8 +145,8 @@ impl RosConfig {
     }
 
     /// A scaled-down configuration for tests and examples: tiny rack,
-    /// 4 MB discs, small cache. The *timing models* are unchanged — only
-    /// capacities shrink.
+    /// 4 MB discs. The *timing models* are unchanged — only capacities
+    /// shrink.
     pub fn tiny() -> Self {
         RosConfig {
             layout: RackLayout::tiny(),
@@ -160,7 +157,6 @@ impl RosConfig {
             drives_per_bay: 12,
             redundancy: Redundancy::Raid5,
             open_buckets: 2,
-            read_cache_images: 4,
             forepart_bytes: 4 * 1024,
             busy_read_policy: BusyReadPolicy::Wait,
             prefetch_array: false,

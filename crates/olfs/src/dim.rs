@@ -7,8 +7,9 @@
 //!
 //! The store tracks every image through its life: sealed on the disk
 //! buffer → grouped into a disc array → parity generated → burned → (disk
-//! copy evicted or retained by the read cache). The physical discs
-//! themselves live in the [`DiscRegistry`].
+//! copy evicted or retained by the read cache). Its payloads are the one
+//! record of what is on the disk buffer ([`crate::cache`]). The physical
+//! discs themselves live in the [`DiscRegistry`].
 
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
@@ -116,6 +117,11 @@ pub struct ImageInfo {
     pub burned: Option<DiscLocation>,
     /// Owning array group.
     pub array: Option<ArrayId>,
+    /// When the disk copy was last used — stamped at seal, at restore
+    /// and on each read hit ([`ImageStore::touch`]); the read cache drops
+    /// the burned copy with the oldest stamp first. A parity copy is
+    /// never read, so it keeps the zero stamp and goes before any data.
+    pub used_at: SimTime,
 }
 
 impl ImageInfo {
@@ -175,6 +181,14 @@ impl ImageStore {
         self.images.get_mut(&id)
     }
 
+    /// Stamps an image's disk copy as used at `at` (the read cache's
+    /// recency, [`ImageInfo::used_at`]).
+    pub fn touch(&mut self, id: ImageId, at: SimTime) {
+        if let Some(info) = self.images.get_mut(&id) {
+            info.used_at = at;
+        }
+    }
+
     /// All registered images in id order.
     pub fn images(&self) -> impl Iterator<Item = &ImageInfo> {
         self.images.values()
@@ -221,6 +235,7 @@ impl ImageStore {
             payload: Some(payload),
             burned: None,
             array: Some(gid),
+            used_at: SimTime::ZERO,
         };
         self.images.insert(id, info);
         let group = self.groups.entry(gid).or_insert_with(|| ArrayGroup {
@@ -283,6 +298,7 @@ impl ImageStore {
                     payload: Some(payload),
                     burned: None,
                     array: Some(gid),
+                    used_at: SimTime::ZERO,
                 },
             );
         }
@@ -458,8 +474,9 @@ impl ImageStore {
     /// Resets a burned group for a rewrite to a fresh array (§4.7: "The
     /// recovered data can be written to new buckets and finally burned
     /// into free disc arrays"): drops its old parity images, clears the
-    /// slot assignment, the append flag and the burn locations, and
-    /// returns the old slot so the caller can retire it.
+    /// slot assignment, the append flag and the burn locations. Returns
+    /// the old slot, for the caller to retire, and the bytes the dropped
+    /// parity images held on the disk buffer, for it to release.
     ///
     /// The burn location is the only other reference to a data member's
     /// bytes, so the reset refuses ([`OlfsError::SoleCopy`]), mutating
@@ -467,7 +484,7 @@ impl ImageStore {
     pub fn reset_group_for_rewrite(
         &mut self,
         gid: ArrayId,
-    ) -> Result<Option<SlotAddress>, OlfsError> {
+    ) -> Result<(Option<SlotAddress>, u64), OlfsError> {
         let group = self
             .groups
             .get_mut(&gid)
@@ -490,15 +507,17 @@ impl ImageStore {
         let old_parity = std::mem::take(&mut group.parity);
         group.state = GroupState::ParityPending;
         let data = group.data.clone();
-        for pid in old_parity {
-            self.images.remove(&pid);
-        }
+        let freed = old_parity
+            .iter()
+            .filter_map(|pid| self.images.remove(pid)?.payload)
+            .map(|p| p.len() as u64)
+            .sum();
         for id in data {
             if let Some(info) = self.images.get_mut(&id) {
                 info.burned = None;
             }
         }
-        Ok(old_slot)
+        Ok((old_slot, freed))
     }
 }
 
@@ -817,8 +836,9 @@ mod rewrite_tests {
                 },
             )
             .unwrap();
-        let old = store.reset_group_for_rewrite(gid).unwrap();
+        let (old, freed) = store.reset_group_for_rewrite(gid).unwrap();
         assert_eq!(old, Some(slot));
+        assert_eq!(freed, 100, "the old parity's buffer bytes");
         let g = store.group(gid).unwrap();
         assert_eq!(g.state, GroupState::ParityPending);
         assert!(g.parity.is_empty());
@@ -883,7 +903,7 @@ mod rewrite_tests {
         store
             .restore_disk_copy(ids[1], Verified::hash(evicted, &plane))
             .unwrap();
-        assert_eq!(store.reset_group_for_rewrite(gid), Ok(Some(slot)));
+        assert_eq!(store.reset_group_for_rewrite(gid), Ok((Some(slot), 100)));
     }
 
     #[test]

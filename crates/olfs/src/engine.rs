@@ -11,11 +11,11 @@
 //! which is when background events (parity completion, burn completion)
 //! that fell due meanwhile are delivered (DESIGN.md "Time model").
 //! Background work — delayed parity generation (§4.7), burn
-//! task management (§4.1), read-cache eviction — runs entirely off the
+//! task management (§4.1), array prefetch — runs entirely off the
 //! event queue, so writes return in milliseconds while hour-long burns
 //! proceed "asynchronously" exactly as the paper describes.
 
-use crate::cache::ReadCache;
+use crate::cache::CacheStats;
 use crate::config::{BusyReadPolicy, Redundancy, RosConfig};
 use crate::dim::{DaState, DiscLocation, DiscRegistry, GroupState, ImageStore};
 use crate::error::OlfsError;
@@ -184,7 +184,9 @@ pub struct Ros {
     pub(crate) store: ImageStore,
     pub(crate) registry: DiscRegistry,
     pub(crate) wbm: BucketManager,
-    pub(crate) cache: ReadCache,
+    /// Read-cache statistics; what is cached is the image store's
+    /// business ([`crate::cache`]).
+    pub(crate) cache: CacheStats,
     pub(crate) counters: Counters,
     /// When the one robotic arm finishes the moves booked so far; a move
     /// wanted earlier starts then ([`Ros::arm_move`]).
@@ -255,7 +257,6 @@ impl Ros {
             .collect();
         let wbm = BucketManager::new(bucket_ids, cfg.disc_class.capacity());
         let registry = DiscRegistry::new(&cfg.layout, cfg.disc_class);
-        let cache = ReadCache::new(cfg.read_cache_images);
         let rng = SimRng::seed_from(cfg.seed);
         let mut queue = EventQueue::new();
         if let Some(interval) = cfg.scrub_interval {
@@ -274,7 +275,7 @@ impl Ros {
             store,
             registry,
             wbm,
-            cache,
+            cache: CacheStats::default(),
             counters: Counters::default(),
             arm_free_at: SimTime::ZERO,
             image_paths: BTreeMap::new(),
@@ -320,8 +321,8 @@ impl Ros {
     }
 
     /// Read-cache statistics.
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats()
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache
     }
 
     /// Advances simulated time, delivering due background events.
@@ -829,22 +830,24 @@ impl Ros {
     }
 
     /// Seals bucket `i` into an image at `at`. Returns device time
-    /// consumed.
+    /// consumed. A seal the buffer cannot hold fails before the bucket
+    /// is rotated out, so its files stay readable from the open bucket.
     pub(crate) fn seal_bucket(&mut self, i: usize, at: SimTime) -> Result<SimDuration, OlfsError> {
         let new_id = self.store.allocate_image_id();
-        let old = self.wbm.rotate(i, new_id);
-        if old.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
-        let sealed = old.close()?;
+        let sealed = match self.wbm.bucket(i) {
+            Some(b) if !b.is_empty() => b.close()?,
+            _ => {
+                self.wbm.rotate(i, new_id);
+                return Ok(SimDuration::ZERO);
+            }
+        };
+        self.reserve_buffer(sealed.len())?;
+        self.wbm.rotate(i, new_id);
         let image = ImageId(sealed.image_id());
-        let bytes = sealed.len();
-        self.vm.allocate(self.vol_buffer, bytes)?;
         let completed =
             self.store
                 .register_sealed(sealed, self.cfg.data_discs_per_array(), &self.plane);
-        self.cache.insert(image);
-        self.cache.pin(image);
+        self.store.touch(image, at);
         self.promote_paths(image, LocTag::Image);
         self.counters.buckets_sealed += 1;
         if let Some(gid) = completed {
@@ -903,9 +906,10 @@ impl Ros {
 
     /// Completes a background array prefetch: every sibling image still
     /// sitting in the bay's drives whose bytes match the DIM's digest
-    /// gets its payload restored to the disk tier and becomes a cache
-    /// resident. The siblings are verified as one batch before any
-    /// buffer space is allocated, so a rotted one is skipped uncharged.
+    /// gets its payload restored to the disk tier, where it is cached
+    /// until buffer pressure drops it. The siblings are verified as one
+    /// batch before any buffer space is reserved, so a rotted one is
+    /// skipped uncharged.
     fn finish_prefetch(&mut self, bay: usize, images: Vec<ImageId>) {
         let mut read = Vec::new();
         for image in images {
@@ -936,17 +940,9 @@ impl Ros {
             .into_iter()
             .zip(verify_payloads(pairs, self.data_plane()))
         {
-            let Ok(proof) = proof else {
-                continue;
-            };
-            if self
-                .vm
-                .allocate(self.vol_buffer, proof.bytes().len() as u64)
-                .is_ok()
-                && self.store.restore_disk_copy(image, proof).is_ok()
-            {
-                self.cache.insert(image);
-                self.apply_cache_pressure();
+            if let Ok(proof) = proof {
+                // Best effort: a full buffer leaves the sibling on disc.
+                let _ = self.restore(image, proof);
             }
         }
     }
@@ -993,7 +989,7 @@ impl Ros {
                         parity.push(q);
                     }
                     let bytes: u64 = parity.iter().map(|p| p.len() as u64).sum();
-                    let _ = self.vm.allocate(self.vol_buffer, bytes);
+                    let _ = self.reserve_buffer(bytes);
                     if self
                         .store
                         .register_parity(gid, parity, &self.plane)
@@ -1260,7 +1256,6 @@ impl Ros {
                     position: u32::try_from(i).unwrap_or(u32::MAX),
                 },
             );
-            self.cache.unpin(img);
             self.promote_paths(img, LocTag::Disc);
         }
         if let Some(g) = self.store.group_mut(gid) {
@@ -1268,7 +1263,6 @@ impl Ros {
         }
         self.bay_burn_failures.remove(&bay);
         self.counters.burns += 1;
-        self.apply_cache_pressure();
         self.try_start_burns(self.now());
     }
 
@@ -1336,31 +1330,6 @@ impl Ros {
             self.try_start_burns(self.now());
         }
         serviced
-    }
-
-    /// Evicts cache overflow: drops disk copies of burned images.
-    fn apply_cache_pressure(&mut self) {
-        let over = self.cache.len().saturating_sub(self.cache.capacity());
-        if over == 0 {
-            return;
-        }
-        let victims: Vec<ImageId> = self
-            .cache
-            .lru_order()
-            .filter(|id| {
-                self.store
-                    .get(*id)
-                    .map(|i| i.burned.is_some() && i.on_disk())
-                    .unwrap_or(false)
-            })
-            .take(over)
-            .collect();
-        for v in victims {
-            if let Ok(freed) = self.store.evict_disk_copy(v) {
-                let _ = self.vm.release(self.vol_buffer, freed);
-                self.cache.remove(v);
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1546,11 +1515,13 @@ impl Ros {
             .sealed
             .is_some();
         let (source, fetch_time) = if resident {
+            self.cache.hits += 1;
+            self.store.touch(image, at);
             (ReadSource::DiskImage, SimDuration::ZERO)
         } else {
-            self.cache.touch(image);
             let (fetch_time, source) = self.fetch_image(image, size_hint, at)?;
             self.counters.fetches += 1;
+            self.cache.misses += 1;
             (source, fetch_time)
         };
         let bytes = self
@@ -1561,11 +1532,6 @@ impl Ros {
             .ok_or(OlfsError::ImageLost(image))?;
         let io =
             params::image_read_device() + self.vm.read_time(self.vol_buffer, bytes.len() as u64)?;
-        if resident {
-            self.cache.touch(image);
-        } else {
-            self.cache.insert(image);
-        }
         Ok((bytes, io, source, fetch_time))
     }
 
@@ -1744,9 +1710,9 @@ impl Ros {
                     self.counters.latent_repairs += 1;
                     return Ok(());
                 };
-                self.vm
-                    .allocate(self.vol_buffer, proof.bytes().len() as u64)?;
-                self.store.restore_disk_copy(image, proof)?;
+                // The buffer write overlaps the settling window; the
+                // foreground charge is the drive's.
+                self.restore(image, proof)?;
                 Ok(())
             }
             Err(ros_drive::DriveError::Media(ros_drive::media::MediaError::SectorErrors {
@@ -2321,8 +2287,7 @@ mod tests {
             })
             .collect();
         for id in burned {
-            r.store.evict_disk_copy(id).unwrap();
-            r.cache.remove(id);
+            r.drop_buffer_copy(id).unwrap();
         }
         for (i, data) in originals.iter().enumerate() {
             let rd = r.read_file(&p(&format!("/archive/f{i}"))).unwrap();
@@ -2340,8 +2305,7 @@ mod tests {
         // Make the read cold: evict the image and unload all bays.
         let seg = r.mv.get(&p("/cold")).unwrap().latest().unwrap().segs[0];
         if r.store.get(seg).map(|i| i.on_disk()).unwrap_or(false) {
-            r.store.evict_disk_copy(seg).unwrap();
-            r.cache.remove(seg);
+            r.drop_buffer_copy(seg).unwrap();
         }
         r.unload_all_bays().unwrap();
         let rd = r.read_file(&p("/cold")).unwrap();
@@ -2365,8 +2329,7 @@ mod tests {
         r.flush().unwrap();
         let seg = r.mv.get(&p("/warm")).unwrap().latest().unwrap().segs[0];
         if r.store.get(seg).map(|i| i.on_disk()).unwrap_or(false) {
-            r.store.evict_disk_copy(seg).unwrap();
-            r.cache.remove(seg);
+            r.drop_buffer_copy(seg).unwrap();
         }
         // The array is still in the drives after its burn.
         let rd = r.read_file(&p("/warm")).unwrap();
@@ -2392,8 +2355,7 @@ mod tests {
         let seg = r.mv.get(&p("/raid/f0")).unwrap().latest().unwrap().segs[0];
         let loc = r.store.location_of(seg).expect("burned");
         if r.store.get(seg).map(|i| i.on_disk()).unwrap_or(false) {
-            r.store.evict_disk_copy(seg).unwrap();
-            r.cache.remove(seg);
+            r.drop_buffer_copy(seg).unwrap();
         }
         // The disc may still be in a drive (post-burn).
         let disc = r.disc_at_mut(loc).expect("burned disc must be reachable");
@@ -2681,7 +2643,6 @@ mod prefetch_tests {
     fn burned(prefetch: bool) -> Ros {
         let mut cfg = RosConfig::tiny();
         cfg.prefetch_array = prefetch;
-        cfg.read_cache_images = 64;
         let mut r = Ros::new(cfg);
         for i in 0..12 {
             r.write_file(&p(&format!("/pf/{i}")), vec![i as u8; 800_000])

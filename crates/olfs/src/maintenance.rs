@@ -8,7 +8,7 @@
 //! for reliability drills. §4.7's idle-time media scan is the audit
 //! ([`Ros::audit_sample`]).
 
-use crate::dim::{DaState, GroupState};
+use crate::dim::{DaState, GroupState, ImageInfo, ImageKind};
 use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
@@ -38,7 +38,8 @@ pub struct SystemStatus {
     pub burn_backlog: usize,
     /// Disk-buffer usage: (used, capacity).
     pub buffer_usage: (u64, u64),
-    /// Read-cache residents.
+    /// Data images with a copy on the disk buffer, burned or not: the
+    /// read cache's residents ([`crate::cache`]).
     pub cached_images: usize,
 }
 
@@ -55,7 +56,11 @@ impl Ros {
             da_counts: self.store.da_counts(),
             burn_backlog: self.store.count_in_state(GroupState::ReadyToBurn),
             buffer_usage: self.vm.usage(self.vol_buffer).unwrap_or((0, 0)),
-            cached_images: self.cache.len(),
+            cached_images: self
+                .store
+                .images()
+                .filter(|i| i.kind == ImageKind::Data && i.on_disk())
+                .count(),
         }
     }
 
@@ -95,52 +100,35 @@ impl Ros {
         Ok(sealed)
     }
 
-    /// Drops the disk-tier copies of all burned images (simulating full
-    /// cache pressure), forcing subsequent reads onto the discs. Returns
-    /// how many copies were dropped.
+    /// Drops the disk-tier copies of all burned *data* images (the read
+    /// cache's residents under full pressure), forcing subsequent reads
+    /// onto the discs. Returns how many copies were dropped.
     pub fn evict_burned_copies(&mut self) -> usize {
-        let ids: Vec<ImageId> = self
-            .cache
-            .lru_order()
-            .filter(|id| {
-                self.store
-                    .get(*id)
-                    .map(|i| i.burned.is_some() && i.on_disk())
-                    .unwrap_or(false)
-            })
-            .collect();
-        self.evict_disk_copies(ids)
+        self.evict_burned_where(|i| i.kind == ImageKind::Data)
     }
 
     /// Drops the disk-tier copies of *every* burned image — data and
     /// parity alike — modelling fully cold storage where the optical
-    /// media hold the only copy. [`Ros::evict_burned_copies`] walks the
-    /// read cache and therefore only sees data images; this sweep also
-    /// drops the parity payloads the burn pipeline leaves in the
-    /// buffer, which otherwise mask on-media rot from the audit.
-    /// Returns how many copies were dropped.
+    /// media hold the only copy. Unlike [`Ros::evict_burned_copies`],
+    /// this sweep also drops the parity payloads the burn pipeline
+    /// leaves in the buffer, which otherwise mask on-media rot from the
+    /// audit. Returns how many copies were dropped.
     pub fn evict_all_burned_copies(&mut self) -> usize {
+        self.evict_burned_where(|_| true)
+    }
+
+    /// Drops the buffer copy of each burned image `pick` selects.
+    /// Returns how many were dropped.
+    fn evict_burned_where(&mut self, pick: impl Fn(&ImageInfo) -> bool) -> usize {
         let ids: Vec<ImageId> = self
             .store
             .images()
-            .filter(|i| i.burned.is_some() && i.on_disk())
+            .filter(|i| i.burned.is_some() && i.on_disk() && pick(i))
             .map(|i| i.id)
             .collect();
-        self.evict_disk_copies(ids)
-    }
-
-    /// Drops the disk copy of each image in `ids`, returning its buffer
-    /// space and its read-cache slot. Returns how many were dropped.
-    fn evict_disk_copies(&mut self, ids: Vec<ImageId>) -> usize {
-        let mut n = 0;
-        for id in ids {
-            if let Ok(freed) = self.store.evict_disk_copy(id) {
-                let _ = self.vm.release(self.vol_buffer, freed);
-                self.cache.remove(id);
-                n += 1;
-            }
-        }
-        n
+        ids.into_iter()
+            .filter(|&id| self.drop_buffer_copy(id).is_ok())
+            .count()
     }
 
     /// Unloads every idle (non-burning) bay back to the roller, leaving
@@ -243,11 +231,15 @@ impl Ros {
     ///
     /// 1. every Burned group's images carry a DILindex location,
     /// 2. every DILindex location points at a Used (or Failed) tray,
-    /// 3. every read-cache resident actually has a disk copy,
+    /// 3. (retired: residency has one record, the image store's, so no
+    ///    second record can disagree with it),
     /// 4. every MV entry's segments are known to the image store,
     /// 5. unburned images still hold their (only) disk copy,
     /// 6. every Burning group's tray is loaded in the bay it names,
-    /// 7. no bay burns two groups.
+    /// 7. no bay burns two groups,
+    /// 8. the buffer volume's bytes in use are exactly the payloads of
+    ///    the images with a disk copy (open buckets reserve nothing until
+    ///    they seal).
     ///
     /// Returns the violations found (empty = consistent).
     pub fn verify_consistency(&self) -> Vec<ConsistencyIssue> {
@@ -272,18 +264,6 @@ impl Ros {
                         }
                     }
                 }
-            }
-        }
-
-        // 3: cache residency.
-        for id in self.cache.lru_order() {
-            let on_disk = self
-                .store
-                .get(id)
-                .map(crate::dim::ImageInfo::on_disk)
-                .unwrap_or(false);
-            if !on_disk {
-                push(format!("cached image {id} has no disk copy"));
             }
         }
 
@@ -318,7 +298,7 @@ impl Ros {
                 let ok = self
                     .store
                     .get(*img)
-                    .map(crate::dim::ImageInfo::on_disk)
+                    .map(ImageInfo::on_disk)
                     .unwrap_or(false);
                 if !ok {
                     push(format!("unburned image {img} lost its disk copy"));
@@ -344,6 +324,15 @@ impl Ros {
             if bay.is_some_and(|bay| !burning_bays.insert(bay)) {
                 push(format!("bay {bay:?} burns two groups"));
             }
+        }
+
+        // 8: one record of the buffer.
+        let used = self.vm.usage(self.vol_buffer).map_or(0, |(used, _)| used);
+        let resident = self.resident_bytes();
+        if used != resident {
+            push(format!(
+                "buffer holds {used} B in use but {resident} B of image copies"
+            ));
         }
 
         issues

@@ -388,23 +388,23 @@ impl Ros {
         })
     }
 
-    /// Puts verified bytes back on the disk buffer as `image`'s copy,
-    /// replacing a resident copy (one that failed inspection, or the
-    /// caller would not be restoring). Returns the buffer write time for
-    /// the caller to charge.
+    /// Puts verified bytes back on the disk buffer as `image`'s copy —
+    /// a fetch, a prefetch or a repair — replacing a resident copy (one
+    /// that failed inspection, or the caller would not be restoring).
+    /// Returns the buffer write time for the caller to charge.
     pub(crate) fn restore(
         &mut self,
         image: ImageId,
         proof: Verified<Bytes>,
     ) -> Result<SimDuration, OlfsError> {
         if self.store.get(image).is_some_and(ImageInfo::on_disk) {
-            let freed = self.store.evict_disk_copy(image)?;
-            let _ = self.vm.release(self.vol_buffer, freed);
+            self.drop_buffer_copy(image)?;
         }
         let len = proof.bytes().len() as u64;
         let time = self.vm.write_time(self.vol_buffer, len)?;
-        self.vm.allocate(self.vol_buffer, len)?;
+        self.reserve_buffer(len)?;
         self.store.restore_disk_copy(image, proof)?;
+        self.store.touch(image, self.now());
         Ok(time)
     }
 
@@ -414,24 +414,11 @@ impl Ros {
     /// on the buffer — [`crate::dim::ImageStore::reset_group_for_rewrite`]
     /// refuses otherwise, before anything has changed.
     pub(crate) fn rewrite_array(&mut self, gid: ArrayId) -> Result<(), OlfsError> {
-        let group = self
-            .store
-            .group(gid)
-            .ok_or_else(|| OlfsError::BadState(format!("no group {gid}")))?;
-        // The buffer copies of members that were on media are about to
-        // become sole copies: pinned, like any unburned image, until the
-        // re-burn's completion unpins them.
-        let losing_media: Vec<ImageId> = group
-            .data
-            .iter()
-            .copied()
-            .filter(|id| self.store.location_of(*id).is_some())
-            .collect();
-        let old_slot = self.store.reset_group_for_rewrite(gid)?;
-        for id in losing_media {
-            self.cache.insert(id);
-            self.cache.pin(id);
-        }
+        // The reset clears the members' burn locations, so their buffer
+        // copies are sole copies again — safe from buffer pressure, like
+        // any unburned image, until the re-burn completes.
+        let (old_slot, parity_bytes) = self.store.reset_group_for_rewrite(gid)?;
+        self.vm.release(self.vol_buffer, parity_bytes)?;
         if let Some(slot) = old_slot {
             self.store
                 .set_da_state(self.cfg.layout.slot_index(slot), DaState::Failed);
@@ -837,6 +824,35 @@ mod tests {
             "old parity images are dropped"
         );
         a.assert_cold_reads_need_no_repair();
+    }
+
+    #[test]
+    fn a_rewrite_releases_the_buffer_bytes_of_the_parity_it_drops() {
+        let mut r = Ros::new(RosConfig::tiny());
+        for i in 0..14u8 {
+            let path: UdfPath = format!("/rw/{i}").parse().unwrap();
+            r.write_file(&path, vec![i; 700_000]).unwrap();
+        }
+        r.flush().unwrap();
+        let resident = |r: &Ros| -> u64 {
+            r.store
+                .images()
+                .filter_map(|i| i.payload.as_ref())
+                .map(|p| p.len() as u64)
+                .sum()
+        };
+        let gid = r.store.groups_in_state(GroupState::Burned)[0];
+        let parity = r.store.group(gid).unwrap().parity.clone();
+        assert!(!parity.is_empty());
+        assert!(parity.iter().all(|&p| r.store.get(p).unwrap().on_disk()));
+        r.rewrite_array(gid).unwrap();
+        assert_eq!(r.status().buffer_usage.0, resident(&r));
+        assert!(r.verify_consistency().is_empty());
+        // The re-burn registers fresh parity and charges it once.
+        r.flush().unwrap();
+        assert_eq!(r.store.group(gid).unwrap().state, GroupState::Burned);
+        assert_eq!(r.status().buffer_usage.0, resident(&r));
+        assert!(r.verify_consistency().is_empty());
     }
 
     /// The image bytes the store would hold for `image`, checked to

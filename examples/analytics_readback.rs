@@ -1,17 +1,17 @@
 //! Analytics readback: big-data mining over long-term preserved data
 //! (§1's motivating use case). A dataset is archived to discs; an
-//! analytics job then reads it back with skewed popularity. The read
-//! cache captures the hot set; the robotic arm serves the cold tail —
-//! and the application sees only a POSIX file system.
+//! analytics job then reads it back with skewed popularity. Every
+//! fetched image stays on the disk buffer (the read cache) until buffer
+//! pressure drops it, so the hot set is read from disk after its first
+//! fetch; the robotic arm serves the cold tail — and the application
+//! sees only a POSIX file system.
 //!
 //! Run with: `cargo run --example analytics_readback`
 
 use ros::prelude::*;
 
 fn main() -> Result<(), OlfsError> {
-    let mut cfg = RosConfig::tiny();
-    cfg.read_cache_images = 3; // A tight cache to make the tiers visible.
-    let mut system = Ros::new(cfg);
+    let mut system = Ros::new(RosConfig::tiny());
 
     // Archive a dataset and push it to disc.
     println!("archiving dataset...");

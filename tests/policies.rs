@@ -221,9 +221,7 @@ fn direct_mode_defers_olfs_ingestion() {
 
 #[test]
 fn read_cache_lru_keeps_the_hot_image() {
-    let mut cfg = RosConfig::tiny();
-    cfg.read_cache_images = 2;
-    let mut ros = Ros::new(cfg);
+    let mut ros = Ros::new(RosConfig::tiny());
     for i in 0..24 {
         ros.write_file(&p(&format!("/lru/{i}")), content(i, 800_000))
             .unwrap();

@@ -24,7 +24,6 @@ fn content(tag: u64, len: usize) -> Bytes {
 #[test]
 fn a_simulated_week_of_mixed_activity_stays_consistent() {
     let mut cfg = RosConfig::tiny();
-    cfg.read_cache_images = 6;
     cfg.scrub_interval = Some(SimDuration::from_secs(24 * 3600));
     let mut ros = Ros::new(cfg);
     let mut rng = SimRng::seed_from(0x50AF);
