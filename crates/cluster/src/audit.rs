@@ -12,10 +12,11 @@
 //!
 //! A sweep samples every rack at its start: each alive rack's pass is
 //! begun ([`ros_olfs::Ros::audit_begin`]), all their copies are hashed
-//! as one digest batch, and only then is each pass ended and escalated,
-//! rack by rack. A pass verifies and charges what it gathered, so a
-//! later rack read as a replica by an earlier rack's escalation still
-//! audits the copies it held at the start.
+//! as one digest batch, and only then is each pass ended, its clock run
+//! ([`ros_olfs::Ros::run_audit`]) and escalated, rack by rack. A pass
+//! verifies and charges what it gathered, so a later rack read as a
+//! replica by an earlier rack's escalation still audits the copies it
+//! held at the start.
 
 use crate::error::ClusterError;
 use crate::router::Cluster;
@@ -97,7 +98,9 @@ impl Cluster {
         for (idx, pass, n_copies) in passes {
             let rack_id = self.racks[idx].id();
             let mine = proofs.by_ref().take(n_copies).collect();
-            let local = self.racks[idx].ros_mut().audit_end(pass, mine);
+            let ros = self.racks[idx].ros_mut();
+            let local = ros.audit_end(pass, mine);
+            ros.run_audit(&local);
             report.sampled += local.sampled;
             report.verified += local.verified;
             report.rotted += local.rotted.len();

@@ -14,12 +14,10 @@
 //! one digest batch: [`Ros::audit_begin`] draws the sample and gathers
 //! its copies — each resident copy, else the burned track — then the
 //! caller verifies [`AuditPass::copies`], and [`Ros::audit_end`] builds
-//! the report, charges the scan and runs the repairs.
-//! [`Ros::audit_sample`] is exactly those steps on the rack's own data
-//! plane. The pass is a snapshot: it verifies and charges what it
-//! gathered, even if a read between begin and end (a cluster's
-//! escalation reading this rack as a replica) has since cached an image
-//! it took from media.
+//! the report and heals what it found. The pass is a snapshot: it
+//! verifies and charges what it gathered, even if a read between begin
+//! and end (a cluster's escalation reading this rack as a replica) has
+//! since cached an image it took from media.
 //!
 //! The population is every buffer resident plus every burned image
 //! whose disc sits in a tray; a pass digest-verifies up to `n` of them,
@@ -43,8 +41,11 @@
 //!    the bytes from a healthy replica rack
 //!    (`ros-cluster`'s audit module).
 //!
-//! Both the scan and any repairs are charged to the simulated clock, so
-//! audit bandwidth competes with foreground traffic.
+//! A pass moves no clock: it heals at the instant it ends, each
+//! rewrite's parity due after the scan and repair time before it, and
+//! reports that time as [`AuditReport::elapsed`]. The idle tick leaves
+//! it there, its re-burns running in the background; [`Ros::audit_sample`]
+//! and a cluster sweep then run the clock with [`Ros::run_audit`].
 
 use crate::dim::GroupState;
 use crate::engine::Ros;
@@ -53,7 +54,7 @@ use crate::ids::{ArrayId, ImageId};
 use crate::repair::{verify_batch, Gathered};
 use bytes::Bytes;
 use ros_cas::{CasError, Digest, Verified};
-use ros_sim::SimDuration;
+use ros_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Result of one sampled-audit pass ([`Ros::audit_sample`]).
@@ -120,11 +121,28 @@ impl Ros {
     /// audits everything.
     ///
     /// [`Ros::audit_begin`], one digest batch on the rack's data plane,
-    /// [`Ros::audit_end`].
+    /// [`Ros::audit_end`], then [`Ros::run_audit`]: a maintenance pass
+    /// that blocks until its repairs are on fresh media.
     pub fn audit_sample(&mut self, n: usize) -> AuditReport {
+        let report = self.audit_pass(n);
+        self.run_audit(&report);
+        report
+    }
+
+    /// [`Ros::audit_sample`] short of running the clock.
+    pub(crate) fn audit_pass(&mut self, n: usize) -> AuditReport {
         let pass = self.audit_begin(n);
         let proofs = verify_batch(pass.copies(), self.data_plane());
         self.audit_end(pass, proofs)
+    }
+
+    /// Runs the clock through an ended pass: its scan and repair time,
+    /// then until the re-burns its heals scheduled are done.
+    pub fn run_audit(&mut self, report: &AuditReport) {
+        self.run_for(report.elapsed);
+        if !report.repaired.is_empty() {
+            self.run_until_quiescent(SimDuration::from_secs(3600 * 24));
+        }
     }
 
     /// Draws an audit pass's sample and gathers its copies; advances no
@@ -160,11 +178,11 @@ impl Ros {
     }
 
     /// Settles `pass` with `proofs`, one per [`AuditPass::copies`] pair,
-    /// and reports it. Scan time — every buffer copy and track the pass
-    /// read, a resident copy whether or not it settled its image — is
-    /// charged at the bay's
-    /// aggregate read rate; repairs additionally charge reconstruction
-    /// reads and buffer writes.
+    /// heals each damaged array now, and reports it; moves no clock.
+    /// Scan time — every buffer copy and track the pass read, a resident
+    /// copy whether or not it settled its image — is reckoned at the
+    /// bay's aggregate read rate; repairs add reconstruction reads and
+    /// buffer writes.
     pub fn audit_end(
         &mut self,
         pass: AuditPass,
@@ -187,7 +205,6 @@ impl Ros {
         }
         let agg = self.bays[0].aggregate_read_speed(self.cfg.disc_class);
         report.elapsed = agg.time_for(total_bytes);
-        self.run_for(report.elapsed);
 
         // Repair, one array at a time.
         let mut by_array: BTreeMap<Option<ArrayId>, Vec<ImageId>> = BTreeMap::new();
@@ -195,51 +212,45 @@ impl Ros {
             let gid = self.store.get(*id).and_then(|i| i.array);
             by_array.entry(gid).or_default().push(*id);
         }
-        let mut rewrote = false;
+        let now = self.now();
         for (gid, images) in by_array {
             let Some(gid) = gid else {
                 // No array yet: the buffer copy was the only copy.
                 report.unrepairable.extend(images);
                 continue;
             };
-            match self.heal_array(gid) {
+            match self.heal_array(gid, now + report.elapsed) {
                 Ok(time) => {
                     report.elapsed += time;
                     report.repaired.extend(images);
-                    rewrote = true;
                 }
                 Err(_) => report.unrepairable.extend(images),
             }
-        }
-        if rewrote {
-            // Let the fresh-media re-burns complete.
-            self.run_until_quiescent(SimDuration::from_secs(3600 * 24));
         }
         self.counters.latent_repairs += report.repaired.len() as u64;
         report
     }
 
-    /// Heals one rotted disc array ([`Ros::rebuild`]), gives every data
-    /// member lacking a healthy buffer copy one, and rewrites a burned
-    /// array onto fresh media ([`Ros::rewrite_array`]). The gather is a
-    /// scan like the one above, charged at the bay-aggregate rate.
-    /// Errors if the damage exceeds the schema's tolerance — the caller
-    /// escalates to a replica.
-    fn heal_array(&mut self, gid: ArrayId) -> Result<SimDuration, OlfsError> {
+    /// Heals one rotted disc array at `at` ([`Ros::rebuild`]), gives
+    /// every data member lacking a healthy buffer copy one, and then
+    /// rewrites a burned array onto fresh media ([`Ros::rewrite_array`]).
+    /// The gather is a scan like the one above, reckoned at the
+    /// bay-aggregate rate. Errors if the damage exceeds the schema's
+    /// tolerance — the caller escalates to a replica.
+    fn heal_array(&mut self, gid: ArrayId, at: SimTime) -> Result<SimDuration, OlfsError> {
         let rebuilt = self.rebuild(gid)?;
         let mut time = self.bays[0]
             .aggregate_read_speed(self.cfg.disc_class)
             .time_for(rebuilt.media_reads.iter().sum());
         for member in rebuilt.data.into_iter().filter(|m| !m.resident) {
-            time += self.restore(member.image, member.proof)?;
+            time += self.restore(member.image, member.proof, at)?;
         }
-        self.run_for(time);
         if self
             .store
             .group(gid)
             .is_some_and(|g| g.state == GroupState::Burned)
         {
-            self.rewrite_array(gid)?;
+            self.rewrite_array(gid, at + time)?;
         }
         Ok(time)
     }

@@ -239,6 +239,40 @@ mod tests {
         assert_eq!(read.source, crate::engine::ReadSource::DiskBucket);
     }
 
+    /// A split write whose seal the buffer cannot hold takes its prefix
+    /// back out of the bucket. Left staged, the prefix was sealed later
+    /// under the file's name, and a disc scan read it over the file's
+    /// rewrite.
+    #[test]
+    fn a_write_whose_seal_fails_leaves_the_buckets_as_it_found_them() {
+        let mut r = Ros::new(RosConfig::tiny());
+        let file = |tag: u8| vec![tag; IMAGE_FILE];
+        r.write_file(&p("/w/a"), file(1)).unwrap();
+        r.write_file(&p("/w/b"), file(2)).unwrap();
+        let staged = |r: &Ros| -> Vec<u64> {
+            (0..r.wbm.len())
+                .map(|i| r.wbm.bucket(i).unwrap().used_bytes())
+                .collect()
+        };
+        let found = staged(&r);
+        let (used, _) = r.status().buffer_usage;
+        fill_leaving(&mut r, 0);
+        let filled = r.status().buffer_usage.0 - used;
+        assert_eq!(
+            r.write_file(&p("/w/c"), file(3)).unwrap_err(),
+            OlfsError::BufferFull
+        );
+        assert_eq!(staged(&r), found);
+        r.vm.release(r.vol_buffer, filled).unwrap();
+        r.write_file(&p("/w/c"), file(3)).unwrap();
+        r.flush().unwrap();
+        r.recover(crate::recovery::MvSource::DiscScan).unwrap();
+        for (path, tag) in [("/w/a", 1), ("/w/b", 2), ("/w/c", 3)] {
+            let read = r.read_file(&p(path)).unwrap();
+            assert_eq!(read.data.as_ref(), file(tag).as_slice(), "{path}");
+        }
+    }
+
     #[test]
     fn evictions_count_each_copy_pressure_drops() {
         let mut r = burned(4);

@@ -206,8 +206,11 @@ pub struct Ros {
     /// Bays taken out of rotation after persistent drive failures; the
     /// burn starter and fetch paths route around them until serviced.
     quarantined_bays: BTreeSet<usize>,
-    /// Consecutive spoiled burns per bay; two in a row quarantines.
+    /// Consecutive failed starts and spoiled burns per bay.
     bay_burn_failures: BTreeMap<usize, u32>,
+    /// True while the event loop runs; drivers enter it, never a handler
+    /// or an op body (DESIGN.md §17).
+    in_event_loop: bool,
     /// Content-addressable dedup bookkeeping (§14); consulted only when
     /// `cfg.dedup` is set. A view of the MV's `VersionEntry::digest`s,
     /// rebuilt with `image_paths` when a namespace is adopted.
@@ -284,6 +287,7 @@ impl Ros {
             drive_last_used: BTreeMap::new(),
             quarantined_bays: BTreeSet::new(),
             bay_burn_failures: BTreeMap::new(),
+            in_event_loop: false,
             dedup: crate::dedup::DedupLayer::default(),
             plane: ros_disk::DataPlane::with_threads(cfg.data_plane_threads),
             cfg,
@@ -333,9 +337,12 @@ impl Ros {
 
     /// Advances simulated time to an absolute instant.
     pub fn run_until(&mut self, deadline: SimTime) {
+        debug_assert!(!self.in_event_loop, "the event loop was re-entered");
+        self.in_event_loop = true;
         while let Some(ev) = self.queue.pop_until(deadline) {
             self.handle(ev.payload);
         }
+        self.in_event_loop = false;
     }
 
     /// Runs until no background *work* remains (burns, parity, queued
@@ -343,6 +350,8 @@ impl Ros {
     /// work. Returns true if fully quiescent.
     pub fn run_until_quiescent(&mut self, limit: SimDuration) -> bool {
         let deadline = self.queue.now() + limit;
+        debug_assert!(!self.in_event_loop, "the event loop was re-entered");
+        self.in_event_loop = true;
         loop {
             self.try_start_burns(self.now());
             if !self.has_pending_work() {
@@ -356,6 +365,7 @@ impl Ros {
                 _ => break,
             }
         }
+        self.in_event_loop = false;
         !self.has_pending_work()
     }
 
@@ -747,41 +757,9 @@ impl Ros {
                 ));
             }
             let remaining = total - offset;
-            match self.wbm.place(path, remaining) {
-                Placement::Whole { bucket } => {
-                    let chunk = data.slice(ros_sim::to_usize(offset)..);
-                    io += params::bucket_write_device()
-                        + self.vm.write_time(self.vol_buffer, chunk.len() as u64)?;
-                    let b = self.wbm.bucket_mut(bucket).ok_or_else(|| {
-                        OlfsError::BadState(format!("placement chose missing bucket {bucket}"))
-                    })?;
-                    let image = ImageId(b.image_id());
-                    b.write(path, chunk, at.as_nanos())?;
-                    if offset > 0 {
-                        self.write_link_file(bucket, path, &segments, offset, total, at);
-                    }
-                    segments.push(image);
-                    seg_sizes.push(total - offset);
-                    break;
-                }
-                Placement::Split { bucket, prefix } => {
-                    let chunk =
-                        data.slice(ros_sim::to_usize(offset)..ros_sim::to_usize(offset + prefix));
-                    io += params::bucket_write_device()
-                        + self.vm.write_time(self.vol_buffer, prefix)?;
-                    let b = self.wbm.bucket_mut(bucket).ok_or_else(|| {
-                        OlfsError::BadState(format!("placement chose missing bucket {bucket}"))
-                    })?;
-                    let image = ImageId(b.image_id());
-                    b.write(path, chunk, at.as_nanos())?;
-                    if offset > 0 {
-                        self.write_link_file(bucket, path, &segments, offset, total, at);
-                    }
-                    segments.push(image);
-                    seg_sizes.push(prefix);
-                    offset += prefix;
-                    io += self.seal_bucket(bucket, at)?;
-                }
+            let (bucket, len, split) = match self.wbm.place(path, remaining) {
+                Placement::Whole { bucket } => (bucket, remaining, false),
+                Placement::Split { bucket, prefix } => (bucket, prefix, true),
                 Placement::NoRoom => {
                     let fullest = (0..self.wbm.len())
                         .max_by_key(|&i| self.wbm.bucket(i).map(|b| b.used_bytes()).unwrap_or(0))
@@ -792,6 +770,34 @@ impl Ros {
                         )));
                     }
                     io += self.seal_bucket(fullest, at)?;
+                    continue;
+                }
+            };
+            let chunk = data.slice(ros_sim::to_usize(offset)..ros_sim::to_usize(offset + len));
+            io += params::bucket_write_device() + self.vm.write_time(self.vol_buffer, len)?;
+            let b = self.wbm.bucket_mut(bucket).ok_or_else(|| {
+                OlfsError::BadState(format!("placement chose missing bucket {bucket}"))
+            })?;
+            let image = ImageId(b.image_id());
+            // A split's seal that fails takes the prefix back out, or it
+            // would be sealed later as a copy no version owns.
+            let found = split.then(|| b.clone());
+            b.write(path, chunk, at.as_nanos())?;
+            if offset > 0 {
+                self.write_link_file(bucket, path, &segments, offset, total, at);
+            }
+            segments.push(image);
+            seg_sizes.push(len);
+            offset += len;
+            if let Some(found) = found {
+                match self.seal_bucket(bucket, at) {
+                    Ok(sealed) => io += sealed,
+                    Err(e) => {
+                        if let Some(b) = self.wbm.bucket_mut(bucket) {
+                            *b = found;
+                        }
+                        return Err(e);
+                    }
                 }
             }
         }
@@ -898,7 +904,11 @@ impl Ros {
     fn handle(&mut self, ev: Event) {
         match ev {
             Event::ParityDone { group } => self.finish_parity(group),
-            Event::BurnDone { group, bay } => self.finish_burn(group, bay),
+            Event::BurnDone { group, bay } => {
+                if self.finish_burn(group, bay, self.now()) {
+                    self.try_start_burns(self.now());
+                }
+            }
             Event::ScrubTick => self.scheduled_scrub(),
             Event::PrefetchDone { bay, images } => self.finish_prefetch(bay, images),
         }
@@ -942,7 +952,7 @@ impl Ros {
         {
             if let Ok(proof) = proof {
                 // Best effort: a full buffer leaves the sibling on disc.
-                let _ = self.restore(image, proof);
+                let _ = self.restore(image, proof, self.now());
             }
         }
     }
@@ -951,14 +961,15 @@ impl Ros {
     /// periodic scan of "all the burned disc arrays", which finds sector
     /// errors and latent rot alike and repairs what it finds (§16).
     /// Busy ticks (burns queued or in flight) skip the pass — §4.7
-    /// schedules the checking "at idle times".
+    /// schedules the checking "at idle times". The pass moves no clock;
+    /// its re-burns run in the background.
     fn scheduled_scrub(&mut self) {
         let Some(interval) = self.cfg.scrub_interval else {
             return;
         };
         let (burning, queued, ..) = self.pending_work();
         if burning + queued == 0 {
-            self.last_audit = Some(self.audit_sample(usize::MAX));
+            self.last_audit = Some(self.audit_pass(usize::MAX));
         }
         self.queue.schedule_in(interval, Event::ScrubTick);
     }
@@ -1039,11 +1050,7 @@ impl Ros {
                 if !matches!(e, OlfsError::Transient(_)) {
                     let idx = self.cfg.layout.slot_index(slot);
                     self.store.set_da_state(idx, DaState::Failed);
-                    let failures = self.bay_burn_failures.entry(bay).or_insert(0);
-                    *failures += 1;
-                    if *failures >= 2 {
-                        self.quarantine_bay(bay);
-                    }
+                    self.note_burn_failure(bay);
                 }
                 return;
             }
@@ -1200,16 +1207,18 @@ impl Ros {
         Ok(())
     }
 
-    fn finish_burn(&mut self, gid: ArrayId, bay: usize) {
-        // A completion is current only while its group burns in that bay
-        // and ends now: an interrupted burn's completion stays queued,
-        // and can fall due while the group re-burns in the same bay.
+    /// Completes group `gid`'s burn in `bay` at `at`, the instant it
+    /// ends, and reports whether it burned (a spoiled burn goes to a
+    /// spare tray). A completion is current only while its group burns
+    /// in that bay and ends at `at`: the queued completion of a burn that
+    /// was interrupted, or that a waiting fetch completed, is stale.
+    fn finish_burn(&mut self, gid: ArrayId, bay: usize, at: SimTime) -> bool {
         let current = self
             .store
             .group(gid)
-            .filter(|g| g.state == GroupState::Burning && g.burn == Some((bay, self.now())));
+            .filter(|g| g.state == GroupState::Burning && g.burn == Some((bay, at)));
         let Some((Some(slot), append)) = current.map(|g| (g.slot, g.append)) else {
-            return;
+            return false;
         };
         let slot_index = self.cfg.layout.slot_index(slot);
         let tray: Vec<DiscId> = self
@@ -1241,8 +1250,8 @@ impl Ros {
             // A media-level failure leaves its drive burning; release it
             // so the array can be evacuated.
             self.stop_drives(bay, &members);
-            self.reburn_group_on_spare(gid, bay);
-            return;
+            self.reburn_group_on_spare(gid, bay, at);
+            return false;
         }
         // Second pass (all members verified): record the burn locations.
         for &(i, img, _) in &members {
@@ -1263,22 +1272,27 @@ impl Ros {
         }
         self.bay_burn_failures.remove(&bay);
         self.counters.burns += 1;
-        self.try_start_burns(self.now());
+        true
     }
 
-    /// A burn came back with spoiled members: the write-once tray is
-    /// ruined. Retire it, evacuate the bay, and re-run the group's
-    /// parity-and-burn pipeline onto a spare tray
-    /// ([`Ros::rewrite_array`]). Two consecutive spoiled burns in the
-    /// same bay quarantine it (the fault is the hardware, not the media).
-    fn reburn_group_on_spare(&mut self, gid: ArrayId, bay: usize) {
+    /// A burn came back with spoiled members at `at`: the write-once
+    /// tray is ruined. Retire it, evacuate the bay, and re-run the
+    /// group's parity-and-burn pipeline onto a spare tray
+    /// ([`Ros::rewrite_array`]).
+    fn reburn_group_on_spare(&mut self, gid: ArrayId, bay: usize, at: SimTime) {
         // A rewrite starts from the Burned state; the group is
         // mid-Burning here, so settle it first.
         if let Some(g) = self.store.group_mut(gid) {
             g.state = GroupState::Burned;
         }
-        let _ = self.rewrite_array(gid);
+        let _ = self.rewrite_array(gid, at);
         self.counters.reburns += 1;
+        self.note_burn_failure(bay);
+    }
+
+    /// Counts a failed burn start or a spoiled burn against `bay`. Two in
+    /// a row quarantine it: the fault is the hardware, not the media.
+    fn note_burn_failure(&mut self, bay: usize) {
         let failures = self.bay_burn_failures.entry(bay).or_insert(0);
         *failures += 1;
         if *failures >= 2 {
@@ -1463,6 +1477,10 @@ impl Ros {
         op.trace.step("read", io);
         op.trace.step("close", SimDuration::ZERO);
         self.counters.reads += 1;
+        if source == ReadSource::RollerDrivesBusy {
+            // The bay it freed was the read's; the backlog resumes now.
+            self.try_start_burns(op.now());
+        }
         let forepart_answered = fetch_extra > SimDuration::ZERO && forepart_hit;
         Ok((data, entry.ver, source, forepart_answered))
     }
@@ -1712,7 +1730,7 @@ impl Ros {
                 };
                 // The buffer write overlaps the settling window; the
                 // foreground charge is the drive's.
-                self.restore(image, proof)?;
+                self.restore(image, proof, self.now())?;
                 Ok(())
             }
             Err(ros_drive::DriveError::Media(ros_drive::media::MediaError::SectorErrors {
@@ -1765,53 +1783,56 @@ impl Ros {
             },
         )?;
         let slowest = rebuilt.media_reads.iter().copied().max().unwrap_or(0);
-        Ok(speed.time_for(slowest) + self.restore(image, member.proof)?)
+        Ok(speed.time_for(slowest) + self.restore(image, member.proof, self.now())?)
     }
 
-    /// Takes a bay for a fetch that began at `at` and has spent `extra`,
-    /// per the busy-read policy; what freeing the bay costs is added to
-    /// `extra`. Returns the bay and the read's classification.
+    /// Takes a bay for a fetch that began at `at` and has spent `extra`;
+    /// what freeing the bay costs is added to `extra`. Returns the bay
+    /// and the read's classification.
+    ///
+    /// With every bay burning (§4.8), the busy-read policy frees one
+    /// that is in rotation, inline: `Wait` completes the burn that ends
+    /// first, at its end (its queued `BurnDone` goes stale), and
+    /// `InterruptBurn` stops the lowest bay's. The freed bay is the
+    /// fetch's; the burn starter runs when the read is done.
     fn acquire_bay_for_fetch(
         &mut self,
         at: SimTime,
         extra: &mut SimDuration,
     ) -> Result<(usize, ReadSource), OlfsError> {
-        let mut source = ReadSource::RollerFreeDrives;
-        for _round in 0..64 {
-            if let Some((bay, freed)) = self.take_bay(at + *extra) {
-                if !freed.is_zero() {
-                    source = worst_source(source, ReadSource::RollerUnloadFirst);
-                }
-                *extra += freed;
-                return Ok((bay, source));
+        if let Some((bay, freed)) = self.take_bay(at + *extra) {
+            *extra += freed;
+            let source = if freed.is_zero() {
+                ReadSource::RollerFreeDrives
+            } else {
+                ReadSource::RollerUnloadFirst
+            };
+            return Ok((bay, source));
+        }
+        let burns = self
+            .store
+            .burns()
+            .filter(|(_, bay, _)| !self.quarantined_bays.contains(bay));
+        match self.cfg.busy_read_policy {
+            BusyReadPolicy::Wait => {
+                let (gid, bay, until) = burns
+                    .min_by_key(|&(.., until)| until)
+                    .ok_or(OlfsError::NoDriveAvailable)?;
+                self.finish_burn(gid, bay, until);
+                *extra = (*extra).max(until.duration_since(at));
             }
-            // Everything is burning (§4.8).
-            source = ReadSource::RollerDrivesBusy;
-            match self.cfg.busy_read_policy {
-                BusyReadPolicy::Wait => {
-                    // Waiting is the policy: the clock runs to the next
-                    // burn's end, whose completion frees its bay.
-                    let next = self
-                        .store
-                        .burns()
-                        .map(|(_, _, until)| until)
-                        .min()
-                        .ok_or(OlfsError::NoDriveAvailable)?;
-                    self.run_until(next);
-                    *extra = (*extra).max(next.duration_since(at));
-                }
-                BusyReadPolicy::InterruptBurn => {
-                    let bay = self
-                        .store
-                        .burns()
-                        .map(|(_, bay, _)| bay)
-                        .min()
-                        .ok_or(OlfsError::NoDriveAvailable)?;
-                    *extra += self.interrupt_burn(bay)?;
-                }
+            BusyReadPolicy::InterruptBurn => {
+                let (_, bay, _) = burns
+                    .min_by_key(|&(_, bay, _)| bay)
+                    .ok_or(OlfsError::NoDriveAvailable)?;
+                *extra += self.interrupt_burn(bay)?;
             }
         }
-        Err(OlfsError::NoDriveAvailable)
+        let (bay, freed) = self
+            .take_bay(at + *extra)
+            .ok_or(OlfsError::NoDriveAvailable)?;
+        *extra += freed;
+        Ok((bay, ReadSource::RollerDrivesBusy))
     }
 
     /// Interrupts the burn in `bay`, returning its group to the backlog

@@ -40,7 +40,7 @@ use ros_cas::{verify_payload, verify_payloads, CasError, Digest, Verified};
 use ros_disk::DataPlane;
 use ros_drive::media::{Disc, Payload};
 use ros_mech::SlotAddress;
-use ros_sim::SimDuration;
+use ros_sim::{SimDuration, SimTime};
 use std::ops::Range;
 
 /// Stripe granularity of the damage mask: the media's sector size.
@@ -390,12 +390,14 @@ impl Ros {
 
     /// Puts verified bytes back on the disk buffer as `image`'s copy —
     /// a fetch, a prefetch or a repair — replacing a resident copy (one
-    /// that failed inspection, or the caller would not be restoring).
-    /// Returns the buffer write time for the caller to charge.
+    /// that failed inspection, or the caller would not be restoring) —
+    /// and marks it used at `at`. Returns the buffer write time for the
+    /// caller to charge.
     pub(crate) fn restore(
         &mut self,
         image: ImageId,
         proof: Verified<Bytes>,
+        at: SimTime,
     ) -> Result<SimDuration, OlfsError> {
         if self.store.get(image).is_some_and(ImageInfo::on_disk) {
             self.drop_buffer_copy(image)?;
@@ -404,16 +406,17 @@ impl Ros {
         let time = self.vm.write_time(self.vol_buffer, len)?;
         self.reserve_buffer(len)?;
         self.store.restore_disk_copy(image, proof)?;
-        self.store.touch(image, self.now());
+        self.store.touch(image, at);
         Ok(time)
     }
 
-    /// Rewrites a burned array onto fresh media: the tray is retired as
-    /// Failed, the group goes back to parity generation, and the normal
-    /// burn pipeline picks it up from there. Every data member must be
-    /// on the buffer — [`crate::dim::ImageStore::reset_group_for_rewrite`]
-    /// refuses otherwise, before anything has changed.
-    pub(crate) fn rewrite_array(&mut self, gid: ArrayId) -> Result<(), OlfsError> {
+    /// Rewrites a burned array onto fresh media at `at`: the tray is
+    /// retired as Failed, the group goes back to parity generation, and
+    /// the normal burn pipeline picks it up from there. Every data
+    /// member must be on the buffer —
+    /// [`crate::dim::ImageStore::reset_group_for_rewrite`] refuses
+    /// otherwise, before anything has changed.
+    pub(crate) fn rewrite_array(&mut self, gid: ArrayId, at: SimTime) -> Result<(), OlfsError> {
         // The reset clears the members' burn locations, so their buffer
         // copies are sole copies again — safe from buffer pressure, like
         // any unburned image, until the re-burn completes.
@@ -425,10 +428,10 @@ impl Ros {
             // Best effort: a retired array that will not leave its bay
             // is evicted by the next load like any idle array.
             if let Some(bay) = self.bay_holding(slot) {
-                let _ = self.unload_bay(bay, self.now());
+                let _ = self.unload_bay(bay, at);
             }
         }
-        self.schedule_parity(gid, self.now());
+        self.schedule_parity(gid, at);
         Ok(())
     }
 }
@@ -845,7 +848,7 @@ mod tests {
         let parity = r.store.group(gid).unwrap().parity.clone();
         assert!(!parity.is_empty());
         assert!(parity.iter().all(|&p| r.store.get(p).unwrap().on_disk()));
-        r.rewrite_array(gid).unwrap();
+        r.rewrite_array(gid, r.now()).unwrap();
         assert_eq!(r.status().buffer_usage.0, resident(&r));
         assert!(r.verify_consistency().is_empty());
         // The re-burn registers fresh parity and charges it once.

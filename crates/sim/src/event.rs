@@ -10,17 +10,11 @@ use crate::time::{SimDuration, SimTime};
 use core::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A handle to a scheduled event, usable for cancellation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
-
-/// An event popped from the queue: its delivery time, id and payload.
+/// An event popped from the queue: its delivery time and payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduledEvent<E> {
     /// The instant the event fires.
     pub at: SimTime,
-    /// The handle assigned at scheduling time.
-    pub id: EventId,
     /// The caller-defined payload.
     pub payload: E,
 }
@@ -71,7 +65,6 @@ pub struct EventQueue<E> {
     now: SimTime,
     next_seq: u64,
     heap: BinaryHeap<HeapEntry<E>>,
-    cancelled: std::collections::HashSet<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -87,7 +80,6 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             next_seq: 0,
             heap: BinaryHeap::new(),
-            cancelled: std::collections::HashSet::new(),
         }
     }
 
@@ -96,9 +88,9 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Returns the number of pending (non-cancelled) events.
+    /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
     /// Returns true if no events are pending.
@@ -110,13 +102,12 @@ impl<E> EventQueue<E> {
     ///
     /// Scheduling in the past is clamped to fire "now": the event is
     /// delivered at the current instant without rewinding the clock.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(HeapEntry { at, seq, payload });
         self.debug_check_monotonic();
-        EventId(seq)
     }
 
     /// Debug-build invariant: the clock never sits past the earliest
@@ -138,44 +129,23 @@ impl<E> EventQueue<E> {
     fn debug_check_monotonic(&self) {}
 
     /// Schedules `payload` to fire `delay` after the current instant.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> EventId {
-        self.schedule_at(self.now + delay, payload)
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns true if the event was still pending. Cancelling an already
-    /// delivered or already cancelled event returns false.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        // We cannot remove from the middle of a BinaryHeap; mark it and
-        // filter at pop time.
-        if self.heap.iter().any(|e| e.seq == id.0) && !self.cancelled.contains(&id.0) {
-            self.cancelled.insert(id.0);
-            true
-        } else {
-            false
-        }
+    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) {
+        self.schedule_at(self.now + delay, payload);
     }
 
     /// Returns the delivery time of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skim_cancelled();
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
 
     /// Pops the earliest pending event, advancing the clock to it.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        self.skim_cancelled();
         self.debug_check_monotonic();
         let entry = self.heap.pop()?;
         debug_assert!(entry.at >= self.now, "event queue time went backwards");
         self.now = entry.at;
         Some(ScheduledEvent {
             at: entry.at,
-            id: EventId(entry.seq),
             payload: entry.payload,
         })
     }
@@ -184,7 +154,6 @@ impl<E> EventQueue<E> {
     /// `deadline`; otherwise advances the clock to `deadline` and returns
     /// `None`.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<ScheduledEvent<E>> {
-        self.skim_cancelled();
         match self.heap.peek() {
             Some(e) if e.at <= deadline => self.pop(),
             _ => {
@@ -199,16 +168,6 @@ impl<E> EventQueue<E> {
     /// Only moves forward; an `at` in the past is ignored.
     pub fn advance_to(&mut self, at: SimTime) {
         self.now = self.now.max(at);
-    }
-
-    fn skim_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -260,27 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_removes_event() {
-        let mut q = EventQueue::new();
-        let keep = q.schedule_at(SimTime::from_secs(1), "keep");
-        let drop = q.schedule_at(SimTime::from_secs(2), "drop");
-        assert!(q.cancel(drop));
-        assert!(!q.cancel(drop), "double cancel must fail");
-        assert_eq!(q.len(), 1);
-        let e = q.pop().unwrap();
-        assert_eq!(e.id, keep);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancelling_delivered_event_fails() {
-        let mut q = EventQueue::new();
-        let id = q.schedule_at(SimTime::from_secs(1), ());
-        q.pop();
-        assert!(!q.cancel(id));
-    }
-
-    #[test]
     fn pop_until_respects_deadline() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(5), "later");
@@ -292,15 +230,6 @@ mod tests {
         // Deadline with empty queue still advances the clock.
         assert!(q.pop_until(SimTime::from_secs(10)).is_none());
         assert_eq!(q.now(), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let first = q.schedule_at(SimTime::from_secs(1), ());
-        q.schedule_at(SimTime::from_secs(2), ());
-        q.cancel(first);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
     }
 
     #[test]

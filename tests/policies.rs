@@ -86,31 +86,89 @@ fn interrupt_policy_preempts_the_burn_and_resumes_it() {
     }
 }
 
+/// Seals `groups` more groups behind the burn in flight, `tag`ged, and
+/// returns their files.
+fn seal_groups(ros: &mut Ros, groups: u64, tag: &str) -> Vec<(UdfPath, Vec<u8>)> {
+    let files: Vec<(UdfPath, Vec<u8>)> = (0..12 * groups)
+        .map(|i| (p(&format!("/{tag}/{i}")), content(200 + i, 800_000)))
+        .collect();
+    for group in files.chunks(12) {
+        for (path, data) in group {
+            ros.write_file(path, data.clone()).unwrap();
+        }
+        ros.seal_open_buckets().unwrap();
+        ros.force_close_collecting_group();
+    }
+    files
+}
+
 /// §4.8's aggressive policy frees a bay for the fetch that asked for
 /// it: parity completing for yet another group while the drives stop
 /// (500 ms) must not hand that bay back to the burn starter.
 #[test]
 fn interrupting_fetch_keeps_the_bay_it_freed() {
-    let (mut ros, files) = busy_system(BusyReadPolicy::InterruptBurn);
+    fetch_keeps_the_bay_it_freed(BusyReadPolicy::InterruptBurn);
+}
+
+/// A waiting fetch keeps the bay its burn freed: the group whose parity
+/// completes during the wait burns after the read, not in its place.
+#[test]
+fn a_waiting_fetch_keeps_the_bay_its_burn_freed() {
+    fetch_keeps_the_bay_it_freed(BusyReadPolicy::Wait);
+}
+
+fn fetch_keeps_the_bay_it_freed(policy: BusyReadPolicy) {
+    let (mut ros, files) = busy_system(policy);
     // A third group whose parity is done some 40 ms from now.
-    for i in 0..12 {
-        ros.write_file(&p(&format!("/third/{i}")), content(200 + i, 800_000))
-            .unwrap();
-    }
-    ros.seal_open_buckets().unwrap();
-    ros.force_close_collecting_group();
+    seal_groups(&mut ros, 1, "third");
     assert_eq!(
         ros.pending_work(),
         (1, 0, 1, 0),
         "one burning, one in parity"
     );
+    let burns = ros.counters().burns;
     let r = ros.read_file(&files[0].0).unwrap();
     assert_eq!(r.source, ReadSource::RollerDrivesBusy);
     assert_eq!(r.data.as_ref(), files[0].1.as_slice());
-    assert_eq!(ros.counters().burn_interrupts, 1);
+    let interrupted = policy == BusyReadPolicy::InterruptBurn;
+    assert_eq!(ros.counters().burn_interrupts, u64::from(interrupted));
+    assert_eq!(ros.counters().burns - burns, u64::from(!interrupted));
     // Both groups still reach their discs.
     assert!(ros.run_until_quiescent(SimDuration::from_secs(7200)));
     assert_eq!(ros.counters().burns, 3);
+}
+
+/// A read that waits for a burn (§4.8) waits for one: the bay that burn
+/// frees is the read's, however many groups queue behind it, and they
+/// burn once the read is done.
+#[test]
+fn a_waiting_read_completes_one_burn_however_many_groups_queue() {
+    let read = |queued: u64| {
+        let (mut ros, files) = busy_system(BusyReadPolicy::Wait);
+        let start = ros.now() + SimDuration::from_secs(10);
+        let sealed = seal_groups(&mut ros, queued, "queued");
+        // Their parity is done; every one waits for the one bay.
+        ros.run_until(start);
+        let (burning, waiting, ..) = ros.pending_work();
+        assert_eq!((burning, waiting), (1, queued as usize));
+        let burns = ros.counters().burns;
+        let r = ros.read_file(&files[0].0).unwrap();
+        assert_eq!(r.source, ReadSource::RollerDrivesBusy);
+        assert_eq!(r.data.as_ref(), files[0].1.as_slice());
+        assert_eq!(ros.counters().burns - burns, 1, "{queued} queued");
+        assert_eq!(r.latency, r.trace.total());
+        assert_eq!(ros.now().duration_since(start), r.latency);
+        // The backlog resumed when the read returned.
+        let (burning, waiting, ..) = ros.pending_work();
+        assert_eq!(burning + waiting, queued as usize);
+        assert!(ros.run_until_quiescent(SimDuration::from_secs(24 * 3600)));
+        assert_eq!(ros.counters().burns - burns, 1 + queued);
+        for (path, data) in &sealed {
+            assert_eq!(ros.read_file(path).unwrap().data.as_ref(), data.as_slice());
+        }
+        r.latency
+    };
+    assert_eq!(read(2), read(0));
 }
 
 /// One arm (§3.2): a fetch that finds it loading a burn's tray waits for

@@ -491,13 +491,23 @@ fn the_idle_tick_heals_rot_the_scrub_could_not_see() {
         kind: FaultKind::MediaRot { disc: 0, bytes: 8 },
     };
     assert_eq!(ros.inject_fault(&strike), InjectionOutcome::Injected);
-    // The first tick finds and heals the rot; the next walks a healthy
-    // library.
-    ros.run_for(SimDuration::from_secs(3600 + 60));
+    // The first tick, an hour in, finds and heals the rot, and moves no
+    // clock: a run to a second past it takes exactly what it was asked
+    // to, and the re-burn runs on in the background.
+    let before = ros.now();
+    let window = SimTime::from_secs(3600 + 1).duration_since(before);
+    ros.run_for(window);
+    assert_eq!(ros.now().duration_since(before), window);
+    assert_eq!(ros.pending_work().0, 1, "the re-burn is in flight");
     let report = ros.last_audit_report().expect("the idle tick audited");
     assert_eq!(report.rotted.len(), 1, "{report:?}");
     assert_eq!(report.repaired, report.rotted);
     assert_eq!(ros.status().da_counts.2, 1, "the rotted tray is retired");
+    assert!(ros.run_until_quiescent(SimDuration::from_secs(3600)));
+    for (path, data) in &files {
+        assert_eq!(ros.read_file(path).unwrap().data.as_ref(), data.as_slice());
+    }
+    // The next tick walks a healthy library.
     ros.run_for(SimDuration::from_secs(3600));
     assert!(ros.last_audit_report().unwrap().rotted.is_empty());
     assert_reads_back_cold(&mut ros, &files);

@@ -129,6 +129,23 @@ fn every_kind_of_read_moves_the_clock_by_its_latency() {
         r.read_range(&files[4].0, 10, 100)
     });
     assert_eq!(r.data.as_ref(), &files[4].1[10..110]);
+
+    // Both bays burning and a third array queued behind them: the read
+    // waits for the first burn to end, and nothing else.
+    for i in 0..9 {
+        ros.write_file(&p(&format!("/q/f{i}")), content(10 + i, 300_000))
+            .unwrap();
+        ros.seal_open_buckets().unwrap();
+    }
+    ros.run_for(SimDuration::from_secs(1));
+    assert_eq!(ros.pending_work(), (2, 1, 0, 1), "two burning, one queued");
+    ros.evict_all_burned_copies();
+    let burns = ros.counters().burns;
+    let r = checked_read(&mut ros, "drives busy", |r| r.read_file(&files[0].0));
+    assert_eq!(r.source, ReadSource::RollerDrivesBusy);
+    assert_eq!(r.data.as_ref(), files[0].1.as_slice());
+    assert!(ros.run_until_quiescent(SimDuration::from_secs(3600)));
+    assert_eq!(ros.counters().burns, burns + 3);
 }
 
 #[test]
