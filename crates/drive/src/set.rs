@@ -64,11 +64,6 @@ impl DriveSet {
         self.drives.iter()
     }
 
-    /// Iterates mutably over the drives.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut OpticalDrive> {
-        self.drives.iter_mut()
-    }
-
     /// Aggregate sequential read speed of the whole set for a disc class
     /// (Table 2: 282.5 MB/s for 25 GB, 210.2 MB/s for 100 GB at 12 drives).
     pub fn aggregate_read_speed(&self, class: DiscClass) -> Bandwidth {

@@ -273,6 +273,45 @@ mod tests {
         }
     }
 
+    /// A parity the buffer cannot hold is not registered uncharged: its
+    /// group waits, counted as parity pending, until a burn makes burned
+    /// copies evictable, and then burns with its parity charged.
+    #[test]
+    fn a_parity_the_buffer_cannot_hold_waits_for_a_burn() {
+        let mut r = Ros::new(RosConfig::tiny());
+        for i in 0..11u8 {
+            r.write_file(&p(&format!("/q/{i}")), vec![i; IMAGE_FILE])
+                .unwrap();
+            r.seal_open_buckets().unwrap();
+        }
+        let (used, _) = r.status().buffer_usage;
+        fill_leaving(&mut r, 0);
+        let filled = r.status().buffer_usage.0 - used;
+        r.run_for(ros_sim::SimDuration::from_secs(3600));
+        r.vm.release(r.vol_buffer, filled).unwrap();
+        assert_eq!(r.verify_consistency(), []);
+        assert_eq!(r.group_census(), (0, 1, 0, 0, 0));
+        assert_eq!(r.pending_work(), (0, 0, 1, 0));
+        assert_eq!(r.counters().parity_runs, 0);
+        // With the filler gone but no burn to wait on, a flush does not
+        // quiesce.
+        assert!(matches!(r.flush(), Err(OlfsError::BadState(_))));
+        assert_eq!(r.verify_consistency(), []);
+        // A second group's burn completes; the waiting group follows.
+        r.write_file(&p("/q/late"), vec![11; IMAGE_FILE]).unwrap();
+        r.flush().unwrap();
+        assert_eq!(r.verify_consistency(), []);
+        assert_eq!(r.group_census(), (0, 0, 0, 0, 2));
+        let first = r.store.get(image_of(&r, "/q/0")).unwrap().array.unwrap();
+        let parity = r.store.group(first).unwrap().parity.clone();
+        assert_eq!(parity.len(), 1);
+        assert!(resident(&r, parity[0]), "the parity copy is charged");
+        for i in 0..11u8 {
+            let read = r.read_file(&p(&format!("/q/{i}"))).unwrap();
+            assert_eq!(read.data.as_ref(), vec![i; IMAGE_FILE].as_slice());
+        }
+    }
+
     #[test]
     fn evictions_count_each_copy_pressure_drops() {
         let mut r = burned(4);

@@ -82,15 +82,6 @@ pub struct RosConfig {
     pub forepart_bytes: u64,
     /// Behaviour when a cold read finds all drives burning.
     pub busy_read_policy: BusyReadPolicy,
-    /// Prefetch the whole loaded array into the read cache after a
-    /// fetch (§4.1's suggested refinement: "the read cache also can ...
-    /// prefetch some files according to specific access patterns" —
-    /// here, spatial locality across the array's sibling images).
-    pub prefetch_array: bool,
-    /// Burn with the forced write-and-check mode (§4.7: "almost halves
-    /// the actual write throughput"); the paper's design keeps this off
-    /// and relies on system-level redundancy instead.
-    pub write_and_check: bool,
     /// Periodic idle-time scan interval (§4.7: "disc sector-error
     /// checking can be scheduled at idle times and can periodically scan
     /// all the burned disc arrays"): each idle tick audits the whole
@@ -134,8 +125,6 @@ impl RosConfig {
             open_buckets: 4,
             forepart_bytes: crate::params::FOREPART_BYTES,
             busy_read_policy: BusyReadPolicy::Wait,
-            prefetch_array: false,
-            write_and_check: false,
             scrub_interval: Some(ros_sim::SimDuration::from_secs(7 * 24 * 3600)),
             seed: 0x20170423, // EuroSys'17 opening day.
             rack_id: 0,
@@ -159,8 +148,6 @@ impl RosConfig {
             open_buckets: 2,
             forepart_bytes: 4 * 1024,
             busy_read_policy: BusyReadPolicy::Wait,
-            prefetch_array: false,
-            write_and_check: false,
             scrub_interval: None,
             seed: 42,
             rack_id: 0,

@@ -62,6 +62,10 @@ pub enum GroupState {
     Collecting,
     /// All data images present; parity generation scheduled/underway.
     ParityPending,
+    /// Parity generated but the disk buffer could not hold it, so none
+    /// was registered; the next completed burn, which makes burned copies
+    /// evictable, schedules the parity again. Counted as parity pending.
+    AwaitingBuffer,
     /// Parity done; waiting for drives and an empty tray.
     ReadyToBurn,
     /// Burn in progress.

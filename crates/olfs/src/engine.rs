@@ -10,10 +10,10 @@
 //! the clock is charged the trace's total once, when the call returns —
 //! which is when background events (parity completion, burn completion)
 //! that fell due meanwhile are delivered (DESIGN.md "Time model").
-//! Background work — delayed parity generation (§4.7), burn
-//! task management (§4.1), array prefetch — runs entirely off the
-//! event queue, so writes return in milliseconds while hour-long burns
-//! proceed "asynchronously" exactly as the paper describes.
+//! Background work — delayed parity generation (§4.7) and burn task
+//! management (§4.1) — runs entirely off the event queue, so writes
+//! return in milliseconds while hour-long burns proceed
+//! "asynchronously" exactly as the paper describes.
 
 use crate::cache::CacheStats;
 use crate::config::{BusyReadPolicy, Redundancy, RosConfig};
@@ -28,7 +28,6 @@ use crate::redundancy;
 use crate::trace::OpTrace;
 use crate::wbm::{link_file_name, shadow_file_name, BucketManager, LinkFile, Placement};
 use bytes::Bytes;
-use ros_cas::verify_payloads;
 use ros_disk::volume::{VolumeId, VolumeManager};
 use ros_disk::RaidArray;
 use ros_drive::media::Payload;
@@ -57,18 +56,11 @@ pub enum Event {
     /// Periodic idle-time scan of the whole library (§4.7), run by
     /// [`Ros::audit_sample`].
     ScrubTick,
-    /// Background array prefetch finished (spatial-locality refinement
-    /// of the read cache, §4.1).
-    PrefetchDone {
-        /// The bay whose loaded array was being prefetched.
-        bay: usize,
-        /// Images to pull into the cache.
-        images: Vec<ImageId>,
-    },
 }
 
-/// Where a read was ultimately served from (Table 1's six rows).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Where a read was ultimately served from (Table 1's six rows, in
+/// Table 1's order: a later source is a slower one).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ReadSource {
     /// Data still staged in an open bucket on the disk buffer.
     DiskBucket,
@@ -244,15 +236,7 @@ impl Ros {
         let vol_aux = vm.add_volume("aux", RaidArray::prototype_data());
         let mech = MechScheduler::new(Plc::new_full(cfg.layout), cfg.drive_bays);
         let bays = (0..cfg.drive_bays)
-            .map(|_| {
-                let mut set = DriveSet::new(cfg.drives_per_bay);
-                if cfg.write_and_check {
-                    for d in set.iter_mut() {
-                        d.check_mode = true;
-                    }
-                }
-                set
-            })
+            .map(|_| DriveSet::new(cfg.drives_per_bay))
             .collect();
         let mut store = ImageStore::new(&cfg.layout);
         let bucket_ids = (0..cfg.open_buckets)
@@ -379,9 +363,16 @@ impl Ros {
         (
             self.store.count_in_state(GroupState::Burning),
             ready,
-            self.store.count_in_state(GroupState::ParityPending),
+            self.parity_pending(),
             ready,
         )
+    }
+
+    /// Groups waiting for their parity: scheduled, or waiting for buffer
+    /// space to hold it.
+    pub(crate) fn parity_pending(&self) -> usize {
+        self.store.count_in_state(GroupState::ParityPending)
+            + self.store.count_in_state(GroupState::AwaitingBuffer)
     }
 
     /// True while a group waits for parity, waits to burn or burns.
@@ -389,7 +380,10 @@ impl Ros {
         self.store.groups().any(|g| {
             matches!(
                 g.state,
-                GroupState::ParityPending | GroupState::ReadyToBurn | GroupState::Burning
+                GroupState::ParityPending
+                    | GroupState::AwaitingBuffer
+                    | GroupState::ReadyToBurn
+                    | GroupState::Burning
             )
         })
     }
@@ -910,50 +904,6 @@ impl Ros {
                 }
             }
             Event::ScrubTick => self.scheduled_scrub(),
-            Event::PrefetchDone { bay, images } => self.finish_prefetch(bay, images),
-        }
-    }
-
-    /// Completes a background array prefetch: every sibling image still
-    /// sitting in the bay's drives whose bytes match the DIM's digest
-    /// gets its payload restored to the disk tier, where it is cached
-    /// until buffer pressure drops it. The siblings are verified as one
-    /// batch before any buffer space is reserved, so a rotted one is
-    /// skipped uncharged.
-    fn finish_prefetch(&mut self, bay: usize, images: Vec<ImageId>) {
-        let mut read = Vec::new();
-        for image in images {
-            let Some(info) = self.store.get(image).filter(|i| !i.on_disk()) else {
-                continue;
-            };
-            let digest = info.digest;
-            let Some(loc) = self.store.location_of(image) else {
-                continue;
-            };
-            // The array may have been unloaded since; skip silently.
-            if self.mech.bay_contents(bay).ok().flatten() != Some(loc.slot) {
-                continue;
-            }
-            let pos = loc.position as usize;
-            let Some(drive) = self.bays[bay].drive_mut(pos) else {
-                continue;
-            };
-            let Ok(timed) = drive.read_image(image.0) else {
-                continue;
-            };
-            if let Payload::Inline(bytes) = timed.payload {
-                read.push((image, (digest, bytes)));
-            }
-        }
-        let (images, pairs): (Vec<ImageId>, Vec<_>) = read.into_iter().unzip();
-        for (image, proof) in images
-            .into_iter()
-            .zip(verify_payloads(pairs, self.data_plane()))
-        {
-            if let Ok(proof) = proof {
-                // Best effort: a full buffer leaves the sibling on disc.
-                let _ = self.restore(image, proof, self.now());
-            }
         }
     }
 
@@ -1000,7 +950,14 @@ impl Ros {
                         parity.push(q);
                     }
                     let bytes: u64 = parity.iter().map(|p| p.len() as u64).sum();
-                    let _ = self.reserve_buffer(bytes);
+                    if self.reserve_buffer(bytes).is_err() {
+                        // Nothing is registered uncharged: the group
+                        // waits for a burn to make room (`finish_burn`).
+                        if let Some(g) = self.store.group_mut(gid) {
+                            g.state = GroupState::AwaitingBuffer;
+                        }
+                        return;
+                    }
                     if self
                         .store
                         .register_parity(gid, parity, &self.plane)
@@ -1272,6 +1229,14 @@ impl Ros {
         }
         self.bay_burn_failures.remove(&bay);
         self.counters.burns += 1;
+        // Burned copies are evictable now: a parity the buffer could not
+        // hold gets another try.
+        for waiting in self.store.groups_in_state(GroupState::AwaitingBuffer) {
+            if let Some(g) = self.store.group_mut(waiting) {
+                g.state = GroupState::ParityPending;
+            }
+            self.schedule_parity(waiting, at);
+        }
         true
     }
 
@@ -1308,11 +1273,9 @@ impl Ros {
         }
     }
 
-    /// Bays currently out of rotation, sorted.
+    /// Bays currently out of rotation, in bay order.
     pub fn quarantined_bays(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.quarantined_bays.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.quarantined_bays.iter().copied().collect()
     }
 
     /// Services every quarantined bay: evacuates any held array, swaps
@@ -1459,7 +1422,7 @@ impl Ros {
                     self.read_segment(*seg, stored, entry.size, op.now() + fetch_extra)?;
                 io += seg_io;
                 fetch_extra += seg_fetch;
-                source = worst_source(source, seg_source);
+                source = source.max(seg_source);
                 let lo = start.saturating_sub(cursor).min(bytes.len() as u64);
                 let hi = end.saturating_sub(cursor).min(bytes.len() as u64);
                 // Sub-slicing a refcounted buffer, not copying.
@@ -1598,65 +1561,7 @@ impl Ros {
             }
         };
         self.read_disc_payload(image, bay, loc, file_bytes, at, &mut extra)?;
-        if self.cfg.prefetch_array {
-            self.schedule_array_prefetch(bay, loc.slot, image, at + extra);
-        }
         Ok((extra, source))
-    }
-
-    /// Schedules a background prefetch of every other image burned on
-    /// the array now sitting in `bay` (§4.1's spatial-locality
-    /// refinement). The transfer starts at `at`, off the critical path,
-    /// while the discs remain loaded.
-    fn schedule_array_prefetch(
-        &mut self,
-        bay: usize,
-        slot: SlotAddress,
-        just_read: ImageId,
-        at: SimTime,
-    ) {
-        let Some(gid) = self.store.get(just_read).and_then(|i| i.array) else {
-            return;
-        };
-        let Some(group) = self.store.group(gid) else {
-            return;
-        };
-        if group.slot != Some(slot) {
-            return;
-        }
-        let siblings: Vec<ImageId> = group
-            .data
-            .iter()
-            .copied()
-            .filter(|&img| {
-                img != just_read
-                    && self
-                        .store
-                        .get(img)
-                        .map(|i| i.burned.is_some() && !i.on_disk())
-                        .unwrap_or(false)
-            })
-            .collect();
-        if siblings.is_empty() {
-            return;
-        }
-        // All sibling drives stream in parallel: the prefetch lands
-        // after the slowest full-image read.
-        let speed = self.bays[bay].aggregate_read_speed(self.cfg.disc_class)
-            / self.cfg.drives_per_bay as f64;
-        let slowest = siblings
-            .iter()
-            .filter_map(|img| self.store.get(*img).map(|i| i.size))
-            .max()
-            .unwrap_or(0);
-        let dur = speed.time_for(slowest) + ros_drive::params::seek_time();
-        self.queue.schedule_at(
-            at + dur,
-            Event::PrefetchDone {
-                bay,
-                images: siblings,
-            },
-        );
     }
 
     fn read_disc_payload(
@@ -2026,23 +1931,6 @@ impl Ros {
         // 5. Every view derived from the MV is rebuilt from it.
         self.recover(MvSource::Live)?;
         Ok((cut.len(), parities))
-    }
-}
-
-fn worst_source(a: ReadSource, b: ReadSource) -> ReadSource {
-    use ReadSource::*;
-    let rank = |s: ReadSource| match s {
-        DiskBucket => 0,
-        DiskImage => 1,
-        DiscInDrive => 2,
-        RollerFreeDrives => 3,
-        RollerUnloadFirst => 4,
-        RollerDrivesBusy => 5,
-    };
-    if rank(a) >= rank(b) {
-        a
-    } else {
-        b
     }
 }
 
@@ -2653,7 +2541,7 @@ mod scrub_scheduler_tests {
 }
 
 #[cfg(test)]
-mod prefetch_tests {
+mod unload_tests {
     use super::*;
     use crate::config::RosConfig;
 
@@ -2661,10 +2549,9 @@ mod prefetch_tests {
         s.parse().unwrap()
     }
 
-    fn burned(prefetch: bool) -> Ros {
-        let mut cfg = RosConfig::tiny();
-        cfg.prefetch_array = prefetch;
-        let mut r = Ros::new(cfg);
+    #[test]
+    fn after_an_unload_a_sibling_image_needs_the_arm_again() {
+        let mut r = Ros::new(RosConfig::tiny());
         for i in 0..12 {
             r.write_file(&p(&format!("/pf/{i}")), vec![i as u8; 800_000])
                 .unwrap();
@@ -2672,58 +2559,6 @@ mod prefetch_tests {
         r.flush().unwrap();
         r.unload_all_bays().unwrap();
         r.evict_burned_copies();
-        r
-    }
-
-    #[test]
-    fn prefetch_caches_sibling_images_across_unloads() {
-        let mut r = burned(true);
-        // One cold read triggers the fetch and schedules the prefetch.
-        r.read_file(&p("/pf/0")).unwrap();
-        // Let the background streaming finish, then send the array home.
-        r.run_for(SimDuration::from_secs(10));
-        r.unload_all_bays().unwrap();
-        // A sibling file in a DIFFERENT image now serves from cache.
-        let r2 = r.read_file(&p("/pf/11")).unwrap();
-        assert_eq!(r2.source, ReadSource::DiskImage, "prefetched sibling");
-        assert!(r2.latency < SimDuration::from_millis(50));
-        assert_eq!(r2.data.as_ref(), &[11u8; 800_000][..]);
-    }
-
-    #[test]
-    fn a_rotted_sibling_is_neither_prefetched_nor_charged() {
-        let mut r = burned(true);
-        let read = r.image_segments(&p("/pf/0")).unwrap()[0];
-        let gid = r.store.get(read).unwrap().array.unwrap();
-        let siblings: Vec<ImageId> = r.store.group(gid).unwrap().data.clone();
-        let siblings: Vec<ImageId> = siblings.into_iter().filter(|&i| i != read).collect();
-        assert!(siblings.len() >= 2, "{siblings:?}");
-        let rotted = siblings[0];
-        let loc = r.store.location_of(rotted).unwrap();
-        assert!(
-            r.registry
-                .disc_mut(loc.disc)
-                .unwrap()
-                .rot_bytes(rotted.0, 4)
-                > 0
-        );
-        let before = r.status().buffer_usage.0;
-        r.read_file(&p("/pf/0")).unwrap();
-        r.run_for(SimDuration::from_secs(10));
-        let on_disk = |r: &Ros, id: ImageId| r.store.get(id).unwrap().on_disk();
-        assert!(!on_disk(&r, rotted));
-        let healthy = std::iter::once(read).chain(siblings[1..].iter().copied());
-        let mut bytes = 0;
-        for id in healthy {
-            assert!(on_disk(&r, id), "{id} prefetched");
-            bytes += r.store.get(id).unwrap().size;
-        }
-        assert_eq!(r.status().buffer_usage.0 - before, bytes);
-    }
-
-    #[test]
-    fn without_prefetch_the_sibling_needs_the_arm_again() {
-        let mut r = burned(false);
         r.read_file(&p("/pf/0")).unwrap();
         r.run_for(SimDuration::from_secs(10));
         r.unload_all_bays().unwrap();
@@ -2732,30 +2567,5 @@ mod prefetch_tests {
         let r2 = r.read_file(&p("/pf/11")).unwrap();
         assert_eq!(r2.source, ReadSource::RollerFreeDrives);
         assert!(r2.latency > SimDuration::from_secs(60));
-    }
-
-    #[test]
-    fn write_and_check_mode_roughly_doubles_burn_time() {
-        // At tiny disc scale the burn is milliseconds and vanishes under
-        // the ~70 s mechanical time, so assert on the burn model of the
-        // engine's own (check-mode) drives at paper scale.
-        let mut cfg = RosConfig::tiny();
-        cfg.write_and_check = true;
-        let checked_ros = Ros::new(cfg);
-        assert!(checked_ros.bays[0].iter().all(|d| d.check_mode));
-        let normal_ros = Ros::new(RosConfig::tiny());
-        assert!(normal_ros.bays[0].iter().all(|d| !d.check_mode));
-        let sizes = vec![ros_drive::params::BD25_BYTES; 12];
-        let checked = checked_ros.bays[0]
-            .simulate_array_burn(&sizes, ros_drive::DiscClass::Bd25, SimTime::ZERO)
-            .total
-            .as_secs_f64();
-        let normal = normal_ros.bays[0]
-            .simulate_array_burn(&sizes, ros_drive::DiscClass::Bd25, SimTime::ZERO)
-            .total
-            .as_secs_f64();
-        let ratio = checked / normal;
-        // §4.7: "almost halves the actual write throughput".
-        assert!((1.6..2.2).contains(&ratio), "ratio = {ratio:.2}");
     }
 }

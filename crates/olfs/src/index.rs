@@ -256,14 +256,6 @@ impl IndexFile {
         self.entries.len()
     }
 
-    /// Promotes the newest entry's stage tag as its image transitions
-    /// bucket → image → disc.
-    pub fn promote_latest(&mut self, loc: LocTag) {
-        if let Some(e) = self.entries.back_mut() {
-            e.loc = loc;
-        }
-    }
-
     /// Promotes the stage tag on every entry that references `image`.
     pub fn promote_image(&mut self, image: ImageId, loc: LocTag) {
         for e in self.entries.iter_mut() {
@@ -361,8 +353,6 @@ mod tests {
         f.promote_image(ImageId(7), LocTag::Disc);
         assert_eq!(f.version(1).unwrap().loc, LocTag::Disc);
         assert_eq!(f.version(2).unwrap().loc, LocTag::Bucket);
-        f.promote_latest(LocTag::Image);
-        assert_eq!(f.latest().unwrap().loc, LocTag::Image);
     }
 
     #[test]

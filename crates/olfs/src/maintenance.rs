@@ -75,11 +75,12 @@ impl Ros {
     }
 
     /// Number of array groups in each lifecycle state:
-    /// (collecting, parity-pending, ready, burning, burned).
+    /// (collecting, parity-pending, ready, burning, burned); a group
+    /// waiting for buffer space for its parity counts as parity-pending.
     pub fn group_census(&self) -> (usize, usize, usize, usize, usize) {
         (
             self.store.count_in_state(GroupState::Collecting),
-            self.store.count_in_state(GroupState::ParityPending),
+            self.parity_pending(),
             self.store.count_in_state(GroupState::ReadyToBurn),
             self.store.count_in_state(GroupState::Burning),
             self.store.count_in_state(GroupState::Burned),
@@ -289,6 +290,7 @@ impl Ros {
             .groups_in_state(GroupState::Collecting)
             .into_iter()
             .chain(self.store.groups_in_state(GroupState::ParityPending))
+            .chain(self.store.groups_in_state(GroupState::AwaitingBuffer))
             .chain(self.store.groups_in_state(GroupState::ReadyToBurn))
         {
             let Some(group) = self.store.group(gid) else {

@@ -389,7 +389,7 @@ impl Ros {
     }
 
     /// Puts verified bytes back on the disk buffer as `image`'s copy —
-    /// a fetch, a prefetch or a repair — replacing a resident copy (one
+    /// a fetch or a repair — replacing a resident copy (one
     /// that failed inspection, or the caller would not be restoring) —
     /// and marks it used at `at`. Returns the buffer write time for the
     /// caller to charge.
@@ -805,6 +805,27 @@ mod tests {
         // The sibling whose digest was copied still reads back exact.
         let (path, data, _) = a.files[1].clone();
         assert_eq!(a.ros.read_file(&path).unwrap().data.as_ref(), data);
+    }
+
+    #[test]
+    fn a_disc_scan_leaves_out_the_member_whose_digest_was_forged() {
+        // As above, but the namespace is rebuilt from the discs: the scan
+        // parses only digest-verified members, so the forged member's
+        // file is not recovered and every other file reads back exact.
+        let mut a = cold_array(Redundancy::Raid6, 1);
+        let (forged, sibling) = (a.files[0].2, a.files[1].2);
+        let theirs = a.ros.store.get(sibling).unwrap().digest;
+        a.ros.store.get_mut(forged).unwrap().digest = theirs;
+        a.ros.recover(crate::recovery::MvSource::DiscScan).unwrap();
+        let path = &a.files[0].0;
+        assert_eq!(
+            a.ros.read_file(path).err(),
+            Some(OlfsError::NotFound(path.to_string()))
+        );
+        for (path, data, _) in &a.files[1..] {
+            assert_eq!(a.ros.read_file(path).unwrap().data.as_ref(), data);
+        }
+        assert_eq!(a.ros.verify_consistency(), []);
     }
 
     #[test]
