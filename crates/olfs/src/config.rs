@@ -26,7 +26,7 @@ impl Redundancy {
     }
 
     /// Number of data images per array of `array_size` discs.
-    pub fn data_discs(self, array_size: u32) -> u32 {
+    fn data_discs(self, array_size: u32) -> u32 {
         array_size - self.parity_discs()
     }
 

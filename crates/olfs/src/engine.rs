@@ -1267,7 +1267,7 @@ impl Ros {
 
     /// Takes `bay` out of rotation: the burn starter and fetch paths
     /// route around it until [`Ros::service_quarantined_bays`] runs.
-    pub fn quarantine_bay(&mut self, bay: usize) {
+    fn quarantine_bay(&mut self, bay: usize) {
         if bay < self.bays.len() {
             self.quarantined_bays.insert(bay);
         }
@@ -1860,16 +1860,6 @@ impl Ros {
         }
     }
 
-    /// Total instantaneous power of the optical drives (rack aggregation
-    /// lives in `ros-tco`).
-    pub fn drive_power_watts(&self) -> f64 {
-        self.bays
-            .iter()
-            .flat_map(|b| b.iter())
-            .map(ros_drive::OpticalDrive::power_watts)
-            .sum()
-    }
-
     pub(crate) fn rng_mut(&mut self) -> &mut SimRng {
         &mut self.rng
     }
@@ -2425,19 +2415,6 @@ mod tests {
         r.write_file(&p("/empty"), Vec::<u8>::new()).unwrap();
         let rd = r.read_file(&p("/empty")).unwrap();
         assert!(rd.data.is_empty());
-    }
-
-    #[test]
-    fn drive_power_tracks_burning() {
-        let mut r = ros();
-        let idle = r.drive_power_watts();
-        for i in 0..30 {
-            r.write_file(&p(&format!("/pw/{i}")), vec![1u8; 900_000])
-                .unwrap();
-        }
-        // If a burn is active now, power is at peak for those drives.
-        let during = r.drive_power_watts();
-        assert!(during >= idle);
     }
 }
 

@@ -129,11 +129,6 @@ impl PosixFs {
         self.retry_policy = policy;
     }
 
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry_policy
-    }
-
     /// Access to the engine.
     pub fn ros(&self) -> &Ros {
         &self.ros
@@ -148,11 +143,6 @@ impl PosixFs {
     /// (uncommitted data is dropped, as a crashed FUSE daemon would).
     pub fn into_ros(self) -> Ros {
         self.ros
-    }
-
-    /// Number of open descriptors.
-    pub fn open_count(&self) -> usize {
-        self.handles.len()
     }
 
     /// Opens a file.
@@ -362,7 +352,6 @@ mod tests {
         assert_eq!(fs.read(fd, 100).unwrap().as_ref(), b" world");
         assert!(fs.read(fd, 10).unwrap().is_empty(), "EOF");
         fs.close(fd).unwrap();
-        assert_eq!(fs.open_count(), 0);
     }
 
     #[test]

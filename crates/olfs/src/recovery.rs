@@ -81,6 +81,8 @@ pub struct RecoveryReport {
 struct ScanResult {
     report: RecoveryReport,
     files: Vec<(UdfPath, ImageId, Bytes)>,
+    /// The highest MV snapshot sequence any parsed image names.
+    newest_seq: Option<u64>,
 }
 
 impl Ros {
@@ -117,18 +119,22 @@ impl Ros {
     pub fn recover(&mut self, from: MvSource) -> Result<RecoveryReport, OlfsError> {
         let start = self.now();
         let snapshots = |path: &UdfPath| path.as_str().starts_with(MV_SNAPSHOT_DIR);
-        let (mv, mut report) = match from {
-            MvSource::Live => (std::mem::take(&mut self.mv), RecoveryReport::default()),
-            MvSource::Volume(mv) => (mv, RecoveryReport::default()),
+        let (mut mv, mut report, newest_seq) = match from {
+            MvSource::Live => (std::mem::take(&mut self.mv), Default::default(), None),
+            MvSource::Volume(mv) => (mv, Default::default(), None),
             MvSource::DiscSnapshot => {
                 let scan = self.scan_burned_images(snapshots)?;
-                (newest_snapshot(scan.files)?, scan.report)
+                (newest_snapshot(scan.files)?, scan.report, scan.newest_seq)
             }
             MvSource::DiscScan => {
                 let scan = self.scan_burned_images(|path| !snapshots(path))?;
-                (namespace_of(scan.files)?, scan.report)
+                (namespace_of(scan.files)?, scan.report, scan.newest_seq)
             }
         };
+        // The next snapshot burns past every sequence on disc.
+        if let Some(seq) = newest_seq {
+            mv.put_state("mv_snapshot_seq", serde_json::json!(seq));
+        }
         self.mv = mv;
         self.image_paths.clear();
         self.dedup = DedupLayer::default();
@@ -162,10 +168,10 @@ impl Ros {
     /// through [`Ros::rebuild`] — or, past the array's tolerance, takes
     /// the members [`Ros::inspect_many`] verifies — and parses every
     /// digest-verified data member, collecting the files matching
-    /// `keep`. Media reads are charged at the bay's aggregate read rate,
-    /// as the audit charges them. The image parse fans out on the data
-    /// plane, in member order, so the result is identical at any thread
-    /// count.
+    /// `keep` and the newest snapshot sequence any image names. Media
+    /// reads are charged at the bay's aggregate read rate, as the audit
+    /// charges them. The image parse fans out on the data plane, in
+    /// member order, so the result is identical at any thread count.
     fn scan_burned_images(
         &mut self,
         keep: impl Fn(&UdfPath) -> bool + Sync,
@@ -211,12 +217,15 @@ impl Ros {
             let keep = &keep;
             let parsed = self.data_plane().map(&proofs, |(image, proof)| {
                 let img = SealedImage::from_bytes(proof.clone().into_bytes()).ok()?;
-                let files = img.scan_files().into_iter().filter(|(path, _)| keep(path));
+                let names = img.scan_files();
+                let newest_seq = names.iter().filter_map(|(p, _)| snapshot_seq(p)).max();
+                let files = names.into_iter().filter(|(path, _)| keep(path));
                 let read = |(path, _)| img.read(&path).ok().map(|data| (path, *image, data));
-                Some(files.filter_map(read).collect::<Vec<_>>())
+                Some((newest_seq, files.filter_map(read).collect::<Vec<_>>()))
             });
-            for files in parsed.into_iter().flatten() {
+            for (newest_seq, files) in parsed.into_iter().flatten() {
                 scan.report.images_parsed += 1;
+                scan.newest_seq = scan.newest_seq.max(newest_seq);
                 scan.files.extend(files);
             }
             let agg = self.bays[bay].aggregate_read_speed(self.cfg.disc_class);
@@ -228,26 +237,79 @@ impl Ros {
     }
 }
 
-/// The newest snapshot sequence among `files`, restored.
-fn newest_snapshot(files: Vec<(UdfPath, ImageId, Bytes)>) -> Result<MetadataVolume, OlfsError> {
-    // sequence -> part path -> bytes, both in name order.
-    let mut by_seq: BTreeMap<String, BTreeMap<UdfPath, Bytes>> = BTreeMap::new();
-    for (path, _image, bytes) in files {
-        let mut comps = path.components();
-        if let (Some(_), Some(seq), Some(_), None) =
-            (comps.next(), comps.next(), comps.next(), comps.next())
-        {
-            let seq = seq.to_owned();
-            by_seq.entry(seq).or_default().insert(path, bytes);
+/// The sequence of the MV snapshot directory `path` lies in, if any.
+fn snapshot_seq(path: &UdfPath) -> Option<u64> {
+    let dir = path.parent()?;
+    let seq = dir.name()?.parse().ok()?;
+    (dir.parent()?.as_str() == MV_SNAPSHOT_DIR).then_some(seq)
+}
+
+/// A version shadow found on disc: `(version, image, bytes, shadow path)`.
+type Shadow = (u32, ImageId, Bytes, UdfPath);
+/// A file's first version as its subfiles `(image, bytes)`, and its shadows.
+type Stitched = (Option<Vec<(ImageId, Bytes)>>, Vec<Shadow>);
+
+/// The one place a split is undone (§4.4): a file's first version is its
+/// subfiles in the offset order their link files record (the first has
+/// none, offset 0), `None` when a link file shows one missing — placed
+/// past where the ones before it end, or a total they do not add up to;
+/// each version shadow is the version it numbers; a link file is never data.
+fn stitch(files: Vec<(UdfPath, ImageId, Bytes)>) -> BTreeMap<UdfPath, Stitched> {
+    // (file, image) -> the link file stitching that image's subfile on.
+    let mut links: BTreeMap<(UdfPath, ImageId), LinkFile> = BTreeMap::new();
+    type Found = (Vec<(ImageId, Bytes)>, Vec<Shadow>);
+    let mut found: BTreeMap<UdfPath, Found> = BTreeMap::new();
+    for (path, image, bytes) in files {
+        let (Some(parent), Some(name)) = (path.parent(), path.name()) else {
+            continue;
+        };
+        if let Some(orig) = parse_link_file_name(name) {
+            if let Ok(link) = LinkFile::from_json(core::str::from_utf8(&bytes).unwrap_or("")) {
+                links.insert((parent.join(orig), image), link);
+            }
+        } else if let Some((ver, orig)) = parse_shadow_file_name(name) {
+            let shadows = &mut found.entry(parent.join(orig)).or_default().1;
+            shadows.push((ver, image, bytes, path.clone()));
+        } else {
+            found.entry(path).or_default().0.push((image, bytes));
         }
     }
-    let (_seq, parts) = by_seq
-        .into_iter()
-        .next_back()
-        .ok_or_else(|| OlfsError::BadState("no MV snapshot found on discs".into()))?;
+    let stitch_one = |(path, (subfiles, mut shadows)): (UdfPath, Found)| {
+        let link = |image: ImageId| links.get(&(path.clone(), image));
+        let mut parts: Vec<(u64, ImageId, Bytes)> = subfiles
+            .into_iter()
+            .map(|(image, bytes)| (link(image).map_or(0, |l| l.offset), image, bytes))
+            .collect();
+        parts.sort_unstable_by_key(|(offset, image, _)| (*offset, *image));
+        parts.dedup_by_key(|(_, image, _)| *image);
+        let size: u64 = parts.iter().map(|(_, _, bytes)| bytes.len() as u64).sum();
+        let mut end = 0;
+        let whole = !parts.is_empty()
+            && parts.iter().all(|(_, image, bytes)| {
+                let start = end;
+                end += bytes.len() as u64;
+                link(*image).is_none_or(|l| l.offset == start && l.total_size == size)
+            });
+        let first = whole.then(|| parts.into_iter().map(|(_, image, b)| (image, b)).collect());
+        shadows.sort_unstable_by_key(|(ver, image, _, _)| (*ver, *image));
+        (path, (first, shadows))
+    };
+    found.into_iter().map(stitch_one).collect()
+}
+
+/// The newest snapshot sequence on disc, restored: its parts in name
+/// order, each joined from its subfiles. A part with no whole first
+/// version is refused as [`OlfsError::NotFound`], naming the part.
+fn newest_snapshot(mut files: Vec<(UdfPath, ImageId, Bytes)>) -> Result<MetadataVolume, OlfsError> {
+    let Some(newest) = files.iter().filter_map(|(p, _, _)| snapshot_seq(p)).max() else {
+        return Err(OlfsError::BadState("no MV snapshot found on discs".into()));
+    };
+    files.retain(|(p, _, _)| snapshot_seq(p) == Some(newest));
     let mut joined = Vec::new();
-    for part in parts.into_values() {
-        joined.extend_from_slice(&part);
+    for (part, (first, _)) in stitch(files) {
+        for (_, bytes) in first.ok_or_else(|| OlfsError::NotFound(part.to_string()))? {
+            joined.extend_from_slice(&bytes);
+        }
     }
     MetadataVolume::restore(
         core::str::from_utf8(&joined)
@@ -255,59 +317,16 @@ fn newest_snapshot(files: Vec<(UdfPath, ImageId, Bytes)>) -> Result<MetadataVolu
     )
 }
 
-/// The namespace the file occurrences found on disc describe (§4.4):
-/// a file's own name is its first version, its subfiles ordered by the
-/// offsets their link files record (the first subfile has none, offset
-/// 0); each version shadow is the numbered version of the file it names.
-/// A first version a link file shows to be missing a subfile — one
-/// placed elsewhere than where the subfiles before it end, or a total
-/// the subfiles found do not add up to — is left out, not served short.
+/// The namespace the file occurrences found on disc describe (§4.4), as
+/// [`stitch`] joins them. A file with neither a whole first version nor
+/// a shadow is left out, not served short.
 fn namespace_of(files: Vec<(UdfPath, ImageId, Bytes)>) -> Result<MetadataVolume, OlfsError> {
-    // (file, image) -> the link file stitching that image's subfile on.
-    let mut links: BTreeMap<(UdfPath, ImageId), LinkFile> = BTreeMap::new();
-    // file -> (subfiles `(image, len)`, shadows `(ver, image, len, shadow)`).
-    type Found = (Vec<(ImageId, u64)>, Vec<(u32, ImageId, u64, UdfPath)>);
-    let mut found: BTreeMap<UdfPath, Found> = BTreeMap::new();
-    for (path, image, bytes) in files {
-        let (Some(parent), Some(name)) = (path.parent(), path.name()) else {
-            continue;
-        };
-        let len = bytes.len() as u64;
-        if let Some(orig) = parse_link_file_name(name) {
-            if let Ok(link) = LinkFile::from_json(core::str::from_utf8(&bytes).unwrap_or("")) {
-                links.insert((parent.join(orig), image), link);
-            }
-        } else if let Some((ver, orig)) = parse_shadow_file_name(name) {
-            let shadows = &mut found.entry(parent.join(orig)).or_default().1;
-            shadows.push((ver, image, len, path.clone()));
-        } else {
-            found.entry(path).or_default().0.push((image, len));
-        }
-    }
-
     let mut mv = MetadataVolume::new();
-    for (path, (subfiles, mut shadows)) in found {
-        let link = |image: ImageId| links.get(&(path.clone(), image));
-        let mut parts: Vec<(u64, ImageId, u64)> = subfiles
-            .into_iter()
-            .map(|(image, len)| (link(image).map_or(0, |l| l.offset), image, len))
-            .collect();
-        parts.sort_unstable();
-        parts.dedup_by_key(|(_, image, _)| *image);
-        let size: u64 = parts.iter().map(|(_, _, len)| len).sum();
-        let mut end = 0;
-        let whole = !parts.is_empty()
-            && parts.iter().all(|(_, image, len)| {
-                let start = end;
-                end += len;
-                link(*image).is_none_or(|l| l.offset == start && l.total_size == size)
-            });
-        let first = whole.then(|| {
-            let (segs, seg_sizes) = parts
-                .into_iter()
-                .map(|(_, image, len)| (image, len))
-                .unzip();
-            VersionEntry::new(LocTag::Disc, size, 0, segs, seg_sizes)
+    for (path, (first, shadows)) in stitch(files) {
+        let first = first.map(|subfiles| {
+            let segs = subfiles.iter().map(|(image, _)| *image).collect();
+            let sizes: Vec<u64> = subfiles.iter().map(|(_, b)| b.len() as u64).collect();
+            VersionEntry::new(LocTag::Disc, sizes.iter().sum(), 0, segs, sizes)
         });
         if first.is_none() && shadows.is_empty() {
             continue;
@@ -316,13 +335,13 @@ fn namespace_of(files: Vec<(UdfPath, ImageId, Bytes)>) -> Result<MetadataVolume,
         if let Some(first) = first {
             idx.push_version(first);
         }
-        shadows.sort_unstable();
-        for (ver, image, size, shadow) in shadows {
+        for (ver, image, bytes, shadow) in shadows {
             // Keep version numbers aligned: a gap repeats the entry
             // before it.
             while let Some(prev) = idx.latest().filter(|e| e.ver + 1 < ver).cloned() {
                 idx.push_version(prev);
             }
+            let size = bytes.len() as u64;
             idx.push_version(VersionEntry {
                 stored: Some(shadow),
                 ..VersionEntry::new(LocTag::Disc, size, 0, vec![image], vec![size])
@@ -330,4 +349,156 @@ fn namespace_of(files: Vec<(UdfPath, ImageId, Bytes)>) -> Result<MetadataVolume,
         }
     }
     Ok(mv)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wbm::{link_file_name, shadow_file_name};
+
+    type Occurrence = (UdfPath, ImageId, Bytes);
+
+    fn p(s: &str) -> UdfPath {
+        s.parse().unwrap()
+    }
+
+    /// `data` as WBM writes a file split at `cuts`: subfile `i` on image
+    /// `first_image + i`, each after the first beside its link file.
+    fn split(path: &UdfPath, data: &[u8], cuts: &[usize], first_image: u64) -> Vec<Occurrence> {
+        let link_path = path
+            .parent()
+            .unwrap()
+            .join(&link_file_name(path.name().unwrap()));
+        let bounds: Vec<usize> = [0]
+            .iter()
+            .chain(cuts)
+            .chain([&data.len()])
+            .copied()
+            .collect();
+        let mut found = Vec::new();
+        for (i, w) in bounds.windows(2).enumerate() {
+            let image = ImageId(first_image + i as u64);
+            found.push((
+                path.clone(),
+                image,
+                Bytes::copy_from_slice(&data[w[0]..w[1]]),
+            ));
+            if i > 0 {
+                let link = LinkFile {
+                    prev_image: image.0 - 1,
+                    offset: w[0] as u64,
+                    total_size: data.len() as u64,
+                };
+                found.push((link_path.clone(), image, Bytes::from(link.to_json())));
+            }
+        }
+        found
+    }
+
+    fn joined(first: &[(ImageId, Bytes)]) -> Vec<u8> {
+        first.iter().flat_map(|(_, b)| b.iter().copied()).collect()
+    }
+
+    /// A snapshot of an MV holding `files`, burned as sequence `seq` in
+    /// parts of `part` bytes, the second part split in two across images.
+    fn snapshot(seq: u64, files: &[&str], part: usize) -> (MetadataVolume, Vec<Occurrence>) {
+        let mut mv = MetadataVolume::new();
+        for f in files {
+            mv.create(&p(f)).unwrap();
+        }
+        let text = mv.snapshot().into_bytes();
+        let mut found = Vec::new();
+        for (i, chunk) in text.chunks(part).enumerate() {
+            let path = p(&format!("{MV_SNAPSHOT_DIR}/{seq:06}/part-{i:06}"));
+            let cuts: &[usize] = if i == 1 { &[chunk.len() / 2] } else { &[] };
+            found.extend(split(&path, chunk, cuts, seq * 100 + 2 * i as u64));
+        }
+        (mv, found)
+    }
+
+    #[test]
+    fn subfiles_join_in_offset_order_whatever_the_scan_order() {
+        let path = p("/d/f");
+        let data: Vec<u8> = (0..200u8).collect();
+        // Image ids run against the file order: only the links order it.
+        let found: Vec<Occurrence> = split(&path, &data, &[30, 31, 150], 1)
+            .into_iter()
+            .map(|(path, image, bytes)| (path, ImageId(9 - image.0), bytes))
+            .collect();
+        for turn in 0..found.len() {
+            let mut scanned = found.clone();
+            scanned.rotate_left(turn);
+            scanned[1..].reverse();
+            let stitched = stitch(scanned);
+            let (first, shadows) = &stitched[&path];
+            assert_eq!(joined(first.as_ref().unwrap()), data, "turn {turn}");
+            assert!(shadows.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_link_file_is_never_data() {
+        let path = p("/d/f");
+        let found = split(&path, b"0123456789", &[4], 1);
+        let stitched = stitch(found.clone());
+        assert_eq!(stitched.keys().collect::<Vec<_>>(), [&path]);
+        // A link file whose subfile went unread is no file at all.
+        let links: Vec<Occurrence> = found.into_iter().filter(|o| o.0 != path).collect();
+        assert_eq!(links.len(), 1);
+        assert!(stitch(links).is_empty());
+    }
+
+    #[test]
+    fn shadows_are_the_versions_they_number() {
+        let shadow = |ver| {
+            (
+                p(&format!("/d/{}", shadow_file_name(ver, "f"))),
+                ImageId(ver.into()),
+                Bytes::from(vec![0; ver as usize]),
+            )
+        };
+        let stitched = stitch(vec![
+            shadow(3),
+            (p("/d/f"), ImageId(1), Bytes::new()),
+            shadow(2),
+        ]);
+        let (first, shadows) = &stitched[&p("/d/f")];
+        assert_eq!(first.as_ref().map(Vec::len), Some(1));
+        let vers: Vec<u32> = shadows.iter().map(|s| s.0).collect();
+        assert_eq!(vers, [2, 3]);
+    }
+
+    #[test]
+    fn a_split_snapshot_part_restores() {
+        let (mv, found) = snapshot(1, &["/a", "/b/c"], 24);
+        assert!(found.len() > 4, "the snapshot spans several parts");
+        let restored = newest_snapshot(found).unwrap();
+        assert_eq!(restored.snapshot(), mv.snapshot());
+    }
+
+    #[test]
+    fn a_part_missing_its_first_subfile_is_refused() {
+        let (_, mut found) = snapshot(1, &["/a", "/b/c"], 24);
+        let part = p(&format!("{MV_SNAPSHOT_DIR}/000001/part-000001"));
+        let at = found.iter().position(|o| o.0 == part).unwrap();
+        found.remove(at);
+        assert_eq!(
+            newest_snapshot(found.clone()).unwrap_err(),
+            OlfsError::NotFound(part.to_string())
+        );
+        let stitched = stitch(found);
+        assert!(stitched[&part].0.is_none(), "never served short");
+    }
+
+    #[test]
+    fn the_newest_of_two_sequences_is_taken() {
+        let (_, old) = snapshot(9, &["/old"], 16);
+        let (new, mut found) = snapshot(10, &["/new", "/newer"], 16);
+        found.extend(old);
+        found.reverse();
+        let restored = newest_snapshot(found.clone()).unwrap();
+        assert_eq!(restored.snapshot(), new.snapshot());
+        let names: Vec<&UdfPath> = found.iter().map(|o| &o.0).collect();
+        assert_eq!(names.into_iter().filter_map(snapshot_seq).max(), Some(10));
+    }
 }

@@ -143,7 +143,7 @@ impl BucketManager {
     /// overruns its capacity, and no two open buckets stage the same
     /// image. Compiled out in release builds.
     #[cfg(debug_assertions)]
-    pub fn debug_assert_accounting(&self) {
+    fn debug_assert_accounting(&self) {
         for (i, b) in self.buckets.iter().enumerate() {
             b.tree().debug_assert_totals();
             debug_assert!(
@@ -168,7 +168,7 @@ impl BucketManager {
 
     /// Release-build no-op twin of [`Self::debug_assert_accounting`].
     #[cfg(not(debug_assertions))]
-    pub fn debug_assert_accounting(&self) {}
+    fn debug_assert_accounting(&self) {}
 
     /// Plans the placement of a `size`-byte file at `path` (FCFS, §4.5).
     ///

@@ -83,6 +83,69 @@ fn mv_snapshot_burn_and_recovery_from_discs() {
     }
 }
 
+/// An MV snapshot WBM splits across images recovers whole: 600 files of
+/// 4 KiB make a ~8.8 MB snapshot of 17 parts over at least three
+/// images, and each split part is stitched from its subfiles as any
+/// split file is, its link file never taken for data.
+#[test]
+fn a_snapshot_split_across_images_recovers() {
+    let (mut ros, files) = burned_dataset(600, 4096);
+    let splits = ros.counters().splits;
+    let (seq, parts) = ros.burn_mv_snapshot().unwrap();
+    ros.flush().unwrap();
+    assert!(ros.counters().splits > splits, "no snapshot part was split");
+    let images: std::collections::BTreeSet<_> = (0..parts)
+        .flat_map(|i| {
+            let part = p(&format!("/.mv-snapshots/{seq:06}/part-{i:06}"));
+            ros.image_segments(&part).unwrap()
+        })
+        .collect();
+    assert!(images.len() >= 3, "{parts} parts on {images:?}");
+    let report = ros.recover(MvSource::DiscSnapshot).unwrap();
+    assert_eq!(report.files_recovered, files.len());
+    for (path, data) in &files {
+        let r = ros.read_file(path).unwrap();
+        assert_eq!(r.data.as_ref(), data.as_slice(), "{path}");
+    }
+}
+
+/// A disc recovery moves the snapshot sequence past every sequence on
+/// the discs, whichever disc source it read: the next burn writes a new
+/// sequence directory, and the snapshot recovered after it is the new
+/// namespace, not the old one nor a mix of both.
+#[test]
+fn a_disc_recovery_never_reuses_a_snapshot_sequence() {
+    for from in [MvSource::DiscSnapshot, MvSource::DiscScan] {
+        let (mut ros, files) = burned_dataset(1000, 512);
+        let (seq, parts) = ros.burn_mv_snapshot().unwrap();
+        assert_eq!(seq, 1);
+        assert!(parts > 1, "{parts} parts");
+        ros.recover(from.clone()).unwrap();
+        let (kept, gone) = files.split_at(10);
+        for (path, _) in gone {
+            ros.unlink(path).unwrap();
+        }
+        let new = content(1000, 700);
+        ros.write_file(&p("/c/new"), new.clone()).unwrap();
+        let (seq, _) = ros.burn_mv_snapshot().unwrap();
+        assert_eq!(seq, 2, "{from:?}");
+        ros.recover(MvSource::DiscSnapshot)
+            .unwrap_or_else(|e| panic!("{from:?}: {e}"));
+        assert_eq!(ros.read_file(&p("/c/new")).unwrap().data.as_ref(), new);
+        for (path, data) in kept {
+            let r = ros.read_file(path).unwrap();
+            assert_eq!(r.data.as_ref(), data.as_slice(), "{from:?}: {path}");
+        }
+        for (path, _) in gone {
+            let got = ros.read_file(path);
+            assert!(
+                matches!(got, Err(OlfsError::NotFound(_))),
+                "{from:?}: {path}"
+            );
+        }
+    }
+}
+
 #[test]
 fn namespace_rebuild_without_any_mv() {
     let (mut ros, files) = burned_dataset(9, 350_000);
@@ -226,14 +289,15 @@ fn disc_recoveries_read_through_one_damaged_disc() {
 /// Both disc recoveries are total under seeded media damage: each of 32
 /// seeds burns a dataset and an MV snapshot, strikes one to three
 /// seeded `MediaRot` or `MediaCorruption` events, and recovers from the
-/// snapshot and by the scan. Each returns `Ok` or a typed error, never
-/// panics, and after an `Ok` no acked path reads back bytes the model
-/// does not owe.
+/// snapshot and by the scan. Seeds 15 and 31 add 400 files of 4 KiB, a
+/// ~5.9 MB snapshot, so WBM splits one of its parts across two images.
+/// Each recovery returns `Ok` or a typed error, never panics, and after
+/// an `Ok` no acked path reads back bytes the model does not owe.
 #[test]
 fn disc_recoveries_are_total_under_seeded_media_damage() {
     use rand::{Rng, SeedableRng};
     use ros_bench::model::{Model, Read, Verdict};
-    let (mut exact, mut failed, mut refused) = (0, 0, 0);
+    let (mut exact, mut failed, mut refused, mut split) = (0, 0, 0, 0);
     for seed in 0..32u64 {
         for from in [MvSource::DiscSnapshot, MvSource::DiscScan] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -245,7 +309,18 @@ fn disc_recoveries_are_total_under_seeded_media_damage() {
                 ros.write_file(&path, data.clone()).unwrap();
                 model.write(&path, data.into(), false);
             }
+            let small = if seed % 16 == 15 { 400 } else { 0 };
+            for i in 0..small {
+                let path = p(&format!("/s/small/f{i}"));
+                let data = content(seed * 1009 + i, 4096);
+                ros.write_file(&path, data.clone()).unwrap();
+                model.write(&path, data.into(), false);
+            }
+            let splits = ros.counters().splits;
             ros.burn_mv_snapshot().unwrap();
+            if ros.counters().splits > splits {
+                split += 1;
+            }
             ros.evict_all_burned_copies();
             ros.unload_all_bays().unwrap();
             for seq in 0..1 + rng.gen::<u64>() % 3 {
@@ -285,6 +360,7 @@ fn disc_recoveries_are_total_under_seeded_media_damage() {
         exact > failed,
         "{exact} exact, {failed} failed, {refused} refused"
     );
+    assert!(split > 0, "no seed split a snapshot part");
 }
 
 /// The MV parsers are total: seeded byte flips, truncations and
