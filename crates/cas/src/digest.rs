@@ -15,7 +15,9 @@
 //! which [`content_digests`] fills with the leaves of many payloads at
 //! once.
 
+use bytes::Pieces;
 use ros_disk::plane::DataPlane;
+use std::ops::Range;
 
 /// Fixed chunking granularity of [`content_digest`]. Chunk boundaries
 /// depend only on the payload length, never on the thread count, so the
@@ -397,22 +399,83 @@ fn sha256_group(width: usize, group: &[usize], span: &[&[u8]], out: &mut [[u8; 3
 /// workers take contiguous spans of it, and each worker packs its span
 /// into lockstep groups — so eight two-leaf images fill lanes that each
 /// of them alone would leave to the scalar kernel. Byte-identical at any
-/// plane thread count and any lane width: the leaf layout is a pure
-/// function of the payload lengths, `plane.map_spans` preserves item
-/// order, a leaf's digest is the same from every kernel, and each root
-/// hash binds its payload's length so `content_digest` of a payload
-/// never collides with `sha256` of its concatenated leaf digests.
-pub fn content_digests(payloads: &[&[u8]], plane: &DataPlane) -> Vec<Digest> {
+/// plane thread count, any lane width and any cut of a payload into
+/// [`Pieces`]: the leaf layout is a pure function of the payload
+/// lengths, `plane.map_spans` preserves item order, a leaf's digest is
+/// the same from every kernel, and each root hash binds its payload's
+/// length so `content_digest` of a payload never collides with `sha256`
+/// of its concatenated leaf digests.
+pub fn content_digests<P: Pieces + ?Sized>(payloads: &[&P], plane: &DataPlane) -> Vec<Digest> {
     content_digests_at(lockstep_lanes(), payloads, plane)
+}
+
+/// A leaf as [`cut_leaves`] found it.
+enum Leaf<'a> {
+    /// Inside one piece, hashed where it lies.
+    Borrowed(&'a [u8]),
+    /// Across pieces: where its assembled copy lies in the assembly
+    /// buffer.
+    Assembled(Range<usize>),
+}
+
+/// Cuts `payload` into its [`CHUNK_BYTES`] leaves, in order, onto
+/// `leaves`. A leaf inside one piece is borrowed; only a leaf that
+/// straddles two or more pieces is copied, onto the end of `assembled`.
+/// A plain slice is one piece, so it is never copied.
+fn cut_leaves<'a, P: Pieces + ?Sized>(
+    payload: &'a P,
+    leaves: &mut Vec<Leaf<'a>>,
+    assembled: &mut Vec<u8>,
+) {
+    // The leaf under way: its start in the current piece, if it began
+    // there, or where its bytes so far begin in `assembled`, if it began
+    // in an earlier one.
+    let mut open: Option<&'a [u8]> = None;
+    let mut partial: Option<usize> = None;
+    for mut piece in payload.pieces() {
+        if let Some(start) = open.take() {
+            partial = Some(assembled.len());
+            assembled.extend_from_slice(start);
+        }
+        if let Some(at) = partial {
+            let take = (at + CHUNK_BYTES - assembled.len()).min(piece.len());
+            assembled.extend_from_slice(&piece[..take]);
+            piece = &piece[take..];
+            if assembled.len() < at + CHUNK_BYTES {
+                continue;
+            }
+            leaves.push(Leaf::Assembled(at..assembled.len()));
+            partial = None;
+        }
+        let (whole, tail) = piece.as_chunks::<CHUNK_BYTES>();
+        leaves.extend(whole.iter().map(|leaf| Leaf::Borrowed(leaf)));
+        open = (!tail.is_empty()).then_some(tail);
+    }
+    if let Some(last) = open {
+        leaves.push(Leaf::Borrowed(last));
+    } else if let Some(at) = partial {
+        leaves.push(Leaf::Assembled(at..assembled.len()));
+    }
 }
 
 /// [`content_digests`] with lockstep groups of at most `width` lanes. A
 /// parameter so the tests can pin every width on one host, not a
 /// setting: production passes what the CPU reports.
-fn content_digests_at(width: usize, payloads: &[&[u8]], plane: &DataPlane) -> Vec<Digest> {
-    let leaves: Vec<&[u8]> = payloads
+fn content_digests_at<P: Pieces + ?Sized>(
+    width: usize,
+    payloads: &[&P],
+    plane: &DataPlane,
+) -> Vec<Digest> {
+    let (mut cut, mut assembled) = (Vec::new(), Vec::new());
+    for payload in payloads {
+        cut_leaves(*payload, &mut cut, &mut assembled);
+    }
+    let leaves: Vec<&[u8]> = cut
         .iter()
-        .flat_map(|p| p.chunks(CHUNK_BYTES))
+        .map(|leaf| match leaf {
+            Leaf::Borrowed(bytes) => bytes,
+            Leaf::Assembled(range) => &assembled[range.clone()],
+        })
         .collect();
     let leaf_digests = plane.map_spans(&leaves, |span| sha256_span_at(width, span));
     let mut unclaimed = leaf_digests.as_slice();
@@ -420,10 +483,11 @@ fn content_digests_at(width: usize, payloads: &[&[u8]], plane: &DataPlane) -> Ve
     payloads
         .iter()
         .map(|p| {
-            let (mine, later) = unclaimed.split_at(p.len().div_ceil(CHUNK_BYTES));
+            let len = p.total_len();
+            let (mine, later) = unclaimed.split_at(len.div_ceil(CHUNK_BYTES));
             unclaimed = later;
             root.clear();
-            root.extend_from_slice(&(p.len() as u64).to_be_bytes());
+            root.extend_from_slice(&(len as u64).to_be_bytes());
             root.extend_from_slice(mine.as_flattened());
             Digest(sha256(&root))
         })
@@ -432,7 +496,7 @@ fn content_digests_at(width: usize, payloads: &[&[u8]], plane: &DataPlane) -> Ve
 
 /// Content digest of one payload: [`content_digests`] of a one-element
 /// list, so there is one path and one value.
-pub fn content_digest(data: &[u8], plane: &DataPlane) -> Digest {
+pub fn content_digest<P: Pieces + ?Sized>(data: &P, plane: &DataPlane) -> Digest {
     content_digests(&[data], plane)[0]
 }
 
@@ -823,6 +887,71 @@ mod tests {
             assert_eq!(got, expect, "threads={threads}");
         }
         assert_eq!(Digest::of(&data), expect);
+    }
+
+    /// `data` as a [`bytes::Parts`] cut at `cuts` (any order, duplicates
+    /// and out-of-range cuts allowed).
+    fn parted(data: &[u8], cuts: &[usize]) -> bytes::Parts {
+        let whole = bytes::Bytes::copy_from_slice(data);
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(data.len())).collect();
+        cuts.sort_unstable();
+        let mut at = 0;
+        let mut parts: bytes::Parts = cuts
+            .into_iter()
+            .map(|c| {
+                let piece = whole.slice(at..c);
+                at = c;
+                piece
+            })
+            .collect();
+        parts.push(whole.slice(at..));
+        parts
+    }
+
+    #[test]
+    fn a_leaf_is_copied_only_where_it_straddles_pieces() {
+        let data = wide_pattern(4 * CHUNK_BYTES + 100);
+        let parts = parted(
+            &data,
+            &[CHUNK_BYTES, CHUNK_BYTES + 10, 3 * CHUNK_BYTES + 50],
+        );
+        let (mut leaves, mut assembled) = (Vec::new(), Vec::new());
+        cut_leaves(&parts, &mut leaves, &mut assembled);
+        // Leaf 0 ends at the first cut; leaf 1 spans the 10-byte piece
+        // and the next; leaves 2 and 4 lie inside one piece, leaf 3 spans
+        // the third cut.
+        let copied: Vec<bool> = leaves
+            .iter()
+            .map(|l| matches!(l, Leaf::Assembled(_)))
+            .collect();
+        assert_eq!(copied, [false, true, false, true, false]);
+        let (mut flat, mut none) = (Vec::new(), Vec::new());
+        cut_leaves(&data[..], &mut flat, &mut none);
+        assert!(none.is_empty(), "a plain slice is never copied");
+        assert_eq!(flat.len(), 5);
+    }
+
+    // Random multi-leaf payloads are too slow interpreted.
+    #[cfg(not(miri))]
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn a_parted_payload_digests_as_its_flat_bytes(
+            len in 0usize..5 * CHUNK_BYTES,
+            cuts in proptest::collection::vec(0usize..5 * CHUNK_BYTES, 0..12),
+            pick in 0usize..3,
+        ) {
+            let width = [1, 8, 16][pick];
+            let data = wide_pattern(len);
+            let parts = parted(&data, &cuts);
+            for threads in 1..=4 {
+                let plane = DataPlane::new(threads);
+                let flat = content_digest(&data[..], &plane);
+                proptest::prop_assert_eq!(content_digest(&parts, &plane), flat);
+                let batch = content_digests_at(width, &[&parts, &parted(&data, &[len / 2])], &plane);
+                proptest::prop_assert_eq!(batch, vec![flat, flat]);
+            }
+        }
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! `restore_disk_copy`, the repair path's `rebuild`) takes the proof
 //! and compares 32 bytes instead of re-digesting the payload.
 //!
-//! `B` is meant to be an immutable byte container (`Bytes`, `&[u8]`,
-//! `Vec<u8>`); the proof only ever hands out shared access to it.
+//! `B` is meant to be an immutable byte container (`Bytes`, `Parts`,
+//! `&[u8]`, `Vec<u8>`); the proof only ever hands out shared access to it.
 
 use crate::digest::{content_digest, content_digests, Digest};
+use bytes::Pieces;
 use ros_disk::plane::DataPlane;
 
 /// Typed CAS failures.
@@ -50,12 +51,12 @@ pub struct Verified<B> {
     digest: Digest,
 }
 
-impl<B: AsRef<[u8]>> Verified<B> {
+impl<B: Pieces> Verified<B> {
     /// Hashes `bytes` on `plane` and records whatever they hash to. Use
     /// when there is no expectation to check yet (freshly reconstructed
     /// bytes, say): the holder of the expectation compares digests.
     pub fn hash(bytes: B, plane: &DataPlane) -> Self {
-        let digest = content_digest(bytes.as_ref(), plane);
+        let digest = content_digest(&bytes, plane);
         Verified { bytes, digest }
     }
 
@@ -64,9 +65,9 @@ impl<B: AsRef<[u8]>> Verified<B> {
         self.digest
     }
 
-    /// The verified bytes.
-    pub fn bytes(&self) -> &[u8] {
-        self.bytes.as_ref()
+    /// The verified byte container.
+    pub fn payload(&self) -> &B {
+        &self.bytes
     }
 
     /// Gives up the proof and returns the byte container.
@@ -94,7 +95,7 @@ impl<B: AsRef<[u8]>> Verified<B> {
 /// ladder, the cluster drill and the chaos sweep all route
 /// integrity checks through here or through its batched form,
 /// [`verify_payloads`].
-pub fn verify_payload<B: AsRef<[u8]>>(
+pub fn verify_payload<B: Pieces>(
     expected: &Digest,
     data: B,
     plane: &DataPlane,
@@ -105,11 +106,11 @@ pub fn verify_payload<B: AsRef<[u8]>>(
 /// [`verify_payload`] of every `(expected, data)` pair, one result per
 /// pair in order, hashed as one [`content_digests`] batch so the pairs'
 /// leaves share lockstep passes.
-pub fn verify_payloads<B: AsRef<[u8]>>(
+pub fn verify_payloads<B: Pieces>(
     pairs: Vec<(Digest, B)>,
     plane: &DataPlane,
 ) -> Vec<Result<Verified<B>, CasError>> {
-    let payloads: Vec<&[u8]> = pairs.iter().map(|(_, data)| data.as_ref()).collect();
+    let payloads: Vec<&B> = pairs.iter().map(|(_, data)| data).collect();
     let digests = content_digests(&payloads, plane);
     pairs
         .into_iter()
@@ -128,7 +129,7 @@ mod tests {
         let expected = Digest::of(b"good bytes");
         let proof = verify_payload(&expected, b"good bytes".to_vec(), &plane).unwrap();
         assert_eq!(proof.digest(), expected);
-        assert_eq!(proof.bytes(), b"good bytes");
+        assert_eq!(proof.payload(), b"good bytes");
         assert_eq!(proof.into_bytes(), b"good bytes".to_vec());
     }
 
@@ -137,7 +138,7 @@ mod tests {
         let plane = DataPlane::single();
         let wrong = Digest::of(b"other bytes");
         assert_eq!(
-            verify_payload(&wrong, b"good bytes", &plane),
+            verify_payload(&wrong, &b"good bytes"[..], &plane),
             Err(CasError::DigestMismatch {
                 expected: wrong,
                 actual: Digest::of(b"good bytes"),
@@ -163,7 +164,7 @@ mod tests {
                 Ok(proof) => {
                     assert_ne!(i, 3, "the flipped payload must not verify");
                     assert_eq!(proof.digest(), expected[i]);
-                    assert_eq!(proof.bytes(), payloads[i].as_slice());
+                    assert_eq!(*proof.payload(), &payloads[i]);
                 }
                 Err(e) => {
                     let actual = Digest::of(&payloads[3]);

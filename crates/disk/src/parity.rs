@@ -14,9 +14,10 @@
 //! Q is computed by Horner's rule, `Q ← 2·Q ⊕ D_i` from the highest
 //! member down ([`gf::horner_step`]), so the only multiply on any bulk
 //! path is by the generator 2, eight bytes at a time on `u64` lanes;
-//! P is `u64`-word-sliced XOR. Encode, both Q recoveries and verify
-//! share one pass, P and Q together, over 4 KiB tiles of each output
-//! range, so each member byte is read from memory once. Only a recovery's
+//! P is `u64`-word-sliced XOR. Every kernel — P, encode, both
+//! rebuilds, verify — accumulates 4 KiB tiles of each output range
+//! across the members, P and Q together where both are wanted, so each
+//! member byte is read from memory once. Only a recovery's
 //! one scaling by a constant (`g^-m`, `g^y`, `1/(g^x ⊕ g^y)`) goes
 //! through a [`gf::MulTable`]. Every operation takes a [`DataPlane`]
 //! that splits the output into fixed contiguous ranges across its
@@ -28,6 +29,11 @@
 //! member counts as zero-filled to it. That is how OLFS pads disc images
 //! (media past the burned region reads as zeros), without a padded copy
 //! of any member. Only [`verify_group_with`] wants equal lengths.
+//!
+//! **Members in pieces.** A member is any [`Pieces`]: a flat slice, or a
+//! sealed image's [`bytes::Parts`], read where its pieces lie. A tile
+//! inside one piece is borrowed; only a tile that straddles two pieces
+//! is copied, into a 4 KiB scratch tile.
 
 // Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
 // outside test code is checked, saturating, or carries an `#[expect]`
@@ -36,6 +42,7 @@
 
 use crate::gf;
 use crate::plane::DataPlane;
+use bytes::Pieces;
 #[expect(
     clippy::disallowed_types,
     reason = "monotonic early-exit flag for plane-driven verify; order-free"
@@ -72,31 +79,87 @@ impl core::fmt::Display for ParityError {
 
 impl std::error::Error for ParityError {}
 
+/// One member as the kernels read it: its non-empty pieces, each with
+/// the stripe offset of its first byte. A flat member is one piece; a
+/// parted one ([`bytes::Parts`]) is read where it lies.
+struct Member<'a> {
+    pieces: Vec<(usize, &'a [u8])>,
+    len: usize,
+}
+
+impl<'a> Member<'a> {
+    fn new<P: Pieces + ?Sized>(member: &'a P) -> Self {
+        let mut len = 0usize;
+        let mut pieces = Vec::new();
+        for piece in member.pieces().filter(|p| !p.is_empty()) {
+            pieces.push((len, piece));
+            len = len.saturating_add(piece.len());
+        }
+        Member { pieces, len }
+    }
+
+    /// The member's bytes from stripe offset `at`, at most `n` of them
+    /// and fewer past its end: the kernels stop at the common prefix, so
+    /// the missing tail adds nothing and the member reads as zero-filled.
+    /// Borrowed when one piece holds them; a tile that straddles pieces
+    /// is copied into `scratch`.
+    fn tile<'s>(&'s self, at: usize, n: usize, scratch: &'s mut [u8; TILE]) -> &'s [u8] {
+        let end = self.len.min(at.saturating_add(n.min(TILE)));
+        if at >= end {
+            return &[];
+        }
+        let first = self
+            .pieces
+            .partition_point(|&(s, _)| s <= at)
+            .saturating_sub(1);
+        let (start, piece) = self.pieces[first];
+        let lo = at.saturating_sub(start);
+        let hi = end.saturating_sub(start);
+        if hi <= piece.len() {
+            return &piece[lo..hi];
+        }
+        let mut filled = 0usize;
+        for &(start, piece) in &self.pieces[first..] {
+            if start >= end {
+                break;
+            }
+            let bytes =
+                &piece[at.saturating_sub(start)..piece.len().min(end.saturating_sub(start))];
+            scratch[filled..][..bytes.len()].copy_from_slice(bytes);
+            filled = filled.saturating_add(bytes.len());
+        }
+        &scratch[..filled]
+    }
+
+    /// The member copied out whole: a survivor a reconstruct hands back.
+    fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len);
+        for (_, piece) in &self.pieces {
+            out.extend_from_slice(piece);
+        }
+        out
+    }
+}
+
+/// Every member of `data`, present.
+fn members<'a, P: Pieces + ?Sized>(data: &[&'a P]) -> Vec<Option<Member<'a>>> {
+    data.iter().map(|d| Some(Member::new(*d))).collect()
+}
+
+/// Every member of `data`, a lost one `None`.
+fn survivors<'a, P: Pieces + ?Sized>(data: &[Option<&'a P>]) -> Vec<Option<Member<'a>>> {
+    data.iter().map(|d| d.map(Member::new)).collect()
+}
+
 /// The stripe length: the longest member.
-fn stripe_len<'a>(members: impl IntoIterator<Item = &'a [u8]>) -> Result<usize, ParityError> {
+fn stripe_len<'a, 'm: 'a>(
+    members: impl IntoIterator<Item = &'a Member<'m>>,
+) -> Result<usize, ParityError> {
     members
         .into_iter()
-        .map(<[u8]>::len)
+        .map(|m| m.len)
         .max()
         .ok_or(ParityError::Empty)
-}
-
-/// `member`'s bytes from `off` on, empty past its end. The kernels stop
-/// at the common prefix, so the missing tail adds nothing: the member
-/// reads as zero-filled.
-fn bytes_from(member: &[u8], off: usize) -> &[u8] {
-    member.get(off..).unwrap_or_default()
-}
-
-/// P of `data` over a `len`-byte stripe.
-fn p_of(data: &[&[u8]], len: usize, plane: &DataPlane) -> Vec<u8> {
-    let mut p = vec![0u8; len];
-    plane.for_each_chunk(&mut p, |off, chunk| {
-        for stripe in data {
-            gf::xor_acc(chunk, bytes_from(stripe, off));
-        }
-    });
-    p
 }
 
 /// Bytes per tile of a plane chunk: a member's tile plus the P and Q
@@ -104,21 +167,45 @@ fn p_of(data: &[&[u8]], len: usize, plane: &DataPlane) -> Vec<u8> {
 /// from memory once.
 const TILE: usize = 4096;
 
+/// XORs `sources` at stripe offset `off` into one plane chunk, a tile
+/// at a time: `Σ D_i` (P, or the survivors and P of a rebuild).
+fn xor_tiles<'a, 'm: 'a>(
+    sources: impl Iterator<Item = &'a Member<'m>> + Clone,
+    off: usize,
+    chunk: &mut [u8],
+) {
+    let mut scratch = [0u8; TILE];
+    for (t, at) in chunk.chunks_mut(TILE).zip((off..).step_by(TILE)) {
+        for m in sources.clone() {
+            gf::xor_acc(t, m.tile(at, t.len(), &mut scratch));
+        }
+    }
+}
+
+/// P of `data` over a `len`-byte stripe.
+fn p_of(data: &[Option<Member<'_>>], len: usize, plane: &DataPlane) -> Vec<u8> {
+    let mut p = vec![0u8; len];
+    plane.for_each_chunk(&mut p, |off, chunk| {
+        xor_tiles(data.iter().flatten(), off, chunk)
+    });
+    p
+}
+
 /// Accumulates `members` at stripe offset `off` into one plane chunk,
 /// tile by tile: `Σ D_i` into `p` (when given) and `Σ 2^i·D_i` into `q`,
 /// which must start zeroed. Q runs by Horner's rule from the highest
 /// member down ([`gf::horner_step`]), so a `None` (lost) member adds
 /// nothing to either but still doubles Q, as does a short member past
 /// its end.
-fn horner_pq<'a, M>(members: M, off: usize, p: Option<&mut [u8]>, q: &mut [u8])
-where
-    M: DoubleEndedIterator<Item = Option<&'a [u8]>> + Clone,
-{
+fn horner_pq(members: &[Option<Member<'_>>], off: usize, p: Option<&mut [u8]>, q: &mut [u8]) {
+    let mut scratch = [0u8; TILE];
     let mut p_tiles = p.map(|p| p.chunks_mut(TILE));
     for (qt, at) in q.chunks_mut(TILE).zip((off..).step_by(TILE)) {
         let mut pt = p_tiles.as_mut().and_then(Iterator::next);
-        for member in members.clone().rev() {
-            let s = member.map_or(&[][..], |m| bytes_from(m, at));
+        for member in members.iter().rev() {
+            let s = member
+                .as_ref()
+                .map_or(&[][..], |m| m.tile(at, qt.len(), &mut scratch));
             if let Some(pt) = pt.as_deref_mut() {
                 gf::xor_acc(pt, s);
             }
@@ -128,35 +215,38 @@ where
 }
 
 /// P and Q of `data` over a `len`-byte stripe, in one pass per stripe.
-fn pq_of(data: &[&[u8]], len: usize, plane: &DataPlane) -> (Vec<u8>, Vec<u8>) {
+fn pq_of(data: &[Option<Member<'_>>], len: usize, plane: &DataPlane) -> (Vec<u8>, Vec<u8>) {
     let mut p = vec![0u8; len];
     let mut q = vec![0u8; len];
     plane.for_each_chunk2(&mut p, &mut q, |off, pc, qc| {
-        horner_pq(data.iter().copied().map(Some), off, Some(pc), qc);
+        horner_pq(data, off, Some(pc), qc);
     });
     (p, q)
 }
 
 /// `parity` zero-filled to `len`: the accumulator a recovery starts from.
-fn widened(parity: &[u8], len: usize) -> Vec<u8> {
+fn widened(parity: &Member<'_>, len: usize) -> Vec<u8> {
     let mut acc = parity.to_vec();
     acc.resize(len, 0);
     acc
 }
 
 /// The one lost data member of a group with P: `P ^ Σ survivors`.
-fn xor_rebuild(data: &[Option<&[u8]>], p: &[u8], len: usize, plane: &DataPlane) -> Vec<u8> {
+fn xor_rebuild(
+    data: &[Option<Member<'_>>],
+    p: &Member<'_>,
+    len: usize,
+    plane: &DataPlane,
+) -> Vec<u8> {
     let mut rec = widened(p, len);
     plane.for_each_chunk(&mut rec, |off, chunk| {
-        for d in data.iter().flatten() {
-            gf::xor_acc(chunk, bytes_from(d, off));
-        }
+        xor_tiles(data.iter().flatten(), off, chunk);
     });
     rec
 }
 
 /// `data` with its lost members, in index order, taken from `rebuilt`.
-fn fill(data: &[Option<&[u8]>], rebuilt: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+fn fill(data: &[Option<Member<'_>>], rebuilt: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
     let mut rebuilt = rebuilt.into_iter();
     data.iter()
         .map(|d| match d {
@@ -167,19 +257,25 @@ fn fill(data: &[Option<&[u8]>], rebuilt: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
 }
 
 /// Computes the XOR parity (P) of the data stripes: the output is split
-/// into fixed chunks, each filled by word-sliced XOR accumulation.
-pub fn parity_p_with(data: &[&[u8]], plane: &DataPlane) -> Result<Vec<u8>, ParityError> {
-    Ok(p_of(data, stripe_len(data.iter().copied())?, plane))
+/// into fixed chunks, each filled by word-sliced XOR accumulation a tile
+/// at a time across the members.
+pub fn parity_p_with<P: Pieces + ?Sized>(
+    data: &[&P],
+    plane: &DataPlane,
+) -> Result<Vec<u8>, ParityError> {
+    let data = members(data);
+    Ok(p_of(&data, stripe_len(data.iter().flatten())?, plane))
 }
 
 /// Fused P+Q encode: one pass over each stripe fills both parities, so
 /// the data is read from memory once instead of twice. Both outputs are
 /// split in lockstep, so each worker reads each stripe range once.
-pub fn encode_pq_with(
-    data: &[&[u8]],
+pub fn encode_pq_with<P: Pieces + ?Sized>(
+    data: &[&P],
     plane: &DataPlane,
 ) -> Result<(Vec<u8>, Vec<u8>), ParityError> {
-    Ok(pq_of(data, stripe_len(data.iter().copied())?, plane))
+    let data = members(data);
+    Ok(pq_of(&data, stripe_len(data.iter().flatten())?, plane))
 }
 
 /// Reconstructs missing members of a P-only (RAID-5 style) group.
@@ -187,32 +283,31 @@ pub fn encode_pq_with(
 /// `data[i] = None` marks a lost data stripe; `p = None` marks a lost
 /// parity stripe. At most one member in total may be missing. Survivors
 /// come back as given; a rebuilt member is as long as the stripe.
-pub fn reconstruct_p_with(
-    data: &[Option<&[u8]>],
-    p: Option<&[u8]>,
+pub fn reconstruct_p_with<P: Pieces + ?Sized>(
+    data: &[Option<&P>],
+    p: Option<&P>,
     plane: &DataPlane,
 ) -> Result<(Vec<Vec<u8>>, Vec<u8>), ParityError> {
+    let data = survivors(data);
+    let p = p.map(Member::new);
     let lost_data = data.iter().filter(|d| d.is_none()).count();
     let lost = lost_data.saturating_add(usize::from(p.is_none()));
     if lost > 1 {
         return Err(ParityError::TooManyLost { lost, tolerated: 1 });
     }
-    let len = stripe_len(data.iter().flatten().copied().chain(p))?;
+    let len = stripe_len(data.iter().flatten().chain(&p))?;
     match p {
         // XOR of all present data stripes and P recovers the lost stripe.
         Some(p) => {
             let rebuilt = if lost_data == 0 {
                 Vec::new()
             } else {
-                vec![xor_rebuild(data, p, len, plane)]
+                vec![xor_rebuild(&data, &p, len, plane)]
             };
-            Ok((fill(data, rebuilt), p.to_vec()))
+            Ok((fill(&data, rebuilt), p.to_vec()))
         }
         // P is the lost member, so every data stripe is present.
-        None => {
-            let refs: Vec<&[u8]> = data.iter().flatten().copied().collect();
-            Ok((fill(data, Vec::new()), p_of(&refs, len, plane)))
-        }
+        None => Ok((fill(&data, Vec::new()), p_of(&data, len, plane))),
     }
 }
 
@@ -222,12 +317,14 @@ pub fn reconstruct_p_with(
 /// missing. Returns the full data set plus both parities, recomputed at
 /// the stripe length; survivors come back as given.
 #[allow(clippy::type_complexity)]
-pub fn reconstruct_pq_with(
-    data: &[Option<&[u8]>],
-    p: Option<&[u8]>,
-    q: Option<&[u8]>,
+pub fn reconstruct_pq_with<P: Pieces + ?Sized>(
+    data: &[Option<&P>],
+    p: Option<&P>,
+    q: Option<&P>,
     plane: &DataPlane,
 ) -> Result<(Vec<Vec<u8>>, Vec<u8>, Vec<u8>), ParityError> {
+    let data = survivors(data);
+    let (p, q) = (p.map(Member::new), q.map(Member::new));
     let lost_data: Vec<usize> = (0..data.len()).filter(|&i| data[i].is_none()).collect();
     let lost = lost_data
         .len()
@@ -236,21 +333,21 @@ pub fn reconstruct_pq_with(
     if lost > 2 {
         return Err(ParityError::TooManyLost { lost, tolerated: 2 });
     }
-    let len = stripe_len(data.iter().flatten().copied().chain(p).chain(q))?;
+    let len = stripe_len(data.iter().flatten().chain(&p).chain(&q))?;
 
-    let rebuilt = match (lost_data.as_slice(), p, q) {
+    let rebuilt = match (lost_data.as_slice(), &p, &q) {
         // All data present: only parity needs recomputing.
         ([], _, _) => Vec::new(),
         // One data stripe lost, P present: plain XOR recovery.
-        ([_], Some(p), _) => vec![xor_rebuild(data, p, len, plane)],
+        ([_], Some(p), _) => vec![xor_rebuild(&data, p, len, plane)],
         // One data stripe lost, P lost, Q present: recover via Q.
         ([missing], None, Some(q)) => {
             // Q = sum g^i D_i  =>  D_m = (Q ^ sum_{i!=m} g^i D_i) * g^-m.
             let ginv_table = gf::MulTable::new(gf::inv(gf::pow2(*missing)));
             let mut acc = vec![0u8; len];
             plane.for_each_chunk(&mut acc, |off, chunk| {
-                horner_pq(data.iter().copied(), off, None, chunk);
-                gf::xor_acc(chunk, bytes_from(q, off));
+                horner_pq(&data, off, None, chunk);
+                xor_tiles([q].into_iter(), off, chunk);
                 ginv_table.mul_inplace(chunk);
             });
             vec![acc]
@@ -261,8 +358,8 @@ pub fn reconstruct_pq_with(
             let mut pxy = widened(p, len);
             let mut qxy = vec![0u8; len];
             plane.for_each_chunk2(&mut pxy, &mut qxy, |off, pc, qc| {
-                horner_pq(data.iter().copied(), off, Some(pc), qc);
-                gf::xor_acc(qc, bytes_from(q, off));
+                horner_pq(&data, off, Some(pc), qc);
+                xor_tiles([q].into_iter(), off, qc);
             });
             // D_x ^ D_y = Pxy and g^x D_x ^ g^y D_y = Qxy
             // => D_x = (Qxy ^ g^y Pxy) / (g^x ^ g^y); D_y = Pxy ^ D_x.
@@ -287,9 +384,9 @@ pub fn reconstruct_pq_with(
         // here, and (2 data + missing parity) is >2 losses.
         _ => return Err(ParityError::TooManyLost { lost, tolerated: 2 }),
     };
-    let full = fill(data, rebuilt);
+    let full = fill(&data, rebuilt);
     let refs: Vec<&[u8]> = full.iter().map(Vec::as_slice).collect();
-    let (p, q) = pq_of(&refs, len, plane);
+    let (p, q) = pq_of(&members(&refs), len, plane);
     Ok((full, p, q))
 }
 
@@ -306,18 +403,32 @@ pub fn reconstruct_pq_with(
 /// first mismatch instead of materializing full P/Q vectors. On the
 /// plane each worker sweeps its own fixed range; the first mismatch
 /// anywhere stops all ranges at their next tile boundary.
-pub fn verify_group_with(
-    data: &[&[u8]],
+pub fn verify_group_with<P: Pieces + ?Sized>(
+    data: &[&P],
     p: &[u8],
     q: Option<&[u8]>,
     plane: &DataPlane,
 ) -> Result<bool, ParityError> {
-    let len = stripe_len(data.iter().copied())?;
-    if data.iter().any(|s| s.len() != len) {
+    let data = members(data);
+    let len = stripe_len(data.iter().flatten())?;
+    if data.iter().flatten().any(|s| s.len != len) {
         return Err(ParityError::LengthMismatch);
     }
-    if p.len() != len || q.is_some_and(|q| q.len() != len) {
-        return Ok(false);
+    Ok(p.len() == len && parity_matches(&data, p, q, plane))
+}
+
+/// True when `p` (and `q`, if given) is the parity of `data`, the
+/// members zero-filled to `p`'s length: [`verify_group_with`] past its
+/// length checks.
+fn parity_matches(
+    data: &[Option<Member<'_>>],
+    p: &[u8],
+    q: Option<&[u8]>,
+    plane: &DataPlane,
+) -> bool {
+    let len = p.len();
+    if q.is_some_and(|q| q.len() != len) || data.iter().flatten().any(|s| s.len > len) {
+        return false;
     }
     #[expect(
         clippy::disallowed_types,
@@ -342,13 +453,11 @@ pub fn verify_group_with(
             let matches = match q {
                 Some(q) => {
                     qt.fill(0);
-                    horner_pq(data.iter().copied().map(Some), off, Some(&mut *pt), qt);
+                    horner_pq(data, off, Some(&mut *pt), qt);
                     *pt == p[off..][..n] && *qt == q[off..][..n]
                 }
                 None => {
-                    for stripe in data {
-                        gf::xor_acc(pt, bytes_from(stripe, off));
-                    }
+                    xor_tiles(data.iter().flatten(), off, pt);
                     *pt == p[off..][..n]
                 }
             };
@@ -365,16 +474,17 @@ pub fn verify_group_with(
             }
         }
     });
-    Ok(ok.load(Ordering::Relaxed))
+    ok.load(Ordering::Relaxed)
 }
 
-/// Debug-build hook: asserts the parity group is self-consistent after a
-/// stripe write. Compiled out of release builds, so the hot write path
-/// pays nothing in production.
+/// Debug-build hook: asserts that `p` (and `q`) is the parity of `data`
+/// read by the encoders' length rule — a member shorter than `p` counts
+/// as zero-filled to it. Compiled out of release builds, so the hot
+/// write path pays nothing in production.
 #[cfg(debug_assertions)]
-pub fn debug_assert_group(data: &[&[u8]], p: &[u8], q: Option<&[u8]>) {
+pub fn debug_assert_group<P: Pieces + ?Sized>(data: &[&P], p: &[u8], q: Option<&[u8]>) {
     debug_assert!(
-        verify_group_with(data, p, q, &DataPlane::single()).unwrap_or(false),
+        parity_matches(&members(data), p, q, &DataPlane::single()),
         "parity group failed XOR/GF self-verification after stripe write \
          ({} data stripes, q = {})",
         data.len(),
@@ -384,7 +494,7 @@ pub fn debug_assert_group(data: &[&[u8]], p: &[u8], q: Option<&[u8]>) {
 
 /// Release builds: the self-check disappears entirely.
 #[cfg(not(debug_assertions))]
-pub fn debug_assert_group(_data: &[&[u8]], _p: &[u8], _q: Option<&[u8]>) {}
+pub fn debug_assert_group<P: Pieces + ?Sized>(_data: &[&P], _p: &[u8], _q: Option<&[u8]>) {}
 
 #[cfg(test)]
 mod tests {
@@ -468,8 +578,12 @@ mod tests {
             verify_group_with(&[&a, &b], &b, None, &one()).unwrap_err(),
             ParityError::LengthMismatch
         );
-        assert_eq!(parity_p_with(&[], &one()).unwrap_err(), ParityError::Empty);
-        assert_eq!(encode_pq_with(&[], &one()).unwrap_err(), ParityError::Empty);
+        let none: &[&[u8]] = &[];
+        assert_eq!(parity_p_with(none, &one()).unwrap_err(), ParityError::Empty);
+        assert_eq!(
+            encode_pq_with(none, &one()).unwrap_err(),
+            ParityError::Empty
+        );
     }
 
     #[test]
@@ -573,7 +687,7 @@ mod tests {
         bad_q[0] ^= 0x01;
         assert_eq!(verify(&p, Some(&bad_q)), Ok(false));
         assert_eq!(
-            verify_group_with(&[], &p, None, &one()).unwrap_err(),
+            verify_group_with::<[u8]>(&[], &p, None, &one()).unwrap_err(),
             ParityError::Empty
         );
     }

@@ -27,19 +27,10 @@ pub enum RaidLevel {
 
 impl RaidLevel {
     /// Number of member failures the level tolerates.
-    pub fn tolerated_failures(self, members: usize) -> usize {
+    fn tolerated_failures(self, members: usize) -> usize {
         match self {
             RaidLevel::Raid0 => 0,
             RaidLevel::Raid1 => members.saturating_sub(1),
-            RaidLevel::Raid5 => 1,
-            RaidLevel::Raid6 => 2,
-        }
-    }
-
-    /// Number of members carrying parity (capacity overhead).
-    pub fn parity_members(self) -> usize {
-        match self {
-            RaidLevel::Raid0 | RaidLevel::Raid1 => 0,
             RaidLevel::Raid5 => 1,
             RaidLevel::Raid6 => 2,
         }
@@ -128,7 +119,7 @@ impl RaidArray {
     }
 
     /// Returns true if some members failed but data is still available.
-    pub fn is_degraded(&self) -> bool {
+    fn is_degraded(&self) -> bool {
         self.failed_members() > 0 && !self.is_failed()
     }
 
@@ -142,8 +133,7 @@ impl RaidArray {
     }
 
     /// Replaces a failed member with a fresh device (rebuild completes
-    /// instantaneously from the caller's perspective; use
-    /// [`RaidArray::rebuild_time`] for the duration to schedule).
+    /// instantaneously from the caller's perspective).
     pub fn replace_member(&mut self, i: usize) -> Result<(), RaidError> {
         let m = self.members.get_mut(i).ok_or(RaidError::NoSuchMember(i))?;
         m.failed = false;
@@ -226,13 +216,6 @@ impl RaidArray {
             return Err(RaidError::ArrayFailed);
         }
         Ok(self.members[0].random_read_time(bytes))
-    }
-
-    /// Time to rebuild one replaced member: every surviving member is
-    /// read in full while the replacement is written in full.
-    pub fn rebuild_time(&self) -> SimDuration {
-        let m = &self.members[0];
-        m.seq_write.time_for(m.capacity)
     }
 }
 
@@ -396,7 +379,6 @@ mod tests {
         assert!(a.is_degraded());
         a.replace_member(3).unwrap();
         assert!(!a.is_degraded());
-        assert!(a.rebuild_time() > SimDuration::from_secs(3600 * 5));
         assert_eq!(
             a.replace_member(99).unwrap_err(),
             RaidError::NoSuchMember(99)

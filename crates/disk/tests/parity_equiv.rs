@@ -337,3 +337,75 @@ fn large_unaligned_inputs_are_thread_count_invariant() {
         assert_eq!(rq, expect_q);
     }
 }
+
+/// `data` as a [`bytes::Parts`] cut at `cuts` (clamped and sorted).
+fn parted(data: &[u8], cuts: &[usize]) -> bytes::Parts {
+    let whole = bytes::Bytes::copy_from_slice(data);
+    let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(data.len())).collect();
+    cuts.sort_unstable();
+    let mut at = 0;
+    let mut parts: bytes::Parts = cuts
+        .into_iter()
+        .map(|c| {
+            let piece = whole.slice(at..c);
+            at = c;
+            piece
+        })
+        .collect();
+    parts.push(whole.slice(at..));
+    parts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    // Members cut into pieces anywhere (tile seams straddled, ragged
+    // lengths, pieces of a few bytes) give the flat members' P, Q and
+    // both rebuilds byte for byte, parity members parted too.
+    #[test]
+    fn parted_members_give_the_flat_results(
+        seed in 0u64..500,
+        n_stripes in 2usize..7,
+        len in 0usize..3 * 4096 + 100,
+        cut_seed in 0u64..1_000,
+        thread_sel in 0usize..4,
+        lost_x in 0usize..7,
+        lost_y in 0usize..7,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(cut_seed);
+        let data = shorten(gen_stripes(seed, n_stripes, len), seed as usize % n_stripes, len / 3);
+        let mut cut = |d: &[u8]| {
+            let cuts: Vec<usize> = (0..rng.gen_range(0..6)).map(|_| rng.gen_range(0..d.len() + 1)).collect();
+            parted(d, &cuts)
+        };
+        let parts: Vec<bytes::Parts> = data.iter().map(|d| cut(d)).collect();
+        let flat = refs(&data);
+        let pieces: Vec<&bytes::Parts> = parts.iter().collect();
+        let plane = DataPlane::new(THREADS[thread_sel]);
+
+        let p = parity::parity_p_with(&flat, &plane).unwrap();
+        prop_assert_eq!(&parity::parity_p_with(&pieces, &plane).unwrap(), &p);
+        let (p2, q) = parity::encode_pq_with(&flat, &plane).unwrap();
+        prop_assert_eq!(&parity::encode_pq_with(&pieces, &plane).unwrap(), &(p2, q.clone()));
+        let (p_parts, q_parts) = (cut(&p), cut(&q));
+
+        let (x, y) = (lost_x % n_stripes, lost_y % n_stripes);
+        let flat_holed: Vec<Option<&[u8]>> =
+            (0..n_stripes).map(|i| (i != x && i != y).then(|| flat[i])).collect();
+        let parts_holed: Vec<Option<&bytes::Parts>> =
+            (0..n_stripes).map(|i| (i != x && i != y).then(|| &parts[i])).collect();
+        if x == y {
+            prop_assert_eq!(
+                parity::reconstruct_p_with(&parts_holed, Some(&p_parts), &plane).unwrap(),
+                parity::reconstruct_p_with(&flat_holed, Some(&p[..]), &plane).unwrap()
+            );
+        }
+        prop_assert_eq!(
+            parity::reconstruct_pq_with(&parts_holed, Some(&p_parts), Some(&q_parts), &plane).unwrap(),
+            parity::reconstruct_pq_with(&flat_holed, Some(&p[..]), Some(&q[..]), &plane).unwrap()
+        );
+        prop_assert_eq!(
+            parity::reconstruct_pq_with(&parts_holed[..], None, Some(&q_parts), &plane).ok(),
+            parity::reconstruct_pq_with(&flat_holed[..], None, Some(&q[..]), &plane).ok()
+        );
+    }
+}

@@ -6,8 +6,7 @@
 
 use crate::media::{Disc, DiscClass, MediaError, Payload};
 use crate::params;
-use crate::speed::{BurnPlan, SpeedCurve};
-use ros_sim::{Bandwidth, SimDuration, SimRng};
+use ros_sim::{Bandwidth, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// Spin state of a loaded drive.
@@ -126,14 +125,14 @@ impl OpticalDrive {
 
     /// Arms `n` transient read faults: the next `n` reads fail with
     /// [`DriveError::TransientRead`], then reads recover.
-    pub fn inject_transient_reads(&mut self, n: u32) {
+    fn inject_transient_reads(&mut self, n: u32) {
         self.transient_read_faults = self.transient_read_faults.saturating_add(n);
     }
 
     /// Arms `n` burn faults: the next `n` burn completions fail with
     /// [`DriveError::BurnFailed`], leaving the drive loaded so the
     /// spoiled disc can be evacuated.
-    pub fn inject_burn_faults(&mut self, n: u32) {
+    fn inject_burn_faults(&mut self, n: u32) {
         self.pending_burn_faults = self.pending_burn_faults.saturating_add(n);
     }
 
@@ -260,19 +259,6 @@ impl OpticalDrive {
         let payload = disc.read_image(image_id)?.clone();
         let duration = mount + params::seek_time() + speed.time_for(payload.len());
         Ok(TimedRead { payload, duration })
-    }
-
-    /// Plans a burn of `bytes` onto the loaded disc without committing it.
-    pub fn plan_burn(&self, bytes: u64, rng: &mut SimRng) -> Result<BurnPlan, DriveError> {
-        let disc = self.disc.as_ref().ok_or(DriveError::NoDisc)?;
-        let curve = SpeedCurve::for_media(disc.class(), disc.kind());
-        Ok(BurnPlan::plan(
-            curve,
-            bytes,
-            self.speed_factor,
-            self.check_mode,
-            rng,
-        ))
     }
 
     /// Marks the drive as burning; reads and ejects fail until
@@ -519,19 +505,6 @@ mod tests {
         dr.begin_burn().unwrap();
         dr.finish_burn_track(9, Payload::synthetic(8192)).unwrap();
         assert_eq!(dr.disc().unwrap().tracks().len(), 2);
-    }
-
-    #[test]
-    fn burn_plan_uses_disc_class_and_factor() {
-        let mut dr = OpticalDrive::new(0, 0.5);
-        dr.insert(small_disc(1)).unwrap();
-        let mut rng = SimRng::seed_from(1);
-        let plan = dr.plan_burn(1 << 20, &mut rng).unwrap();
-        assert!(plan.total > SimDuration::ZERO);
-        let mut fast = OpticalDrive::new(1, 1.0);
-        fast.insert(small_disc(2)).unwrap();
-        let plan_fast = fast.plan_burn(1 << 20, &mut rng).unwrap();
-        assert!(plan.total > plan_fast.total);
     }
 
     #[test]

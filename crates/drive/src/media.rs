@@ -13,7 +13,7 @@
 //! disc is pointless).
 
 use crate::params;
-use bytes::Bytes;
+use bytes::Parts;
 use ros_sim::SimRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -92,8 +92,9 @@ impl Track {
 /// Image payload: real bytes or a synthetic size.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Payload {
-    /// Real bytes, checked end to end against their CAS digest.
-    Inline(Bytes),
+    /// Real bytes, checked end to end against their CAS digest: the
+    /// image's pieces as it was sealed, burned as they are.
+    Inline(Parts),
     /// Size only, for PB-scale benchmarks.
     Synthetic {
         /// Payload size in bytes.
@@ -102,8 +103,8 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Wraps real bytes.
-    pub fn inline(data: impl Into<Bytes>) -> Self {
+    /// Wraps real bytes, in one piece or many.
+    pub fn inline(data: impl Into<Parts>) -> Self {
         Payload::Inline(data.into())
     }
 
@@ -384,8 +385,8 @@ impl Disc {
                 if bytes.is_empty() {
                     return 0;
                 }
-                // The one copy: `Bytes` adopts the vector below.
-                let mut buf = bytes.to_vec();
+                // The one copy: the rotted track becomes one piece.
+                let mut buf = bytes.to_bytes().to_vec();
                 let len = buf.len() as u64;
                 let start = selector
                     .wrapping_add(salt)
@@ -396,7 +397,7 @@ impl Disc {
                     let at = usize::try_from(start.wrapping_add(k) % len).unwrap_or(0);
                     buf[at] ^= 0xA5;
                 }
-                *bytes = Bytes::from(buf);
+                *bytes = Parts::from(buf);
                 usize::try_from(n).unwrap_or(usize::MAX)
             }
             // No real bytes to flip; the strike is only counted.
@@ -450,6 +451,7 @@ impl Disc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use ros_sim::fnv1a;
 
     fn small() -> DiscClass {
@@ -585,6 +587,7 @@ mod tests {
         match d.read_image(7).unwrap() {
             Payload::Inline(b) => {
                 assert_ne!(b, &data, "rot must change the payload");
+                let b = b.to_bytes();
                 let diffs = b.iter().zip(data.iter()).filter(|(a, b)| a != b).count();
                 assert_eq!(diffs, 3);
             }
@@ -614,6 +617,7 @@ mod tests {
         assert_eq!(d.rotted_bytes(), 8);
         match d.read_image(3).unwrap() {
             Payload::Inline(b) => {
+                let b = b.to_bytes();
                 let diffs = b.iter().zip(data.iter()).filter(|(a, b)| a != b).count();
                 assert!(diffs > 0, "double strike must not heal the disc");
             }

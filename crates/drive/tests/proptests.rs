@@ -48,7 +48,7 @@ proptest! {
         }
         for (i, data) in payloads.iter().enumerate() {
             match disc.read_image(i as u64).unwrap() {
-                Payload::Inline(b) => prop_assert_eq!(b.as_ref(), data.as_slice()),
+                Payload::Inline(b) => prop_assert_eq!(b, data),
                 _ => prop_assert!(false, "expected inline payload"),
             }
         }

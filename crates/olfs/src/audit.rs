@@ -52,7 +52,7 @@ use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, ImageId};
 use crate::repair::{verify_batch, Gathered};
-use bytes::Bytes;
+use bytes::Parts;
 use ros_cas::{CasError, Digest, Verified};
 use ros_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -89,7 +89,7 @@ impl AuditPass {
     /// or in one batch with other passes' copies
     /// ([`ros_cas::verify_payloads`]), and hand [`Ros::audit_end`] one
     /// result per pair, in this order.
-    pub fn copies(&self) -> Vec<(Digest, Bytes)> {
+    pub fn copies(&self) -> Vec<(Digest, Parts)> {
         self.gathered
             .as_ref()
             .map_or_else(Vec::new, Gathered::pairs)
@@ -186,7 +186,7 @@ impl Ros {
     pub fn audit_end(
         &mut self,
         pass: AuditPass,
-        proofs: Vec<Result<Verified<Bytes>, CasError>>,
+        proofs: Vec<Result<Verified<Parts>, CasError>>,
     ) -> AuditReport {
         let mut report = AuditReport::default();
         let Some(gathered) = pass.gathered else {
@@ -244,6 +244,7 @@ impl Ros {
             .time_for(rebuilt.media_reads.iter().sum());
         for member in rebuilt.data.into_iter().filter(|m| !m.resident) {
             time += self.restore(member.image, member.proof, at)?;
+            self.reslice_foreparts(member.image);
         }
         if self
             .store

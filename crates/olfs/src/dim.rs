@@ -13,7 +13,7 @@
 
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
 use ros_cas::{content_digest, content_digests, Digest, Verified};
 use ros_disk::plane::DataPlane;
 use ros_drive::media::{Disc, DiscClass, MediaKind};
@@ -23,6 +23,11 @@ use ros_udf::SealedImage;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+// A seal borrows a file's bytes from two digest leaves up: below that,
+// copying the file costs less than the two leaves the digest would
+// assemble across its ends (DESIGN.md §14).
+const _: () = assert!(ros_udf::format::BORROWED_FILE_BYTES == 2 * ros_cas::CHUNK_BYTES);
 
 /// Disc-array state in the DAindex (§4.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,8 +120,10 @@ pub struct ImageInfo {
     /// Parsed image while a disk copy exists (data images only),
     /// refcounted so readers share one parse instead of deep-cloning.
     pub sealed: Option<Arc<SealedImage>>,
-    /// Raw payload while a disk copy exists.
-    pub payload: Option<Bytes>,
+    /// Raw payload while a disk copy exists: a data image's pieces as it
+    /// was sealed or fetched ([`SealedImage::parts`]), a parity image's
+    /// one buffer.
+    pub payload: Option<Parts>,
     /// Physical location once burned.
     pub burned: Option<DiscLocation>,
     /// Owning array group.
@@ -229,7 +236,7 @@ impl ImageStore {
             }
         };
         let id = ImageId(sealed.image_id());
-        let payload = sealed.bytes().clone();
+        let payload = sealed.parts().clone();
         let info = ImageInfo {
             id,
             kind: ImageKind::Data,
@@ -299,7 +306,7 @@ impl ImageStore {
                     size: payload.len() as u64,
                     digest,
                     sealed: None,
-                    payload: Some(payload),
+                    payload: Some(Parts::from(payload)),
                     burned: None,
                     array: Some(gid),
                     used_at: SimTime::ZERO,
@@ -458,7 +465,7 @@ impl ImageStore {
     pub fn restore_disk_copy(
         &mut self,
         id: ImageId,
-        payload: Verified<Bytes>,
+        payload: Verified<Parts>,
     ) -> Result<(), OlfsError> {
         let info = self.images.get_mut(&id).ok_or(OlfsError::ImageLost(id))?;
         if payload.digest() != info.digest {
@@ -734,7 +741,7 @@ mod tests {
         assert!(freed > 0);
         assert!(!store.get(id).unwrap().on_disk());
         // A proof for other bytes is not a proof for this image.
-        let junk = Verified::hash(Bytes::from_static(b"junk"), &p());
+        let junk = Verified::hash(Parts::from(b"junk".to_vec()), &p());
         assert_eq!(
             store.restore_disk_copy(id, junk),
             Err(OlfsError::DigestMismatch { image: id })
@@ -747,7 +754,7 @@ mod tests {
         let mut store = ImageStore::new(&l);
         let img = sealed(&mut store, 2);
         let id = ImageId(img.image_id());
-        let bytes = img.bytes().clone();
+        let bytes = img.parts().clone();
         store.register_sealed(img, 2, &p());
         store
             .mark_burned(

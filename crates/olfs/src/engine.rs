@@ -27,7 +27,7 @@ use crate::recovery::MvSource;
 use crate::redundancy;
 use crate::trace::OpTrace;
 use crate::wbm::{link_file_name, shadow_file_name, BucketManager, LinkFile, Placement};
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
 use ros_disk::volume::{VolumeId, VolumeManager};
 use ros_disk::RaidArray;
 use ros_drive::media::Payload;
@@ -849,6 +849,7 @@ impl Ros {
                 .register_sealed(sealed, self.cfg.data_discs_per_array(), &self.plane);
         self.store.touch(image, at);
         self.promote_paths(image, LocTag::Image);
+        self.reslice_foreparts(image);
         self.counters.buckets_sealed += 1;
         if let Some(gid) = completed {
             self.schedule_parity(gid, at);
@@ -860,6 +861,32 @@ impl Ros {
         for p in self.image_paths.get(&image).into_iter().flatten() {
             if let Some(idx) = self.mv.get_mut(p) {
                 idx.promote_image(image, loc);
+            }
+        }
+    }
+
+    /// Points the forepart (§4.8) of every newest version that starts in
+    /// `image` at the sealed copy's bytes for the file, so the MV holds
+    /// no view of the client's write buffer (called at the seal) or of
+    /// the bytes a repair replaced (called after restoring a rebuilt
+    /// image; a fetch restores the very pieces the foreparts view).
+    pub(crate) fn reslice_foreparts(&mut self, image: ImageId) {
+        let Some(sealed) = self.store.get(image).and_then(|i| i.sealed.clone()) else {
+            return;
+        };
+        for p in self.image_paths.get(&image).into_iter().flatten() {
+            let Some(idx) = self.mv.get_mut(p) else {
+                continue;
+            };
+            let Some(n) = idx.forepart().map(Bytes::len) else {
+                continue;
+            };
+            let sealed_bytes = idx
+                .latest()
+                .filter(|e| e.segs.first() == Some(&image))
+                .and_then(|e| sealed.read(e.stored_path(p)).ok());
+            if let Some(data) = sealed_bytes {
+                idx.set_forepart(Some(data.slice(..n.min(data.len()))));
             }
         }
     }
@@ -930,7 +957,7 @@ impl Ros {
             _ => return,
         };
         if self.cfg.redundancy != Redundancy::None {
-            let payloads: Vec<Bytes> = group
+            let payloads: Vec<Parts> = group
                 .data
                 .iter()
                 .filter_map(|id| self.store.get(*id))
@@ -939,7 +966,7 @@ impl Ros {
             if payloads.len() != group.data.len() {
                 return; // A member vanished; leave for maintenance.
             }
-            let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_ref()).collect();
+            let refs: Vec<&Parts> = payloads.iter().collect();
             match redundancy::generate_with(self.cfg.redundancy, &refs, self.data_plane()) {
                 Ok(set) => {
                     let mut parity = Vec::new();
@@ -1688,7 +1715,9 @@ impl Ros {
             },
         )?;
         let slowest = rebuilt.media_reads.iter().copied().max().unwrap_or(0);
-        Ok(speed.time_for(slowest) + self.restore(image, member.proof, self.now())?)
+        let time = speed.time_for(slowest) + self.restore(image, member.proof, self.now())?;
+        self.reslice_foreparts(image);
+        Ok(time)
     }
 
     /// Takes a bay for a fetch that began at `at` and has spent `extra`;
@@ -2159,6 +2188,66 @@ mod tests {
             data.len() as u64,
             "a split file is joined with exactly one memcpy of its size"
         );
+    }
+
+    #[test]
+    fn a_sealed_forepart_is_a_view_of_the_image_not_the_write_buffer() {
+        use bytes::Pieces;
+        let mut r = ros();
+        let path = p("/fore/ten-kb");
+        let data: Vec<u8> = (0..10_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        r.write_file(&path, data.clone()).unwrap();
+        r.seal_open_buckets().unwrap();
+        let image = r.image_segments(&path).unwrap()[0];
+        let sealed = r.store.get(image).unwrap().sealed.clone().unwrap();
+        let forepart = r.mv.get(&path).unwrap().forepart().unwrap().clone();
+        assert_eq!(forepart.as_ref(), &data[..4096]);
+        // A 10 KB file is copied at seal: the image is one owned run.
+        assert_eq!(sealed.parts().piece_count(), 1);
+        let run = sealed.parts().pieces().next().unwrap().as_ptr_range();
+        assert!(
+            run.contains(&forepart.as_ptr()) && forepart.as_ptr_range().end <= run.end,
+            "the forepart still points into the client's buffer"
+        );
+    }
+
+    #[test]
+    fn the_pipeline_never_flattens_an_image() {
+        // 200 KB files, each borrowed by its image: seal, parity, burn,
+        // eviction, fetch (digest verify and restore) and the reads all
+        // take the images as pieces.
+        let flattens = bytes::Parts::flattens_on_this_thread;
+        let before = flattens();
+        let mut r = ros();
+        let files: Vec<(UdfPath, Vec<u8>)> = (0..30u32)
+            .map(|i| {
+                let data = (0..200_000u32)
+                    .map(|j| (j.wrapping_mul(i + 3) >> 5) as u8)
+                    .collect();
+                (p(&format!("/wide/{i:02}")), data)
+            })
+            .collect();
+        for (path, data) in &files {
+            r.write_file(path, data.clone()).unwrap();
+        }
+        r.flush().unwrap();
+        assert!(r.counters().burns >= 1 && r.counters().parity_runs >= 1);
+        assert!(r
+            .store
+            .images()
+            .any(|i| i.payload.as_ref().is_some_and(|p| p.piece_count() > 30)));
+        r.evict_all_burned_copies();
+        r.unload_all_bays().unwrap();
+        for (path, data) in &files {
+            assert_eq!(
+                r.read_file(path).unwrap().data.as_ref(),
+                data.as_slice(),
+                "{path}"
+            );
+        }
+        assert!(r.counters().fetches >= 2);
+        assert!(r.verify_consistency().is_empty());
+        assert_eq!(flattens() - before, 0, "an image was flattened");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::ids::ImageId;
 use crate::index::{LocTag, VersionEntry};
 use crate::mv::MetadataVolume;
 use crate::wbm::{parse_link_file_name, parse_shadow_file_name, LinkFile};
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
 use ros_cas::Verified;
 use ros_sim::SimDuration;
 use ros_udf::{SealedImage, UdfPath};
@@ -193,7 +193,7 @@ impl Ros {
             self.run_for(freed + loaded);
             scan.report.trays_read += 1;
             let mut tracks: Vec<u64> = Vec::new();
-            let mut proofs: Vec<(ImageId, Verified<Bytes>)> = Vec::new();
+            let mut proofs: Vec<(ImageId, Verified<Parts>)> = Vec::new();
             for group in burned.iter().filter_map(|gid| self.store.group(*gid)) {
                 if group.slot != Some(slot) {
                     continue;

@@ -12,7 +12,7 @@
 //! tree — verified end to end in the tests.
 
 use crate::config::Redundancy;
-use bytes::Bytes;
+use bytes::{Bytes, Pieces};
 use ros_disk::parity::{self, ParityError};
 use ros_disk::plane::DataPlane;
 
@@ -67,17 +67,17 @@ impl std::error::Error for RedundancyError {}
 ///
 /// Returns `ParitySet { p: None, q: None, .. }` for [`Redundancy::None`].
 /// The kernels treat short members as zero-filled to the longest, so no
-/// padded copies are allocated, and RAID-6 computes P and Q in one fused
-/// pass over each image.
-pub fn generate_with(
+/// padded copies are allocated, read a parted image where its pieces lie,
+/// and RAID-6 computes P and Q in one fused pass over each image.
+pub fn generate_with<P: Pieces + ?Sized>(
     schema: Redundancy,
-    data_images: &[&[u8]],
+    data_images: &[&P],
     plane: &DataPlane,
 ) -> Result<ParitySet, RedundancyError> {
     if data_images.is_empty() {
         return Err(RedundancyError::Empty);
     }
-    let stripe_len = data_images.iter().map(|d| d.len()).max().unwrap_or(0);
+    let stripe_len = data_images.iter().map(|d| d.total_len()).max().unwrap_or(0);
     if schema == Redundancy::None {
         return Ok(ParitySet {
             p: None,
@@ -96,22 +96,9 @@ pub fn generate_with(
         ),
     };
     // Debug builds re-verify the freshly generated parity group before it
-    // is handed to the burn pipeline; compiled out in release. The check
-    // runs against explicitly padded members — the invariant the burn
-    // pipeline relies on — so the padding cost exists in debug only.
-    #[cfg(debug_assertions)]
-    {
-        let padded: Vec<Vec<u8>> = data_images
-            .iter()
-            .map(|d| {
-                let mut v = d.to_vec();
-                v.resize(stripe_len, 0);
-                v
-            })
-            .collect();
-        let refs: Vec<&[u8]> = padded.iter().map(|v| v.as_slice()).collect();
-        parity::debug_assert_group(&refs, &p, q.as_deref());
-    }
+    // is handed to the burn pipeline, the members zero-filled to the
+    // stripe as they are on disc; compiled out in release.
+    parity::debug_assert_group(data_images, &p, q.as_deref());
     Ok(ParitySet {
         p: Some(p),
         q,
@@ -329,7 +316,7 @@ mod tests {
     #[test]
     fn empty_input_rejected() {
         assert!(matches!(
-            generate_with(Redundancy::Raid5, &[], &one()).unwrap_err(),
+            generate_with::<[u8]>(Redundancy::Raid5, &[], &one()).unwrap_err(),
             RedundancyError::Empty
         ));
     }

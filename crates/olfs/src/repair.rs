@@ -35,7 +35,7 @@ use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, ImageId};
 use crate::redundancy;
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
 use ros_cas::{verify_payload, verify_payloads, CasError, Digest, Verified};
 use ros_disk::DataPlane;
 use ros_drive::media::{Disc, Payload};
@@ -50,12 +50,12 @@ const SECTOR: usize = ros_sim::to_usize(ros_drive::params::SECTOR_BYTES);
 #[derive(Default)]
 pub(crate) struct Inspection {
     /// The image's bytes, if a copy hashes to the digest the DIM records.
-    pub proof: Option<Verified<Bytes>>,
+    pub proof: Option<Verified<Parts>>,
     /// True when that healthy copy is the one on the buffer.
     pub resident: bool,
     /// The burned track as read from media; empty when the buffer copy
     /// settled it or no disc could be reached. Garbage at `bad`.
-    pub track: Bytes,
+    pub track: Parts,
     /// The track's unreadable sectors as the drive reports them
     /// (track-relative, ascending). Empty on an unhealthy track means the
     /// read was clean and only the digest disagrees.
@@ -71,7 +71,7 @@ struct Taken {
     at: usize,
     /// The digest the DIM records for that image.
     digest: Digest,
-    bytes: Bytes,
+    bytes: Parts,
     /// True for the buffer copy, false for a cleanly read track.
     resident: bool,
 }
@@ -90,7 +90,7 @@ pub(crate) struct Gathered {
 impl Gathered {
     /// `(recorded digest, bytes)` per copy taken, in order: the batch
     /// [`Ros::settle`] expects one result for each.
-    pub(crate) fn pairs(&self) -> Vec<(Digest, Bytes)> {
+    pub(crate) fn pairs(&self) -> Vec<(Digest, Parts)> {
         let pair = |t: &Taken| (t.digest, t.bytes.clone());
         self.taken.iter().map(pair).collect()
     }
@@ -107,9 +107,9 @@ thread_local! {
 /// One inspection digest batch ([`verify_payloads`]); an empty one is
 /// not run.
 pub(crate) fn verify_batch(
-    pairs: Vec<(Digest, Bytes)>,
+    pairs: Vec<(Digest, Parts)>,
     plane: &DataPlane,
-) -> Vec<Result<Verified<Bytes>, CasError>> {
+) -> Vec<Result<Verified<Parts>, CasError>> {
     if pairs.is_empty() {
         return Vec::new();
     }
@@ -124,7 +124,7 @@ pub(crate) struct RebuiltMember {
     pub image: ImageId,
     /// Its bytes: hashed once at gather if they survived, once after
     /// reconstruction if they did not.
-    pub proof: Verified<Bytes>,
+    pub proof: Verified<Parts>,
     /// True when the buffer already holds these bytes.
     pub resident: bool,
 }
@@ -219,7 +219,7 @@ impl Ros {
     pub(crate) fn settle(
         &self,
         gathered: Gathered,
-        proofs: Vec<Result<Verified<Bytes>, CasError>>,
+        proofs: Vec<Result<Verified<Parts>, CasError>>,
     ) -> Vec<Inspection> {
         let Gathered {
             images,
@@ -255,7 +255,7 @@ impl Ros {
 
     /// Reads the image's burned track into `seen`, damage map and all,
     /// and returns its bytes if no sector failed.
-    fn read_track(&self, info: &ImageInfo, seen: &mut Inspection) -> Option<Bytes> {
+    fn read_track(&self, info: &ImageInfo, seen: &mut Inspection) -> Option<Parts> {
         let disc = self.disc_at(info.burned?)?;
         let Ok((Payload::Inline(bytes), bad)) = disc.read_image_raw(info.id.0) else {
             return None;
@@ -293,11 +293,11 @@ impl Ros {
         };
 
         let seen = self.inspect_many(&members);
-        let bytes_of = |i: usize| -> &[u8] {
+        let bytes_of = |i: usize| -> &Parts {
             seen[i]
                 .proof
                 .as_ref()
-                .map_or(&seen[i].track, Verified::bytes)
+                .map_or(&seen[i].track, Verified::payload)
         };
         // Parity is as long as the longest data member; shorter members
         // are zero-filled to it, as they physically are on disc.
@@ -336,10 +336,14 @@ impl Ros {
                 };
                 // The last sector of the stripe may be a partial one.
                 let (lo, hi) = (span[0] * SECTOR, (span[1] * SECTOR).min(stripe_len));
-                let part = |i: usize| -> Option<&[u8]> {
-                    let bytes = bytes_of(i);
-                    (!lost(i)).then(|| &bytes[lo.min(bytes.len())..hi.min(bytes.len())])
-                };
+                // Each survivor's span, a view of the piece holding it.
+                let spans: Vec<Option<Bytes>> = (0..members.len())
+                    .map(|i| {
+                        let bytes = bytes_of(i);
+                        (!lost(i)).then(|| bytes.slice(lo.min(bytes.len())..hi.min(bytes.len())))
+                    })
+                    .collect();
+                let part = |i: usize| spans[i].as_deref();
                 let data: Vec<Option<&[u8]>> = (0..n_data).map(part).collect();
                 let parity = |k: usize| (n_data + k < members.len()).then(|| part(n_data + k));
                 let rebuilt = redundancy::reconstruct_with(
@@ -353,7 +357,7 @@ impl Ros {
                 .map_err(|_| unrecoverable(first_lost))?;
                 for i in (0..n_data).filter(|&i| lost(i)) {
                     let buf = patched[i].get_or_insert_with(|| {
-                        let mut buf = bytes_of(i).to_vec();
+                        let mut buf = bytes_of(i).to_bytes().to_vec();
                         buf.resize(stripe_len, 0);
                         buf
                     });
@@ -368,7 +372,7 @@ impl Ros {
                         None => {
                             let mut bytes = patched.unwrap_or_default();
                             bytes.truncate(ros_sim::to_usize(infos[i].size));
-                            verify_payload(&infos[i].digest, Bytes::from(bytes), plane)
+                            verify_payload(&infos[i].digest, Parts::from(bytes), plane)
                                 .map_err(|_| unrecoverable(i))?
                         }
                     };
@@ -396,13 +400,13 @@ impl Ros {
     pub(crate) fn restore(
         &mut self,
         image: ImageId,
-        proof: Verified<Bytes>,
+        proof: Verified<Parts>,
         at: SimTime,
     ) -> Result<SimDuration, OlfsError> {
         if self.store.get(image).is_some_and(ImageInfo::on_disk) {
             self.drop_buffer_copy(image)?;
         }
-        let len = proof.bytes().len() as u64;
+        let len = proof.payload().len() as u64;
         let time = self.vm.write_time(self.vol_buffer, len)?;
         self.reserve_buffer(len)?;
         self.store.restore_disk_copy(image, proof)?;
@@ -583,6 +587,28 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_repair_points_the_forepart_at_the_rebuilt_bytes() {
+        use bytes::Pieces;
+        let mut a = cold_array(Redundancy::Raid5, 1);
+        let (path, data, image) = a.files[0].clone();
+        a.rot(image);
+        let read = a.ros.read_file(&path).unwrap();
+        assert_eq!(read.data.as_ref(), data.as_slice());
+        assert_eq!(a.ros.counters().latent_repairs, 1);
+        let sealed = a.ros.store.get(image).unwrap().sealed.clone().unwrap();
+        let forepart = a.ros.mv.get(&path).unwrap().forepart().unwrap().clone();
+        assert_eq!(forepart.as_ref(), &data[..forepart.len()]);
+        let inside = sealed.parts().pieces().any(|piece| {
+            let range = piece.as_ptr_range();
+            range.contains(&forepart.as_ptr()) && forepart.as_ptr_range().end <= range.end
+        });
+        assert!(
+            inside,
+            "the forepart still views the bytes the repair replaced"
+        );
+    }
+
     /// Runs one full audit and returns its report with the clock.
     fn audit(a: &mut ColdArray) -> (AuditReport, ros_sim::SimTime) {
         let report = a.ros.audit_sample(64);
@@ -677,9 +703,9 @@ mod tests {
     fn a_rotted_buffer_copy_adds_one_digest_batch() {
         let mut a = one_resident_three_tracks();
         let info = a.ros.store.get_mut(a.files[0].2).unwrap();
-        let mut rotted = info.payload.as_ref().unwrap().to_vec();
+        let mut rotted = info.payload.as_ref().unwrap().to_bytes().to_vec();
         rotted[100] ^= 0xA5;
-        info.payload = Some(Bytes::from(rotted));
+        info.payload = Some(Parts::from(rotted));
         let (report, batches) = batches_of(|| a.ros.audit_sample(64));
         // The healthy track behind the rotted copy settles the image.
         assert_eq!((report.sampled, report.verified), (4, 4), "{report:?}");
@@ -837,7 +863,7 @@ mod tests {
         let rebuilt = a.ros.rebuild(a.gid).unwrap();
         for (member, (_, data, image)) in rebuilt.data.iter().zip(&a.files) {
             assert_eq!(member.image, *image);
-            assert_eq!(member.proof.bytes(), data_image_bytes(&a, *image, data));
+            assert_eq!(member.proof.payload(), data_image_bytes(&a, *image, data));
             assert!(!member.resident);
         }
         let (report, _) = audit(&mut a);
@@ -881,13 +907,13 @@ mod tests {
 
     /// The image bytes the store would hold for `image`, checked to
     /// carry the file.
-    fn data_image_bytes<'a>(a: &'a ColdArray, image: ImageId, file: &[u8]) -> &'a [u8] {
+    fn data_image_bytes<'a>(a: &'a ColdArray, image: ImageId, file: &[u8]) -> &'a Parts {
         let loc = a.ros.store.location_of(image).unwrap();
         let disc = a.ros.disc_at(loc).unwrap();
         let Ok((Payload::Inline(bytes), _)) = disc.read_image_raw(image.0) else {
             panic!("no inline track for {image}");
         };
-        assert!(bytes.windows(64).any(|w| w == &file[..64]));
+        assert!(bytes.to_bytes().windows(64).any(|w| w == &file[..64]));
         bytes
     }
 }

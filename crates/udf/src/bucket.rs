@@ -190,12 +190,13 @@ impl Bucket {
         self.tree = FsTree::new();
     }
 
-    /// Seals the bucket into an immutable disc image.
+    /// Seals the bucket into an immutable disc image: its metadata plus
+    /// the bytes it was given, no long file copied ([`format::serialize`]).
     pub fn close(&self) -> Result<SealedImage, BucketError> {
-        let bytes = format::serialize(&self.tree, self.image_id, self.capacity_bytes)?;
+        let parts = format::serialize(&self.tree, self.image_id, self.capacity_bytes)?;
         // `serialize` refuses every tree `parse_image` would (pinned by the
         // format and edge-case tests), so this parse does not fail.
-        Ok(SealedImage::from_bytes(bytes)?)
+        Ok(SealedImage::from_bytes(parts)?)
     }
 }
 

@@ -18,6 +18,12 @@
 //! File ICB: tag `b'F'`, u64 size, u64 mtime_nanos, u64 data start block,
 //! u32 data block count (one contiguous extent — ideal for sequential
 //! write-once burning, §4.3).
+//!
+//! In memory an image is [`Parts`], not one buffer: owned runs (anchor,
+//! PVD, ICBs, FID streams, zero padding and the data of every file
+//! shorter than [`BORROWED_FILE_BYTES`]) between zero-copy views of the
+//! longer files' own [`Bytes`]. A seal copies no long payload; the bytes
+//! are the same as if it had.
 
 // Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
 // outside test code is checked, saturating, or carries an `#[expect]`
@@ -26,7 +32,7 @@
 
 use crate::block::{blocks_for, BLOCK_SIZE};
 use crate::tree::{fid_bytes, FileMeta, FsNode, FsTree};
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -47,6 +53,13 @@ pub const MAX_NAME_LEN: usize = 4096;
 /// Deepest path an image holds, in components (the parser's cycle
 /// guard), refused at the same three places.
 pub const MAX_DEPTH: usize = 256;
+
+/// The shortest file whose data a sealed image borrows instead of
+/// copying: two 16 KiB digest leaves (`ros_cas::CHUNK_BYTES`). A
+/// borrowed file costs the digest at most two leaves, one at each end,
+/// assembled from both sides of a piece boundary, and the parity two
+/// 4 KiB tiles; below two leaves copying the file is cheaper than that.
+pub const BORROWED_FILE_BYTES: usize = 32 * 1024;
 
 /// Parsed image header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,29 +128,94 @@ impl std::error::Error for FormatError {}
 
 /// The image under construction. It is written front to back, once: the
 /// position only moves forward, padding zeros are written as the walk
-/// passes them, and nothing is pre-filled.
+/// passes them, and nothing is pre-filled. Every byte it writes goes to
+/// one exactly sized owned buffer, runs back to back; a file of
+/// [`BORROWED_FILE_BYTES`] or more is not written but borrowed, and
+/// closes the owned run before it.
 struct Writer {
-    buf: Vec<u8>,
+    owned: Vec<u8>,
+    /// The image so far, in order.
+    pieces: Vec<Piece>,
+    /// Where in `owned` the run under way began.
+    run_start: usize,
+    /// Image bytes written or borrowed so far.
+    pos: usize,
+}
+
+/// One piece of an image under construction.
+enum Piece {
+    /// A run of the writer's owned buffer.
+    Owned(Range<usize>),
+    /// A file's data, borrowed.
+    Borrowed(Bytes),
 }
 
 impl Writer {
+    fn new(owned_bytes: usize) -> Self {
+        Writer {
+            owned: Vec::with_capacity(owned_bytes),
+            pieces: Vec::new(),
+            run_start: 0,
+            pos: 0,
+        }
+    }
+
     /// Zero-pads from the write position up to the start of `block`.
     fn seek(&mut self, block: u64) {
         #[expect(
             clippy::arithmetic_side_effects,
             clippy::cast_possible_truncation,
-            reason = "block <= used_blocks, and used_blocks * BLOCK_SIZE sized the buffer as a usize"
+            reason = "block <= used_blocks, and used_blocks * BLOCK_SIZE was checked to fit a usize"
         )]
         let start = (block * BLOCK_SIZE) as usize;
         assert!(
-            start >= self.buf.len(),
+            start >= self.pos,
             "image writer moved back to block {block}"
         );
-        self.buf.resize(start, 0);
+        let pad = start.saturating_sub(self.pos);
+        self.owned.resize(self.owned.len().saturating_add(pad), 0);
+        self.pos = start;
     }
 
     fn put(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
+        self.owned.extend_from_slice(src);
+        self.pos = self.pos.saturating_add(src.len());
+    }
+
+    /// A file's data: copied below [`BORROWED_FILE_BYTES`], else
+    /// borrowed.
+    fn put_file(&mut self, data: &Bytes) {
+        if data.len() < BORROWED_FILE_BYTES {
+            return self.put(data);
+        }
+        self.close_run();
+        self.pieces.push(Piece::Borrowed(data.clone()));
+        self.pos = self.pos.saturating_add(data.len());
+    }
+
+    fn close_run(&mut self) {
+        if self.owned.len() > self.run_start {
+            self.pieces
+                .push(Piece::Owned(self.run_start..self.owned.len()));
+            self.run_start = self.owned.len();
+        }
+    }
+
+    fn finish(mut self) -> Parts {
+        self.close_run();
+        debug_assert_eq!(
+            self.owned.len(),
+            self.owned.capacity(),
+            "the owned runs were not sized exactly"
+        );
+        let owned = Bytes::from(self.owned);
+        self.pieces
+            .into_iter()
+            .map(|piece| match piece {
+                Piece::Owned(range) => owned.slice(range),
+                Piece::Borrowed(data) => data,
+            })
+            .collect()
     }
 }
 
@@ -170,9 +248,14 @@ fn le_u32(v: u64) -> [u8; 4] {
 /// holding the block count of each child's subtree, in name order.
 #[expect(
     clippy::arithmetic_side_effects,
-    reason = "the sum is tree.image_bytes() / BLOCK_SIZE, which the tree held as a u64"
+    reason = "the sums are at most tree.image_bytes(), which the tree held as a u64"
 )]
-fn plan(node: &FsNode, depth: usize, child_blocks: &mut Vec<u64>) -> Result<u64, FormatError> {
+fn plan(
+    node: &FsNode,
+    depth: usize,
+    child_blocks: &mut Vec<u64>,
+    borrowed: &mut u64,
+) -> Result<u64, FormatError> {
     if depth > MAX_DEPTH {
         return Err(FormatError::FieldOverflow {
             field: "directory nesting depth",
@@ -180,9 +263,12 @@ fn plan(node: &FsNode, depth: usize, child_blocks: &mut Vec<u64>) -> Result<u64,
         });
     }
     match node {
-        FsNode::File { meta, .. } => {
+        FsNode::File { meta, data } => {
             let data_blocks = blocks_for(meta.size);
             fits_u32(data_blocks, "file data block count")?;
+            if data.len() >= BORROWED_FILE_BYTES {
+                *borrowed += data.len() as u64;
+            }
             Ok(1 + data_blocks)
         }
         FsNode::Dir { children } => {
@@ -199,7 +285,7 @@ fn plan(node: &FsNode, depth: usize, child_blocks: &mut Vec<u64>) -> Result<u64,
                         value: name.len() as u64,
                     });
                 }
-                let blocks = plan(child, depth.saturating_add(1), child_blocks)?;
+                let blocks = plan(child, depth.saturating_add(1), child_blocks, borrowed)?;
                 child_blocks[run + i] = blocks;
                 total += blocks;
             }
@@ -231,7 +317,7 @@ fn emit(node: &FsNode, icb: u64, runs: &mut &[u64], w: &mut Writer) -> u64 {
             w.put(&data_start.to_le_bytes());
             w.put(&le_u32(data_blocks));
             w.seek(data_start);
-            w.put(data);
+            w.put_file(data);
             data_start + data_blocks
         }
         FsNode::Dir { children } => {
@@ -265,13 +351,14 @@ fn emit(node: &FsNode, icb: u64, runs: &mut &[u64], w: &mut Writer) -> u64 {
     }
 }
 
-/// [`serialize`] before the buffer is frozen: exactly
-/// `tree.image_bytes()` long, allocated once at that size.
-fn serialize_vec(
-    tree: &FsTree,
-    image_id: u64,
-    capacity_bytes: u64,
-) -> Result<Vec<u8>, FormatError> {
+/// Serialises a tree into image bytes: the owned runs and borrowed files
+/// of [`Writer`], the owned ones in one allocation of exactly their size.
+///
+/// `capacity_bytes` is the target disc capacity recorded in the header;
+/// serialization fails if the tree exceeds it. The output length is the
+/// *used* portion only (a fresh image is mostly empty; the disc burn
+/// charges time for the payload actually written).
+pub fn serialize(tree: &FsTree, image_id: u64, capacity_bytes: u64) -> Result<Parts, FormatError> {
     let needed = tree.image_bytes();
     if needed > capacity_bytes {
         return Err(FormatError::CapacityExceeded {
@@ -281,8 +368,8 @@ fn serialize_vec(
     }
     // Oversize trees fail typed *before* the image buffer is allocated,
     // and `Bucket::close` may rely on the result parsing back.
-    let mut child_blocks = Vec::new();
-    let planned = plan(tree.root_node(), 0, &mut child_blocks)?;
+    let (mut child_blocks, mut borrowed) = (Vec::new(), 0);
+    let planned = plan(tree.root_node(), 0, &mut child_blocks, &mut borrowed)?;
     let used_blocks = needed / BLOCK_SIZE;
     // The buffer and the header are sized from the tree's running total.
     assert_eq!(
@@ -290,15 +377,16 @@ fn serialize_vec(
         used_blocks,
         "running block total is not the image"
     );
-    let Ok(len) = usize::try_from(needed) else {
+    let (Ok(_), Ok(owned)) = (
+        usize::try_from(needed),
+        usize::try_from(needed.saturating_sub(borrowed)),
+    ) else {
         return Err(FormatError::FieldOverflow {
             field: "image size",
             value: needed,
         });
     };
-    let mut w = Writer {
-        buf: Vec::with_capacity(len),
-    };
+    let mut w = Writer::new(owned);
 
     // Anchor (block 0).
     w.put(&MAGIC);
@@ -319,24 +407,14 @@ fn serialize_vec(
     assert_eq!(end, used_blocks, "the walk did not end where the plan did");
     // The last file's data stops short of its block's end.
     w.seek(end);
-    Ok(w.buf)
-}
-
-/// Serialises a tree into image bytes.
-///
-/// `capacity_bytes` is the target disc capacity recorded in the header;
-/// serialization fails if the tree exceeds it. The output length is the
-/// *used* portion only (a fresh image is mostly empty; the disc burn
-/// charges time for the payload actually written).
-pub fn serialize(tree: &FsTree, image_id: u64, capacity_bytes: u64) -> Result<Bytes, FormatError> {
-    serialize_vec(tree, image_id, capacity_bytes).map(Bytes::from)
+    Ok(w.finish())
 }
 
 struct Reader<'a> {
-    buf: &'a [u8],
+    buf: &'a Parts,
 }
 
-impl<'a> Reader<'a> {
+impl Reader<'_> {
     /// The byte range of `bytes` bytes from the start of block `start`.
     /// Both come from on-media fields: a range that overflows or runs
     /// past the image is [`FormatError::Truncated`].
@@ -349,8 +427,15 @@ impl<'a> Reader<'a> {
         checked().ok_or(FormatError::Truncated)
     }
 
-    fn block(&self, n: u64) -> Result<&'a [u8], FormatError> {
-        Ok(&self.buf[self.span(n, BLOCK_SIZE)?])
+    /// `bytes` bytes from the start of block `start`: a view of the
+    /// piece that holds them (copied only where they straddle pieces,
+    /// which no image [`serialize`] made does for its metadata).
+    fn read(&self, start: u64, bytes: u64) -> Result<Bytes, FormatError> {
+        Ok(self.buf.slice(self.span(start, bytes)?))
+    }
+
+    fn block(&self, n: u64) -> Result<Bytes, FormatError> {
+        self.read(n, BLOCK_SIZE)
     }
 }
 
@@ -375,22 +460,23 @@ fn take_u64(b: &mut &[u8]) -> Result<u64, FormatError> {
 
 /// Parses image bytes back into a tree and header.
 ///
-/// Copies file data out of the slice; prefer [`parse_image`] when the
-/// caller owns refcounted [`Bytes`] — that variant is zero-copy.
+/// Copies the slice once; prefer [`parse_image`] when the caller owns
+/// refcounted bytes — that variant is zero-copy.
 pub fn parse(bytes: &[u8]) -> Result<(FsTree, ImageHeader), FormatError> {
-    parse_image(&Bytes::copy_from_slice(bytes))
+    parse_image(&Parts::from(Bytes::copy_from_slice(bytes)))
 }
 
 /// Parses image bytes back into a tree and header, zero-copy.
 ///
-/// Every file node's data is a refcounted slice of `bytes` — parsing
-/// allocates directory structure only, and reads of the resulting tree
-/// hand back slices of the one image buffer.
-pub fn parse_image(bytes: &Bytes) -> Result<(FsTree, ImageHeader), FormatError> {
-    let r = Reader {
-        buf: bytes.as_ref(),
-    };
-    let mut anchor = r.block(0)?;
+/// Every file node's data is a refcounted slice of the piece of `bytes`
+/// that holds it — parsing allocates directory structure only, and reads
+/// of the resulting tree hand back slices of the image's own pieces. A
+/// file whose data straddles two pieces (never one [`serialize`] wrote)
+/// is copied out.
+pub fn parse_image(bytes: &Parts) -> Result<(FsTree, ImageHeader), FormatError> {
+    let r = Reader { buf: bytes };
+    let anchor = r.block(0)?;
+    let mut anchor = &anchor[..];
     if take(&mut anchor, MAGIC.len())? != MAGIC {
         return Err(FormatError::BadMagic);
     }
@@ -398,7 +484,8 @@ pub fn parse_image(bytes: &Bytes) -> Result<(FsTree, ImageHeader), FormatError> 
     if version != VERSION {
         return Err(FormatError::BadVersion(version));
     }
-    let mut pvd = r.block(take_u64(&mut anchor)?)?;
+    let pvd = r.block(take_u64(&mut anchor)?)?;
+    let mut pvd = &pvd[..];
     let header = ImageHeader {
         image_id: take_u64(&mut pvd)?,
         capacity_blocks: take_u64(&mut pvd)?,
@@ -406,19 +493,15 @@ pub fn parse_image(bytes: &Bytes) -> Result<(FsTree, ImageHeader), FormatError> 
     };
     let root_icb = take_u64(&mut pvd)?;
 
-    fn parse_node(
-        r: &Reader<'_>,
-        src: &Bytes,
-        icb: u64,
-        depth: usize,
-    ) -> Result<FsNode, FormatError> {
+    fn parse_node(r: &Reader<'_>, icb: u64, depth: usize) -> Result<FsNode, FormatError> {
         if depth > MAX_DEPTH {
             return Err(FormatError::Corrupt {
                 block: icb,
                 reason: "directory nesting too deep (cycle?)",
             });
         }
-        let mut b = r.block(icb)?;
+        let block = r.block(icb)?;
+        let mut b = &block[..];
         match take(&mut b, 1)? {
             b"F" => {
                 let size = take_u64(&mut b)?;
@@ -434,7 +517,7 @@ pub fn parse_image(bytes: &Bytes) -> Result<(FsTree, ImageHeader), FormatError> 
                 // refcounted slice of the source image — no copy.
                 Ok(FsNode::File {
                     meta: FileMeta { size, mtime_nanos },
-                    data: src.slice(r.span(data_start, size)?),
+                    data: r.read(data_start, size)?,
                 })
             }
             b"D" => {
@@ -442,7 +525,8 @@ pub fn parse_image(bytes: &Bytes) -> Result<(FsTree, ImageHeader), FormatError> 
                 let data_start = take_u64(&mut b)?;
                 let data_blocks = u64::from(take_u32(&mut b)?);
                 let fid_bytes = data_blocks.saturating_mul(BLOCK_SIZE);
-                let mut stream = &r.buf[r.span(data_start, fid_bytes)?];
+                let stream = r.read(data_start, fid_bytes)?;
+                let mut stream = &stream[..];
                 let corrupt = |reason| FormatError::Corrupt {
                     block: data_start,
                     reason,
@@ -462,7 +546,7 @@ pub fn parse_image(bytes: &Bytes) -> Result<(FsTree, ImageHeader), FormatError> 
                     let name = core::str::from_utf8(name)
                         .map_err(|_| corrupt("FID name not UTF-8"))?
                         .to_string();
-                    let child = parse_node(r, src, child_icb, depth.saturating_add(1))?;
+                    let child = parse_node(r, child_icb, depth.saturating_add(1))?;
                     children.insert(name, child);
                 }
                 Ok(FsNode::Dir { children })
@@ -474,7 +558,7 @@ pub fn parse_image(bytes: &Bytes) -> Result<(FsTree, ImageHeader), FormatError> 
         }
     }
 
-    let root = parse_node(&r, bytes, root_icb, 0)?;
+    let root = parse_node(&r, root_icb, 0)?;
     match &root {
         FsNode::Dir { .. } => Ok((FsTree::from_root(root), header)),
         FsNode::File { .. } => Err(FormatError::Corrupt {
@@ -532,6 +616,12 @@ mod tests {
         t.mkdir_p(&"/vol1/empty/chain/end".parse::<Path>().unwrap())
             .unwrap();
         t
+    }
+
+    /// [`super::serialize`] flattened: what the tests that read image
+    /// bytes as one slice take.
+    fn serialize(t: &FsTree, image_id: u64, capacity: u64) -> Result<Bytes, FormatError> {
+        super::serialize(t, image_id, capacity).map(|parts| parts.to_bytes())
     }
 
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -617,14 +707,27 @@ mod tests {
     /// Every shape the writer has a branch or a boundary for, in one
     /// tree: directories four deep, a FID stream of several blocks (by
     /// child count, and by one name at the limit), empty files, empty
-    /// directories, and file sizes around a block boundary. Fill bytes
-    /// are non-zero so misplaced padding shows.
+    /// directories, file sizes around a block boundary, and files either
+    /// side of the borrowing threshold, two of them borrowed back to
+    /// back. Fill bytes are non-zero so misplaced padding shows.
     fn every_edge_tree() -> FsTree {
         let mut t = FsTree::new();
         let b = BLOCK_SIZE as usize;
-        for (i, size) in [0, 1, b - 1, b, b + 1, 2 * b, 5 * b + 3]
-            .into_iter()
-            .enumerate()
+        let long = BORROWED_FILE_BYTES;
+        for (i, size) in [
+            0,
+            1,
+            b - 1,
+            b,
+            b + 1,
+            2 * b,
+            5 * b + 3,
+            long - 1,
+            long,
+            long + b,
+        ]
+        .into_iter()
+        .enumerate()
         {
             let path: Path = format!("/a/b/c/d/size-{i}").parse().unwrap();
             t.insert(&path, vec![0xE0 | i as u8; size], i as u64)
@@ -651,7 +754,18 @@ mod tests {
         let long = "n".repeat(MAX_NAME_LEN);
         let names = ["a", "b", "c0", "a-directory-with-a-longer-name", &long];
         let b = BLOCK_SIZE as usize;
-        let sizes = [0, 1, b - 1, b, b + 1, 3 * b + 7];
+        let long = BORROWED_FILE_BYTES;
+        let sizes = [
+            0,
+            1,
+            b - 1,
+            b,
+            b + 1,
+            3 * b + 7,
+            long - 1,
+            long,
+            long + 3 * b + 7,
+        ];
         let mut t = FsTree::new();
         for step in 0..rng.gen::<u64>() % 48 {
             let depth = 1 + rng.gen::<usize>() % 6;
@@ -676,26 +790,54 @@ mod tests {
         t
     }
 
-    /// The writer's whole contract on one tree.
+    /// The writer's whole contract on one tree: the pieces read as the
+    /// seek-and-fill writer's image; every file of [`BORROWED_FILE_BYTES`]
+    /// or more is a piece of its own, the tree's own bytes; the owned
+    /// runs lie back to back in one buffer; and the pieces parse back to
+    /// the tree without a copy.
     fn assert_written_once_and_as_before(t: &FsTree, image_id: u64) {
+        use bytes::Pieces;
         let capacity = 1 << 26;
-        let image = serialize_vec(t, image_id, capacity).unwrap();
-        assert_eq!(image.len() as u64, t.image_bytes());
-        assert_eq!(
-            image.capacity(),
-            image.len(),
-            "one allocation, sized exactly"
-        );
+        let parts = super::serialize(t, image_id, capacity).unwrap();
+        assert_eq!(parts.len() as u64, t.image_bytes());
         assert!(
-            image == reference::serialize(t, image_id, capacity),
+            parts == reference::serialize(t, image_id, capacity),
             "image differs from the seek-and-fill writer's"
         );
-        let frozen = serialize(t, image_id, capacity).unwrap();
-        assert!(frozen.as_ref() == image.as_slice());
-        let (parsed, header) = parse_image(&frozen).unwrap();
+        let long: Vec<Bytes> = t
+            .walk_files()
+            .into_iter()
+            .map(|(path, _)| t.read(&path).unwrap())
+            .filter(|data| data.len() >= BORROWED_FILE_BYTES)
+            .collect();
+        let is_long = |piece: &[u8]| long.iter().any(|d| d.as_ptr() == piece.as_ptr());
+        let owned: Vec<&[u8]> = parts.pieces().filter(|p| !is_long(p)).collect();
+        assert_eq!(parts.piece_count(), owned.len() + long.len());
+        for pair in owned.windows(2) {
+            assert_eq!(
+                pair[0].as_ptr_range().end,
+                pair[1].as_ptr(),
+                "owned runs are one buffer"
+            );
+        }
+        let owned_len: usize = owned.iter().map(|p| p.len()).sum();
+        let long_len: usize = long.iter().map(Bytes::len).sum();
+        assert_eq!((owned_len + long_len) as u64, t.image_bytes());
+        let (parsed, header) = parse_image(&parts).unwrap();
         assert_eq!(&parsed, t);
         assert_eq!(header.image_id, image_id);
         assert_eq!(header.used_blocks * BLOCK_SIZE, t.image_bytes());
+        for (path, _) in parsed.walk_files() {
+            let data = parsed.read(&path).unwrap();
+            let inside = parts.pieces().any(|p| {
+                let range = p.as_ptr_range();
+                range.contains(&data.as_ptr()) && data.as_ptr_range().end <= range.end
+            });
+            assert!(
+                inside || data.is_empty(),
+                "{path} was copied out of the image"
+            );
+        }
     }
 
     #[test]
@@ -718,7 +860,7 @@ mod tests {
     fn the_writer_cannot_go_back() {
         // No tree reaches this (the oracle tests above would trip it):
         // the position is driven directly.
-        let mut w = Writer { buf: Vec::new() };
+        let mut w = Writer::new(0);
         w.seek(2);
         w.put(b"x");
         w.seek(2);

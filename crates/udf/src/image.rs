@@ -13,28 +13,35 @@
 
 use crate::format::{self, FormatError, ImageHeader};
 use crate::tree::{FileMeta, FsTree, Path, TreeError};
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
+use std::sync::OnceLock;
 
 /// An immutable, parsed disc image.
 ///
-/// The namespace is the [`FsTree`] [`format::parse_image`] produced —
-/// the directory subtree the image carries *is* its index, and every
-/// file node holds a zero-copy slice of the image buffer.
+/// The image is its [`Parts`] — owned metadata runs and the long files'
+/// own bytes ([`format::serialize`]). The namespace is the [`FsTree`]
+/// [`format::parse_image`] produced from them — the directory subtree
+/// the image carries *is* its index, and every file node holds a
+/// zero-copy slice of the piece that holds its data.
 #[derive(Clone, Debug)]
 pub struct SealedImage {
     header: ImageHeader,
-    bytes: Bytes,
+    parts: Parts,
+    /// The parts flattened, made by the first [`SealedImage::bytes`].
+    flat: OnceLock<Bytes>,
     tree: FsTree,
 }
 
 impl SealedImage {
-    /// Parses raw image bytes (e.g. read back from a disc).
-    pub fn from_bytes(bytes: impl Into<Bytes>) -> Result<Self, FormatError> {
-        let bytes = bytes.into();
-        let (tree, header) = format::parse_image(&bytes)?;
+    /// Parses raw image bytes, in one piece or many (e.g. read back
+    /// from a disc).
+    pub fn from_bytes(bytes: impl Into<Parts>) -> Result<Self, FormatError> {
+        let parts = bytes.into();
+        let (tree, header) = format::parse_image(&parts)?;
         Ok(SealedImage {
             header,
-            bytes,
+            parts,
+            flat: OnceLock::new(),
             tree,
         })
     }
@@ -49,14 +56,21 @@ impl SealedImage {
         self.header
     }
 
-    /// Returns the raw bytes (the burn payload).
+    /// Returns the image's pieces (the burn payload).
+    pub fn parts(&self) -> &Parts {
+        &self.parts
+    }
+
+    /// Returns the raw bytes in one buffer, flattened from the parts on
+    /// the first call ([`Parts::to_bytes`]) and kept. For probes and
+    /// tests: the engine reads [`SealedImage::parts`].
     pub fn bytes(&self) -> &Bytes {
-        &self.bytes
+        self.flat.get_or_init(|| self.parts.to_bytes())
     }
 
     /// Returns the size of the used image in bytes.
     pub fn len(&self) -> u64 {
-        self.bytes.len() as u64
+        self.parts.len() as u64
     }
 
     /// Returns true for an image holding no files.
@@ -65,7 +79,7 @@ impl SealedImage {
     }
 
     /// Reads one file by its (global) path; the returned [`Bytes`] is a
-    /// refcounted slice of the image buffer, not a copy.
+    /// refcounted slice of the image's pieces, not a copy.
     pub fn read(&self, path: &Path) -> Result<Bytes, TreeError> {
         self.tree.read(path)
     }
@@ -144,7 +158,9 @@ mod tests {
 
     #[test]
     fn read_is_a_zero_copy_slice_of_the_image_buffer() {
+        // Short files only: the image is one owned run.
         let img = sealed();
+        assert_eq!(img.parts().piece_count(), 1);
         let data = img.read(&p("/proj/src/main.rs")).unwrap();
         let buf = img.bytes().as_ptr() as usize;
         let end = buf + img.bytes().len();
@@ -156,6 +172,28 @@ mod tests {
         // Repeated reads are refcount bumps over the same storage.
         let again = img.read(&p("/proj/src/main.rs")).unwrap();
         assert_eq!(again.as_ptr(), data.as_ptr());
+    }
+
+    #[test]
+    fn a_long_file_is_read_from_the_bytes_it_was_written_from() {
+        use bytes::Pieces;
+        let long = Bytes::from(vec![0x3Cu8; format::BORROWED_FILE_BYTES + 5]);
+        let mut b = Bucket::new(7, 128 * BLOCK_SIZE);
+        b.write(&p("/a/short"), &b"metadata's neighbour"[..], 1)
+            .unwrap();
+        b.write(&p("/a/long"), long.clone(), 2).unwrap();
+        let img = b.close().unwrap();
+        // Owned run, the long file, then the padding after it.
+        assert_eq!(img.parts().piece_count(), 3);
+        assert_eq!(img.read(&p("/a/long")).unwrap().as_ptr(), long.as_ptr());
+        assert!(img
+            .parts()
+            .pieces()
+            .any(|piece| piece.as_ptr() == long.as_ptr()));
+        assert_eq!(img.bytes().len() as u64, img.len());
+        let flat = SealedImage::from_bytes(img.bytes().clone()).unwrap();
+        assert_eq!(flat.read(&p("/a/long")).unwrap(), long);
+        assert_eq!(flat.parts().piece_count(), 1);
     }
 
     #[test]
