@@ -49,11 +49,6 @@ impl NasGateway {
         }
     }
 
-    /// The client link.
-    pub fn link(&self) -> params::NetworkLink {
-        self.link
-    }
-
     /// The active stack.
     pub fn stack(&self) -> AccessStack {
         self.stack
@@ -67,11 +62,6 @@ impl NasGateway {
     /// Mutable access to the wrapped engine (maintenance, time control).
     pub fn ros_mut(&mut self) -> &mut Ros {
         &mut self.ros
-    }
-
-    /// Unwraps the engine.
-    pub fn into_ros(self) -> Ros {
-        self.ros
     }
 
     /// Streaming throughput of this deployment over the engine's actual
@@ -145,11 +135,6 @@ impl NasGateway {
         Ok(latency)
     }
 
-    /// Number of direct-mode files awaiting ingestion.
-    pub fn direct_backlog(&self) -> usize {
-        self.direct_queue.len()
-    }
-
     /// Asynchronously delivers queued direct-mode files into OLFS.
     /// Returns how many were ingested.
     pub fn drain_direct(&mut self) -> Result<usize, OlfsError> {
@@ -217,11 +202,11 @@ mod tests {
             .write_direct(&p("/direct/f"), vec![1u8; bytes as usize])
             .unwrap();
         assert!(lat < SimDuration::from_millis(3), "direct latency = {lat}");
-        assert_eq!(g.direct_backlog(), 1);
+        assert_eq!(g.direct_queue.len(), 1);
         // Not yet visible in OLFS.
         assert!(g.ros_mut().read_file(&p("/direct/f")).is_err());
         assert_eq!(g.drain_direct().unwrap(), 1);
-        assert_eq!(g.direct_backlog(), 0);
+        assert_eq!(g.direct_queue.len(), 0);
         let r = g.read_file(&p("/direct/f")).unwrap();
         assert_eq!(r.data.len(), bytes as usize);
     }

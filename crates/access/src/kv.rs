@@ -12,7 +12,7 @@ use ros_olfs::{OlfsError, Ros, UdfPath};
 use ros_sim::SimDuration;
 
 /// Root of the KV subtree in the global namespace.
-pub const KV_ROOT: &str = "/.kv";
+pub(crate) const KV_ROOT: &str = "/.kv";
 
 /// Number of hash buckets (directories) keys spread over.
 const KV_BUCKETS: u64 = 256;
@@ -20,7 +20,7 @@ const KV_BUCKETS: u64 = 256;
 /// Escapes a key into a single path component (percent-encoding
 /// everything outside `[A-Za-z0-9_.-]`, and the dot-prefix that would
 /// collide with internal names).
-pub fn escape_key(key: &str) -> String {
+pub(crate) fn escape_key(key: &str) -> String {
     let mut out = String::with_capacity(key.len());
     for (i, b) in key.bytes().enumerate() {
         let plain = b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || (b == b'.' && i > 0);
@@ -48,8 +48,6 @@ fn key_path(key: &str) -> Result<UdfPath, OlfsError> {
 pub struct KvResponse {
     /// The value (empty for put/delete).
     pub value: Bytes,
-    /// Version of the value served/stored.
-    pub version: u32,
     /// End-to-end simulated latency.
     pub latency: SimDuration,
 }
@@ -65,16 +63,6 @@ impl KvStore {
         KvStore { ros }
     }
 
-    /// Access to the underlying engine.
-    pub fn ros(&self) -> &Ros {
-        &self.ros
-    }
-
-    /// Mutable access (time control, maintenance).
-    pub fn ros_mut(&mut self) -> &mut Ros {
-        &mut self.ros
-    }
-
     /// Unwraps the engine.
     pub fn into_ros(self) -> Ros {
         self.ros
@@ -85,7 +73,6 @@ impl KvStore {
         let report = self.ros.write_file(&key_path(key)?, value)?;
         Ok(KvResponse {
             value: Bytes::new(),
-            version: report.version,
             latency: report.latency,
         })
     }
@@ -95,33 +82,8 @@ impl KvStore {
         let report = self.ros.read_file(&key_path(key)?)?;
         Ok(KvResponse {
             value: report.data,
-            version: report.version,
             latency: report.latency,
         })
-    }
-
-    /// Fetches a specific retained version of a key.
-    pub fn get_version(&mut self, key: &str, version: u32) -> Result<KvResponse, OlfsError> {
-        let report = self.ros.read_version(&key_path(key)?, version)?;
-        Ok(KvResponse {
-            value: report.data,
-            version: report.version,
-            latency: report.latency,
-        })
-    }
-
-    /// Returns true if the key exists.
-    pub fn contains(&mut self, key: &str) -> Result<bool, OlfsError> {
-        match self.ros.stat(&key_path(key)?) {
-            Ok(_) => Ok(true),
-            Err(OlfsError::NotFound(_)) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Deletes a key from the view (media copies remain, §4.6).
-    pub fn delete(&mut self, key: &str) -> Result<(), OlfsError> {
-        self.ros.unlink(&key_path(key)?)
     }
 
     /// Lists every stored key (scans the hash buckets; keys come back
@@ -150,7 +112,7 @@ impl KvStore {
 }
 
 /// Reverses [`escape_key`].
-pub fn unescape_key(escaped: &str) -> String {
+pub(crate) fn unescape_key(escaped: &str) -> String {
     if escaped == "~empty~" {
         return String::new();
     }
@@ -189,7 +151,6 @@ mod tests {
         kv.put("sensor/2026-07-06", b"42.1".to_vec()).unwrap();
         let got = kv.get("sensor/2026-07-06").unwrap();
         assert_eq!(got.value.as_ref(), b"42.1");
-        assert_eq!(got.version, 1);
         assert!(got.latency < SimDuration::from_millis(20));
     }
 
@@ -197,22 +158,11 @@ mod tests {
     fn puts_create_versions() {
         let mut kv = store();
         kv.put("k", b"v1".to_vec()).unwrap();
-        kv.ros_mut().seal_open_buckets().unwrap();
-        let r = kv.put("k", b"v2".to_vec()).unwrap();
-        assert_eq!(r.version, 2);
+        kv.ros.seal_open_buckets().unwrap();
+        kv.put("k", b"v2".to_vec()).unwrap();
         assert_eq!(kv.get("k").unwrap().value.as_ref(), b"v2");
-        assert_eq!(kv.get_version("k", 1).unwrap().value.as_ref(), b"v1");
-    }
-
-    #[test]
-    fn contains_and_delete() {
-        let mut kv = store();
-        assert!(!kv.contains("ghost").unwrap());
-        kv.put("ghost", b"boo".to_vec()).unwrap();
-        assert!(kv.contains("ghost").unwrap());
-        kv.delete("ghost").unwrap();
-        assert!(!kv.contains("ghost").unwrap());
-        assert!(kv.get("ghost").is_err());
+        let path = key_path("k").unwrap();
+        assert_eq!(kv.ros.read_version(&path, 1).unwrap().data.as_ref(), b"v1");
     }
 
     #[test]
@@ -262,9 +212,9 @@ mod tests {
             kv.put(&format!("archive/item-{i}"), vec![i as u8; 300_000])
                 .unwrap();
         }
-        kv.ros_mut().flush().unwrap();
-        kv.ros_mut().evict_burned_copies();
-        kv.ros_mut().unload_all_bays().unwrap();
+        kv.ros.flush().unwrap();
+        kv.ros.evict_burned_copies();
+        kv.ros.unload_all_bays().unwrap();
         let got = kv.get("archive/item-7").unwrap();
         assert_eq!(got.value.as_ref(), vec![7u8; 300_000].as_slice());
         assert!(

@@ -41,15 +41,14 @@
     )
 )]
 
-pub mod fuse;
-pub mod gateway;
-pub mod kv;
-pub mod object;
+pub(crate) mod gateway;
+pub(crate) mod kv;
+pub(crate) mod object;
 pub mod params;
-pub mod samba;
-pub mod stack;
+pub(crate) mod samba;
+pub(crate) mod stack;
 
 pub use gateway::NasGateway;
-pub use kv::KvStore;
-pub use object::ObjectStore;
+pub use kv::{KvResponse, KvStore};
+pub use object::{Object, ObjectMeta, ObjectStore};
 pub use stack::{AccessStack, StackThroughput};

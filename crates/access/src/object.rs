@@ -6,16 +6,15 @@
 //! rides in a JSON sidecar file next to the data, so a disc scan
 //! recovers both (the sidecar is just another file under a unique path).
 
-use crate::kv::{escape_key, unescape_key};
+use crate::kv::escape_key;
 use bytes::Bytes;
 use ros_olfs::mv::NAME_MAX;
 use ros_olfs::{OlfsError, Ros, UdfPath};
-use ros_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Root of the object-store subtree.
-pub const OBJECT_ROOT: &str = "/.objects";
+pub(crate) const OBJECT_ROOT: &str = "/.objects";
 
 /// Object metadata (the head record).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -25,7 +24,7 @@ pub struct ObjectMeta {
     /// Object size in bytes.
     pub size: u64,
     /// Store-assigned version.
-    pub version: u32,
+    pub(crate) version: u32,
     /// Free-form user metadata.
     pub user: BTreeMap<String, String>,
 }
@@ -35,10 +34,6 @@ pub struct ObjectMeta {
 pub struct Object {
     /// The payload.
     pub data: Bytes,
-    /// Its metadata.
-    pub meta: ObjectMeta,
-    /// Simulated latency of the fetch.
-    pub latency: SimDuration,
 }
 
 /// An S3-style object store over a ROS engine.
@@ -68,11 +63,6 @@ impl ObjectStore {
         ObjectStore { ros }
     }
 
-    /// Access to the underlying engine.
-    pub fn ros(&self) -> &Ros {
-        &self.ros
-    }
-
     /// Mutable access (time control, maintenance).
     pub fn ros_mut(&mut self) -> &mut Ros {
         &mut self.ros
@@ -81,20 +71,6 @@ impl ObjectStore {
     /// Creates a bucket (idempotent).
     pub fn create_bucket(&mut self, bucket: &str) -> Result<(), OlfsError> {
         self.ros.mkdir(&bucket_dir(bucket)?)
-    }
-
-    /// Lists buckets.
-    pub fn list_buckets(&mut self) -> Result<Vec<String>, OlfsError> {
-        let root: UdfPath = OBJECT_ROOT.parse()?;
-        match self.ros.readdir(&root) {
-            Ok(entries) => Ok(entries
-                .into_iter()
-                .filter(|(_, is_dir)| *is_dir)
-                .map(|(name, _)| unescape_key(&name))
-                .collect()),
-            Err(OlfsError::NotFound(_)) => Ok(Vec::new()),
-            Err(e) => Err(e),
-        }
     }
 
     /// Stores an object with metadata. Overwrites create new versions.
@@ -131,15 +107,12 @@ impl ObjectStore {
         Ok(meta)
     }
 
-    /// Fetches an object and its metadata.
+    /// Fetches an object. Its metadata sidecar is read too: an object
+    /// whose metadata cannot be read fails the get.
     pub fn get_object(&mut self, bucket: &str, key: &str) -> Result<Object, OlfsError> {
         let data = self.ros.read_file(&data_path(bucket, key)?)?;
-        let meta = self.head_object(bucket, key)?;
-        Ok(Object {
-            latency: data.latency,
-            data: data.data,
-            meta,
-        })
+        self.head_object(bucket, key)?;
+        Ok(Object { data: data.data })
     }
 
     /// Fetches only the metadata.
@@ -147,30 +120,6 @@ impl ObjectStore {
         let raw = self.ros.read_file(&meta_path(bucket, key)?)?;
         serde_json::from_slice(&raw.data)
             .map_err(|e| OlfsError::BadState(format!("corrupt object metadata: {e}")))
-    }
-
-    /// Removes an object from the view.
-    pub fn delete_object(&mut self, bucket: &str, key: &str) -> Result<(), OlfsError> {
-        self.ros.unlink(&data_path(bucket, key)?)?;
-        let _ = self.ros.unlink(&meta_path(bucket, key)?);
-        Ok(())
-    }
-
-    /// Lists object keys in a bucket, optionally filtered by prefix.
-    pub fn list_objects(
-        &mut self,
-        bucket: &str,
-        prefix: Option<&str>,
-    ) -> Result<Vec<String>, OlfsError> {
-        let entries = self.ros.readdir(&bucket_dir(bucket)?)?;
-        let mut keys: Vec<String> = entries
-            .into_iter()
-            .filter(|(name, is_dir)| !is_dir && !name.starts_with(META_PREFIX))
-            .map(|(name, _)| unescape_key(&name))
-            .filter(|k| prefix.map(|p| k.starts_with(p)).unwrap_or(true))
-            .collect();
-        keys.sort();
-        Ok(keys)
     }
 }
 
@@ -206,46 +155,10 @@ mod tests {
         assert_eq!(m.version, 1);
         let obj = os.get_object("media", "photos/cat.jpg").unwrap();
         assert_eq!(obj.data.len(), 5000);
-        assert_eq!(obj.meta.content_type.as_deref(), Some("image/jpeg"));
-        assert_eq!(obj.meta.user["camera"], "DSC-100");
         let head = os.head_object("media", "photos/cat.jpg").unwrap();
-        assert_eq!(head, obj.meta);
-    }
-
-    #[test]
-    fn listing_buckets_and_objects() {
-        let mut os = store();
-        assert!(os.list_buckets().unwrap().is_empty());
-        os.create_bucket("a").unwrap();
-        os.create_bucket("b bucket").unwrap();
-        for key in ["logs/1", "logs/2", "img/x"] {
-            os.put_object("a", key, b"x".to_vec(), None, BTreeMap::new())
-                .unwrap();
-        }
-        let mut buckets = os.list_buckets().unwrap();
-        buckets.sort();
-        assert_eq!(buckets, vec!["a", "b bucket"]);
-        assert_eq!(
-            os.list_objects("a", None).unwrap(),
-            vec!["img/x", "logs/1", "logs/2"]
-        );
-        assert_eq!(
-            os.list_objects("a", Some("logs/")).unwrap(),
-            vec!["logs/1", "logs/2"]
-        );
-        assert!(os.list_objects("a", Some("zzz")).unwrap().is_empty());
-    }
-
-    #[test]
-    fn delete_removes_data_and_meta() {
-        let mut os = store();
-        os.create_bucket("t").unwrap();
-        os.put_object("t", "k", b"v".to_vec(), None, BTreeMap::new())
-            .unwrap();
-        os.delete_object("t", "k").unwrap();
-        assert!(os.get_object("t", "k").is_err());
-        assert!(os.head_object("t", "k").is_err());
-        assert!(os.list_objects("t", None).unwrap().is_empty());
+        assert_eq!(head.content_type.as_deref(), Some("image/jpeg"));
+        assert_eq!(head.user["camera"], "DSC-100");
+        assert_eq!(head, m);
     }
 
     #[test]
@@ -276,7 +189,6 @@ mod tests {
                 .put_object("b", &"k".repeat(len), b"v".to_vec(), None, BTreeMap::new())
                 .unwrap_err();
             assert!(matches!(err, OlfsError::Invalid(_)), "{len}: {err}");
-            assert!(os.list_objects("b", None).unwrap().is_empty(), "{len}");
             assert!(os.ros_mut().readdir(&dir).unwrap().is_empty(), "{len}");
         }
         let longest = "k".repeat(246);
@@ -306,6 +218,6 @@ mod tests {
         os.ros_mut().recover(from).unwrap();
         let obj = os.get_object("cold", "obj-7").unwrap();
         assert_eq!(obj.data.as_ref(), vec![7u8; 250_000].as_slice());
-        assert_eq!(obj.meta.user["seq"], "7");
+        assert_eq!(os.head_object("cold", "obj-7").unwrap().user["seq"], "7");
     }
 }

@@ -26,7 +26,7 @@ pub enum NetworkLink {
 impl NetworkLink {
     /// Payload bandwidth of the link (§3.3; non-10GbE figures are the
     /// technologies' nominal data rates, which the paper does not quote).
-    pub fn bandwidth(self) -> Bandwidth {
+    pub(crate) fn bandwidth(self) -> Bandwidth {
         match self {
             NetworkLink::TenGbE => Bandwidth::from_gbit_per_sec(10.0),
             NetworkLink::DualTenGbE => Bandwidth::from_gbit_per_sec(20.0),
@@ -40,78 +40,71 @@ impl NetworkLink {
 
 /// FUSE streaming-read throughput factor relative to ext4 (§5.3:
 /// "ext4+FUSE underperforms ext4 in throughput by 24.1% for read").
-pub const FUSE_READ_FACTOR: f64 = 0.759;
+pub(crate) const FUSE_READ_FACTOR: f64 = 0.759;
 
 /// FUSE streaming-write throughput factor with the `big_writes` 128 KB
 /// flush option (§5.3: "51.8% for write due to kernel-user mode
 /// switches"; §4.8 documents the big_writes setting).
-pub const FUSE_WRITE_FACTOR: f64 = 0.482;
-
-/// Default FUSE flush granularity without `big_writes` (§4.8: "FUSE
-/// flushes 4KB data from the user space to the kernel space each time").
-pub const FUSE_DEFAULT_FLUSH_BYTES: u64 = 4 * 1024;
-
-/// The `big_writes` flush granularity the prototype configures (§4.8).
-pub const FUSE_BIG_WRITES_BYTES: u64 = 128 * 1024;
+pub(crate) const FUSE_WRITE_FACTOR: f64 = 0.482;
 
 /// OLFS's additional read throughput factor on top of FUSE (§5.3:
 /// "Ext4+OLFS further causes 28.9% read ... performance loss compared to
 /// ext4+FUSE").
-pub const OLFS_READ_FACTOR: f64 = 1.0 - 0.289;
+pub(crate) const OLFS_READ_FACTOR: f64 = 1.0 - 0.289;
 
 /// OLFS's additional write throughput factor on top of FUSE (§5.3:
 /// "... and 10.1% write performance loss").
-pub const OLFS_WRITE_FACTOR: f64 = 1.0 - 0.101;
+pub(crate) const OLFS_WRITE_FACTOR: f64 = 1.0 - 0.101;
 
 /// Samba streaming factors relative to ext4 (§5.3: "samba leads to about
 /// 68.9% read and 68.0% write throughput degradation of ext4").
-pub const SAMBA_READ_FACTOR: f64 = 1.0 - 0.689;
+pub(crate) const SAMBA_READ_FACTOR: f64 = 1.0 - 0.689;
 
 /// See [`SAMBA_READ_FACTOR`] (§5.3: "68.0% write throughput
 /// degradation").
-pub const SAMBA_WRITE_FACTOR: f64 = 1.0 - 0.680;
+pub(crate) const SAMBA_WRITE_FACTOR: f64 = 1.0 - 0.680;
 
 /// How much of the FUSE penalty remains visible behind Samba (the
 /// network stack hides part of it; estimated from Figure 6's bars —
 /// the paper quotes no number for samba+FUSE).
-pub const FUSE_UNDER_SAMBA_READ: f64 = 0.78;
+pub(crate) const FUSE_UNDER_SAMBA_READ: f64 = 0.78;
 
 /// See [`FUSE_UNDER_SAMBA_READ`]: the write-side estimate from
 /// Figure 6's samba+FUSE bar.
-pub const FUSE_UNDER_SAMBA_WRITE: f64 = 0.97;
+pub(crate) const FUSE_UNDER_SAMBA_WRITE: f64 = 0.97;
 
 /// How much of the OLFS penalty remains visible behind Samba+FUSE,
 /// calibrated so samba+OLFS lands on the measured 236.1 MB/s read and
 /// 323.6 MB/s write (§5.3).
-pub const OLFS_UNDER_SAMBA_READ: f64 = 0.81;
+pub(crate) const OLFS_UNDER_SAMBA_READ: f64 = 0.81;
 
 /// See [`OLFS_UNDER_SAMBA_READ`]: calibrated against §5.3's measured
 /// 323.6 MB/s samba+OLFS write.
-pub const OLFS_UNDER_SAMBA_WRITE: f64 = 1.04;
+pub(crate) const OLFS_UNDER_SAMBA_WRITE: f64 = 1.04;
 
 /// Extra stat operations Samba adds to a file-creating write (§5.3:
 /// "In the case of samba+OLFS, writing new file increases extra 7 stat
 /// operations" — one before the mknod and six after, per Figure 7).
-pub const SAMBA_EXTRA_WRITE_STATS_BEFORE: usize = 1;
+pub(crate) const SAMBA_EXTRA_WRITE_STATS_BEFORE: usize = 1;
 
 /// See [`SAMBA_EXTRA_WRITE_STATS_BEFORE`] (Figure 7's post-mknod
 /// stat cluster, net of the one mknod itself issues).
-pub const SAMBA_EXTRA_WRITE_STATS_AFTER: usize = 5;
+pub(crate) const SAMBA_EXTRA_WRITE_STATS_AFTER: usize = 5;
 
 /// Extra stat operations Samba adds to a read (Figure 7's read
 /// breakdown shows a single leading stat).
-pub const SAMBA_EXTRA_READ_STATS: usize = 1;
+pub(crate) const SAMBA_EXTRA_READ_STATS: usize = 1;
 
 /// SMB protocol overhead per write-class request (compound
 /// CREATE/SETINFO round trips on 10GbE plus smbd processing), calibrated
 /// so samba+OLFS write lands on Figure 7's 53 ms.
-pub fn smb_write_overhead() -> SimDuration {
+pub(crate) fn smb_write_overhead() -> SimDuration {
     SimDuration::from_micros(19_200)
 }
 
 /// SMB protocol overhead per read-class request, calibrated so
 /// samba+OLFS read lands on Figure 7's 15 ms.
-pub fn smb_read_overhead() -> SimDuration {
+pub(crate) fn smb_read_overhead() -> SimDuration {
     SimDuration::from_micros(2_700)
 }
 

@@ -13,7 +13,7 @@ use ros_sim::SimDuration;
 
 /// Wraps an OLFS *write* trace with Samba's extra stats and protocol
 /// overhead, returning the client-observed trace.
-pub fn wrap_write_trace(olfs: &OpTrace) -> OpTrace {
+pub(crate) fn wrap_write_trace(olfs: &OpTrace) -> OpTrace {
     let mut t = OpTrace::new();
     // Samba stats the target before opening it.
     for _ in 0..params::SAMBA_EXTRA_WRITE_STATS_BEFORE {
@@ -41,7 +41,7 @@ pub fn wrap_write_trace(olfs: &OpTrace) -> OpTrace {
 
 /// Wraps an OLFS *read* trace with Samba's extra stats and protocol
 /// overhead.
-pub fn wrap_read_trace(olfs: &OpTrace) -> OpTrace {
+pub(crate) fn wrap_read_trace(olfs: &OpTrace) -> OpTrace {
     let mut t = OpTrace::new();
     for _ in 0..params::SAMBA_EXTRA_READ_STATS {
         t.step("stat", SimDuration::ZERO);

@@ -56,7 +56,7 @@ impl AccessStack {
     }
 
     /// Whether clients reach this stack over the network (NAS mode).
-    pub fn is_nas(self) -> bool {
+    pub(crate) fn is_nas(self) -> bool {
         matches!(
             self,
             AccessStack::Samba | AccessStack::SambaFuse | AccessStack::SambaOlfs
@@ -65,7 +65,7 @@ impl AccessStack {
 
     /// The stack's throughput factors relative to the ext4 baseline
     /// `(read, write)`.
-    pub fn factors(self) -> (f64, f64) {
+    pub(crate) fn factors(self) -> (f64, f64) {
         match self {
             AccessStack::Ext4 => (1.0, 1.0),
             AccessStack::Ext4Fuse => (params::FUSE_READ_FACTOR, params::FUSE_WRITE_FACTOR),
@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn nas_stacks_are_network_capped() {
-        let big = Bandwidth::from_gb_per_sec(100.0);
+        let big = Bandwidth::from_mb_per_sec(100_000.0);
         let t = AccessStack::Samba.throughput(big, big);
         assert!(t.read <= params::network_10gbe());
         let local = AccessStack::Ext4.throughput(big, big);

@@ -34,7 +34,7 @@ fn err(detail: String) -> BenchError {
 
 /// One step of a campaign schedule.
 #[derive(Clone, Debug)]
-pub enum Step {
+pub(crate) enum Step {
     /// Write under the default retry policy. A typed `PartialWrite` is
     /// re-issued (same bytes) and counts as a degraded ack.
     Write(UdfPath, Bytes),
@@ -64,9 +64,9 @@ pub enum Step {
 }
 
 /// The shrunk federation a campaign runs on, and its two read policies.
-pub struct Rig {
+pub(crate) struct Rig {
     /// The federation.
-    pub cluster: Cluster,
+    pub(crate) cluster: Cluster,
     reads: RetryPolicy,
     sweep: RetryPolicy,
 }
@@ -79,7 +79,7 @@ impl Rig {
     /// drive, mech and media faults live. Eight tray layers leave a
     /// survivor blanks for its own flush after it absorbs a failed
     /// rack's groups.
-    pub fn new(
+    pub(crate) fn new(
         racks: usize,
         replication: usize,
         redundancy: Redundancy,
@@ -107,58 +107,58 @@ impl Rig {
 
 /// Everything one campaign observed.
 #[derive(Clone, Debug, Default)]
-pub struct Outcome {
+pub(crate) struct Outcome {
     /// One line per fault, drill and archive pass, in schedule order.
-    pub timeline: Vec<String>,
+    pub(crate) timeline: Vec<String>,
     /// Fault events that landed.
-    pub injected: usize,
+    pub(crate) injected: usize,
     /// Fault events that did not (target unavailable, or not applicable).
-    pub skipped: usize,
+    pub(crate) skipped: usize,
     /// Writes acked at full replication.
-    pub acked_writes: usize,
+    pub(crate) acked_writes: usize,
     /// Writes acked through a typed degraded outcome.
-    pub degraded_writes: usize,
+    pub(crate) degraded_writes: usize,
     /// Writes that failed typed; the model did not record them.
-    pub failed_writes: usize,
+    pub(crate) failed_writes: usize,
     /// Reads served first attempt by the primary, and typed answers
     /// where nothing was acked.
-    pub clean_reads: usize,
+    pub(crate) clean_reads: usize,
     /// Reads that needed a retry or a replica fallback.
-    pub degraded_reads: usize,
+    pub(crate) degraded_reads: usize,
     /// Reads that failed typed where bytes were owed.
-    pub failed_reads: usize,
+    pub(crate) failed_reads: usize,
     /// Reads that returned bytes the model does not owe.
-    pub silent_reads: usize,
+    pub(crate) silent_reads: usize,
     /// Schedule index of the first failed or silent read.
-    pub first_bad_read: Option<usize>,
+    pub(crate) first_bad_read: Option<usize>,
     /// Supervised attempts across all reads and writes.
-    pub attempts: u64,
+    pub(crate) attempts: u64,
     /// SSD members healed by maintenance.
-    pub members_healed: usize,
+    pub(crate) members_healed: usize,
     /// Drive bays returned to rotation by maintenance.
-    pub bays_serviced: usize,
+    pub(crate) bays_serviced: usize,
     /// Files the rack-failure drills reported unrecoverable.
-    pub drill_files_lost: usize,
+    pub(crate) drill_files_lost: usize,
     /// Files the drills copied onto a fresh rack that did not read back
     /// there byte for byte (`files_recovered − files_verified`).
-    pub drill_files_unverified: usize,
+    pub(crate) drill_files_unverified: usize,
     /// Images the audits digest-verified.
-    pub audited: usize,
+    pub(crate) audited: usize,
     /// Latent-rot (or unreadable-track) detections by the audits.
-    pub rot_detected: usize,
+    pub(crate) rot_detected: usize,
     /// Detections healed from local disc-array parity.
-    pub repaired_parity: usize,
+    pub(crate) repaired_parity: usize,
     /// Detections healed by re-fetching from a replica rack.
-    pub repaired_replica: usize,
+    pub(crate) repaired_replica: usize,
     /// The final read-back.
-    pub sweep: Sweep,
+    pub(crate) sweep: Sweep,
     /// `"rack {id}: {issue}"` for each alive rack inconsistent at the end.
-    pub inconsistent: Vec<String>,
+    pub(crate) inconsistent: Vec<String>,
 }
 
 impl Outcome {
     /// Supervised attempts per read or write: the retry amplification.
-    pub fn amplification(&self) -> f64 {
+    pub(crate) fn amplification(&self) -> f64 {
         let writes = self.acked_writes + self.degraded_writes + self.failed_writes;
         let ops = writes + self.clean_reads + self.degraded_reads + self.failed_reads;
         match ops {
@@ -169,14 +169,14 @@ impl Outcome {
 
     /// FNV-1a of the timeline: the reproducibility fingerprint (64-bit
     /// FNV, so historical fingerprints stay comparable).
-    pub fn timeline_digest(&self) -> u64 {
+    pub(crate) fn timeline_digest(&self) -> u64 {
         ros_sim::fnv1a(self.timeline.join("\n").as_bytes())
     }
 
     /// The gates every campaign holds: no read returned bytes the model
     /// does not owe, and every alive rack ended consistent, so a repair
     /// left half done cannot pass as a quiet loss.
-    pub fn gate(&self) -> Result<(), BenchError> {
+    pub(crate) fn gate(&self) -> Result<(), BenchError> {
         if self.silent_reads > 0 {
             return Err(err(format!("{} silent read(s)", self.silent_reads)));
         }
@@ -203,7 +203,7 @@ fn maintain(cluster: &mut Cluster, o: &mut Outcome) {
 
 /// Runs `steps` on `rig`. Typed degraded outcomes are counted; only a
 /// failed drill or audit ends the campaign early.
-pub fn run(rig: Rig, steps: impl IntoIterator<Item = Step>) -> Result<Outcome, BenchError> {
+pub(crate) fn run(rig: Rig, steps: impl IntoIterator<Item = Step>) -> Result<Outcome, BenchError> {
     let Rig {
         mut cluster,
         reads,

@@ -22,25 +22,25 @@ use ros_workload::dist::Zipf;
 
 /// Shape of one dedup comparison run.
 #[derive(Clone, Debug)]
-pub struct CasConfig {
+pub(crate) struct CasConfig {
     /// Tenants sharing the namespace (Zipf-skewed activity).
-    pub tenants: usize,
+    pub(crate) tenants: usize,
     /// Distinct payloads in the duplicated pool (Zipf-skewed too, so a
     /// few hot payloads account for most writes — the dedup case).
-    pub distinct_payloads: usize,
+    pub(crate) distinct_payloads: usize,
     /// Files written in total.
-    pub writes: usize,
+    pub(crate) writes: usize,
     /// Bytes per payload.
-    pub payload_bytes: usize,
+    pub(crate) payload_bytes: usize,
     /// Zipf skew for both the tenant and the payload pick.
-    pub skew: f64,
+    pub(crate) skew: f64,
     /// Seed for the whole scenario.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl CasConfig {
     /// The CI smoke configuration: small, seconds-scale, deterministic.
-    pub fn smoke() -> Self {
+    pub(crate) fn smoke() -> Self {
         CasConfig {
             tenants: 8,
             distinct_payloads: 12,
@@ -54,33 +54,31 @@ impl CasConfig {
 
 /// Everything one dedup comparison observed.
 #[derive(Clone, Debug)]
-pub struct CasReport {
+pub(crate) struct CasReport {
     /// Files written to each engine.
-    pub writes: usize,
-    /// Logical bytes ingested (writes x payload size).
-    pub logical_bytes: u64,
+    pub(crate) writes: usize,
     /// Write-path dedup hits on the dedup engine.
-    pub dedup_hits: u64,
+    pub(crate) dedup_hits: u64,
     /// Bucket bytes the dedup engine never staged.
-    pub dedup_bytes_saved: u64,
+    pub(crate) dedup_bytes_saved: u64,
     /// Logical over unique bytes in the dedup engine's catalog.
-    pub dedup_ratio: f64,
+    pub(crate) dedup_ratio: f64,
     /// Images registered by the plain engine after its final flush.
-    pub plain_images: usize,
+    pub(crate) plain_images: usize,
     /// Images registered by the dedup engine after its final flush.
-    pub dedup_images: usize,
+    pub(crate) dedup_images: usize,
     /// Buffer bytes the plain engine staged.
-    pub plain_buffer_bytes: u64,
+    pub(crate) plain_buffer_bytes: u64,
     /// Buffer bytes the dedup engine staged.
-    pub dedup_buffer_bytes: u64,
+    pub(crate) dedup_buffer_bytes: u64,
     /// `dedup_images / plain_images` — the burn cost of the dedup run
     /// relative to plain (cost-style: lower is better, must stay < 1).
-    pub burn_cost_ratio: f64,
+    pub(crate) burn_cost_ratio: f64,
     /// Every path read back from the dedup engine against the model
     /// (nothing may be lost).
-    pub read_back: Sweep,
+    pub(crate) read_back: Sweep,
     /// Images failing the full audit's digest sweep (must be 0).
-    pub sweep_mismatches: usize,
+    pub(crate) sweep_mismatches: usize,
 }
 
 /// Deterministic payload `index` of the pool: every byte is a pure
@@ -139,7 +137,7 @@ fn ingest(dedup: bool, writes: &[(UdfPath, usize)], pool: &[Bytes]) -> Result<Ro
 
 /// Runs the comparison: plain engine, dedup engine, read-back sweep on
 /// the dedup engine.
-pub fn run_cas(cfg: &CasConfig) -> Result<CasReport, BenchError> {
+pub(crate) fn run_cas(cfg: &CasConfig) -> Result<CasReport, BenchError> {
     let writes = compile_writes(cfg)?;
     let pool: Vec<Bytes> = (0..cfg.distinct_payloads.max(1))
         .map(|i| pool_payload(i, cfg.payload_bytes).into())
@@ -168,7 +166,6 @@ pub fn run_cas(cfg: &CasConfig) -> Result<CasReport, BenchError> {
     };
     Ok(CasReport {
         writes: writes.len(),
-        logical_bytes: (writes.len() * cfg.payload_bytes) as u64,
         dedup_hits: counters.dedup_hits,
         dedup_bytes_saved: counters.dedup_bytes_saved,
         dedup_ratio: stats.dedup_ratio,
@@ -184,7 +181,7 @@ pub fn run_cas(cfg: &CasConfig) -> Result<CasReport, BenchError> {
 
 /// Runs the comparison and enforces the dedup invariants, failing typed
 /// when any is violated.
-pub fn run_cas_checked(cfg: &CasConfig) -> Result<CasReport, BenchError> {
+pub(crate) fn run_cas_checked(cfg: &CasConfig) -> Result<CasReport, BenchError> {
     let err = |detail: String| BenchError {
         context: "cas",
         detail,

@@ -32,22 +32,22 @@ fn err(detail: String) -> BenchError {
 
 /// Shape of one chaos run.
 #[derive(Clone, Debug)]
-pub struct ChaosConfig {
+pub(crate) struct ChaosConfig {
     /// Member racks (>= 2 so one outage cannot strand replication).
-    pub racks: usize,
+    pub(crate) racks: usize,
     /// Workload operations (also the fault-plan horizon).
-    pub ops: usize,
+    pub(crate) ops: usize,
     /// Seed for both the workload and the fault plan.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Use the heavier soak fault mix instead of the CI smoke mix.
-    pub heavy: bool,
+    pub(crate) heavy: bool,
     /// Ceiling on supervised attempts per workload operation.
-    pub max_amplification: f64,
+    pub(crate) max_amplification: f64,
 }
 
 impl ChaosConfig {
     /// The CI smoke configuration: small, seconds-scale, deterministic.
-    pub fn smoke() -> Self {
+    pub(crate) fn smoke() -> Self {
         ChaosConfig {
             racks: 2,
             ops: 240,
@@ -58,7 +58,7 @@ impl ChaosConfig {
     }
 
     /// The full soak: more racks, more operations, the heavy fault mix.
-    pub fn soak() -> Self {
+    pub(crate) fn soak() -> Self {
         ChaosConfig {
             racks: 3,
             ops: 900,
@@ -86,7 +86,7 @@ fn chaos_spec(ops: usize) -> WorkloadSpec {
 /// `i`, maintenance every 32 ops, an archive pass halfway and at the
 /// end, then a quiesce and the sweep. Typed degraded outcomes are
 /// counted, not failures.
-pub fn run_chaos(cfg: &ChaosConfig) -> Result<Outcome, BenchError> {
+pub(crate) fn run_chaos(cfg: &ChaosConfig) -> Result<Outcome, BenchError> {
     let policy = RetryPolicy::default();
     let sweep = RetryPolicy {
         max_attempts: 6,
@@ -168,7 +168,7 @@ fn gate(cfg: &ChaosConfig, o: &Outcome) -> Result<(), BenchError> {
 
 /// Runs the chaos soak twice from the same seed, checks the two
 /// timelines agree, and enforces the gates. Returns the first run.
-pub fn run_chaos_checked(cfg: &ChaosConfig) -> Result<Outcome, BenchError> {
+pub(crate) fn run_chaos_checked(cfg: &ChaosConfig) -> Result<Outcome, BenchError> {
     let outcome = run_chaos(cfg)?;
     let (a, b) = (outcome.timeline_digest(), run_chaos(cfg)?.timeline_digest());
     if a != b {

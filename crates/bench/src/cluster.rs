@@ -15,37 +15,35 @@ use ros_workload::{FileOp, WorkloadSpec};
 
 /// One measured point of the scale-out sweep.
 #[derive(Clone, Debug)]
-pub struct ClusterScalePoint {
+pub(crate) struct ClusterScalePoint {
     /// Rack count.
-    pub racks: usize,
+    pub(crate) racks: usize,
     /// Aggregate read throughput over the read phase (MB/s).
-    pub read_mbps: f64,
+    pub(crate) read_mbps: f64,
     /// Aggregate ingest throughput over the write phase, counting each
     /// replica's bytes (MB/s).
-    pub write_mbps: f64,
+    pub(crate) write_mbps: f64,
     /// Mean read latency across racks (ms).
-    pub read_mean_ms: f64,
+    pub(crate) read_mean_ms: f64,
     /// Median read latency (ms).
-    pub read_p50_ms: f64,
+    pub(crate) read_p50_ms: f64,
     /// 95th-percentile read latency (ms).
-    pub read_p95_ms: f64,
+    pub(crate) read_p95_ms: f64,
     /// 99th-percentile read latency (ms).
-    pub read_p99_ms: f64,
+    pub(crate) read_p99_ms: f64,
     /// Read-throughput speedup versus the 1-rack point.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 /// Outcome of the rack-failure drill at cluster scale.
 #[derive(Clone, Debug)]
-pub struct ClusterDrillSummary {
+pub(crate) struct ClusterDrillSummary {
     /// Rack count the drill ran at.
-    pub racks: usize,
+    pub(crate) racks: usize,
     /// Files the workload ingested before the failure.
-    pub files_written: usize,
-    /// Guardian MV copies shipped before the failure.
-    pub mv_guardian_copies: usize,
+    pub(crate) files_written: usize,
     /// The drill report (recovery time, loss, bytes moved).
-    pub drill: DrillReport,
+    pub(crate) drill: DrillReport,
 }
 
 /// The multi-tenant mixed op workload (Fig. 7 mix: 70% reads over a
@@ -125,7 +123,7 @@ fn run_point(racks: usize, ops: usize) -> Result<PhaseRates, BenchError> {
 
 /// Runs the scale-out sweep over `rack_counts`, each replaying the same
 /// `ops`-operation mix. The first entry is the speedup baseline.
-pub fn cluster_scaleout(
+pub(crate) fn cluster_scaleout(
     rack_counts: &[usize],
     ops: usize,
 ) -> Result<Vec<ClusterScalePoint>, BenchError> {
@@ -154,7 +152,10 @@ pub fn cluster_scaleout(
 
 /// Ingests the mix on `racks` racks, replicates MV snapshots, fails one
 /// rack and runs the re-replication drill.
-pub fn cluster_failure_drill(racks: usize, ops: usize) -> Result<ClusterDrillSummary, BenchError> {
+pub(crate) fn cluster_failure_drill(
+    racks: usize,
+    ops: usize,
+) -> Result<ClusterDrillSummary, BenchError> {
     let err = |detail: String| BenchError {
         context: "cluster_failure_drill",
         detail,
@@ -170,7 +171,7 @@ pub fn cluster_failure_drill(racks: usize, ops: usize) -> Result<ClusterDrillSum
             files_written += 1;
         }
     }
-    let mv = cluster
+    cluster
         .replicate_mv_snapshots(true)
         .map_err(|e| err(format!("MV replication: {e}")))?;
     // Fail the busiest surviving candidate deterministically: rack 1 (a
@@ -185,7 +186,6 @@ pub fn cluster_failure_drill(racks: usize, ops: usize) -> Result<ClusterDrillSum
     Ok(ClusterDrillSummary {
         racks,
         files_written,
-        mv_guardian_copies: mv.guardian_copies,
         drill,
     })
 }
@@ -209,7 +209,6 @@ mod tests {
         assert_eq!(summary.drill.files_lost, 0);
         assert_eq!(summary.drill.files_verified, summary.drill.files_recovered);
         assert!(summary.files_written > 0);
-        assert!(summary.mv_guardian_copies > 0);
         assert!(summary.drill.recovery_time.as_nanos() > 0);
     }
 }

@@ -44,18 +44,18 @@ fn err(detail: String) -> BenchError {
 
 /// One defence configuration of the sweep.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct CellSpec {
+pub(crate) struct CellSpec {
     /// Run the sampled audit every N epochs; 0 disables auditing.
-    pub audit_every_epochs: u32,
+    pub(crate) audit_every_epochs: u32,
     /// Racks per archive group.
-    pub replication: usize,
+    pub(crate) replication: usize,
     /// Disc-array parity schema.
-    pub redundancy: Redundancy,
+    pub(crate) redundancy: Redundancy,
 }
 
 impl CellSpec {
     /// Stable cell name used as the JSON key: `scrub{N}_r{R}_raid{K}`.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         let raid = match self.redundancy {
             Redundancy::None => "raid0",
             Redundancy::Raid5 => "raid5",
@@ -70,27 +70,27 @@ impl CellSpec {
 
 /// Shape of one durability campaign.
 #[derive(Clone, Debug)]
-pub struct DurabilityConfig {
+pub(crate) struct DurabilityConfig {
     /// Member racks in the federation.
-    pub racks: usize,
+    pub(crate) racks: usize,
     /// Simulated epochs (one epoch = one simulated month here; the
     /// aging acceleration knob compresses decades into the horizon).
-    pub epochs: u32,
+    pub(crate) epochs: u32,
     /// Files ingested before the campaign starts.
-    pub files: usize,
+    pub(crate) files: usize,
     /// Bytes per file.
-    pub file_bytes: usize,
+    pub(crate) file_bytes: usize,
     /// Images the audit samples per pass, per rack.
-    pub audit_sample: usize,
+    pub(crate) audit_sample: usize,
     /// Seed for the cluster, the workload payloads and the aging plan.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The defence configurations to sweep.
-    pub cells: Vec<CellSpec>,
+    pub(crate) cells: Vec<CellSpec>,
 }
 
 impl DurabilityConfig {
     /// CI smoke: two well-defended cells, few epochs, seconds-scale.
-    pub fn smoke() -> Self {
+    pub(crate) fn smoke() -> Self {
         DurabilityConfig {
             racks: 2,
             epochs: 6,
@@ -114,7 +114,7 @@ impl DurabilityConfig {
     }
 
     /// The full sweep: scrub cadence × replication × EC width.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         let mut cells = Vec::new();
         for audit_every_epochs in [1u32, 4, 0] {
             for replication in [1usize, 2] {
@@ -141,7 +141,7 @@ impl DurabilityConfig {
     /// The operating point the campaign recommends (most defended:
     /// audit every epoch, replication 2, RAID-6); the gates require
     /// zero loss here.
-    pub fn recommended(&self) -> CellSpec {
+    pub(crate) fn recommended(&self) -> CellSpec {
         CellSpec {
             audit_every_epochs: 1,
             replication: 2.min(self.racks),
@@ -152,17 +152,17 @@ impl DurabilityConfig {
 
 /// Outcome of one cell of the sweep: a view of its campaign.
 #[derive(Clone, Debug, Default)]
-pub struct CellReport {
+pub(crate) struct CellReport {
     /// What the campaign observed. Its failed reads are the cell's
     /// mid-campaign read errors: data beyond local redundancy with no
     /// replica surfaces as an error, never as bad data.
-    pub outcome: Outcome,
+    pub(crate) outcome: Outcome,
     /// First epoch at which a final-sweep-lost file's read first
     /// failed, if any loss occurred.
-    pub first_loss_epoch: Option<u32>,
+    pub(crate) first_loss_epoch: Option<u32>,
     /// Durability nines achieved: `-log10(bytes_lost / bytes_total)`,
     /// capped at 12.0 when nothing was lost.
-    pub nines: f64,
+    pub(crate) nines: f64,
 }
 
 /// A cell's JSON row: flat and in this field order, so the sweep's JSON
@@ -190,26 +190,26 @@ impl Serialize for CellReport {
 
 /// The whole campaign: one report per cell, keyed by cell name.
 #[derive(Clone, Debug, Default, Serialize)]
-pub struct DurabilityReport {
+pub(crate) struct DurabilityReport {
     /// Racks per federation.
-    pub racks: usize,
+    pub(crate) racks: usize,
     /// Epochs simulated.
-    pub epochs: u32,
+    pub(crate) epochs: u32,
     /// Files ingested per cell.
-    pub files: usize,
+    pub(crate) files: usize,
     /// Total payload bytes per cell.
-    pub bytes_total: u64,
+    pub(crate) bytes_total: u64,
     /// Seed driving the whole campaign.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Aging events in the shared plan.
-    pub aging_events: usize,
+    pub(crate) aging_events: usize,
     /// Per-cell outcomes in sweep order: `(cell name, report)`.
-    pub cells: Vec<(String, CellReport)>,
+    pub(crate) cells: Vec<(String, CellReport)>,
 }
 
 impl DurabilityReport {
     /// Deterministic JSON rendering (struct order, sweep-ordered cells).
-    pub fn to_json(&self) -> Result<String, BenchError> {
+    pub(crate) fn to_json(&self) -> Result<String, BenchError> {
         serde_json::to_string_pretty(self).map_err(|e| err(e.to_string()))
     }
 }
@@ -302,7 +302,7 @@ fn run_cell(
 }
 
 /// Runs the whole sweep once.
-pub fn run_durability(cfg: &DurabilityConfig) -> Result<DurabilityReport, BenchError> {
+pub(crate) fn run_durability(cfg: &DurabilityConfig) -> Result<DurabilityReport, BenchError> {
     let mut plan = aging_plan(cfg);
     let mut cells = Vec::with_capacity(cfg.cells.len());
     for cell in &cfg.cells {
@@ -359,7 +359,9 @@ fn gate(cfg: &DurabilityConfig, report: &DurabilityReport) -> Result<(), BenchEr
 
 /// Runs the sweep twice from the same seed, checks the two JSON
 /// renderings are byte-identical, and enforces the gates.
-pub fn run_durability_checked(cfg: &DurabilityConfig) -> Result<DurabilityReport, BenchError> {
+pub(crate) fn run_durability_checked(
+    cfg: &DurabilityConfig,
+) -> Result<DurabilityReport, BenchError> {
     let report = run_durability(cfg)?;
     if report.to_json()? != run_durability(cfg)?.to_json()? {
         return Err(err(

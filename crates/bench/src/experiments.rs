@@ -14,9 +14,9 @@ use ros_tco::{RackPower, RackState, TcoModel};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BenchError {
     /// The failing experiment step.
-    pub context: &'static str,
+    pub(crate) context: &'static str,
     /// Underlying error text.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl BenchError {
@@ -48,7 +48,7 @@ impl std::error::Error for BenchError {}
 /// Extracts the pure data-access latency from an operation trace — the
 /// quantity Table 1 reports (device time and mechanical time, without
 /// the per-op FUSE overheads of Figure 7).
-pub fn data_access_latency(trace: &OpTrace) -> SimDuration {
+pub(crate) fn data_access_latency(trace: &OpTrace) -> SimDuration {
     let op_overhead = ros_olfs::params::internal_op_overhead();
     let steps: SimDuration = trace
         .steps
@@ -438,7 +438,10 @@ pub fn power() -> (f64, f64) {
 /// from `discs` partially-filled 100 GB MV snapshot discs using the
 /// prototype's 24 drives (paper: "ROS took half an hour to recover MV
 /// from 120 discs").
-pub fn mv_recovery_model(discs: u32, bytes_per_disc: u64) -> Result<SimDuration, BenchError> {
+pub(crate) fn mv_recovery_model(
+    discs: u32,
+    bytes_per_disc: u64,
+) -> Result<SimDuration, BenchError> {
     let e = BenchError::wrap("mv_recovery");
     let layout = RackLayout::default();
     let bays = 2usize;
@@ -477,7 +480,7 @@ pub fn ablation_volumes() -> Result<(f64, f64), BenchError> {
     let e = BenchError::wrap("ablation_volumes");
     // Crammed: all four streams share one volume.
     let mut vm = VolumeManager::new();
-    let a = vm.add_volume("only", RaidArray::prototype_data());
+    let a = vm.add_volume(RaidArray::prototype_data());
     for kind in [
         StreamKind::UserWrite,
         StreamKind::ParityRead,
@@ -490,8 +493,8 @@ pub fn ablation_volumes() -> Result<(f64, f64), BenchError> {
         + 2.0 * vm.effective_read_bandwidth(a).map_err(e)?.mb_per_sec();
     // Spread: writes on volume A, reads on volume B (2 streams each).
     let mut vm = VolumeManager::new();
-    let a = vm.add_volume("writes", RaidArray::prototype_data());
-    let b = vm.add_volume("reads", RaidArray::prototype_data());
+    let a = vm.add_volume(RaidArray::prototype_data());
+    let b = vm.add_volume(RaidArray::prototype_data());
     vm.open_stream(a, StreamKind::UserWrite).map_err(e)?;
     vm.open_stream(a, StreamKind::ParityWrite).map_err(e)?;
     vm.open_stream(b, StreamKind::ParityRead).map_err(e)?;
@@ -551,15 +554,15 @@ pub struct CapacityReport {
     /// 10GbE payload bandwidth, MB/s.
     pub network_mbps: f64,
     /// samba+OLFS client write throughput, MB/s (Figure 6).
-    pub samba_write_mbps: f64,
+    pub(crate) samba_write_mbps: f64,
     /// Direct-mode client write throughput, MB/s (§4.8 bypass).
-    pub direct_write_mbps: f64,
+    pub(crate) direct_write_mbps: f64,
     /// Sustained drain with 100 GB media (prototype), MB/s of user data.
     pub drain_bd100_mbps: f64,
     /// Sustained drain with 25 GB media, MB/s of user data.
     pub drain_bd25_mbps: f64,
     /// Disk-buffer capacity, TB.
-    pub buffer_tb: f64,
+    pub(crate) buffer_tb: f64,
     /// Hours the prototype can absorb direct-mode ingest above the
     /// BD100 drain rate before the buffer fills.
     pub burst_hours: f64,

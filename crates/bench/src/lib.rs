@@ -1,6 +1,6 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each function in [`experiments`] builds the scenario behind one table
+//! Each function in `experiments` builds the scenario behind one table
 //! or figure of §5 (or a quantitative claim from §2/§4), runs it through
 //! the actual system models, and returns structured results. The `repro`
 //! binary renders them in the paper's layout, and
@@ -28,14 +28,13 @@
     )
 )]
 
-pub mod campaign;
-pub mod cas;
-pub mod chaos;
-pub mod cluster;
-pub mod durability;
-pub mod experiments;
+pub(crate) mod campaign;
+pub(crate) mod cas;
+pub(crate) mod chaos;
+pub(crate) mod cluster;
+pub(crate) mod durability;
+pub(crate) mod experiments;
 pub mod model;
 pub mod render;
 
-pub use cluster::*;
 pub use experiments::*;

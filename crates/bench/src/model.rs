@@ -57,11 +57,11 @@ pub enum Verdict {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Sweep {
     /// Paths whose newest version read back exact.
-    pub verified: usize,
+    pub(crate) verified: usize,
     /// `"{path}: {why}"` for every other path, in path order.
     pub lost: Vec<String>,
     /// Acked bytes of the lost paths' newest versions.
-    pub bytes_lost: u64,
+    pub(crate) bytes_lost: u64,
 }
 
 /// Path → ring of acked versions, plus the directories made so far.

@@ -2,7 +2,6 @@
 
 use crate::cluster::{cluster_failure_drill, cluster_scaleout};
 use crate::experiments::*;
-use ros_sim::Bandwidth;
 
 fn hr(title: &str) -> String {
     format!(
@@ -310,7 +309,7 @@ pub fn render_ablations() -> Result<String, BenchError> {
 /// Renders the cluster scale-out sweep and failure drill at the given
 /// scales (`rack_counts` for the sweep, `drill_racks` for the drill,
 /// `ops` mixed operations per point).
-pub fn render_cluster_at(
+pub(crate) fn render_cluster_at(
     rack_counts: &[usize],
     drill_racks: usize,
     ops: usize,
@@ -563,11 +562,6 @@ pub fn render_all() -> Result<String, BenchError> {
         render_cluster()?,
     ]
     .join(""))
-}
-
-/// Renders the throughput of a bandwidth value (helper for binaries).
-pub fn fmt_bw(b: Bandwidth) -> String {
-    format!("{:.1} MB/s", b.mb_per_sec())
 }
 
 /// Machine-readable JSON of every experiment (for CI dashboards).

@@ -241,13 +241,10 @@ impl Digest {
         Digest(bytes)
     }
 
-    /// The raw digest bytes.
-    pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
-    }
-
-    /// Serial content digest of a payload (single-threaded plane).
-    pub fn of(data: &[u8]) -> Self {
+    /// Serial content digest of a payload (single-threaded plane), for
+    /// tests.
+    #[cfg(test)]
+    pub(crate) fn of(data: &[u8]) -> Self {
         content_digest(data, &DataPlane::single())
     }
 
@@ -263,7 +260,7 @@ impl Digest {
     }
 
     /// First 8 hex characters — a human-scale fingerprint for logs.
-    pub fn short(&self) -> String {
+    pub(crate) fn short(&self) -> String {
         let mut s = self.to_hex();
         s.truncate(8);
         s

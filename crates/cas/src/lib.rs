@@ -5,7 +5,7 @@
 //! This crate gives every payload the stable name that makes that
 //! concrete and deterministic:
 //!
-//! - [`digest`]: an in-crate, std-only SHA-256 (FIPS 180-4 test
+//! - `digest`: an in-crate, std-only SHA-256 (FIPS 180-4 test
 //!   vectors) and the chunked [`content_digests`] scheme — one payload
 //!   or many — that fans out over the [`ros_disk::plane::DataPlane`]
 //!   while staying byte-identical at any thread count and lane width.
@@ -15,7 +15,7 @@
 //!   and lacks the SHA extensions, eight; and where the CPU has the SHA
 //!   extensions, every message no sixteen-lane group takes, through
 //!   them, leaf by leaf;
-//! - [`verified`]: the [`verify_payload`] / [`verify_payloads`] entry
+//! - `verified`: the [`verify_payload`] / [`verify_payloads`] entry
 //!   point every integrity check routes through, and the [`Verified`]
 //!   proof it returns — bytes plus the digest they were shown to hash
 //!   to — so a payload checked once is never hashed again downstream —
@@ -51,11 +51,11 @@
     )
 )]
 
-pub mod digest;
+pub(crate) mod digest;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod lanes;
-pub mod verified;
+pub(crate) mod verified;
 
 pub use digest::{content_digest, content_digests, sha256, Digest, CHUNK_BYTES};
 pub use verified::{verify_payload, verify_payloads, CasError, Verified};

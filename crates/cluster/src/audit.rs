@@ -31,7 +31,7 @@ pub struct ClusterAuditReport {
     /// Images digest-verified across all alive racks.
     pub sampled: usize,
     /// Sampled images whose bytes matched their recorded digest.
-    pub verified: usize,
+    pub(crate) verified: usize,
     /// Sampled images with latent rot (digest mismatch, no I/O error).
     pub rotted: usize,
     /// Rotted images healed locally from disc-array parity.
@@ -43,7 +43,7 @@ pub struct ClusterAuditReport {
     /// or whose rewrite from a replica did not read back exact.
     pub lost: Vec<String>,
     /// Cluster time the sweep consumed (makespan across racks).
-    pub elapsed: SimDuration,
+    pub(crate) elapsed: SimDuration,
 }
 
 impl Cluster {
@@ -240,7 +240,11 @@ mod tests {
                 let blank = ros_olfs::MvSource::Volume(ros_olfs::mv::MetadataVolume::default());
                 c.racks[0].ros_mut().recover(blank).unwrap();
                 assert!(c.racks[0].ros().paths_of_image(image).is_empty());
-                c.recover_mv_via_guardian(0).unwrap();
+                let (mv, _guardian) = c.recover_namespace(0).unwrap();
+                c.racks[0]
+                    .ros_mut()
+                    .recover(ros_olfs::MvSource::Volume(mv))
+                    .unwrap();
                 assert!(c.racks[0].ros().paths_of_image(image).contains(&path));
             }
             // Rot *every* burned disc on rack 0 and drop its lingering
@@ -273,7 +277,7 @@ mod tests {
             .map(|(path, data)| (path, data.iter().map(|b| b ^ 0xff).collect()))
             .collect();
         for (path, data) in &files {
-            assert_eq!(c.write_file(path, data.clone()).unwrap().version, 2);
+            c.write_file(path, data.clone()).unwrap();
         }
         c.archive_all(SimDuration::from_secs(86_400)).unwrap();
         for rack in &mut c.racks {

@@ -12,19 +12,19 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ClusterConfig {
     /// Number of member racks.
-    pub racks: usize,
+    pub(crate) racks: usize,
     /// Data replication factor: how many racks hold each archive group.
     /// At 2 or more, whole-rack failure loses no data.
     pub replication: usize,
     /// How many *other* racks hold a guardian copy of each rack's MV
     /// snapshot text (the §4.2 snapshot shipped cross-rack). 0 disables
     /// cross-rack MV guardianship.
-    pub mv_guardians: usize,
+    pub(crate) mv_guardians: usize,
     /// Template configuration for every member rack; `rack_id` and
     /// `seed` are overridden per member.
     pub rack: RosConfig,
     /// Cluster-level RNG seed; member rack seeds are derived from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl ClusterConfig {
@@ -41,7 +41,7 @@ impl ClusterConfig {
     }
 
     /// Validates internal consistency (including the rack template).
-    pub fn validate(&self) -> Result<(), ClusterError> {
+    pub(crate) fn validate(&self) -> Result<(), ClusterError> {
         if self.racks == 0 {
             return Err(ClusterError::Config("need at least one rack".into()));
         }
@@ -69,7 +69,7 @@ impl ClusterConfig {
 
     /// The `RosConfig` for member rack `id`: template plus per-member
     /// identity and a decorrelated seed.
-    pub fn rack_config(&self, id: u32) -> RosConfig {
+    pub(crate) fn rack_config(&self, id: u32) -> RosConfig {
         let mut cfg = self.rack.clone();
         cfg.rack_id = id;
         cfg.seed = self

@@ -309,7 +309,6 @@ mod tests {
         assert!(report.groups_degraded > 0);
         // Data still serves from the survivor.
         let r = c.read_file(&p("/load/g0/f0")).unwrap();
-        assert_eq!(r.rack, 0);
         assert_eq!(r.data.len(), 1024);
     }
 }

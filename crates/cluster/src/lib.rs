@@ -7,17 +7,17 @@
 //! own mech/drive/disk stack and event clock — behind one namespace-less
 //! router:
 //!
-//! - [`placement`]: deterministic rendezvous (highest-random-weight)
+//! - `placement`: deterministic rendezvous (highest-random-weight)
 //!   hashing of *archive groups* (a file's parent directory) onto racks,
 //!   filtered by per-rack remaining capacity;
-//! - [`router`]: the [`Cluster`] front end — replicated writes, primary
+//! - `router`: the [`Cluster`] front end — replicated writes, primary
 //!   reads with replica fallback, per-rack and cluster-wide
 //!   latency/throughput via `ros_sim::stats`;
-//! - [`replication`]: cross-rack guardianship of each rack's Metadata
+//! - `replication`: cross-rack guardianship of each rack's Metadata
 //!   Volume snapshot (the §4.2 snapshot text shipped to other racks), so
 //!   a rack can lose its MV — or its entire hardware — without losing
 //!   the namespace;
-//! - [`failure`]: the rack-failure drill — fail a rack, re-replicate its
+//! - `failure`: the rack-failure drill — fail a rack, re-replicate its
 //!   groups from survivors, and report recovery time and data loss
 //!   (zero at replication ≥ 2).
 //!
@@ -46,16 +46,16 @@
     )
 )]
 
-pub mod audit;
-pub mod config;
-pub mod error;
-pub mod failure;
-pub mod placement;
-pub mod rack;
-pub mod replication;
-pub mod router;
-pub mod stats;
-pub mod supervise;
+pub(crate) mod audit;
+pub(crate) mod config;
+pub(crate) mod error;
+pub(crate) mod failure;
+pub(crate) mod placement;
+pub(crate) mod rack;
+pub(crate) mod replication;
+pub(crate) mod router;
+pub(crate) mod stats;
+pub(crate) mod supervise;
 
 pub use audit::ClusterAuditReport;
 pub use config::ClusterConfig;
@@ -65,4 +65,4 @@ pub use placement::RackId;
 pub use rack::RackNode;
 pub use replication::MvReplicationReport;
 pub use router::{Cluster, ClusterReadReport, ClusterWriteReport};
-pub use stats::{ClusterReport, RackLoadSummary};
+pub use stats::ClusterReport;

@@ -30,14 +30,14 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// The rendezvous score of `(key, rack)`.
-pub fn score(key: &str, rack: RackId) -> u64 {
+pub(crate) fn score(key: &str, rack: RackId) -> u64 {
     // FNV-1a over the group key is the stable half of the pair hash.
     mix(ros_sim::fnv1a(key.as_bytes()) ^ mix(u64::from(rack.0).wrapping_add(0x5EED)))
 }
 
 /// Ranks `candidates` for `key` in descending rendezvous-score order
 /// (ties broken by id, though 64-bit ties are essentially impossible).
-pub fn rank(key: &str, candidates: &[RackId]) -> Vec<RackId> {
+pub(crate) fn rank(key: &str, candidates: &[RackId]) -> Vec<RackId> {
     let mut scored: Vec<(u64, RackId)> = candidates.iter().map(|&r| (score(key, r), r)).collect();
     scored.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     scored.into_iter().map(|(_, r)| r).collect()
@@ -48,7 +48,7 @@ pub fn rank(key: &str, candidates: &[RackId]) -> Vec<RackId> {
 /// capacity cannot hold the group. `candidates` pairs each rack with its
 /// free bytes. Returns fewer than `replication` racks only when capacity
 /// or membership runs out.
-pub fn select_targets(
+pub(crate) fn select_targets(
     key: &str,
     candidates: &[(RackId, u64)],
     size: u64,

@@ -31,7 +31,7 @@ pub struct RackNode {
 impl RackNode {
     /// Builds member `id` from the cluster configuration; an invalid
     /// rack template is a typed error.
-    pub fn try_new(cfg: &ClusterConfig, id: RackId) -> Result<Self, ClusterError> {
+    pub(crate) fn try_new(cfg: &ClusterConfig, id: RackId) -> Result<Self, ClusterError> {
         let rack_cfg = cfg.rack_config(id.0);
         let usable_capacity = rack_cfg.usable_capacity();
         let ros = Ros::try_new(rack_cfg)
@@ -48,11 +48,6 @@ impl RackNode {
             bytes_read: 0,
             bytes_written: 0,
         })
-    }
-
-    /// Current service-time scale in percent (100 = nominal).
-    pub fn slowdown_pct(&self) -> u32 {
-        self.slowdown_pct
     }
 
     /// Sets the service-time scale in percent; values below 1 clamp to 1.
@@ -86,7 +81,7 @@ impl RackNode {
     }
 
     /// The rack's local simulated clock.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.ros.now()
     }
 
@@ -94,12 +89,12 @@ impl RackNode {
     /// tracked exactly; image headers and parity overhead beyond the
     /// schema's share are not, so this is the planning estimate the
     /// placement filter uses, not an admission guarantee.
-    pub fn free_bytes(&self) -> u64 {
+    pub(crate) fn free_bytes(&self) -> u64 {
         self.usable_capacity.saturating_sub(self.bytes_stored)
     }
 
     /// Bytes of user payload routed to this rack.
-    pub fn bytes_stored(&self) -> u64 {
+    pub(crate) fn bytes_stored(&self) -> u64 {
         self.bytes_stored
     }
 
@@ -113,7 +108,7 @@ impl RackNode {
     }
 
     /// The wrapped OLFS engine, mutably.
-    pub fn ros_mut(&mut self) -> &mut Ros {
+    pub(crate) fn ros_mut(&mut self) -> &mut Ros {
         &mut self.ros
     }
 

@@ -18,7 +18,6 @@ use crate::placement::{self, RackId};
 use crate::router::Cluster;
 use bytes::Bytes;
 use ros_olfs::mv::MetadataVolume;
-use ros_olfs::recovery::MvSource;
 use ros_sim::SimDuration;
 use ros_udf::UdfPath;
 use serde::{Deserialize, Serialize};
@@ -26,24 +25,24 @@ use serde::{Deserialize, Serialize};
 /// Name of the directory under the root of each guardian rack holding
 /// foreign MV snapshot copies. Lives outside user namespaces, like the
 /// rack-local `/.mv-snapshots`.
-pub const MV_REPLICA_DIR: &str = ".mv-replicas";
+pub(crate) const MV_REPLICA_DIR: &str = ".mv-replicas";
 
 /// Outcome of one cluster-wide MV replication round.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MvReplicationReport {
     /// Sequence number of this round (monotonic per cluster).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Racks whose namespace was snapshotted this round.
-    pub snapshots: usize,
+    pub(crate) snapshots: usize,
     /// Guardian copies written cluster-wide this round.
-    pub guardian_copies: usize,
+    pub(crate) guardian_copies: usize,
     /// MV snapshot parts burned locally (sum over racks), when local
     /// burning was requested.
-    pub local_parts: usize,
+    pub(crate) local_parts: usize,
     /// Snapshot text bytes shipped cross-rack this round.
-    pub bytes_shipped: u64,
+    pub(crate) bytes_shipped: u64,
     /// Cluster makespan of the round.
-    pub elapsed: SimDuration,
+    pub(crate) elapsed: SimDuration,
 }
 
 impl Cluster {
@@ -125,7 +124,7 @@ impl Cluster {
     ///
     /// Works whether or not `owner` is alive — this is the read path the
     /// failure drill uses to audit what a dead rack held.
-    pub fn recover_namespace(
+    pub(crate) fn recover_namespace(
         &mut self,
         owner: u32,
     ) -> Result<(MetadataVolume, RackId), ClusterError> {
@@ -150,33 +149,13 @@ impl Cluster {
         }
         Err(ClusterError::NoGuardianSnapshot(owner))
     }
-
-    /// Recovers rack `rack` from MV loss (server metadata gone, rack and
-    /// media intact): reads the guardian snapshot and adopts it as the
-    /// rack's namespace. Returns the restored file count and the cluster
-    /// time the recovery took.
-    pub fn recover_mv_via_guardian(
-        &mut self,
-        rack: u32,
-    ) -> Result<(usize, SimDuration), ClusterError> {
-        let idx = self.rack_index(rack)?;
-        if !self.racks[idx].is_alive() {
-            return Err(ClusterError::RackDown(rack));
-        }
-        let start = self.now();
-        let (mv, _guardian) = self.recover_namespace(rack)?;
-        let report = self.racks[idx]
-            .ros_mut()
-            .recover(MvSource::Volume(mv))
-            .map_err(ClusterError::on(rack))?;
-        Ok((report.files_recovered, self.elapsed_since(start)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use ros_olfs::recovery::MvSource;
 
     fn p(s: &str) -> UdfPath {
         s.parse().unwrap()
@@ -223,9 +202,12 @@ mod tests {
             .ros_mut()
             .recover(MvSource::Volume(blank))
             .unwrap();
-        let (files, elapsed) = c.recover_mv_via_guardian(owner).unwrap();
-        assert!(files >= 1);
-        let _ = elapsed;
+        let (mv, _guardian) = c.recover_namespace(owner).unwrap();
+        let report = c.racks[owner as usize]
+            .ros_mut()
+            .recover(MvSource::Volume(mv))
+            .unwrap();
+        assert!(report.files_recovered >= 1);
         let r = c.read_file(&p("/keep/f")).unwrap();
         assert_eq!(r.data.as_ref(), &[9u8; 512][..]);
     }

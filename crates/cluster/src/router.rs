@@ -13,7 +13,6 @@ use crate::error::ClusterError;
 use crate::placement::{self, RackId};
 use crate::rack::RackNode;
 use bytes::Bytes;
-use ros_olfs::maintenance::SystemStatus;
 use ros_olfs::{OlfsError, Ros};
 use ros_sim::{SimDuration, SimTime};
 use ros_udf::UdfPath;
@@ -37,8 +36,6 @@ pub struct ClusterWriteReport {
     /// Completion latency: replicas are written in parallel, so this is
     /// the slowest replica's write latency.
     pub latency: SimDuration,
-    /// File version assigned by the primary rack.
-    pub version: u32,
 }
 
 /// Result of a cluster read.
@@ -46,8 +43,6 @@ pub struct ClusterWriteReport {
 pub struct ClusterReadReport {
     /// The file contents.
     pub data: Bytes,
-    /// The rack that served the read.
-    pub rack: u32,
     /// The serving rack's read latency.
     pub latency: SimDuration,
     /// Replicas that failed before one answered (0 = primary served).
@@ -123,7 +118,7 @@ impl Cluster {
     }
 
     /// Alive member count.
-    pub fn alive_racks(&self) -> usize {
+    pub(crate) fn alive_racks(&self) -> usize {
         self.racks.iter().filter(|r| r.is_alive()).count()
     }
 
@@ -138,7 +133,7 @@ impl Cluster {
     /// The placement group key of a path: its parent directory, so
     /// sibling files co-locate on the same racks (they pack into the
     /// same buckets and disc arrays inside the rack, §4.3).
-    pub fn group_key(path: &UdfPath) -> UdfPath {
+    pub(crate) fn group_key(path: &UdfPath) -> UdfPath {
         path.parent().unwrap_or_else(UdfPath::root)
     }
 
@@ -186,7 +181,6 @@ impl Cluster {
         // a rack are durable, and the group map must learn about them
         // or subsequent reads would miss data the cluster is holding.
         let mut latency = SimDuration::ZERO;
-        let mut version = None;
         let mut completed: Vec<RackId> = Vec::new();
         let mut failure: Option<(u32, OlfsError)> = None;
         for rid in &targets {
@@ -199,7 +193,6 @@ impl Cluster {
                     rack.bytes_written = rack.bytes_written.saturating_add(size);
                     rack.note_stored(size);
                     latency = latency.max(lat);
-                    version.get_or_insert(report.version);
                     completed.push(*rid);
                 }
                 Err(source) => {
@@ -231,7 +224,6 @@ impl Cluster {
             None => Ok(ClusterWriteReport {
                 racks: completed.into_iter().map(|r| r.0).collect(),
                 latency,
-                version: version.unwrap_or(0),
             }),
             Some((failed, source)) if completed.is_empty() => Err(ClusterError::Rack {
                 rack: failed,
@@ -307,7 +299,6 @@ impl Cluster {
         rack.bytes_read = rack.bytes_read.saturating_add(report.data.len() as u64);
         Ok(ClusterReadReport {
             data: report.data,
-            rack: rack.id().0,
             latency: lat,
             fallbacks: tried.len(),
         })
@@ -340,7 +331,7 @@ impl Cluster {
 
     /// Advances every alive rack to the current cluster time, aligning
     /// member clocks (e.g. between workload phases).
-    pub fn sync_clocks(&mut self) {
+    pub(crate) fn sync_clocks(&mut self) {
         let deadline = self.now();
         for rack in self.racks.iter_mut().filter(|r| r.is_alive()) {
             rack.ros_mut().run_until(deadline);
@@ -356,11 +347,6 @@ impl Cluster {
         for rack in &mut self.racks {
             rack.reset_stats();
         }
-    }
-
-    /// Per-rack status summaries, attributable via `SystemStatus::rack_id`.
-    pub fn status(&self) -> Vec<SystemStatus> {
-        self.racks.iter().map(|r| r.ros().status()).collect()
     }
 
     /// Number of placement groups tracked by the router.
@@ -390,7 +376,6 @@ mod tests {
         let r = c.read_file(&p("/a/f1")).unwrap();
         assert_eq!(r.data.as_ref(), &[7u8; 2048][..]);
         assert_eq!(r.fallbacks, 0, "primary serves");
-        assert_eq!(r.rack, w.racks[0]);
     }
 
     #[test]
@@ -489,7 +474,7 @@ mod tests {
         // The durable replica must be readable despite the failure.
         let r = c.read_file(&p("/d/second")).unwrap();
         assert_eq!(r.data.as_ref(), &[2u8; 512][..]);
-        assert_eq!(r.rack, targets[0]);
+        assert_eq!(r.fallbacks, 0, "the primary serves");
         // And the earlier group file is still served.
         assert!(c.read_file(&p("/d/first")).is_ok());
     }
@@ -524,8 +509,7 @@ mod tests {
         c.fail_rack(primary).unwrap();
         let r = c.read_file(&p("/d/first")).unwrap();
         assert_eq!(r.data.as_ref(), &[1u8; 512][..]);
-        assert_eq!(r.rack, secondary);
-        assert_eq!(r.fallbacks, 1);
+        assert_eq!(r.fallbacks, 1, "the secondary serves");
         // /d/second only ever reached the primary; its loss is reported
         // typed, not silently absorbed.
         assert!(matches!(
@@ -547,7 +531,7 @@ mod tests {
     #[test]
     fn status_is_attributable_per_rack() {
         let c = Cluster::new(ClusterConfig::tiny(3)).unwrap();
-        let ids: Vec<u32> = c.status().iter().map(|s| s.rack_id).collect();
+        let ids: Vec<u32> = c.racks.iter().map(|r| r.ros().status().rack_id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
 }

@@ -14,43 +14,43 @@ use serde::{Deserialize, Serialize};
 
 /// Per-rack load summary for one measurement epoch.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RackLoadSummary {
+pub(crate) struct RackLoadSummary {
     /// The rack's cluster identity.
-    pub rack_id: u32,
+    pub(crate) rack_id: u32,
     /// Whether the rack is serving requests.
-    pub alive: bool,
+    pub(crate) alive: bool,
     /// Reads served by this rack.
-    pub reads: usize,
+    pub(crate) reads: usize,
     /// Replica writes applied on this rack.
-    pub writes: usize,
+    pub(crate) writes: usize,
     /// Mean read latency on this rack.
-    pub read_mean: SimDuration,
+    pub(crate) read_mean: SimDuration,
     /// Mean per-replica write latency on this rack.
-    pub write_mean: SimDuration,
+    pub(crate) write_mean: SimDuration,
     /// Payload bytes read from this rack.
-    pub bytes_read: u64,
+    pub(crate) bytes_read: u64,
     /// Payload bytes written to this rack (per replica).
-    pub bytes_written: u64,
+    pub(crate) bytes_written: u64,
     /// Total payload bytes placed on this rack since creation.
-    pub bytes_stored: u64,
+    pub(crate) bytes_stored: u64,
 }
 
 /// Cluster-wide measurement report for one epoch.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ClusterReport {
     /// Per-rack breakdown, rack id order.
-    pub per_rack: Vec<RackLoadSummary>,
+    pub(crate) per_rack: Vec<RackLoadSummary>,
     /// All read latencies across racks (one sample per served read).
     pub read_latency: LatencyRecorder,
     /// All per-replica write latencies across racks.
-    pub write_latency: LatencyRecorder,
+    pub(crate) write_latency: LatencyRecorder,
     /// Cluster makespan of the epoch: furthest alive clock minus epoch
     /// start.
-    pub elapsed: SimDuration,
+    pub(crate) elapsed: SimDuration,
     /// Payload bytes read cluster-wide.
-    pub bytes_read: u64,
+    pub(crate) bytes_read: u64,
     /// Payload bytes written cluster-wide (counting each replica).
-    pub bytes_written: u64,
+    pub(crate) bytes_written: u64,
 }
 
 impl ClusterReport {
@@ -140,7 +140,7 @@ mod tests {
     fn empty_epoch_reports_zero_rates() {
         let c = Cluster::new(ClusterConfig::tiny(1)).unwrap();
         let rep = ClusterReport::collect(&c);
-        assert!(rep.read_throughput().is_zero());
-        assert!(rep.write_throughput().is_zero());
+        assert_eq!(rep.read_throughput(), Bandwidth::ZERO);
+        assert_eq!(rep.write_throughput(), Bandwidth::ZERO);
     }
 }

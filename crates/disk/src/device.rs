@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 /// The kind of block device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DeviceKind {
+pub(crate) enum DeviceKind {
     /// Rotational disk: high sequential throughput, milliseconds of seek.
     Hdd,
     /// Flash device: fast everywhere, used for the metadata volume.
@@ -15,24 +15,24 @@ pub enum DeviceKind {
 
 /// One block device.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BlockDevice {
+pub(crate) struct BlockDevice {
     /// Device kind.
-    pub kind: DeviceKind,
+    pub(crate) kind: DeviceKind,
     /// Usable capacity in bytes.
-    pub capacity: u64,
+    pub(crate) capacity: u64,
     /// Sequential read bandwidth.
-    pub seq_read: Bandwidth,
+    pub(crate) seq_read: Bandwidth,
     /// Sequential write bandwidth.
-    pub seq_write: Bandwidth,
+    pub(crate) seq_write: Bandwidth,
     /// Random access latency per I/O.
-    pub random_latency: SimDuration,
+    pub(crate) random_latency: SimDuration,
     /// Whether the device has failed.
-    pub failed: bool,
+    pub(crate) failed: bool,
 }
 
 impl BlockDevice {
     /// A prototype-class 4 TB HDD (§5.1).
-    pub fn hdd() -> Self {
+    pub(crate) fn hdd() -> Self {
         BlockDevice {
             kind: DeviceKind::Hdd,
             capacity: params::HDD_CAPACITY,
@@ -44,7 +44,7 @@ impl BlockDevice {
     }
 
     /// A prototype-class 240 GB SATA SSD (§5.1).
-    pub fn ssd() -> Self {
+    pub(crate) fn ssd() -> Self {
         BlockDevice {
             kind: DeviceKind::Ssd,
             capacity: params::SSD_CAPACITY,
@@ -55,18 +55,8 @@ impl BlockDevice {
         }
     }
 
-    /// Time to read `bytes` sequentially.
-    pub fn seq_read_time(&self, bytes: u64) -> SimDuration {
-        self.random_latency + self.seq_read.time_for(bytes)
-    }
-
-    /// Time to write `bytes` sequentially.
-    pub fn seq_write_time(&self, bytes: u64) -> SimDuration {
-        self.random_latency + self.seq_write.time_for(bytes)
-    }
-
     /// Time for one small random read of `bytes`.
-    pub fn random_read_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn random_read_time(&self, bytes: u64) -> SimDuration {
         self.random_latency + self.seq_read.time_for(bytes)
     }
 }
@@ -81,7 +71,7 @@ mod tests {
         assert_eq!(d.kind, DeviceKind::Hdd);
         assert!(d.seq_read.mb_per_sec() > 150.0);
         // 1 GB sequential read takes ~6 s.
-        let t = d.seq_read_time(1_000_000_000).as_secs_f64();
+        let t = d.seq_read.time_for(1_000_000_000).as_secs_f64();
         assert!((5.0..7.0).contains(&t), "t = {t}");
     }
 
@@ -92,11 +82,5 @@ mod tests {
         let hr = h.random_read_time(4096);
         let sr = s.random_read_time(4096);
         assert!(hr.as_secs_f64() / sr.as_secs_f64() > 50.0);
-    }
-
-    #[test]
-    fn write_includes_latency() {
-        let s = BlockDevice::ssd();
-        assert!(s.seq_write_time(0) == params::ssd_random_latency());
     }
 }

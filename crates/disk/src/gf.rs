@@ -5,18 +5,18 @@
 //! in GF(2^8). The scalar shift-and-add multiply ([`mul_const`]) pays ~8
 //! dependent iterations per byte; the kernels here avoid it:
 //!
-//! - **Q by Horner's rule** ([`horner_step`]) — `Q = Σ 2^i·D_i` is
+//! - **Q by Horner's rule** (`horner_step`) — `Q = Σ 2^i·D_i` is
 //!   `Q ← 2·Q ⊕ D_i` from the highest member down, so the only multiply
 //!   on a bulk path is by the generator 2, done eight bytes at a time on
-//!   `u64` lanes ([`mul2_lanes`]). Encode, recovery and verify all take
+//!   `u64` lanes (`mul2_lanes`). Encode, recovery and verify all take
 //!   this one step.
-//! - **log/exp tables** ([`GF_EXP`], [`GF_LOG`]) — one multiply is one
-//!   add of logs and one exp lookup; inversion is one subtraction.
-//! - **4-bit split multiply tables** ([`MulTable`]) — for a fixed
+//! - **log/exp tables** (`GF_EXP`, `GF_LOG`) — a power of 2 is one
+//!   exp lookup; inversion is one subtraction.
+//! - **4-bit split multiply tables** (`MulTable`) — for a fixed
 //!   constant `g`, `g·b` is two 16-entry lookups (low and high nibble)
 //!   and one XOR; a recovery builds one per scaling constant at call
 //!   time.
-//! - **word-sliced XOR** ([`xor_acc`]) — P parity moves 8 bytes per
+//! - **word-sliced XOR** (`xor_acc`) — P parity moves 8 bytes per
 //!   XOR through `u64` lanes instead of byte-at-a-time.
 //!
 //! [`mul_const`] is the one oracle: the exhaustive tests below prove the
@@ -29,10 +29,10 @@
 #![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
 
 /// The GF(2^8) reduction polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).
-pub const POLY: u16 = 0x11D;
+pub(crate) const POLY: u16 = 0x11D;
 
 /// The scalar reference multiply: bit-by-bit shift-and-add (carry-less,
-/// reduced by [`POLY`]). It builds the split tables below and is the one
+/// reduced by `POLY`). It builds the split tables below and is the one
 /// oracle every kernel is proven against.
 pub const fn mul_const(a: u8, b: u8) -> u8 {
     // `u16::from` is not const-callable, so these two casts widen
@@ -88,30 +88,14 @@ const LOG_EXP: ([u8; 512], [u8; 256]) = build_log_exp();
 
 /// `GF_EXP[i] = 2^i` for `i` in `0..512` (period 255: the RAID-6
 /// generator 2 is primitive, so the doubling walk repeats after 255).
-pub static GF_EXP: [u8; 512] = LOG_EXP.0;
+pub(crate) static GF_EXP: [u8; 512] = LOG_EXP.0;
 
 /// `GF_LOG[x] = log_2 x` for non-zero `x`; `GF_LOG[0]` is unused (0).
-pub static GF_LOG: [u8; 256] = LOG_EXP.1;
-
-/// Multiplies two field elements via the log/exp tables.
-///
-/// Bit-identical to [`mul_const`] for every input pair (proven
-/// exhaustively in the tests below).
-#[inline]
-#[expect(
-    clippy::arithmetic_side_effects,
-    reason = "each log is at most 254 so the sum is at most 508, inside GF_EXP's doubled 512 range"
-)]
-pub fn mul(a: u8, b: u8) -> u8 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    GF_EXP[usize::from(GF_LOG[usize::from(a)]) + usize::from(GF_LOG[usize::from(b)])]
-}
+pub(crate) static GF_LOG: [u8; 256] = LOG_EXP.1;
 
 /// Raises the RAID-6 generator 2 to the `n`-th power: one exp lookup.
 #[inline]
-pub fn pow2(n: usize) -> u8 {
+pub(crate) fn pow2(n: usize) -> u8 {
     GF_EXP[n % 255]
 }
 
@@ -126,7 +110,7 @@ pub fn pow2(n: usize) -> u8 {
     clippy::arithmetic_side_effects,
     reason = "a log is at most 254, so 255 minus it cannot underflow"
 )]
-pub fn inv(a: u8) -> u8 {
+pub(crate) fn inv(a: u8) -> u8 {
     assert!(a != 0, "zero has no multiplicative inverse in GF(2^8)");
     GF_EXP[255 - usize::from(GF_LOG[usize::from(a)])]
 }
@@ -135,14 +119,14 @@ pub fn inv(a: u8) -> u8 {
 /// `lo[b & 0xF] ^ hi[b >> 4]` — two 16-byte L1-resident lookups per
 /// byte instead of an 8-iteration shift-and-add loop.
 #[derive(Clone, Copy, Debug)]
-pub struct MulTable {
+pub(crate) struct MulTable {
     lo: [u8; 16],
     hi: [u8; 16],
 }
 
 impl MulTable {
     /// Builds the split tables for generator `g` (32 scalar multiplies).
-    pub const fn new(g: u8) -> MulTable {
+    pub(crate) const fn new(g: u8) -> MulTable {
         let mut lo = [0u8; 16];
         let mut hi = [0u8; 16];
         let mut x = 0u8;
@@ -162,13 +146,13 @@ impl MulTable {
 
     /// Multiplies one byte by this table's generator.
     #[inline]
-    pub fn mul(&self, b: u8) -> u8 {
+    pub(crate) fn mul(&self, b: u8) -> u8 {
         self.lo[usize::from(b & 0x0F)] ^ self.hi[usize::from(b >> 4)]
     }
 
     /// `buf[i] = g · buf[i]` — the reconstruction scaling kernel.
     #[inline]
-    pub fn mul_inplace(&self, buf: &mut [u8]) {
+    pub(crate) fn mul_inplace(&self, buf: &mut [u8]) {
         for b in buf.iter_mut() {
             *b = self.lo[usize::from(*b & 0x0F)] ^ self.hi[usize::from(*b >> 4)];
         }
@@ -187,7 +171,7 @@ const LANE_POLY: u64 = 0x1D1D_1D1D_1D1D_1D1D;
 /// an all-ones byte mask without a carry between lanes (H. Peter Anvin,
 /// "The mathematics of RAID-6"; Linux `lib/raid6/int.uc`).
 #[inline]
-pub fn mul2_lanes(x: u64) -> u64 {
+pub(crate) fn mul2_lanes(x: u64) -> u64 {
     let h = x & LANE_HIGH;
     ((x & !LANE_HIGH) << 1) ^ ((h << 1).wrapping_sub(h >> 7) & LANE_POLY)
 }
@@ -213,7 +197,7 @@ fn store(b: &mut [u8], w: u64) {
 /// [`mul2_lanes`]. `d` reads as zero-filled past its end, and `q` is
 /// still doubled there, because `2·q ⊕ 0` is not `q`: a member that is
 /// lost or shorter than the stripe must still take its step.
-pub fn horner_step(q: &mut [u8], d: &[u8]) {
+pub(crate) fn horner_step(q: &mut [u8], d: &[u8]) {
     let data = d.len().min(q.len());
     let words = data & !7;
     let (head, rest) = q.split_at_mut(words);
@@ -233,7 +217,7 @@ pub fn horner_step(q: &mut [u8], d: &[u8]) {
 
 /// `dst[i] ^= src[i]` over the common prefix, moving 8 bytes per XOR
 /// through `u64` lanes — the P-parity accumulation kernel.
-pub fn xor_acc(dst: &mut [u8], src: &[u8]) {
+pub(crate) fn xor_acc(dst: &mut [u8], src: &[u8]) {
     let n = if dst.len() < src.len() {
         dst.len()
     } else {
@@ -278,22 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn table_mul_matches_scalar_exhaustively() {
-        assert_eq!(mul(0, 77), 0);
-        assert_eq!(mul(1, 77), 77);
-        assert_eq!(mul(2, 0x80), 0x1D); // Overflow reduces by POLY.
-        for a in 0..=255u8 {
-            for b in 0..=255u8 {
-                assert_eq!(mul(a, b), mul_const(a, b), "a={a} b={b}");
-                assert_eq!(mul(a, b), mul(b, a), "a={a} b={b}");
-            }
-        }
-    }
-
-    #[test]
     fn gf_inverse_is_correct() {
         for a in 1..=255u8 {
-            assert_eq!(mul(a, inv(a)), 1, "a = {a}");
+            assert_eq!(mul_const(a, inv(a)), 1, "a = {a}");
             assert_eq!(inv(a), inv_fermat(a), "a = {a}");
         }
     }
@@ -316,7 +287,7 @@ mod tests {
         assert_eq!(pow2(8), 0x1D);
         assert_eq!(pow2(255), 1); // Generator order is 255.
         for a in 1..=255u8 {
-            assert_eq!(mul(a, inv(a)), 1, "a={a}");
+            assert_eq!(mul_const(a, inv(a)), 1, "a={a}");
         }
     }
 
@@ -331,7 +302,7 @@ mod tests {
         for g in 0..=255u8 {
             let t = MulTable::new(g);
             for b in 0..=255u8 {
-                assert_eq!(t.mul(b), mul(g, b), "g={g} b={b}");
+                assert_eq!(t.mul(b), mul_const(g, b), "g={g} b={b}");
             }
         }
     }

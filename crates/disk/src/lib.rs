@@ -8,7 +8,7 @@
 //!
 //! This crate provides:
 //!
-//! - [`device`]: HDD/SSD block-device timing models,
+//! - `device`: HDD/SSD block-device timing models,
 //! - [`gf`]: GF(2^8) kernels behind the parity hot path — Q by
 //!   Horner's rule on `u64` lanes, const log/exp tables, a 4-bit split
 //!   multiply table for a recovery's scaling pass, word-sliced XOR,
@@ -17,7 +17,7 @@
 //!   RAID arrays here and by OLFS's disc-array redundancy (§4.7),
 //! - [`plane`]: a deterministic data plane of parked worker threads for
 //!   real-bytes kernels — byte-identical results at any thread count,
-//! - [`raid`]: RAID-0/1/5/6 arrays with failure and rebuild modelling,
+//! - `raid`: the RAID-1/5 volume arrays with failure and rebuild modelling,
 //! - [`volume`]: the volume manager and the concurrent-stream
 //!   interference model that motivates ROS's multiple independent RAID
 //!   volumes (§4.7's four-stream discussion).
@@ -46,15 +46,14 @@
     )
 )]
 
-pub mod device;
+pub(crate) mod device;
 pub mod gf;
-pub mod params;
+pub(crate) mod params;
 pub mod parity;
 pub mod plane;
-pub mod raid;
+pub(crate) mod raid;
 pub mod volume;
 
-pub use device::{BlockDevice, DeviceKind};
 pub use plane::DataPlane;
-pub use raid::{RaidArray, RaidError, RaidLevel};
-pub use volume::{StreamId, StreamKind, VolumeId, VolumeManager};
+pub use raid::{RaidArray, RaidError};
+pub use volume::{StreamId, VolumeManager};

@@ -5,57 +5,57 @@ use ros_sim::{Bandwidth, SimDuration};
 /// HDD sequential read throughput. §3.3 quotes "almost 150MB/s"; the
 /// value is calibrated slightly higher so that a 7-disk RAID-5 reproduces
 /// the measured ext4 baseline of 1.2 GB/s (§5.3).
-pub fn hdd_seq_read() -> Bandwidth {
+pub(crate) fn hdd_seq_read() -> Bandwidth {
     Bandwidth::from_mb_per_sec(172.0)
 }
 
 /// HDD sequential write throughput; a 7-disk RAID-5's six data spindles
 /// then deliver the measured 1.0 GB/s ext4 write baseline (§5.3).
-pub fn hdd_seq_write() -> Bandwidth {
+pub(crate) fn hdd_seq_write() -> Bandwidth {
     Bandwidth::from_mb_per_sec(167.0)
 }
 
 /// HDD average random-access (seek + rotational) latency. Not quoted
 /// in the paper; typical for the §5.1 prototype's 7200 RPM disks.
-pub fn hdd_random_latency() -> SimDuration {
+pub(crate) fn hdd_random_latency() -> SimDuration {
     SimDuration::from_millis(8)
 }
 
 /// HDD capacity in the prototype (fourteen 4 TB disks, §5.1).
-pub const HDD_CAPACITY: u64 = 4_000_000_000_000;
+pub(crate) const HDD_CAPACITY: u64 = 4_000_000_000_000;
 
 /// SSD sequential read throughput. The paper does not quote SSD specs;
 /// this is a SATA-class 2016-era drive matching the §5.1 hardware.
-pub fn ssd_seq_read() -> Bandwidth {
+pub(crate) fn ssd_seq_read() -> Bandwidth {
     Bandwidth::from_mb_per_sec(520.0)
 }
 
 /// SSD sequential write throughput (same SATA-class estimate for the
 /// §5.1 hardware as [`ssd_seq_read`]).
-pub fn ssd_seq_write() -> Bandwidth {
+pub(crate) fn ssd_seq_write() -> Bandwidth {
     Bandwidth::from_mb_per_sec(470.0)
 }
 
 /// SSD random-access latency (same SATA-class estimate for the §5.1
 /// hardware as [`ssd_seq_read`]).
-pub fn ssd_random_latency() -> SimDuration {
+pub(crate) fn ssd_random_latency() -> SimDuration {
     SimDuration::from_micros(100)
 }
 
 /// SSD capacity in the prototype (two 240 GB SSDs, §5.1).
-pub const SSD_CAPACITY: u64 = 240_000_000_000;
+pub(crate) const SSD_CAPACITY: u64 = 240_000_000_000;
 
 /// Throughput retained per *additional* concurrent stream on the same
 /// volume: two streams together deliver this fraction of the volume's
 /// sequential bandwidth, three deliver its square, and so on. Models the
 /// seek interference that §4.7 avoids by configuring "multiple volumes of
 /// independent RAIDs".
-pub const STREAM_INTERFERENCE_FACTOR: f64 = 0.82;
+pub(crate) const STREAM_INTERFERENCE_FACTOR: f64 = 0.82;
 
 /// RAID-5/6 degraded-mode throughput factor while a member is failed
 /// (every read must reconstruct from the surviving members). Not
 /// measured in the paper; a standard estimate behind the §4.7 arrays.
-pub const DEGRADED_FACTOR: f64 = 0.55;
+pub(crate) const DEGRADED_FACTOR: f64 = 0.55;
 
 #[cfg(test)]
 mod tests {

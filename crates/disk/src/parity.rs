@@ -12,14 +12,14 @@
 //! `Q = sum g^i * D_i`.
 //!
 //! Q is computed by Horner's rule, `Q ← 2·Q ⊕ D_i` from the highest
-//! member down ([`gf::horner_step`]), so the only multiply on any bulk
+//! member down (`gf::horner_step`), so the only multiply on any bulk
 //! path is by the generator 2, eight bytes at a time on `u64` lanes;
 //! P is `u64`-word-sliced XOR. Every kernel — P, encode, both
 //! rebuilds, verify — accumulates 4 KiB tiles of each output range
 //! across the members, P and Q together where both are wanted, so each
 //! member byte is read from memory once. Only a recovery's
 //! one scaling by a constant (`g^-m`, `g^y`, `1/(g^x ⊕ g^y)`) goes
-//! through a [`gf::MulTable`]. Every operation takes a [`DataPlane`]
+//! through a `gf::MulTable`. Every operation takes a [`DataPlane`]
 //! that splits the output into fixed contiguous ranges across its
 //! workers — byte-identical at any thread count (see `crate::plane` for
 //! the determinism argument).

@@ -268,16 +268,11 @@ impl DataPlane {
     }
 
     /// Auto-detected plane: `available_parallelism` capped at 8.
-    pub fn detect() -> DataPlane {
+    pub(crate) fn detect() -> DataPlane {
         let n = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
         DataPlane::new(n.min(8))
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Splits `0..len` into at most `parts` contiguous ranges of
@@ -380,7 +375,7 @@ impl DataPlane {
     /// Runs `f(offset, chunk)` over contiguous disjoint chunks of
     /// `out`, one per worker. `offset` is the chunk's byte offset into
     /// `out`, so `f` can index the corresponding source range.
-    pub fn for_each_chunk(&self, out: &mut [u8], f: impl Fn(usize, &mut [u8]) + Sync) {
+    pub(crate) fn for_each_chunk(&self, out: &mut [u8], f: impl Fn(usize, &mut [u8]) + Sync) {
         if self.threads == 1 || out.len() < MIN_PAR_BYTES {
             f(0, out);
             return;
@@ -391,7 +386,7 @@ impl DataPlane {
     /// Like [`for_each_chunk`](DataPlane::for_each_chunk) but over two
     /// equal-length outputs split in lockstep — the fused P+Q encode
     /// shape, where each worker fills the same range of both.
-    pub fn for_each_chunk2(
+    pub(crate) fn for_each_chunk2(
         &self,
         a: &mut [u8],
         b: &mut [u8],
@@ -414,7 +409,7 @@ impl DataPlane {
     /// Runs `f(range)` over fixed contiguous sub-ranges of `0..len`,
     /// one per worker. For read-only sweeps (verification) where `f`
     /// reports through shared state of its own.
-    pub fn for_each_range(&self, len: usize, f: impl Fn(Range<usize>) + Sync) {
+    pub(crate) fn for_each_range(&self, len: usize, f: impl Fn(Range<usize>) + Sync) {
         if self.threads == 1 || len < MIN_PAR_BYTES {
             f(0..len);
             return;
@@ -598,10 +593,10 @@ mod tests {
 
     #[test]
     fn zero_requests_autodetect() {
-        assert!(DataPlane::with_threads(0).threads() >= 1);
-        assert!(DataPlane::with_threads(0).threads() <= 8);
-        assert_eq!(DataPlane::with_threads(3).threads(), 3);
-        assert_eq!(DataPlane::new(0).threads(), 1);
+        assert!(DataPlane::with_threads(0).threads >= 1);
+        assert!(DataPlane::with_threads(0).threads <= 8);
+        assert_eq!(DataPlane::with_threads(3).threads, 3);
+        assert_eq!(DataPlane::new(0).threads, 1);
     }
 
     #[test]

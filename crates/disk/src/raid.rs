@@ -12,27 +12,22 @@ use crate::params;
 use ros_sim::{Bandwidth, SimDuration};
 use serde::{Deserialize, Serialize};
 
-/// Supported RAID levels.
+/// The prototype's RAID levels (§5.1): the MV on mirrored SSDs, the
+/// data volumes on HDDs with rotating parity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RaidLevel {
-    /// Striping, no redundancy.
-    Raid0,
+pub(crate) enum RaidLevel {
     /// Mirroring.
     Raid1,
     /// Striping with single rotating parity.
     Raid5,
-    /// Striping with double (P+Q) parity.
-    Raid6,
 }
 
 impl RaidLevel {
     /// Number of member failures the level tolerates.
     fn tolerated_failures(self, members: usize) -> usize {
         match self {
-            RaidLevel::Raid0 => 0,
             RaidLevel::Raid1 => members.saturating_sub(1),
             RaidLevel::Raid5 => 1,
-            RaidLevel::Raid6 => 2,
         }
     }
 }
@@ -40,8 +35,6 @@ impl RaidLevel {
 /// Errors from array operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RaidError {
-    /// Too few members for the level (RAID-5 needs 3, RAID-6 needs 4...).
-    TooFewMembers,
     /// The member index does not exist.
     NoSuchMember(usize),
     /// More members have failed than the level tolerates; data is lost.
@@ -51,7 +44,6 @@ pub enum RaidError {
 impl core::fmt::Display for RaidError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            RaidError::TooFewMembers => write!(f, "too few members for RAID level"),
             RaidError::NoSuchMember(i) => write!(f, "no such member {i}"),
             RaidError::ArrayFailed => write!(f, "array has failed"),
         }
@@ -68,20 +60,6 @@ pub struct RaidArray {
 }
 
 impl RaidArray {
-    /// Builds an array; all members should be the same device model.
-    pub fn new(level: RaidLevel, members: Vec<BlockDevice>) -> Result<Self, RaidError> {
-        let min = match level {
-            RaidLevel::Raid0 => 1,
-            RaidLevel::Raid1 => 2,
-            RaidLevel::Raid5 => 3,
-            RaidLevel::Raid6 => 4,
-        };
-        if members.len() < min {
-            return Err(RaidError::TooFewMembers);
-        }
-        Ok(RaidArray { level, members })
-    }
-
     /// The prototype's metadata volume: 2 SSDs in RAID-1 (§5.1).
     pub fn prototype_metadata() -> Self {
         RaidArray {
@@ -98,11 +76,6 @@ impl RaidArray {
         }
     }
 
-    /// Returns the RAID level.
-    pub fn level(&self) -> RaidLevel {
-        self.level
-    }
-
     /// Returns the member count.
     pub fn members(&self) -> usize {
         self.members.len()
@@ -114,22 +87,13 @@ impl RaidArray {
     }
 
     /// Returns true if lost members exceed the level's tolerance.
-    pub fn is_failed(&self) -> bool {
+    pub(crate) fn is_failed(&self) -> bool {
         self.failed_members() > self.level.tolerated_failures(self.members.len())
     }
 
     /// Returns true if some members failed but data is still available.
     fn is_degraded(&self) -> bool {
         self.failed_members() > 0 && !self.is_failed()
-    }
-
-    /// Marks a member failed.
-    pub fn fail_member(&mut self, i: usize) -> Result<(), RaidError> {
-        self.members
-            .get_mut(i)
-            .ok_or(RaidError::NoSuchMember(i))?
-            .failed = true;
-        Ok(())
     }
 
     /// Replaces a failed member with a fresh device (rebuild completes
@@ -141,29 +105,24 @@ impl RaidArray {
     }
 
     /// Usable capacity in bytes.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         let per = self.members[0].capacity;
         match self.level {
-            RaidLevel::Raid0 => per * self.members.len() as u64,
             RaidLevel::Raid1 => per,
             RaidLevel::Raid5 => per * (self.members.len() as u64 - 1),
-            RaidLevel::Raid6 => per * (self.members.len() as u64 - 2),
         }
     }
 
     /// Aggregate sequential read bandwidth in the current health state.
-    pub fn read_bandwidth(&self) -> Bandwidth {
+    pub(crate) fn read_bandwidth(&self) -> Bandwidth {
         if self.is_failed() {
             return Bandwidth::ZERO;
         }
         let per = self.members[0].seq_read;
         let n = self.members.len() as f64;
-        let healthy = match self.level {
-            // All spindles serve reads.
-            RaidLevel::Raid0 | RaidLevel::Raid5 | RaidLevel::Raid6 => per.scale(n),
-            // Mirrors can serve independent reads from both sides.
-            RaidLevel::Raid1 => per.scale(n),
-        };
+        // Every spindle serves reads; mirrors serve independent reads
+        // from both sides.
+        let healthy = per.scale(n);
         if self.is_degraded() {
             healthy.scale(params::DEGRADED_FACTOR)
         } else {
@@ -172,19 +131,17 @@ impl RaidArray {
     }
 
     /// Aggregate sequential (full-stripe) write bandwidth.
-    pub fn write_bandwidth(&self) -> Bandwidth {
+    pub(crate) fn write_bandwidth(&self) -> Bandwidth {
         if self.is_failed() {
             return Bandwidth::ZERO;
         }
         let per = self.members[0].seq_write;
         let n = self.members.len() as f64;
         let healthy = match self.level {
-            RaidLevel::Raid0 => per.scale(n),
             // Every mirror writes everything.
             RaidLevel::Raid1 => per,
             // Full-stripe writes stream over the data members only.
             RaidLevel::Raid5 => per.scale(n - 1.0),
-            RaidLevel::Raid6 => per.scale(n - 2.0),
         };
         if self.is_degraded() {
             healthy.scale(params::DEGRADED_FACTOR)
@@ -193,25 +150,9 @@ impl RaidArray {
         }
     }
 
-    /// Time to read `bytes` sequentially.
-    pub fn read_time(&self, bytes: u64) -> Result<SimDuration, RaidError> {
-        if self.is_failed() {
-            return Err(RaidError::ArrayFailed);
-        }
-        Ok(self.members[0].random_latency + self.read_bandwidth().time_for(bytes))
-    }
-
-    /// Time to write `bytes` sequentially (full stripes).
-    pub fn write_time(&self, bytes: u64) -> Result<SimDuration, RaidError> {
-        if self.is_failed() {
-            return Err(RaidError::ArrayFailed);
-        }
-        Ok(self.members[0].random_latency + self.write_bandwidth().time_for(bytes))
-    }
-
     /// Time for one small random read (e.g. an index file on the
     /// metadata volume).
-    pub fn random_read_time(&self, bytes: u64) -> Result<SimDuration, RaidError> {
+    pub(crate) fn random_read_time(&self, bytes: u64) -> Result<SimDuration, RaidError> {
         if self.is_failed() {
             return Err(RaidError::ArrayFailed);
         }
@@ -273,7 +214,7 @@ mod tests {
     fn metadata_raid1_capacity_is_one_ssd() {
         let a = RaidArray::prototype_metadata();
         assert_eq!(a.capacity(), params::SSD_CAPACITY);
-        assert_eq!(a.level(), RaidLevel::Raid1);
+        assert_eq!(a.level, RaidLevel::Raid1);
     }
 
     #[test]
@@ -283,32 +224,22 @@ mod tests {
     }
 
     #[test]
-    fn member_minimums_enforced() {
-        assert_eq!(
-            RaidArray::new(RaidLevel::Raid5, vec![BlockDevice::hdd(); 2]).unwrap_err(),
-            RaidError::TooFewMembers
-        );
-        assert_eq!(
-            RaidArray::new(RaidLevel::Raid6, vec![BlockDevice::hdd(); 3]).unwrap_err(),
-            RaidError::TooFewMembers
-        );
-        assert!(RaidArray::new(RaidLevel::Raid0, vec![BlockDevice::hdd()]).is_ok());
-    }
-
-    #[test]
     fn raid5_survives_one_failure_then_dies() {
         let mut a = RaidArray::prototype_data();
         assert!(!a.is_degraded());
-        a.fail_member(2).unwrap();
+        a.members[2].failed = true;
         assert!(a.is_degraded());
         assert!(!a.is_failed());
         // Degraded throughput drops.
         let w = a.write_bandwidth().mb_per_sec();
         assert!(w < 700.0, "degraded write = {w}");
-        a.fail_member(5).unwrap();
+        a.members[5].failed = true;
         assert!(a.is_failed());
-        assert_eq!(a.read_time(1024).unwrap_err(), RaidError::ArrayFailed);
-        assert!(a.read_bandwidth().is_zero());
+        assert_eq!(
+            a.random_read_time(1024).unwrap_err(),
+            RaidError::ArrayFailed
+        );
+        assert_eq!(a.read_bandwidth(), Bandwidth::ZERO);
     }
 
     #[test]
@@ -353,29 +284,19 @@ mod tests {
     }
 
     #[test]
-    fn raid6_survives_two_failures() {
-        let mut a = RaidArray::new(RaidLevel::Raid6, vec![BlockDevice::hdd(); 7]).unwrap();
-        a.fail_member(0).unwrap();
-        a.fail_member(1).unwrap();
-        assert!(a.is_degraded());
-        a.fail_member(2).unwrap();
-        assert!(a.is_failed());
-    }
-
-    #[test]
     fn raid1_survives_all_but_one() {
         let mut a = RaidArray::prototype_metadata();
-        a.fail_member(0).unwrap();
+        a.members[0].failed = true;
         assert!(a.is_degraded());
         assert!(!a.is_failed());
-        a.fail_member(1).unwrap();
+        a.members[1].failed = true;
         assert!(a.is_failed());
     }
 
     #[test]
     fn replace_member_restores_health() {
         let mut a = RaidArray::prototype_data();
-        a.fail_member(3).unwrap();
+        a.members[3].failed = true;
         assert!(a.is_degraded());
         a.replace_member(3).unwrap();
         assert!(!a.is_degraded());
@@ -389,9 +310,9 @@ mod tests {
     fn timed_operations() {
         let a = RaidArray::prototype_data();
         // 1.2 GB at 1.2 GB/s ≈ 1 s.
-        let t = a.read_time(1_204_000_000).unwrap().as_secs_f64();
+        let t = a.read_bandwidth().time_for(1_204_000_000).as_secs_f64();
         assert!((t - 1.0).abs() < 0.05, "t = {t}");
-        let t = a.write_time(1_002_000_000).unwrap().as_secs_f64();
+        let t = a.write_bandwidth().time_for(1_002_000_000).as_secs_f64();
         assert!((t - 1.0).abs() < 0.05, "t = {t}");
         let small = a.random_read_time(1024).unwrap();
         assert!(small < SimDuration::from_millis(10));

@@ -46,8 +46,6 @@ pub enum StreamKind {
 pub enum VolumeError {
     /// Unknown volume.
     NoSuchVolume(VolumeId),
-    /// Unknown stream.
-    NoSuchStream(StreamId),
     /// Underlying array failure.
     Raid(RaidError),
     /// Volume is out of space.
@@ -69,7 +67,6 @@ impl core::fmt::Display for VolumeError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             VolumeError::NoSuchVolume(v) => write!(f, "no such volume {v:?}"),
-            VolumeError::NoSuchStream(s) => write!(f, "no such stream {s:?}"),
             VolumeError::Raid(e) => write!(f, "raid: {e}"),
             VolumeError::OutOfSpace { requested, free } => {
                 write!(f, "out of space: need {requested}, free {free}")
@@ -81,7 +78,6 @@ impl core::fmt::Display for VolumeError {
 impl std::error::Error for VolumeError {}
 
 struct VolumeState {
-    name: String,
     array: RaidArray,
     used: u64,
 }
@@ -112,28 +108,11 @@ impl VolumeManager {
     }
 
     /// Registers a volume, returning its id.
-    pub fn add_volume(&mut self, name: impl Into<String>, array: RaidArray) -> VolumeId {
+    pub fn add_volume(&mut self, array: RaidArray) -> VolumeId {
         let id = VolumeId(self.next_volume);
         self.next_volume += 1;
-        self.volumes.insert(
-            id,
-            VolumeState {
-                name: name.into(),
-                array,
-                used: 0,
-            },
-        );
+        self.volumes.insert(id, VolumeState { array, used: 0 });
         id
-    }
-
-    /// Returns a volume's name.
-    pub fn name(&self, vol: VolumeId) -> Result<&str, VolumeError> {
-        Ok(&self.get(vol)?.name)
-    }
-
-    /// Returns the array behind a volume.
-    pub fn array(&self, vol: VolumeId) -> Result<&RaidArray, VolumeError> {
-        Ok(&self.get(vol)?.array)
     }
 
     /// Returns mutable access to the array (failure injection).
@@ -195,23 +174,15 @@ impl VolumeManager {
         Ok(id)
     }
 
-    /// Closes a stream.
-    pub fn close_stream(&mut self, id: StreamId) -> Result<(), VolumeError> {
-        self.streams
-            .remove(&id)
-            .map(|_| ())
-            .ok_or(VolumeError::NoSuchStream(id))
-    }
-
     /// Number of active streams on a volume.
-    pub fn active_streams(&self, vol: VolumeId) -> usize {
+    pub(crate) fn active_streams(&self, vol: VolumeId) -> usize {
         self.streams.values().filter(|(v, _)| *v == vol).count()
     }
 
     /// Interference factor for a volume: 1.0 with at most one stream,
     /// compounding [`params::STREAM_INTERFERENCE_FACTOR`] per extra
     /// stream.
-    pub fn interference(&self, vol: VolumeId) -> f64 {
+    pub(crate) fn interference(&self, vol: VolumeId) -> f64 {
         let n = self.active_streams(vol);
         if n <= 1 {
             1.0
@@ -260,11 +231,6 @@ impl VolumeManager {
     pub fn random_read_time(&self, vol: VolumeId, bytes: u64) -> Result<SimDuration, VolumeError> {
         Ok(self.get(vol)?.array.random_read_time(bytes)?)
     }
-
-    /// All registered volume ids, sorted.
-    pub fn volume_ids(&self) -> Vec<VolumeId> {
-        self.volumes.keys().copied().collect()
-    }
 }
 
 #[cfg(test)]
@@ -273,18 +239,9 @@ mod tests {
 
     fn mgr() -> (VolumeManager, VolumeId, VolumeId) {
         let mut m = VolumeManager::new();
-        let a = m.add_volume("buffer-a", RaidArray::prototype_data());
-        let b = m.add_volume("buffer-b", RaidArray::prototype_data());
+        let a = m.add_volume(RaidArray::prototype_data());
+        let b = m.add_volume(RaidArray::prototype_data());
         (m, a, b)
-    }
-
-    #[test]
-    fn volumes_are_registered() {
-        let (m, a, b) = mgr();
-        assert_eq!(m.name(a).unwrap(), "buffer-a");
-        assert_eq!(m.name(b).unwrap(), "buffer-b");
-        assert_eq!(m.volume_ids(), vec![a, b]);
-        assert!(m.name(VolumeId(99)).is_err());
     }
 
     #[test]
@@ -304,10 +261,10 @@ mod tests {
     #[test]
     fn single_stream_gets_full_bandwidth() {
         let (mut m, a, _) = mgr();
-        let s = m.open_stream(a, StreamKind::UserWrite).unwrap();
+        m.open_stream(a, StreamKind::UserWrite).unwrap();
         let bw = m.effective_write_bandwidth(a).unwrap().mb_per_sec();
         assert!((bw - 1002.0).abs() < 10.0);
-        m.close_stream(s).unwrap();
+        assert!(m.open_stream(VolumeId(42), StreamKind::UserRead).is_err());
     }
 
     #[test]
@@ -344,19 +301,20 @@ mod tests {
     }
 
     #[test]
-    fn stream_lifecycle_errors() {
-        let (mut m, a, _) = mgr();
-        let s = m.open_stream(a, StreamKind::UserRead).unwrap();
-        m.close_stream(s).unwrap();
-        assert_eq!(m.close_stream(s).unwrap_err(), VolumeError::NoSuchStream(s));
-        assert!(m.open_stream(VolumeId(42), StreamKind::UserRead).is_err());
-    }
-
-    #[test]
     fn failed_array_propagates() {
         let (mut m, a, _) = mgr();
-        for i in 0..2 {
-            m.array_mut(a).unwrap().fail_member(i).unwrap();
+        use ros_faults::{FaultEvent, FaultKind, FaultSink, VolumeTarget};
+        for member in 0..2 {
+            let kind = FaultKind::SsdLoss {
+                volume: VolumeTarget::Buffer,
+                member,
+            };
+            let event = FaultEvent {
+                seq: 0,
+                at_op: 0,
+                kind,
+            };
+            m.array_mut(a).unwrap().inject_fault(&event);
         }
         assert!(matches!(
             m.read_time(a, 1024).unwrap_err(),

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// Spin state of a loaded drive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SpinState {
+pub(crate) enum SpinState {
     /// Spun down; the next access pays the ≈2 s mount delay (§5.4).
     Sleeping,
     /// Spinning and ready.
@@ -20,7 +20,7 @@ pub enum SpinState {
 
 /// Overall drive state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DriveState {
+pub(crate) enum DriveState {
     /// No disc in the tray.
     Empty,
     /// A disc is loaded.
@@ -87,12 +87,12 @@ pub struct TimedRead {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct OpticalDrive {
     /// Stable index within the library.
-    pub id: usize,
+    pub(crate) id: usize,
     /// Drive/disc matching quality factor in `(0, 1]`; multiplies burn
     /// speed (§3.3: only well-matched pairs reach top speed).
-    pub speed_factor: f64,
+    pub(crate) speed_factor: f64,
     /// Burn with write-and-check verification (halves throughput, §4.7).
-    pub check_mode: bool,
+    pub(crate) check_mode: bool,
     state: DriveState,
     disc: Option<Disc>,
     /// Injected transient read faults still pending (each fails one read).
@@ -118,11 +118,6 @@ impl OpticalDrive {
         }
     }
 
-    /// True once the drive has died permanently.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Arms `n` transient read faults: the next `n` reads fail with
     /// [`DriveError::TransientRead`], then reads recover.
     fn inject_transient_reads(&mut self, n: u32) {
@@ -139,7 +134,7 @@ impl OpticalDrive {
     /// Kills the drive permanently. Reads and burns fail with
     /// [`DriveError::Failed`]; disc exchange keeps working so the
     /// library can evacuate the bay.
-    pub fn kill(&mut self) {
+    pub(crate) fn kill(&mut self) {
         self.dead = true;
         // A burn in flight is lost with the laser.
         if self.state == DriveState::Burning {
@@ -159,11 +154,6 @@ impl OpticalDrive {
         }
     }
 
-    /// Returns the drive state.
-    pub fn state(&self) -> DriveState {
-        self.state
-    }
-
     /// Returns the loaded disc, if any.
     pub fn disc(&self) -> Option<&Disc> {
         self.disc.as_ref()
@@ -173,11 +163,6 @@ impl OpticalDrive {
     /// injection in tests).
     pub fn disc_mut(&mut self) -> Option<&mut Disc> {
         self.disc.as_mut()
-    }
-
-    /// Returns true if the drive holds a disc and is not burning.
-    pub fn is_idle_loaded(&self) -> bool {
-        matches!(self.state, DriveState::Loaded(_))
     }
 
     /// Inserts a disc; returns the tray open+close time.
@@ -335,21 +320,6 @@ impl OpticalDrive {
         self.state = DriveState::Loaded(SpinState::Active);
         Ok(())
     }
-
-    /// Instantaneous power draw by state (§5.1: 8 W peak per drive).
-    ///
-    /// A dead drive draws its sleep floor: the controller cuts its rail.
-    pub fn power_watts(&self) -> f64 {
-        if self.dead {
-            return params::DRIVE_SLEEP_WATTS;
-        }
-        match self.state {
-            DriveState::Empty => params::DRIVE_SLEEP_WATTS,
-            DriveState::Loaded(SpinState::Sleeping) => params::DRIVE_SLEEP_WATTS,
-            DriveState::Loaded(SpinState::Active) => params::DRIVE_IDLE_WATTS,
-            DriveState::Burning => params::DRIVE_PEAK_WATTS,
-        }
-    }
 }
 
 /// The drive accepts drive-level fault kinds. Targeting coordinates
@@ -405,17 +375,17 @@ mod tests {
     #[test]
     fn insert_eject_cycle() {
         let mut dr = OpticalDrive::new(0, 1.0);
-        assert_eq!(dr.state(), DriveState::Empty);
+        assert_eq!(dr.state, DriveState::Empty);
         let t = dr.insert(small_disc(1)).unwrap();
         assert_eq!(t, params::tray_cycle() * 2);
-        assert_eq!(dr.state(), DriveState::Loaded(SpinState::Sleeping));
+        assert_eq!(dr.state, DriveState::Loaded(SpinState::Sleeping));
         assert!(matches!(
             dr.insert(small_disc(2)).unwrap_err(),
             DriveError::AlreadyLoaded
         ));
         let (disc, _) = dr.eject().unwrap();
         assert_eq!(disc.id, 1);
-        assert_eq!(dr.state(), DriveState::Empty);
+        assert_eq!(dr.state, DriveState::Empty);
         assert!(matches!(dr.eject().unwrap_err(), DriveError::NoDisc));
     }
 
@@ -475,13 +445,17 @@ mod tests {
         let mut dr = OpticalDrive::new(0, 1.0);
         dr.insert(small_disc(1)).unwrap();
         dr.begin_burn().unwrap();
-        assert_eq!(dr.state(), DriveState::Burning);
+        assert_eq!(dr.state, DriveState::Burning);
         assert!(matches!(dr.read_image(1).unwrap_err(), DriveError::Busy));
         assert!(matches!(dr.eject().unwrap_err(), DriveError::Busy));
         assert!(matches!(dr.begin_burn().unwrap_err(), DriveError::Busy));
         dr.finish_burn(3, Payload::inline(vec![1u8; 2048])).unwrap();
-        assert_eq!(dr.state(), DriveState::Loaded(SpinState::Active));
-        assert!(dr.disc().unwrap().is_finalized());
+        assert_eq!(dr.state, DriveState::Loaded(SpinState::Active));
+        let mut disc = dr.disc().unwrap().clone();
+        assert_eq!(
+            disc.burn_track(4, Payload::synthetic(2048)).unwrap_err(),
+            MediaError::Finalized
+        );
         let r = dr.read_image(3).unwrap();
         assert_eq!(r.payload.len(), 2048);
     }
@@ -499,7 +473,6 @@ mod tests {
         dr.begin_burn().unwrap();
         dr.interrupt_burn(9, 4096).unwrap();
         let disc = dr.disc().unwrap();
-        assert!(!disc.is_finalized());
         assert_eq!(disc.tracks().len(), 1);
         // Resume by appending the full image as a fresh track.
         dr.begin_burn().unwrap();
@@ -535,7 +508,7 @@ mod tests {
             DriveError::BurnFailed
         ));
         // The drive is loaded again, so the spoiled disc can be ejected.
-        assert!(dr.is_idle_loaded());
+        assert!(matches!(dr.state, DriveState::Loaded(_)));
         assert!(dr.eject().is_ok());
     }
 
@@ -544,10 +517,9 @@ mod tests {
         let mut dr = OpticalDrive::new(0, 1.0);
         dr.insert(burned_disc(1, 7, 1024)).unwrap();
         dr.kill();
-        assert!(dr.is_dead());
+        assert!(dr.dead);
         assert!(matches!(dr.read_image(7).unwrap_err(), DriveError::Failed));
         assert!(matches!(dr.begin_burn().unwrap_err(), DriveError::Failed));
-        assert_eq!(dr.power_watts(), params::DRIVE_SLEEP_WATTS);
         let (disc, _) = dr.eject().unwrap();
         assert_eq!(disc.id, 1);
     }
@@ -581,17 +553,5 @@ mod tests {
             dr.inject_fault(&ev(FaultKind::DriveDeath { bay: 0, drive: 3 })),
             InjectionOutcome::Skipped(_)
         ));
-    }
-
-    #[test]
-    fn power_follows_state() {
-        let mut dr = OpticalDrive::new(0, 1.0);
-        assert_eq!(dr.power_watts(), params::DRIVE_SLEEP_WATTS);
-        dr.insert(small_disc(1)).unwrap();
-        assert_eq!(dr.power_watts(), params::DRIVE_SLEEP_WATTS);
-        dr.mount().unwrap();
-        assert_eq!(dr.power_watts(), params::DRIVE_IDLE_WATTS);
-        dr.begin_burn().unwrap();
-        assert_eq!(dr.power_watts(), params::DRIVE_PEAK_WATTS);
     }
 }

@@ -17,9 +17,9 @@
 //!   to 282.5 / 210.2 MB/s across 12 drives (Table 2).
 //!
 //! Media semantics are real: write-once enforcement, pseudo-overwrite
-//! tracks with metadata-zone formatting cost, rewritable discs with erase
-//! cycle limits, and sector-level corruption that the OLFS redundancy layer
-//! above actually repairs.
+//! tracks with metadata-zone formatting cost, rewritable discs burning at
+//! 2X, and sector-level corruption that the OLFS redundancy layer above
+//! actually repairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,13 +41,13 @@
     )
 )]
 
-pub mod drive;
+pub(crate) mod drive;
 pub mod media;
 pub mod params;
-pub mod set;
+pub(crate) mod set;
 pub mod speed;
 
-pub use drive::{DriveError, DriveState, OpticalDrive};
-pub use media::{Disc, DiscClass, MediaError, MediaKind, Payload, Track};
+pub use drive::{DriveError, OpticalDrive, TimedRead};
+pub use media::{Disc, DiscClass, MediaKind, Payload, Track};
 pub use set::{ArrayBurnReport, DriveSet};
 pub use speed::{BurnPlan, SpeedCurve};

@@ -43,7 +43,7 @@ impl DiscClass {
     }
 
     /// Returns the number of logical sectors.
-    pub fn sectors(self) -> u64 {
+    pub(crate) fn sectors(self) -> u64 {
         self.capacity() / params::SECTOR_BYTES
     }
 }
@@ -53,33 +53,25 @@ impl DiscClass {
 pub enum MediaKind {
     /// Write-once-read-multiple; burned areas can never be rewritten.
     Worm,
-    /// Rewritable with a bounded erase-cycle budget.
-    Rewritable {
-        /// Erase cycles already consumed.
-        erase_cycles_used: u32,
-    },
+    /// Rewritable (§2.1: burns at 2X).
+    Rewritable,
 }
 
 /// The content of one track: an image id plus its payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Track {
     /// Identifier of the disc image this track carries (assigned by OLFS).
-    pub image_id: u64,
+    pub(crate) image_id: u64,
     /// The image payload.
-    pub payload: Payload,
+    pub(crate) payload: Payload,
     /// First sector of the track's data area on the disc.
     pub start_sector: u64,
 }
 
 impl Track {
     /// Returns the payload size in bytes.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.payload.len()
-    }
-
-    /// Returns true for an empty payload.
-    pub fn is_empty(&self) -> bool {
-        self.payload.len() == 0
     }
 
     /// Returns the sector range `[start, end)` occupied by the data area.
@@ -141,10 +133,6 @@ pub enum MediaError {
     NotBlank,
     /// The disc is finalized; no further tracks may be appended.
     Finalized,
-    /// Erase attempted on WORM media.
-    NotRewritable,
-    /// The rewritable medium exhausted its erase-cycle budget.
-    EraseCyclesExhausted,
     /// The requested image is not on this disc.
     NoSuchImage(u64),
     /// Sectors within the requested track are unreadable.
@@ -165,8 +153,6 @@ impl core::fmt::Display for MediaError {
             } => write!(f, "capacity exceeded: need {requested}, have {available}"),
             MediaError::NotBlank => write!(f, "write-all-once requires a blank disc"),
             MediaError::Finalized => write!(f, "disc is finalized"),
-            MediaError::NotRewritable => write!(f, "medium is write-once"),
-            MediaError::EraseCyclesExhausted => write!(f, "erase cycles exhausted"),
             MediaError::NoSuchImage(id) => write!(f, "image {id} not on disc"),
             MediaError::SectorErrors {
                 image_id,
@@ -217,23 +203,13 @@ impl Disc {
     }
 
     /// Returns the capacity class.
-    pub fn class(&self) -> DiscClass {
+    pub(crate) fn class(&self) -> DiscClass {
         self.class
-    }
-
-    /// Returns the media kind.
-    pub fn kind(&self) -> MediaKind {
-        self.kind
     }
 
     /// Returns true if nothing has been burned.
     pub fn is_blank(&self) -> bool {
         self.tracks.is_empty() && self.burned_sectors == 0
-    }
-
-    /// Returns true once the disc is finalized.
-    pub fn is_finalized(&self) -> bool {
-        self.finalized
     }
 
     /// Returns the burned tracks.
@@ -242,7 +218,7 @@ impl Disc {
     }
 
     /// Returns the remaining unburned capacity in bytes.
-    pub fn free_bytes(&self) -> u64 {
+    pub(crate) fn free_bytes(&self) -> u64 {
         (self.class.sectors() - self.burned_sectors) * params::SECTOR_BYTES
     }
 
@@ -293,29 +269,6 @@ impl Disc {
         });
         self.burned_sectors += meta_sectors + data_sectors;
         Ok(())
-    }
-
-    /// Finalizes an open disc, preventing further appends.
-    pub fn finalize(&mut self) {
-        self.finalized = true;
-    }
-
-    /// Erases a rewritable disc back to blank, consuming an erase cycle.
-    pub fn erase(&mut self) -> Result<(), MediaError> {
-        match &mut self.kind {
-            MediaKind::Worm => Err(MediaError::NotRewritable),
-            MediaKind::Rewritable { erase_cycles_used } => {
-                if *erase_cycles_used >= params::RW_MAX_ERASE_CYCLES {
-                    return Err(MediaError::EraseCyclesExhausted);
-                }
-                *erase_cycles_used += 1;
-                self.tracks.clear();
-                self.burned_sectors = 0;
-                self.finalized = false;
-                self.corrupted.clear();
-                Ok(())
-            }
-        }
     }
 
     /// Looks up the track carrying `image_id`.
@@ -412,11 +365,6 @@ impl Disc {
         flipped
     }
 
-    /// Total bytes silently flipped by [`Disc::rot_bytes`] so far.
-    pub fn rotted_bytes(&self) -> u64 {
-        self.rotted_bytes
-    }
-
     /// Returns the number of corrupted sectors.
     pub fn corrupted_sectors(&self) -> usize {
         self.corrupted.len()
@@ -425,7 +373,7 @@ impl Disc {
     /// Ages the disc: each burned sector independently fails with
     /// probability `rate`. Returns how many new failures appeared.
     ///
-    /// The nominal archival rate is [`params::SECTOR_ERROR_RATE`]; tests
+    /// The nominal archival rate is about 10^-16 (§4.7); tests
     /// use elevated rates to exercise the recovery path.
     pub fn age(&mut self, rate: f64, rng: &mut SimRng) -> usize {
         if rate <= 0.0 || self.burned_sectors == 0 {
@@ -480,7 +428,7 @@ mod tests {
         let mut d = Disc::blank(1, small(), MediaKind::Worm);
         let data = Bytes::from(vec![7u8; 4096]);
         d.burn_all_once(42, Payload::inline(data.clone())).unwrap();
-        assert!(d.is_finalized());
+        assert!(d.finalized);
         assert!(!d.is_blank());
         match d.read_image(42).unwrap() {
             Payload::Inline(b) => assert_eq!(b, &data),
@@ -523,29 +471,11 @@ mod tests {
         // Third track no longer fits because of metadata overhead.
         let err = d.burn_track(3, Payload::synthetic(2048)).unwrap_err();
         assert!(matches!(err, MediaError::CapacityExceeded { .. }));
-        d.finalize();
+        d.finalized = true;
         assert_eq!(
             d.burn_track(4, Payload::synthetic(2048)).unwrap_err(),
             MediaError::Finalized
         );
-    }
-
-    #[test]
-    fn rewritable_erase_cycles() {
-        let mut d = Disc::blank(
-            1,
-            small(),
-            MediaKind::Rewritable {
-                erase_cycles_used: params::RW_MAX_ERASE_CYCLES - 1,
-            },
-        );
-        d.burn_all_once(1, Payload::synthetic(2048)).unwrap();
-        d.erase().unwrap();
-        assert!(d.is_blank());
-        assert!(!d.is_finalized());
-        assert_eq!(d.erase().unwrap_err(), MediaError::EraseCyclesExhausted);
-        let mut w = Disc::blank(2, small(), MediaKind::Worm);
-        assert_eq!(w.erase().unwrap_err(), MediaError::NotRewritable);
     }
 
     #[test]
@@ -581,7 +511,7 @@ mod tests {
         d.burn_all_once(7, Payload::inline(data.clone())).unwrap();
         let flipped = d.rot_bytes(0xDEAD_BEEF, 3);
         assert_eq!(flipped, 3);
-        assert_eq!(d.rotted_bytes(), 3);
+        assert_eq!(d.rotted_bytes, 3);
         // The read still succeeds — no sector-level error — but the
         // bytes are wrong and only a content digest could tell.
         match d.read_image(7).unwrap() {
@@ -614,7 +544,7 @@ mod tests {
         // silently restore the payload; the salt must prevent that.
         d.rot_bytes(0xFEED, 4);
         d.rot_bytes(0xFEED, 4);
-        assert_eq!(d.rotted_bytes(), 8);
+        assert_eq!(d.rotted_bytes, 8);
         match d.read_image(3).unwrap() {
             Payload::Inline(b) => {
                 let b = b.to_bytes();
@@ -633,7 +563,7 @@ mod tests {
         // bytes, so fault outcomes do not depend on the payload kind.
         assert_eq!(d.rot_bytes(5, 2), 2);
         assert_eq!(d.rot_bytes(5, 4096), 2048, "capped at the payload size");
-        assert_eq!(d.rotted_bytes(), 2050);
+        assert_eq!(d.rotted_bytes, 2050);
         assert!(d.read_image_raw(1).unwrap().1.is_empty());
         // Blank discs have nothing to rot.
         let mut blank = Disc::blank(2, small(), MediaKind::Worm);
@@ -647,7 +577,7 @@ mod tests {
             .unwrap();
         let mut rng = SimRng::seed_from(1);
         // 10^-16 per sector: even a thousand years of scans find nothing.
-        let failures = d.age(params::SECTOR_ERROR_RATE, &mut rng);
+        let failures = d.age(1e-16, &mut rng);
         assert_eq!(failures, 0);
     }
 

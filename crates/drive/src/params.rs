@@ -28,50 +28,46 @@ pub fn read_speed_bd100() -> Bandwidth {
 
 /// Efficiency of 12 drives reading behind the shared HBA (Table 2:
 /// 282.5 / (12 x 24.1) = 0.977; 210.2 / (12 x 18.0) = 0.973).
-pub const AGGREGATE_READ_EFFICIENCY: f64 = 0.975;
+pub(crate) const AGGREGATE_READ_EFFICIENCY: f64 = 0.975;
 
 /// 25 GB burn: starting speed of the CAV ramp (Figure 8 / §5.4:
 /// "gradually increased from 1.6X in the inner tracks").
-pub const BD25_BURN_X_START: f64 = 1.6;
+pub(crate) const BD25_BURN_X_START: f64 = 1.6;
 
 /// 25 GB burn: final speed of the CAV ramp (Figure 8: "to 12.0X in the
 /// outer tracks").
-pub const BD25_BURN_X_END: f64 = 12.0;
+pub(crate) const BD25_BURN_X_END: f64 = 12.0;
 
 /// Exponent of the 25 GB burn ramp `speed(p) = s0 + (s1-s0) p^alpha`,
 /// calibrated so a full-disc burn takes 675 s at an average 8.2X
 /// (Figure 8).
-pub const BD25_BURN_RAMP_EXP: f64 = 0.4;
+pub(crate) const BD25_BURN_RAMP_EXP: f64 = 0.4;
 
 /// 100 GB burn: nominal recording speed (§5.4: "a dedicated Pioneer
 /// BDR-PR1AME drive to burn 100GB optical disc at 6.0X").
-pub const BD100_BURN_X_NOMINAL: f64 = 6.0;
+pub(crate) const BD100_BURN_X_NOMINAL: f64 = 6.0;
 
 /// 100 GB burn: fail-safe fallback speed when a servo disturbance is
 /// detected (Figure 10: "drive will reduce the speed from 6.0X to 4.0X").
-pub const BD100_BURN_X_FAILSAFE: f64 = 4.0;
+pub(crate) const BD100_BURN_X_FAILSAFE: f64 = 4.0;
 
 /// Fraction of bytes burned at the fail-safe speed, calibrated so the
 /// average is 5.9X and a full 100 GB burn takes ≈3757 s (Figure 10).
-pub const BD100_FAILSAFE_BYTE_SHARE: f64 = 0.02;
+pub(crate) const BD100_FAILSAFE_BYTE_SHARE: f64 = 0.02;
 
 /// Duration of one fail-safe slowdown episode before the drive restores
 /// nominal speed (Figure 10's zoomed segment shows dips of this order).
-pub fn failsafe_episode() -> SimDuration {
+pub(crate) fn failsafe_episode() -> SimDuration {
     SimDuration::from_secs(15)
 }
 
 /// Rewritable-media burn speed (§2.1: "re-writable (RW) discs can re-write
 /// with relatively low burning speed (2X)").
-pub const RW_BURN_X: f64 = 2.0;
-
-/// Maximum erase cycles of rewritable media (§2.1: "limited erase cycle
-/// (at most 1000)").
-pub const RW_MAX_ERASE_CYCLES: u32 = 1_000;
+pub(crate) const RW_BURN_X: f64 = 2.0;
 
 /// Drive spin-up / disc mount time when the drive wakes from sleep
 /// (§5.4: "drive mounting disc with about 2 seconds delay").
-pub fn mount_from_sleep() -> SimDuration {
+pub(crate) fn mount_from_sleep() -> SimDuration {
     SimDuration::from_secs(2)
 }
 
@@ -83,7 +79,7 @@ pub fn seek_time() -> SimDuration {
 
 /// Drive tray open or close time (part of the disc exchange cycle
 /// inside §5.4's 51 s disc-to-drive loading; not itemised in the paper).
-pub fn tray_cycle() -> SimDuration {
+pub(crate) fn tray_cycle() -> SimDuration {
     SimDuration::from_millis(1_500)
 }
 
@@ -102,25 +98,11 @@ pub fn track_format_time() -> SimDuration {
 
 /// Capacity consumed by each pseudo-overwrite track's metadata zone
 /// (the "capacity loss" of §2.1).
-pub const TRACK_METADATA_BYTES: u64 = 64 * 1024 * 1024;
-
-/// Per-drive peak power draw (§5.1: "peak power 8W" for the BDR-S09XLB).
-pub const DRIVE_PEAK_WATTS: f64 = 8.0;
-
-/// Per-drive idle (spinning, not transferring) power draw; scaled from
-/// §5.1's 8 W peak, which the paper quotes as the only drive figure.
-pub const DRIVE_IDLE_WATTS: f64 = 1.5;
-
-/// Per-drive sleep power draw; scaled from §5.1's 8 W peak, supporting
-/// §2.2's near-zero-power claim for idle racks.
-pub const DRIVE_SLEEP_WATTS: f64 = 0.2;
-
-/// Nominal archival-disc sector error rate (§4.7: "generally 10^-16").
-pub const SECTOR_ERROR_RATE: f64 = 1e-16;
+pub(crate) const TRACK_METADATA_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Aggregate HBA bandwidth cap shared by a 12-drive set while burning,
 /// calibrated to Figure 9's ≈380 MB/s plateau.
-pub fn hba_write_cap() -> Bandwidth {
+pub(crate) fn hba_write_cap() -> Bandwidth {
     Bandwidth::from_mb_per_sec(380.0)
 }
 
@@ -128,7 +110,7 @@ pub fn hba_write_cap() -> Bandwidth {
 /// matching quality (§3.3: only "a pair of well-matched drive and disc"
 /// reaches top speed). Linearly spread from 1.0 down to 0.65, calibrated
 /// so the slowest drive finishes a 25 GB array burn at ≈1146 s (Figure 9).
-pub fn drive_speed_factors(n: usize) -> Vec<f64> {
+pub(crate) fn drive_speed_factors(n: usize) -> Vec<f64> {
     if n <= 1 {
         return vec![1.0; n];
     }
@@ -141,7 +123,7 @@ pub fn drive_speed_factors(n: usize) -> Vec<f64> {
 /// one-by-one disc separation of the robotic arm (Figure 9: "not all
 /// drives start to burn data at the same time"). The 61 s separation
 /// spreads across the 12 drives.
-pub fn burn_start_stagger() -> SimDuration {
+pub(crate) fn burn_start_stagger() -> SimDuration {
     SimDuration::from_millis(61_000 / 12)
 }
 

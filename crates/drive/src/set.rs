@@ -27,7 +27,7 @@ pub struct DriveSet {
 
 impl DriveSet {
     /// Creates a set of `n` drives with the calibrated matching-quality
-    /// spread of [`params::drive_speed_factors`].
+    /// spread of `params::drive_speed_factors`.
     pub fn new(n: usize) -> Self {
         let factors = params::drive_speed_factors(n);
         DriveSet {
@@ -39,16 +39,6 @@ impl DriveSet {
         }
     }
 
-    /// Number of drives in the set.
-    pub fn len(&self) -> usize {
-        self.drives.len()
-    }
-
-    /// True if the set has no drives.
-    pub fn is_empty(&self) -> bool {
-        self.drives.is_empty()
-    }
-
     /// Immutable access to a drive.
     pub fn drive(&self, i: usize) -> Option<&OpticalDrive> {
         self.drives.get(i)
@@ -57,11 +47,6 @@ impl DriveSet {
     /// Mutable access to a drive.
     pub fn drive_mut(&mut self, i: usize) -> Option<&mut OpticalDrive> {
         self.drives.get_mut(i)
-    }
-
-    /// Iterates over the drives.
-    pub fn iter(&self) -> impl Iterator<Item = &OpticalDrive> {
-        self.drives.iter()
     }
 
     /// Aggregate sequential read speed of the whole set for a disc class
@@ -163,13 +148,13 @@ impl DriveSet {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ArrayBurnReport {
     /// When the burn began.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Time until the last drive finished.
     pub total: SimDuration,
     /// Per-drive completion offsets (None for idle drives).
-    pub per_drive: Vec<Option<SimDuration>>,
+    pub(crate) per_drive: Vec<Option<SimDuration>>,
     /// Total bytes burned across the set.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Peak aggregate throughput.
     pub peak: Bandwidth,
     /// Time-averaged aggregate throughput.
@@ -253,7 +238,7 @@ mod tests {
         let early = report
             .series
             .rate_at(SimTime::ZERO + SimDuration::from_millis(100));
-        assert!(early.is_zero());
+        assert_eq!(early, Bandwidth::ZERO);
         // After all 12 staggers, everyone contributes.
         let later = report
             .series
@@ -268,7 +253,6 @@ mod tests {
         assert_eq!(report.bytes, 0);
         assert!(report.per_drive.iter().all(Option::is_none));
         let none = DriveSet::new(0);
-        assert!(none.is_empty());
         let report = none.simulate_array_burn(&[], DiscClass::Bd25, SimTime::ZERO);
         assert_eq!(report.bytes, 0);
     }
@@ -276,10 +260,10 @@ mod tests {
     #[test]
     fn drive_accessors() {
         let mut set = DriveSet::new(3);
-        assert_eq!(set.len(), 3);
+        assert_eq!(set.drives.len(), 3);
         assert_eq!(set.drive(0).unwrap().speed_factor, 1.0);
         assert!(set.drive(5).is_none());
         set.drive_mut(1).unwrap().check_mode = true;
-        assert!(set.iter().any(|d| d.check_mode));
+        assert!(set.drives.iter().any(|d| d.check_mode));
     }
 }

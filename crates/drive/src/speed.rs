@@ -18,8 +18,7 @@
 
 use crate::media::{DiscClass, MediaKind};
 use crate::params;
-use ros_sim::stats::ThroughputSeries;
-use ros_sim::{Bandwidth, SimDuration, SimRng, SimTime};
+use ros_sim::{Bandwidth, SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// A recording-speed regime, in Blu-ray X units as a function of progress.
@@ -53,7 +52,7 @@ pub enum SpeedCurve {
 impl SpeedCurve {
     /// Returns the curve the paper measured for a disc class and medium.
     pub fn for_media(class: DiscClass, kind: MediaKind) -> SpeedCurve {
-        if matches!(kind, MediaKind::Rewritable { .. }) {
+        if kind == MediaKind::Rewritable {
             return SpeedCurve::Constant {
                 x: params::RW_BURN_X,
             };
@@ -80,7 +79,7 @@ impl SpeedCurve {
 
     /// Returns the *deterministic* speed at byte progress `p` in `[0, 1]`,
     /// ignoring stochastic fail-safe episodes.
-    pub fn nominal_x(&self, p: f64) -> f64 {
+    pub(crate) fn nominal_x(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
         match *self {
             SpeedCurve::CavRamp {
@@ -100,7 +99,7 @@ pub struct BurnSample {
     /// Byte progress in `[0, 1]` at the sample.
     pub progress: f64,
     /// Elapsed time since burn start.
-    pub elapsed: SimDuration,
+    pub(crate) elapsed: SimDuration,
     /// Instantaneous speed in X units.
     pub x: f64,
 }
@@ -109,7 +108,7 @@ pub struct BurnSample {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BurnPlan {
     /// Bytes burned.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Total burn duration.
     pub total: SimDuration,
     /// Byte-weighted average speed in X units.
@@ -211,19 +210,6 @@ impl BurnPlan {
             samples,
         }
     }
-
-    /// Converts the plan into a throughput series anchored at `start`.
-    pub fn to_series(&self, label: impl Into<String>, start: SimTime) -> ThroughputSeries {
-        let mut s = ThroughputSeries::new(label);
-        for sample in &self.samples {
-            #[expect(
-                clippy::arithmetic_side_effects,
-                reason = "SimTime + SimDuration is the saturating Add impl"
-            )]
-            s.push(start + sample.elapsed, Bandwidth::from_bluray_x(sample.x));
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -312,12 +298,7 @@ mod tests {
 
     #[test]
     fn rewritable_burns_at_2x() {
-        let curve = SpeedCurve::for_media(
-            DiscClass::Bd25,
-            MediaKind::Rewritable {
-                erase_cycles_used: 0,
-            },
-        );
+        let curve = SpeedCurve::for_media(DiscClass::Bd25, MediaKind::Rewritable);
         assert_eq!(curve, SpeedCurve::Constant { x: 2.0 });
         let plan = BurnPlan::plan(curve, params::BD25_BYTES, 1.0, false, &mut rng());
         let expected = params::BD25_BYTES as f64 / (2.0 * 4.49e6);
@@ -339,18 +320,6 @@ mod tests {
         let plan = BurnPlan::plan(curve, 0, 1.0, false, &mut rng());
         assert_eq!(plan.total, SimDuration::ZERO);
         assert!(plan.samples.is_empty());
-    }
-
-    #[test]
-    fn series_is_time_anchored() {
-        let curve = SpeedCurve::for_media(DiscClass::Bd25, MediaKind::Worm);
-        let plan = BurnPlan::plan(curve, 1 << 24, 1.0, false, &mut rng());
-        let start = SimTime::from_secs(100);
-        let series = plan.to_series("burn", start);
-        assert_eq!(series.points().first().unwrap().at, start);
-        assert_eq!(series.points().last().unwrap().at, start + plan.total);
-        // Burn ends with a zero sample so aggregation drops finished drives.
-        assert!(series.points().last().unwrap().rate.is_zero());
     }
 
     #[test]

@@ -52,8 +52,6 @@ proptest! {
                 _ => prop_assert!(false, "expected inline payload"),
             }
         }
-        // WORM: erasing always fails.
-        prop_assert!(disc.erase().is_err());
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub struct AgingSpec {
 impl AgingSpec {
     /// Nominal archival aging: 50-year characteristic life, mild infant
     /// mortality, 5% defective-batch chance — one epoch per year.
-    pub fn archival(discs: u32, epochs: u32) -> Self {
+    pub(crate) fn archival(discs: u32, epochs: u32) -> Self {
         AgingSpec {
             epochs: epochs.max(1),
             discs,
@@ -106,7 +106,7 @@ impl AgingSpec {
     /// The per-epoch failure hazard of one disc at `epoch`, including
     /// the batch multiplier when `defective_batch` is set. Clamped to
     /// `[0, 1]` so it is always a valid Bernoulli probability.
-    pub fn hazard(&self, epoch: u32, defective_batch: bool) -> f64 {
+    pub(crate) fn hazard(&self, epoch: u32, defective_batch: bool) -> f64 {
         let t = f64::from(epoch) + 0.5; // Mid-epoch evaluation.
         let infant = if self.infant_decay_epochs > 0.0 {
             self.infant_rate * (-t / self.infant_decay_epochs).exp()
@@ -135,7 +135,7 @@ impl AgingSpec {
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AgingEvent {
     /// Epoch the strike lands in, `0..spec.epochs`.
-    pub epoch: u32,
+    pub(crate) epoch: u32,
     /// Victim disc index, `0..spec.discs` (used as the selector of the
     /// emitted [`FaultKind`]).
     pub disc: u32,
@@ -147,12 +147,9 @@ pub struct AgingEvent {
 /// A deterministic decade-scale aging schedule, pure in `(seed, spec)`.
 ///
 /// Consumption state (`cursor`) is separate from the schedule so a plan
-/// can be replayed, mirroring [`crate::plan::FaultPlan`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// can be replayed ([`AgingPlan::reset`]).
+#[derive(Clone, Debug)]
 pub struct AgingPlan {
-    seed: u64,
-    spec: AgingSpec,
-    defective_batches: Vec<bool>,
     events: Vec<AgingEvent>,
     cursor: usize,
 }
@@ -201,28 +198,7 @@ impl AgingPlan {
         // Stable sort: within an epoch, strikes keep disc order, so the
         // sequence is fully determined by (seed, spec).
         events.sort_by_key(|e| e.epoch);
-        AgingPlan {
-            seed,
-            spec: spec.clone(),
-            defective_batches,
-            events,
-            cursor: 0,
-        }
-    }
-
-    /// The seed the plan was generated from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The spec the plan was generated from.
-    pub fn spec(&self) -> &AgingSpec {
-        &self.spec
-    }
-
-    /// Which batches the defect draw marked defective.
-    pub fn defective_batches(&self) -> &[bool] {
-        &self.defective_batches
+        AgingPlan { events, cursor: 0 }
     }
 
     /// The full schedule, ordered by epoch then disc.
@@ -277,7 +253,6 @@ mod tests {
         let a = AgingPlan::generate(7, &spec);
         let b = AgingPlan::generate(7, &spec);
         assert_eq!(a.events(), b.events());
-        assert_eq!(a.defective_batches(), b.defective_batches());
         assert!(!a.is_empty(), "accelerated aging must produce strikes");
     }
 

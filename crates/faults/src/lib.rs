@@ -48,9 +48,9 @@
     )
 )]
 
-pub mod aging;
-pub mod plan;
-pub mod retry;
+pub(crate) mod aging;
+pub(crate) mod plan;
+pub(crate) mod retry;
 
 pub use aging::{AgingEvent, AgingPlan, AgingSpec};
 pub use plan::{

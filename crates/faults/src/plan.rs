@@ -197,38 +197,38 @@ pub trait FaultSink {
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Workload operations the plan spans; events fire in `[0, horizon)`.
-    pub horizon_ops: u64,
+    pub(crate) horizon_ops: u64,
     /// Cluster width. Zero means a single-rack plan: intra-rack faults
     /// are emitted bare (no [`FaultKind::AtRack`] wrapper) and
     /// rack-level categories are skipped.
-    pub racks: u32,
+    pub(crate) racks: u32,
     /// Drive bays per rack.
     pub bays: u32,
     /// Drives per bay.
     pub drives_per_bay: u32,
     /// RAID members per SSD volume (for member selection).
-    pub volume_members: u32,
+    pub(crate) volume_members: u32,
     /// Transient drive-read fault events.
-    pub drive_transient_reads: u32,
+    pub(crate) drive_transient_reads: u32,
     /// Spoiled-burn events.
-    pub drive_burn_faults: u32,
+    pub(crate) drive_burn_faults: u32,
     /// Permanent drive deaths.
-    pub drive_deaths: u32,
+    pub(crate) drive_deaths: u32,
     /// Burned-disc sector-corruption events.
-    pub media_corruptions: u32,
+    pub(crate) media_corruptions: u32,
     /// Latent byte-rot events (silent corruption; absent in older
     /// serialized specs).
     #[serde(default)]
-    pub media_rot_events: u32,
+    pub(crate) media_rot_events: u32,
     /// Transient mechanical fault events.
-    pub mech_transients: u32,
+    pub(crate) mech_transients: u32,
     /// SSD member losses (each schedules a paired repair later).
-    pub ssd_losses: u32,
+    pub(crate) ssd_losses: u32,
     /// Whole-rack outages (clamped to at most one: the zero-loss
     /// invariant only holds while replication can still be satisfied).
-    pub rack_outages: u32,
+    pub(crate) rack_outages: u32,
     /// Slow-rack events.
-    pub rack_slowdowns: u32,
+    pub(crate) rack_slowdowns: u32,
 }
 
 impl FaultSpec {
@@ -271,33 +271,15 @@ impl FaultSpec {
             rack_slowdowns: 2,
         }
     }
-
-    /// Total events this spec schedules (repairs counted).
-    pub fn event_count(&self) -> u64 {
-        let rack_level = if self.racks == 0 {
-            0
-        } else {
-            u64::from(self.rack_outages.min(1)) + u64::from(self.rack_slowdowns)
-        };
-        u64::from(self.drive_transient_reads)
-            + u64::from(self.drive_burn_faults)
-            + u64::from(self.drive_deaths)
-            + u64::from(self.media_corruptions)
-            + u64::from(self.media_rot_events)
-            + u64::from(self.mech_transients)
-            + 2 * u64::from(self.ssd_losses)
-            + rack_level
-    }
 }
 
 /// A deterministic, seeded schedule of fault events.
 ///
 /// Two plans generated from the same `(seed, spec)` are identical; any
-/// change to either diverges the sequence. Consumption state (`cursor`)
-/// is separate from the schedule, so a plan can be replayed.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// change to either diverges the sequence. [`FaultPlan::due`] hands each
+/// event out once.
+#[derive(Clone, Debug)]
 pub struct FaultPlan {
-    seed: u64,
     events: Vec<FaultEvent>,
     cursor: usize,
 }
@@ -469,31 +451,12 @@ impl FaultPlan {
                 kind,
             })
             .collect();
-        FaultPlan {
-            seed,
-            events,
-            cursor: 0,
-        }
-    }
-
-    /// The seed the plan was generated from.
-    pub fn seed(&self) -> u64 {
-        self.seed
+        FaultPlan { events, cursor: 0 }
     }
 
     /// The full schedule, ordered by `at_op` then `seq`.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Pops every not-yet-delivered event due at or before `op`
@@ -505,21 +468,28 @@ impl FaultPlan {
         }
         self.events[start..self.cursor].to_vec()
     }
-
-    /// Events not yet handed out by [`FaultPlan::due`].
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
-    }
-
-    /// Rewinds consumption so the plan can be replayed.
-    pub fn reset(&mut self) {
-        self.cursor = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total events `spec` schedules (repairs counted).
+    fn event_count(spec: &FaultSpec) -> u64 {
+        let rack_level = if spec.racks == 0 {
+            0
+        } else {
+            u64::from(spec.rack_outages.min(1)) + u64::from(spec.rack_slowdowns)
+        };
+        u64::from(spec.drive_transient_reads)
+            + u64::from(spec.drive_burn_faults)
+            + u64::from(spec.drive_deaths)
+            + u64::from(spec.media_corruptions)
+            + u64::from(spec.media_rot_events)
+            + u64::from(spec.mech_transients)
+            + 2 * u64::from(spec.ssd_losses)
+            + rack_level
+    }
 
     #[test]
     fn same_seed_same_plan() {
@@ -527,7 +497,7 @@ mod tests {
         let a = FaultPlan::generate(7, &spec);
         let b = FaultPlan::generate(7, &spec);
         assert_eq!(a.events(), b.events());
-        assert_eq!(a.len() as u64, spec.event_count());
+        assert_eq!(a.events().len() as u64, event_count(&spec));
     }
 
     #[test]
@@ -546,15 +516,13 @@ mod tests {
     fn due_hands_out_each_event_once() {
         let spec = FaultSpec::smoke(2, 50);
         let mut plan = FaultPlan::generate(3, &spec);
-        let total = plan.len();
+        let total = plan.events().len();
         let mut seen = 0;
         for op in 0..50 {
             seen += plan.due(op).len();
         }
         assert_eq!(seen, total);
-        assert_eq!(plan.remaining(), 0);
-        plan.reset();
-        assert_eq!(plan.remaining(), total);
+        assert!(plan.due(u64::MAX).is_empty());
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub struct RetryStats {
 
 impl RetryStats {
     /// Stats for an operation that has not run yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RetryStats {
             attempts: 0,
             backoff_total: SimDuration::ZERO,
@@ -99,7 +99,7 @@ impl RetryStats {
     }
 
     /// Records one backoff period before a retry.
-    pub fn note_backoff(&mut self, d: SimDuration) {
+    pub(crate) fn note_backoff(&mut self, d: SimDuration) {
         self.backoff_total = self.backoff_total.saturating_add(d);
     }
 }

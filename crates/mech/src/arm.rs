@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// Vertical positions the arm can occupy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ArmPosition {
+pub(crate) enum ArmPosition {
     /// Parked above the drive stack (the start position, near the
     /// uppermost layer).
     Station,
@@ -23,7 +23,7 @@ pub enum ArmPosition {
 
 /// What the arm is currently carrying.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CarryState {
+pub(crate) enum CarryState {
     /// Gripper empty.
     Empty,
     /// Carrying a disc array of `discs` discs.
@@ -58,39 +58,20 @@ impl std::error::Error for ArmError {}
 
 /// The robotic arm.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RoboticArm {
+pub(crate) struct RoboticArm {
     layout: RackLayout,
     position: ArmPosition,
     carrying: CarryState,
-    /// Cumulative vertical distance travelled, in span fractions
-    /// (wear/telemetry).
-    travel_fraction: f64,
 }
 
 impl RoboticArm {
     /// Creates an arm parked at the station, carrying nothing.
-    pub fn new(layout: RackLayout) -> Self {
+    pub(crate) fn new(layout: RackLayout) -> Self {
         RoboticArm {
             layout,
             position: ArmPosition::Station,
             carrying: CarryState::Empty,
-            travel_fraction: 0.0,
         }
-    }
-
-    /// Returns the current vertical position.
-    pub fn position(&self) -> ArmPosition {
-        self.position
-    }
-
-    /// Returns the current carry state.
-    pub fn carrying(&self) -> CarryState {
-        self.carrying
-    }
-
-    /// Returns the cumulative travel in full-span units.
-    pub fn travel_fraction(&self) -> f64 {
-        self.travel_fraction
     }
 
     fn depth_of(&self, pos: ArmPosition) -> f64 {
@@ -101,7 +82,12 @@ impl RoboticArm {
     }
 
     /// Computes the travel time between two positions without moving.
-    pub fn travel_time(&self, from: ArmPosition, to: ArmPosition, loaded: bool) -> SimDuration {
+    pub(crate) fn travel_time(
+        &self,
+        from: ArmPosition,
+        to: ArmPosition,
+        loaded: bool,
+    ) -> SimDuration {
         let dist = (self.depth_of(from) - self.depth_of(to)).abs();
         let full = if loaded {
             params::arm_full_travel_loaded()
@@ -112,7 +98,7 @@ impl RoboticArm {
     }
 
     /// Moves the arm to `to`, returning the travel time.
-    pub fn travel_to(&mut self, to: ArmPosition) -> Result<SimDuration, ArmError> {
+    pub(crate) fn travel_to(&mut self, to: ArmPosition) -> Result<SimDuration, ArmError> {
         if let ArmPosition::Layer(l) = to {
             if l >= self.layout.layers {
                 return Err(ArmError::NoSuchLayer(l));
@@ -120,13 +106,12 @@ impl RoboticArm {
         }
         let loaded = matches!(self.carrying, CarryState::Array { .. });
         let t = self.travel_time(self.position, to, loaded);
-        self.travel_fraction += (self.depth_of(self.position) - self.depth_of(to)).abs();
         self.position = to;
         Ok(t)
     }
 
     /// Latches a full disc array off a fanned-out tray.
-    pub fn latch_array(&mut self) -> Result<SimDuration, ArmError> {
+    pub(crate) fn latch_array(&mut self) -> Result<SimDuration, ArmError> {
         if self.carrying != CarryState::Empty {
             return Err(ArmError::AlreadyCarrying);
         }
@@ -137,7 +122,7 @@ impl RoboticArm {
     }
 
     /// Releases the carried array into a tray (the inverse of latch).
-    pub fn release_array(&mut self) -> Result<SimDuration, ArmError> {
+    pub(crate) fn release_array(&mut self) -> Result<SimDuration, ArmError> {
         match self.carrying {
             CarryState::Array { .. } => {
                 self.carrying = CarryState::Empty;
@@ -152,7 +137,7 @@ impl RoboticArm {
     ///
     /// Returns the total separation time (≈61 s for a full array; a partial
     /// array takes proportionally less).
-    pub fn separate_into_drives(&mut self) -> Result<SimDuration, ArmError> {
+    pub(crate) fn separate_into_drives(&mut self) -> Result<SimDuration, ArmError> {
         match self.carrying {
             CarryState::Array { discs } => {
                 self.carrying = CarryState::Empty;
@@ -165,7 +150,7 @@ impl RoboticArm {
 
     /// Collects `discs` discs one by one from ejected drive trays onto the
     /// gripper (≈74 s for a full array; §5.5).
-    pub fn collect_from_drives(&mut self, discs: u32) -> Result<SimDuration, ArmError> {
+    pub(crate) fn collect_from_drives(&mut self, discs: u32) -> Result<SimDuration, ArmError> {
         if self.carrying != CarryState::Empty {
             return Err(ArmError::AlreadyCarrying);
         }
@@ -188,8 +173,8 @@ mod tests {
     #[test]
     fn starts_parked_and_empty() {
         let a = arm();
-        assert_eq!(a.position(), ArmPosition::Station);
-        assert_eq!(a.carrying(), CarryState::Empty);
+        assert_eq!(a.position, ArmPosition::Station);
+        assert_eq!(a.carrying, CarryState::Empty);
     }
 
     #[test]
@@ -227,11 +212,11 @@ mod tests {
     fn latch_and_separate_cycle() {
         let mut a = arm();
         a.latch_array().unwrap();
-        assert_eq!(a.carrying(), CarryState::Array { discs: 12 });
+        assert_eq!(a.carrying, CarryState::Array { discs: 12 });
         assert_eq!(a.latch_array().unwrap_err(), ArmError::AlreadyCarrying);
         let t = a.separate_into_drives().unwrap();
         assert_eq!(t, params::separate_array());
-        assert_eq!(a.carrying(), CarryState::Empty);
+        assert_eq!(a.carrying, CarryState::Empty);
         assert_eq!(a.separate_into_drives().unwrap_err(), ArmError::NotCarrying);
     }
 
@@ -257,13 +242,5 @@ mod tests {
         b.carrying = CarryState::Array { discs: 3 };
         let t = b.separate_into_drives().unwrap();
         assert_eq!(t, params::separate_array() / 4);
-    }
-
-    #[test]
-    fn travel_accumulates_wear() {
-        let mut a = arm();
-        a.travel_to(ArmPosition::Layer(84)).unwrap();
-        a.travel_to(ArmPosition::Station).unwrap();
-        assert!((a.travel_fraction() - 2.0).abs() < 1e-12);
     }
 }

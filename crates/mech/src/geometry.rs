@@ -66,11 +66,6 @@ impl RackLayout {
         })
     }
 
-    /// Returns every slot in the rack in scan order.
-    pub fn all_slots(&self) -> impl Iterator<Item = SlotAddress> + '_ {
-        (0..self.rollers).flat_map(move |r| self.slots_of_roller(r))
-    }
-
     /// Returns true if `addr` names a slot inside this layout.
     pub fn contains(&self, addr: SlotAddress) -> bool {
         addr.roller < self.rollers && addr.layer < self.layers && addr.slot < self.slots_per_layer
@@ -110,7 +105,7 @@ impl RackLayout {
 
     /// Fraction of full vertical span from the uppermost layer (0.0) to the
     /// lowest (1.0); a single-layer roller is all at the top.
-    pub fn layer_depth_fraction(&self, layer: u32) -> f64 {
+    pub(crate) fn layer_depth_fraction(&self, layer: u32) -> f64 {
         if self.layers <= 1 {
             0.0
         } else {
@@ -126,9 +121,9 @@ pub struct SlotAddress {
     /// Roller index within the rack.
     pub roller: u32,
     /// Layer index, 0 at the top of the roller.
-    pub layer: u32,
+    pub(crate) layer: u32,
     /// Slot index within the layer.
-    pub slot: u32,
+    pub(crate) slot: u32,
 }
 
 impl SlotAddress {
@@ -140,16 +135,6 @@ impl SlotAddress {
             slot,
         }
     }
-}
-
-/// Address of a single disc: a tray slot plus the position within the
-/// 12-disc array (0 = bottom disc, separated first; §3.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct DiscSlot {
-    /// The tray the disc lives in.
-    pub tray: SlotAddress,
-    /// Position within the tray, 0 at the bottom.
-    pub position: u32,
 }
 
 #[cfg(test)]
@@ -175,11 +160,9 @@ mod tests {
     #[test]
     fn slot_index_roundtrip() {
         let l = RackLayout::default();
-        for (i, addr) in l.all_slots().enumerate() {
-            assert_eq!(l.slot_index(addr), i as u32);
-            assert_eq!(l.slot_at(i as u32), addr);
+        for i in 0..l.total_slots() {
+            assert_eq!(l.slot_index(l.slot_at(i)), i);
         }
-        assert_eq!(l.all_slots().count() as u32, l.total_slots());
     }
 
     #[test]
@@ -214,7 +197,7 @@ mod tests {
     #[test]
     fn scan_order_is_layer_major() {
         let l = RackLayout::tiny();
-        let first: Vec<SlotAddress> = l.all_slots().take(3).collect();
+        let first: Vec<SlotAddress> = (0..3).map(|i| l.slot_at(i)).collect();
         assert_eq!(
             first,
             vec![

@@ -11,15 +11,14 @@
 //!
 //! This crate reproduces that machinery as a calibrated kinematic model:
 //!
-//! - [`geometry`]: rack layout, slot/tray addressing and capacity math,
-//! - [`roller`]: roller rotation and tray fan-out/fan-in state machine,
-//! - [`arm`]: robotic-arm travel, latch and disc separation/collection,
-//! - [`sensors`]: range-sensor feedback loop reaching 0.05 mm tolerance,
+//! - `geometry`: rack layout, slot/tray addressing and capacity math,
+//! - `roller`: roller rotation and tray fan-out/fan-in state machine,
+//! - `arm`: robotic-arm travel, latch and disc separation/collection,
 //! - [`plc`]: the PLC instruction set and its interpreter,
 //! - [`ops`]: composite load/unload operations with the parallel-scheduling
 //!   overlap optimisation, calibrated to Table 3 of the paper
 //!   (load 68.7-73.2 s, unload 81.7-86.5 s),
-//! - [`params`]: every timing constant with its paper citation.
+//! - `params`: every timing constant with its paper citation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,16 +40,15 @@
     )
 )]
 
-pub mod arm;
-pub mod geometry;
+pub(crate) mod arm;
+pub(crate) mod geometry;
 pub mod ops;
-pub mod params;
+pub(crate) mod params;
 pub mod plc;
-pub mod roller;
-pub mod sensors;
+pub(crate) mod roller;
 
-pub use arm::RoboticArm;
-pub use geometry::{DiscSlot, RackLayout, SlotAddress};
-pub use ops::{MechOp, MechScheduler, OpKind};
-pub use plc::{Plc, PlcError, PlcInstruction};
-pub use roller::Roller;
+pub use arm::ArmError;
+pub use geometry::{RackLayout, SlotAddress};
+pub use ops::{MechOp, MechScheduler};
+pub use plc::{Plc, PlcError};
+pub use roller::RollerError;

@@ -12,47 +12,44 @@
 use ros_sim::SimDuration;
 
 /// Default number of rollers in a rack (§3.2: "1 or 2 rollers").
-pub const DEFAULT_ROLLERS: u32 = 2;
+pub(crate) const DEFAULT_ROLLERS: u32 = 2;
 
 /// Layers per roller (§3.2: "organized in 85 layers").
-pub const LAYERS_PER_ROLLER: u32 = 85;
+pub(crate) const LAYERS_PER_ROLLER: u32 = 85;
 
 /// Tray slots per layer (§3.2: "each layer containing 6 concentric slots").
-pub const SLOTS_PER_LAYER: u32 = 6;
+pub(crate) const SLOTS_PER_LAYER: u32 = 6;
 
 /// Discs per tray, i.e. per disc array (§3.2: "510 trays (of 12 discs each)").
-pub const DISCS_PER_TRAY: u32 = 12;
-
-/// Discs per roller: 6120 (§3.2).
-pub const DISCS_PER_ROLLER: u32 = LAYERS_PER_ROLLER * SLOTS_PER_LAYER * DISCS_PER_TRAY;
+pub(crate) const DISCS_PER_TRAY: u32 = 12;
 
 /// Maximum roller rotation time for a worst-case (half-turn) repositioning
 /// (§5.5: "The roller rotation time is less than 2 seconds"). The composite
 /// calibration uses 1.7 s as the average observed rotation.
-pub fn roller_rotation() -> SimDuration {
+pub(crate) fn roller_rotation() -> SimDuration {
     SimDuration::from_millis(1_700)
 }
 
 /// Tray fan-out time: hook latched by the arm while the roller rotates the
 /// inner connector to swing the tray out (§3.2).
-pub fn tray_fan_out() -> SimDuration {
+pub(crate) fn tray_fan_out() -> SimDuration {
     SimDuration::from_millis(2_000)
 }
 
 /// Tray fan-in time: reverse rotation closing the tray (§3.2).
-pub fn tray_fan_in() -> SimDuration {
+pub(crate) fn tray_fan_in() -> SimDuration {
     SimDuration::from_millis(2_000)
 }
 
 /// Latching and fetching a 12-disc array off a fanned-out tray (part
 /// of §3.2's composite load cycle; not itemised in the paper).
-pub fn array_latch() -> SimDuration {
+pub(crate) fn array_latch() -> SimDuration {
     SimDuration::from_millis(1_000)
 }
 
 /// Arm settle/alignment overhead per composite operation, covering the
 /// closed-loop sensor calibration described in §3.3.
-pub fn arm_settle() -> SimDuration {
+pub(crate) fn arm_settle() -> SimDuration {
     SimDuration::from_millis(1_000)
 }
 
@@ -63,7 +60,7 @@ pub fn arm_settle() -> SimDuration {
 /// the effective one-way travel included in a load at 4.5 s because the
 /// return leg overlaps with drive-tray preparation (parallel scheduling,
 /// §3.2).
-pub fn arm_full_travel_empty() -> SimDuration {
+pub(crate) fn arm_full_travel_empty() -> SimDuration {
     SimDuration::from_millis(4_500)
 }
 
@@ -71,34 +68,22 @@ pub fn arm_full_travel_empty() -> SimDuration {
 ///
 /// Table 3's unload delta (86.5 - 81.7 = 4.8 s): the loaded arm moves
 /// slightly slower.
-pub fn arm_full_travel_loaded() -> SimDuration {
+pub(crate) fn arm_full_travel_loaded() -> SimDuration {
     SimDuration::from_millis(4_800)
 }
 
 /// Separating 12 discs one by one from the carried array into 12 opened
 /// drive trays (§5.5: "separating 12 discs into 12 drives takes almost 61
 /// seconds").
-pub fn separate_array() -> SimDuration {
+pub(crate) fn separate_array() -> SimDuration {
     SimDuration::from_millis(61_000)
 }
 
 /// Collecting 12 discs one by one from the ejected drive trays back onto
 /// the arm (§5.5: "fetching discs one by one from drives takes 74 seconds").
-pub fn collect_array() -> SimDuration {
+pub(crate) fn collect_array() -> SimDuration {
     SimDuration::from_millis(74_000)
 }
-
-/// Time saved by precisely overlapping roller and arm movements (§3.2:
-/// "can save up to almost 10 seconds"). When parallel scheduling is
-/// disabled, composite operations serialise the return-travel leg, an extra
-/// rotation and the fan-in wait, adding up to roughly this much.
-pub fn parallel_scheduling_saving_max() -> SimDuration {
-    SimDuration::from_millis(10_000)
-}
-
-/// Required placement precision when partitioning discs into drives
-/// (§3.3: "at the 0.05mm precision using a set of range sensors").
-pub const PLACEMENT_TOLERANCE_MM: f64 = 0.05;
 
 #[cfg(test)]
 mod tests {
@@ -106,8 +91,9 @@ mod tests {
 
     #[test]
     fn roller_disc_count_matches_paper() {
-        assert_eq!(DISCS_PER_ROLLER, 6_120);
-        assert_eq!(DISCS_PER_ROLLER * DEFAULT_ROLLERS, 12_240);
+        let per_roller = LAYERS_PER_ROLLER * SLOTS_PER_LAYER * DISCS_PER_TRAY;
+        assert_eq!(per_roller, 6_120);
+        assert_eq!(per_roller * DEFAULT_ROLLERS, 12_240);
     }
 
     #[test]

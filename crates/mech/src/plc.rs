@@ -9,13 +9,13 @@
 
 use crate::arm::{ArmError, ArmPosition, RoboticArm};
 use crate::geometry::{RackLayout, SlotAddress};
-use crate::roller::{Roller, RollerError, TrayOccupancy};
+use crate::roller::{Roller, RollerError};
 use ros_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// One basic mechanical instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlcInstruction {
+pub(crate) enum PlcInstruction {
     /// Rotate a roller so the slot's column faces the arm.
     RotateTo(SlotAddress),
     /// Fan the addressed tray out of the roller.
@@ -88,8 +88,6 @@ pub struct Plc {
     layout: RackLayout,
     rollers: Vec<Roller>,
     arms: Vec<RoboticArm>,
-    /// Total instructions executed (telemetry).
-    executed: u64,
 }
 
 impl Plc {
@@ -103,37 +101,12 @@ impl Plc {
                 .map(|_| RoboticArm::new(layout))
                 .collect(),
             layout,
-            executed: 0,
         }
     }
 
     /// Returns the rack layout.
-    pub fn layout(&self) -> RackLayout {
+    pub(crate) fn layout(&self) -> RackLayout {
         self.layout
-    }
-
-    /// Returns the number of instructions executed so far.
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Immutable view of a roller.
-    pub fn roller(&self, index: u32) -> Option<&Roller> {
-        self.rollers.get(index as usize)
-    }
-
-    /// Immutable view of an arm.
-    pub fn arm(&self, index: u32) -> Option<&RoboticArm> {
-        self.arms.get(index as usize)
-    }
-
-    /// Returns the occupancy of a tray.
-    pub fn occupancy(&self, addr: SlotAddress) -> Result<TrayOccupancy, PlcError> {
-        self.rollers
-            .get(addr.roller as usize)
-            .ok_or(PlcError::NoSuchRoller(addr.roller))?
-            .occupancy(addr)
-            .map_err(PlcError::from)
     }
 
     fn roller_mut(&mut self, index: u32) -> Result<&mut Roller, PlcError> {
@@ -153,8 +126,7 @@ impl Plc {
     /// State transitions are applied immediately; the caller is responsible
     /// for serialising instructions in time (the mechanical scheduler in
     /// [`crate::ops`] does this).
-    pub fn execute(&mut self, instr: PlcInstruction) -> Result<SimDuration, PlcError> {
-        self.executed += 1;
+    pub(crate) fn execute(&mut self, instr: PlcInstruction) -> Result<SimDuration, PlcError> {
         match instr {
             PlcInstruction::RotateTo(addr) => Ok(self.roller_mut(addr.roller)?.rotate_to(addr)?),
             PlcInstruction::FanOut(addr) => Ok(self.roller_mut(addr.roller)?.fan_out(addr)?),
@@ -197,11 +169,14 @@ impl Plc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arm::CarryState;
 
     fn plc() -> Plc {
         Plc::new_full(RackLayout::tiny())
     }
+
+    /// Separates roller 0's carried array into the drives: it fails with
+    /// `NotCarrying` exactly when the arm holds nothing.
+    const SEPARATE: PlcInstruction = PlcInstruction::SeparateToDrives { roller: 0 };
 
     #[test]
     fn executes_full_load_sequence() {
@@ -227,9 +202,17 @@ mod tests {
             .map(|i| p.execute(*i).expect("sequence must run"))
             .sum();
         assert!(total > SimDuration::from_secs(60));
-        assert_eq!(p.occupancy(slot).unwrap(), TrayOccupancy::Empty);
-        assert_eq!(p.arm(0).unwrap().carrying(), CarryState::Empty);
-        assert_eq!(p.executed(), 7);
+        // The arm separated its array into the drives and the tray is empty.
+        assert_eq!(
+            p.execute(SEPARATE).unwrap_err(),
+            PlcError::Arm(ArmError::NotCarrying)
+        );
+        p.execute(PlcInstruction::RotateTo(slot)).unwrap();
+        p.execute(PlcInstruction::FanOut(slot)).unwrap();
+        assert_eq!(
+            p.execute(PlcInstruction::LatchArray(slot)).unwrap_err(),
+            PlcError::Roller(RollerError::TrayEmpty(slot))
+        );
     }
 
     #[test]
@@ -246,10 +229,8 @@ mod tests {
         p.execute(PlcInstruction::FanOut(slot)).unwrap();
         let err = p.execute(PlcInstruction::LatchArray(slot)).unwrap_err();
         assert_eq!(err, PlcError::Arm(ArmError::AlreadyCarrying));
-        assert!(matches!(
-            p.arm(0).unwrap().carrying(),
-            CarryState::Array { .. }
-        ));
+        // Still carrying: the array separates into the drives.
+        p.execute(SEPARATE).unwrap();
     }
 
     #[test]
@@ -267,10 +248,8 @@ mod tests {
         p.execute(PlcInstruction::FanOut(b)).unwrap();
         let err = p.execute(PlcInstruction::ReleaseArray(b)).unwrap_err();
         assert_eq!(err, PlcError::Roller(RollerError::TrayOccupied(b)));
-        assert!(matches!(
-            p.arm(0).unwrap().carrying(),
-            CarryState::Array { .. }
-        ));
+        // Still carrying: the array separates into the drives.
+        p.execute(SEPARATE).unwrap();
     }
 
     #[test]
@@ -289,6 +268,9 @@ mod tests {
         let err = p.execute(PlcInstruction::LatchArray(slot)).unwrap_err();
         assert_eq!(err, PlcError::Roller(RollerError::NotFannedOut(slot)));
         // Arm must have been rolled back to empty.
-        assert_eq!(p.arm(0).unwrap().carrying(), CarryState::Empty);
+        assert_eq!(
+            p.execute(SEPARATE).unwrap_err(),
+            PlcError::Arm(ArmError::NotCarrying)
+        );
     }
 }

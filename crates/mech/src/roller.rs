@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// Occupancy of a tray slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TrayOccupancy {
+pub(crate) enum TrayOccupancy {
     /// The tray holds a full disc array.
     Occupied,
     /// The tray is empty (its array is in the drives, or never loaded).
@@ -53,7 +53,7 @@ impl std::error::Error for RollerError {}
 
 /// One roller: rotation position plus per-tray state.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Roller {
+pub(crate) struct Roller {
     layout: RackLayout,
     index: u32,
     /// Angular position expressed as the slot column currently facing the
@@ -64,14 +64,12 @@ pub struct Roller {
     fanned_out: Option<SlotAddress>,
     /// Occupancy per slot (dense, indexed by layer * slots + slot).
     occupancy: Vec<TrayOccupancy>,
-    /// Cumulative count of rotations performed (wear/telemetry).
-    rotations: u64,
 }
 
 impl Roller {
     /// Creates a roller with every tray occupied (a factory-fresh,
     /// fully-populated library).
-    pub fn new_full(layout: RackLayout, index: u32) -> Self {
+    pub(crate) fn new_full(layout: RackLayout, index: u32) -> Self {
         let n = (layout.layers * layout.slots_per_layer) as usize;
         Roller {
             layout,
@@ -79,30 +77,7 @@ impl Roller {
             facing: None,
             fanned_out: None,
             occupancy: vec![TrayOccupancy::Occupied; n],
-            rotations: 0,
         }
-    }
-
-    /// Creates a roller with every tray empty.
-    pub fn new_empty(layout: RackLayout, index: u32) -> Self {
-        let mut r = Self::new_full(layout, index);
-        r.occupancy.fill(TrayOccupancy::Empty);
-        r
-    }
-
-    /// Returns this roller's index in the rack.
-    pub fn index(&self) -> u32 {
-        self.index
-    }
-
-    /// Returns the number of rotations performed so far.
-    pub fn rotations(&self) -> u64 {
-        self.rotations
-    }
-
-    /// Returns the currently fanned-out tray, if any.
-    pub fn fanned_out(&self) -> Option<SlotAddress> {
-        self.fanned_out
     }
 
     fn dense(&self, addr: SlotAddress) -> Result<usize, RollerError> {
@@ -112,22 +87,9 @@ impl Roller {
         Ok((addr.layer * self.layout.slots_per_layer + addr.slot) as usize)
     }
 
-    /// Returns the occupancy of a tray.
-    pub fn occupancy(&self, addr: SlotAddress) -> Result<TrayOccupancy, RollerError> {
-        Ok(self.occupancy[self.dense(addr)?])
-    }
-
-    /// Counts occupied trays.
-    pub fn occupied_trays(&self) -> usize {
-        self.occupancy
-            .iter()
-            .filter(|&&o| o == TrayOccupancy::Occupied)
-            .count()
-    }
-
     /// Rotates the roller so `slot` faces the arm, returning the rotation
     /// time (zero if already facing).
-    pub fn rotate_to(&mut self, addr: SlotAddress) -> Result<SimDuration, RollerError> {
+    pub(crate) fn rotate_to(&mut self, addr: SlotAddress) -> Result<SimDuration, RollerError> {
         self.dense(addr)?;
         if let Some(open) = self.fanned_out {
             // Rotating with a fanned-out tray would shear it off.
@@ -137,7 +99,6 @@ impl Roller {
             return Ok(SimDuration::ZERO);
         }
         self.facing = Some(addr.slot);
-        self.rotations += 1;
         Ok(params::roller_rotation())
     }
 
@@ -145,7 +106,7 @@ impl Roller {
     ///
     /// The slot must already face the arm (call [`Roller::rotate_to`]
     /// first) and no other tray may be open.
-    pub fn fan_out(&mut self, addr: SlotAddress) -> Result<SimDuration, RollerError> {
+    pub(crate) fn fan_out(&mut self, addr: SlotAddress) -> Result<SimDuration, RollerError> {
         self.dense(addr)?;
         if let Some(open) = self.fanned_out {
             return Err(if open == addr {
@@ -163,7 +124,7 @@ impl Roller {
     }
 
     /// Fans the open tray back into the roller (reverse rotation).
-    pub fn fan_in(&mut self, addr: SlotAddress) -> Result<SimDuration, RollerError> {
+    pub(crate) fn fan_in(&mut self, addr: SlotAddress) -> Result<SimDuration, RollerError> {
         self.dense(addr)?;
         if self.fanned_out != Some(addr) {
             return Err(RollerError::NotFannedOut(addr));
@@ -176,7 +137,7 @@ impl Roller {
     }
 
     /// Removes the disc array from a fanned-out tray (the arm latched it).
-    pub fn take_array(&mut self, addr: SlotAddress) -> Result<(), RollerError> {
+    pub(crate) fn take_array(&mut self, addr: SlotAddress) -> Result<(), RollerError> {
         let i = self.dense(addr)?;
         if self.fanned_out != Some(addr) {
             return Err(RollerError::NotFannedOut(addr));
@@ -189,7 +150,7 @@ impl Roller {
     }
 
     /// Places a disc array into a fanned-out empty tray.
-    pub fn put_array(&mut self, addr: SlotAddress) -> Result<(), RollerError> {
+    pub(crate) fn put_array(&mut self, addr: SlotAddress) -> Result<(), RollerError> {
         let i = self.dense(addr)?;
         if self.fanned_out != Some(addr) {
             return Err(RollerError::NotFannedOut(addr));
@@ -211,22 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_roller_is_fully_occupied() {
-        let r = roller();
-        assert_eq!(r.occupied_trays(), 8);
-        assert_eq!(
-            r.occupancy(SlotAddress::new(0, 0, 0)).unwrap(),
-            TrayOccupancy::Occupied
-        );
-    }
-
-    #[test]
-    fn empty_roller_has_no_arrays() {
-        let r = Roller::new_empty(RackLayout::tiny(), 0);
-        assert_eq!(r.occupied_trays(), 0);
-    }
-
-    #[test]
     fn rotation_is_idempotent_per_column() {
         let mut r = roller();
         let a = SlotAddress::new(0, 0, 1);
@@ -237,7 +182,6 @@ mod tests {
             r.rotate_to(SlotAddress::new(0, 3, 1)).unwrap(),
             SimDuration::ZERO
         );
-        assert_eq!(r.rotations(), 1);
     }
 
     #[test]
@@ -247,14 +191,14 @@ mod tests {
         r.rotate_to(a).unwrap();
         r.fan_out(a).unwrap();
         r.take_array(a).unwrap();
-        assert_eq!(r.occupancy(a).unwrap(), TrayOccupancy::Empty);
+        assert_eq!(r.occupancy[r.dense(a).unwrap()], TrayOccupancy::Empty);
         r.fan_in(a).unwrap();
         // Return the array later.
         r.rotate_to(a).unwrap();
         r.fan_out(a).unwrap();
         r.put_array(a).unwrap();
         r.fan_in(a).unwrap();
-        assert_eq!(r.occupancy(a).unwrap(), TrayOccupancy::Occupied);
+        assert_eq!(r.occupancy[r.dense(a).unwrap()], TrayOccupancy::Occupied);
     }
 
     #[test]

@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn links_share_and_the_last_release_retires_the_catalog() {
         let mut layer = DedupLayer::default();
-        let digest = Digest::of(b"shared payload bytes");
+        let digest = Digest::from_bytes([9; 32]);
         assert!(layer.link(&digest).is_none(), "nothing stored yet");
         let entry = VersionEntry {
             digest: Some(digest),

@@ -231,9 +231,9 @@ impl Ros {
     pub fn try_new(cfg: RosConfig) -> Result<Self, OlfsError> {
         cfg.validate()?;
         let mut vm = VolumeManager::new();
-        let vol_mv = vm.add_volume("mv", RaidArray::prototype_metadata());
-        let vol_buffer = vm.add_volume("buffer", RaidArray::prototype_data());
-        let vol_aux = vm.add_volume("aux", RaidArray::prototype_data());
+        let vol_mv = vm.add_volume(RaidArray::prototype_metadata());
+        let vol_buffer = vm.add_volume(RaidArray::prototype_data());
+        let vol_aux = vm.add_volume(RaidArray::prototype_data());
         let mech = MechScheduler::new(Plc::new_full(cfg.layout), cfg.drive_bays);
         let bays = (0..cfg.drive_bays)
             .map(|_| DriveSet::new(cfg.drives_per_bay))
@@ -2117,7 +2117,8 @@ mod tests {
 
         let alias = r.mv.get(&p("/alias")).unwrap().latest().unwrap();
         assert_eq!(alias.stored, Some(p("/plain")));
-        assert_eq!(alias.digest, Some(ros_cas::Digest::of(b"aaaa")));
+        let aaaa = ros_cas::content_digest(&b"aaaa"[..], &ros_disk::DataPlane::single());
+        assert_eq!(alias.digest, Some(aaaa));
         let u = r.mv.get(&p("/d/u")).unwrap();
         assert_eq!(u.version(1).unwrap().stored, None);
         assert!(u.version(2).unwrap().replaced && !u.version(3).unwrap().replaced);

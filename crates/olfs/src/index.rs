@@ -389,12 +389,12 @@ mod tests {
         f.latest_mut().unwrap().replaced = true;
         f.push_version(VersionEntry {
             stored: Some("/dir/.rosv2-name".parse().unwrap()),
-            digest: Some(Digest::of(b"payload")),
+            digest: Some(Digest::from_bytes([7; 32])),
             ..entry(LocTag::Bucket, 7, 5, vec![ImageId(43)])
         });
         let json = f.to_json();
         assert!(json.contains(r#""stored":"/dir/.rosv2-name""#), "{json}");
-        assert!(json.contains(&format!(r#""digest":"{}""#, Digest::of(b"payload"))));
+        assert!(json.contains(&format!(r#""digest":"{}""#, Digest::from_bytes([7; 32]))));
         assert_eq!(IndexFile::from_json(&json).unwrap(), f);
         // Hostile snapshots: sizes out of step with segments, a digest
         // that is not 64 hex characters.

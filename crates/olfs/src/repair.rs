@@ -644,6 +644,99 @@ mod tests {
         assert_eq!(runs[0].1.as_nanos(), 261_162_247_856);
     }
 
+    /// What one [`Ros::rebuild`] gave back: each data member's digest,
+    /// or the error.
+    type RebuildOutcome = Result<Vec<String>, String>;
+
+    /// Seeded overwrites of burned members: each case overwrites one byte
+    /// range (offset, length and fill drawn from the seed) on each of 1 to
+    /// tolerance + 1 members, data or parity, runs `rebuild`, checks it,
+    /// and puts the original discs back.
+    fn rebuild_sweep(
+        redundancy: Redundancy,
+        tolerance: usize,
+        threads: usize,
+    ) -> Vec<RebuildOutcome> {
+        let mut a = cold_array(redundancy, threads);
+        let group = a.ros.store.group(a.gid).unwrap();
+        let members: Vec<ImageId> = group.data.iter().chain(&group.parity).copied().collect();
+        let mut rng = ros_sim::SimRng::seed_from(0x7d);
+        let mut outcomes = Vec::new();
+        for _ in 0..12 {
+            let victims = 1 + rng.index(tolerance + 1);
+            let mut pool = members.clone();
+            let mut originals = Vec::new();
+            let mut changed = 0;
+            for _ in 0..victims {
+                let image = pool.swap_remove(rng.index(pool.len()));
+                let disc = a.disc(image);
+                let original = disc.clone();
+                let Ok((Payload::Inline(parts), _)) = original.read_image_raw(image.0) else {
+                    panic!("{image}: a burned member carries its bytes");
+                };
+                let mut bytes = parts.to_bytes().to_vec();
+                let offset = rng.index(bytes.len());
+                let len = 1 + rng.index((bytes.len() - offset).min(20_000));
+                let fill = u8::try_from(rng.index(256)).unwrap();
+                let range = offset..offset + len;
+                if bytes[range.clone()].iter().any(|&b| b != fill) {
+                    changed += 1;
+                }
+                bytes[range].fill(fill);
+                let class = ros_drive::media::DiscClass::Custom {
+                    capacity: 512 * 1024,
+                };
+                let mut mutated = Disc::blank(original.id, class, ros_drive::MediaKind::Worm);
+                mutated
+                    .burn_all_once(image.0, Payload::inline(bytes))
+                    .unwrap();
+                *disc = mutated;
+                originals.push((image, original));
+            }
+            let outcome = match a.ros.rebuild(a.gid) {
+                Ok(rebuilt) => {
+                    assert!(
+                        changed <= tolerance,
+                        "{changed} members rebuilt past tolerance"
+                    );
+                    for m in &rebuilt.data {
+                        let recorded = a.ros.store.get(m.image).unwrap().digest;
+                        assert_eq!(m.proof.digest(), recorded, "{}", m.image);
+                    }
+                    Ok(rebuilt
+                        .data
+                        .iter()
+                        .map(|m| m.proof.digest().to_hex())
+                        .collect())
+                }
+                Err(e) => {
+                    assert!(changed > tolerance, "{changed} changed members: {e}");
+                    assert!(matches!(e, OlfsError::Unrecoverable { .. }), "{e}");
+                    Err(e.to_string())
+                }
+            };
+            outcomes.push(outcome);
+            for (image, original) in originals {
+                *a.disc(image) = original;
+            }
+        }
+        outcomes
+    }
+
+    #[test]
+    fn rebuild_of_overwritten_members_is_exact_or_unrecoverable() {
+        for (redundancy, tolerance) in [(Redundancy::Raid5, 1), (Redundancy::Raid6, 2)] {
+            let one = rebuild_sweep(redundancy, tolerance, 1);
+            assert!(one.iter().any(Result::is_ok), "{redundancy:?}: {one:?}");
+            assert!(one.iter().any(Result::is_err), "{redundancy:?}: {one:?}");
+            assert_eq!(
+                one,
+                rebuild_sweep(redundancy, tolerance, 2),
+                "{redundancy:?}"
+            );
+        }
+    }
+
     #[test]
     fn rebuild_gathers_as_a_batch_what_it_gathered_one_by_one() {
         let a = rot_plus_sector_errors(2);

@@ -172,28 +172,28 @@ impl BucketManager {
 
     /// Plans the placement of a `size`-byte file at `path` (FCFS, §4.5).
     ///
-    /// A bucket that already stages `path` cannot take it: the name there
-    /// belongs to bytes an unlinked or superseded file left behind, which
-    /// stay put until the bucket seals. Such a bucket is passed over, and
-    /// when no other has room the caller's [`Placement::NoRoom`] handling
-    /// seals buckets until one does.
+    /// A bucket whose staged tree would refuse `path` cannot take it: a
+    /// name staged there, or a staged file where a directory on the way
+    /// would go, belongs to bytes an unlinked or superseded file left
+    /// behind, which stay put until the bucket seals. Such a bucket is
+    /// passed over, and when no other has room the caller's
+    /// [`Placement::NoRoom`] handling seals buckets until one does.
     pub fn place(&self, path: &UdfPath, size: u64) -> Placement {
         self.debug_assert_accounting();
-        let candidates = || {
-            self.buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| !b.contains(path))
-        };
         // First bucket that takes the file whole.
-        for (i, b) in candidates() {
-            if b.cost_of(path, size) <= b.free_bytes() {
-                return Placement::Whole { bucket: i };
-            }
+        let whole = self.buckets.iter().position(|b| {
+            b.admission_cost(path, size)
+                .is_some_and(|cost| cost <= b.free_bytes())
+        });
+        if let Some(bucket) = whole {
+            return Placement::Whole { bucket };
         }
         // Otherwise split: pick the bucket able to take the largest
         // prefix (it is closest to full and will close after).
-        let best = candidates()
+        let best = self
+            .buckets
+            .iter()
+            .enumerate()
             .filter_map(|(i, b)| b.max_prefix(path, size).map(|p| (i, p)))
             .max_by_key(|&(_, p)| p);
         match best {

@@ -43,11 +43,6 @@ impl Bandwidth {
         Self::from_bytes_per_sec(mbps * 1e6)
     }
 
-    /// Creates a bandwidth of `gbps` *decimal* gigabytes per second.
-    pub fn from_gb_per_sec(gbps: f64) -> Self {
-        Self::from_bytes_per_sec(gbps * 1e9)
-    }
-
     /// Creates a bandwidth from a network link rate in gigabits per second
     /// (e.g. the 10GbE client network of the prototype).
     pub fn from_gbit_per_sec(gbit: f64) -> Self {
@@ -67,16 +62,6 @@ impl Bandwidth {
     /// Returns the rate in decimal megabytes per second.
     pub fn mb_per_sec(self) -> f64 {
         self.0 / 1e6
-    }
-
-    /// Returns the rate as a Blu-ray "X" speed multiple.
-    pub fn bluray_x(self) -> f64 {
-        self.0 / BLURAY_1X_BYTES_PER_SEC
-    }
-
-    /// Returns true if the rate is zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
     }
 
     /// Computes the time needed to transfer `bytes` at this rate.
@@ -116,7 +101,7 @@ impl Bandwidth {
     }
 
     /// Returns the larger of two rates.
-    pub fn max(self, other: Bandwidth) -> Bandwidth {
+    pub(crate) fn max(self, other: Bandwidth) -> Bandwidth {
         if self.0 >= other.0 {
             self
         } else {
@@ -176,13 +161,11 @@ mod tests {
     fn bluray_x_reference_speed() {
         let one_x = Bandwidth::from_bluray_x(1.0);
         assert!((one_x.mb_per_sec() - 4.49).abs() < 1e-9);
-        assert!((Bandwidth::from_bluray_x(12.0).bluray_x() - 12.0).abs() < 1e-9);
     }
 
     #[test]
     fn unit_conversions() {
         assert_eq!(Bandwidth::from_mb_per_sec(150.0).bytes_per_sec(), 150e6);
-        assert_eq!(Bandwidth::from_gb_per_sec(1.2).bytes_per_sec(), 1.2e9);
         // 10GbE carries 1.25 GB/s of raw payload.
         assert_eq!(Bandwidth::from_gbit_per_sec(10.0).bytes_per_sec(), 1.25e9);
     }
@@ -208,7 +191,6 @@ mod tests {
     fn zero_bandwidth_is_inert() {
         assert_eq!(Bandwidth::ZERO.time_for(1 << 30), SimDuration::ZERO);
         assert_eq!(Bandwidth::ZERO.bytes_in(SimDuration::from_secs(10)), 0);
-        assert!(Bandwidth::ZERO.is_zero());
         assert_eq!(Bandwidth::from_bytes_per_sec(-5.0), Bandwidth::ZERO);
         assert_eq!(Bandwidth::from_bytes_per_sec(f64::NAN), Bandwidth::ZERO);
     }

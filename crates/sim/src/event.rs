@@ -88,16 +88,6 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Returns the number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns true if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Schedules `payload` to fire at absolute time `at`.
     ///
     /// Scheduling in the past is clamped to fire "now": the event is

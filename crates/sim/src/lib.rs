@@ -40,10 +40,10 @@
 )]
 
 pub mod bandwidth;
-pub mod event;
-pub mod rng;
+pub(crate) mod event;
+pub(crate) mod rng;
 pub mod stats;
-pub mod time;
+pub(crate) mod time;
 
 pub use bandwidth::Bandwidth;
 pub use event::{EventQueue, ScheduledEvent};

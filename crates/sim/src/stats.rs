@@ -3,7 +3,7 @@
 //! Two collectors cover everything the paper's evaluation reports:
 //!
 //! - [`LatencyRecorder`] accumulates per-operation latencies and reports
-//!   mean / min / max / percentiles (Tables 1 and 3, Figure 7).
+//!   mean / max / percentiles (Tables 1 and 3, Figure 7).
 //! - [`ThroughputSeries`] samples an instantaneous rate over simulated time
 //!   (Figures 8-10's recording-speed curves).
 
@@ -21,7 +21,7 @@ thread_local! {
 
 /// Accumulates operation latencies and reports summary statistics.
 ///
-/// Order statistics (`min`/`max`/`percentile`) are served from a lazily
+/// Order statistics (`max`/`percentile`) are served from a lazily
 /// maintained sorted view: the first query after new samples arrive
 /// sorts once, and every further query is O(1) (percentile) or O(1)
 /// (min/max) without cloning the sample vector. Recording stays O(1).
@@ -101,11 +101,6 @@ impl LatencyRecorder {
         f(&sorted)
     }
 
-    /// Returns the recorder's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// Records one latency sample.
     pub fn record(&mut self, d: SimDuration) {
         self.samples.push(d);
@@ -124,11 +119,6 @@ impl LatencyRecorder {
         let total: u128 = self.samples.iter().map(|d| d.as_nanos() as u128).sum();
         let mean = total / self.samples.len() as u128;
         SimDuration::from_nanos(u64::try_from(mean).unwrap_or(u64::MAX))
-    }
-
-    /// Returns the smallest sample, or zero when empty.
-    pub fn min(&self) -> SimDuration {
-        self.with_sorted(|s| s.first().copied().unwrap_or(SimDuration::ZERO))
     }
 
     /// Returns the largest sample, or zero when empty.
@@ -156,11 +146,6 @@ impl LatencyRecorder {
         })
     }
 
-    /// Returns all samples in recording order.
-    pub fn samples(&self) -> &[SimDuration] {
-        &self.samples
-    }
-
     /// Merges another recorder's samples into this one.
     pub fn merge(&mut self, other: &LatencyRecorder) {
         self.samples.extend_from_slice(&other.samples);
@@ -169,11 +154,11 @@ impl LatencyRecorder {
 
 /// One `(time, bandwidth)` sample of a throughput curve.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RatePoint {
+pub(crate) struct RatePoint {
     /// Sample instant.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Instantaneous transfer rate at that instant.
-    pub rate: Bandwidth,
+    pub(crate) rate: Bandwidth,
 }
 
 /// Samples an instantaneous transfer rate over simulated time.
@@ -196,11 +181,6 @@ impl ThroughputSeries {
         }
     }
 
-    /// Returns the series label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// Appends a sample; samples must be pushed in non-decreasing time order.
     ///
     /// # Panics
@@ -213,117 +193,12 @@ impl ThroughputSeries {
         self.points.push(RatePoint { at, rate });
     }
 
-    /// Returns the recorded samples.
-    pub fn points(&self) -> &[RatePoint] {
-        &self.points
-    }
-
-    /// Returns the number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns true if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Returns the peak sampled rate, or zero when empty.
     pub fn peak(&self) -> Bandwidth {
         self.points
             .iter()
             .map(|p| p.rate)
             .fold(Bandwidth::ZERO, Bandwidth::max)
-    }
-
-    /// Returns the time-weighted average rate over the sampled interval.
-    ///
-    /// Each sample's rate is held until the next sample (zero-order hold);
-    /// an empty or single-point series averages to that point's rate.
-    pub fn time_weighted_mean(&self) -> Bandwidth {
-        match self.points.len() {
-            0 => Bandwidth::ZERO,
-            1 => self.points[0].rate,
-            _ => {
-                let mut weighted = 0.0;
-                let mut total = 0.0;
-                for pair in self.points.windows(2) {
-                    let dt = pair[1].at.duration_since(pair[0].at).as_secs_f64();
-                    weighted += pair[0].rate.bytes_per_sec() * dt;
-                    total += dt;
-                }
-                if total == 0.0 {
-                    self.points[0].rate
-                } else {
-                    Bandwidth::from_bytes_per_sec(weighted / total)
-                }
-            }
-        }
-    }
-
-    /// Returns the span between the first and last sample.
-    pub fn span(&self) -> SimDuration {
-        match (self.points.first(), self.points.last()) {
-            (Some(a), Some(b)) => b.at.duration_since(a.at),
-            _ => SimDuration::ZERO,
-        }
-    }
-
-    /// Sums several series point-by-point onto a shared time grid, producing
-    /// the aggregate curve (e.g. 12 drives burning concurrently, Figure 9).
-    ///
-    /// Each input series is sampled with zero-order hold at every instant
-    /// appearing in any series. Implemented as a single k-way sweep-line
-    /// merge over the time-ordered inputs — O(total points × log k) with
-    /// an incrementally maintained running sum — instead of resampling
-    /// every series at every grid instant (which is quadratic in the
-    /// total point count and dominated Figure 9 at drive-array scale).
-    pub fn aggregate<'a>(
-        label: impl Into<String>,
-        series: impl IntoIterator<Item = &'a ThroughputSeries>,
-    ) -> ThroughputSeries {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let series: Vec<&ThroughputSeries> = series.into_iter().collect();
-        // Next unconsumed point index per series, and the rate each
-        // series currently holds (bytes/sec, summed incrementally).
-        let mut cursor = vec![0usize; series.len()];
-        let mut held = vec![0.0f64; series.len()];
-        let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = series
-            .iter()
-            .enumerate()
-            .filter_map(|(k, s)| s.points.first().map(|p| Reverse((p.at, k))))
-            .collect();
-        let mut out = ThroughputSeries::new(label);
-        let mut total = 0.0f64;
-        while let Some(&Reverse((t, _))) = heap.peek() {
-            // Fold in every series with a sample at instant `t`; within
-            // a series, the last of several same-instant samples wins,
-            // matching zero-order hold.
-            while let Some(&Reverse((at, k))) = heap.peek() {
-                if at != t {
-                    break;
-                }
-                heap.pop();
-                let pts = &series[k].points;
-                let mut i = cursor[k];
-                while i < pts.len() && pts[i].at == t {
-                    i += 1;
-                }
-                let new = pts[i - 1].rate.bytes_per_sec();
-                total += new - held[k];
-                held[k] = new;
-                cursor[k] = i;
-                if i < pts.len() {
-                    heap.push(Reverse((pts[i].at, k)));
-                }
-            }
-            // Float cancellation could leave a tiny negative residue
-            // once every series has dropped to zero; clamp it.
-            out.push(t, Bandwidth::from_bytes_per_sec(total.max(0.0)));
-        }
-        out
     }
 
     /// Returns the zero-order-hold rate at instant `t` (zero before the
@@ -352,7 +227,6 @@ mod tests {
         }
         assert_eq!(rec.count(), 5);
         assert_eq!(rec.mean(), SimDuration::from_millis(30));
-        assert_eq!(rec.min(), SimDuration::from_millis(10));
         assert_eq!(rec.max(), SimDuration::from_millis(50));
         assert_eq!(rec.percentile(0.5), SimDuration::from_millis(30));
         assert_eq!(rec.percentile(0.0), SimDuration::from_millis(10));
@@ -363,7 +237,6 @@ mod tests {
     fn empty_recorder_is_zero() {
         let rec = LatencyRecorder::new("empty");
         assert_eq!(rec.mean(), SimDuration::ZERO);
-        assert_eq!(rec.min(), SimDuration::ZERO);
         assert_eq!(rec.max(), SimDuration::ZERO);
         assert_eq!(rec.percentile(0.5), SimDuration::ZERO);
     }
@@ -380,15 +253,12 @@ mod tests {
     }
 
     #[test]
-    fn series_peak_and_mean() {
+    fn series_peak() {
         let mut s = ThroughputSeries::new("burn");
         s.push(SimTime::from_secs(0), Bandwidth::from_mb_per_sec(10.0));
         s.push(SimTime::from_secs(10), Bandwidth::from_mb_per_sec(30.0));
         s.push(SimTime::from_secs(20), Bandwidth::from_mb_per_sec(30.0));
         assert_eq!(s.peak(), Bandwidth::from_mb_per_sec(30.0));
-        // 10 MB/s for 10 s then 30 MB/s for 10 s -> 20 MB/s average.
-        assert!((s.time_weighted_mean().mb_per_sec() - 20.0).abs() < 1e-9);
-        assert_eq!(s.span(), SimDuration::from_secs(20));
     }
 
     #[test]
@@ -413,30 +283,6 @@ mod tests {
             s.rate_at(SimTime::from_secs(9)),
             Bandwidth::from_mb_per_sec(7.0)
         );
-    }
-
-    #[test]
-    fn aggregate_sums_concurrent_series() {
-        let mut a = ThroughputSeries::new("a");
-        a.push(SimTime::from_secs(0), Bandwidth::from_mb_per_sec(10.0));
-        a.push(SimTime::from_secs(10), Bandwidth::ZERO);
-        let mut b = ThroughputSeries::new("b");
-        b.push(SimTime::from_secs(5), Bandwidth::from_mb_per_sec(20.0));
-        b.push(SimTime::from_secs(15), Bandwidth::ZERO);
-        let sum = ThroughputSeries::aggregate("sum", [&a, &b]);
-        assert_eq!(
-            sum.rate_at(SimTime::from_secs(2)),
-            Bandwidth::from_mb_per_sec(10.0)
-        );
-        assert_eq!(
-            sum.rate_at(SimTime::from_secs(7)),
-            Bandwidth::from_mb_per_sec(30.0)
-        );
-        assert_eq!(
-            sum.rate_at(SimTime::from_secs(12)),
-            Bandwidth::from_mb_per_sec(20.0)
-        );
-        assert_eq!(sum.rate_at(SimTime::from_secs(20)), Bandwidth::ZERO);
     }
 
     #[test]
@@ -470,11 +316,11 @@ mod tests {
         assert_eq!(rec.max(), SimDuration::from_millis(20));
         rec.record(SimDuration::from_millis(50));
         assert_eq!(rec.max(), SimDuration::from_millis(50));
-        assert_eq!(rec.min(), SimDuration::from_millis(20));
+        assert_eq!(rec.percentile(0.0), SimDuration::from_millis(20));
         let mut other = LatencyRecorder::new("other");
         other.record(SimDuration::from_millis(5));
         rec.merge(&other);
-        assert_eq!(rec.min(), SimDuration::from_millis(5));
+        assert_eq!(rec.percentile(0.0), SimDuration::from_millis(5));
         assert_eq!(rec.percentile(1.0), SimDuration::from_millis(50));
     }
 
@@ -486,7 +332,7 @@ mod tests {
                 rec.percentile(0.5),
                 rec.percentile(0.95),
                 rec.percentile(0.99),
-                rec.min(),
+                rec.percentile(0.0),
                 rec.max(),
             ]
         };
@@ -512,108 +358,9 @@ mod tests {
         let _ = rec.max(); // populate the cache; it must not serialize
         let json = serde_json::to_string(&rec).unwrap();
         let back: LatencyRecorder = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.label(), "rt");
-        assert_eq!(back.samples(), rec.samples());
+        assert_eq!(back.label, "rt");
+        assert_eq!(back.samples, rec.samples);
         assert_eq!(back.percentile(0.5), SimDuration::from_millis(3));
-    }
-
-    #[test]
-    fn aggregate_handles_same_instant_samples() {
-        let mut a = ThroughputSeries::new("a");
-        a.push(SimTime::from_secs(0), Bandwidth::from_mb_per_sec(10.0));
-        a.push(SimTime::from_secs(5), Bandwidth::ZERO);
-        let mut b = ThroughputSeries::new("b");
-        b.push(SimTime::from_secs(0), Bandwidth::from_mb_per_sec(5.0));
-        b.push(SimTime::from_secs(5), Bandwidth::from_mb_per_sec(15.0));
-        // Same-instant re-sample: the later value wins (zero-order hold).
-        b.push(SimTime::from_secs(5), Bandwidth::from_mb_per_sec(25.0));
-        let sum = ThroughputSeries::aggregate("sum", [&a, &b]);
-        assert_eq!(sum.len(), 2, "grid instants must stay deduplicated");
-        assert_eq!(
-            sum.rate_at(SimTime::from_secs(0)),
-            Bandwidth::from_mb_per_sec(15.0)
-        );
-        assert_eq!(
-            sum.rate_at(SimTime::from_secs(5)),
-            Bandwidth::from_mb_per_sec(25.0)
-        );
-    }
-
-    #[test]
-    fn aggregate_of_nothing_is_empty() {
-        assert!(ThroughputSeries::aggregate("none", []).is_empty());
-        let empty = ThroughputSeries::new("e");
-        let mut one = ThroughputSeries::new("o");
-        one.push(SimTime::from_secs(1), Bandwidth::from_mb_per_sec(2.0));
-        let sum = ThroughputSeries::aggregate("sum", [&empty, &one]);
-        assert_eq!(sum.len(), 1);
-        assert_eq!(
-            sum.rate_at(SimTime::from_secs(1)),
-            Bandwidth::from_mb_per_sec(2.0)
-        );
-    }
-
-    #[test]
-    fn sweep_line_matches_naive_resampling() {
-        // Pin the sweep-line merge against the definitionally obvious
-        // grid resampler on irregular pseudo-random series.
-        fn naive(series: &[&ThroughputSeries]) -> Vec<RatePoint> {
-            let mut grid: Vec<SimTime> = series
-                .iter()
-                .flat_map(|s| s.points().iter().map(|p| p.at))
-                .collect();
-            grid.sort_unstable();
-            grid.dedup();
-            grid.into_iter()
-                .map(|t| RatePoint {
-                    at: t,
-                    rate: series.iter().map(|s| s.rate_at(t)).sum(),
-                })
-                .collect()
-        }
-        let mut state = 0x9E37_79B9u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let series: Vec<ThroughputSeries> = (0..7)
-            .map(|k| {
-                let mut s = ThroughputSeries::new(format!("s{k}"));
-                let mut t = 0u64;
-                for _ in 0..40 {
-                    t += next() % 90; // duplicate instants included
-                    s.push(
-                        SimTime::from_secs(t),
-                        Bandwidth::from_mb_per_sec((next() % 50) as f64),
-                    );
-                }
-                s
-            })
-            .collect();
-        let refs: Vec<&ThroughputSeries> = series.iter().collect();
-        let fast = ThroughputSeries::aggregate("fast", refs.iter().copied());
-        let slow = naive(&refs);
-        assert_eq!(fast.len(), slow.len());
-        for (f, s) in fast.points().iter().zip(&slow) {
-            assert_eq!(f.at, s.at);
-            assert!(
-                (f.rate.bytes_per_sec() - s.rate.bytes_per_sec()).abs() < 1e-3,
-                "rate diverged at {:?}: {} vs {}",
-                f.at,
-                f.rate,
-                s.rate
-            );
-        }
-    }
-
-    #[test]
-    fn single_point_series_mean_is_that_point() {
-        let mut s = ThroughputSeries::new("one");
-        s.push(SimTime::from_secs(1), Bandwidth::from_mb_per_sec(42.0));
-        assert_eq!(s.time_weighted_mean(), Bandwidth::from_mb_per_sec(42.0));
-        assert!(ThroughputSeries::new("none").time_weighted_mean().is_zero());
     }
 }
 
@@ -658,11 +405,6 @@ impl Histogram {
             edges,
             counts: vec![0; n],
         }
-    }
-
-    /// Returns the label.
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// Records one sample.
@@ -778,6 +520,6 @@ mod histogram_tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_min_rejected() {
-        Histogram::logarithmic("bad", SimDuration::ZERO, SimDuration::SECOND, 1);
+        Histogram::logarithmic("bad", SimDuration::ZERO, SimDuration::from_secs(1), 1);
     }
 }

@@ -30,9 +30,6 @@ impl SimTime {
     /// The beginning of simulated time.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// The far future; useful as an "infinite" deadline sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Creates an instant `nanos` nanoseconds after simulation start.
     pub const fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
@@ -49,7 +46,7 @@ impl SimTime {
     }
 
     /// Returns this instant expressed in (fractional) seconds.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
@@ -60,38 +57,11 @@ impl SimTime {
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Returns the later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
-
-    /// One microsecond.
-    pub const MICROSECOND: SimDuration = SimDuration(1_000);
-
-    /// One millisecond.
-    pub const MILLISECOND: SimDuration = SimDuration(1_000_000);
-
-    /// One second.
-    pub const SECOND: SimDuration = SimDuration(NANOS_PER_SEC);
 
     /// Creates a span of `nanos` nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -111,11 +81,6 @@ impl SimDuration {
     /// Creates a span of `secs` whole seconds.
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs.saturating_mul(NANOS_PER_SEC))
-    }
-
-    /// Creates a span of `mins` whole minutes.
-    pub const fn from_mins(mins: u64) -> Self {
-        SimDuration(mins.saturating_mul(60).saturating_mul(NANOS_PER_SEC))
     }
 
     /// Creates a span from fractional seconds, rounding to the nearest
@@ -159,24 +124,6 @@ impl SimDuration {
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         // from_secs_f64 clamps non-finite and negative products.
         SimDuration::from_secs_f64(self.as_secs_f64() * factor)
-    }
-
-    /// Returns the larger of two spans.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two spans.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 
     /// Saturating subtraction of two spans.
@@ -317,7 +264,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_nanos(), 2 * NANOS_PER_SEC);
         assert_eq!(SimDuration::from_millis(1500).as_secs_f64(), 1.5);
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
-        assert_eq!(SimDuration::from_mins(2), SimDuration::from_secs(120));
         assert_eq!(SimTime::from_secs(3).as_nanos(), 3 * NANOS_PER_SEC);
     }
 
@@ -361,18 +307,6 @@ mod tests {
         assert_eq!(d * 4, SimDuration::from_secs(12));
         assert_eq!(d / 3, SimDuration::from_secs(1));
         assert_eq!(d.mul_f64(0.5), SimDuration::from_millis(1500));
-    }
-
-    #[test]
-    fn min_max_ordering() {
-        let a = SimDuration::from_secs(1);
-        let b = SimDuration::from_secs(2);
-        assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
-        let ta = SimTime::from_secs(1);
-        let tb = SimTime::from_secs(2);
-        assert_eq!(ta.max(tb), tb);
-        assert_eq!(ta.min(tb), ta);
     }
 
     #[test]

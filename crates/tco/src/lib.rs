@@ -3,12 +3,12 @@
 //! §2.1 of the paper summarises a Gupta et al.-style analytical model for
 //! a 1 PB / 100-year datacenter: "the TCO of an optical disc based
 //! datacenter is 250K$/PB, about 1/3 of an HDD-based datacenter, 1/2 of a
-//! tape-based datacenter." [`model`] reimplements that analysis with the
+//! tape-based datacenter." [`TcoModel`] reimplements that analysis with the
 //! lifetime / migration / environment assumptions the paper states
 //! (SSD/HDD ≤ 5 years, tape ≈ 10 years with climate control and biennial
 //! rewinding, optical > 50 years with none of that).
 //!
-//! [`power`] reproduces the prototype's §5.1 rack power budget: 185 W
+//! [`RackPower`] reproduces the prototype's §5.1 rack power budget: 185 W
 //! idle, 652 W peak, from its component inventory.
 
 #![forbid(unsafe_code)]
@@ -31,8 +31,8 @@
     )
 )]
 
-pub mod model;
-pub mod power;
+mod model;
+mod power;
 
-pub use model::{MediaSpec, TcoBreakdown, TcoModel};
+pub use model::{TcoBreakdown, TcoModel};
 pub use power::{RackPower, RackState};

@@ -17,34 +17,34 @@ use serde::{Deserialize, Serialize};
 
 /// Economic and physical parameters of one storage technology.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MediaSpec {
+pub(crate) struct MediaSpec {
     /// Technology name.
-    pub name: String,
+    pub(crate) name: String,
     /// Media cost in $ per terabyte (per purchase).
-    pub media_cost_per_tb: f64,
+    pub(crate) media_cost_per_tb: f64,
     /// Reliable media lifetime in years before replacement (§2: SSD/HDD
     /// ≤ 5, tape ≈ 10, optical > 50).
-    pub lifetime_years: f64,
+    pub(crate) lifetime_years: f64,
     /// Cost of one full-corpus migration, $ per PB (drive time, network,
     /// labour, verification).
-    pub migration_cost_per_pb: f64,
+    pub(crate) migration_cost_per_pb: f64,
     /// Average power draw of 1 PB of this media plus its access
     /// hardware, in watts.
-    pub power_watts_per_pb: f64,
+    pub(crate) power_watts_per_pb: f64,
     /// Climate-control overhead multiplier on energy (strict temperature
     /// and humidity for tape/HDD; optical needs none, §2).
-    pub climate_multiplier: f64,
+    pub(crate) climate_multiplier: f64,
     /// Recurring maintenance cost, $ per PB per year (tape rewinding
     /// every two years, scrubbing labour, library service).
-    pub maintenance_per_pb_year: f64,
+    pub(crate) maintenance_per_pb_year: f64,
     /// Access/library hardware cost per PB per decade (drives, robots,
     /// enclosures; refreshed every 10 years).
-    pub hardware_per_pb_decade: f64,
+    pub(crate) hardware_per_pb_decade: f64,
 }
 
 impl MediaSpec {
     /// Blu-ray optical library, the ROS technology point.
-    pub fn optical() -> Self {
+    pub(crate) fn optical() -> Self {
         MediaSpec {
             name: "optical".into(),
             // §2.1: "Current media cost per GB of 25GB discs has become
@@ -63,7 +63,7 @@ impl MediaSpec {
     }
 
     /// Nearline HDD array (2016-era 4-8 TB drives).
-    pub fn hdd() -> Self {
+    pub(crate) fn hdd() -> Self {
         MediaSpec {
             name: "hdd".into(),
             media_cost_per_tb: 25.0,
@@ -78,7 +78,7 @@ impl MediaSpec {
     }
 
     /// LTO tape library.
-    pub fn tape() -> Self {
+    pub(crate) fn tape() -> Self {
         MediaSpec {
             name: "tape".into(),
             media_cost_per_tb: 10.0,
@@ -94,27 +94,8 @@ impl MediaSpec {
         }
     }
 
-    /// Holographic disc library (§2.1: "Hologram discs with 2TB have
-    /// been realized and demonstrated, although their drives are plans
-    /// to be productized in two years") — a what-if projection with
-    /// optical-class lifetime and 20x the per-disc capacity.
-    pub fn hologram() -> Self {
-        MediaSpec {
-            name: "hologram".into(),
-            // Early media pricing premium over Blu-ray per TB.
-            media_cost_per_tb: 35.0,
-            lifetime_years: 50.0,
-            migration_cost_per_pb: 15_000.0,
-            // 20x density: far fewer discs and mechanical cycles per PB.
-            power_watts_per_pb: 80.0,
-            climate_multiplier: 1.0,
-            maintenance_per_pb_year: 200.0,
-            hardware_per_pb_decade: 7_000.0,
-        }
-    }
-
     /// Datacenter SSD (for completeness; nobody archives on flash).
-    pub fn ssd() -> Self {
+    pub(crate) fn ssd() -> Self {
         MediaSpec {
             name: "ssd".into(),
             media_cost_per_tb: 250.0,
@@ -132,11 +113,11 @@ impl MediaSpec {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TcoModel {
     /// Corpus size in petabytes.
-    pub capacity_pb: f64,
+    pub(crate) capacity_pb: f64,
     /// Preservation horizon in years.
-    pub horizon_years: f64,
+    pub(crate) horizon_years: f64,
     /// Electricity price in $ per kWh.
-    pub energy_cost_per_kwh: f64,
+    pub(crate) energy_cost_per_kwh: f64,
 }
 
 impl Default for TcoModel {
@@ -172,16 +153,11 @@ impl TcoBreakdown {
     pub fn total(&self) -> f64 {
         self.media + self.migration + self.energy + self.maintenance + self.hardware
     }
-
-    /// Total in $ per PB over the horizon.
-    pub fn per_pb(&self, capacity_pb: f64) -> f64 {
-        self.total() / capacity_pb
-    }
 }
 
 impl TcoModel {
     /// Costs one technology over the scenario.
-    pub fn analyze(&self, spec: &MediaSpec) -> TcoBreakdown {
+    pub(crate) fn analyze(&self, spec: &MediaSpec) -> TcoBreakdown {
         let purchases = (self.horizon_years / spec.lifetime_years).ceil().max(1.0);
         let migrations = purchases - 1.0;
         let media = purchases * spec.media_cost_per_tb * 1_000.0 * self.capacity_pb;
@@ -202,22 +178,6 @@ impl TcoModel {
             maintenance,
             hardware,
         }
-    }
-
-    /// Sweeps the horizon: total cost per PB at each year count, for
-    /// crossover analysis (optical's premium amortizes as the horizon
-    /// grows past the first HDD replacement).
-    pub fn horizon_sweep(&self, spec: &MediaSpec, years: &[f64]) -> Vec<(f64, f64)> {
-        years
-            .iter()
-            .map(|&y| {
-                let m = TcoModel {
-                    horizon_years: y,
-                    ..self.clone()
-                };
-                (y, m.analyze(spec).per_pb(self.capacity_pb))
-            })
-            .collect()
     }
 
     /// Analyzes the paper's four technologies, sorted cheapest first.
@@ -247,7 +207,7 @@ mod tests {
     #[test]
     fn optical_is_about_250k_per_pb_century() {
         let t = century().analyze(&MediaSpec::optical());
-        let total = t.per_pb(1.0);
+        let total = t.total(); // the default scenario is 1 PB
         assert!(
             (total - 250_000.0).abs() / 250_000.0 < 0.15,
             "optical TCO = {total:.0} $/PB (paper: 250K$)"
@@ -311,7 +271,6 @@ mod tests {
         let b = century().analyze(&MediaSpec::tape());
         let sum = b.media + b.migration + b.energy + b.maintenance + b.hardware;
         assert_eq!(b.total(), sum);
-        assert_eq!(b.per_pb(2.0), sum / 2.0);
     }
 
     #[test]
@@ -335,49 +294,5 @@ mod tests {
         let b = m.analyze(&MediaSpec::optical());
         assert!((b.media - 50_000.0).abs() < 1.0);
         assert_eq!(b.migration, 0.0);
-    }
-}
-
-#[cfg(test)]
-mod extension_tests {
-    use super::*;
-
-    #[test]
-    fn hologram_projection_beats_bluray() {
-        let m = TcoModel::default();
-        let holo = m.analyze(&MediaSpec::hologram()).total();
-        let optical = m.analyze(&MediaSpec::optical()).total();
-        assert!(holo < optical, "holographic density must cut TCO");
-        assert!(holo > optical / 3.0, "but not implausibly");
-    }
-
-    #[test]
-    fn horizon_sweep_shows_the_crossover() {
-        // At short horizons HDD competes; past the first HDD replacement
-        // optical wins and the gap widens.
-        let m = TcoModel::default();
-        let years = [3.0, 5.0, 10.0, 25.0, 50.0, 100.0];
-        let optical = m.horizon_sweep(&MediaSpec::optical(), &years);
-        let hdd = m.horizon_sweep(&MediaSpec::hdd(), &years);
-        // Short horizon: optical's media premium makes it pricier.
-        assert!(optical[0].1 > hdd[0].1, "at 3 years HDD should win");
-        // Long horizon: optical wins big.
-        assert!(optical[5].1 < hdd[5].1 / 2.0);
-        // The crossover happens once HDD starts replacing media: by the
-        // 10-year point optical is already cheaper, and the advantage at
-        // 100 years dwarfs the 3-year premium. (The ratio is not
-        // strictly monotone: optical buys its second media set at the
-        // 100-year mark.)
-        let ratio = |i: usize| optical[i].1 / hdd[i].1;
-        assert!(ratio(0) > 1.0, "3y: optical premium");
-        assert!(ratio(2) < 1.0, "10y: optical ahead");
-        assert!(ratio(5) < ratio(2) && ratio(2) < ratio(0));
-    }
-
-    #[test]
-    fn sweep_is_consistent_with_analyze() {
-        let m = TcoModel::default();
-        let sweep = m.horizon_sweep(&MediaSpec::tape(), &[100.0]);
-        assert_eq!(sweep[0].1, m.analyze(&MediaSpec::tape()).per_pb(1.0));
     }
 }

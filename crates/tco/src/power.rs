@@ -21,35 +21,35 @@ pub enum RackState {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RackPower {
     /// Number of optical drives.
-    pub drives: u32,
+    pub(crate) drives: u32,
     /// Number of HDDs.
-    pub hdds: u32,
+    pub(crate) hdds: u32,
     /// Number of SSDs.
-    pub ssds: u32,
+    pub(crate) ssds: u32,
     /// Server (system controller) idle draw, watts.
-    pub server_idle_w: f64,
+    pub(crate) server_idle_w: f64,
     /// Server peak draw, watts.
-    pub server_peak_w: f64,
+    pub(crate) server_peak_w: f64,
     /// Per-drive sleep draw, watts.
-    pub drive_sleep_w: f64,
+    pub(crate) drive_sleep_w: f64,
     /// Per-drive burning draw, watts (§5.1: 8 W peak).
-    pub drive_peak_w: f64,
+    pub(crate) drive_peak_w: f64,
     /// Per-HDD idle draw, watts.
-    pub hdd_idle_w: f64,
+    pub(crate) hdd_idle_w: f64,
     /// Per-HDD active draw, watts.
-    pub hdd_active_w: f64,
+    pub(crate) hdd_active_w: f64,
     /// Per-SSD idle draw, watts.
-    pub ssd_idle_w: f64,
+    pub(crate) ssd_idle_w: f64,
     /// Per-SSD active draw, watts.
-    pub ssd_active_w: f64,
+    pub(crate) ssd_active_w: f64,
     /// PLC idle draw, watts.
-    pub plc_idle_w: f64,
+    pub(crate) plc_idle_w: f64,
     /// PLC active draw, watts.
-    pub plc_active_w: f64,
+    pub(crate) plc_active_w: f64,
     /// Roller rotation motor, watts (§3.2: < 50 W; zero when still).
-    pub roller_w: f64,
+    pub(crate) roller_w: f64,
     /// Arm motors, watts (zero when parked).
-    pub arm_w: f64,
+    pub(crate) arm_w: f64,
 }
 
 impl Default for RackPower {
@@ -101,19 +101,6 @@ impl RackPower {
             }
         }
     }
-
-    /// A mixed operating point: `burning_drives` at peak, the rest
-    /// asleep, disks active, no motion — the steady burning state.
-    pub fn steady_burning_watts(&self, burning_drives: u32) -> f64 {
-        let burning = burning_drives.min(self.drives) as f64;
-        let sleeping = self.drives as f64 - burning;
-        self.server_peak_w * 0.8
-            + burning * self.drive_peak_w
-            + sleeping * self.drive_sleep_w
-            + self.hdds as f64 * self.hdd_active_w
-            + self.ssds as f64 * self.ssd_active_w
-            + self.plc_idle_w
-    }
 }
 
 #[cfg(test)]
@@ -130,17 +117,6 @@ mod tests {
     fn peak_matches_paper_652w() {
         let w = RackPower::prototype().watts(RackState::Peak);
         assert!((w - 652.0).abs() < 2.0, "peak = {w} W (paper: 652 W)");
-    }
-
-    #[test]
-    fn steady_burning_sits_between_idle_and_peak() {
-        let p = RackPower::prototype();
-        let idle = p.watts(RackState::Idle);
-        let peak = p.watts(RackState::Peak);
-        let steady = p.steady_burning_watts(12);
-        assert!(idle < steady && steady < peak, "steady = {steady} W");
-        // Clamp to available drives.
-        assert!(p.steady_burning_watts(999) <= peak);
     }
 
     #[test]

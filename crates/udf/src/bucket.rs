@@ -124,23 +124,28 @@ impl Bucket {
         self.tree.stat(path)
     }
 
-    /// Returns true if the bucket stages the file.
-    pub fn contains(&self, path: &Path) -> bool {
-        self.tree.is_file(path)
+    /// The on-image cost a write would incur (data + entry + any new
+    /// ancestor directories), or `None` if the staged tree refuses `path`:
+    /// a name staged there, or a staged file where a directory on the way
+    /// would go.
+    pub fn admission_cost(&self, path: &Path, size: u64) -> Option<u64> {
+        self.tree.cost_of_insert(path, size)
     }
 
-    /// The on-image cost a write would incur (data + entry + any new
-    /// ancestor directories).
+    /// [`Bucket::admission_cost`], with a path the staged tree refuses
+    /// charged the file alone.
     pub fn cost_of(&self, path: &Path, size: u64) -> u64 {
-        self.tree.cost_of_insert(path, size)
+        self.admission_cost(path, size)
+            .unwrap_or((1 + blocks_for(size)) * BLOCK_SIZE)
     }
 
     /// The largest data prefix of a `size`-byte file at `path` that still
     /// fits, rounded down to a block boundary; `None` if not even one
-    /// block fits. Used by OLFS to split files across buckets (§4.5).
+    /// block fits or the staged tree refuses `path`. Used by OLFS to
+    /// split files across buckets (§4.5).
     pub fn max_prefix(&self, path: &Path, size: u64) -> Option<u64> {
         let free = self.free_bytes();
-        let overhead = self.cost_of(path, 0);
+        let overhead = self.admission_cost(path, 0)?;
         if free < overhead + BLOCK_SIZE {
             return None;
         }
@@ -312,7 +317,7 @@ mod tests {
         assert_eq!(b.read(&p("/f")).unwrap().as_ref(), b"version-two");
         assert_eq!(b.stat(&p("/f")).unwrap().size, 11);
         b.recycle(7);
-        assert!(!b.contains(&p("/f")));
+        assert!(b.admission_cost(&p("/f"), 0).is_some());
         assert!(matches!(
             b.read(&p("/f")).unwrap_err(),
             TreeError::NotFound(_)

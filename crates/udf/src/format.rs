@@ -37,16 +37,16 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Image magic.
-pub const MAGIC: [u8; 8] = *b"ROSUDF01";
+pub(crate) const MAGIC: [u8; 8] = *b"ROSUDF01";
 
 /// Format version.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 
 /// Fixed overhead blocks before the root ICB: anchor + PVD.
-pub const OVERHEAD_BLOCKS: u64 = 2;
+pub(crate) const OVERHEAD_BLOCKS: u64 = 2;
 
 /// Longest FID name an image holds. [`crate::tree::FsTree`] refuses to
-/// create a longer one, [`serialize`] to write it, [`parse_image`] to
+/// create a longer one, [`serialize`] to write it, `parse_image` to
 /// read it.
 pub const MAX_NAME_LEN: usize = 4096;
 
@@ -65,11 +65,11 @@ pub const BORROWED_FILE_BYTES: usize = 32 * 1024;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ImageHeader {
     /// Image identifier assigned by OLFS.
-    pub image_id: u64,
+    pub(crate) image_id: u64,
     /// Declared capacity of the target disc, in blocks.
-    pub capacity_blocks: u64,
+    pub(crate) capacity_blocks: u64,
     /// Blocks actually used by this image.
-    pub used_blocks: u64,
+    pub(crate) used_blocks: u64,
 }
 
 /// Errors from serialization and parsing.
@@ -352,7 +352,7 @@ fn emit(node: &FsNode, icb: u64, runs: &mut &[u64], w: &mut Writer) -> u64 {
 }
 
 /// Serialises a tree into image bytes: the owned runs and borrowed files
-/// of [`Writer`], the owned ones in one allocation of exactly their size.
+/// of `Writer`, the owned ones in one allocation of exactly their size.
 ///
 /// `capacity_bytes` is the target disc capacity recorded in the header;
 /// serialization fails if the tree exceeds it. The output length is the
@@ -460,7 +460,7 @@ fn take_u64(b: &mut &[u8]) -> Result<u64, FormatError> {
 
 /// Parses image bytes back into a tree and header.
 ///
-/// Copies the slice once; prefer [`parse_image`] when the caller owns
+/// Copies the slice once; prefer `parse_image` when the caller owns
 /// refcounted bytes — that variant is zero-copy.
 pub fn parse(bytes: &[u8]) -> Result<(FsTree, ImageHeader), FormatError> {
     parse_image(&Parts::from(Bytes::copy_from_slice(bytes)))
@@ -473,7 +473,7 @@ pub fn parse(bytes: &[u8]) -> Result<(FsTree, ImageHeader), FormatError> {
 /// of the resulting tree hand back slices of the image's own pieces. A
 /// file whose data straddles two pieces (never one [`serialize`] wrote)
 /// is copied out.
-pub fn parse_image(bytes: &Parts) -> Result<(FsTree, ImageHeader), FormatError> {
+pub(crate) fn parse_image(bytes: &Parts) -> Result<(FsTree, ImageHeader), FormatError> {
     let r = Reader { buf: bytes };
     let anchor = r.block(0)?;
     let mut anchor = &anchor[..];

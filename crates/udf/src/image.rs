@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 ///
 /// The image is its [`Parts`] — owned metadata runs and the long files'
 /// own bytes ([`format::serialize`]). The namespace is the [`FsTree`]
-/// [`format::parse_image`] produced from them — the directory subtree
+/// `format::parse_image` produced from them — the directory subtree
 /// the image carries *is* its index, and every file node holds a
 /// zero-copy slice of the piece that holds its data.
 #[derive(Clone, Debug)]
@@ -49,11 +49,6 @@ impl SealedImage {
     /// Returns the image id.
     pub fn image_id(&self) -> u64 {
         self.header.image_id
-    }
-
-    /// Returns the parsed header.
-    pub fn header(&self) -> ImageHeader {
-        self.header
     }
 
     /// Returns the image's pieces (the burn payload).
@@ -87,11 +82,6 @@ impl SealedImage {
     /// Stats one file.
     pub fn stat(&self, path: &Path) -> Result<FileMeta, TreeError> {
         self.tree.stat(path)
-    }
-
-    /// Returns true if the image carries the file.
-    pub fn contains(&self, path: &Path) -> bool {
-        self.tree.is_file(path)
     }
 
     /// Enumerates every file in the image — the namespace-scan primitive
@@ -130,13 +120,12 @@ mod tests {
     fn image_reads_files() {
         let img = sealed();
         assert_eq!(img.image_id(), 42);
-        assert!(img.contains(&p("/proj/Cargo.toml")));
-        assert!(!img.contains(&p("/proj")));
         assert_eq!(
             img.read(&p("/proj/src/main.rs")).unwrap().as_ref(),
             b"fn main() {}"
         );
         assert_eq!(img.stat(&p("/proj/Cargo.toml")).unwrap().size, 9);
+        assert!(img.stat(&p("/proj")).is_err());
         assert!(!img.is_empty());
     }
 

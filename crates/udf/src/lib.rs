@@ -45,7 +45,7 @@
 pub mod block;
 pub mod bucket;
 pub mod format;
-pub mod image;
+pub(crate) mod image;
 pub mod tree;
 
 pub use block::{blocks_for, BLOCK_SIZE};

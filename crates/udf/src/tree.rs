@@ -198,7 +198,7 @@ pub struct FileMeta {
 
 /// One node in the tree.
 #[derive(Clone, Debug, PartialEq)]
-pub enum FsNode {
+pub(crate) enum FsNode {
     /// A regular file with real contents.
     File {
         /// Metadata.
@@ -256,7 +256,7 @@ impl std::error::Error for TreeError {}
 ///
 /// Mirrors the on-image encoding of [`crate::format`]: kind (1) +
 /// name length (4) + name + ICB pointer (8).
-pub fn fid_cost(name: &str) -> u64 {
+pub(crate) fn fid_cost(name: &str) -> u64 {
     1 + 4 + name.len() as u64 + 8
 }
 
@@ -297,7 +297,7 @@ fn find_mut<'a>(root: &'a mut FsNode, path: &Path) -> Option<&'a mut FsNode> {
 ///
 /// `blocks` and `files` are running totals of the nodes' on-image blocks
 /// and of the file nodes: every mutation adds exactly what it grows the
-/// image by, so [`FsTree::image_bytes`] and [`FsTree::file_count`] are
+/// image by, so `FsTree::image_bytes` and `FsTree::file_count` are
 /// field reads, and a call that fails changes neither the tree nor them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FsTree {
@@ -333,11 +333,6 @@ impl FsTree {
         }
     }
 
-    /// Returns true if the path names an existing file.
-    pub fn is_file(&self, path: &Path) -> bool {
-        matches!(find(&self.root, path), Some(FsNode::File { .. }))
-    }
-
     /// Returns true if the path names an existing directory.
     pub fn is_dir(&self, path: &Path) -> bool {
         matches!(find(&self.root, path), Some(FsNode::Dir { .. }))
@@ -352,12 +347,12 @@ impl FsTree {
     }
 
     /// Returns a file's metadata.
-    pub fn stat(&self, path: &Path) -> Result<FileMeta, TreeError> {
+    pub(crate) fn stat(&self, path: &Path) -> Result<FileMeta, TreeError> {
         self.file(path).map(|(meta, _)| meta.clone())
     }
 
     /// Returns a file's contents (a refcounted handle, not a copy).
-    pub fn read(&self, path: &Path) -> Result<Bytes, TreeError> {
+    pub(crate) fn read(&self, path: &Path) -> Result<Bytes, TreeError> {
         self.file(path).map(|(_, data)| data.clone())
     }
 
@@ -491,7 +486,7 @@ impl FsTree {
 
     /// Overwrites an existing file's contents in place (only legal while
     /// the image is an updatable bucket; §4.6). Creates nothing.
-    pub fn update(
+    pub(crate) fn update(
         &mut self,
         path: &Path,
         data: impl Into<Bytes>,
@@ -522,7 +517,7 @@ impl FsTree {
     }
 
     /// Visits every file in path order, yielding `(path, meta)`.
-    pub fn walk_files(&self) -> Vec<(Path, FileMeta)> {
+    pub(crate) fn walk_files(&self) -> Vec<(Path, FileMeta)> {
         let mut out = Vec::new();
         fn rec(node: &FsNode, path: &Path, out: &mut Vec<(Path, FileMeta)>) {
             match node {
@@ -539,14 +534,14 @@ impl FsTree {
     }
 
     /// Counts files in the tree.
-    pub fn file_count(&self) -> usize {
+    pub(crate) fn file_count(&self) -> usize {
         self.files
     }
 
     /// Total on-image bytes: every node's ICB block, every directory's
     /// FID data blocks, every file's data blocks, plus the fixed volume
     /// descriptor overhead of [`crate::format`].
-    pub fn image_bytes(&self) -> u64 {
+    pub(crate) fn image_bytes(&self) -> u64 {
         (OVERHEAD_BLOCKS + self.blocks) * BLOCK_SIZE
     }
 
@@ -563,11 +558,12 @@ impl FsTree {
     /// The on-image cost of adding a `size`-byte file at `path`, exactly:
     /// its entry and data blocks, the FID-data growth of the deepest
     /// existing directory and every ancestor directory that would be
-    /// created (§4.5's admission check). A path [`FsTree::insert`] would
-    /// refuse is charged the file alone; the insert reports why.
-    pub fn cost_of_insert(&self, path: &Path, size: u64) -> u64 {
+    /// created (§4.5's admission check); `None` for a path
+    /// [`FsTree::insert`] would refuse (the insert reports why).
+    pub(crate) fn cost_of_insert(&self, path: &Path, size: u64) -> Option<u64> {
         let file = 1 + blocks_for(size);
-        self.growth(path, file).map_or(file, |(blocks, _)| blocks) * BLOCK_SIZE
+        let (blocks, _) = self.growth(path, file).ok()?;
+        Some(blocks * BLOCK_SIZE)
     }
 }
 
@@ -646,7 +642,15 @@ mod tests {
             .unwrap();
         assert!(t.is_dir(&p("/data")));
         assert!(t.is_dir(&p("/data/2026")));
-        assert!(t.is_file(&p("/data/2026/log.txt")));
+        let refused = [
+            "/data/2026/log.txt",
+            "/data/2026/log.txt/under-a-file",
+            "/data",
+        ];
+        for path in refused {
+            assert_eq!(t.cost_of_insert(&p(path), 0), None, "{path}");
+        }
+        assert!(t.cost_of_insert(&p("/data/2026/other.txt"), 0).is_some());
         assert_eq!(t.read(&p("/data/2026/log.txt")).unwrap().as_ref(), b"hello");
         assert_eq!(t.stat(&p("/data/2026/log.txt")).unwrap().size, 5);
     }
@@ -744,7 +748,7 @@ mod tests {
         .enumerate()
         {
             let before = t.image_bytes();
-            let cost = t.cost_of_insert(&path, size);
+            let cost = t.cost_of_insert(&path, size).unwrap();
             t.insert(&path, vec![0u8; size as usize], 0).unwrap();
             assert_eq!(cost, t.image_bytes() - before, "case {case}");
             t.debug_assert_totals();
@@ -755,7 +759,7 @@ mod tests {
                 "/seed/a-sibling-with-a-forty-byte-long-name-{i:02}"
             ));
             let before = t.image_bytes();
-            let cost = t.cost_of_insert(&path, 1);
+            let cost = t.cost_of_insert(&path, 1).unwrap();
             t.insert(&path, vec![0u8; 1], 0).unwrap();
             assert_eq!(cost, t.image_bytes() - before, "{path}");
         }

@@ -85,16 +85,6 @@ impl Zipf {
         Zipf { n, cdf }
     }
 
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Returns true if empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Samples an item index.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         let u = rng.unit_f64();

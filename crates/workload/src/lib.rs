@@ -8,7 +8,7 @@
 //!
 //! - [`dist`]: deterministic file-size and popularity distributions,
 //! - [`spec`]: declarative workload specifications compiled to op lists,
-//! - [`runner`]: executes an op list against a [`ros_access::NasGateway`]
+//! - `runner`: executes an op list against a [`ros_access::NasGateway`]
 //!   and reports latency/throughput statistics.
 
 #![forbid(unsafe_code)]
@@ -32,10 +32,8 @@
 )]
 
 pub mod dist;
-pub mod runner;
+pub(crate) mod runner;
 pub mod spec;
-pub mod trace;
 
 pub use runner::{RunStats, Runner};
 pub use spec::{FileOp, WorkloadSpec};
-pub use trace::{from_jsonl, to_jsonl};

@@ -4,7 +4,7 @@ use crate::spec::{synth_data, FileOp};
 use ros_access::NasGateway;
 use ros_olfs::OlfsError;
 use ros_sim::stats::{Histogram, LatencyRecorder};
-use ros_sim::{Bandwidth, SimDuration};
+use ros_sim::SimDuration;
 
 /// Aggregate results of one run.
 #[derive(Clone, Debug)]
@@ -46,30 +46,12 @@ impl RunStats {
             ),
         }
     }
-
-    /// Achieved write throughput over the whole run.
-    pub fn write_throughput(&self) -> Bandwidth {
-        if self.elapsed.is_zero() {
-            Bandwidth::ZERO
-        } else {
-            Bandwidth::from_bytes_per_sec(self.bytes_written as f64 / self.elapsed.as_secs_f64())
-        }
-    }
-
-    /// Achieved read throughput over the whole run.
-    pub fn read_throughput(&self) -> Bandwidth {
-        if self.elapsed.is_zero() {
-            Bandwidth::ZERO
-        } else {
-            Bandwidth::from_bytes_per_sec(self.bytes_read as f64 / self.elapsed.as_secs_f64())
-        }
-    }
 }
 
 /// Executes op lists against a gateway.
 pub struct Runner {
     /// Verify read payloads against the synthesized contents.
-    pub verify_reads: bool,
+    pub(crate) verify_reads: bool,
 }
 
 impl Default for Runner {
@@ -145,7 +127,6 @@ mod tests {
         assert_eq!(stats.bytes_written, 10 * 64 * 1024);
         assert_eq!(stats.corrupt_reads, 0);
         assert!(stats.elapsed > SimDuration::ZERO);
-        assert!(stats.write_throughput().mb_per_sec() > 0.0);
     }
 
     #[test]

@@ -441,3 +441,21 @@ fn a_name_a_disc_scan_would_misread_is_refused_at_the_write() {
         assert_eq!(r.data.as_ref(), content(i as u64, 100).as_slice(), "{path}");
     }
 }
+
+#[test]
+fn an_unlinked_file_name_can_become_a_directory_at_once() {
+    // The open bucket still stages the dead `/m`; the new file must land
+    // in a bucket whose tree can take `/m/f`, not fail `not a directory`.
+    let mut ros = Ros::new(RosConfig::tiny());
+    ros.write_file(&p("/m"), content(1, 1_000)).unwrap();
+    ros.unlink(&p("/m")).unwrap();
+    let data = content(2, 5_000);
+    ros.write_file(&p("/m/f"), data.clone()).unwrap();
+    ros.flush().unwrap();
+    ros.evict_all_burned_copies();
+    ros.unload_all_bays().unwrap();
+    let r = ros.read_file(&p("/m/f")).unwrap();
+    assert_eq!(r.data.as_ref(), data.as_slice());
+    assert!(r.source >= ReadSource::DiscInDrive, "{:?}", r.source);
+    assert!(ros.verify_consistency().is_empty());
+}

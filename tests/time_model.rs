@@ -33,7 +33,7 @@ fn two_bay() -> RosConfig {
 /// op, and the `stat`/`mknod` of a read or write.
 fn mv_step(bytes: u64) -> SimDuration {
     let mut vm = VolumeManager::new();
-    let mv = vm.add_volume("mv", RaidArray::prototype_metadata());
+    let mv = vm.add_volume(RaidArray::prototype_metadata());
     params::internal_op_overhead() + vm.random_read_time(mv, bytes).unwrap()
 }
 

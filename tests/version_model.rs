@@ -256,23 +256,34 @@ fn recreating_an_unlinked_path_places_beside_its_old_bytes() {
     check(false, &[&lives[..], &more].concat()).unwrap();
 }
 
-/// A create whose placement fails leaves nothing behind: here the open
-/// bucket still stages the unlinked *file* `/m` where `/m/f` needs a
-/// directory, until a seal retires it.
+/// A create whose placement fails leaves nothing behind: here the path
+/// is deeper than an empty image on a 512 KiB disc has room for (each
+/// new directory costs an ICB block and its FID data), so no bucket can
+/// take it. (An open bucket that stages an unlinked *file* where the path
+/// needs a directory does not fail a create: placement passes it over,
+/// `end_to_end::an_unlinked_file_name_can_become_a_directory_at_once`.)
 #[test]
 fn a_failed_create_leaves_no_index_file_behind() {
-    let (dir, f) = ("/m".parse::<UdfPath>().unwrap(), path(0));
-    let mut ros = Ros::new(RosConfig::tiny());
-    ros.write_file(&dir, payload(2)).unwrap();
-    ros.unlink(&dir).unwrap();
-    assert!(ros.write_file(&f, payload(0)).is_err());
+    let mut cfg = RosConfig::tiny();
+    cfg.disc_class = ros::ros_drive::DiscClass::Custom {
+        capacity: 512 * 1024,
+    };
+    let dir: UdfPath = "/d".repeat(200).parse().unwrap();
+    let f = dir.join("f");
+    let mut ros = Ros::new(cfg);
+    ros.write_file(&path(0), payload(0)).unwrap();
+    assert!(matches!(
+        ros.write_file(&f, payload(0)),
+        Err(OlfsError::Invalid(_))
+    ));
     assert!(not_found(ros.read_file(&f)));
     assert_eq!(ros.readdir(&dir).unwrap(), vec![]);
     // The retry is a create again, not an update of a version-less file.
-    assert!(!not_found(ros.write_file(&f, payload(0))));
-    ros.seal_open_buckets().unwrap();
-    assert_eq!(ros.write_file(&f, payload(0)).unwrap().version, 1);
-    assert!(ros.read_file(&f).unwrap().data == payload(0));
+    assert!(matches!(
+        ros.write_file(&f, payload(0)),
+        Err(OlfsError::Invalid(_))
+    ));
+    assert!(ros.read_file(&path(0)).unwrap().data == payload(0));
 }
 
 /// A version the 15-entry ring evicts gives its dedup reference back and
