@@ -14,10 +14,14 @@
 //! with AVX-512F, eight on one with AVX2 and without the SHA extensions —
 //! which [`content_digests`] fills with the leaves of many payloads at
 //! once.
+//!
+//! A payload in pieces (a sealed image is thousands) is hashed where its
+//! pieces lie: a [`Leaf`] is a run of slices, and a [`Cursor`] reads it a
+//! 64-byte block at a time, in place, copying only a block that straddles
+//! two slices into its 64-byte scratch.
 
 use bytes::Pieces;
 use ros_disk::plane::DataPlane;
-use std::ops::Range;
 
 /// Fixed chunking granularity of [`content_digest`]. Chunk boundaries
 /// depend only on the payload length, never on the thread count, so the
@@ -134,17 +138,11 @@ fn absorb(kernel: Kernel, state: &mut [u32; 8], blocks: &[[u8; 64]]) {
 }
 
 /// Finishes a SHA-256 whose first `total_len - rest.len()` bytes are
-/// already absorbed into `state`: absorbs the whole blocks of `rest`,
-/// then the padding (0x80, zeros, the bit length of the whole message
-/// as a big-endian u64) in one or two final blocks. Shared by the
-/// scalar and the lockstep kernel, so both pad identically, and run by
-/// the host's single-stream kernel ([`host_kernel`]).
-pub(crate) fn finish(state: [u32; 8], rest: &[u8], total_len: usize) -> [u8; 32] {
-    finish_at(host_kernel(), state, rest, total_len)
-}
-
-/// [`finish`] with `kernel` in place of the host's. A parameter so the
-/// tests can pin every arm on one host, not a setting.
+/// already absorbed into `state` with `kernel`: absorbs the whole blocks
+/// of `rest`, then the padding (0x80, zeros, the bit length of the whole
+/// message as a big-endian u64) in one or two final blocks. Every kernel
+/// pads through here, so all pad identically. `kernel` is a parameter
+/// so the tests can pin every arm on one host, not a setting.
 fn finish_at(kernel: Kernel, mut state: [u32; 8], rest: &[u8], total_len: usize) -> [u8; 32] {
     let (blocks, rest) = rest.as_chunks::<64>();
     absorb(kernel, &mut state, blocks);
@@ -225,7 +223,137 @@ pub(crate) fn sha256_reference(data: &[u8]) -> [u8; 32] {
 
 /// One-shot SHA-256 of a byte slice (FIPS 180-4).
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    finish(H0, data, data.len())
+    finish_at(host_kernel(), H0, data, data.len())
+}
+
+/// A leaf as [`cut_leaves`] found it: its bytes as a run of slices, in
+/// order, each where it lies — one slice for a leaf inside one piece.
+pub(crate) type Leaf<'a> = &'a [&'a [u8]];
+
+/// The bytes of `leaf`.
+fn leaf_len(leaf: Leaf<'_>) -> usize {
+    leaf.iter().map(|slice| slice.len()).sum()
+}
+
+/// SHA-256 of a leaf's bytes, read where they lie.
+pub(crate) fn sha256_leaf(leaf: Leaf<'_>) -> [u8; 32] {
+    Cursor::new(leaf).finish(H0)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Leaf bytes this thread's cursors have copied into scratch, for a
+    /// block that straddles two slices.
+    static STRADDLE_COPIES: core::cell::Cell<usize> = const { core::cell::Cell::new(0) };
+}
+
+/// A read position in a [`Leaf`], a 64-byte block at a time: every block
+/// that lies inside one slice is read in place, and only a block that
+/// straddles two or more slices is copied, into the cursor's scratch.
+#[derive(Clone, Copy)]
+pub(crate) struct Cursor<'a> {
+    /// The unread rest of the current slice; empty only at the end.
+    head: &'a [u8],
+    /// The slices after it.
+    tail: &'a [&'a [u8]],
+    /// Unread bytes, `head` and `tail` together.
+    left: usize,
+    /// The leaf's bytes.
+    len: usize,
+    scratch: [u8; 64],
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(leaf: Leaf<'a>) -> Self {
+        let len = leaf_len(leaf);
+        let mut cursor = Cursor {
+            head: &[],
+            tail: leaf,
+            left: len,
+            len,
+            scratch: [0; 64],
+        };
+        cursor.settle();
+        cursor
+    }
+
+    /// Steps past exhausted slices, so `head` is empty only at the end.
+    fn settle(&mut self) {
+        while self.head.is_empty() {
+            let Some((next, rest)) = self.tail.split_first() else {
+                return;
+            };
+            (self.head, self.tail) = (next, rest);
+        }
+    }
+
+    /// Whole blocks left to read.
+    pub(crate) fn blocks_left(&self) -> usize {
+        self.left / 64
+    }
+
+    /// The whole blocks next in the current slice, in place.
+    pub(crate) fn in_place(&self) -> &'a [[u8; 64]] {
+        self.head.as_chunks::<64>().0
+    }
+
+    /// Steps past the first `n` blocks of [`Cursor::in_place`].
+    pub(crate) fn skip(&mut self, n: usize) {
+        let bytes = n.saturating_mul(64).min(self.head.len());
+        self.head = &self.head[bytes..];
+        self.left -= bytes;
+        self.settle();
+    }
+
+    /// Copies up to 64 of the next bytes into the scratch block, zeros
+    /// after them, and returns how many it copied.
+    fn gather(&mut self) -> usize {
+        let mut filled = 0;
+        while filled < 64 && !self.head.is_empty() {
+            let n = self.head.len().min(64 - filled);
+            self.scratch[filled..filled + n].copy_from_slice(&self.head[..n]);
+            self.head = &self.head[n..];
+            filled += n;
+            self.settle();
+        }
+        self.scratch[filled..].fill(0);
+        self.left -= filled;
+        filled
+    }
+
+    /// The next block: in place where the current slice holds it whole,
+    /// else copied into the scratch block from the slices it straddles.
+    /// Called only while [`Cursor::blocks_left`] is non-zero.
+    pub(crate) fn block(&mut self) -> &[u8; 64] {
+        if let Some((block, rest)) = self.head.split_first_chunk::<64>() {
+            self.head = rest;
+            self.left -= 64;
+            self.settle();
+            return block;
+        }
+        let _copied = self.gather();
+        #[cfg(test)]
+        STRADDLE_COPIES.with(|n| n.set(n.get() + _copied));
+        &self.scratch
+    }
+
+    /// Finishes the SHA-256 of the leaf whose bytes before the cursor are
+    /// absorbed into `state`: the whole blocks of each slice where they
+    /// lie, a straddling block from the scratch, then the padding.
+    pub(crate) fn finish(mut self, mut state: [u32; 8]) -> [u8; 32] {
+        let kernel = host_kernel();
+        while self.blocks_left() > 0 {
+            let blocks = self.in_place();
+            if blocks.is_empty() {
+                absorb(kernel, &mut state, core::slice::from_ref(self.block()));
+            } else {
+                absorb(kernel, &mut state, blocks);
+                self.skip(blocks.len());
+            }
+        }
+        let rest = self.gather();
+        finish_at(kernel, state, &self.scratch[..rest], self.len)
+    }
 }
 
 /// An interned 256-bit content digest.
@@ -280,8 +408,8 @@ impl core::fmt::Debug for Digest {
 }
 
 /// How many leaves the packer puts in one lockstep group on this host:
-/// 16 where the CPU reports AVX-512F, whether or not `finish` runs the SHA
-/// extensions; 8 where it reports AVX2 and `finish` does not run them,
+/// 16 where the CPU reports AVX-512F, whether or not `sha256` runs the SHA
+/// extensions; 8 where it reports AVX2 and `sha256` does not run them,
 /// whose single stream outruns an eight-lane pass; else 1 (leaf by leaf).
 /// Observed, not configured; no digest depends on it.
 pub(crate) fn lockstep_lanes() -> usize {
@@ -316,7 +444,7 @@ fn x16_floor() -> usize {
 
 /// SHA-256 of every leaf chunk in one worker's span, in order, in
 /// lockstep groups of at most `width` lanes (1 is leaf by leaf through
-/// `sha256`).
+/// `sha256_leaf`).
 ///
 /// Span first, lanes second: the plane has already split the leaves
 /// across its threads, and each worker packs only its own span — forming
@@ -327,17 +455,18 @@ fn x16_floor() -> usize {
 /// `width` lanes or at the first leaf under half its longest, which
 /// would cut the lockstep prefix short for every other lane and starts
 /// the next group instead.
-fn sha256_span_at(width: usize, span: &[&[u8]]) -> Vec<[u8; 32]> {
+fn sha256_span_at(width: usize, span: &[Leaf<'_>]) -> Vec<[u8; 32]> {
     if width < 3 || span.len() < 3 {
-        return span.iter().map(|leaf| sha256(leaf)).collect();
+        return span.iter().map(|leaf| sha256_leaf(leaf)).collect();
     }
+    let lens: Vec<usize> = span.iter().map(|leaf| leaf_len(leaf)).collect();
     let mut order: Vec<usize> = (0..span.len()).collect();
-    order.sort_by_key(|&i| core::cmp::Reverse(span[i].len()));
+    order.sort_by_key(|&i| core::cmp::Reverse(lens[i]));
     let mut out = vec![[0u8; 32]; span.len()];
     let mut rest = order.as_slice();
     while let Some(&longest) = rest.first() {
-        let floor = span[longest].len() / 2;
-        let fits = |&&i: &&usize| span[i].len() >= floor;
+        let floor = lens[longest] / 2;
+        let fits = |&&i: &&usize| lens[i] >= floor;
         let lanes = rest.iter().take(width.min(16)).take_while(fits).count();
         let (group, later) = rest.split_at(lanes);
         rest = later;
@@ -365,8 +494,8 @@ thread_local! {
 ///   hashes, so no group wins and the packer is never handed width 8
 ///   there ([`lockstep_lanes`]).
 ///
-/// Smaller groups go one leaf at a time through `sha256`.
-fn sha256_group(width: usize, group: &[usize], span: &[&[u8]], out: &mut [[u8; 32]]) {
+/// Smaller groups go one leaf at a time through `sha256_leaf`.
+fn sha256_group(width: usize, group: &[usize], span: &[Leaf<'_>], out: &mut [[u8; 32]]) {
     #[cfg(target_arch = "x86_64")]
     if let Some(&shortest) = group.last() {
         let lane = |k: usize| span[group.get(k).copied().unwrap_or(shortest)];
@@ -385,7 +514,7 @@ fn sha256_group(width: usize, group: &[usize], span: &[&[u8]], out: &mut [[u8; 3
         }
     }
     for &i in group {
-        out[i] = sha256(span[i]);
+        out[i] = sha256_leaf(span[i]);
     }
 }
 
@@ -406,52 +535,31 @@ pub fn content_digests<P: Pieces + ?Sized>(payloads: &[&P], plane: &DataPlane) -
     content_digests_at(lockstep_lanes(), payloads, plane)
 }
 
-/// A leaf as [`cut_leaves`] found it.
-enum Leaf<'a> {
-    /// Inside one piece, hashed where it lies.
-    Borrowed(&'a [u8]),
-    /// Across pieces: where its assembled copy lies in the assembly
-    /// buffer.
-    Assembled(Range<usize>),
-}
-
-/// Cuts `payload` into its [`CHUNK_BYTES`] leaves, in order, onto
-/// `leaves`. A leaf inside one piece is borrowed; only a leaf that
-/// straddles two or more pieces is copied, onto the end of `assembled`.
-/// A plain slice is one piece, so it is never copied.
+/// Cuts `payload` into its [`CHUNK_BYTES`] leaves, in order: each
+/// leaf's slices onto `slices`, and where the leaf's run ends in
+/// `slices` onto `ends`. Nothing is copied; a leaf inside one piece is
+/// one slice, and a plain slice payload is one slice per leaf.
 fn cut_leaves<'a, P: Pieces + ?Sized>(
     payload: &'a P,
-    leaves: &mut Vec<Leaf<'a>>,
-    assembled: &mut Vec<u8>,
+    slices: &mut Vec<&'a [u8]>,
+    ends: &mut Vec<usize>,
 ) {
-    // The leaf under way: its start in the current piece, if it began
-    // there, or where its bytes so far begin in `assembled`, if it began
-    // in an earlier one.
-    let mut open: Option<&'a [u8]> = None;
-    let mut partial: Option<usize> = None;
+    // Bytes the leaf under way still wants.
+    let mut want = CHUNK_BYTES;
     for mut piece in payload.pieces() {
-        if let Some(start) = open.take() {
-            partial = Some(assembled.len());
-            assembled.extend_from_slice(start);
-        }
-        if let Some(at) = partial {
-            let take = (at + CHUNK_BYTES - assembled.len()).min(piece.len());
-            assembled.extend_from_slice(&piece[..take]);
-            piece = &piece[take..];
-            if assembled.len() < at + CHUNK_BYTES {
-                continue;
+        while !piece.is_empty() {
+            let (slice, rest) = piece.split_at(want.min(piece.len()));
+            slices.push(slice);
+            want -= slice.len();
+            piece = rest;
+            if want == 0 {
+                ends.push(slices.len());
+                want = CHUNK_BYTES;
             }
-            leaves.push(Leaf::Assembled(at..assembled.len()));
-            partial = None;
         }
-        let (whole, tail) = piece.as_chunks::<CHUNK_BYTES>();
-        leaves.extend(whole.iter().map(|leaf| Leaf::Borrowed(leaf)));
-        open = (!tail.is_empty()).then_some(tail);
     }
-    if let Some(last) = open {
-        leaves.push(Leaf::Borrowed(last));
-    } else if let Some(at) = partial {
-        leaves.push(Leaf::Assembled(at..assembled.len()));
+    if want < CHUNK_BYTES {
+        ends.push(slices.len());
     }
 }
 
@@ -463,15 +571,17 @@ fn content_digests_at<P: Pieces + ?Sized>(
     payloads: &[&P],
     plane: &DataPlane,
 ) -> Vec<Digest> {
-    let (mut cut, mut assembled) = (Vec::new(), Vec::new());
+    let (mut slices, mut ends) = (Vec::new(), Vec::new());
     for payload in payloads {
-        cut_leaves(*payload, &mut cut, &mut assembled);
+        cut_leaves(*payload, &mut slices, &mut ends);
     }
-    let leaves: Vec<&[u8]> = cut
+    let mut start = 0;
+    let leaves: Vec<Leaf<'_>> = ends
         .iter()
-        .map(|leaf| match leaf {
-            Leaf::Borrowed(bytes) => bytes,
-            Leaf::Assembled(range) => &assembled[range.clone()],
+        .map(|&end| {
+            let leaf = &slices[start..end];
+            start = end;
+            leaf
         })
         .collect();
     let leaf_digests = plane.map_spans(&leaves, |span| sha256_span_at(width, span));
@@ -503,6 +613,11 @@ mod tests {
 
     fn hex(bytes: &[u8; 32]) -> String {
         Digest::from_bytes(*bytes).to_hex()
+    }
+
+    /// Each slice as a leaf of one slice.
+    fn one_slice_leaves<'a>(slices: &'a [&'a [u8]]) -> Vec<Leaf<'a>> {
+        slices.iter().map(core::slice::from_ref).collect()
     }
 
     fn pattern(len: usize) -> Vec<u8> {
@@ -740,8 +855,9 @@ mod tests {
         let lens = [
             200usize, 200, 3, 200, 198, 200, 140, 99, 200, 200, 64, 1, 200, 196, 200, 200, 120, 200,
         ];
-        let span: Vec<&[u8]> = lens.iter().map(|&len| &data[len..2 * len]).collect();
-        let expect: Vec<[u8; 32]> = span.iter().map(|leaf| sha256_reference(leaf)).collect();
+        let slices: Vec<&[u8]> = lens.iter().map(|&len| &data[len..2 * len]).collect();
+        let span = one_slice_leaves(&slices);
+        let expect: Vec<[u8; 32]> = slices.iter().map(|leaf| sha256_reference(leaf)).collect();
         for width in 1..=16 {
             for take in 0..=span.len() {
                 assert_eq!(
@@ -763,13 +879,14 @@ mod tests {
             assert_eq!(x16_floor(), 10);
         }
         let data = wide_pattern(16 * 130);
-        let span: Vec<&[u8]> = data.chunks(130).collect();
+        let slices: Vec<&[u8]> = data.chunks(130).collect();
+        let span = one_slice_leaves(&slices);
         for n in 1..=16 {
             X16_PASSES.with(|p| p.set(0));
             let got = sha256_span_at(16, &span[..n]);
             let passes = X16_PASSES.with(core::cell::Cell::get);
             assert_eq!(passes, usize::from(n >= x16_floor()), "{n} leaves");
-            let expect: Vec<[u8; 32]> = span[..n].iter().map(|l| sha256_reference(l)).collect();
+            let expect: Vec<[u8; 32]> = slices[..n].iter().map(|l| sha256_reference(l)).collect();
             assert_eq!(got, expect, "{n} leaves");
         }
     }
@@ -782,11 +899,12 @@ mod tests {
         // 2-thread plane splits 15 + 14: both spans reach the floor, so
         // each is one sixteen-lane pass and no leaf runs alone.
         let data = wide_pattern(28 * CHUNK_BYTES + 11_000);
-        let leaves: Vec<&[u8]> = data.chunks(CHUNK_BYTES).collect();
+        let slices: Vec<&[u8]> = data.chunks(CHUNK_BYTES).collect();
+        let leaves = one_slice_leaves(&slices);
         let spans = DataPlane::new(2).map_spans(&leaves, |span| {
             X16_PASSES.with(|p| p.set(0));
             let got = sha256_span_at(16, span);
-            let expect: Vec<[u8; 32]> = span.iter().map(|leaf| sha256(leaf)).collect();
+            let expect: Vec<[u8; 32]> = span.iter().map(|leaf| sha256(leaf[0])).collect();
             assert_eq!(got, expect);
             vec![(span.len(), X16_PASSES.with(core::cell::Cell::get))]
         });
@@ -905,27 +1023,221 @@ mod tests {
         parts
     }
 
+    /// Runs `f` and returns the leaf bytes cursors on this thread copied
+    /// into scratch meanwhile.
+    fn straddle_copies(f: impl FnOnce()) -> usize {
+        let before = STRADDLE_COPIES.with(core::cell::Cell::get);
+        f();
+        STRADDLE_COPIES.with(core::cell::Cell::get) - before
+    }
+
     #[test]
-    fn a_leaf_is_copied_only_where_it_straddles_pieces() {
+    #[cfg_attr(miri, ignore = "hashes half a megabyte; too slow interpreted")]
+    fn no_leaf_byte_is_copied_but_a_block_that_straddles_pieces() {
         let data = wide_pattern(4 * CHUNK_BYTES + 100);
-        let parts = parted(
+        let plane = DataPlane::single();
+        let flat = content_digest(&data[..], &plane);
+        // Cuts on block boundaries: every block lies in one piece.
+        let aligned = parted(
             &data,
-            &[CHUNK_BYTES, CHUNK_BYTES + 10, 3 * CHUNK_BYTES + 50],
+            &[CHUNK_BYTES, CHUNK_BYTES + 64, 3 * CHUNK_BYTES + 640],
         );
-        let (mut leaves, mut assembled) = (Vec::new(), Vec::new());
-        cut_leaves(&parts, &mut leaves, &mut assembled);
-        // Leaf 0 ends at the first cut; leaf 1 spans the 10-byte piece
-        // and the next; leaves 2 and 4 lie inside one piece, leaf 3 spans
-        // the third cut.
-        let copied: Vec<bool> = leaves
-            .iter()
-            .map(|l| matches!(l, Leaf::Assembled(_)))
-            .collect();
-        assert_eq!(copied, [false, true, false, true, false]);
-        let (mut flat, mut none) = (Vec::new(), Vec::new());
-        cut_leaves(&data[..], &mut flat, &mut none);
-        assert!(none.is_empty(), "a plain slice is never copied");
-        assert_eq!(flat.len(), 5);
+        // Leaf 1 starts with a 10-byte piece and leaf 2 with a 50-byte
+        // one: one block of each straddles two pieces. Leaf 3 is kept
+        // whole, because a lockstep group's spare lanes repeat its last
+        // leaf, which would copy its straddling block once per lane.
+        let ragged = parted(
+            &data,
+            &[CHUNK_BYTES, CHUNK_BYTES + 10, 2 * CHUNK_BYTES + 50],
+        );
+        for width in [1, 8, 16] {
+            let digest = |p: &bytes::Parts| content_digests_at(width, &[p], &plane)[0];
+            let copies = straddle_copies(|| assert_eq!(digest(&aligned), flat));
+            assert_eq!(
+                copies, 0,
+                "width {width}: a block inside a piece was copied"
+            );
+            let copies = straddle_copies(|| assert_eq!(digest(&ragged), flat));
+            assert_eq!(
+                copies,
+                2 * 64,
+                "width {width}: only the two straddling blocks"
+            );
+            let copies = straddle_copies(|| {
+                assert_eq!(content_digests_at(width, &[&data[..]], &plane)[0], flat);
+            });
+            assert_eq!(copies, 0, "width {width}: a plain slice is never copied");
+        }
+        let (mut slices, mut ends) = (Vec::new(), Vec::new());
+        cut_leaves(&ragged, &mut slices, &mut ends);
+        // Leaves 1 and 2 are two slices each, the others one.
+        assert_eq!(ends, [1, 3, 5, 6, 7]);
+    }
+
+    /// A shared 2 KB zero block, and `len` bytes of `wide_pattern`
+    /// (zeroed where a run of zero views goes) cut the way a sealed
+    /// image is: data pieces of 1–200 B, cuts at and 1 B either side of
+    /// 64 B block and leaf boundaries, and runs of views of the zero
+    /// block. Returns the flat bytes and the pieces.
+    fn image_shaped(seed: u64, len: usize) -> (Vec<u8>, bytes::Parts) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let zero = bytes::Bytes::from(vec![0u8; 2048]);
+        let mut flat = wide_pattern(len);
+        let whole = bytes::Bytes::copy_from_slice(&flat);
+        let mut parts = bytes::Parts::new();
+        let mut at = 0;
+        while at < len {
+            let left = len - at;
+            let end = match rng.gen::<u32>() % 5 {
+                0 => {
+                    // A run of zero views, as an image's pads.
+                    for _ in 0..1 + rng.gen::<usize>() % 8 {
+                        let n = (64 + rng.gen::<usize>() % 1985).min(len - at);
+                        parts.push(zero.slice(..n));
+                        flat[at..at + n].fill(0);
+                        at += n;
+                        if at == len {
+                            break;
+                        }
+                    }
+                    continue;
+                }
+                1 => (at / 64 + 1) * 64 + rng.gen::<usize>() % 3 - 1,
+                2 => (at / CHUNK_BYTES + 1) * CHUNK_BYTES + rng.gen::<usize>() % 3 - 1,
+                _ => at + 1 + rng.gen::<usize>() % 200,
+            };
+            let end = end.clamp(at + 1, at + left);
+            parts.push(whole.slice(at..end));
+            at = end;
+        }
+        (flat, parts)
+    }
+
+    /// The pinned vectors of `content_digest_golden_values_are_pinned`
+    /// and the longest two of `lockstep_length_golden_values_are_pinned`,
+    /// each payload cut at, and 1 B either side of, every 64 B block and
+    /// 16 KiB leaf boundary — every block straddles a cut — at every lane
+    /// width on one and two plane threads.
+    #[test]
+    #[cfg_attr(miri, ignore = "hashes megabytes; too slow interpreted")]
+    fn a_payload_cut_at_every_boundary_digests_to_the_pinned_vectors() {
+        let cuts = |len: usize| -> Vec<usize> {
+            (64..len)
+                .step_by(64)
+                .flat_map(|b| [b - 1, b, b + 1])
+                .chain(
+                    (CHUNK_BYTES..len)
+                        .step_by(CHUNK_BYTES)
+                        .flat_map(|b| [b - 1, b + 1]),
+                )
+                .collect()
+        };
+        let pattern_data = pattern(2 * CHUNK_BYTES + 12_345);
+        let wide_data = wide_pattern(17 * CHUNK_BYTES + 777);
+        let golden = [
+            (
+                &pattern_data,
+                0,
+                "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+            ),
+            (
+                &pattern_data,
+                1,
+                "f116abd57c3e0560fd70ec4abc84e1a1385d3aaa1a936cdda4bfefbcf099a26c",
+            ),
+            (
+                &pattern_data,
+                CHUNK_BYTES - 1,
+                "3a63c28590b3ef77d850fa22485d016a938c56700707645799abb98b86a7c9c4",
+            ),
+            (
+                &pattern_data,
+                CHUNK_BYTES + 1,
+                "1b345872dee1f5b482bd23042f1bce5663cef23c0514c98f2ceb20e17a145f4e",
+            ),
+            (
+                &pattern_data,
+                2 * CHUNK_BYTES + 12_345,
+                "72b548de66492a2a5ccb20a33a9044d1a5722a30f0d0087c91aa9cf60953e3b5",
+            ),
+            (
+                &wide_data,
+                16 * CHUNK_BYTES,
+                "5f2f8b9bcb1376d8ad77eb3832e776c4f8994057cfcadd9f96d0a5075d5bee30",
+            ),
+            (
+                &wide_data,
+                17 * CHUNK_BYTES + 777,
+                "ee8a781b249c93e36223c266dd832d26653440f67b33a2c56448ad2a382cfc87",
+            ),
+        ];
+        for (data, len, expect) in golden {
+            let parts = parted(&data[..len], &cuts(len));
+            for threads in [1, 2] {
+                let plane = DataPlane::new(threads);
+                for width in [1, 8, 16] {
+                    let got = content_digests_at(width, &[&parts], &plane)[0];
+                    assert_eq!(
+                        got.to_hex(),
+                        expect,
+                        "len {len} threads {threads} width {width}"
+                    );
+                }
+            }
+        }
+    }
+
+    // Leaves of a few hundred bytes: sized for Miri.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(miri) { 4 } else { 64 }
+        ))]
+        #[test]
+        fn leaves_in_slices_hash_as_their_bytes(
+            seed in 0u64..u64::MAX,
+            lens in proptest::collection::vec(0usize..400, 1..18),
+        ) {
+            let shaped: Vec<(Vec<u8>, bytes::Parts)> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| image_shaped(seed ^ i as u64, len))
+                .collect();
+            let runs: Vec<Vec<&[u8]>> = shaped
+                .iter()
+                .map(|(_, parts)| bytes::Pieces::pieces(parts).collect())
+                .collect();
+            let span: Vec<Leaf<'_>> = runs.iter().map(Vec::as_slice).collect();
+            let expect: Vec<[u8; 32]> = shaped.iter().map(|(flat, _)| sha256_reference(flat)).collect();
+            for width in [1, 8, 16] {
+                proptest::prop_assert_eq!(&sha256_span_at(width, &span), &expect, "width {}", width);
+            }
+        }
+    }
+
+    // Multi-leaf payloads are too slow interpreted.
+    #[cfg(not(miri))]
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+        #[test]
+        fn an_image_shaped_payload_digests_as_its_flat_bytes(
+            seed in 0u64..u64::MAX,
+            len in 0usize..3 * CHUNK_BYTES + 500,
+        ) {
+            let (flat, parts) = image_shaped(seed, len);
+            let (other_flat, other) = image_shaped(seed.wrapping_add(1), len / 3);
+            let expect = [
+                content_digest(&flat[..], &DataPlane::single()),
+                content_digest(&other_flat[..], &DataPlane::single()),
+            ];
+            for threads in [1, 2] {
+                let plane = DataPlane::new(threads);
+                for width in [1, 8, 16] {
+                    let got = content_digests_at(width, &[&parts, &other], &plane);
+                    proptest::prop_assert_eq!(&got[..], &expect[..], "threads {} width {}", threads, width);
+                }
+            }
+        }
     }
 
     // Random multi-leaf payloads are too slow interpreted.

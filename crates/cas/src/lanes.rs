@@ -14,6 +14,13 @@
 //! Message words are gathered with `u32::from_be_bytes` on bounds-checked
 //! slices and `set_epi32`; no intrinsic here takes a pointer.
 //!
+//! A leaf may be a run of slices (a parted image's pieces): each lane
+//! reads its leaf through a [`Cursor`]. While every lane's current slice
+//! holds whole blocks the kernel runs over them in place, as it does over
+//! one slice; a step where some lane meets a slice boundary takes one
+//! block per lane, and only that lane's block is copied, 64 bytes into
+//! its cursor's scratch.
+//!
 //! Where the CPU has the SHA extensions, eight lanes do not pay: one
 //! `sha256rnds2` does two rounds of one message, and [`compress_sha`]
 //! runs every block of a message through them, Intel's published
@@ -29,7 +36,7 @@
 //! kernel to take and whether a lockstep group is worth forming. Other
 //! targets compile the scalar kernel alone.
 
-use crate::digest::{finish, sha256, H0, K};
+use crate::digest::{sha256_leaf, Cursor, Leaf, H0, K};
 
 /// Whether this CPU runs [`sha256_x8`]'s eight-lane kernel. A property
 /// of the host the code observes, not a setting.
@@ -43,11 +50,11 @@ pub(crate) fn avx2() -> bool {
 /// have are compressed in lockstep; each lane's remainder — the
 /// sub-block tail and padding when the lengths are equal, which is the
 /// case this is built for — is finished by the single-stream code.
-/// Elsewhere each message is hashed alone. Equals `msgs.map(sha256)` for
-/// any input on any host.
-pub(crate) fn sha256_x8(msgs: [&[u8]; 8]) -> [[u8; 32]; 8] {
+/// Elsewhere each message is hashed alone. Equals `msgs.map(sha256_leaf)`
+/// for any input on any host.
+pub(crate) fn sha256_x8(msgs: [Leaf<'_>; 8]) -> [[u8; 32]; 8] {
     if !avx2() {
-        return msgs.map(sha256);
+        return msgs.map(sha256_leaf);
     }
     // SAFETY: `x8::lockstep` requires the `avx2` target feature, which
     // is not statically enabled; `avx2` on the line above has just
@@ -64,11 +71,11 @@ pub(crate) fn avx512f() -> bool {
 /// SHA-256 of sixteen messages at once, as [`sha256_x8`] hashes eight:
 /// the whole blocks all sixteen have in lockstep where the CPU has
 /// AVX-512F, each lane's remainder by the single-stream code, and each
-/// message alone elsewhere. Equals `msgs.map(sha256)` for any input on
-/// any host.
-pub(crate) fn sha256_x16(msgs: [&[u8]; 16]) -> [[u8; 32]; 16] {
+/// message alone elsewhere. Equals `msgs.map(sha256_leaf)` for any input
+/// on any host.
+pub(crate) fn sha256_x16(msgs: [Leaf<'_>; 16]) -> [[u8; 32]; 16] {
     if !avx512f() {
-        return msgs.map(sha256);
+        return msgs.map(sha256_leaf);
     }
     // SAFETY: `x16::lockstep` requires the `avx512f` target feature,
     // which is not statically enabled; `avx512f` on the line above has
@@ -113,7 +120,7 @@ macro_rules! round_lanes {
 
 /// Eight lanes of an AVX2 register, one message per lane.
 mod x8 {
-    use super::{finish, H0, K};
+    use super::{Cursor, Leaf, H0, K};
     use core::arch::x86_64::{
         __m256i as V, _mm256_add_epi32 as add, _mm256_and_si256 as and, _mm256_extract_epi32,
         _mm256_or_si256 as or, _mm256_set1_epi32 as splat, _mm256_set_epi32,
@@ -201,45 +208,70 @@ mod x8 {
         ]
     }
 
-    /// The scalar `compress` on every lane: a rolling 16-word schedule,
-    /// extended eight words at a time just ahead of the eight rounds
-    /// that consume them.
+    /// The scalar `compress` on every lane, one block each: a rolling
+    /// 16-word schedule, extended eight words at a time just ahead of the
+    /// eight rounds that consume them.
     #[target_feature(enable = "avx2")]
-    pub(super) fn lockstep(msgs: [&[u8]; LANES]) -> [[u8; 32]; LANES] {
-        let blocks = msgs.map(|m| m.as_chunks::<64>().0);
-        let common = blocks.iter().map(|b| b.len()).min().unwrap_or(0);
-        let mut state = H0.map(|h| splat(h.cast_signed()));
-        for at in 0..common {
-            let mut w = message(blocks.map(|b| &b[at]));
-            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
-            for t in (0..64).step_by(8) {
-                let i = t & 15;
-                if t >= 16 {
-                    for j in i..i + 8 {
-                        let s0 = small_sigma0(w[(j + 1) & 15]);
-                        let s1 = small_sigma1(w[(j + 14) & 15]);
-                        w[j] = add(add(w[j], s0), add(w[(j + 9) & 15], s1));
-                    }
+    #[inline]
+    fn compress(state: &mut [V; 8], blocks: [&[u8; 64]; LANES]) {
+        let mut w = message(blocks);
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for t in (0..64).step_by(8) {
+            let i = t & 15;
+            if t >= 16 {
+                for j in i..i + 8 {
+                    let s0 = small_sigma0(w[(j + 1) & 15]);
+                    let s1 = small_sigma1(w[(j + 14) & 15]);
+                    w[j] = add(add(w[j], s0), add(w[(j + 9) & 15], s1));
                 }
-                let kw = |j: usize| add(splat(K[t + j].cast_signed()), w[i + j]);
-                round_lanes!(a, b, c, d, e, f, g, h, kw(0));
-                round_lanes!(h, a, b, c, d, e, f, g, kw(1));
-                round_lanes!(g, h, a, b, c, d, e, f, kw(2));
-                round_lanes!(f, g, h, a, b, c, d, e, kw(3));
-                round_lanes!(e, f, g, h, a, b, c, d, kw(4));
-                round_lanes!(d, e, f, g, h, a, b, c, kw(5));
-                round_lanes!(c, d, e, f, g, h, a, b, kw(6));
-                round_lanes!(b, c, d, e, f, g, h, a, kw(7));
             }
-            for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-                *s = add(*s, v);
+            let kw = |j: usize| add(splat(K[t + j].cast_signed()), w[i + j]);
+            round_lanes!(a, b, c, d, e, f, g, h, kw(0));
+            round_lanes!(h, a, b, c, d, e, f, g, kw(1));
+            round_lanes!(g, h, a, b, c, d, e, f, kw(2));
+            round_lanes!(f, g, h, a, b, c, d, e, kw(3));
+            round_lanes!(e, f, g, h, a, b, c, d, kw(4));
+            round_lanes!(d, e, f, g, h, a, b, c, kw(5));
+            round_lanes!(c, d, e, f, g, h, a, b, kw(6));
+            round_lanes!(b, c, d, e, f, g, h, a, kw(7));
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = add(*s, v);
+        }
+    }
+
+    /// [`compress`] over every whole block all eight leaves have, each
+    /// lane's leaf read through its [`Cursor`]; each lane's remainder is
+    /// finished by the single-stream code.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn lockstep(msgs: [Leaf<'_>; LANES]) -> [[u8; 32]; LANES] {
+        let mut cursors = msgs.map(Cursor::new);
+        let mut common = cursors.iter().map(Cursor::blocks_left).min().unwrap_or(0);
+        let mut state = H0.map(|h| splat(h.cast_signed()));
+        while common > 0 {
+            // The blocks every lane's current slice holds whole.
+            let run = cursors
+                .iter()
+                .map(|c| c.in_place().len())
+                .min()
+                .unwrap_or(0);
+            let run = run.min(common);
+            if run == 0 {
+                compress(&mut state, cursors.each_mut().map(Cursor::block));
+                common -= 1;
+                continue;
             }
+            let blocks = cursors.each_ref().map(Cursor::in_place);
+            for at in 0..run {
+                compress(&mut state, blocks.map(|b| &b[at]));
+            }
+            for cursor in &mut cursors {
+                cursor.skip(run);
+            }
+            common -= run;
         }
         let words = state.map(|v| lanes(v));
-        core::array::from_fn(|lane| {
-            let m = msgs[lane];
-            finish(words.map(|w| w[lane]), &m[common * 64..], m.len())
-        })
+        core::array::from_fn(|lane| cursors[lane].finish(words.map(|w| w[lane])))
     }
 }
 
@@ -247,7 +279,7 @@ mod x8 {
 /// kernel with a native rotate (`vprold`) and every three-input boolean
 /// function — Σ's and σ's `xor3`, `ch`, `maj` — one `vpternlogd`.
 mod x16 {
-    use super::{finish, H0, K};
+    use super::{Cursor, Leaf, H0, K};
     use core::arch::x86_64::{
         __m128i, __m512i as V, _mm512_add_epi32 as add, _mm512_extracti32x4_epi32,
         _mm512_ror_epi32 as ror, _mm512_set1_epi32 as splat, _mm512_set_epi32,
@@ -379,33 +411,56 @@ mod x16 {
         *state = [a, b, c, d, e, f, g, h];
     }
 
-    /// The scalar `compress` on every lane, its 64 rounds unrolled as
-    /// eight calls of [`eight_rounds`].
+    /// The scalar `compress` on every lane, one block each, its 64
+    /// rounds unrolled as eight calls of [`eight_rounds`].
     #[target_feature(enable = "avx512f")]
-    pub(super) fn lockstep(msgs: [&[u8]; LANES]) -> [[u8; 32]; LANES] {
-        let blocks = msgs.map(|m| m.as_chunks::<64>().0);
-        let common = blocks.iter().map(|b| b.len()).min().unwrap_or(0);
+    #[inline]
+    fn compress(state: &mut [V; 8], blocks: [&[u8; 64]; LANES]) {
+        let mut w = message(blocks);
+        let mut s = *state;
+        eight_rounds::<0>(&mut s, &mut w);
+        eight_rounds::<8>(&mut s, &mut w);
+        eight_rounds::<16>(&mut s, &mut w);
+        eight_rounds::<24>(&mut s, &mut w);
+        eight_rounds::<32>(&mut s, &mut w);
+        eight_rounds::<40>(&mut s, &mut w);
+        eight_rounds::<48>(&mut s, &mut w);
+        eight_rounds::<56>(&mut s, &mut w);
+        for (st, v) in state.iter_mut().zip(s) {
+            *st = add(*st, v);
+        }
+    }
+
+    /// [`compress`] over every whole block all sixteen leaves have, as
+    /// `x8::lockstep` walks its eight.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn lockstep(msgs: [Leaf<'_>; LANES]) -> [[u8; 32]; LANES] {
+        let mut cursors = msgs.map(Cursor::new);
+        let mut common = cursors.iter().map(Cursor::blocks_left).min().unwrap_or(0);
         let mut state = H0.map(|h| splat(h.cast_signed()));
-        for at in 0..common {
-            let mut w = message(blocks.map(|b| &b[at]));
-            let mut s = state;
-            eight_rounds::<0>(&mut s, &mut w);
-            eight_rounds::<8>(&mut s, &mut w);
-            eight_rounds::<16>(&mut s, &mut w);
-            eight_rounds::<24>(&mut s, &mut w);
-            eight_rounds::<32>(&mut s, &mut w);
-            eight_rounds::<40>(&mut s, &mut w);
-            eight_rounds::<48>(&mut s, &mut w);
-            eight_rounds::<56>(&mut s, &mut w);
-            for (st, v) in state.iter_mut().zip(s) {
-                *st = add(*st, v);
+        while common > 0 {
+            let run = cursors
+                .iter()
+                .map(|c| c.in_place().len())
+                .min()
+                .unwrap_or(0);
+            let run = run.min(common);
+            if run == 0 {
+                compress(&mut state, cursors.each_mut().map(Cursor::block));
+                common -= 1;
+                continue;
             }
+            let blocks = cursors.each_ref().map(Cursor::in_place);
+            for at in 0..run {
+                compress(&mut state, blocks.map(|b| &b[at]));
+            }
+            for cursor in &mut cursors {
+                cursor.skip(run);
+            }
+            common -= run;
         }
         let words = state.map(|v| lanes(v));
-        core::array::from_fn(|lane| {
-            let m = msgs[lane];
-            finish(words.map(|w| w[lane]), &m[common * 64..], m.len())
-        })
+        core::array::from_fn(|lane| cursors[lane].finish(words.map(|w| w[lane])))
     }
 }
 
@@ -512,6 +567,23 @@ mod tests {
         core::array::from_fn(|lane| msgs[lane].as_slice())
     }
 
+    /// Each message as a leaf of one slice.
+    fn leaves<'a, const N: usize>(msgs: &'a [&'a [u8]; N]) -> [Leaf<'a>; N] {
+        core::array::from_fn(|lane| core::slice::from_ref(&msgs[lane]))
+    }
+
+    /// `msg` cut into slices of 1–`max` bytes.
+    fn cut<'a>(msg: &'a [u8], rng: &mut impl Rng, max: usize) -> Vec<&'a [u8]> {
+        let mut rest = msg;
+        let mut out = Vec::new();
+        while !rest.is_empty() {
+            let (slice, tail) = rest.split_at((1 + rng.gen::<usize>() % max).min(rest.len()));
+            out.push(slice);
+            rest = tail;
+        }
+        out
+    }
+
     #[test]
     fn the_host_says_which_kernel_ran() {
         // CI runs this with `--nocapture`: a green run on a CPU without
@@ -545,7 +617,7 @@ mod tests {
         for len in PADDING_LENS {
             let msgs = group(len as u64, [len; 8]);
             let expect = refs(&msgs).map(sha256_reference);
-            assert_eq!(sha256_x8(refs(&msgs)), expect, "len {len}");
+            assert_eq!(sha256_x8(leaves(&refs(&msgs))), expect, "len {len}");
         }
     }
 
@@ -554,7 +626,7 @@ mod tests {
         for len in PADDING_LENS {
             let msgs = group(len as u64, [len; 16]);
             let expect = refs(&msgs).map(sha256_reference);
-            assert_eq!(sha256_x16(refs(&msgs)), expect, "len {len}");
+            assert_eq!(sha256_x16(leaves(&refs(&msgs))), expect, "len {len}");
         }
     }
 
@@ -563,7 +635,10 @@ mod tests {
         // Lockstep covers the blocks every lane has (one here); each
         // lane's longer remainder is the single-stream kernel's.
         let msgs = group(7, [64, 200, 129, 70, 300, 65, 1000, 128]);
-        assert_eq!(sha256_x8(refs(&msgs)), refs(&msgs).map(sha256_reference));
+        assert_eq!(
+            sha256_x8(leaves(&refs(&msgs))),
+            refs(&msgs).map(sha256_reference)
+        );
     }
 
     #[test]
@@ -572,21 +647,53 @@ mod tests {
             64, 200, 129, 70, 300, 65, 1000, 128, 77, 64, 640, 191, 256, 999, 65, 130,
         ];
         let msgs = group(7, lens);
-        assert_eq!(sha256_x16(refs(&msgs)), refs(&msgs).map(sha256_reference));
+        assert_eq!(
+            sha256_x16(leaves(&refs(&msgs))),
+            refs(&msgs).map(sha256_reference)
+        );
+    }
+
+    /// Every lane's message in slices of 1–200 B, cut differently per
+    /// lane, so steps where one lane straddles a boundary and the others
+    /// read in place come up at both widths — small enough for Miri.
+    #[test]
+    fn parted_lanes_match_the_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for case in 0..4u64 {
+            let msgs8 = group(case, core::array::from_fn::<usize, 8, _>(|i| 300 + 37 * i));
+            let msgs16 = group(case, core::array::from_fn::<usize, 16, _>(|i| 250 + 29 * i));
+            let max = [1, 7, 64, 200][case as usize];
+            let runs8: Vec<Vec<&[u8]>> = msgs8.iter().map(|m| cut(m, &mut rng, max)).collect();
+            let runs16: Vec<Vec<&[u8]>> = msgs16.iter().map(|m| cut(m, &mut rng, max)).collect();
+            let got8 = sha256_x8(core::array::from_fn(|i| runs8[i].as_slice()));
+            assert_eq!(got8, refs(&msgs8).map(sha256_reference), "x8 case {case}");
+            let got16 = sha256_x16(core::array::from_fn(|i| runs16[i].as_slice()));
+            assert_eq!(
+                got16,
+                refs(&msgs16).map(sha256_reference),
+                "x16 case {case}"
+            );
+        }
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "whole-chunk messages are too slow interpreted")]
     fn one_whole_chunk_per_lane_matches_scalar() {
         let msgs = group(11, [crate::CHUNK_BYTES; 8]);
-        assert_eq!(sha256_x8(refs(&msgs)), refs(&msgs).map(sha256));
+        assert_eq!(
+            sha256_x8(leaves(&refs(&msgs))),
+            refs(&msgs).map(crate::digest::sha256)
+        );
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "whole-chunk messages are too slow interpreted")]
     fn x16_one_whole_chunk_per_lane_matches_scalar() {
         let msgs = group(11, [crate::CHUNK_BYTES; 16]);
-        assert_eq!(sha256_x16(refs(&msgs)), refs(&msgs).map(sha256));
+        assert_eq!(
+            sha256_x16(leaves(&refs(&msgs))),
+            refs(&msgs).map(crate::digest::sha256)
+        );
     }
 
     // Random multi-KB groups are too slow interpreted.
@@ -596,13 +703,13 @@ mod tests {
         #[test]
         fn equals_one_scalar_hash_per_lane(seed in 0u64..u64::MAX, len in 0usize..5000) {
             let msgs = group(seed, [len; 8]);
-            prop_assert_eq!(sha256_x8(refs(&msgs)), refs(&msgs).map(sha256));
+            prop_assert_eq!(sha256_x8(leaves(&refs(&msgs))), refs(&msgs).map(crate::digest::sha256));
         }
 
         #[test]
         fn x16_equals_one_scalar_hash_per_lane(seed in 0u64..u64::MAX, len in 0usize..5000) {
             let msgs = group(seed, [len; 16]);
-            prop_assert_eq!(sha256_x16(refs(&msgs)), refs(&msgs).map(sha256));
+            prop_assert_eq!(sha256_x16(leaves(&refs(&msgs))), refs(&msgs).map(crate::digest::sha256));
         }
     }
 }

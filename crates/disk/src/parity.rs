@@ -32,8 +32,9 @@
 //!
 //! **Members in pieces.** A member is any [`Pieces`]: a flat slice, or a
 //! sealed image's [`bytes::Parts`], read where its pieces lie. A tile
-//! inside one piece is borrowed; only a tile that straddles two pieces
-//! is copied, into a 4 KiB scratch tile.
+//! that straddles pieces is read as each piece's sub-range, XORed (and
+//! stepped into Q) in place at its offset in the tile; no member byte is
+//! copied.
 
 // Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
 // outside test code is checked, saturating, or carries an `#[expect]`
@@ -99,36 +100,24 @@ impl<'a> Member<'a> {
     }
 
     /// The member's bytes from stripe offset `at`, at most `n` of them
-    /// and fewer past its end: the kernels stop at the common prefix, so
-    /// the missing tail adds nothing and the member reads as zero-filled.
-    /// Borrowed when one piece holds them; a tile that straddles pieces
-    /// is copied into `scratch`.
-    fn tile<'s>(&'s self, at: usize, n: usize, scratch: &'s mut [u8; TILE]) -> &'s [u8] {
-        let end = self.len.min(at.saturating_add(n.min(TILE)));
-        if at >= end {
-            return &[];
-        }
+    /// and fewer past its end, as the sub-range of each piece that holds
+    /// some, in order, with its offset from `at`: the kernels stop at the
+    /// member's end, so the missing tail adds nothing and the member reads
+    /// as zero-filled.
+    fn tile(&self, at: usize, n: usize) -> impl Iterator<Item = (usize, &'a [u8])> + '_ {
+        let end = self.len.min(at.saturating_add(n));
         let first = self
             .pieces
             .partition_point(|&(s, _)| s <= at)
             .saturating_sub(1);
-        let (start, piece) = self.pieces[first];
-        let lo = at.saturating_sub(start);
-        let hi = end.saturating_sub(start);
-        if hi <= piece.len() {
-            return &piece[lo..hi];
-        }
-        let mut filled = 0usize;
-        for &(start, piece) in &self.pieces[first..] {
-            if start >= end {
-                break;
-            }
-            let bytes =
-                &piece[at.saturating_sub(start)..piece.len().min(end.saturating_sub(start))];
-            scratch[filled..][..bytes.len()].copy_from_slice(bytes);
-            filled = filled.saturating_add(bytes.len());
-        }
-        &scratch[..filled]
+        self.pieces[first..]
+            .iter()
+            .take_while(move |&&(start, _)| start < end)
+            .filter_map(move |&(start, piece)| {
+                let lo = at.saturating_sub(start);
+                let hi = piece.len().min(end.saturating_sub(start));
+                (lo < hi).then(|| (start.saturating_add(lo).saturating_sub(at), &piece[lo..hi]))
+            })
     }
 
     /// The member copied out whole: a survivor a reconstruct hands back.
@@ -174,10 +163,11 @@ fn xor_tiles<'a, 'm: 'a>(
     off: usize,
     chunk: &mut [u8],
 ) {
-    let mut scratch = [0u8; TILE];
     for (t, at) in chunk.chunks_mut(TILE).zip((off..).step_by(TILE)) {
         for m in sources.clone() {
-            gf::xor_acc(t, m.tile(at, t.len(), &mut scratch));
+            for (o, s) in m.tile(at, t.len()) {
+                gf::xor_acc(&mut t[o..], s);
+            }
         }
     }
 }
@@ -198,18 +188,22 @@ fn p_of(data: &[Option<Member<'_>>], len: usize, plane: &DataPlane) -> Vec<u8> {
 /// nothing to either but still doubles Q, as does a short member past
 /// its end.
 fn horner_pq(members: &[Option<Member<'_>>], off: usize, p: Option<&mut [u8]>, q: &mut [u8]) {
-    let mut scratch = [0u8; TILE];
     let mut p_tiles = p.map(|p| p.chunks_mut(TILE));
     for (qt, at) in q.chunks_mut(TILE).zip((off..).step_by(TILE)) {
         let mut pt = p_tiles.as_mut().and_then(Iterator::next);
         for member in members.iter().rev() {
-            let s = member
-                .as_ref()
-                .map_or(&[][..], |m| m.tile(at, qt.len(), &mut scratch));
-            if let Some(pt) = pt.as_deref_mut() {
-                gf::xor_acc(pt, s);
+            // Each piece's sub-range steps its stretch of Q; past the
+            // member's end (or all of a lost one) Q is only doubled.
+            let (mut done, n) = (0usize, qt.len());
+            for (o, s) in member.iter().flat_map(|m| m.tile(at, n)) {
+                if let Some(pt) = pt.as_deref_mut() {
+                    gf::xor_acc(&mut pt[o..], s);
+                }
+                let end = o.saturating_add(s.len());
+                gf::horner_step(&mut qt[o..end], s);
+                done = end;
             }
-            gf::horner_step(qt, s);
+            gf::horner_step(&mut qt[done..], &[]);
         }
     }
 }

@@ -85,7 +85,7 @@ impl Ros {
 #[cfg(test)]
 mod tests {
     use crate::config::RosConfig;
-    use crate::dim::ImageKind;
+    use crate::dim::{GroupState, ImageKind};
     use crate::engine::Ros;
     use crate::error::OlfsError;
     use crate::ids::ImageId;
@@ -306,6 +306,74 @@ mod tests {
         let parity = r.store.group(first).unwrap().parity.clone();
         assert_eq!(parity.len(), 1);
         assert!(resident(&r, parity[0]), "the parity copy is charged");
+        for i in 0..11u8 {
+            let read = r.read_file(&p(&format!("/q/{i}"))).unwrap();
+            assert_eq!(read.data.as_ref(), vec![i; IMAGE_FILE].as_slice());
+        }
+    }
+
+    /// A rewrite releases its old parity's buffer bytes, and a parity
+    /// waiting for room gets its try there and then: it leaves
+    /// `AwaitingBuffer` before any burn completes.
+    #[test]
+    fn a_waiting_parity_takes_the_room_a_rewrite_releases() {
+        let mut r = Ros::new(RosConfig::tiny());
+        // A burned array of one small image, whose copies (data and
+        // parity) free far less than a 3 MB parity needs.
+        r.write_file(&p("/r/small"), vec![7; 10_000]).unwrap();
+        r.flush().unwrap();
+        let rewritten = r
+            .store
+            .get(image_of(&r, "/r/small"))
+            .unwrap()
+            .array
+            .unwrap();
+        let old_parity: u64 = r
+            .store
+            .group(rewritten)
+            .unwrap()
+            .parity
+            .iter()
+            .map(|&id| r.store.get(id).unwrap().payload.as_ref().unwrap().len() as u64)
+            .sum();
+        assert!(old_parity > 0);
+        for i in 0..11u8 {
+            r.write_file(&p(&format!("/q/{i}")), vec![i; IMAGE_FILE])
+                .unwrap();
+            r.seal_open_buckets().unwrap();
+        }
+        let (used, _) = r.status().buffer_usage;
+        fill_leaving(&mut r, 0);
+        let filled = r.status().buffer_usage.0 - used;
+        r.run_for(ros_sim::SimDuration::from_secs(3600));
+        let waiting = r.store.get(image_of(&r, "/q/0")).unwrap().array.unwrap();
+        let state = |r: &Ros| r.store.group(waiting).unwrap().state;
+        assert_eq!(state(&r), GroupState::AwaitingBuffer);
+        let need = r
+            .store
+            .group(waiting)
+            .unwrap()
+            .data
+            .iter()
+            .map(|&id| r.store.get(id).unwrap().payload.as_ref().unwrap().len() as u64)
+            .max()
+            .unwrap();
+        // All the room but what the rewrite will release; a release
+        // outside the engine wakes nothing.
+        r.vm.release(r.vol_buffer, need - old_parity).unwrap();
+        let burns = r.counters().burns;
+        r.rewrite_array(rewritten, r.now()).unwrap();
+        assert_eq!(
+            state(&r),
+            GroupState::ParityPending,
+            "the wait outlived the release"
+        );
+        assert_eq!(r.counters().burns, burns, "no burn completed");
+        r.vm.release(r.vol_buffer, filled - (need - old_parity))
+            .unwrap();
+        r.flush().unwrap();
+        assert_eq!(r.verify_consistency(), []);
+        assert_eq!(state(&r), GroupState::Burned);
         for i in 0..11u8 {
             let read = r.read_file(&p(&format!("/q/{i}"))).unwrap();
             assert_eq!(read.data.as_ref(), vec![i; IMAGE_FILE].as_slice());

@@ -24,11 +24,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-// A seal borrows a file's bytes from two digest leaves up: below that,
-// copying the file costs less than the two leaves the digest would
-// assemble across its ends (DESIGN.md §14).
-const _: () = assert!(ros_udf::format::BORROWED_FILE_BYTES == 2 * ros_cas::CHUNK_BYTES);
-
 /// Disc-array state in the DAindex (§4.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DaState {
@@ -68,8 +63,9 @@ pub enum GroupState {
     /// All data images present; parity generation scheduled/underway.
     ParityPending,
     /// Parity generated but the disk buffer could not hold it, so none
-    /// was registered; the next completed burn, which makes burned copies
-    /// evictable, schedules the parity again. Counted as parity pending.
+    /// was registered; the next completed burn (which makes burned copies
+    /// evictable) or rewrite (which releases the old parity) schedules
+    /// the parity again. Counted as parity pending.
     AwaitingBuffer,
     /// Parity done; waiting for drives and an empty tray.
     ReadyToBurn,

@@ -979,7 +979,7 @@ impl Ros {
                     let bytes: u64 = parity.iter().map(|p| p.len() as u64).sum();
                     if self.reserve_buffer(bytes).is_err() {
                         // Nothing is registered uncharged: the group
-                        // waits for a burn to make room (`finish_burn`).
+                        // waits for room (`retry_waiting_parity`).
                         if let Some(g) = self.store.group_mut(gid) {
                             g.state = GroupState::AwaitingBuffer;
                         }
@@ -1256,15 +1256,23 @@ impl Ros {
         }
         self.bay_burn_failures.remove(&bay);
         self.counters.burns += 1;
-        // Burned copies are evictable now: a parity the buffer could not
-        // hold gets another try.
+        // Burned copies are evictable now.
+        self.retry_waiting_parity(at);
+        true
+    }
+
+    /// Gives every parity the buffer could not hold
+    /// ([`GroupState::AwaitingBuffer`]) another try at `at`. Called
+    /// wherever the engine makes room on the buffer: a completed burn
+    /// (its copies become evictable) and a rewrite (it releases the old
+    /// parity).
+    pub(crate) fn retry_waiting_parity(&mut self, at: SimTime) {
         for waiting in self.store.groups_in_state(GroupState::AwaitingBuffer) {
             if let Some(g) = self.store.group_mut(waiting) {
                 g.state = GroupState::ParityPending;
             }
             self.schedule_parity(waiting, at);
         }
-        true
     }
 
     /// A burn came back with spoiled members at `at`: the write-once
@@ -2203,23 +2211,28 @@ mod tests {
         let sealed = r.store.get(image).unwrap().sealed.clone().unwrap();
         let forepart = r.mv.get(&path).unwrap().forepart().unwrap().clone();
         assert_eq!(forepart.as_ref(), &data[..4096]);
-        // A 10 KB file is copied at seal: the image is one owned run.
-        assert_eq!(sealed.parts().piece_count(), 1);
-        let run = sealed.parts().pieces().next().unwrap().as_ptr_range();
+        // The image borrows the file: the forepart views the piece that
+        // holds it, so it pins no buffer the image does not hold.
+        let file = sealed.read(&path).unwrap();
         assert!(
-            run.contains(&forepart.as_ptr()) && forepart.as_ptr_range().end <= run.end,
-            "the forepart still points into the client's buffer"
+            sealed
+                .parts()
+                .pieces()
+                .any(|piece| piece.as_ptr() == file.as_ptr()),
+            "the file is not a piece of its image"
+        );
+        assert_eq!(
+            forepart.as_ptr(),
+            file.as_ptr(),
+            "the forepart is not a view of the image"
         );
     }
 
+    /// 200 KB files, each borrowed by its image: seal, parity, burn,
+    /// eviction, fetch (digest verify and restore) and the reads all take
+    /// the images as pieces.
     #[test]
     fn the_pipeline_never_flattens_an_image() {
-        // 200 KB files, each borrowed by its image: seal, parity, burn,
-        // eviction, fetch (digest verify and restore) and the reads all
-        // take the images as pieces.
-        let flattens = bytes::Parts::flattens_on_this_thread;
-        let before = flattens();
-        let mut r = ros();
         let files: Vec<(UdfPath, Vec<u8>)> = (0..30u32)
             .map(|i| {
                 let data = (0..200_000u32)
@@ -2228,7 +2241,34 @@ mod tests {
                 (p(&format!("/wide/{i:02}")), data)
             })
             .collect();
-        for (path, data) in &files {
+        assert_the_pipeline_never_flattens(&files, 30);
+    }
+
+    /// 1–4 KiB files over many directories, as a metadata-bound
+    /// workload writes them: images of thousands of pieces, each file
+    /// and most of the zero fill its own, take the same path unflattened.
+    #[test]
+    fn the_pipeline_never_flattens_an_image_of_small_files() {
+        let files: Vec<(UdfPath, Vec<u8>)> = (0..1500u32)
+            .map(|i| {
+                let len = 1024 + (i as usize * 977) % 3073;
+                let data = (0..len as u32)
+                    .map(|j| (j.wrapping_mul(i + 5) >> 3) as u8)
+                    .collect();
+                (p(&format!("/d{:02}/s{}/f{i:04}", i % 40, i % 3)), data)
+            })
+            .collect();
+        assert_the_pipeline_never_flattens(&files, 1000);
+    }
+
+    /// Writes `files`, flushes, checks some image has more than
+    /// `pieces` pieces, evicts every burned copy, reads every file back
+    /// from disc and counts the images flattened meanwhile: none.
+    fn assert_the_pipeline_never_flattens(files: &[(UdfPath, Vec<u8>)], pieces: usize) {
+        let flattens = bytes::Parts::flattens_on_this_thread;
+        let before = flattens();
+        let mut r = ros();
+        for (path, data) in files {
             r.write_file(path, data.clone()).unwrap();
         }
         r.flush().unwrap();
@@ -2236,10 +2276,10 @@ mod tests {
         assert!(r
             .store
             .images()
-            .any(|i| i.payload.as_ref().is_some_and(|p| p.piece_count() > 30)));
+            .any(|i| i.payload.as_ref().is_some_and(|p| p.piece_count() > pieces)));
         r.evict_all_burned_copies();
         r.unload_all_bays().unwrap();
-        for (path, data) in &files {
+        for (path, data) in files {
             assert_eq!(
                 r.read_file(path).unwrap().data.as_ref(),
                 data.as_slice(),

@@ -426,6 +426,7 @@ impl Ros {
         // any unburned image, until the re-burn completes.
         let (old_slot, parity_bytes) = self.store.reset_group_for_rewrite(gid)?;
         self.vm.release(self.vol_buffer, parity_bytes)?;
+        self.retry_waiting_parity(at);
         if let Some(slot) = old_slot {
             self.store
                 .set_da_state(self.cfg.layout.slot_index(slot), DaState::Failed);

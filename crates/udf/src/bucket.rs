@@ -196,7 +196,7 @@ impl Bucket {
     }
 
     /// Seals the bucket into an immutable disc image: its metadata plus
-    /// the bytes it was given, no long file copied ([`format::serialize`]).
+    /// the bytes it was given, no file copied ([`format::serialize`]).
     pub fn close(&self) -> Result<SealedImage, BucketError> {
         let parts = format::serialize(&self.tree, self.image_id, self.capacity_bytes)?;
         // `serialize` refuses every tree `parse_image` would (pinned by the

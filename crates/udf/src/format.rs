@@ -19,11 +19,14 @@
 //! u32 data block count (one contiguous extent — ideal for sequential
 //! write-once burning, §4.3).
 //!
-//! In memory an image is [`Parts`], not one buffer: owned runs (anchor,
-//! PVD, ICBs, FID streams, zero padding and the data of every file
-//! shorter than [`BORROWED_FILE_BYTES`]) between zero-copy views of the
-//! longer files' own [`Bytes`]. A seal copies no long payload; the bytes
-//! are the same as if it had.
+//! In memory an image is [`Parts`], not one buffer. It owns only its
+//! metadata: the anchor and PVD fields, each ICB's fields, each FID
+//! stream and every zero pad under [`SHARED_ZERO_MIN`] bytes, in one
+//! exactly sized buffer that ends with one [`BLOCK_SIZE`] zero block.
+//! Every file's data, however short, is a zero-copy view of the file's
+//! own [`Bytes`], and every longer pad a view of that zero block. A seal
+//! copies no payload and writes out no zero fill; the bytes read as if it
+//! had. The parser reads each field where it lies, across pieces.
 
 // Numeric-integrity module (DESIGN.md §8): every integer `+ - * / % <<`
 // outside test code is checked, saturating, or carries an `#[expect]`
@@ -54,12 +57,34 @@ pub const MAX_NAME_LEN: usize = 4096;
 /// guard), refused at the same three places.
 pub const MAX_DEPTH: usize = 256;
 
-/// The shortest file whose data a sealed image borrows instead of
-/// copying: two 16 KiB digest leaves (`ros_cas::CHUNK_BYTES`). A
-/// borrowed file costs the digest at most two leaves, one at each end,
-/// assembled from both sides of a piece boundary, and the parity two
-/// 4 KiB tiles; below two leaves copying the file is cheaper than that.
-pub const BORROWED_FILE_BYTES: usize = 32 * 1024;
+/// The shortest zero pad a sealed image holds as a view of its shared
+/// zero block; a shorter one is written into the owned buffer, where it
+/// costs fewer bytes than the piece that would point at it.
+pub(crate) const SHARED_ZERO_MIN: usize = 64;
+
+/// Bytes of the anchor's fields: magic, version, PVD block.
+const ANCHOR_BYTES: usize = 20;
+
+/// Bytes of the PVD's fields: image id, capacity, used blocks, root ICB.
+const PVD_BYTES: usize = 32;
+
+/// Bytes of a file ICB's fields: tag, size, mtime, data start, data
+/// block count.
+const FILE_ICB_BYTES: usize = 29;
+
+/// Bytes of a directory ICB's fields: tag, child count, FID-data start,
+/// FID-data block count.
+const DIR_ICB_BYTES: usize = 17;
+
+/// The bytes of a `gap`-byte zero pad that the owned buffer holds: all of
+/// a pad under [`SHARED_ZERO_MIN`], none of a longer one.
+fn owned_pad(gap: u64) -> u64 {
+    if gap < SHARED_ZERO_MIN as u64 {
+        gap
+    } else {
+        0
+    }
+}
 
 /// Parsed image header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,18 +152,18 @@ impl core::fmt::Display for FormatError {
 impl std::error::Error for FormatError {}
 
 /// The image under construction. It is written front to back, once: the
-/// position only moves forward, padding zeros are written as the walk
-/// passes them, and nothing is pre-filled. Every byte it writes goes to
-/// one exactly sized owned buffer, runs back to back; a file of
-/// [`BORROWED_FILE_BYTES`] or more is not written but borrowed, and
-/// closes the owned run before it.
+/// position only moves forward and nothing is pre-filled. Metadata and
+/// short pads go to one exactly sized owned buffer, runs back to back; a
+/// file's data is borrowed, and a longer pad is a view of the zero block
+/// [`Writer::finish`] appends to the owned buffer. Each borrowed or zero
+/// piece closes the owned run before it.
 struct Writer {
     owned: Vec<u8>,
     /// The image so far, in order.
     pieces: Vec<Piece>,
     /// Where in `owned` the run under way began.
     run_start: usize,
-    /// Image bytes written or borrowed so far.
+    /// Image bytes written, borrowed or padded so far.
     pos: usize,
 }
 
@@ -146,21 +171,34 @@ struct Writer {
 enum Piece {
     /// A run of the writer's owned buffer.
     Owned(Range<usize>),
+    /// This many zeros (at most a block), a view of the zero block.
+    Zeros(usize),
     /// A file's data, borrowed.
     Borrowed(Bytes),
 }
 
+/// Bytes of the zero block at the end of every image's owned buffer.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a 2 KB constant fits every usize"
+)]
+const ZERO_BLOCK: usize = BLOCK_SIZE as usize;
+
 impl Writer {
-    fn new(owned_bytes: usize) -> Self {
+    /// A writer whose owned buffer will hold `metadata_bytes` bytes
+    /// before the zero block.
+    fn new(metadata_bytes: usize) -> Self {
         Writer {
-            owned: Vec::with_capacity(owned_bytes),
+            owned: Vec::with_capacity(metadata_bytes.saturating_add(ZERO_BLOCK)),
             pieces: Vec::new(),
             run_start: 0,
             pos: 0,
         }
     }
 
-    /// Zero-pads from the write position up to the start of `block`.
+    /// Zero-pads from the write position up to the start of `block`:
+    /// written out under [`SHARED_ZERO_MIN`] bytes, else views of the
+    /// zero block.
     fn seek(&mut self, block: u64) {
         #[expect(
             clippy::arithmetic_side_effects,
@@ -172,8 +210,17 @@ impl Writer {
             start >= self.pos,
             "image writer moved back to block {block}"
         );
-        let pad = start.saturating_sub(self.pos);
-        self.owned.resize(self.owned.len().saturating_add(pad), 0);
+        let mut gap = start.saturating_sub(self.pos);
+        if gap < SHARED_ZERO_MIN {
+            self.owned.resize(self.owned.len().saturating_add(gap), 0);
+        } else {
+            self.close_run();
+            while gap > 0 {
+                let n = gap.min(ZERO_BLOCK);
+                self.pieces.push(Piece::Zeros(n));
+                gap = gap.saturating_sub(n);
+            }
+        }
         self.pos = start;
     }
 
@@ -182,11 +229,10 @@ impl Writer {
         self.pos = self.pos.saturating_add(src.len());
     }
 
-    /// A file's data: copied below [`BORROWED_FILE_BYTES`], else
-    /// borrowed.
+    /// A file's data, borrowed.
     fn put_file(&mut self, data: &Bytes) {
-        if data.len() < BORROWED_FILE_BYTES {
-            return self.put(data);
+        if data.is_empty() {
+            return;
         }
         self.close_run();
         self.pieces.push(Piece::Borrowed(data.clone()));
@@ -203,16 +249,20 @@ impl Writer {
 
     fn finish(mut self) -> Parts {
         self.close_run();
+        let metadata = self.owned.len();
+        self.owned.resize(metadata.saturating_add(ZERO_BLOCK), 0);
         debug_assert_eq!(
             self.owned.len(),
             self.owned.capacity(),
-            "the owned runs were not sized exactly"
+            "the owned buffer was not sized exactly"
         );
         let owned = Bytes::from(self.owned);
+        let zeros = owned.slice(metadata..);
         self.pieces
             .into_iter()
             .map(|piece| match piece {
                 Piece::Owned(range) => owned.slice(range),
+                Piece::Zeros(n) => zeros.slice(..n),
                 Piece::Borrowed(data) => data,
             })
             .collect()
@@ -245,7 +295,10 @@ fn le_u32(v: u64) -> [u8; 4] {
 /// Returns the subtree's on-image blocks and leaves in `child_blocks`
 /// what [`emit`] needs to write a directory's FID stream ahead of its
 /// children: each directory, in pre-order, owns one run of the vector
-/// holding the block count of each child's subtree, in name order.
+/// holding the block count of each child's subtree, in name order. Adds
+/// to `owned` the bytes [`Writer`] will own for the subtree: ICB fields,
+/// FID streams and the pads after them under [`SHARED_ZERO_MIN`] (an
+/// ICB's own pad never is).
 #[expect(
     clippy::arithmetic_side_effects,
     reason = "the sums are at most tree.image_bytes(), which the tree held as a u64"
@@ -254,7 +307,7 @@ fn plan(
     node: &FsNode,
     depth: usize,
     child_blocks: &mut Vec<u64>,
-    borrowed: &mut u64,
+    owned: &mut u64,
 ) -> Result<u64, FormatError> {
     if depth > MAX_DEPTH {
         return Err(FormatError::FieldOverflow {
@@ -266,15 +319,16 @@ fn plan(
         FsNode::File { meta, data } => {
             let data_blocks = blocks_for(meta.size);
             fits_u32(data_blocks, "file data block count")?;
-            if data.len() >= BORROWED_FILE_BYTES {
-                *borrowed += data.len() as u64;
-            }
+            let tail = (data_blocks * BLOCK_SIZE).saturating_sub(data.len() as u64);
+            *owned += FILE_ICB_BYTES as u64 + owned_pad(tail);
             Ok(1 + data_blocks)
         }
         FsNode::Dir { children } => {
-            let fid_blocks = blocks_for(fid_bytes(children));
+            let fid = fid_bytes(children);
+            let fid_blocks = blocks_for(fid);
             fits_u32(children.len() as u64, "directory child count")?;
             fits_u32(fid_blocks, "FID data block count")?;
+            *owned += DIR_ICB_BYTES as u64 + fid + owned_pad(fid_blocks * BLOCK_SIZE - fid);
             let run = child_blocks.len();
             child_blocks.resize(run + children.len(), 0);
             let mut total = 1 + fid_blocks;
@@ -285,7 +339,7 @@ fn plan(
                         value: name.len() as u64,
                     });
                 }
-                let blocks = plan(child, depth.saturating_add(1), child_blocks, borrowed)?;
+                let blocks = plan(child, depth.saturating_add(1), child_blocks, owned)?;
                 child_blocks[run + i] = blocks;
                 total += blocks;
             }
@@ -351,8 +405,9 @@ fn emit(node: &FsNode, icb: u64, runs: &mut &[u64], w: &mut Writer) -> u64 {
     }
 }
 
-/// Serialises a tree into image bytes: the owned runs and borrowed files
-/// of `Writer`, the owned ones in one allocation of exactly their size.
+/// Serialises a tree into image bytes: the owned runs, borrowed files and
+/// zero views of `Writer`, the owned runs and the zero block in one
+/// allocation of exactly their size.
 ///
 /// `capacity_bytes` is the target disc capacity recorded in the header;
 /// serialization fails if the tree exceeds it. The output length is the
@@ -368,8 +423,8 @@ pub fn serialize(tree: &FsTree, image_id: u64, capacity_bytes: u64) -> Result<Pa
     }
     // Oversize trees fail typed *before* the image buffer is allocated,
     // and `Bucket::close` may rely on the result parsing back.
-    let (mut child_blocks, mut borrowed) = (Vec::new(), 0);
-    let planned = plan(tree.root_node(), 0, &mut child_blocks, &mut borrowed)?;
+    let (mut child_blocks, mut owned) = (Vec::new(), (ANCHOR_BYTES + PVD_BYTES) as u64);
+    let planned = plan(tree.root_node(), 0, &mut child_blocks, &mut owned)?;
     let used_blocks = needed / BLOCK_SIZE;
     // The buffer and the header are sized from the tree's running total.
     assert_eq!(
@@ -377,10 +432,7 @@ pub fn serialize(tree: &FsTree, image_id: u64, capacity_bytes: u64) -> Result<Pa
         used_blocks,
         "running block total is not the image"
     );
-    let (Ok(_), Ok(owned)) = (
-        usize::try_from(needed),
-        usize::try_from(needed.saturating_sub(borrowed)),
-    ) else {
+    let (Ok(_), Ok(owned)) = (usize::try_from(needed), usize::try_from(owned)) else {
         return Err(FormatError::FieldOverflow {
             field: "image size",
             value: needed,
@@ -429,13 +481,29 @@ impl Reader<'_> {
 
     /// `bytes` bytes from the start of block `start`: a view of the
     /// piece that holds them (copied only where they straddle pieces,
-    /// which no image [`serialize`] made does for its metadata).
+    /// which no file [`serialize`] wrote does).
     fn read(&self, start: u64, bytes: u64) -> Result<Bytes, FormatError> {
         Ok(self.buf.slice(self.span(start, bytes)?))
     }
 
-    fn block(&self, n: u64) -> Result<Bytes, FormatError> {
-        self.read(n, BLOCK_SIZE)
+    /// The first `N` bytes of block `n`, which must lie whole in the
+    /// image: a block's fixed fields, copied from where they lie.
+    fn fields<const N: usize>(&self, n: u64) -> Result<[u8; N], FormatError> {
+        let span = self.span(n, BLOCK_SIZE)?;
+        let mut out = [0; N];
+        self.buf.copy_to_slice(span.start, &mut out);
+        Ok(out)
+    }
+
+    /// Fills `dst` from image offset `*at` and moves `*at` past it, or
+    /// fails [`FormatError::Truncated`] where that would pass `end`.
+    fn take(&self, end: usize, at: &mut usize, dst: &mut [u8]) -> Result<(), FormatError> {
+        if dst.len() > end.saturating_sub(*at) {
+            return Err(FormatError::Truncated);
+        }
+        self.buf.copy_to_slice(*at, dst);
+        *at = at.saturating_add(dst.len());
+        Ok(())
     }
 }
 
@@ -472,10 +540,12 @@ pub fn parse(bytes: &[u8]) -> Result<(FsTree, ImageHeader), FormatError> {
 /// that holds it — parsing allocates directory structure only, and reads
 /// of the resulting tree hand back slices of the image's own pieces. A
 /// file whose data straddles two pieces (never one [`serialize`] wrote)
-/// is copied out.
+/// is copied out. ICB fields and FID entries are read where they lie,
+/// never sliced as whole blocks: in a sealed image a block straddles its
+/// owned run and the zero block.
 pub(crate) fn parse_image(bytes: &Parts) -> Result<(FsTree, ImageHeader), FormatError> {
     let r = Reader { buf: bytes };
-    let anchor = r.block(0)?;
+    let anchor: [u8; ANCHOR_BYTES] = r.fields(0)?;
     let mut anchor = &anchor[..];
     if take(&mut anchor, MAGIC.len())? != MAGIC {
         return Err(FormatError::BadMagic);
@@ -484,7 +554,7 @@ pub(crate) fn parse_image(bytes: &Parts) -> Result<(FsTree, ImageHeader), Format
     if version != VERSION {
         return Err(FormatError::BadVersion(version));
     }
-    let pvd = r.block(take_u64(&mut anchor)?)?;
+    let pvd: [u8; PVD_BYTES] = r.fields(take_u64(&mut anchor)?)?;
     let mut pvd = &pvd[..];
     let header = ImageHeader {
         image_id: take_u64(&mut pvd)?,
@@ -500,8 +570,9 @@ pub(crate) fn parse_image(bytes: &Parts) -> Result<(FsTree, ImageHeader), Format
                 reason: "directory nesting too deep (cycle?)",
             });
         }
-        let block = r.block(icb)?;
-        let mut b = &block[..];
+        // A file ICB's fields are the longer; a directory's read fewer.
+        let fields: [u8; FILE_ICB_BYTES] = r.fields(icb)?;
+        let mut b = &fields[..];
         match take(&mut b, 1)? {
             b"F" => {
                 let size = take_u64(&mut b)?;
@@ -525,27 +596,32 @@ pub(crate) fn parse_image(bytes: &Parts) -> Result<(FsTree, ImageHeader), Format
                 let data_start = take_u64(&mut b)?;
                 let data_blocks = u64::from(take_u32(&mut b)?);
                 let fid_bytes = data_blocks.saturating_mul(BLOCK_SIZE);
-                let stream = r.read(data_start, fid_bytes)?;
-                let mut stream = &stream[..];
+                let stream = r.span(data_start, fid_bytes)?;
+                let mut at = stream.start;
                 let corrupt = |reason| FormatError::Corrupt {
                     block: data_start,
                     reason,
                 };
                 let mut children = BTreeMap::new();
                 for _ in 0..count {
-                    let _kind = take(&mut stream, 1);
-                    let name_len = take_u32(&mut stream)
-                        .map_err(|_| corrupt("FID stream truncated"))?
-                        as usize;
+                    // The kind byte (not needed: the child's ICB says),
+                    // then the name length.
+                    let mut head = [0u8; 5];
+                    r.take(stream.end, &mut at, &mut head)
+                        .map_err(|_| corrupt("FID stream truncated"))?;
+                    let name_len = take_u32(&mut &head[1..])? as usize;
                     let out_of_range = corrupt("FID name out of range");
                     if name_len > MAX_NAME_LEN {
                         return Err(out_of_range);
                     }
-                    let name = take(&mut stream, name_len).map_err(|_| out_of_range.clone())?;
-                    let child_icb = take_u64(&mut stream).map_err(|_| out_of_range)?;
-                    let name = core::str::from_utf8(name)
-                        .map_err(|_| corrupt("FID name not UTF-8"))?
-                        .to_string();
+                    let mut name = vec![0u8; name_len];
+                    let mut child_icb = [0u8; 8];
+                    r.take(stream.end, &mut at, &mut name)
+                        .and_then(|()| r.take(stream.end, &mut at, &mut child_icb))
+                        .map_err(|_| out_of_range)?;
+                    let child_icb = u64::from_le_bytes(child_icb);
+                    let name =
+                        String::from_utf8(name).map_err(|_| corrupt("FID name not UTF-8"))?;
                     let child = parse_node(r, child_icb, depth.saturating_add(1))?;
                     children.insert(name, child);
                 }
@@ -707,24 +783,28 @@ mod tests {
     /// Every shape the writer has a branch or a boundary for, in one
     /// tree: directories four deep, a FID stream of several blocks (by
     /// child count, and by one name at the limit), empty files, empty
-    /// directories, file sizes around a block boundary, and files either
-    /// side of the borrowing threshold, two of them borrowed back to
-    /// back. Fill bytes are non-zero so misplaced padding shows.
+    /// directories, file sizes around a block boundary and either side of
+    /// a pad the owned buffer holds ([`SHARED_ZERO_MIN`]), and files of
+    /// several blocks back to back. Fill bytes are non-zero so misplaced
+    /// padding shows.
     fn every_edge_tree() -> FsTree {
         let mut t = FsTree::new();
         let b = BLOCK_SIZE as usize;
-        let long = BORROWED_FILE_BYTES;
+        let short_pad = SHARED_ZERO_MIN;
         for (i, size) in [
             0,
             1,
+            b - short_pad - 1,
+            b - short_pad,
+            b - short_pad + 1,
             b - 1,
             b,
             b + 1,
             2 * b,
             5 * b + 3,
-            long - 1,
-            long,
-            long + b,
+            16 * b - 1,
+            16 * b,
+            17 * b,
         ]
         .into_iter()
         .enumerate()
@@ -754,17 +834,18 @@ mod tests {
         let long = "n".repeat(MAX_NAME_LEN);
         let names = ["a", "b", "c0", "a-directory-with-a-longer-name", &long];
         let b = BLOCK_SIZE as usize;
-        let long = BORROWED_FILE_BYTES;
         let sizes = [
             0,
             1,
+            b - SHARED_ZERO_MIN,
+            b - SHARED_ZERO_MIN + 1,
             b - 1,
             b,
             b + 1,
             3 * b + 7,
-            long - 1,
-            long,
-            long + 3 * b + 7,
+            16 * b - 1,
+            16 * b,
+            19 * b + 7,
         ];
         let mut t = FsTree::new();
         for step in 0..rng.gen::<u64>() % 48 {
@@ -791,10 +872,11 @@ mod tests {
     }
 
     /// The writer's whole contract on one tree: the pieces read as the
-    /// seek-and-fill writer's image; every file of [`BORROWED_FILE_BYTES`]
-    /// or more is a piece of its own, the tree's own bytes; the owned
-    /// runs lie back to back in one buffer; and the pieces parse back to
-    /// the tree without a copy.
+    /// seek-and-fill writer's image; every non-empty file is a piece of
+    /// its own, the tree's own bytes; every other piece is either a run of
+    /// one owned buffer, the runs back to back, or a view of the zero
+    /// block that ends that buffer, each at least [`SHARED_ZERO_MIN`]
+    /// bytes; and the pieces parse back to the tree without a copy.
     fn assert_written_once_and_as_before(t: &FsTree, image_id: u64) {
         use bytes::Pieces;
         let capacity = 1 << 26;
@@ -804,25 +886,41 @@ mod tests {
             parts == reference::serialize(t, image_id, capacity),
             "image differs from the seek-and-fill writer's"
         );
-        let long: Vec<Bytes> = t
+        let files: Vec<Bytes> = t
             .walk_files()
             .into_iter()
             .map(|(path, _)| t.read(&path).unwrap())
-            .filter(|data| data.len() >= BORROWED_FILE_BYTES)
+            .filter(|data| !data.is_empty())
             .collect();
-        let is_long = |piece: &[u8]| long.iter().any(|d| d.as_ptr() == piece.as_ptr());
-        let owned: Vec<&[u8]> = parts.pieces().filter(|p| !is_long(p)).collect();
-        assert_eq!(parts.piece_count(), owned.len() + long.len());
+        let is_file = |piece: &[u8]| files.iter().any(|d| d.as_ptr() == piece.as_ptr());
+        // The anchor's fields, then the rest of its block as zeros.
+        let zero_block = parts.pieces().nth(1).unwrap().as_ptr();
+        let (mut owned, mut zero_views, mut file_pieces) = (Vec::new(), 0, 0);
+        for piece in parts.pieces() {
+            if is_file(piece) {
+                file_pieces += 1;
+            } else if piece.as_ptr() == zero_block {
+                assert!(piece.len() >= SHARED_ZERO_MIN && piece.len() <= ZERO_BLOCK);
+                assert!(piece.iter().all(|&b| b == 0));
+                zero_views += 1;
+            } else {
+                owned.push(piece);
+            }
+        }
+        assert_eq!(file_pieces, files.len(), "a file was copied");
+        assert!(zero_views >= 2, "the anchor's and the PVD's pads");
         for pair in owned.windows(2) {
             assert_eq!(
                 pair[0].as_ptr_range().end,
                 pair[1].as_ptr(),
-                "owned runs are one buffer"
+                "owned runs are one buffer, back to back"
             );
         }
-        let owned_len: usize = owned.iter().map(|p| p.len()).sum();
-        let long_len: usize = long.iter().map(Bytes::len).sum();
-        assert_eq!((owned_len + long_len) as u64, t.image_bytes());
+        assert_eq!(
+            owned.last().unwrap().as_ptr_range().end,
+            zero_block,
+            "the zero block ends the owned buffer"
+        );
         let (parsed, header) = parse_image(&parts).unwrap();
         assert_eq!(&parsed, t);
         assert_eq!(header.image_id, image_id);
@@ -838,6 +936,47 @@ mod tests {
                 "{path} was copied out of the image"
             );
         }
+    }
+
+    /// An image of small files owns its metadata and nothing else: the
+    /// anchor and PVD fields, the ICB fields, the FID stream, and one
+    /// zero block — every file a view of the bytes it was written from,
+    /// every pad of 64 B or more a view of that block.
+    #[test]
+    fn an_image_of_small_files_owns_only_its_metadata() {
+        use bytes::Pieces;
+        let mut t = FsTree::new();
+        let n = 300;
+        for i in 0..n {
+            let path: Path = format!("/f{i:03}").parse().unwrap();
+            t.insert(&path, vec![i as u8 | 1; 100 + i % 1900], 0)
+                .unwrap();
+        }
+        let parts = super::serialize(&t, 3, 1 << 26).unwrap();
+        let fid = fid_bytes(match t.root_node() {
+            FsNode::Dir { children } => children,
+            FsNode::File { .. } => unreachable!(),
+        });
+        let fid_pad = owned_pad(blocks_for(fid) * BLOCK_SIZE - fid);
+        let metadata =
+            (ANCHOR_BYTES + PVD_BYTES + DIR_ICB_BYTES + n * FILE_ICB_BYTES) as u64 + fid + fid_pad;
+        let first = parts.pieces().next().unwrap().as_ptr();
+        let zero_block = parts.pieces().nth(1).unwrap().as_ptr();
+        assert_eq!(
+            zero_block as usize - first as usize,
+            metadata as usize,
+            "the owned buffer holds more than the metadata"
+        );
+        // Nothing the image holds lies past its zero block but the files.
+        let owned_end = zero_block as usize + ZERO_BLOCK;
+        let owned_pieces = parts.pieces().filter(|p| {
+            let at = p.as_ptr() as usize;
+            at >= first as usize && at < owned_end
+        });
+        let owned_piece_bytes: usize = owned_pieces.map(<[u8]>::len).sum();
+        let file_bytes: usize = (0..n).map(|i| 100 + i % 1900).sum();
+        assert_eq!(owned_piece_bytes + file_bytes, parts.len());
+        assert!(parts.piece_count() > 3 * n, "files and pads are pieces");
     }
 
     #[test]

@@ -18,8 +18,8 @@ use std::sync::OnceLock;
 
 /// An immutable, parsed disc image.
 ///
-/// The image is its [`Parts`] — owned metadata runs and the long files'
-/// own bytes ([`format::serialize`]). The namespace is the [`FsTree`]
+/// The image is its [`Parts`] — owned metadata runs, every file's own
+/// bytes and views of one zero block ([`format::serialize`]). The namespace is the [`FsTree`]
 /// `format::parse_image` produced from them — the directory subtree
 /// the image carries *is* its index, and every file node holds a
 /// zero-copy slice of the piece that holds its data.
@@ -147,16 +147,16 @@ mod tests {
 
     #[test]
     fn read_is_a_zero_copy_slice_of_the_image_buffer() {
-        // Short files only: the image is one owned run.
+        use bytes::Pieces;
         let img = sealed();
-        assert_eq!(img.parts().piece_count(), 1);
         let data = img.read(&p("/proj/src/main.rs")).unwrap();
-        let buf = img.bytes().as_ptr() as usize;
-        let end = buf + img.bytes().len();
-        let d = data.as_ptr() as usize;
+        let inside = img.parts().pieces().any(|piece| {
+            let range = piece.as_ptr_range();
+            range.contains(&data.as_ptr()) && data.as_ptr_range().end <= range.end
+        });
         assert!(
-            d >= buf && d + data.len() <= end,
-            "read() must hand out a slice of the image payload, not a copy"
+            inside,
+            "read() must hand out a slice of the image's pieces, not a copy"
         );
         // Repeated reads are refcount bumps over the same storage.
         let again = img.read(&p("/proj/src/main.rs")).unwrap();
@@ -166,23 +166,34 @@ mod tests {
     #[test]
     fn a_long_file_is_read_from_the_bytes_it_was_written_from() {
         use bytes::Pieces;
-        let long = Bytes::from(vec![0x3Cu8; format::BORROWED_FILE_BYTES + 5]);
+        let long = Bytes::from(vec![0x3Cu8; 40 * 1024 + 5]);
         let mut b = Bucket::new(7, 128 * BLOCK_SIZE);
         b.write(&p("/a/short"), &b"metadata's neighbour"[..], 1)
             .unwrap();
         b.write(&p("/a/long"), long.clone(), 2).unwrap();
         let img = b.close().unwrap();
-        // Owned run, the long file, then the padding after it.
-        assert_eq!(img.parts().piece_count(), 3);
         assert_eq!(img.read(&p("/a/long")).unwrap().as_ptr(), long.as_ptr());
         assert!(img
             .parts()
             .pieces()
-            .any(|piece| piece.as_ptr() == long.as_ptr()));
+            .any(|piece| piece.as_ptr() == long.as_ptr() && piece.len() == long.len()));
         assert_eq!(img.bytes().len() as u64, img.len());
         let flat = SealedImage::from_bytes(img.bytes().clone()).unwrap();
         assert_eq!(flat.read(&p("/a/long")).unwrap(), long);
         assert_eq!(flat.parts().piece_count(), 1);
+    }
+
+    #[test]
+    fn a_100_byte_file_is_read_from_the_bytes_it_was_written_from() {
+        let short = Bytes::from(vec![0x5Eu8; 100]);
+        let mut b = Bucket::new(8, 128 * BLOCK_SIZE);
+        b.write(&p("/s/before"), &b"x"[..], 1).unwrap();
+        b.write(&p("/s/short"), short.clone(), 2).unwrap();
+        b.write(&p("/s/tail"), vec![7u8; 3000], 3).unwrap();
+        let img = b.close().unwrap();
+        let read = img.read(&p("/s/short")).unwrap();
+        assert_eq!(read.as_ptr(), short.as_ptr(), "the short file was copied");
+        assert_eq!(read, short);
     }
 
     #[test]
