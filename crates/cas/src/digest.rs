@@ -247,6 +247,15 @@ thread_local! {
     static STRADDLE_COPIES: core::cell::Cell<usize> = const { core::cell::Cell::new(0) };
 }
 
+/// Runs `f` and returns the leaf bytes cursors on this thread copied
+/// into scratch meanwhile.
+#[cfg(test)]
+pub(crate) fn straddle_copies(f: impl FnOnce()) -> usize {
+    let before = STRADDLE_COPIES.with(core::cell::Cell::get);
+    f();
+    STRADDLE_COPIES.with(core::cell::Cell::get) - before
+}
+
 /// A read position in a [`Leaf`], a 64-byte block at a time: every block
 /// that lies inside one slice is read in place, and only a block that
 /// straddles two or more slices is copied, into the cursor's scratch.
@@ -482,8 +491,10 @@ thread_local! {
 }
 
 /// Hashes leaves `group` of `span` (longest first, at most `width`) into
-/// their slots of `out`, spare lanes repeating the shortest leaf, whose
-/// remainder after the common prefix is under a block:
+/// their slots of `out`. The spare lanes of a pass repeat the shortest
+/// leaf, whose remainder after the common prefix is under a block, and
+/// read its blocks from its own lane, so a block of it that straddles
+/// pieces is copied once, not once per lane:
 /// - past width 8, one sixteen-lane pass if the group has at least
 ///   [`x16_floor`] leaves;
 /// - at widths 3–8, one eight-lane pass if it has more than two. Timed
@@ -497,8 +508,12 @@ thread_local! {
 /// Smaller groups go one leaf at a time through `sha256_leaf`.
 fn sha256_group(width: usize, group: &[usize], span: &[Leaf<'_>], out: &mut [[u8; 32]]) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(&shortest) = group.last() {
-        let lane = |k: usize| span[group.get(k).copied().unwrap_or(shortest)];
+    {
+        let mut lanes: [Leaf<'_>; 16] = [&[]; 16];
+        for (lane, &i) in lanes.iter_mut().zip(group) {
+            *lane = span[i];
+        }
+        let leaves = &lanes[..group.len().min(16)];
         let mut put = |digests: &[[u8; 32]]| {
             for (&i, digest) in group.iter().zip(digests) {
                 out[i] = *digest;
@@ -507,10 +522,10 @@ fn sha256_group(width: usize, group: &[usize], span: &[Leaf<'_>], out: &mut [[u8
         if width > 8 && group.len() >= x16_floor() {
             #[cfg(test)]
             X16_PASSES.with(|n| n.set(n.get() + 1));
-            return put(&crate::lanes::sha256_x16(core::array::from_fn(lane)));
+            return put(&crate::lanes::sha256_x16(leaves));
         }
         if width <= 8 && group.len() > 2 {
-            return put(&crate::lanes::sha256_x8(core::array::from_fn(lane)));
+            return put(&crate::lanes::sha256_x8(leaves));
         }
     }
     for &i in group {
@@ -1023,14 +1038,6 @@ mod tests {
         parts
     }
 
-    /// Runs `f` and returns the leaf bytes cursors on this thread copied
-    /// into scratch meanwhile.
-    fn straddle_copies(f: impl FnOnce()) -> usize {
-        let before = STRADDLE_COPIES.with(core::cell::Cell::get);
-        f();
-        STRADDLE_COPIES.with(core::cell::Cell::get) - before
-    }
-
     #[test]
     #[cfg_attr(miri, ignore = "hashes half a megabyte; too slow interpreted")]
     fn no_leaf_byte_is_copied_but_a_block_that_straddles_pieces() {
@@ -1042,13 +1049,14 @@ mod tests {
             &data,
             &[CHUNK_BYTES, CHUNK_BYTES + 64, 3 * CHUNK_BYTES + 640],
         );
-        // Leaf 1 starts with a 10-byte piece and leaf 2 with a 50-byte
-        // one: one block of each straddles two pieces. Leaf 3 is kept
-        // whole, because a lockstep group's spare lanes repeat its last
-        // leaf, which would copy its straddling block once per lane.
+        // Leaf 1 starts with a 10-byte piece and leaf 3 with a 50-byte
+        // one: one block of each straddles two pieces. Leaf 3 is the
+        // last of the four-leaf lockstep group, which the spare lanes
+        // repeat; they read its straddling block from its lane, so it
+        // is copied once at every width.
         let ragged = parted(
             &data,
-            &[CHUNK_BYTES, CHUNK_BYTES + 10, 2 * CHUNK_BYTES + 50],
+            &[CHUNK_BYTES, CHUNK_BYTES + 10, 3 * CHUNK_BYTES + 50],
         );
         for width in [1, 8, 16] {
             let digest = |p: &bytes::Parts| content_digests_at(width, &[p], &plane)[0];
@@ -1070,8 +1078,8 @@ mod tests {
         }
         let (mut slices, mut ends) = (Vec::new(), Vec::new());
         cut_leaves(&ragged, &mut slices, &mut ends);
-        // Leaves 1 and 2 are two slices each, the others one.
-        assert_eq!(ends, [1, 3, 5, 6, 7]);
+        // Leaves 1 and 3 are two slices each, the others one.
+        assert_eq!(ends, [1, 3, 4, 6, 7]);
     }
 
     /// A shared 2 KB zero block, and `len` bytes of `wide_pattern`

@@ -19,7 +19,9 @@
 //! holds whole blocks the kernel runs over them in place, as it does over
 //! one slice; a step where some lane meets a slice boundary takes one
 //! block per lane, and only that lane's block is copied, 64 bytes into
-//! its cursor's scratch.
+//! its cursor's scratch. A group of fewer leaves than lanes fills its
+//! spare lanes with its last leaf's blocks, read from that leaf's own
+//! cursor: a spare lane copies nothing and finishes nothing.
 //!
 //! Where the CPU has the SHA extensions, eight lanes do not pay: one
 //! `sha256rnds2` does two rounds of one message, and [`compress_sha`]
@@ -50,11 +52,16 @@ pub(crate) fn avx2() -> bool {
 /// have are compressed in lockstep; each lane's remainder — the
 /// sub-block tail and padding when the lengths are equal, which is the
 /// case this is built for — is finished by the single-stream code.
-/// Elsewhere each message is hashed alone. Equals `msgs.map(sha256_leaf)`
-/// for any input on any host.
-pub(crate) fn sha256_x8(msgs: [Leaf<'_>; 8]) -> [[u8; 32]; 8] {
+/// Elsewhere each message is hashed alone.
+///
+/// `msgs` holds one to eight messages, one per lane from the first; a
+/// spare lane past the last steps through the last one's blocks, read
+/// from that lane, and hands back no digest. Lane `k`'s digest equals
+/// `sha256_leaf(msgs[k])` for any input on any host; a spare lane's is
+/// zero.
+pub(crate) fn sha256_x8(msgs: &[Leaf<'_>]) -> [[u8; 32]; 8] {
     if !avx2() {
-        return msgs.map(sha256_leaf);
+        return alone(msgs);
     }
     // SAFETY: `x8::lockstep` requires the `avx2` target feature, which
     // is not statically enabled; `avx2` on the line above has just
@@ -71,16 +78,50 @@ pub(crate) fn avx512f() -> bool {
 /// SHA-256 of sixteen messages at once, as [`sha256_x8`] hashes eight:
 /// the whole blocks all sixteen have in lockstep where the CPU has
 /// AVX-512F, each lane's remainder by the single-stream code, and each
-/// message alone elsewhere. Equals `msgs.map(sha256_leaf)` for any input
-/// on any host.
-pub(crate) fn sha256_x16(msgs: [Leaf<'_>; 16]) -> [[u8; 32]; 16] {
+/// message alone elsewhere; one to sixteen messages, spare lanes as
+/// there.
+pub(crate) fn sha256_x16(msgs: &[Leaf<'_>]) -> [[u8; 32]; 16] {
     if !avx512f() {
-        return msgs.map(sha256_leaf);
+        return alone(msgs);
     }
     // SAFETY: `x16::lockstep` requires the `avx512f` target feature,
     // which is not statically enabled; `avx512f` on the line above has
     // just reported that this CPU implements it.
     unsafe { x16::lockstep(msgs) }
+}
+
+/// Each message of `msgs` hashed alone into its lane, spare lanes zero.
+fn alone<const LANES: usize>(msgs: &[Leaf<'_>]) -> [[u8; 32]; LANES] {
+    let mut out = [[0; 32]; LANES];
+    for (digest, msg) in out.iter_mut().zip(msgs) {
+        *digest = sha256_leaf(msg);
+    }
+    out
+}
+
+/// The cursor of each lane: lane `k` reads `msgs[k]`, and a spare lane
+/// past the last message gets a copy of the last one's, which the
+/// lockstep never moves or reads: it advances the live lanes' cursors
+/// alone and hands each spare lane the last live lane's blocks.
+fn cursors<'a, const LANES: usize>(msgs: &[Leaf<'a>]) -> [Cursor<'a>; LANES] {
+    core::array::from_fn(|k| Cursor::new(msgs.get(k).or(msgs.last()).copied().unwrap_or(&[])))
+}
+
+/// The next block of each of the `live` lanes' leaves, for a step where
+/// some lane's block straddles two slices; every lane past them reads
+/// the last live lane's block instead of copying the same straddle again.
+fn next_blocks<'c, const LANES: usize>(live: &'c mut [Cursor<'_>]) -> [&'c [u8; 64]; LANES] {
+    let mut blocks = [&[0; 64]; LANES];
+    let n = live.len();
+    for (block, cursor) in blocks.iter_mut().zip(live) {
+        *block = cursor.block();
+    }
+    if let Some(&last) = n.checked_sub(1).and_then(|i| blocks.get(i)) {
+        for block in blocks.iter_mut().skip(n) {
+            *block = last;
+        }
+    }
+    blocks
 }
 
 /// Whether this CPU runs [`compress_sha`]'s kernel: the SHA extensions
@@ -244,34 +285,45 @@ mod x8 {
     /// lane's leaf read through its [`Cursor`]; each lane's remainder is
     /// finished by the single-stream code.
     #[target_feature(enable = "avx2")]
-    pub(super) fn lockstep(msgs: [Leaf<'_>; LANES]) -> [[u8; 32]; LANES] {
-        let mut cursors = msgs.map(Cursor::new);
-        let mut common = cursors.iter().map(Cursor::blocks_left).min().unwrap_or(0);
+    pub(super) fn lockstep(msgs: &[Leaf<'_>]) -> [[u8; 32]; LANES] {
+        let mut cursors = super::cursors::<LANES>(msgs);
+        let live = msgs.len().clamp(1, LANES);
+        let mut common = cursors[..live]
+            .iter()
+            .map(Cursor::blocks_left)
+            .min()
+            .unwrap_or(0);
         let mut state = H0.map(|h| splat(h.cast_signed()));
         while common > 0 {
             // The blocks every lane's current slice holds whole.
-            let run = cursors
+            let run = cursors[..live]
                 .iter()
                 .map(|c| c.in_place().len())
                 .min()
                 .unwrap_or(0);
             let run = run.min(common);
             if run == 0 {
-                compress(&mut state, cursors.each_mut().map(Cursor::block));
+                compress(&mut state, super::next_blocks(&mut cursors[..live]));
                 common -= 1;
                 continue;
             }
-            let blocks = cursors.each_ref().map(Cursor::in_place);
+            // A spare lane's cursor has not moved: it reads the last
+            // live lane's blocks.
+            let blocks: [_; LANES] = core::array::from_fn(|k| cursors[k.min(live - 1)].in_place());
             for at in 0..run {
                 compress(&mut state, blocks.map(|b| &b[at]));
             }
-            for cursor in &mut cursors {
+            for cursor in &mut cursors[..live] {
                 cursor.skip(run);
             }
             common -= run;
         }
         let words = state.map(|v| lanes(v));
-        core::array::from_fn(|lane| cursors[lane].finish(words.map(|w| w[lane])))
+        let mut out = [[0; 32]; LANES];
+        for (lane, (digest, cursor)) in out.iter_mut().zip(&cursors[..live]).enumerate() {
+            *digest = cursor.finish(words.map(|w| w[lane]));
+        }
+        out
     }
 }
 
@@ -434,33 +486,44 @@ mod x16 {
     /// [`compress`] over every whole block all sixteen leaves have, as
     /// `x8::lockstep` walks its eight.
     #[target_feature(enable = "avx512f")]
-    pub(super) fn lockstep(msgs: [Leaf<'_>; LANES]) -> [[u8; 32]; LANES] {
-        let mut cursors = msgs.map(Cursor::new);
-        let mut common = cursors.iter().map(Cursor::blocks_left).min().unwrap_or(0);
+    pub(super) fn lockstep(msgs: &[Leaf<'_>]) -> [[u8; 32]; LANES] {
+        let mut cursors = super::cursors::<LANES>(msgs);
+        let live = msgs.len().clamp(1, LANES);
+        let mut common = cursors[..live]
+            .iter()
+            .map(Cursor::blocks_left)
+            .min()
+            .unwrap_or(0);
         let mut state = H0.map(|h| splat(h.cast_signed()));
         while common > 0 {
-            let run = cursors
+            let run = cursors[..live]
                 .iter()
                 .map(|c| c.in_place().len())
                 .min()
                 .unwrap_or(0);
             let run = run.min(common);
             if run == 0 {
-                compress(&mut state, cursors.each_mut().map(Cursor::block));
+                compress(&mut state, super::next_blocks(&mut cursors[..live]));
                 common -= 1;
                 continue;
             }
-            let blocks = cursors.each_ref().map(Cursor::in_place);
+            // A spare lane's cursor has not moved: it reads the last
+            // live lane's blocks.
+            let blocks: [_; LANES] = core::array::from_fn(|k| cursors[k.min(live - 1)].in_place());
             for at in 0..run {
                 compress(&mut state, blocks.map(|b| &b[at]));
             }
-            for cursor in &mut cursors {
+            for cursor in &mut cursors[..live] {
                 cursor.skip(run);
             }
             common -= run;
         }
         let words = state.map(|v| lanes(v));
-        core::array::from_fn(|lane| cursors[lane].finish(words.map(|w| w[lane])))
+        let mut out = [[0; 32]; LANES];
+        for (lane, (digest, cursor)) in out.iter_mut().zip(&cursors[..live]).enumerate() {
+            *digest = cursor.finish(words.map(|w| w[lane]));
+        }
+        out
     }
 }
 
@@ -617,7 +680,7 @@ mod tests {
         for len in PADDING_LENS {
             let msgs = group(len as u64, [len; 8]);
             let expect = refs(&msgs).map(sha256_reference);
-            assert_eq!(sha256_x8(leaves(&refs(&msgs))), expect, "len {len}");
+            assert_eq!(sha256_x8(&leaves(&refs(&msgs))), expect, "len {len}");
         }
     }
 
@@ -626,7 +689,7 @@ mod tests {
         for len in PADDING_LENS {
             let msgs = group(len as u64, [len; 16]);
             let expect = refs(&msgs).map(sha256_reference);
-            assert_eq!(sha256_x16(leaves(&refs(&msgs))), expect, "len {len}");
+            assert_eq!(sha256_x16(&leaves(&refs(&msgs))), expect, "len {len}");
         }
     }
 
@@ -636,7 +699,7 @@ mod tests {
         // lane's longer remainder is the single-stream kernel's.
         let msgs = group(7, [64, 200, 129, 70, 300, 65, 1000, 128]);
         assert_eq!(
-            sha256_x8(leaves(&refs(&msgs))),
+            sha256_x8(&leaves(&refs(&msgs))),
             refs(&msgs).map(sha256_reference)
         );
     }
@@ -648,7 +711,7 @@ mod tests {
         ];
         let msgs = group(7, lens);
         assert_eq!(
-            sha256_x16(leaves(&refs(&msgs))),
+            sha256_x16(&leaves(&refs(&msgs))),
             refs(&msgs).map(sha256_reference)
         );
     }
@@ -665,9 +728,9 @@ mod tests {
             let max = [1, 7, 64, 200][case as usize];
             let runs8: Vec<Vec<&[u8]>> = msgs8.iter().map(|m| cut(m, &mut rng, max)).collect();
             let runs16: Vec<Vec<&[u8]>> = msgs16.iter().map(|m| cut(m, &mut rng, max)).collect();
-            let got8 = sha256_x8(core::array::from_fn(|i| runs8[i].as_slice()));
+            let got8 = sha256_x8(&core::array::from_fn::<_, 8, _>(|i| runs8[i].as_slice()));
             assert_eq!(got8, refs(&msgs8).map(sha256_reference), "x8 case {case}");
-            let got16 = sha256_x16(core::array::from_fn(|i| runs16[i].as_slice()));
+            let got16 = sha256_x16(&core::array::from_fn::<_, 16, _>(|i| runs16[i].as_slice()));
             assert_eq!(
                 got16,
                 refs(&msgs16).map(sha256_reference),
@@ -676,12 +739,51 @@ mod tests {
         }
     }
 
+    /// Three to seven messages in pieces on eight lanes, and ten to
+    /// fifteen on sixteen: the live lanes match the reference, the spare
+    /// lanes give zeros, and a straddling block of the last message is
+    /// copied once, however many spare lanes repeat it.
+    #[test]
+    fn spare_lanes_read_the_last_lane_and_copy_nothing() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let msgs = group(3, [400; 16]);
+        let runs: Vec<Vec<&[u8]>> = msgs.iter().map(|m| cut(m, &mut rng, 90)).collect();
+        let leaves: Vec<Leaf<'_>> = runs.iter().map(Vec::as_slice).collect();
+        let copies_alone = |n: usize| {
+            crate::digest::straddle_copies(|| {
+                for leaf in &leaves[..n] {
+                    crate::digest::sha256_leaf(leaf);
+                }
+            })
+        };
+        for live in (3..8).chain(10..16) {
+            let expect: Vec<[u8; 32]> = refs(&msgs)[..live]
+                .iter()
+                .map(|m| sha256_reference(m))
+                .collect();
+            let mut got = Vec::new();
+            let copies = crate::digest::straddle_copies(|| {
+                got = if live < 8 {
+                    sha256_x8(&leaves[..live]).to_vec()
+                } else {
+                    sha256_x16(&leaves[..live]).to_vec()
+                };
+            });
+            assert_eq!(got[..live], expect[..], "{live} live lanes");
+            assert!(
+                got[live..].iter().all(|d| *d == [0; 32]),
+                "{live} live lanes"
+            );
+            assert_eq!(copies, copies_alone(live), "{live} live lanes");
+        }
+    }
+
     #[test]
     #[cfg_attr(miri, ignore = "whole-chunk messages are too slow interpreted")]
     fn one_whole_chunk_per_lane_matches_scalar() {
         let msgs = group(11, [crate::CHUNK_BYTES; 8]);
         assert_eq!(
-            sha256_x8(leaves(&refs(&msgs))),
+            sha256_x8(&leaves(&refs(&msgs))),
             refs(&msgs).map(crate::digest::sha256)
         );
     }
@@ -691,7 +793,7 @@ mod tests {
     fn x16_one_whole_chunk_per_lane_matches_scalar() {
         let msgs = group(11, [crate::CHUNK_BYTES; 16]);
         assert_eq!(
-            sha256_x16(leaves(&refs(&msgs))),
+            sha256_x16(&leaves(&refs(&msgs))),
             refs(&msgs).map(crate::digest::sha256)
         );
     }
@@ -703,13 +805,13 @@ mod tests {
         #[test]
         fn equals_one_scalar_hash_per_lane(seed in 0u64..u64::MAX, len in 0usize..5000) {
             let msgs = group(seed, [len; 8]);
-            prop_assert_eq!(sha256_x8(leaves(&refs(&msgs))), refs(&msgs).map(crate::digest::sha256));
+            prop_assert_eq!(sha256_x8(&leaves(&refs(&msgs))), refs(&msgs).map(crate::digest::sha256));
         }
 
         #[test]
         fn x16_equals_one_scalar_hash_per_lane(seed in 0u64..u64::MAX, len in 0usize..5000) {
             let msgs = group(seed, [len; 16]);
-            prop_assert_eq!(sha256_x16(leaves(&refs(&msgs))), refs(&msgs).map(crate::digest::sha256));
+            prop_assert_eq!(sha256_x16(&leaves(&refs(&msgs))), refs(&msgs).map(crate::digest::sha256));
         }
     }
 }

@@ -60,6 +60,15 @@ impl<B: Pieces> Verified<B> {
         Verified { bytes, digest }
     }
 
+    /// [`Verified::hash`] of every payload, in order, hashed as one
+    /// [`content_digests`] batch so their leaves share lockstep passes.
+    pub fn hash_all(payloads: Vec<B>, plane: &DataPlane) -> Vec<Self> {
+        let refs: Vec<&B> = payloads.iter().collect();
+        let digests = content_digests(&refs, plane);
+        let proof = |(bytes, digest)| Verified { bytes, digest };
+        payloads.into_iter().zip(digests).map(proof).collect()
+    }
+
     /// The digest the bytes were shown to hash to.
     pub fn digest(&self) -> Digest {
         self.digest
@@ -182,5 +191,13 @@ mod tests {
         let plane = DataPlane::single();
         let proof = Verified::hash(&b"rotted"[..], &plane);
         assert_eq!(proof.digest(), Digest::of(b"rotted"));
+        let all = Verified::hash_all(vec![&b"p"[..], &b"q"[..]], &plane);
+        assert_eq!(
+            all,
+            [
+                Verified::hash(&b"p"[..], &plane),
+                Verified::hash(&b"q"[..], &plane)
+            ]
+        );
     }
 }

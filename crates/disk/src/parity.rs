@@ -473,12 +473,18 @@ fn parity_matches(
 
 /// Debug-build hook: asserts that `p` (and `q`) is the parity of `data`
 /// read by the encoders' length rule — a member shorter than `p` counts
-/// as zero-filled to it. Compiled out of release builds, so the hot
-/// write path pays nothing in production.
+/// as zero-filled to it. The parity may be in pieces (a proven copy read
+/// back from media); the check reads it flattened. Compiled out of
+/// release builds, so the hot write path pays nothing in production.
 #[cfg(debug_assertions)]
-pub fn debug_assert_group<P: Pieces + ?Sized>(data: &[&P], p: &[u8], q: Option<&[u8]>) {
+pub fn debug_assert_group<P: Pieces + ?Sized, R: Pieces + ?Sized>(
+    data: &[&P],
+    p: &R,
+    q: Option<&R>,
+) {
+    let (p, q) = (Member::new(p).to_vec(), q.map(|q| Member::new(q).to_vec()));
     debug_assert!(
-        parity_matches(&members(data), p, q, &DataPlane::single()),
+        parity_matches(&members(data), &p, q.as_deref(), &DataPlane::single()),
         "parity group failed XOR/GF self-verification after stripe write \
          ({} data stripes, q = {})",
         data.len(),
@@ -488,7 +494,12 @@ pub fn debug_assert_group<P: Pieces + ?Sized>(data: &[&P], p: &[u8], q: Option<&
 
 /// Release builds: the self-check disappears entirely.
 #[cfg(not(debug_assertions))]
-pub fn debug_assert_group<P: Pieces + ?Sized>(_data: &[&P], _p: &[u8], _q: Option<&[u8]>) {}
+pub fn debug_assert_group<P: Pieces + ?Sized, R: Pieces + ?Sized>(
+    _data: &[&P],
+    _p: &R,
+    _q: Option<&R>,
+) {
+}
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@
 //! disc is pointless).
 
 use crate::params;
-use bytes::Parts;
+use bytes::{Bytes, Parts};
 use ros_sim::SimRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -338,20 +338,26 @@ impl Disc {
                 if bytes.is_empty() {
                     return 0;
                 }
-                // The one copy: the rotted track becomes one piece.
-                let mut buf = bytes.to_bytes().to_vec();
-                let len = buf.len() as u64;
+                let len = bytes.len();
                 let start = selector
                     .wrapping_add(salt)
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    % len;
-                let n = u64::from(count).min(len);
-                for k in 0..n {
-                    let at = usize::try_from(start.wrapping_add(k) % len).unwrap_or(0);
-                    buf[at] ^= 0xA5;
-                }
-                *bytes = Parts::from(buf);
-                usize::try_from(n).unwrap_or(usize::MAX)
+                    % len as u64;
+                let start = usize::try_from(start).unwrap_or(0);
+                let n = usize::try_from(count).unwrap_or(usize::MAX).min(len);
+                // The strike flips `start..start + n`, wrapping past the
+                // end at most once; only the flipped bytes are copied,
+                // and the rest of the track stays a view of its pieces.
+                let wrapped = (start + n).saturating_sub(len);
+                let flip = |at: usize, n: usize| {
+                    let mut run = vec![0u8; n];
+                    bytes.copy_to_slice(at, &mut run);
+                    run.iter_mut().for_each(|b| *b ^= 0xA5);
+                    (at, Bytes::from(run))
+                };
+                let patches = [flip(0, wrapped), flip(start, n - wrapped)];
+                *bytes = bytes.patched(patches);
+                n
             }
             // No real bytes to flip; the strike is only counted.
             Payload::Synthetic { size } => {
@@ -399,7 +405,7 @@ impl Disc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use bytes::Pieces;
     use ros_sim::fnv1a;
 
     fn small() -> DiscClass {
@@ -553,6 +559,64 @@ mod tests {
             }
             _ => panic!("expected inline payload"),
         }
+    }
+
+    #[test]
+    fn rot_flips_what_a_flat_copy_would_and_copies_only_those_bytes() {
+        let data: Vec<u8> = (0..5000u32)
+            .map(|i| (i.wrapping_mul(7) >> 1) as u8)
+            .collect();
+        let original = Bytes::from(data.clone());
+        let inside = |p: &[u8]| original.as_ptr_range().contains(&p.as_ptr());
+        let mut wraps = 0;
+        // One strike; strikes that repeat on one track; the whole track;
+        // more than the whole track, then one byte more.
+        for (selector, counts) in [
+            (1u64, &[3u32][..]),
+            (0xDEAD, &[40, 40, 4000]),
+            (7, &[5000]),
+            (0xFEED, &[6000, 1]),
+        ] {
+            let mut d = Disc::blank(1, small(), MediaKind::Worm);
+            d.burn_all_once(9, Payload::inline(original.clone()))
+                .unwrap();
+            // The oracle: a flat copy of the track, flipped byte by byte.
+            let mut oracle = data.clone();
+            let mut struck = 0;
+            for &count in counts {
+                let start = selector
+                    .wrapping_add(d.rotted_bytes)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    % data.len() as u64;
+                let (start, n) = (start as usize, (count as usize).min(data.len()));
+                wraps += usize::from(start + n > data.len());
+                for k in 0..n {
+                    oracle[(start + k) % data.len()] ^= 0xA5;
+                }
+                assert_eq!(d.rot_bytes(selector, count), n);
+                struck += n;
+                let Payload::Inline(rotted) = d.read_image(9).unwrap() else {
+                    panic!("expected inline payload");
+                };
+                assert_eq!(rotted, &oracle, "selector {selector:#x}, count {count}");
+            }
+            let Payload::Inline(rotted) = d.read_image(9).unwrap() else {
+                panic!("expected inline payload");
+            };
+            let copied: usize = rotted
+                .pieces()
+                .filter(|p| !inside(p))
+                .map(<[u8]>::len)
+                .sum();
+            assert!(
+                copied <= struck,
+                "{copied} bytes copied for {struck} flipped"
+            );
+            if counts.len() == 1 {
+                assert_eq!(copied, struck, "every other byte is a view");
+            }
+        }
+        assert!(wraps >= 2, "some strikes wrap past the end");
     }
 
     #[test]

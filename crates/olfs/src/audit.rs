@@ -31,10 +31,13 @@
 //! What the walk finds is repaired through the redundancy ladder:
 //!
 //! 1. **Array redundancy** — the damaged image's disc array goes through
-//!    the one repair path in [`crate::repair`]: every member gathered,
-//!    what cannot be trusted masked, the rest reconstructed through the
-//!    GF(256) P/Q parity kernels. The healed array is then rewritten
-//!    onto fresh media, retiring the damaged tray.
+//!    the one repair path in [`crate::repair`]: every member gathered —
+//!    the pass's own inspections reused, so only members it did not
+//!    sample, or that were cached, evicted or moved since it gathered
+//!    them, are read and hashed again — what cannot be trusted masked,
+//!    the rest reconstructed through the GF(256) P/Q parity kernels. The
+//!    healed array is then rewritten onto fresh media, retiring the
+//!    damaged tray; parity the pass proved is burned again as it is.
 //! 2. **Replica escalation** — if more members are damaged than the
 //!    parity schema tolerates, the image is reported
 //!    [`AuditReport::unrepairable`] and a cluster front end re-fetches
@@ -51,7 +54,7 @@ use crate::dim::GroupState;
 use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, ImageId};
-use crate::repair::{verify_batch, Gathered};
+use crate::repair::{verify_batch, Gathered, Inspection};
 use bytes::Parts;
 use ros_cas::{CasError, Digest, Verified};
 use ros_sim::{SimDuration, SimTime};
@@ -193,24 +196,35 @@ impl Ros {
             return report;
         };
         let sample = gathered.images.clone();
+        let settled: Vec<(ImageId, Inspection)> = sample
+            .into_iter()
+            .zip(self.settle(gathered, proofs))
+            .collect();
         let mut total_bytes = 0u64;
-        for (id, seen) in sample.into_iter().zip(self.settle(gathered, proofs)) {
+        for (id, seen) in &settled {
             report.sampled += 1;
             total_bytes += seen.buffered + seen.track.len() as u64;
             if seen.proof.is_some() {
                 report.verified += 1;
             } else {
-                report.rotted.push(id);
+                report.rotted.push(*id);
             }
         }
         let agg = self.bays[0].aggregate_read_speed(self.cfg.disc_class);
         report.elapsed = agg.time_for(total_bytes);
 
-        // Repair, one array at a time.
+        // Repair, one array at a time, each from what the pass saw of
+        // its members; the inspections of arrays with no rot are dropped.
+        let array_of = |id: &ImageId| self.store.get(*id).and_then(|i| i.array);
         let mut by_array: BTreeMap<Option<ArrayId>, Vec<ImageId>> = BTreeMap::new();
         for id in &report.rotted {
-            let gid = self.store.get(*id).and_then(|i| i.array);
-            by_array.entry(gid).or_default().push(*id);
+            by_array.entry(array_of(id)).or_default().push(*id);
+        }
+        let mut seen_in: BTreeMap<ArrayId, BTreeMap<ImageId, Inspection>> = BTreeMap::new();
+        for (id, seen) in settled {
+            if let Some(gid) = array_of(&id).filter(|g| by_array.contains_key(&Some(*g))) {
+                seen_in.entry(gid).or_default().insert(id, seen);
+            }
         }
         let now = self.now();
         for (gid, images) in by_array {
@@ -219,7 +233,8 @@ impl Ros {
                 report.unrepairable.extend(images);
                 continue;
             };
-            match self.heal_array(gid, now + report.elapsed) {
+            let seen = seen_in.remove(&gid).unwrap_or_default();
+            match self.heal_array(gid, now + report.elapsed, seen) {
                 Ok(time) => {
                     report.elapsed += time;
                     report.repaired.extend(images);
@@ -231,14 +246,22 @@ impl Ros {
         report
     }
 
-    /// Heals one rotted disc array at `at` ([`Ros::rebuild`]), gives
-    /// every data member lacking a healthy buffer copy one, and then
-    /// rewrites a burned array onto fresh media ([`Ros::rewrite_array`]).
-    /// The gather is a scan like the one above, reckoned at the
-    /// bay-aggregate rate. Errors if the damage exceeds the schema's
-    /// tolerance — the caller escalates to a replica.
-    fn heal_array(&mut self, gid: ArrayId, at: SimTime) -> Result<SimDuration, OlfsError> {
-        let rebuilt = self.rebuild(gid)?;
+    /// Heals one rotted disc array at `at` ([`Ros::rebuild`] from the
+    /// pass's inspections `seen` of its members), gives every data
+    /// member lacking a healthy buffer copy one, and then rewrites a
+    /// burned array onto fresh media ([`Ros::rewrite_array`]), its old
+    /// parity reused where every member of it was proven. The gather is
+    /// a scan like the one above, reckoned at the bay-aggregate rate
+    /// whether the pass's reads are reused or not. Errors if the damage
+    /// exceeds the schema's tolerance — the caller escalates to a
+    /// replica.
+    fn heal_array(
+        &mut self,
+        gid: ArrayId,
+        at: SimTime,
+        seen: BTreeMap<ImageId, Inspection>,
+    ) -> Result<SimDuration, OlfsError> {
+        let rebuilt = self.rebuild(gid, seen)?;
         let mut time = self.bays[0]
             .aggregate_read_speed(self.cfg.disc_class)
             .time_for(rebuilt.media_reads.iter().sum());
@@ -251,7 +274,7 @@ impl Ros {
             .group(gid)
             .is_some_and(|g| g.state == GroupState::Burned)
         {
-            self.rewrite_array(gid, at + time)?;
+            self.rewrite_array(gid, at + time, rebuilt.parity)?;
         }
         Ok(time)
     }

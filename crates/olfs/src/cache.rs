@@ -362,7 +362,7 @@ mod tests {
         // outside the engine wakes nothing.
         r.vm.release(r.vol_buffer, need - old_parity).unwrap();
         let burns = r.counters().burns;
-        r.rewrite_array(rewritten, r.now()).unwrap();
+        r.rewrite_array(rewritten, r.now(), None).unwrap();
         assert_eq!(
             state(&r),
             GroupState::ParityPending,

@@ -13,8 +13,8 @@
 
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
-use bytes::{Bytes, Parts};
-use ros_cas::{content_digest, content_digests, Digest, Verified};
+use bytes::Parts;
+use ros_cas::{content_digest, Digest, Verified};
 use ros_disk::plane::DataPlane;
 use ros_drive::media::{Disc, DiscClass, MediaKind};
 use ros_mech::{RackLayout, SlotAddress};
@@ -99,6 +99,10 @@ pub struct ArrayGroup {
     /// While `Burning`: the bay it burns in and the instant the burn
     /// ends.
     pub burn: Option<(usize, SimTime)>,
+    /// Between a rewrite and the parity run after it: the dropped parity
+    /// images' bytes, P then Q, each proven against its recorded digest,
+    /// for the run to register instead of generating parity again.
+    pub proven_parity: Option<Vec<Verified<Parts>>>,
 }
 
 /// One image's bookkeeping record.
@@ -254,6 +258,7 @@ impl ImageStore {
             backlog_seq: 0,
             append: false,
             burn: None,
+            proven_parity: None,
         });
         group.data.push(id);
         if group.data.len() >= data_per_array as usize {
@@ -265,12 +270,12 @@ impl ImageStore {
         }
     }
 
-    /// Registers the parity payload(s) of a group and marks it ready.
+    /// Registers the parity payload(s) of a group, P then Q, under
+    /// fresh ids with the digests their proofs carry, and marks it ready.
     pub fn register_parity(
         &mut self,
         gid: ArrayId,
-        payloads: Vec<Bytes>,
-        plane: &DataPlane,
+        payloads: Vec<Verified<Parts>>,
     ) -> Result<(), OlfsError> {
         let ids: Vec<ImageId> = payloads
             .iter()
@@ -290,19 +295,18 @@ impl ImageStore {
                 group.state
             )));
         }
-        let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_ref()).collect();
-        let digests = content_digests(&refs, plane);
-        for ((id, payload), digest) in ids.iter().zip(payloads).zip(digests) {
+        group.proven_parity = None;
+        for (id, proof) in ids.iter().zip(payloads) {
             group.parity.push(*id);
             self.images.insert(
                 *id,
                 ImageInfo {
                     id: *id,
                     kind: ImageKind::Parity,
-                    size: payload.len() as u64,
-                    digest,
+                    size: proof.payload().len() as u64,
+                    digest: proof.digest(),
                     sealed: None,
-                    payload: Some(Parts::from(payload)),
+                    payload: Some(proof.into_bytes()),
                     burned: None,
                     array: Some(gid),
                     used_at: SimTime::ZERO,
@@ -480,10 +484,12 @@ impl ImageStore {
 
     /// Resets a burned group for a rewrite to a fresh array (§4.7: "The
     /// recovered data can be written to new buckets and finally burned
-    /// into free disc arrays"): drops its old parity images, clears the
-    /// slot assignment, the append flag and the burn locations. Returns
-    /// the old slot, for the caller to retire, and the bytes the dropped
-    /// parity images held on the disk buffer, for it to release.
+    /// into free disc arrays"): drops its old parity images, keeping
+    /// `proven_parity` — their bytes, proven — for the parity run, and
+    /// clears the slot assignment, the append flag and the burn
+    /// locations. Returns the old slot, for the caller to retire, and the
+    /// bytes the dropped parity images held on the disk buffer, for it
+    /// to release.
     ///
     /// The burn location is the only other reference to a data member's
     /// bytes, so the reset refuses ([`OlfsError::SoleCopy`]), mutating
@@ -491,6 +497,7 @@ impl ImageStore {
     pub fn reset_group_for_rewrite(
         &mut self,
         gid: ArrayId,
+        proven_parity: Option<Vec<Verified<Parts>>>,
     ) -> Result<(Option<SlotAddress>, u64), OlfsError> {
         let group = self
             .groups
@@ -512,6 +519,7 @@ impl ImageStore {
         let old_slot = group.slot.take();
         group.append = false;
         let old_parity = std::mem::take(&mut group.parity);
+        group.proven_parity = proven_parity;
         group.state = GroupState::ParityPending;
         let data = group.data.clone();
         let freed = old_parity
@@ -655,7 +663,10 @@ mod tests {
         }
         let gid = gid.unwrap();
         store
-            .register_parity(gid, vec![Bytes::from(vec![0u8; 100])], &p())
+            .register_parity(
+                gid,
+                Verified::hash_all(vec![Parts::from(vec![0u8; 100])], &p()),
+            )
             .unwrap();
         let g = store.group(gid).unwrap();
         assert_eq!(g.state, GroupState::ReadyToBurn);
@@ -665,7 +676,7 @@ mod tests {
         assert!(parity.on_disk());
         // Double registration rejected.
         assert!(store
-            .register_parity(gid, vec![Bytes::new()], &p())
+            .register_parity(gid, Verified::hash_all(vec![Parts::new()], &p()))
             .is_err());
     }
 
@@ -816,15 +827,14 @@ mod rewrite_tests {
             .register_sealed(b.close().unwrap(), 1, &DataPlane::single())
             .unwrap();
         // ParityPending, not Burned: reset must refuse.
-        assert!(store.reset_group_for_rewrite(gid).is_err());
+        assert!(store.reset_group_for_rewrite(gid, None).is_err());
         store
             .register_parity(
                 gid,
-                vec![bytes::Bytes::from(vec![0u8; 100])],
-                &DataPlane::single(),
+                Verified::hash_all(vec![Parts::from(vec![0u8; 100])], &DataPlane::single()),
             )
             .unwrap();
-        assert!(store.reset_group_for_rewrite(gid).is_err());
+        assert!(store.reset_group_for_rewrite(gid, None).is_err());
         // Mark burned with a slot, then reset succeeds and clears it.
         let slot = SlotAddress::new(0, 0, 0);
         {
@@ -843,7 +853,7 @@ mod rewrite_tests {
                 },
             )
             .unwrap();
-        let (old, freed) = store.reset_group_for_rewrite(gid).unwrap();
+        let (old, freed) = store.reset_group_for_rewrite(gid, None).unwrap();
         assert_eq!(old, Some(slot));
         assert_eq!(freed, 100, "the old parity's buffer bytes");
         let g = store.group(gid).unwrap();
@@ -872,7 +882,10 @@ mod rewrite_tests {
         }
         let gid = gid.unwrap();
         store
-            .register_parity(gid, vec![bytes::Bytes::from(vec![0u8; 100])], &plane)
+            .register_parity(
+                gid,
+                Verified::hash_all(vec![Parts::from(vec![0u8; 100])], &plane),
+            )
             .unwrap();
         let slot = SlotAddress::new(0, 0, 0);
         for (position, id) in ids
@@ -897,7 +910,7 @@ mod rewrite_tests {
         let evicted = store.get(ids[1]).unwrap().payload.clone().unwrap();
         store.evict_disk_copy(ids[1]).unwrap();
         assert_eq!(
-            store.reset_group_for_rewrite(gid),
+            store.reset_group_for_rewrite(gid, None),
             Err(OlfsError::SoleCopy { image: ids[1] })
         );
         // Nothing moved: still Burned, still located, parity still known.
@@ -910,7 +923,10 @@ mod rewrite_tests {
         store
             .restore_disk_copy(ids[1], Verified::hash(evicted, &plane))
             .unwrap();
-        assert_eq!(store.reset_group_for_rewrite(gid), Ok((Some(slot), 100)));
+        assert_eq!(
+            store.reset_group_for_rewrite(gid, None),
+            Ok((Some(slot), 100))
+        );
     }
 
     #[test]

@@ -28,6 +28,7 @@ use crate::redundancy;
 use crate::trace::OpTrace;
 use crate::wbm::{link_file_name, shadow_file_name, BucketManager, LinkFile, Placement};
 use bytes::{Bytes, Parts};
+use ros_cas::Verified;
 use ros_disk::volume::{VolumeId, VolumeManager};
 use ros_disk::RaidArray;
 use ros_drive::media::Payload;
@@ -967,42 +968,43 @@ impl Ros {
                 return; // A member vanished; leave for maintenance.
             }
             let refs: Vec<&Parts> = payloads.iter().collect();
-            match redundancy::generate_with(self.cfg.redundancy, &refs, self.data_plane()) {
-                Ok(set) => {
-                    let mut parity = Vec::new();
-                    if let Some(p) = set.p {
-                        parity.push(p);
+            let parity_discs = self.cfg.redundancy.parity_discs() as usize;
+            let parity = match group.proven_parity.filter(|p| p.len() == parity_discs) {
+                // A rewrite's old parity, every member proven against its
+                // recorded digest: the data are the same WORM bytes and
+                // the kernel is deterministic, so it is what generating
+                // would give, and it is registered as it is.
+                Some(proven) => {
+                    if let [p, q @ ..] = proven.as_slice() {
+                        let q = q.first().map(Verified::payload);
+                        ros_disk::parity::debug_assert_group(&refs, p.payload(), q);
                     }
-                    if let Some(q) = set.q {
-                        parity.push(q);
-                    }
-                    let bytes: u64 = parity.iter().map(|p| p.len() as u64).sum();
-                    if self.reserve_buffer(bytes).is_err() {
-                        // Nothing is registered uncharged: the group
-                        // waits for room (`retry_waiting_parity`).
-                        if let Some(g) = self.store.group_mut(gid) {
-                            g.state = GroupState::AwaitingBuffer;
-                        }
-                        return;
-                    }
-                    if self
-                        .store
-                        .register_parity(gid, parity, &self.plane)
-                        .is_err()
-                    {
-                        return;
-                    }
+                    proven
                 }
-                Err(_) => return,
-            }
-        } else {
-            if self
-                .store
-                .register_parity(gid, Vec::new(), &self.plane)
-                .is_err()
-            {
+                None => {
+                    let Ok(set) =
+                        redundancy::generate_with(self.cfg.redundancy, &refs, self.data_plane())
+                    else {
+                        return;
+                    };
+                    let parity = [set.p, set.q].into_iter().flatten().map(Parts::from);
+                    Verified::hash_all(parity.collect(), self.data_plane())
+                }
+            };
+            let bytes: u64 = parity.iter().map(|p| p.payload().len() as u64).sum();
+            if self.reserve_buffer(bytes).is_err() {
+                // Nothing is registered uncharged: the group waits for
+                // room (`retry_waiting_parity`).
+                if let Some(g) = self.store.group_mut(gid) {
+                    g.state = GroupState::AwaitingBuffer;
+                }
                 return;
             }
+            if self.store.register_parity(gid, parity).is_err() {
+                return;
+            }
+        } else if self.store.register_parity(gid, Vec::new()).is_err() {
+            return;
         }
         self.counters.parity_runs += 1;
         self.try_start_burns(self.now());
@@ -1285,7 +1287,7 @@ impl Ros {
         if let Some(g) = self.store.group_mut(gid) {
             g.state = GroupState::Burned;
         }
-        let _ = self.rewrite_array(gid, at);
+        let _ = self.rewrite_array(gid, at, None);
         self.counters.reburns += 1;
         self.note_burn_failure(bay);
     }
@@ -1715,7 +1717,7 @@ impl Ros {
             .ok_or(OlfsError::ImageLost(image))?
             .array
             .ok_or(OlfsError::Unrecoverable { image, array: None })?;
-        let rebuilt = self.rebuild(gid)?;
+        let rebuilt = self.rebuild(gid, BTreeMap::new())?;
         let member = rebuilt.data.into_iter().find(|m| m.image == image).ok_or(
             OlfsError::Unrecoverable {
                 image,

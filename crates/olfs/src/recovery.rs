@@ -198,7 +198,7 @@ impl Ros {
                 if group.slot != Some(slot) {
                     continue;
                 }
-                match self.rebuild(group.id) {
+                match self.rebuild(group.id, BTreeMap::new()) {
                     Ok(rebuilt) => {
                         tracks.extend(rebuilt.media_reads);
                         proofs.extend(rebuilt.data.into_iter().map(|m| (m.image, m.proof)));

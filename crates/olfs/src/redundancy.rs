@@ -98,7 +98,7 @@ pub fn generate_with<P: Pieces + ?Sized>(
     // Debug builds re-verify the freshly generated parity group before it
     // is handed to the burn pipeline, the members zero-filled to the
     // stripe as they are on disc; compiled out in release.
-    parity::debug_assert_group(data_images, &p, q.as_deref());
+    parity::debug_assert_group(data_images, &p, q.as_ref());
     Ok(ParitySet {
         p: Some(p),
         q,
@@ -111,13 +111,14 @@ pub fn generate_with<P: Pieces + ?Sized>(
 /// `data[i] = None` marks a lost member; `sizes[i]` gives each member's
 /// original (unpadded) length so recovered payloads are trimmed back.
 /// Survivors shorter than the stripe read as zero-filled, so none is
-/// copied to pad it. Returns the full data set.
-pub fn reconstruct_with(
+/// copied to pad it, and a survivor in pieces is read where they lie.
+/// Returns the full data set.
+pub fn reconstruct_with<P: Pieces + ?Sized>(
     schema: Redundancy,
-    data: &[Option<&[u8]>],
+    data: &[Option<&P>],
     sizes: &[usize],
-    p: Option<&[u8]>,
-    q: Option<&[u8]>,
+    p: Option<&P>,
+    q: Option<&P>,
     plane: &DataPlane,
 ) -> Result<Vec<Bytes>, RedundancyError> {
     assert_eq!(data.len(), sizes.len(), "one size per member");
@@ -130,7 +131,7 @@ pub fn reconstruct_with(
         return Ok(data
             .iter()
             .flatten()
-            .map(|d| Bytes::copy_from_slice(d))
+            .map(|d| d.pieces().flatten().copied().collect())
             .collect());
     }
     let recovered: Vec<Vec<u8>> = match schema {

@@ -12,7 +12,10 @@
 //!    copy that verifies, else the burned bytes wherever the disc is
 //!    ([`Ros::disc_at`]) plus the drive's damage map. Resident copies and
 //!    the tracks of non-resident members are hashed as one digest batch;
-//!    only a resident copy that fails sends its track to a second;
+//!    only a resident copy that fails sends its track to a second. An
+//!    audit hands over the inspections its pass already made, and only
+//!    the members they do not cover — unsampled, or cached, evicted or
+//!    moved since the pass gathered them — are gathered;
 //! 2. **mask** — one damage mask per member: the drive's bad sectors
 //!    where it reported any, every sector where the member is absent or
 //!    read back cleanly but fails its digest (latent rot leaves no map).
@@ -21,10 +24,13 @@
 //! 3. **reconstruct** — [`Ros::rebuild`] runs one parity-kernel call per
 //!    maximal run of sectors sharing a damaged set, so each 2 KB stripe
 //!    tolerates `parity_discs` losses independently and a wholly lost
-//!    member costs exactly one call;
+//!    member costs exactly one call. The kernels read the survivors
+//!    where their pieces lie, and a rebuilt member is its track with the
+//!    rebuilt spans patched in ([`bytes::Parts::patched`]);
 //! 4. **restore** — [`Ros::restore`] puts a proof back on the buffer;
 //! 5. **rewrite** — [`Ros::rewrite_array`] retires the tray and re-runs
-//!    parity-and-burn onto fresh media.
+//!    parity-and-burn onto fresh media; parity whose every member was
+//!    proven in step 1 is registered again rather than generated.
 //!
 //! Callers hold policy only — which members to restore, whether to
 //! rewrite, which counter to bump and at what rate the media reads are
@@ -35,12 +41,13 @@ use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, ImageId};
 use crate::redundancy;
-use bytes::{Bytes, Parts};
+use bytes::{Bytes, Parts, Pieces};
 use ros_cas::{verify_payload, verify_payloads, CasError, Digest, Verified};
 use ros_disk::DataPlane;
 use ros_drive::media::{Disc, Payload};
 use ros_mech::SlotAddress;
 use ros_sim::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Stripe granularity of the damage mask: the media's sector size.
@@ -49,6 +56,10 @@ const SECTOR: usize = ros_sim::to_usize(ros_drive::params::SECTOR_BYTES);
 /// One image's health, as decided by [`Ros::inspect_many`].
 #[derive(Default)]
 pub(crate) struct Inspection {
+    /// Where the gather found the image: whether it had a buffer copy,
+    /// and where its burned disc was. The inspection stands for the
+    /// image only while both still hold ([`Inspection::stands_for`]).
+    found: (bool, Option<DiscLocation>),
     /// The image's bytes, if a copy hashes to the digest the DIM records.
     pub proof: Option<Verified<Parts>>,
     /// True when that healthy copy is the one on the buffer.
@@ -63,6 +74,36 @@ pub(crate) struct Inspection {
     /// Length of the buffer copy the gather took, healthy or not; 0 when
     /// the image had none. With `track`, what the inspection scanned.
     pub buffered: u64,
+}
+
+impl Inspection {
+    /// True while `info` is where the gather found it. A read that
+    /// cached the image since, or a restore that evicted its copy under
+    /// buffer pressure, or a rewrite that moved it, makes a fresh
+    /// inspection see something else.
+    fn stands_for(&self, info: &ImageInfo) -> bool {
+        self.found == (info.on_disk(), info.burned)
+    }
+}
+
+/// Bytes `range` of a member, read where its pieces lie: a survivor's
+/// span handed to the parity kernels without copying it.
+struct Span<'a> {
+    bytes: &'a Parts,
+    range: Range<usize>,
+}
+
+impl Pieces for Span<'_> {
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        let Range { start, end } = self.range;
+        let mut at = 0;
+        self.bytes.pieces().filter_map(move |piece| {
+            let (lo, hi) = (at, at + piece.len());
+            at = hi;
+            let (from, to) = (start.clamp(lo, hi) - lo, end.clamp(lo, hi) - lo);
+            (from < to).then(|| &piece[from..to])
+        })
+    }
 }
 
 /// One copy [`Ros::gather`] took for the digest batch.
@@ -133,6 +174,9 @@ pub(crate) struct RebuiltMember {
 pub(crate) struct Rebuilt {
     /// Every data member in group order.
     pub data: Vec<RebuiltMember>,
+    /// Every parity member's bytes, P then Q, when each was proven
+    /// against its recorded digest; `None` when any was not.
+    pub parity: Option<Vec<Verified<Parts>>>,
     /// Bytes the gather read from optical media, per member (data, then
     /// parity). How they are charged is the caller's policy.
     pub media_reads: Vec<u64>,
@@ -189,6 +233,7 @@ impl Ros {
                 continue;
             };
             let (digest, resident) = (info.digest, info.payload.is_some());
+            seen[at].found = (resident, info.burned);
             let bytes = match &info.payload {
                 Some(bytes) => {
                     seen[at].buffered = bytes.len() as u64;
@@ -268,6 +313,11 @@ impl Ros {
     /// Gathers array `gid`, masks what cannot be trusted, reconstructs
     /// it through parity and hands back a proof per data member.
     ///
+    /// `known` holds inspections an audit pass already made of members
+    /// (the fetch path passes none): each is used as it is while it
+    /// still stands for its member, and the members it does not cover
+    /// are inspected as one batch.
+    ///
     /// A damage map says which sectors the drive could not read, not
     /// that the rest is sound, so when the sector-granular mask yields a
     /// member that fails its digest the array is tried once more with
@@ -276,7 +326,11 @@ impl Ros {
     /// All or nothing: damage past the schema's tolerance in any one
     /// stripe is [`OlfsError::Unrecoverable`] naming the first member
     /// that could not be rebuilt. Mutates nothing either way.
-    pub(crate) fn rebuild(&self, gid: ArrayId) -> Result<Rebuilt, OlfsError> {
+    pub(crate) fn rebuild(
+        &self,
+        gid: ArrayId,
+        mut known: BTreeMap<ImageId, Inspection>,
+    ) -> Result<Rebuilt, OlfsError> {
         let group = self
             .store
             .group(gid)
@@ -292,7 +346,21 @@ impl Ros {
             array: Some(gid),
         };
 
-        let seen = self.inspect_many(&members);
+        let known: Vec<Option<Inspection>> = members
+            .iter()
+            .zip(&infos)
+            .map(|(m, info)| known.remove(m).filter(|s| s.stands_for(info)))
+            .collect();
+        let unknown: Vec<ImageId> = members
+            .iter()
+            .zip(&known)
+            .filter_map(|(m, s)| s.is_none().then_some(*m))
+            .collect();
+        let mut fresh = self.inspect_many(&unknown).into_iter();
+        let seen: Vec<Inspection> = known
+            .into_iter()
+            .map(|s| s.or_else(|| fresh.next()).unwrap_or_default())
+            .collect();
         let bytes_of = |i: usize| -> &Parts {
             seen[i]
                 .proof
@@ -328,7 +396,8 @@ impl Ros {
                 .collect();
             cuts.sort_unstable();
             cuts.dedup();
-            let mut patched: Vec<Option<Vec<u8>>> = vec![None; n_data];
+            // Per lost data member, its rebuilt spans in ascending order.
+            let mut patches: Vec<Vec<(usize, Bytes)>> = vec![Vec::new(); n_data];
             for span in cuts.windows(2) {
                 let lost = |i: usize| masks[i].iter().any(|run| run.contains(&span[0]));
                 let Some(first_lost) = (0..n_data).find(|&i| lost(i)) else {
@@ -336,43 +405,48 @@ impl Ros {
                 };
                 // The last sector of the stripe may be a partial one.
                 let (lo, hi) = (span[0] * SECTOR, (span[1] * SECTOR).min(stripe_len));
-                // Each survivor's span, a view of the piece holding it.
-                let spans: Vec<Option<Bytes>> = (0..members.len())
+                // Each survivor's span, read where its pieces lie.
+                let spans: Vec<Option<Span<'_>>> = (0..members.len())
                     .map(|i| {
-                        let bytes = bytes_of(i);
-                        (!lost(i)).then(|| bytes.slice(lo.min(bytes.len())..hi.min(bytes.len())))
+                        (!lost(i)).then(|| Span {
+                            bytes: bytes_of(i),
+                            range: lo..hi,
+                        })
                     })
                     .collect();
-                let part = |i: usize| spans[i].as_deref();
-                let data: Vec<Option<&[u8]>> = (0..n_data).map(part).collect();
-                let parity = |k: usize| (n_data + k < members.len()).then(|| part(n_data + k));
+                let data: Vec<Option<&Span<'_>>> =
+                    spans[..n_data].iter().map(Option::as_ref).collect();
+                let parity = |k: usize| spans.get(n_data + k).and_then(Option::as_ref);
                 let rebuilt = redundancy::reconstruct_with(
                     self.cfg.redundancy,
                     &data,
                     &vec![hi - lo; n_data],
-                    parity(0).flatten(),
-                    parity(1).flatten(),
+                    parity(0),
+                    parity(1),
                     plane,
                 )
                 .map_err(|_| unrecoverable(first_lost))?;
-                for i in (0..n_data).filter(|&i| lost(i)) {
-                    let buf = patched[i].get_or_insert_with(|| {
-                        let mut buf = bytes_of(i).to_bytes().to_vec();
-                        buf.resize(stripe_len, 0);
-                        buf
-                    });
-                    buf[lo..hi].copy_from_slice(&rebuilt[i]);
+                for (i, span) in rebuilt.into_iter().enumerate().filter(|&(i, _)| lost(i)) {
+                    if span.len() != hi - lo {
+                        return Err(unrecoverable(i));
+                    }
+                    patches[i].push((lo, span));
                 }
             }
             (0..n_data)
-                .zip(patched)
-                .map(|(i, patched)| {
+                .zip(patches)
+                .map(|(i, patches)| {
                     let proof = match &seen[i].proof {
                         Some(proof) => proof.clone(),
                         None => {
-                            let mut bytes = patched.unwrap_or_default();
-                            bytes.truncate(ros_sim::to_usize(infos[i].size));
-                            verify_payload(&infos[i].digest, Parts::from(bytes), plane)
+                            // The track with the rebuilt spans patched in,
+                            // cut back from the stripe to the member.
+                            let size = ros_sim::to_usize(infos[i].size);
+                            let within = patches.into_iter().filter(|&(lo, _)| lo < size);
+                            let cut = within
+                                .map(|(lo, span)| (lo, span.slice(..span.len().min(size - lo))));
+                            let bytes = seen[i].track.patched(cut);
+                            verify_payload(&infos[i].digest, bytes, plane)
                                 .map_err(|_| unrecoverable(i))?
                         }
                     };
@@ -386,8 +460,10 @@ impl Ros {
         };
 
         let data = reconstruct(&masks(true)).or_else(|_| reconstruct(&masks(false)))?;
+        let parity = seen[n_data..].iter().map(|s| s.proof.clone()).collect();
         Ok(Rebuilt {
             data,
+            parity,
             media_reads: seen.iter().map(|s| s.track.len() as u64).collect(),
         })
     }
@@ -419,12 +495,19 @@ impl Ros {
     /// the normal burn pipeline picks it up from there. Every data
     /// member must be on the buffer —
     /// [`crate::dim::ImageStore::reset_group_for_rewrite`] refuses
-    /// otherwise, before anything has changed.
-    pub(crate) fn rewrite_array(&mut self, gid: ArrayId, at: SimTime) -> Result<(), OlfsError> {
+    /// otherwise, before anything has changed. `proven_parity`, the old
+    /// parity with every member proven ([`Rebuilt::parity`]), is
+    /// registered again instead of generated.
+    pub(crate) fn rewrite_array(
+        &mut self,
+        gid: ArrayId,
+        at: SimTime,
+        proven_parity: Option<Vec<Verified<Parts>>>,
+    ) -> Result<(), OlfsError> {
         // The reset clears the members' burn locations, so their buffer
         // copies are sole copies again — safe from buffer pressure, like
         // any unburned image, until the re-burn completes.
-        let (old_slot, parity_bytes) = self.store.reset_group_for_rewrite(gid)?;
+        let (old_slot, parity_bytes) = self.store.reset_group_for_rewrite(gid, proven_parity)?;
         self.vm.release(self.vol_buffer, parity_bytes)?;
         self.retry_waiting_parity(at);
         if let Some(slot) = old_slot {
@@ -694,7 +777,7 @@ mod tests {
                 *disc = mutated;
                 originals.push((image, original));
             }
-            let outcome = match a.ros.rebuild(a.gid) {
+            let outcome = match a.ros.rebuild(a.gid, BTreeMap::new()) {
                 Ok(rebuilt) => {
                     assert!(
                         changed <= tolerance,
@@ -741,7 +824,7 @@ mod tests {
     #[test]
     fn rebuild_gathers_as_a_batch_what_it_gathered_one_by_one() {
         let a = rot_plus_sector_errors(2);
-        let rebuilt = a.ros.rebuild(a.gid).unwrap();
+        let rebuilt = a.ros.rebuild(a.gid, BTreeMap::new()).unwrap();
         assert_eq!(rebuilt.media_reads, [315_392; 4]);
         let members: Vec<(ImageId, bool, String)> = rebuilt
             .data
@@ -809,7 +892,7 @@ mod tests {
     #[test]
     fn a_rebuild_gathers_its_members_in_one_digest_batch() {
         let a = rot_plus_sector_errors(2);
-        let (rebuilt, batches) = batches_of(|| a.ros.rebuild(a.gid).unwrap());
+        let (rebuilt, batches) = batches_of(|| a.ros.rebuild(a.gid, BTreeMap::new()).unwrap());
         assert_eq!(rebuilt.data.len(), 2);
         assert_eq!(batches, 1);
     }
@@ -830,6 +913,118 @@ mod tests {
         assert_eq!((report.sampled, report.verified), (4, 4), "{report:?}");
         let agg = a.ros.bays[0].aggregate_read_speed(a.ros.cfg.disc_class);
         assert_eq!(report.elapsed, agg.time_for(scanned), "the tracks only");
+    }
+
+    #[test]
+    fn an_audit_that_heals_a_rotted_member_hashes_one_digest_batch() {
+        let mut a = cold_array(Redundancy::Raid6, 2);
+        let rotted = a.files[0].2;
+        a.rot(rotted);
+        // The pass's inspections feed the rebuild, so its gather is the
+        // only inspection batch; the rebuilt member's verification is not
+        // one.
+        let (report, batches) = batches_of(|| a.ros.audit_sample(64));
+        assert_eq!(report.repaired, [rotted], "{report:?}");
+        assert_eq!(batches, 1);
+        a.assert_cold_reads_need_no_repair();
+    }
+
+    #[test]
+    fn a_member_cached_or_evicted_after_the_pass_began_is_inspected_afresh() {
+        // Cached: as in `an_audit_pass_verifies_and_charges_what_it_gathered`,
+        // a read between begin and end caches the member the pass read
+        // from media. The heal inspects its buffer copy — one batch —
+        // and neither reads nor restores it.
+        let mut a = cold_array(Redundancy::Raid6, 2);
+        let rotted = a.files[1].2;
+        a.rot(rotted);
+        let pass = a.ros.audit_begin(64);
+        let (path, data, _) = a.files[0].clone();
+        assert_eq!(
+            a.ros.read_file(&path).unwrap().data.as_ref(),
+            data.as_slice()
+        );
+        let proofs = verify_payloads(pass.copies(), a.ros.data_plane());
+        let (report, batches) = batches_of(|| a.ros.audit_end(pass, proofs));
+        assert_eq!(report.repaired, [rotted], "{report:?}");
+        assert_eq!(batches, 1, "the cached member, inspected afresh");
+        let agg = a.ros.bays[0].aggregate_read_speed(a.ros.cfg.disc_class);
+        let size = a.ros.store.get(rotted).unwrap().size;
+        let restore = a.ros.vm.write_time(a.ros.vol_buffer, size).unwrap();
+        assert_eq!(
+            report.elapsed,
+            agg.time_for(4 * 315_392) + agg.time_for(3 * 315_392) + restore,
+            "the scan, the three tracks, one restore"
+        );
+        a.ros.run_audit(&report);
+        a.assert_cold_reads_need_no_repair();
+
+        // Evicted: the pass verified a buffer copy that is gone by the
+        // heal. Trusting the pass would rewrite the array with that
+        // member on no buffer (`SoleCopy`); inspected afresh, its track
+        // is restored.
+        let mut a = cold_array(Redundancy::Raid6, 2);
+        let (path, _, cached) = a.files[0].clone();
+        a.ros.read_file(&path).unwrap();
+        a.ros.unload_all_bays().unwrap();
+        let rotted = a.files[1].2;
+        a.rot(rotted);
+        let pass = a.ros.audit_begin(64);
+        a.ros.evict_all_burned_copies();
+        assert!(!a.ros.store.get(cached).unwrap().on_disk());
+        let proofs = verify_payloads(pass.copies(), a.ros.data_plane());
+        let report = a.ros.audit_end(pass, proofs);
+        assert_eq!(report.repaired, [rotted], "{report:?}");
+        assert_eq!(a.data_on_buffer(), 2);
+        a.ros.run_audit(&report);
+        a.assert_cold_reads_need_no_repair();
+    }
+
+    /// The address of the first byte of each member's burned track.
+    fn track_addresses(a: &ColdArray, members: &[ImageId]) -> Vec<usize> {
+        members
+            .iter()
+            .map(|m| {
+                let loc = a.ros.store.location_of(*m).unwrap();
+                let Ok((Payload::Inline(parts), _)) =
+                    a.ros.disc_at(loc).unwrap().read_image_raw(m.0)
+                else {
+                    panic!("no inline track for {m}");
+                };
+                parts.pieces().next().unwrap().as_ptr() as usize
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_reburn_registers_proven_parity_and_regenerates_rotted_parity() {
+        // Data rot: P and Q read back proven, and the re-burn burns the
+        // very bytes the old tray holds, generating nothing.
+        let mut a = cold_array(Redundancy::Raid6, 1);
+        let old = [a.parity(0), a.parity(1)];
+        let before = track_addresses(&a, &old);
+        a.rot(a.files[0].2);
+        let report = a.ros.audit_sample(64);
+        assert_eq!(report.repaired.len(), 1, "{report:?}");
+        let new = [a.parity(0), a.parity(1)];
+        assert!(new.iter().all(|p| !old.contains(p)), "fresh parity ids");
+        assert_eq!(track_addresses(&a, &new), before);
+        a.assert_cold_reads_need_no_repair();
+
+        // Parity rot: P fails its digest, so P and Q are both generated
+        // again — neither is the old bytes' allocation.
+        let mut a = cold_array(Redundancy::Raid6, 1);
+        let old = [a.parity(0), a.parity(1)];
+        let before = track_addresses(&a, &old);
+        a.rot(old[0]);
+        let report = a.ros.audit_sample(64);
+        assert_eq!(report.repaired, [old[0]], "{report:?}");
+        let after = track_addresses(&a, &[a.parity(0), a.parity(1)]);
+        assert!(
+            after.iter().all(|p| !before.contains(p)),
+            "{before:?} {after:?}"
+        );
+        a.assert_cold_reads_need_no_repair();
     }
 
     #[test]
@@ -869,7 +1064,7 @@ mod tests {
         a.break_sectors(second, &[7]);
         let gid = a.gid;
         assert_eq!(
-            a.ros.rebuild(gid).err(),
+            a.ros.rebuild(gid, BTreeMap::new()).err(),
             Some(OlfsError::Unrecoverable {
                 image: first,
                 array: Some(gid)
@@ -954,7 +1149,7 @@ mod tests {
         let (p, q) = (a.parity(0), a.parity(1));
         a.rot(p);
         a.break_sectors(q, &[1]);
-        let rebuilt = a.ros.rebuild(a.gid).unwrap();
+        let rebuilt = a.ros.rebuild(a.gid, BTreeMap::new()).unwrap();
         for (member, (_, data, image)) in rebuilt.data.iter().zip(&a.files) {
             assert_eq!(member.image, *image);
             assert_eq!(member.proof.payload(), data_image_bytes(&a, *image, data));
@@ -989,7 +1184,7 @@ mod tests {
         let parity = r.store.group(gid).unwrap().parity.clone();
         assert!(!parity.is_empty());
         assert!(parity.iter().all(|&p| r.store.get(p).unwrap().on_disk()));
-        r.rewrite_array(gid, r.now()).unwrap();
+        r.rewrite_array(gid, r.now(), None).unwrap();
         assert_eq!(r.status().buffer_usage.0, resident(&r));
         assert!(r.verify_consistency().is_empty());
         // The re-burn registers fresh parity and charges it once.
