@@ -63,6 +63,5 @@ pub use error::ClusterError;
 pub use failure::DrillReport;
 pub use placement::RackId;
 pub use rack::RackNode;
-pub use replication::MvReplicationReport;
 pub use router::{Cluster, ClusterReadReport, ClusterWriteReport};
 pub use stats::ClusterReport;

@@ -18,32 +18,12 @@ use crate::placement::{self, RackId};
 use crate::router::Cluster;
 use bytes::Bytes;
 use ros_olfs::mv::MetadataVolume;
-use ros_sim::SimDuration;
 use ros_udf::UdfPath;
-use serde::{Deserialize, Serialize};
 
 /// Name of the directory under the root of each guardian rack holding
 /// foreign MV snapshot copies. Lives outside user namespaces, like the
 /// rack-local `/.mv-snapshots`.
 pub(crate) const MV_REPLICA_DIR: &str = ".mv-replicas";
-
-/// Outcome of one cluster-wide MV replication round.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct MvReplicationReport {
-    /// Sequence number of this round (monotonic per cluster).
-    pub(crate) seq: u64,
-    /// Racks whose namespace was snapshotted this round.
-    pub(crate) snapshots: usize,
-    /// Guardian copies written cluster-wide this round.
-    pub(crate) guardian_copies: usize,
-    /// MV snapshot parts burned locally (sum over racks), when local
-    /// burning was requested.
-    pub(crate) local_parts: usize,
-    /// Snapshot text bytes shipped cross-rack this round.
-    pub(crate) bytes_shipped: u64,
-    /// Cluster makespan of the round.
-    pub(crate) elapsed: SimDuration,
-}
 
 impl Cluster {
     /// Runs one MV replication round: every alive rack snapshots its
@@ -53,12 +33,9 @@ impl Cluster {
     ///
     /// Guardians are the top `mv_guardians` alive racks by rendezvous
     /// rank on the key `mv:<rack>`, excluding the owner. Only the newest
-    /// guardian copy is tracked for recovery.
-    pub fn replicate_mv_snapshots(
-        &mut self,
-        burn_local: bool,
-    ) -> Result<MvReplicationReport, ClusterError> {
-        let start = self.now();
+    /// guardian copy is tracked for recovery. Returns the round's
+    /// sequence number, which names its copies (`seq-{seq:06}`).
+    pub fn replicate_mv_snapshots(&mut self, burn_local: bool) -> Result<u64, ClusterError> {
         self.mv_seq = self.mv_seq.wrapping_add(1);
         let seq = self.mv_seq;
         let alive: Vec<RackId> = self
@@ -67,21 +44,15 @@ impl Cluster {
             .filter(|r| r.is_alive())
             .map(|r| r.id())
             .collect();
-        let mut snapshots = 0;
-        let mut guardian_copies = 0;
-        let mut local_parts = 0;
-        let mut bytes_shipped = 0u64;
         for owner in &alive {
             let idx = self.rack_index(owner.0)?;
             if burn_local {
-                let (_seq, parts) = self.racks[idx]
+                self.racks[idx]
                     .ros_mut()
                     .burn_mv_snapshot()
                     .map_err(ClusterError::on(owner.0))?;
-                local_parts += parts;
             }
             let text = self.racks[idx].ros().export_namespace();
-            snapshots += 1;
             let guardians: Vec<RackId> = placement::rank(&format!("mv:{}", owner.0), &alive)
                 .into_iter()
                 .filter(|g| g != owner)
@@ -103,20 +74,11 @@ impl Cluster {
                     .write_file(&path, payload.clone())
                     .map_err(ClusterError::on(g.0))?;
                 rack.note_stored(payload.len() as u64);
-                bytes_shipped = bytes_shipped.saturating_add(payload.len() as u64);
-                guardian_copies += 1;
                 placed.push((g, path.clone()));
             }
             self.mv_guardian_paths.insert(owner.0, placed);
         }
-        Ok(MvReplicationReport {
-            seq,
-            snapshots,
-            guardian_copies,
-            local_parts,
-            bytes_shipped,
-            elapsed: self.elapsed_since(start),
-        })
+        Ok(seq)
     }
 
     /// Recovers rack `owner`'s namespace from the newest guardian copy.
@@ -155,23 +117,54 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
-    use ros_olfs::recovery::MvSource;
+    use ros_olfs::recovery::{MvSource, MV_SNAPSHOT_DIR};
 
     fn p(s: &str) -> UdfPath {
         s.parse().unwrap()
+    }
+
+    /// Round `seq`'s guardian copies, found where they landed: under
+    /// each rack's replica directory, as `(guardian, owner, bytes)`.
+    fn copies_landed(c: &mut Cluster, seq: u64) -> Vec<(u32, String, u64)> {
+        let replicas = UdfPath::root().join(MV_REPLICA_DIR);
+        let copy = format!("seq-{seq:06}");
+        let mut landed = Vec::new();
+        for rack in &mut c.racks {
+            let guardian = rack.id().0;
+            let Ok(owners) = rack.ros_mut().readdir(&replicas) else {
+                continue;
+            };
+            for (owner, _) in owners {
+                let path = replicas.join(&owner).join(&copy);
+                if let Ok((bytes, _, _)) = rack.ros_mut().stat(&path) {
+                    landed.push((guardian, owner, bytes));
+                }
+            }
+        }
+        landed
     }
 
     #[test]
     fn replication_round_ships_to_guardians() {
         let mut c = Cluster::new(ClusterConfig::tiny(3)).unwrap();
         c.write_file(&p("/a/f"), vec![1u8; 256]).unwrap();
-        let rep = c.replicate_mv_snapshots(false).unwrap();
-        assert_eq!(rep.seq, 1);
-        assert_eq!(rep.snapshots, 3);
-        // tiny() keeps one guardian per rack.
-        assert_eq!(rep.guardian_copies, 3);
-        assert!(rep.bytes_shipped > 0);
-        assert_eq!(rep.local_parts, 0, "no local burn requested");
+        let seq = c.replicate_mv_snapshots(false).unwrap();
+        assert_eq!(seq, 1);
+        // tiny() keeps one guardian per rack: each of the three racks'
+        // snapshots landed once, on another rack, and is not empty.
+        let landed = copies_landed(&mut c, seq);
+        let mut owners: Vec<&str> = landed.iter().map(|(_, owner, _)| owner.as_str()).collect();
+        owners.sort_unstable();
+        assert_eq!(owners, ["rack-000", "rack-001", "rack-002"], "{landed:?}");
+        for (guardian, owner, bytes) in &landed {
+            assert_ne!(format!("rack-{guardian:03}"), *owner);
+            assert!(*bytes > 0, "{owner}'s copy is empty");
+        }
+        // No local burn was asked for.
+        let snapshots: UdfPath = MV_SNAPSHOT_DIR.parse().unwrap();
+        for rack in &mut c.racks {
+            assert!(rack.ros_mut().readdir(&snapshots).is_err());
+        }
     }
 
     #[test]
@@ -225,7 +218,7 @@ mod tests {
     fn single_rack_cluster_has_no_guardians() {
         let mut c = Cluster::new(ClusterConfig::tiny(1)).unwrap();
         c.write_file(&p("/solo/f"), vec![0u8; 64]).unwrap();
-        let rep = c.replicate_mv_snapshots(false).unwrap();
-        assert_eq!(rep.guardian_copies, 0);
+        let seq = c.replicate_mv_snapshots(false).unwrap();
+        assert_eq!(copies_landed(&mut c, seq), []);
     }
 }

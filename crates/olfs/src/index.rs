@@ -227,6 +227,11 @@ impl IndexFile {
         } else {
             None
         };
+        // Most files keep one version: a first push takes one slot, not
+        // the four a growing ring would start with.
+        if self.entries.capacity() == 0 {
+            self.entries.reserve_exact(1);
+        }
         self.entries.push_back(entry);
         (ver, evicted)
     }
@@ -316,6 +321,7 @@ mod tests {
         let mut f = IndexFile::new();
         assert!(f.latest().is_none());
         let (v1, _) = f.push_version(entry(LocTag::Bucket, 100, 5, vec![ImageId(1)]));
+        assert_eq!(f.entries.capacity(), 1, "a one-version ring holds one slot");
         let (v2, _) = f.push_version(entry(LocTag::Bucket, 200, 6, vec![ImageId(2)]));
         assert_eq!((v1, v2), (1, 2));
         assert_eq!(f.latest().unwrap().ver, 2);

@@ -166,7 +166,7 @@ impl Ros {
 
     /// Scans every Used tray: loads it, reads each of its burned arrays
     /// through [`Ros::rebuild`] — or, past the array's tolerance, takes
-    /// the members [`Ros::inspect_many`] verifies — and parses every
+    /// the members the rebuild's own inspections verified — and parses every
     /// digest-verified data member, collecting the files matching
     /// `keep` and the newest snapshot sequence any image names. Media
     /// reads are charged at the bay's aggregate read rate, as the audit
@@ -203,13 +203,11 @@ impl Ros {
                         tracks.extend(rebuilt.media_reads);
                         proofs.extend(rebuilt.data.into_iter().map(|m| (m.image, m.proof)));
                     }
-                    Err(_) => {
-                        let members: Vec<ImageId> =
-                            group.data.iter().chain(&group.parity).copied().collect();
-                        let seen = self.inspect_many(&members);
-                        tracks.extend(seen.iter().map(|s| s.track.len() as u64));
-                        let data = members.into_iter().zip(seen).take(group.data.len());
-                        proofs.extend(data.filter_map(|(image, s)| Some((image, s.proof?))));
+                    Err(failed) => {
+                        let members = group.data.iter().chain(&group.parity);
+                        tracks.extend(failed.seen.iter().map(|s| s.track.len() as u64));
+                        let data = members.zip(failed.seen).take(group.data.len());
+                        proofs.extend(data.filter_map(|(image, s)| Some((*image, s.proof?))));
                     }
                 }
             }
@@ -414,6 +412,48 @@ mod tests {
             found.extend(split(&path, chunk, cuts, seq * 100 + 2 * i as u64));
         }
         (mv, found)
+    }
+
+    #[test]
+    fn a_scan_past_an_arrays_tolerance_inspects_its_members_once() {
+        use crate::config::{Redundancy, RosConfig};
+        use crate::repair::DIGEST_BATCHES;
+        // One cold RAID-5 array of three 300 KB files, one per image.
+        let mut cfg = RosConfig::tiny();
+        cfg.disc_class = ros_drive::media::DiscClass::Custom {
+            capacity: 512 * 1024,
+        };
+        cfg.layout.discs_per_tray = 4;
+        cfg.drives_per_bay = 4;
+        cfg.redundancy = Redundancy::Raid5;
+        let mut ros = Ros::new(cfg);
+        for i in 0..3u8 {
+            let data: Vec<u8> = (0..300_000u32).map(|j| (j >> 3) as u8 ^ i).collect();
+            ros.write_file(&p(&format!("/scan/f{i}")), data).unwrap();
+            ros.seal_open_buckets().unwrap();
+        }
+        ros.flush().unwrap();
+        ros.evict_all_burned_copies();
+        ros.unload_all_bays().unwrap();
+        let burned = ros.store.groups_in_state(GroupState::Burned);
+        assert_eq!(burned.len(), 1);
+        let data = ros.store.group(burned[0]).unwrap().data.clone();
+        // The same sector unreadable on two data members: one more than
+        // RAID-5 rebuilds.
+        for image in &data[..2] {
+            let loc = ros.store.location_of(*image).unwrap();
+            let disc = ros.disc_at_mut(loc).unwrap();
+            let start = disc.find_track(image.0).unwrap().start_sector;
+            disc.corrupt_sector(start + 7);
+        }
+        DIGEST_BATCHES.with(|n| n.set(0));
+        let scan = ros.scan_burned_images(|_| true).unwrap();
+        // The failed rebuild's inspections are the scan's: one batch,
+        // where inspecting the members again made two.
+        assert_eq!(DIGEST_BATCHES.with(std::cell::Cell::get), 1);
+        assert_eq!(scan.report.images_parsed, 1, "only the intact data member");
+        let paths: Vec<String> = scan.files.iter().map(|(p, _, _)| p.to_string()).collect();
+        assert_eq!(paths, ["/scan/f2"]);
     }
 
     #[test]

@@ -182,6 +182,29 @@ pub(crate) struct Rebuilt {
     pub media_reads: Vec<u64>,
 }
 
+/// A [`Ros::rebuild`] that failed: why, and the inspections of the
+/// array's members it made on the way — data then parity, none when it
+/// failed before gathering — which a caller that falls back to the
+/// members one by one takes instead of inspecting them again.
+pub(crate) struct Unrebuilt {
+    /// Why the array could not be rebuilt.
+    pub error: OlfsError,
+    /// One inspection per member, in group order.
+    pub seen: Vec<Inspection>,
+}
+
+impl From<Unrebuilt> for OlfsError {
+    fn from(failed: Unrebuilt) -> OlfsError {
+        failed.error
+    }
+}
+
+impl std::fmt::Debug for Unrebuilt {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.error.fmt(f)
+    }
+}
+
 /// Collapses an ascending sector list into maximal `start..end` runs.
 fn runs_of(bad: &[u64]) -> Vec<Range<usize>> {
     let mut runs: Vec<Range<usize>> = Vec::new();
@@ -325,22 +348,22 @@ impl Ros {
     ///
     /// All or nothing: damage past the schema's tolerance in any one
     /// stripe is [`OlfsError::Unrecoverable`] naming the first member
-    /// that could not be rebuilt. Mutates nothing either way.
+    /// that could not be rebuilt, handed back with the inspections
+    /// ([`Unrebuilt`]). Mutates nothing either way.
     pub(crate) fn rebuild(
         &self,
         gid: ArrayId,
         mut known: BTreeMap<ImageId, Inspection>,
-    ) -> Result<Rebuilt, OlfsError> {
-        let group = self
-            .store
-            .group(gid)
-            .ok_or_else(|| OlfsError::BadState(format!("no group {gid}")))?;
+    ) -> Result<Rebuilt, Unrebuilt> {
+        let Some(group) = self.store.group(gid) else {
+            return Err(Unrebuilt {
+                error: OlfsError::BadState(format!("no group {gid}")),
+                seen: Vec::new(),
+            });
+        };
         let n_data = group.data.len();
         let members: Vec<ImageId> = group.data.iter().chain(&group.parity).copied().collect();
-        let infos = members
-            .iter()
-            .map(|m| self.store.get(*m).ok_or(OlfsError::ImageLost(*m)))
-            .collect::<Result<Vec<_>, _>>()?;
+        let infos: Vec<Option<&ImageInfo>> = members.iter().map(|m| self.store.get(*m)).collect();
         let unrecoverable = |member: usize| OlfsError::Unrecoverable {
             image: members[member],
             array: Some(gid),
@@ -349,7 +372,11 @@ impl Ros {
         let known: Vec<Option<Inspection>> = members
             .iter()
             .zip(&infos)
-            .map(|(m, info)| known.remove(m).filter(|s| s.stands_for(info)))
+            .map(|(m, info)| {
+                known
+                    .remove(m)
+                    .filter(|s| info.is_some_and(|info| s.stands_for(info)))
+            })
             .collect();
         let unknown: Vec<ImageId> = members
             .iter()
@@ -361,6 +388,13 @@ impl Ros {
             .into_iter()
             .map(|s| s.or_else(|| fresh.next()).unwrap_or_default())
             .collect();
+        let infos = match infos.iter().position(Option::is_none) {
+            None => infos.into_iter().flatten().collect::<Vec<_>>(),
+            Some(lost) => {
+                let error = OlfsError::ImageLost(members[lost]);
+                return Err(Unrebuilt { error, seen });
+            }
+        };
         let bytes_of = |i: usize| -> &Parts {
             seen[i]
                 .proof
@@ -459,7 +493,10 @@ impl Ros {
                 .collect()
         };
 
-        let data = reconstruct(&masks(true)).or_else(|_| reconstruct(&masks(false)))?;
+        let data = match reconstruct(&masks(true)).or_else(|_| reconstruct(&masks(false))) {
+            Ok(data) => data,
+            Err(error) => return Err(Unrebuilt { error, seen }),
+        };
         let parity = seen[n_data..].iter().map(|s| s.proof.clone()).collect();
         Ok(Rebuilt {
             data,
@@ -793,7 +830,7 @@ mod tests {
                         .map(|m| m.proof.digest().to_hex())
                         .collect())
                 }
-                Err(e) => {
+                Err(Unrebuilt { error: e, .. }) => {
                     assert!(changed > tolerance, "{changed} changed members: {e}");
                     assert!(matches!(e, OlfsError::Unrecoverable { .. }), "{e}");
                     Err(e.to_string())
@@ -1064,7 +1101,10 @@ mod tests {
         a.break_sectors(second, &[7]);
         let gid = a.gid;
         assert_eq!(
-            a.ros.rebuild(gid, BTreeMap::new()).err(),
+            a.ros
+                .rebuild(gid, BTreeMap::new())
+                .err()
+                .map(OlfsError::from),
             Some(OlfsError::Unrecoverable {
                 image: first,
                 array: Some(gid)

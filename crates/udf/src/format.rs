@@ -34,9 +34,8 @@
 #![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
 
 use crate::block::{blocks_for, BLOCK_SIZE};
-use crate::tree::{fid_bytes, FileMeta, FsNode, FsTree};
+use crate::tree::{fid_cost, FileMeta, FsNode, FsTree, Path};
 use bytes::{Bytes, Parts};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Image magic.
@@ -288,121 +287,159 @@ fn le_u32(v: u64) -> [u8; 4] {
     (v as u32).to_le_bytes()
 }
 
+/// One entry of a directory's FID stream: a child's name, kind and ICB.
+struct Fid<'a> {
+    name: &'a str,
+    dir: bool,
+    icb: u64,
+}
+
 /// The one place a tree is checked against the format: refuses, before
 /// the image buffer exists, what an on-image field cannot carry or
 /// [`parse_image`] would not read back, so [`emit`] cannot fail.
 ///
-/// Returns the subtree's on-image blocks and leaves in `child_blocks`
-/// what [`emit`] needs to write a directory's FID stream ahead of its
-/// children: each directory, in pre-order, owns one run of the vector
-/// holding the block count of each child's subtree, in name order. Adds
-/// to `owned` the bytes [`Writer`] will own for the subtree: ICB fields,
-/// FID streams and the pads after them under [`SHARED_ZERO_MIN`] (an
-/// ICB's own pad never is).
+/// Blocks are numbered in the map's order, pre-order depth-first: a
+/// node's ICB, its FID or file data, then each child's subtree in name
+/// order. So one walk numbers every ICB, and returns the tree's
+/// on-image blocks and the FID stream of every directory, each
+/// directory's run in that order too, for [`emit`] to write ahead of the
+/// children it points at. Adds to `owned` the bytes [`Writer`] will own:
+/// ICB fields, FID streams and the pads after them under
+/// [`SHARED_ZERO_MIN`] (an ICB's own pad never is).
 #[expect(
     clippy::arithmetic_side_effects,
     reason = "the sums are at most tree.image_bytes(), which the tree held as a u64"
 )]
-fn plan(
-    node: &FsNode,
-    depth: usize,
-    child_blocks: &mut Vec<u64>,
-    owned: &mut u64,
-) -> Result<u64, FormatError> {
-    if depth > MAX_DEPTH {
-        return Err(FormatError::FieldOverflow {
-            field: "directory nesting depth",
-            value: depth as u64,
-        });
-    }
-    match node {
-        FsNode::File { meta, data } => {
-            let data_blocks = blocks_for(meta.size);
-            fits_u32(data_blocks, "file data block count")?;
-            let tail = (data_blocks * BLOCK_SIZE).saturating_sub(data.len() as u64);
-            *owned += FILE_ICB_BYTES as u64 + owned_pad(tail);
-            Ok(1 + data_blocks)
-        }
-        FsNode::Dir { children } => {
-            let fid = fid_bytes(children);
-            let fid_blocks = blocks_for(fid);
-            fits_u32(children.len() as u64, "directory child count")?;
-            fits_u32(fid_blocks, "FID data block count")?;
-            *owned += DIR_ICB_BYTES as u64 + fid + owned_pad(fid_blocks * BLOCK_SIZE - fid);
-            let run = child_blocks.len();
-            child_blocks.resize(run + children.len(), 0);
-            let mut total = 1 + fid_blocks;
-            for (i, (name, child)) in children.iter().enumerate() {
-                if name.len() > MAX_NAME_LEN {
-                    return Err(FormatError::FieldOverflow {
-                        field: "FID name length",
-                        value: name.len() as u64,
-                    });
+fn plan<'a>(tree: &'a FsTree, owned: &mut u64) -> Result<(u64, Vec<Fid<'a>>), FormatError> {
+    let mut fids: Vec<Fid<'a>> = Vec::new();
+    // The directories above the entry at hand: each one's string and the
+    // unfilled slots of its run in `fids`.
+    let mut open: Vec<(&str, Range<usize>)> = Vec::new();
+    let mut icb = OVERHEAD_BLOCKS;
+    let too_few = |block| FormatError::Corrupt {
+        block,
+        reason: "fewer entries than a directory's child count",
+    };
+    for (path, node) in tree.nodes() {
+        let (dir, name) = path.as_str().rsplit_once('/').unwrap_or_default();
+        if !path.is_root() {
+            let dir = if dir.is_empty() { "/" } else { dir };
+            while let Some((above, run)) = open.last() {
+                if *above == dir {
+                    break;
                 }
-                let blocks = plan(child, depth.saturating_add(1), child_blocks, owned)?;
-                child_blocks[run + i] = blocks;
-                total += blocks;
+                if !run.is_empty() {
+                    return Err(too_few(icb));
+                }
+                open.pop();
             }
-            Ok(total)
+            let slot = open.last_mut().and_then(|(_, run)| run.next());
+            let Some(fid) = slot.and_then(|at| fids.get_mut(at)) else {
+                return Err(FormatError::Corrupt {
+                    block: icb,
+                    reason: "more entries than the directory's child count",
+                });
+            };
+            *fid = Fid {
+                name,
+                dir: matches!(node, FsNode::Dir { .. }),
+                icb,
+            };
+            if name.len() > MAX_NAME_LEN {
+                return Err(FormatError::FieldOverflow {
+                    field: "FID name length",
+                    value: name.len() as u64,
+                });
+            }
+        }
+        if open.len() > MAX_DEPTH {
+            return Err(FormatError::FieldOverflow {
+                field: "directory nesting depth",
+                value: open.len() as u64,
+            });
+        }
+        match node {
+            FsNode::File { meta, data } => {
+                let data_blocks = blocks_for(meta.size);
+                fits_u32(data_blocks, "file data block count")?;
+                let tail = (data_blocks * BLOCK_SIZE).saturating_sub(data.len() as u64);
+                *owned += FILE_ICB_BYTES as u64 + owned_pad(tail);
+                icb += 1 + data_blocks;
+            }
+            FsNode::Dir {
+                fid_bytes,
+                children,
+            } => {
+                let fid_blocks = blocks_for(*fid_bytes);
+                fits_u32(*children as u64, "directory child count")?;
+                fits_u32(fid_blocks, "FID data block count")?;
+                *owned += DIR_ICB_BYTES as u64
+                    + fid_bytes
+                    + owned_pad(fid_blocks * BLOCK_SIZE - fid_bytes);
+                open.push((path.as_str(), fids.len()..fids.len() + children));
+                fids.resize_with(fids.len() + children, || Fid {
+                    name: "",
+                    dir: false,
+                    icb: 0,
+                });
+                icb += 1 + fid_blocks;
+            }
         }
     }
+    if open.iter().any(|(_, run)| !run.is_empty()) {
+        return Err(too_few(icb));
+    }
+    Ok((icb - OVERHEAD_BLOCKS, fids))
 }
 
-/// Appends the planned subtree at `node`, whose ICB is block `icb`, and
-/// returns the next free block. Blocks are numbered depth-first in
-/// pre-order: a node's ICB, its FID or file data, then each child's
-/// subtree in name order — so the FID stream, which points at every
-/// child's ICB, is written before the children from [`plan`]'s subtree
-/// sizes. `runs` is the unread rest of the plan; the walk takes the runs
-/// in the order `plan` made them.
+/// Appends every node of the planned tree in map order, the root's ICB
+/// at block [`OVERHEAD_BLOCKS`], and returns the next free block. Each
+/// directory's FID stream is the next run of `fids`, which points at the
+/// ICBs [`plan`] numbered.
 #[expect(
     clippy::arithmetic_side_effects,
     reason = "every block number is at most used_blocks, whose byte count fits a u64"
 )]
-fn emit(node: &FsNode, icb: u64, runs: &mut &[u64], w: &mut Writer) -> u64 {
-    let data_start = icb + 1;
-    w.seek(icb);
-    match node {
-        FsNode::File { meta, data } => {
-            let data_blocks = blocks_for(meta.size);
-            w.put(b"F");
-            w.put(&meta.size.to_le_bytes());
-            w.put(&meta.mtime_nanos.to_le_bytes());
-            w.put(&data_start.to_le_bytes());
-            w.put(&le_u32(data_blocks));
-            w.seek(data_start);
-            w.put_file(data);
-            data_start + data_blocks
-        }
-        FsNode::Dir { children } => {
-            let data_blocks = blocks_for(fid_bytes(children));
-            w.put(b"D");
-            w.put(&le_u32(children.len() as u64));
-            w.put(&data_start.to_le_bytes());
-            w.put(&le_u32(data_blocks));
-            w.seek(data_start);
-            let (run, rest) = runs.split_at(children.len());
-            *runs = rest;
-            let first_child = data_start + data_blocks;
-            let mut child_icb = first_child;
-            for ((name, child), blocks) in children.iter().zip(run) {
-                w.put(match child {
-                    FsNode::Dir { .. } => b"d",
-                    FsNode::File { .. } => b"f",
-                });
-                w.put(&le_u32(name.len() as u64));
-                w.put(name.as_bytes());
-                w.put(&child_icb.to_le_bytes());
-                child_icb += blocks;
+fn emit(tree: &FsTree, fids: &[Fid<'_>], w: &mut Writer) -> u64 {
+    let (mut icb, mut runs) = (OVERHEAD_BLOCKS, fids);
+    for (_, node) in tree.nodes() {
+        let data_start = icb + 1;
+        w.seek(icb);
+        match node {
+            FsNode::File { meta, data } => {
+                let data_blocks = blocks_for(meta.size);
+                w.put(b"F");
+                w.put(&meta.size.to_le_bytes());
+                w.put(&meta.mtime_nanos.to_le_bytes());
+                w.put(&data_start.to_le_bytes());
+                w.put(&le_u32(data_blocks));
+                w.seek(data_start);
+                w.put_file(data);
+                icb = data_start + data_blocks;
             }
-            let end = children
-                .values()
-                .fold(first_child, |at, child| emit(child, at, runs, w));
-            // The pointers just written are where the children went.
-            assert_eq!(end, child_icb, "planned subtree sizes are not the walk's");
-            end
+            FsNode::Dir {
+                fid_bytes,
+                children,
+            } => {
+                let data_blocks = blocks_for(*fid_bytes);
+                w.put(b"D");
+                w.put(&le_u32(*children as u64));
+                w.put(&data_start.to_le_bytes());
+                w.put(&le_u32(data_blocks));
+                w.seek(data_start);
+                let (run, rest) = runs.split_at(*children);
+                runs = rest;
+                for fid in run {
+                    w.put(if fid.dir { b"d" } else { b"f" });
+                    w.put(&le_u32(fid.name.len() as u64));
+                    w.put(fid.name.as_bytes());
+                    w.put(&fid.icb.to_le_bytes());
+                }
+                icb = data_start + data_blocks;
+            }
         }
     }
+    icb
 }
 
 /// Serialises a tree into image bytes: the owned runs, borrowed files and
@@ -423,8 +460,8 @@ pub fn serialize(tree: &FsTree, image_id: u64, capacity_bytes: u64) -> Result<Pa
     }
     // Oversize trees fail typed *before* the image buffer is allocated,
     // and `Bucket::close` may rely on the result parsing back.
-    let (mut child_blocks, mut owned) = (Vec::new(), (ANCHOR_BYTES + PVD_BYTES) as u64);
-    let planned = plan(tree.root_node(), 0, &mut child_blocks, &mut owned)?;
+    let mut owned = (ANCHOR_BYTES + PVD_BYTES) as u64;
+    let (planned, fids) = plan(tree, &mut owned)?;
     let used_blocks = needed / BLOCK_SIZE;
     // The buffer and the header are sized from the tree's running total.
     assert_eq!(
@@ -450,12 +487,7 @@ pub fn serialize(tree: &FsTree, image_id: u64, capacity_bytes: u64) -> Result<Pa
     w.put(&blocks_for(capacity_bytes).to_le_bytes());
     w.put(&used_blocks.to_le_bytes());
     w.put(&OVERHEAD_BLOCKS.to_le_bytes());
-    let end = emit(
-        tree.root_node(),
-        OVERHEAD_BLOCKS,
-        &mut child_blocks.as_slice(),
-        &mut w,
-    );
+    let end = emit(tree, &fids, &mut w);
     assert_eq!(end, used_blocks, "the walk did not end where the plan did");
     // The last file's data stops short of its block's end.
     w.seek(end);
@@ -563,83 +595,110 @@ pub(crate) fn parse_image(bytes: &Parts) -> Result<(FsTree, ImageHeader), Format
     };
     let root_icb = take_u64(&mut pvd)?;
 
-    fn parse_node(r: &Reader<'_>, icb: u64, depth: usize) -> Result<FsNode, FormatError> {
-        if depth > MAX_DEPTH {
-            return Err(FormatError::Corrupt {
-                block: icb,
-                reason: "directory nesting too deep (cycle?)",
-            });
+    let mut nodes = Vec::new();
+    parse_node(&r, root_icb, Path::root(), 0, &mut nodes)?;
+    match nodes.first() {
+        // Pre-order with each directory's names ascending is the map's
+        // order, so the collect sorts nothing and fills every leaf.
+        Some((_, FsNode::Dir { .. })) => {
+            Ok((FsTree::from_nodes(nodes.into_iter().collect()), header))
         }
-        // A file ICB's fields are the longer; a directory's read fewer.
-        let fields: [u8; FILE_ICB_BYTES] = r.fields(icb)?;
-        let mut b = &fields[..];
-        match take(&mut b, 1)? {
-            b"F" => {
-                let size = take_u64(&mut b)?;
-                let mtime_nanos = take_u64(&mut b)?;
-                let data_start = take_u64(&mut b)?;
-                if u64::from(take_u32(&mut b)?) != blocks_for(size) {
-                    return Err(FormatError::Corrupt {
-                        block: icb,
-                        reason: "file extent does not match its size",
-                    });
-                }
-                // Bounds-check through the reader, then hand out a
-                // refcounted slice of the source image — no copy.
-                Ok(FsNode::File {
-                    meta: FileMeta { size, mtime_nanos },
-                    data: r.read(data_start, size)?,
-                })
-            }
-            b"D" => {
-                let count = take_u32(&mut b)?;
-                let data_start = take_u64(&mut b)?;
-                let data_blocks = u64::from(take_u32(&mut b)?);
-                let fid_bytes = data_blocks.saturating_mul(BLOCK_SIZE);
-                let stream = r.span(data_start, fid_bytes)?;
-                let mut at = stream.start;
-                let corrupt = |reason| FormatError::Corrupt {
-                    block: data_start,
-                    reason,
-                };
-                let mut children = BTreeMap::new();
-                for _ in 0..count {
-                    // The kind byte (not needed: the child's ICB says),
-                    // then the name length.
-                    let mut head = [0u8; 5];
-                    r.take(stream.end, &mut at, &mut head)
-                        .map_err(|_| corrupt("FID stream truncated"))?;
-                    let name_len = take_u32(&mut &head[1..])? as usize;
-                    let out_of_range = corrupt("FID name out of range");
-                    if name_len > MAX_NAME_LEN {
-                        return Err(out_of_range);
-                    }
-                    let mut name = vec![0u8; name_len];
-                    let mut child_icb = [0u8; 8];
-                    r.take(stream.end, &mut at, &mut name)
-                        .and_then(|()| r.take(stream.end, &mut at, &mut child_icb))
-                        .map_err(|_| out_of_range)?;
-                    let child_icb = u64::from_le_bytes(child_icb);
-                    let name =
-                        String::from_utf8(name).map_err(|_| corrupt("FID name not UTF-8"))?;
-                    let child = parse_node(r, child_icb, depth.saturating_add(1))?;
-                    children.insert(name, child);
-                }
-                Ok(FsNode::Dir { children })
-            }
-            _ => Err(FormatError::Corrupt {
-                block: icb,
-                reason: "unknown ICB tag",
-            }),
-        }
-    }
-
-    let root = parse_node(&r, root_icb, 0)?;
-    match &root {
-        FsNode::Dir { .. } => Ok((FsTree::from_root(root), header)),
-        FsNode::File { .. } => Err(FormatError::Corrupt {
+        _ => Err(FormatError::Corrupt {
             block: root_icb,
             reason: "root must be a directory",
+        }),
+    }
+}
+
+/// Parses the node whose ICB is block `icb` as `path`, and its subtree,
+/// onto `out` in pre-order. A directory's FID stream is read whole
+/// before its children, and its names must come as [`serialize`] writes
+/// them: each one path component, ascending, none twice.
+fn parse_node(
+    r: &Reader<'_>,
+    icb: u64,
+    path: Path,
+    depth: usize,
+    out: &mut Vec<(Path, FsNode)>,
+) -> Result<(), FormatError> {
+    if depth > MAX_DEPTH {
+        return Err(FormatError::Corrupt {
+            block: icb,
+            reason: "directory nesting too deep (cycle?)",
+        });
+    }
+    // A file ICB's fields are the longer; a directory's read fewer.
+    let fields: [u8; FILE_ICB_BYTES] = r.fields(icb)?;
+    let mut b = &fields[..];
+    match take(&mut b, 1)? {
+        b"F" => {
+            let size = take_u64(&mut b)?;
+            let mtime_nanos = take_u64(&mut b)?;
+            let data_start = take_u64(&mut b)?;
+            if u64::from(take_u32(&mut b)?) != blocks_for(size) {
+                return Err(FormatError::Corrupt {
+                    block: icb,
+                    reason: "file extent does not match its size",
+                });
+            }
+            // Bounds-check through the reader, then hand out a
+            // refcounted slice of the source image — no copy.
+            let data = r.read(data_start, size)?;
+            let meta = FileMeta { size, mtime_nanos };
+            out.push((path, FsNode::File { meta, data }));
+            Ok(())
+        }
+        b"D" => {
+            let count = take_u32(&mut b)?;
+            let data_start = take_u64(&mut b)?;
+            let data_blocks = u64::from(take_u32(&mut b)?);
+            let stream = r.span(data_start, data_blocks.saturating_mul(BLOCK_SIZE))?;
+            let mut at = stream.start;
+            let corrupt = |reason| FormatError::Corrupt {
+                block: data_start,
+                reason,
+            };
+            let mut children: Vec<(String, u64)> = Vec::new();
+            let mut fid_bytes = 0u64;
+            for _ in 0..count {
+                // The kind byte (not needed: the child's ICB says),
+                // then the name length.
+                let mut head = [0u8; 5];
+                r.take(stream.end, &mut at, &mut head)
+                    .map_err(|_| corrupt("FID stream truncated"))?;
+                let name_len = take_u32(&mut &head[1..])? as usize;
+                let out_of_range = corrupt("FID name out of range");
+                if name_len > MAX_NAME_LEN {
+                    return Err(out_of_range);
+                }
+                let mut name = vec![0u8; name_len];
+                let mut child_icb = [0u8; 8];
+                r.take(stream.end, &mut at, &mut name)
+                    .and_then(|()| r.take(stream.end, &mut at, &mut child_icb))
+                    .map_err(|_| out_of_range)?;
+                let name = String::from_utf8(name).map_err(|_| corrupt("FID name not UTF-8"))?;
+                if name.is_empty() || name.contains('/') {
+                    return Err(corrupt("FID name not one path component"));
+                }
+                if children.last().is_some_and(|(before, _)| *before >= name) {
+                    return Err(corrupt("FID names out of order"));
+                }
+                fid_bytes = fid_bytes.saturating_add(fid_cost(&name));
+                children.push((name, u64::from_le_bytes(child_icb)));
+            }
+            let node = FsNode::Dir {
+                fid_bytes,
+                children: children.len(),
+            };
+            out.push((path.clone(), node));
+            for (name, child_icb) in children {
+                parse_node(r, child_icb, path.join(&name), depth.saturating_add(1), out)?;
+            }
+            Ok(())
+        }
+        _ => Err(FormatError::Corrupt {
+            block: icb,
+            reason: "unknown ICB tag",
         }),
     }
 }
@@ -647,8 +706,8 @@ pub(crate) fn parse_image(bytes: &Parts) -> Result<(FsTree, ImageHeader), Format
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::Path;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn sample_tree() -> FsTree {
         let mut t = FsTree::new();
@@ -706,11 +765,55 @@ mod tests {
         })
     }
 
+    /// A tree as nested directories, each mapping its children's names
+    /// to their nodes: the shape the map replaced, kept for the oracles.
+    #[derive(Debug)]
+    enum Nested {
+        File(FileMeta, Bytes),
+        Dir(BTreeMap<String, Nested>),
+    }
+
+    impl Nested {
+        fn of(tree: &FsTree) -> Nested {
+            let mut root = BTreeMap::new();
+            for (path, node) in tree.nodes().filter(|(p, _)| !p.is_root()) {
+                let names: Vec<&str> = path.components().collect();
+                let (name, above) = names.split_last().unwrap();
+                let dir = above
+                    .iter()
+                    .fold(&mut root, |dir, c| match dir.get_mut(*c) {
+                        Some(Nested::Dir(children)) => children,
+                        _ => panic!("{path}: an ancestor is missing or a file"),
+                    });
+                let node = match node {
+                    FsNode::File { meta, data } => Nested::File(meta.clone(), data.clone()),
+                    FsNode::Dir { .. } => Nested::Dir(BTreeMap::new()),
+                };
+                assert!(dir.insert(name.to_string(), node).is_none());
+            }
+            Nested::Dir(root)
+        }
+
+        /// The nested directory at `path`.
+        fn dir(&self, path: &Path) -> &BTreeMap<String, Nested> {
+            let found = path.components().try_fold(self, |node, c| match node {
+                Nested::Dir(children) => children.get(c),
+                Nested::File(..) => None,
+            });
+            match found {
+                Some(Nested::Dir(children)) => children,
+                _ => panic!("{path} is no directory"),
+            }
+        }
+    }
+
     /// The seek-and-fill writer `serialize` replaced, kept as the oracle:
-    /// it pre-zeroes the whole image, writes each node at its block
-    /// offset, and a directory's FID stream after its children.
+    /// it pre-zeroes the whole image, writes each node of the nested tree
+    /// at its block offset, and a directory's FID stream after its
+    /// children.
     mod reference {
         use super::super::*;
+        use super::Nested;
 
         fn at(buf: &mut [u8], block: u64) -> &mut [u8] {
             &mut buf[(block * BLOCK_SIZE) as usize..]
@@ -722,10 +825,10 @@ mod tests {
             *dst = tail;
         }
 
-        fn emit(node: &FsNode, icb: u64, buf: &mut [u8]) -> u64 {
+        fn emit(node: &Nested, icb: u64, buf: &mut [u8]) -> u64 {
             let data_start = icb + 1;
             match node {
-                FsNode::File { meta, data } => {
+                Nested::File(meta, data) => {
                     let data_blocks = blocks_for(meta.size);
                     let mut b = at(buf, icb);
                     put(&mut b, b"F");
@@ -736,8 +839,9 @@ mod tests {
                     put(&mut at(buf, data_start), data);
                     data_start + data_blocks
                 }
-                FsNode::Dir { children } => {
-                    let data_blocks = blocks_for(fid_bytes(children));
+                Nested::Dir(children) => {
+                    let fid: u64 = children.keys().map(|n| fid_cost(n)).sum();
+                    let data_blocks = blocks_for(fid);
                     let mut b = at(buf, icb);
                     put(&mut b, b"D");
                     put(&mut b, &le_u32(children.len() as u64));
@@ -747,8 +851,8 @@ mod tests {
                     let mut stream = Vec::new();
                     for (name, child) in children {
                         stream.push(match child {
-                            FsNode::Dir { .. } => b'd',
-                            FsNode::File { .. } => b'f',
+                            Nested::Dir(_) => b'd',
+                            Nested::File(..) => b'f',
                         });
                         stream.extend_from_slice(&le_u32(name.len() as u64));
                         stream.extend_from_slice(name.as_bytes());
@@ -774,7 +878,7 @@ mod tests {
             put(&mut b, &blocks_for(capacity_bytes).to_le_bytes());
             put(&mut b, &(needed / BLOCK_SIZE).to_le_bytes());
             put(&mut b, &OVERHEAD_BLOCKS.to_le_bytes());
-            let end = emit(tree.root_node(), OVERHEAD_BLOCKS, &mut buf);
+            let end = emit(&Nested::of(tree), OVERHEAD_BLOCKS, &mut buf);
             assert_eq!(end, needed / BLOCK_SIZE);
             buf
         }
@@ -953,10 +1057,7 @@ mod tests {
                 .unwrap();
         }
         let parts = super::serialize(&t, 3, 1 << 26).unwrap();
-        let fid = fid_bytes(match t.root_node() {
-            FsNode::Dir { children } => children,
-            FsNode::File { .. } => unreachable!(),
-        });
+        let fid: u64 = (0..n).map(|i| fid_cost(&format!("f{i:03}"))).sum();
         let fid_pad = owned_pad(blocks_for(fid) * BLOCK_SIZE - fid);
         let metadata =
             (ANCHOR_BYTES + PVD_BYTES + DIR_ICB_BYTES + n * FILE_ICB_BYTES) as u64 + fid + fid_pad;
@@ -994,6 +1095,86 @@ mod tests {
         }
     }
 
+    /// A random tree over names that sort on both sides of `'/'`:
+    /// `a`, `a b` and `a-` are siblings, and `a/x` is below `a`, between
+    /// `a` and `a b` in path order though after both in byte order.
+    fn around_the_slash_tree(seed: u64) -> FsTree {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let names = ["a", "a b", "a-", "x", "a.", "a0", "b"];
+        let mut t = FsTree::new();
+        for step in 0..rng.gen::<u64>() % 64 {
+            let depth = 1 + rng.gen::<usize>() % 4;
+            let path = (0..depth).fold(Path::root(), |p, _| {
+                p.join(names[rng.gen::<usize>() % names.len()])
+            });
+            if rng.gen::<u32>() % 4 == 0 {
+                let _ = t.mkdir_p(&path);
+            } else {
+                let _ = t.insert(&path, vec![step as u8; (step % 5) as usize * 700], step);
+            }
+        }
+        t.debug_assert_totals();
+        t
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn a_tree_round_trips_and_lists_in_nested_order(seed in 0u64..256) {
+            let t = around_the_slash_tree(seed);
+            let (parsed, _) = parse(&serialize(&t, seed, 1 << 26).unwrap()).unwrap();
+            proptest::prop_assert_eq!(&parsed, &t);
+            parsed.debug_assert_totals();
+            // Each directory listed through the map — the entries one
+            // component below it, in map order — is the nested tree's
+            // directory in name order.
+            let nested = Nested::of(&t);
+            for (dir, _) in t.nodes().filter(|(_, n)| matches!(n, FsNode::Dir { .. })) {
+                let listed: Vec<(&str, bool)> = t
+                    .nodes()
+                    .filter(|(p, _)| p.parent().as_ref() == Some(dir))
+                    .map(|(p, n)| (p.name().unwrap(), matches!(n, FsNode::Dir { .. })))
+                    .collect();
+                let expected: Vec<(&str, bool)> = nested
+                    .dir(dir)
+                    .iter()
+                    .map(|(name, n)| (name.as_str(), matches!(n, Nested::Dir(_))))
+                    .collect();
+                proptest::prop_assert_eq!(listed, expected, "{}", dir);
+            }
+        }
+    }
+
+    #[test]
+    fn a_fid_stream_out_of_order_twice_or_across_a_slash_is_corrupt() {
+        // Root FIDs of "/ab" and "/ac", each two bytes of name: swapping
+        // one byte of a name puts the stream out of order, repeats a
+        // name, or makes one name two components.
+        let mut t = FsTree::new();
+        t.insert(&"/ab".parse::<Path>().unwrap(), &b"1"[..], 0)
+            .unwrap();
+        t.insert(&"/ac".parse::<Path>().unwrap(), &b"2"[..], 0)
+            .unwrap();
+        let image = serialize(&t, 1, 1 << 20).unwrap().to_vec();
+        // Root ICB at block 2, its FID stream at block 3: kind, length,
+        // name, ICB pointer.
+        let second_name = (3 * BLOCK_SIZE) as usize + 15 + 5;
+        for (byte, reason) in [
+            (b'a', "FID names out of order"),
+            (b'b', "FID names out of order"),
+            (b'/', "FID name not one path component"),
+        ] {
+            let mut v = image.clone();
+            assert_eq!(&v[second_name..second_name + 2], b"ac");
+            v[second_name + 1] = byte;
+            assert_eq!(
+                parse(&v).unwrap_err(),
+                FormatError::Corrupt { block: 3, reason },
+                "{:?}",
+                char::from(byte)
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "image writer moved back")]
     fn the_writer_cannot_go_back() {
@@ -1025,28 +1206,31 @@ mod tests {
         // Built past `FsTree::insert`, which refuses these at the door:
         // `Bucket::close` expects its own image to parse, so `serialize`
         // must refuse whatever `parse_image` does.
-        let nest = |name: String, inner: FsNode| FsNode::Dir {
-            children: BTreeMap::from([(name, inner)]),
-        };
-        let empty = || FsNode::Dir {
-            children: BTreeMap::new(),
-        };
-        let serialize_root = |root| serialize(&FsTree::from_root(root), 1, 1 << 30);
+        let dir = |path: &Path| (path.clone(), FsNode::EMPTY_DIR);
+        let serialize_dirs =
+            |dirs: &[Path]| serialize(&FsTree::from_entries(dirs.iter().map(dir)), 1, 1 << 30);
+        let named = |n: usize| [Path::root().join(&"n".repeat(n))];
 
-        let at_limit = nest("n".repeat(MAX_NAME_LEN), empty());
-        parse(&serialize_root(at_limit).unwrap()).unwrap();
+        parse(&serialize_dirs(&named(MAX_NAME_LEN)).unwrap()).unwrap();
         assert_eq!(
-            serialize_root(nest("n".repeat(MAX_NAME_LEN + 1), empty())).unwrap_err(),
+            serialize_dirs(&named(MAX_NAME_LEN + 1)).unwrap_err(),
             FormatError::FieldOverflow {
                 field: "FID name length",
                 value: MAX_NAME_LEN as u64 + 1,
             }
         );
 
-        let chain = |depth: usize| (0..depth).fold(empty(), |inner, _| nest("d".into(), inner));
-        parse(&serialize_root(chain(MAX_DEPTH)).unwrap()).unwrap();
+        let chain = |depth: usize| -> Vec<Path> {
+            (0..depth)
+                .scan(Path::root(), |p, _| {
+                    *p = p.join("d");
+                    Some(p.clone())
+                })
+                .collect()
+        };
+        parse(&serialize_dirs(&chain(MAX_DEPTH)).unwrap()).unwrap();
         assert_eq!(
-            serialize_root(chain(MAX_DEPTH + 1)).unwrap_err(),
+            serialize_dirs(&chain(MAX_DEPTH + 1)).unwrap_err(),
             FormatError::FieldOverflow {
                 field: "directory nesting depth",
                 value: MAX_DEPTH as u64 + 1,
@@ -1081,18 +1265,16 @@ mod tests {
         assert!(matches!(err, FormatError::CapacityExceeded { .. }));
         // Refused from the running total, before a buffer of that size is
         // asked for: this tree claims a terabyte.
-        let claims_a_terabyte = FsTree::from_root(FsNode::Dir {
-            children: BTreeMap::from([(
-                "sparse".to_string(),
-                FsNode::File {
-                    meta: FileMeta {
-                        size: 1 << 40,
-                        mtime_nanos: 0,
-                    },
-                    data: Bytes::new(),
+        let claims_a_terabyte = FsTree::from_entries([(
+            Path::root().join("sparse"),
+            FsNode::File {
+                meta: FileMeta {
+                    size: 1 << 40,
+                    mtime_nanos: 0,
                 },
-            )]),
-        });
+                data: Bytes::new(),
+            },
+        )]);
         assert_eq!(
             serialize(&claims_a_terabyte, 1, 1 << 30).unwrap_err(),
             FormatError::CapacityExceeded {
@@ -1183,9 +1365,8 @@ mod tests {
         // allocation. Serialisation must instead fail fast with a typed
         // error, before any block buffer is allocated.
         let size = (u64::from(u32::MAX) + 1) * BLOCK_SIZE;
-        let mut children = BTreeMap::new();
-        children.insert(
-            "huge".to_string(),
+        let t = FsTree::from_entries([(
+            Path::root().join("huge"),
             FsNode::File {
                 meta: FileMeta {
                     size,
@@ -1193,8 +1374,7 @@ mod tests {
                 },
                 data: Bytes::new(),
             },
-        );
-        let t = FsTree::from_root(FsNode::Dir { children });
+        )]);
         assert_eq!(
             serialize(&t, 1, u64::MAX).unwrap_err(),
             FormatError::FieldOverflow {

@@ -10,6 +10,7 @@
 use crate::block::{blocks_for, BLOCK_SIZE};
 use crate::format::{MAX_DEPTH, MAX_NAME_LEN, OVERHEAD_BLOCKS};
 use bytes::Bytes;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -152,13 +153,84 @@ fn rank(b: u8) -> u16 {
     }
 }
 
+/// Where `a` and `b` first differ, if either is not a prefix of the
+/// other: eight bytes compared at a time, then the tail byte by byte.
+fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
+    let (words_a, _) = a.as_chunks::<8>();
+    let (words_b, _) = b.as_chunks::<8>();
+    let mut at = 0;
+    for (x, y) in words_a.iter().zip(words_b) {
+        let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        if diff != 0 {
+            // Little-endian: the lowest set bit lies in the first
+            // differing byte.
+            return Some(at + (diff.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    let (a, b) = (a.get(at..)?, b.get(at..)?);
+    a.iter().zip(b).position(|(x, y)| x != y).map(|i| at + i)
+}
+
+/// The component-wise order of two path strings: the bytes compared with
+/// `'/'` ranked below every other byte.
+fn path_order(a: &str, b: &str) -> Ordering {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    match first_difference(a, b) {
+        Some(i) => rank(a[i]).cmp(&rank(b[i])),
+        None => a.len().cmp(&b.len()),
+    }
+}
+
 impl Ord for Path {
     fn cmp(&self, other: &Self) -> Ordering {
-        let (a, b) = (self.repr.as_bytes(), other.repr.as_bytes());
-        match a.iter().zip(b).find(|(x, y)| x != y) {
-            Some((&x, &y)) => rank(x).cmp(&rank(y)),
-            None => a.len().cmp(&b.len()),
-        }
+        path_order(&self.repr, &other.repr)
+    }
+}
+
+/// A path string, borrowed, ordered as [`Path`] is: a tree looks up an
+/// ancestor of a path it was given as a prefix of that path's string,
+/// without building a `Path` for it.
+pub(crate) trait PathKey {
+    /// The path string.
+    fn key(&self) -> &str;
+}
+
+impl PathKey for Path {
+    fn key(&self) -> &str {
+        &self.repr
+    }
+}
+
+impl PathKey for &str {
+    fn key(&self) -> &str {
+        self
+    }
+}
+
+impl<'a> Borrow<dyn PathKey + 'a> for Path {
+    fn borrow(&self) -> &(dyn PathKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn PathKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn PathKey + '_ {}
+
+impl PartialOrd for dyn PathKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn PathKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        path_order(self.key(), other.key())
     }
 }
 
@@ -196,7 +268,7 @@ pub struct FileMeta {
     pub mtime_nanos: u64,
 }
 
-/// One node in the tree.
+/// One node of the tree, under its full path.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum FsNode {
     /// A regular file with real contents.
@@ -206,17 +278,28 @@ pub(crate) enum FsNode {
         /// The file data.
         data: Bytes,
     },
-    /// A directory mapping child names to nodes.
+    /// A directory. Its children are the entries one component below
+    /// it; it carries their running totals.
     Dir {
-        /// Children in name order.
-        children: BTreeMap<String, FsNode>,
+        /// Bytes of the FID stream that names its children.
+        fid_bytes: u64,
+        /// Number of children.
+        children: usize,
     },
 }
 
 impl FsNode {
-    fn empty_dir() -> FsNode {
-        FsNode::Dir {
-            children: BTreeMap::new(),
+    pub(crate) const EMPTY_DIR: FsNode = FsNode::Dir {
+        fid_bytes: 0,
+        children: 0,
+    };
+
+    /// The node's on-image blocks, its children's aside: a file's ICB
+    /// block and data blocks, a directory's ICB block and FID blocks.
+    fn blocks(&self) -> u64 {
+        match self {
+            FsNode::File { meta, .. } => 1 + blocks_for(meta.size),
+            FsNode::Dir { fid_bytes, .. } => 1 + blocks_for(*fid_bytes),
         }
     }
 }
@@ -260,48 +343,29 @@ pub(crate) fn fid_cost(name: &str) -> u64 {
     1 + 4 + name.len() as u64 + 8
 }
 
-/// Bytes of a directory's whole FID stream.
-pub(crate) fn fid_bytes(children: &BTreeMap<String, FsNode>) -> u64 {
-    children.keys().map(|n| fid_cost(n)).sum()
-}
-
-/// On-image blocks and file count of the subtree at `node`: a file is its
-/// ICB block plus data blocks, a directory its ICB block plus the blocks
-/// of its FID stream plus its children.
-fn count(node: &FsNode) -> (u64, usize) {
-    match node {
-        FsNode::File { meta, .. } => (1 + blocks_for(meta.size), 1),
-        FsNode::Dir { children } => children.values().map(count).fold(
-            (1 + blocks_for(fid_bytes(children)), 0),
-            |(b, f), (cb, cf)| (b + cb, f + cf),
-        ),
+/// The string of the directory that `path`'s first `end` bytes name:
+/// the root for none.
+fn dir_prefix(path: &str, end: usize) -> &str {
+    match path.get(..end) {
+        Some("") | None => "/",
+        Some(dir) => dir,
     }
 }
 
-fn find<'a>(root: &'a FsNode, path: &Path) -> Option<&'a FsNode> {
-    path.components().try_fold(root, |cur, c| match cur {
-        FsNode::Dir { children } => children.get(c),
-        FsNode::File { .. } => None,
-    })
-}
-
-fn find_mut<'a>(root: &'a mut FsNode, path: &Path) -> Option<&'a mut FsNode> {
-    path.components().try_fold(root, |cur, c| match cur {
-        FsNode::Dir { children } => children.get_mut(c),
-        FsNode::File { .. } => None,
-    })
-}
-
 /// A whole image's file tree — the one namespace structure of a bucket
-/// and of a sealed image.
+/// and of a sealed image: one ordered map from full path to node, the
+/// root included. [`Path`]'s order is pre-order depth-first with
+/// siblings by name, so walking the map in order is walking the tree,
+/// and every ancestor of an entry is a directory entry before it.
 ///
 /// `blocks` and `files` are running totals of the nodes' on-image blocks
-/// and of the file nodes: every mutation adds exactly what it grows the
-/// image by, so `FsTree::image_bytes` and `FsTree::file_count` are
-/// field reads, and a call that fails changes neither the tree nor them.
+/// and of the file nodes, and each directory carries its children's FID
+/// bytes and count: every mutation adds exactly what it grows the image
+/// by, so `FsTree::image_bytes` and `FsTree::file_count` are field
+/// reads, and a call that fails changes neither the tree nor them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FsTree {
-    root: FsNode,
+    nodes: BTreeMap<Path, FsNode>,
     blocks: u64,
     files: usize,
 }
@@ -315,31 +379,43 @@ impl Default for FsTree {
 impl FsTree {
     /// Creates an empty tree (just the root directory).
     pub fn new() -> Self {
-        Self::from_root(FsNode::empty_dir())
+        Self::from_nodes(BTreeMap::from([(Path::root(), FsNode::EMPTY_DIR)]))
     }
 
-    /// Returns the root node (used by the on-image serializer).
-    pub(crate) fn root_node(&self) -> &FsNode {
-        &self.root
+    /// Every node in path order, the root first (what the on-image
+    /// serializer walks).
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = (&Path, &FsNode)> {
+        self.nodes.iter()
     }
 
-    /// Rebuilds a tree around a parsed root node, counting it once.
-    pub(crate) fn from_root(root: FsNode) -> Self {
-        let (blocks, files) = count(&root);
+    /// A tree of parsed nodes, whose directories carry their totals,
+    /// counted once.
+    pub(crate) fn from_nodes(nodes: BTreeMap<Path, FsNode>) -> Self {
+        let blocks = nodes.values().map(FsNode::blocks).sum();
+        let files = nodes
+            .values()
+            .filter(|n| matches!(n, FsNode::File { .. }))
+            .count();
         FsTree {
-            root,
+            nodes,
             blocks,
             files,
         }
     }
 
+    /// The node at the path `key` spells, looked up by the borrowed
+    /// string.
+    fn node_at(&self, key: &str) -> Option<&FsNode> {
+        self.nodes.get(&key as &dyn PathKey)
+    }
+
     /// Returns true if the path names an existing directory.
     pub fn is_dir(&self, path: &Path) -> bool {
-        matches!(find(&self.root, path), Some(FsNode::Dir { .. }))
+        matches!(self.nodes.get(path), Some(FsNode::Dir { .. }))
     }
 
     fn file(&self, path: &Path) -> Result<(&FileMeta, &Bytes), TreeError> {
-        match find(&self.root, path) {
+        match self.nodes.get(path) {
             Some(FsNode::File { meta, data }) => Ok((meta, data)),
             Some(FsNode::Dir { .. }) => Err(TreeError::IsADirectory(path.to_string())),
             None => Err(TreeError::NotFound(path.to_string())),
@@ -357,57 +433,53 @@ impl FsTree {
     }
 
     /// Blocks the image grows by when a node of `node_blocks` is created
-    /// at `path` together with its missing ancestors, and how many of
-    /// `path`'s directories exist — or the error that creation fails
+    /// at `path` together with its missing ancestors, and the length of
+    /// the prefix of `path`'s string that names its deepest existing
+    /// directory (0 for the root) — or the error that creation fails
     /// with. Touches nothing: [`FsTree::create`] runs it before its first
     /// mutation, and §4.5's admission check reads the same number through
-    /// [`FsTree::cost_of_insert`].
+    /// [`FsTree::cost_of_insert`]. Ancestors are looked up by borrowed
+    /// prefix, deepest first, so no `Path` is built for one.
     fn growth(&self, path: &Path, node_blocks: u64) -> Result<(u64, usize), TreeError> {
         let invalid = || TreeError::InvalidPath(path.to_string());
-        // Walk down the directories that exist.
-        let FsNode::Dir { children } = &self.root else {
-            return Err(TreeError::NotADirectory("/".into()));
-        };
-        let mut comps = path.components().peekable();
-        let (mut children, mut depth) = (children, 0);
-        let first_new = loop {
-            let c = comps.next().ok_or_else(invalid)?;
-            let last = comps.peek().is_none();
-            match children.get(c) {
-                None => break c,
-                Some(FsNode::Dir { children: below }) if !last => {
-                    (children, depth) = (below, depth + 1);
-                }
-                Some(FsNode::File { .. }) if !last => {
-                    let file: String = path
-                        .components()
-                        .take(depth + 1)
-                        .flat_map(|c| ["/", c])
-                        .collect();
-                    return Err(TreeError::NotADirectory(file));
-                }
-                Some(FsNode::File { .. }) => {
-                    return Err(TreeError::AlreadyExists(path.to_string()))
-                }
-                Some(FsNode::Dir { .. }) => return Err(TreeError::IsADirectory(path.to_string())),
+        if path.is_root() {
+            return Err(invalid());
+        }
+        match self.nodes.get(path) {
+            Some(FsNode::File { .. }) => return Err(TreeError::AlreadyExists(path.to_string())),
+            Some(FsNode::Dir { .. }) => return Err(TreeError::IsADirectory(path.to_string())),
+            None => {}
+        }
+        // Climb to the deepest entry that exists. Every ancestor of an
+        // entry exists, so a file there is the one file on the way.
+        let repr = path.as_str();
+        let mut end = repr.len();
+        let (dir_end, fids) = loop {
+            end = repr
+                .get(..end)
+                .and_then(|s| s.rfind('/'))
+                .ok_or_else(invalid)?;
+            let dir = dir_prefix(repr, end);
+            match self.node_at(dir) {
+                None => {}
+                Some(FsNode::Dir { fid_bytes, .. }) => break (end, *fid_bytes),
+                Some(FsNode::File { .. }) => return Err(TreeError::NotADirectory(dir.into())),
             }
         };
-        // `first_new` and the components after it are created. What the
-        // image format cannot hold is refused here, at the write, and not
-        // when the bucket seals.
-        if depth + 1 + comps.clone().count() > MAX_DEPTH
-            || std::iter::once(first_new)
-                .chain(comps.clone())
-                .any(|c| c.len() > MAX_NAME_LEN)
+        // The names after it are created. What the image format cannot
+        // hold is refused here, at the write, and not when the bucket
+        // seals.
+        let mut created = repr.get(dir_end + 1..).unwrap_or("").split('/');
+        if path.components().count() > MAX_DEPTH || created.clone().any(|c| c.len() > MAX_NAME_LEN)
         {
             return Err(invalid());
         }
         // The deepest existing directory gains one FID; every new
         // directory is an ICB block plus the FID data of its one child.
-        let fids = fid_bytes(children);
+        let first_new = created.next().unwrap_or("");
         let grown = blocks_for(fids + fid_cost(first_new)) - blocks_for(fids);
-        let new_dirs: u64 = comps.map(|child| 1 + blocks_for(fid_cost(child))).sum();
-        Ok((node_blocks + grown + new_dirs, depth))
+        let new_dirs: u64 = created.map(|child| 1 + blocks_for(fid_cost(child))).sum();
+        Ok((node_blocks + grown + new_dirs, dir_end))
     }
 
     /// Creates `node` at `path` with its missing ancestors (mkdir -p on
@@ -426,25 +498,34 @@ impl FsTree {
         if needed > room {
             return Ok(Err(needed));
         }
-        let (grown, depth) = grown?;
-        // `growth` found the first `depth` directories present and the
-        // next component absent: the new chain is built bottom-up, one
-        // name allocated per created node, and hung there in one insert.
-        let mut comps = path.components();
-        let existing = comps
-            .by_ref()
-            .take(depth)
-            .try_fold(&mut self.root, |cur, c| match cur {
-                FsNode::Dir { children } => children.get_mut(c),
-                FsNode::File { .. } => None,
-            });
-        let (Some(FsNode::Dir { children }), Some(first_new)) = (existing, comps.next()) else {
-            return Err(TreeError::NotADirectory(path.to_string()));
-        };
-        let chain = comps.rev().fold(node, |child, name| FsNode::Dir {
-            children: BTreeMap::from([(name.to_owned(), child)]),
-        });
-        children.insert(first_new.to_owned(), chain);
+        let (grown, mut dir_end) = grown?;
+        // `growth` found the directory `dir_end` bytes name, and every
+        // deeper ancestor absent. Each directory from there down gains
+        // the next name as a child: the existing one adds it to its
+        // totals, each created one holds it alone. The node goes in
+        // under the caller's own path.
+        let repr = path.as_str();
+        for name in repr[dir_end + 1..].split('/') {
+            let dir = dir_prefix(repr, dir_end);
+            match self.nodes.get_mut(&dir as &dyn PathKey) {
+                Some(FsNode::Dir {
+                    fid_bytes,
+                    children,
+                }) => {
+                    *fid_bytes += fid_cost(name);
+                    *children += 1;
+                }
+                _ => {
+                    let holds_one = FsNode::Dir {
+                        fid_bytes: fid_cost(name),
+                        children: 1,
+                    };
+                    self.nodes.insert(Path { repr: dir.into() }, holds_one);
+                }
+            }
+            dir_end += 1 + name.len();
+        }
+        self.nodes.insert(path.clone(), node);
         self.blocks += grown;
         Ok(Ok(()))
     }
@@ -463,8 +544,9 @@ impl FsTree {
             size: data.len() as u64,
             mtime_nanos,
         };
-        let blocks = 1 + blocks_for(meta.size);
-        let fit = self.create(path, FsNode::File { meta, data }, blocks, room)?;
+        let node = FsNode::File { meta, data };
+        let blocks = node.blocks();
+        let fit = self.create(path, node, blocks, room)?;
         if fit.is_ok() {
             self.files += 1;
         }
@@ -492,7 +574,7 @@ impl FsTree {
         data: impl Into<Bytes>,
         mtime_nanos: u64,
     ) -> Result<(), TreeError> {
-        match find_mut(&mut self.root, path) {
+        match self.nodes.get_mut(path) {
             Some(FsNode::File { meta, data: d }) => {
                 *d = data.into();
                 self.blocks = self.blocks - blocks_for(meta.size) + blocks_for(d.len() as u64);
@@ -507,30 +589,22 @@ impl FsTree {
 
     /// Creates a directory path (mkdir -p).
     pub fn mkdir_p(&mut self, path: &Path) -> Result<(), TreeError> {
-        match find(&self.root, path) {
+        match self.nodes.get(path) {
             Some(FsNode::Dir { .. }) => Ok(()),
             Some(FsNode::File { .. }) => Err(TreeError::NotADirectory(path.to_string())),
             None => self
-                .create(path, FsNode::empty_dir(), 1, u64::MAX)
+                .create(path, FsNode::EMPTY_DIR, 1, u64::MAX)
                 .map(|_fits| ()),
         }
     }
 
-    /// Visits every file in path order, yielding `(path, meta)`.
+    /// Every file in path order, as `(path, meta)`.
     pub(crate) fn walk_files(&self) -> Vec<(Path, FileMeta)> {
-        let mut out = Vec::new();
-        fn rec(node: &FsNode, path: &Path, out: &mut Vec<(Path, FileMeta)>) {
-            match node {
-                FsNode::File { meta, .. } => out.push((path.clone(), meta.clone())),
-                FsNode::Dir { children } => {
-                    for (name, child) in children {
-                        rec(child, &path.join(name), out);
-                    }
-                }
-            }
-        }
-        rec(&self.root, &Path::root(), &mut out);
-        out
+        let file = |(path, node): (&Path, &FsNode)| match node {
+            FsNode::File { meta, .. } => Some((path.clone(), meta.clone())),
+            FsNode::Dir { .. } => None,
+        };
+        self.nodes.iter().filter_map(file).collect()
     }
 
     /// Counts files in the tree.
@@ -545,14 +619,43 @@ impl FsTree {
         (OVERHEAD_BLOCKS + self.blocks) * BLOCK_SIZE
     }
 
-    /// Checks the running totals against a recount of the whole tree.
+    /// Checks the running totals, the tree's and each directory's,
+    /// against a recount of the whole map, and that every entry's parent
+    /// is a directory entry.
     #[cfg(any(test, debug_assertions))]
     pub fn debug_assert_totals(&self) {
         assert_eq!(
             (self.blocks, self.files),
-            count(&self.root),
+            (
+                self.nodes.values().map(FsNode::blocks).sum(),
+                self.nodes
+                    .values()
+                    .filter(|n| matches!(n, FsNode::File { .. }))
+                    .count()
+            ),
             "running block/file totals drifted from the tree"
         );
+        let dirs = recount_dirs(self.nodes.keys());
+        for dir in dirs.keys() {
+            assert!(
+                matches!(self.node_at(dir), Some(FsNode::Dir { .. })),
+                "{dir} holds entries but is no directory"
+            );
+        }
+        for (path, node) in &self.nodes {
+            if let FsNode::Dir {
+                fid_bytes,
+                children,
+            } = node
+            {
+                let recounted = dirs.get(path.as_str()).copied().unwrap_or_default();
+                assert_eq!(
+                    (*fid_bytes, *children),
+                    recounted,
+                    "{path}: running FID totals drifted from its children"
+                );
+            }
+        }
     }
 
     /// The on-image cost of adding a `size`-byte file at `path`, exactly:
@@ -565,6 +668,44 @@ impl FsTree {
         let (blocks, _) = self.growth(path, file).ok()?;
         Some(blocks * BLOCK_SIZE)
     }
+
+    /// A tree of `nodes` as given, each directory's totals recounted from
+    /// the entries below it: how a test builds what `insert` refuses.
+    #[cfg(test)]
+    pub(crate) fn from_entries(nodes: impl IntoIterator<Item = (Path, FsNode)>) -> Self {
+        let mut nodes: BTreeMap<Path, FsNode> = nodes.into_iter().collect();
+        nodes.entry(Path::root()).or_insert(FsNode::EMPTY_DIR);
+        let dirs: BTreeMap<String, (u64, usize)> = recount_dirs(nodes.keys())
+            .into_iter()
+            .map(|(dir, totals)| (dir.to_owned(), totals))
+            .collect();
+        for (path, node) in &mut nodes {
+            if let FsNode::Dir {
+                fid_bytes,
+                children,
+            } = node
+            {
+                (*fid_bytes, *children) = dirs.get(path.as_str()).copied().unwrap_or_default();
+            }
+        }
+        Self::from_nodes(nodes)
+    }
+}
+
+/// Each directory's FID bytes and child count, recounted from the paths
+/// one component below it, keyed by the directory's string.
+#[cfg(any(test, debug_assertions))]
+fn recount_dirs<'a>(paths: impl Iterator<Item = &'a Path>) -> BTreeMap<&'a str, (u64, usize)> {
+    let mut dirs: BTreeMap<&str, (u64, usize)> = BTreeMap::new();
+    for path in paths {
+        let Some((dir, name)) = path.as_str().rsplit_once('/').filter(|_| !path.is_root()) else {
+            continue;
+        };
+        let totals = dirs.entry(dir_prefix(dir, dir.len())).or_default();
+        totals.0 += fid_cost(name);
+        totals.1 += 1;
+    }
+    dirs
 }
 
 #[cfg(test)]
@@ -591,6 +732,46 @@ mod tests {
         assert_eq!(p("/a").join("b"), p("/a/b"));
         assert!(p("/a/b").starts_with(&p("/a")));
         assert!(!p("/ab").starts_with(&p("/a")));
+    }
+
+    // The word-at-a-time compare against its definition: the first
+    // differing byte ranked, `'/'` lowest, or else the shorter first.
+    // Strings over bytes on both sides of `'/'`, long enough to differ
+    // in, before and after every eight-byte word.
+    proptest::proptest! {
+        #[test]
+        fn cmp_is_the_byte_rank_order(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..40,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let definition = |a: &str, b: &str| {
+                let (a, b) = (a.as_bytes(), b.as_bytes());
+                match a.iter().zip(b).find(|(x, y)| x != y) {
+                    Some((&x, &y)) => rank(x).cmp(&rank(y)),
+                    None => a.len().cmp(&b.len()),
+                }
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let alphabet = b"/ -.0a\x01\x7f";
+            let base: String = (0..len)
+                .map(|_| char::from(alphabet[rng.gen::<usize>() % alphabet.len()]))
+                .collect();
+            // The other string shares a prefix of any length, then
+            // differs or stops.
+            let keep = rng.gen::<usize>() % (len + 1);
+            let tail: String = (0..rng.gen::<usize>() % 12)
+                .map(|_| char::from(alphabet[rng.gen::<usize>() % alphabet.len()]))
+                .collect();
+            let other = format!("{}{tail}", &base[..keep]);
+            let path = |s: &str| Path { repr: s.into() };
+            let (a, b) = (path(&base), path(&other));
+            proptest::prop_assert_eq!(a.cmp(&b), definition(&base, &other));
+            proptest::prop_assert_eq!(b.cmp(&a), definition(&other, &base));
+            proptest::prop_assert_eq!(a.cmp(&a), Ordering::Equal);
+            let (ka, kb): (&dyn PathKey, &dyn PathKey) = (&base.as_str(), &other.as_str());
+            proptest::prop_assert_eq!(ka.cmp(kb), a.cmp(&b));
+        }
     }
 
     #[test]
