@@ -120,7 +120,8 @@ impl<'a> Member<'a> {
             })
     }
 
-    /// The member copied out whole: a survivor a reconstruct hands back.
+    /// The member copied out whole: a survivor a full-set reconstruct
+    /// hands back.
     fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len);
         for (_, piece) in &self.pieces {
@@ -239,17 +240,6 @@ fn xor_rebuild(
     rec
 }
 
-/// `data` with its lost members, in index order, taken from `rebuilt`.
-fn fill(data: &[Option<Member<'_>>], rebuilt: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-    let mut rebuilt = rebuilt.into_iter();
-    data.iter()
-        .map(|d| match d {
-            Some(d) => d.to_vec(),
-            None => rebuilt.next().unwrap_or_default(),
-        })
-        .collect()
-}
-
 /// Computes the XOR parity (P) of the data stripes: the output is split
 /// into fixed chunks, each filled by word-sliced XOR accumulation a tile
 /// at a time across the members.
@@ -272,75 +262,52 @@ pub fn encode_pq_with<P: Pieces + ?Sized>(
     Ok(pq_of(&data, stripe_len(data.iter().flatten())?, plane))
 }
 
-/// Reconstructs missing members of a P-only (RAID-5 style) group.
+/// Rebuilds a group's lost data members and nothing else: the entry a
+/// repair calls.
 ///
-/// `data[i] = None` marks a lost data stripe; `p = None` marks a lost
-/// parity stripe. At most one member in total may be missing. Survivors
-/// come back as given; a rebuilt member is as long as the stripe.
-pub fn reconstruct_p_with<P: Pieces + ?Sized>(
+/// `data[i] = None` marks a lost data stripe. `parity` holds the group's
+/// parity members, P and then Q if it has one, a lost one `None`; the
+/// group tolerates as many losses in total as it has parity members (at
+/// most two). Returns the lost data members in index order, each as long
+/// as the stripe, and none when no data member is lost: no survivor is
+/// copied and no parity regenerated.
+pub fn rebuild_lost_with<P: Pieces + ?Sized>(
     data: &[Option<&P>],
-    p: Option<&P>,
+    parity: &[Option<&P>],
     plane: &DataPlane,
-) -> Result<(Vec<Vec<u8>>, Vec<u8>), ParityError> {
-    let data = survivors(data);
-    let p = p.map(Member::new);
-    let lost_data = data.iter().filter(|d| d.is_none()).count();
-    let lost = lost_data.saturating_add(usize::from(p.is_none()));
-    if lost > 1 {
-        return Err(ParityError::TooManyLost { lost, tolerated: 1 });
-    }
-    let len = stripe_len(data.iter().flatten().chain(&p))?;
-    match p {
-        // XOR of all present data stripes and P recovers the lost stripe.
-        Some(p) => {
-            let rebuilt = if lost_data == 0 {
-                Vec::new()
-            } else {
-                vec![xor_rebuild(&data, &p, len, plane)]
-            };
-            Ok((fill(&data, rebuilt), p.to_vec()))
-        }
-        // P is the lost member, so every data stripe is present.
-        None => Ok((fill(&data, Vec::new()), p_of(&data, len, plane))),
-    }
+) -> Result<Vec<Vec<u8>>, ParityError> {
+    let parity: Vec<Option<Member<'_>>> = parity.iter().map(|m| m.map(Member::new)).collect();
+    Ok(rebuild_lost(&survivors(data), &parity, plane)?.0)
 }
 
-/// Reconstructs missing members of a P+Q (RAID-6 style) group.
-///
-/// At most two members in total (data, P, Q in any combination) may be
-/// missing. Returns the full data set plus both parities, recomputed at
-/// the stripe length; survivors come back as given.
-#[allow(clippy::type_complexity)]
-pub fn reconstruct_pq_with<P: Pieces + ?Sized>(
-    data: &[Option<&P>],
-    p: Option<&P>,
-    q: Option<&P>,
+/// [`rebuild_lost_with`] over members, with the stripe length.
+fn rebuild_lost(
+    data: &[Option<Member<'_>>],
+    parity: &[Option<Member<'_>>],
     plane: &DataPlane,
-) -> Result<(Vec<Vec<u8>>, Vec<u8>, Vec<u8>), ParityError> {
-    let data = survivors(data);
-    let (p, q) = (p.map(Member::new), q.map(Member::new));
+) -> Result<(Vec<Vec<u8>>, usize), ParityError> {
+    let tolerated = parity.len().min(2);
     let lost_data: Vec<usize> = (0..data.len()).filter(|&i| data[i].is_none()).collect();
     let lost = lost_data
         .len()
-        .saturating_add(usize::from(p.is_none()))
-        .saturating_add(usize::from(q.is_none()));
-    if lost > 2 {
-        return Err(ParityError::TooManyLost { lost, tolerated: 2 });
+        .saturating_add(parity.iter().filter(|m| m.is_none()).count());
+    if lost > tolerated {
+        return Err(ParityError::TooManyLost { lost, tolerated });
     }
-    let len = stripe_len(data.iter().flatten().chain(&p).chain(&q))?;
-
-    let rebuilt = match (lost_data.as_slice(), &p, &q) {
-        // All data present: only parity needs recomputing.
+    let len = stripe_len(data.iter().chain(parity).flatten())?;
+    let present = |k: usize| parity.get(k).and_then(Option::as_ref);
+    let rebuilt = match (lost_data.as_slice(), present(0), present(1)) {
+        // All data present: nothing to rebuild.
         ([], _, _) => Vec::new(),
         // One data stripe lost, P present: plain XOR recovery.
-        ([_], Some(p), _) => vec![xor_rebuild(&data, p, len, plane)],
+        ([_], Some(p), _) => vec![xor_rebuild(data, p, len, plane)],
         // One data stripe lost, P lost, Q present: recover via Q.
         ([missing], None, Some(q)) => {
             // Q = sum g^i D_i  =>  D_m = (Q ^ sum_{i!=m} g^i D_i) * g^-m.
             let ginv_table = gf::MulTable::new(gf::inv(gf::pow2(*missing)));
             let mut acc = vec![0u8; len];
             plane.for_each_chunk(&mut acc, |off, chunk| {
-                horner_pq(&data, off, None, chunk);
+                horner_pq(data, off, None, chunk);
                 xor_tiles([q].into_iter(), off, chunk);
                 ginv_table.mul_inplace(chunk);
             });
@@ -352,7 +319,7 @@ pub fn reconstruct_pq_with<P: Pieces + ?Sized>(
             let mut pxy = widened(p, len);
             let mut qxy = vec![0u8; len];
             plane.for_each_chunk2(&mut pxy, &mut qxy, |off, pc, qc| {
-                horner_pq(&data, off, Some(pc), qc);
+                horner_pq(data, off, Some(pc), qc);
                 xor_tiles([q].into_iter(), off, qc);
             });
             // D_x ^ D_y = Pxy and g^x D_x ^ g^y D_y = Qxy
@@ -372,13 +339,64 @@ pub fn reconstruct_pq_with<P: Pieces + ?Sized>(
             });
             vec![dx, dy]
         }
-        // Two losses but a needed parity is also gone: impossible cases
-        // were already rejected by the count check above; the remaining
-        // combination (1 data + both parities = 3 losses) cannot reach
-        // here, and (2 data + missing parity) is >2 losses.
-        _ => return Err(ParityError::TooManyLost { lost, tolerated: 2 }),
+        // Within the count but a needed parity is gone: one data member
+        // and P lost from a P-only group cannot pass the count, and two
+        // data members with a parity gone are three losses.
+        _ => return Err(ParityError::TooManyLost { lost, tolerated }),
     };
-    let full = fill(&data, rebuilt);
+    Ok((rebuilt, len))
+}
+
+/// Every data member for the full-set entries below: the survivors
+/// copied out, the lost ones taken from `rebuilt` in index order.
+/// [`rebuild_lost_with`] copies none.
+fn whole_set(data: &[Option<Member<'_>>], rebuilt: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    let mut rebuilt = rebuilt.into_iter();
+    data.iter()
+        .map(|d| match d {
+            Some(d) => d.to_vec(),
+            None => rebuilt.next().unwrap_or_default(),
+        })
+        .collect()
+}
+
+/// Reconstructs the full set of a P-only (RAID-5 style) group.
+///
+/// `data[i] = None` marks a lost data stripe; `p = None` marks a lost
+/// parity stripe. At most one member in total may be missing. Survivors
+/// come back as given; a rebuilt member is as long as the stripe.
+pub fn reconstruct_p_with<P: Pieces + ?Sized>(
+    data: &[Option<&P>],
+    p: Option<&P>,
+    plane: &DataPlane,
+) -> Result<(Vec<Vec<u8>>, Vec<u8>), ParityError> {
+    let data = survivors(data);
+    let p = p.map(Member::new);
+    let (rebuilt, len) = rebuild_lost(&data, std::slice::from_ref(&p), plane)?;
+    let p = match p {
+        Some(p) => p.to_vec(),
+        // P is the lost member, so every data stripe is present.
+        None => p_of(&data, len, plane),
+    };
+    Ok((whole_set(&data, rebuilt), p))
+}
+
+/// Reconstructs the full set of a P+Q (RAID-6 style) group.
+///
+/// At most two members in total (data, P, Q in any combination) may be
+/// missing. Returns the full data set plus both parities, recomputed at
+/// the stripe length; survivors come back as given.
+#[allow(clippy::type_complexity)]
+pub fn reconstruct_pq_with<P: Pieces + ?Sized>(
+    data: &[Option<&P>],
+    p: Option<&P>,
+    q: Option<&P>,
+    plane: &DataPlane,
+) -> Result<(Vec<Vec<u8>>, Vec<u8>, Vec<u8>), ParityError> {
+    let data = survivors(data);
+    let parity = [p.map(Member::new), q.map(Member::new)];
+    let (rebuilt, len) = rebuild_lost(&data, &parity, plane)?;
+    let full = whole_set(&data, rebuilt);
     let refs: Vec<&[u8]> = full.iter().map(Vec::as_slice).collect();
     let (p, q) = pq_of(&members(&refs), len, plane);
     Ok((full, p, q))
@@ -755,6 +773,53 @@ mod tests {
             let mut bad_q = q.clone();
             bad_q[corrupt_at] ^= 1 << flip_bit;
             prop_assert_eq!(verify(&p, &bad_q), Ok(false));
+        }
+    }
+
+    proptest! {
+        // Property: the repair entry hands back exactly what the full-set
+        // reconstructs rebuild at the lost indices — ragged members, RAID-5
+        // and RAID-6, any mix of data and parity losses up to one past the
+        // tolerance, which both refuse alike.
+        #[test]
+        fn rebuild_lost_is_the_full_set_at_the_lost_indices(
+            seed in 0u64..1_000,
+            n_stripes in 2usize..8,
+            len in 1usize..64,
+            raid6 in any::<bool>(),
+            losses in 0usize..4,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let data: Vec<Vec<u8>> = (0..n_stripes)
+                .map(|_| (0..rng.gen_range(1..len + 1)).map(|_| rng.gen::<u8>()).collect())
+                .collect();
+            let (p, q) = encode_pq_with(&refs(&data), &one()).unwrap();
+            let members = n_stripes + 1 + usize::from(raid6);
+            let mut lost = vec![false; members];
+            while lost.iter().filter(|&&l| l).count() < losses.min(members) {
+                lost[rng.gen_range(0..members)] = true;
+            }
+            let masked: Vec<Option<&[u8]>> = data
+                .iter()
+                .zip(&lost)
+                .map(|(d, &l)| (!l).then_some(d.as_slice()))
+                .collect();
+            let p_in = (!lost[n_stripes]).then_some(p.as_slice());
+            let q_in = (raid6 && !lost[n_stripes + 1]).then_some(q.as_slice());
+            let parity = if raid6 { vec![p_in, q_in] } else { vec![p_in] };
+            let full = if raid6 {
+                reconstruct_pq_with(&masked, p_in, q_in, &one()).map(|(full, ..)| full)
+            } else {
+                reconstruct_p_with(&masked, p_in, &one()).map(|(full, _)| full)
+            };
+            let at_lost = full.map(|full| {
+                full.into_iter()
+                    .zip(&lost)
+                    .filter_map(|(m, &l)| l.then_some(m))
+                    .collect::<Vec<_>>()
+            });
+            prop_assert_eq!(rebuild_lost_with(&masked, &parity, &one()), at_lost);
         }
     }
 

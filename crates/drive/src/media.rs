@@ -69,6 +69,11 @@ pub struct Track {
 }
 
 impl Track {
+    /// The payload: the image's bytes, or only its size.
+    pub fn payload(&self) -> &Payload {
+        &self.payload
+    }
+
     /// Returns the payload size in bytes.
     pub(crate) fn len(&self) -> u64 {
         self.payload.len()
@@ -269,6 +274,18 @@ impl Disc {
         });
         self.burned_sectors += meta_sectors + data_sectors;
         Ok(())
+    }
+
+    /// Lets go of every track's bytes, keeping the track table: each
+    /// track's image id, start sector and length (as a
+    /// [`Payload::Synthetic`] of its size), the damage map and the rot
+    /// count. What the disc occupies, where a fault lands and what a rot
+    /// strike counts stay as they were; only reads of real bytes end.
+    /// For a retired disc that nothing reads again.
+    pub fn forget_bytes(&mut self) {
+        for track in &mut self.tracks {
+            track.payload = Payload::synthetic(track.len());
+        }
     }
 
     /// Looks up the track carrying `image_id`.
@@ -632,6 +649,32 @@ mod tests {
         // Blank discs have nothing to rot.
         let mut blank = Disc::blank(2, small(), MediaKind::Worm);
         assert_eq!(blank.rot_bytes(5, 2), 0);
+    }
+
+    #[test]
+    fn a_disc_that_forgets_its_bytes_keeps_its_track_table() {
+        let cap = 2 * params::TRACK_METADATA_BYTES + 64 * params::SECTOR_BYTES;
+        let mut d = Disc::blank(1, DiscClass::Custom { capacity: cap }, MediaKind::Worm);
+        d.burn_track(1, Payload::inline(vec![3u8; 5000])).unwrap();
+        d.burn_track(2, Payload::inline(vec![4u8; 2048])).unwrap();
+        let (start, _) = d.find_track(2).unwrap().sector_range();
+        d.corrupt_sector(start);
+        assert_eq!(d.rot_bytes(0, 3), 3);
+        let before = d.clone();
+        d.forget_bytes();
+        for (kept, was) in d.tracks().iter().zip(before.tracks()) {
+            assert_eq!(kept.payload, Payload::synthetic(was.len()));
+            assert_eq!(
+                (kept.image_id, kept.sector_range()),
+                (was.image_id, was.sector_range())
+            );
+        }
+        assert_eq!(d.free_bytes(), before.free_bytes());
+        assert_eq!(d.read_image_raw(2).unwrap().1, [0]);
+        assert_eq!((d.rotted_bytes, d.corrupted_sectors()), (3, 1));
+        // A later strike counts as it would have on the bytes.
+        let mut kept_bytes = before;
+        assert_eq!(d.rot_bytes(1, 9), kept_bytes.rot_bytes(1, 9));
     }
 
     #[test]

@@ -598,7 +598,8 @@ impl DiscRegistry {
         self.discs.get(&id).and_then(Option::as_ref)
     }
 
-    /// Mutable access (fault injection in tests).
+    /// Mutable access to a disc in its tray: fault injection, media
+    /// aging, and a retired tray letting go of its bytes.
     pub fn disc_mut(&mut self, id: DiscId) -> Option<&mut Disc> {
         self.discs.get_mut(&id).and_then(Option::as_mut)
     }

@@ -1034,8 +1034,7 @@ impl Ros {
                 // the same bay means the hardware (not the media) is at
                 // fault.
                 if !matches!(e, OlfsError::Transient(_)) {
-                    let idx = self.cfg.layout.slot_index(slot);
-                    self.store.set_da_state(idx, DaState::Failed);
+                    self.retire_tray(slot);
                     self.note_burn_failure(bay);
                 }
                 return;
@@ -1700,7 +1699,8 @@ impl Ros {
     }
 
     /// The repair ladder's first rung on the read path: rebuilds the
-    /// fetched image's array ([`Ros::rebuild`]) and restores the
+    /// fetched image's array ([`Ros::rebuild`]) from what the failed
+    /// fetch saw of the image and the rest inspected, and restores the
     /// requested image only — rewriting the array onto fresh media is the
     /// background audit's job (§16): a read pays for the bytes it asked
     /// for, not for a re-burn. The loaded drives read in parallel, so
@@ -1717,7 +1717,8 @@ impl Ros {
             .ok_or(OlfsError::ImageLost(image))?
             .array
             .ok_or(OlfsError::Unrecoverable { image, array: None })?;
-        let rebuilt = self.rebuild(gid, BTreeMap::new())?;
+        let known = self.failed_fetch(image).map(|seen| (image, seen));
+        let rebuilt = self.rebuild(gid, known.into_iter().collect())?;
         let member = rebuilt.data.into_iter().find(|m| m.image == image).ok_or(
             OlfsError::Unrecoverable {
                 image,
@@ -1934,8 +1935,7 @@ impl Ros {
             let members = self.burn_members(gid);
             self.stop_drives(bay, &members);
             if let Some(slot) = self.store.requeue_cut_burn(gid) {
-                let idx = self.cfg.layout.slot_index(slot);
-                self.store.set_da_state(idx, DaState::Failed);
+                self.retire_tray(slot);
             }
             self.unload_bay(bay, now)?;
         }

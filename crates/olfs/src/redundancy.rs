@@ -106,13 +106,14 @@ pub fn generate_with<P: Pieces + ?Sized>(
     })
 }
 
-/// Reconstructs lost data images from the survivors plus parity.
+/// Rebuilds the lost data images from the survivors plus parity.
 ///
 /// `data[i] = None` marks a lost member; `sizes[i]` gives each member's
 /// original (unpadded) length so recovered payloads are trimmed back.
 /// Survivors shorter than the stripe read as zero-filled, so none is
 /// copied to pad it, and a survivor in pieces is read where they lie.
-/// Returns the full data set.
+/// Returns the lost members only, in index order — none when nothing is
+/// lost: a survivor is never copied back out.
 pub fn reconstruct_with<P: Pieces + ?Sized>(
     schema: Redundancy,
     data: &[Option<&P>],
@@ -128,23 +129,20 @@ pub fn reconstruct_with<P: Pieces + ?Sized>(
         return Err(RedundancyError::TooManyLost { lost, tolerated });
     }
     if lost == 0 {
-        return Ok(data
-            .iter()
-            .flatten()
-            .map(|d| d.pieces().flatten().copied().collect())
-            .collect());
+        return Ok(Vec::new());
     }
-    let recovered: Vec<Vec<u8>> = match schema {
+    let parity = match schema {
         Redundancy::None => {
             return Err(RedundancyError::TooManyLost { lost, tolerated: 0 });
         }
-        Redundancy::Raid5 => parity::reconstruct_p_with(data, p, plane)?.0,
-        Redundancy::Raid6 => parity::reconstruct_pq_with(data, p, q, plane)?.0,
+        Redundancy::Raid5 => vec![p],
+        Redundancy::Raid6 => vec![p, q],
     };
-    Ok(recovered
+    let lost_sizes = data.iter().zip(sizes).filter(|(d, _)| d.is_none());
+    Ok(parity::rebuild_lost_with(data, &parity, plane)?
         .into_iter()
-        .zip(sizes.iter())
-        .map(|(mut v, &len)| {
+        .zip(lost_sizes)
+        .map(|(mut v, (_, &len))| {
             v.truncate(len);
             Bytes::from(v)
         })
@@ -195,9 +193,7 @@ mod tests {
                 &one(),
             )
             .unwrap();
-            for (r, orig) in rec.iter().zip(imgs.iter()) {
-                assert_eq!(r.as_ref(), orig.as_slice());
-            }
+            assert_eq!(rec, [imgs[lost].clone()]);
         }
     }
 
@@ -223,9 +219,7 @@ mod tests {
                     &one(),
                 )
                 .unwrap();
-                for (r, orig) in rec.iter().zip(imgs.iter()) {
-                    assert_eq!(r.as_ref(), orig.as_slice());
-                }
+                assert_eq!(rec, [imgs[x].clone(), imgs[y].clone()]);
             }
         }
     }
@@ -304,14 +298,12 @@ mod tests {
     }
 
     #[test]
-    fn no_loss_is_identity() {
+    fn no_loss_rebuilds_nothing() {
         let imgs = images();
         let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
         let masked: Vec<Option<&[u8]>> = imgs.iter().map(|d| Some(d.as_slice())).collect();
         let rec = reconstruct_with(Redundancy::Raid5, &masked, &sizes, None, None, &one()).unwrap();
-        for (r, orig) in rec.iter().zip(imgs.iter()) {
-            assert_eq!(r.as_ref(), orig.as_slice());
-        }
+        assert!(rec.is_empty());
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use crate::dim::{DaState, DiscLocation, ImageInfo};
 use crate::engine::Ros;
 use crate::error::OlfsError;
-use crate::ids::{ArrayId, ImageId};
+use crate::ids::{ArrayId, DiscId, ImageId};
 use crate::redundancy;
 use bytes::{Bytes, Parts, Pieces};
 use ros_cas::{verify_payload, verify_payloads, CasError, Digest, Verified};
@@ -143,6 +143,8 @@ thread_local! {
     /// tests pin (one per audit pass or array gather, one more when a
     /// buffer copy fails).
     pub(crate) static DIGEST_BATCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Bytes those batches hashed.
+    static DIGEST_BYTES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// One inspection digest batch ([`verify_payloads`]); an empty one is
@@ -155,7 +157,11 @@ pub(crate) fn verify_batch(
         return Vec::new();
     }
     #[cfg(test)]
-    DIGEST_BATCHES.with(|n| n.set(n.get() + 1));
+    {
+        DIGEST_BATCHES.with(|n| n.set(n.get() + 1));
+        let bytes: usize = pairs.iter().map(|(_, b)| b.len()).sum();
+        DIGEST_BYTES.with(|n| n.set(n.get() + bytes));
+    }
     verify_payloads(pairs, plane)
 }
 
@@ -321,6 +327,21 @@ impl Ros {
         seen
     }
 
+    /// What a fetch that failed saw of `image`: its burned track and the
+    /// drive's damage map, and no proof — the read came back with sector
+    /// errors, or read cleanly and failed its digest. [`Ros::rebuild`]
+    /// takes it instead of reading and hashing the member again. `None`
+    /// for an image with a buffer copy, which a gather inspects first.
+    pub(crate) fn failed_fetch(&self, image: ImageId) -> Option<Inspection> {
+        let info = self.store.get(image).filter(|info| !info.on_disk())?;
+        let mut seen = Inspection {
+            found: (false, info.burned),
+            ..Inspection::default()
+        };
+        self.read_track(info, &mut seen);
+        Some(seen)
+    }
+
     /// Reads the image's burned track into `seen`, damage map and all,
     /// and returns its bytes if no sector failed.
     fn read_track(&self, info: &ImageInfo, seen: &mut Inspection) -> Option<Parts> {
@@ -336,10 +357,11 @@ impl Ros {
     /// Gathers array `gid`, masks what cannot be trusted, reconstructs
     /// it through parity and hands back a proof per data member.
     ///
-    /// `known` holds inspections an audit pass already made of members
-    /// (the fetch path passes none): each is used as it is while it
-    /// still stands for its member, and the members it does not cover
-    /// are inspected as one batch.
+    /// `known` holds inspections already made of members — an audit
+    /// pass's, or the failed fetch's of the member it read
+    /// ([`Ros::failed_fetch`]): each is used as it is while it still
+    /// stands for its member, and the members it does not cover are
+    /// inspected as one batch.
     ///
     /// A damage map says which sectors the drive could not read, not
     /// that the rest is sound, so when the sector-granular mask yields a
@@ -460,7 +482,7 @@ impl Ros {
                     plane,
                 )
                 .map_err(|_| unrecoverable(first_lost))?;
-                for (i, span) in rebuilt.into_iter().enumerate().filter(|&(i, _)| lost(i)) {
+                for (i, span) in (0..n_data).filter(|&i| lost(i)).zip(rebuilt) {
                     if span.len() != hi - lo {
                         return Err(unrecoverable(i));
                     }
@@ -548,16 +570,53 @@ impl Ros {
         self.vm.release(self.vol_buffer, parity_bytes)?;
         self.retry_waiting_parity(at);
         if let Some(slot) = old_slot {
-            self.store
-                .set_da_state(self.cfg.layout.slot_index(slot), DaState::Failed);
             // Best effort: a retired array that will not leave its bay
             // is evicted by the next load like any idle array.
             if let Some(bay) = self.bay_holding(slot) {
                 let _ = self.unload_bay(bay, at);
             }
+            self.retire_tray(slot);
         }
         self.schedule_parity(gid, at);
         Ok(())
+    }
+
+    /// Retires tray `slot` as Failed — the one way a tray leaves
+    /// service: a rewrite, a burn that failed to start or came back
+    /// spoiled, a burn a crash cut — and lets go of its discs' bytes
+    /// wherever the discs are, back in the tray or in a drive of a bay
+    /// that could not unload. Each disc keeps its track table
+    /// ([`Disc::forget_bytes`]), so what the tray occupies, where a
+    /// fault lands and what a rot strike counts stay as they were.
+    ///
+    /// Nothing reads a retired tray's bytes again: the disc scan reads
+    /// `Used` trays only, and no image locates on it — a rewrite cleared
+    /// its members' burn locations and dropped its parity images, and an
+    /// unfinished burn marked none. A tray some image still locates on
+    /// keeps its bytes.
+    pub(crate) fn retire_tray(&mut self, slot: SlotAddress) {
+        let idx = self.cfg.layout.slot_index(slot);
+        self.store.set_da_state(idx, DaState::Failed);
+        let located = self
+            .store
+            .images()
+            .any(|i| i.burned.is_some_and(|loc| loc.slot == slot));
+        debug_assert!(!located, "tray {idx} retired with an image on it");
+        if located {
+            return;
+        }
+        let tray = self.registry.tray(idx).map(<[DiscId]>::to_vec);
+        let bay = self.bay_holding(slot);
+        for (i, id) in tray.into_iter().flatten().enumerate() {
+            if let Some(disc) = self.registry.disc_mut(id) {
+                disc.forget_bytes();
+                continue;
+            }
+            let drive = bay.and_then(|b| self.bays[b].drive_mut(i));
+            if let Some(disc) = drive.and_then(|d| d.disc_mut()).filter(|d| d.id == id.0) {
+                disc.forget_bytes();
+            }
+        }
     }
 }
 
@@ -934,6 +993,83 @@ mod tests {
         assert_eq!(batches, 1);
     }
 
+    /// `f`'s result with the inspection digest batches it ran and the
+    /// bytes they hashed.
+    fn hashed_by<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+        DIGEST_BYTES.with(|n| n.set(0));
+        let (out, batches) = batches_of(f);
+        (out, batches, DIGEST_BYTES.with(std::cell::Cell::get))
+    }
+
+    #[test]
+    fn a_fetch_repair_hashes_no_member_the_fetch_read() {
+        // Rot: the fetch read the member cleanly and its digest failed.
+        // Sector errors: the drive refused the read. Either way the
+        // rebuild takes the fetch's view of the member and hashes only
+        // the other three tracks.
+        for sectors in [false, true] {
+            let mut a = cold_array(Redundancy::Raid6, 2);
+            let (path, data, image) = a.files[0].clone();
+            if sectors {
+                a.break_sectors(image, &[3, 4]);
+            } else {
+                a.rot(image);
+            }
+            let (read, batches, bytes) = hashed_by(|| a.ros.read_file(&path).unwrap());
+            assert_eq!(read.data.as_ref(), data.as_slice(), "sectors={sectors}");
+            let c = a.ros.counters();
+            assert_eq!(c.repairs + c.latent_repairs, 1);
+            assert_eq!((batches, bytes), (1, 3 * 315_392), "sectors={sectors}");
+        }
+    }
+
+    /// Inline track bytes the rack's discs hold, in its trays: on
+    /// Failed trays, and in all.
+    fn inline_bytes(ros: &Ros) -> (usize, usize) {
+        let (mut failed, mut all) = (0, 0);
+        for idx in 0..ros.cfg.layout.total_slots() {
+            let discs = ros.registry.tray(idx).unwrap().iter();
+            let held: usize = discs
+                .map(|id| ros.registry.disc(*id).expect("every disc home"))
+                .flat_map(Disc::tracks)
+                .map(|t| match t.payload() {
+                    Payload::Inline(bytes) => bytes.len(),
+                    Payload::Synthetic { .. } => 0,
+                })
+                .sum();
+            if ros.store.da_state(idx) == Some(DaState::Failed) {
+                failed += held;
+            }
+            all += held;
+        }
+        (failed, all)
+    }
+
+    #[test]
+    fn a_retired_tray_holds_no_bytes_however_many_repairs() {
+        let mut a = cold_array(Redundancy::Raid6, 1);
+        let live = |a: &ColdArray| -> usize {
+            let group = a.ros.store.group(a.gid).unwrap();
+            let members = group.data.iter().chain(&group.parity);
+            members
+                .map(|m| ros_sim::to_usize(a.ros.store.get(*m).unwrap().size))
+                .sum()
+        };
+        assert_eq!(inline_bytes(&a.ros), (0, live(&a)));
+        for round in 0..4 {
+            let rotted = a.files[round % 2].2;
+            a.rot(rotted);
+            let report = a.ros.audit_sample(64);
+            assert_eq!(report.repaired, [rotted], "round {round}: {report:?}");
+            a.ros.flush().unwrap();
+            a.ros.evict_all_burned_copies();
+            a.ros.unload_all_bays().unwrap();
+            assert_eq!(a.ros.status().da_counts.2, round + 1, "round {round}");
+            assert_eq!(inline_bytes(&a.ros), (0, live(&a)), "round {round}");
+        }
+        a.assert_cold_reads_need_no_repair();
+    }
+
     #[test]
     fn an_audit_pass_verifies_and_charges_what_it_gathered() {
         let mut a = cold_array(Redundancy::Raid6, 2);
@@ -1017,20 +1153,34 @@ mod tests {
         a.assert_cold_reads_need_no_repair();
     }
 
-    /// The address of the first byte of each member's burned track.
-    fn track_addresses(a: &ColdArray, members: &[ImageId]) -> Vec<usize> {
-        members
-            .iter()
-            .map(|m| {
-                let loc = a.ros.store.location_of(*m).unwrap();
-                let Ok((Payload::Inline(parts), _)) =
-                    a.ros.disc_at(loc).unwrap().read_image_raw(m.0)
-                else {
-                    panic!("no inline track for {m}");
-                };
-                parts.pieces().next().unwrap().as_ptr() as usize
-            })
-            .collect()
+    /// Each member's burned track, held: while a test holds it, no new
+    /// allocation can take its address, though the retired tray lets go
+    /// of its bytes.
+    struct Tracks(Vec<Parts>);
+
+    impl Tracks {
+        fn of(a: &ColdArray, members: &[ImageId]) -> Tracks {
+            Tracks(
+                members
+                    .iter()
+                    .map(|m| {
+                        let loc = a.ros.store.location_of(*m).unwrap();
+                        let Ok((Payload::Inline(parts), _)) =
+                            a.ros.disc_at(loc).unwrap().read_image_raw(m.0)
+                        else {
+                            panic!("no inline track for {m}");
+                        };
+                        parts.clone()
+                    })
+                    .collect(),
+            )
+        }
+
+        /// The address of the first byte of each track.
+        fn addresses(&self) -> Vec<usize> {
+            let first = |parts: &Parts| parts.pieces().next().unwrap().as_ptr() as usize;
+            self.0.iter().map(first).collect()
+        }
     }
 
     #[test]
@@ -1039,24 +1189,25 @@ mod tests {
         // very bytes the old tray holds, generating nothing.
         let mut a = cold_array(Redundancy::Raid6, 1);
         let old = [a.parity(0), a.parity(1)];
-        let before = track_addresses(&a, &old);
+        let before = Tracks::of(&a, &old);
         a.rot(a.files[0].2);
         let report = a.ros.audit_sample(64);
         assert_eq!(report.repaired.len(), 1, "{report:?}");
         let new = [a.parity(0), a.parity(1)];
         assert!(new.iter().all(|p| !old.contains(p)), "fresh parity ids");
-        assert_eq!(track_addresses(&a, &new), before);
+        assert_eq!(Tracks::of(&a, &new).addresses(), before.addresses());
         a.assert_cold_reads_need_no_repair();
 
         // Parity rot: P fails its digest, so P and Q are both generated
         // again — neither is the old bytes' allocation.
         let mut a = cold_array(Redundancy::Raid6, 1);
         let old = [a.parity(0), a.parity(1)];
-        let before = track_addresses(&a, &old);
+        let before = Tracks::of(&a, &old);
         a.rot(old[0]);
         let report = a.ros.audit_sample(64);
         assert_eq!(report.repaired, [old[0]], "{report:?}");
-        let after = track_addresses(&a, &[a.parity(0), a.parity(1)]);
+        let after = Tracks::of(&a, &[a.parity(0), a.parity(1)]).addresses();
+        let before = before.addresses();
         assert!(
             after.iter().all(|p| !before.contains(p)),
             "{before:?} {after:?}"

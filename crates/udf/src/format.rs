@@ -596,7 +596,7 @@ pub(crate) fn parse_image(bytes: &Parts) -> Result<(FsTree, ImageHeader), Format
     let root_icb = take_u64(&mut pvd)?;
 
     let mut nodes = Vec::new();
-    parse_node(&r, root_icb, Path::root(), 0, &mut nodes)?;
+    parse_node(&r, root_icb, Path::root(), 0, &mut 0, &mut nodes)?;
     match nodes.first() {
         // Pre-order with each directory's names ascending is the map's
         // order, so the collect sorts nothing and fills every leaf.
@@ -614,19 +614,33 @@ pub(crate) fn parse_image(bytes: &Parts) -> Result<(FsTree, ImageHeader), Format
 /// onto `out` in pre-order. A directory's FID stream is read whole
 /// before its children, and its names must come as [`serialize`] writes
 /// them: each one path component, ascending, none twice.
+///
+/// [`serialize`] numbers ICBs strictly ascending in pre-order, so each
+/// node's ICB must be at least `next`, one past the last one parsed. Two
+/// names that point at one ICB, or a child that points back at an
+/// ancestor, are refused as the first repeat is reached: every block is
+/// parsed at most once, and the parse is linear in the image.
 fn parse_node(
     r: &Reader<'_>,
     icb: u64,
     path: Path,
     depth: usize,
+    next: &mut u64,
     out: &mut Vec<(Path, FsNode)>,
 ) -> Result<(), FormatError> {
     if depth > MAX_DEPTH {
         return Err(FormatError::Corrupt {
             block: icb,
-            reason: "directory nesting too deep (cycle?)",
+            reason: "directory nesting too deep",
         });
     }
+    if icb < *next {
+        return Err(FormatError::Corrupt {
+            block: icb,
+            reason: "ICB not after the last one parsed (aliased or cyclic)",
+        });
+    }
+    *next = icb.saturating_add(1);
     // A file ICB's fields are the longer; a directory's read fewer.
     let fields: [u8; FILE_ICB_BYTES] = r.fields(icb)?;
     let mut b = &fields[..];
@@ -692,7 +706,8 @@ fn parse_node(
             };
             out.push((path.clone(), node));
             for (name, child_icb) in children {
-                parse_node(r, child_icb, path.join(&name), depth.saturating_add(1), out)?;
+                let child = path.join(&name);
+                parse_node(r, child_icb, child, depth.saturating_add(1), next, out)?;
             }
             Ok(())
         }
@@ -1173,6 +1188,43 @@ mod tests {
                 char::from(byte)
             );
         }
+    }
+
+    #[test]
+    fn a_directory_icb_named_twice_is_corrupt() {
+        // Root FIDs of directories "a" and "b", each one byte of name;
+        // "/a" holds a file. Pointing "b" at "a"'s ICB would parse the
+        // subtree twice, once per name, and a chain of such aliases
+        // twice per level.
+        let mut t = FsTree::new();
+        t.insert(&"/a/x".parse::<Path>().unwrap(), &b"1"[..], 0)
+            .unwrap();
+        t.mkdir_p(&"/b".parse::<Path>().unwrap()).unwrap();
+        let mut image = serialize(&t, 1, 1 << 20).unwrap().to_vec();
+        // Root ICB at block 2, its FID stream at block 3: kind, length,
+        // name, ICB pointer.
+        let fid = (3 * BLOCK_SIZE) as usize;
+        let (a_icb, b_icb) = (fid + 6, fid + 14 + 6);
+        assert_eq!((image[fid + 5], image[fid + 14 + 5]), (b'a', b'b'));
+        let a_block = u64::from_le_bytes(image[a_icb..a_icb + 8].try_into().unwrap());
+        image.copy_within(a_icb..a_icb + 8, b_icb);
+        assert_eq!(
+            parse(&image).unwrap_err(),
+            FormatError::Corrupt {
+                block: a_block,
+                reason: "ICB not after the last one parsed (aliased or cyclic)",
+            }
+        );
+        // A child that points back at the root.
+        let root = OVERHEAD_BLOCKS.to_le_bytes();
+        image[b_icb..b_icb + 8].copy_from_slice(&root);
+        assert!(matches!(
+            parse(&image).unwrap_err(),
+            FormatError::Corrupt {
+                block: OVERHEAD_BLOCKS,
+                ..
+            }
+        ));
     }
 
     #[test]
